@@ -11,9 +11,9 @@ BENCHJSON_OUT ?= BENCH_pr.json
 BENCHTIME ?= 100ms
 REV ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: verify fmt vet lint lint-fix-audit build test race crashtest crashtest-cluster fuzzsmoke benchjson benchgate loadtest
+.PHONY: verify fmt vet lint lint-fix-audit build bench-build test race crashtest crashtest-cluster fuzzsmoke benchjson benchgate loadtest
 
-verify: fmt vet lint build test race
+verify: fmt vet lint build bench-build test race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -45,13 +45,20 @@ lint-fix-audit:
 build:
 	$(GO) build ./...
 
+# The benchmark is a module of its own (bench/go.mod, replace nntstream =>
+# ../), so the root ./... patterns never see it. Vet and test it here, or an
+# internal API change that breaks bench/layers is only discovered when the
+# benchmark next runs.
+bench-build:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
+
 test:
 	$(GO) test ./...
 
 # The engines and the HTTP server claim concurrent-read safety; hold them to
 # it under the race detector. The WAL claims safe concurrent appends/syncs.
 # internal/join carries the parallel ApplyAll fan-out and internal/gindex is
-# shared read-side state under the sharded engine — both race-critical.
+# shared read-side state under a multi-shard engine — both race-critical.
 # internal/npv holds the packed-vector cache read concurrently by that
 # fan-out and the atomic kernel counters. internal/qindex is the sealed
 # query-candidate index read concurrently by the same fan-out, and
@@ -63,7 +70,7 @@ test:
 #
 # Coverage audit against the blockhold/lockorder lock inventory (mutex-holding
 # shipped packages): cluster (Coordinator.mu, workerGroup.mu, FaultTransport.mu),
-# core (DurableEngine.mu, ShardedMonitor.mu), gindex (Filter.mu), obs
+# core (DurableEngine.mu, Monitor.mu), gindex (Filter.mu), obs
 # (Registry.mu), server (Server.mu, admission.mu), wal (Log.mu, fault/atomic
 # wrappers) — all covered below; internal/obs was the gap (its registry is
 # scraped concurrently with engine steps) and is now included. cmd/loadgen's

@@ -51,7 +51,7 @@ func TestListAnalyzers(t *testing.T) {
 }
 
 // TestLockOrderZeroCycles pins the module-wide lock hierarchy: the cluster
-// and engine mutexes (coordinator, worker group, durable engine, shard
+// and engine mutexes (coordinator, worker group, durable engine,
 // monitor, WAL) must stay acyclic, or a future edge could ABBA-deadlock a
 // failover against a commit.
 func TestLockOrderZeroCycles(t *testing.T) {

@@ -1,9 +1,13 @@
 // Command serve runs the continuous subgraph-search monitor as an HTTP
-// service (see internal/server for the API). Streams are sharded across
+// service (see internal/server for the API). Streams can be sharded across
 // filter instances for multi-core throughput, and -data-dir makes the engine
 // durable: every mutation is write-ahead logged and periodically folded into
 // an atomic checkpoint, so a killed process recovers to exactly the
 // acknowledged operations on restart.
+//
+// -shards 0, the default, means two different things: in memory it is one
+// shard per GOMAXPROCS; with -data-dir (and for -worker-id groups) it is one
+// shard whose evaluation pool is GOMAXPROCS wide.
 //
 //	serve [-addr :8080] [-filter dsc|skyline|nl|branch|graphgrep|gindex1|gindex2|exact]
 //	      [-depth 3] [-shards 0] [-workers 0] [-data-dir dir]
@@ -49,8 +53,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	filterName := flag.String("filter", "dsc", "filter: dsc, skyline, nl, branch, graphgrep, gindex1, gindex2, exact")
 	depth := flag.Int("depth", join.DefaultDepth, "NNT depth bound for the NPV filters")
-	shards := flag.Int("shards", 0, "filter shards (0 = GOMAXPROCS; 1 disables sharding)")
-	workers := flag.Int("workers", 0, "per-shard evaluation workers for the NPV join filters (0 = auto: GOMAXPROCS/shards, GOMAXPROCS when unsharded; 1 = sequential)")
+	shards := flag.Int("shards", 0, "filter shards (0 = GOMAXPROCS in memory, one shard with -data-dir; 1 disables sharding)")
+	workers := flag.Int("workers", 0, "per-shard evaluation workers for the NPV join filters (0 = auto: GOMAXPROCS/shards; 1 = sequential)")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + checkpoints); empty runs in-memory only")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval, never")
 	fsyncInterval := flag.Duration("fsync-interval", wal.DefaultSyncInterval, "flush cadence for -fsync interval")
@@ -99,15 +103,8 @@ func main() {
 		log.Printf("durable engine in %s (fsync=%s, checkpoint every %v): recovered %d queries, %d streams",
 			*dataDir, policy, *checkpointInterval, durable.QueryCount(), durable.StreamCount())
 		engine = durable
-	} else if *shards == 1 {
-		f := factory()
-		if pf, ok := f.(core.ParallelFilter); ok {
-			pf.SetWorkers(*workers)
-		}
-		engine = core.NewMonitor(f)
 	} else {
-		engine = core.NewShardedMonitorWith(core.FilterFactory(factory),
-			core.ShardedOptions{Shards: *shards, Workers: *workers})
+		engine = core.NewShardedMonitor(factory, *shards, *workers)
 	}
 
 	srv := server.NewWithRegistry(engine, registry)

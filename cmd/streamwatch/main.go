@@ -115,7 +115,7 @@ func main() {
 		ids = append(ids, id)
 	}
 	fmt.Printf("watching %d streams for %d patterns with %s\n",
-		len(ids), len(queries), mon.Filter().Name())
+		len(ids), len(queries), mon.FilterName())
 
 	prev := ""
 	t := 0

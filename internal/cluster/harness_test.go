@@ -332,11 +332,11 @@ func (tc *testCluster) applyOp(op clusterOp) int {
 // refEngine is the single-node oracle the cluster must match bit for bit.
 type refEngine struct {
 	t   *testing.T
-	eng *core.ShardedMonitor
+	eng *core.Monitor
 }
 
 func newRefEngine(t *testing.T, factory core.FilterFactory, shards int) *refEngine {
-	return &refEngine{t: t, eng: core.NewShardedMonitorWith(factory, core.ShardedOptions{Shards: shards})}
+	return &refEngine{t: t, eng: core.NewShardedMonitor(factory, shards)}
 }
 
 func (r *refEngine) apply(op clusterOp) {

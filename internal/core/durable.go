@@ -14,10 +14,10 @@ import (
 	"nntstream/internal/wal"
 )
 
-// DurableEngine makes a Monitor or ShardedMonitor crash-safe: every accepted
-// mutation is appended to a write-ahead log before it is applied, and the
-// engine's logical state is periodically folded into an atomic checkpoint
-// that lets the log be truncated. Booting from a data directory restores the
+// DurableEngine makes a Monitor crash-safe: every accepted mutation is
+// appended to a write-ahead log before it is applied, and the engine's
+// logical state is periodically folded into an atomic checkpoint that lets
+// the log be truncated. Booting from a data directory restores the
 // checkpoint (if any) and replays the log's surviving suffix, so a process
 // killed at any instant recovers to exactly the acknowledged operations.
 //
@@ -34,7 +34,7 @@ import (
 // serialize behind mu) makes that rollback safe.
 type DurableEngine struct {
 	mu     sync.Mutex
-	inner  innerEngine
+	inner  *Monitor
 	log    *wal.Log
 	dir    string
 	cpPath string
@@ -63,34 +63,14 @@ type DurableEngine struct {
 	checkpointWG   sync.WaitGroup
 }
 
-// innerEngine is the engine surface DurableEngine wraps. Monitor and
-// ShardedMonitor implement it.
-type innerEngine interface {
-	AddQuery(q *graph.Graph) (QueryID, error)
-	RemoveQuery(id QueryID) error
-	AddStream(g0 *graph.Graph) (StreamID, error)
-	StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error)
-	Candidates() []Pair
-	Stats() Stats
-	QueryCount() int
-	StreamCount() int
-	SetMetrics(em *EngineMetrics)
-
-	replayAddQuery(id QueryID, q *graph.Graph) error
-	replayAddStream(id StreamID, g0 *graph.Graph) error
-	nextIDs() (QueryID, StreamID)
-	setNextIDs(q QueryID, s StreamID)
-	checkpointState() engineState
-}
-
 // DurableOptions configures OpenDurableEngine.
 type DurableOptions struct {
-	// Shards selects the inner engine: <=1 wraps a single Monitor, >1 a
-	// ShardedMonitor with that many shards.
+	// Shards is the inner Monitor's shard count; <= 1 (the zero value
+	// included) means one shard, not NewShardedMonitor's GOMAXPROCS default.
 	Shards int
-	// Workers bounds the evaluation worker pool handed to ParallelFilters:
-	// per shard for the sharded engine (0 = max(1, GOMAXPROCS/shards)),
-	// for the whole filter in single-monitor mode (0 = GOMAXPROCS).
+	// Workers bounds the per-shard evaluation worker pool handed to
+	// ParallelFilters (0 = max(1, GOMAXPROCS/shards), so GOMAXPROCS for one
+	// shard).
 	Workers int
 	// Fsync is the WAL fsync policy (default wal.SyncAlways).
 	Fsync wal.SyncPolicy
@@ -130,20 +110,12 @@ func OpenDurableEngine(dir string, factory FilterFactory, opts DurableOptions) (
 		return nil, fmt.Errorf("core: creating data dir %s: %w", dir, err)
 	}
 	d := &DurableEngine{
+		inner:    NewShardedMonitor(factory, max(1, opts.Shards), opts.Workers),
 		dir:      dir,
 		cpPath:   filepath.Join(dir, checkpointFileName),
 		metrics:  opts.Metrics,
 		onCommit: opts.OnCommit,
 		cpFault:  opts.CheckpointFault,
-	}
-	if opts.Shards > 1 {
-		d.inner = NewShardedMonitorWith(factory, ShardedOptions{Shards: opts.Shards, Workers: opts.Workers})
-	} else {
-		f := factory()
-		if pf, ok := f.(ParallelFilter); ok {
-			pf.SetWorkers(opts.Workers)
-		}
-		d.inner = NewMonitor(f)
 	}
 
 	// A crash during checkpointing can leave a stale temp file; the rename
@@ -195,7 +167,7 @@ func OpenDurableEngine(dir string, factory FilterFactory, opts DurableOptions) (
 	if opts.CheckpointInterval > 0 {
 		d.stopCheckpoint = make(chan struct{})
 		d.checkpointWG.Add(1)
-		go d.checkpointLoop(opts.CheckpointInterval)
+		go d.checkpointLoop(opts.CheckpointInterval, d.stopCheckpoint)
 	}
 	return d, nil
 }
@@ -215,7 +187,7 @@ func (d *DurableEngine) restoreCheckpoint() (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: checkpoint %s: %w", d.cpPath, err)
 	}
-	if err := restoreInto(d.inner, file); err != nil {
+	if err := d.inner.restore(file); err != nil {
 		return 0, fmt.Errorf("core: restoring checkpoint %s: %w", d.cpPath, err)
 	}
 	return file.WALSeq, nil
@@ -323,7 +295,7 @@ func (d *DurableEngine) AddStream(g0 *graph.Graph) (StreamID, error) {
 }
 
 // StepAll logs one global timestamp's change sets and applies them. The
-// inner engines validate the whole batch before any filter state changes, so
+// inner engine validates the whole batch before any filter state changes, so
 // a rejected batch is withdrawn from the log and leaves no trace.
 func (d *DurableEngine) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) {
 	d.mu.Lock()
@@ -428,13 +400,16 @@ func (d *DurableEngine) checkpointLocked() error {
 	return err
 }
 
-func (d *DurableEngine) checkpointLoop(interval time.Duration) {
+// checkpointLoop takes its stop channel as an argument: stopLoop clears the
+// field, possibly before this goroutine first runs, and a loop that re-read
+// it would then wait on a nil channel forever.
+func (d *DurableEngine) checkpointLoop(interval time.Duration, stop <-chan struct{}) {
 	defer d.checkpointWG.Done()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-d.stopCheckpoint:
+		case <-stop:
 			return
 		case <-ticker.C:
 			d.mu.Lock()
@@ -489,8 +464,8 @@ func (d *DurableEngine) stopLoop() {
 	}
 }
 
-// Read paths delegate to the inner engine; the server's readers-writer lock
-// (and ShardedMonitor's internal lock) provide the read-side exclusion.
+// Read paths delegate to the inner engine, whose own readers-writer lock
+// provides the read-side exclusion.
 
 // Candidates returns the current candidate pairs.
 func (d *DurableEngine) Candidates() []Pair { return d.inner.Candidates() }
@@ -507,11 +482,7 @@ func (d *DurableEngine) SetMetrics(em *EngineMetrics) { d.inner.SetMetrics(em) }
 
 // CollectMetrics forwards the wrapped engine's collector surface.
 func (d *DurableEngine) CollectMetrics(emit func(name string, value float64)) {
-	if c, ok := d.inner.(interface {
-		CollectMetrics(emit func(name string, value float64))
-	}); ok {
-		c.CollectMetrics(emit)
-	}
+	d.inner.CollectMetrics(emit)
 }
 
 // LastLSN exposes the WAL's most recent sequence number (for tests and

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"nntstream/internal/graph"
 	"nntstream/internal/obs"
@@ -154,10 +155,7 @@ func recoveryOps(t *testing.T) []func(m mutator) error {
 
 // twinEngine builds the never-crashed reference engine.
 func twinEngine(shards int) mutator {
-	if shards > 1 {
-		return NewShardedMonitor(func() Filter { return newLabelFilter() }, shards)
-	}
-	return NewMonitor(newLabelFilter())
+	return NewShardedMonitor(func() Filter { return newLabelFilter() }, shards)
 }
 
 // expectedCandidates returns the candidate set after each op prefix:
@@ -288,6 +286,39 @@ func TestDurableKillPointEveryByte(t *testing.T) {
 
 // TestDurableRecoveredEngineAcceptsWrites ensures a recovered engine is live:
 // post-recovery mutations append, and a second recovery includes them.
+// TestCrashImmediatelyAfterOpenDoesNotHang: stopping an engine whose
+// checkpoint goroutine has not been scheduled yet must still stop that
+// goroutine. The loop used to read its stop channel from a field stopLoop
+// had already cleared, and then waited on a nil channel forever.
+func TestCrashImmediatelyAfterOpenDoesNotHang(t *testing.T) {
+	dir := t.TempDir()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			d, err := OpenDurableEngine(dir, func() Filter { return newLabelFilter() },
+				DurableOptions{Fsync: wal.SyncNever, CheckpointInterval: time.Minute})
+			if err != nil {
+				t.Errorf("round %d: %v", i, err)
+				return
+			}
+			stop := d.Crash
+			if i%2 == 1 {
+				stop = d.Close
+			}
+			if err := stop(); err != nil {
+				t.Errorf("round %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Crash/Close right after OpenDurableEngine hung waiting for the checkpoint loop")
+	}
+}
+
 func TestDurableRecoveredEngineAcceptsWrites(t *testing.T) {
 	data := runAndCrash(t, t.TempDir(), 1)
 	// Cut mid-final-record: the torn record is discarded on recovery.

@@ -51,10 +51,11 @@ func SortPairs(ps []Pair) []Pair {
 // which Q is subgraph-isomorphic to the current graph of G. False positives
 // are permitted (fewer is better); false negatives are not.
 //
-// Candidates is additionally a read path: engines allow multiple Candidates
-// calls to run concurrently with each other (never with a mutating call), so
-// implementations must either not mutate observable state in Candidates or
-// synchronize such mutation internally (see gindex's lazy re-mining).
+// Candidates is additionally a read path: the engine allows multiple
+// Candidates calls to run concurrently with each other (never with a
+// mutating call), so implementations must either not mutate observable
+// state in Candidates or synchronize such mutation internally (see gindex's
+// lazy re-mining).
 type Filter interface {
 	// Name identifies the filter in reports and benchmarks.
 	Name() string
@@ -70,14 +71,14 @@ type Filter interface {
 }
 
 // BatchApplier is an optional Filter extension: the engine hands one
-// timestamp's change sets for all of its (or its shard's) streams to the
-// filter at once, so the filter can fan the per-(stream, query) dominance
+// timestamp's change sets for all of a shard's streams to the filter at
+// once, so the filter can fan the per-(stream, query) dominance
 // re-evaluation out over a bounded worker pool instead of walking the
 // streams one by one.
 //
 // ApplyAll must be observationally equivalent to calling Apply once per
-// entry in any order — entries address distinct streams, and the engines
-// validate every change set against a cloned canonical graph before the
+// entry in any order — entries address distinct streams, and the engine
+// validates every change set against a cloned canonical graph before the
 // fan-out, so a mid-batch failure reports an error with the filter state
 // unspecified, exactly like a failed Apply sequence.
 type BatchApplier interface {
@@ -87,8 +88,9 @@ type BatchApplier interface {
 
 // ParallelFilter is implemented by filters whose evaluation fans out over
 // a bounded worker pool. SetWorkers(n) bounds the pool at n goroutines;
-// n <= 0 sizes it to runtime.GOMAXPROCS and n == 1 forces the sequential
-// path. Filters default to sequential until an engine opts them in, so
+// n <= 0 sizes it to runtime.GOMAXPROCS and n == 1 runs every batch inline
+// on the caller's goroutine. Filters default to one worker until an engine
+// (NewShardedMonitor, and so DurableEngine) or the caller raises it, so
 // the paper-faithful single-core cost model stays the default for direct
 // library use.
 type ParallelFilter interface {

@@ -6,13 +6,12 @@ import (
 	"nntstream/internal/obs"
 )
 
-// EngineMetrics bundles the registry instruments a Monitor or ShardedMonitor
-// records into, one observation per StepAll timestamp. All instruments share
+// EngineMetrics bundles the registry instruments a Monitor records into, one
+// observation per StepAll timestamp. All instruments share
 // the nntstream_engine_ prefix.
 type EngineMetrics struct {
 	// ApplySeconds is the per-timestamp latency of the filter-apply phase
-	// (every changed stream's Apply call; for the sharded engine, the
-	// wall-clock time of the parallel fan-out).
+	// (the wall-clock time of the shard fan-out).
 	ApplySeconds *obs.Histogram
 	// CollectSeconds is the per-timestamp latency of candidate collection.
 	CollectSeconds *obs.Histogram

@@ -129,22 +129,16 @@ func readSnapshotFrom(r io.Reader) (snapshotFile, error) {
 	return file, nil
 }
 
-// snapshotRestorer is the subset of engine behavior snapshot loading needs;
-// both Monitor and ShardedMonitor implement it.
-type snapshotRestorer interface {
-	replayAddQuery(id QueryID, q *graph.Graph) error
-	replayAddStream(id StreamID, g0 *graph.Graph) error
-	setNextIDs(q QueryID, s StreamID)
-}
-
-// restoreInto replays a snapshot's entries into a fresh engine.
-func restoreInto(e snapshotRestorer, file snapshotFile) error {
+// restore replays a snapshot's entries into a fresh engine of any shard
+// count: streams are placed in ascending ID order, the order they were first
+// added in.
+func (m *Monitor) restore(file snapshotFile) error {
 	for _, entry := range file.Queries {
 		g, err := decodeGraph(entry.Graph)
 		if err != nil {
 			return fmt.Errorf("core: snapshot query %d: %w", entry.ID, err)
 		}
-		if err := e.replayAddQuery(QueryID(entry.ID), g); err != nil {
+		if err := m.replayAddQuery(QueryID(entry.ID), g); err != nil {
 			return fmt.Errorf("core: snapshot query %d: %w", entry.ID, err)
 		}
 	}
@@ -153,31 +147,32 @@ func restoreInto(e snapshotRestorer, file snapshotFile) error {
 		if err != nil {
 			return fmt.Errorf("core: snapshot stream %d: %w", entry.ID, err)
 		}
-		if err := e.replayAddStream(StreamID(entry.ID), g); err != nil {
+		if err := m.replayAddStream(StreamID(entry.ID), g); err != nil {
 			return fmt.Errorf("core: snapshot stream %d: %w", entry.ID, err)
 		}
 	}
-	e.setNextIDs(QueryID(file.NextQuery), StreamID(file.NextStream))
+	m.setNextIDs(QueryID(file.NextQuery), StreamID(file.NextStream))
 	return nil
 }
 
 // WriteSnapshot serializes the monitor's queries and canonical stream
-// graphs as JSON. Filter-internal state is not persisted; RestoreMonitor
-// rebuilds it deterministically.
+// graphs as JSON. Filter-internal state and shard placement are not
+// persisted — the bytes are the same for any shard count — and
+// RestoreMonitor rebuilds the former deterministically.
 func (m *Monitor) WriteSnapshot(w io.Writer) error {
 	return writeSnapshotTo(w, buildSnapshotFile(m.checkpointState(), 0))
 }
 
-// RestoreMonitor rebuilds a monitor around a fresh filter from a snapshot,
-// preserving the original query and stream IDs (including gaps left by
-// removed queries).
+// RestoreMonitor rebuilds a one-shard monitor around a fresh filter from a
+// snapshot, preserving the original query and stream IDs (including gaps
+// left by removed queries).
 func RestoreMonitor(r io.Reader, f Filter) (*Monitor, error) {
 	file, err := readSnapshotFrom(r)
 	if err != nil {
 		return nil, err
 	}
 	m := NewMonitor(f)
-	if err := restoreInto(m, file); err != nil {
+	if err := m.restore(file); err != nil {
 		return nil, err
 	}
 	return m, nil

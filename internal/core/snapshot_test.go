@@ -10,7 +10,14 @@ import (
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	m := NewMonitor(&passthrough{})
+	for _, shards := range []int{1, 3} {
+		testSnapshotRoundTrip(t, NewShardedMonitor(func() Filter { return &passthrough{} }, shards))
+	}
+}
+
+// testSnapshotRoundTrip snapshots m, an empty engine of any shard count,
+// after some work, and restores the snapshot into a one-shard engine.
+func testSnapshotRoundTrip(t *testing.T, m *Monitor) {
 	q1 := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
 	q2 := buildGraph(t, map[graph.VertexID]graph.Label{0: 2, 1: 3}, [][3]int{{0, 1, 5}})
 	if _, err := m.AddQuery(q1); err != nil {
@@ -56,8 +63,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ID allocation resumes past the restored IDs.
-	q3 := buildGraph(t, map[graph.VertexID]graph.Label{0: 0}, nil)
-	_ = q3
 	sid2, err := restored.AddStream(g)
 	if err != nil {
 		t.Fatal(err)
@@ -114,24 +119,4 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 			t.Fatalf("case %d: bad snapshot accepted", i)
 		}
 	}
-}
-
-// dynamicPassthrough extends passthrough with query removal.
-type dynamicPassthrough struct {
-	passthrough
-	removed map[QueryID]bool
-}
-
-func (d *dynamicPassthrough) RemoveQuery(id QueryID) error {
-	if d.removed == nil {
-		d.removed = make(map[QueryID]bool)
-	}
-	d.removed[id] = true
-	for i, q := range d.queries {
-		if q == id {
-			d.queries = append(d.queries[:i], d.queries[i+1:]...)
-			break
-		}
-	}
-	return nil
 }

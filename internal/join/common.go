@@ -29,6 +29,7 @@ import (
 	"nntstream/internal/graph"
 	"nntstream/internal/nnt"
 	"nntstream/internal/npv"
+	"nntstream/internal/qindex"
 )
 
 // DefaultDepth is the NNT depth bound used when callers do not override it;
@@ -124,7 +125,7 @@ func batchStreamIDs(changes map[core.StreamID]graph.ChangeSet) []core.StreamID {
 
 // sortedQueryIDs extracts registered query IDs in ascending order — the
 // pair-task enumeration order of the batch path.
-func sortedQueryIDs[T any](m map[core.QueryID]T) []core.QueryID {
+func sortedQueryIDs(m map[core.QueryID][]npv.PackedVector) []core.QueryID {
 	qids := make([]core.QueryID, 0, len(m))
 	for qid := range m {
 		qids = append(qids, qid)
@@ -139,16 +140,22 @@ type pairTask struct {
 	qid core.QueryID
 }
 
-// firstError returns the lowest-index non-nil error of a fan-out, so a
-// failing batch reports the same error the sequential loop would have hit
-// first.
-func firstError(errs []error) error {
+// runStreams is the per-stream maintenance stage every ApplyAll opens with:
+// step runs once per batch entry, fanned out over the pool with one result
+// slot per entry. It returns the batch's stream IDs in slot order and the
+// lowest-slot error, so a failing batch reports the error a sequential walk
+// would have hit first. step must touch only its own stream's state and
+// slot i.
+func (p *evalPool) runStreams(changes map[core.StreamID]graph.ChangeSet, step func(i int, id core.StreamID, cs graph.ChangeSet) error) ([]core.StreamID, error) {
+	ids := batchStreamIDs(changes)
+	errs := make([]error, len(ids))
+	p.run(len(ids), func(i int) { errs[i] = step(i, ids[i], changes[ids[i]]) })
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return ids, err
 		}
 	}
-	return nil
+	return ids, nil
 }
 
 // unfactoredAll wraps a query's packed vectors as trivial decompositions —
@@ -210,4 +217,320 @@ func dominatedByAny(st *streamState, u factor.Factored) (found bool, scanned int
 		return true
 	})
 	return found, scanned
+}
+
+// vecStream is the half of a stream's state a vector-probing strategy (NL,
+// Skyline) supplies on top of the shared streamState.
+type vecStream interface {
+	// reconcile seals the stream's dirty vertices, folds the transitions
+	// into the factor memo and the strategy's own stream-side statistics,
+	// and returns them (nil when no vector changed). It mutates only this
+	// stream, so distinct streams reconcile independently.
+	reconcile() []npv.DirtyDelta
+	// probe reports whether every query vector in vecs is dominated by some
+	// stream vector, and how many stream vectors it scanned deciding. It
+	// reads the reconciled stream state and touches nothing else, which is
+	// what makes the pair fan-out safe.
+	probe(vecs []factor.Factored) (joinable bool, scanned int64)
+}
+
+// vecJoinStream is one stream of a vecJoin: the strategy's half, the shared
+// feature structures, and the cached verdict of every registered query.
+type vecJoinStream struct {
+	vecStream
+	st      *streamState
+	verdict map[core.QueryID]bool
+}
+
+// vecJoin is everything NL and Skyline have in common — which is everything
+// except which query vectors decide a verdict (derive), what a stream keeps
+// beside its vector space, and how one query vector is probed against it
+// (vecStream): query registration against the dominance index and the
+// factor table, the reseal discipline, and the batch driver. The strategies
+// embed it, so its exported methods are theirs.
+//
+// The dominance index generates the candidate queries per changed stream:
+// each dirty vertex's sealed (old, new) transition maps to a superset of the
+// queries whose verdict could have flipped, so the kept verdicts are exact
+// by construction. The factor table shares dominance work across
+// overlapping query vectors; both are immutable within a timestamp, and
+// per-stream memos update in the per-stream maintenance stage only.
+type vecJoin struct {
+	depth int
+	// derive computes the verdict-deciding packed vectors of a query, in the
+	// order probes should run; newStream builds the strategy's half of a
+	// stream over its freshly built feature structures.
+	derive    func(q *graph.Graph, depth int) []npv.PackedVector
+	newStream func(st *streamState) vecStream
+
+	queries map[core.QueryID][]npv.PackedVector
+	streams map[core.StreamID]*vecJoinStream
+	// indexed gates ix (true by default; the full re-evaluation is kept as
+	// the benchmark/testing reference).
+	ix      *qindex.Index
+	indexed bool
+	// ft is nil when factoring is disabled; fq then holds trivial
+	// decompositions.
+	ft *factor.Table
+	fq map[core.QueryID][]factor.Factored
+	// scans counts stream vectors scanned by probes over the run. Written
+	// only on the serialized paths — pair tasks report per-task counts that
+	// are merged after the join — and read by the strategies' CollectMetrics.
+	scans int64
+	pool  evalPool
+}
+
+func newVecJoin(depth int, derive func(*graph.Graph, int) []npv.PackedVector, newStream func(*streamState) vecStream) vecJoin {
+	return vecJoin{
+		depth:     depth,
+		derive:    derive,
+		newStream: newStream,
+		queries:   make(map[core.QueryID][]npv.PackedVector),
+		streams:   make(map[core.StreamID]*vecJoinStream),
+		ix:        qindex.New(),
+		indexed:   true,
+		ft:        factor.NewTable(),
+		fq:        make(map[core.QueryID][]factor.Factored),
+	}
+}
+
+// DisableQueryIndex turns off candidate generation: every changed stream
+// re-evaluates every registered query, as the filters did before the index
+// existed. It exists for benchmarks (the sub-linear claim needs its linear
+// baseline) and equivalence tests, and must be called before any query or
+// stream is registered.
+func (j *vecJoin) DisableQueryIndex() {
+	if len(j.queries) != 0 || len(j.streams) != 0 {
+		panic("join: DisableQueryIndex after registration")
+	}
+	j.indexed = false
+}
+
+// DisableFactors turns off shared-factor evaluation: every query vector is
+// tested by the full packed merge, with no memo short-circuit. It exists as
+// the benchmark baseline and the reference the factored path is tested
+// bit-identical against, and must be called before any query or stream is
+// registered.
+func (j *vecJoin) DisableFactors() {
+	if len(j.queries) != 0 || len(j.streams) != 0 {
+		panic("join: DisableFactors after registration")
+	}
+	j.ft = nil
+}
+
+// SetFactorThresholds forwards discovery thresholds to the factor table
+// (see factor.Table); panics once factoring is disabled or sealed.
+func (j *vecJoin) SetFactorThresholds(minSupport, minDims int) {
+	j.ft.SetMinSupport(minSupport)
+	j.ft.SetMinDims(minDims)
+}
+
+// SetWorkers implements core.ParallelFilter.
+func (j *vecJoin) SetWorkers(n int) { j.pool.setWorkers(n) }
+
+// rebuildFactored re-derives every query's decomposition and every
+// stream's memo from the (re)sealed factor table. Per-key writes are
+// order-independent, so the map iteration order is immaterial.
+func (j *vecJoin) rebuildFactored() {
+	for qid, vecs := range j.queries {
+		j.fq[qid] = decompAll(j.ft, qid, len(vecs))
+	}
+	for _, s := range j.streams {
+		s.st.memo.Rebuild(s.st.space)
+	}
+}
+
+// AddQuery implements core.Filter; queries may also arrive while streams
+// are live (core.DynamicFilter), in which case the new pattern is evaluated
+// against every current stream immediately. Index and factor keys carry the
+// vector's position in the derived slice in their vertex slot.
+func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
+	if _, ok := j.queries[id]; ok {
+		return fmt.Errorf("join: duplicate query %d", id)
+	}
+	vecs := j.derive(q, j.depth)
+	j.queries[id] = vecs
+	for i, u := range vecs {
+		if j.indexed {
+			j.ix.Add(qindex.Key{Query: id, Vertex: graph.VertexID(i)}, u)
+		}
+		if j.ft != nil {
+			j.ft.Add(factor.Key{Query: id, Vertex: graph.VertexID(i)}, u)
+		}
+	}
+	switch {
+	case j.ft == nil:
+		j.fq[id] = unfactoredAll(vecs)
+	case !j.ft.Sealed():
+		// Pre-seal: stored only; decompositions appear when the first stream
+		// seals the table, and nothing evaluates before then.
+	case j.ft.MaybeReseal():
+		// Live addition after churn piled up: re-discover and rebuild the
+		// decompositions and memos.
+		j.rebuildFactored()
+	default:
+		// Live addition: matched against the existing factors.
+		j.fq[id] = decompAll(j.ft, id, len(vecs))
+	}
+	for _, s := range j.streams {
+		s.verdict[id] = j.evaluate(s, id)
+	}
+	return nil
+}
+
+// RemoveQuery implements core.DynamicFilter: the packed query vectors, the
+// per-stream verdicts, and the index postings are all torn down.
+func (j *vecJoin) RemoveQuery(id core.QueryID) error {
+	if _, ok := j.queries[id]; !ok {
+		return fmt.Errorf("join: unknown query %d", id)
+	}
+	delete(j.queries, id)
+	delete(j.fq, id)
+	j.ix.RemoveQuery(id)
+	if j.ft != nil {
+		j.ft.RemoveQuery(id)
+		if j.ft.Sealed() && j.ft.MaybeReseal() {
+			j.rebuildFactored()
+		}
+	}
+	for _, s := range j.streams {
+		delete(s.verdict, id)
+	}
+	return nil
+}
+
+// AddStream implements core.Filter. The first stream seals the index (like
+// DSC's build phase, registration appends cheaply and sorts once) and runs
+// factor discovery once over the full pre-seal query set; it has no
+// predecessors, so no memos need rebuilding.
+func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
+	if _, ok := j.streams[id]; ok {
+		return fmt.Errorf("join: duplicate stream %d", id)
+	}
+	j.ix.Seal()
+	if j.ft != nil && !j.ft.Sealed() {
+		j.ft.Seal()
+		j.rebuildFactored()
+	}
+	st := newStreamState(g0, j.depth, true, j.ft)
+	s := &vecJoinStream{
+		vecStream: j.newStream(st),
+		st:        st,
+		verdict:   make(map[core.QueryID]bool, len(j.queries)),
+	}
+	j.streams[id] = s
+	s.reconcile()
+	for qid := range j.queries {
+		s.verdict[qid] = j.evaluate(s, qid)
+	}
+	return nil
+}
+
+// evaluate probes one query against one stream on the serialized path.
+func (j *vecJoin) evaluate(s *vecJoinStream, qid core.QueryID) bool {
+	ok, scanned := s.probe(j.fq[qid])
+	j.scans += scanned
+	return ok
+}
+
+// Apply implements core.Filter as a one-entry batch.
+func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
+	return j.ApplyAll(map[core.StreamID]graph.ChangeSet{id: cs})
+}
+
+// ApplyAll implements core.BatchApplier, and is the only code path that
+// advances a stream. Maintenance runs one task per stream: NNT update,
+// reconcile (which seals that stream's dirty vertices and updates its memo
+// — the stream's private state, which the pair stage only reads), and
+// candidate generation, which reads the sealed, immutable index plus atomic
+// counters and so is race-free inside the per-stream task. Dominance
+// re-evaluation then fans out one task per (changed stream, candidate
+// query) pair. Each task writes only its own slot, and the merge walks
+// slots in (StreamID, QueryID) order, so the verdicts — and therefore
+// Candidates — do not depend on the worker count.
+func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
+	cands := make([][]core.QueryID, len(changes))
+	var allQ []core.QueryID
+	if !j.indexed {
+		allQ = sortedQueryIDs(j.queries)
+	}
+	ids, err := j.pool.runStreams(changes, func(i int, id core.StreamID, cs graph.ChangeSet) error {
+		s, ok := j.streams[id]
+		if !ok {
+			return fmt.Errorf("join: unknown stream %d", id)
+		}
+		if err := s.st.apply(cs); err != nil {
+			return err
+		}
+		deltas := s.reconcile()
+		switch {
+		case len(deltas) == 0:
+			// Nothing changed; verdicts stand.
+		case j.indexed:
+			cands[i] = j.ix.AffectedQueries(deltas)
+		default:
+			cands[i] = allQ
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+
+	var tasks []pairTask
+	for i, id := range ids {
+		for _, qid := range cands[i] {
+			tasks = append(tasks, pairTask{sid: id, qid: qid})
+		}
+	}
+	verdicts := make([]bool, len(tasks))
+	scans := make([]int64, len(tasks))
+	j.pool.run(len(tasks), func(i int) {
+		t := tasks[i]
+		verdicts[i], scans[i] = j.streams[t.sid].probe(j.fq[t.qid])
+	})
+	for i, t := range tasks {
+		j.streams[t.sid].verdict[t.qid] = verdicts[i]
+		j.scans += scans[i]
+	}
+	return nil
+}
+
+// Candidates implements core.Filter.
+func (j *vecJoin) Candidates() []core.Pair {
+	var out []core.Pair
+	for sid, s := range j.streams {
+		for qid, ok := range s.verdict {
+			if ok {
+				out = append(out, core.Pair{Stream: sid, Query: qid})
+			}
+		}
+	}
+	return core.SortPairs(out)
+}
+
+// collectShared emits the samples NL and Skyline export under the same
+// names: index postings, factor-table sizes, observed NNT nodes, stream
+// count, and the evaluation pool.
+func (j *vecJoin) collectShared(emit func(name string, value float64)) {
+	emit("nntstream_qindex_postings", float64(j.ix.PostingCount()))
+	if j.ft != nil {
+		j.ft.CollectMetrics(emit)
+	}
+	nodes := 0
+	for _, s := range j.streams {
+		nodes += s.st.nodeCount()
+	}
+	emit("nntstream_filter_nnt_nodes", float64(nodes))
+	emit("nntstream_filter_streams", float64(len(j.streams)))
+	j.pool.collect(emit)
+}
+
+// queryVectorCount sums the registered verdict-deciding query vectors.
+func (j *vecJoin) queryVectorCount() int {
+	n := 0
+	for _, vecs := range j.queries {
+		n += len(vecs)
+	}
+	return n
 }

@@ -370,27 +370,9 @@ func (f *DSC) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	return nil
 }
 
-// Apply implements core.Filter.
+// Apply implements core.Filter as a one-entry batch.
 func (f *DSC) Apply(id core.StreamID, cs graph.ChangeSet) error {
-	ds, ok := f.streams[id]
-	if !ok {
-		return fmt.Errorf("join: unknown stream %d", id)
-	}
-	work, err := f.applyStream(ds, cs)
-	f.domUpdates += work
-	return err
-}
-
-// applyStream advances one stream: NNT maintenance, then the dominance
-// counter updates of the dirty vertices. It touches only ds (and the
-// read-only shared columns and factor table), so distinct streams' calls
-// are independent — the property ApplyAll's fan-out relies on. The
-// returned work count is merged into domUpdates by the caller.
-func (f *DSC) applyStream(ds *dscStream, cs graph.ChangeSet) (int64, error) {
-	if err := ds.st.apply(cs); err != nil {
-		return 0, err
-	}
-	return f.reconcileStream(ds), nil
+	return f.ApplyAll(map[core.StreamID]graph.ChangeSet{id: cs})
 }
 
 // reconcileStream folds the stream's dirty vertices into its counters. On
@@ -422,29 +404,32 @@ func (f *DSC) reconcileStream(ds *dscStream) int64 {
 	return work
 }
 
-// ApplyAll implements core.BatchApplier: one task per stream, because
-// DSC's dominance re-evaluation *is* the per-stream counter maintenance —
-// every (stream, query) verdict is an aggregate (covered == qsize) the
-// stream's own counters answer, so the stream is the finest unit that
-// avoids write sharing. Tasks write only their own stream's state and
-// work slot; the merge walks slots in StreamID order.
+// ApplyAll implements core.BatchApplier, and is the only code path that
+// advances a stream: one task per stream — NNT maintenance, then the
+// dominance counter updates of the dirty vertices — because DSC's dominance
+// re-evaluation *is* the per-stream counter maintenance. Every (stream,
+// query) verdict is an aggregate (covered == qsize) the stream's own
+// counters answer, so the stream is the finest unit that avoids write
+// sharing. Tasks touch only their own stream's state (plus the read-only
+// shared columns and factor table) and work slot; the merge walks slots in
+// StreamID order.
 func (f *DSC) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
-	ids := batchStreamIDs(changes)
-	errs := make([]error, len(ids))
-	works := make([]int64, len(ids))
-	f.pool.run(len(ids), func(i int) {
-		id := ids[i]
+	works := make([]int64, len(changes))
+	_, err := f.pool.runStreams(changes, func(i int, id core.StreamID, cs graph.ChangeSet) error {
 		ds, ok := f.streams[id]
 		if !ok {
-			errs[i] = fmt.Errorf("join: unknown stream %d", id)
-			return
+			return fmt.Errorf("join: unknown stream %d", id)
 		}
-		works[i], errs[i] = f.applyStream(ds, changes[id])
+		if err := ds.st.apply(cs); err != nil {
+			return err
+		}
+		works[i] = f.reconcileStream(ds)
+		return nil
 	})
 	for _, w := range works {
 		f.domUpdates += w
 	}
-	return firstError(errs)
+	return err
 }
 
 // updateVertex moves stream vertex v's position counters to match its

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"fmt"
 	"sort"
 
 	"nntstream/internal/core"
@@ -9,7 +8,6 @@ import (
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
 	"nntstream/internal/obs"
-	"nntstream/internal/qindex"
 	"nntstream/internal/skyline"
 )
 
@@ -32,35 +30,16 @@ import (
 // queries whose verdict the dirty vertices' seal transitions could have
 // flipped, instead of all of them. DisableQueryIndex restores the full
 // re-evaluation as the benchmark/testing reference.
-type Skyline struct {
-	depth   int
-	queries map[core.QueryID][]npv.PackedVector // maximal vectors, probe order
-	streams map[core.StreamID]*skyStream
-	// ix indexes the maximal vectors for candidate generation; indexed
-	// gates it (true by default).
-	ix      *qindex.Index
-	indexed bool
-	// ft factors the maximal vectors across queries and fq holds their
-	// evaluation-time decompositions (nil table = factoring disabled).
-	ft *factor.Table
-	fq map[core.QueryID][]factor.Factored
-	// probeScans counts stream vectors scanned inside dominated's probe loop
-	// over the run — the work the per-dimension max refutation saves.
-	// Written only on the (serialized) maintenance path — parallel batches
-	// accumulate per-task counts and merge them after the join — and read
-	// by CollectMetrics.
-	probeScans int64
-	pool       evalPool
-}
+type Skyline struct{ vecJoin }
 
+// skyStream is Skyline's vecStream: the per-dimension statistics behind the
+// max refutation and the probe-dimension choice.
 type skyStream struct {
 	st *streamState
 	// prev shadows each vertex's vector as currently registered in dims,
 	// so removals and max recomputation use consistent values.
 	prev map[graph.VertexID]npv.Vector
 	dims map[npv.Dim]*dimStat
-	// verdict caches the joinability of each query against this stream.
-	verdict map[core.QueryID]bool
 }
 
 type dimStat struct {
@@ -77,237 +56,31 @@ var (
 // NewSkyline returns a skyline-with-early-stop filter with the given NNT
 // depth.
 func NewSkyline(depth int) *Skyline {
-	return &Skyline{
-		depth:   depth,
-		queries: make(map[core.QueryID][]npv.PackedVector),
-		streams: make(map[core.StreamID]*skyStream),
-		ix:      qindex.New(),
-		indexed: true,
-		ft:      factor.NewTable(),
-		fq:      make(map[core.QueryID][]factor.Factored),
-	}
-}
-
-// DisableQueryIndex turns off candidate generation: every changed stream
-// re-evaluates every registered query. For benchmarks and equivalence
-// tests; must be called before any query or stream is registered.
-func (f *Skyline) DisableQueryIndex() {
-	if len(f.queries) != 0 || len(f.streams) != 0 {
-		panic("join: DisableQueryIndex after registration")
-	}
-	f.indexed = false
-}
-
-// DisableFactors turns off shared-factor evaluation (see NL.DisableFactors);
-// must be called before any query or stream is registered.
-func (f *Skyline) DisableFactors() {
-	if len(f.queries) != 0 || len(f.streams) != 0 {
-		panic("join: DisableFactors after registration")
-	}
-	f.ft = nil
-}
-
-// SetFactorThresholds forwards discovery thresholds to the factor table.
-func (f *Skyline) SetFactorThresholds(minSupport, minDims int) {
-	f.ft.SetMinSupport(minSupport)
-	f.ft.SetMinDims(minDims)
-}
-
-// rebuildFactored re-derives every query's decomposition and every
-// stream's memo from the (re)sealed factor table.
-func (f *Skyline) rebuildFactored() {
-	for qid, maximal := range f.queries {
-		f.fq[qid] = decompAll(f.ft, qid, len(maximal))
-	}
-	for _, ss := range f.streams {
-		ss.st.memo.Rebuild(ss.st.space)
-	}
+	return &Skyline{newVecJoin(depth, maximalByMass, func(st *streamState) vecStream {
+		return &skyStream{
+			st:   st,
+			prev: make(map[graph.VertexID]npv.Vector),
+			dims: make(map[npv.Dim]*dimStat),
+		}
+	})}
 }
 
 // Name implements core.Filter.
 func (f *Skyline) Name() string { return "NPV-Skyline" }
 
-// SetWorkers implements core.ParallelFilter.
-func (f *Skyline) SetWorkers(n int) { f.pool.setWorkers(n) }
-
-// AddQuery implements core.Filter.
-func (f *Skyline) AddQuery(id core.QueryID, q *graph.Graph) error {
-	if _, ok := f.queries[id]; ok {
-		return fmt.Errorf("join: duplicate query %d", id)
-	}
-	maximal := skyline.MaximalPacked(packQuery(q, f.depth))
-	// Probe heaviest first: those are the least likely to be dominated, so
-	// a non-joinable pair is refuted early.
+// maximalByMass derives the vectors that decide a Skyline verdict: only the
+// maximal ones (so only they are indexed and factored), heaviest first —
+// those are the least likely to be dominated, so a non-joinable pair is
+// refuted early.
+func maximalByMass(q *graph.Graph, depth int) []npv.PackedVector {
+	maximal := skyline.MaximalPacked(packQuery(q, depth))
 	sort.Slice(maximal, func(i, j int) bool { return maximal[i].L1() > maximal[j].L1() })
-	f.queries[id] = maximal
-	if f.indexed {
-		// Only the maximal vectors decide the verdict, so only they are
-		// indexed; the key's vertex slot holds the probe-order position.
-		for i, u := range maximal {
-			f.ix.Add(qindex.Key{Query: id, Vertex: graph.VertexID(i)}, u)
-		}
-	}
-	switch {
-	case f.ft == nil:
-		f.fq[id] = unfactoredAll(maximal)
-	case f.ft.Sealed():
-		for i, u := range maximal {
-			f.ft.Add(factor.Key{Query: id, Vertex: graph.VertexID(i)}, u)
-		}
-		if f.ft.MaybeReseal() {
-			f.rebuildFactored()
-		} else {
-			f.fq[id] = decompAll(f.ft, id, len(maximal))
-		}
-	default:
-		for i, u := range maximal {
-			f.ft.Add(factor.Key{Query: id, Vertex: graph.VertexID(i)}, u)
-		}
-	}
-	for _, ss := range f.streams {
-		ss.verdict[id] = f.evaluate(ss, f.fq[id])
-	}
-	return nil
+	return maximal
 }
 
-// RemoveQuery implements core.DynamicFilter: the maximal vectors, the
-// per-stream verdicts, and the index postings are all torn down.
-func (f *Skyline) RemoveQuery(id core.QueryID) error {
-	if _, ok := f.queries[id]; !ok {
-		return fmt.Errorf("join: unknown query %d", id)
-	}
-	delete(f.queries, id)
-	delete(f.fq, id)
-	f.ix.RemoveQuery(id)
-	if f.ft != nil {
-		f.ft.RemoveQuery(id)
-		if f.ft.Sealed() && f.ft.MaybeReseal() {
-			f.rebuildFactored()
-		}
-	}
-	for _, ss := range f.streams {
-		delete(ss.verdict, id)
-	}
-	return nil
-}
-
-// AddStream implements core.Filter. The first stream seals the index.
-func (f *Skyline) AddStream(id core.StreamID, g0 *graph.Graph) error {
-	if _, ok := f.streams[id]; ok {
-		return fmt.Errorf("join: duplicate stream %d", id)
-	}
-	f.ix.Seal()
-	if f.ft != nil && !f.ft.Sealed() {
-		f.ft.Seal()
-		f.rebuildFactored()
-	}
-	ss := &skyStream{
-		st:      newStreamState(g0, f.depth, true, f.ft),
-		prev:    make(map[graph.VertexID]npv.Vector),
-		dims:    make(map[npv.Dim]*dimStat),
-		verdict: make(map[core.QueryID]bool, len(f.queries)),
-	}
-	f.streams[id] = ss
-	f.refresh(ss)
-	return nil
-}
-
-// Apply implements core.Filter.
-func (f *Skyline) Apply(id core.StreamID, cs graph.ChangeSet) error {
-	ss, ok := f.streams[id]
-	if !ok {
-		return fmt.Errorf("join: unknown stream %d", id)
-	}
-	if err := ss.st.apply(cs); err != nil {
-		return err
-	}
-	f.refresh(ss)
-	return nil
-}
-
-// ApplyAll implements core.BatchApplier: per-dimension statistics
-// reconcile one task per stream (they mutate that stream's state only) and
-// ask the index for that stream's candidate queries, then verdict
-// re-evaluation fans out one task per (dirty stream, candidate query)
-// pair — evaluation only reads the reconciled stats and the query
-// vectors. Slot-ordered merge keeps the verdicts bit-identical to the
-// sequential path.
-func (f *Skyline) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
-	ids := batchStreamIDs(changes)
-	errs := make([]error, len(ids))
-	cands := make([][]core.QueryID, len(ids))
-	allQ := sortedQueryIDs(f.queries)
-	f.pool.run(len(ids), func(i int) {
-		id := ids[i]
-		ss, ok := f.streams[id]
-		if !ok {
-			errs[i] = fmt.Errorf("join: unknown stream %d", id)
-			return
-		}
-		if err := ss.st.apply(changes[id]); err != nil {
-			errs[i] = err
-			return
-		}
-		deltas := f.reconcile(ss)
-		switch {
-		case len(deltas) == 0 && len(ss.verdict) == len(f.queries):
-			// Nothing changed; verdicts stand.
-		case f.indexed && len(ss.verdict) == len(f.queries):
-			// Candidate generation reads the sealed, immutable index plus
-			// atomic counters — race-free inside the per-stream task.
-			cands[i] = f.ix.AffectedQueries(deltas)
-		default:
-			cands[i] = allQ
-		}
-	})
-	if err := firstError(errs); err != nil {
-		return err
-	}
-
-	var tasks []pairTask
-	for i, id := range ids {
-		for _, qid := range cands[i] {
-			tasks = append(tasks, pairTask{sid: id, qid: qid})
-		}
-	}
-	verdicts := make([]bool, len(tasks))
-	scans := make([]int64, len(tasks))
-	f.pool.run(len(tasks), func(i int) {
-		t := tasks[i]
-		verdicts[i], scans[i] = evalMaximal(f.streams[t.sid], f.fq[t.qid])
-	})
-	for i, t := range tasks {
-		f.streams[t.sid].verdict[t.qid] = verdicts[i]
-		f.probeScans += scans[i]
-	}
-	return nil
-}
-
-// refresh reconciles the per-dimension statistics with the dirty vertices
-// and re-evaluates the affected query verdicts for the stream — all of
-// them on the unindexed path (or when the verdict map is still being
-// built), only the index's candidates otherwise.
-func (f *Skyline) refresh(ss *skyStream) {
-	deltas := f.reconcile(ss)
-	if len(deltas) == 0 && len(ss.verdict) == len(f.queries) {
-		return
-	}
-	if !f.indexed || len(ss.verdict) != len(f.queries) {
-		for qid := range f.queries {
-			ss.verdict[qid] = f.evaluate(ss, f.fq[qid])
-		}
-		return
-	}
-	for _, qid := range f.ix.AffectedQueries(deltas) {
-		ss.verdict[qid] = f.evaluate(ss, f.fq[qid])
-	}
-}
-
-// reconcile folds the stream's dirty vertices into its per-dimension
-// statistics — and their seal transitions into the factor memo — and
-// returns the transitions (nil when no vector changed). It mutates only
-// ss, so distinct streams reconcile independently.
-func (f *Skyline) reconcile(ss *skyStream) []npv.DirtyDelta {
+// reconcile implements vecStream: the dirty vertices' old vectors leave the
+// per-dimension statistics and their new ones enter.
+func (ss *skyStream) reconcile() []npv.DirtyDelta {
 	deltas := ss.st.sealDeltas()
 	for _, dl := range deltas {
 		v := dl.Vertex
@@ -353,18 +126,14 @@ func (f *Skyline) reconcile(ss *skyStream) []npv.DirtyDelta {
 	return deltas
 }
 
-// evaluate reports joinability: true iff every maximal query vector is
-// dominated by some stream vector.
-func (f *Skyline) evaluate(ss *skyStream, maximal []factor.Factored) bool {
-	ok, scanned := evalMaximal(ss, maximal)
-	f.probeScans += scanned
-	return ok
-}
+// probe implements vecStream.
+func (ss *skyStream) probe(maximal []factor.Factored) (bool, int64) { return evalMaximal(ss, maximal) }
 
-// evalMaximal is the pure form of evaluate one pair task runs: it reads
-// the reconciled per-dimension statistics, the factor memo, and the
-// query's maximal-vector decompositions, and touches no filter state,
-// which is what makes the fan-out safe.
+// evalMaximal reports joinability — true iff every maximal query vector is
+// dominated by some stream vector. It reads the reconciled per-dimension
+// statistics, the factor memo, and the query's maximal-vector
+// decompositions, and touches no filter state, which is what makes the
+// fan-out safe.
 //
 //nnt:hotpath
 func evalMaximal(ss *skyStream, maximal []factor.Factored) (bool, int64) {
@@ -427,38 +196,15 @@ var _ obs.Collector = (*Skyline)(nil)
 // index postings, registered stream vectors, and the NNT node count of the
 // observed forests.
 func (f *Skyline) CollectMetrics(emit func(name string, value float64)) {
-	maximal := 0
-	for _, vecs := range f.queries {
-		maximal += len(vecs)
-	}
-	emit("nntstream_skyline_maximal_query_vectors", float64(maximal))
-	emit("nntstream_skyline_probe_scans_total", float64(f.probeScans))
-	emit("nntstream_qindex_postings", float64(f.ix.PostingCount()))
-	if f.ft != nil {
-		f.ft.CollectMetrics(emit)
-	}
-	dims, vecs, nodes := 0, 0, 0
-	for _, ss := range f.streams {
+	emit("nntstream_skyline_maximal_query_vectors", float64(f.queryVectorCount()))
+	emit("nntstream_skyline_probe_scans_total", float64(f.scans))
+	dims, vecs := 0, 0
+	for _, s := range f.streams {
+		ss := s.vecStream.(*skyStream)
 		dims += len(ss.dims)
 		vecs += len(ss.prev)
-		nodes += ss.st.nodeCount()
 	}
 	emit("nntstream_skyline_dimensions", float64(dims))
 	emit("nntstream_skyline_stream_vectors", float64(vecs))
-	emit("nntstream_filter_nnt_nodes", float64(nodes))
-	emit("nntstream_filter_streams", float64(len(f.streams)))
-	f.pool.collect(emit)
-}
-
-// Candidates implements core.Filter.
-func (f *Skyline) Candidates() []core.Pair {
-	var out []core.Pair
-	for sid, ss := range f.streams {
-		for qid, ok := range ss.verdict {
-			if ok {
-				out = append(out, core.Pair{Stream: sid, Query: qid})
-			}
-		}
-	}
-	return core.SortPairs(out)
+	f.collectShared(emit)
 }

@@ -36,12 +36,12 @@ func TestSkylineDominatedEmptyQueryVector(t *testing.T) {
 	}
 
 	// Direct unit check of the probe.
-	ss := f.streams[0]
+	ss := f.streams[0].vecStream.(*skyStream)
 	empty0 := factor.Unfactored(npv.Pack(npv.Vector{}))
 	if ok, _ := dominated(ss, empty0); ok {
 		t.Fatal("empty stream should not dominate the empty vector")
 	}
-	if ok, _ := dominated(f.streams[1], empty0); !ok {
+	if ok, _ := dominated(f.streams[1].vecStream.(*skyStream), empty0); !ok {
 		t.Fatal("non-empty stream should dominate the empty vector")
 	}
 }
@@ -66,7 +66,7 @@ func TestSkylineRetiredVertex(t *testing.T) {
 	if got := f.Candidates(); len(got) != 1 {
 		t.Fatalf("Candidates before deletion = %v; want 1 pair", got)
 	}
-	ss := f.streams[0]
+	ss := f.streams[0].vecStream.(*skyStream)
 	dimsBefore := len(ss.dims)
 	if dimsBefore == 0 || len(ss.prev) != 4 {
 		t.Fatalf("stream stats before deletion: dims=%d prev=%d", dimsBefore, len(ss.prev))
@@ -117,7 +117,7 @@ func TestSkylineRetiredVertex(t *testing.T) {
 }
 
 // TestSkylineMaxRecomputedOnRetreat checks the max-recomputation branch of
-// refresh: when the vertex holding a dimension's max shrinks, the max must
+// reconcile: when the vertex holding a dimension's max shrinks, the max must
 // drop to the runner-up, not stay stale.
 func TestSkylineMaxRecomputedOnRetreat(t *testing.T) {
 	f := NewSkyline(1)
@@ -129,7 +129,7 @@ func TestSkylineMaxRecomputedOnRetreat(t *testing.T) {
 	if err := f.AddStream(0, g); err != nil {
 		t.Fatal(err)
 	}
-	ss := f.streams[0]
+	ss := f.streams[0].vecStream.(*skyStream)
 	var d npv.Dim
 	var maxBefore int32
 	for dim, stat := range ss.dims {

@@ -381,8 +381,7 @@ func TestIngestMetricsExported(t *testing.T) {
 // TestIngestConcurrentWithReads drives batched writes and read endpoints
 // concurrently — the -race gate's coverage for the ingest path.
 func TestIngestConcurrentWithReads(t *testing.T) {
-	sharded := core.NewShardedMonitorWith(
-		func() core.Filter { return join.NewDSC(3) }, core.ShardedOptions{Shards: 2})
+	sharded := core.NewShardedMonitor(func() core.Filter { return join.NewDSC(3) }, 2)
 	s := New(sharded)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)

@@ -18,8 +18,8 @@ import (
 	"nntstream/internal/qindex"
 )
 
-// Engine is the monitoring surface the server drives. Both core.Monitor and
-// core.ShardedMonitor satisfy it.
+// Engine is the monitoring surface the server drives. core.Monitor and
+// core.DurableEngine satisfy it.
 type Engine interface {
 	AddQuery(q *graph.Graph) (core.QueryID, error)
 	AddStream(g0 *graph.Graph) (core.StreamID, error)
