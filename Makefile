@@ -128,9 +128,8 @@ benchgate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_main.json -candidate $(BENCHJSON_OUT) \
 		-threshold 0.20 \
 		-threshold-for NPV_Dominates_Map=0.50 -threshold-for NPV_Dominates_Packed=0.50 \
-		-threshold-for IngestDecode=0.50 -threshold-for Factor_ShortCircuit=0.50 \
+		-threshold-for IngestDecode=0.50 \
 		-max-allocs NPV_Dominates_Packed=0 -max-allocs IngestDecode=0 \
-		-max-allocs Factor_ShortCircuit=0 \
 		$(WARN_ONLY)
 
 # Sustained-throughput drill against a live serve socket (see

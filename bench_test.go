@@ -18,7 +18,6 @@ import (
 
 	"nntstream/internal/core"
 	"nntstream/internal/datagen"
-	"nntstream/internal/factor"
 	"nntstream/internal/gindex"
 	"nntstream/internal/graph"
 	"nntstream/internal/graphgrep"
@@ -395,15 +394,15 @@ func BenchmarkParallel_Skyline_W4(b *testing.B) {
 	benchParallelStream(b, func() core.Filter { return join.NewSkyline(join.DefaultDepth) }, benchReal(b), 4)
 }
 
-// --- Query-count sweep: dominance candidate index vs linear scan ---
+// --- Query-count sweep: dominance candidate index vs nested loop ---
 
 // The qindex tentpole claims per-timestamp evaluation cost sub-linear in
 // the number of registered queries. The sweep holds the stream workload
-// fixed (two low-churn flip streams) and grows the query set 10× and 100×,
-// once with candidate generation on (the default) and once through the
-// DisableQueryIndex scan path — the flattening of indexed vs scan across
-// Q16 → Q160 → Q1600 is the recorded evidence. DSC appears once: its
-// column store *is* the index, with no scan fallback to compare against.
+// fixed (two low-churn flip streams) and grows the query set 10× and 100×:
+// Skyline generates candidates through the index, NL is the plain nested
+// loop that re-probes every query — the flattening of Skyline against NL
+// across Q16 → Q160 → Q1600 is the recorded evidence of what the index
+// buys. DSC's column store *is* the index.
 //
 // The streams deliberately use 50×-smaller flip rates than the paper's
 // sparse regime at the same stationary density (p1/(p1+p2) = 1/4): a few
@@ -441,19 +440,9 @@ func qsweepWorkload(n int) streamBenchWorkload {
 
 func benchQSweep(b *testing.B, variant string, n int) {
 	mk := map[string]func() core.Filter{
-		"NL": func() core.Filter { return join.NewNL(join.DefaultDepth) },
-		"NLScan": func() core.Filter {
-			f := join.NewNL(join.DefaultDepth)
-			f.DisableQueryIndex()
-			return f
-		},
+		"NL":      func() core.Filter { return join.NewNL(join.DefaultDepth) },
 		"Skyline": func() core.Filter { return join.NewSkyline(join.DefaultDepth) },
-		"SkylineScan": func() core.Filter {
-			f := join.NewSkyline(join.DefaultDepth)
-			f.DisableQueryIndex()
-			return f
-		},
-		"DSC": func() core.Filter { return join.NewDSC(join.DefaultDepth) },
+		"DSC":     func() core.Filter { return join.NewDSC(join.DefaultDepth) },
 	}[variant]
 	benchStream(b, mk, qsweepWorkload(n))
 }
@@ -467,11 +456,9 @@ func benchQSweepGroup(b *testing.B, variant string) {
 	}
 }
 
-func BenchmarkQSweep_NL(b *testing.B)          { benchQSweepGroup(b, "NL") }
-func BenchmarkQSweep_NLScan(b *testing.B)      { benchQSweepGroup(b, "NLScan") }
-func BenchmarkQSweep_Skyline(b *testing.B)     { benchQSweepGroup(b, "Skyline") }
-func BenchmarkQSweep_SkylineScan(b *testing.B) { benchQSweepGroup(b, "SkylineScan") }
-func BenchmarkQSweep_DSC(b *testing.B)         { benchQSweepGroup(b, "DSC") }
+func BenchmarkQSweep_NL(b *testing.B)      { benchQSweepGroup(b, "NL") }
+func BenchmarkQSweep_Skyline(b *testing.B) { benchQSweepGroup(b, "Skyline") }
+func BenchmarkQSweep_DSC(b *testing.B)     { benchQSweepGroup(b, "DSC") }
 
 // --- Overlap sweep: shared factor evaluation vs per-query baseline ---
 
@@ -480,10 +467,10 @@ func BenchmarkQSweep_DSC(b *testing.B)         { benchQSweepGroup(b, "DSC") }
 // query count fixed (8 templates × 24 variants = 192 queries) and turns the
 // datagen overlap knob: at Ov00 queries are independent random subgraphs, at
 // Ov90 almost the whole edge budget comes from a core shared verbatim by the
-// 24 variants of each template. The factored curve flattening toward high
-// overlap against the NoFactor baseline is the recorded evidence — the
-// shared part of every dominance test collapses into one factor verdict per
-// (vertex, factor) instead of 24 per-query merges.
+// 24 variants of each template. DSC is the only strategy that factors; its
+// factored curve against the DSCNoFactor baseline is the recorded evidence —
+// the shared part of every query vertex collapses into one factor unit per
+// (vertex, factor) instead of 24 crossed column entries.
 var (
 	onceOverlap    sync.Once
 	overlapStreams []*graph.Stream
@@ -515,18 +502,6 @@ func overlapWorkload(level string) streamBenchWorkload {
 
 func benchQSweepOverlap(b *testing.B, variant, level string) {
 	mk := map[string]func() core.Filter{
-		"NL": func() core.Filter { return join.NewNL(join.DefaultDepth) },
-		"NLNoFactor": func() core.Filter {
-			f := join.NewNL(join.DefaultDepth)
-			f.DisableFactors()
-			return f
-		},
-		"Skyline": func() core.Filter { return join.NewSkyline(join.DefaultDepth) },
-		"SkylineNoFactor": func() core.Filter {
-			f := join.NewSkyline(join.DefaultDepth)
-			f.DisableFactors()
-			return f
-		},
 		"DSC": func() core.Filter { return join.NewDSC(join.DefaultDepth) },
 		"DSCNoFactor": func() core.Filter {
 			f := join.NewDSC(join.DefaultDepth)
@@ -543,88 +518,9 @@ func benchQSweepOverlapGroup(b *testing.B, variant string) {
 	}
 }
 
-func BenchmarkQSweepOverlap_NL(b *testing.B)      { benchQSweepOverlapGroup(b, "NL") }
-func BenchmarkQSweepOverlap_Skyline(b *testing.B) { benchQSweepOverlapGroup(b, "Skyline") }
-func BenchmarkQSweepOverlap_DSC(b *testing.B)     { benchQSweepOverlapGroup(b, "DSC") }
-func BenchmarkQSweepOverlap_NLNoFactor(b *testing.B) {
-	benchQSweepOverlapGroup(b, "NLNoFactor")
-}
-func BenchmarkQSweepOverlap_SkylineNoFactor(b *testing.B) {
-	benchQSweepOverlapGroup(b, "SkylineNoFactor")
-}
+func BenchmarkQSweepOverlap_DSC(b *testing.B) { benchQSweepOverlapGroup(b, "DSC") }
 func BenchmarkQSweepOverlap_DSCNoFactor(b *testing.B) {
 	benchQSweepOverlapGroup(b, "DSCNoFactor")
-}
-
-// --- factor short-circuit microbenchmark ---
-
-// Benchmark_Factor_ShortCircuit measures one factored dominance test —
-// memoized factor-verdict lookup plus packed residual merge — in isolation,
-// on a sealed table of 16 templates × 4 member queries probed by 64 stream
-// vectors. benchgate caps it at 0 allocs/op: the factor hot path must stay
-// allocation-free just like the raw packed kernel it short-circuits.
-var (
-	onceFactorSC sync.Once
-	fscMemo      *factor.Memo
-	fscStream    []npv.PackedVector
-	fscDecs      []factor.Factored
-	fscSink      bool
-)
-
-func factorSCWorkload() {
-	onceFactorSC.Do(func() {
-		r := rand.New(rand.NewSource(121))
-		tbl := factor.NewTable()
-		var keys []factor.Key
-		for t := 0; t < 16; t++ {
-			base := make(npv.Vector)
-			for len(base) < 8 {
-				base[npv.Dim(r.Intn(64))] = int32(1 + r.Intn(4))
-			}
-			for c := 0; c < 4; c++ {
-				v := make(npv.Vector, len(base)+2)
-				for d, n := range base {
-					v[d] = n
-				}
-				v[npv.Dim(64+r.Intn(32))] = int32(1 + r.Intn(3))
-				k := factor.Key{Query: core.QueryID(4*t + c), Vertex: graph.VertexID(c)}
-				tbl.Add(k, npv.Pack(v))
-				keys = append(keys, k)
-			}
-		}
-		tbl.Seal()
-		for _, k := range keys {
-			dec, ok := tbl.Decomp(k)
-			if !ok {
-				panic("factor bench: missing decomposition")
-			}
-			fscDecs = append(fscDecs, dec)
-		}
-		fscMemo = factor.NewMemo(tbl)
-		for i := 0; i < 64; i++ {
-			v := make(npv.Vector)
-			for d := 0; d < 96; d++ {
-				if r.Intn(3) == 0 {
-					v[npv.Dim(d)] = int32(1 + r.Intn(5))
-				}
-			}
-			p := npv.Pack(v)
-			fscStream = append(fscStream, p)
-			fscMemo.Update(graph.VertexID(i), p, true, nil)
-		}
-	})
-}
-
-func Benchmark_Factor_ShortCircuit(b *testing.B) {
-	factorSCWorkload()
-	b.ReportAllocs()
-	b.ResetTimer()
-	sink := false
-	for i := 0; i < b.N; i++ {
-		v := i % len(fscStream)
-		sink = fscMemo.Dominated(graph.VertexID(v), fscStream[v], fscDecs[i%len(fscDecs)])
-	}
-	fscSink = sink
 }
 
 // --- Ablation: branch-compatible NNT vs NPV vs exact ---

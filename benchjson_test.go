@@ -74,30 +74,12 @@ func benchRegistry() []benchEntry {
 		{"QSweep_NL/Q16", func(b *testing.B) { benchQSweep(b, "NL", 16) }},
 		{"QSweep_NL/Q160", func(b *testing.B) { benchQSweep(b, "NL", 160) }},
 		{"QSweep_NL/Q1600", func(b *testing.B) { benchQSweep(b, "NL", 1600) }},
-		{"QSweep_NLScan/Q16", func(b *testing.B) { benchQSweep(b, "NLScan", 16) }},
-		{"QSweep_NLScan/Q160", func(b *testing.B) { benchQSweep(b, "NLScan", 160) }},
-		{"QSweep_NLScan/Q1600", func(b *testing.B) { benchQSweep(b, "NLScan", 1600) }},
 		{"QSweep_Skyline/Q16", func(b *testing.B) { benchQSweep(b, "Skyline", 16) }},
 		{"QSweep_Skyline/Q160", func(b *testing.B) { benchQSweep(b, "Skyline", 160) }},
 		{"QSweep_Skyline/Q1600", func(b *testing.B) { benchQSweep(b, "Skyline", 1600) }},
-		{"QSweep_SkylineScan/Q16", func(b *testing.B) { benchQSweep(b, "SkylineScan", 16) }},
-		{"QSweep_SkylineScan/Q160", func(b *testing.B) { benchQSweep(b, "SkylineScan", 160) }},
-		{"QSweep_SkylineScan/Q1600", func(b *testing.B) { benchQSweep(b, "SkylineScan", 1600) }},
 		{"QSweep_DSC/Q16", func(b *testing.B) { benchQSweep(b, "DSC", 16) }},
 		{"QSweep_DSC/Q160", func(b *testing.B) { benchQSweep(b, "DSC", 160) }},
 		{"QSweep_DSC/Q1600", func(b *testing.B) { benchQSweep(b, "DSC", 1600) }},
-		{"QSweepOverlap_NL/Ov00", func(b *testing.B) { benchQSweepOverlap(b, "NL", "Ov00") }},
-		{"QSweepOverlap_NL/Ov50", func(b *testing.B) { benchQSweepOverlap(b, "NL", "Ov50") }},
-		{"QSweepOverlap_NL/Ov90", func(b *testing.B) { benchQSweepOverlap(b, "NL", "Ov90") }},
-		{"QSweepOverlap_NLNoFactor/Ov00", func(b *testing.B) { benchQSweepOverlap(b, "NLNoFactor", "Ov00") }},
-		{"QSweepOverlap_NLNoFactor/Ov50", func(b *testing.B) { benchQSweepOverlap(b, "NLNoFactor", "Ov50") }},
-		{"QSweepOverlap_NLNoFactor/Ov90", func(b *testing.B) { benchQSweepOverlap(b, "NLNoFactor", "Ov90") }},
-		{"QSweepOverlap_Skyline/Ov00", func(b *testing.B) { benchQSweepOverlap(b, "Skyline", "Ov00") }},
-		{"QSweepOverlap_Skyline/Ov50", func(b *testing.B) { benchQSweepOverlap(b, "Skyline", "Ov50") }},
-		{"QSweepOverlap_Skyline/Ov90", func(b *testing.B) { benchQSweepOverlap(b, "Skyline", "Ov90") }},
-		{"QSweepOverlap_SkylineNoFactor/Ov00", func(b *testing.B) { benchQSweepOverlap(b, "SkylineNoFactor", "Ov00") }},
-		{"QSweepOverlap_SkylineNoFactor/Ov50", func(b *testing.B) { benchQSweepOverlap(b, "SkylineNoFactor", "Ov50") }},
-		{"QSweepOverlap_SkylineNoFactor/Ov90", func(b *testing.B) { benchQSweepOverlap(b, "SkylineNoFactor", "Ov90") }},
 		{"QSweepOverlap_DSC/Ov00", func(b *testing.B) { benchQSweepOverlap(b, "DSC", "Ov00") }},
 		{"QSweepOverlap_DSC/Ov50", func(b *testing.B) { benchQSweepOverlap(b, "DSC", "Ov50") }},
 		{"QSweepOverlap_DSC/Ov90", func(b *testing.B) { benchQSweepOverlap(b, "DSC", "Ov90") }},
@@ -109,7 +91,6 @@ func benchRegistry() []benchEntry {
 		{"IngestDecode", BenchmarkIngestDecode},
 		{"NPV_Dominates_Map", Benchmark_NPV_Dominates_Map},
 		{"NPV_Dominates_Packed", Benchmark_NPV_Dominates_Packed},
-		{"Factor_ShortCircuit", Benchmark_Factor_ShortCircuit},
 		{"NNTMaintenance", BenchmarkNNTMaintenance},
 		{"VF2HardInstance", BenchmarkVF2HardInstance},
 	}

@@ -9,7 +9,12 @@
 // shard per GOMAXPROCS; with -data-dir (and for -worker-id groups) it is one
 // shard whose evaluation pool is GOMAXPROCS wide.
 //
-//	serve [-addr :8080] [-filter dsc|skyline|nl|branch|graphgrep|gindex1|gindex2|exact]
+// -filter offers what a server needs: dsc (the production default),
+// skyline, nl (the plain nested loop, the reference oracle) and exact (VF2
+// ground truth). The paper's other baselines (branch, graphgrep, gindex1,
+// gindex2) live in cmd/experiments and cmd/streamwatch.
+//
+//	serve [-addr :8080] [-filter dsc|skyline|nl|exact]
 //	      [-depth 3] [-shards 0] [-workers 0] [-data-dir dir]
 //	      [-fsync always|interval|never] [-fsync-interval 100ms]
 //	      [-checkpoint-interval 5m] [-max-body-bytes n]
@@ -39,8 +44,6 @@ import (
 
 	"nntstream/internal/cluster"
 	"nntstream/internal/core"
-	"nntstream/internal/gindex"
-	"nntstream/internal/graphgrep"
 	"nntstream/internal/join"
 	"nntstream/internal/obs"
 	"nntstream/internal/server"
@@ -51,7 +54,7 @@ func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("serve: ")
 	addr := flag.String("addr", ":8080", "listen address")
-	filterName := flag.String("filter", "dsc", "filter: dsc, skyline, nl, branch, graphgrep, gindex1, gindex2, exact")
+	filterName := flag.String("filter", "dsc", "filter: dsc, skyline, nl, exact (paper baselines live in cmd/experiments and cmd/streamwatch)")
 	depth := flag.Int("depth", join.DefaultDepth, "NNT depth bound for the NPV filters")
 	shards := flag.Int("shards", 0, "filter shards (0 = GOMAXPROCS in memory, one shard with -data-dir; 1 disables sharding)")
 	workers := flag.Int("workers", 0, "per-shard evaluation workers for the NPV join filters (0 = auto: GOMAXPROCS/shards; 1 = sequential)")
@@ -253,14 +256,6 @@ func filterFactory(name string, depth int) (func() core.Filter, error) {
 		return func() core.Filter { return join.NewSkyline(depth) }, nil
 	case "nl":
 		return func() core.Filter { return join.NewNL(depth) }, nil
-	case "branch":
-		return func() core.Filter { return join.NewBranch(depth) }, nil
-	case "graphgrep":
-		return func() core.Filter { return graphgrep.New(graphgrep.DefaultLength) }, nil
-	case "gindex1":
-		return func() core.Filter { return gindex.New(gindex.Setting1()) }, nil
-	case "gindex2":
-		return func() core.Filter { return gindex.New(gindex.Setting2()) }, nil
 	case "exact":
 		return func() core.Filter { return join.NewExact() }, nil
 	default:

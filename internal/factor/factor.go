@@ -1,15 +1,15 @@
-// Package factor amortizes NPV dominance work across overlapping queries.
+// Package factor amortizes DSC's dominance work across overlapping queries.
 //
 // The realistic many-tenant regime for a continuous-monitoring filter is
 // thousands of registered queries that share structure — templates with
-// small variations. The query dominance index (internal/qindex) already
-// prunes *which* queries a timestamp must re-evaluate, but every surviving
-// evaluation still pays for its whole packed vector, so ten variants of one
-// template re-merge the same template body ten times per stream vertex.
-// Following the shared sub-pattern decomposition of Choudhury et al.
-// ("Large-Scale Continuous Subgraph Queries on Streams", StreamWorks), this
-// package factors the registered query vectors into shared sub-vectors and
-// evaluates each shared factor once per (vertex, timestamp):
+// small variations. DSC keeps one dominant counter per (stream vertex,
+// query vertex), so ten variants of one template cross the same template
+// entries ten times per stream vertex. Following the shared sub-pattern
+// decomposition of Choudhury et al. ("Large-Scale Continuous Subgraph
+// Queries on Streams", StreamWorks), this package factors the registered
+// query vectors into shared sub-vectors and evaluates each shared factor
+// once per (vertex, timestamp). DSC is the only user: the measured win is
+// on its serve workloads (DESIGN §7); NL and Skyline probe whole vectors.
 //
 //   - Discovery mines the live query set for entries ((dimension, count)
 //     pairs) carried by at least MinSupport registered vectors, then
@@ -31,17 +31,15 @@
 //
 //   - A per-stream Memo caches the per-(vertex, factor) verdicts. At each
 //     timestamp seal the dirty vertices re-evaluate every factor exactly
-//     once on the packed kernel; between seals the memo is immutable, so
-//     the join pool's fan-out reads it race-free and the per-query hot
-//     path is one bit probe plus a (usually tiny) residual merge.
+//     once on the packed kernel, and every flipped verdict moves one
+//     dominance unit of each member query vertex in DSC's counters.
 //
 // Lifecycle mirrors the query dominance index: registration appends
 // cheaply, Seal runs discovery once when the first stream arrives, and
 // post-seal query churn matches new vectors against the existing factor
-// set in place (epoch bump, memos stay valid because the factor set is
-// unchanged). When churn accumulates past half the registered set the
-// table re-discovers from scratch (Reseal), which bumps the factor epoch
-// and obligates the owner to rebuild its memos.
+// set in place. The factor set itself is pinned at Seal — re-discovering
+// would reassign every DSC column entry and counter — so memos never need
+// rebuilding.
 package factor
 
 import (
@@ -60,8 +58,7 @@ type ID int32
 const None ID = -1
 
 // Key identifies one registered query vector: the owning query plus a
-// vector identity within it (a query-graph vertex for DSC, a slice position
-// for NL and Skyline's maximal sets — the same convention as qindex.Key).
+// vector identity within it (a query-graph vertex, as in qindex.Key).
 type Key struct {
 	Query  core.QueryID
 	Vertex graph.VertexID
@@ -82,32 +79,27 @@ func Unfactored(p npv.PackedVector) Factored {
 	return Factored{Full: p, Factor: None, Residual: p}
 }
 
-// Shared-factor telemetry: factor verdicts computed at seal time, factor
-// bit probes on the per-query hot path, and how many of those probes
-// rejected without touching the residual merge. Process-global atomics (the
-// memo is read and sealed inside the join pool's fan-out, and a sharded
-// engine holds one table per shard); Stats exposes them as an obs.Collector
-// on /v1/metrics.
-var (
-	evalsTotal   atomic.Int64
-	lookupsTotal atomic.Int64
-	rejectsTotal atomic.Int64
-)
+// evalsTotal counts factor verdicts computed at seal time. A process-global
+// atomic (memos are sealed inside the join pool's fan-out, and a sharded
+// engine holds one table per shard); Stats exposes it as an obs.Collector on
+// /v1/metrics.
+var evalsTotal atomic.Int64
 
 // Stats is an obs.Collector (satisfied structurally; factor does not import
-// obs) reporting the package's process-global counters.
+// obs) reporting the package's process-global counter.
 type Stats struct{}
 
-// CollectMetrics emits the seal-time evaluation and hot-path probe totals.
+// CollectMetrics emits the seal-time evaluation total.
 func (Stats) CollectMetrics(emit func(name string, value float64)) {
 	emit("nntstream_factor_evals_total", float64(evalsTotal.Load()))
-	emit("nntstream_factor_lookups_total", float64(lookupsTotal.Load()))
-	emit("nntstream_factor_short_rejects_total", float64(rejectsTotal.Load()))
 }
 
-// Counters returns the raw totals behind Stats, for tests.
+// Counters returns the raw total behind Stats. lookups and rejects are
+// always 0 (no filter probes through the memo any more); they stay only
+// because bench/layers still reports them, until a [benchmark] PR drops
+// those two layer metrics.
 func Counters() (evals, lookups, rejects int64) {
-	return evalsTotal.Load(), lookupsTotal.Load(), rejectsTotal.Load()
+	return evalsTotal.Load(), 0, 0
 }
 
 // Table is the shared-factor table over one filter's registered query
@@ -122,17 +114,10 @@ type Table struct {
 	vecs   map[Key]npv.PackedVector
 	decomp map[Key]Factored
 
-	factors []npv.PackedVector // by ID; rebuilt only at Seal/Reseal
+	factors []npv.PackedVector // by ID; built once at Seal
 	members []int              // registered vectors currently on each factor
 
 	sealed bool
-	epoch  uint64 // bumped on every post-seal mutation (like qindex.Epoch)
-	// factorEpoch stamps the factor set itself: it moves only at Seal and
-	// Reseal, when IDs are reassigned and every Memo must be rebuilt.
-	factorEpoch uint64
-	// churn counts vector adds and removes since the last discovery; it
-	// drives ShouldReseal.
-	churn int
 }
 
 // Defaults for NewTable; see the setters for the trade-offs.
@@ -179,17 +164,6 @@ func (t *Table) SetMinDims(d int) {
 	t.minDims = d
 }
 
-// Sealed reports whether discovery has run.
-func (t *Table) Sealed() bool { return t.sealed }
-
-// Epoch counts seal generations: the one-time Seal plus every post-seal
-// mutation, exactly like qindex.Index.Epoch.
-func (t *Table) Epoch() uint64 { return t.epoch }
-
-// FactorEpoch stamps the current factor set. Memos built under a different
-// factor epoch are invalid and must be rebuilt.
-func (t *Table) FactorEpoch() uint64 { return t.factorEpoch }
-
 // FactorCount reports the number of discovered factors.
 func (t *Table) FactorCount() int { return len(t.factors) }
 
@@ -212,12 +186,11 @@ func (t *Table) Decomp(k Key) (Factored, bool) {
 
 // Add registers one query vector under k. Before Seal the vector is only
 // stored (discovery runs once over the whole set); afterwards it is matched
-// against the existing factors immediately and the epoch advances.
-// Registering the same key twice is a caller bug and is not detected here —
-// filters already reject duplicate query IDs.
+// against the existing factors immediately. Registering the same key twice
+// is a caller bug and is not detected here — filters already reject
+// duplicate query IDs.
 func (t *Table) Add(k Key, p npv.PackedVector) {
 	t.vecs[k] = p
-	t.churn++
 	if !t.sealed {
 		return
 	}
@@ -225,7 +198,6 @@ func (t *Table) Add(k Key, p npv.PackedVector) {
 	if f := t.decomp[k].Factor; f != None {
 		t.members[f]++
 	}
-	t.epoch++
 }
 
 // RemoveQuery drops every vector of q and reports whether q was registered.
@@ -236,15 +208,11 @@ func (t *Table) RemoveQuery(q core.QueryID) bool {
 			continue
 		}
 		found = true
-		t.churn++
 		if d, ok := t.decomp[k]; ok && d.Factor != None {
 			t.members[d.Factor]--
 		}
 		delete(t.vecs, k)
 		delete(t.decomp, k)
-	}
-	if found && t.sealed {
-		t.epoch++
 	}
 	return found
 }
@@ -258,33 +226,6 @@ func (t *Table) Seal() {
 	}
 	t.sealed = true
 	t.discover()
-}
-
-// ShouldReseal reports whether post-seal churn has accumulated far enough
-// past the last discovery that the factor set is likely stale: at least
-// MinSupport mutations, amounting to half the registered vectors. The
-// thresholds only affect how much sharing the table finds, never verdicts.
-func (t *Table) ShouldReseal() bool {
-	return t.sealed && t.churn >= t.minSupport && 2*t.churn >= len(t.vecs)
-}
-
-// Reseal re-runs discovery over the current vector set, reassigning factor
-// IDs. Every Memo built against this table is invalidated (FactorEpoch
-// moves) and must be rebuilt by the owner.
-func (t *Table) Reseal() {
-	if !t.sealed {
-		panic("factor: Reseal before Seal")
-	}
-	t.discover()
-}
-
-// MaybeReseal reseals when ShouldReseal holds, reporting whether it did.
-func (t *Table) MaybeReseal() bool {
-	if !t.ShouldReseal() {
-		return false
-	}
-	t.Reseal()
-	return true
 }
 
 // entryKey is one (dimension, count) pair — the unit of sharing.
@@ -303,18 +244,11 @@ type cluster struct {
 	membs  []Key
 }
 
-// discover mines the registered vectors for shared factors and recomputes
-// every decomposition. Deterministic: vectors are processed in sorted key
-// order and clusters in creation order, so equal inputs always produce
-// equal factor sets (the mapdeterm discipline).
+// discover mines the registered vectors for shared factors and computes
+// every decomposition; Seal runs it exactly once. Deterministic: vectors are
+// processed in sorted key order and clusters in creation order, so equal
+// inputs always produce equal factor sets (the mapdeterm discipline).
 func (t *Table) discover() {
-	t.epoch++
-	t.factorEpoch++
-	t.churn = 0
-	t.factors = nil
-	t.members = nil
-	clear(t.decomp)
-
 	keys := make([]Key, 0, len(t.vecs))
 	for k := range t.vecs {
 		keys = append(keys, k)
@@ -448,7 +382,7 @@ func (c *cluster) merge(dims []npv.Dim, counts []int32, k Key) {
 // applicable factors (supp(f) ⊆ supp(p), f ≤ p entrywise) the one
 // discharging the most entries exactly, requiring at least MinDims
 // discharged; ties break toward the lowest ID. Unmatched vectors stay
-// unfactored until the next reseal.
+// unfactored: the factor set is pinned at Seal.
 func (t *Table) match(p npv.PackedVector) Factored {
 	best, bestDis := None, 0
 	for id, fv := range t.factors {

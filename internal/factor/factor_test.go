@@ -115,8 +115,7 @@ func checkDecompExact(t *testing.T, tbl *Table, keys []Key, r *rand.Rand) {
 }
 
 // TestDecompositionExactness quickchecks factor short-circuit ≡ full packed
-// dominance over randomized template workloads, including post-seal churn
-// and reseal.
+// dominance over randomized template workloads, including post-seal churn.
 func TestDecompositionExactness(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(900 + seed))
@@ -129,7 +128,7 @@ func TestDecompositionExactness(t *testing.T) {
 		keys = append(keys, live)
 		checkDecompExact(t, tbl, keys, r)
 
-		// Remove a query, reseal, re-check everything that remains.
+		// Remove a query, re-check everything that remains.
 		tbl.RemoveQuery(keys[0].Query)
 		var kept []Key
 		for _, k := range keys {
@@ -137,7 +136,6 @@ func TestDecompositionExactness(t *testing.T) {
 				kept = append(kept, k)
 			}
 		}
-		tbl.Reseal()
 		checkDecompExact(t, tbl, kept, r)
 	}
 }
@@ -225,8 +223,9 @@ func TestDiscoveryDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnLifecycle covers epochs, ShouldReseal, and membership teardown
-// under add/remove churn — the registration-audit shape of the PR 6 tests.
+// TestChurnLifecycle covers membership bookkeeping under post-seal
+// add/remove churn against a pinned factor set — the registration-audit
+// shape of the PR 6 tests.
 func TestChurnLifecycle(t *testing.T) {
 	tbl := NewTable()
 	tbl.SetMinSupport(2)
@@ -239,60 +238,48 @@ func TestChurnLifecycle(t *testing.T) {
 	if tbl.FactorCount() != 1 || tbl.Members(0) != 4 {
 		t.Fatalf("after seal: factors=%d members=%d", tbl.FactorCount(), tbl.Members(0))
 	}
-	fe := tbl.FactorEpoch()
 
-	// A matching live addition joins the factor without a reseal.
+	// A matching live addition joins the existing factor.
 	tbl.Add(Key{Query: 10, Vertex: 0}, shared)
 	if tbl.Members(0) != 5 {
 		t.Fatalf("live add: members = %d; want 5", tbl.Members(0))
-	}
-	if tbl.FactorEpoch() != fe {
-		t.Fatal("live add must not move the factor epoch")
 	}
 	dec, _ := tbl.Decomp(Key{Query: 10, Vertex: 0})
 	if dec.Factor != 0 {
 		t.Fatalf("live add decomp factor = %d; want 0", dec.Factor)
 	}
+	// A live addition no factor applies to stays unfactored.
+	tbl.Add(Key{Query: 11, Vertex: 0}, npv.Pack(npv.Vector{7: 1, 8: 1}))
+	if dec, _ := tbl.Decomp(Key{Query: 11, Vertex: 0}); dec.Factor != None {
+		t.Fatalf("unrelated live add decomp factor = %d; want None", dec.Factor)
+	}
 
-	// Removals decay membership; enough churn arms ShouldReseal.
+	// Removals decay membership; the factor set itself stays pinned.
 	for q := core.QueryID(0); q < 4; q++ {
 		if !tbl.RemoveQuery(q) {
 			t.Fatalf("RemoveQuery(%d) found nothing", q)
 		}
 	}
-	if tbl.Members(0) != 1 || tbl.VectorCount() != 1 {
-		t.Fatalf("after removals: members=%d vectors=%d", tbl.Members(0), tbl.VectorCount())
+	if tbl.RemoveQuery(3) {
+		t.Fatal("second RemoveQuery(3) reported a registered query")
 	}
-	if !tbl.ShouldReseal() {
-		t.Fatal("churn of 5 on a 1-vector table must arm ShouldReseal")
-	}
-	if !tbl.MaybeReseal() {
-		t.Fatal("MaybeReseal must fire when armed")
-	}
-	if tbl.FactorEpoch() == fe {
-		t.Fatal("reseal must move the factor epoch")
-	}
-	// One survivor cannot reach MinSupport: no factors remain, survivor
-	// unfactored.
-	if tbl.FactorCount() != 0 {
-		t.Fatalf("after reseal: %d factors; want 0", tbl.FactorCount())
-	}
-	dec, _ = tbl.Decomp(Key{Query: 10, Vertex: 0})
-	if dec.Factor != None {
-		t.Fatalf("survivor decomp factor = %d; want None", dec.Factor)
+	if tbl.Members(0) != 1 || tbl.VectorCount() != 2 || tbl.FactorCount() != 1 {
+		t.Fatalf("after removals: members=%d vectors=%d factors=%d",
+			tbl.Members(0), tbl.VectorCount(), tbl.FactorCount())
 	}
 
 	// Full teardown.
 	tbl.RemoveQuery(10)
-	if tbl.VectorCount() != 0 {
-		t.Fatalf("VectorCount = %d after removing everything", tbl.VectorCount())
+	tbl.RemoveQuery(11)
+	if tbl.VectorCount() != 0 || tbl.Members(0) != 0 {
+		t.Fatalf("after removing everything: vectors=%d members=%d", tbl.VectorCount(), tbl.Members(0))
 	}
 }
 
-// TestMemoAgainstSpace drives a Memo from a live npv.Space the way the
-// filters do — Space mutated through its nnt.Observer interface, SealDirty
-// feeding ApplyDeltas — and checks every memoized verdict against direct
-// kernel evaluation, across vector growth, change, and retirement.
+// TestMemoAgainstSpace drives a Memo from a live npv.Space the way DSC
+// does — Space mutated through its nnt.Observer interface, SealDirty
+// feeding Update — and checks every memoized verdict against direct kernel
+// evaluation, across vector growth, change, and retirement.
 func TestMemoAgainstSpace(t *testing.T) {
 	// Two distinct dimensions, built the way the forest reports tree edges.
 	d1 := npv.NewDim(1, 0, 0, 1)
@@ -315,7 +302,9 @@ func TestMemoAgainstSpace(t *testing.T) {
 	step := func(mut func()) {
 		t.Helper()
 		mut()
-		memo.ApplyDeltas(space.SealDirty())
+		for _, dl := range space.SealDirty() {
+			memo.Update(dl.Vertex, dl.New, dl.HasNew, func(ID, bool) {})
+		}
 		// Every live vertex's memo bit must equal the direct verdict.
 		space.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
 			want := p.Dominates(fv)
@@ -389,47 +378,10 @@ func TestMemoFlipCallback(t *testing.T) {
 	}
 }
 
-// TestMemoRebuildAfterReseal covers the reseal path: factor IDs are
-// reassigned, the memo stamp goes stale, Rebuild re-derives the bits from
-// the sealed space.
-func TestMemoRebuildAfterReseal(t *testing.T) {
-	d1 := npv.NewDim(1, 0, 0, 1)
-	tbl := NewTable()
-	tbl.SetMinSupport(2)
-	tbl.SetMinDims(1)
-	fv := npv.Pack(npv.Vector{d1: 1})
-	for q := core.QueryID(0); q < 3; q++ {
-		tbl.Add(Key{Query: q, Vertex: 0}, fv)
-	}
-	tbl.Seal()
-
-	space := npv.NewSpace()
-	space.EnablePacking()
-	space.TreeAdded(3, 0)
-	space.TreeEdgeAdded(3, 1, 0, 0, 1)
-	memo := NewMemo(tbl)
-	memo.ApplyDeltas(space.SealDirty())
-	if !memo.Has(3, 0) {
-		t.Fatal("setup: memo bit expected")
-	}
-
-	tbl.Reseal()
-	if memo.Stamp() == tbl.FactorEpoch() {
-		t.Fatal("stamp must be stale after reseal")
-	}
-	memo.Rebuild(space)
-	if memo.Stamp() != tbl.FactorEpoch() {
-		t.Fatal("Rebuild must refresh the stamp")
-	}
-	if !memo.Has(3, 0) {
-		t.Fatal("rebuilt memo lost the verdict")
-	}
-}
-
-// TestStatsCounters smoke-checks the process-global counters move on the
-// expected paths.
+// TestStatsCounters smoke-checks the seal-time evaluation counter moves and
+// the retired short-circuit counters stay at zero.
 func TestStatsCounters(t *testing.T) {
-	e0, l0, r0 := Counters()
+	e0, _, _ := Counters()
 	tbl := NewTable()
 	tbl.SetMinSupport(2)
 	tbl.SetMinDims(1)
@@ -438,14 +390,11 @@ func TestStatsCounters(t *testing.T) {
 	tbl.Add(Key{Query: 1, Vertex: 0}, fv)
 	tbl.Seal()
 	memo := NewMemo(tbl)
-	memo.Update(1, npv.Pack(npv.Vector{1: 1}), true, nil)
-	dec, _ := tbl.Decomp(Key{Query: 0, Vertex: 0})
-	p := npv.Pack(npv.Vector{1: 1})
-	if memo.Dominated(1, p, dec) {
-		t.Fatal("probe below the factor must be rejected")
+	memo.Update(1, npv.Pack(npv.Vector{1: 1}), true, func(ID, bool) {})
+	if memo.Has(1, 0) {
+		t.Fatal("vector below the factor must not dominate it")
 	}
-	e1, l1, r1 := Counters()
-	if e1 <= e0 || l1 <= l0 || r1 <= r0 {
-		t.Fatalf("counters did not advance: evals %d→%d lookups %d→%d rejects %d→%d", e0, e1, l0, l1, r0, r1)
+	if e1, _, _ := Counters(); e1 <= e0 {
+		t.Fatalf("factor evals did not advance: %d→%d", e0, e1)
 	}
 }

@@ -11,25 +11,19 @@ import (
 //
 // The memo follows the same epoch discipline as the packed-vector cache it
 // reads: it mutates only inside the per-stream maintenance stage of a
-// timestamp (ApplyDeltas, fed by Space.SealDirty) and at query-churn
-// rebuilds, and it is read-only during the join pool's per-(stream, query)
-// fan-out — so concurrent Has/Dominated probes need no locking. Stamp
-// tracks the table's factor epoch; a reseal obligates the owner to call
-// Rebuild before the next evaluation.
+// timestamp (Update, fed by Space.SealDirty), so distinct streams' memos
+// update concurrently without locking. The table's factor set is pinned at
+// Seal, so the bits never need rebuilding.
 type Memo struct {
-	tbl   *Table
-	bits  map[graph.VertexID][]uint64
-	stamp uint64
+	tbl  *Table
+	bits map[graph.VertexID][]uint64
 }
 
 // NewMemo returns an empty memo over t. The table need not be sealed yet;
-// Rebuild or the first ApplyDeltas will populate against the sealed set.
+// Update populates against the sealed set.
 func NewMemo(t *Table) *Memo {
-	return &Memo{tbl: t, bits: make(map[graph.VertexID][]uint64), stamp: t.FactorEpoch()}
+	return &Memo{tbl: t, bits: make(map[graph.VertexID][]uint64)}
 }
-
-// Stamp returns the table factor epoch the memo was last built against.
-func (m *Memo) Stamp() uint64 { return m.stamp }
 
 // Has reports the memoized verdict: does vertex v's vector dominate factor
 // f? Vertices with no entry (empty or untouched vectors) dominate nothing.
@@ -44,59 +38,12 @@ func (m *Memo) Has(v graph.VertexID, f ID) bool {
 	return w[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// Dominated is the factored dominance test on the hot path: p is stream
-// vertex v's (sealed) packed vector, u a registered decomposition. The O(1)
-// kernel rejects run first against the full vector — most probes die there
-// in both the factored and unfactored paths, and the memo's map access must
-// not be charged to them. Survivors read the memoized factor bit (settling
-// the shared prefix without a merge) and only then pay a packed merge over
-// the residual. For unfactored decompositions the test degenerates to the
-// plain kernel, so a nil memo (factors disabled) is safe as long as every
-// decomposition passed in is Unfactored.
-//
-//nnt:hotpath
-func (m *Memo) Dominated(v graph.VertexID, p npv.PackedVector, u Factored) bool {
-	if u.Factor != None {
-		if !p.CanDominate(u.Full) {
-			return false
-		}
-		lookupsTotal.Add(1)
-		if !m.Has(v, u.Factor) {
-			rejectsTotal.Add(1)
-			return false
-		}
-	}
-	return p.Dominates(u.Residual)
-}
-
-// DominatorsOf calls fn for every vertex whose memoized verdict for factor
-// f is true, until fn returns false. Because factors are lower envelopes,
-// this is a complete candidate set for "which vertices might dominate a
-// member of f": a vertex with a clear (or absent) bit provably dominates no
-// vector factored by f, so a probe loop over DominatorsOf visits strictly
-// fewer vertices than a scan of the space — the higher the sharing, the
-// fewer factors, the more selective each bit. Iteration order is
-// unspecified; callers must not let it shape their answers beyond
-// existence (the join probes only ask "is there any dominator").
-//
-//nnt:hotpath
-func (m *Memo) DominatorsOf(f ID, fn func(v graph.VertexID) bool) {
-	wi, mask := int(f)>>6, uint64(1)<<(uint(f)&63)
-	for v, w := range m.bits {
-		if wi < len(w) && w[wi]&mask != 0 {
-			if !fn(v) {
-				return
-			}
-		}
-	}
-}
-
 // Update recomputes vertex v's verdict bits against every factor of the
 // table — the once-per-(vertex, factor, timestamp) evaluation. present is
-// false when v's vector disappeared (all verdicts clear). onFlip, when
-// non-nil, is invoked for every factor whose verdict changed, with the new
-// value — DSC turns these flips into dominant-counter updates. Steady-state
-// the word slice is reused in place, so the call does not allocate.
+// false when v's vector disappeared (all verdicts clear). onFlip is invoked
+// for every factor whose verdict changed, with the new value — DSC turns
+// these flips into dominant-counter updates. Steady-state the word slice is
+// reused in place, so the call does not allocate.
 //
 //nnt:hotpath
 func (m *Memo) Update(v graph.VertexID, p npv.PackedVector, present bool, onFlip func(f ID, now bool)) {
@@ -105,11 +52,9 @@ func (m *Memo) Update(v graph.VertexID, p npv.PackedVector, present bool, onFlip
 		if old == nil {
 			return
 		}
-		if onFlip != nil {
-			for i := range m.tbl.factors {
-				if old[i>>6]&(1<<(uint(i)&63)) != 0 {
-					onFlip(ID(i), false)
-				}
+		for i := range m.tbl.factors {
+			if old[i>>6]&(1<<(uint(i)&63)) != 0 {
+				onFlip(ID(i), false)
 			}
 		}
 		delete(m.bits, v)
@@ -136,34 +81,7 @@ func (m *Memo) Update(v graph.VertexID, p npv.PackedVector, present bool, onFlip
 		prev := w[wi] >> sh & 1
 		if prev != bit {
 			w[wi] ^= 1 << sh
-			if onFlip != nil {
-				onFlip(ID(i), bit == 1)
-			}
+			onFlip(ID(i), bit == 1)
 		}
 	}
-}
-
-// ApplyDeltas folds one timestamp's sealed dirty set into the memo: each
-// dirty vertex re-evaluates every factor exactly once. Runs in the
-// per-stream maintenance stage, before any per-query test reads the memo.
-func (m *Memo) ApplyDeltas(deltas []npv.DirtyDelta) {
-	for _, dl := range deltas {
-		m.Update(dl.Vertex, dl.New, dl.HasNew, nil)
-	}
-}
-
-// Rebuild recomputes the whole memo from the space's sealed vectors —
-// required after the table reseals (factor IDs are reassigned) and after
-// restoring a stream from a snapshot. The space must have no dirty
-// vertices (every filter path seals before returning).
-func (m *Memo) Rebuild(space *npv.Space) {
-	clear(m.bits)
-	m.stamp = m.tbl.FactorEpoch()
-	if len(m.tbl.factors) == 0 {
-		return
-	}
-	space.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
-		m.Update(v, p, true, nil)
-		return true
-	})
 }

@@ -2,8 +2,9 @@
 // joining graph streams with query patterns in the projected vector space
 // (Section IV-B):
 //
-//   - NL: the nested-loop baseline, re-checking dominance pair by pair for
-//     every changed stream.
+//   - NL: the nested-loop baseline, re-checking dominance pair by pair —
+//     every registered query against every changed stream. It is also the
+//     reference oracle the optimized strategies are tested against.
 //   - DSC: the dominated-set-cover method (Figure 8), which keeps position
 //     and dominant counters per stream vertex so one NPV change touches only
 //     the sorted-dimension entries it crosses.
@@ -38,8 +39,8 @@ const DefaultDepth = 3
 
 // streamState bundles the incrementally maintained feature structures of
 // one stream: its NNT forest, the projected vector space observing it, and
-// — when the owning filter factors its query set — the per-(vertex, factor)
-// verdict memo those factored tests short-circuit through.
+// — when DSC factors its query set — the per-(vertex, factor) verdict memo
+// whose flips drive DSC's factor units.
 type streamState struct {
 	forest *nnt.Forest
 	space  *npv.Space
@@ -51,8 +52,9 @@ type streamState struct {
 // dominance kernel (NL, Skyline) pass true so every timestamp's seal
 // freezes the dirty vertices into packed form; counter-based DSC and the
 // NNT-only Branch filter pass false and skip the sealing cost — except
-// that a non-nil factor table forces packing on, because the factor memo
-// evaluates the shared sub-vectors on the packed kernel at each seal.
+// that a non-nil factor table (DSC with factors on) forces packing on,
+// because the factor memo evaluates the shared sub-vectors on the packed
+// kernel at each seal.
 func newStreamState(g0 *graph.Graph, depth int, packed bool, tbl *factor.Table) *streamState {
 	space := npv.NewSpace()
 	if packed || tbl != nil {
@@ -66,20 +68,6 @@ func newStreamState(g0 *graph.Graph, depth int, packed bool, tbl *factor.Table) 
 		st.memo = factor.NewMemo(tbl)
 	}
 	return st
-}
-
-// sealDeltas seals the stream's dirty vertices into packed form and folds
-// the transitions into the factor memo — the once-per-(vertex, factor,
-// timestamp) shared evaluation. It mutates only this stream's state, so it
-// belongs in the per-stream maintenance stage of a parallel batch; the
-// memo is immutable (read-only) during the per-(stream, query) fan-out
-// that follows. Requires packing (every caller enables it).
-func (s *streamState) sealDeltas() []npv.DirtyDelta {
-	deltas := s.space.SealDirty()
-	if s.memo != nil {
-		s.memo.ApplyDeltas(deltas)
-	}
-	return deltas
 }
 
 func (s *streamState) apply(cs graph.ChangeSet) error {
@@ -158,80 +146,19 @@ func (p *evalPool) runStreams(changes map[core.StreamID]graph.ChangeSet, step fu
 	return ids, nil
 }
 
-// unfactoredAll wraps a query's packed vectors as trivial decompositions —
-// the evaluation form filters use when factoring is disabled.
-func unfactoredAll(vecs []npv.PackedVector) []factor.Factored {
-	out := make([]factor.Factored, len(vecs))
-	for i, p := range vecs {
-		out[i] = factor.Unfactored(p)
-	}
-	return out
-}
-
-// decompAll fetches the table's decompositions of a query's vectors, which
-// registration keyed by slice position (the qindex.Key convention). The
-// table must be sealed.
-func decompAll(tbl *factor.Table, id core.QueryID, n int) []factor.Factored {
-	out := make([]factor.Factored, n)
-	for i := range out {
-		d, ok := tbl.Decomp(factor.Key{Query: id, Vertex: graph.VertexID(i)})
-		if !ok {
-			panic(fmt.Sprintf("join: query %d vector %d missing from sealed factor table", id, i))
-		}
-		out[i] = d
-	}
-	return out
-}
-
-// dominatedByAny reports whether any vector in the stream's space dominates
-// u, along with the number of vectors scanned before deciding (the
-// nested-loop work measure NL exports). The scan runs entirely on the
-// packed kernel — sealed stream vectors against a query decomposition
-// frozen at registration. For a factored decomposition the probe loop
-// walks only the memoized dominators of u's factor (a complete candidate
-// set: factors are lower envelopes, so a vertex that doesn't dominate the
-// factor dominates no member) and settles each with a merge over the small
-// residual — the whole-space scan survives only for unfactored vectors.
-//
-//nnt:hotpath
-func dominatedByAny(st *streamState, u factor.Factored) (found bool, scanned int) {
-	if u.Factor != factor.None {
-		st.memo.DominatorsOf(u.Factor, func(v graph.VertexID) bool {
-			scanned++
-			//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; sealed spaces on this path hit the packed cache allocation-free
-			if p, ok := st.space.Packed(v); ok && p.Dominates(u.Residual) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found, scanned
-	}
-	//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; sealed spaces on this path hit the packed cache allocation-free
-	st.space.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
-		scanned++
-		if st.memo.Dominated(v, p, u) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found, scanned
-}
-
 // vecStream is the half of a stream's state a vector-probing strategy (NL,
 // Skyline) supplies on top of the shared streamState.
 type vecStream interface {
 	// reconcile seals the stream's dirty vertices, folds the transitions
-	// into the factor memo and the strategy's own stream-side statistics,
-	// and returns them (nil when no vector changed). It mutates only this
-	// stream, so distinct streams reconcile independently.
+	// into the strategy's own stream-side statistics, and returns them (nil
+	// when no vector changed). It mutates only this stream, so distinct
+	// streams reconcile independently.
 	reconcile() []npv.DirtyDelta
 	// probe reports whether every query vector in vecs is dominated by some
 	// stream vector, and how many stream vectors it scanned deciding. It
 	// reads the reconciled stream state and touches nothing else, which is
 	// what makes the pair fan-out safe.
-	probe(vecs []factor.Factored) (joinable bool, scanned int64)
+	probe(vecs []npv.PackedVector) (joinable bool, scanned int64)
 }
 
 // vecJoinStream is one stream of a vecJoin: the strategy's half, the shared
@@ -243,18 +170,17 @@ type vecJoinStream struct {
 }
 
 // vecJoin is everything NL and Skyline have in common — which is everything
-// except which query vectors decide a verdict (derive), what a stream keeps
-// beside its vector space, and how one query vector is probed against it
-// (vecStream): query registration against the dominance index and the
-// factor table, the reseal discipline, and the batch driver. The strategies
-// embed it, so its exported methods are theirs.
+// except which query vectors decide a verdict (derive), whether a dominance
+// index generates candidates (ix), what a stream keeps beside its vector
+// space, and how one query vector is probed against it (vecStream): query
+// registration and the batch driver. The strategies embed it, so its
+// exported methods are theirs.
 //
-// The dominance index generates the candidate queries per changed stream:
-// each dirty vertex's sealed (old, new) transition maps to a superset of the
-// queries whose verdict could have flipped, so the kept verdicts are exact
-// by construction. The factor table shares dominance work across
-// overlapping query vectors; both are immutable within a timestamp, and
-// per-stream memos update in the per-stream maintenance stage only.
+// With an index, each dirty vertex's sealed (old, new) transition maps to a
+// superset of the queries whose verdict could have flipped, so the kept
+// verdicts are exact by construction; the index is immutable within a
+// timestamp. Without one (NL, the plain nested loop) every changed stream
+// re-probes every registered query.
 type vecJoin struct {
 	depth int
 	// derive computes the verdict-deciding packed vectors of a query, in the
@@ -265,14 +191,8 @@ type vecJoin struct {
 
 	queries map[core.QueryID][]npv.PackedVector
 	streams map[core.StreamID]*vecJoinStream
-	// indexed gates ix (true by default; the full re-evaluation is kept as
-	// the benchmark/testing reference).
-	ix      *qindex.Index
-	indexed bool
-	// ft is nil when factoring is disabled; fq then holds trivial
-	// decompositions.
-	ft *factor.Table
-	fq map[core.QueryID][]factor.Factored
+	// ix is the query dominance index; nil means every query is a candidate.
+	ix *qindex.Index
 	// scans counts stream vectors scanned by probes over the run. Written
 	// only on the serialized paths — pair tasks report per-task counts that
 	// are merged after the join — and read by the strategies' CollectMetrics.
@@ -280,97 +200,34 @@ type vecJoin struct {
 	pool  evalPool
 }
 
-func newVecJoin(depth int, derive func(*graph.Graph, int) []npv.PackedVector, newStream func(*streamState) vecStream) vecJoin {
+func newVecJoin(depth int, ix *qindex.Index, derive func(*graph.Graph, int) []npv.PackedVector, newStream func(*streamState) vecStream) vecJoin {
 	return vecJoin{
 		depth:     depth,
 		derive:    derive,
 		newStream: newStream,
 		queries:   make(map[core.QueryID][]npv.PackedVector),
 		streams:   make(map[core.StreamID]*vecJoinStream),
-		ix:        qindex.New(),
-		indexed:   true,
-		ft:        factor.NewTable(),
-		fq:        make(map[core.QueryID][]factor.Factored),
+		ix:        ix,
 	}
-}
-
-// DisableQueryIndex turns off candidate generation: every changed stream
-// re-evaluates every registered query, as the filters did before the index
-// existed. It exists for benchmarks (the sub-linear claim needs its linear
-// baseline) and equivalence tests, and must be called before any query or
-// stream is registered.
-func (j *vecJoin) DisableQueryIndex() {
-	if len(j.queries) != 0 || len(j.streams) != 0 {
-		panic("join: DisableQueryIndex after registration")
-	}
-	j.indexed = false
-}
-
-// DisableFactors turns off shared-factor evaluation: every query vector is
-// tested by the full packed merge, with no memo short-circuit. It exists as
-// the benchmark baseline and the reference the factored path is tested
-// bit-identical against, and must be called before any query or stream is
-// registered.
-func (j *vecJoin) DisableFactors() {
-	if len(j.queries) != 0 || len(j.streams) != 0 {
-		panic("join: DisableFactors after registration")
-	}
-	j.ft = nil
-}
-
-// SetFactorThresholds forwards discovery thresholds to the factor table
-// (see factor.Table); panics once factoring is disabled or sealed.
-func (j *vecJoin) SetFactorThresholds(minSupport, minDims int) {
-	j.ft.SetMinSupport(minSupport)
-	j.ft.SetMinDims(minDims)
 }
 
 // SetWorkers implements core.ParallelFilter.
 func (j *vecJoin) SetWorkers(n int) { j.pool.setWorkers(n) }
 
-// rebuildFactored re-derives every query's decomposition and every
-// stream's memo from the (re)sealed factor table. Per-key writes are
-// order-independent, so the map iteration order is immaterial.
-func (j *vecJoin) rebuildFactored() {
-	for qid, vecs := range j.queries {
-		j.fq[qid] = decompAll(j.ft, qid, len(vecs))
-	}
-	for _, s := range j.streams {
-		s.st.memo.Rebuild(s.st.space)
-	}
-}
-
 // AddQuery implements core.Filter; queries may also arrive while streams
 // are live (core.DynamicFilter), in which case the new pattern is evaluated
-// against every current stream immediately. Index and factor keys carry the
-// vector's position in the derived slice in their vertex slot.
+// against every current stream immediately. Index keys carry the vector's
+// position in the derived slice in their vertex slot.
 func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 	if _, ok := j.queries[id]; ok {
 		return fmt.Errorf("join: duplicate query %d", id)
 	}
 	vecs := j.derive(q, j.depth)
 	j.queries[id] = vecs
-	for i, u := range vecs {
-		if j.indexed {
+	if j.ix != nil {
+		for i, u := range vecs {
 			j.ix.Add(qindex.Key{Query: id, Vertex: graph.VertexID(i)}, u)
 		}
-		if j.ft != nil {
-			j.ft.Add(factor.Key{Query: id, Vertex: graph.VertexID(i)}, u)
-		}
-	}
-	switch {
-	case j.ft == nil:
-		j.fq[id] = unfactoredAll(vecs)
-	case !j.ft.Sealed():
-		// Pre-seal: stored only; decompositions appear when the first stream
-		// seals the table, and nothing evaluates before then.
-	case j.ft.MaybeReseal():
-		// Live addition after churn piled up: re-discover and rebuild the
-		// decompositions and memos.
-		j.rebuildFactored()
-	default:
-		// Live addition: matched against the existing factors.
-		j.fq[id] = decompAll(j.ft, id, len(vecs))
 	}
 	for _, s := range j.streams {
 		s.verdict[id] = j.evaluate(s, id)
@@ -385,13 +242,8 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 		return fmt.Errorf("join: unknown query %d", id)
 	}
 	delete(j.queries, id)
-	delete(j.fq, id)
-	j.ix.RemoveQuery(id)
-	if j.ft != nil {
-		j.ft.RemoveQuery(id)
-		if j.ft.Sealed() && j.ft.MaybeReseal() {
-			j.rebuildFactored()
-		}
+	if j.ix != nil {
+		j.ix.RemoveQuery(id)
 	}
 	for _, s := range j.streams {
 		delete(s.verdict, id)
@@ -400,19 +252,15 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 }
 
 // AddStream implements core.Filter. The first stream seals the index (like
-// DSC's build phase, registration appends cheaply and sorts once) and runs
-// factor discovery once over the full pre-seal query set; it has no
-// predecessors, so no memos need rebuilding.
+// DSC's build phase, registration appends cheaply and sorts once).
 func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	if _, ok := j.streams[id]; ok {
 		return fmt.Errorf("join: duplicate stream %d", id)
 	}
-	j.ix.Seal()
-	if j.ft != nil && !j.ft.Sealed() {
-		j.ft.Seal()
-		j.rebuildFactored()
+	if j.ix != nil {
+		j.ix.Seal()
 	}
-	st := newStreamState(g0, j.depth, true, j.ft)
+	st := newStreamState(g0, j.depth, true, nil)
 	s := &vecJoinStream{
 		vecStream: j.newStream(st),
 		st:        st,
@@ -428,7 +276,7 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 
 // evaluate probes one query against one stream on the serialized path.
 func (j *vecJoin) evaluate(s *vecJoinStream, qid core.QueryID) bool {
-	ok, scanned := s.probe(j.fq[qid])
+	ok, scanned := s.probe(j.queries[qid])
 	j.scans += scanned
 	return ok
 }
@@ -440,18 +288,18 @@ func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
 
 // ApplyAll implements core.BatchApplier, and is the only code path that
 // advances a stream. Maintenance runs one task per stream: NNT update,
-// reconcile (which seals that stream's dirty vertices and updates its memo
-// — the stream's private state, which the pair stage only reads), and
-// candidate generation, which reads the sealed, immutable index plus atomic
-// counters and so is race-free inside the per-stream task. Dominance
-// re-evaluation then fans out one task per (changed stream, candidate
-// query) pair. Each task writes only its own slot, and the merge walks
-// slots in (StreamID, QueryID) order, so the verdicts — and therefore
+// reconcile (which seals that stream's dirty vertices — the stream's private
+// state, which the pair stage only reads), and candidate generation, which
+// reads the sealed, immutable index plus atomic counters (or, without an
+// index, takes every query) and so is race-free inside the per-stream task.
+// Dominance re-evaluation then fans out one task per (changed stream,
+// candidate query) pair. Each task writes only its own slot, and the merge
+// walks slots in (StreamID, QueryID) order, so the verdicts — and therefore
 // Candidates — do not depend on the worker count.
 func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 	cands := make([][]core.QueryID, len(changes))
 	var allQ []core.QueryID
-	if !j.indexed {
+	if j.ix == nil {
 		allQ = sortedQueryIDs(j.queries)
 	}
 	ids, err := j.pool.runStreams(changes, func(i int, id core.StreamID, cs graph.ChangeSet) error {
@@ -466,10 +314,10 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		switch {
 		case len(deltas) == 0:
 			// Nothing changed; verdicts stand.
-		case j.indexed:
-			cands[i] = j.ix.AffectedQueries(deltas)
-		default:
+		case j.ix == nil:
 			cands[i] = allQ
+		default:
+			cands[i] = j.ix.AffectedQueries(deltas)
 		}
 		return nil
 	})
@@ -487,7 +335,7 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 	scans := make([]int64, len(tasks))
 	j.pool.run(len(tasks), func(i int) {
 		t := tasks[i]
-		verdicts[i], scans[i] = j.streams[t.sid].probe(j.fq[t.qid])
+		verdicts[i], scans[i] = j.streams[t.sid].probe(j.queries[t.qid])
 	})
 	for i, t := range tasks {
 		j.streams[t.sid].verdict[t.qid] = verdicts[i]
@@ -510,13 +358,8 @@ func (j *vecJoin) Candidates() []core.Pair {
 }
 
 // collectShared emits the samples NL and Skyline export under the same
-// names: index postings, factor-table sizes, observed NNT nodes, stream
-// count, and the evaluation pool.
+// names: observed NNT nodes, stream count, and the evaluation pool.
 func (j *vecJoin) collectShared(emit func(name string, value float64)) {
-	emit("nntstream_qindex_postings", float64(j.ix.PostingCount()))
-	if j.ft != nil {
-		j.ft.CollectMetrics(emit)
-	}
 	nodes := 0
 	for _, s := range j.streams {
 		nodes += s.st.nodeCount()

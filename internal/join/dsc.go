@@ -39,10 +39,11 @@ import (
 // memo — when a vertex's verdict on factor f flips at a seal, the dominant
 // counters of every query vertex sharing f adjust by one, so the factor's
 // packed evaluation is paid once per (vertex, timestamp) no matter how
-// many query vertices it serves. Unlike NL/Skyline, DSC pins its factor
-// set at the first Seal (no churn-driven reseal): a reseal would reassign
-// every column entry and counter, which defeats the incremental design.
-// Late-added queries still match against the existing factors.
+// many query vertices it serves. DSC is the only strategy that factors
+// (DESIGN §7 has the measurements), and it pins its factor set at the
+// first Seal: a reseal would reassign every column entry and counter,
+// which defeats the incremental design. Late-added queries still match
+// against the existing factors.
 type DSC struct {
 	depth int
 	// ix holds, per dimension, the query-vertex postings sorted by count —

@@ -2,22 +2,23 @@ package join
 
 import (
 	"nntstream/internal/core"
-	"nntstream/internal/factor"
+	"nntstream/internal/graph"
 	"nntstream/internal/npv"
 	"nntstream/internal/obs"
 )
 
 // NL is the nested-loop join baseline: whenever a stream changes, every
-// affected query is re-checked against it by scanning all (query vertex,
+// registered query is re-checked against it by scanning all (query vertex,
 // stream vertex) vector pairs for dominance. Simple, correct, and the
-// yardstick the two optimized strategies are measured against.
+// yardstick the two optimized strategies are measured against — and, having
+// no index and no shared state to get wrong, the reference oracle their
+// equivalence tests compare with.
 //
 // NL's strategy half is the trivial one: every query vertex's vector
-// decides the verdict, a stream keeps nothing beside its vector space, and a
-// probe scans the whole space. Registration, the query dominance index
-// ("affected" means the index's candidates, not all queries — unless
-// DisableQueryIndex restores the full scan as the measurement baseline),
-// factoring and the batch driver are vecJoin's.
+// decides the verdict, there is no dominance index (vecJoin's nil ix: every
+// query is re-probed), a stream keeps nothing beside its vector space, and
+// a probe scans the whole space. Registration and the batch driver are
+// vecJoin's.
 type NL struct{ vecJoin }
 
 var (
@@ -28,7 +29,7 @@ var (
 
 // NewNL returns a nested-loop filter with the given NNT depth.
 func NewNL(depth int) *NL {
-	return &NL{newVecJoin(depth, packQuery, func(st *streamState) vecStream { return nlStream{st} })}
+	return &NL{newVecJoin(depth, nil, packQuery, func(st *streamState) vecStream { return nlStream{st} })}
 }
 
 // Name implements core.Filter.
@@ -37,16 +38,16 @@ func (f *NL) Name() string { return "NPV-NL" }
 // nlStream is NL's vecStream: the bare feature structures.
 type nlStream struct{ st *streamState }
 
-func (s nlStream) reconcile() []npv.DirtyDelta { return s.st.sealDeltas() }
+func (s nlStream) reconcile() []npv.DirtyDelta { return s.st.space.SealDirty() }
 
-func (s nlStream) probe(vecs []factor.Factored) (bool, int64) { return evalQuery(s.st, vecs) }
+func (s nlStream) probe(vecs []npv.PackedVector) (bool, int64) { return evalQuery(s.st, vecs) }
 
 // evalQuery is the pure dominance check one pair task runs: it reads the
-// stream space, the factor memo, and the query decompositions, and touches
-// no filter state, which is what makes the fan-out safe.
+// stream space and the query vectors, and touches no filter state, which is
+// what makes the fan-out safe.
 //
 //nnt:hotpath
-func evalQuery(st *streamState, vecs []factor.Factored) (bool, int64) {
+func evalQuery(st *streamState, vecs []npv.PackedVector) (bool, int64) {
 	var total int64
 	for _, u := range vecs {
 		found, scanned := dominatedByAny(st, u)
@@ -58,11 +59,31 @@ func evalQuery(st *streamState, vecs []factor.Factored) (bool, int64) {
 	return true, total
 }
 
+// dominatedByAny reports whether any vector in the stream's space dominates
+// u, along with the number of vectors scanned before deciding (the
+// nested-loop work measure NL exports). The scan runs entirely on the
+// packed kernel — sealed stream vectors against a query vector frozen at
+// registration.
+//
+//nnt:hotpath
+func dominatedByAny(st *streamState, u npv.PackedVector) (found bool, scanned int) {
+	//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; sealed spaces on this path hit the packed cache allocation-free
+	st.space.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
+		scanned++
+		if p.Dominates(u) {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found, scanned
+}
+
 var _ obs.Collector = (*NL)(nil)
 
 // CollectMetrics implements obs.Collector with the nested-loop work and
-// structure sizes: query/stream vector counts, scan totals, index postings,
-// and the NNT node count of the observed forests.
+// structure sizes: query/stream vector counts, scan totals, and the NNT
+// node count of the observed forests.
 func (f *NL) CollectMetrics(emit func(name string, value float64)) {
 	emit("nntstream_nl_query_vectors", float64(f.queryVectorCount()))
 	emit("nntstream_nl_vector_scans_total", float64(f.scans))

@@ -4,10 +4,10 @@ import (
 	"sort"
 
 	"nntstream/internal/core"
-	"nntstream/internal/factor"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
 	"nntstream/internal/obs"
+	"nntstream/internal/qindex"
 	"nntstream/internal/skyline"
 )
 
@@ -28,8 +28,8 @@ import (
 // A fourth optimization is ours: the maximal vectors of every registered
 // query live in a qindex.Index, so a changed stream re-evaluates only the
 // queries whose verdict the dirty vertices' seal transitions could have
-// flipped, instead of all of them. DisableQueryIndex restores the full
-// re-evaluation as the benchmark/testing reference.
+// flipped, instead of all of them (NL's full re-evaluation is the
+// reference).
 type Skyline struct{ vecJoin }
 
 // skyStream is Skyline's vecStream: the per-dimension statistics behind the
@@ -56,7 +56,7 @@ var (
 // NewSkyline returns a skyline-with-early-stop filter with the given NNT
 // depth.
 func NewSkyline(depth int) *Skyline {
-	return &Skyline{newVecJoin(depth, maximalByMass, func(st *streamState) vecStream {
+	return &Skyline{newVecJoin(depth, qindex.New(), maximalByMass, func(st *streamState) vecStream {
 		return &skyStream{
 			st:   st,
 			prev: make(map[graph.VertexID]npv.Vector),
@@ -69,7 +69,7 @@ func NewSkyline(depth int) *Skyline {
 func (f *Skyline) Name() string { return "NPV-Skyline" }
 
 // maximalByMass derives the vectors that decide a Skyline verdict: only the
-// maximal ones (so only they are indexed and factored), heaviest first —
+// maximal ones (so only they are indexed), heaviest first —
 // those are the least likely to be dominated, so a non-joinable pair is
 // refuted early.
 func maximalByMass(q *graph.Graph, depth int) []npv.PackedVector {
@@ -81,7 +81,7 @@ func maximalByMass(q *graph.Graph, depth int) []npv.PackedVector {
 // reconcile implements vecStream: the dirty vertices' old vectors leave the
 // per-dimension statistics and their new ones enter.
 func (ss *skyStream) reconcile() []npv.DirtyDelta {
-	deltas := ss.st.sealDeltas()
+	deltas := ss.st.space.SealDirty()
 	for _, dl := range deltas {
 		v := dl.Vertex
 		// Deregister the old vector.
@@ -127,16 +127,15 @@ func (ss *skyStream) reconcile() []npv.DirtyDelta {
 }
 
 // probe implements vecStream.
-func (ss *skyStream) probe(maximal []factor.Factored) (bool, int64) { return evalMaximal(ss, maximal) }
+func (ss *skyStream) probe(maximal []npv.PackedVector) (bool, int64) { return evalMaximal(ss, maximal) }
 
 // evalMaximal reports joinability — true iff every maximal query vector is
 // dominated by some stream vector. It reads the reconciled per-dimension
-// statistics, the factor memo, and the query's maximal-vector
-// decompositions, and touches no filter state, which is what makes the
-// fan-out safe.
+// statistics and the query's maximal vectors, and touches no filter state,
+// which is what makes the fan-out safe.
 //
 //nnt:hotpath
-func evalMaximal(ss *skyStream, maximal []factor.Factored) (bool, int64) {
+func evalMaximal(ss *skyStream, maximal []npv.PackedVector) (bool, int64) {
 	var total int64
 	for _, u := range maximal {
 		ok, scanned := dominated(ss, u)
@@ -151,21 +150,18 @@ func evalMaximal(ss *skyStream, maximal []factor.Factored) (bool, int64) {
 }
 
 // dominated implements the stream-side probe for one query vector,
-// reporting the number of stream vectors scanned in the probe loop. The
-// refutation and probe-dimension selection run on the full vector (they
-// reason about u as a whole); the per-member exact check short-circuits
-// through the factor memo before paying for u's residual merge.
+// reporting the number of stream vectors scanned in the probe loop.
 //
 //nnt:hotpath
-func dominated(ss *skyStream, u factor.Factored) (bool, int64) {
-	if u.Full.Len() == 0 {
+func dominated(ss *skyStream, u npv.PackedVector) (bool, int64) {
+	if u.Len() == 0 {
 		// An empty query vector is dominated by any vertex.
 		return len(ss.prev) > 0, 0
 	}
 	var probe *dimStat
-	for i := 0; i < u.Full.Len(); i++ {
-		stat := ss.dims[u.Full.Dim(i)]
-		if stat == nil || u.Full.Count(i) > stat.max {
+	for i := 0; i < u.Len(); i++ {
+		stat := ss.dims[u.Dim(i)]
+		if stat == nil || u.Count(i) > stat.max {
 			// No stream vector reaches u in dimension d: u is a skyline
 			// point, refuted in O(|support|).
 			return false, 0
@@ -182,7 +178,7 @@ func dominated(ss *skyStream, u factor.Factored) (bool, int64) {
 	for v := range probe.members {
 		scanned++
 		//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; the probe reads a space sealed by the same reconcile step, so it hits the packed cache allocation-free
-		if p, ok := ss.st.space.Packed(v); ok && ss.st.memo.Dominated(v, p, u) {
+		if p, ok := ss.st.space.Packed(v); ok && p.Dominates(u) {
 			return true, scanned
 		}
 	}
@@ -206,5 +202,6 @@ func (f *Skyline) CollectMetrics(emit func(name string, value float64)) {
 	}
 	emit("nntstream_skyline_dimensions", float64(dims))
 	emit("nntstream_skyline_stream_vectors", float64(vecs))
+	emit("nntstream_qindex_postings", float64(f.ix.PostingCount()))
 	f.collectShared(emit)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"nntstream/internal/core"
-	"nntstream/internal/factor"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
 )
@@ -37,7 +36,7 @@ func TestSkylineDominatedEmptyQueryVector(t *testing.T) {
 
 	// Direct unit check of the probe.
 	ss := f.streams[0].vecStream.(*skyStream)
-	empty0 := factor.Unfactored(npv.Pack(npv.Vector{}))
+	empty0 := npv.Pack(npv.Vector{})
 	if ok, _ := dominated(ss, empty0); ok {
 		t.Fatal("empty stream should not dominate the empty vector")
 	}
@@ -102,7 +101,7 @@ func TestSkylineRetiredVertex(t *testing.T) {
 
 	// The query vector is now refuted via the per-dimension max fast path:
 	// its dimensions have no members at all.
-	u := f.fq[0][0]
+	u := f.queries[0][0]
 	if ok, _ := dominated(ss, u); ok {
 		t.Fatal("retired vertices must not dominate the query vector")
 	}

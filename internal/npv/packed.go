@@ -166,17 +166,6 @@ func (p PackedVector) Equal(q PackedVector) bool {
 // String renders the packed vector like its map form.
 func (p PackedVector) String() string { return p.Unpack().String() }
 
-// CanDominate runs only the two O(1) rejects of Dominates — support size
-// and signature subset. A false result is a proof that p cannot dominate u;
-// true means the sorted merge must decide. The shared-factor short-circuit
-// (internal/factor) leads its memoized test with this so a factored reject
-// never costs more than the reject path of the plain kernel it replaces.
-//
-//nnt:hotpath
-func (p PackedVector) CanDominate(u PackedVector) bool {
-	return len(p.dims) >= len(u.dims) && u.sig&^p.sig == 0
-}
-
 // Dominates reports whether p dominates u in the sense of Lemma 4.2,
 // exactly as Vector.Dominates does: on every dimension of u's support, p's
 // count is at least u's. The fast rejects run first; the merge walks both
