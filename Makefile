@@ -100,8 +100,8 @@ crashtest-cluster:
 # Short native-fuzzer runs over every decoder that reads crash debris or
 # user files (WAL frames, checkpoint JSON, graph text formats) plus the
 # kernel-equivalence properties (packed dominance, qindex candidate
-# soundness). The default budget keeps it pre-commit-friendly; override
-# FUZZTIME for a real campaign.
+# soundness, NPV recount vs forest patching). The default budget keeps it
+# pre-commit-friendly; override FUZZTIME for a real campaign.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/core/
@@ -109,6 +109,7 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzPackedDominates -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzQindexCandidates -fuzztime=$(FUZZTIME) ./internal/qindex/
 	$(GO) test -fuzz=FuzzFactorSeal -fuzztime=$(FUZZTIME) ./internal/factor/
+	$(GO) test -fuzz=FuzzRecountMatchesForest -fuzztime=$(FUZZTIME) ./internal/npv/
 
 # Record a benchmark trajectory (see benchjson_test.go): every figure bench
 # as JSON, tagged with the current revision.
@@ -122,7 +123,8 @@ benchjson:
 # far noisier than the end-to-end figures — they get a looser per-bench
 # threshold instead of loosening the global gate. The -max-allocs caps are
 # hard even under -warn-only (alloc counts are deterministic): the packed
-# dominance kernel and the ingest frame decoder must stay zero-alloc.
+# dominance kernel and the ingest frame decoder must stay zero-alloc, and the
+# NPV recount store at its measured steady state (vertex creation only).
 WARN_ONLY ?= -warn-only
 benchgate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_main.json -candidate $(BENCHJSON_OUT) \
@@ -130,6 +132,7 @@ benchgate:
 		-threshold-for NPV_Dominates_Map=0.50 -threshold-for NPV_Dominates_Packed=0.50 \
 		-threshold-for IngestDecode=0.50 \
 		-max-allocs NPV_Dominates_Packed=0 -max-allocs IngestDecode=0 \
+		-max-allocs NPVRecount=14 \
 		$(WARN_ONLY)
 
 # Sustained-throughput drill against a live serve socket (see

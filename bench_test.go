@@ -619,6 +619,31 @@ func BenchmarkNNTMaintenance(b *testing.B) {
 	}
 }
 
+// BenchmarkNPVRecount advances the recounting npv.Store — the stream state
+// NL, Skyline and DSC run on — over the same sparse stream as
+// BenchmarkNNTMaintenance, so the two read as forest patching vs recounting
+// per timestamp.
+func BenchmarkNPVRecount(b *testing.B) {
+	workloads()
+	tpl := wSparse.streams[0]
+	s := npv.NewStore(tpl.Start, join.DefaultDepth)
+	cur := graph.NewCursor(tpl)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cs, ok := cur.Next()
+		if !ok {
+			b.StopTimer()
+			cur = graph.NewCursor(tpl)
+			s = npv.NewStore(tpl.Start, join.DefaultDepth)
+			b.StartTimer()
+			cs, _ = cur.Next()
+		}
+		if err := s.Apply(cs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkVF2HardInstance shows why the paper avoids exact isomorphism on
 // the hot path: a near-regular unlabeled instance forces deep backtracking.
 func BenchmarkVF2HardInstance(b *testing.B) {

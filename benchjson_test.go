@@ -92,6 +92,7 @@ func benchRegistry() []benchEntry {
 		{"NPV_Dominates_Map", Benchmark_NPV_Dominates_Map},
 		{"NPV_Dominates_Packed", Benchmark_NPV_Dominates_Packed},
 		{"NNTMaintenance", BenchmarkNNTMaintenance},
+		{"NPVRecount", BenchmarkNPVRecount},
 		{"VF2HardInstance", BenchmarkVF2HardInstance},
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
 	"nntstream/internal/nnt"
+	"nntstream/internal/npv"
 	"nntstream/internal/obs"
 )
 
@@ -46,7 +47,10 @@ type internedTrie struct {
 }
 
 type branchStream struct {
-	st *streamState
+	// forest holds the stream's NNTs (Branch reads whole trees, not
+	// vectors); space observes it only to report the dirty vertices.
+	forest *nnt.Forest
+	space  *npv.Space
 	// tries caches the label trie of each stream vertex's NNT; entries of
 	// dirty vertices are rebuilt lazily.
 	tries map[graph.VertexID]*nnt.Trie
@@ -127,14 +131,16 @@ func (f *Branch) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	if _, ok := f.streams[id]; ok {
 		return fmt.Errorf("join: duplicate stream %d", id)
 	}
+	space := npv.NewSpace()
 	bs := &branchStream{
-		st:      newStreamState(g0, f.depth, false, nil),
+		forest:  nnt.NewForest(g0, f.depth, space),
+		space:   space,
 		tries:   make(map[graph.VertexID]*nnt.Trie),
 		shared:  make(map[string]bool),
 		verdict: make(map[core.QueryID]bool, len(f.queries)),
 	}
 	f.streams[id] = bs
-	bs.st.space.TakeDirty()
+	bs.space.TakeDirty()
 	f.evaluate(bs)
 	return nil
 }
@@ -145,10 +151,10 @@ func (f *Branch) Apply(id core.StreamID, cs graph.ChangeSet) error {
 	if !ok {
 		return fmt.Errorf("join: unknown stream %d", id)
 	}
-	if err := bs.st.apply(cs); err != nil {
+	if err := bs.forest.ApplySet(cs); err != nil {
 		return err
 	}
-	dirty := bs.st.space.TakeDirty()
+	dirty := bs.space.TakeDirty()
 	if len(dirty) == 0 {
 		return nil
 	}
@@ -197,7 +203,7 @@ func (f *Branch) evaluateOne(bs *branchStream, keys []string) bool {
 func (f *Branch) evalTrie(bs *branchStream, qr *nnt.Node) bool {
 	f.trieEvals++
 	found := false
-	bs.st.forest.Roots(func(v graph.VertexID, root *nnt.Node) bool {
+	bs.forest.Roots(func(v graph.VertexID, root *nnt.Node) bool {
 		if f.trie(bs, v, root).ContainsBranches(qr) {
 			found = true
 			return false

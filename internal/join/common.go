@@ -28,7 +28,6 @@ import (
 	"nntstream/internal/core"
 	"nntstream/internal/factor"
 	"nntstream/internal/graph"
-	"nntstream/internal/nnt"
 	"nntstream/internal/npv"
 	"nntstream/internal/qindex"
 )
@@ -38,45 +37,31 @@ import (
 const DefaultDepth = 3
 
 // streamState bundles the incrementally maintained feature structures of
-// one stream: its NNT forest, the projected vector space observing it, and
-// — when DSC factors its query set — the per-(vertex, factor) verdict memo
+// one stream: its recounting NPV store (which owns the stream graph) and —
+// when DSC factors its query set — the per-(vertex, factor) verdict memo
 // whose flips drive DSC's factor units.
 type streamState struct {
-	forest *nnt.Forest
-	space  *npv.Space
-	memo   *factor.Memo
+	store *npv.Store
+	memo  *factor.Memo
 }
 
 // newStreamState builds the stream's feature structures. packed enables the
-// space's PackedVector cache: filters whose evaluation runs on the packed
+// store's PackedVector cache: filters whose evaluation runs on the packed
 // dominance kernel (NL, Skyline) pass true so every timestamp's seal
-// freezes the dirty vertices into packed form; counter-based DSC and the
-// NNT-only Branch filter pass false and skip the sealing cost — except
-// that a non-nil factor table (DSC with factors on) forces packing on,
-// because the factor memo evaluates the shared sub-vectors on the packed
-// kernel at each seal.
+// freezes the dirty vertices into packed form; counter-based DSC passes
+// false and skips the sealing cost — except that a non-nil factor table
+// (DSC with factors on) forces packing on, because the factor memo
+// evaluates the shared sub-vectors on the packed kernel at each seal.
 func newStreamState(g0 *graph.Graph, depth int, packed bool, tbl *factor.Table) *streamState {
-	space := npv.NewSpace()
+	st := &streamState{store: npv.NewStore(g0, depth)}
 	if packed || tbl != nil {
-		space.EnablePacking()
-	}
-	st := &streamState{
-		forest: nnt.NewForest(g0, depth, space),
-		space:  space,
+		st.store.EnablePacking()
 	}
 	if tbl != nil {
 		st.memo = factor.NewMemo(tbl)
 	}
 	return st
 }
-
-func (s *streamState) apply(cs graph.ChangeSet) error {
-	return s.forest.ApplySet(cs)
-}
-
-// nodeCount reports the current NNT node count of the stream's forest, the
-// structure-size gauge every NPV filter exports (see CollectMetrics).
-func (s *streamState) nodeCount() int { return s.forest.TotalNodes() }
 
 // qKey identifies one query vertex across all registered queries.
 type qKey struct {
@@ -287,7 +272,7 @@ func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
 }
 
 // ApplyAll implements core.BatchApplier, and is the only code path that
-// advances a stream. Maintenance runs one task per stream: NNT update,
+// advances a stream. Maintenance runs one task per stream: NPV recount,
 // reconcile (which seals that stream's dirty vertices — the stream's private
 // state, which the pair stage only reads), and candidate generation, which
 // reads the sealed, immutable index plus atomic counters (or, without an
@@ -307,7 +292,7 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		if !ok {
 			return fmt.Errorf("join: unknown stream %d", id)
 		}
-		if err := s.st.apply(cs); err != nil {
+		if err := s.st.store.Apply(cs); err != nil {
 			return err
 		}
 		deltas := s.reconcile()
@@ -358,11 +343,11 @@ func (j *vecJoin) Candidates() []core.Pair {
 }
 
 // collectShared emits the samples NL and Skyline export under the same
-// names: observed NNT nodes, stream count, and the evaluation pool.
+// names: projected NNT nodes, stream count, and the evaluation pool.
 func (j *vecJoin) collectShared(emit func(name string, value float64)) {
 	nodes := 0
 	for _, s := range j.streams {
-		nodes += s.st.nodeCount()
+		nodes += s.st.store.Nodes()
 	}
 	emit("nntstream_filter_nnt_nodes", float64(nodes))
 	emit("nntstream_filter_streams", float64(len(j.streams)))

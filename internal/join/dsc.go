@@ -213,7 +213,7 @@ func (f *DSC) registerQueryVertex(k qKey, vec npv.PackedVector) {
 func (f *DSC) attachQueryVertex(ds *dscStream, k qKey) {
 	dec := f.fdec[k]
 	res := dec.Residual
-	ds.st.space.Vectors(func(v graph.VertexID, vvec npv.Vector) bool {
+	ds.st.store.Vectors(func(v graph.VertexID, vvec npv.Vector) bool {
 		cnt := 0
 		for i := 0; i < res.Len(); i++ {
 			d, c := res.Dim(i), res.Count(i)
@@ -325,7 +325,7 @@ func (f *DSC) dropMember(fid factor.ID, k qKey) {
 // rollbackPositions decrements the position counter of every stream vertex
 // that counted a removed column entry of value c in dimension d.
 func (f *DSC) rollbackPositions(ds *dscStream, d npv.Dim, c int32) {
-	ds.st.space.Vectors(func(v graph.VertexID, vvec npv.Vector) bool {
+	ds.st.store.Vectors(func(v graph.VertexID, vvec npv.Vector) bool {
 		if vvec.Get(d) >= c {
 			pos := ds.pos[v]
 			pos[d]--
@@ -384,12 +384,12 @@ func (f *DSC) Apply(id core.StreamID, cs graph.ChangeSet) error {
 func (f *DSC) reconcileStream(ds *dscStream) int64 {
 	var work int64
 	if f.ft == nil {
-		for _, v := range ds.st.space.TakeDirty() {
+		for _, v := range ds.st.store.TakeDirty() {
 			f.updateVertex(ds, v, &work)
 		}
 		return work
 	}
-	for _, dl := range ds.st.space.SealDirty() {
+	for _, dl := range ds.st.store.SealDirty() {
 		v := dl.Vertex
 		ds.st.memo.Update(v, dl.New, dl.HasNew, func(fid factor.ID, now bool) {
 			for _, k := range f.fmembers[fid] {
@@ -406,7 +406,7 @@ func (f *DSC) reconcileStream(ds *dscStream) int64 {
 }
 
 // ApplyAll implements core.BatchApplier, and is the only code path that
-// advances a stream: one task per stream — NNT maintenance, then the
+// advances a stream: one task per stream — NPV recount, then the
 // dominance counter updates of the dirty vertices — because DSC's dominance
 // re-evaluation *is* the per-stream counter maintenance. Every (stream,
 // query) verdict is an aggregate (covered == qsize) the stream's own
@@ -421,7 +421,7 @@ func (f *DSC) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		if !ok {
 			return fmt.Errorf("join: unknown stream %d", id)
 		}
-		if err := ds.st.apply(cs); err != nil {
+		if err := ds.st.store.Apply(cs); err != nil {
 			return err
 		}
 		works[i] = f.reconcileStream(ds)
@@ -438,7 +438,7 @@ func (f *DSC) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 // crossed in each dimension. Counter work is accumulated into *work so
 // concurrent per-stream tasks never share a cell.
 func (f *DSC) updateVertex(ds *dscStream, v graph.VertexID, work *int64) {
-	newVec := ds.st.space.Vector(v) // nil when v was retired
+	newVec := ds.st.store.Vector(v) // nil when v was retired
 	pos := ds.pos[v]
 
 	// Dimensions to reconcile: all with a nonzero old position plus all in
@@ -542,7 +542,7 @@ var _ obs.Collector = (*DSC)(nil)
 
 // CollectMetrics implements obs.Collector with the structure sizes that
 // drive DSC's per-step cost: sorted-column entries, position/dominance
-// counter footprints, and the NNT node count of the observed forests.
+// counter footprints, and the NNT node count the stream vectors project.
 func (f *DSC) CollectMetrics(emit func(name string, value float64)) {
 	emit("nntstream_dsc_column_entries", float64(f.ix.PostingCount()))
 	emit("nntstream_dsc_columns", float64(f.ix.DimCount()))
@@ -554,7 +554,7 @@ func (f *DSC) CollectMetrics(emit func(name string, value float64)) {
 	}
 	nodes, posVerts, domVerts := 0, 0, 0
 	for _, ds := range f.streams {
-		nodes += ds.st.nodeCount()
+		nodes += ds.st.store.Nodes()
 		posVerts += len(ds.pos)
 		domVerts += len(ds.dom)
 	}

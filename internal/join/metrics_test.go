@@ -5,11 +5,14 @@ import (
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
+	"nntstream/internal/nnt"
 	"nntstream/internal/obs"
 )
 
 // TestFilterCollectors drives each NPV filter through a small workload and
-// checks the structure-size samples it exports.
+// checks the structure-size samples it exports. nntstream_filter_nnt_nodes
+// is derived from the stream vectors without building a tree, so it is
+// pinned to the node count of the stream's materialized NNTs.
 func TestFilterCollectors(t *testing.T) {
 	mkQuery := func(t *testing.T) *graph.Graph {
 		return buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
@@ -81,6 +84,13 @@ func TestFilterCollectors(t *testing.T) {
 			for _, name := range c.work {
 				if after[name] <= before[name] {
 					t.Fatalf("work counter %s did not grow: %v -> %v", name, before[name], after[name])
+				}
+			}
+			// The workload ends on the start graph again.
+			want := float64(nnt.NewForest(mkStream(t), DefaultDepth).TotalNodes())
+			for _, sample := range []map[string]float64{before, after} {
+				if got := sample["nntstream_filter_nnt_nodes"]; got != want {
+					t.Fatalf("nntstream_filter_nnt_nodes = %v; forest TotalNodes = %v", got, want)
 				}
 			}
 		})

@@ -38,7 +38,7 @@ func (f *NL) Name() string { return "NPV-NL" }
 // nlStream is NL's vecStream: the bare feature structures.
 type nlStream struct{ st *streamState }
 
-func (s nlStream) reconcile() []npv.DirtyDelta { return s.st.space.SealDirty() }
+func (s nlStream) reconcile() []npv.DirtyDelta { return s.st.store.SealDirty() }
 
 func (s nlStream) probe(vecs []npv.PackedVector) (bool, int64) { return evalQuery(s.st, vecs) }
 
@@ -68,7 +68,7 @@ func evalQuery(st *streamState, vecs []npv.PackedVector) (bool, int64) {
 //nnt:hotpath
 func dominatedByAny(st *streamState, u npv.PackedVector) (found bool, scanned int) {
 	//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; sealed spaces on this path hit the packed cache allocation-free
-	st.space.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
+	st.store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
 		scanned++
 		if p.Dominates(u) {
 			found = true
@@ -83,13 +83,13 @@ var _ obs.Collector = (*NL)(nil)
 
 // CollectMetrics implements obs.Collector with the nested-loop work and
 // structure sizes: query/stream vector counts, scan totals, and the NNT
-// node count of the observed forests.
+// node count the stream vectors project.
 func (f *NL) CollectMetrics(emit func(name string, value float64)) {
 	emit("nntstream_nl_query_vectors", float64(f.queryVectorCount()))
 	emit("nntstream_nl_vector_scans_total", float64(f.scans))
 	svecs := 0
 	for _, s := range f.streams {
-		svecs += s.st.space.Len()
+		svecs += s.st.store.Len()
 	}
 	emit("nntstream_nl_stream_vectors", float64(svecs))
 	f.collectShared(emit)

@@ -17,11 +17,11 @@ import (
 func dynamicReference(graphs map[core.StreamID]*graph.Graph, queries map[core.QueryID]*graph.Graph, depth int) []core.Pair {
 	qvecs := make(map[core.QueryID][]npv.Vector, len(queries))
 	for qid, q := range queries {
-		qvecs[qid] = npv.VectorsByVertex(npv.ProjectGraph(q, depth))
+		qvecs[qid] = forestVectors(q, depth)
 	}
 	var out []core.Pair
 	for sid, g := range graphs {
-		gv := npv.VectorsByVertex(npv.ProjectGraph(g, depth))
+		gv := forestVectors(g, depth)
 		for qid := range queries {
 			ok := true
 			for _, u := range qvecs[qid] {

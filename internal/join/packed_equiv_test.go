@@ -7,8 +7,17 @@ import (
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
+	"nntstream/internal/nnt"
 	"nntstream/internal/npv"
 )
+
+// forestVectors projects g through materialized NNTs (nnt.Forest +
+// npv.ProjectForest), in ascending vertex order. The references below use it
+// so that they share no code with the recounting npv.Store the filters run
+// on.
+func forestVectors(g *graph.Graph, depth int) []npv.Vector {
+	return npv.VectorsByVertex(npv.ProjectForest(nnt.NewForest(g, depth)))
+}
 
 // mapKernelReference recomputes the Lemma 4.2 candidate set from scratch
 // with the original map-based kernel (Vector.Dominates over fresh
@@ -18,11 +27,11 @@ import (
 func mapKernelReference(graphs map[core.StreamID]*graph.Graph, queries []*graph.Graph, depth int) []core.Pair {
 	qvecs := make([][]npv.Vector, len(queries))
 	for qid, q := range queries {
-		qvecs[qid] = npv.VectorsByVertex(npv.ProjectGraph(q, depth))
+		qvecs[qid] = forestVectors(q, depth)
 	}
 	var out []core.Pair
 	for sid, g := range graphs {
-		gv := npv.VectorsByVertex(npv.ProjectGraph(g, depth))
+		gv := forestVectors(g, depth)
 		for qid := range queries {
 			ok := true
 			for _, u := range qvecs[qid] {

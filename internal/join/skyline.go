@@ -81,7 +81,7 @@ func maximalByMass(q *graph.Graph, depth int) []npv.PackedVector {
 // reconcile implements vecStream: the dirty vertices' old vectors leave the
 // per-dimension statistics and their new ones enter.
 func (ss *skyStream) reconcile() []npv.DirtyDelta {
-	deltas := ss.st.space.SealDirty()
+	deltas := ss.st.store.SealDirty()
 	for _, dl := range deltas {
 		v := dl.Vertex
 		// Deregister the old vector.
@@ -105,7 +105,7 @@ func (ss *skyStream) reconcile() []npv.DirtyDelta {
 			delete(ss.prev, v)
 		}
 		// Register the new vector.
-		cur := ss.st.space.Vector(v)
+		cur := ss.st.store.Vector(v)
 		if cur == nil {
 			continue // vertex retired
 		}
@@ -178,7 +178,7 @@ func dominated(ss *skyStream, u npv.PackedVector) (bool, int64) {
 	for v := range probe.members {
 		scanned++
 		//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; the probe reads a space sealed by the same reconcile step, so it hits the packed cache allocation-free
-		if p, ok := ss.st.space.Packed(v); ok && p.Dominates(u) {
+		if p, ok := ss.st.store.Packed(v); ok && p.Dominates(u) {
 			return true, scanned
 		}
 	}
@@ -189,8 +189,8 @@ var _ obs.Collector = (*Skyline)(nil)
 
 // CollectMetrics implements obs.Collector with the structure sizes that
 // drive the skyline probe: maximal query vectors, per-dimension statistics,
-// index postings, registered stream vectors, and the NNT node count of the
-// observed forests.
+// index postings, registered stream vectors, and the NNT node count the
+// stream vectors project.
 func (f *Skyline) CollectMetrics(emit func(name string, value float64)) {
 	emit("nntstream_skyline_maximal_query_vectors", float64(f.queryVectorCount()))
 	emit("nntstream_skyline_probe_scans_total", float64(f.scans))

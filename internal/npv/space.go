@@ -7,21 +7,15 @@ import (
 	"nntstream/internal/nnt"
 )
 
-// Space holds the node-projected vectors of every vertex of one graph. It
-// implements nnt.Observer, so attaching a Space to a Forest at construction
-// time keeps the vectors synchronized with the trees at zero extra traversal
-// cost (Procedure TreeProjection runs implicitly, one increment per tree
-// edge event).
-type Space struct {
+// vecTable is the sealed-vector half shared by Space and Store: the live
+// vector of every vertex, the set of vertices whose vector changed (or which
+// appeared or retired) since the last seal, and the packed cache that seal
+// refreshes. Space fills it from forest events, Store by recounting; every
+// reader (the join strategies, the factor memo, the query index) sees the
+// same seal contract either way.
+type vecTable struct {
 	vectors map[graph.VertexID]Vector
-	labels  map[graph.VertexID]graph.Label
 	dirty   map[graph.VertexID]struct{}
-	// Tree edge events cluster by root (a maintenance step expands or
-	// destroys whole subtrees of one tree), so the last-touched root's
-	// vector and dirty status are memoized to skip repeated map lookups.
-	lastRoot  graph.VertexID
-	lastVec   Vector
-	lastValid bool
 	// packed caches the frozen PackedVector of each vertex, nil until
 	// EnablePacking. Entries are sealed per dirty vertex at each TakeDirty
 	// — the timestamp boundary is the cache's invalidation epoch — so the
@@ -34,14 +28,40 @@ type Space struct {
 	epoch uint64
 }
 
+func newVecTable() vecTable {
+	return vecTable{
+		vectors: make(map[graph.VertexID]Vector),
+		dirty:   make(map[graph.VertexID]struct{}),
+	}
+}
+
+// Space holds the node-projected vectors of every vertex of one graph. It
+// implements nnt.Observer, so attaching a Space to a Forest at construction
+// time keeps the vectors synchronized with the trees at zero extra traversal
+// cost (Procedure TreeProjection runs implicitly, one increment per tree
+// edge event). Streams use Store instead; the observer path serves the
+// Branch filter's tries, the reference tests and the benchmark probe.
+type Space struct {
+	vecTable
+	labels map[graph.VertexID]graph.Label
+	// Tree edge events cluster by root (a maintenance step expands or
+	// destroys whole subtrees of one tree), so the last-touched root's
+	// vector is memoized to skip repeated map lookups. The memo implies a
+	// standing dirty mark, so it is valid only within the seal epoch that
+	// set it.
+	lastRoot  graph.VertexID
+	lastVec   Vector
+	lastEpoch uint64
+	lastValid bool
+}
+
 var _ nnt.Observer = (*Space)(nil)
 
 // NewSpace returns an empty space, ready to be passed to nnt.NewForest.
 func NewSpace() *Space {
 	return &Space{
-		vectors: make(map[graph.VertexID]Vector),
-		labels:  make(map[graph.VertexID]graph.Label),
-		dirty:   make(map[graph.VertexID]struct{}),
+		vecTable: newVecTable(),
+		labels:   make(map[graph.VertexID]graph.Label),
 	}
 }
 
@@ -51,7 +71,7 @@ func (s *Space) TreeAdded(root graph.VertexID, rootLabel graph.Label) {
 	s.vectors[root] = vec
 	s.labels[root] = rootLabel
 	s.dirty[root] = struct{}{}
-	s.lastRoot, s.lastVec, s.lastValid = root, vec, true
+	s.lastRoot, s.lastVec, s.lastEpoch, s.lastValid = root, vec, s.epoch, true
 }
 
 // TreeRemoved implements nnt.Observer.
@@ -64,12 +84,12 @@ func (s *Space) TreeRemoved(root graph.VertexID) {
 
 // vecFor returns root's vector, marking it dirty, through the memo.
 func (s *Space) vecFor(root graph.VertexID) Vector {
-	if s.lastValid && s.lastRoot == root {
+	if s.lastValid && s.lastRoot == root && s.lastEpoch == s.epoch {
 		return s.lastVec
 	}
 	vec := s.vectors[root]
 	s.dirty[root] = struct{}{}
-	s.lastRoot, s.lastVec, s.lastValid = root, vec, true
+	s.lastRoot, s.lastVec, s.lastEpoch, s.lastValid = root, vec, s.epoch, true
 	return vec
 }
 
@@ -83,9 +103,15 @@ func (s *Space) TreeEdgeRemoved(root graph.VertexID, level int, pl, el, cl graph
 	s.vecFor(root).Add(NewDim(byte(level), pl, el, cl), -1)
 }
 
+// RootLabel returns the vertex label of v as last observed.
+func (s *Space) RootLabel(v graph.VertexID) (graph.Label, bool) {
+	l, ok := s.labels[v]
+	return l, ok
+}
+
 // Vector returns the NPV of v, or nil when v is absent. Callers must not
 // mutate the result.
-func (s *Space) Vector(v graph.VertexID) Vector { return s.vectors[v] }
+func (s *vecTable) Vector(v graph.VertexID) Vector { return s.vectors[v] }
 
 // EnablePacking turns on the packed-vector cache: from the next TakeDirty
 // on, every dirty vertex's vector is sealed into PackedVector form at the
@@ -93,17 +119,17 @@ func (s *Space) Vector(v graph.VertexID) Vector { return s.vectors[v] }
 // without map iteration. Filters whose evaluation runs on the packed kernel
 // (NL, Skyline) enable it at stream registration; counter-based filters
 // (DSC) skip it and pay nothing.
-func (s *Space) EnablePacking() {
+func (s *vecTable) EnablePacking() {
 	if s.packed == nil {
 		s.packed = make(map[graph.VertexID]PackedVector, len(s.vectors))
 	}
 }
 
 // PackingEnabled reports whether the packed cache is active.
-func (s *Space) PackingEnabled() bool { return s.packed != nil }
+func (s *vecTable) PackingEnabled() bool { return s.packed != nil }
 
 // Epoch reports the number of seal generations (TakeDirty calls).
-func (s *Space) Epoch() uint64 { return s.epoch }
+func (s *vecTable) Epoch() uint64 { return s.epoch }
 
 // Packed returns the packed NPV of v. In steady state (packing enabled, no
 // pending dirt) this is a single cache lookup and never allocates. A vertex
@@ -111,7 +137,7 @@ func (s *Space) Epoch() uint64 { return s.epoch }
 // from the live map so the result is always current; the cache itself is
 // only written at TakeDirty, which keeps concurrent evaluation readers
 // race-free.
-func (s *Space) Packed(v graph.VertexID) (PackedVector, bool) {
+func (s *vecTable) Packed(v graph.VertexID) (PackedVector, bool) {
 	if len(s.dirty) != 0 {
 		if _, dd := s.dirty[v]; dd {
 			vec, ok := s.vectors[v]
@@ -136,7 +162,7 @@ func (s *Space) Packed(v graph.VertexID) (PackedVector, bool) {
 // PackedVectors calls fn for every (vertex, packed vector) pair, like
 // Vectors but through the packed cache. Iteration order is unspecified; fn
 // returning false stops iteration.
-func (s *Space) PackedVectors(fn func(v graph.VertexID, p PackedVector) bool) {
+func (s *vecTable) PackedVectors(fn func(v graph.VertexID, p PackedVector) bool) {
 	for v := range s.vectors {
 		p, _ := s.Packed(v)
 		if !fn(v, p) {
@@ -145,18 +171,12 @@ func (s *Space) PackedVectors(fn func(v graph.VertexID, p PackedVector) bool) {
 	}
 }
 
-// RootLabel returns the vertex label of v as last observed.
-func (s *Space) RootLabel(v graph.VertexID) (graph.Label, bool) {
-	l, ok := s.labels[v]
-	return l, ok
-}
-
 // Len reports the number of vectors (vertices) in the space.
-func (s *Space) Len() int { return len(s.vectors) }
+func (s *vecTable) Len() int { return len(s.vectors) }
 
 // Vectors calls fn for every (vertex, vector) pair. Iteration order is
 // unspecified; fn returning false stops iteration.
-func (s *Space) Vectors(fn func(v graph.VertexID, vec Vector) bool) {
+func (s *vecTable) Vectors(fn func(v graph.VertexID, vec Vector) bool) {
 	for v, vec := range s.vectors {
 		if !fn(v, vec) {
 			return
@@ -169,7 +189,7 @@ func (s *Space) Vectors(fn func(v graph.VertexID, vec Vector) bool) {
 // evaluation uses it to enumerate the streams whose (stream, query) pairs
 // need re-evaluation before fanning work out to a pool, and the filters'
 // no-op fast path uses it to skip evaluation without allocating.
-func (s *Space) HasDirty() bool { return len(s.dirty) > 0 }
+func (s *vecTable) HasDirty() bool { return len(s.dirty) > 0 }
 
 // TakeDirty returns the vertices whose vectors changed (or were added or
 // removed) since the previous call, and resets the dirty set. Join
@@ -181,10 +201,7 @@ func (s *Space) HasDirty() bool { return len(s.dirty) > 0 }
 // between calls. The dirty map itself is retained and cleared rather than
 // reallocated — it is touched every timestamp, and churning a fresh map per
 // call showed up as steady-state garbage (see BenchmarkSpaceTakeDirty).
-func (s *Space) TakeDirty() []graph.VertexID {
-	// Invalidate the event memo: it implies a standing dirty mark, which
-	// this call clears.
-	s.lastValid = false
+func (s *vecTable) TakeDirty() []graph.VertexID {
 	s.epoch++
 	if len(s.dirty) == 0 {
 		return nil
@@ -242,11 +259,10 @@ func (d DirtyDelta) Changed() bool {
 // SealDirty requires EnablePacking: without the cache there is no sealed
 // "before" value, and a caller that silently saw HadOld == false for a
 // vertex that merely changed would under-report candidates.
-func (s *Space) SealDirty() []DirtyDelta {
+func (s *vecTable) SealDirty() []DirtyDelta {
 	if s.packed == nil {
 		panic("npv: SealDirty requires EnablePacking")
 	}
-	s.lastValid = false
 	s.epoch++
 	if len(s.dirty) == 0 {
 		return nil
@@ -274,9 +290,8 @@ func (s *Space) SealDirty() []DirtyDelta {
 }
 
 // ProjectTree computes the NPV of a single node-neighbor tree from scratch
-// (Procedure TreeProjection, Figure 6). It is the reference implementation
-// that the incremental Space is validated against, and the path used for
-// static query graphs.
+// (Procedure TreeProjection, Figure 6). Together with ProjectForest it is
+// the reference implementation that Space and Store are validated against.
 func ProjectTree(root *nnt.Node) Vector {
 	v := make(Vector)
 	var walk func(n *nnt.Node)
@@ -298,13 +313,6 @@ func ProjectForest(f *nnt.Forest) map[graph.VertexID]Vector {
 		return true
 	})
 	return out
-}
-
-// ProjectGraph is a convenience that builds the depth-l forest of g and
-// returns its NPVs together with the vertex labels. It is the one-shot path
-// for static graphs (queries are projected once at registration).
-func ProjectGraph(g *graph.Graph, depth int) map[graph.VertexID]Vector {
-	return ProjectForest(nnt.NewForest(g, depth))
 }
 
 // VectorsByVertex flattens a projection map into a slice in ascending vertex

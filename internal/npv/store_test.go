@@ -1,0 +1,363 @@
+package npv
+
+import (
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"nntstream/internal/graph"
+	"nntstream/internal/nnt"
+)
+
+// snapshotVectors deep-copies every vector of a table.
+func snapshotVectors(t *vecTable) map[graph.VertexID]Vector {
+	out := make(map[graph.VertexID]Vector, t.Len())
+	t.Vectors(func(v graph.VertexID, vec Vector) bool {
+		out[v] = vec.Clone()
+		return true
+	})
+	return out
+}
+
+// changedVertices lists, ascending, the vertices whose vector differs
+// between two snapshots, presence included.
+func changedVertices(before, after map[graph.VertexID]Vector) []graph.VertexID {
+	var out []graph.VertexID
+	for v, vec := range after {
+		if old, ok := before[v]; !ok || !old.Equal(vec) {
+			out = append(out, v)
+		}
+	}
+	for v := range before {
+		if _, ok := after[v]; !ok {
+			out = append(out, v)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// diffVectors reports the first vertex on which two projections disagree.
+func diffVectors(got, want map[graph.VertexID]Vector) (graph.VertexID, bool) {
+	for v, w := range want {
+		if g, ok := got[v]; !ok || !g.Equal(w) {
+			return v, true
+		}
+	}
+	for v := range got {
+		if _, ok := want[v]; !ok {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// randomBatch draws one timestamp's change set over vertex IDs [0, n) that
+// is valid against g: deletions of present and absent edges, insertions of
+// new edges and idempotent re-inserts of present ones, and — when a vertex
+// is picked for it — the retirement of a vertex (every incident edge
+// deleted) and its re-addition under a possibly different label, all in one
+// timestamp. The ops are shuffled so the consumer has to order deletions
+// first itself. g is advanced to the post-state.
+func randomBatch(r *rand.Rand, g *graph.Graph, n int) graph.ChangeSet {
+	var dels, ins graph.ChangeSet
+	if ids := g.VertexIDs(); len(ids) > 0 && r.Intn(3) == 0 {
+		v := ids[r.Intn(len(ids))]
+		for _, e := range g.NeighborsSorted(v) {
+			dels = append(dels, graph.DeleteOp(e.U, e.V))
+		}
+	}
+	for k := r.Intn(4); k > 0; k-- {
+		u, v := graph.VertexID(r.Intn(n)), graph.VertexID(r.Intn(n))
+		if u != v {
+			dels = append(dels, graph.DeleteOp(u, v)) // present or absent
+		}
+	}
+	for _, op := range dels {
+		_ = op.Apply(g)
+	}
+	for k := r.Intn(5); k > 0; k-- {
+		u, v := graph.VertexID(r.Intn(n)), graph.VertexID(r.Intn(n))
+		if u == v {
+			continue
+		}
+		ul, ok := g.VertexLabel(u)
+		if !ok {
+			ul = graph.Label(r.Intn(3))
+		}
+		vl, ok := g.VertexLabel(v)
+		if !ok {
+			vl = graph.Label(r.Intn(3))
+		}
+		el, ok := g.EdgeLabel(u, v)
+		if !ok {
+			el = graph.Label(r.Intn(2))
+		}
+		op := graph.InsertOp(u, ul, v, vl, el) // a re-insert when present
+		if err := op.Apply(g); err != nil {
+			panic(err)
+		}
+		ins = append(ins, op)
+	}
+	cs := append(dels, ins...)
+	r.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+	return cs
+}
+
+func randomStart(r *rand.Rand, n int) *graph.Graph {
+	g := graph.New()
+	for i := 0; i < n; i++ {
+		_ = g.AddVertex(graph.VertexID(i), graph.Label(r.Intn(3)))
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if r.Float64() < 0.35 {
+				_ = g.AddEdge(graph.VertexID(i), graph.VertexID(j), graph.Label(r.Intn(2)))
+			}
+		}
+	}
+	return g
+}
+
+// TestStoreMatchesForestAndScratch is the recount contract: random batched
+// change sets, at depths 1–4, run through the recounting Store, a Space
+// observing an incrementally patched Forest, and a from-scratch projection
+// of the post-state graph; after every timestamp all three agree, Nodes
+// equals the forest's TotalNodes, and the store's dirty set is exactly the
+// vertices whose vector changed (the forest's observer may over-report: it
+// dirties every root an edge event touched).
+func TestStoreMatchesForestAndScratch(t *testing.T) {
+	for depth := 1; depth <= 4; depth++ {
+		for seed := int64(0); seed < 6; seed++ {
+			r := rand.New(rand.NewSource(seed*10 + int64(depth)))
+			const n = 8
+			g := randomStart(r, n)
+			st := NewStore(g, depth)
+			sp := NewSpace()
+			f := nnt.NewForest(g, depth, sp)
+			st.TakeDirty()
+			sp.TakeDirty()
+			mirror := g.Clone()
+			for step := 0; step < 30; step++ {
+				before := snapshotVectors(&st.vecTable)
+				cs := randomBatch(r, mirror, n)
+				if err := st.Apply(cs); err != nil {
+					t.Fatalf("depth=%d seed=%d step=%d: store: %v", depth, seed, step, err)
+				}
+				if err := f.ApplySet(cs); err != nil {
+					t.Fatalf("depth=%d seed=%d step=%d: forest: %v", depth, seed, step, err)
+				}
+				got := snapshotVectors(&st.vecTable)
+				scratch := ProjectForest(nnt.NewForest(mirror, depth))
+				if v, bad := diffVectors(got, scratch); bad {
+					t.Fatalf("depth=%d seed=%d step=%d %v: store vector of %d = %v; scratch %v",
+						depth, seed, step, cs, v, got[v], scratch[v])
+				}
+				if v, bad := diffVectors(snapshotVectors(&sp.vecTable), scratch); bad {
+					t.Fatalf("depth=%d seed=%d step=%d: forest vector of %d = %v; scratch %v",
+						depth, seed, step, v, sp.Vector(v), scratch[v])
+				}
+				if st.Nodes() != f.TotalNodes() {
+					t.Fatalf("depth=%d seed=%d step=%d: Nodes = %d; forest TotalNodes = %d",
+						depth, seed, step, st.Nodes(), f.TotalNodes())
+				}
+				want := changedVertices(before, got)
+				dirty := st.TakeDirty()
+				if !equalIDs(dirty, want) {
+					t.Fatalf("depth=%d seed=%d step=%d %v: dirty %v; changed %v", depth, seed, step, cs, dirty, want)
+				}
+				observed := make(map[graph.VertexID]bool)
+				for _, v := range sp.TakeDirty() {
+					observed[v] = true
+				}
+				for _, v := range want {
+					if !observed[v] {
+						t.Fatalf("depth=%d seed=%d step=%d: forest observer missed changed vertex %d", depth, seed, step, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+func equalIDs(a, b []graph.VertexID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStoreRetireReaddUnchanged pins the dirty rule on the case the forest
+// observer cannot express: a vertex retired and re-added within one
+// timestamp with the same neighbourhood has the same vector and is not
+// dirty, and neither is anything else; the re-insert of a present edge and
+// the deletion of an absent one change nothing either.
+func TestStoreRetireReaddUnchanged(t *testing.T) {
+	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1, 2: 2},
+		[][3]int{{0, 1, 0}, {1, 2, 0}})
+	st := NewStore(g, 3)
+	if got := len(st.TakeDirty()); got != 3 {
+		t.Fatalf("initial build dirtied %d vertices; want 3", got)
+	}
+	cs := graph.ChangeSet{
+		graph.InsertOp(1, 1, 2, 2, 0), // retire-and-re-add of vertex 2
+		graph.DeleteOp(1, 2),
+		graph.InsertOp(0, 0, 1, 1, 0), // idempotent re-insert
+		graph.DeleteOp(0, 2),          // absent edge
+	}
+	if err := st.Apply(cs); err != nil {
+		t.Fatal(err)
+	}
+	if dirty := st.TakeDirty(); dirty != nil {
+		t.Fatalf("unchanged timestamp dirtied %v", dirty)
+	}
+	// Re-added under another label, vertex 2 changes — and so do 1 (its
+	// level-1 dimension) and 0 (its level-2 dimension).
+	if err := st.Apply(graph.ChangeSet{graph.DeleteOp(1, 2), graph.InsertOp(1, 1, 2, 5, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if dirty := st.TakeDirty(); !equalIDs(dirty, []graph.VertexID{0, 1, 2}) {
+		t.Fatalf("relabelling re-add dirtied %v; want [0 1 2]", dirty)
+	}
+	if st.Vector(2).Get(NewDim(1, 5, 0, 1)) != 1 {
+		t.Fatalf("vector of re-added vertex 2 = %v", st.Vector(2))
+	}
+}
+
+// TestStoreErrors is the error contract: a label conflict or a self-loop
+// fails with an error naming the vertex, the ops applied before it stay
+// applied and counted, and depth < 1 panics at construction.
+func TestStoreErrors(t *testing.T) {
+	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
+	st := NewStore(g, 2)
+	st.TakeDirty()
+	err := st.Apply(graph.ChangeSet{
+		graph.InsertOp(1, 1, 2, 2, 0),
+		graph.InsertOp(0, 9, 3, 0, 0), // vertex 0 has label 0
+	})
+	if err == nil || !strings.Contains(err.Error(), "vertex 0") {
+		t.Fatalf("relabel error = %v; want one naming vertex 0", err)
+	}
+	if st.Vector(2) == nil || st.Vector(3) != nil {
+		t.Fatalf("after a failing op: vector(2) = %v, vector(3) = %v; want the prefix applied", st.Vector(2), st.Vector(3))
+	}
+	ref := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1, 2: 2}, [][3]int{{0, 1, 0}, {1, 2, 0}})
+	if v, bad := diffVectors(snapshotVectors(&st.vecTable), ProjectForest(nnt.NewForest(ref, 2))); bad {
+		t.Fatalf("vector of %d diverged from its graph after the error", v)
+	}
+	if err := st.Apply(graph.ChangeSet{graph.InsertOp(4, 0, 4, 0, 0)}); err == nil || !strings.Contains(err.Error(), "vertex 4") {
+		t.Fatalf("self-loop error = %v; want one naming vertex 4", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("depth 0 did not panic")
+		}
+	}()
+	NewStore(g, 0)
+}
+
+// decodeSchedule turns fuzz bytes into a depth, a start graph over at most
+// eight vertices and a schedule of change sets. Byte 0 picks the depth
+// (1–4) and the vertex count; then one label byte per vertex; then a count
+// of start edges and two bytes per edge; the rest are two-byte ops: the
+// first byte's bit 0 picks insert/delete, bit 1 ends the timestamp after
+// the op, bit 2 makes an insertion reuse the endpoints' current labels
+// (else bits 3–6 supply them, which may conflict), bit 7 is the edge label;
+// the second byte's nibbles are the endpoints. Self-loops are skipped.
+func decodeSchedule(data []byte) (depth int, g *graph.Graph, steps []graph.ChangeSet) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	h := next()
+	depth = 1 + int(h%4)
+	n := 2 + int(h>>2)%7
+	g = graph.New()
+	for i := 0; i < n; i++ {
+		_ = g.AddVertex(graph.VertexID(i), graph.Label(next()%3))
+	}
+	for k := int(next() % 16); k > 0; k-- {
+		a, b := next(), next()
+		u, v := graph.VertexID(int(b>>4)%n), graph.VertexID(int(b&15)%n)
+		if u != v {
+			_ = g.AddEdge(u, v, graph.Label(a&1))
+		}
+	}
+	labels := g.Clone() // tracks labels for bit-2 insertions
+	var cs graph.ChangeSet
+	for len(data) >= 2 {
+		a, b := next(), next()
+		u, v := graph.VertexID(int(b>>4)%n), graph.VertexID(int(b&15)%n)
+		if u != v {
+			if a&1 == 0 {
+				ul, vl := graph.Label(a>>3&3%3), graph.Label(a>>5&3%3)
+				if a&4 != 0 {
+					if l, ok := labels.VertexLabel(u); ok {
+						ul = l
+					}
+					if l, ok := labels.VertexLabel(v); ok {
+						vl = l
+					}
+				}
+				cs = append(cs, graph.InsertOp(u, ul, v, vl, graph.Label(a>>7)))
+			} else {
+				cs = append(cs, graph.DeleteOp(u, v))
+			}
+		}
+		if a&2 != 0 {
+			_ = cs.Normalize().Apply(labels)
+			steps = append(steps, cs)
+			cs = nil
+		}
+	}
+	if len(cs) > 0 {
+		steps = append(steps, cs)
+	}
+	return depth, g, steps
+}
+
+// FuzzRecountMatchesForest decodes a start graph and a change-set schedule
+// and checks, after every timestamp, that the recounting Store and a Space
+// observing a patched Forest agree on every vector, on the node count and
+// on whether the timestamp failed (label conflicts included: both apply the
+// same prefix, in the same order).
+func FuzzRecountMatchesForest(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x06, 0, 1, 2, 3, 2, 0, 0x01, 1, 0x12, 0x04, 0x23, 0x07, 0x01})
+	f.Add([]byte{0x0b, 1, 1, 1, 4, 0, 0x01, 0, 0x12, 0, 0x23, 0, 0x30, 0x05, 0x13, 0x03, 0x12, 0x04, 0x12, 0x06, 0x01})
+	r := rand.New(rand.NewSource(25))
+	for i := 0; i < 8; i++ {
+		b := make([]byte, 16+r.Intn(48))
+		r.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		depth, g, steps := decodeSchedule(data)
+		st := NewStore(g, depth)
+		sp := NewSpace()
+		fo := nnt.NewForest(g, depth, sp)
+		for i, cs := range steps {
+			serr := st.Apply(cs)
+			ferr := fo.ApplySet(cs)
+			if (serr == nil) != (ferr == nil) {
+				t.Fatalf("step %d %v: store error %v, forest error %v", i, cs, serr, ferr)
+			}
+			if v, bad := diffVectors(snapshotVectors(&st.vecTable), snapshotVectors(&sp.vecTable)); bad {
+				t.Fatalf("step %d %v: vector of %d: store %v, forest %v", i, cs, v, st.Vector(v), sp.Vector(v))
+			}
+			if st.Nodes() != fo.TotalNodes() {
+				t.Fatalf("step %d: Nodes = %d; TotalNodes = %d", i, st.Nodes(), fo.TotalNodes())
+			}
+		}
+	})
+}
