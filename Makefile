@@ -61,9 +61,7 @@ test:
 # shared read-side state under a multi-shard engine — both race-critical.
 # internal/npv holds the packed-vector cache read concurrently by that
 # fan-out and the atomic kernel counters. internal/qindex is the sealed
-# query-candidate index read concurrently by the same fan-out, and
-# internal/factor is the sealed factor table (plus per-stream verdict memos)
-# read by it too.
+# query-candidate index read concurrently by the same fan-out.
 # internal/cluster mixes the coordinator's heartbeat goroutine with the data
 # plane and ships WAL records from under the engine lock; internal/retry backs
 # every cluster RPC.
@@ -81,7 +79,6 @@ test:
 race:
 	$(GO) test -race ./internal/core/... ./internal/server/... ./internal/wal/... \
 		./internal/join/... ./internal/gindex/... ./internal/npv/... ./internal/qindex/... \
-		./internal/factor/... \
 		./internal/cluster/... ./internal/retry/... ./internal/obs/... ./cmd/loadgen/...
 
 # Crash-recovery property tests: WAL torn at every byte, fault-injected
@@ -108,7 +105,6 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzDecodeGraph -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -fuzz=FuzzPackedDominates -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzQindexCandidates -fuzztime=$(FUZZTIME) ./internal/qindex/
-	$(GO) test -fuzz=FuzzFactorSeal -fuzztime=$(FUZZTIME) ./internal/factor/
 	$(GO) test -fuzz=FuzzRecountMatchesForest -fuzztime=$(FUZZTIME) ./internal/npv/
 
 # Record a benchmark trajectory (see benchjson_test.go): every figure bench

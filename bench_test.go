@@ -460,69 +460,6 @@ func BenchmarkQSweep_NL(b *testing.B)      { benchQSweepGroup(b, "NL") }
 func BenchmarkQSweep_Skyline(b *testing.B) { benchQSweepGroup(b, "Skyline") }
 func BenchmarkQSweep_DSC(b *testing.B)     { benchQSweepGroup(b, "DSC") }
 
-// --- Overlap sweep: shared factor evaluation vs per-query baseline ---
-
-// The factor tentpole claims per-timestamp dominance work sub-linear in the
-// effective query count when queries share structure. The sweep holds the
-// query count fixed (8 templates × 24 variants = 192 queries) and turns the
-// datagen overlap knob: at Ov00 queries are independent random subgraphs, at
-// Ov90 almost the whole edge budget comes from a core shared verbatim by the
-// 24 variants of each template. DSC is the only strategy that factors; its
-// factored curve against the DSCNoFactor baseline is the recorded evidence —
-// the shared part of every query vertex collapses into one factor unit per
-// (vertex, factor) instead of 24 crossed column entries.
-var (
-	onceOverlap    sync.Once
-	overlapStreams []*graph.Stream
-	overlapQueries map[string][]*graph.Graph
-)
-
-var overlapLevels = []struct {
-	name string
-	frac float64
-}{{"Ov00", 0.0}, {"Ov50", 0.5}, {"Ov90", 0.9}}
-
-func overlapWorkload(level string) streamBenchWorkload {
-	onceOverlap.Do(func() {
-		cfg := datagen.DefaultStreamWorkload(datagen.FlipConfig{
-			AppearProb: 0.002, DisappearProb: 0.006, Timestamps: 120,
-		})
-		cfg.Gen.NumGraphs = 2
-		w := datagen.SyntheticStreams(cfg, rand.New(rand.NewSource(119)))
-		overlapStreams = w.Streams
-		overlapQueries = make(map[string][]*graph.Graph, len(overlapLevels))
-		r := rand.New(rand.NewSource(120))
-		for _, lv := range overlapLevels {
-			overlapQueries[lv.name] = datagen.OverlapQuerySet(overlapStreams[0].Start,
-				datagen.OverlapConfig{Templates: 8, PerTemplate: 24, Edges: 6, Overlap: lv.frac}, r)
-		}
-	})
-	return streamBenchWorkload{queries: overlapQueries[level], streams: overlapStreams}
-}
-
-func benchQSweepOverlap(b *testing.B, variant, level string) {
-	mk := map[string]func() core.Filter{
-		"DSC": func() core.Filter { return join.NewDSC(join.DefaultDepth) },
-		"DSCNoFactor": func() core.Filter {
-			f := join.NewDSC(join.DefaultDepth)
-			f.DisableFactors()
-			return f
-		},
-	}[variant]
-	benchStream(b, mk, overlapWorkload(level))
-}
-
-func benchQSweepOverlapGroup(b *testing.B, variant string) {
-	for _, lv := range overlapLevels {
-		b.Run(lv.name, func(b *testing.B) { benchQSweepOverlap(b, variant, lv.name) })
-	}
-}
-
-func BenchmarkQSweepOverlap_DSC(b *testing.B) { benchQSweepOverlapGroup(b, "DSC") }
-func BenchmarkQSweepOverlap_DSCNoFactor(b *testing.B) {
-	benchQSweepOverlapGroup(b, "DSCNoFactor")
-}
-
 // --- Ablation: branch-compatible NNT vs NPV vs exact ---
 
 func BenchmarkAblation_Branch(b *testing.B) {

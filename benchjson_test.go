@@ -80,12 +80,6 @@ func benchRegistry() []benchEntry {
 		{"QSweep_DSC/Q16", func(b *testing.B) { benchQSweep(b, "DSC", 16) }},
 		{"QSweep_DSC/Q160", func(b *testing.B) { benchQSweep(b, "DSC", 160) }},
 		{"QSweep_DSC/Q1600", func(b *testing.B) { benchQSweep(b, "DSC", 1600) }},
-		{"QSweepOverlap_DSC/Ov00", func(b *testing.B) { benchQSweepOverlap(b, "DSC", "Ov00") }},
-		{"QSweepOverlap_DSC/Ov50", func(b *testing.B) { benchQSweepOverlap(b, "DSC", "Ov50") }},
-		{"QSweepOverlap_DSC/Ov90", func(b *testing.B) { benchQSweepOverlap(b, "DSC", "Ov90") }},
-		{"QSweepOverlap_DSCNoFactor/Ov00", func(b *testing.B) { benchQSweepOverlap(b, "DSCNoFactor", "Ov00") }},
-		{"QSweepOverlap_DSCNoFactor/Ov50", func(b *testing.B) { benchQSweepOverlap(b, "DSCNoFactor", "Ov50") }},
-		{"QSweepOverlap_DSCNoFactor/Ov90", func(b *testing.B) { benchQSweepOverlap(b, "DSCNoFactor", "Ov90") }},
 		{"Ablation_Branch", BenchmarkAblation_Branch},
 		{"Ablation_Exact", BenchmarkAblation_Exact},
 		{"IngestDecode", BenchmarkIngestDecode},

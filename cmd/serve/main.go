@@ -9,12 +9,12 @@
 // shard per GOMAXPROCS; with -data-dir (and for -worker-id groups) it is one
 // shard whose evaluation pool is GOMAXPROCS wide.
 //
-// -filter offers what a server needs: dsc (the production default),
-// skyline, nl (the plain nested loop, the reference oracle) and exact (VF2
-// ground truth). The paper's other baselines (branch, graphgrep, gindex1,
-// gindex2) live in cmd/experiments and cmd/streamwatch.
+// -filter offers what a server needs: skyline (the production default), nl
+// (the plain nested loop, the reference oracle) and exact (VF2 ground
+// truth). The paper's baselines (dsc, branch, graphgrep, gindex1, gindex2)
+// live in cmd/experiments and cmd/streamwatch.
 //
-//	serve [-addr :8080] [-filter dsc|skyline|nl|exact]
+//	serve [-addr :8080] [-filter skyline|nl|exact]
 //	      [-depth 3] [-shards 0] [-workers 0] [-data-dir dir]
 //	      [-fsync always|interval|never] [-fsync-interval 100ms]
 //	      [-checkpoint-interval 5m] [-max-body-bytes n]
@@ -54,7 +54,7 @@ func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("serve: ")
 	addr := flag.String("addr", ":8080", "listen address")
-	filterName := flag.String("filter", "dsc", "filter: dsc, skyline, nl, exact (paper baselines live in cmd/experiments and cmd/streamwatch)")
+	filterName := flag.String("filter", "skyline", "filter: skyline, nl, exact (paper baselines live in cmd/experiments and cmd/streamwatch)")
 	depth := flag.Int("depth", join.DefaultDepth, "NNT depth bound for the NPV filters")
 	shards := flag.Int("shards", 0, "filter shards (0 = GOMAXPROCS in memory, one shard with -data-dir; 1 disables sharding)")
 	workers := flag.Int("workers", 0, "per-shard evaluation workers for the NPV join filters (0 = auto: GOMAXPROCS/shards; 1 = sequential)")
@@ -250,8 +250,6 @@ func runWorker(id, addr, dataDir, fsync string, fsyncInterval, checkpointInterva
 
 func filterFactory(name string, depth int) (func() core.Filter, error) {
 	switch name {
-	case "dsc":
-		return func() core.Filter { return join.NewDSC(depth) }, nil
 	case "skyline":
 		return func() core.Filter { return join.NewSkyline(depth) }, nil
 	case "nl":

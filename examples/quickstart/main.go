@@ -44,9 +44,9 @@ func main() {
 	must(start.AddEdge(10, 11, wire))
 	must(start.AddEdge(11, 12, wire))
 
-	// A Monitor drives any filter; the dominated-set-cover join is the
-	// paper's recommended default.
-	mon := core.NewMonitor(join.NewDSC(join.DefaultDepth))
+	// A Monitor drives any filter; the skyline join is the one cmd/serve
+	// runs by default.
+	mon := core.NewMonitor(join.NewSkyline(join.DefaultDepth))
 	qEdge, err := mon.AddQuery(edge)
 	check(err)
 	qTri, err := mon.AddQuery(triangle)

@@ -296,72 +296,3 @@ func TestQueriesAreSubgraphs(t *testing.T) {
 		}
 	}
 }
-
-// TestOverlapQuerySet pins the overlap knob's semantics at its extremes and
-// its structural guarantees in between: Overlap=1 yields identical copies
-// within a template, Overlap=0 yields independently grown subgraphs sharing
-// only a start vertex, and every setting yields Templates×PerTemplate
-// connected subgraphs of the database graph that share their template's core
-// edges verbatim.
-func TestOverlapQuerySet(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	g := Synthetic(SyntheticConfig{
-		NumGraphs: 1, NumSeeds: 5, SeedSize: 5, GraphSize: 60,
-		VertexLabels: 4, EdgeLabels: 2, OverlapProb: 0.3,
-	}, r)[0]
-
-	for _, overlap := range []float64{0, 0.5, 1} {
-		cfg := OverlapConfig{Templates: 4, PerTemplate: 5, Edges: 6, Overlap: overlap}
-		qs := OverlapQuerySet(g, cfg, r)
-		if len(qs) != cfg.Templates*cfg.PerTemplate {
-			t.Fatalf("overlap=%.1f: %d queries; want %d", overlap, len(qs), cfg.Templates*cfg.PerTemplate)
-		}
-		for i, q := range qs {
-			if q.VertexCount() == 0 || !q.IsConnected() {
-				t.Fatalf("overlap=%.1f query %d: disconnected or empty", overlap, i)
-			}
-			if !iso.Contains(q, g) {
-				t.Fatalf("overlap=%.1f query %d is not a subgraph of the database graph", overlap, i)
-			}
-		}
-		for tpl := 0; tpl < cfg.Templates; tpl++ {
-			group := qs[tpl*cfg.PerTemplate : (tpl+1)*cfg.PerTemplate]
-			if overlap == 1 {
-				for i := 1; i < len(group); i++ {
-					if !group[0].Equal(group[i]) {
-						t.Fatalf("overlap=1 template %d: variant %d differs from variant 0", tpl, i)
-					}
-				}
-				continue
-			}
-			// The shared core is exactly the intersection-by-construction:
-			// every edge of the template core must appear in every variant.
-			// Reconstruct it as the edges common to all variants and check
-			// it carries at least round(overlap·Edges) edges.
-			wantCore := int(overlap*float64(cfg.Edges) + 0.5)
-			shared := 0
-			for _, e := range group[0].Edges() {
-				inAll := true
-				for _, q := range group[1:] {
-					if !q.HasEdge(e.U, e.V) {
-						inAll = false
-						break
-					}
-				}
-				if inAll {
-					shared++
-				}
-			}
-			if shared < wantCore {
-				t.Fatalf("overlap=%.1f template %d: %d shared edges; want >= %d", overlap, tpl, shared, wantCore)
-			}
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("OverlapQuerySet accepted Overlap outside [0,1]")
-		}
-	}()
-	OverlapQuerySet(g, OverlapConfig{Templates: 1, PerTemplate: 1, Edges: 4, Overlap: 1.5}, r)
-}

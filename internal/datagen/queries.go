@@ -19,16 +19,7 @@ func RandomConnectedSubgraph(g *graph.Graph, wantEdges int, r *rand.Rand) *graph
 	}
 	start := ids[r.Intn(len(ids))]
 	_ = sub.AddVertex(start, g.MustVertexLabel(start))
-	growSubgraph(g, sub, wantEdges, r)
-	return sub
-}
-
-// growSubgraph extends sub (already holding at least one vertex of g) to up
-// to wantEdges edges by the same frontier walk RandomConnectedSubgraph uses,
-// seeding the frontier with every vertex already in sub so growth continues
-// from an arbitrary core, not just a single start vertex.
-func growSubgraph(g, sub *graph.Graph, wantEdges int, r *rand.Rand) {
-	frontier := sub.VertexIDs()
+	frontier := []graph.VertexID{start}
 	for sub.EdgeCount() < wantEdges && len(frontier) > 0 {
 		v := frontier[r.Intn(len(frontier))]
 		es := g.NeighborsSorted(v)
@@ -53,43 +44,7 @@ func growSubgraph(g, sub *graph.Graph, wantEdges int, r *rand.Rand) {
 			}
 		}
 	}
-}
-
-// OverlapConfig parameterizes OverlapQuerySet. The workload is Templates
-// distinct template subgraphs, each expanded into PerTemplate queries of
-// about Edges edges. Overlap in [0,1] is the fraction of each query's edge
-// budget drawn from a core shared verbatim by all queries of the same
-// template: 1.0 yields PerTemplate identical copies, 0.0 yields independent
-// random subgraphs, and values between interpolate — the knob the shared
-// factor table's benefit is measured against.
-type OverlapConfig struct {
-	Templates   int
-	PerTemplate int
-	Edges       int
-	Overlap     float64
-}
-
-// OverlapQuerySet draws a query workload with controllable inter-query
-// overlap from a single database graph g. Each template contributes a
-// connected core of round(Overlap·Edges) edges; every query of that
-// template clones the core and independently regrows to Edges edges, so
-// queries of one template share the core's vertices exactly (same IDs,
-// labels, and edges) and diverge in the regrown remainder.
-func OverlapQuerySet(g *graph.Graph, cfg OverlapConfig, r *rand.Rand) []*graph.Graph {
-	if cfg.Overlap < 0 || cfg.Overlap > 1 {
-		panic("datagen: OverlapConfig.Overlap must be in [0,1]")
-	}
-	coreEdges := int(cfg.Overlap*float64(cfg.Edges) + 0.5)
-	out := make([]*graph.Graph, 0, cfg.Templates*cfg.PerTemplate)
-	for t := 0; t < cfg.Templates; t++ {
-		core := RandomConnectedSubgraph(g, coreEdges, r)
-		for i := 0; i < cfg.PerTemplate; i++ {
-			q := core.Clone()
-			growSubgraph(g, q, cfg.Edges, r)
-			out = append(out, q)
-		}
-	}
-	return out
+	return sub
 }
 
 // QuerySet extracts the paper's Q_m workload: num connected subgraphs with

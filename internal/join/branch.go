@@ -23,7 +23,7 @@ import (
 // identical compatibility verdicts against every data tree (the trie *is*
 // the branch set — Lemma 4.1 only reads branches). Each stream therefore
 // evaluates every distinct trie once per timestamp and all queries sharing
-// it reuse the verdict — the branch-trie analog of the NPV factor table.
+// it reuse the verdict.
 type Branch struct {
 	depth int
 	// queries maps each query to the interning keys of its vertex tries.

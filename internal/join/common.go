@@ -7,10 +7,11 @@
 //     reference oracle the optimized strategies are tested against.
 //   - DSC: the dominated-set-cover method (Figure 8), which keeps position
 //     and dominant counters per stream vertex so one NPV change touches only
-//     the sorted-dimension entries it crosses.
+//     the sorted-dimension entries it crosses. A paper baseline.
 //   - Skyline: the skyline-with-early-stop method (Figure 11), which checks
 //     only the maximal query vectors, prunes via per-dimension max values,
-//     and probes the lowest-cardinality dimension first.
+//     and probes the lowest-cardinality dimension first. The production
+//     join cmd/serve runs by default.
 //
 // All three report a pair (G,Q) as possibly joinable iff every query vertex
 // NPV is dominated by some stream vertex NPV (Lemma 4.2); they differ only
@@ -26,7 +27,6 @@ import (
 	"sort"
 
 	"nntstream/internal/core"
-	"nntstream/internal/factor"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
 	"nntstream/internal/qindex"
@@ -35,33 +35,6 @@ import (
 // DefaultDepth is the NNT depth bound used when callers do not override it;
 // the paper's Figure 12 finds depth 3 sufficient for effective filtering.
 const DefaultDepth = 3
-
-// streamState bundles the incrementally maintained feature structures of
-// one stream: its recounting NPV store (which owns the stream graph) and —
-// when DSC factors its query set — the per-(vertex, factor) verdict memo
-// whose flips drive DSC's factor units.
-type streamState struct {
-	store *npv.Store
-	memo  *factor.Memo
-}
-
-// newStreamState builds the stream's feature structures. packed enables the
-// store's PackedVector cache: filters whose evaluation runs on the packed
-// dominance kernel (NL, Skyline) pass true so every timestamp's seal
-// freezes the dirty vertices into packed form; counter-based DSC passes
-// false and skips the sealing cost — except that a non-nil factor table
-// (DSC with factors on) forces packing on, because the factor memo
-// evaluates the shared sub-vectors on the packed kernel at each seal.
-func newStreamState(g0 *graph.Graph, depth int, packed bool, tbl *factor.Table) *streamState {
-	st := &streamState{store: npv.NewStore(g0, depth)}
-	if packed || tbl != nil {
-		st.store.EnablePacking()
-	}
-	if tbl != nil {
-		st.memo = factor.NewMemo(tbl)
-	}
-	return st
-}
 
 // qKey identifies one query vertex across all registered queries.
 type qKey struct {
@@ -132,7 +105,7 @@ func (p *evalPool) runStreams(changes map[core.StreamID]graph.ChangeSet, step fu
 }
 
 // vecStream is the half of a stream's state a vector-probing strategy (NL,
-// Skyline) supplies on top of the shared streamState.
+// Skyline) supplies on top of the stream's NPV store.
 type vecStream interface {
 	// reconcile seals the stream's dirty vertices, folds the transitions
 	// into the strategy's own stream-side statistics, and returns them (nil
@@ -146,11 +119,11 @@ type vecStream interface {
 	probe(vecs []npv.PackedVector) (joinable bool, scanned int64)
 }
 
-// vecJoinStream is one stream of a vecJoin: the strategy's half, the shared
-// feature structures, and the cached verdict of every registered query.
+// vecJoinStream is one stream of a vecJoin: the strategy's half, the
+// stream's NPV store, and the cached verdict of every registered query.
 type vecJoinStream struct {
 	vecStream
-	st      *streamState
+	store   *npv.Store
 	verdict map[core.QueryID]bool
 }
 
@@ -170,9 +143,9 @@ type vecJoin struct {
 	depth int
 	// derive computes the verdict-deciding packed vectors of a query, in the
 	// order probes should run; newStream builds the strategy's half of a
-	// stream over its freshly built feature structures.
+	// stream over its freshly built NPV store.
 	derive    func(q *graph.Graph, depth int) []npv.PackedVector
-	newStream func(st *streamState) vecStream
+	newStream func(store *npv.Store) vecStream
 
 	queries map[core.QueryID][]npv.PackedVector
 	streams map[core.StreamID]*vecJoinStream
@@ -185,7 +158,7 @@ type vecJoin struct {
 	pool  evalPool
 }
 
-func newVecJoin(depth int, ix *qindex.Index, derive func(*graph.Graph, int) []npv.PackedVector, newStream func(*streamState) vecStream) vecJoin {
+func newVecJoin(depth int, ix *qindex.Index, derive func(*graph.Graph, int) []npv.PackedVector, newStream func(*npv.Store) vecStream) vecJoin {
 	return vecJoin{
 		depth:     depth,
 		derive:    derive,
@@ -245,10 +218,13 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	if j.ix != nil {
 		j.ix.Seal()
 	}
-	st := newStreamState(g0, j.depth, true, nil)
+	// Both strategies probe on the packed kernel, so every seal freezes the
+	// dirty vertices into the store's packed cache.
+	store := npv.NewStore(g0, j.depth)
+	store.EnablePacking()
 	s := &vecJoinStream{
-		vecStream: j.newStream(st),
-		st:        st,
+		vecStream: j.newStream(store),
+		store:     store,
 		verdict:   make(map[core.QueryID]bool, len(j.queries)),
 	}
 	j.streams[id] = s
@@ -292,7 +268,7 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		if !ok {
 			return fmt.Errorf("join: unknown stream %d", id)
 		}
-		if err := s.st.store.Apply(cs); err != nil {
+		if err := s.store.Apply(cs); err != nil {
 			return err
 		}
 		deltas := s.reconcile()
@@ -347,7 +323,7 @@ func (j *vecJoin) Candidates() []core.Pair {
 func (j *vecJoin) collectShared(emit func(name string, value float64)) {
 	nodes := 0
 	for _, s := range j.streams {
-		nodes += s.st.store.Nodes()
+		nodes += s.store.Nodes()
 	}
 	emit("nntstream_filter_nnt_nodes", float64(nodes))
 	emit("nntstream_filter_streams", float64(len(j.streams)))

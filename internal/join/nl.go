@@ -29,28 +29,28 @@ var (
 
 // NewNL returns a nested-loop filter with the given NNT depth.
 func NewNL(depth int) *NL {
-	return &NL{newVecJoin(depth, nil, packQuery, func(st *streamState) vecStream { return nlStream{st} })}
+	return &NL{newVecJoin(depth, nil, packQuery, func(store *npv.Store) vecStream { return nlStream{store} })}
 }
 
 // Name implements core.Filter.
 func (f *NL) Name() string { return "NPV-NL" }
 
-// nlStream is NL's vecStream: the bare feature structures.
-type nlStream struct{ st *streamState }
+// nlStream is NL's vecStream: the bare NPV store.
+type nlStream struct{ store *npv.Store }
 
-func (s nlStream) reconcile() []npv.DirtyDelta { return s.st.store.SealDirty() }
+func (s nlStream) reconcile() []npv.DirtyDelta { return s.store.SealDirty() }
 
-func (s nlStream) probe(vecs []npv.PackedVector) (bool, int64) { return evalQuery(s.st, vecs) }
+func (s nlStream) probe(vecs []npv.PackedVector) (bool, int64) { return evalQuery(s.store, vecs) }
 
 // evalQuery is the pure dominance check one pair task runs: it reads the
 // stream space and the query vectors, and touches no filter state, which is
 // what makes the fan-out safe.
 //
 //nnt:hotpath
-func evalQuery(st *streamState, vecs []npv.PackedVector) (bool, int64) {
+func evalQuery(store *npv.Store, vecs []npv.PackedVector) (bool, int64) {
 	var total int64
 	for _, u := range vecs {
-		found, scanned := dominatedByAny(st, u)
+		found, scanned := dominatedByAny(store, u)
 		total += int64(scanned)
 		if !found {
 			return false, total
@@ -66,9 +66,9 @@ func evalQuery(st *streamState, vecs []npv.PackedVector) (bool, int64) {
 // registration.
 //
 //nnt:hotpath
-func dominatedByAny(st *streamState, u npv.PackedVector) (found bool, scanned int) {
+func dominatedByAny(store *npv.Store, u npv.PackedVector) (found bool, scanned int) {
 	//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; sealed spaces on this path hit the packed cache allocation-free
-	st.store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
+	store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
 		scanned++
 		if p.Dominates(u) {
 			found = true
@@ -89,7 +89,7 @@ func (f *NL) CollectMetrics(emit func(name string, value float64)) {
 	emit("nntstream_nl_vector_scans_total", float64(f.scans))
 	svecs := 0
 	for _, s := range f.streams {
-		svecs += s.st.store.Len()
+		svecs += s.store.Len()
 	}
 	emit("nntstream_nl_stream_vectors", float64(svecs))
 	f.collectShared(emit)

@@ -59,35 +59,17 @@ func batchDriven(f core.ParallelFilter) core.BatchApplier {
 	return f.(core.BatchApplier)
 }
 
-// factoredDSC builds DSC with aggressive factor thresholds so factors
-// actually form at test scale.
-func factoredDSC(depth int) *DSC {
-	f := NewDSC(depth)
-	f.SetFactorThresholds(2, 1)
-	return f
-}
-
-// unfactoredDSC builds DSC's factor-off reference configuration.
-func unfactoredDSC(depth int) *DSC {
-	f := NewDSC(depth)
-	f.DisableFactors()
-	return f
-}
-
-// oracleFilters builds every remaining join configuration, each checked
-// against the same reference: the NL oracle, Skyline, factored DSC and DSC
-// with factors disabled — the last three both sequential and through
-// ApplyAll.
+// oracleFilters builds every join configuration, each checked against the
+// same reference: the NL oracle, Skyline and DSC — the last two both
+// sequential and through ApplyAll.
 func oracleFilters(depth int) []equivFilter {
-	skyPar, dscPar, offPar := NewSkyline(depth), factoredDSC(depth), unfactoredDSC(depth)
+	skyPar, dscPar := NewSkyline(depth), NewDSC(depth)
 	return []equivFilter{
 		{name: "NL", f: NewNL(depth)},
 		{name: "Skyline/seq", f: NewSkyline(depth)},
 		{name: "Skyline/par", f: skyPar, par: batchDriven(skyPar)},
-		{name: "DSC/factored/seq", f: factoredDSC(depth)},
-		{name: "DSC/factored/par", f: dscPar, par: batchDriven(dscPar)},
-		{name: "DSC/nofactor/seq", f: unfactoredDSC(depth)},
-		{name: "DSC/nofactor/par", f: offPar, par: batchDriven(offPar)},
+		{name: "DSC/seq", f: NewDSC(depth)},
+		{name: "DSC/par", f: dscPar, par: batchDriven(dscPar)},
 	}
 }
 
@@ -97,7 +79,8 @@ type oracleEquiv struct {
 	seeds    int
 	steps    int
 	// twins registers every initial query twice, so the set is
-	// duplicate-heavy and DSC's shared factors genuinely form.
+	// duplicate-heavy: equal query vectors share every column entry and
+	// Skyline's maximal sets collapse them.
 	twins bool
 }
 
@@ -105,9 +88,8 @@ type oracleEquiv struct {
 // multi-stream workload built around a template graph — template-derived
 // queries, queries added and removed mid-stream — and checks each one's
 // candidate set against a from-scratch map-kernel recomputation at every
-// timestamp. It reports whether any factored DSC participant discovered a
-// factor.
-func (c oracleEquiv) run(t *testing.T) (sawFactors bool) {
+// timestamp.
+func (c oracleEquiv) run(t *testing.T) {
 	t.Helper()
 	for seed := c.seedBase; seed < c.seedBase+int64(c.seeds); seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -153,12 +135,6 @@ func (c oracleEquiv) run(t *testing.T) (sawFactors bool) {
 		for sid, g := range starts {
 			graphs[core.StreamID(sid)] = g.Clone()
 		}
-		for _, ef := range filters {
-			if f, ok := ef.f.(*DSC); ok && f.ft != nil && f.ft.FactorCount() > 0 {
-				sawFactors = true
-			}
-		}
-
 		check := func(step int) {
 			want := dynamicReference(graphs, live, depth)
 			for _, ef := range filters {
@@ -174,8 +150,8 @@ func (c oracleEquiv) run(t *testing.T) (sawFactors bool) {
 			switch {
 			case step%6 == 2:
 				// Mid-stream registration: a fresh template subgraph half
-				// the time (matches existing factors), live-state subgraph
-				// otherwise (so real matches occur).
+				// the time (overlapping the registered set), live-state
+				// subgraph otherwise (so real matches occur).
 				var q *graph.Graph
 				if r.Intn(2) == 0 {
 					q = randomSub(r, template)
@@ -219,19 +195,15 @@ func (c oracleEquiv) run(t *testing.T) (sawFactors bool) {
 			check(step)
 		}
 	}
-	return sawFactors
 }
 
-// TestFactoredMatchesUnfactoredRandomized runs the full configuration set
-// on a duplicate-heavy template-derived query set, so DSC's pinned factor
-// set genuinely forms and sees late matches: factored DSC must answer
-// bit-identically to DSC with factors disabled, to the NL oracle and to the
-// map-kernel reference.
-func TestFactoredMatchesUnfactoredRandomized(t *testing.T) {
-	sawFactors := oracleEquiv{seedBase: 4400, seeds: 3, steps: 24, twins: true}.run(t)
-	if !sawFactors {
-		t.Fatal("factored DSC never discovered a factor — the suite tested nothing")
-	}
+// TestDuplicateQueriesMatchOracleRandomized runs the full configuration set
+// on a duplicate-heavy template-derived query set with churn: twin queries
+// share column entries and maximal vectors, and removing one twin must leave
+// the other answering exactly as the NL oracle and the map-kernel reference
+// do.
+func TestDuplicateQueriesMatchOracleRandomized(t *testing.T) {
+	oracleEquiv{seedBase: 4400, seeds: 3, steps: 24, twins: true}.run(t)
 }
 
 // TestIndexedMatchesScanRandomized runs the full configuration set on a
@@ -262,9 +234,8 @@ func assertVecJoinTornDown(t *testing.T, name string, j *vecJoin) {
 }
 
 // assertTornDown checks a strategy's derived query state is empty after
-// every query was removed: index postings, packed query vectors, DSC's
-// counter columns and factor memberships — nothing may leak and nothing may
-// keep answering.
+// every query was removed: index postings, packed query vectors and DSC's
+// counter columns — nothing may leak and nothing may keep answering.
 func assertTornDown(t *testing.T, f core.DynamicFilter) {
 	t.Helper()
 	switch ff := f.(type) {
@@ -276,15 +247,8 @@ func assertTornDown(t *testing.T, f core.DynamicFilter) {
 		if n := ff.ix.PostingCount(); n != 0 {
 			t.Fatalf("DSC: %d column postings leaked", n)
 		}
-		if len(ff.nnz) != 0 || len(ff.fdec) != 0 || len(ff.qsize) != 0 || len(ff.pending) != 0 {
-			t.Fatalf("DSC: query maps leaked: nnz=%d fdec=%d qsize=%d pending=%d",
-				len(ff.nnz), len(ff.fdec), len(ff.qsize), len(ff.pending))
-		}
-		if len(ff.fmembers) != 0 {
-			t.Fatalf("DSC: %d factor membership lists leaked", len(ff.fmembers))
-		}
-		if ff.ft != nil && ff.ft.VectorCount() != 0 {
-			t.Fatalf("DSC: %d factor-table vectors leaked", ff.ft.VectorCount())
+		if len(ff.vecs) != 0 || len(ff.qsize) != 0 {
+			t.Fatalf("DSC: query maps leaked: vecs=%d qsize=%d", len(ff.vecs), len(ff.qsize))
 		}
 		for sid, ds := range ff.streams {
 			if len(ds.pos) != 0 || len(ds.dom) != 0 || len(ds.cover) != 0 || len(ds.covered) != 0 {
@@ -384,96 +348,6 @@ func TestRemoveReRegisterEquivalence(t *testing.T) {
 				}
 				if got, want := veteran.Candidates(), fresh.Candidates(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d after re-register: veteran %v != fresh %v", step, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestFactorChurnTeardown is the removal audit on a duplicate-heavy,
-// template-derived query set: register → evaluate → remove → re-register
-// must tear down and rebuild DSC's factor memberships (and NL/Skyline's
-// plain query state), leaving no vector, decomposition, or member list
-// behind — and the re-registered filter must answer exactly like a twin
-// built fresh (packed-cache/SealDirty state included).
-func TestFactorChurnTeardown(t *testing.T) {
-	r := rand.New(rand.NewSource(777))
-	depth := 2
-	template := randomConnected(r, 10, 3, 2)
-	g0 := template.Clone()
-
-	mks := map[string]func() core.DynamicFilter{
-		"NL": func() core.DynamicFilter { return NewNL(depth) },
-		"DSC": func() core.DynamicFilter {
-			f := NewDSC(depth)
-			f.SetFactorThresholds(2, 1)
-			return f
-		},
-		"Skyline": func() core.DynamicFilter { return NewSkyline(depth) },
-	}
-	for name, mk := range mks {
-		t.Run(name, func(t *testing.T) {
-			f := mk()
-			queries := make(map[core.QueryID]*graph.Graph)
-			for i := 0; i < 4; i++ {
-				q := randomSub(r, template)
-				queries[core.QueryID(2*i)] = q
-				queries[core.QueryID(2*i+1)] = q.Clone()
-			}
-			for id, q := range queries {
-				if err := f.AddQuery(id, q); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := f.AddStream(0, g0); err != nil {
-				t.Fatal(err)
-			}
-
-			// Stream a few timestamps so memos carry real verdicts.
-			graphs := map[core.StreamID]*graph.Graph{0: g0.Clone()}
-			for step := 0; step < 4; step++ {
-				for sid, cs := range randomBatch(r, graphs) {
-					if err := f.Apply(sid, cs); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-
-			// Remove everything: the factor table must drain with the
-			// queries.
-			for id := range queries {
-				if err := f.RemoveQuery(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			assertTornDown(t, f)
-
-			// Re-register and compare against a twin built fresh at this
-			// point — leaked factor state would diverge the candidates.
-			twin := mk()
-			for id, q := range queries {
-				if err := f.AddQuery(id, q); err != nil {
-					t.Fatal(err)
-				}
-				if err := twin.AddQuery(id, q); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := twin.AddStream(0, graphs[0].Clone()); err != nil {
-				t.Fatal(err)
-			}
-			for step := 0; step < 6; step++ {
-				for sid, cs := range randomBatch(r, graphs) {
-					if err := f.Apply(sid, cs); err != nil {
-						t.Fatal(err)
-					}
-					if err := twin.Apply(sid, cs); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got, want := f.Candidates(), twin.Candidates()
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("step %d: veteran %v != fresh twin %v", step, got, want)
 				}
 			}
 		})

@@ -20,7 +20,7 @@ import (
 //     are checked — if any query vector is undominated, a maximal one is.
 //  2. Query side: maximal vectors are probed in an order that favors early
 //     stops (descending L1 mass: heavier vectors are harder to dominate).
-//  3. Stream side: per-dimension max values give an O(|support|) refutation
+//  3. Stream side: per-dimension max bounds give an O(|support|) refutation
 //     ("no stream vector is large enough in dimension d"), and otherwise
 //     only the vectors of the query vector's lowest-cardinality nonzero
 //     dimension are scanned, since any dominator must appear there.
@@ -30,18 +30,24 @@ import (
 // queries whose verdict the dirty vertices' seal transitions could have
 // flipped, instead of all of them (NL's full re-evaluation is the
 // reference).
+//
+// Skyline is the production join: cmd/serve runs it unless told otherwise.
 type Skyline struct{ vecJoin }
 
 // skyStream is Skyline's vecStream: the per-dimension statistics behind the
-// max refutation and the probe-dimension choice.
+// max refutation and the probe-dimension choice, kept straight off the seal
+// transitions — the store's packed cache is the only copy of a vector.
 type skyStream struct {
-	st *streamState
-	// prev shadows each vertex's vector as currently registered in dims,
-	// so removals and max recomputation use consistent values.
-	prev map[graph.VertexID]npv.Vector
-	dims map[npv.Dim]*dimStat
+	store *npv.Store
+	dims  map[npv.Dim]*dimStat
 }
 
+// dimStat is one dimension's statistics: the vertices whose sealed vector is
+// nonzero in it, and an upper bound on their counts. max rises when a member
+// registers a larger count and is never lowered when one shrinks or leaves;
+// it resets only with the member set (the dimension is dropped when it
+// empties). So u[d] > max still proves no member reaches u, while the
+// member scan after it decides exactly — and a removal costs no rescan.
 type dimStat struct {
 	members map[graph.VertexID]struct{}
 	max     int32
@@ -56,12 +62,8 @@ var (
 // NewSkyline returns a skyline-with-early-stop filter with the given NNT
 // depth.
 func NewSkyline(depth int) *Skyline {
-	return &Skyline{newVecJoin(depth, qindex.New(), maximalByMass, func(st *streamState) vecStream {
-		return &skyStream{
-			st:   st,
-			prev: make(map[graph.VertexID]npv.Vector),
-			dims: make(map[npv.Dim]*dimStat),
-		}
+	return &Skyline{newVecJoin(depth, qindex.New(), maximalByMass, func(store *npv.Store) vecStream {
+		return &skyStream{store: store, dims: make(map[npv.Dim]*dimStat)}
 	})}
 }
 
@@ -78,49 +80,39 @@ func maximalByMass(q *graph.Graph, depth int) []npv.PackedVector {
 	return maximal
 }
 
-// reconcile implements vecStream: the dirty vertices' old vectors leave the
-// per-dimension statistics and their new ones enter.
+// reconcile implements vecStream: each dirty vertex leaves the member sets
+// of the dimensions its old sealed vector had and its new one lacks, and
+// joins those of its new one, raising their max. A vertex that appeared has
+// an empty Old and a retired one an empty New, so both fall out of the same
+// walk.
 func (ss *skyStream) reconcile() []npv.DirtyDelta {
-	deltas := ss.st.store.SealDirty()
+	deltas := ss.store.SealDirty()
 	for _, dl := range deltas {
-		v := dl.Vertex
-		// Deregister the old vector.
-		if old, ok := ss.prev[v]; ok {
-			for d, val := range old {
-				stat := ss.dims[d]
-				delete(stat.members, v)
-				if len(stat.members) == 0 {
-					delete(ss.dims, d)
-					continue
-				}
-				if val == stat.max {
-					stat.max = 0
-					for w := range stat.members {
-						if wv := ss.prev[w].Get(d); wv > stat.max {
-							stat.max = wv
-						}
-					}
-				}
+		v, old, cur := dl.Vertex, dl.Old, dl.New
+		j := 0
+		for i := 0; i < old.Len(); i++ {
+			d := old.Dim(i)
+			for j < cur.Len() && cur.Dim(j) < d {
+				j++
 			}
-			delete(ss.prev, v)
+			if j < cur.Len() && cur.Dim(j) == d {
+				continue // still a member
+			}
+			stat := ss.dims[d]
+			delete(stat.members, v)
+			if len(stat.members) == 0 {
+				delete(ss.dims, d)
+			}
 		}
-		// Register the new vector.
-		cur := ss.st.store.Vector(v)
-		if cur == nil {
-			continue // vertex retired
-		}
-		cp := cur.Clone()
-		ss.prev[v] = cp
-		for d, val := range cp {
+		for i := 0; i < cur.Len(); i++ {
+			d := cur.Dim(i)
 			stat := ss.dims[d]
 			if stat == nil {
 				stat = &dimStat{members: make(map[graph.VertexID]struct{})}
 				ss.dims[d] = stat
 			}
 			stat.members[v] = struct{}{}
-			if val > stat.max {
-				stat.max = val
-			}
+			stat.max = max(stat.max, cur.Count(i))
 		}
 	}
 	return deltas
@@ -156,14 +148,14 @@ func evalMaximal(ss *skyStream, maximal []npv.PackedVector) (bool, int64) {
 func dominated(ss *skyStream, u npv.PackedVector) (bool, int64) {
 	if u.Len() == 0 {
 		// An empty query vector is dominated by any vertex.
-		return len(ss.prev) > 0, 0
+		return ss.store.Len() > 0, 0
 	}
 	var probe *dimStat
 	for i := 0; i < u.Len(); i++ {
 		stat := ss.dims[u.Dim(i)]
 		if stat == nil || u.Count(i) > stat.max {
-			// No stream vector reaches u in dimension d: u is a skyline
-			// point, refuted in O(|support|).
+			// No stream vector reaches u in dimension d (max bounds them
+			// all): u is a skyline point, refuted in O(|support|).
 			return false, 0
 		}
 		if probe == nil || len(stat.members) < len(probe.members) {
@@ -172,13 +164,13 @@ func dominated(ss *skyStream, u npv.PackedVector) (bool, int64) {
 	}
 	// Any dominator of u is nonzero in every support dimension of u, so it
 	// is a member of the probe (minimum-cardinality) dimension. Members are
-	// exactly the vertices registered in ss.prev, whose space vectors were
-	// sealed by the same reconcile step — Packed never misses here.
+	// exactly the vertices whose vectors the same reconcile step sealed
+	// nonzero there — Packed never misses here.
 	var scanned int64
 	for v := range probe.members {
 		scanned++
 		//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; the probe reads a space sealed by the same reconcile step, so it hits the packed cache allocation-free
-		if p, ok := ss.st.store.Packed(v); ok && p.Dominates(u) {
+		if p, ok := ss.store.Packed(v); ok && p.Dominates(u) {
 			return true, scanned
 		}
 	}
@@ -196,9 +188,8 @@ func (f *Skyline) CollectMetrics(emit func(name string, value float64)) {
 	emit("nntstream_skyline_probe_scans_total", float64(f.scans))
 	dims, vecs := 0, 0
 	for _, s := range f.streams {
-		ss := s.vecStream.(*skyStream)
-		dims += len(ss.dims)
-		vecs += len(ss.prev)
+		dims += len(s.vecStream.(*skyStream).dims)
+		vecs += s.store.Len()
 	}
 	emit("nntstream_skyline_dimensions", float64(dims))
 	emit("nntstream_skyline_stream_vectors", float64(vecs))

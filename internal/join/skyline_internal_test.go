@@ -1,6 +1,8 @@
 package join
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"nntstream/internal/core"
@@ -45,10 +47,10 @@ func TestSkylineDominatedEmptyQueryVector(t *testing.T) {
 	}
 }
 
-// TestSkylineRetiredVertex covers vertex retirement: deleting the last edge
-// of a vertex removes it from the graph, its NPV from the space, and its
-// entries from the per-dimension statistics, flipping verdicts that depended
-// on it.
+// TestSkylineRetiredVertex covers vertex retirement at the candidate level:
+// deleting the last edge of a vertex removes it from the graph and its
+// vector from the per-dimension statistics, flipping verdicts that depended
+// on it, and re-inserting the edge restores them.
 func TestSkylineRetiredVertex(t *testing.T) {
 	f := NewSkyline(DefaultDepth)
 	// Query A-B (labels 0-1).
@@ -65,11 +67,6 @@ func TestSkylineRetiredVertex(t *testing.T) {
 	if got := f.Candidates(); len(got) != 1 {
 		t.Fatalf("Candidates before deletion = %v; want 1 pair", got)
 	}
-	ss := f.streams[0].vecStream.(*skyStream)
-	dimsBefore := len(ss.dims)
-	if dimsBefore == 0 || len(ss.prev) != 4 {
-		t.Fatalf("stream stats before deletion: dims=%d prev=%d", dimsBefore, len(ss.prev))
-	}
 
 	// Deleting edge 0-1 retires both endpoints (degree drops to zero).
 	if err := f.Apply(0, graph.ChangeSet{graph.DeleteOp(0, 1)}); err != nil {
@@ -78,35 +75,14 @@ func TestSkylineRetiredVertex(t *testing.T) {
 	if got := f.Candidates(); len(got) != 0 {
 		t.Fatalf("Candidates after retirement = %v; want none", got)
 	}
-	if len(ss.prev) != 2 {
-		t.Fatalf("prev after retirement = %d vertices; want 2 (retired vectors must be deregistered)", len(ss.prev))
-	}
-	for v := range ss.prev {
-		if v != 2 && v != 3 {
-			t.Fatalf("retired vertex %d still registered", v)
-		}
-	}
-	// Dimensions fed only by the retired vertices must be gone, and every
-	// remaining dimension's membership must reference live vertices only.
-	for d, stat := range ss.dims {
-		if len(stat.members) == 0 {
-			t.Fatalf("dimension %v kept with no members", d)
-		}
-		for v := range stat.members {
-			if v != 2 && v != 3 {
-				t.Fatalf("dimension %v still lists retired vertex %d", d, v)
-			}
-		}
+	// The query vector's dimensions lost their only members, so the probe
+	// refutes it without a scan.
+	ss := f.streams[0].vecStream.(*skyStream)
+	if ok, scanned := dominated(ss, f.queries[0][0]); ok || scanned != 0 {
+		t.Fatalf("dominated = %v after %d scans; want a scan-free refutation", ok, scanned)
 	}
 
-	// The query vector is now refuted via the per-dimension max fast path:
-	// its dimensions have no members at all.
-	u := f.queries[0][0]
-	if ok, _ := dominated(ss, u); ok {
-		t.Fatal("retired vertices must not dominate the query vector")
-	}
-
-	// Re-inserting the edge restores the pair (no stale max/member state).
+	// Re-inserting the edge restores the pair (no stale member state).
 	if err := f.Apply(0, graph.ChangeSet{graph.InsertOp(0, 0, 1, 1, 0)}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,35 +91,101 @@ func TestSkylineRetiredVertex(t *testing.T) {
 	}
 }
 
-// TestSkylineMaxRecomputedOnRetreat checks the max-recomputation branch of
-// reconcile: when the vertex holding a dimension's max shrinks, the max must
-// drop to the runner-up, not stay stale.
-func TestSkylineMaxRecomputedOnRetreat(t *testing.T) {
+// TestSkylineCandidatesOnMaxRetreat: when the vertex holding a dimension's
+// max shrinks, the max may stay above every live count (it is only an upper
+// bound), so the max refutation no longer fires — the member scan must then
+// find no dominator and drop the pair, and regrowth must restore it.
+func TestSkylineCandidatesOnMaxRetreat(t *testing.T) {
 	f := NewSkyline(1)
-	// Stream: star center 0 with two leaves (dim count 2), and an
-	// independent edge 3-4 contributing count 1 on the same dimension
-	// (labels chosen to collide: all vertices label 7, edges label 0).
+	// Query: a star center with two leaves, count 2 in its one dimension
+	// (all vertices label 7, edges label 0).
+	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 7, 1: 7, 2: 7},
+		[][3]int{{0, 1, 0}, {0, 2, 0}})
+	if err := f.AddQuery(0, q); err != nil {
+		t.Fatal(err)
+	}
+	// Stream: the same star, plus an independent edge 3-4 contributing
+	// count 1 on the same dimension.
 	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 7, 1: 7, 2: 7, 3: 7, 4: 7},
 		[][3]int{{0, 1, 0}, {0, 2, 0}, {3, 4, 0}})
 	if err := f.AddStream(0, g); err != nil {
 		t.Fatal(err)
 	}
-	ss := f.streams[0].vecStream.(*skyStream)
-	var d npv.Dim
-	var maxBefore int32
-	for dim, stat := range ss.dims {
-		if stat.max > maxBefore {
-			d, maxBefore = dim, stat.max
-		}
+	if got := f.Candidates(); len(got) != 1 {
+		t.Fatalf("Candidates = %v; want the pair", got)
 	}
-	if maxBefore != 2 {
-		t.Fatalf("max before = %d; want 2 (star center)", maxBefore)
-	}
-	// Delete one star edge: center's count drops to 1.
+	// Delete one star edge: the center's count drops to 1, below the query.
 	if err := f.Apply(0, graph.ChangeSet{graph.DeleteOp(0, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := ss.dims[d].max; got != 1 {
-		t.Fatalf("max after retreat = %d; want 1", got)
+	if got := f.Candidates(); len(got) != 0 {
+		t.Fatalf("Candidates after retreat = %v; want none", got)
+	}
+	if err := f.Apply(0, graph.ChangeSet{graph.InsertOp(3, 7, 5, 7, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Candidates(); len(got) != 1 {
+		t.Fatalf("Candidates after regrowth elsewhere = %v; want the pair", got)
+	}
+}
+
+// TestSkylineDimStatsRandomized pins the invariants the probe relies on,
+// after every timestamp of a randomized multi-stream workload: a
+// dimension's members are exactly the vertices whose sealed vector is
+// nonzero in it, and its max is at least every member's sealed count. The
+// max refutation is sound only while the second holds.
+func TestSkylineDimStatsRandomized(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		depth := 1 + r.Intn(3)
+		f := NewSkyline(depth)
+		graphs := make(map[core.StreamID]*graph.Graph)
+		for sid := core.StreamID(0); sid < 3; sid++ {
+			g := randomConnected(r, 8+r.Intn(4), 3, 2)
+			graphs[sid] = g.Clone()
+			if err := f.AddStream(sid, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := -1; step < 40; step++ {
+			if step >= 0 {
+				if err := f.ApplyAll(randomBatch(r, graphs)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for sid, s := range f.streams {
+				checkDimStats(t, s.vecStream.(*skyStream), fmt.Sprintf("seed=%d step=%d stream=%d", seed, step, sid))
+			}
+		}
+	}
+}
+
+// checkDimStats compares ss's per-dimension statistics with the store's
+// sealed vectors.
+func checkDimStats(t *testing.T, ss *skyStream, at string) {
+	t.Helper()
+	nonzero := 0
+	ss.store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
+		for i := 0; i < p.Len(); i++ {
+			stat := ss.dims[p.Dim(i)]
+			if stat == nil {
+				t.Fatalf("%s: vertex %d is nonzero in %v, which has no statistics", at, v, p.Dim(i))
+			}
+			if _, ok := stat.members[v]; !ok {
+				t.Fatalf("%s: vertex %d is nonzero in %v but not a member", at, v, p.Dim(i))
+			}
+			if p.Count(i) > stat.max {
+				t.Fatalf("%s: vertex %d counts %d in %v, above its max %d", at, v, p.Count(i), p.Dim(i), stat.max)
+			}
+		}
+		nonzero += p.Len()
+		return true
+	})
+	members := 0
+	for _, stat := range ss.dims {
+		members += len(stat.members)
+	}
+	if members != nonzero {
+		t.Fatalf("%s: %d memberships for %d nonzero entries (stale members)", at, members, nonzero)
 	}
 }

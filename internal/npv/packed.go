@@ -71,13 +71,6 @@ func sigBit(d Dim) uint64 {
 	return 1 << (uint64(d) * 0x9E3779B97F4A7C15 >> 58)
 }
 
-// SigBit exposes the signature bit of one dimension so downstream code
-// (the shared-factor discovery in internal/factor) can build support
-// signatures compatible with the subset reject.
-//
-//nnt:hotpath
-func SigBit(d Dim) uint64 { return sigBit(d) }
-
 // Pack freezes v into packed form. The result does not alias v.
 func Pack(v Vector) PackedVector {
 	if len(v) == 0 {

@@ -11,7 +11,7 @@ import (
 // vector of every vertex, the set of vertices whose vector changed (or which
 // appeared or retired) since the last seal, and the packed cache that seal
 // refreshes. Space fills it from forest events, Store by recounting; every
-// reader (the join strategies, the factor memo, the query index) sees the
+// reader (the join strategies, the query index) sees the
 // same seal contract either way.
 type vecTable struct {
 	vectors map[graph.VertexID]Vector

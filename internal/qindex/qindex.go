@@ -219,9 +219,6 @@ func postingLess(a, b Posting) bool {
 	return a.Key.Vertex < b.Key.Vertex
 }
 
-// Sealed reports whether Seal has run.
-func (ix *Index) Sealed() bool { return ix.sealed }
-
 // Epoch counts seal generations: the one-time Seal plus every post-seal
 // mutation. Readers that cache derived state can use it as a validity
 // stamp, exactly like npv.Space.Epoch.

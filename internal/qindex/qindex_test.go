@@ -26,7 +26,7 @@ func key(q, v int) Key {
 
 func TestIndexLifecycle(t *testing.T) {
 	ix := New()
-	if ix.Sealed() {
+	if ix.sealed {
 		t.Fatal("fresh index reports sealed")
 	}
 	ix.Add(key(0, 0), vec(1, 3, 2, 1))
@@ -44,8 +44,8 @@ func TestIndexLifecycle(t *testing.T) {
 	}
 	e0 := ix.Epoch()
 	ix.Seal()
-	if !ix.Sealed() || ix.Epoch() != e0+1 {
-		t.Fatalf("Seal: sealed=%v epoch=%d; want true, %d", ix.Sealed(), ix.Epoch(), e0+1)
+	if !ix.sealed || ix.Epoch() != e0+1 {
+		t.Fatalf("Seal: sealed=%v epoch=%d; want true, %d", ix.sealed, ix.Epoch(), e0+1)
 	}
 	ix.Seal() // idempotent
 	if ix.Epoch() != e0+1 {

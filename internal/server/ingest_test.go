@@ -71,7 +71,7 @@ func durableTestServer(t *testing.T) (*httptest.Server, *Server, *wal.Metrics) {
 	reg := obs.NewRegistry()
 	m := wal.NewMetrics(reg)
 	eng, err := core.OpenDurableEngine(t.TempDir(),
-		func() core.Filter { return join.NewDSC(3) },
+		func() core.Filter { return join.NewSkyline(3) },
 		core.DurableOptions{Fsync: wal.SyncAlways, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestIngestOversizedBody(t *testing.T) {
 	srv := testServer(t)
 	sid := registerPair(t, srv.URL)
 
-	small := New(core.NewMonitor(join.NewDSC(3)))
+	small := New(core.NewMonitor(join.NewSkyline(3)))
 	small.SetMaxBodyBytes(64)
 	smallSrv := httptest.NewServer(small.Handler())
 	t.Cleanup(smallSrv.Close)
@@ -257,7 +257,7 @@ func TestIngestOversizedBody(t *testing.T) {
 // body is cut off by the per-request read deadline with 408, freeing its
 // in-flight slot.
 func TestIngestSlowClientTimeout(t *testing.T) {
-	s := New(core.NewMonitor(join.NewDSC(3)))
+	s := New(core.NewMonitor(join.NewSkyline(3)))
 	s.SetIngestLimits(IngestLimits{ReadTimeout: 150 * time.Millisecond})
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
@@ -288,7 +288,7 @@ func TestIngestSlowClientTimeout(t *testing.T) {
 // TestIngestInFlightBudget: requests past MaxInFlight are shed with 429 and
 // a Retry-After hint before their body is read.
 func TestIngestInFlightBudget(t *testing.T) {
-	s := New(core.NewMonitor(join.NewDSC(3)))
+	s := New(core.NewMonitor(join.NewSkyline(3)))
 	s.SetIngestLimits(IngestLimits{MaxInFlight: 1})
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
@@ -314,7 +314,7 @@ func TestIngestInFlightBudget(t *testing.T) {
 // TestIngestTenantQuota: an exhausted tenant is denied with 429 and a
 // Retry-After hint while other tenants keep flowing.
 func TestIngestTenantQuota(t *testing.T) {
-	s := New(core.NewMonitor(join.NewDSC(3)))
+	s := New(core.NewMonitor(join.NewSkyline(3)))
 	s.SetIngestLimits(IngestLimits{TenantRate: 0.5, TenantBurst: 2})
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
@@ -381,7 +381,7 @@ func TestIngestMetricsExported(t *testing.T) {
 // TestIngestConcurrentWithReads drives batched writes and read endpoints
 // concurrently — the -race gate's coverage for the ingest path.
 func TestIngestConcurrentWithReads(t *testing.T) {
-	sharded := core.NewShardedMonitor(func() core.Filter { return join.NewDSC(3) }, 2)
+	sharded := core.NewShardedMonitor(func() core.Filter { return join.NewSkyline(3) }, 2)
 	s := New(sharded)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"nntstream/internal/core"
-	"nntstream/internal/factor"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
 	"nntstream/internal/obs"
@@ -316,9 +315,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the Prometheus text exposition: the registry's typed
 // instruments (engine latency histograms, counters, gauges) followed by the
 // engine's structure-size samples gathered from its obs.Collector surface,
-// and the process-wide NPV dominance-kernel, query-index, and shared-factor
-// selectivity counters. The process-global counters are emitted here exactly
-// once — not
+// and the process-wide NPV dominance-kernel and query-index selectivity
+// counters. The process-global counters are emitted here exactly once — not
 // through the engine's per-filter collectors, which a sharded monitor sums
 // per shard and would therefore multiply the values by the shard count.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -337,7 +335,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = obs.WriteSamples(w, obs.Gather(npv.KernelStats{}))
 	_ = obs.WriteSamples(w, obs.Gather(qindex.Stats{}))
-	_ = obs.WriteSamples(w, obs.Gather(factor.Stats{}))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

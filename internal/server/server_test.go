@@ -18,7 +18,7 @@ import (
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(New(core.NewMonitor(join.NewDSC(3))).Handler())
+	srv := httptest.NewServer(New(core.NewMonitor(join.NewSkyline(3))).Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -241,7 +241,9 @@ func TestServerMetrics(t *testing.T) {
 		"nntstream_engine_apply_seconds_count 1",
 		"nntstream_engine_timestamps_total 1",
 		"nntstream_engine_candidate_ratio 1",
-		"nntstream_dsc_column_entries",
+		"nntstream_skyline_maximal_query_vectors",
+		"nntstream_skyline_stream_vectors",
+		"nntstream_qindex_candidates_total",
 		"nntstream_filter_nnt_nodes",
 		"nntstream_npv_dominance_tests_total",
 		"nntstream_npv_sig_rejects_total",
@@ -259,7 +261,7 @@ func TestServerMetrics(t *testing.T) {
 // /v1/candidates, /v1/stats, and /v1/metrics. Run under -race it validates
 // the server's readers-writer locking and the engines' read-path contract.
 func TestServerConcurrentStepAndReads(t *testing.T) {
-	sharded := core.NewShardedMonitor(func() core.Filter { return join.NewDSC(3) }, 2)
+	sharded := core.NewShardedMonitor(func() core.Filter { return join.NewSkyline(3) }, 2)
 	srv := httptest.NewServer(New(sharded).Handler())
 	defer srv.Close()
 
@@ -343,7 +345,7 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestServerBodyLimit(t *testing.T) {
-	s := New(core.NewMonitor(join.NewDSC(3)))
+	s := New(core.NewMonitor(join.NewSkyline(3)))
 	s.SetMaxBodyBytes(1024)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
