@@ -57,8 +57,9 @@ test:
 
 # The engines and the HTTP server claim concurrent-read safety; hold them to
 # it under the race detector. The WAL claims safe concurrent appends/syncs.
-# internal/join carries the parallel ApplyAll fan-out and internal/gindex is
-# shared read-side state under a multi-shard engine — both race-critical.
+# internal/join carries the parallel ApplyAll fan-out and internal/gindex
+# re-mines lazily inside Candidates, which concurrent readers call at once —
+# both race-critical.
 # internal/npv holds the packed-vector cache read concurrently by that
 # fan-out and the atomic kernel counters. internal/qindex is the sealed
 # query-candidate index read concurrently by the same fan-out.

@@ -17,7 +17,7 @@
 //	 "groups": 2, "replication_factor": 2}
 //
 // Start each worker with `serve -worker-id w0 -addr :8081 -data-dir d0 ...`
-// (same -filter/-depth/-shards on every node), then start the coordinator.
+// (same -filter/-depth on every node), then start the coordinator.
 package main
 
 import (

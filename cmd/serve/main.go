@@ -1,13 +1,10 @@
 // Command serve runs the continuous subgraph-search monitor as an HTTP
-// service (see internal/server for the API). Streams can be sharded across
-// filter instances for multi-core throughput, and -data-dir makes the engine
-// durable: every mutation is write-ahead logged and periodically folded into
-// an atomic checkpoint, so a killed process recovers to exactly the
-// acknowledged operations on restart.
-//
-// -shards 0, the default, means two different things: in memory it is one
-// shard per GOMAXPROCS; with -data-dir (and for -worker-id groups) it is one
-// shard whose evaluation pool is GOMAXPROCS wide.
+// service (see internal/server for the API). The engine runs one filter
+// whose evaluation pool (-workers) fans each timestamp's streams out over
+// the machine's cores, and -data-dir makes it durable: every mutation is
+// write-ahead logged and periodically folded into an atomic checkpoint, so
+// a killed process recovers to exactly the acknowledged operations on
+// restart.
 //
 // -filter offers what a server needs: skyline (the production default), nl
 // (the plain nested loop, the reference oracle) and exact (VF2 ground
@@ -15,7 +12,7 @@
 // live in cmd/experiments and cmd/streamwatch.
 //
 //	serve [-addr :8080] [-filter skyline|nl|exact]
-//	      [-depth 3] [-shards 0] [-workers 0] [-data-dir dir]
+//	      [-depth 3] [-workers 0] [-data-dir dir]
 //	      [-fsync always|interval|never] [-fsync-interval 100ms]
 //	      [-checkpoint-interval 5m] [-max-body-bytes n]
 //	      [-ingest-max-inflight n] [-ingest-rate ops/s] [-ingest-burst ops]
@@ -26,7 +23,7 @@
 // node (requires -data-dir): it serves the internal/cluster worker API —
 // role assignments, WAL-record replication, snapshots, and the per-group data
 // plane — and takes its orders from a coordinator (see cmd/coordinator).
-// Filter, depth, and shard flags must match across the whole cluster.
+// Filter and depth flags must match across the whole cluster.
 package main
 
 import (
@@ -56,8 +53,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	filterName := flag.String("filter", "skyline", "filter: skyline, nl, exact (paper baselines live in cmd/experiments and cmd/streamwatch)")
 	depth := flag.Int("depth", join.DefaultDepth, "NNT depth bound for the NPV filters")
-	shards := flag.Int("shards", 0, "filter shards (0 = GOMAXPROCS in memory, one shard with -data-dir; 1 disables sharding)")
-	workers := flag.Int("workers", 0, "per-shard evaluation workers for the NPV join filters (0 = auto: GOMAXPROCS/shards; 1 = sequential)")
+	workers := flag.Int("workers", 0, "evaluation workers for the NPV join filters (0 = GOMAXPROCS; 1 = sequential)")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + checkpoints); empty runs in-memory only")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval, never")
 	fsyncInterval := flag.Duration("fsync-interval", wal.DefaultSyncInterval, "flush cadence for -fsync interval")
@@ -81,7 +77,7 @@ func main() {
 
 	if *workerID != "" {
 		runWorker(*workerID, *addr, *dataDir, *fsync, *fsyncInterval,
-			*checkpointInterval, *drainTimeout, *shards, *workers, factory, registry)
+			*checkpointInterval, *drainTimeout, *workers, factory, registry)
 		return
 	}
 
@@ -93,7 +89,6 @@ func main() {
 			log.Fatal(err)
 		}
 		durable, err = core.OpenDurableEngine(*dataDir, core.FilterFactory(factory), core.DurableOptions{
-			Shards:             *shards,
 			Workers:            *workers,
 			Fsync:              policy,
 			FsyncInterval:      *fsyncInterval,
@@ -107,7 +102,11 @@ func main() {
 			*dataDir, policy, *checkpointInterval, durable.QueryCount(), durable.StreamCount())
 		engine = durable
 	} else {
-		engine = core.NewShardedMonitor(factory, *shards, *workers)
+		f := factory()
+		if pf, ok := f.(core.ParallelFilter); ok {
+			pf.SetWorkers(*workers)
+		}
+		engine = core.NewMonitor(f)
 	}
 
 	srv := server.NewWithRegistry(engine, registry)
@@ -191,7 +190,7 @@ func main() {
 // passive — the coordinator pushes roles and drives failover — so beyond
 // opening group engines lazily there is nothing to start here.
 func runWorker(id, addr, dataDir, fsync string, fsyncInterval, checkpointInterval,
-	drainTimeout time.Duration, shards, workers int, factory func() core.Filter,
+	drainTimeout time.Duration, workers int, factory func() core.Filter,
 	registry *obs.Registry) {
 	if dataDir == "" {
 		log.Fatal("-worker-id requires -data-dir (replicas recover from their own WAL)")
@@ -202,7 +201,6 @@ func runWorker(id, addr, dataDir, fsync string, fsyncInterval, checkpointInterva
 	}
 	wk := cluster.NewWorker(id, dataDir, cluster.WorkerOptions{
 		Factory:            core.FilterFactory(factory),
-		Shards:             shards,
 		EvalWorkers:        workers,
 		Fsync:              policy,
 		FsyncInterval:      fsyncInterval,

@@ -73,14 +73,19 @@ func TestStreamIDMapping(t *testing.T) {
 	}
 }
 
+// poolWidths are the group-engine evaluation-pool widths the drills run at:
+// sequential, and a pool wider than the machine's two cores. Subtests label
+// the width with their historical "shards=" key so test IDs stay stable.
+var poolWidths = []int{1, 3}
+
 // TestClusterMatchesSingleNode is the no-fault baseline: a 3-worker cluster
 // answers exactly like one engine fed the same operations.
 func TestClusterMatchesSingleNode(t *testing.T) {
 	for _, fc := range filterCases {
-		for _, shards := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/shards=%d", fc.name, shards), func(t *testing.T) {
-				tc := newTestCluster(t, fc.factory, shards, 3, 2, 2)
-				ref := newRefEngine(t, fc.factory, shards)
+		for _, pool := range poolWidths {
+			t.Run(fmt.Sprintf("%s/shards=%d", fc.name, pool), func(t *testing.T) {
+				tc := newTestCluster(t, fc.factory, pool, 3, 2, 2)
+				ref := newRefEngine(t, fc.factory)
 				for i, op := range standardWorkload(fc.canRemove) {
 					if status := tc.applyOp(op); status < 200 || status > 299 {
 						t.Fatalf("op %d (%s): status %d", i, op.kind, status)
@@ -108,12 +113,12 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 // group history — any lost or reordered record shows up as a divergence.
 func TestKillPrimaryAtEveryBoundary(t *testing.T) {
 	for _, fc := range filterCases {
-		for _, shards := range []int{1, 3} {
+		for _, pool := range poolWidths {
 			ops := standardWorkload(fc.canRemove)
 			for kill := 1; kill <= len(ops); kill++ {
-				t.Run(fmt.Sprintf("%s/shards=%d/kill=%d", fc.name, shards, kill), func(t *testing.T) {
-					tc := newTestCluster(t, fc.factory, shards, 3, 2, 2)
-					ref := newRefEngine(t, fc.factory, shards)
+				t.Run(fmt.Sprintf("%s/shards=%d/kill=%d", fc.name, pool, kill), func(t *testing.T) {
+					tc := newTestCluster(t, fc.factory, pool, 3, 2, 2)
+					ref := newRefEngine(t, fc.factory)
 					for i, op := range ops {
 						if status := tc.applyOp(op); status < 200 || status > 299 {
 							t.Fatalf("op %d (%s): status %d", i, op.kind, status)
@@ -144,8 +149,8 @@ func TestKillPrimaryAtEveryBoundary(t *testing.T) {
 // to it, ending with every worker converged.
 func TestKilledPrimaryRejoins(t *testing.T) {
 	factory := filterCases[0].factory
-	tc := newTestCluster(t, factory, 1, 3, 3, 2)
-	ref := newRefEngine(t, factory, 1)
+	tc := newTestCluster(t, factory, 0, 3, 3, 2)
+	ref := newRefEngine(t, factory)
 	ops := standardWorkload(false)
 	half := len(ops) / 2
 	for i, op := range ops[:half] {
@@ -213,8 +218,8 @@ func assertReplicasConverged(t *testing.T, tc *testCluster) {
 func TestRandomizedPartitionHeal(t *testing.T) {
 	for _, fc := range filterCases {
 		t.Run(fc.name, func(t *testing.T) {
-			tc := newTestCluster(t, fc.factory, 1, 3, 3, 2)
-			ref := newRefEngine(t, fc.factory, 1)
+			tc := newTestCluster(t, fc.factory, 0, 3, 3, 2)
+			ref := newRefEngine(t, fc.factory)
 			rng := rand.New(rand.NewSource(42))
 			ctx := context.Background()
 
@@ -284,8 +289,8 @@ func TestRandomizedPartitionHeal(t *testing.T) {
 // primary returns.
 func TestDegradedMode(t *testing.T) {
 	factory := filterCases[0].factory
-	tc := newTestCluster(t, factory, 1, 2, 1, 2) // one group on two workers
-	ref := newRefEngine(t, factory, 1)
+	tc := newTestCluster(t, factory, 0, 2, 1, 2) // one group on two workers
+	ref := newRefEngine(t, factory)
 	ctx := context.Background()
 
 	setup := standardWorkload(false)[:4] // 3 queries + 1 stream
@@ -381,7 +386,7 @@ func TestDegradedMode(t *testing.T) {
 // TestClusterMetricsExposition checks the coordinator's /v1/metrics surface
 // carries the cluster instruments after a failover exercised them.
 func TestClusterMetricsExposition(t *testing.T) {
-	tc := newTestCluster(t, filterCases[0].factory, 1, 3, 2, 2)
+	tc := newTestCluster(t, filterCases[0].factory, 0, 3, 2, 2)
 	for _, op := range standardWorkload(false)[:6] {
 		if status := tc.applyOp(op); status/100 != 2 {
 			t.Fatalf("op %s: status %d", op.kind, status)
@@ -421,8 +426,8 @@ func TestClusterMetricsExposition(t *testing.T) {
 // pins recovery to the engines' ID allocators rather than live counts.
 func TestCoordinatorRestartRecoversCounters(t *testing.T) {
 	factory := filterCases[1].factory // DSC: supports removal and late registration
-	tc := newTestCluster(t, factory, 1, 3, 2, 2)
-	ref := newRefEngine(t, factory, 1)
+	tc := newTestCluster(t, factory, 0, 3, 2, 2)
+	ref := newRefEngine(t, factory)
 	ops := standardWorkload(true)
 	split := len(ops) - 1 // everything but the final step: 3 queries, 3 streams, 3 steps, 1 removal
 	for i, op := range ops[:split] {
@@ -533,7 +538,7 @@ func (p *pathFailTransport) Do(ctx context.Context, addr, method, path string, i
 // (group 0 applied another payload there), while a retry of the original
 // payload completes the broadcast.
 func TestPartialBroadcastConflictSurfaces(t *testing.T) {
-	tc := newTestCluster(t, filterCases[0].factory, 1, 3, 2, 2)
+	tc := newTestCluster(t, filterCases[0].factory, 0, 3, 2, 2)
 	tc.coord.Stop()
 	pf := &pathFailTransport{next: tc.net, fail: make(map[string]int)}
 	coord, err := NewCoordinator(tc.cfg, CoordinatorOptions{Transport: pf, MissThreshold: 2})
@@ -566,7 +571,7 @@ func TestPartialBroadcastConflictSurfaces(t *testing.T) {
 // worker surface: for queries, streams, and steps, a reused idempotency key
 // carrying a different payload is 409, and a genuine retry is acked.
 func TestWorkerFingerprintConflict(t *testing.T) {
-	tc := newTestCluster(t, filterCases[0].factory, 1, 3, 1, 1)
+	tc := newTestCluster(t, filterCases[0].factory, 0, 3, 1, 1)
 	ctx := context.Background()
 	addr := tc.primaryOf(0)
 	post := func(path string, in, out any) error {
@@ -650,7 +655,7 @@ func (g *gatedTransport) Do(ctx context.Context, addr, method, path string, in, 
 // requires client reads to keep completing: failure detection must wait on
 // slow workers outside the coordinator's mutex.
 func TestPollOnceDoesNotBlockDataPlane(t *testing.T) {
-	tc := newTestCluster(t, filterCases[0].factory, 1, 3, 2, 2)
+	tc := newTestCluster(t, filterCases[0].factory, 0, 3, 2, 2)
 	for _, op := range standardWorkload(false)[:4] {
 		if status := tc.applyOp(op); status/100 != 2 {
 			t.Fatalf("setup op %s: status %d", op.kind, status)
@@ -774,7 +779,7 @@ func TestShipTimeoutBoundsCommit(t *testing.T) {
 // TestHeartbeatLoop covers the background detection path end to end with a
 // real ticker: kill a primary, wait for the loop to promote, write again.
 func TestHeartbeatLoop(t *testing.T) {
-	tc := newTestCluster(t, filterCases[0].factory, 1, 3, 2, 2)
+	tc := newTestCluster(t, filterCases[0].factory, 0, 3, 2, 2)
 	// Re-arm the coordinator with a fast loop (the harness default is manual).
 	tc.coord.Stop()
 	coord, err := NewCoordinator(tc.cfg, CoordinatorOptions{

@@ -114,7 +114,7 @@ type testCluster struct {
 	dir     string
 	cfg     Config
 	factory core.FilterFactory
-	shards  int
+	pool    int // each group engine's evaluation-pool width (0 = GOMAXPROCS)
 	net     *memNet
 	fault   *FaultTransport
 	metrics *Metrics
@@ -122,14 +122,14 @@ type testCluster struct {
 	coord   *Coordinator
 }
 
-func newTestCluster(t *testing.T, factory core.FilterFactory, shards, workers, groups, rf int) *testCluster {
+func newTestCluster(t *testing.T, factory core.FilterFactory, pool, workers, groups, rf int) *testCluster {
 	t.Helper()
 	registry := obs.NewRegistry()
 	tc := &testCluster{
 		t:       t,
 		dir:     t.TempDir(),
 		factory: factory,
-		shards:  shards,
+		pool:    pool,
 		net:     newMemNet(),
 		metrics: NewMetrics(registry),
 		workers: make(map[string]*Worker),
@@ -173,11 +173,11 @@ func newTestCluster(t *testing.T, factory core.FilterFactory, shards, workers, g
 func (tc *testCluster) startWorker(id string) *Worker {
 	tc.t.Helper()
 	w := NewWorker(id, filepath.Join(tc.dir, id), WorkerOptions{
-		Factory:   tc.factory,
-		Shards:    tc.shards,
-		Fsync:     wal.SyncNever,
-		Transport: tc.fault,
-		Metrics:   tc.metrics,
+		Factory:     tc.factory,
+		EvalWorkers: tc.pool,
+		Fsync:       wal.SyncNever,
+		Transport:   tc.fault,
+		Metrics:     tc.metrics,
 	})
 	tc.workers[id] = w
 	tc.net.attach(id, w.Handler())
@@ -329,14 +329,15 @@ func (tc *testCluster) applyOp(op clusterOp) int {
 	}
 }
 
-// refEngine is the single-node oracle the cluster must match bit for bit.
+// refEngine is the single-node oracle the cluster must match bit for bit: a
+// sequential engine, whatever pool width the cluster's engines run.
 type refEngine struct {
 	t   *testing.T
 	eng *core.Monitor
 }
 
-func newRefEngine(t *testing.T, factory core.FilterFactory, shards int) *refEngine {
-	return &refEngine{t: t, eng: core.NewShardedMonitor(factory, shards)}
+func newRefEngine(t *testing.T, factory core.FilterFactory) *refEngine {
+	return &refEngine{t: t, eng: core.NewMonitor(factory())}
 }
 
 func (r *refEngine) apply(op clusterOp) {

@@ -23,9 +23,8 @@ type WorkerOptions struct {
 	// Factory builds the filter for each group engine (must be the same
 	// across the whole cluster, or replicas would diverge).
 	Factory core.FilterFactory
-	// Shards and EvalWorkers configure each group's engine like
-	// core.DurableOptions.Shards/Workers.
-	Shards      int
+	// EvalWorkers bounds each group engine's evaluation pool, like
+	// core.DurableOptions.Workers.
 	EvalWorkers int
 	// Fsync/FsyncInterval/CheckpointInterval are the per-group WAL knobs.
 	Fsync              wal.SyncPolicy
@@ -244,7 +243,6 @@ func (w *Worker) openEngine(g *workerGroup) (*core.DurableEngine, error) {
 		filepath.Join(w.dir, fmt.Sprintf("group-%d", g.id)),
 		w.opts.Factory,
 		core.DurableOptions{
-			Shards:             w.opts.Shards,
 			Workers:            w.opts.EvalWorkers,
 			Fsync:              w.opts.Fsync,
 			FsyncInterval:      w.opts.FsyncInterval,

@@ -65,12 +65,8 @@ type DurableEngine struct {
 
 // DurableOptions configures OpenDurableEngine.
 type DurableOptions struct {
-	// Shards is the inner Monitor's shard count; <= 1 (the zero value
-	// included) means one shard, not NewShardedMonitor's GOMAXPROCS default.
-	Shards int
-	// Workers bounds the per-shard evaluation worker pool handed to
-	// ParallelFilters (0 = max(1, GOMAXPROCS/shards), so GOMAXPROCS for one
-	// shard).
+	// Workers bounds the evaluation pool of a ParallelFilter (0 =
+	// GOMAXPROCS, 1 = sequential).
 	Workers int
 	// Fsync is the WAL fsync policy (default wal.SyncAlways).
 	Fsync wal.SyncPolicy
@@ -109,8 +105,12 @@ func OpenDurableEngine(dir string, factory FilterFactory, opts DurableOptions) (
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating data dir %s: %w", dir, err)
 	}
+	f := factory()
+	if pf, ok := f.(ParallelFilter); ok {
+		pf.SetWorkers(opts.Workers)
+	}
 	d := &DurableEngine{
-		inner:    NewShardedMonitor(factory, max(1, opts.Shards), opts.Workers),
+		inner:    NewMonitor(f),
 		dir:      dir,
 		cpPath:   filepath.Join(dir, checkpointFileName),
 		metrics:  opts.Metrics,

@@ -30,9 +30,9 @@ func TestStepAllBatchEquivalence(t *testing.T) {
 	dirBatch, dirSeq := t.TempDir(), t.TempDir()
 
 	mBatch := wal.NewMetrics(obs.NewRegistry())
-	batchEng := openDurable(t, dirBatch, 1, DurableOptions{Metrics: mBatch})
+	batchEng := openDurable(t, dirBatch, DurableOptions{Metrics: mBatch})
 	mSeq := wal.NewMetrics(obs.NewRegistry())
-	seqEng := openDurable(t, dirSeq, 1, DurableOptions{Metrics: mSeq})
+	seqEng := openDurable(t, dirSeq, DurableOptions{Metrics: mSeq})
 
 	for _, d := range []*DurableEngine{batchEng, seqEng} {
 		if _, err := d.AddQuery(lineGraphCore(3)); err != nil {
@@ -76,7 +76,7 @@ func TestStepAllBatchEquivalence(t *testing.T) {
 	if err := batchEng.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	recovered := openDurable(t, dirBatch, 1, DurableOptions{})
+	recovered := openDurable(t, dirBatch, DurableOptions{})
 	if !pairsEqual(recovered.Candidates(), seqEng.Candidates()) {
 		t.Fatalf("recovered batch engine diverged: %v vs %v",
 			recovered.Candidates(), seqEng.Candidates())
@@ -88,7 +88,7 @@ func TestStepAllBatchEquivalence(t *testing.T) {
 // record is withdrawn, so recovery replays exactly the applied prefix.
 func TestStepAllBatchMidBatchFailure(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurable(t, dir, 1, DurableOptions{})
+	d := openDurable(t, dir, DurableOptions{})
 	if _, err := d.AddQuery(lineGraphCore(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestStepAllBatchMidBatchFailure(t *testing.T) {
 	if err := d.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	recovered := openDurable(t, dir, 1, DurableOptions{})
+	recovered := openDurable(t, dir, DurableOptions{})
 	if recovered.LastLSN() != wantLSN {
 		t.Fatalf("recovered LSN = %d; want %d (rejected record withdrawn)", recovered.LastLSN(), wantLSN)
 	}
@@ -139,7 +139,7 @@ func TestStepAllBatchOnCommitAfterFsync(t *testing.T) {
 	m := wal.NewMetrics(obs.NewRegistry())
 	var shippedLSNs []uint64
 	var fsyncsAtShip []int64
-	d := openDurable(t, t.TempDir(), 1, DurableOptions{
+	d := openDurable(t, t.TempDir(), DurableOptions{
 		Metrics: m,
 		OnCommit: func(r wal.Record) {
 			shippedLSNs = append(shippedLSNs, r.LSN)
@@ -180,7 +180,7 @@ func TestStepAllBatchOnCommitAfterFsync(t *testing.T) {
 // sequential StepAll calls would have shipped.
 func TestStepAllBatchMidBatchFailureShipsPrefix(t *testing.T) {
 	var shipped []wal.Record
-	d := openDurable(t, t.TempDir(), 1, DurableOptions{
+	d := openDurable(t, t.TempDir(), DurableOptions{
 		OnCommit: func(r wal.Record) { shipped = append(shipped, r) },
 	})
 	if _, err := d.AddQuery(lineGraphCore(3)); err != nil {
@@ -228,7 +228,7 @@ func (f *failSyncLogFile) Sync() error {
 func TestStepAllBatchSyncFailureShipsNothing(t *testing.T) {
 	ff := &failSyncLogFile{}
 	var shipped []wal.Record
-	d := openDurable(t, t.TempDir(), 1, DurableOptions{
+	d := openDurable(t, t.TempDir(), DurableOptions{
 		OnCommit: func(r wal.Record) { shipped = append(shipped, r) },
 		WrapFile: func(f wal.LogFile) wal.LogFile {
 			ff.LogFile = f
@@ -255,7 +255,7 @@ func TestStepAllBatchSyncFailureShipsNothing(t *testing.T) {
 
 // TestStepAllBatchEmpty: an empty batch is a no-op success.
 func TestStepAllBatchEmpty(t *testing.T) {
-	d := openDurable(t, t.TempDir(), 1, DurableOptions{})
+	d := openDurable(t, t.TempDir(), DurableOptions{})
 	applied, pairs, err := d.StepAllBatch(nil)
 	if err != nil || applied != 0 || pairs != 0 {
 		t.Fatalf("empty batch = (%d, %d, %v); want (0, 0, nil)", applied, pairs, err)

@@ -12,52 +12,50 @@ import (
 
 // openReplica opens a durable engine acting as a replica (no OnCommit; it
 // receives records through ApplyRecord).
-func openReplica(t *testing.T, dir string, shards int) *DurableEngine {
+func openReplica(t *testing.T, dir string) *DurableEngine {
 	t.Helper()
-	return openDurable(t, dir, shards, DurableOptions{Fsync: wal.SyncNever})
+	return openDurable(t, dir, DurableOptions{Fsync: wal.SyncNever})
 }
 
 // TestReplicationShippedRecordsConverge runs the full scripted workload on a
 // primary whose OnCommit ships every record straight into a replica, checking
 // after every op that the replica's candidates match the never-crashed twin.
 func TestReplicationShippedRecordsConverge(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		base := t.TempDir()
-		replica := openReplica(t, filepath.Join(base, "replica"), shards)
-		defer replica.Close()
-		var shipped []wal.Record
-		primary := openDurable(t, filepath.Join(base, "primary"), shards, DurableOptions{
-			Fsync: wal.SyncNever,
-			OnCommit: func(r wal.Record) {
-				shipped = append(shipped, r)
-				if err := replica.ApplyRecord(r); err != nil {
-					t.Errorf("shards=%d: ApplyRecord(LSN %d): %v", shards, r.LSN, err)
-				}
-			},
-		})
-		defer primary.Close()
-
-		expected := expectedCandidates(t, shards)
-		for i, op := range recoveryOps(t) {
-			if err := op(primary); err != nil {
-				t.Fatalf("shards=%d op %d: %v", shards, i, err)
-			}
-			if got := replica.Candidates(); !pairsEqual(got, expected[i+1]) {
-				t.Fatalf("shards=%d after op %d: replica candidates %v, want %v", shards, i, got, expected[i+1])
-			}
-		}
-		if p, r := primary.AppliedLSN(), replica.AppliedLSN(); p != r {
-			t.Fatalf("shards=%d: applied LSN diverged: primary %d, replica %d", shards, p, r)
-		}
-		// Re-shipping the whole history (a retry storm) is a no-op.
-		for _, r := range shipped {
+	base := t.TempDir()
+	replica := openReplica(t, filepath.Join(base, "replica"))
+	defer replica.Close()
+	var shipped []wal.Record
+	primary := openDurable(t, filepath.Join(base, "primary"), DurableOptions{
+		Fsync: wal.SyncNever,
+		OnCommit: func(r wal.Record) {
+			shipped = append(shipped, r)
 			if err := replica.ApplyRecord(r); err != nil {
-				t.Fatalf("shards=%d re-ship LSN %d: %v", shards, r.LSN, err)
+				t.Errorf("ApplyRecord(LSN %d): %v", r.LSN, err)
 			}
+		},
+	})
+	defer primary.Close()
+
+	expected := expectedCandidates(t)
+	for i, op := range recoveryOps(t) {
+		if err := op(primary); err != nil {
+			t.Fatalf("op %d: %v", i, err)
 		}
-		if got := replica.Candidates(); !pairsEqual(got, expected[len(expected)-1]) {
-			t.Fatalf("shards=%d: re-ship changed replica state", shards)
+		if got := replica.Candidates(); !pairsEqual(got, expected[i+1]) {
+			t.Fatalf("after op %d: replica candidates %v, want %v", i, got, expected[i+1])
 		}
+	}
+	if p, r := primary.AppliedLSN(), replica.AppliedLSN(); p != r {
+		t.Fatalf("applied LSN diverged: primary %d, replica %d", p, r)
+	}
+	// Re-shipping the whole history (a retry storm) is a no-op.
+	for _, r := range shipped {
+		if err := replica.ApplyRecord(r); err != nil {
+			t.Fatalf("re-ship LSN %d: %v", r.LSN, err)
+		}
+	}
+	if got := replica.Candidates(); !pairsEqual(got, expected[len(expected)-1]) {
+		t.Fatal("re-ship changed replica state")
 	}
 }
 
@@ -66,12 +64,12 @@ func TestReplicationShippedRecordsConverge(t *testing.T) {
 // gap with the primary's RecordsSince feed.
 func TestReplicationGapAndCatchUp(t *testing.T) {
 	base := t.TempDir()
-	replica := openReplica(t, filepath.Join(base, "replica"), 1)
+	replica := openReplica(t, filepath.Join(base, "replica"))
 	defer replica.Close()
 	ops := recoveryOps(t)
 	lost := 3 // ship ops[:lost], drop the rest on the floor
 	var n int
-	primary := openDurable(t, filepath.Join(base, "primary"), 1, DurableOptions{
+	primary := openDurable(t, filepath.Join(base, "primary"), DurableOptions{
 		Fsync: wal.SyncNever,
 		OnCommit: func(r wal.Record) {
 			n++
@@ -117,7 +115,7 @@ func TestReplicationGapAndCatchUp(t *testing.T) {
 			t.Fatalf("catch-up LSN %d: %v", r.LSN, err)
 		}
 	}
-	want := expectedCandidates(t, 1)
+	want := expectedCandidates(t)
 	if got := replica.Candidates(); !pairsEqual(got, want[len(want)-1]) {
 		t.Fatalf("after catch-up: replica candidates %v, want %v", got, want[len(want)-1])
 	}
@@ -134,7 +132,7 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 	ops := recoveryOps(t)
 	cut := 4
 	var late []wal.Record
-	primary := openDurable(t, filepath.Join(base, "primary"), 1, DurableOptions{
+	primary := openDurable(t, filepath.Join(base, "primary"), DurableOptions{
 		Fsync: wal.SyncNever,
 		OnCommit: func(r wal.Record) {
 			if r.LSN > uint64(cut) {
@@ -171,7 +169,7 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 	if err := InstallSnapshot(replDir, snap); err != nil {
 		t.Fatalf("InstallSnapshot: %v", err)
 	}
-	replica := openReplica(t, replDir, 1)
+	replica := openReplica(t, replDir)
 	defer replica.Close()
 	if replica.AppliedLSN() != uint64(cut) {
 		t.Fatalf("bootstrapped replica applied %d, want %d", replica.AppliedLSN(), cut)
@@ -181,7 +179,7 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 			t.Fatalf("post-bootstrap ship LSN %d: %v", r.LSN, err)
 		}
 	}
-	want := expectedCandidates(t, 1)
+	want := expectedCandidates(t)
 	if got := replica.Candidates(); !pairsEqual(got, want[len(want)-1]) {
 		t.Fatalf("bootstrapped replica candidates %v, want %v", got, want[len(want)-1])
 	}
@@ -198,8 +196,8 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 func TestReplicationPromotedReplicaShips(t *testing.T) {
 	base := t.TempDir()
 	replDir := filepath.Join(base, "replica")
-	replica := openReplica(t, replDir, 1)
-	primary := openDurable(t, filepath.Join(base, "primary"), 1, DurableOptions{
+	replica := openReplica(t, replDir)
+	primary := openDurable(t, filepath.Join(base, "primary"), DurableOptions{
 		Fsync: wal.SyncNever,
 		OnCommit: func(r wal.Record) {
 			if err := replica.ApplyRecord(r); err != nil {
@@ -223,7 +221,7 @@ func TestReplicationPromotedReplicaShips(t *testing.T) {
 			t.Fatalf("post-promotion op %d: %v", 5+i, err)
 		}
 	}
-	want := expectedCandidates(t, 1)
+	want := expectedCandidates(t)
 	if got := replica.Candidates(); !pairsEqual(got, want[len(want)-1]) {
 		t.Fatalf("promoted replica candidates %v, want %v", got, want[len(want)-1])
 	}
@@ -231,7 +229,7 @@ func TestReplicationPromotedReplicaShips(t *testing.T) {
 	if err := replica.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	recovered := openReplica(t, replDir, 1)
+	recovered := openReplica(t, replDir)
 	defer recovered.Close()
 	if got := recovered.Candidates(); !pairsEqual(got, want[len(want)-1]) {
 		t.Fatalf("recovered promoted replica candidates %v, want %v", got, want[len(want)-1])
@@ -249,7 +247,7 @@ func TestCheckpointFaultLeavesRecoverableState(t *testing.T) {
 			dir := t.TempDir()
 			fault := &wal.AtomicFault{}
 			metrics := wal.NewMetrics(obs.NewRegistry())
-			d := openDurable(t, dir, 1, DurableOptions{
+			d := openDurable(t, dir, DurableOptions{
 				Fsync:           wal.SyncAlways,
 				Metrics:         metrics,
 				CheckpointFault: fault,
@@ -301,9 +299,9 @@ func TestCheckpointFaultLeavesRecoverableState(t *testing.T) {
 			if err := d.Crash(); err != nil {
 				t.Fatal(err)
 			}
-			recovered := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncNever})
+			recovered := openDurable(t, dir, DurableOptions{Fsync: wal.SyncNever})
 			defer recovered.Close()
-			want := expectedCandidates(t, 1)
+			want := expectedCandidates(t)
 			if got := recovered.Candidates(); !pairsEqual(got, want[len(want)-1]) {
 				t.Fatalf("recovered candidates %v, want %v", got, want[len(want)-1])
 			}

@@ -122,7 +122,8 @@ type mutator interface {
 }
 
 // recoveryOps is the scripted workload; each op becomes exactly one WAL
-// record, covering all four record kinds.
+// record, covering all four record kinds. The shardedFixture data dir was
+// written from this script, so changing it invalidates the fixture.
 func recoveryOps(t *testing.T) []func(m mutator) error {
 	t.Helper()
 	q0 := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 0}, [][3]int{{0, 1, 1}})
@@ -153,19 +154,14 @@ func recoveryOps(t *testing.T) []func(m mutator) error {
 	}
 }
 
-// twinEngine builds the never-crashed reference engine.
-func twinEngine(shards int) mutator {
-	return NewShardedMonitor(func() Filter { return newLabelFilter() }, shards)
-}
-
-// expectedCandidates returns the candidate set after each op prefix:
-// expected[k] is the answer after the first k ops.
-func expectedCandidates(t *testing.T, shards int) [][]Pair {
+// expectedCandidates returns the candidate set of a never-crashed engine
+// after each op prefix: expected[k] is the answer after the first k ops.
+func expectedCandidates(t *testing.T) [][]Pair {
 	t.Helper()
 	ops := recoveryOps(t)
 	expected := make([][]Pair, len(ops)+1)
 	for k := 0; k <= len(ops); k++ {
-		m := twinEngine(shards)
+		m := NewMonitor(newLabelFilter())
 		for _, op := range ops[:k] {
 			if err := op(m); err != nil {
 				t.Fatalf("twin op: %v", err)
@@ -188,9 +184,8 @@ func pairsEqual(a, b []Pair) bool {
 	return true
 }
 
-func openDurable(t *testing.T, dir string, shards int, opts DurableOptions) *DurableEngine {
+func openDurable(t *testing.T, dir string, opts DurableOptions) *DurableEngine {
 	t.Helper()
-	opts.Shards = shards
 	d, err := OpenDurableEngine(dir, func() Filter { return newLabelFilter() }, opts)
 	if err != nil {
 		t.Fatalf("OpenDurableEngine(%s): %v", dir, err)
@@ -200,9 +195,9 @@ func openDurable(t *testing.T, dir string, shards int, opts DurableOptions) *Dur
 
 // runAndCrash applies the full workload to a fresh durable engine and kills
 // it without a checkpoint, returning the raw WAL bytes.
-func runAndCrash(t *testing.T, dir string, shards int) []byte {
+func runAndCrash(t *testing.T, dir string) []byte {
 	t.Helper()
-	d := openDurable(t, dir, shards, DurableOptions{Fsync: wal.SyncAlways})
+	d := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
 	for i, op := range recoveryOps(t) {
 		if err := op(d); err != nil {
 			t.Fatalf("op %d: %v", i, err)
@@ -241,51 +236,91 @@ func walFrameEnds(t *testing.T, data []byte) []int64 {
 	return ends
 }
 
-// killPoint boots an engine from a WAL prefix cut at an arbitrary byte.
-func killPoint(t *testing.T, data []byte, cut int64, shards int) *DurableEngine {
+// killPoint boots an engine from a WAL prefix cut at an arbitrary byte, on
+// top of a checkpoint when one is given.
+func killPoint(t *testing.T, checkpoint, data []byte, cut int64) *DurableEngine {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "wal.log"), data[:cut], 0o644); err != nil {
+	writeDataDir(t, dir, checkpoint, data[:cut])
+	return openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
+}
+
+// writeDataDir lays out a data dir: wal.log, plus checkpoint.json if given.
+func writeDataDir(t *testing.T, dir string, checkpoint, walBytes []byte) {
+	t.Helper()
+	if checkpoint != nil {
+		if err := os.WriteFile(filepath.Join(dir, checkpointFileName), checkpoint, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, walFileName), walBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return openDurable(t, dir, shards, DurableOptions{Fsync: wal.SyncAlways})
+}
+
+// shardedFixture is a data dir written before the engine lost stream
+// sharding, by an engine that split its streams over three filter shards:
+// it ran recoveryOps[:4], checkpointed, ran recoveryOps[4:] (a RemoveQuery
+// among them) and was killed. Neither the checkpoint nor the WAL records
+// shard placement, so the one-filter engine must boot it as its own.
+const shardedFixture = "testdata/sharded"
+
+// readShardedFixture returns the fixture's checkpoint and WAL bytes.
+func readShardedFixture(t *testing.T) (checkpoint, walBytes []byte) {
+	t.Helper()
+	checkpoint, err := os.ReadFile(filepath.Join(shardedFixture, checkpointFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walBytes, err = os.ReadFile(filepath.Join(shardedFixture, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checkpoint, walBytes
 }
 
 // TestDurableKillPointEveryByte is the crash-recovery property test: for a
 // WAL torn at every possible byte boundary, recovery must reach exactly the
 // state of a never-crashed engine that executed the surviving record prefix.
+// The "sharded" case tears the sharded fixture's WAL tail on top of its
+// checkpoint.
 func TestDurableKillPointEveryByte(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		shards := shards
-		t.Run(map[int]string{1: "monitor", 3: "sharded"}[shards], func(t *testing.T) {
-			data := runAndCrash(t, t.TempDir(), shards)
-			ends := walFrameEnds(t, data)
-			expected := expectedCandidates(t, shards)
-			if len(ends) != len(expected)-1 {
-				t.Fatalf("WAL has %d records for %d ops", len(ends), len(expected)-1)
+	expected := expectedCandidates(t)
+	t.Run("monitor", func(t *testing.T) {
+		testKillPoints(t, nil, runAndCrash(t, t.TempDir()), expected)
+	})
+	t.Run("sharded", func(t *testing.T) {
+		checkpoint, data := readShardedFixture(t)
+		// The fixture checkpointed after the first half of the ops.
+		testKillPoints(t, checkpoint, data, expected[len(recoveryOps(t))/2:])
+	})
+}
+
+// testKillPoints boots every byte-prefix of data (on top of checkpoint) and
+// compares with expected[k], the answer after the checkpoint plus k records.
+func testKillPoints(t *testing.T, checkpoint, data []byte, expected [][]Pair) {
+	ends := walFrameEnds(t, data)
+	if len(ends) != len(expected)-1 {
+		t.Fatalf("WAL has %d records for %d ops", len(ends), len(expected)-1)
+	}
+	for cut := int64(testWALMagicLen); cut <= int64(len(data)); cut++ {
+		complete := 0
+		for _, end := range ends {
+			if end <= cut {
+				complete++
 			}
-			for cut := int64(testWALMagicLen); cut <= int64(len(data)); cut++ {
-				complete := 0
-				for _, end := range ends {
-					if end <= cut {
-						complete++
-					}
-				}
-				d := killPoint(t, data, cut, shards)
-				if got := d.Candidates(); !pairsEqual(got, expected[complete]) {
-					t.Fatalf("cut at byte %d (%d complete records): candidates %v, want %v",
-						cut, complete, got, expected[complete])
-				}
-				if err := d.Crash(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
+		}
+		d := killPoint(t, checkpoint, data, cut)
+		if got := d.Candidates(); !pairsEqual(got, expected[complete]) {
+			t.Fatalf("cut at byte %d (%d complete records): candidates %v, want %v",
+				cut, complete, got, expected[complete])
+		}
+		if err := d.Crash(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestDurableRecoveredEngineAcceptsWrites ensures a recovered engine is live:
-// post-recovery mutations append, and a second recovery includes them.
 // TestCrashImmediatelyAfterOpenDoesNotHang: stopping an engine whose
 // checkpoint goroutine has not been scheduled yet must still stop that
 // goroutine. The loop used to read its stop channel from a field stopLoop
@@ -319,12 +354,14 @@ func TestCrashImmediatelyAfterOpenDoesNotHang(t *testing.T) {
 	}
 }
 
+// TestDurableRecoveredEngineAcceptsWrites ensures a recovered engine is live:
+// post-recovery mutations append, and a second recovery includes them.
 func TestDurableRecoveredEngineAcceptsWrites(t *testing.T) {
-	data := runAndCrash(t, t.TempDir(), 1)
+	data := runAndCrash(t, t.TempDir())
 	// Cut mid-final-record: the torn record is discarded on recovery.
 	ends := walFrameEnds(t, data)
 	cut := ends[len(ends)-1] - 3
-	d := killPoint(t, data, cut, 1)
+	d := killPoint(t, nil, data, cut)
 	if _, err := d.StepAll(map[StreamID]graph.ChangeSet{1: {graph.InsertOp(5, 0, 6, 0, 9)}}); err != nil {
 		t.Fatalf("step after recovery: %v", err)
 	}
@@ -333,7 +370,7 @@ func TestDurableRecoveredEngineAcceptsWrites(t *testing.T) {
 	if err := d.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncAlways})
+	d2 := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
 	defer d2.Crash()
 	if got := d2.Candidates(); !pairsEqual(got, want) {
 		t.Fatalf("second recovery: candidates %v, want %v", got, want)
@@ -341,37 +378,58 @@ func TestDurableRecoveredEngineAcceptsWrites(t *testing.T) {
 }
 
 // TestDurableCheckpointThenCrash covers checkpoint + post-checkpoint records.
+// The "sharded" case is the upgrade path: the same scenario's data dir as a
+// three-shard engine wrote it (shardedFixture) must recover unchanged.
 func TestDurableCheckpointThenCrash(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		shards := shards
-		t.Run(map[int]string{1: "monitor", 3: "sharded"}[shards], func(t *testing.T) {
-			dir := t.TempDir()
-			ops := recoveryOps(t)
-			d := openDurable(t, dir, shards, DurableOptions{Fsync: wal.SyncAlways})
-			mid := len(ops) / 2
-			for _, op := range ops[:mid] {
-				if err := op(d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := d.Checkpoint(); err != nil {
+	ops := recoveryOps(t)
+	t.Run("monitor", func(t *testing.T) {
+		dir := t.TempDir()
+		d := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
+		mid := len(ops) / 2
+		for _, op := range ops[:mid] {
+			if err := op(d); err != nil {
 				t.Fatal(err)
 			}
-			for _, op := range ops[mid:] {
-				if err := op(d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := d.Crash(); err != nil {
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops[mid:] {
+			if err := op(d); err != nil {
 				t.Fatal(err)
 			}
-			d2 := openDurable(t, dir, shards, DurableOptions{Fsync: wal.SyncAlways})
-			defer d2.Crash()
-			want := expectedCandidates(t, shards)[len(ops)]
-			if got := d2.Candidates(); !pairsEqual(got, want) {
-				t.Fatalf("recovered candidates %v, want %v", got, want)
-			}
-		})
+		}
+		if err := d.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		assertRecoversLikeReplay(t, dir)
+	})
+	t.Run("sharded", func(t *testing.T) {
+		dir := t.TempDir()
+		checkpoint, data := readShardedFixture(t)
+		writeDataDir(t, dir, checkpoint, data)
+		assertRecoversLikeReplay(t, dir)
+	})
+}
+
+// assertRecoversLikeReplay boots dir and requires the candidates and next
+// IDs of an engine that ran every recovery op from scratch.
+func assertRecoversLikeReplay(t *testing.T, dir string) {
+	t.Helper()
+	twin := NewMonitor(newLabelFilter())
+	for _, op := range recoveryOps(t) {
+		if err := op(twin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
+	defer d.Crash()
+	if got, want := d.Candidates(), twin.Candidates(); !pairsEqual(got, want) {
+		t.Fatalf("recovered candidates %v, want %v", got, want)
+	}
+	gotQ, gotS := d.NextIDs()
+	if wantQ, wantS := twin.nextIDs(); gotQ != wantQ || gotS != wantS {
+		t.Fatalf("recovered next IDs (%d, %d), want (%d, %d)", gotQ, gotS, wantQ, wantS)
 	}
 }
 
@@ -381,11 +439,11 @@ func TestDurableCheckpointThenCrash(t *testing.T) {
 // would fail on duplicate query IDs).
 func TestDurableStaleWALAfterCheckpoint(t *testing.T) {
 	preDir := t.TempDir()
-	walBytes := runAndCrash(t, preDir, 1) // wal.log with records 1..n, no checkpoint
+	walBytes := runAndCrash(t, preDir) // wal.log with records 1..n, no checkpoint
 
 	// Reopen the same dir and checkpoint: checkpoint.json now has WALSeq=n
 	// and the log is reset.
-	d := openDurable(t, preDir, 1, DurableOptions{Fsync: wal.SyncAlways})
+	d := openDurable(t, preDir, DurableOptions{Fsync: wal.SyncAlways})
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -398,8 +456,8 @@ func TestDurableStaleWALAfterCheckpoint(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(preDir, "wal.log"), walBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d2 := openDurable(t, preDir, 1, DurableOptions{Fsync: wal.SyncAlways})
-	want := expectedCandidates(t, 1)[len(recoveryOps(t))]
+	d2 := openDurable(t, preDir, DurableOptions{Fsync: wal.SyncAlways})
+	want := expectedCandidates(t)[len(recoveryOps(t))]
 	if got := d2.Candidates(); !pairsEqual(got, want) {
 		t.Fatalf("recovered candidates %v, want %v", got, want)
 	}
@@ -411,7 +469,7 @@ func TestDurableStaleWALAfterCheckpoint(t *testing.T) {
 	if err := d2.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	d3 := openDurable(t, preDir, 1, DurableOptions{Fsync: wal.SyncAlways})
+	d3 := openDurable(t, preDir, DurableOptions{Fsync: wal.SyncAlways})
 	defer d3.Crash()
 	if got := d3.Candidates(); !pairsEqual(got, want2) {
 		t.Fatalf("post-window write lost: candidates %v, want %v", got, want2)
@@ -424,7 +482,7 @@ func TestDurableStaleWALAfterCheckpoint(t *testing.T) {
 func TestDurableCleanRestartAfterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	ops := recoveryOps(t)
-	d := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncAlways})
+	d := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
 	for _, op := range ops {
 		if err := op(d); err != nil {
 			t.Fatal(err)
@@ -433,7 +491,7 @@ func TestDurableCleanRestartAfterCheckpoint(t *testing.T) {
 	if err := d.Close(); err != nil { // Close checkpoints and resets the log
 		t.Fatal(err)
 	}
-	d2 := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncAlways})
+	d2 := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
 	if _, err := d2.StepAll(map[StreamID]graph.ChangeSet{1: {graph.InsertOp(7, 0, 8, 0, 4)}}); err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +499,7 @@ func TestDurableCleanRestartAfterCheckpoint(t *testing.T) {
 	if err := d2.Crash(); err != nil { // no checkpoint: the new record must replay
 		t.Fatal(err)
 	}
-	d3 := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncAlways})
+	d3 := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
 	defer d3.Crash()
 	if got := d3.Candidates(); !pairsEqual(got, want) {
 		t.Fatalf("write after clean restart lost: candidates %v, want %v", got, want)
@@ -452,13 +510,13 @@ func TestDurableCleanRestartAfterCheckpoint(t *testing.T) {
 // temp file that boot must discard.
 func TestDurableStaleCheckpointTempIgnored(t *testing.T) {
 	dir := t.TempDir()
-	runAndCrash(t, dir, 1)
+	runAndCrash(t, dir)
 	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json.tmp"), []byte("{half a check"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncAlways})
+	d := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
 	defer d.Crash()
-	want := expectedCandidates(t, 1)[len(recoveryOps(t))]
+	want := expectedCandidates(t)[len(recoveryOps(t))]
 	if got := d.Candidates(); !pairsEqual(got, want) {
 		t.Fatalf("recovered candidates %v, want %v", got, want)
 	}
@@ -471,7 +529,7 @@ func TestDurableStaleCheckpointTempIgnored(t *testing.T) {
 // record of an operation the engine rejects, or replay would diverge.
 func TestDurableRejectedOpLeavesNoRecord(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncAlways})
+	d := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
 	for _, op := range recoveryOps(t) {
 		if err := op(d); err != nil {
 			t.Fatal(err)
@@ -493,7 +551,7 @@ func TestDurableRejectedOpLeavesNoRecord(t *testing.T) {
 	if err := d.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncAlways})
+	d2 := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
 	defer d2.Crash()
 	if got := d2.Candidates(); !pairsEqual(got, want) {
 		t.Fatalf("recovered candidates %v, want %v", got, want)
@@ -509,7 +567,7 @@ func TestDurableRejectedOpLeavesNoRecord(t *testing.T) {
 func TestDurableFaultInjection(t *testing.T) {
 	dir := t.TempDir()
 	var ff *wal.FaultFile
-	d := openDurable(t, dir, 1, DurableOptions{
+	d := openDurable(t, dir, DurableOptions{
 		Fsync: wal.SyncAlways,
 		WrapFile: func(f wal.LogFile) wal.LogFile {
 			ff = wal.NewFaultFile(f, wal.FaultNone, 0)
@@ -542,7 +600,7 @@ func TestDurableFaultInjection(t *testing.T) {
 	if err := d.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncAlways})
+	d2 := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways})
 	defer d2.Crash()
 	if got := d2.Candidates(); !pairsEqual(got, want) {
 		t.Fatalf("recovered candidates %v, want %v", got, want)
@@ -555,7 +613,7 @@ func TestDurableMetrics(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	metrics := wal.NewMetrics(reg)
-	d := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncAlways, Metrics: metrics})
+	d := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways, Metrics: metrics})
 	for _, op := range recoveryOps(t) {
 		if err := op(d); err != nil {
 			t.Fatal(err)
@@ -567,7 +625,7 @@ func TestDurableMetrics(t *testing.T) {
 	if err := d.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := openDurable(t, dir, 1, DurableOptions{Fsync: wal.SyncAlways, Metrics: metrics})
+	d2 := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways, Metrics: metrics})
 	defer d2.Crash()
 	if n := metrics.RecordsAppended.Value(); n != int64(len(recoveryOps(t))) {
 		t.Fatalf("records appended = %d, want %d", n, len(recoveryOps(t)))

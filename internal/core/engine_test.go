@@ -3,23 +3,24 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"nntstream/internal/graph"
 	"nntstream/internal/obs"
+	"nntstream/internal/wal"
 )
 
-// The engine contract. There is one engine type; what varies is the shard
-// count and whether its filter takes whole timestamps (BatchApplier) or one
-// stream at a time, so the suite runs over shards ∈ {1, 3} × those two kinds
-// unless a test needs a filter of a particular kind.
+// The engine contract. There is one engine type driving one filter; what
+// varies is whether the filter takes whole timestamps (BatchApplier) or one
+// stream at a time, so the suite runs over both kinds unless a test needs a
+// filter of a particular kind. Each kind runs at two evaluation-pool widths,
+// 1 and 3; the subtest label keeps its historical "shards=" key for the
+// width so test IDs stay stable. A plain filter has no pool, so its two
+// cells run the same engine.
 
 // passthrough reports every pair as a candidate — sound (no false negatives)
 // but maximally imprecise — and records how the engine drives it. The hooks
@@ -34,7 +35,6 @@ type passthrough struct {
 	addQueryErr  error                    // returned by AddQuery when set
 	addStreamErr func(*graph.Graph) error // consulted by AddStream when set
 	applyErr     func() error             // consulted by Apply when set
-	reversed     bool                     // Candidates in descending order
 }
 
 func (p *passthrough) Name() string { return "passthrough" }
@@ -68,14 +68,7 @@ func (p *passthrough) Candidates() []Pair {
 			out = append(out, Pair{Stream: s, Query: q})
 		}
 	}
-	SortPairs(out)
-	if p.reversed {
-		// The worst case for a merge that relies on pre-sorted inputs.
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
-	}
-	return out
+	return SortPairs(out)
 }
 
 // batchPassthrough is a passthrough that takes whole timestamps.
@@ -112,31 +105,26 @@ func (d *dynamicPassthrough) RemoveQuery(id QueryID) error {
 
 // engineKind names one cell of the contract matrix.
 type engineKind struct {
-	shards int
-	batch  bool
+	workers int // evaluation-pool width handed to a ParallelFilter
+	batch   bool
 }
 
-// build returns an engine of this kind (two evaluation workers per shard)
-// and, per shard, the passthrough recording what that shard's filter saw.
-func (k engineKind) build() (*Monitor, []*passthrough) {
-	var seen []*passthrough
-	m := NewShardedMonitor(func() Filter {
-		if k.batch {
-			b := &batchPassthrough{}
-			seen = append(seen, &b.passthrough)
-			return b
-		}
-		p := &passthrough{}
-		seen = append(seen, p)
-		return p
-	}, k.shards, 2)
-	return m, seen
+// build returns an engine of this kind, its filter's pool sized as serve
+// sizes it, and the passthrough recording what the filter saw.
+func (k engineKind) build() (*Monitor, *passthrough) {
+	if k.batch {
+		b := &batchPassthrough{}
+		b.SetWorkers(k.workers)
+		return NewMonitor(b), &b.passthrough
+	}
+	p := &passthrough{}
+	return NewMonitor(p), p
 }
 
 // forEachEngine runs fn as a subtest per cell of the matrix.
 func forEachEngine(t *testing.T, fn func(t *testing.T, k engineKind)) {
 	for _, k := range []engineKind{{1, false}, {3, false}, {1, true}, {3, true}} {
-		t.Run(fmt.Sprintf("shards=%d/batch=%v", k.shards, k.batch), func(t *testing.T) { fn(t, k) })
+		t.Run(fmt.Sprintf("shards=%d/batch=%v", k.workers, k.batch), func(t *testing.T) { fn(t, k) })
 	}
 }
 
@@ -190,14 +178,14 @@ func pairsSorted(ps []Pair) bool {
 }
 
 // TestEngineLifecycle walks registration, stepping and stats, and checks how
-// each kind of filter is driven: a BatchApplier gets one ApplyAll per shard
-// with exactly that shard's streams and never a per-stream Apply; a plain
-// filter gets one Apply per changed stream.
+// each kind of filter is driven: a BatchApplier gets one ApplyAll per
+// timestamp with exactly the changed streams and never a per-stream Apply;
+// a plain filter gets one Apply per changed stream.
 func TestEngineLifecycle(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, k engineKind) {
 		m, seen := k.build()
-		if m.Shards() != k.shards || m.FilterName() != "passthrough" {
-			t.Fatalf("Shards = %d, FilterName = %q", m.Shards(), m.FilterName())
+		if m.FilterName() != "passthrough" {
+			t.Fatalf("FilterName = %q", m.FilterName())
 		}
 		ids := populate(t, m, 1, 4)
 		if m.QueryCount() != 1 || m.StreamCount() != 4 || m.Query(0) == nil {
@@ -221,26 +209,14 @@ func TestEngineLifecycle(t *testing.T) {
 			t.Fatalf("StepAll pairs = %v", pairs)
 		}
 
-		applies, batched := 0, 0
-		for shard, p := range seen {
-			applies += p.applies
-			for _, b := range p.batches {
-				batched += len(b)
-				for _, id := range b {
-					if m.shardOf[id] != shard {
-						t.Fatalf("shard %d was handed stream %d of shard %d", shard, id, m.shardOf[id])
-					}
-				}
+		if k.batch {
+			want := [][]StreamID{{ids[0]}, ids}
+			if seen.applies != 0 || !reflect.DeepEqual(seen.batches, want) || seen.workers != k.workers {
+				t.Fatalf("batch filter: %d Apply calls, batches %v, pool %d; want 0, %v, %d",
+					seen.applies, seen.batches, seen.workers, want, k.workers)
 			}
-			if k.batch && len(p.batches) > 2 {
-				t.Fatalf("shard %d got %d batches for 2 timestamps", shard, len(p.batches))
-			}
-		}
-		if k.batch && (applies != 0 || batched != 5) {
-			t.Fatalf("batch filter: %d Apply calls, %d batched streams; want 0 and 5", applies, batched)
-		}
-		if !k.batch && (applies != 5 || batched != 0) {
-			t.Fatalf("plain filter: %d Apply calls, %d batched streams; want 5 and 0", applies, batched)
+		} else if seen.applies != 5 || len(seen.batches) != 0 {
+			t.Fatalf("plain filter: %d Apply calls, %d batches; want 5 and 0", seen.applies, len(seen.batches))
 		}
 
 		st := m.Stats()
@@ -255,120 +231,73 @@ func TestEngineLifecycle(t *testing.T) {
 }
 
 // TestEngineSentinelErrorsAndSealRule: a static filter's query set is sealed
-// by the first stream and never shrinks; a DynamicFilter's is neither.
+// by the first stream attempt, even one the filter rejects (which consumes no
+// stream ID), and never shrinks; a DynamicFilter's is neither.
 func TestEngineSentinelErrorsAndSealRule(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		static := NewShardedMonitor(func() Filter { return &passthrough{} }, shards)
-		populate(t, static, 1, 1)
-		if _, err := static.AddQuery(edgeAB(t)); !errors.Is(err, ErrSealed) {
-			t.Fatalf("shards=%d: post-stream AddQuery error = %v; want ErrSealed", shards, err)
+	static := NewMonitor(&passthrough{addStreamErr: func(g *graph.Graph) error {
+		if g.EdgeCount() == 0 {
+			return errors.New("no edges")
 		}
-		if _, err := static.StepAll(map[StreamID]graph.ChangeSet{7: nil}); !errors.Is(err, ErrUnknownStream) {
-			t.Fatalf("shards=%d: StepAll error = %v; want ErrUnknownStream", shards, err)
-		}
-		if err := static.RemoveQuery(0); !errors.Is(err, ErrUnsupported) {
-			t.Fatalf("shards=%d: RemoveQuery error = %v; want ErrUnsupported", shards, err)
-		}
+		return nil
+	}})
+	populate(t, static, 1, 0)
+	if _, err := static.AddStream(buildGraph(t, map[graph.VertexID]graph.Label{0: 0}, nil)); err == nil {
+		t.Fatal("edgeless stream should be rejected")
+	}
+	if _, err := static.AddQuery(edgeAB(t)); !errors.Is(err, ErrSealed) {
+		t.Fatalf("AddQuery after a stream attempt: error = %v; want ErrSealed", err)
+	}
+	if id, err := static.AddStream(edgeAB(t)); err != nil || id != 0 {
+		t.Fatalf("AddStream after a rejected one = %d, %v; want 0 (a failed add must not leak an ID)", id, err)
+	}
+	if _, err := static.StepAll(map[StreamID]graph.ChangeSet{7: nil}); !errors.Is(err, ErrUnknownStream) {
+		t.Fatalf("StepAll error = %v; want ErrUnknownStream", err)
+	}
+	if err := static.RemoveQuery(0); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("RemoveQuery error = %v; want ErrUnsupported", err)
+	}
 
-		var filters []*dynamicPassthrough
-		dynamic := NewShardedMonitor(func() Filter {
-			filters = append(filters, &dynamicPassthrough{})
-			return filters[len(filters)-1]
-		}, shards)
-		populate(t, dynamic, 1, 1)
-		id, err := dynamic.AddQuery(edgeAB(t))
-		if err != nil || id != 1 {
-			t.Fatalf("shards=%d: post-stream AddQuery on a dynamic filter = %d, %v", shards, id, err)
-		}
-		if err := dynamic.RemoveQuery(9); !errors.Is(err, ErrUnknownQuery) {
-			t.Fatalf("shards=%d: RemoveQuery(9) error = %v; want ErrUnknownQuery", shards, err)
-		}
-		if err := dynamic.RemoveQuery(0); err != nil {
-			t.Fatal(err)
-		}
-		for i, f := range filters {
-			if len(f.queries) != 1 || f.queries[0] != 1 {
-				t.Fatalf("shards=%d: shard %d holds queries %v after removal; want [1]", shards, i, f.queries)
-			}
-		}
-		if dynamic.QueryCount() != 1 || dynamic.Query(0) != nil {
-			t.Fatalf("shards=%d: removed query still registered", shards)
-		}
+	f := &dynamicPassthrough{}
+	dynamic := NewMonitor(f)
+	populate(t, dynamic, 1, 1)
+	id, err := dynamic.AddQuery(edgeAB(t))
+	if err != nil || id != 1 {
+		t.Fatalf("post-stream AddQuery on a dynamic filter = %d, %v", id, err)
+	}
+	if err := dynamic.RemoveQuery(9); !errors.Is(err, ErrUnknownQuery) {
+		t.Fatalf("RemoveQuery(9) error = %v; want ErrUnknownQuery", err)
+	}
+	if err := dynamic.RemoveQuery(0); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f.queries, []QueryID{1}) {
+		t.Fatalf("filter holds queries %v after removal; want [1]", f.queries)
+	}
+	if dynamic.QueryCount() != 1 || dynamic.Query(0) != nil {
+		t.Fatal("removed query still registered")
 	}
 }
 
-// TestEngineAddQueryRollback: when the last shard rejects a query, the shards
-// that already accepted it roll it back, and the query ID is not consumed.
+// TestEngineAddQueryRollback: a query the filter rejects allocates no ID and
+// registers nothing.
 func TestEngineAddQueryRollback(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		var filters []*dynamicPassthrough
-		m := NewShardedMonitor(func() Filter {
-			filters = append(filters, &dynamicPassthrough{})
-			return filters[len(filters)-1]
-		}, shards)
-		filters[shards-1].addQueryErr = errors.New("flaky")
-		if _, err := m.AddQuery(edgeAB(t)); err == nil {
-			t.Fatalf("shards=%d: AddQuery should fail when a shard rejects it", shards)
-		}
-		for i, f := range filters {
-			if len(f.queries) != 0 {
-				t.Fatalf("shards=%d: shard %d still holds %v after the failed AddQuery", shards, i, f.queries)
-			}
-		}
-		if m.QueryCount() != 0 {
-			t.Fatalf("shards=%d: engine holds %d queries after the failed AddQuery", shards, m.QueryCount())
-		}
-		filters[shards-1].addQueryErr = nil
-		id, err := m.AddQuery(edgeAB(t))
-		if err != nil || id != 0 {
-			t.Fatalf("shards=%d: AddQuery after the fault cleared = %d, %v; want 0 (a failed add must not leak an ID)", shards, id, err)
-		}
-		for i, f := range filters {
-			if len(f.queries) != 1 {
-				t.Fatalf("shards=%d: shard %d missing the query", shards, i)
-			}
-		}
+	f := &dynamicPassthrough{}
+	m := NewMonitor(f)
+	f.addQueryErr = errors.New("flaky")
+	if _, err := m.AddQuery(edgeAB(t)); err == nil {
+		t.Fatal("AddQuery should fail when the filter rejects it")
 	}
-}
-
-// TestEngineLeastLoadedPlacement: streams go to the shard with the fewest
-// streams, ties to the lowest index — round-robin as long as nothing fails —
-// and a rejected stream consumes neither an ID nor load.
-func TestEngineLeastLoadedPlacement(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		m := NewShardedMonitor(func() Filter {
-			return &passthrough{addStreamErr: func(g *graph.Graph) error {
-				if g.EdgeCount() == 0 {
-					return errors.New("no edges")
-				}
-				return nil
-			}}
-		}, shards)
-		edgeless := buildGraph(t, map[graph.VertexID]graph.Label{0: 0}, nil)
-		wantLoads := make([]int, shards)
-		for want := StreamID(0); want < 5; want++ {
-			if want == 1 {
-				if _, err := m.AddStream(edgeless); err == nil {
-					t.Fatal("edgeless stream should be rejected")
-				}
-			}
-			id, err := m.AddStream(edgeAB(t))
-			if err != nil || id != want {
-				t.Fatalf("shards=%d: AddStream = %d, %v; want contiguous ID %d", shards, id, err, want)
-			}
-			if m.shardOf[id] != int(id)%shards {
-				t.Fatalf("shards=%d: stream %d on shard %d; want %d", shards, id, m.shardOf[id], int(id)%shards)
-			}
-			wantLoads[int(id)%shards]++
-		}
-		if !reflect.DeepEqual(m.loads, wantLoads) {
-			t.Fatalf("shards=%d: loads = %v; want %v", shards, m.loads, wantLoads)
-		}
+	if m.QueryCount() != 0 || m.Query(0) != nil {
+		t.Fatalf("engine holds %d queries after the failed AddQuery", m.QueryCount())
+	}
+	f.addQueryErr = nil
+	if id, err := m.AddQuery(edgeAB(t)); err != nil || id != 0 {
+		t.Fatalf("AddQuery after the fault cleared = %d, %v; want 0 (a failed add must not leak an ID)", id, err)
 	}
 }
 
 // TestEngineStepAllAtomic: a batch with one valid and one invalid change set
-// (or one unknown stream) is rejected as a whole — no filter sees an
+// (or one unknown stream) is rejected as a whole — the filter sees no
 // operation, every canonical graph is unchanged, no timestamp is counted.
 func TestEngineStepAllAtomic(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, k engineKind) {
@@ -383,10 +312,8 @@ func TestEngineStepAllAtomic(t *testing.T) {
 			if _, err := m.StepAll(bad); err == nil {
 				t.Fatalf("%s: StepAll must fail", name)
 			}
-			for i, p := range seen {
-				if p.applies != 0 || len(p.batches) != 0 {
-					t.Fatalf("%s: shard %d saw %d Apply and %d ApplyAll calls despite the rejection", name, i, p.applies, len(p.batches))
-				}
+			if seen.applies != 0 || len(seen.batches) != 0 {
+				t.Fatalf("%s: filter saw %d Apply and %d ApplyAll calls despite the rejection", name, seen.applies, len(seen.batches))
 			}
 			for _, id := range ids {
 				if got := m.StreamGraph(id).EdgeCount(); got != 1 {
@@ -409,80 +336,71 @@ func TestEngineStepAllAtomic(t *testing.T) {
 
 // TestEngineFilterErrorSwapsNothing: a plain filter whose Apply fails on the
 // second stream of a timestamp must not leave the first stream's canonical
-// graph advanced — staged graphs are swapped in only after every shard
-// applied.
+// graph advanced — staged graphs are swapped in only after the filter
+// applied the whole timestamp.
 func TestEngineFilterErrorSwapsNothing(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		var calls atomic.Int64
-		m := NewShardedMonitor(func() Filter {
-			return &passthrough{applyErr: func() error {
-				if calls.Add(1) == 2 {
-					return errors.New("second apply fails")
-				}
-				return nil
-			}}
-		}, shards)
-		ids := populate(t, m, 1, 3)
-		changes := make(map[StreamID]graph.ChangeSet)
-		for _, id := range ids {
-			changes[id] = graph.ChangeSet{graph.InsertOp(0, 0, 2, 2, 0)}
+	calls := 0
+	m := NewMonitor(&passthrough{applyErr: func() error {
+		if calls++; calls == 2 {
+			return errors.New("second apply fails")
 		}
-		if _, err := m.StepAll(changes); err == nil {
-			t.Fatalf("shards=%d: StepAll must report the filter error", shards)
+		return nil
+	}})
+	ids := populate(t, m, 1, 3)
+	changes := make(map[StreamID]graph.ChangeSet)
+	for _, id := range ids {
+		changes[id] = graph.ChangeSet{graph.InsertOp(0, 0, 2, 2, 0)}
+	}
+	if _, err := m.StepAll(changes); err == nil {
+		t.Fatal("StepAll must report the filter error")
+	}
+	for _, id := range ids {
+		if got := m.StreamGraph(id).EdgeCount(); got != 1 {
+			t.Fatalf("stream %d canonical graph advanced to %d edges by a failed step", id, got)
 		}
-		for _, id := range ids {
-			if got := m.StreamGraph(id).EdgeCount(); got != 1 {
-				t.Fatalf("shards=%d: stream %d canonical graph advanced to %d edges by a failed step", shards, id, got)
-			}
-		}
-		if st := m.Stats(); st.Timestamps != 0 {
-			t.Fatalf("shards=%d: failed step counted as a timestamp: %+v", shards, st)
-		}
+	}
+	if st := m.Stats(); st.Timestamps != 0 {
+		t.Fatalf("failed step counted as a timestamp: %+v", st)
 	}
 }
 
-// TestEngineWorkers pins the pool-sizing plumbing: an explicit bound reaches
-// every shard's filter, the default splits GOMAXPROCS across the shards, and
-// NewMonitor leaves a caller-built filter alone.
+// TestEngineWorkers pins the pool-sizing plumbing: OpenDurableEngine hands
+// DurableOptions.Workers to a ParallelFilter unchanged (0 leaves the
+// GOMAXPROCS default to the filter), and NewMonitor leaves a caller-built
+// filter alone.
 func TestEngineWorkers(t *testing.T) {
-	var made []*batchPassthrough
-	factory := func() Filter {
-		made = append(made, &batchPassthrough{})
-		return made[len(made)-1]
-	}
-	if m := NewShardedMonitor(factory, 2, 5); m.Workers() != 5 {
-		t.Fatalf("Workers() = %d; want 5", m.Workers())
-	}
-	want := max(1, runtime.GOMAXPROCS(0)/2)
-	if m := NewShardedMonitor(factory, 2); m.Workers() != want {
-		t.Fatalf("default Workers() = %d; want GOMAXPROCS/shards = %d", m.Workers(), want)
-	}
-	for i, f := range made {
-		if w := []int{5, 5, want, want}[i]; f.workers != w {
-			t.Fatalf("filter %d got SetWorkers(%d); want %d", i, f.workers, w)
+	for _, w := range []int{5, 0} {
+		f := &batchPassthrough{passthrough{workers: -1}}
+		d, err := OpenDurableEngine(t.TempDir(), func() Filter { return f }, DurableOptions{Workers: w, Fsync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if m := NewShardedMonitor(factory, 0); m.Shards() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Shards() = %d; want GOMAXPROCS", m.Shards())
+		if f.workers != w {
+			t.Fatalf("Workers: %d reached the filter as SetWorkers(%d)", w, f.workers)
+		}
+		if err := d.Crash(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	own := &batchPassthrough{passthrough{workers: 7}}
-	if m := NewMonitor(own); m.Workers() != 0 || m.Shards() != 1 || own.workers != 7 {
-		t.Fatalf("NewMonitor: Workers() = %d, Shards() = %d, filter bound %d", m.Workers(), m.Shards(), own.workers)
+	if NewMonitor(own); own.workers != 7 {
+		t.Fatalf("NewMonitor changed the filter's bound to %d", own.workers)
 	}
 }
 
-// TestEngineCollectSorted is the collect-ordering contract of a multi-shard
-// engine: even when every shard emits its candidates in reverse order and
-// the shards run concurrently, the merged output of StepAll and Candidates
-// is sorted by (StreamID, QueryID).
+// TestEngineCollectSorted: StepAll and Candidates hand back the filter's own
+// pairs, already sorted by (StreamID, QueryID) under the Filter contract,
+// without re-sorting or copying them into a different order.
 func TestEngineCollectSorted(t *testing.T) {
-	m := NewShardedMonitor(func() Filter { return &batchPassthrough{passthrough{reversed: true}} }, 3, 4)
+	f := &batchPassthrough{}
+	f.SetWorkers(4)
+	m := NewMonitor(f)
 	ids := populate(t, m, 3, 7)
 	pairs, err := m.StepAll(map[StreamID]graph.ChangeSet{ids[0]: nil, ids[4]: nil})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pairs) != 21 || !pairsSorted(pairs) {
+	if len(pairs) != 21 || !pairsSorted(pairs) || !reflect.DeepEqual(pairs, f.Candidates()) {
 		t.Fatalf("StepAll output: %d pairs, sorted=%v: %v", len(pairs), pairsSorted(pairs), pairs)
 	}
 	if got := m.Candidates(); !reflect.DeepEqual(got, pairs) {
@@ -492,7 +410,7 @@ func TestEngineCollectSorted(t *testing.T) {
 
 // TestEngineConcurrentStepAndReads holds the concurrent-use claim to the race
 // detector — one writer stepping, four readers on every read path — and
-// checks the instruments and shard gauges along the way.
+// checks the instruments along the way.
 func TestEngineConcurrentStepAndReads(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, k engineKind) {
 		m, _ := k.build()
@@ -542,15 +460,6 @@ func TestEngineConcurrentStepAndReads(t *testing.T) {
 		if em.CandidateRatio.Value() != 1 || em.CandidatePairs.Value() != 2*rounds {
 			t.Fatalf("ratio=%v pairs=%d", em.CandidateRatio.Value(), em.CandidatePairs.Value())
 		}
-		samples := obs.Gather(m)
-		streamsMax := 2.0 // both streams on the only shard
-		if k.shards > 1 {
-			streamsMax = 1
-		}
-		if samples["nntstream_engine_shards"] != float64(k.shards) || samples["nntstream_engine_shard_workers"] != 2 ||
-			samples["nntstream_engine_shard_streams_max"] != streamsMax {
-			t.Fatalf("shard gauges = %v", samples)
-		}
 		var b strings.Builder
 		if err := reg.WritePrometheus(&b); err != nil {
 			t.Fatal(err)
@@ -562,113 +471,21 @@ func TestEngineConcurrentStepAndReads(t *testing.T) {
 }
 
 func TestEngineExactAndVerification(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		m := NewShardedMonitor(func() Filter { return &passthrough{} }, shards)
-		// Query: A-B. Stream 0 contains it, stream 1 does not.
-		populate(t, m, 1, 1)
-		other := buildGraph(t, map[graph.VertexID]graph.Label{0: 2, 1: 2}, [][3]int{{0, 1, 0}})
-		if _, err := m.AddStream(other); err != nil {
-			t.Fatal(err)
-		}
-		if exact := m.ExactPairs(); !reflect.DeepEqual(exact, []Pair{{Stream: 0, Query: 0}}) {
-			t.Fatalf("ExactPairs = %v", exact)
-		}
-		if missed := m.VerifyNoFalseNegatives(); len(missed) != 0 {
-			t.Fatalf("passthrough cannot miss pairs: %v", missed)
-		}
-		if fps := m.FalsePositives(); !reflect.DeepEqual(fps, []Pair{{Stream: 1, Query: 0}}) {
-			t.Fatalf("FalsePositives = %v", fps)
-		}
+	m := NewMonitor(&passthrough{})
+	// Query: A-B. Stream 0 contains it, stream 1 does not.
+	populate(t, m, 1, 1)
+	other := buildGraph(t, map[graph.VertexID]graph.Label{0: 2, 1: 2}, [][3]int{{0, 1, 0}})
+	if _, err := m.AddStream(other); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// batchLabelFilter is labelFilter behind the batch entry point.
-type batchLabelFilter struct{ *labelFilter }
-
-func (f batchLabelFilter) ApplyAll(changes map[StreamID]graph.ChangeSet) error {
-	for id, cs := range changes {
-		if err := f.Apply(id, cs); err != nil {
-			return err
-		}
+	if exact := m.ExactPairs(); !reflect.DeepEqual(exact, []Pair{{Stream: 0, Query: 0}}) {
+		t.Fatalf("ExactPairs = %v", exact)
 	}
-	return nil
-}
-
-// TestShardsMatchOneShardRandomized is the sharding-is-exact contract: fed
-// the same randomized schedule of query churn, stream registrations and
-// timestamps (some invalid), a three-shard engine and a one-shard engine
-// accept and reject the same operations, report the same candidates after
-// every one, and end with the same canonical graphs and Stats — for both
-// kinds of filter.
-func TestShardsMatchOneShardRandomized(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		factory := func() Filter { return newLabelFilter() }
-		if seed%2 == 1 {
-			factory = func() Filter { return batchLabelFilter{newLabelFilter()} }
-		}
-		one, three := NewShardedMonitor(factory, 1), NewShardedMonitor(factory, 3)
-		r := rand.New(rand.NewSource(seed))
-		randGraph := func() *graph.Graph {
-			g := graph.New()
-			for e := 0; e < 1+r.Intn(4); e++ {
-				u := graph.VertexID(r.Intn(5))
-				op := graph.InsertOp(u, 0, u+1+graph.VertexID(r.Intn(3)), 0, graph.Label(r.Intn(3)))
-				_ = op.Apply(g) // a duplicate edge just leaves g smaller
-			}
-			return g
-		}
-		for step := 0; step < 120; step++ {
-			var errOne, errThree error
-			switch op := r.Intn(10); {
-			case op == 0:
-				g := randGraph()
-				_, errOne = one.AddQuery(g)
-				_, errThree = three.AddQuery(g)
-			case op == 1 && one.QueryCount() > 0:
-				id := QueryID(r.Intn(int(one.nextQ))) // sometimes already removed
-				errOne, errThree = one.RemoveQuery(id), three.RemoveQuery(id)
-			case op == 2 || one.StreamCount() == 0:
-				g := randGraph()
-				_, errOne = one.AddStream(g)
-				_, errThree = three.AddStream(g)
-			default:
-				changes := make(map[StreamID]graph.ChangeSet)
-				for k := 0; k < 1+r.Intn(4); k++ {
-					var cs graph.ChangeSet
-					for e := 0; e < r.Intn(3); e++ {
-						u, v := graph.VertexID(r.Intn(6)), graph.VertexID(6+r.Intn(3))
-						if r.Intn(3) == 0 {
-							cs = append(cs, graph.DeleteOp(u, v))
-						} else { // inserting an edge that exists makes the batch invalid
-							cs = append(cs, graph.InsertOp(u, 0, v, 0, graph.Label(r.Intn(3))))
-						}
-					}
-					changes[StreamID(r.Intn(one.StreamCount()))] = cs
-				}
-				var pOne, pThree []Pair
-				pOne, errOne = one.StepAll(changes)
-				pThree, errThree = three.StepAll(changes)
-				if !pairsEqual(pOne, pThree) {
-					t.Fatalf("seed %d step %d: StepAll pairs %v != %v", seed, step, pThree, pOne)
-				}
-			}
-			if (errOne == nil) != (errThree == nil) {
-				t.Fatalf("seed %d step %d: one shard: %v; three shards: %v", seed, step, errOne, errThree)
-			}
-			if got, want := three.Candidates(), one.Candidates(); !pairsEqual(got, want) {
-				t.Fatalf("seed %d step %d: candidates %v != %v", seed, step, got, want)
-			}
-		}
-		for id := StreamID(0); int(id) < one.StreamCount(); id++ {
-			if !three.StreamGraph(id).Equal(one.StreamGraph(id)) {
-				t.Fatalf("seed %d: canonical graph of stream %d diverges", seed, id)
-			}
-		}
-		sOne, sThree := one.Stats(), three.Stats()
-		sOne.FilterTime, sThree.FilterTime = 0, 0 // wall time is the one thing sharding may change
-		if sOne != sThree || sOne.Timestamps == 0 || sOne.CandidatePairs == 0 {
-			t.Fatalf("seed %d: stats %+v != %+v", seed, sThree, sOne)
-		}
+	if missed := m.VerifyNoFalseNegatives(); len(missed) != 0 {
+		t.Fatalf("passthrough cannot miss pairs: %v", missed)
+	}
+	if fps := m.FalsePositives(); !reflect.DeepEqual(fps, []Pair{{Stream: 1, Query: 0}}) {
+		t.Fatalf("FalsePositives = %v", fps)
 	}
 }
 

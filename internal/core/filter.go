@@ -71,10 +71,9 @@ type Filter interface {
 }
 
 // BatchApplier is an optional Filter extension: the engine hands one
-// timestamp's change sets for all of a shard's streams to the filter at
-// once, so the filter can fan the per-(stream, query) dominance
-// re-evaluation out over a bounded worker pool instead of walking the
-// streams one by one.
+// timestamp's change sets for all streams to the filter at once, so the
+// filter can fan the per-(stream, query) dominance re-evaluation out over a
+// bounded worker pool instead of walking the streams one by one.
 //
 // ApplyAll must be observationally equivalent to calling Apply once per
 // entry in any order — entries address distinct streams, and the engine
@@ -89,10 +88,10 @@ type BatchApplier interface {
 // ParallelFilter is implemented by filters whose evaluation fans out over
 // a bounded worker pool. SetWorkers(n) bounds the pool at n goroutines;
 // n <= 0 sizes it to runtime.GOMAXPROCS and n == 1 runs every batch inline
-// on the caller's goroutine. Filters default to one worker until an engine
-// (NewShardedMonitor, and so DurableEngine) or the caller raises it, so
-// the paper-faithful single-core cost model stays the default for direct
-// library use.
+// on the caller's goroutine. Filters default to one worker until
+// OpenDurableEngine (from DurableOptions.Workers) or the caller raises it,
+// so the paper-faithful single-core cost model stays the default for direct
+// library use. The pool is the engine's only parallelism.
 type ParallelFilter interface {
 	SetWorkers(n int)
 }

@@ -10,8 +10,8 @@ import (
 // observation per StepAll timestamp. All instruments share
 // the nntstream_engine_ prefix.
 type EngineMetrics struct {
-	// ApplySeconds is the per-timestamp latency of the filter-apply phase
-	// (the wall-clock time of the shard fan-out).
+	// ApplySeconds is the per-timestamp wall-clock latency of the
+	// filter-apply phase, evaluation pool included.
 	ApplySeconds *obs.Histogram
 	// CollectSeconds is the per-timestamp latency of candidate collection.
 	CollectSeconds *obs.Histogram

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -11,33 +10,25 @@ import (
 	"nntstream/internal/obs"
 )
 
-// FilterFactory builds one filter instance per shard.
+// FilterFactory builds a fresh filter. A durable engine builds its filter
+// from it on every boot, and every cluster group engine builds its own.
 type FilterFactory func() Filter
 
-// Monitor is the continuous-monitoring engine: it drives a filter over a
+// Monitor is the continuous-monitoring engine: it drives one filter over a
 // workload of queries and streams, keeps the canonical stream graphs for
-// verification, and accumulates timing and effectiveness statistics.
-//
-// Streams are partitioned over one or more shards, each an independent
-// instance of the same filter (filters keep per-stream state, so sharding by
-// stream is exact — every shard sees all queries and produces the candidates
-// of its own streams), and one global timestamp fans the per-stream change
-// sets out to the shards that have work. The candidate set does not depend
-// on the shard count; only wall-clock time does. A one-shard engine calls
-// its filter inline and returns the filter's own sorted pairs.
+// verification, and accumulates timing and effectiveness statistics. The
+// engine itself is sequential; a filter that implements ParallelFilter fans
+// each timestamp's streams out over its own evaluation pool.
 //
 // Monitor is safe for concurrent use: mutating calls (AddQuery, AddStream,
 // RemoveQuery, StepAll) serialize behind a write lock, while the read paths
 // (Candidates, Stats, ExactPairs, CollectMetrics) share a read lock and may
 // run concurrently with one another. Filters must honor the Filter contract
 // that Candidates does not mutate observable state (or must synchronize
-// internally), because concurrent readers fan out to the same instances.
+// internally), because concurrent readers call it on the same instance.
 type Monitor struct {
 	mu       sync.RWMutex
-	filters  []Filter // one per shard
-	workers  int      // per-shard evaluation workers handed to ParallelFilters
-	loads    []int    // streams placed per shard, for least-loaded placement
-	shardOf  map[StreamID]int
+	filter   Filter
 	queries  map[QueryID]*graph.Graph
 	matchers map[QueryID]*iso.Matcher
 	streams  map[StreamID]*graph.Graph
@@ -78,59 +69,20 @@ func (s Stats) CandidateRatio() float64 {
 	return float64(s.CandidatePairs) / float64(s.TotalPairs)
 }
 
-// NewMonitor wraps one caller-built filter in a one-shard engine. The filter
-// keeps whatever worker bound the caller gave it (ParallelFilters default to
-// sequential), so Workers reports 0.
-func NewMonitor(f Filter) *Monitor { return newMonitor([]Filter{f}, 0) }
-
-// NewShardedMonitor builds an engine over shards filter instances (<= 0 uses
-// GOMAXPROCS). The optional workers argument bounds the per-shard evaluation
-// pool handed to filters that implement ParallelFilter; absent or <= 0 it is
-// max(1, GOMAXPROCS/shards), so the shard fan-out times the in-shard fan-out
-// tracks the machine's parallelism instead of oversubscribing it, and 1
-// forces the sequential in-shard path.
-func NewShardedMonitor(factory FilterFactory, shards int, workers ...int) *Monitor {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	w := 0
-	if len(workers) > 0 {
-		w = workers[0]
-	}
-	if w <= 0 {
-		w = max(1, runtime.GOMAXPROCS(0)/shards)
-	}
-	filters := make([]Filter, shards)
-	for i := range filters {
-		filters[i] = factory()
-		if pf, ok := filters[i].(ParallelFilter); ok {
-			pf.SetWorkers(w)
-		}
-	}
-	return newMonitor(filters, w)
-}
-
-func newMonitor(filters []Filter, workers int) *Monitor {
+// NewMonitor builds an engine around f. It leaves f's worker bound alone,
+// so a ParallelFilter the caller built stays sequential unless the caller
+// raised it with SetWorkers.
+func NewMonitor(f Filter) *Monitor {
 	return &Monitor{
-		filters:  filters,
-		workers:  workers,
-		loads:    make([]int, len(filters)),
-		shardOf:  make(map[StreamID]int),
+		filter:   f,
 		queries:  make(map[QueryID]*graph.Graph),
 		matchers: make(map[QueryID]*iso.Matcher),
 		streams:  make(map[StreamID]*graph.Graph),
 	}
 }
 
-// FilterName names the filter every shard runs.
-func (m *Monitor) FilterName() string { return m.filters[0].Name() }
-
-// Workers reports the per-shard evaluation worker bound the engine set on
-// its filters (0 when the filter came pre-built through NewMonitor).
-func (m *Monitor) Workers() int { return m.workers }
-
-// Shards reports the number of filter instances.
-func (m *Monitor) Shards() int { return len(m.filters) }
+// FilterName names the engine's filter.
+func (m *Monitor) FilterName() string { return m.filter.Name() }
 
 // SetMetrics attaches registry instruments; subsequent StepAll rounds record
 // into them. A nil argument detaches.
@@ -140,36 +92,25 @@ func (m *Monitor) SetMetrics(em *EngineMetrics) {
 	m.metrics = em
 }
 
-// CollectMetrics implements obs.Collector: shard-level placement gauges,
-// plus the per-shard emissions of collector filters (the obs.Gather caller
-// sums duplicate names across shards).
+// CollectMetrics implements obs.Collector by forwarding the samples of a
+// collector filter.
 func (m *Monitor) CollectMetrics(emit func(name string, value float64)) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	emit("nntstream_engine_shards", float64(len(m.filters)))
-	emit("nntstream_engine_shard_workers", float64(m.workers))
-	maxLoad := 0
-	for _, l := range m.loads {
-		maxLoad = max(maxLoad, l)
-	}
-	emit("nntstream_engine_shard_streams_max", float64(maxLoad))
-	for _, f := range m.filters {
-		if c, ok := f.(obs.Collector); ok {
-			c.CollectMetrics(emit)
-		}
+	if c, ok := m.filter.(obs.Collector); ok {
+		c.CollectMetrics(emit)
 	}
 }
 
-// AddQuery registers a query pattern with every shard. The paper's base
-// model fixes the query set before streaming starts; filters implementing
-// DynamicFilter (its stated future work) also accept queries while streams
-// are live.
+// AddQuery registers a query pattern. The paper's base model fixes the
+// query set before streaming starts; filters implementing DynamicFilter (its
+// stated future work) also accept queries while streams are live.
 func (m *Monitor) AddQuery(q *graph.Graph) (QueryID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.sealed {
-		if _, ok := m.filters[0].(DynamicFilter); !ok {
-			return 0, fmt.Errorf("core: filter %s: %w", m.filters[0].Name(), ErrSealed)
+		if _, ok := m.filter.(DynamicFilter); !ok {
+			return 0, fmt.Errorf("core: filter %s: %w", m.filter.Name(), ErrSealed)
 		}
 	}
 	// The ID is allocated only on success so a failed add leaks nothing.
@@ -191,32 +132,14 @@ func (m *Monitor) replayAddQuery(id QueryID, q *graph.Graph) error {
 	return m.addQueryLocked(id, q)
 }
 
-// addQueryLocked registers a query on every shard all-or-nothing: when a
-// shard rejects the query, the shards that already accepted it roll it back
-// (via DynamicFilter.RemoveQuery when the filter supports removal), so no
-// shard is left holding a query the others never saw. Callers hold m.mu.
+// addQueryLocked registers a query with the filter and, only if the filter
+// accepts it, with the engine. Callers hold m.mu.
 func (m *Monitor) addQueryLocked(id QueryID, q *graph.Graph) error {
 	if _, dup := m.queries[id]; dup {
 		return fmt.Errorf("core: duplicate query id %d", id)
 	}
-	for k, f := range m.filters {
-		if err := f.AddQuery(id, q); err != nil {
-			for j := k - 1; j >= 0; j-- {
-				df, ok := m.filters[j].(DynamicFilter)
-				if !ok {
-					// Non-dynamic filters cannot be rolled back; this can
-					// only happen pre-seal, where the engine is still
-					// unusable until a consistent AddQuery succeeds, and
-					// identical instances almost always fail on shard 0
-					// (before any shard accepted) anyway.
-					break
-				}
-				if rerr := df.RemoveQuery(id); rerr != nil {
-					return fmt.Errorf("core: shard %d rejected query (%v); rollback on shard %d failed: %w", k, err, j, rerr)
-				}
-			}
-			return fmt.Errorf("core: shard %d: %w", k, err)
-		}
+	if err := m.filter.AddQuery(id, q); err != nil {
+		return fmt.Errorf("core: filter %s: %w", m.filter.Name(), err)
 	}
 	m.queries[id] = q.Clone()
 	m.matchers[id] = iso.NewMatcher(m.queries[id])
@@ -226,29 +149,26 @@ func (m *Monitor) addQueryLocked(id QueryID, q *graph.Graph) error {
 	return nil
 }
 
-// RemoveQuery deregisters a pattern from every shard. It requires a
-// DynamicFilter.
+// RemoveQuery deregisters a pattern. It requires a DynamicFilter.
 func (m *Monitor) RemoveQuery(id QueryID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.filters[0].(DynamicFilter); !ok {
-		return fmt.Errorf("core: filter %s query removal: %w", m.filters[0].Name(), ErrUnsupported)
+	df, ok := m.filter.(DynamicFilter)
+	if !ok {
+		return fmt.Errorf("core: filter %s query removal: %w", m.filter.Name(), ErrUnsupported)
 	}
 	if _, ok := m.queries[id]; !ok {
 		return fmt.Errorf("core: %w %d", ErrUnknownQuery, id)
 	}
-	for _, f := range m.filters {
-		if err := f.(DynamicFilter).RemoveQuery(id); err != nil {
-			return err
-		}
+	if err := df.RemoveQuery(id); err != nil {
+		return err
 	}
 	delete(m.queries, id)
 	delete(m.matchers, id)
 	return nil
 }
 
-// AddStream registers a stream with starting graph g0 on the least-loaded
-// shard.
+// AddStream registers a stream with starting graph g0.
 func (m *Monitor) AddStream(g0 *graph.Graph) (StreamID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -260,35 +180,23 @@ func (m *Monitor) AddStream(g0 *graph.Graph) (StreamID, error) {
 }
 
 // replayAddStream registers a stream under an explicit ID — the restore path
-// used by snapshot loading and WAL replay. Placement re-runs the same
-// deterministic least-loaded rule, so a replayed engine reproduces the
-// original shard assignment as long as operations arrive in log order.
+// used by snapshot loading and WAL replay.
 func (m *Monitor) replayAddStream(id StreamID, g0 *graph.Graph) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.addStreamLocked(id, g0)
 }
 
-// addStreamLocked places a stream on the least-loaded shard (fewest streams,
-// ties broken by lowest shard index, so placement is deterministic). The
-// attempt seals the query set even when the filter rejects the stream.
-// Callers hold m.mu.
+// addStreamLocked hands a stream to the filter. The attempt seals the query
+// set even when the filter rejects the stream. Callers hold m.mu.
 func (m *Monitor) addStreamLocked(id StreamID, g0 *graph.Graph) error {
 	if _, dup := m.streams[id]; dup {
 		return fmt.Errorf("core: duplicate stream id %d", id)
 	}
 	m.sealed = true
-	shard := 0
-	for i := 1; i < len(m.loads); i++ {
-		if m.loads[i] < m.loads[shard] {
-			shard = i
-		}
-	}
-	if err := m.filters[shard].AddStream(id, g0); err != nil {
+	if err := m.filter.AddStream(id, g0); err != nil {
 		return err
 	}
-	m.loads[shard]++
-	m.shardOf[id] = shard
 	m.streams[id] = g0.Clone()
 	if id >= m.nextS {
 		m.nextS = id + 1
@@ -325,17 +233,16 @@ func (m *Monitor) Query(id QueryID) *graph.Graph {
 }
 
 // StepAll advances one global timestamp: each entry applies a change set to
-// one stream (streams without an entry are unchanged) on that stream's
-// shard, then the candidate set is collected. It returns the candidates and
-// records stats.
+// one stream (streams without an entry are unchanged), then the candidate
+// set is collected. It returns the candidates and records stats.
 //
 // The step is atomic with respect to validation: every change set is first
 // applied to a clone of its canonical graph, and any failure rejects the
-// whole batch before a filter sees a single operation, so a mid-batch error
-// can never leave the filters and the canonical graphs diverged, or some
-// shards stepped and others not. The validated clones become the canonical
-// graphs only after every shard has applied its part: a filter that fails
-// mid-step leaves every canonical graph where it was.
+// whole batch before the filter sees a single operation, so a mid-batch
+// error can never leave the filter and the canonical graphs diverged. The
+// validated clones become the canonical graphs only after the filter has
+// applied the whole timestamp: a filter that fails mid-step leaves every
+// canonical graph where it was.
 func (m *Monitor) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -344,12 +251,12 @@ func (m *Monitor) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) 
 		return nil, err
 	}
 	start := time.Now()
-	if err := m.applyShards(norms); err != nil {
+	if err := m.apply(norms); err != nil {
 		return nil, err
 	}
 	applyDur := time.Since(start)
 	start = time.Now()
-	cands := m.collect()
+	cands := m.filter.Candidates()
 	collectDur := time.Since(start)
 
 	for id, g := range staged {
@@ -393,89 +300,22 @@ func (m *Monitor) stageChanges(changes map[StreamID]graph.ChangeSet) (map[Stream
 	return staged, norms, nil
 }
 
-// applyShards hands every shard its part of one validated timestamp and
-// returns the first shard error in shard order. Callers hold m.mu.
-func (m *Monitor) applyShards(norms map[StreamID]graph.ChangeSet) error {
-	perShard := []map[StreamID]graph.ChangeSet{norms}
-	if len(m.filters) > 1 {
-		perShard = make([]map[StreamID]graph.ChangeSet, len(m.filters))
-		for id, norm := range norms {
-			shard := m.shardOf[id] // staging verified the stream exists
-			if perShard[shard] == nil {
-				perShard[shard] = make(map[StreamID]graph.ChangeSet)
-			}
-			perShard[shard][id] = norm
+// apply hands the filter one validated timestamp. Callers hold m.mu.
+func (m *Monitor) apply(norms map[StreamID]graph.ChangeSet) error {
+	// A batch-capable filter fans the whole timestamp out over its own
+	// worker pool; others walk it stream by stream.
+	if ba, ok := m.filter.(BatchApplier); ok {
+		if err := ba.ApplyAll(norms); err != nil {
+			return fmt.Errorf("core: filter %s: %w", m.filter.Name(), err)
 		}
+		return nil
 	}
-	errs := make([]error, len(m.filters))
-	m.fanOut(func(i int) bool { return perShard[i] != nil }, func(i int, f Filter) {
-		// Batch-capable filters fan the shard's whole timestamp out over
-		// their own worker pool; others walk it stream by stream.
-		if ba, ok := f.(BatchApplier); ok {
-			if err := ba.ApplyAll(perShard[i]); err != nil {
-				errs[i] = fmt.Errorf("core: filter %s shard %d: %w", f.Name(), i, err)
-			}
-			return
-		}
-		for id, cs := range perShard[i] {
-			if err := f.Apply(id, cs); err != nil {
-				errs[i] = fmt.Errorf("core: filter %s shard %d stream %d: %w", f.Name(), i, id, err)
-				return
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for id, cs := range norms {
+		if err := m.filter.Apply(id, cs); err != nil {
+			return fmt.Errorf("core: filter %s stream %d: %w", m.filter.Name(), id, err)
 		}
 	}
 	return nil
-}
-
-// fanOut runs fn on every shard that has work and joins them: one goroutine
-// per shard, or inline when a single shard has work — always the case for a
-// one-shard engine, which therefore pays nothing for the generality.
-// Callers hold at least a read lock.
-//
-//nnt:nonblocking waits only for the shards' filter calls (Apply/ApplyAll under the write lock, Candidates under a read lock), which are compute-bound and take no engine locks
-func (m *Monitor) fanOut(hasWork func(shard int) bool, fn func(shard int, f Filter)) {
-	var busy []int
-	for i := range m.filters {
-		if hasWork(i) {
-			busy = append(busy, i)
-		}
-	}
-	if len(busy) == 1 {
-		fn(busy[0], m.filters[busy[0]])
-		return
-	}
-	var wg sync.WaitGroup
-	for _, i := range busy {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i, m.filters[i])
-		}(i)
-	}
-	wg.Wait()
-}
-
-// collect gathers the shards' candidate sets concurrently; the per-shard
-// goroutines only invoke the filters' Candidates, which the Filter contract
-// requires to be read-safe. A lone shard's pairs are already sorted by that
-// contract and are returned as they are; several shards' are merged and
-// re-sorted. Callers hold at least a read lock.
-func (m *Monitor) collect() []Pair {
-	parts := make([][]Pair, len(m.filters))
-	m.fanOut(func(int) bool { return true }, func(i int, f Filter) { parts[i] = f.Candidates() })
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	var out []Pair
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return SortPairs(out)
 }
 
 // Candidates returns the current candidate pairs without advancing time or
@@ -483,7 +323,7 @@ func (m *Monitor) collect() []Pair {
 func (m *Monitor) Candidates() []Pair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.collect()
+	return m.filter.Candidates()
 }
 
 // ExactPairs computes the ground-truth joinable pairs with subgraph
@@ -514,7 +354,7 @@ func (m *Monitor) exactPairs() []Pair {
 func (m *Monitor) VerifyNoFalseNegatives() []Pair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return pairsMissing(m.exactPairs(), m.collect())
+	return pairsMissing(m.exactPairs(), m.filter.Candidates())
 }
 
 // FalsePositives returns the currently reported pairs that are not exact
@@ -522,7 +362,7 @@ func (m *Monitor) VerifyNoFalseNegatives() []Pair {
 func (m *Monitor) FalsePositives() []Pair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return pairsMissing(m.collect(), m.exactPairs())
+	return pairsMissing(m.filter.Candidates(), m.exactPairs())
 }
 
 // pairsMissing returns the pairs of from that are absent from in, in from's

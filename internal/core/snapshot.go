@@ -129,9 +129,8 @@ func readSnapshotFrom(r io.Reader) (snapshotFile, error) {
 	return file, nil
 }
 
-// restore replays a snapshot's entries into a fresh engine of any shard
-// count: streams are placed in ascending ID order, the order they were first
-// added in.
+// restore replays a snapshot's entries into a fresh engine, streams in
+// ascending ID order, the order they were first added in.
 func (m *Monitor) restore(file snapshotFile) error {
 	for _, entry := range file.Queries {
 		g, err := decodeGraph(entry.Graph)
@@ -156,14 +155,13 @@ func (m *Monitor) restore(file snapshotFile) error {
 }
 
 // WriteSnapshot serializes the monitor's queries and canonical stream
-// graphs as JSON. Filter-internal state and shard placement are not
-// persisted — the bytes are the same for any shard count — and
-// RestoreMonitor rebuilds the former deterministically.
+// graphs as JSON. Filter-internal state is not persisted; RestoreMonitor
+// rebuilds it deterministically.
 func (m *Monitor) WriteSnapshot(w io.Writer) error {
 	return writeSnapshotTo(w, buildSnapshotFile(m.checkpointState(), 0))
 }
 
-// RestoreMonitor rebuilds a one-shard monitor around a fresh filter from a
+// RestoreMonitor rebuilds a monitor around a fresh filter from a
 // snapshot, preserving the original query and stream IDs (including gaps
 // left by removed queries).
 func RestoreMonitor(r io.Reader, f Filter) (*Monitor, error) {

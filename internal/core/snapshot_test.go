@@ -9,15 +9,10 @@ import (
 	"nntstream/internal/graph"
 )
 
+// TestSnapshotRoundTrip snapshots an engine after some work and restores
+// the snapshot into a fresh one.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		testSnapshotRoundTrip(t, NewShardedMonitor(func() Filter { return &passthrough{} }, shards))
-	}
-}
-
-// testSnapshotRoundTrip snapshots m, an empty engine of any shard count,
-// after some work, and restores the snapshot into a one-shard engine.
-func testSnapshotRoundTrip(t *testing.T, m *Monitor) {
+	m := NewMonitor(&passthrough{})
 	q1 := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
 	q2 := buildGraph(t, map[graph.VertexID]graph.Label{0: 2, 1: 3}, [][3]int{{0, 1, 5}})
 	if _, err := m.AddQuery(q1); err != nil {

@@ -146,17 +146,17 @@ func TestStaticDBCandidates(t *testing.T) {
 
 func TestScalingTiny(t *testing.T) {
 	if testing.Short() {
-		t.Skip("heavy: three sharded runs")
+		t.Skip("heavy: three pool widths")
 	}
 	res, err := Scaling(Config{Seed: 1, Scale: 0.002})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkResult(t, res, 4)
-	// Shard counts 2 and 4 must report identical candidate sets.
+	// Pool widths 2 and 4 must report the sequential run's candidate set.
 	for _, row := range res.Rows[1:] {
 		if row[3] != "yes" {
-			t.Fatalf("shards=%s candidates diverged", row[0])
+			t.Fatalf("workers=%s candidates diverged", row[0])
 		}
 	}
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 
 	"nntstream/internal/core"
 	"nntstream/internal/datagen"
@@ -9,10 +11,10 @@ import (
 	"nntstream/internal/join"
 )
 
-// Scaling measures the multi-core sharded engine (an extension beyond the
-// paper): wall-clock cost per timestamp for the DSC filter as streams are
-// partitioned over 1, 2, and 4 filter shards, with a candidate-set equality
-// check against the single-shard run at the final timestamp.
+// Scaling measures the engine's one parallelism axis (an extension beyond
+// the paper): wall-clock cost per timestamp for the DSC filter as its
+// evaluation pool grows over 1, 2, and 4 workers, with a candidate-set
+// equality check against the sequential run at the final timestamp.
 func Scaling(cfg Config) (*Result, error) {
 	pairs := cfg.scaled(70, 16)
 	ts := cfg.scaled(300, 20)
@@ -20,20 +22,20 @@ func Scaling(cfg Config) (*Result, error) {
 
 	res := &Result{
 		Name:    "Scaling",
-		Caption: "sharded-engine wall time per timestamp (NPV-DSC, sparse synthetic)",
-		Header:  []string{"shards", "avg time/ts (ms)", "speedup", "candidates match"},
+		Caption: "evaluation-pool wall time per timestamp (NPV-DSC, sparse synthetic)",
+		Header:  []string{"workers", "avg time/ts (ms)", "speedup", "candidates match"},
 		Notes: []string{
-			fmt.Sprintf("workload: %d×%d sparse synthetic, %d timestamps (scale %.2f); sharding is an extension beyond the paper", pairs, pairs, ts, cfg.Scale),
+			fmt.Sprintf("workload: %d×%d sparse synthetic, %d timestamps (scale %.2f), GOMAXPROCS %d; the evaluation pool is an extension beyond the paper", pairs, pairs, ts, cfg.Scale, runtime.GOMAXPROCS(0)),
 		},
 	}
 
 	var baseline float64
 	var reference []core.Pair
-	for _, shards := range []int{1, 2, 4} {
-		cfg.logf("scaling: %d shards", shards)
-		mon := core.NewShardedMonitor(func() core.Filter {
-			return join.NewDSC(join.DefaultDepth)
-		}, shards)
+	for _, workers := range []int{1, 2, 4} {
+		cfg.logf("scaling: %d workers", workers)
+		f := join.NewDSC(join.DefaultDepth)
+		f.SetWorkers(workers)
+		mon := core.NewMonitor(f)
 		for _, q := range w.queries {
 			if _, err := mon.AddQuery(q); err != nil {
 				return nil, err
@@ -62,30 +64,21 @@ func Scaling(cfg Config) (*Result, error) {
 		}
 		st := mon.Stats()
 		ms := float64(st.AvgTimePerTimestamp().Microseconds()) / 1000.0
-		match := "—"
-		if shards == 1 {
+		match, speedup := "—", "1.00×"
+		switch {
+		case workers == 1:
 			baseline = ms
 			reference = mon.Candidates()
-		} else {
+		case slices.Equal(mon.Candidates(), reference):
 			match = "yes"
-			got := mon.Candidates()
-			if len(got) != len(reference) {
-				match = "NO"
-			} else {
-				for i := range got {
-					if got[i] != reference[i] {
-						match = "NO"
-						break
-					}
-				}
-			}
+		default:
+			match = "NO"
 		}
-		speedup := "1.00×"
-		if shards > 1 && ms > 0 {
+		if workers > 1 && ms > 0 {
 			speedup = fmt.Sprintf("%.2f×", baseline/ms)
 		}
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", shards), fmt.Sprintf("%.3f", ms), speedup, match,
+			fmt.Sprintf("%d", workers), fmt.Sprintf("%.3f", ms), speedup, match,
 		})
 	}
 	return res, nil

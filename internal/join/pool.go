@@ -95,9 +95,7 @@ func (p *evalPool) run(n int, fn func(i int)) {
 }
 
 // collect emits the pool gauges and counters under the shared
-// nntstream_join_pool_ prefix. obs.Gather sums duplicates, so across a
-// sharded engine the workers gauge reads as total evaluation capacity and
-// the counters as fleet-wide totals.
+// nntstream_join_pool_ prefix.
 func (p *evalPool) collect(emit func(name string, value float64)) {
 	emit("nntstream_join_pool_workers", float64(p.size()))
 	emit("nntstream_join_pool_parallel_batches_total", float64(p.batches.Load()))

@@ -7,8 +7,7 @@ package obs
 // CollectMetrics must not mutate the collector's observable state: it is
 // invoked on read paths that may run concurrently with other readers (see
 // the concurrency contract in internal/server). Emitting the same name more
-// than once is allowed; Gather sums duplicates, which lets a sharded engine
-// aggregate the per-shard emissions of identical filter instances.
+// than once is allowed; Gather sums duplicates.
 type Collector interface {
 	CollectMetrics(emit func(name string, value float64))
 }

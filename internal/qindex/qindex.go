@@ -81,8 +81,8 @@ type Posting struct {
 // Candidate-generation telemetry: query verdicts re-evaluated because the
 // index named them, and query verdicts proven unchanged without a dominance
 // test. Process-global atomics (AffectedQueries runs concurrently inside
-// the join pool's fan-out, and a sharded engine holds one index per shard);
-// Stats exposes them as an obs.Collector on /v1/metrics.
+// the join pool's fan-out); Stats exposes them as an obs.Collector on
+// /v1/metrics.
 var (
 	candidatesTotal atomic.Int64
 	prunedTotal     atomic.Int64

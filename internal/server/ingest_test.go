@@ -381,8 +381,9 @@ func TestIngestMetricsExported(t *testing.T) {
 // TestIngestConcurrentWithReads drives batched writes and read endpoints
 // concurrently — the -race gate's coverage for the ingest path.
 func TestIngestConcurrentWithReads(t *testing.T) {
-	sharded := core.NewShardedMonitor(func() core.Filter { return join.NewSkyline(3) }, 2)
-	s := New(sharded)
+	f := join.NewSkyline(3)
+	f.SetWorkers(2) // run the evaluation pool under concurrent readers
+	s := New(core.NewMonitor(f))
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	sid := registerPair(t, srv.URL)

@@ -316,9 +316,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // instruments (engine latency histograms, counters, gauges) followed by the
 // engine's structure-size samples gathered from its obs.Collector surface,
 // and the process-wide NPV dominance-kernel and query-index selectivity
-// counters. The process-global counters are emitted here exactly once — not
-// through the engine's per-filter collectors, which a sharded monitor sums
-// per shard and would therefore multiply the values by the shard count.
+// counters. Those counters are package-level atomics shared by every filter
+// in the process, not state of the engine's filter, so the server emits them
+// itself rather than through the engine's collector.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")

@@ -261,8 +261,9 @@ func TestServerMetrics(t *testing.T) {
 // /v1/candidates, /v1/stats, and /v1/metrics. Run under -race it validates
 // the server's readers-writer locking and the engines' read-path contract.
 func TestServerConcurrentStepAndReads(t *testing.T) {
-	sharded := core.NewShardedMonitor(func() core.Filter { return join.NewSkyline(3) }, 2)
-	srv := httptest.NewServer(New(sharded).Handler())
+	f := join.NewSkyline(3)
+	f.SetWorkers(2) // run the evaluation pool under concurrent readers
+	srv := httptest.NewServer(New(core.NewMonitor(f)).Handler())
 	defer srv.Close()
 
 	if resp, _ := do(t, http.MethodPost, srv.URL+"/v1/queries", graphRequest{Graph: edgeGraph(0, 1)}); resp.StatusCode != http.StatusCreated {
