@@ -87,6 +87,7 @@ func benchRegistry() []benchEntry {
 		{"NPV_Dominates_Packed", Benchmark_NPV_Dominates_Packed},
 		{"NNTMaintenance", BenchmarkNNTMaintenance},
 		{"NPVRecount", BenchmarkNPVRecount},
+		{"StepAllTrickle", BenchmarkStepAllTrickle},
 		{"VF2HardInstance", BenchmarkVF2HardInstance},
 	}
 }

@@ -389,7 +389,7 @@ func (d *DurableEngine) Checkpoint() error {
 // replay then skips by LSN.
 func (d *DurableEngine) checkpointLocked() error {
 	start := time.Now()
-	file := buildSnapshotFile(d.inner.checkpointState(), d.applied)
+	file := d.inner.snapshotFile(d.applied)
 	err := wal.WriteFileAtomicFault(d.cpPath, func(w io.Writer) error {
 		return writeSnapshotTo(w, file)
 	}, d.cpFault)
@@ -572,7 +572,7 @@ func (d *DurableEngine) SnapshotBytes() ([]byte, error) {
 		return nil, errDurableClosed
 	}
 	var buf bytes.Buffer
-	file := buildSnapshotFile(d.inner.checkpointState(), d.applied)
+	file := d.inner.snapshotFile(d.applied)
 	if err := writeSnapshotTo(&buf, file); err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ type passthrough struct {
 
 	addQueryErr  error                    // returned by AddQuery when set
 	addStreamErr func(*graph.Graph) error // consulted by AddStream when set
-	applyErr     func() error             // consulted by Apply when set
+	applyErr     func() error             // consulted by Apply and ApplyAll when set
 }
 
 func (p *passthrough) Name() string { return "passthrough" }
@@ -81,6 +81,9 @@ func (b *batchPassthrough) ApplyAll(changes map[StreamID]graph.ChangeSet) error 
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	b.batches = append(b.batches, ids)
+	if b.applyErr != nil {
+		return b.applyErr()
+	}
 	return nil
 }
 func (b *batchPassthrough) SetWorkers(n int) { b.workers = n }
@@ -296,72 +299,159 @@ func TestEngineAddQueryRollback(t *testing.T) {
 	}
 }
 
+// withIsolated is edgeAB plus vertex 2 (label 2) with no edges.
+func withIsolated(t *testing.T) *graph.Graph {
+	return buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1, 2: 2}, [][3]int{{0, 1, 0}})
+}
+
+// cloneStreams copies every canonical graph, the pre-step state a rejected
+// batch must leave behind.
+func cloneStreams(m *Monitor, ids []StreamID) map[StreamID]*graph.Graph {
+	out := make(map[StreamID]*graph.Graph, len(ids))
+	for _, id := range ids {
+		out[id] = m.StreamGraph(id).Clone()
+	}
+	return out
+}
+
+// requireStreamsEqual fails unless every canonical graph equals its copy.
+func requireStreamsEqual(t *testing.T, what string, m *Monitor, before map[StreamID]*graph.Graph) {
+	t.Helper()
+	for id, want := range before {
+		if got := m.StreamGraph(id); !got.Equal(want) {
+			t.Fatalf("%s: stream %d canonical graph changed:\n got %v\nwant %v", what, id, got, want)
+		}
+	}
+}
+
 // TestEngineStepAllAtomic: a batch with one valid and one invalid change set
 // (or one unknown stream) is rejected as a whole — the filter sees no
-// operation, every canonical graph is unchanged, no timestamp is counted.
+// operation, every canonical graph is Equal to its pre-step state, no
+// timestamp is counted. Streams are staged in ascending order, so stream 0's
+// valid set is applied before stream 1's fails and its revert is exercised
+// too; each invalid set also mutates its own graph before the failing op.
 func TestEngineStepAllAtomic(t *testing.T) {
+	type batch = map[StreamID]graph.ChangeSet
 	forEachEngine(t, func(t *testing.T, k engineKind) {
 		m, seen := k.build()
-		ids := populate(t, m, 1, 2)
-		valid := graph.ChangeSet{graph.InsertOp(0, 0, 2, 1, 0)}
-		for name, bad := range map[string]map[StreamID]graph.ChangeSet{
-			// Vertex 0 already has label 0, not 9.
-			"label conflict": {ids[0]: valid, ids[1]: {graph.InsertOp(0, 9, 5, 2, 0)}},
-			"unknown stream": {ids[0]: valid, 99: nil},
+		populate(t, m, 1, 0)
+		var ids []StreamID
+		for _, g := range []*graph.Graph{withIsolated(t), edgeAB(t)} {
+			id, err := m.AddStream(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		s0, s1 := ids[0], ids[1]
+		valid := graph.ChangeSet{graph.InsertOp(0, 0, 3, 1, 0)}
+		// Vertex 0 has label 0, not 9.
+		relabel := graph.ChangeSet{graph.InsertOp(0, 9, 5, 2, 0)}
+		for _, c := range []struct {
+			name  string
+			batch batch
+		}{
+			{"label conflict", batch{s0: valid, s1: relabel}},
+			{"unknown stream", batch{s0: valid, 99: nil}},
+			// Vertex 7 is created before vertex 1's label (1, not 9) fails.
+			{"new endpoint then relabel", batch{s0: valid, s1: {graph.InsertOp(7, 0, 1, 9, 0)}}},
+			// The deletion retires both endpoints, then the self-loop fails.
+			{"retire then fail", batch{s0: valid, s1: {graph.DeleteOp(0, 1), graph.InsertOp(4, 0, 4, 0, 0)}}},
+			// The isolated vertex gains an edge the revert takes back again;
+			// the vertex itself must stay.
+			{"isolated vertex gains an edge", batch{s0: {graph.InsertOp(2, 2, 3, 1, 0)}, s1: relabel}},
 		} {
-			if _, err := m.StepAll(bad); err == nil {
-				t.Fatalf("%s: StepAll must fail", name)
+			before := cloneStreams(m, ids)
+			if _, err := m.StepAll(c.batch); err == nil {
+				t.Fatalf("%s: StepAll must fail", c.name)
 			}
 			if seen.applies != 0 || len(seen.batches) != 0 {
-				t.Fatalf("%s: filter saw %d Apply and %d ApplyAll calls despite the rejection", name, seen.applies, len(seen.batches))
+				t.Fatalf("%s: filter saw %d Apply and %d ApplyAll calls despite the rejection", c.name, seen.applies, len(seen.batches))
 			}
-			for _, id := range ids {
-				if got := m.StreamGraph(id).EdgeCount(); got != 1 {
-					t.Fatalf("%s: stream %d canonical graph mutated: %d edges", name, id, got)
-				}
-			}
+			requireStreamsEqual(t, c.name, m, before)
 			if st := m.Stats(); st.Timestamps != 0 {
-				t.Fatalf("%s: rejected batch counted as a timestamp: %+v", name, st)
+				t.Fatalf("%s: rejected batch counted as a timestamp: %+v", c.name, st)
 			}
 		}
 		// The valid half on its own still works afterwards.
-		if _, err := m.StepAll(map[StreamID]graph.ChangeSet{ids[0]: valid}); err != nil {
+		if _, err := m.StepAll(batch{s0: valid}); err != nil {
 			t.Fatalf("valid step after rejected batches: %v", err)
 		}
-		if got := m.StreamGraph(ids[0]).EdgeCount(); got != 2 {
-			t.Fatalf("valid step not applied: %d edges", got)
+		if g := m.StreamGraph(s0); g.EdgeCount() != 2 || !g.HasVertex(2) {
+			t.Fatalf("valid step not applied: %v", g)
 		}
 	})
 }
 
-// TestEngineFilterErrorSwapsNothing: a plain filter whose Apply fails on the
-// second stream of a timestamp must not leave the first stream's canonical
-// graph advanced — staged graphs are swapped in only after the filter
-// applied the whole timestamp.
+// TestEngineStepAllReportsLowestFailingStream: staging runs in ascending
+// stream order, so of several invalid change sets the lowest stream's is the
+// one reported, whatever the map's iteration order; of several unknown
+// streams, the lowest is reported, before any set is applied.
+func TestEngineStepAllReportsLowestFailingStream(t *testing.T) {
+	m := NewMonitor(&passthrough{})
+	ids := populate(t, m, 1, 4)
+	bad := graph.ChangeSet{graph.InsertOp(0, 9, 5, 2, 0)}
+	before := cloneStreams(m, ids)
+	for i := 0; i < 20; i++ {
+		_, err := m.StepAll(map[StreamID]graph.ChangeSet{ids[3]: bad, ids[1]: bad, ids[2]: bad, ids[0]: nil})
+		if want := fmt.Sprintf("stream %d:", ids[1]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %v; want the one for %q", err, want)
+		}
+		_, err = m.StepAll(map[StreamID]graph.ChangeSet{ids[0]: bad, 98: nil, 97: nil})
+		if !errors.Is(err, ErrUnknownStream) || !strings.HasSuffix(err.Error(), " 97") {
+			t.Fatalf("error %v; want ErrUnknownStream for stream 97", err)
+		}
+	}
+	requireStreamsEqual(t, "rejected batches", m, before)
+}
+
+// TestEngineFilterErrorSwapsNothing: a filter that fails mid-step — a plain
+// filter's Apply on the second stream, a batch filter's ApplyAll — leaves
+// every canonical graph Equal to its pre-step state: the engine reverts the
+// change set it staged on each of them. One stream starts with an isolated
+// vertex that the failed step connected; the revert disconnects it again and
+// must keep the vertex.
 func TestEngineFilterErrorSwapsNothing(t *testing.T) {
-	calls := 0
-	m := NewMonitor(&passthrough{applyErr: func() error {
-		if calls++; calls == 2 {
-			return errors.New("second apply fails")
+	forEachEngine(t, func(t *testing.T, k engineKind) {
+		m, seen := k.build()
+		calls, failAt := 0, 2
+		if k.batch {
+			failAt = 1
 		}
-		return nil
-	}})
-	ids := populate(t, m, 1, 3)
-	changes := make(map[StreamID]graph.ChangeSet)
-	for _, id := range ids {
-		changes[id] = graph.ChangeSet{graph.InsertOp(0, 0, 2, 2, 0)}
-	}
-	if _, err := m.StepAll(changes); err == nil {
-		t.Fatal("StepAll must report the filter error")
-	}
-	for _, id := range ids {
-		if got := m.StreamGraph(id).EdgeCount(); got != 1 {
-			t.Fatalf("stream %d canonical graph advanced to %d edges by a failed step", id, got)
+		seen.applyErr = func() error {
+			if calls++; calls == failAt {
+				return errors.New("filter fails mid-step")
+			}
+			return nil
 		}
-	}
-	if st := m.Stats(); st.Timestamps != 0 {
-		t.Fatalf("failed step counted as a timestamp: %+v", st)
-	}
+		ids := populate(t, m, 1, 2)
+		lone, err := m.AddStream(withIsolated(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, lone)
+		changes := map[StreamID]graph.ChangeSet{lone: {graph.InsertOp(2, 2, 3, 2, 0)}}
+		for _, id := range ids[:2] {
+			changes[id] = graph.ChangeSet{graph.InsertOp(0, 0, 2, 2, 0)}
+		}
+		before := cloneStreams(m, ids)
+		if _, err := m.StepAll(changes); err == nil {
+			t.Fatal("StepAll must report the filter error")
+		}
+		requireStreamsEqual(t, "failed step", m, before)
+		if st := m.Stats(); st.Timestamps != 0 {
+			t.Fatalf("failed step counted as a timestamp: %+v", st)
+		}
+		seen.applyErr = nil
+		if _, err := m.StepAll(changes); err != nil {
+			t.Fatalf("step after the fault cleared: %v", err)
+		}
+		for _, id := range ids {
+			if got := m.StreamGraph(id).EdgeCount(); got != 2 {
+				t.Fatalf("stream %d holds %d edges after the retried step; want 2", id, got)
+			}
+		}
+	})
 }
 
 // TestEngineWorkers pins the pool-sizing plumbing: OpenDurableEngine hands
@@ -442,7 +532,7 @@ func TestEngineConcurrentStepAndReads(t *testing.T) {
 				for i := 0; i < rounds; i++ {
 					_ = m.Candidates()
 					_ = m.Stats()
-					_ = m.StreamGraph(0).EdgeCount()
+					_ = m.ExactPairs()
 					_ = obs.Gather(m)
 				}
 			}()

@@ -77,9 +77,9 @@ type Filter interface {
 //
 // ApplyAll must be observationally equivalent to calling Apply once per
 // entry in any order — entries address distinct streams, and the engine
-// validates every change set against a cloned canonical graph before the
-// fan-out, so a mid-batch failure reports an error with the filter state
-// unspecified, exactly like a failed Apply sequence.
+// validates every change set on its canonical graph before the fan-out, so
+// a mid-batch failure reports an error with the filter state unspecified,
+// exactly like a failed Apply sequence.
 type BatchApplier interface {
 	// ApplyAll advances several streams by one timestamp's change sets.
 	ApplyAll(changes map[StreamID]graph.ChangeSet) error

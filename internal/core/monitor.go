@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,10 +23,11 @@ type FilterFactory func() Filter
 //
 // Monitor is safe for concurrent use: mutating calls (AddQuery, AddStream,
 // RemoveQuery, StepAll) serialize behind a write lock, while the read paths
-// (Candidates, Stats, ExactPairs, CollectMetrics) share a read lock and may
-// run concurrently with one another. Filters must honor the Filter contract
-// that Candidates does not mutate observable state (or must synchronize
-// internally), because concurrent readers call it on the same instance.
+// (Candidates, Stats, ExactPairs, CollectMetrics, WriteSnapshot) share a
+// read lock and may run concurrently with one another. Filters must honor
+// the Filter contract that Candidates does not mutate observable state (or
+// must synchronize internally), because concurrent readers call it on the
+// same instance.
 type Monitor struct {
 	mu       sync.RWMutex
 	filter   Filter
@@ -37,6 +39,12 @@ type Monitor struct {
 	sealed   bool // set once the first stream is added; no more queries
 	stats    Stats
 	metrics  *EngineMetrics
+
+	// Per-step scratch, reused across StepAll calls under mu: the batch's
+	// stream IDs in ascending order and, parallel to them, the undo log of
+	// each change set staged on its canonical graph.
+	stepIDs []StreamID
+	undos   []graph.Undo
 }
 
 // Stats accumulates per-run measurements.
@@ -218,7 +226,8 @@ func (m *Monitor) StreamCount() int {
 }
 
 // StreamGraph returns the canonical current graph of a stream. Callers must
-// not mutate it; a later StepAll replaces it rather than changing it.
+// not mutate it, and it is valid until the next mutating call: StepAll
+// changes it in place.
 func (m *Monitor) StreamGraph(id StreamID) *graph.Graph {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -236,22 +245,25 @@ func (m *Monitor) Query(id QueryID) *graph.Graph {
 // one stream (streams without an entry are unchanged), then the candidate
 // set is collected. It returns the candidates and records stats.
 //
-// The step is atomic with respect to validation: every change set is first
-// applied to a clone of its canonical graph, and any failure rejects the
-// whole batch before the filter sees a single operation, so a mid-batch
-// error can never leave the filter and the canonical graphs diverged. The
-// validated clones become the canonical graphs only after the filter has
-// applied the whole timestamp: a filter that fails mid-step leaves every
-// canonical graph where it was.
+// The step is atomic. Each change set is normalized and applied in place to
+// its canonical graph, in ascending stream order, while an undo log records
+// the primitive mutations it made; staging therefore costs O(|Δ|), not a
+// copy of every touched graph. A batch naming an unknown stream is rejected
+// before anything changes. A change set that fails validation is taken back
+// together with every set staged before it, before the filter sees a single
+// operation, and the error names the lowest failing stream. A filter that
+// fails mid-step has every log reverted the same way. Either way a rejected
+// batch leaves each canonical graph as it was.
 func (m *Monitor) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	staged, norms, err := m.stageChanges(changes)
+	norms, err := m.stageChanges(changes)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	if err := m.apply(norms); err != nil {
+		m.unstage(len(m.stepIDs))
 		return nil, err
 	}
 	applyDur := time.Since(start)
@@ -259,9 +271,6 @@ func (m *Monitor) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) 
 	cands := m.filter.Candidates()
 	collectDur := time.Since(start)
 
-	for id, g := range staged {
-		m.streams[id] = g
-	}
 	m.stats.FilterTime += applyDur + collectDur
 	m.stats.Timestamps++
 	m.stats.CandidatePairs += int64(len(cands))
@@ -275,43 +284,60 @@ func (m *Monitor) Step(id StreamID, cs graph.ChangeSet) ([]Pair, error) {
 	return m.StepAll(map[StreamID]graph.ChangeSet{id: cs})
 }
 
-// stageChanges validates a StepAll batch against the canonical graphs
-// without mutating them: each change set is normalized and applied to a
-// clone. On success it returns the staged post-state graphs and the
-// normalized change sets; on any failure nothing has been touched, which is
-// what makes StepAll all-or-nothing up to the filter boundary. Callers hold
-// m.mu.
-func (m *Monitor) stageChanges(changes map[StreamID]graph.ChangeSet) (map[StreamID]*graph.Graph, map[StreamID]graph.ChangeSet, error) {
-	staged := make(map[StreamID]*graph.Graph, len(changes))
-	norms := make(map[StreamID]graph.ChangeSet, len(changes))
-	for id, cs := range changes {
-		g, ok := m.streams[id]
-		if !ok {
-			return nil, nil, fmt.Errorf("core: %w %d", ErrUnknownStream, id)
+// stageChanges applies a StepAll batch to the canonical graphs in place and
+// returns the normalized change sets for the filter. It sorts the batch's
+// stream IDs into m.stepIDs and logs each set's mutations in the matching
+// entry of m.undos, so unstage can take the batch back. On failure it has
+// already reverted everything it applied. Callers hold m.mu.
+func (m *Monitor) stageChanges(changes map[StreamID]graph.ChangeSet) (map[StreamID]graph.ChangeSet, error) {
+	ids := m.stepIDs[:0]
+	for id := range changes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	m.stepIDs = ids
+	for _, id := range ids {
+		if _, ok := m.streams[id]; !ok {
+			return nil, fmt.Errorf("core: %w %d", ErrUnknownStream, id)
 		}
-		norm := cs.Normalize()
-		clone := g.Clone()
-		if err := norm.Apply(clone); err != nil {
-			return nil, nil, fmt.Errorf("core: invalid change set for stream %d: %w", id, err)
+	}
+	for len(m.undos) < len(ids) {
+		m.undos = append(m.undos, nil)
+	}
+	norms := make(map[StreamID]graph.ChangeSet, len(ids))
+	for i, id := range ids {
+		norm := changes[id].Normalize()
+		undo, err := norm.ApplyUndoable(m.streams[id], m.undos[i][:0])
+		m.undos[i] = undo
+		if err != nil {
+			m.unstage(i)
+			return nil, fmt.Errorf("core: invalid change set for stream %d: %w", id, err)
 		}
-		staged[id] = clone
 		norms[id] = norm
 	}
-	return staged, norms, nil
+	return norms, nil
 }
 
-// apply hands the filter one validated timestamp. Callers hold m.mu.
+// unstage reverts the first n change sets of the batch stageChanges staged,
+// newest first. Callers hold m.mu.
+func (m *Monitor) unstage(n int) {
+	for i := n - 1; i >= 0; i-- {
+		m.undos[i].Revert(m.streams[m.stepIDs[i]])
+	}
+}
+
+// apply hands the filter one staged timestamp. Callers hold m.mu.
 func (m *Monitor) apply(norms map[StreamID]graph.ChangeSet) error {
 	// A batch-capable filter fans the whole timestamp out over its own
-	// worker pool; others walk it stream by stream.
+	// worker pool; others walk it stream by stream, in ascending order.
 	if ba, ok := m.filter.(BatchApplier); ok {
 		if err := ba.ApplyAll(norms); err != nil {
 			return fmt.Errorf("core: filter %s: %w", m.filter.Name(), err)
 		}
 		return nil
 	}
-	for id, cs := range norms {
-		if err := m.filter.Apply(id, cs); err != nil {
+	for _, id := range m.stepIDs {
+		if err := m.filter.Apply(id, norms[id]); err != nil {
 			return fmt.Errorf("core: filter %s stream %d: %w", m.filter.Name(), id, err)
 		}
 	}
@@ -393,25 +419,6 @@ func (m *Monitor) ResetStats() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats = Stats{}
-}
-
-// engineState is the logical state a checkpoint persists: the query and
-// canonical stream graphs plus the ID allocators. Filters are deterministic
-// functions of this state and are rebuilt on restore.
-type engineState struct {
-	queries map[QueryID]*graph.Graph
-	streams map[StreamID]*graph.Graph
-	nextQ   QueryID
-	nextS   StreamID
-}
-
-// checkpointState exposes the monitor's logical state for checkpointing. The
-// returned maps and graphs are shared, not copied: the caller (the durable
-// engine) holds its write-exclusion lock across serialization.
-func (m *Monitor) checkpointState() engineState {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return engineState{queries: m.queries, streams: m.streams, nextQ: m.nextQ, nextS: m.nextS}
 }
 
 // nextIDs reports the IDs the next AddQuery/AddStream would assign — the

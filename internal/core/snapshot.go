@@ -80,33 +80,38 @@ func decodeGraph(sg snapshotGraph) (*graph.Graph, error) {
 	return g, nil
 }
 
-// buildSnapshotFile serializes an engine's logical state, stamping walSeq as
-// the LSN already folded into the snapshot.
-func buildSnapshotFile(st engineState, walSeq uint64) snapshotFile {
+// snapshotFile serializes the monitor's logical state — the query and
+// canonical stream graphs plus the ID allocators; filters are deterministic
+// functions of it and are rebuilt on restore — stamping walSeq as the LSN
+// already folded into the snapshot. It holds the read lock throughout,
+// because StepAll mutates the stream graphs in place.
+func (m *Monitor) snapshotFile(walSeq uint64) snapshotFile {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	file := snapshotFile{
 		Version:    snapshotVersion,
-		NextQuery:  int(st.nextQ),
-		NextStream: int(st.nextS),
+		NextQuery:  int(m.nextQ),
+		NextStream: int(m.nextS),
 		WALSeq:     walSeq,
 	}
-	qids := make([]int, 0, len(st.queries))
-	for id := range st.queries {
+	qids := make([]int, 0, len(m.queries))
+	for id := range m.queries {
 		qids = append(qids, int(id))
 	}
 	sort.Ints(qids)
 	for _, id := range qids {
 		file.Queries = append(file.Queries, snapshotEntry{
-			ID: id, Graph: encodeGraph(st.queries[QueryID(id)]),
+			ID: id, Graph: encodeGraph(m.queries[QueryID(id)]),
 		})
 	}
-	sids := make([]int, 0, len(st.streams))
-	for id := range st.streams {
+	sids := make([]int, 0, len(m.streams))
+	for id := range m.streams {
 		sids = append(sids, int(id))
 	}
 	sort.Ints(sids)
 	for _, id := range sids {
 		file.Streams = append(file.Streams, snapshotEntry{
-			ID: id, Graph: encodeGraph(st.streams[StreamID(id)]),
+			ID: id, Graph: encodeGraph(m.streams[StreamID(id)]),
 		})
 	}
 	return file
@@ -158,7 +163,7 @@ func (m *Monitor) restore(file snapshotFile) error {
 // graphs as JSON. Filter-internal state is not persisted; RestoreMonitor
 // rebuilds it deterministically.
 func (m *Monitor) WriteSnapshot(w io.Writer) error {
-	return writeSnapshotTo(w, buildSnapshotFile(m.checkpointState(), 0))
+	return writeSnapshotTo(w, m.snapshotFile(0))
 }
 
 // RestoreMonitor rebuilds a monitor around a fresh filter from a

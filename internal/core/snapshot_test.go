@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"nntstream/internal/graph"
@@ -100,6 +101,46 @@ func TestSnapshotPreservesIDGaps(t *testing.T) {
 	if id3 != id2+1 {
 		t.Fatalf("id allocation after restore: got %d; want %d", id3, id2+1)
 	}
+}
+
+// TestSnapshotConcurrentWithStepAll: WriteSnapshot reads the stream graphs
+// that StepAll mutates in place, so it must hold the read lock for the whole
+// serialization. Every step grows both streams by one edge, so a snapshot
+// that saw half a step would hold streams of different sizes; the race
+// detector catches the unlocked reads themselves.
+func TestSnapshotConcurrentWithStepAll(t *testing.T) {
+	m := NewMonitor(&passthrough{})
+	ids := populate(t, m, 1, 2)
+	const rounds = 50
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			v := graph.VertexID(100 + i)
+			if _, err := m.StepAll(map[StreamID]graph.ChangeSet{
+				ids[0]: {graph.InsertOp(0, 0, v, 1, 0)},
+				ids[1]: {graph.InsertOp(0, 0, v, 1, 0)},
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		var buf bytes.Buffer
+		if err := m.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreMonitor(&buf, &passthrough{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := restored.StreamGraph(ids[0]).EdgeCount(), restored.StreamGraph(ids[1]).EdgeCount(); a != b {
+			t.Fatalf("snapshot %d caught a step half applied: streams hold %d and %d edges", i, a, b)
+		}
+	}
+	wg.Wait()
 }
 
 func TestRestoreRejectsBadSnapshots(t *testing.T) {

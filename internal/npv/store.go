@@ -41,8 +41,9 @@ type Store struct {
 	depth int
 	verts map[graph.VertexID]*vnode
 	// nodes is Σ_v (1 + L1(NPV_v)) — the node count of the depth-l NNTs the
-	// vectors project (a root plus one node per tree edge), kept at recount
-	// so reading it walks nothing.
+	// vectors project (a root plus one node per tree edge). Creating and
+	// retiring a vertex and recounting its vector adjust it from the L1 the
+	// vnode keeps, so reading it walks nothing.
 	nodes int
 
 	// Per-timestamp scratch, reused across Apply calls. stamp marks the
@@ -53,9 +54,10 @@ type Store struct {
 	sources      []*vnode
 	cur, next    []*vnode
 	// path[0..k] is the walk the enumerator is on; count accumulates the
-	// root being recounted.
-	path  []*vnode
-	count Vector
+	// root being recounted, and countL1 its total.
+	path    []*vnode
+	count   Vector
+	countL1 int
 }
 
 // vnode is one vertex of the store's graph: its label and adjacency, with
@@ -66,6 +68,7 @@ type vnode struct {
 	adj    []half
 	seen   uint32 // stamp of the last sweep that reached it
 	queued uint32 // round in which it was queued for recounting
+	l1     int    // L1 of its vector as last recounted
 }
 
 // half is one direction of an undirected edge.
@@ -92,6 +95,7 @@ func NewStore(g *graph.Graph, depth int) *Store {
 		s.verts[v] = &vnode{id: v, label: l}
 		return true
 	})
+	s.nodes = len(s.verts)
 	for _, v := range s.verts {
 		g.Neighbors(v.id, func(u graph.VertexID, el graph.Label) bool {
 			v.adj = append(v.adj, half{to: s.verts[u], el: el})
@@ -199,6 +203,7 @@ func (s *Store) unlink(a, b graph.VertexID) {
 	for _, w := range [2]*vnode{u, v} {
 		if len(w.adj) == 0 {
 			delete(s.verts, w.id)
+			s.nodes -= 1 + w.l1
 		}
 	}
 }
@@ -220,10 +225,12 @@ func (s *Store) link(op graph.ChangeOp) error {
 	if u == nil {
 		u = &vnode{id: op.U, label: op.ULabel}
 		s.verts[op.U] = u
+		s.nodes++
 	}
 	if v == nil {
 		v = &vnode{id: op.V, label: op.VLabel}
 		s.verts[op.V] = v
+		s.nodes++
 	}
 	if u.edgeTo(v) >= 0 {
 		return nil // idempotent re-insert
@@ -278,20 +285,21 @@ func (s *Store) recount(id graph.VertexID) {
 	v := s.verts[id]
 	if v == nil {
 		if had {
-			s.nodes -= 1 + int(old.L1())
 			delete(s.vectors, id)
 			s.dirty[id] = struct{}{}
 		}
 		return
 	}
 	clear(s.count)
+	s.countL1 = 0
 	s.path[0] = v
 	s.walk(0)
+	s.nodes += s.countL1 - v.l1
+	v.l1 = s.countL1
 	if had && old.Equal(s.count) {
 		return
 	}
 	if had {
-		s.nodes -= 1 + int(old.L1())
 		clear(old)
 		for d, c := range s.count {
 			old[d] = c
@@ -299,7 +307,6 @@ func (s *Store) recount(id graph.VertexID) {
 	} else {
 		s.vectors[id] = s.count.Clone()
 	}
-	s.nodes += 1 + int(s.count.L1())
 	s.dirty[id] = struct{}{}
 }
 
@@ -316,6 +323,7 @@ func (s *Store) walk(level int) {
 			continue
 		}
 		s.count[NewDim(byte(level+1), v.label, h.el, h.to.label)]++
+		s.countL1++
 		if level+1 < s.depth {
 			s.path[level+1] = h.to
 			s.walk(level + 1)

@@ -258,7 +258,10 @@ func decodePayload(payload []byte) (Record, error) {
 		r.ID = d.varint()
 	case KindStepAll:
 		n := d.uvarint()
-		r.Changes = make(map[int64]graph.ChangeSet, n)
+		// Each entry takes at least two bytes, so the rest of the payload
+		// bounds the entries a valid record holds; a corrupt count must not
+		// size the map.
+		r.Changes = make(map[int64]graph.ChangeSet, min(n, uint64(len(payload)-d.pos)))
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			id := d.varint()
 			cs := d.changeSet()
