@@ -531,6 +531,22 @@ func Benchmark_NPV_Dominates_Packed(b *testing.B) {
 	domSink = sink
 }
 
+// TestPackedDominatesAllocatesNothing pins the packed kernel the
+// Benchmark_NPV_Dominates_Packed row measures at 0 allocations per test.
+func TestPackedDominatesAllocatesNothing(t *testing.T) {
+	dominanceWorkload()
+	i, sink := 0, false
+	allocs := testing.AllocsPerRun(len(domPairs), func() {
+		p := domPairs[i%len(domPairs)]
+		sink = domStreamPacked[p[0]].Dominates(domQueryPacked[p[1]])
+		i++
+	})
+	domSink = sink
+	if allocs != 0 {
+		t.Fatalf("packed Dominates allocates %v per call; want 0", allocs)
+	}
+}
+
 // --- substrate microbenchmarks ---
 
 // BenchmarkNNTMaintenance measures the Insert-Edge/Delete-Edge procedures
@@ -579,6 +595,31 @@ func BenchmarkNPVRecount(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// maxNPVRecountAllocs caps one npv.Store timestamp on the sparse stream at
+// its measured steady state: what is left allocates only for vertices the
+// timestamp creates.
+const maxNPVRecountAllocs = 14
+
+// TestNPVRecountAllocsCapped replays BenchmarkNPVRecount's stream once and
+// caps the mean allocations per timestamp.
+func TestNPVRecountAllocsCapped(t *testing.T) {
+	workloads()
+	tpl := wSparse.streams[0]
+	s := npv.NewStore(tpl.Start, join.DefaultDepth)
+	cur := graph.NewCursor(tpl)
+	// AllocsPerRun makes one warm-up call before the runs it averages.
+	allocs := testing.AllocsPerRun(len(tpl.Changes)-1, func() {
+		cs, _ := cur.Next()
+		if err := s.Apply(cs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxNPVRecountAllocs {
+		t.Fatalf("npv.Store allocates %v per timestamp; cap %d", allocs, maxNPVRecountAllocs)
+	}
+	t.Logf("allocs per timestamp: %v", allocs)
 }
 
 // BenchmarkVF2HardInstance shows why the paper avoids exact isomorphism on

@@ -1,7 +1,7 @@
 // benchjson mode: running the test binary with -benchjson out.json skips
 // the normal test run and instead executes the figure-benchmark registry
 // through testing.Benchmark, writing an internal/benchfmt Report. CI uses
-// this to record BENCH_<rev>.json trajectories that cmd/benchgate diffs:
+// this to record BENCH_<rev>.json trajectories (`make benchjson`):
 //
 //	go test -run - -benchjson BENCH_pr.json -benchjson-rev "$(git rev-parse --short HEAD)" \
 //	        -bench 'Fig|Parallel' -benchtime 100ms .

@@ -16,7 +16,7 @@ func TestBenchRegistryWellFormed(t *testing.T) {
 		}
 		seen[e.name] = true
 	}
-	// Spot-check that the names the CI bench gate keys on are present.
+	// Spot-check that the rows BENCH_main.json records are present.
 	for _, want := range []string{"Fig16_DSC", "Fig17_Skyline", "Parallel_DSC_W4", "Fig12_Depth/L3"} {
 		if !seen[want] {
 			t.Fatalf("registry missing %q", want)

@@ -8,15 +8,12 @@
 //	loadgen -target http://localhost:8080 -rate 100 -duration 20s \
 //	        [-overload-factor 5] [-overload-duration 10s] \
 //	        [-batch 8] [-ops 4] [-streams 4] [-queries 8] [-tenants 2] \
-//	        [-graph-cap 512] [-seed 1] [-out report.json] \
-//	        [-bench-out BENCH_load_pr.json] [-rev r] [-expect-shed]
+//	        [-graph-cap 512] [-seed 1] [-out report.json] [-expect-shed]
 //
 // The schedule has two phases: a sustained phase at -rate batches/sec, then
 // an optional overload phase at -rate × -overload-factor that drives the
 // server's admission control into shedding (CI asserts shed_rate > 0 there
-// with -expect-shed). The -bench-out file is an internal/benchfmt report —
-// throughput as ns per applied op plus the latency quantiles — so
-// cmd/benchgate diffs load runs exactly like microbenchmark trajectories.
+// with -expect-shed).
 package main
 
 import (
@@ -53,8 +50,6 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request client timeout")
 	maxInFlight := flag.Int("max-in-flight", 512, "client-side concurrent request cap; scheduled batches beyond it are dropped and counted as errors")
 	out := flag.String("out", "", "write the JSON report here ('' = stdout summary only)")
-	benchOut := flag.String("bench-out", "", "also write an internal/benchfmt report here for cmd/benchgate")
-	rev := flag.String("rev", "", "revision label recorded in the -bench-out report")
 	expectShed := flag.Bool("expect-shed", false, "exit 1 unless the overload phase observed shed_rate > 0")
 	flag.Parse()
 
@@ -102,19 +97,6 @@ func main() {
 			log.Fatalf("writing report: %v", err)
 		}
 		log.Printf("report written to %s", *out)
-	}
-	if *benchOut != "" {
-		f, err := os.Create(*benchOut)
-		if err != nil {
-			log.Fatalf("writing bench report: %v", err)
-		}
-		if err := benchReport(*rev, runtime.Version(), rep.Total).Encode(f); err != nil {
-			log.Fatalf("writing bench report: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("writing bench report: %v", err)
-		}
-		log.Printf("benchfmt report written to %s", *benchOut)
 	}
 
 	if rep.Total.OK == 0 {

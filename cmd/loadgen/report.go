@@ -7,8 +7,6 @@ import (
 	"os"
 	"sort"
 	"time"
-
-	"nntstream/internal/benchfmt"
 )
 
 // PhaseReport is the measured outcome of one arrival-schedule phase.
@@ -139,28 +137,6 @@ func writeJSONFile(path string, v any) error {
 		return err
 	}
 	return f.Close()
-}
-
-// benchReport converts the run into a benchfmt.Report so cmd/benchgate can
-// diff load runs exactly like microbenchmark trajectories. Throughput maps
-// onto the ns/op axis as 1e9/ops_per_sec (nanoseconds per applied op —
-// lower is better, same direction as every other benchmark), and the
-// latency quantiles are recorded as their own entries in nanoseconds.
-func benchReport(rev, goVersion string, total PhaseReport) *benchfmt.Report {
-	r := &benchfmt.Report{Revision: rev, GoVersion: goVersion}
-	if total.OpsPerSec > 0 {
-		r.Add(benchfmt.Result{Name: "Load_IngestOp", Iterations: total.Ops,
-			NsPerOp: 1e9 / total.OpsPerSec})
-	}
-	add := func(name string, ms float64) {
-		if ms > 0 {
-			r.Add(benchfmt.Result{Name: name, Iterations: total.Sent, NsPerOp: ms * 1e6})
-		}
-	}
-	add("Load_P50", total.P50Ms)
-	add("Load_P99", total.P99Ms)
-	add("Load_P999", total.P999Ms)
-	return r
 }
 
 // printSummary renders the human-readable run summary.

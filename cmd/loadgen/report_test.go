@@ -88,36 +88,6 @@ func TestMergePhases(t *testing.T) {
 	}
 }
 
-func TestBenchReport(t *testing.T) {
-	total := PhaseReport{
-		Sent: 100, Ops: 5000, OpsPerSec: 2500,
-		P50Ms: 4, P99Ms: 20, P999Ms: 35,
-	}
-	r := benchReport("abc123", "go1.24.0", total)
-	if r.Revision != "abc123" {
-		t.Fatalf("Revision = %q", r.Revision)
-	}
-	op, ok := r.Lookup("Load_IngestOp")
-	if !ok {
-		t.Fatal("Load_IngestOp missing")
-	}
-	// 2500 ops/s on the ns/op axis: 1e9 / 2500 = 400000 ns per op.
-	if op.NsPerOp != 400000 {
-		t.Fatalf("Load_IngestOp = %v ns/op; want 400000", op.NsPerOp)
-	}
-	p99, ok := r.Lookup("Load_P99")
-	if !ok || p99.NsPerOp != 20*1e6 {
-		t.Fatalf("Load_P99 = %+v; want 20ms in ns", p99)
-	}
-
-	// A run with no successes produces no entries rather than Inf/0 values
-	// that would fail benchfmt validation.
-	empty := benchReport("abc123", "go1.24.0", PhaseReport{})
-	if len(empty.Results) != 0 {
-		t.Fatalf("empty run produced %d results", len(empty.Results))
-	}
-}
-
 // TestWorkloadBatchesAreCanonical feeds generated batches through the real
 // server-side decoder: every frame the generator emits must decode cleanly,
 // or load results would measure rejection speed instead of ingest.

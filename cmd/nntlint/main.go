@@ -4,21 +4,17 @@
 //
 // Usage:
 //
-//	nntlint [-list] [-analyzers a,b] [-json] [-github] [./... | dir ...]
+//	nntlint [./... | dir ...]
 //
 // With no arguments it analyzes every package in the module. Findings print
-// as file:line:col: analyzer: message (or one JSON object per line with
-// -json, or GitHub Actions ::error annotations with -github), and the exit
-// status is 1 when any survive review or a package fails to load. A finding
-// that is correct-but-conservative is silenced in place with a reviewed
-// comment:
+// as file:line:col: analyzer: message, and the exit status is 1 when any
+// survive review or a package fails to load. A finding that is
+// correct-but-conservative is silenced in place with a reviewed comment:
 //
 //	//lint:ignore <analyzer> <reason>
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -34,49 +30,14 @@ func main() {
 
 // run is the testable driver: it returns the process exit code instead of
 // calling os.Exit, so tests can assert on seeded violations.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("nntlint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	list := fs.Bool("list", false, "list the analyzers and exit")
-	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run")
-	asJSON := fs.Bool("json", false, "print findings as one JSON object per line")
-	asGitHub := fs.Bool("github", false, "print findings as GitHub Actions ::error annotations")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	analyzers := analysis.Analyzers()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *only != "" {
-		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(stderr, "nntlint: unknown analyzer %q\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-
+func run(patterns []string, stdout, stderr io.Writer) int {
 	// Load errors exit 1, like findings: a package that cannot be analyzed
 	// must fail the build, or a syntax error would silence the whole gate.
-	// Exit 2 stays reserved for usage errors (bad flags, unknown analyzers).
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		fmt.Fprintf(stderr, "nntlint: %v\n", err)
 		return 1
 	}
-	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -109,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	findings := analysis.RunAnalyzers(pkgs, analyzers)
+	findings := analysis.RunAnalyzers(pkgs, analysis.Analyzers())
 	cwd, _ := os.Getwd()
 	for _, f := range findings {
 		if cwd != "" {
@@ -117,58 +78,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 				f.Pos.Filename = rel
 			}
 		}
-		switch {
-		case *asJSON:
-			printJSON(stdout, f)
-		case *asGitHub:
-			printGitHub(stdout, f)
-		default:
-			fmt.Fprintln(stdout, f)
-		}
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "nntlint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-// jsonFinding is the stable wire form of one -json line.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func printJSON(w io.Writer, f analysis.Finding) {
-	b, err := json.Marshal(jsonFinding{
-		File:     f.Pos.Filename,
-		Line:     f.Pos.Line,
-		Col:      f.Pos.Column,
-		Analyzer: f.Analyzer,
-		Message:  f.Message,
-	})
-	if err != nil {
-		// Findings are plain strings and ints; Marshal cannot fail on them.
-		panic(err)
-	}
-	fmt.Fprintf(w, "%s\n", b)
-}
-
-// printGitHub emits one GitHub Actions workflow command per finding, which
-// the Actions runner turns into an inline PR annotation.
-func printGitHub(w io.Writer, f analysis.Finding) {
-	fmt.Fprintf(w, "::error file=%s,line=%d,col=%d,title=nntlint/%s::%s\n",
-		f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, githubEscape(f.Message))
-}
-
-// githubEscape encodes the characters the workflow-command grammar reserves
-// in message data (%, CR, LF).
-func githubEscape(s string) string {
-	s = strings.ReplaceAll(s, "%", "%25")
-	s = strings.ReplaceAll(s, "\r", "%0D")
-	s = strings.ReplaceAll(s, "\n", "%0A")
-	return s
 }

@@ -22,9 +22,9 @@ var ingestFrame = []byte(strings.Join([]string{
 var ingestDecodeSink int
 
 // BenchmarkIngestDecode measures the warm ingest frame decoder — the per-line
-// cost of the /v1/ingest hot loop. Its allocs_per_op is pinned to 0 by the
-// benchgate -max-allocs gate: the decoder reuses its backing storage, so the
-// steady state must not allocate.
+// cost of the /v1/ingest hot loop. The decoder reuses its backing storage,
+// so the steady state must not allocate; TestIngestDecodeZeroAlloc in
+// internal/server pins that at 0.
 func BenchmarkIngestDecode(b *testing.B) {
 	var d server.IngestDecoder
 	if _, err := d.DecodeStep(ingestFrame); err != nil {

@@ -26,8 +26,6 @@ import (
 type Analyzer struct {
 	// Name is the identifier used in findings and suppression comments.
 	Name string
-	// Doc is a one-line description of the guarded invariant.
-	Doc string
 	// Run reports the analyzer's findings on one package through the pass.
 	Run func(*Pass)
 }
@@ -75,12 +73,12 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// Analyzers returns the full suite in stable order: the five per-package
+// Analyzers returns the full suite in stable order: the four per-package
 // analyzers first, then the four interprocedural ones built on the module
 // call graph.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		LockSafe, SentinelErr, MapDeterm, WALOrder, MetricName,
+		LockSafe, SentinelErr, MapDeterm, WALOrder,
 		BlockHold, LockOrder, CtxFlow, HotAlloc,
 	}
 }

@@ -29,7 +29,6 @@ import (
 // silenced in place with //lint:ignore blockhold <reason> as usual.
 var BlockHold = &Analyzer{
 	Name: "blockhold",
-	Doc:  "no call path from a critical section reaches a blocking operation",
 	Run:  runBlockHold,
 }
 

@@ -23,7 +23,6 @@ import (
 // may freely create root contexts; that is what Background is for.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "functions that receive a context must thread it, not re-root with context.Background",
 	Run:  runCtxFlow,
 }
 

@@ -81,7 +81,6 @@ func TestLockSafeFixture(t *testing.T)    { testFixture(t, LockSafe) }
 func TestSentinelErrFixture(t *testing.T) { testFixture(t, SentinelErr) }
 func TestMapDetermFixture(t *testing.T)   { testFixture(t, MapDeterm) }
 func TestWALOrderFixture(t *testing.T)    { testFixture(t, WALOrder) }
-func TestMetricNameFixture(t *testing.T)  { testFixture(t, MetricName) }
 func TestBlockHoldFixture(t *testing.T)   { testFixture(t, BlockHold) }
 func TestLockOrderFixture(t *testing.T)   { testFixture(t, LockOrder) }
 func TestCtxFlowFixture(t *testing.T)     { testFixture(t, CtxFlow) }

@@ -16,8 +16,8 @@ import (
 // call unannotated module functions that do — the check is transitive over
 // the static call graph. Calls from one annotated function into another are
 // not re-traversed (the callee is verified on its own), so the annotation
-// set forms a closed zero-alloc region whose verdicts line up with
-// benchgate's allocs_per_op gates.
+// set forms a closed zero-alloc region whose verdicts line up with the
+// testing.AllocsPerRun caps in the tier-1 tests.
 //
 // Flagged constructs: make, new, append, slice and map literals, &composite
 // (heap-escaping pointer literals), string concatenation, string<->[]byte
@@ -30,7 +30,6 @@ import (
 // //lint:ignore hotalloc <reason>.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "//nnt:hotpath functions must not allocate, transitively",
 	Run:  runHotAlloc,
 }
 

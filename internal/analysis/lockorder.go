@@ -23,7 +23,6 @@ import (
 // identity is beyond static reach — a documented unsoundness.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "the module-wide lock acquisition graph has no cycles (no ABBA deadlocks)",
 	Run:  runLockOrder,
 }
 

@@ -10,15 +10,15 @@ import (
 //   - every Lock/RLock on a sync.Mutex/RWMutex is released on all paths,
 //     either by a matching defer or by a matching unlock in the same
 //     statement list with no way to return in between;
-//   - mutex-bearing values are never copied (value receivers or value
-//     parameters whose type transitively contains a lock);
 //   - no blocking I/O (os, net, net/http, time.Sleep, *os.File methods,
 //     *wal.Log appends/fsyncs) runs while a hot-path reader-writer lock is
 //     held — RWMutexes guard the engine's concurrent read paths, and an
 //     fsync under one stalls every reader.
+//
+// Copied locks are go vet's copylocks check, so this analyzer leaves them
+// alone.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
-	Doc:  "mutexes are released on all paths, never copied, and never held across blocking I/O",
 	Run:  runLockSafe,
 }
 
@@ -57,71 +57,10 @@ func classifyLockCall(info *types.Info, call *ast.CallExpr) (lockCall, bool) {
 
 func runLockSafe(p *Pass) {
 	for _, file := range p.Pkg.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				checkLockCopies(p, fd)
-			}
-		}
-		eachFuncBody(file, func(_ *ast.FuncDecl, body *ast.BlockStmt) {
+		eachFuncBody(file, func(body *ast.BlockStmt) {
 			checkLockBalance(p, body)
 		})
 	}
-}
-
-// checkLockCopies flags value receivers and value parameters whose type
-// transitively contains a sync primitive.
-func checkLockCopies(p *Pass, fd *ast.FuncDecl) {
-	check := func(field *ast.Field, what string) {
-		if field == nil {
-			return
-		}
-		t := p.Pkg.Info.TypeOf(field.Type)
-		if t == nil {
-			return
-		}
-		if name := lockComponent(t, map[types.Type]bool{}); name != "" {
-			p.Reportf(field.Type.Pos(), "%s of %s copies a lock: %s contains sync.%s; use a pointer",
-				what, fd.Name.Name, t.String(), name)
-		}
-	}
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		check(fd.Recv.List[0], "value receiver")
-	}
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			check(field, "value parameter")
-		}
-	}
-}
-
-// lockComponent returns the name of the sync primitive t contains by value
-// (following named types, struct fields, and arrays — not pointers), or "".
-func lockComponent(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	switch u := t.(type) {
-	case *types.Alias:
-		return lockComponent(types.Unalias(u), seen)
-	case *types.Named:
-		if obj := u.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return obj.Name()
-			}
-		}
-		return lockComponent(u.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name := lockComponent(u.Field(i).Type(), seen); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return lockComponent(u.Elem(), seen)
-	}
-	return ""
 }
 
 // checkLockBalance verifies release-on-all-paths for every acquire in one

@@ -18,7 +18,6 @@ import (
 // accumulated slice in the same block.
 var MapDeterm = &Analyzer{
 	Name: "mapdeterm",
-	Doc:  "map iteration that feeds slices, encoders, or the WAL is sorted before use",
 	Run:  runMapDeterm,
 }
 
@@ -31,7 +30,7 @@ var encoderMethods = map[string]bool{
 func runMapDeterm(p *Pass) {
 	info := p.Pkg.Info
 	for _, file := range p.Pkg.Files {
-		eachFuncBody(file, func(_ *ast.FuncDecl, body *ast.BlockStmt) {
+		eachFuncBody(file, func(body *ast.BlockStmt) {
 			walkShallow(body, func(n ast.Node) bool {
 				if rs, ok := n.(*ast.RangeStmt); ok && isMapRange(info, rs) {
 					checkMapRange(p, rs, body)

@@ -14,7 +14,6 @@ import (
 // depend on wrapped sentinels staying recognizable.
 var SentinelErr = &Analyzer{
 	Name: "sentinelerr",
-	Doc:  "module error sentinels are compared with errors.Is, never == or !=",
 	Run:  runSentinelErr,
 }
 

@@ -123,15 +123,15 @@ func containsReturn(n ast.Node) bool {
 
 // eachFuncBody invokes fn for every function body in the file: declarations
 // and function literals, each exactly once.
-func eachFuncBody(file *ast.File, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
+func eachFuncBody(file *ast.File, fn func(body *ast.BlockStmt)) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch d := n.(type) {
 		case *ast.FuncDecl:
 			if d.Body != nil {
-				fn(d, d.Body)
+				fn(d.Body)
 			}
 		case *ast.FuncLit:
-			fn(nil, d.Body)
+			fn(d.Body)
 		}
 		return true
 	})

@@ -15,7 +15,6 @@ import (
 // applied before it was logged is lost by a crash, silently.
 var WALOrder = &Analyzer{
 	Name: "walorder",
-	Doc:  "engine mutations inside WAL-owning types are preceded by a wal.Append (append-before-apply)",
 	Run:  runWALOrder,
 }
 

@@ -1,11 +1,9 @@
 // Package benchfmt defines the JSON interchange format for the repo's
 // benchmark trajectory: a Report is one run of the figure benchmarks
-// (BENCH_<rev>.json), and cmd/benchgate diffs two Reports to gate
-// regressions in CI.
+// (BENCH_<rev>.json), recorded by the root test binary's -benchjson mode.
 //
 // The package deliberately does not import testing: the root test binary
-// converts testing.BenchmarkResult values into plain Result records, and
-// benchgate consumes the JSON without linking the test framework.
+// converts testing.BenchmarkResult values into plain Result records.
 package benchfmt
 
 import (
@@ -27,9 +25,8 @@ type Result struct {
 }
 
 // Report is one benchmark run. Environment fields record the conditions
-// the numbers were taken under; comparisons across different GOMAXPROCS
-// or Go versions are still mechanically possible but benchgate surfaces
-// the mismatch so a human can discount them.
+// the numbers were taken under, so a reader comparing two reports can
+// discount differences in GOMAXPROCS or Go version.
 type Report struct {
 	Revision   string   `json:"revision,omitempty"`
 	GoVersion  string   `json:"go_version,omitempty"`
@@ -41,16 +38,6 @@ type Report struct {
 // Add appends a result. Encode sorts, so call order does not matter.
 func (r *Report) Add(res Result) { r.Results = append(r.Results, res) }
 
-// Lookup returns the result with the given name.
-func (r *Report) Lookup(name string) (Result, bool) {
-	for _, res := range r.Results {
-		if res.Name == name {
-			return res, true
-		}
-	}
-	return Result{}, false
-}
-
 // Encode writes the report as indented JSON with results sorted by name,
 // so successive runs of the same suite produce line-diffable files.
 func (r *Report) Encode(w io.Writer) error {
@@ -61,38 +48,4 @@ func (r *Report) Encode(w io.Writer) error {
 		return fmt.Errorf("benchfmt: encode: %w", err)
 	}
 	return nil
-}
-
-// Decode reads a report and validates the minimum shape benchgate needs:
-// every result is named, named once, has a positive per-op time, and
-// non-negative allocation stats (testing.BenchmarkResult can never produce
-// negative counts, so a negative value means a hand-edited or corrupt file
-// that would silently satisfy any -max-allocs cap).
-func Decode(rd io.Reader) (*Report, error) {
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	var r Report
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("benchfmt: decode: %w", err)
-	}
-	seen := make(map[string]bool, len(r.Results))
-	for _, res := range r.Results {
-		if res.Name == "" {
-			return nil, fmt.Errorf("benchfmt: result with empty name")
-		}
-		if seen[res.Name] {
-			return nil, fmt.Errorf("benchfmt: duplicate result %q", res.Name)
-		}
-		seen[res.Name] = true
-		if res.NsPerOp <= 0 {
-			return nil, fmt.Errorf("benchfmt: result %q has non-positive ns_per_op", res.Name)
-		}
-		if res.AllocsPerOp < 0 {
-			return nil, fmt.Errorf("benchfmt: result %q has negative allocs_per_op", res.Name)
-		}
-		if res.BytesPerOp < 0 {
-			return nil, fmt.Errorf("benchfmt: result %q has negative bytes_per_op", res.Name)
-		}
-	}
-	return &r, nil
 }

@@ -520,7 +520,7 @@ func (c *Coordinator) rejectWrite(rw http.ResponseWriter) {
 		secs = 1
 	}
 	rw.Header().Set("Retry-After", strconv.Itoa(secs))
-	httpError(rw, http.StatusServiceUnavailable, "cluster degraded: writes are paused")
+	server.HTTPError(rw, http.StatusServiceUnavailable, "cluster degraded: writes are paused")
 }
 
 // noteAck folds a data-plane response watermark into the group's
@@ -547,7 +547,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", c.handleStats)
 	mux.HandleFunc("GET /v1/metrics", c.handleMetrics)
 	mux.HandleFunc("GET /v1/healthz", func(rw http.ResponseWriter, _ *http.Request) {
-		writeJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
+		server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
 }
@@ -566,7 +566,7 @@ func (c *Coordinator) handleAddQuery(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := req.Graph.ToGraph(); err != nil {
-		httpError(rw, http.StatusBadRequest, "bad graph: %v", err)
+		server.HTTPError(rw, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
 	c.mu.Lock()
@@ -588,18 +588,18 @@ func (c *Coordinator) handleAddQuery(rw http.ResponseWriter, r *http.Request) {
 			// A partial broadcast is safe to retry: groups that applied it
 			// answer idempotently off the Expect key, fingerprint-checked so
 			// a different payload under a reused key is rejected, not acked.
-			httpError(rw, proxyStatus(err), "group %d: %v", g, err)
+			server.HTTPError(rw, proxyStatus(err), "group %d: %v", g, err)
 			return
 		}
 	}
 	c.queries++
-	writeJSON(rw, http.StatusCreated, WireID{ID: id})
+	server.WriteJSON(rw, http.StatusCreated, WireID{ID: id})
 }
 
 func (c *Coordinator) handleRemoveQuery(rw http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		httpError(rw, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))
+		server.HTTPError(rw, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))
 		return
 	}
 	c.mu.Lock()
@@ -616,16 +616,16 @@ func (c *Coordinator) handleRemoveQuery(rw http.ResponseWriter, r *http.Request)
 			fmt.Sprintf("/cluster/groups/%d/queries/%d", g, id), nil, &resp)
 		gp.noteAck(hdr)
 		if err != nil {
-			httpError(rw, proxyStatus(err), "group %d: %v", g, err)
+			server.HTTPError(rw, proxyStatus(err), "group %d: %v", g, err)
 			return
 		}
 		anyRemoved = anyRemoved || resp.Removed
 	}
 	if !anyRemoved {
-		httpError(rw, http.StatusNotFound, "unknown query %d", id)
+		server.HTTPError(rw, http.StatusNotFound, "unknown query %d", id)
 		return
 	}
-	writeJSON(rw, http.StatusOK, map[string]string{"status": "removed"})
+	server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "removed"})
 }
 
 func (c *Coordinator) handleAddStream(rw http.ResponseWriter, r *http.Request) {
@@ -634,7 +634,7 @@ func (c *Coordinator) handleAddStream(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := req.Graph.ToGraph(); err != nil {
-		httpError(rw, http.StatusBadRequest, "bad graph: %v", err)
+		server.HTTPError(rw, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
 	c.mu.Lock()
@@ -654,11 +654,11 @@ func (c *Coordinator) handleAddStream(rw http.ResponseWriter, r *http.Request) {
 			Fingerprint: fingerprintOf(req.Graph)}, &resp)
 	gp.noteAck(hdr)
 	if err != nil {
-		httpError(rw, proxyStatus(err), "group %d: %v", g, err)
+		server.HTTPError(rw, proxyStatus(err), "group %d: %v", g, err)
 		return
 	}
 	c.streams++
-	writeJSON(rw, http.StatusCreated, WireID{ID: int(global)})
+	server.WriteJSON(rw, http.StatusCreated, WireID{ID: int(global)})
 }
 
 func (c *Coordinator) handleStep(rw http.ResponseWriter, r *http.Request) {
@@ -677,11 +677,11 @@ func (c *Coordinator) handleStep(rw http.ResponseWriter, r *http.Request) {
 	for key, ops := range req.Changes {
 		sid, err := strconv.Atoi(key)
 		if err != nil {
-			httpError(rw, http.StatusBadRequest, "bad stream id %q", key)
+			server.HTTPError(rw, http.StatusBadRequest, "bad stream id %q", key)
 			return
 		}
 		if sid < 0 || sid >= c.streams {
-			httpError(rw, http.StatusNotFound, "unknown stream %d", sid)
+			server.HTTPError(rw, http.StatusNotFound, "unknown stream %d", sid)
 			return
 		}
 		g := c.cfg.GroupOf(int64(sid))
@@ -700,7 +700,7 @@ func (c *Coordinator) handleStep(rw http.ResponseWriter, r *http.Request) {
 			WireStep{Seq: seq, Changes: perGroup[g], Fingerprint: fingerprintOf(perGroup[g])}, &resp)
 		gp.noteAck(hdr)
 		if err != nil {
-			httpError(rw, proxyStatus(err), "group %d: %v", g, err)
+			server.HTTPError(rw, proxyStatus(err), "group %d: %v", g, err)
 			return
 		}
 		for _, p := range resp.Pairs {
@@ -712,7 +712,7 @@ func (c *Coordinator) handleStep(rw http.ResponseWriter, r *http.Request) {
 	}
 	c.steps++
 	sortWirePairs(all)
-	writeJSON(rw, http.StatusOK, WirePairs{Pairs: all})
+	server.WriteJSON(rw, http.StatusOK, WirePairs{Pairs: all})
 }
 
 func (c *Coordinator) handleCandidates(rw http.ResponseWriter, r *http.Request) {
@@ -724,7 +724,7 @@ func (c *Coordinator) handleCandidates(rw http.ResponseWriter, r *http.Request) 
 	for g, gp := range c.groups {
 		addr, fromReplica, replicaLSN, ok := c.readTargetLocked(g, gp)
 		if !ok {
-			httpError(rw, http.StatusServiceUnavailable, "group %d has no reachable replica", g)
+			server.HTTPError(rw, http.StatusServiceUnavailable, "group %d has no reachable replica", g)
 			return
 		}
 		var resp WirePairs
@@ -732,7 +732,7 @@ func (c *Coordinator) handleCandidates(rw http.ResponseWriter, r *http.Request) 
 		hdr, err := c.transport.Do(r.Context(), addr, http.MethodGet,
 			fmt.Sprintf("/cluster/groups/%d/candidates", g), nil, &resp)
 		if err != nil {
-			httpError(rw, proxyStatus(err), "group %d: %v", g, err)
+			server.HTTPError(rw, proxyStatus(err), "group %d: %v", g, err)
 			return
 		}
 		if fromReplica {
@@ -756,7 +756,7 @@ func (c *Coordinator) handleCandidates(rw http.ResponseWriter, r *http.Request) 
 		rw.Header().Set(HeaderStale, "true")
 		rw.Header().Set(HeaderStaleLag, strconv.FormatUint(lag, 10))
 	}
-	writeJSON(rw, http.StatusOK, WirePairs{Pairs: all})
+	server.WriteJSON(rw, http.StatusOK, WirePairs{Pairs: all})
 }
 
 // readTargetLocked picks where to read a group from: its live primary, or —
@@ -814,7 +814,7 @@ func (c *Coordinator) handleStats(rw http.ResponseWriter, r *http.Request) {
 		agg.AvgFilterMs /= float64(n)
 		agg.CandidateRatio /= float64(n)
 	}
-	writeJSON(rw, http.StatusOK, agg)
+	server.WriteJSON(rw, http.StatusOK, agg)
 }
 
 func (c *Coordinator) handleMetrics(rw http.ResponseWriter, r *http.Request) {

@@ -443,7 +443,7 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("GET /cluster/groups/{g}/candidates", w.handleCandidates)
 	mux.HandleFunc("GET /cluster/groups/{g}/stats", w.handleStats)
 	mux.HandleFunc("GET /v1/healthz", func(rw http.ResponseWriter, _ *http.Request) {
-		writeJSON(rw, http.StatusOK, map[string]string{"status": "ok", "worker": w.id})
+		server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "ok", "worker": w.id})
 	})
 	return mux
 }
@@ -454,7 +454,7 @@ func (w *Worker) Handler() http.Handler {
 func (w *Worker) pathGroup(rw http.ResponseWriter, r *http.Request, create bool) (*workerGroup, bool) {
 	gid, err := strconv.Atoi(r.PathValue("g"))
 	if err != nil || gid < 0 || gid >= MaxGroups {
-		httpError(rw, http.StatusBadRequest, "bad group %q", r.PathValue("g"))
+		server.HTTPError(rw, http.StatusBadRequest, "bad group %q", r.PathValue("g"))
 		return nil, false
 	}
 	g, err := w.group(gid, create)
@@ -463,7 +463,7 @@ func (w *Worker) pathGroup(rw http.ResponseWriter, r *http.Request, create bool)
 		if create {
 			status = http.StatusInternalServerError
 		}
-		httpError(rw, status, "%v", err)
+		server.HTTPError(rw, status, "%v", err)
 		return nil, false
 	}
 	return g, true
@@ -474,7 +474,7 @@ func (w *Worker) pathGroup(rw http.ResponseWriter, r *http.Request, create bool)
 func groupEngine(rw http.ResponseWriter, g *workerGroup) (*core.DurableEngine, bool) {
 	eng := g.eng()
 	if eng == nil {
-		httpError(rw, http.StatusServiceUnavailable, "group %d engine is being replaced", g.id)
+		server.HTTPError(rw, http.StatusServiceUnavailable, "group %d engine is being replaced", g.id)
 		return nil, false
 	}
 	return eng, true
@@ -514,7 +514,7 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, _ *http.Request) {
 			Timestamps: stats.Timestamps,
 		})
 	}
-	writeJSON(rw, http.StatusOK, st)
+	server.WriteJSON(rw, http.StatusOK, st)
 }
 
 func (w *Worker) handleRole(rw http.ResponseWriter, r *http.Request) {
@@ -523,7 +523,7 @@ func (w *Worker) handleRole(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Role != RolePrimary && req.Role != RoleReplica {
-		httpError(rw, http.StatusBadRequest, "unknown role %q", req.Role)
+		server.HTTPError(rw, http.StatusBadRequest, "unknown role %q", req.Role)
 		return
 	}
 	g, ok := w.pathGroup(rw, r, true)
@@ -559,7 +559,7 @@ func (w *Worker) handleRole(rw http.ResponseWriter, r *http.Request) {
 		}
 	}
 	g.mu.Unlock()
-	writeJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
@@ -573,7 +573,7 @@ func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 	if role != RoleReplica {
 		// A primary refusing shipped records is the split-brain guard: two
 		// primaries never silently merge histories.
-		httpError(rw, http.StatusConflict, "group %d on %s is %s, not a replica", g.id, w.id, role)
+		server.HTTPError(rw, http.StatusConflict, "group %d on %s is %s, not a replica", g.id, w.id, role)
 		return
 	}
 	var req WireReplicate
@@ -586,7 +586,7 @@ func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 	}
 	recs, err := decodeRecords(req.Records)
 	if err != nil {
-		httpError(rw, http.StatusBadRequest, "%v", err)
+		server.HTTPError(rw, http.StatusBadRequest, "%v", err)
 		return
 	}
 	resp := WireReplicateResponse{}
@@ -596,13 +596,13 @@ func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 				resp.Gap = true
 				break
 			}
-			httpError(rw, http.StatusInternalServerError, "applying record %d: %v", rec.LSN, err)
+			server.HTTPError(rw, http.StatusInternalServerError, "applying record %d: %v", rec.LSN, err)
 			return
 		}
 	}
 	resp.Applied = eng.AppliedLSN()
 	rw.Header().Set(HeaderLSN, strconv.FormatUint(resp.Applied, 10))
-	writeJSON(rw, http.StatusOK, resp)
+	server.WriteJSON(rw, http.StatusOK, resp)
 }
 
 func (w *Worker) handleRecords(rw http.ResponseWriter, r *http.Request) {
@@ -612,7 +612,7 @@ func (w *Worker) handleRecords(rw http.ResponseWriter, r *http.Request) {
 	}
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
-		httpError(rw, http.StatusBadRequest, "bad from %q", r.URL.Query().Get("from"))
+		server.HTTPError(rw, http.StatusBadRequest, "bad from %q", r.URL.Query().Get("from"))
 		return
 	}
 	eng, ok := groupEngine(rw, g)
@@ -621,19 +621,19 @@ func (w *Worker) handleRecords(rw http.ResponseWriter, r *http.Request) {
 	}
 	recs, err := eng.RecordsSince(from)
 	if errors.Is(err, wal.ErrCompacted) {
-		writeJSON(rw, http.StatusOK, WireRecords{Compacted: true})
+		server.WriteJSON(rw, http.StatusOK, WireRecords{Compacted: true})
 		return
 	}
 	if err != nil {
-		httpError(rw, http.StatusInternalServerError, "%v", err)
+		server.HTTPError(rw, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	enc, err := encodeRecords(recs)
 	if err != nil {
-		httpError(rw, http.StatusInternalServerError, "%v", err)
+		server.HTTPError(rw, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(rw, http.StatusOK, WireRecords{Records: enc})
+	server.WriteJSON(rw, http.StatusOK, WireRecords{Records: enc})
 }
 
 func (w *Worker) handleSnapshotGet(rw http.ResponseWriter, r *http.Request) {
@@ -647,10 +647,10 @@ func (w *Worker) handleSnapshotGet(rw http.ResponseWriter, r *http.Request) {
 	}
 	data, err := eng.SnapshotBytes()
 	if err != nil {
-		httpError(rw, http.StatusInternalServerError, "%v", err)
+		server.HTTPError(rw, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(rw, http.StatusOK, WireSnapshot{Data: data})
+	server.WriteJSON(rw, http.StatusOK, WireSnapshot{Data: data})
 }
 
 func (w *Worker) handleSnapshotInstall(rw http.ResponseWriter, r *http.Request) {
@@ -672,25 +672,25 @@ func (w *Worker) handleSnapshotInstall(rw http.ResponseWriter, r *http.Request) 
 	g.mu.Unlock()
 	if old != nil {
 		if err := old.Crash(); err != nil {
-			httpError(rw, http.StatusInternalServerError, "retiring old engine: %v", err)
+			server.HTTPError(rw, http.StatusInternalServerError, "retiring old engine: %v", err)
 			return
 		}
 	}
 	dir := filepath.Join(w.dir, fmt.Sprintf("group-%d", g.id))
 	if err := core.InstallSnapshot(dir, req.Data); err != nil {
-		httpError(rw, http.StatusInternalServerError, "%v", err)
+		server.HTTPError(rw, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	eng, err := w.openEngine(g)
 	if err != nil {
-		httpError(rw, http.StatusInternalServerError, "reopening after install: %v", err)
+		server.HTTPError(rw, http.StatusInternalServerError, "reopening after install: %v", err)
 		return
 	}
 	g.mu.Lock()
 	g.engine = eng
 	g.mu.Unlock()
 	rw.Header().Set(HeaderLSN, strconv.FormatUint(eng.AppliedLSN(), 10))
-	writeJSON(rw, http.StatusOK, map[string]string{"status": "installed"})
+	server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "installed"})
 }
 
 func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
@@ -701,13 +701,13 @@ func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
 	if err := g.syncReplicas(r.Context()); err != nil {
 		var se *StatusError
 		if errors.As(err, &se) {
-			httpError(rw, se.Code, "%s", se.Msg)
+			server.HTTPError(rw, se.Code, "%s", se.Msg)
 			return
 		}
-		httpError(rw, http.StatusBadGateway, "%v", err)
+		server.HTTPError(rw, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // requirePrimary rejects data-plane writes on non-primaries — the backstop
@@ -717,7 +717,7 @@ func requirePrimary(rw http.ResponseWriter, w *Worker, g *workerGroup) bool {
 	role := g.role
 	g.mu.Unlock()
 	if role != RolePrimary {
-		httpError(rw, http.StatusConflict, "group %d on %s is not the primary", g.id, w.id)
+		server.HTTPError(rw, http.StatusConflict, "group %d on %s is not the primary", g.id, w.id)
 		return false
 	}
 	return true
@@ -727,7 +727,7 @@ func requirePrimary(rw http.ResponseWriter, w *Worker, g *workerGroup) bool {
 // LSN so the coordinator can advance its acknowledged watermark.
 func writeDataJSON(rw http.ResponseWriter, eng *core.DurableEngine, status int, v any) {
 	rw.Header().Set(HeaderLSN, strconv.FormatUint(eng.AppliedLSN(), 10))
-	writeJSON(rw, status, v)
+	server.WriteJSON(rw, status, v)
 }
 
 func (w *Worker) handleAddQuery(rw http.ResponseWriter, r *http.Request) {
@@ -744,7 +744,7 @@ func (w *Worker) handleAddQuery(rw http.ResponseWriter, r *http.Request) {
 	}
 	qg, err := req.Graph.ToGraph()
 	if err != nil {
-		httpError(rw, http.StatusBadRequest, "bad graph: %v", err)
+		server.HTTPError(rw, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
 	eng, ok := groupEngine(rw, g)
@@ -758,18 +758,18 @@ func (w *Worker) handleAddQuery(rw http.ResponseWriter, r *http.Request) {
 		// unless the payload differs from what was applied at that ID, which
 		// is a diverging write the coordinator must hear about, not an ack.
 		if g.retryConflicts(&g.lastQuery, req.Expect, req.Fingerprint) {
-			httpError(rw, http.StatusConflict,
+			server.HTTPError(rw, http.StatusConflict,
 				"group %d already applied a different payload for query id %d", g.id, req.Expect)
 			return
 		}
 		writeDataJSON(rw, eng, http.StatusOK, WireID{ID: req.Expect})
 	case int(nextQ) < req.Expect:
-		httpError(rw, http.StatusConflict,
+		server.HTTPError(rw, http.StatusConflict,
 			"group %d expects query id %d, coordinator sent %d", g.id, nextQ, req.Expect)
 	default:
 		id, err := eng.AddQuery(qg)
 		if err != nil {
-			httpError(rw, statusFor(err), "%v", err)
+			server.HTTPError(rw, server.StatusFor(err), "%v", err)
 			return
 		}
 		g.noteApplied(&g.lastQuery, int(id), req.Fingerprint)
@@ -787,7 +787,7 @@ func (w *Worker) handleRemoveQuery(rw http.ResponseWriter, r *http.Request) {
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		httpError(rw, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))
+		server.HTTPError(rw, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))
 		return
 	}
 	eng, ok := groupEngine(rw, g)
@@ -797,7 +797,7 @@ func (w *Worker) handleRemoveQuery(rw http.ResponseWriter, r *http.Request) {
 	removed := true
 	if err := eng.RemoveQuery(core.QueryID(id)); err != nil {
 		if !errors.Is(err, core.ErrUnknownQuery) {
-			httpError(rw, statusFor(err), "%v", err)
+			server.HTTPError(rw, server.StatusFor(err), "%v", err)
 			return
 		}
 		// Unknown here but possibly removed by an earlier attempt of the
@@ -821,7 +821,7 @@ func (w *Worker) handleAddStream(rw http.ResponseWriter, r *http.Request) {
 	}
 	sg, err := req.Graph.ToGraph()
 	if err != nil {
-		httpError(rw, http.StatusBadRequest, "bad graph: %v", err)
+		server.HTTPError(rw, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
 	eng, ok := groupEngine(rw, g)
@@ -832,18 +832,18 @@ func (w *Worker) handleAddStream(rw http.ResponseWriter, r *http.Request) {
 	switch {
 	case int(nextS) > req.Expect:
 		if g.retryConflicts(&g.lastStream, req.Expect, req.Fingerprint) {
-			httpError(rw, http.StatusConflict,
+			server.HTTPError(rw, http.StatusConflict,
 				"group %d already applied a different payload for stream id %d", g.id, req.Expect)
 			return
 		}
 		writeDataJSON(rw, eng, http.StatusOK, WireID{ID: req.Expect})
 	case int(nextS) < req.Expect:
-		httpError(rw, http.StatusConflict,
+		server.HTTPError(rw, http.StatusConflict,
 			"group %d expects stream id %d, coordinator sent %d", g.id, nextS, req.Expect)
 	default:
 		id, err := eng.AddStream(sg)
 		if err != nil {
-			httpError(rw, statusFor(err), "%v", err)
+			server.HTTPError(rw, server.StatusFor(err), "%v", err)
 			return
 		}
 		g.noteApplied(&g.lastStream, int(id), req.Fingerprint)
@@ -874,7 +874,7 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		// payload under the same sequence number is not a retry, though —
 		// that change set was never applied anywhere and must not be acked.
 		if g.retryConflicts(&g.lastStep, req.Seq, req.Fingerprint) {
-			httpError(rw, http.StatusConflict,
+			server.HTTPError(rw, http.StatusConflict,
 				"group %d already applied a different change set at step %d", g.id, req.Seq)
 			return
 		}
@@ -882,21 +882,21 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ts < req.Seq {
-		httpError(rw, http.StatusConflict, "group %d is at step %d, coordinator sent %d", g.id, ts, req.Seq)
+		server.HTTPError(rw, http.StatusConflict, "group %d is at step %d, coordinator sent %d", g.id, ts, req.Seq)
 		return
 	}
 	changes := make(map[core.StreamID]graph.ChangeSet, len(req.Changes))
 	for key, ops := range req.Changes {
 		sid, err := strconv.Atoi(key)
 		if err != nil {
-			httpError(rw, http.StatusBadRequest, "bad stream id %q", key)
+			server.HTTPError(rw, http.StatusBadRequest, "bad stream id %q", key)
 			return
 		}
 		var cs graph.ChangeSet
 		for i, wop := range ops {
 			op, err := wop.ToChangeOp()
 			if err != nil {
-				httpError(rw, http.StatusBadRequest, "stream %s op %d: %v", key, i, err)
+				server.HTTPError(rw, http.StatusBadRequest, "stream %s op %d: %v", key, i, err)
 				return
 			}
 			cs = append(cs, op)
@@ -905,7 +905,7 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	}
 	pairs, err := eng.StepAll(changes)
 	if err != nil {
-		httpError(rw, statusFor(err), "%v", err)
+		server.HTTPError(rw, server.StatusFor(err), "%v", err)
 		return
 	}
 	g.noteApplied(&g.lastStep, req.Seq, req.Fingerprint)
@@ -951,30 +951,6 @@ func toWirePairs(pairs []core.Pair) []server.WirePair {
 	return out
 }
 
-// statusFor mirrors the single-node server's error mapping.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, core.ErrUnknownStream), errors.Is(err, core.ErrUnknownQuery):
-		return http.StatusNotFound
-	case errors.Is(err, core.ErrSealed):
-		return http.StatusConflict
-	case errors.Is(err, core.ErrUnsupported):
-		return http.StatusNotImplemented
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // maxBodyBytes caps cluster RPC bodies; snapshots dominate, and even those
 // stay far below this for the workloads the engine targets.
 const maxBodyBytes = 64 << 20
@@ -983,7 +959,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
 	if err := json.NewDecoder(body).Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		server.HTTPError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return false
 	}
 	return true

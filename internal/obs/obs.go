@@ -195,9 +195,9 @@ func (r *Registry) register(m metric) {
 }
 
 // ValidMetricName checks the Prometheus metric-name grammar
-// [a-zA-Z_:][a-zA-Z0-9_:]*. The registry panics on names that fail it, and
-// the nntlint metricname analyzer enforces it at build time for constant
-// names, so invalid names never survive to a scrape.
+// [a-zA-Z_:][a-zA-Z0-9_:]*. The registry panics on names that fail it, so a
+// bad registered name fails every test that builds the component, and
+// Gather drops collector samples that fail it.
 func ValidMetricName(s string) bool {
 	if s == "" {
 		return false

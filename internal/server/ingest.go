@@ -100,7 +100,7 @@ type ingestResponse struct {
 // Retry-After hint.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		HTTPError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	s.ingest.requests.Inc()
@@ -112,7 +112,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !adm.acquire() {
 		s.ingest.shedInflight.Inc()
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "ingest in-flight budget exhausted")
+		HTTPError(w, http.StatusTooManyRequests, "ingest in-flight budget exhausted")
 		return
 	}
 	// LIFO order matters: release must run before the deferred gauge update,
@@ -136,14 +136,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &tooLarge):
 			s.ingest.rejected.Inc()
-			httpError(w, http.StatusRequestEntityTooLarge,
+			HTTPError(w, http.StatusRequestEntityTooLarge,
 				"ingest body exceeds %d bytes", tooLarge.Limit)
 		case errors.Is(err, os.ErrDeadlineExceeded):
 			s.ingest.rejected.Inc()
-			httpError(w, http.StatusRequestTimeout, "ingest body read timed out")
+			HTTPError(w, http.StatusRequestTimeout, "ingest body read timed out")
 		default:
 			s.ingest.rejected.Inc()
-			httpError(w, http.StatusBadRequest, "reading ingest body: %v", err)
+			HTTPError(w, http.StatusBadRequest, "reading ingest body: %v", err)
 		}
 		return
 	}
@@ -152,12 +152,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	batch, opCount, err := decodeIngestBatch(data)
 	if err != nil {
 		s.ingest.rejected.Inc()
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(batch) == 0 {
 		s.ingest.rejected.Inc()
-		httpError(w, http.StatusBadRequest, "empty ingest batch")
+		HTTPError(w, http.StatusBadRequest, "empty ingest batch")
 		return
 	}
 
@@ -169,7 +169,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.ingest.shedQuota.Inc()
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int((retryAfter+time.Second-1)/time.Second)))
-		httpError(w, http.StatusTooManyRequests,
+		HTTPError(w, http.StatusTooManyRequests,
 			"tenant %q over ingest quota (%d ops)", tenant, opCount)
 		return
 	}
@@ -197,19 +197,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// in-memory state may run ahead of the durable WAL, so no step of
 			// this batch can be promised as durable. Report zero applied with
 			// a distinct error instead of claiming a durable prefix.
-			writeJSON(w, http.StatusInternalServerError, map[string]any{
+			WriteJSON(w, http.StatusInternalServerError, map[string]any{
 				"error":         fmt.Sprintf("batch durability unknown: %v", err),
 				"steps_applied": 0,
 			})
 			return
 		}
-		writeJSON(w, statusFor(err), map[string]any{
+		WriteJSON(w, StatusFor(err), map[string]any{
 			"error":         fmt.Sprintf("step %d: %v", applied, err),
 			"steps_applied": applied,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, ingestResponse{Steps: applied, Ops: opCount, Pairs: pairs})
+	WriteJSON(w, http.StatusOK, ingestResponse{Steps: applied, Ops: opCount, Pairs: pairs})
 }
 
 // stepBatch routes a decoded batch to the engine: group-committed when the

@@ -22,8 +22,8 @@ import (
 // guarantee is bought with, the same trade the WAL's binary encoding makes.
 //
 // IngestDecoder owns all backing storage and reuses it across DecodeStep
-// calls: once warm, decoding a frame performs no allocations (gated by the
-// IngestDecode benchmark's allocs_per_op == 0 threshold in benchgate).
+// calls: once warm, decoding a frame performs no allocations (gated by
+// TestIngestDecodeZeroAlloc).
 
 // IngestStep is one decoded frame: the per-stream change sets of a single
 // timestamp. Groups (and their Ops) alias decoder-owned storage, valid only

@@ -97,11 +97,11 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) boo
 	if err := json.NewDecoder(body).Decode(&dst); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
+			HTTPError(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds %d bytes", tooLarge.Limit)
 			return false
 		}
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		HTTPError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return false
 	}
 	return true
@@ -118,10 +118,10 @@ func (s *Server) Stats() core.Stats {
 	return s.engine.Stats()
 }
 
-// statusFor maps engine errors onto HTTP statuses via the core sentinel
+// StatusFor maps engine errors onto HTTP statuses via the core sentinel
 // errors: unknown IDs are 404, seal violations 409, unsupported operations
-// 501, anything else 500.
-func statusFor(err error) int {
+// 501, anything else 500. Cluster workers answer with the same mapping.
+func StatusFor(err error) int {
 	switch {
 	case errors.Is(err, core.ErrUnknownStream), errors.Is(err, core.ErrUnknownQuery):
 		return http.StatusNotFound
@@ -146,7 +146,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
 }
@@ -171,7 +171,7 @@ type pairsResponse struct {
 
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		HTTPError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req graphRequest
@@ -180,48 +180,48 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	}
 	g, err := req.Graph.ToGraph()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad graph: %v", err)
+		HTTPError(w, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
 	s.mu.Lock()
 	id, err := s.engine.AddQuery(g)
 	s.mu.Unlock()
 	if err != nil {
-		httpError(w, statusFor(err), "%v", err)
+		HTTPError(w, StatusFor(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, idResponse{ID: int(id)})
+	WriteJSON(w, http.StatusCreated, idResponse{ID: int(id)})
 }
 
 func (s *Server) handleQueryByID(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodDelete {
-		httpError(w, http.StatusMethodNotAllowed, "DELETE only")
+		HTTPError(w, http.StatusMethodNotAllowed, "DELETE only")
 		return
 	}
 	idStr := strings.TrimPrefix(r.URL.Path, "/v1/queries/")
 	id, err := strconv.Atoi(idStr)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad query id %q", idStr)
+		HTTPError(w, http.StatusBadRequest, "bad query id %q", idStr)
 		return
 	}
 	remover, ok := s.engine.(QueryRemover)
 	if !ok {
-		httpError(w, http.StatusNotImplemented, "engine does not support query removal")
+		HTTPError(w, http.StatusNotImplemented, "engine does not support query removal")
 		return
 	}
 	s.mu.Lock()
 	err = remover.RemoveQuery(core.QueryID(id))
 	s.mu.Unlock()
 	if err != nil {
-		httpError(w, statusFor(err), "%v", err)
+		HTTPError(w, StatusFor(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "removed"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "removed"})
 }
 
 func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		HTTPError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req graphRequest
@@ -230,22 +230,22 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	}
 	g, err := req.Graph.ToGraph()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad graph: %v", err)
+		HTTPError(w, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
 	s.mu.Lock()
 	id, err := s.engine.AddStream(g)
 	s.mu.Unlock()
 	if err != nil {
-		httpError(w, statusFor(err), "%v", err)
+		HTTPError(w, StatusFor(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, idResponse{ID: int(id)})
+	WriteJSON(w, http.StatusCreated, idResponse{ID: int(id)})
 }
 
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		HTTPError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req stepRequest
@@ -256,14 +256,14 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	for key, ops := range req.Changes {
 		sid, err := strconv.Atoi(key)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad stream id %q", key)
+			HTTPError(w, http.StatusBadRequest, "bad stream id %q", key)
 			return
 		}
 		var cs graph.ChangeSet
 		for i, wop := range ops {
 			op, err := wop.ToChangeOp()
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "stream %s op %d: %v", key, i, err)
+				HTTPError(w, http.StatusBadRequest, "stream %s op %d: %v", key, i, err)
 				return
 			}
 			cs = append(cs, op)
@@ -274,21 +274,21 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	pairs, err := s.engine.StepAll(changes)
 	s.mu.Unlock()
 	if err != nil {
-		httpError(w, statusFor(err), "%v", err)
+		HTTPError(w, StatusFor(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, pairsResponse{Pairs: wirePairs(pairs)})
+	WriteJSON(w, http.StatusOK, pairsResponse{Pairs: wirePairs(pairs)})
 }
 
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	s.mu.RLock()
 	pairs := s.engine.Candidates()
 	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, pairsResponse{Pairs: wirePairs(pairs)})
+	WriteJSON(w, http.StatusOK, pairsResponse{Pairs: wirePairs(pairs)})
 }
 
 type statsResponse struct {
@@ -299,13 +299,13 @@ type statsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	s.mu.RLock()
 	st := s.engine.Stats()
 	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, statsResponse{
+	WriteJSON(w, http.StatusOK, statsResponse{
 		Timestamps:     st.Timestamps,
 		AvgFilterMs:    float64(st.AvgTimePerTimestamp()) / float64(time.Millisecond),
 		CandidateRatio: st.CandidateRatio(),
@@ -321,7 +321,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // itself rather than through the engine's collector.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -337,12 +337,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = obs.WriteSamples(w, obs.Gather(qindex.Stats{}))
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v encoded as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// HTTPError answers with status and a {"error": message} JSON body.
+func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Loadtest smoke drill: build serve + loadgen, run a sustained + overload
 # arrival schedule against a real socket, and leave behind the JSON
-# artifacts CI uploads (load_report.json, BENCH_load_pr.json).
+# report CI uploads (load_report.json).
 #
 # The admission limits are sized against the schedule: at the default
 # RATE=50 batches/s the workload is 50 x 8 steps x 4 ops = 1600 ops/s,
@@ -12,7 +12,7 @@
 #
 # Knobs (environment): LOADTEST_RATE, LOADTEST_DURATION,
 # LOADTEST_OVERLOAD_FACTOR, LOADTEST_OVERLOAD_DURATION, LOADTEST_PORT,
-# LOADTEST_OUT, LOADTEST_BENCH_OUT.
+# LOADTEST_OUT.
 set -eu
 
 RATE=${LOADTEST_RATE:-50}
@@ -21,8 +21,6 @@ OVERLOAD_FACTOR=${LOADTEST_OVERLOAD_FACTOR:-6}
 OVERLOAD_DURATION=${LOADTEST_OVERLOAD_DURATION:-10s}
 PORT=${LOADTEST_PORT:-18571}
 OUT=${LOADTEST_OUT:-load_report.json}
-BENCH_OUT=${LOADTEST_BENCH_OUT:-BENCH_load_pr.json}
-REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
 TMP=$(mktemp -d)
 SERVE_PID=""
@@ -58,12 +56,4 @@ done
     -rate "$RATE" -duration "$DURATION" \
     -overload-factor "$OVERLOAD_FACTOR" -overload-duration "$OVERLOAD_DURATION" \
     -batch 8 -ops 4 -streams 4 -queries 8 -tenants 1 \
-    -out "$OUT" -bench-out "$BENCH_OUT" -rev "$REV" -expect-shed
-
-# Warn-only trajectory compare against the committed load baseline. Load
-# numbers are far noisier than microbenchmarks (shared CI runners), so the
-# gate only surfaces drift — it never fails the drill.
-if [ -f BENCH_load.json ]; then
-    go run ./cmd/benchgate -baseline BENCH_load.json -candidate "$BENCH_OUT" \
-        -threshold 0.50 -warn-only
-fi
+    -out "$OUT" -expect-shed
