@@ -5,13 +5,7 @@ GO ?= go
 # the nightly CI schedule raises it (FUZZTIME=60s) for a deeper campaign.
 FUZZTIME ?= 5s
 
-# benchjson knobs: where the trajectory lands and how long each benchmark
-# runs. 100ms is the CI smoke setting; recorded baselines should use longer.
-BENCHJSON_OUT ?= BENCH_pr.json
-BENCHTIME ?= 100ms
-REV ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
-
-.PHONY: verify fmt vet lint lint-fix-audit build bench-build test race crashtest crashtest-cluster fuzzsmoke benchjson loadtest
+.PHONY: verify fmt vet lint lint-fix-audit build bench-build test race crashtest crashtest-cluster fuzzsmoke loadtest
 
 # No separate lint step: test runs nntlint over the module through
 # cmd/nntlint's TestCleanTreeExitsZero.
@@ -75,14 +69,16 @@ test:
 # (Registry.mu), server (Server.mu, admission.mu), wal (Log.mu, fault/atomic
 # wrappers) — all covered below; internal/obs was the gap (its registry is
 # scraped concurrently with engine steps) and is now included. cmd/loadgen's
-# open-loop scheduler fans HTTP exchanges out across goroutines, so its tests
-# run under the detector too. internal/analysis also matches the grep but only
+# open-loop scheduler fans HTTP exchanges out across goroutines, and
+# cmd/serve's tests scrape the assembled serve and worker stacks, so both run
+# under the detector too. internal/analysis also matches the grep but only
 # inside its own analyzer pattern strings; it runs single-threaded under the
 # driver and stays out of the race gate.
 race:
 	$(GO) test -race ./internal/core/... ./internal/server/... ./internal/wal/... \
 		./internal/join/... ./internal/gindex/... ./internal/npv/... ./internal/qindex/... \
-		./internal/cluster/... ./internal/retry/... ./internal/obs/... ./cmd/loadgen/...
+		./internal/cluster/... ./internal/retry/... ./internal/obs/... ./cmd/loadgen/... \
+		./cmd/serve/...
 
 # Crash-recovery property tests: WAL torn at every byte, fault-injected
 # writes/fsyncs, checkpoint crash windows. -count=3 shakes out ordering
@@ -111,15 +107,6 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzPackedDominates -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzQindexCandidates -fuzztime=$(FUZZTIME) ./internal/qindex/
 	$(GO) test -fuzz=FuzzRecountMatchesForest -fuzztime=$(FUZZTIME) ./internal/npv/
-
-# Record a benchmark trajectory (see benchjson_test.go): every figure bench
-# as JSON, tagged with the current revision. Nothing diffs it against
-# BENCH_main.json automatically: short-benchtime ns/op is too noisy to gate
-# on, and the allocation caps are testing.AllocsPerRun assertions that
-# `make test` runs.
-benchjson:
-	$(GO) test -run - -benchjson $(BENCHJSON_OUT) -benchjson-rev $(REV) \
-		-bench . -benchtime $(BENCHTIME) .
 
 # Sustained-throughput drill against a live serve socket (see
 # scripts/loadtest.sh): open-loop sustain + overload phases, asserting the

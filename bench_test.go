@@ -155,50 +155,44 @@ func benchReal(b *testing.B) streamBenchWorkload   { workloads(); return wReal }
 
 // --- Figure 12: NNT depth sweep (candidate computation per query) ---
 
+// BenchmarkFig12_Depth sweeps the NNT depth. The database vectors are
+// frozen into packed form up front — the static filter-and-verify shape — so
+// the sweep measures the production dominance kernel, not the map
+// projection it replaced.
 func BenchmarkFig12_Depth(b *testing.B) {
 	for _, depth := range []int{1, 2, 3, 4} {
-		depth := depth
 		b.Run(map[int]string{1: "L1", 2: "L2", 3: "L3", 4: "L4"}[depth], func(b *testing.B) {
-			benchFig12Depth(b, depth)
-		})
-	}
-}
-
-// benchFig12Depth is the leaf body of the depth sweep, factored out so the
-// benchjson registry can drive each depth as an independent record. The
-// database vectors are frozen into packed form up front — the static
-// filter-and-verify shape — so the sweep measures the production dominance
-// kernel, not the map projection it replaced.
-func benchFig12Depth(b *testing.B, depth int) {
-	workloads()
-	r := rand.New(rand.NewSource(112))
-	queries := datagen.QuerySet(chemDB, 10, 8, r)
-	vecs := make([][]npv.PackedVector, len(chemDB))
-	for i, g := range chemDB {
-		vecs[i] = npv.PackAll(npv.VectorsByVertex(npv.ProjectGraph(g, depth)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		maximal := skyline.MaximalPacked(npv.PackAll(npv.VectorsByVertex(npv.ProjectGraph(q, depth))))
-		count := 0
-	graphs:
-		for gi := range vecs {
-			for _, u := range maximal {
-				ok := false
-				for _, v := range vecs[gi] {
-					if v.Dominates(u) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					continue graphs
-				}
+			workloads()
+			r := rand.New(rand.NewSource(112))
+			queries := datagen.QuerySet(chemDB, 10, 8, r)
+			vecs := make([][]npv.PackedVector, len(chemDB))
+			for i, g := range chemDB {
+				vecs[i] = npv.PackAll(npv.VectorsByVertex(npv.ProjectGraph(g, depth)))
 			}
-			count++
-		}
-		_ = count
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				maximal := skyline.MaximalPacked(npv.PackAll(npv.VectorsByVertex(npv.ProjectGraph(q, depth))))
+				count := 0
+			graphs:
+				for gi := range vecs {
+					for _, u := range maximal {
+						ok := false
+						for _, v := range vecs[gi] {
+							if v.Dominates(u) {
+								ok = true
+								break
+							}
+						}
+						if !ok {
+							continue graphs
+						}
+					}
+					count++
+				}
+				_ = count
+			}
+		})
 	}
 }
 
@@ -355,10 +349,10 @@ func BenchmarkFig17_Skyline(b *testing.B) {
 // benchParallelStream replays a multi-stream workload through a filter with
 // an explicit worker bound. The Monitor batches each timestamp through
 // ApplyAll, so the filter's evalPool fans the dirty (stream, query) pairs
-// across the workers; W1 is the sequential inline path and the baseline the
-// speedup in BENCH_<rev>.json is measured against. The output contract (pool
-// results identical to sequential) is pinned by internal/join's determinism
-// tests, so these benches only measure cost.
+// across the workers; W1 is the sequential inline path and the baseline a
+// W4 speedup is read against. The output contract (pool results identical to
+// sequential) is pinned by internal/join's oracle harness, so these benches
+// only measure cost.
 func benchParallelStream(b *testing.B, mk func() core.Filter, w streamBenchWorkload, workers int) {
 	workloads()
 	f := mk()

@@ -81,35 +81,24 @@ func main() {
 		return
 	}
 
-	var engine server.Engine
-	var durable *core.DurableEngine
+	opts := core.DurableOptions{
+		Workers:            *workers,
+		FsyncInterval:      *fsyncInterval,
+		CheckpointInterval: *checkpointInterval,
+	}
 	if *dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(*fsync)
-		if err != nil {
+		if opts.Fsync, err = wal.ParseSyncPolicy(*fsync); err != nil {
 			log.Fatal(err)
 		}
-		durable, err = core.OpenDurableEngine(*dataDir, core.FilterFactory(factory), core.DurableOptions{
-			Workers:            *workers,
-			Fsync:              policy,
-			FsyncInterval:      *fsyncInterval,
-			CheckpointInterval: *checkpointInterval,
-			Metrics:            wal.NewMetrics(registry),
-		})
-		if err != nil {
-			log.Fatalf("opening data dir %s: %v", *dataDir, err)
-		}
-		log.Printf("durable engine in %s (fsync=%s, checkpoint every %v): recovered %d queries, %d streams",
-			*dataDir, policy, *checkpointInterval, durable.QueryCount(), durable.StreamCount())
-		engine = durable
-	} else {
-		f := factory()
-		if pf, ok := f.(core.ParallelFilter); ok {
-			pf.SetWorkers(*workers)
-		}
-		engine = core.NewMonitor(f)
 	}
-
-	srv := server.NewWithRegistry(engine, registry)
+	srv, durable, err := newServer(factory, *dataDir, opts, registry)
+	if err != nil {
+		log.Fatalf("opening data dir %s: %v", *dataDir, err)
+	}
+	if durable != nil {
+		log.Printf("durable engine in %s (fsync=%s, checkpoint every %v): recovered %d queries, %d streams",
+			*dataDir, opts.Fsync, *checkpointInterval, durable.QueryCount(), durable.StreamCount())
+	}
 	srv.SetMaxBodyBytes(*maxBodyBytes)
 	srv.SetIngestLimits(server.IngestLimits{
 		MaxInFlight: *ingestMaxInflight,
@@ -209,16 +198,9 @@ func runWorker(id, addr, dataDir, fsync string, fsyncInterval, checkpointInterva
 		WALMetrics:         wal.NewMetrics(registry),
 	})
 
-	mux := http.NewServeMux()
-	mux.Handle("/", wk.Handler())
-	mux.HandleFunc("GET /v1/metrics", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		rw.WriteHeader(http.StatusOK)
-		_ = registry.WritePrometheus(rw)
-	})
 	httpServer := &http.Server{
 		Addr:              addr,
-		Handler:           mux,
+		Handler:           workerHandler(wk, registry),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,
@@ -244,6 +226,39 @@ func runWorker(id, addr, dataDir, fsync string, fsyncInterval, checkpointInterva
 		log.Fatalf("closing worker: %v", err)
 	}
 	log.Printf("group checkpoints written to %s", dataDir)
+}
+
+// newServer builds the engine and API server serve runs: a durable engine
+// over dataDir whose WAL instruments join registry, or an in-memory Monitor
+// when dataDir is empty, in which case durable is nil.
+func newServer(factory func() core.Filter, dataDir string, opts core.DurableOptions,
+	registry *obs.Registry) (srv *server.Server, durable *core.DurableEngine, err error) {
+	var engine server.Engine
+	if dataDir == "" {
+		f := factory()
+		if pf, ok := f.(core.ParallelFilter); ok {
+			pf.SetWorkers(opts.Workers)
+		}
+		engine = core.NewMonitor(f)
+	} else {
+		opts.Metrics = wal.NewMetrics(registry)
+		if durable, err = core.OpenDurableEngine(dataDir, core.FilterFactory(factory), opts); err != nil {
+			return nil, nil, err
+		}
+		engine = durable
+	}
+	return server.NewWithRegistry(engine, registry), durable, nil
+}
+
+// workerHandler serves the cluster worker API and the worker's /v1/metrics,
+// which carries the process-global kernel and index counters next to the
+// replication and WAL instruments.
+func workerHandler(wk *cluster.Worker, registry *obs.Registry) http.Handler {
+	server.RegisterProcessMetrics(registry)
+	mux := http.NewServeMux()
+	mux.Handle("/", wk.Handler())
+	mux.Handle("GET /v1/metrics", server.MetricsHandler(registry))
+	return mux
 }
 
 func filterFactory(name string, depth int) (func() core.Filter, error) {

@@ -545,7 +545,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/step", c.handleStep)
 	mux.HandleFunc("GET /v1/candidates", c.handleCandidates)
 	mux.HandleFunc("GET /v1/stats", c.handleStats)
-	mux.HandleFunc("GET /v1/metrics", c.handleMetrics)
+	mux.HandleFunc("GET /v1/metrics", server.MetricsHandler(c.registry))
 	mux.HandleFunc("GET /v1/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -815,12 +815,6 @@ func (c *Coordinator) handleStats(rw http.ResponseWriter, r *http.Request) {
 		agg.CandidateRatio /= float64(n)
 	}
 	server.WriteJSON(rw, http.StatusOK, agg)
-}
-
-func (c *Coordinator) handleMetrics(rw http.ResponseWriter, r *http.Request) {
-	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rw.WriteHeader(http.StatusOK)
-	_ = c.registry.WritePrometheus(rw)
 }
 
 // proxyStatus maps a worker-call failure onto the status the coordinator

@@ -480,11 +480,6 @@ func (d *DurableEngine) StreamCount() int { return d.inner.StreamCount() }
 // SetMetrics forwards engine instrumentation to the wrapped engine.
 func (d *DurableEngine) SetMetrics(em *EngineMetrics) { d.inner.SetMetrics(em) }
 
-// CollectMetrics forwards the wrapped engine's collector surface.
-func (d *DurableEngine) CollectMetrics(emit func(name string, value float64)) {
-	d.inner.CollectMetrics(emit)
-}
-
 // LastLSN exposes the WAL's most recent sequence number (for tests and
 // operational introspection).
 func (d *DurableEngine) LastLSN() uint64 { return d.log.LastLSN() }

@@ -45,22 +45,22 @@ func TestStepAllBatchEquivalence(t *testing.T) {
 
 	steps := batchSteps(0, n)
 
-	fsyncsBefore := mBatch.Fsyncs.Value()
+	fsyncsBefore := mBatch.FsyncSeconds.Count()
 	applied, _, err := batchEng.StepAllBatch(steps)
 	if err != nil || applied != n {
 		t.Fatalf("StepAllBatch = (%d, _, %v); want (%d, _, nil)", applied, err, n)
 	}
-	if got := mBatch.Fsyncs.Value() - fsyncsBefore; got != 1 {
+	if got := mBatch.FsyncSeconds.Count() - fsyncsBefore; got != 1 {
 		t.Fatalf("batch of %d steps cost %d fsyncs; want 1 (group commit)", n, got)
 	}
 
-	fsyncsBefore = mSeq.Fsyncs.Value()
+	fsyncsBefore = mSeq.FsyncSeconds.Count()
 	for i, changes := range steps {
 		if _, err := seqEng.StepAll(changes); err != nil {
 			t.Fatalf("sequential step %d: %v", i, err)
 		}
 	}
-	if got := mSeq.Fsyncs.Value() - fsyncsBefore; got != n {
+	if got := mSeq.FsyncSeconds.Count() - fsyncsBefore; got != n {
 		t.Fatalf("%d sequential steps cost %d fsyncs; want %d", n, got, n)
 	}
 
@@ -143,7 +143,7 @@ func TestStepAllBatchOnCommitAfterFsync(t *testing.T) {
 		Metrics: m,
 		OnCommit: func(r wal.Record) {
 			shippedLSNs = append(shippedLSNs, r.LSN)
-			fsyncsAtShip = append(fsyncsAtShip, m.Fsyncs.Value())
+			fsyncsAtShip = append(fsyncsAtShip, m.FsyncSeconds.Count())
 		},
 	})
 	if _, err := d.AddQuery(lineGraphCore(3)); err != nil {
@@ -154,7 +154,7 @@ func TestStepAllBatchOnCommitAfterFsync(t *testing.T) {
 	}
 
 	shippedLSNs, fsyncsAtShip = nil, nil
-	base := m.Fsyncs.Value()
+	base := m.FsyncSeconds.Count()
 	firstLSN := d.LastLSN() + 1
 	applied, _, err := d.StepAllBatch(batchSteps(0, n))
 	if err != nil || applied != n {

@@ -627,19 +627,16 @@ func TestDurableMetrics(t *testing.T) {
 	}
 	d2 := openDurable(t, dir, DurableOptions{Fsync: wal.SyncAlways, Metrics: metrics})
 	defer d2.Crash()
-	if n := metrics.RecordsAppended.Value(); n != int64(len(recoveryOps(t))) {
+	if n := metrics.AppendSeconds.Count(); n != int64(len(recoveryOps(t))) {
 		t.Fatalf("records appended = %d, want %d", n, len(recoveryOps(t)))
 	}
-	if metrics.Fsyncs.Value() == 0 {
+	if metrics.FsyncSeconds.Count() == 0 {
 		t.Fatal("no fsyncs recorded under SyncAlways")
 	}
 	if got := metrics.Recoveries.Value(); got != 2 {
 		t.Fatalf("recoveries = %d, want 2", got)
 	}
-	if metrics.Checkpoints.Value() == 0 {
+	if metrics.CheckpointSeconds.Count() == 0 {
 		t.Fatal("no checkpoints recorded")
-	}
-	if metrics.AppendSeconds.Count() == 0 || metrics.FsyncSeconds.Count() == 0 {
-		t.Fatal("latency histograms empty")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"nntstream/internal/graph"
+	"nntstream/internal/obs"
 )
 
 // QueryID identifies a registered query pattern.
@@ -94,6 +95,15 @@ type BatchApplier interface {
 // library use. The pool is the engine's only parallelism.
 type ParallelFilter interface {
 	SetWorkers(n int)
+}
+
+// MetricsFilter is an optional Filter extension: the filter exports its
+// structure sizes and work counters as scrape-time instruments of r. The
+// engine calls RegisterMetrics when metrics are attached, and locked wraps
+// each value function so it runs under the engine's read lock — the
+// exclusion Candidates gets — and may read state Apply mutates.
+type MetricsFilter interface {
+	RegisterMetrics(r *obs.Registry, locked func(func() float64) func() float64)
 }
 
 // DynamicFilter extends Filter with a dynamic query workload — the paper's

@@ -7,25 +7,23 @@ import (
 )
 
 // EngineMetrics bundles the registry instruments a Monitor records into, one
-// observation per StepAll timestamp. All instruments share
-// the nntstream_engine_ prefix.
+// observation per StepAll timestamp, and the registry its scrape-time gauges
+// join when it is attached. All engine series share the nntstream_engine_
+// prefix.
 type EngineMetrics struct {
 	// ApplySeconds is the per-timestamp wall-clock latency of the
-	// filter-apply phase, evaluation pool included.
+	// filter-apply phase, evaluation pool included. Its _count is the number
+	// of StepAll rounds.
 	ApplySeconds *obs.Histogram
 	// CollectSeconds is the per-timestamp latency of candidate collection.
 	CollectSeconds *obs.Histogram
-	// Timestamps counts StepAll rounds.
-	Timestamps *obs.Counter
 	// CandidatePairs counts reported pairs summed over all rounds.
 	CandidatePairs *obs.Counter
 	// CandidateRatio is the run-averaged fraction of (stream, query) pairs
 	// reported as candidates — the paper's "candidate size" metric.
 	CandidateRatio *obs.Gauge
-	// Streams and Queries mirror the current workload size.
-	Streams *obs.Gauge
-	// Queries gauges the registered pattern count.
-	Queries *obs.Gauge
+
+	reg *obs.Registry
 }
 
 // NewEngineMetrics registers the engine instruments in r. Calling it twice
@@ -36,30 +34,35 @@ func NewEngineMetrics(r *obs.Registry) *EngineMetrics {
 			"Per-timestamp filter apply latency in seconds.", nil),
 		CollectSeconds: r.Histogram("nntstream_engine_collect_seconds",
 			"Per-timestamp candidate collection latency in seconds.", nil),
-		Timestamps: r.Counter("nntstream_engine_timestamps_total",
-			"Number of StepAll rounds processed."),
 		CandidatePairs: r.Counter("nntstream_engine_candidate_pairs_total",
 			"Candidate pairs reported, summed over all rounds."),
 		CandidateRatio: r.Gauge("nntstream_engine_candidate_ratio",
 			"Run-averaged fraction of (stream, query) pairs reported as candidates."),
-		Streams: r.Gauge("nntstream_engine_streams",
-			"Registered stream count."),
-		Queries: r.Gauge("nntstream_engine_queries",
-			"Registered query count."),
+		reg: r,
+	}
+}
+
+// bind registers m's workload sizes, and the instruments of a MetricsFilter,
+// as scrape-time series whose values are read under m's read lock. Callers
+// hold m.mu.
+func (em *EngineMetrics) bind(m *Monitor) {
+	em.reg.GaugeFunc("nntstream_engine_streams", "Registered stream count.",
+		func() float64 { return float64(m.StreamCount()) })
+	em.reg.GaugeFunc("nntstream_engine_queries", "Registered query count.",
+		func() float64 { return float64(m.QueryCount()) })
+	if mf, ok := m.filter.(MetricsFilter); ok {
+		mf.RegisterMetrics(em.reg, m.locked)
 	}
 }
 
 // observeStep records one StepAll round. A nil receiver is a no-op so the
 // engines can call it unconditionally.
-func (em *EngineMetrics) observeStep(apply, collect time.Duration, pairs int, st Stats, streams, queries int) {
+func (em *EngineMetrics) observeStep(apply, collect time.Duration, pairs int, st Stats) {
 	if em == nil {
 		return
 	}
 	em.ApplySeconds.Observe(apply.Seconds())
 	em.CollectSeconds.Observe(collect.Seconds())
-	em.Timestamps.Inc()
 	em.CandidatePairs.Add(int64(pairs))
 	em.CandidateRatio.Set(st.CandidateRatio())
-	em.Streams.Set(float64(streams))
-	em.Queries.Set(float64(queries))
 }

@@ -8,7 +8,6 @@ import (
 
 	"nntstream/internal/graph"
 	"nntstream/internal/iso"
-	"nntstream/internal/obs"
 )
 
 // FilterFactory builds a fresh filter. A durable engine builds its filter
@@ -23,11 +22,11 @@ type FilterFactory func() Filter
 //
 // Monitor is safe for concurrent use: mutating calls (AddQuery, AddStream,
 // RemoveQuery, StepAll) serialize behind a write lock, while the read paths
-// (Candidates, Stats, ExactPairs, CollectMetrics, WriteSnapshot) share a
-// read lock and may run concurrently with one another. Filters must honor
-// the Filter contract that Candidates does not mutate observable state (or
-// must synchronize internally), because concurrent readers call it on the
-// same instance.
+// (Candidates, Stats, ExactPairs, WriteSnapshot, and the scrape-time
+// instruments SetMetrics registers) share a read lock and may run
+// concurrently with one another. Filters must honor the Filter contract that
+// Candidates does not mutate observable state (or must synchronize
+// internally), because concurrent readers call it on the same instance.
 type Monitor struct {
 	mu       sync.RWMutex
 	filter   Filter
@@ -92,22 +91,30 @@ func NewMonitor(f Filter) *Monitor {
 // FilterName names the engine's filter.
 func (m *Monitor) FilterName() string { return m.filter.Name() }
 
-// SetMetrics attaches registry instruments; subsequent StepAll rounds record
-// into them. A nil argument detaches.
+// SetMetrics attaches registry instruments: subsequent StepAll rounds record
+// into them, and the workload sizes and the filter's instruments join the
+// same registry as scrape-time series. A nil argument detaches the step
+// instruments.
 func (m *Monitor) SetMetrics(em *EngineMetrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.metrics = em
+	if em != nil {
+		em.bind(m)
+	}
 }
 
-// CollectMetrics implements obs.Collector by forwarding the samples of a
-// collector filter.
-func (m *Monitor) CollectMetrics(emit func(name string, value float64)) {
+// locked wraps a scrape-time value function so it runs under the read lock,
+// the exclusion every read path gets.
+func (m *Monitor) locked(fn func() float64) func() float64 {
+	return func() float64 { return m.readLocked(fn) }
+}
+
+// readLocked runs fn under the read lock.
+func (m *Monitor) readLocked(fn func() float64) float64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if c, ok := m.filter.(obs.Collector); ok {
-		c.CollectMetrics(emit)
-	}
+	return fn()
 }
 
 // AddQuery registers a query pattern. The paper's base model fixes the
@@ -275,7 +282,7 @@ func (m *Monitor) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) 
 	m.stats.Timestamps++
 	m.stats.CandidatePairs += int64(len(cands))
 	m.stats.TotalPairs += int64(len(m.streams) * len(m.queries))
-	m.metrics.observeStep(applyDur, collectDur, len(cands), m.stats, len(m.streams), len(m.queries))
+	m.metrics.observeStep(applyDur, collectDur, len(cands), m.stats)
 	return cands, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"nntstream/internal/graph"
 	"nntstream/internal/nnt"
 	"nntstream/internal/npv"
-	"nntstream/internal/obs"
 )
 
 // Branch is the branch-compatible NNT filter of Lemma 4.1, without the NPV
@@ -32,11 +31,6 @@ type Branch struct {
 	// reference count for teardown on query removal.
 	interned map[string]*internedTrie
 	streams  map[core.StreamID]*branchStream
-	// trieEvals counts representative-trie evaluations over the run;
-	// together with the per-query verdict reads it measures the work the
-	// interning shares (see CollectMetrics).
-	trieEvals int64
-	trieReads int64
 }
 
 // internedTrie is one distinct query trie: the representative NNT root it
@@ -185,7 +179,6 @@ func (f *Branch) evaluate(bs *branchStream) {
 // timestamp) the shared verdict of each of its interned tries.
 func (f *Branch) evaluateOne(bs *branchStream, keys []string) bool {
 	for _, key := range keys {
-		f.trieReads++
 		ok, cached := bs.shared[key]
 		if !cached {
 			ok = f.evalTrie(bs, f.interned[key].root)
@@ -201,7 +194,6 @@ func (f *Branch) evaluateOne(bs *branchStream, keys []string) bool {
 // evalTrie reports whether some stream vertex's NNT contains every branch
 // of the representative query tree.
 func (f *Branch) evalTrie(bs *branchStream, qr *nnt.Node) bool {
-	f.trieEvals++
 	found := false
 	bs.forest.Roots(func(v graph.VertexID, root *nnt.Node) bool {
 		if f.trie(bs, v, root).ContainsBranches(qr) {
@@ -224,20 +216,4 @@ func (f *Branch) Candidates() []core.Pair {
 		}
 	}
 	return core.SortPairs(out)
-}
-
-var _ obs.Collector = (*Branch)(nil)
-
-// CollectMetrics implements obs.Collector with the interning effectiveness:
-// distinct tries vs registered references, and evaluations actually run vs
-// verdict reads served.
-func (f *Branch) CollectMetrics(emit func(name string, value float64)) {
-	refs := 0
-	for _, ent := range f.interned {
-		refs += ent.refs
-	}
-	emit("nntstream_branch_interned_tries", float64(len(f.interned)))
-	emit("nntstream_branch_trie_refs", float64(refs))
-	emit("nntstream_branch_trie_evals_total", float64(f.trieEvals))
-	emit("nntstream_branch_trie_reads_total", float64(f.trieReads))
 }

@@ -29,6 +29,7 @@ import (
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
+	"nntstream/internal/obs"
 	"nntstream/internal/qindex"
 )
 
@@ -153,7 +154,8 @@ type vecJoin struct {
 	ix *qindex.Index
 	// scans counts stream vectors scanned by probes over the run. Written
 	// only on the serialized paths — pair tasks report per-task counts that
-	// are merged after the join — and read by the strategies' CollectMetrics.
+	// are merged after the join — and read at scrape time under the engine's
+	// read lock.
 	scans int64
 	pool  evalPool
 }
@@ -318,16 +320,39 @@ func (j *vecJoin) Candidates() []core.Pair {
 	return core.SortPairs(out)
 }
 
-// collectShared emits the samples NL and Skyline export under the same
-// names: projected NNT nodes, stream count, and the evaluation pool.
-func (j *vecJoin) collectShared(emit func(name string, value float64)) {
-	nodes := 0
-	for _, s := range j.streams {
-		nodes += s.store.Nodes()
+// RegisterMetrics implements core.MetricsFilter with the series NL and
+// Skyline export under the same names: the vectors a probe compares, the
+// stream vectors scanned deciding, the NNT node count the stream vectors
+// project, the index postings when there is an index, and the evaluation
+// pool.
+func (j *vecJoin) RegisterMetrics(r *obs.Registry, locked func(func() float64) func() float64) {
+	r.GaugeFunc("nntstream_filter_query_vectors",
+		"Registered query vectors that decide a verdict.",
+		locked(func() float64 { return float64(j.queryVectorCount()) }))
+	r.GaugeFunc("nntstream_filter_stream_vectors",
+		"Stream vertex vectors summed over all streams.",
+		locked(func() float64 { return j.sumStreams((*npv.Store).Len) }))
+	r.CounterFunc("nntstream_filter_vector_scans_total",
+		"Stream vectors scanned by dominance probes.",
+		locked(func() float64 { return float64(j.scans) }))
+	r.GaugeFunc("nntstream_filter_nnt_nodes",
+		"NNT nodes the stream vectors project, summed over all streams.",
+		locked(func() float64 { return j.sumStreams((*npv.Store).Nodes) }))
+	if j.ix != nil {
+		r.GaugeFunc("nntstream_qindex_postings",
+			"Query dominance index postings.",
+			locked(func() float64 { return float64(j.ix.PostingCount()) }))
 	}
-	emit("nntstream_filter_nnt_nodes", float64(nodes))
-	emit("nntstream_filter_streams", float64(len(j.streams)))
-	j.pool.collect(emit)
+	j.pool.registerMetrics(r, locked)
+}
+
+// sumStreams totals a per-store size over every stream.
+func (j *vecJoin) sumStreams(size func(*npv.Store) int) float64 {
+	n := 0
+	for _, s := range j.streams {
+		n += size(s.store)
+	}
+	return float64(n)
 }
 
 // queryVectorCount sums the registered verdict-deciding query vectors.

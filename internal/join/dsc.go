@@ -7,7 +7,6 @@ import (
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
-	"nntstream/internal/obs"
 	"nntstream/internal/qindex"
 )
 
@@ -46,13 +45,7 @@ type DSC struct {
 	// qsize counts the query vertices that must be covered per query.
 	qsize   map[core.QueryID]int
 	streams map[core.StreamID]*dscStream
-	// domUpdates counts dominance-counter adjustments (incDom+decDom) over
-	// the run — the paper's "entries crossed" work measure. Written only on
-	// the (serialized) maintenance path — parallel batches accumulate
-	// per-stream counts and merge them after the join — and read by
-	// CollectMetrics.
-	domUpdates int64
-	pool       evalPool
+	pool    evalPool
 }
 
 type dscStream struct {
@@ -229,7 +222,7 @@ func (f *DSC) AddStream(id core.StreamID, g0 *graph.Graph) error {
 		covered: make(map[core.QueryID]int),
 	}
 	f.streams[id] = ds
-	f.domUpdates += f.reconcile(ds)
+	f.reconcile(ds)
 	return nil
 }
 
@@ -241,12 +234,10 @@ func (f *DSC) Apply(id core.StreamID, cs graph.ChangeSet) error {
 // reconcile folds the stream's dirty vertices into its counters. DSC's
 // columns are counter-based and never read a whole stream vector, so its
 // store keeps no packed cache and the plain dirty set suffices.
-func (f *DSC) reconcile(ds *dscStream) int64 {
-	var work int64
+func (f *DSC) reconcile(ds *dscStream) {
 	for _, v := range ds.store.TakeDirty() {
-		f.updateVertex(ds, v, &work)
+		f.updateVertex(ds, v)
 	}
-	return work
 }
 
 // ApplyAll implements core.BatchApplier, and is the only code path that
@@ -256,10 +247,9 @@ func (f *DSC) reconcile(ds *dscStream) int64 {
 // query) verdict is an aggregate (covered == qsize) the stream's own
 // counters answer, so the stream is the finest unit that avoids write
 // sharing. Tasks touch only their own stream's state (plus the read-only
-// shared columns) and work slot; the merge walks slots in StreamID order.
+// shared columns).
 func (f *DSC) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
-	works := make([]int64, len(changes))
-	_, err := f.pool.runStreams(changes, func(i int, id core.StreamID, cs graph.ChangeSet) error {
+	_, err := f.pool.runStreams(changes, func(_ int, id core.StreamID, cs graph.ChangeSet) error {
 		ds, ok := f.streams[id]
 		if !ok {
 			return fmt.Errorf("join: unknown stream %d", id)
@@ -267,20 +257,16 @@ func (f *DSC) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		if err := ds.store.Apply(cs); err != nil {
 			return err
 		}
-		works[i] = f.reconcile(ds)
+		f.reconcile(ds)
 		return nil
 	})
-	for _, w := range works {
-		f.domUpdates += w
-	}
 	return err
 }
 
 // updateVertex moves stream vertex v's position counters to match its
 // current NPV, adjusting dominant counters for exactly the query entries
-// crossed in each dimension. Counter work is accumulated into *work so
-// concurrent per-stream tasks never share a cell.
-func (f *DSC) updateVertex(ds *dscStream, v graph.VertexID, work *int64) {
+// crossed in each dimension.
+func (f *DSC) updateVertex(ds *dscStream, v graph.VertexID) {
 	newVec := ds.store.Vector(v) // nil when v was retired
 	pos := ds.pos[v]
 
@@ -310,11 +296,11 @@ func (f *DSC) updateVertex(ds *dscStream, v graph.VertexID, work *int64) {
 		switch {
 		case newPos > oldPos:
 			for _, e := range col[oldPos:newPos] {
-				f.incDom(ds, v, qKey{Q: e.Key.Query, V: e.Key.Vertex}, work)
+				f.incDom(ds, v, qKey{Q: e.Key.Query, V: e.Key.Vertex})
 			}
 		case newPos < oldPos:
 			for _, e := range col[newPos:oldPos] {
-				f.decDom(ds, v, qKey{Q: e.Key.Query, V: e.Key.Vertex}, work)
+				f.decDom(ds, v, qKey{Q: e.Key.Query, V: e.Key.Vertex})
 			}
 		}
 		if newPos == 0 {
@@ -331,8 +317,7 @@ func (f *DSC) updateVertex(ds *dscStream, v graph.VertexID, work *int64) {
 	}
 }
 
-func (f *DSC) incDom(ds *dscStream, v graph.VertexID, k qKey, work *int64) {
-	*work++
+func (f *DSC) incDom(ds *dscStream, v graph.VertexID, k qKey) {
 	dom := ds.dom[v]
 	if dom == nil {
 		dom = make(map[qKey]int)
@@ -347,8 +332,7 @@ func (f *DSC) incDom(ds *dscStream, v graph.VertexID, k qKey, work *int64) {
 	}
 }
 
-func (f *DSC) decDom(ds *dscStream, v graph.VertexID, k qKey, work *int64) {
-	*work++
+func (f *DSC) decDom(ds *dscStream, v graph.VertexID, k qKey) {
 	dom := ds.dom[v]
 	if dom[k] == f.vecs[k].Len() {
 		ds.cover[k]--
@@ -379,28 +363,4 @@ func (f *DSC) Candidates() []core.Pair {
 		}
 	}
 	return core.SortPairs(out)
-}
-
-var _ obs.Collector = (*DSC)(nil)
-
-// CollectMetrics implements obs.Collector with the structure sizes that
-// drive DSC's per-step cost: sorted-column entries, position/dominance
-// counter footprints, and the NNT node count the stream vectors project.
-func (f *DSC) CollectMetrics(emit func(name string, value float64)) {
-	emit("nntstream_dsc_column_entries", float64(f.ix.PostingCount()))
-	emit("nntstream_dsc_columns", float64(f.ix.DimCount()))
-	emit("nntstream_qindex_postings", float64(f.ix.PostingCount()))
-	emit("nntstream_dsc_query_vertices", float64(len(f.vecs)))
-	emit("nntstream_dsc_dom_updates_total", float64(f.domUpdates))
-	nodes, posVerts, domVerts := 0, 0, 0
-	for _, ds := range f.streams {
-		nodes += ds.store.Nodes()
-		posVerts += len(ds.pos)
-		domVerts += len(ds.dom)
-	}
-	emit("nntstream_filter_nnt_nodes", float64(nodes))
-	emit("nntstream_filter_streams", float64(len(f.streams)))
-	emit("nntstream_dsc_position_vertices", float64(posVerts))
-	emit("nntstream_dsc_dominance_vertices", float64(domVerts))
-	f.pool.collect(emit)
 }

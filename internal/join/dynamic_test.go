@@ -1,7 +1,6 @@
 package join
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -71,133 +70,6 @@ func TestDynamicRemove(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestDynamicAgreementRandomized interleaves stream changes with query
-// additions and removals and checks that NL, DSC, and Skyline always agree
-// and never miss an exact pair — the same invariant as the static test, now
-// under a churning query set.
-func TestDynamicAgreementRandomized(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		depth := 1 + r.Intn(3)
-		template := randomConnected(r, 10, 3, 2)
-
-		nl := NewNL(depth)
-		dsc := NewDSC(depth)
-		sky := NewSkyline(depth)
-		exact := NewExact()
-		filters := []core.DynamicFilter{nl, dsc, sky, exact}
-
-		// Streams first: the dynamic path is exercised by adding every
-		// query live.
-		var starts []*graph.Graph
-		for i := 0; i < 3; i++ {
-			starts = append(starts, randomConnected(r, 8+r.Intn(4), 3, 2))
-		}
-		starts = append(starts, template.Clone())
-		for _, f := range filters {
-			for sid, g := range starts {
-				if err := f.AddStream(core.StreamID(sid), g); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-
-		live := map[core.QueryID]bool{}
-		nextQ := core.QueryID(0)
-		check := func(step int) {
-			base := nl.Candidates()
-			for _, f := range []core.DynamicFilter{dsc, sky} {
-				if got := f.Candidates(); !reflect.DeepEqual(base, got) {
-					t.Fatalf("seed=%d depth=%d step=%d: %s=%v vs NL=%v",
-						seed, depth, step, f.Name(), got, base)
-				}
-			}
-			in := make(map[core.Pair]bool)
-			for _, p := range base {
-				in[p] = true
-			}
-			for _, p := range exact.Candidates() {
-				if !in[p] {
-					t.Fatalf("seed=%d depth=%d step=%d: NPV filters missed exact pair %v",
-						seed, depth, step, p)
-				}
-			}
-		}
-
-		labelOf := func(g *graph.Graph, v graph.VertexID, fb graph.Label) graph.Label {
-			if l, ok := g.VertexLabel(v); ok {
-				return l
-			}
-			return fb
-		}
-		for step := 0; step < 25; step++ {
-			switch {
-			case step%5 == 0 || len(live) == 0:
-				// Add a query (a subgraph of the template half the time so
-				// real matches occur).
-				var q *graph.Graph
-				if r.Intn(2) == 0 {
-					q = randomSub(r, template)
-				} else {
-					q = randomSub(r, starts[r.Intn(len(starts))])
-				}
-				if q.VertexCount() == 0 {
-					continue
-				}
-				id := nextQ
-				nextQ++
-				for _, f := range filters {
-					if err := f.AddQuery(id, q); err != nil {
-						t.Fatalf("seed=%d step=%d: %s add query: %v", seed, step, f.Name(), err)
-					}
-				}
-				live[id] = true
-			case step%7 == 0 && len(live) > 0:
-				// Remove a random live query.
-				var id core.QueryID
-				for q := range live {
-					id = q
-					break
-				}
-				for _, f := range filters {
-					if err := f.RemoveQuery(id); err != nil {
-						t.Fatalf("seed=%d step=%d: %s remove query: %v", seed, step, f.Name(), err)
-					}
-				}
-				delete(live, id)
-			default:
-				// Mutate a random stream.
-				sid := core.StreamID(r.Intn(len(starts)))
-				cur := exact.streams[sid]
-				var cs graph.ChangeSet
-				for k := 0; k < 1+r.Intn(3); k++ {
-					u := graph.VertexID(r.Intn(12))
-					v := graph.VertexID(r.Intn(12))
-					if u == v {
-						continue
-					}
-					if cur.HasEdge(u, v) && r.Float64() < 0.5 {
-						cs = append(cs, graph.DeleteOp(u, v))
-					} else if !cur.HasEdge(u, v) {
-						cs = append(cs, graph.InsertOp(u, labelOf(cur, u, graph.Label(r.Intn(3))),
-							v, labelOf(cur, v, graph.Label(r.Intn(3))), graph.Label(r.Intn(2))))
-					}
-				}
-				cs = cs.Normalize()
-				if err := cs.Apply(cur.Clone()); err != nil {
-					continue
-				}
-				for _, f := range filters {
-					if err := f.Apply(sid, cs); err != nil {
-						t.Fatalf("seed=%d step=%d: %s apply: %v", seed, step, f.Name(), err)
-					}
-				}
-			}
-			check(step)
-		}
 	}
 }
 

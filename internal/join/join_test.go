@@ -207,111 +207,3 @@ func randomSub(r *rand.Rand, g *graph.Graph) *graph.Graph {
 	}
 	return sub
 }
-
-// TestAgreementAndSoundnessRandomized is the central join test: over random
-// evolving streams, (1) NL, DSC, and Skyline always report identical
-// candidate sets — they implement the same predicate — and (2) every filter
-// reports a superset of the exact joinable pairs (no false negatives).
-func TestAgreementAndSoundnessRandomized(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		depth := 1 + r.Intn(3)
-
-		// Queries: subgraphs of a template pool so some actually match.
-		template := randomConnected(r, 10, 3, 2)
-		var queries []*graph.Graph
-		for i := 0; i < 4; i++ {
-			queries = append(queries, randomSub(r, template))
-		}
-		// Streams: start from perturbed copies of the template.
-		var starts []*graph.Graph
-		for i := 0; i < 3; i++ {
-			starts = append(starts, randomConnected(r, 8+r.Intn(4), 3, 2))
-		}
-		starts = append(starts, template.Clone())
-
-		filters := append(npvFilters(depth), NewBranch(depth))
-		exact := NewExact()
-		all := append([]core.Filter{}, filters...)
-		all = append(all, exact)
-		for _, f := range all {
-			for qid, q := range queries {
-				if err := f.AddQuery(core.QueryID(qid), q); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for sid, g := range starts {
-				if err := f.AddStream(core.StreamID(sid), g); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-
-		check := func(step int) {
-			nl := filters[0].Candidates()
-			for _, f := range filters[1:3] { // DSC, Skyline: same predicate as NL
-				got := f.Candidates()
-				if !reflect.DeepEqual(nl, got) {
-					t.Fatalf("seed=%d depth=%d step=%d: %s=%v disagrees with NL=%v",
-						seed, depth, step, f.Name(), got, nl)
-				}
-			}
-			truth := exact.Candidates()
-			for _, f := range filters {
-				got := make(map[core.Pair]bool)
-				for _, p := range f.Candidates() {
-					got[p] = true
-				}
-				for _, p := range truth {
-					if !got[p] {
-						t.Fatalf("seed=%d depth=%d step=%d: %s missed exact pair %v",
-							seed, depth, step, f.Name(), p)
-					}
-				}
-			}
-		}
-		check(-1)
-
-		// Evolve each stream with random ops.
-		labelOf := func(g *graph.Graph, v graph.VertexID, fallback graph.Label) graph.Label {
-			if l, ok := g.VertexLabel(v); ok {
-				return l
-			}
-			return fallback
-		}
-		for step := 0; step < 12; step++ {
-			sid := core.StreamID(r.Intn(len(starts)))
-			cur := exact.streams[sid]
-			var cs graph.ChangeSet
-			nops := 1 + r.Intn(3)
-			for k := 0; k < nops; k++ {
-				u := graph.VertexID(r.Intn(12))
-				v := graph.VertexID(r.Intn(12))
-				if u == v {
-					continue
-				}
-				if cur.HasEdge(u, v) && r.Float64() < 0.5 {
-					cs = append(cs, graph.DeleteOp(u, v))
-				} else if !cur.HasEdge(u, v) {
-					ul := labelOf(cur, u, graph.Label(r.Intn(3)))
-					vl := labelOf(cur, v, graph.Label(r.Intn(3)))
-					cs = append(cs, graph.InsertOp(u, ul, v, vl, graph.Label(r.Intn(2))))
-				}
-			}
-			cs = cs.Normalize()
-			// Deletes may retire vertices whose labels later inserts rely
-			// on; apply to a scratch graph first to weed out conflicting
-			// sets (the stream model never produces them).
-			scratch := cur.Clone()
-			if err := cs.Apply(scratch); err != nil {
-				continue
-			}
-			for _, f := range all {
-				if err := f.Apply(sid, cs); err != nil {
-					t.Fatalf("seed=%d step=%d: %s apply: %v", seed, step, f.Name(), err)
-				}
-			}
-			check(step)
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
-	"nntstream/internal/obs"
 )
 
 // NL is the nested-loop join baseline: whenever a stream changes, every
@@ -25,6 +24,7 @@ var (
 	_ core.DynamicFilter  = (*NL)(nil)
 	_ core.BatchApplier   = (*NL)(nil)
 	_ core.ParallelFilter = (*NL)(nil)
+	_ core.MetricsFilter  = (*NL)(nil)
 )
 
 // NewNL returns a nested-loop filter with the given NNT depth.
@@ -77,20 +77,4 @@ func dominatedByAny(store *npv.Store, u npv.PackedVector) (found bool, scanned i
 		return true
 	})
 	return found, scanned
-}
-
-var _ obs.Collector = (*NL)(nil)
-
-// CollectMetrics implements obs.Collector with the nested-loop work and
-// structure sizes: query/stream vector counts, scan totals, and the NNT
-// node count the stream vectors project.
-func (f *NL) CollectMetrics(emit func(name string, value float64)) {
-	emit("nntstream_nl_query_vectors", float64(f.queryVectorCount()))
-	emit("nntstream_nl_vector_scans_total", float64(f.scans))
-	svecs := 0
-	for _, s := range f.streams {
-		svecs += s.store.Len()
-	}
-	emit("nntstream_nl_stream_vectors", float64(svecs))
-	f.collectShared(emit)
 }

@@ -8,12 +8,23 @@ import (
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
+	"nntstream/internal/nnt"
 	"nntstream/internal/npv"
 )
 
+// forestVectors projects g through materialized NNTs (nnt.Forest +
+// npv.ProjectForest), in ascending vertex order. The reference below uses it
+// so that it shares no code with the recounting npv.Store the filters run
+// on.
+func forestVectors(g *graph.Graph, depth int) []npv.Vector {
+	return npv.VectorsByVertex(npv.ProjectForest(nnt.NewForest(g, depth)))
+}
+
 // dynamicReference recomputes the Lemma 4.2 candidate set from scratch with
-// the map kernel over a churning query set — mapKernelReference with
-// removable query IDs. Ground truth for the oracle equivalence suite.
+// the original map kernel (Vector.Dominates over fresh forest projections):
+// pair (G,Q) passes iff every query vertex NPV is dominated by some stream
+// vertex NPV. Ground truth for the oracle equivalence harness, which the
+// packed kernel, the indexes and the pool must all reproduce bit-identically.
 func dynamicReference(graphs map[core.StreamID]*graph.Graph, queries map[core.QueryID]*graph.Graph, depth int) []core.Pair {
 	qvecs := make(map[core.QueryID][]npv.Vector, len(queries))
 	for qid, q := range queries {
@@ -60,12 +71,13 @@ func batchDriven(f core.ParallelFilter) core.BatchApplier {
 }
 
 // oracleFilters builds every join configuration, each checked against the
-// same reference: the NL oracle, Skyline and DSC — the last two both
-// sequential and through ApplyAll.
+// same reference: NL, Skyline and DSC, each both sequential and through
+// ApplyAll.
 func oracleFilters(depth int) []equivFilter {
-	skyPar, dscPar := NewSkyline(depth), NewDSC(depth)
+	nlPar, skyPar, dscPar := NewNL(depth), NewSkyline(depth), NewDSC(depth)
 	return []equivFilter{
 		{name: "NL", f: NewNL(depth)},
+		{name: "NL/par", f: nlPar, par: batchDriven(nlPar)},
 		{name: "Skyline/seq", f: NewSkyline(depth)},
 		{name: "Skyline/par", f: skyPar, par: batchDriven(skyPar)},
 		{name: "DSC/seq", f: NewDSC(depth)},
@@ -82,13 +94,20 @@ type oracleEquiv struct {
 	// duplicate-heavy: equal query vectors share every column entry and
 	// Skyline's maximal sets collapse them.
 	twins bool
+	// static turns query churn off: every step is a change batch.
+	static bool
+	// streamsFirst registers the streams before any query, so every query
+	// arrives live through the dynamic path.
+	streamsFirst bool
 }
 
 // run drives every oracleFilters participant through a randomized
 // multi-stream workload built around a template graph — template-derived
-// queries, queries added and removed mid-stream — and checks each one's
-// candidate set against a from-scratch map-kernel recomputation at every
-// timestamp.
+// queries and, unless static, queries added and removed mid-stream — and
+// checks at every timestamp that each one's candidate set equals a
+// from-scratch map-kernel recomputation. Alongside them it drives the exact
+// VF2 filter and Branch, and checks that the exact matches are a subset of
+// every participant's candidates and of Branch's: no false negatives.
 func (c oracleEquiv) run(t *testing.T) {
 	t.Helper()
 	for seed := c.seedBase; seed < c.seedBase+int64(c.seeds); seed++ {
@@ -102,12 +121,14 @@ func (c oracleEquiv) run(t *testing.T) {
 		starts = append(starts, template.Clone())
 
 		filters := oracleFilters(depth)
+		exact := NewExact()
+		all := append(filters, equivFilter{name: "Exact", f: exact}, equivFilter{name: "Branch", f: NewBranch(depth)})
 		live := make(map[core.QueryID]*graph.Graph)
 		nextQ := core.QueryID(0)
 		addQuery := func(q *graph.Graph) {
 			id := nextQ
 			nextQ++
-			for _, ef := range filters {
+			for _, ef := range all {
 				if err := ef.f.AddQuery(id, q); err != nil {
 					t.Fatalf("seed=%d: %s add query %d: %v", seed, ef.name, id, err)
 				}
@@ -117,19 +138,30 @@ func (c oracleEquiv) run(t *testing.T) {
 		// Template-with-variations set: perturbed variants from the same
 		// template, each registered twice when twins is set (identical
 		// twins guarantee shared entries).
-		for i := 0; i < 3; i++ {
-			q := randomSub(r, template)
-			addQuery(q)
-			if c.twins {
-				addQuery(q.Clone())
-			}
-		}
-		for _, ef := range filters {
-			for sid, g := range starts {
-				if err := ef.f.AddStream(core.StreamID(sid), g); err != nil {
-					t.Fatal(err)
+		addQueries := func() {
+			for i := 0; i < 3; i++ {
+				q := randomSub(r, template)
+				addQuery(q)
+				if c.twins {
+					addQuery(q.Clone())
 				}
 			}
+		}
+		addStreams := func() {
+			for _, ef := range all {
+				for sid, g := range starts {
+					if err := ef.f.AddStream(core.StreamID(sid), g); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if c.streamsFirst {
+			addStreams()
+			addQueries()
+		} else {
+			addQueries()
+			addStreams()
 		}
 		graphs := make(map[core.StreamID]*graph.Graph)
 		for sid, g := range starts {
@@ -143,12 +175,25 @@ func (c oracleEquiv) run(t *testing.T) {
 						seed, step, ef.name, got, want)
 				}
 			}
+			truth := exact.Candidates()
+			for _, ef := range all {
+				got := make(map[core.Pair]bool)
+				for _, p := range ef.f.Candidates() {
+					got[p] = true
+				}
+				for _, p := range truth {
+					if !got[p] {
+						t.Fatalf("seed=%d depth=%d step=%d: %s missed exact pair %v",
+							seed, depth, step, ef.name, p)
+					}
+				}
+			}
 		}
 		check(-1)
 
 		for step := 0; step < c.steps; step++ {
 			switch {
-			case step%6 == 2:
+			case !c.static && step%6 == 2:
 				// Mid-stream registration: a fresh template subgraph half
 				// the time (overlapping the registered set), live-state
 				// subgraph otherwise (so real matches occur).
@@ -161,7 +206,7 @@ func (c oracleEquiv) run(t *testing.T) {
 				if q.VertexCount() > 0 {
 					addQuery(q)
 				}
-			case step%8 == 5 && len(live) > 1:
+			case !c.static && step%8 == 5 && len(live) > 1:
 				// Remove a deterministic pick from the live set.
 				ids := make([]core.QueryID, 0, len(live))
 				for id := range live {
@@ -169,7 +214,7 @@ func (c oracleEquiv) run(t *testing.T) {
 				}
 				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 				victim := ids[r.Intn(len(ids))]
-				for _, ef := range filters {
+				for _, ef := range all {
 					if err := ef.f.RemoveQuery(victim); err != nil {
 						t.Fatalf("seed=%d step=%d: %s remove query %d: %v",
 							seed, step, ef.name, victim, err)
@@ -178,7 +223,7 @@ func (c oracleEquiv) run(t *testing.T) {
 				delete(live, victim)
 			default:
 				batch := randomBatch(r, graphs)
-				for _, ef := range filters {
+				for _, ef := range all {
 					if ef.par != nil {
 						if err := ef.par.ApplyAll(batch); err != nil {
 							t.Fatalf("seed=%d step=%d: %s batch apply: %v", seed, step, ef.name, err)
@@ -213,6 +258,38 @@ func TestDuplicateQueriesMatchOracleRandomized(t *testing.T) {
 // so the indexes mutate post-seal.
 func TestIndexedMatchesScanRandomized(t *testing.T) {
 	oracleEquiv{seedBase: 1700, seeds: 3, steps: 20}.run(t)
+}
+
+// TestPackedKernelMatchesMapKernelRandomized is the packed kernel's
+// representation-change contract at the filter level: on a fixed query set,
+// every configuration reports exactly what the map kernel computes over
+// fresh forest projections.
+func TestPackedKernelMatchesMapKernelRandomized(t *testing.T) {
+	oracleEquiv{seedBase: 900, seeds: 3, steps: 20, static: true}.run(t)
+}
+
+// TestParallelMatchesSequentialRandomized is the pool's determinism
+// contract: each strategy driven through ApplyAll on four workers reports
+// what its sequential twin does, because both equal the reference. Run
+// under -race (the Makefile's race target covers this package) it also
+// proves the fan-out shares no state.
+func TestParallelMatchesSequentialRandomized(t *testing.T) {
+	oracleEquiv{seedBase: 400, seeds: 4, steps: 25, static: true}.run(t)
+}
+
+// TestAgreementAndSoundnessRandomized is the central join contract on a
+// fixed query set: NL, DSC and Skyline implement the same predicate, so
+// they report identical candidate sets, and every filter — Branch included
+// — reports a superset of the exact joinable pairs.
+func TestAgreementAndSoundnessRandomized(t *testing.T) {
+	oracleEquiv{seedBase: 0, seeds: 5, steps: 12, static: true}.run(t)
+}
+
+// TestDynamicAgreementRandomized holds the same invariants under a churning
+// query set on live streams: every query, the initial ones included,
+// arrives after the streams.
+func TestDynamicAgreementRandomized(t *testing.T) {
+	oracleEquiv{seedBase: 0, seeds: 4, steps: 25, streamsFirst: true}.run(t)
 }
 
 // assertVecJoinTornDown checks the shared NL/Skyline query state is empty:

@@ -3,7 +3,6 @@ package join
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -70,72 +69,6 @@ func randomBatch(r *rand.Rand, graphs map[core.StreamID]*graph.Graph) map[core.S
 	return batch
 }
 
-// TestParallelMatchesSequentialRandomized is the determinism contract of
-// the tentpole: for every strategy, a filter driven through the parallel
-// ApplyAll batch path reports candidate sets identical to a sequential
-// twin fed the same change sets through Apply, at every timestamp of a
-// randomized multi-stream workload. Run under -race (the Makefile's race
-// target covers this package) it also proves the fan-out shares no state.
-func TestParallelMatchesSequentialRandomized(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		r := rand.New(rand.NewSource(400 + seed))
-		depth := 1 + r.Intn(3)
-		template := randomConnected(r, 10, 3, 2)
-		var queries []*graph.Graph
-		for i := 0; i < 4; i++ {
-			queries = append(queries, randomSub(r, template))
-		}
-		var starts []*graph.Graph
-		for i := 0; i < 4; i++ {
-			starts = append(starts, randomConnected(r, 8+r.Intn(4), 3, 2))
-		}
-		starts = append(starts, template.Clone())
-
-		for name, mk := range parallelStrategies(depth) {
-			rr := rand.New(rand.NewSource(7000 + seed))
-			seq := mk()
-			par := mk().(interface {
-				core.Filter
-				core.BatchApplier
-				core.ParallelFilter
-			})
-			par.SetWorkers(8)
-			for _, f := range []core.Filter{seq, par} {
-				for qid, q := range queries {
-					if err := f.AddQuery(core.QueryID(qid), q); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for sid, g := range starts {
-					if err := f.AddStream(core.StreamID(sid), g); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			graphs := make(map[core.StreamID]*graph.Graph)
-			for sid, g := range starts {
-				graphs[core.StreamID(sid)] = g.Clone()
-			}
-			for step := 0; step < 25; step++ {
-				batch := randomBatch(rr, graphs)
-				for _, sid := range batchStreamIDs(batch) {
-					if err := seq.Apply(sid, batch[sid]); err != nil {
-						t.Fatalf("seed=%d %s step=%d: sequential apply: %v", seed, name, step, err)
-					}
-				}
-				if err := par.ApplyAll(batch); err != nil {
-					t.Fatalf("seed=%d %s step=%d: parallel apply: %v", seed, name, step, err)
-				}
-				want, got := seq.Candidates(), par.Candidates()
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("seed=%d %s step=%d: parallel candidates %v != sequential %v",
-						seed, name, step, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestApplyAllErrors pins the batch path's error behavior: an unknown
 // stream in the batch fails deterministically with the lowest offending
 // StreamID, and an empty batch is a no-op.
@@ -174,25 +107,17 @@ func TestApplyAllErrors(t *testing.T) {
 // GOMAXPROCS, 1 stays sequential, and the configured bound is what the
 // pool metrics report.
 func TestSetWorkersBounds(t *testing.T) {
-	f := NewDSC(2)
-	read := func() float64 {
-		var got float64
-		f.CollectMetrics(func(name string, v float64) {
-			if name == "nntstream_join_pool_workers" {
-				got = v
-			}
-		})
-		return got
-	}
-	if got := read(); got != 1 {
+	f := NewNL(2)
+	read := scrape(t, f)
+	if got := read("nntstream_join_pool_workers"); got != 1 {
 		t.Fatalf("default workers = %v; want 1 (sequential)", got)
 	}
 	f.SetWorkers(0)
-	if got := read(); got != float64(runtime.GOMAXPROCS(0)) {
+	if got := read("nntstream_join_pool_workers"); got != float64(runtime.GOMAXPROCS(0)) {
 		t.Fatalf("auto workers = %v; want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
 	}
 	f.SetWorkers(6)
-	if got := read(); got != 6 {
+	if got := read("nntstream_join_pool_workers"); got != 6 {
 		t.Fatalf("explicit workers = %v; want 6", got)
 	}
 }
@@ -203,6 +128,7 @@ func TestSetWorkersBounds(t *testing.T) {
 func TestPoolDispatchCounted(t *testing.T) {
 	f := NewNL(2)
 	f.SetWorkers(4)
+	read := scrape(t, f)
 	workload(t, f)
 	batch := map[core.StreamID]graph.ChangeSet{
 		0: {graph.InsertOp(0, 0, 2, 2, 0)},
@@ -211,15 +137,13 @@ func TestPoolDispatchCounted(t *testing.T) {
 	if err := f.ApplyAll(batch); err != nil {
 		t.Fatal(err)
 	}
-	metrics := map[string]float64{}
-	f.CollectMetrics(func(name string, v float64) { metrics[name] = v })
-	if metrics["nntstream_join_pool_parallel_batches_total"] == 0 {
-		t.Fatalf("no parallel batches dispatched: %v", metrics)
+	if got := read("nntstream_join_pool_parallel_batches_total"); got == 0 {
+		t.Fatal("no parallel batches dispatched")
 	}
-	if metrics["nntstream_join_pool_parallel_tasks_total"] < 2 {
-		t.Fatalf("parallel tasks = %v; want >= 2", metrics["nntstream_join_pool_parallel_tasks_total"])
+	if got := read("nntstream_join_pool_parallel_tasks_total"); got < 2 {
+		t.Fatalf("parallel tasks = %v; want >= 2", got)
 	}
-	if metrics["nntstream_join_pool_max_batch_tasks"] < 2 {
-		t.Fatalf("max batch tasks = %v; want >= 2", metrics["nntstream_join_pool_max_batch_tasks"])
+	if got := read("nntstream_join_pool_max_batch_tasks"); got < 2 {
+		t.Fatalf("max batch tasks = %v; want >= 2", got)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"nntstream/internal/obs"
 )
 
 // evalPool fans independent evaluation tasks out over a bounded set of
@@ -21,7 +23,7 @@ type evalPool struct {
 	// sequential (run inline on the caller's goroutine).
 	workers int
 
-	// Pool telemetry, exported by the owning filter's CollectMetrics.
+	// Pool telemetry, exported by the owning filter's RegisterMetrics.
 	batches   atomic.Int64 // parallel batches dispatched
 	tasks     atomic.Int64 // tasks run across parallel batches
 	waitNanos atomic.Int64 // summed submit→start latency across tasks
@@ -94,12 +96,23 @@ func (p *evalPool) run(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// collect emits the pool gauges and counters under the shared
-// nntstream_join_pool_ prefix.
-func (p *evalPool) collect(emit func(name string, value float64)) {
-	emit("nntstream_join_pool_workers", float64(p.size()))
-	emit("nntstream_join_pool_parallel_batches_total", float64(p.batches.Load()))
-	emit("nntstream_join_pool_parallel_tasks_total", float64(p.tasks.Load()))
-	emit("nntstream_join_pool_task_wait_seconds_total", float64(p.waitNanos.Load())/1e9)
-	emit("nntstream_join_pool_max_batch_tasks", float64(p.maxBatch.Load()))
+// registerMetrics registers the pool's series under the shared
+// nntstream_join_pool_ prefix. The counters are atomics; only the width,
+// which SetWorkers writes, is read under the engine's lock.
+func (p *evalPool) registerMetrics(r *obs.Registry, locked func(func() float64) func() float64) {
+	r.GaugeFunc("nntstream_join_pool_workers",
+		"Evaluation pool width (1 = sequential).",
+		locked(func() float64 { return float64(p.size()) }))
+	r.CounterFunc("nntstream_join_pool_parallel_batches_total",
+		"Batches fanned out over more than one worker.",
+		func() float64 { return float64(p.batches.Load()) })
+	r.CounterFunc("nntstream_join_pool_parallel_tasks_total",
+		"Tasks run inside parallel batches.",
+		func() float64 { return float64(p.tasks.Load()) })
+	r.CounterFunc("nntstream_join_pool_task_wait_seconds_total",
+		"Submit-to-start latency summed over parallel tasks, in seconds.",
+		func() float64 { return float64(p.waitNanos.Load()) / 1e9 })
+	r.GaugeFunc("nntstream_join_pool_max_batch_tasks",
+		"Largest task count handed to one parallel batch.",
+		func() float64 { return float64(p.maxBatch.Load()) })
 }

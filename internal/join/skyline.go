@@ -57,6 +57,7 @@ var (
 	_ core.DynamicFilter  = (*Skyline)(nil)
 	_ core.BatchApplier   = (*Skyline)(nil)
 	_ core.ParallelFilter = (*Skyline)(nil)
+	_ core.MetricsFilter  = (*Skyline)(nil)
 )
 
 // NewSkyline returns a skyline-with-early-stop filter with the given NNT
@@ -177,22 +178,17 @@ func dominated(ss *skyStream, u npv.PackedVector) (bool, int64) {
 	return false, scanned
 }
 
-var _ obs.Collector = (*Skyline)(nil)
-
-// CollectMetrics implements obs.Collector with the structure sizes that
-// drive the skyline probe: maximal query vectors, per-dimension statistics,
-// index postings, registered stream vectors, and the NNT node count the
-// stream vectors project.
-func (f *Skyline) CollectMetrics(emit func(name string, value float64)) {
-	emit("nntstream_skyline_maximal_query_vectors", float64(f.queryVectorCount()))
-	emit("nntstream_skyline_probe_scans_total", float64(f.scans))
-	dims, vecs := 0, 0
-	for _, s := range f.streams {
-		dims += len(s.vecStream.(*skyStream).dims)
-		vecs += s.store.Len()
-	}
-	emit("nntstream_skyline_dimensions", float64(dims))
-	emit("nntstream_skyline_stream_vectors", float64(vecs))
-	emit("nntstream_qindex_postings", float64(f.ix.PostingCount()))
-	f.collectShared(emit)
+// RegisterMetrics implements core.MetricsFilter: the shared vector-join
+// series plus the per-dimension statistics the skyline probe keeps.
+func (f *Skyline) RegisterMetrics(r *obs.Registry, locked func(func() float64) func() float64) {
+	f.vecJoin.RegisterMetrics(r, locked)
+	r.GaugeFunc("nntstream_skyline_dimensions",
+		"Per-dimension statistics kept, summed over all streams.",
+		locked(func() float64 {
+			dims := 0
+			for _, s := range f.streams {
+				dims += len(s.vecStream.(*skyStream).dims)
+			}
+			return float64(dims)
+		}))
 }

@@ -40,24 +40,14 @@ type PackedVector struct {
 // Kernel telemetry: total dominance tests answered by the packed kernel and
 // how many were settled by the signature subset reject alone. The counters
 // are process-global atomics (the kernel runs concurrently inside the join
-// pool's fan-out); KernelStats exposes them as an obs.Collector so the
+// pool's fan-out); the server registers them as scrape-time counters so the
 // signature filter's selectivity is observable via /v1/metrics.
 var (
 	dominanceTests atomic.Int64
 	sigRejects     atomic.Int64
 )
 
-// KernelStats is an obs.Collector (satisfied structurally; npv does not
-// import obs) reporting the packed kernel's process-global counters.
-type KernelStats struct{}
-
-// CollectMetrics emits the dominance-test and signature-reject totals.
-func (KernelStats) CollectMetrics(emit func(name string, value float64)) {
-	emit("nntstream_npv_dominance_tests_total", float64(dominanceTests.Load()))
-	emit("nntstream_npv_sig_rejects_total", float64(sigRejects.Load()))
-}
-
-// KernelCounters returns the raw totals behind KernelStats, for tests.
+// KernelCounters returns the packed kernel's process-global totals.
 func KernelCounters() (tests, sigRejected int64) {
 	return dominanceTests.Load(), sigRejects.Load()
 }

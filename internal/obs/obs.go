@@ -1,6 +1,8 @@
 // Package obs is a lightweight, dependency-free observability layer for the
-// monitoring engine: atomic counters, gauges, and fixed-bucket latency
-// histograms collected in a Registry that renders Prometheus text format.
+// monitoring engine: atomic counters, gauges, fixed-bucket latency
+// histograms, and scrape-time gauges and counters, collected in a Registry
+// that renders Prometheus text format. The Registry is the only way a series
+// reaches /v1/metrics, so every series carries a HELP and a TYPE line.
 //
 // Instruments are safe for concurrent use. Streaming-graph-search systems
 // need continuous per-timestamp telemetry (selectivity, latency, structure
@@ -12,6 +14,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -100,15 +103,28 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
+// funcMetric is a counter or gauge whose value fn computes at scrape time.
+type funcMetric struct {
+	name, help, typ string
+	fn              func() float64
+}
+
 // metric is the exposition surface shared by all instrument kinds.
 type metric interface {
 	metricName() string
+	kind() string
 	write(w *promWriter)
 }
 
-func (c *Counter) metricName() string   { return c.name }
-func (g *Gauge) metricName() string     { return g.name }
-func (h *Histogram) metricName() string { return h.name }
+func (c *Counter) metricName() string    { return c.name }
+func (g *Gauge) metricName() string      { return g.name }
+func (h *Histogram) metricName() string  { return h.name }
+func (f *funcMetric) metricName() string { return f.name }
+
+func (c *Counter) kind() string    { return "counter" }
+func (g *Gauge) kind() string      { return "gauge" }
+func (h *Histogram) kind() string  { return "histogram" }
+func (f *funcMetric) kind() string { return f.typ }
 
 // Registry holds named instruments. Registration methods return the existing
 // instrument when the name is already registered with the same kind, and
@@ -126,48 +142,17 @@ func NewRegistry() *Registry {
 
 // Counter registers (or retrieves) a counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		c, ok := m.(*Counter)
-		if !ok {
-			panic(fmt.Sprintf("obs: %s already registered as %T", name, m))
-		}
-		return c
-	}
-	c := &Counter{name: name, help: help}
-	r.register(c)
-	return c
+	return register(r, &Counter{name: name, help: help})
 }
 
 // Gauge registers (or retrieves) a gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		g, ok := m.(*Gauge)
-		if !ok {
-			panic(fmt.Sprintf("obs: %s already registered as %T", name, m))
-		}
-		return g
-	}
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
+	return register(r, &Gauge{name: name, help: help})
 }
 
 // Histogram registers (or retrieves) a histogram. A nil or empty bounds
 // slice selects DefBuckets. Bounds must be strictly ascending.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		h, ok := m.(*Histogram)
-		if !ok {
-			panic(fmt.Sprintf("obs: %s already registered as %T", name, m))
-		}
-		return h
-	}
 	if len(bounds) == 0 {
 		bounds = DefBuckets
 	}
@@ -176,29 +161,62 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 			panic(fmt.Sprintf("obs: histogram %s bounds not ascending at %d", name, i))
 		}
 	}
-	h := &Histogram{
+	return register(r, &Histogram{
 		name:    name,
 		help:    help,
 		bounds:  bounds,
 		buckets: make([]atomic.Int64, len(bounds)+1),
-	}
-	r.register(h)
-	return h
+	})
 }
 
-func (r *Registry) register(m metric) {
-	if !ValidMetricName(m.metricName()) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", m.metricName()))
-	}
-	r.byName[m.metricName()] = m
-	r.ordered = append(r.ordered, m)
+// GaugeFunc registers a gauge whose value fn computes at every scrape — for
+// structure sizes that are cheaper to count on demand than to maintain on
+// the step path. fn runs outside the registry's lock, so it may take the
+// lock of the state it reads. Registering the name again rebinds it to the
+// new fn.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	register(r, &funcMetric{name: name, help: help, typ: "gauge", fn: fn})
 }
 
-// ValidMetricName checks the Prometheus metric-name grammar
-// [a-zA-Z_:][a-zA-Z0-9_:]*. The registry panics on names that fail it, so a
-// bad registered name fails every test that builds the component, and
-// Gather drops collector samples that fail it.
-func ValidMetricName(s string) bool {
+// CounterFunc is GaugeFunc for a total that fn reads from a counter kept
+// elsewhere; fn must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	register(r, &funcMetric{name: name, help: help, typ: "counter", fn: fn})
+}
+
+// register adds m, or returns the instrument already registered under its
+// name. A scrape-time instrument replaces its predecessor instead, so an
+// engine attached again rebinds the value function. The registry panics on
+// a name that fails the Prometheus grammar, so a bad name fails every test
+// that builds the component, and on a name taken by another kind.
+func register[T metric](r *Registry, m T) T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	name := m.metricName()
+	old, ok := r.byName[name]
+	if !ok {
+		if !validMetricName(name) {
+			panic(fmt.Sprintf("obs: invalid metric name %q", name))
+		}
+		r.byName[name] = m
+		r.ordered = append(r.ordered, m)
+		return m
+	}
+	prev, ok := old.(T)
+	if !ok || prev.kind() != m.kind() {
+		panic(fmt.Sprintf("obs: %s already registered as %T %s", name, old, old.kind()))
+	}
+	if _, rebind := any(m).(*funcMetric); !rebind {
+		return prev
+	}
+	r.ordered[slices.Index(r.ordered, old)] = m
+	r.byName[name] = m
+	return m
+}
+
+// validMetricName checks the Prometheus metric-name grammar
+// [a-zA-Z_:][a-zA-Z0-9_:]*.
+func validMetricName(s string) bool {
 	if s == "" {
 		return false
 	}

@@ -105,39 +105,50 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestWriteSamplesSorted(t *testing.T) {
-	var b strings.Builder
-	if err := WriteSamples(&b, map[string]float64{"zzz": 1, "aaa": 2}); err != nil {
-		t.Fatal(err)
+// TestFuncInstrumentsScrapeTime checks GaugeFunc and CounterFunc read their
+// value at every scrape, render with a real TYPE, and rebind on
+// re-registration instead of keeping the first function.
+func TestFuncInstrumentsScrapeTime(t *testing.T) {
+	r := NewRegistry()
+	size := 3.0
+	r.GaugeFunc("size", "structure size", func() float64 { return size })
+	r.CounterFunc("work_total", "work done", func() float64 { return 2 * size })
+	scrape := func() string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	out := b.String()
-	if !strings.Contains(out, "aaa 2") || !strings.Contains(out, "zzz 1") {
-		t.Fatalf("samples missing:\n%s", out)
+	for _, want := range []string{
+		"# HELP size structure size\n# TYPE size gauge\nsize 3\n",
+		"# HELP work_total work done\n# TYPE work_total counter\nwork_total 6\n",
+	} {
+		if out := scrape(); !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
 	}
-	if strings.Index(out, "aaa") > strings.Index(out, "zzz") {
-		t.Fatalf("samples not sorted:\n%s", out)
+	size = 5
+	if out := scrape(); !strings.Contains(out, "size 5\n") {
+		t.Fatalf("gauge not recomputed at scrape:\n%s", out)
 	}
-}
-
-type emitPair struct {
-	name  string
-	value float64
-}
-
-type staticCollector []emitPair
-
-func (s staticCollector) CollectMetrics(emit func(string, float64)) {
-	for _, p := range s {
-		emit(p.name, p.value)
+	r.GaugeFunc("size", "structure size", func() float64 { return 7 })
+	if out := scrape(); !strings.Contains(out, "size 7\n") || strings.Count(out, "# TYPE size ") != 1 {
+		t.Fatalf("re-registration did not rebind in place:\n%s", out)
 	}
-}
-
-func TestGatherSumsDuplicatesAndDropsInvalid(t *testing.T) {
-	got := Gather(staticCollector{
-		{"size", 3}, {"size", 4}, {"other", 1}, {"bad name", 9},
-	})
-	if len(got) != 2 || got["size"] != 7 || got["other"] != 1 {
-		t.Fatalf("gathered = %v", got)
+	for _, mismatch := range []func(){
+		func() { r.CounterFunc("size", "", func() float64 { return 0 }) },
+		func() { r.Gauge("size", "") },
+		func() { r.GaugeFunc("work_total", "", func() float64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("kind mismatch should panic")
+				}
+			}()
+			mismatch()
+		}()
 	}
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -37,17 +36,22 @@ func (p *promWriter) header(name, help, kind string) {
 }
 
 func (c *Counter) write(p *promWriter) {
-	p.header(c.name, c.help, "counter")
+	p.header(c.name, c.help, c.kind())
 	p.line(c.name, " ", formatInt(c.Value()))
 }
 
 func (g *Gauge) write(p *promWriter) {
-	p.header(g.name, g.help, "gauge")
+	p.header(g.name, g.help, g.kind())
 	p.line(g.name, " ", formatFloat(g.Value()))
 }
 
+func (f *funcMetric) write(p *promWriter) {
+	p.header(f.name, f.help, f.typ)
+	p.line(f.name, " ", formatFloat(f.fn()))
+}
+
 func (h *Histogram) write(p *promWriter) {
-	p.header(h.name, h.help, "histogram")
+	p.header(h.name, h.help, h.kind())
 	cum := int64(0)
 	for i, bound := range h.bounds {
 		cum += h.buckets[i].Load()
@@ -60,7 +64,8 @@ func (h *Histogram) write(p *promWriter) {
 }
 
 // WritePrometheus renders every registered instrument in registration order
-// as Prometheus text format (version 0.0.4).
+// as Prometheus text format (version 0.0.4). Scrape-time instruments call
+// their value functions here, after the registry's lock is released.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	metrics := make([]metric, len(r.ordered))
@@ -69,25 +74,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	p := &promWriter{w: bufio.NewWriter(w)}
 	for _, m := range metrics {
 		m.write(p)
-	}
-	if p.err != nil {
-		return p.err
-	}
-	return p.w.Flush()
-}
-
-// WriteSamples renders point-in-time samples (for example those gathered
-// from a Collector) as untyped metrics in sorted name order.
-func WriteSamples(w io.Writer, samples map[string]float64) error {
-	names := make([]string, 0, len(samples))
-	for name := range samples {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	p := &promWriter{w: bufio.NewWriter(w)}
-	for _, name := range names {
-		p.line("# TYPE ", name, " untyped")
-		p.line(name, " ", formatFloat(samples[name]))
 	}
 	if p.err != nil {
 		return p.err

@@ -81,24 +81,14 @@ type Posting struct {
 // Candidate-generation telemetry: query verdicts re-evaluated because the
 // index named them, and query verdicts proven unchanged without a dominance
 // test. Process-global atomics (AffectedQueries runs concurrently inside
-// the join pool's fan-out); Stats exposes them as an obs.Collector on
-// /v1/metrics.
+// the join pool's fan-out); the server registers them as scrape-time
+// counters on /v1/metrics.
 var (
 	candidatesTotal atomic.Int64
 	prunedTotal     atomic.Int64
 )
 
-// Stats is an obs.Collector (satisfied structurally; qindex does not import
-// obs) reporting the index's process-global selectivity counters.
-type Stats struct{}
-
-// CollectMetrics emits the candidate and pruned totals.
-func (Stats) CollectMetrics(emit func(name string, value float64)) {
-	emit("nntstream_qindex_candidates_total", float64(candidatesTotal.Load()))
-	emit("nntstream_qindex_pruned_total", float64(prunedTotal.Load()))
-}
-
-// Counters returns the raw totals behind Stats, for tests.
+// Counters returns the index's process-global selectivity totals.
 func Counters() (candidates, pruned int64) {
 	return candidatesTotal.Load(), prunedTotal.Load()
 }

@@ -123,12 +123,12 @@ func TestIngestBatchMatchesSequentialSteps(t *testing.T) {
 		frames = append(frames, insFrame(sidB, 0, int32(10+i), 0, uint16(i%3), 0))
 	}
 
-	fsyncsBefore := m.Fsyncs.Value()
+	fsyncsBefore := m.FsyncSeconds.Count()
 	resp, text := postNDJSON(t, batchSrv.URL, "", strings.Join(frames, "\n")+"\n")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", resp.StatusCode, text)
 	}
-	if got := m.Fsyncs.Value() - fsyncsBefore; got > 1 {
+	if got := m.FsyncSeconds.Count() - fsyncsBefore; got > 1 {
 		t.Fatalf("batch of %d steps cost %d fsyncs; want <= 1", n, got)
 	}
 	if !strings.Contains(text, `"steps":5`) || !strings.Contains(text, `"ops":5`) {

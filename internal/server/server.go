@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,8 +41,10 @@ type metricsEngine interface {
 
 // Server guards an Engine behind an HTTP API with a readers-writer lock:
 // mutating requests (registrations, steps) are exclusive, while read-only
-// requests (/v1/candidates, /v1/stats, /v1/metrics) run concurrently. This
-// relies on the core.Filter contract that Candidates is a safe read path.
+// requests (/v1/candidates, /v1/stats) run concurrently. This relies on the
+// core.Filter contract that Candidates is a safe read path. /v1/metrics
+// takes no server lock: the scrape-time instruments read under the engine's
+// own read lock.
 type Server struct {
 	mu           sync.RWMutex
 	engine       Engine
@@ -57,7 +60,8 @@ type Server struct {
 const DefaultMaxBodyBytes = 8 << 20
 
 // New wraps an engine. A metrics registry is created and, when the engine
-// supports it, wired in so StepAll latencies land in /v1/metrics.
+// supports it, wired in so StepAll latencies and the engine's and filter's
+// sizes land in /v1/metrics.
 func New(engine Engine) *Server {
 	return NewWithRegistry(engine, obs.NewRegistry())
 }
@@ -73,6 +77,7 @@ func NewWithRegistry(engine Engine, reg *obs.Registry) *Server {
 		adm:          newAdmission(IngestLimits{}),
 		ingest:       newIngestMetrics(reg),
 	}
+	RegisterProcessMetrics(reg)
 	if me, ok := engine.(metricsEngine); ok {
 		me.SetMetrics(core.NewEngineMetrics(reg))
 	}
@@ -144,7 +149,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/ingest", s.handleIngest)
 	mux.HandleFunc("/v1/candidates", s.handleCandidates)
 	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/metrics", s.handleMetrics)
+	mux.HandleFunc("/v1/metrics", MetricsHandler(s.registry))
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -312,29 +317,42 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics serves the Prometheus text exposition: the registry's typed
-// instruments (engine latency histograms, counters, gauges) followed by the
-// engine's structure-size samples gathered from its obs.Collector surface,
-// and the process-wide NPV dominance-kernel and query-index selectivity
-// counters. Those counters are package-level atomics shared by every filter
-// in the process, not state of the engine's filter, so the server emits them
-// itself rather than through the engine's collector.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
-		return
+// RegisterProcessMetrics registers the process-global dominance-kernel and
+// query-index counters in reg. They are package atomics shared by every
+// filter in the process, not state of one engine, so each process that
+// serves metrics registers them once: serve's API server and a cluster
+// worker alike.
+func RegisterProcessMetrics(reg *obs.Registry) {
+	reg.CounterFunc("nntstream_npv_dominance_tests_total",
+		"Dominance tests answered by the packed NPV kernel.",
+		func() float64 { tests, _ := npv.KernelCounters(); return float64(tests) })
+	reg.CounterFunc("nntstream_npv_sig_rejects_total",
+		"Dominance tests settled by the support-signature reject alone.",
+		func() float64 { _, rejects := npv.KernelCounters(); return float64(rejects) })
+	reg.CounterFunc("nntstream_qindex_candidates_total",
+		"Query verdicts the dominance index sent to re-evaluation.",
+		func() float64 { cands, _ := qindex.Counters(); return float64(cands) })
+	reg.CounterFunc("nntstream_qindex_pruned_total",
+		"Query verdicts the dominance index proved unchanged without a dominance test.",
+		func() float64 { _, pruned := qindex.Counters(); return float64(pruned) })
+}
+
+// MetricsHandler serves reg in Prometheus text format. The exposition is
+// rendered into memory before the first byte goes out, so scrape-time
+// instruments that read under an engine's read lock have released it before
+// a slow client is written to.
+func MetricsHandler(reg *obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			HTTPError(w, http.StatusMethodNotAllowed, "GET only")
+			return
+		}
+		var body bytes.Buffer
+		_ = reg.WritePrometheus(&body)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body.Bytes())
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_ = s.registry.WritePrometheus(w)
-	if col, ok := s.engine.(obs.Collector); ok {
-		s.mu.RLock()
-		samples := obs.Gather(col)
-		s.mu.RUnlock()
-		_ = obs.WriteSamples(w, samples)
-	}
-	_ = obs.WriteSamples(w, obs.Gather(npv.KernelStats{}))
-	_ = obs.WriteSamples(w, obs.Gather(qindex.Stats{}))
 }
 
 // WriteJSON answers with status and v encoded as the JSON body.

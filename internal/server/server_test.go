@@ -202,8 +202,9 @@ func TestServerStatusMapping(t *testing.T) {
 }
 
 // TestServerMetrics drives one timestamp and checks /v1/metrics serves the
-// engine latency histogram, the candidate-ratio gauge, and the filter's
-// structure-size samples in Prometheus text format.
+// engine latency histogram, the candidate-ratio gauge, the filter's
+// structure sizes and the process-wide kernel counters in Prometheus text
+// format.
 func TestServerMetrics(t *testing.T) {
 	srv := testServer(t)
 	if resp, _ := do(t, http.MethodPost, srv.URL+"/v1/queries", graphRequest{Graph: edgeGraph(0, 1)}); resp.StatusCode != http.StatusCreated {
@@ -239,10 +240,9 @@ func TestServerMetrics(t *testing.T) {
 		"# TYPE nntstream_engine_apply_seconds histogram",
 		"nntstream_engine_apply_seconds_bucket{le=\"+Inf\"} 1",
 		"nntstream_engine_apply_seconds_count 1",
-		"nntstream_engine_timestamps_total 1",
 		"nntstream_engine_candidate_ratio 1",
-		"nntstream_skyline_maximal_query_vectors",
-		"nntstream_skyline_stream_vectors",
+		"nntstream_filter_query_vectors 2",
+		"nntstream_filter_stream_vectors 3",
 		"nntstream_qindex_candidates_total",
 		"nntstream_filter_nnt_nodes",
 		"nntstream_npv_dominance_tests_total",
@@ -250,6 +250,32 @@ func TestServerMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("full exposition:\n%s", text)
+	}
+}
+
+// TestEngineGaugesLiveBeforeFirstStep registers queries and streams, takes
+// no step, and reads the workload gauges: they are computed at scrape time,
+// so they report the real counts instead of 0 until the first step.
+func TestEngineGaugesLiveBeforeFirstStep(t *testing.T) {
+	srv := testServer(t)
+	for i := 0; i < 3; i++ {
+		if resp, _ := do(t, http.MethodPost, srv.URL+"/v1/queries", graphRequest{Graph: edgeGraph(0, uint16(i))}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("add query = %d", resp.StatusCode)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if resp, _ := do(t, http.MethodPost, srv.URL+"/v1/streams", graphRequest{Graph: edgeGraph(0, 1)}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("add stream = %d", resp.StatusCode)
+		}
+	}
+	text := getBody(t, srv.URL+"/v1/metrics")
+	for _, want := range []string{"\nnntstream_engine_queries 3\n", "\nnntstream_engine_streams 2\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q", strings.TrimSpace(want))
 		}
 	}
 	if t.Failed() {

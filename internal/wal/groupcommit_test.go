@@ -36,7 +36,7 @@ func TestGroupCommitSingleFsync(t *testing.T) {
 	l, path := openSyncAlways(t, m)
 
 	const n = 8
-	before := m.Fsyncs.Value()
+	before := m.FsyncSeconds.Count()
 	err := l.GroupCommit(func() error {
 		for i := int32(0); i < n; i++ {
 			if _, err := l.Append(stepRecord(i, i+1)); err != nil {
@@ -48,17 +48,17 @@ func TestGroupCommitSingleFsync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GroupCommit: %v", err)
 	}
-	if got := m.Fsyncs.Value() - before; got != 1 {
+	if got := m.FsyncSeconds.Count() - before; got != 1 {
 		t.Fatalf("fsyncs inside GroupCommit = %d; want 1", got)
 	}
 
-	before = m.Fsyncs.Value()
+	before = m.FsyncSeconds.Count()
 	for i := int32(0); i < n; i++ {
 		if _, err := l.Append(stepRecord(100+i, 101+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := m.Fsyncs.Value() - before; got != n {
+	if got := m.FsyncSeconds.Count() - before; got != n {
 		t.Fatalf("fsyncs outside GroupCommit = %d; want %d (SyncAlways per append)", got, n)
 	}
 
@@ -80,11 +80,11 @@ func TestGroupCommitEmptyWindow(t *testing.T) {
 	if _, err := l.Append(stepRecord(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	before := m.Fsyncs.Value()
+	before := m.FsyncSeconds.Count()
 	if err := l.GroupCommit(func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Fsyncs.Value() - before; got != 0 {
+	if got := m.FsyncSeconds.Count() - before; got != 0 {
 		t.Fatalf("fsyncs for empty window = %d; want 0", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestGroupCommitNested(t *testing.T) {
 func TestGroupCommitFnErrorStillSyncs(t *testing.T) {
 	m := NewMetrics(obs.NewRegistry())
 	l, path := openSyncAlways(t, m)
-	before := m.Fsyncs.Value()
+	before := m.FsyncSeconds.Count()
 	wantErr := "apply rejected"
 	err := l.GroupCommit(func() error {
 		if _, err := l.Append(stepRecord(1, 2)); err != nil {
@@ -123,7 +123,7 @@ func TestGroupCommitFnErrorStillSyncs(t *testing.T) {
 	if err == nil || err.Error() != wantErr {
 		t.Fatalf("GroupCommit = %v; want fn error %q", err, wantErr)
 	}
-	if got := m.Fsyncs.Value() - before; got != 1 {
+	if got := m.FsyncSeconds.Count() - before; got != 1 {
 		t.Fatalf("fsyncs after fn error = %d; want 1 (appended record still synced)", got)
 	}
 	if err := l.Close(); err != nil {
@@ -140,7 +140,7 @@ func TestGroupCommitFnErrorStillSyncs(t *testing.T) {
 func TestGroupCommitTruncateDeferred(t *testing.T) {
 	m := NewMetrics(obs.NewRegistry())
 	l, _ := openSyncAlways(t, m)
-	before := m.Fsyncs.Value()
+	before := m.FsyncSeconds.Count()
 	err := l.GroupCommit(func() error {
 		off, lsn := l.Offset(), l.LastLSN()
 		if _, err := l.Append(stepRecord(1, 2)); err != nil {
@@ -151,7 +151,7 @@ func TestGroupCommitTruncateDeferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Fsyncs.Value() - before; got != 1 {
+	if got := m.FsyncSeconds.Count() - before; got != 1 {
 		t.Fatalf("fsyncs for append+withdraw window = %d; want 1", got)
 	}
 	if l.LastLSN() != 0 {

@@ -10,16 +10,13 @@ import (
 // safe so the log and the durable engine can record unconditionally.
 type Metrics struct {
 	// AppendSeconds is the latency of encoding + writing one record (fsync
-	// excluded; see FsyncSeconds).
+	// excluded; see FsyncSeconds). Its _count is the records appended.
 	AppendSeconds *obs.Histogram
-	// FsyncSeconds is the latency of one fsync of the log file.
+	// FsyncSeconds is the latency of one fsync of the log file. Its _count
+	// is the fsync calls.
 	FsyncSeconds *obs.Histogram
-	// RecordsAppended counts records durably staged in the log.
-	RecordsAppended *obs.Counter
 	// BytesAppended counts framed bytes written to the log.
 	BytesAppended *obs.Counter
-	// Fsyncs counts fsync calls on the log file.
-	Fsyncs *obs.Counter
 	// Recoveries counts engine boots that opened an existing data
 	// directory.
 	Recoveries *obs.Counter
@@ -32,10 +29,9 @@ type Metrics struct {
 	// TornBytes counts bytes discarded by torn-tail truncation.
 	TornBytes *obs.Counter
 	// CheckpointSeconds is the latency of writing one checkpoint (snapshot
-	// encode + fsync + rename + log reset).
+	// encode + fsync + rename + log reset). Its _count is the checkpoints
+	// successfully written.
 	CheckpointSeconds *obs.Histogram
-	// Checkpoints counts checkpoints successfully written.
-	Checkpoints *obs.Counter
 	// CheckpointFailures counts checkpoint attempts that failed (the log
 	// keeps growing; state is still recoverable from the previous
 	// checkpoint plus the longer log).
@@ -51,12 +47,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Latency of encoding and writing one WAL record, excluding fsync.", nil),
 		FsyncSeconds: r.Histogram("nntstream_wal_fsync_seconds",
 			"Latency of one fsync of the WAL file.", nil),
-		RecordsAppended: r.Counter("nntstream_wal_records_appended_total",
-			"WAL records appended."),
 		BytesAppended: r.Counter("nntstream_wal_bytes_appended_total",
 			"Framed bytes appended to the WAL."),
-		Fsyncs: r.Counter("nntstream_wal_fsyncs_total",
-			"fsync calls on the WAL file."),
 		Recoveries: r.Counter("nntstream_wal_recoveries_total",
 			"Engine boots that recovered from an existing data directory."),
 		RecordsReplayed: r.Counter("nntstream_wal_recovery_records_replayed_total",
@@ -67,8 +59,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Bytes discarded by torn-tail truncation."),
 		CheckpointSeconds: r.Histogram("nntstream_wal_checkpoint_seconds",
 			"Latency of writing one checkpoint.", nil),
-		Checkpoints: r.Counter("nntstream_wal_checkpoints_total",
-			"Checkpoints successfully written."),
 		CheckpointFailures: r.Counter("nntstream_wal_checkpoint_failures_total",
 			"Checkpoint attempts that failed."),
 	}
@@ -79,7 +69,6 @@ func (m *Metrics) observeAppend(d time.Duration, bytes int) {
 		return
 	}
 	m.AppendSeconds.Observe(d.Seconds())
-	m.RecordsAppended.Inc()
 	m.BytesAppended.Add(int64(bytes))
 }
 
@@ -88,7 +77,6 @@ func (m *Metrics) observeFsync(d time.Duration) {
 		return
 	}
 	m.FsyncSeconds.Observe(d.Seconds())
-	m.Fsyncs.Inc()
 }
 
 func (m *Metrics) observeRecovery(res scanResult, tornBytes int64) {
@@ -113,7 +101,6 @@ func (m *Metrics) ObserveCheckpoint(d time.Duration, err error) {
 		return
 	}
 	m.CheckpointSeconds.Observe(d.Seconds())
-	m.Checkpoints.Inc()
 }
 
 // ObserveRecoveryStart counts one boot over an existing data directory; it is

@@ -378,10 +378,10 @@ func TestLogIntervalSync(t *testing.T) {
 	}
 	appendAll(t, l, testRecords())
 	deadline := time.Now().Add(2 * time.Second)
-	for m.Fsyncs.Value() == 0 && time.Now().Before(deadline) {
+	for m.FsyncSeconds.Count() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if m.Fsyncs.Value() == 0 {
+	if m.FsyncSeconds.Count() == 0 {
 		t.Fatal("background sync never ran")
 	}
 	if err := l.Close(); err != nil {

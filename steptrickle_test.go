@@ -126,9 +126,8 @@ func (w *trickleWorkload) step(tb testing.TB, i int) {
 	}
 }
 
-// BenchmarkStepAllTrickle is the trajectory row for the engine's fixed
-// per-step cost; TestStepAllAllocsIndependentOfGraphSize caps its
-// allocations.
+// BenchmarkStepAllTrickle measures the engine's fixed per-step cost;
+// TestStepAllAllocsIndependentOfGraphSize caps its allocations.
 func BenchmarkStepAllTrickle(b *testing.B) {
 	w := newTrickleWorkload(b, 800)
 	b.ReportAllocs()
