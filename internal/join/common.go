@@ -114,18 +114,21 @@ type vecStream interface {
 	// streams reconcile independently.
 	reconcile() []npv.DirtyDelta
 	// probe reports whether every query vector in vecs is dominated by some
-	// stream vector, and how many stream vectors it scanned deciding. It
-	// reads the reconciled stream state and touches nothing else, which is
-	// what makes the pair fan-out safe.
-	probe(vecs []npv.PackedVector) (joinable bool, scanned int64)
+	// stream vector, and how many stream vectors it scanned deciding,
+	// counting its kernel calls into t. It reads the reconciled stream state
+	// and touches nothing else, which is what makes the pair fan-out safe.
+	probe(vecs []npv.PackedVector, t *npv.Tally) (joinable bool, scanned int64)
 }
 
 // vecJoinStream is one stream of a vecJoin: the strategy's half, the
-// stream's NPV store, and the cached verdict of every registered query.
+// stream's NPV store, the cached verdict of every registered query, and the
+// stream's candidate-generation scratch (only its own maintenance task uses
+// it).
 type vecJoinStream struct {
 	vecStream
 	store   *npv.Store
 	verdict map[core.QueryID]bool
+	scratch qindex.Scratch
 }
 
 // vecJoin is everything NL and Skyline have in common — which is everything
@@ -239,7 +242,9 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 
 // evaluate probes one query against one stream on the serialized path.
 func (j *vecJoin) evaluate(s *vecJoinStream, qid core.QueryID) bool {
-	ok, scanned := s.probe(j.queries[qid])
+	var t npv.Tally
+	ok, scanned := s.probe(j.queries[qid], &t)
+	t.Flush()
 	j.scans += scanned
 	return ok
 }
@@ -253,8 +258,9 @@ func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
 // advances a stream. Maintenance runs one task per stream: NPV recount,
 // reconcile (which seals that stream's dirty vertices — the stream's private
 // state, which the pair stage only reads), and candidate generation, which
-// reads the sealed, immutable index plus atomic counters (or, without an
-// index, takes every query) and so is race-free inside the per-stream task.
+// reads the sealed, immutable index plus atomic counters into the stream's
+// own scratch (or, without an index, takes every query) and so is race-free
+// inside the per-stream task.
 // Dominance re-evaluation then fans out one task per (changed stream,
 // candidate query) pair. Each task writes only its own slot, and the merge
 // walks slots in (StreamID, QueryID) order, so the verdicts — and therefore
@@ -280,7 +286,7 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		case j.ix == nil:
 			cands[i] = allQ
 		default:
-			cands[i] = j.ix.AffectedQueries(deltas)
+			cands[i] = j.ix.AffectedQueriesInto(&s.scratch, deltas)
 		}
 		return nil
 	})
@@ -298,7 +304,9 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 	scans := make([]int64, len(tasks))
 	j.pool.run(len(tasks), func(i int) {
 		t := tasks[i]
-		verdicts[i], scans[i] = j.streams[t.sid].probe(j.queries[t.qid])
+		var tally npv.Tally
+		verdicts[i], scans[i] = j.streams[t.sid].probe(j.queries[t.qid], &tally)
+		tally.Flush()
 	})
 	for i, t := range tasks {
 		j.streams[t.sid].verdict[t.qid] = verdicts[i]

@@ -40,17 +40,19 @@ type nlStream struct{ store *npv.Store }
 
 func (s nlStream) reconcile() []npv.DirtyDelta { return s.store.SealDirty() }
 
-func (s nlStream) probe(vecs []npv.PackedVector) (bool, int64) { return evalQuery(s.store, vecs) }
+func (s nlStream) probe(vecs []npv.PackedVector, t *npv.Tally) (bool, int64) {
+	return evalQuery(s.store, vecs, t)
+}
 
 // evalQuery is the pure dominance check one pair task runs: it reads the
 // stream space and the query vectors, and touches no filter state, which is
 // what makes the fan-out safe.
 //
 //nnt:hotpath
-func evalQuery(store *npv.Store, vecs []npv.PackedVector) (bool, int64) {
+func evalQuery(store *npv.Store, vecs []npv.PackedVector, t *npv.Tally) (bool, int64) {
 	var total int64
 	for _, u := range vecs {
-		found, scanned := dominatedByAny(store, u)
+		found, scanned := dominatedByAny(store, u, t)
 		total += int64(scanned)
 		if !found {
 			return false, total
@@ -66,11 +68,11 @@ func evalQuery(store *npv.Store, vecs []npv.PackedVector) (bool, int64) {
 // registration.
 //
 //nnt:hotpath
-func dominatedByAny(store *npv.Store, u npv.PackedVector) (found bool, scanned int) {
+func dominatedByAny(store *npv.Store, u npv.PackedVector, t *npv.Tally) (found bool, scanned int) {
 	//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; sealed spaces on this path hit the packed cache allocation-free
 	store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
 		scanned++
-		if p.Dominates(u) {
+		if t.Dominates(p, u) {
 			found = true
 			return false
 		}

@@ -83,14 +83,14 @@ func (p *evalPool) run(n int, fn func(i int)) {
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				p.waitNanos.Add(time.Since(start).Nanoseconds())
+			// Waits are summed per goroutine and published once, so tasks
+			// do not contend on the shared counter.
+			var wait time.Duration
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				wait += time.Since(start)
 				fn(i)
 			}
+			p.waitNanos.Add(wait.Nanoseconds())
 		}()
 	}
 	wg.Wait()

@@ -36,10 +36,22 @@ type Skyline struct{ vecJoin }
 
 // skyStream is Skyline's vecStream: the per-dimension statistics behind the
 // max refutation and the probe-dimension choice, kept straight off the seal
-// transitions — the store's packed cache is the only copy of a vector.
+// transitions. A vertex's record holds its sealed packed vector, sharing the
+// slices of the store's packed cache rather than copying them.
 type skyStream struct {
 	store *npv.Store
 	dims  map[npv.Dim]*dimStat
+	verts map[graph.VertexID]*skyVertex
+	// pos is reconcile's scratch for a vertex's next member positions.
+	pos []int32
+}
+
+// skyVertex is one vertex with a nonempty sealed vector p: pos runs parallel
+// to p's support, pos[i] being the vertex's index in the members of
+// dimension p.Dim(i), so leaving a dimension is an O(1) swap-remove.
+type skyVertex struct {
+	p   npv.PackedVector
+	pos []int32
 }
 
 // dimStat is one dimension's statistics: the vertices whose sealed vector is
@@ -49,7 +61,7 @@ type skyStream struct {
 // empties). So u[d] > max still proves no member reaches u, while the
 // member scan after it decides exactly — and a removal costs no rescan.
 type dimStat struct {
-	members map[graph.VertexID]struct{}
+	members []*skyVertex
 	max     int32
 }
 
@@ -64,7 +76,7 @@ var (
 // depth.
 func NewSkyline(depth int) *Skyline {
 	return &Skyline{newVecJoin(depth, qindex.New(), maximalByMass, func(store *npv.Store) vecStream {
-		return &skyStream{store: store, dims: make(map[npv.Dim]*dimStat)}
+		return &skyStream{store: store, dims: make(map[npv.Dim]*dimStat), verts: make(map[graph.VertexID]*skyVertex)}
 	})}
 }
 
@@ -81,46 +93,76 @@ func maximalByMass(q *graph.Graph, depth int) []npv.PackedVector {
 	return maximal
 }
 
-// reconcile implements vecStream: each dirty vertex leaves the member sets
-// of the dimensions its old sealed vector had and its new one lacks, and
-// joins those of its new one, raising their max. A vertex that appeared has
-// an empty Old and a retired one an empty New, so both fall out of the same
-// walk.
+// reconcile implements vecStream: each dirty vertex leaves the member lists
+// of the dimensions its old sealed vector had and its new one lacks, keeps
+// its place in those both have, and joins those only its new one has,
+// raising their max. A vertex that appeared has an empty Old and a retired
+// one an empty New, so all three fall out of the same merge walk.
 func (ss *skyStream) reconcile() []npv.DirtyDelta {
 	deltas := ss.store.SealDirty()
 	for _, dl := range deltas {
-		v, old, cur := dl.Vertex, dl.Old, dl.New
-		j := 0
-		for i := 0; i < old.Len(); i++ {
-			d := old.Dim(i)
-			for j < cur.Len() && cur.Dim(j) < d {
+		sv, cur := ss.verts[dl.Vertex], dl.New
+		if sv == nil {
+			if cur.Len() == 0 {
+				continue
+			}
+			sv = &skyVertex{}
+			ss.verts[dl.Vertex] = sv
+		}
+		old, pos := sv.p, ss.pos[:0]
+		i, j := 0, 0
+		for i < old.Len() || j < cur.Len() {
+			switch {
+			case j == cur.Len() || (i < old.Len() && old.Dim(i) < cur.Dim(j)):
+				ss.leave(old.Dim(i), sv.pos[i])
+				i++
+			case i == old.Len() || cur.Dim(j) < old.Dim(i):
+				stat := ss.dims[cur.Dim(j)]
+				if stat == nil {
+					stat = &dimStat{}
+					ss.dims[cur.Dim(j)] = stat
+				}
+				pos = append(pos, int32(len(stat.members)))
+				stat.members = append(stat.members, sv)
+				stat.max = max(stat.max, cur.Count(j))
+				j++
+			default:
+				stat := ss.dims[cur.Dim(j)]
+				pos = append(pos, sv.pos[i])
+				stat.max = max(stat.max, cur.Count(j))
+				i++
 				j++
 			}
-			if j < cur.Len() && cur.Dim(j) == d {
-				continue // still a member
-			}
-			stat := ss.dims[d]
-			delete(stat.members, v)
-			if len(stat.members) == 0 {
-				delete(ss.dims, d)
-			}
 		}
-		for i := 0; i < cur.Len(); i++ {
-			d := cur.Dim(i)
-			stat := ss.dims[d]
-			if stat == nil {
-				stat = &dimStat{members: make(map[graph.VertexID]struct{})}
-				ss.dims[d] = stat
-			}
-			stat.members[v] = struct{}{}
-			stat.max = max(stat.max, cur.Count(i))
+		sv.p, sv.pos, ss.pos = cur, append(sv.pos[:0], pos...), pos
+		if cur.Len() == 0 {
+			delete(ss.verts, dl.Vertex)
 		}
 	}
 	return deltas
 }
 
+// leave swap-removes the member at index at of dimension d, repointing the
+// member moved into its place, and drops the dimension when it empties.
+func (ss *skyStream) leave(d npv.Dim, at int32) {
+	stat := ss.dims[d]
+	last := len(stat.members) - 1
+	if moved := stat.members[last]; int(at) != last {
+		stat.members[at] = moved
+		k, _ := moved.p.Find(d)
+		moved.pos[k] = at
+	}
+	stat.members[last] = nil
+	stat.members = stat.members[:last]
+	if last == 0 {
+		delete(ss.dims, d)
+	}
+}
+
 // probe implements vecStream.
-func (ss *skyStream) probe(maximal []npv.PackedVector) (bool, int64) { return evalMaximal(ss, maximal) }
+func (ss *skyStream) probe(maximal []npv.PackedVector, t *npv.Tally) (bool, int64) {
+	return evalMaximal(ss, maximal, t)
+}
 
 // evalMaximal reports joinability — true iff every maximal query vector is
 // dominated by some stream vector. It reads the reconciled per-dimension
@@ -128,10 +170,10 @@ func (ss *skyStream) probe(maximal []npv.PackedVector) (bool, int64) { return ev
 // which is what makes the fan-out safe.
 //
 //nnt:hotpath
-func evalMaximal(ss *skyStream, maximal []npv.PackedVector) (bool, int64) {
+func evalMaximal(ss *skyStream, maximal []npv.PackedVector, t *npv.Tally) (bool, int64) {
 	var total int64
 	for _, u := range maximal {
-		ok, scanned := dominated(ss, u)
+		ok, scanned := dominated(ss, u, t)
 		total += scanned
 		if !ok {
 			// u is a bichromatic skyline point of the query vectors with
@@ -146,7 +188,7 @@ func evalMaximal(ss *skyStream, maximal []npv.PackedVector) (bool, int64) {
 // reporting the number of stream vectors scanned in the probe loop.
 //
 //nnt:hotpath
-func dominated(ss *skyStream, u npv.PackedVector) (bool, int64) {
+func dominated(ss *skyStream, u npv.PackedVector, t *npv.Tally) (bool, int64) {
 	if u.Len() == 0 {
 		// An empty query vector is dominated by any vertex.
 		return ss.store.Len() > 0, 0
@@ -164,18 +206,14 @@ func dominated(ss *skyStream, u npv.PackedVector) (bool, int64) {
 		}
 	}
 	// Any dominator of u is nonzero in every support dimension of u, so it
-	// is a member of the probe (minimum-cardinality) dimension. Members are
-	// exactly the vertices whose vectors the same reconcile step sealed
-	// nonzero there — Packed never misses here.
-	var scanned int64
-	for v := range probe.members {
-		scanned++
-		//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; the probe reads a space sealed by the same reconcile step, so it hits the packed cache allocation-free
-		if p, ok := ss.store.Packed(v); ok && p.Dominates(u) {
-			return true, scanned
+	// is a member of the probe (minimum-cardinality) dimension, whose records
+	// hold the vectors the same reconcile step sealed.
+	for k, sv := range probe.members {
+		if t.Dominates(sv.p, u) {
+			return true, int64(k + 1)
 		}
 	}
-	return false, scanned
+	return false, int64(len(probe.members))
 }
 
 // RegisterMetrics implements core.MetricsFilter: the shared vector-join

@@ -8,6 +8,7 @@ import (
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
+	"nntstream/internal/qindex"
 )
 
 // TestSkylineDominatedEmptyQueryVector covers the len(u)==0 branch of
@@ -39,10 +40,10 @@ func TestSkylineDominatedEmptyQueryVector(t *testing.T) {
 	// Direct unit check of the probe.
 	ss := f.streams[0].vecStream.(*skyStream)
 	empty0 := npv.Pack(npv.Vector{})
-	if ok, _ := dominated(ss, empty0); ok {
+	if ok, _ := dominated(ss, empty0, new(npv.Tally)); ok {
 		t.Fatal("empty stream should not dominate the empty vector")
 	}
-	if ok, _ := dominated(f.streams[1].vecStream.(*skyStream), empty0); !ok {
+	if ok, _ := dominated(f.streams[1].vecStream.(*skyStream), empty0, new(npv.Tally)); !ok {
 		t.Fatal("non-empty stream should dominate the empty vector")
 	}
 }
@@ -78,7 +79,7 @@ func TestSkylineRetiredVertex(t *testing.T) {
 	// The query vector's dimensions lost their only members, so the probe
 	// refutes it without a scan.
 	ss := f.streams[0].vecStream.(*skyStream)
-	if ok, scanned := dominated(ss, f.queries[0][0]); ok || scanned != 0 {
+	if ok, scanned := dominated(ss, f.queries[0][0], new(npv.Tally)); ok || scanned != 0 {
 		t.Fatalf("dominated = %v after %d scans; want a scan-free refutation", ok, scanned)
 	}
 
@@ -132,8 +133,10 @@ func TestSkylineCandidatesOnMaxRetreat(t *testing.T) {
 // TestSkylineDimStatsRandomized pins the invariants the probe relies on,
 // after every timestamp of a randomized multi-stream workload: a
 // dimension's members are exactly the vertices whose sealed vector is
-// nonzero in it, and its max is at least every member's sealed count. The
-// max refutation is sound only while the second holds.
+// nonzero in it, each member record holds that sealed vector with
+// consistent position back-pointers, and its max is at least every
+// member's sealed count. The max refutation is sound only while the last
+// holds.
 func TestSkylineDimStatsRandomized(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -160,19 +163,30 @@ func TestSkylineDimStatsRandomized(t *testing.T) {
 	}
 }
 
-// checkDimStats compares ss's per-dimension statistics with the store's
-// sealed vectors.
+// checkDimStats compares ss's per-dimension statistics and member records
+// with the store's sealed vectors.
 func checkDimStats(t *testing.T, ss *skyStream, at string) {
 	t.Helper()
-	nonzero := 0
+	nonzero, records := 0, 0
 	ss.store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
+		if p.Len() == 0 {
+			return true
+		}
+		records++
+		sv := ss.verts[v]
+		if sv == nil || !sv.p.Equal(p) {
+			t.Fatalf("%s: vertex %d's record does not hold its sealed vector %v", at, v, p)
+		}
+		if len(sv.pos) != p.Len() {
+			t.Fatalf("%s: vertex %d has %d positions for %d dimensions", at, v, len(sv.pos), p.Len())
+		}
 		for i := 0; i < p.Len(); i++ {
 			stat := ss.dims[p.Dim(i)]
 			if stat == nil {
 				t.Fatalf("%s: vertex %d is nonzero in %v, which has no statistics", at, v, p.Dim(i))
 			}
-			if _, ok := stat.members[v]; !ok {
-				t.Fatalf("%s: vertex %d is nonzero in %v but not a member", at, v, p.Dim(i))
+			if k := sv.pos[i]; k < 0 || int(k) >= len(stat.members) || stat.members[k] != sv {
+				t.Fatalf("%s: vertex %d's position %d in %v does not point back at it", at, v, k, p.Dim(i))
 			}
 			if p.Count(i) > stat.max {
 				t.Fatalf("%s: vertex %d counts %d in %v, above its max %d", at, v, p.Count(i), p.Dim(i), stat.max)
@@ -185,7 +199,124 @@ func checkDimStats(t *testing.T, ss *skyStream, at string) {
 	for _, stat := range ss.dims {
 		members += len(stat.members)
 	}
-	if members != nonzero {
-		t.Fatalf("%s: %d memberships for %d nonzero entries (stale members)", at, members, nonzero)
+	if members != nonzero || len(ss.verts) != records {
+		t.Fatalf("%s: %d memberships for %d nonzero entries, %d records for %d vertices (stale members)",
+			at, members, nonzero, len(ss.verts), records)
 	}
+}
+
+// TestSkylineWorkDeterministic: Skyline's probe scans member lists in the
+// order reconcile built them and candidate generation dedupes by query
+// slot, so no count depends on map iteration or scheduling. The same
+// registrations and batches, replayed at 1 and 2 workers, must scan the same
+// stream vectors and run the same kernel tests every time.
+func TestSkylineWorkDeterministic(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	starts := make(map[core.StreamID]*graph.Graph)
+	graphs := make(map[core.StreamID]*graph.Graph)
+	for sid := core.StreamID(0); sid < 3; sid++ {
+		starts[sid] = randomConnected(r, 12, 3, 2)
+		graphs[sid] = starts[sid].Clone()
+	}
+	var queries []*graph.Graph
+	for q := 0; q < 24; q++ {
+		queries = append(queries, randomSub(r, starts[core.StreamID(q%3)]))
+	}
+	var batches []map[core.StreamID]graph.ChangeSet
+	for step := 0; step < 30; step++ {
+		batches = append(batches, randomBatch(r, graphs))
+	}
+
+	type work struct {
+		scans                float64
+		tests, sigRejections int64
+	}
+	run := func(workers int) work {
+		f := NewSkyline(DefaultDepth)
+		f.SetWorkers(workers)
+		read := scrape(t, f)
+		tests0, rejects0 := npv.KernelCounters()
+		for q, g := range queries[:16] {
+			if err := f.AddQuery(core.QueryID(q), g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for sid := core.StreamID(0); sid < 3; sid++ {
+			if err := f.AddStream(sid, starts[sid].Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step, batch := range batches {
+			if step%5 == 4 {
+				// Churn: the query added next reuses the removed one's slot.
+				if err := f.RemoveQuery(core.QueryID(step / 5)); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.AddQuery(core.QueryID(16+step/5), queries[16+step/5]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.ApplyAll(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tests1, rejects1 := npv.KernelCounters()
+		return work{read("nntstream_filter_vector_scans_total"), tests1 - tests0, rejects1 - rejects0}
+	}
+	want := run(1)
+	for _, workers := range []int{1, 2, 2} {
+		if got := run(workers); got != want {
+			t.Fatalf("workers=%d: work %+v; first sequential run %+v", workers, got, want)
+		}
+	}
+}
+
+// TestCandidateProbeAllocsIndependentOfQueryCount: once warmed, candidate
+// generation into a reused Scratch and the Skyline probes of every
+// candidate allocate the same at 400 and at 1600 registered queries — the
+// dedupe array and the result buffer are sized once, not per call.
+func TestCandidateProbeAllocsIndependentOfQueryCount(t *testing.T) {
+	allocs := func(nq int) float64 {
+		r := rand.New(rand.NewSource(5))
+		g := randomConnected(r, 16, 3, 2)
+		f := NewSkyline(DefaultDepth)
+		for q := 0; q < nq; q++ {
+			if err := f.AddQuery(core.QueryID(q), randomSub(r, g)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.AddStream(0, g); err != nil {
+			t.Fatal(err)
+		}
+		ss := f.streams[0].vecStream.(*skyStream)
+		p0, _ := ss.store.Packed(0)
+		p1, _ := ss.store.Packed(1)
+		// Vertex 0 takes vertex 1's vector and a new vertex appears with
+		// vertex 0's: both a crossed-range and a reachability scan.
+		deltas := []npv.DirtyDelta{
+			{Vertex: 0, Old: p0, New: p1, HadOld: true, HasNew: true},
+			{Vertex: 99, New: p0, HasNew: true},
+		}
+		var sc qindex.Scratch
+		var tally npv.Tally
+		candidates := 0
+		step := func() {
+			qids := f.ix.AffectedQueriesInto(&sc, deltas)
+			candidates = len(qids)
+			for _, qid := range qids {
+				ss.probe(f.queries[qid], &tally)
+			}
+			tally.Flush()
+		}
+		step()
+		if candidates == 0 {
+			t.Fatalf("%d queries: no candidates, the probe is not exercised", nq)
+		}
+		return testing.AllocsPerRun(20, step)
+	}
+	small, large := allocs(400), allocs(1600)
+	if small != large {
+		t.Fatalf("allocs per candidate step grew with the query count: %.1f at 400 queries, %.1f at 1600", small, large)
+	}
+	t.Logf("allocs per candidate step: %.1f at 400 and 1600 queries", small)
 }

@@ -1,7 +1,7 @@
 package npv
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -41,7 +41,9 @@ type PackedVector struct {
 // how many were settled by the signature subset reject alone. The counters
 // are process-global atomics (the kernel runs concurrently inside the join
 // pool's fan-out); the server registers them as scrape-time counters so the
-// signature filter's selectivity is observable via /v1/metrics.
+// signature filter's selectivity is observable via /v1/metrics. Hot callers
+// count into a task-local Tally and flush it once per task, so the shared
+// cache line is touched per task rather than per test.
 var (
 	dominanceTests atomic.Int64
 	sigRejects     atomic.Int64
@@ -50,6 +52,50 @@ var (
 // KernelCounters returns the packed kernel's process-global totals.
 func KernelCounters() (tests, sigRejected int64) {
 	return dominanceTests.Load(), sigRejects.Load()
+}
+
+// Tally counts dominance tests run through it until Flush adds them to the
+// process-global totals. The zero value is ready; a Tally is owned by one
+// goroutine.
+type Tally struct{ tests, sigRejects int64 }
+
+// Dominates is p.Dominates(u), counted into t.
+//
+//nnt:hotpath
+func (t *Tally) Dominates(p, u PackedVector) bool {
+	t.tests++
+	if len(u.dims) == 0 {
+		return true
+	}
+	if len(p.dims) < len(u.dims) {
+		return false
+	}
+	if u.sig&^p.sig != 0 {
+		t.sigRejects++
+		return false
+	}
+	i := 0
+	for j, d := range u.dims {
+		for i < len(p.dims) && p.dims[i] < d {
+			i++
+		}
+		if i == len(p.dims) || p.dims[i] != d || p.counts[i] < u.counts[j] {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
+// Flush adds t's counts to the process-global totals and resets t.
+func (t *Tally) Flush() {
+	if t.tests != 0 {
+		dominanceTests.Add(t.tests)
+	}
+	if t.sigRejects != 0 {
+		sigRejects.Add(t.sigRejects)
+	}
+	*t = Tally{}
 }
 
 // sigBit maps a dimension to one of 64 signature bits. Fibonacci hashing
@@ -101,14 +147,20 @@ func (p PackedVector) Sig() uint64 { return p.sig }
 //
 //nnt:hotpath
 func (p PackedVector) Get(d Dim) int32 {
-	if p.sig&sigBit(d) == 0 {
-		return 0
-	}
-	i := sort.Search(len(p.dims), func(i int) bool { return p.dims[i] >= d })
-	if i < len(p.dims) && p.dims[i] == d {
+	if i, ok := p.Find(d); ok {
 		return p.counts[i]
 	}
 	return 0
+}
+
+// Find returns the support position of d, and false when d is absent.
+//
+//nnt:hotpath
+func (p PackedVector) Find(d Dim) (int, bool) {
+	if p.sig&sigBit(d) == 0 {
+		return 0, false
+	}
+	return slices.BinarySearch(p.dims, d)
 }
 
 // L1 returns the sum of all counts (see Vector.L1).
@@ -152,30 +204,13 @@ func (p PackedVector) String() string { return p.Unpack().String() }
 // Dominates reports whether p dominates u in the sense of Lemma 4.2,
 // exactly as Vector.Dominates does: on every dimension of u's support, p's
 // count is at least u's. The fast rejects run first; the merge walks both
-// sorted supports in lockstep and never allocates.
+// sorted supports in lockstep and never allocates. Each call flushes its own
+// count; loops over many vectors use a Tally instead.
 //
 //nnt:hotpath
 func (p PackedVector) Dominates(u PackedVector) bool {
-	dominanceTests.Add(1)
-	if len(u.dims) == 0 {
-		return true
-	}
-	if len(p.dims) < len(u.dims) {
-		return false
-	}
-	if u.sig&^p.sig != 0 {
-		sigRejects.Add(1)
-		return false
-	}
-	i := 0
-	for j, d := range u.dims {
-		for i < len(p.dims) && p.dims[i] < d {
-			i++
-		}
-		if i == len(p.dims) || p.dims[i] != d || p.counts[i] < u.counts[j] {
-			return false
-		}
-		i++
-	}
-	return true
+	var t Tally
+	ok := t.Dominates(p, u)
+	t.Flush()
+	return ok
 }

@@ -1,7 +1,9 @@
 package qindex
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nntstream/internal/core"
@@ -27,13 +29,16 @@ func decodeFuzzVec(data []byte) (npv.PackedVector, []byte) {
 }
 
 // FuzzQindexCandidates drives the soundness property from arbitrary bytes:
-// an index over byte-derived query vectors must always name every query
-// whose dominance bits flip across a byte-derived seal transition. This is
-// the same invariant as TestAffectedQueriesSupersetQuickcheck with the
-// corpus exploring the decode space instead of a fixed distribution.
+// an index over byte-derived query vectors must always name exactly the
+// queries whose dominance bits flip across a byte-derived seal transition.
+// This is the same invariant as TestAffectedQueriesSupersetQuickcheck with
+// the corpus exploring the decode space instead of a fixed distribution:
+// flag-driven churn makes new queries take recycled slots, and two calls
+// share one Scratch, optionally across a stamp wraparound.
 func FuzzQindexCandidates(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 3, 2, 5, 1, 1, 4, 3, 2, 1, 3, 3, 1, 2})
+	f.Add([]byte{3, 7, 2, 1, 3, 2, 5, 1, 1, 4, 3, 2, 1, 3, 3, 1, 2, 1, 6, 2, 3, 1, 2})
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 8; i++ {
 		b := make([]byte, 4+r.Intn(64))
@@ -58,13 +63,16 @@ func FuzzQindexCandidates(f *testing.F) {
 			vectors[k] = p
 		}
 		ix.Seal()
-		if flags&1 != 0 && nq > 1 {
-			// Post-seal churn: drop query 0, add a fresh one.
-			ix.RemoveQuery(0)
-			delete(vectors, Key{Query: 0, Vertex: 0})
+		for round := 0; round < 2; round++ {
+			if flags&(1<<round) == 0 || nq < 2 {
+				continue
+			}
+			// Post-seal churn: drop query round, add a fresh one in its slot.
+			ix.RemoveQuery(core.QueryID(round))
+			delete(vectors, Key{Query: core.QueryID(round), Vertex: 0})
 			var p npv.PackedVector
 			p, data = decodeFuzzVec(data)
-			k := Key{Query: core.QueryID(nq), Vertex: 0}
+			k := Key{Query: core.QueryID(nq + round), Vertex: 0}
 			ix.Add(k, p)
 			vectors[k] = p
 		}
@@ -85,15 +93,19 @@ func FuzzQindexCandidates(f *testing.F) {
 			deltas = append(deltas, dl)
 		}
 
-		got := ix.AffectedQueries(deltas)
-		member := make(map[core.QueryID]struct{}, len(got))
-		for _, q := range got {
-			member[q] = struct{}{}
-		}
-		for _, q := range bruteAffected(vectors, deltas) {
-			if _, ok := member[q]; !ok {
-				t.Fatalf("affected query %d missing from candidates %v (vectors %v, deltas %+v)",
-					q, got, vectors, deltas)
+		brute := bruteAffected(vectors, deltas)
+		var sc Scratch
+		for call := 0; call < 2; call++ {
+			got := ix.AffectedQueriesInto(&sc, deltas)
+			if !slices.Equal(got, brute) {
+				t.Fatalf("call %d: candidates %v != affected %v (vectors %v, deltas %+v)",
+					call, got, brute, vectors, deltas)
+			}
+			if fresh := ix.AffectedQueries(deltas); !slices.Equal(got, fresh) {
+				t.Fatalf("call %d: reused scratch %v != fresh scratch %v", call, got, fresh)
+			}
+			if flags&4 != 0 {
+				sc.stamp = math.MaxUint32 // the second call wraps
 			}
 		}
 	})

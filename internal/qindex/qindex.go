@@ -29,6 +29,11 @@
 //     than the full re-evaluation (every vector of the query against every
 //     stream vertex) it saves when the bit did not flip, which is the
 //     common case on streams whose counts drift by ±1.
+//   - Every query holds a dense, recycled slot, carried in its postings.
+//     A query is deduplicated by stamping its slot in a caller-owned
+//     Scratch array, checked right after the signature reject, so a query
+//     already collected this call skips the kernel and nothing is hashed
+//     per posting.
 //
 // Dominance of u by v flips only if some per-dimension predicate of u's
 // support flips, so the union of the per-dimension crossings over a dirty
@@ -49,6 +54,7 @@
 package qindex
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -67,13 +73,14 @@ type Key struct {
 }
 
 // Posting is one column entry: a registered query vector's count in the
-// column's dimension, the vector's support signature for the subset
-// pre-filter, and the packed vector itself for the exact flip test (the
-// slices inside Vec are shared with the registered vector, not copied).
-// Postings are ordered by (Count, Key) within a sealed column.
+// column's dimension, its query's dense slot, the vector's support signature
+// for the subset pre-filter, and the packed vector itself for the exact flip
+// test (the slices inside Vec are shared with the registered vector, not
+// copied). Postings are ordered by (Count, Key) within a sealed column.
 type Posting struct {
 	Key   Key
 	Count int32
+	Slot  int32
 	Sig   uint64
 	Vec   npv.PackedVector
 }
@@ -97,24 +104,37 @@ func Counters() (candidates, pruned int64) {
 // query vectors. The zero value is not ready; use New.
 type Index struct {
 	cols map[npv.Dim][]Posting
-	// vectors counts registered vectors per query (including empty-support
-	// ones); its key set is the candidate universe AffectedQueries prunes.
-	vectors map[core.QueryID]int
-	// empties counts empty-support vectors per query. An empty vector is
-	// dominated by any present vertex, so its verdict can flip only when
-	// vertex presence changes — those queries are indexed here instead of
-	// in the columns.
-	empties map[core.QueryID]int
+	// slots gives every registered query a dense slot, recycled through free
+	// after RemoveQuery, so candidate dedupe indexes a Scratch array instead
+	// of hashing; queries maps a slot back to its owner. Its key set is the
+	// candidate universe AffectedQueries prunes.
+	slots   map[core.QueryID]int32
+	queries []core.QueryID
+	free    []int32
+	// empties lists the slots of queries with an empty-support vector. An
+	// empty vector is dominated by any present vertex, so its verdict can
+	// flip only when vertex presence changes — those queries are indexed
+	// here instead of in the columns.
+	empties []int32
 	sealed  bool
 	epoch   uint64
+}
+
+// Scratch is a caller-owned dedupe buffer for AffectedQueriesInto: seen
+// holds, per query slot, the stamp of the last call that collected it. One
+// Scratch serves one goroutine at a time; the zero value is ready.
+type Scratch struct {
+	stamp uint32
+	seen  []uint32
+	out   []core.QueryID
+	tally npv.Tally
 }
 
 // New returns an empty, unsealed index.
 func New() *Index {
 	return &Index{
-		cols:    make(map[npv.Dim][]Posting),
-		vectors: make(map[core.QueryID]int),
-		empties: make(map[core.QueryID]int),
+		cols:  make(map[npv.Dim][]Posting),
+		slots: make(map[core.QueryID]int32),
 	}
 }
 
@@ -124,9 +144,21 @@ func New() *Index {
 // twice is a caller bug and is not detected here — filters already reject
 // duplicate query IDs.
 func (ix *Index) Add(k Key, p npv.PackedVector) {
-	ix.vectors[k.Query]++
+	slot, ok := ix.slots[k.Query]
+	if !ok {
+		if n := len(ix.free); n > 0 {
+			slot, ix.free = ix.free[n-1], ix.free[:n-1]
+			ix.queries[slot] = k.Query
+		} else {
+			slot = int32(len(ix.queries))
+			ix.queries = append(ix.queries, k.Query)
+		}
+		ix.slots[k.Query] = slot
+	}
 	if p.Len() == 0 {
-		ix.empties[k.Query]++
+		if !slices.Contains(ix.empties, slot) {
+			ix.empties = append(ix.empties, slot)
+		}
 		if ix.sealed {
 			ix.epoch++
 		}
@@ -135,7 +167,7 @@ func (ix *Index) Add(k Key, p npv.PackedVector) {
 	sig := p.Sig()
 	for i := 0; i < p.Len(); i++ {
 		d := p.Dim(i)
-		e := Posting{Key: k, Count: p.Count(i), Sig: sig, Vec: p}
+		e := Posting{Key: k, Count: p.Count(i), Slot: slot, Sig: sig, Vec: p}
 		col := ix.cols[d]
 		if !ix.sealed {
 			ix.cols[d] = append(col, e)
@@ -156,11 +188,15 @@ func (ix *Index) Add(k Key, p npv.PackedVector) {
 // registered. Columns left empty are deleted, so HasDim stays an exact
 // "some query uses this dimension" test.
 func (ix *Index) RemoveQuery(q core.QueryID) bool {
-	if _, ok := ix.vectors[q]; !ok {
+	slot, ok := ix.slots[q]
+	if !ok {
 		return false
 	}
-	delete(ix.vectors, q)
-	delete(ix.empties, q)
+	delete(ix.slots, q)
+	ix.free = append(ix.free, slot)
+	if i := slices.Index(ix.empties, slot); i >= 0 {
+		ix.empties = slices.Delete(ix.empties, i, i+1)
+	}
 	for d, col := range ix.cols {
 		kept := col[:0]
 		for _, e := range col {
@@ -215,7 +251,7 @@ func postingLess(a, b Posting) bool {
 func (ix *Index) Epoch() uint64 { return ix.epoch }
 
 // QueryCount reports the number of registered queries.
-func (ix *Index) QueryCount() int { return len(ix.vectors) }
+func (ix *Index) QueryCount() int { return len(ix.slots) }
 
 // PostingCount reports the total number of column entries.
 func (ix *Index) PostingCount() int {
@@ -261,48 +297,80 @@ func UpperBound(col []Posting, val int32) int {
 //
 // It must only be called on a sealed index. It reads immutable state plus
 // atomic counters, so concurrent calls (one per stream inside the batch
-// fan-out) are race-free.
+// fan-out) are race-free. It is AffectedQueriesInto with a fresh Scratch,
+// so the result is the caller's to keep.
 func (ix *Index) AffectedQueries(deltas []npv.DirtyDelta) []core.QueryID {
+	return ix.AffectedQueriesInto(new(Scratch), deltas)
+}
+
+// AffectedQueriesInto is AffectedQueries deduplicating through sc: a query
+// is collected the first time one of its postings flips, and its slot's
+// stamp makes every later posting of it skip the kernel. The result aliases
+// sc and is valid until the next call with sc. Concurrent calls need
+// distinct Scratches.
+func (ix *Index) AffectedQueriesInto(sc *Scratch, deltas []npv.DirtyDelta) []core.QueryID {
 	if !ix.sealed {
 		panic("qindex: AffectedQueries before Seal")
 	}
-	if len(ix.vectors) == 0 || len(deltas) == 0 {
+	sc.out = sc.out[:0]
+	if len(ix.slots) == 0 || len(deltas) == 0 {
 		return nil
 	}
-	set := make(map[core.QueryID]struct{})
+	if sc.stamp++; sc.stamp == 0 {
+		// Wrapped: a stale stamp could equal the new one.
+		clear(sc.seen)
+		sc.stamp = 1
+	}
+	if n := len(ix.queries); len(sc.seen) < n {
+		sc.seen = append(sc.seen, make([]uint32, n-len(sc.seen))...)
+	}
+	if n := len(ix.slots); cap(sc.out) < n {
+		sc.out = make([]core.QueryID, 0, n)
+	}
 	presence := false
 	for _, dl := range deltas {
 		switch {
 		case dl.HadOld && dl.HasNew:
-			ix.collectChanged(dl.Old, dl.New, set)
+			ix.collectChanged(sc, dl.Old, dl.New)
 		case dl.HasNew:
 			// Vertex appeared: it can only add dominance, and only over
 			// vectors whose support it reaches.
 			presence = true
-			ix.collectReachable(dl.New, set)
+			ix.collectReachable(sc, dl.New)
 		case dl.HadOld:
 			// Vertex retired: it can only withdraw dominance it could have
 			// held, bounded by its last sealed vector.
 			presence = true
-			ix.collectReachable(dl.Old, set)
+			ix.collectReachable(sc, dl.Old)
 		}
 	}
 	if presence {
 		// Empty-support vectors are dominated by any present vertex, so
 		// their queries are affected whenever presence changed (the stream
 		// may have gained its first vertex or lost its last).
-		for q := range ix.empties {
-			set[q] = struct{}{}
+		for _, slot := range ix.empties {
+			ix.collect(sc, slot)
 		}
 	}
-	out := make([]core.QueryID, 0, len(set))
-	for q := range set {
-		out = append(out, q)
+	slices.Sort(sc.out)
+	sc.tally.Flush()
+	candidatesTotal.Add(int64(len(sc.out)))
+	prunedTotal.Add(int64(len(ix.slots) - len(sc.out)))
+	return sc.out
+}
+
+// collect adds slot's query to sc's result unless this call already has.
+// AffectedQueriesInto gave sc.out room for every registered query, so the
+// reslice stays within capacity.
+//
+//nnt:hotpath
+func (ix *Index) collect(sc *Scratch, slot int32) {
+	if sc.seen[slot] != sc.stamp {
+		sc.seen[slot] = sc.stamp
+		n := len(sc.out)
+		sc.out = sc.out[:n+1]
+		sc.out[n] = ix.queries[slot]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	candidatesTotal.Add(int64(len(out)))
-	prunedTotal.Add(int64(len(ix.vectors) - len(out)))
-	return out
 }
 
 // collectChanged walks the two sorted supports of a present-before-and-
@@ -313,24 +381,19 @@ func (ix *Index) AffectedQueries(deltas []npv.DirtyDelta) []core.QueryID {
 // collectChangedRange's flip test.
 //
 //nnt:hotpath
-func (ix *Index) collectChanged(old, new npv.PackedVector, set map[core.QueryID]struct{}) {
-	sigOld, sigNew := old.Sig(), new.Sig()
+func (ix *Index) collectChanged(sc *Scratch, old, new npv.PackedVector) {
 	i, j := 0, 0
 	for i < old.Len() || j < new.Len() {
 		switch {
 		case j == new.Len() || (i < old.Len() && old.Dim(i) < new.Dim(j)):
-			ix.collectChangedRange(old.Dim(i), 0, old.Count(i), old, new, sigOld, sigNew, set)
+			ix.collectChangedRange(sc, old.Dim(i), 0, old.Count(i), old, new)
 			i++
 		case i == old.Len() || new.Dim(j) < old.Dim(i):
-			ix.collectChangedRange(new.Dim(j), 0, new.Count(j), old, new, sigOld, sigNew, set)
+			ix.collectChangedRange(sc, new.Dim(j), 0, new.Count(j), old, new)
 			j++
 		default:
 			if oc, nc := old.Count(i), new.Count(j); oc != nc {
-				lo, hi := oc, nc
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				ix.collectChangedRange(old.Dim(i), lo, hi, old, new, sigOld, sigNew, set)
+				ix.collectChangedRange(sc, old.Dim(i), min(oc, nc), max(oc, nc), old, new)
 			}
 			i++
 			j++
@@ -340,26 +403,22 @@ func (ix *Index) collectChanged(old, new npv.PackedVector, set map[core.QueryID]
 
 // collectChangedRange examines dimension d's postings with lo < Count ≤ hi
 // for a vertex present on both sides of the transition. The signature test
-// drops vectors that could not have been dominated on either side; survivors
-// are settled exactly — the query is affected iff dominance by this vertex
-// differs between the old and new vector. Queries already in the set skip
-// every test.
+// drops vectors that could not have been dominated on either side, then
+// queries this call already collected are skipped; survivors are settled
+// exactly — the query is affected iff dominance by this vertex differs
+// between the old and new vector.
 //
 //nnt:hotpath
-func (ix *Index) collectChangedRange(d npv.Dim, lo, hi int32, old, new npv.PackedVector, sigOld, sigNew uint64, set map[core.QueryID]struct{}) {
+func (ix *Index) collectChangedRange(sc *Scratch, d npv.Dim, lo, hi int32, old, new npv.PackedVector) {
 	col := ix.cols[d]
-	if len(col) == 0 {
-		return
-	}
-	for _, e := range col[UpperBound(col, lo):UpperBound(col, hi)] {
-		if _, dup := set[e.Key.Query]; dup {
+	sigOld, sigNew := old.Sig(), new.Sig()
+	for k, end := UpperBound(col, lo), UpperBound(col, hi); k < end; k++ {
+		e := &col[k]
+		if e.Sig&^sigOld != 0 && e.Sig&^sigNew != 0 || sc.seen[e.Slot] == sc.stamp {
 			continue
 		}
-		if e.Sig&^sigOld != 0 && e.Sig&^sigNew != 0 {
-			continue
-		}
-		if old.Dominates(e.Vec) != new.Dominates(e.Vec) {
-			set[e.Key.Query] = struct{}{}
+		if sc.tally.Dominates(old, e.Vec) != sc.tally.Dominates(new, e.Vec) {
+			ix.collect(sc, e.Slot)
 		}
 	}
 }
@@ -372,22 +431,17 @@ func (ix *Index) collectChangedRange(d npv.Dim, lo, hi int32, old, new npv.Packe
 // dimensions cannot miss it.
 //
 //nnt:hotpath
-func (ix *Index) collectReachable(p npv.PackedVector, set map[core.QueryID]struct{}) {
+func (ix *Index) collectReachable(sc *Scratch, p npv.PackedVector) {
 	sig := p.Sig()
 	for i := 0; i < p.Len(); i++ {
 		col := ix.cols[p.Dim(i)]
-		if len(col) == 0 {
-			continue
-		}
-		for _, e := range col[:UpperBound(col, p.Count(i))] {
-			if _, dup := set[e.Key.Query]; dup {
+		for k, end := 0, UpperBound(col, p.Count(i)); k < end; k++ {
+			e := &col[k]
+			if e.Sig&^sig != 0 || sc.seen[e.Slot] == sc.stamp {
 				continue
 			}
-			if e.Sig&^sig != 0 {
-				continue
-			}
-			if p.Dominates(e.Vec) {
-				set[e.Key.Query] = struct{}{}
+			if sc.tally.Dominates(p, e.Vec) {
+				ix.collect(sc, e.Slot)
 			}
 		}
 	}

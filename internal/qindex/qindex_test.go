@@ -1,8 +1,10 @@
 package qindex
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -246,51 +248,77 @@ func bruteAffected(vectors map[Key]npv.PackedVector, deltas []npv.DirtyDelta) []
 // range hit with the packed kernel and is exact at dominance-bit
 // granularity, so the test pins full equality: weakening the per-posting
 // flip test would silently re-inflate candidate sets and the sweep bench.
+//
+// Post-seal churn interleaves RemoveQuery and Add so new queries take
+// recycled slots, one Scratch serves every call of a seed (its stamp is
+// forced through one wraparound), and each result must also equal a
+// fresh-scratch call.
 func TestAffectedQueriesSupersetQuickcheck(t *testing.T) {
+	reused := 0
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(1000 + seed))
 		ix := New()
 		vectors := make(map[Key]npv.PackedVector)
-		nq := 1 + r.Intn(8)
-		for q := 0; q < nq; q++ {
+		nq := 0
+		add := func() {
 			for vtx := 0; vtx < 1+r.Intn(3); vtx++ {
-				k := key(q, vtx)
+				k := key(nq, vtx)
 				p := randomVec(r)
 				vectors[k] = p
 				ix.Add(k, p)
 			}
 		}
+		for n := 1 + r.Intn(8); nq < n; nq++ {
+			add()
+		}
 		ix.Seal()
-		// Dynamic churn: remove one query, re-add another, post-seal.
-		if nq > 2 && r.Intn(2) == 0 {
-			victim := core.QueryID(r.Intn(nq))
-			ix.RemoveQuery(victim)
-			for k := range vectors {
-				if k.Query == victim {
-					delete(vectors, k)
+		var sc Scratch
+		for trial := 0; trial < 20; trial++ {
+			if trial%4 == 3 {
+				// Dynamic churn: remove a query, then register a new one,
+				// which takes the freed slot.
+				victim := core.QueryID(r.Intn(nq))
+				if ix.RemoveQuery(victim) {
+					for k := range vectors {
+						if k.Query == victim {
+							delete(vectors, k)
+						}
+					}
+					slots := len(ix.queries)
+					add()
+					nq++
+					if len(ix.queries) == slots {
+						reused++
+					}
 				}
 			}
-			k := key(nq, 0)
-			p := randomVec(r)
-			vectors[k] = p
-			ix.Add(k, p)
-		}
-		for trial := 0; trial < 20; trial++ {
+			if trial == 10 {
+				sc.stamp = math.MaxUint32 // the next call wraps
+			}
 			var deltas []npv.DirtyDelta
 			for v := 0; v < 1+r.Intn(4); v++ {
 				deltas = append(deltas, randomDelta(r, graph.VertexID(v)))
 			}
-			got := ix.AffectedQueries(deltas)
-			if got == nil {
-				got = []core.QueryID{}
+			got := ix.AffectedQueriesInto(&sc, deltas)
+			if trial == 10 && sc.stamp != 1 {
+				t.Fatalf("seed=%d: stamp %d after wraparound; want 1", seed, sc.stamp)
 			}
 			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 				t.Fatalf("seed=%d trial=%d: candidates not sorted: %v", seed, trial, got)
 			}
-			if brute := bruteAffected(vectors, deltas); !reflect.DeepEqual(got, brute) {
+			if brute := bruteAffected(vectors, deltas); !slices.Equal(got, brute) {
 				t.Fatalf("seed=%d trial=%d: candidates %v != affected %v (deltas %+v)",
 					seed, trial, got, brute, deltas)
 			}
+			if fresh := ix.AffectedQueries(deltas); !slices.Equal(got, fresh) {
+				t.Fatalf("seed=%d trial=%d: reused scratch %v != fresh scratch %v", seed, trial, got, fresh)
+			}
 		}
+		if len(ix.queries) != len(ix.slots)+len(ix.free) {
+			t.Fatalf("seed=%d: %d slots for %d live and %d free", seed, len(ix.queries), len(ix.slots), len(ix.free))
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no registration reused a freed slot")
 	}
 }
