@@ -6,7 +6,8 @@ import (
 )
 
 // TestSeededViolationsExitNonzero proves the driver actually fails the build
-// on findings: the seeded package violates three analyzers at once.
+// on findings: the seeded package violates three analyzers at once, and
+// each of blockhold's lock rules once.
 func TestSeededViolationsExitNonzero(t *testing.T) {
 	var stdout, stderr strings.Builder
 	code := run([]string{"./testdata/seeded"}, &stdout, &stderr)
@@ -14,7 +15,12 @@ func TestSeededViolationsExitNonzero(t *testing.T) {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"locksafe", "mapdeterm", "sentinelerr", "seeded.go:"} {
+	for _, want := range []string{
+		"blockhold", "mapdeterm", "sentinelerr", "seeded.go:",
+		"b.mu.Lock() has no matching release",
+		"b.mu.Lock() is not released on every path",
+		"calling os.Stat while holding hot-path lock c.mu.RLock()",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

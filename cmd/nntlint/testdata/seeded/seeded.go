@@ -4,6 +4,7 @@ package seeded
 
 import (
 	"errors"
+	"os"
 	"sync"
 )
 
@@ -14,9 +15,30 @@ type box struct {
 	n  map[string]int
 }
 
+type cache struct {
+	mu   sync.RWMutex
+	seen map[string]bool
+}
+
 func (b *box) leakLock() {
-	b.mu.Lock() // locksafe: no matching release
+	b.mu.Lock() // blockhold: no matching release
 	b.n["k"]++
+}
+
+func (b *box) earlyExit(stop bool) {
+	b.mu.Lock() // blockhold: the early return skips the unlock
+	if stop {
+		return
+	}
+	b.n["k"]++
+	b.mu.Unlock()
+}
+
+func (c *cache) statUnderRead(path string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, err := os.Stat(path) // blockhold: file I/O under a hot-path RWMutex
+	return err == nil && c.seen[path]
 }
 
 func (b *box) unsortedKeys() []string {

@@ -41,18 +41,6 @@ type Pass struct {
 	report   func(Finding)
 }
 
-// ownsPos reports whether the pass's package contains pos — the filter the
-// whole-module analyzers apply before reporting.
-func (p *Pass) ownsPos(pos token.Pos) bool {
-	fname := p.Pkg.Fset.Position(pos).Filename
-	for _, f := range p.Pkg.Files {
-		if p.Pkg.Fset.Position(f.Pos()).Filename == fname {
-			return true
-		}
-	}
-	return false
-}
-
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Finding{
@@ -73,12 +61,11 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// Analyzers returns the full suite in stable order: the four per-package
-// analyzers first, then the four interprocedural ones built on the module
-// call graph.
+// Analyzers returns the full suite in stable order: the three per-package
+// analyzers first, then the four built on the module call graph.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		LockSafe, SentinelErr, MapDeterm, WALOrder,
+		SentinelErr, MapDeterm, WALOrder,
 		BlockHold, LockOrder, CtxFlow, HotAlloc,
 	}
 }
@@ -118,8 +105,9 @@ func fileSuppressions(fset *token.FileSet, f *ast.File) []suppression {
 // RunAnalyzers runs each analyzer over each package, applies //lint:ignore
 // suppressions, and returns the surviving findings sorted by position. A
 // suppression covers findings of the named analyzers on its own line and on
-// the line directly below it (the usual comment-above placement); a
-// suppression without a reason is itself a finding.
+// the line directly below it (the usual comment-above placement). A
+// suppression without a reason, or naming an analyzer outside the suite,
+// is itself a finding: it would otherwise silence nothing unnoticed.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var raw []Finding
 	mod := newModule(pkgs)
@@ -142,20 +130,27 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		name string
 	}
 	allowed := make(map[key]bool)
+	known := make(map[string]bool)
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	var findings []Finding
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			fname := pkg.Fset.Position(f.Pos()).Filename
 			for _, s := range fileSuppressions(pkg.Fset, f) {
+				bad := func(msg string) {
+					findings = append(findings, Finding{Pos: pkg.Fset.Position(s.pos), Analyzer: "suppress", Message: msg})
+				}
 				if s.reason == "" {
-					findings = append(findings, Finding{
-						Pos:      pkg.Fset.Position(s.pos),
-						Analyzer: "suppress",
-						Message:  "lint:ignore needs a reason: //lint:ignore <analyzer> <reason>",
-					})
+					bad("lint:ignore needs a reason: //lint:ignore <analyzer> <reason>")
 					continue
 				}
 				for _, name := range s.analyzers {
+					if !known[name] {
+						bad(fmt.Sprintf("lint:ignore names %q, which is not an analyzer of the suite", name))
+						continue
+					}
 					allowed[key{fname, s.line, name}] = true
 					allowed[key{fname, s.line + 1, name}] = true
 				}

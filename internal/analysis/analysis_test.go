@@ -76,10 +76,21 @@ func TestSuppressionWithoutReasonIsAFinding(t *testing.T) {
 
 func TestSuppressionWrongAnalyzerDoesNotSilence(t *testing.T) {
 	pkg := loadScratch(t, strings.Replace(scratchTemplate, "%s",
-		"//lint:ignore locksafe wrong analyzer name", 1))
+		"//lint:ignore mapdeterm wrong analyzer name", 1))
 	findings := RunAnalyzers([]*Package{pkg}, Analyzers())
 	if len(findings) != 1 || findings[0].Analyzer != "sentinelerr" {
 		t.Fatalf("want 1 sentinelerr finding, got %v", findings)
+	}
+}
+
+// A suppression naming an analyzer outside the suite (e.g. one that was
+// folded into another) silences nothing, so it is reported.
+func TestSuppressionUnknownAnalyzerIsAFinding(t *testing.T) {
+	pkg := loadScratch(t, strings.Replace(scratchTemplate, "%s",
+		"//lint:ignore locksafe,sentinelerr identity is intended in this test", 1))
+	findings := RunAnalyzers([]*Package{pkg}, Analyzers())
+	if len(findings) != 1 || findings[0].Analyzer != "suppress" || !strings.Contains(findings[0].Message, `"locksafe"`) {
+		t.Fatalf("want 1 suppress finding naming locksafe, got %v", findings)
 	}
 }
 

@@ -23,15 +23,21 @@ type Module struct {
 	// them and shared across packages within one RunAnalyzers invocation.
 	regionsBuilt bool
 	critRegions  []critRegion                         // blockhold/lockorder: critical sections
-	blockMemo    map[*types.Func]*blockInfo           // blockhold: per-function blocking facts
+	leaks        []lockLeak                           // blockhold: acquires not released on every path
 	acqMemo      map[*types.Func]map[lockID]token.Pos // lockorder: transitive acquire sets
 	edgesBuilt   bool
-	orderEdges   []lockEdge                 // lockorder: acquisition-order edges
-	allocMemo    map[*types.Func]*allocInfo // hotalloc: per-function allocation facts
-	rerootMemo   map[*types.Func]int        // ctxflow: transitive Background/TODO reach
+	orderEdges   []lockEdge                // lockorder: acquisition-order edges
+	factMemo     map[reachKey][]fact       // reach: per-rule direct facts
+	reachMemo    map[reachKey]*reachResult // reach: per-rule transitive results
 }
 
-func newModule(pkgs []*Package) *Module { return &Module{Pkgs: pkgs} }
+func newModule(pkgs []*Package) *Module {
+	return &Module{
+		Pkgs:      pkgs,
+		factMemo:  make(map[reachKey][]fact),
+		reachMemo: make(map[reachKey]*reachResult),
+	}
+}
 
 // Graph returns the module call graph, building it on first use.
 func (m *Module) Graph() *CallGraph {
@@ -39,6 +45,88 @@ func (m *Module) Graph() *CallGraph {
 		m.cg = buildCallGraph(m.Pkgs)
 	}
 	return m.cg
+}
+
+// fact is one direct occurrence, inside a function, of what a reach rule
+// looks for: a blocking operation, an allocation, a re-rooted context.
+type fact struct {
+	desc string
+	pos  token.Pos
+}
+
+// reachRule is one interprocedural rule's view of the call graph: the
+// direct facts of a function, and which call edges the walk follows. Every
+// rule skips calls under `go`.
+type reachRule struct {
+	facts  func(m *Module, node *FuncNode) []fact
+	follow func(cs CallSite, callee *FuncNode) bool
+}
+
+type reachKey struct {
+	rule *reachRule
+	fn   *types.Func
+}
+
+// reachResult names the first fact a function can reach and the call chain
+// to it.
+type reachResult struct {
+	desc string
+	path []string
+}
+
+// factsOf returns node's direct facts under rule, in source order.
+func (m *Module) factsOf(rule *reachRule, node *FuncNode) []fact {
+	k := reachKey{rule, node.Fn}
+	fs, ok := m.factMemo[k]
+	if !ok {
+		fs = rule.facts(m, node)
+		sort.SliceStable(fs, func(i, j int) bool { return fs[i].pos < fs[j].pos })
+		m.factMemo[k] = fs
+	}
+	return fs
+}
+
+// reach resolves whether node reaches a fact of rule, directly or through
+// followed calls. visiting guards recursion; a cycle contributes nothing
+// beyond its members' own facts.
+func (m *Module) reach(rule *reachRule, node *FuncNode, visiting map[*types.Func]bool) *reachResult {
+	k := reachKey{rule, node.Fn}
+	if res, ok := m.reachMemo[k]; ok {
+		return res
+	}
+	if visiting[node.Fn] {
+		return nil
+	}
+	visiting[node.Fn] = true
+	defer delete(visiting, node.Fn)
+
+	var res *reachResult
+	if fs := m.factsOf(rule, node); len(fs) > 0 {
+		res = &reachResult{desc: fs[0].desc}
+	} else {
+		for _, cs := range node.Calls {
+			if res = m.reachCall(rule, cs, visiting); res != nil {
+				break
+			}
+		}
+	}
+	m.reachMemo[k] = res
+	return res
+}
+
+// reachCall is reach across one call site, with the callee prepended to the
+// chain. It is nil for a call under `go`, a foreign callee, or an edge the
+// rule does not follow.
+func (m *Module) reachCall(rule *reachRule, cs CallSite, visiting map[*types.Func]bool) *reachResult {
+	callee := m.Graph().Node(cs.Callee)
+	if cs.Concurrent || callee == nil || !rule.follow(cs, callee) {
+		return nil
+	}
+	res := m.reach(rule, callee, visiting)
+	if res == nil {
+		return nil
+	}
+	return &reachResult{desc: res.desc, path: append([]string{shortFunc(cs.Callee)}, res.path...)}
 }
 
 // CallSite is one resolved outgoing call of a function.
@@ -50,8 +138,8 @@ type CallSite struct {
 	// Call is the call expression at the site.
 	Call *ast.CallExpr
 	// Concurrent marks sites inside a `go` statement subtree: the spawning
-	// goroutine does not block on them (blockhold skips them), and they do
-	// not run under the spawner's locks in program order.
+	// goroutine does not block on them (every reach rule skips them), and
+	// they do not run under the spawner's locks in program order.
 	Concurrent bool
 	// Interface marks callees resolved by the interface over-approximation
 	// (every in-module implementation of the called interface method).
@@ -132,9 +220,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 					continue
 				}
 				node := &FuncNode{Fn: fn, Decl: fd, Pkg: pkg}
-				if ok, _, _ := hasAnnotation(fd, "hotpath"); ok {
-					node.Hotpath = true
-				}
+				node.Hotpath, _, _ = hasAnnotation(fd, "hotpath")
 				if ok, pos, reason := hasAnnotation(fd, "nonblocking"); ok {
 					node.Nonblocking = true
 					node.NonblockingPos = pos

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/token"
-	"go/types"
-)
+import "go/types"
 
 // CtxFlow enforces that contexts thread end-to-end through request and RPC
 // paths instead of being re-rooted midway:
@@ -66,60 +63,27 @@ func isCtxRoot(fn *types.Func) bool {
 		(fn.Name() == "Background" || fn.Name() == "TODO")
 }
 
-// rootSites returns the positions of direct, non-concurrent
-// context.Background()/TODO() calls in node.
-func rootSites(node *FuncNode) []token.Pos {
-	var out []token.Pos
+// rerootRule walks static calls into ctx-less module functions. It cuts at
+// ctx-aware callees, whose re-rooting is their own rule-1 finding, and at
+// interface dispatch, too coarse to pin on one implementation.
+var rerootRule = &reachRule{
+	facts: rootSites,
+	follow: func(cs CallSite, callee *FuncNode) bool {
+		ctx, _ := paramKinds(callee.Fn)
+		return !cs.Interface && !ctx
+	},
+}
+
+// rootSites lists node's direct context.Background()/TODO() calls outside
+// `go` statements.
+func rootSites(_ *Module, node *FuncNode) []fact {
+	var out []fact
 	for _, cs := range node.Calls {
 		if !cs.Concurrent && isCtxRoot(cs.Callee) {
-			out = append(out, cs.Call.Pos())
+			out = append(out, fact{shortFunc(cs.Callee), cs.Call.Pos()})
 		}
 	}
 	return out
-}
-
-// rerootsContext reports whether node (which takes no context) reaches a
-// context.Background/TODO call through non-concurrent static calls into
-// other ctx-less module functions. Traversal cuts at ctx-aware callees and
-// at interface dispatch (too coarse to pin on one implementation).
-func (m *Module) rerootsContext(node *FuncNode, visiting map[*types.Func]bool) bool {
-	if m.rerootMemo == nil {
-		m.rerootMemo = make(map[*types.Func]int) // 0 unknown, 1 yes, 2 no
-	}
-	switch m.rerootMemo[node.Fn] {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	if visiting[node.Fn] {
-		return false
-	}
-	visiting[node.Fn] = true
-	defer delete(visiting, node.Fn)
-
-	if len(rootSites(node)) > 0 {
-		m.rerootMemo[node.Fn] = 1
-		return true
-	}
-	for _, cs := range node.Calls {
-		if cs.Concurrent || cs.Interface {
-			continue
-		}
-		callee := m.Graph().Node(cs.Callee)
-		if callee == nil {
-			continue
-		}
-		if ctx, _ := paramKinds(callee.Fn); ctx {
-			continue
-		}
-		if m.rerootsContext(callee, visiting) {
-			m.rerootMemo[node.Fn] = 1
-			return true
-		}
-	}
-	m.rerootMemo[node.Fn] = 2
-	return false
 }
 
 func runCtxFlow(p *Pass) {
@@ -130,29 +94,19 @@ func runCtxFlow(p *Pass) {
 		}
 		hasCtx, hasReq := paramKinds(node.Fn)
 		if hasCtx {
-			for _, pos := range rootSites(node) {
-				p.Reportf(pos, "%s receives a context.Context; thread it instead of re-rooting with context.Background/TODO", shortFunc(node.Fn))
+			for _, f := range m.factsOf(rerootRule, node) {
+				p.Reportf(f.pos, "%s receives a context.Context; thread it instead of re-rooting with context.Background/TODO", shortFunc(node.Fn))
 			}
 			for _, cs := range node.Calls {
-				if cs.Concurrent || cs.Interface {
-					continue
-				}
-				callee := m.Graph().Node(cs.Callee)
-				if callee == nil {
-					continue
-				}
-				if ctx, _ := paramKinds(callee.Fn); ctx {
-					continue
-				}
-				if m.rerootsContext(callee, map[*types.Func]bool{node.Fn: true}) {
+				if m.reachCall(rerootRule, cs, map[*types.Func]bool{node.Fn: true}) != nil {
 					p.Reportf(cs.Call.Pos(), "context dropped at call to %s: the callee takes no context and re-roots one with context.Background/TODO", shortFunc(cs.Callee))
 				}
 			}
 			continue
 		}
 		if hasReq {
-			for _, pos := range rootSites(node) {
-				p.Reportf(pos, "%s holds an *http.Request; derive from r.Context() instead of context.Background/TODO", shortFunc(node.Fn))
+			for _, f := range m.factsOf(rerootRule, node) {
+				p.Reportf(f.pos, "%s holds an *http.Request; derive from r.Context() instead of context.Background/TODO", shortFunc(node.Fn))
 			}
 		}
 	}

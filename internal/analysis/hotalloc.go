@@ -33,37 +33,22 @@ var HotAlloc = &Analyzer{
 	Run:  runHotAlloc,
 }
 
-// allocOp is one direct allocating construct inside a function.
-type allocOp struct {
-	desc string
-	pos  token.Pos
+// allocRule walks into every module callee except //nnt:hotpath ones,
+// which are verified on their own.
+var allocRule = &reachRule{
+	facts:  allocOps,
+	follow: func(_ CallSite, callee *FuncNode) bool { return !callee.Hotpath },
 }
 
-// allocInfo caches one function's direct allocations and the memo of its
-// transitive result.
-type allocInfo struct {
-	ops       []allocOp
-	reach     *reachResult
-	reachDone bool
-}
-
-func (m *Module) allocInfoOf(node *FuncNode) *allocInfo {
-	if m.allocMemo == nil {
-		m.allocMemo = make(map[*types.Func]*allocInfo)
-	}
-	if ai, ok := m.allocMemo[node.Fn]; ok {
-		return ai
-	}
-	ai := &allocInfo{}
+// allocOps lists node's direct allocating constructs.
+func allocOps(m *Module, node *FuncNode) []fact {
+	var ops []fact
 	info := node.Pkg.Info
 
 	// Calls into known-allocating foreign helpers.
 	for _, cs := range node.Calls {
-		if m.Graph().Node(cs.Callee) != nil {
-			continue
-		}
-		if allocatingCallee(cs.Callee) {
-			ai.ops = append(ai.ops, allocOp{desc: "call to " + shortFunc(cs.Callee) + " allocates", pos: cs.Call.Pos()})
+		if m.Graph().Node(cs.Callee) == nil && allocatingCallee(cs.Callee) {
+			ops = append(ops, fact{"call to " + shortFunc(cs.Callee) + " allocates", cs.Call.Pos()})
 		}
 	}
 
@@ -71,19 +56,18 @@ func (m *Module) allocInfoOf(node *FuncNode) *allocInfo {
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.GoStmt:
-			ai.ops = append(ai.ops, allocOp{desc: "go statement allocates a goroutine", pos: s.Pos()})
+			ops = append(ops, fact{"go statement allocates a goroutine", s.Pos()})
 		case *ast.CallExpr:
 			for _, arg := range s.Args {
 				if fl, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 					argLits[fl] = true
 				}
 			}
-			switch fun := ast.Unparen(s.Fun).(type) {
-			case *ast.Ident:
+			if fun, ok := ast.Unparen(s.Fun).(*ast.Ident); ok {
 				if b, ok := info.Uses[fun].(*types.Builtin); ok {
 					switch b.Name() {
 					case "make", "new", "append":
-						ai.ops = append(ai.ops, allocOp{desc: b.Name() + " allocates", pos: s.Pos()})
+						ops = append(ops, fact{b.Name() + " allocates", s.Pos()})
 					}
 				}
 			}
@@ -91,48 +75,38 @@ func (m *Module) allocInfoOf(node *FuncNode) *allocInfo {
 				to := tv.Type.Underlying()
 				from := info.TypeOf(s.Args[0])
 				if from != nil && isStringByteConv(to, from.Underlying()) {
-					ai.ops = append(ai.ops, allocOp{desc: "string/[]byte conversion allocates", pos: s.Pos()})
+					ops = append(ops, fact{"string/[]byte conversion allocates", s.Pos()})
 				}
 			}
 		case *ast.CompositeLit:
 			switch info.TypeOf(s).Underlying().(type) {
 			case *types.Slice:
-				ai.ops = append(ai.ops, allocOp{desc: "slice literal allocates", pos: s.Pos()})
+				ops = append(ops, fact{"slice literal allocates", s.Pos()})
 			case *types.Map:
-				ai.ops = append(ai.ops, allocOp{desc: "map literal allocates", pos: s.Pos()})
+				ops = append(ops, fact{"map literal allocates", s.Pos()})
 			}
 		case *ast.UnaryExpr:
 			if s.Op == token.AND {
 				if _, ok := ast.Unparen(s.X).(*ast.CompositeLit); ok {
-					ai.ops = append(ai.ops, allocOp{desc: "&composite literal escapes to the heap", pos: s.Pos()})
+					ops = append(ops, fact{"&composite literal escapes to the heap", s.Pos()})
 				}
 			}
 		case *ast.BinaryExpr:
 			if s.Op == token.ADD && isStringType(info.TypeOf(s.X)) {
-				ai.ops = append(ai.ops, allocOp{desc: "string concatenation allocates", pos: s.Pos()})
+				ops = append(ops, fact{"string concatenation allocates", s.Pos()})
 			}
 		case *ast.AssignStmt:
 			if s.Tok == token.ADD_ASSIGN && len(s.Lhs) == 1 && isStringType(info.TypeOf(s.Lhs[0])) {
-				ai.ops = append(ai.ops, allocOp{desc: "string concatenation allocates", pos: s.Pos()})
+				ops = append(ops, fact{"string concatenation allocates", s.Pos()})
 			}
 		case *ast.FuncLit:
 			if !argLits[s] {
-				ai.ops = append(ai.ops, allocOp{desc: "escaping closure allocates", pos: s.Pos()})
+				ops = append(ops, fact{"escaping closure allocates", s.Pos()})
 			}
 		}
 		return true
 	})
-	sortAllocOps(ai.ops)
-	m.allocMemo[node.Fn] = ai
-	return ai
-}
-
-func sortAllocOps(ops []allocOp) {
-	for i := 1; i < len(ops); i++ {
-		for j := i; j > 0 && ops[j].pos < ops[j-1].pos; j-- {
-			ops[j], ops[j-1] = ops[j-1], ops[j]
-		}
-	}
+	return ops
 }
 
 func isStringType(t types.Type) bool {
@@ -193,70 +167,24 @@ func allocatingCallee(fn *types.Func) bool {
 	return false
 }
 
-// allocReaches resolves whether node can reach an allocating construct
-// through non-concurrent module calls, cutting at //nnt:hotpath callees
-// (verified on their own).
-func (m *Module) allocReaches(node *FuncNode, visiting map[*types.Func]bool) *reachResult {
-	ai := m.allocInfoOf(node)
-	if ai.reachDone {
-		return ai.reach
-	}
-	if visiting[node.Fn] {
-		return nil
-	}
-	visiting[node.Fn] = true
-	defer delete(visiting, node.Fn)
-
-	if len(ai.ops) > 0 {
-		ai.reach = &reachResult{desc: ai.ops[0].desc}
-		ai.reachDone = true
-		return ai.reach
-	}
-	for _, cs := range node.Calls {
-		if cs.Concurrent {
-			continue
-		}
-		callee := m.Graph().Node(cs.Callee)
-		if callee == nil || callee.Hotpath {
-			continue
-		}
-		if r := m.allocReaches(callee, visiting); r != nil {
-			ai.reach = &reachResult{
-				desc: r.desc,
-				path: append([]string{shortFunc(cs.Callee)}, r.path...),
-			}
-			ai.reachDone = true
-			return ai.reach
-		}
-	}
-	ai.reachDone = true
-	return nil
-}
-
 func runHotAlloc(p *Pass) {
 	m := p.Module
 	for _, node := range m.Graph().Ordered() {
 		if node.Pkg != p.Pkg || !node.Hotpath {
 			continue
 		}
-		ai := m.allocInfoOf(node)
-		for _, op := range ai.ops {
+		for _, op := range m.factsOf(allocRule, node) {
 			p.Reportf(op.pos, "%s in //nnt:hotpath function %s", op.desc, shortFunc(node.Fn))
 		}
 		reported := make(map[token.Pos]bool)
 		for _, cs := range node.Calls {
 			pos := cs.Call.Pos()
-			if cs.Concurrent || reported[pos] {
+			if reported[pos] {
 				continue
 			}
-			callee := m.Graph().Node(cs.Callee)
-			if callee == nil || callee.Hotpath {
-				continue
-			}
-			if r := m.allocReaches(callee, map[*types.Func]bool{node.Fn: true}); r != nil {
-				chain := append([]string{shortFunc(cs.Callee)}, r.path...)
+			if r := m.reachCall(allocRule, cs, map[*types.Func]bool{node.Fn: true}); r != nil {
 				p.Reportf(pos, "//nnt:hotpath function %s calls %s which allocates: %s (%s)",
-					shortFunc(node.Fn), shortFunc(cs.Callee), strings.Join(chain, " -> "), r.desc)
+					shortFunc(node.Fn), shortFunc(cs.Callee), strings.Join(r.path, " -> "), r.desc)
 				reported[pos] = true
 			}
 		}

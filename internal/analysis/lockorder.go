@@ -142,8 +142,12 @@ func (m *Module) lockEdges() []lockEdge {
 	}
 	m.edgesBuilt = true
 	acq := m.transAcquires()
-	for _, r := range m.regions() {
-		info := r.node.Pkg.Info
+	regions, _ := m.regions()
+	for _, r := range regions {
+		if r.node == nil {
+			continue // package-level literal: outside the call graph
+		}
+		info := r.pkg.Info
 		sel, ok := r.lc.call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			continue

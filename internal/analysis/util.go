@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -74,22 +73,6 @@ func rootIdent(e ast.Expr) *ast.Ident {
 // exprKey renders an expression as a stable string key (e.g. "m.mu").
 func exprKey(e ast.Expr) string { return types.ExprString(e) }
 
-// stmtLists invokes fn for every statement list in the function body:
-// blocks, case clauses, and select communication clauses.
-func stmtLists(body *ast.BlockStmt, fn func([]ast.Stmt)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.BlockStmt:
-			fn(s.List)
-		case *ast.CaseClause:
-			fn(s.Body)
-		case *ast.CommClause:
-			fn(s.Body)
-		}
-		return true
-	})
-}
-
 // walkShallow walks n without descending into nested function literals —
 // the traversal for per-function analyses.
 func walkShallow(n ast.Node, fn func(ast.Node) bool) {
@@ -101,30 +84,10 @@ func walkShallow(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-// containsReturn reports whether any statement in n (outside nested
-// function literals) can exit the enclosing function or jump out of the
-// region: a return, a goto, or a labeled break/continue. Unlabeled breaks
-// stay within their innermost loop/switch, which is inside the region.
-func containsReturn(n ast.Node) bool {
-	found := false
-	walkShallow(n, func(m ast.Node) bool {
-		switch s := m.(type) {
-		case *ast.ReturnStmt:
-			found = true
-		case *ast.BranchStmt:
-			if s.Tok == token.GOTO || s.Label != nil {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// eachFuncBody invokes fn for every function body in the file: declarations
+// eachFuncBody invokes fn for every function body under root: declarations
 // and function literals, each exactly once.
-func eachFuncBody(file *ast.File, fn func(body *ast.BlockStmt)) {
-	ast.Inspect(file, func(n ast.Node) bool {
+func eachFuncBody(root ast.Node, fn func(body *ast.BlockStmt)) {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch d := n.(type) {
 		case *ast.FuncDecl:
 			if d.Body != nil {

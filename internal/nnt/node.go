@@ -49,9 +49,6 @@ type Node struct {
 	edgePrev, edgeNext *Node
 }
 
-// IsRoot reports whether n is the root of its tree.
-func (n *Node) IsRoot() bool { return n.Parent == nil }
-
 // PathUsesEdge reports whether the root→n path traverses the undirected
 // graph edge {u,v}. Paths are at most l long, so the walk is O(l).
 func (n *Node) PathUsesEdge(u, v graph.VertexID) bool {

@@ -190,7 +190,7 @@ func TestSpacePackedCacheTracksDirty(t *testing.T) {
 	}
 	s := NewSpace()
 	s.EnablePacking()
-	if !s.PackingEnabled() {
+	if s.packed == nil {
 		t.Fatal("packing not enabled")
 	}
 	f := nnt.NewForest(g, 3, s)

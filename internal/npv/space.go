@@ -125,9 +125,6 @@ func (s *vecTable) EnablePacking() {
 	}
 }
 
-// PackingEnabled reports whether the packed cache is active.
-func (s *vecTable) PackingEnabled() bool { return s.packed != nil }
-
 // Epoch reports the number of seal generations (TakeDirty calls).
 func (s *vecTable) Epoch() uint64 { return s.epoch }
 
@@ -183,13 +180,6 @@ func (s *vecTable) Vectors(fn func(v graph.VertexID, vec Vector) bool) {
 		}
 	}
 }
-
-// HasDirty reports whether any vector changed (or was added or removed)
-// since the last TakeDirty, without consuming the dirty set. Batch join
-// evaluation uses it to enumerate the streams whose (stream, query) pairs
-// need re-evaluation before fanning work out to a pool, and the filters'
-// no-op fast path uses it to skip evaluation without allocating.
-func (s *vecTable) HasDirty() bool { return len(s.dirty) > 0 }
 
 // TakeDirty returns the vertices whose vectors changed (or were added or
 // removed) since the previous call, and resets the dirty set. Join

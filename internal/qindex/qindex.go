@@ -45,12 +45,11 @@
 // re-evaluates the returned queries with the ordinary kernel, so filter
 // answers are bit-identical to the unindexed scan.
 //
-// Lifecycle mirrors the packed stream cache: the index is epoch-sealed.
-// Registration appends cheaply; Seal sorts the columns once; post-seal
-// mutations (dynamic query add/remove) keep the columns sorted in place and
-// bump the epoch. Between mutations the index is immutable, so the join
-// pool's fan-out reads it race-free — mutation only ever happens on the
-// engines' serialized registration path.
+// Lifecycle: registration appends cheaply, and Seal sorts the columns once.
+// Post-seal mutations (dynamic query add/remove) keep the columns sorted in
+// place. Between mutations the index is immutable, so the join pool's
+// fan-out reads it race-free — mutation only ever happens on the engines'
+// serialized registration path.
 package qindex
 
 import (
@@ -117,7 +116,6 @@ type Index struct {
 	// here instead of in the columns.
 	empties []int32
 	sealed  bool
-	epoch   uint64
 }
 
 // Scratch is a caller-owned dedupe buffer for AffectedQueriesInto: seen
@@ -140,7 +138,7 @@ func New() *Index {
 
 // Add registers one query vector under k. Before Seal, postings are
 // appended (sorted once at Seal); afterwards each posting is inserted at
-// its sorted position and the epoch advances. Registering the same key
+// its sorted position. Registering the same key
 // twice is a caller bug and is not detected here — filters already reject
 // duplicate query IDs.
 func (ix *Index) Add(k Key, p npv.PackedVector) {
@@ -159,9 +157,6 @@ func (ix *Index) Add(k Key, p npv.PackedVector) {
 		if !slices.Contains(ix.empties, slot) {
 			ix.empties = append(ix.empties, slot)
 		}
-		if ix.sealed {
-			ix.epoch++
-		}
 		return
 	}
 	sig := p.Sig()
@@ -178,9 +173,6 @@ func (ix *Index) Add(k Key, p npv.PackedVector) {
 		copy(col[at+1:], col[at:])
 		col[at] = e
 		ix.cols[d] = col
-	}
-	if ix.sealed {
-		ix.epoch++
 	}
 }
 
@@ -210,9 +202,6 @@ func (ix *Index) RemoveQuery(q core.QueryID) bool {
 			ix.cols[d] = kept
 		}
 	}
-	if ix.sealed {
-		ix.epoch++
-	}
 	return true
 }
 
@@ -224,7 +213,6 @@ func (ix *Index) Seal() {
 		return
 	}
 	ix.sealed = true
-	ix.epoch++
 	for _, col := range ix.cols {
 		sort.Slice(col, func(i, j int) bool { return postingLess(col[i], col[j]) })
 	}
@@ -245,11 +233,6 @@ func postingLess(a, b Posting) bool {
 	return a.Key.Vertex < b.Key.Vertex
 }
 
-// Epoch counts seal generations: the one-time Seal plus every post-seal
-// mutation. Readers that cache derived state can use it as a validity
-// stamp, exactly like npv.Space.Epoch.
-func (ix *Index) Epoch() uint64 { return ix.epoch }
-
 // QueryCount reports the number of registered queries.
 func (ix *Index) QueryCount() int { return len(ix.slots) }
 
@@ -261,9 +244,6 @@ func (ix *Index) PostingCount() int {
 	}
 	return n
 }
-
-// DimCount reports the number of non-empty columns.
-func (ix *Index) DimCount() int { return len(ix.cols) }
 
 // HasDim reports whether any registered query vector uses dimension d.
 func (ix *Index) HasDim(d npv.Dim) bool {

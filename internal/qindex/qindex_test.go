@@ -41,17 +41,13 @@ func TestIndexLifecycle(t *testing.T) {
 	if got := ix.PostingCount(); got != 4 {
 		t.Fatalf("PostingCount = %d; want 4", got)
 	}
-	if got := ix.DimCount(); got != 2 {
-		t.Fatalf("DimCount = %d; want 2", got)
+	if got := len(ix.cols); got != 2 {
+		t.Fatalf("%d columns; want 2", got)
 	}
-	e0 := ix.Epoch()
 	ix.Seal()
-	if !ix.sealed || ix.Epoch() != e0+1 {
-		t.Fatalf("Seal: sealed=%v epoch=%d; want true, %d", ix.sealed, ix.Epoch(), e0+1)
-	}
 	ix.Seal() // idempotent
-	if ix.Epoch() != e0+1 {
-		t.Fatalf("second Seal bumped epoch to %d", ix.Epoch())
+	if !ix.sealed {
+		t.Fatal("Seal did not seal the index")
 	}
 
 	// Column 1 sorted ascending by count: (0,0)@3, (0,1)@5.
@@ -66,11 +62,8 @@ func TestIndexLifecycle(t *testing.T) {
 		t.Fatal("HasDim wrong")
 	}
 
-	// Post-seal add inserts at the sorted position and bumps the epoch.
+	// Post-seal add inserts at the sorted position.
 	ix.Add(key(3, 0), vec(1, 4))
-	if ix.Epoch() != e0+2 {
-		t.Fatalf("post-seal Add epoch = %d; want %d", ix.Epoch(), e0+2)
-	}
 	col = ix.Postings(npv.Dim(1))
 	if len(col) != 3 || col[1].Count != 4 || col[1].Key != key(3, 0) {
 		t.Fatalf("post-seal insert misplaced: %v", col)

@@ -1,95 +1,41 @@
-// Package skyline provides the monochromatic and bichromatic skyline
-// computations over node-projected vectors used by the skyline-with-early-
-// stop join (Section IV-B.2). Dominance follows Lemma 4.2: v dominates u
-// when v's count is ≥ u's on every dimension of u's support, so "maximal"
-// vectors are the hardest to dominate.
+// Package skyline provides the monochromatic skyline of node-projected
+// vectors used by the skyline-with-early-stop join (Section IV-B.2).
+// Dominance follows Lemma 4.2: v dominates u when v's count is ≥ u's on
+// every dimension of u's support, so "maximal" vectors are the hardest to
+// dominate.
 package skyline
 
-import "nntstream/internal/npv"
+import (
+	"slices"
 
-// Maximal returns the monochromatic skyline of the vector set under the
-// paper's dominance order: the distinct vectors not dominated by any other
-// distinct vector in the set. Duplicate vectors are collapsed to one
-// representative — for the join's purposes equal vectors are
-// interchangeable. The result aliases no input storage beyond the vectors
-// themselves.
-//
-// Each vector is packed once up front and the quadratic comparison phase
-// runs on the packed dominance kernel (sorted-merge with signature
+	"nntstream/internal/npv"
+)
+
+// MaximalPacked returns the monochromatic skyline of the packed vector set
+// under the paper's dominance order: the distinct vectors not dominated by
+// any other distinct vector in the set, first occurrences in input order.
+// Duplicate vectors are collapsed to one representative — for the join's
+// purposes equal vectors are interchangeable. The quadratic comparison runs
+// on the packed dominance kernel (sorted-merge with signature
 // pre-filtering) instead of per-pair map iteration.
-func Maximal(vecs []npv.Vector) []npv.Vector {
-	var out []npv.Vector
-	for _, i := range maximalIndices(npv.PackAll(vecs)) {
-		out = append(out, vecs[i])
-	}
-	return out
-}
-
-// MaximalPacked is Maximal over already-packed vectors, for callers that
-// keep their working set in packed form.
 func MaximalPacked(vecs []npv.PackedVector) []npv.PackedVector {
+	var uniq []npv.PackedVector
+	for _, p := range vecs {
+		if !slices.ContainsFunc(uniq, p.Equal) {
+			uniq = append(uniq, p)
+		}
+	}
 	var out []npv.PackedVector
-	for _, i := range maximalIndices(vecs) {
-		out = append(out, vecs[i])
-	}
-	return out
-}
-
-// maximalIndices returns the input indices of the monochromatic skyline:
-// the first occurrence of each distinct undominated vector, in input order.
-func maximalIndices(packed []npv.PackedVector) []int {
-	// Deduplicate by value, keeping first occurrences.
-	var uniq []int
-	for i, p := range packed {
-		dup := false
-		for _, j := range uniq {
-			if packed[j].Equal(p) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			uniq = append(uniq, i)
-		}
-	}
-	var out []int
-	for _, i := range uniq {
+	for i, p := range uniq {
 		dominated := false
-		for _, j := range uniq {
-			if i == j {
-				continue
-			}
-			if packed[j].Dominates(packed[i]) {
+		for j, q := range uniq {
+			if i != j && q.Dominates(p) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// IsBichromaticSkyline reports whether u is a bichromatic skyline point of
-// its set with respect to the given opposing set: no opposing vector
-// dominates it.
-func IsBichromaticSkyline(u npv.Vector, opposing []npv.Vector) bool {
-	for _, v := range opposing {
-		if v.Dominates(u) {
-			return false
-		}
-	}
-	return true
-}
-
-// Bichromatic returns the vectors of set that no vector of opposing
-// dominates.
-func Bichromatic(set, opposing []npv.Vector) []npv.Vector {
-	var out []npv.Vector
-	for _, u := range set {
-		if IsBichromaticSkyline(u, opposing) {
-			out = append(out, u)
+			out = append(out, p)
 		}
 	}
 	return out

@@ -26,6 +26,16 @@ func vec(coords ...int32) npv.Vector {
 	return v
 }
 
+// maximal runs MaximalPacked over the packed vecs and unpacks the result,
+// so the assertions below can use the map kernel as their reference.
+func maximal(vecs ...npv.Vector) []npv.Vector {
+	var out []npv.Vector
+	for _, p := range MaximalPacked(npv.PackAll(vecs)) {
+		out = append(out, p.Unpack())
+	}
+	return out
+}
+
 func containsVec(set []npv.Vector, v npv.Vector) bool {
 	for _, u := range set {
 		if u.Equal(v) {
@@ -40,55 +50,39 @@ func TestMaximalBasic(t *testing.T) {
 	b := vec(0, 3)
 	c := vec(2, 3) // dominates a and b
 	d := vec(3, 1) // dominates a
-	max := Maximal([]npv.Vector{a, b, c, d})
+	max := maximal(a, b, c, d)
 	if len(max) != 2 || !containsVec(max, c) || !containsVec(max, d) {
-		t.Fatalf("Maximal = %v; want {c,d}", max)
+		t.Fatalf("maximal = %v; want {c,d}", max)
 	}
 }
 
 func TestMaximalCollapsesDuplicates(t *testing.T) {
 	a := vec(2, 2)
 	b := vec(2, 2)
-	max := Maximal([]npv.Vector{a, b})
+	max := maximal(a, b)
 	if len(max) != 1 {
-		t.Fatalf("Maximal with duplicates = %v; want one representative", max)
+		t.Fatalf("maximal with duplicates = %v; want one representative", max)
 	}
 }
 
 func TestMaximalIncomparable(t *testing.T) {
 	a := vec(3, 0)
 	b := vec(0, 3)
-	max := Maximal([]npv.Vector{a, b})
+	max := maximal(a, b)
 	if len(max) != 2 {
 		t.Fatalf("incomparable vectors should both be maximal: %v", max)
 	}
 }
 
 func TestMaximalEmpty(t *testing.T) {
-	if got := Maximal(nil); got != nil {
-		t.Fatalf("Maximal(nil) = %v", got)
+	if got := MaximalPacked(nil); got != nil {
+		t.Fatalf("MaximalPacked(nil) = %v", got)
 	}
 	// The empty vector is dominated by everything, so with company it is
 	// not maximal.
-	max := Maximal([]npv.Vector{vec(), vec(1)})
+	max := maximal(vec(), vec(1))
 	if len(max) != 1 || !containsVec(max, vec(1)) {
-		t.Fatalf("Maximal = %v", max)
-	}
-}
-
-func TestBichromatic(t *testing.T) {
-	queries := []npv.Vector{vec(1, 1), vec(4, 0)}
-	stream := []npv.Vector{vec(2, 2), vec(3, 3)}
-	// vec(1,1) is dominated by both stream vectors; vec(4,0) by neither.
-	if !IsBichromaticSkyline(vec(4, 0), stream) {
-		t.Fatal("vec(4,0) should be a bichromatic skyline point")
-	}
-	if IsBichromaticSkyline(vec(1, 1), stream) {
-		t.Fatal("vec(1,1) is dominated; not a skyline point")
-	}
-	sky := Bichromatic(queries, stream)
-	if len(sky) != 1 || !sky[0].Equal(vec(4, 0)) {
-		t.Fatalf("Bichromatic = %v", sky)
+		t.Fatalf("maximal = %v", max)
 	}
 }
 
@@ -102,7 +96,7 @@ func TestQuickMaximalCoverage(t *testing.T) {
 		for i := 0; i < n; i++ {
 			vecs = append(vecs, vec(int32(r.Intn(4)), int32(r.Intn(4)), int32(r.Intn(4))))
 		}
-		max := Maximal(vecs)
+		max := maximal(vecs...)
 		for _, v := range vecs {
 			covered := false
 			for _, m := range max {
