@@ -616,6 +616,77 @@ func TestNPVRecountAllocsCapped(t *testing.T) {
 	t.Logf("allocs per timestamp: %v", allocs)
 }
 
+// hubWorkload is the degree-skewed recount workload: 40 vertices over 4
+// labels on a ring plus random chords (mean degree ~7), and a hub, vertex 0,
+// adjacent to 1..30. Its two change sets bulk-rewrite the hub's
+// neighbourhood back and forth — 1..9 out and 31..39 in, then the reverse —
+// so replaying them alternately cycles between two graphs and the store
+// reaches a steady state.
+func hubWorkload() (*graph.Graph, [2]graph.ChangeSet) {
+	const n = 40
+	r := rand.New(rand.NewSource(30))
+	label := func(v int) graph.Label { return graph.Label(v % 4) }
+	g := graph.New()
+	for v := 0; v < n; v++ {
+		_ = g.AddVertex(graph.VertexID(v), label(v))
+	}
+	for u := 1; u < n; u++ {
+		_ = g.AddEdge(graph.VertexID(u), graph.VertexID(1+u%(n-1)), graph.Label(r.Intn(2)))
+		for v := u + 2; v < n; v++ {
+			if r.Float64() < 0.12 {
+				_ = g.AddEdge(graph.VertexID(u), graph.VertexID(v), graph.Label(r.Intn(2)))
+			}
+		}
+	}
+	for v := 1; v <= 30; v++ {
+		_ = g.AddEdge(0, graph.VertexID(v), 0)
+	}
+	var steps [2]graph.ChangeSet
+	for v := 1; v <= 9; v++ {
+		out, in := graph.VertexID(v), graph.VertexID(30+v)
+		steps[0] = append(steps[0], graph.DeleteOp(0, out), graph.InsertOp(0, label(0), in, label(30+v), 0))
+		steps[1] = append(steps[1], graph.DeleteOp(0, in), graph.InsertOp(0, label(0), out, label(v), 0))
+	}
+	return g, steps
+}
+
+// BenchmarkNPVRecountDense advances an npv.Store through hubWorkload's
+// bulk rewrites: every timestamp moves 18 hub edges, so nearly every root
+// lies within two hops of a changed edge.
+func BenchmarkNPVRecountDense(b *testing.B) {
+	g, steps := hubWorkload()
+	s := npv.NewStore(g, join.DefaultDepth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Apply(steps[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// maxNPVRecountDenseAllocs caps one hubWorkload timestamp at its measured
+// steady state.
+const maxNPVRecountDenseAllocs = 0
+
+// TestNPVRecountDenseAllocsCapped replays BenchmarkNPVRecountDense's
+// rewrites and caps the mean allocations per timestamp.
+func TestNPVRecountDenseAllocsCapped(t *testing.T) {
+	g, steps := hubWorkload()
+	s := npv.NewStore(g, join.DefaultDepth)
+	i := 0
+	allocs := testing.AllocsPerRun(64, func() {
+		if err := s.Apply(steps[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > maxNPVRecountDenseAllocs {
+		t.Fatalf("npv.Store allocates %v per dense timestamp; cap %d", allocs, maxNPVRecountDenseAllocs)
+	}
+	t.Logf("allocs per timestamp: %v", allocs)
+}
+
 // BenchmarkVF2HardInstance shows why the paper avoids exact isomorphism on
 // the hot path: a near-regular unlabeled instance forces deep backtracking.
 func BenchmarkVF2HardInstance(b *testing.B) {

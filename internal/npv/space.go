@@ -1,7 +1,8 @@
 package npv
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"nntstream/internal/graph"
 	"nntstream/internal/nnt"
@@ -23,8 +24,8 @@ type vecTable struct {
 	// touching (or mutating) the incremental maps. Readers may therefore
 	// run concurrently: between two TakeDirty calls the cache is immutable.
 	packed map[graph.VertexID]PackedVector
-	// epoch counts TakeDirty calls (seal generations), for observability
-	// and tests.
+	// epoch counts seal generations (TakeDirty and SealDirty calls); Space's
+	// last-root memo is valid only within the one that set it.
 	epoch uint64
 }
 
@@ -125,9 +126,6 @@ func (s *vecTable) EnablePacking() {
 	}
 }
 
-// Epoch reports the number of seal generations (TakeDirty calls).
-func (s *vecTable) Epoch() uint64 { return s.epoch }
-
 // Packed returns the packed NPV of v. In steady state (packing enabled, no
 // pending dirt) this is a single cache lookup and never allocates. A vertex
 // with pending dirt — or a space without packing enabled — is packed fresh
@@ -201,7 +199,7 @@ func (s *vecTable) TakeDirty() []graph.VertexID {
 		out = append(out, v)
 	}
 	clear(s.dirty)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	if s.packed != nil {
 		for _, v := range out {
 			if vec, ok := s.vectors[v]; ok {
@@ -262,7 +260,7 @@ func (s *vecTable) SealDirty() []DirtyDelta {
 		out = append(out, DirtyDelta{Vertex: v})
 	}
 	clear(s.dirty)
-	sort.Slice(out, func(i, j int) bool { return out[i].Vertex < out[j].Vertex })
+	slices.SortFunc(out, func(a, b DirtyDelta) int { return cmp.Compare(a.Vertex, b.Vertex) })
 	for i := range out {
 		v := out[i].Vertex
 		if p, ok := s.packed[v]; ok {
@@ -315,7 +313,7 @@ func VectorsByVertex(m map[graph.VertexID]Vector) []Vector {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	vecs := make([]Vector, 0, len(ids))
 	for _, id := range ids {
 		vecs = append(vecs, m[id])

@@ -2,38 +2,51 @@ package npv
 
 import (
 	"fmt"
+	"maps"
 
 	"nntstream/internal/graph"
 )
+
+// closedDepth is the deepest l at which Store counts by the closed form.
+const closedDepth = 3
 
 // Store keeps the node-projected vectors of one evolving graph by
 // recounting them, without materializing a single node-neighbor tree. The
 // NPV of a vertex counts, per dimension, the tree edges of its depth-l NNT
 // (Section IV-A), and a tree edge is just the last edge of an edge-distinct
-// path of length ≤ l from the root — so the vector can be counted straight
-// off the graph by enumerating those paths, which is the NNT's definition.
+// walk of length ≤ l from the root. Up to l = 3 such a walk is exactly a
+// non-backtracking one (reusing an edge takes 4, as r→a→b→r→a does), so
+// with Tk(r) the triples ⟨label x, edge label, label y⟩ of the last edges
+// x→y of r's k-walks — the vector's level k — the counts obey
+//
+//	T1(r) = the triples of r's incident edges, oriented away from r
+//	T2(r) = Σ_{a∈N(r)} T1(a) − rev(r)    rev(r): the same edges, reversed
+//	T3(r) = Σ_{a∈N(r)} T2(a) − (deg(r)−1)·T1(r)
+//
+// Each vertex keeps its levels as counts of triples interned when edges are
+// linked, and a level sums the neighbours' previous one in a dense scratch
+// array, without hashing. From l = 4 on a walk can reuse an edge and the
+// recurrence over-counts, so there the store enumerates each root's walks.
 //
 // Store owns its graph. Apply advances it by one timestamp's change set:
 //
-//  1. it collects the affected roots — every vertex within l−1 hops of a
-//     deleted edge's endpoint in the pre-state graph, and every vertex
-//     within l−1 hops of an inserted edge's endpoint in the post-state
-//     graph (created and retired vertices are such endpoints). The set is
-//     sound: a root's NNT changes only through a path that uses a changed
-//     edge, and the prefix of that path up to the edge's first endpoint is
-//     a walk of at most l−1 edges in the graph the path lives in;
+//  1. it collects the affected roots with their hop distance — every vertex
+//     within l−1 hops of a deleted edge's endpoint in the pre-state graph,
+//     and every vertex within l−1 hops of an inserted edge's endpoint in
+//     the post-state graph (created and retired vertices are such
+//     endpoints). The set is sound: level k of a root changes only through
+//     a k-walk that uses a changed edge, and that walk reaches the edge's
+//     first endpoint within k−1 edges of the graph it lives in;
 //  2. it applies the change set to the graph, deletions first;
-//  3. it recounts each affected root's vector into a reused scratch map;
+//  3. for k = 1..l it recounts level k of each affected root within k−1
+//     hops, after every neighbour's level k−1 (from l = 4 on, it
+//     re-enumerates each affected root);
 //  4. it marks a root dirty only if its vector actually changed (or it
 //     appeared or retired), so TakeDirty/SealDirty and everything keyed on
 //     them see exactly the vertices whose vector moved.
 //
-// Patching a forest edge op by edge op (nnt.Forest with a Space observing)
-// pays for every intermediate tree: a timestamp that rewrites many of a
-// root's paths builds and tears down subtrees the next op discards again,
-// and every node is a heap object. Recounting pays once per affected root
-// per timestamp for its final paths, and keeps no per-path state at all.
-//
+// Recounting pays once per affected root per timestamp for its final
+// counts, where patching an nnt.Forest pays for every intermediate tree.
 // Vectors returned by Vector and Vectors are owned by the store and valid
 // until the next Apply.
 type Store struct {
@@ -50,31 +63,53 @@ type Store struct {
 	// vertices one breadth-first sweep has reached; round marks the
 	// vertices already queued for recounting this timestamp.
 	stamp, round uint32
-	affected     []graph.VertexID
+	affected     []*vnode
 	sources      []*vnode
 	cur, next    []*vnode
-	// path[0..k] is the walk the enumerator is on; count accumulates the
-	// root being recounted, and countL1 its total.
+
+	// tris[id] is triple id as a level-0 Dim, triID its inverse. acc sums
+	// one level of one root, touched[:nt] lists its nonzero ids (both sized
+	// to the triple count), and sums stages them for a vnode.
+	tris    []Dim
+	triID   map[Dim]uint32
+	acc     []int32
+	touched []uint32
+	nt      int
+	sums    []tally
+
+	// The l ≥ 4 enumerator: path[0..k] is the walk it is on; count
+	// accumulates the root being recounted, and countL1 its total.
 	path    []*vnode
 	count   Vector
 	countL1 int
 }
 
 // vnode is one vertex of the store's graph: its label and adjacency, with
-// each neighbor held by pointer so path enumeration never hashes.
+// each neighbor held by pointer so counting never hashes.
 type vnode struct {
-	id     graph.VertexID
-	label  graph.Label
-	adj    []half
-	seen   uint32 // stamp of the last sweep that reached it
-	queued uint32 // round in which it was queued for recounting
-	l1     int    // L1 of its vector as last recounted
+	id      graph.VertexID
+	label   graph.Label
+	adj     []half
+	vec     Vector               // its entry in vectors, nil until first counted
+	lv      [closedDepth][]tally // lv[k-1]: level k of vec as triple counts
+	l1      int                  // L1 of its vector as last recounted
+	seen    uint32               // stamp of the last sweep that reached it
+	queued  uint32               // round in which it was queued for recounting
+	hop     int                  // its least hop distance from a changed edge that round
+	retired bool                 // isolated by this timestamp's deletions so far
 }
 
-// half is one direction of an undirected edge.
+// half is one direction of an undirected edge, with its triple and the reverse's.
 type half struct {
-	to *vnode
-	el graph.Label
+	to        *vnode
+	el        graph.Label
+	tri, rtri uint32
+}
+
+// tally is one triple's count at one level of a vertex.
+type tally struct {
+	tri uint32
+	n   int32
 }
 
 // NewStore builds the store of an initial graph; g is not retained. depth is
@@ -88,23 +123,23 @@ func NewStore(g *graph.Graph, depth int) *Store {
 		vecTable: newVecTable(),
 		depth:    depth,
 		verts:    make(map[graph.VertexID]*vnode, g.VertexCount()),
+		triID:    make(map[Dim]uint32),
 		path:     make([]*vnode, depth+1),
 		count:    make(Vector),
 	}
 	g.Vertices(func(v graph.VertexID, l graph.Label) bool {
-		s.verts[v] = &vnode{id: v, label: l}
+		n := &vnode{id: v, label: l}
+		s.verts[v] = n
+		s.affected = append(s.affected, n)
 		return true
 	})
-	s.nodes = len(s.verts)
-	for _, v := range s.verts {
+	for _, v := range s.affected {
 		g.Neighbors(v.id, func(u graph.VertexID, el graph.Label) bool {
-			v.adj = append(v.adj, half{to: s.verts[u], el: el})
+			v.adj = append(v.adj, s.halfTo(v, s.verts[u], el))
 			return true
 		})
 	}
-	for id := range s.verts {
-		s.recount(id)
-	}
+	s.refresh()
 	return s
 }
 
@@ -162,10 +197,7 @@ func (s *Store) Apply(cs graph.ChangeSet) error {
 		}
 	}
 	s.sweep()
-
-	for _, id := range s.affected {
-		s.recount(id)
-	}
+	s.refresh()
 	return err
 }
 
@@ -187,8 +219,8 @@ func (v *vnode) drop(i int) {
 	v.adj = v.adj[:last]
 }
 
-// unlink deletes edge {a,b} when present and retires endpoints it leaves
-// isolated. Retired vertices were queued by the pre-state sweep.
+// unlink deletes edge {a,b} when present and marks endpoints it leaves
+// isolated as retired; refresh drops them unless an insertion revives them.
 func (s *Store) unlink(a, b graph.VertexID) {
 	u, v := s.verts[a], s.verts[b]
 	if u == nil || v == nil {
@@ -200,52 +232,69 @@ func (s *Store) unlink(a, b graph.VertexID) {
 	}
 	u.drop(i)
 	v.drop(v.edgeTo(u))
-	for _, w := range [2]*vnode{u, v} {
-		if len(w.adj) == 0 {
-			delete(s.verts, w.id)
-			s.nodes -= 1 + w.l1
-		}
-	}
+	u.retired, v.retired = len(u.adj) == 0, len(v.adj) == 0
 }
 
-// link applies one insertion, creating missing endpoints, and records the
-// endpoints of a new edge as post-state sweep sources (a created vertex is
-// always one). It validates before mutating anything.
+// link applies one insertion, creating missing endpoints (or reviving ones
+// this timestamp retired, under the op's labels), and records the endpoints
+// of a new edge as post-state sweep sources. It validates before mutating.
 func (s *Store) link(op graph.ChangeOp) error {
 	if op.U == op.V {
 		return fmt.Errorf("npv: self-loop on vertex %d", op.U)
 	}
 	u, v := s.verts[op.U], s.verts[op.V]
-	if u != nil && u.label != op.ULabel {
+	if u != nil && !u.retired && u.label != op.ULabel {
 		return fmt.Errorf("npv: vertex %d relabel %d→%d not supported", op.U, u.label, op.ULabel)
 	}
-	if v != nil && v.label != op.VLabel {
+	if v != nil && !v.retired && v.label != op.VLabel {
 		return fmt.Errorf("npv: vertex %d relabel %d→%d not supported", op.V, v.label, op.VLabel)
 	}
-	if u == nil {
-		u = &vnode{id: op.U, label: op.ULabel}
-		s.verts[op.U] = u
-		s.nodes++
-	}
-	if v == nil {
-		v = &vnode{id: op.V, label: op.VLabel}
-		s.verts[op.V] = v
-		s.nodes++
-	}
+	u, v = s.revive(u, op.U, op.ULabel), s.revive(v, op.V, op.VLabel)
 	if u.edgeTo(v) >= 0 {
 		return nil // idempotent re-insert
 	}
-	u.adj = append(u.adj, half{to: v, el: op.EdgeLabel})
-	v.adj = append(v.adj, half{to: u, el: op.EdgeLabel})
+	u.adj = append(u.adj, s.halfTo(u, v, op.EdgeLabel))
+	v.adj = append(v.adj, s.halfTo(v, u, op.EdgeLabel))
 	s.sources = append(s.sources, u, v)
 	return nil
 }
 
-// queue adds v to this timestamp's recount list once.
-func (s *Store) queue(v *vnode) {
+// revive returns v, or a new vnode of id when v is nil, live under label l.
+func (s *Store) revive(v *vnode, id graph.VertexID, l graph.Label) *vnode {
+	if v == nil {
+		v = &vnode{id: id}
+		s.verts[id] = v
+	}
+	v.label, v.retired = l, false
+	return v
+}
+
+// halfTo returns the half-edge u→v labelled el, interning its triples.
+func (s *Store) halfTo(u, v *vnode, el graph.Label) half {
+	return half{v, el, s.intern(NewDim(0, u.label, el, v.label)), s.intern(NewDim(0, v.label, el, u.label))}
+}
+
+// intern returns the id of triple d, growing the scratch with the triples.
+func (s *Store) intern(d Dim) uint32 {
+	id, ok := s.triID[d]
+	if !ok {
+		id = uint32(len(s.tris))
+		s.triID[d] = id
+		s.tris = append(s.tris, d)
+		s.acc = append(s.acc, 0)
+		s.touched = append(s.touched, 0)
+	}
+	return id
+}
+
+// queue adds v to this timestamp's recount list once, keeping its least
+// hop distance.
+func (s *Store) queue(v *vnode, hop int) {
 	if v.queued != s.round {
-		v.queued = s.round
-		s.affected = append(s.affected, v.id)
+		v.queued, v.hop = s.round, hop
+		s.affected = append(s.affected, v)
+	} else if hop < v.hop {
+		v.hop = hop
 	}
 }
 
@@ -257,7 +306,7 @@ func (s *Store) sweep() {
 	for _, v := range s.sources {
 		if v.seen != s.stamp {
 			v.seen = s.stamp
-			s.queue(v)
+			s.queue(v, 0)
 			cur = append(cur, v)
 		}
 	}
@@ -268,7 +317,7 @@ func (s *Store) sweep() {
 			for _, h := range v.adj {
 				if u := h.to; u.seen != s.stamp {
 					u.seen = s.stamp
-					s.queue(u)
+					s.queue(u, hop)
 					next = append(next, u)
 				}
 			}
@@ -278,36 +327,138 @@ func (s *Store) sweep() {
 	s.cur, s.next = cur[:0], next[:0]
 }
 
-// recount recomputes the vector of vertex id from the current graph and
-// records it, dirtying id only when the vector changed, appeared or retired.
-func (s *Store) recount(id graph.VertexID) {
-	old, had := s.vectors[id]
-	v := s.verts[id]
-	if v == nil {
-		if had {
-			delete(s.vectors, id)
-			s.dirty[id] = struct{}{}
+// refresh brings every affected vertex's vector up to date: it drops the
+// vertices still retired, registers created ones, and recounts the rest.
+func (s *Store) refresh() {
+	for _, v := range s.affected {
+		switch {
+		case v.retired:
+			delete(s.verts, v.id)
+			delete(s.vectors, v.id)
+			s.dirty[v.id] = struct{}{}
+			s.nodes -= 1 + v.l1
+		case v.vec == nil:
+			v.vec = make(Vector)
+			s.vectors[v.id] = v.vec
+			s.dirty[v.id] = struct{}{}
+			s.nodes++
+		}
+	}
+	if s.depth > closedDepth {
+		for _, v := range s.affected {
+			if !v.retired {
+				s.recount(v)
+			}
 		}
 		return
 	}
+	for k := 1; k <= s.depth; k++ {
+		for _, v := range s.affected {
+			if v.hop < k && !v.retired {
+				s.sum(v, k)
+				s.settle(v, k)
+			}
+		}
+	}
+}
+
+// sum adds level k of v's triple counts up in the scratch by the
+// recurrence: from v's edges at k = 1, else from its neighbours' level k−1.
+//
+//nnt:hotpath
+func (s *Store) sum(v *vnode, k int) {
+	if k == 1 {
+		for _, h := range v.adj {
+			s.add(h.tri, 1)
+		}
+		return
+	}
+	for _, h := range v.adj {
+		for _, t := range h.to.lv[k-2] {
+			s.add(t.tri, t.n)
+		}
+	}
+	if k == 2 {
+		for _, h := range v.adj {
+			s.acc[h.rtri]--
+		}
+		return
+	}
+	back := int32(len(v.adj) - 1)
+	for _, t := range v.lv[0] {
+		s.acc[t.tri] -= back * t.n
+	}
+}
+
+// add adds n to triple t's sum. The recurrence subtracts only from triples
+// its additions touched, so touched lists every nonzero sum.
+//
+//nnt:hotpath
+func (s *Store) add(t uint32, n int32) {
+	if s.acc[t] == 0 {
+		s.touched[s.nt] = t
+		s.nt++
+	}
+	s.acc[t] += n
+}
+
+// settle makes the scratch sums level k of v's counts. When they moved, it
+// writes just the moved dimensions into v's vector and dirties v; either
+// way it clears the scratch.
+func (s *Store) settle(v *vnode, k int) {
+	s.sums = s.sums[:0]
+	for _, t := range s.touched[:s.nt] {
+		if n := s.acc[t]; n != 0 {
+			s.sums = append(s.sums, tally{t, n})
+		}
+	}
+	old := v.lv[k-1]
+	same := len(s.sums) == len(old)
+	for i := 0; same && i < len(old); i++ {
+		same = s.acc[old[i].tri] == old[i].n
+	}
+	if !same {
+		level, delta := Dim(k)<<48, 0
+		for _, t := range old {
+			delta -= int(t.n)
+			switch s.acc[t.tri] {
+			case 0:
+				delete(v.vec, s.tris[t.tri]|level)
+			case t.n:
+				s.acc[t.tri] = 0 // same count: nothing to write
+			}
+		}
+		for _, t := range s.sums {
+			delta += int(t.n)
+			if s.acc[t.tri] != 0 {
+				v.vec[s.tris[t.tri]|level] = t.n
+			}
+		}
+		v.lv[k-1] = append(old[:0], s.sums...)
+		v.l1 += delta
+		s.nodes += delta
+		s.dirty[v.id] = struct{}{}
+	}
+	for _, t := range s.touched[:s.nt] {
+		s.acc[t] = 0
+	}
+	s.nt = 0
+}
+
+// recount enumerates v's edge-distinct walks afresh (l ≥ 4) and records the
+// vector, dirtying v only when it changed.
+func (s *Store) recount(v *vnode) {
 	clear(s.count)
 	s.countL1 = 0
 	s.path[0] = v
 	s.walk(0)
 	s.nodes += s.countL1 - v.l1
 	v.l1 = s.countL1
-	if had && old.Equal(s.count) {
-		return
+	if !v.vec.Equal(s.count) {
+		clear(v.vec)
+		maps.Copy(v.vec, s.count)
+		s.dirty[v.id] = struct{}{}
 	}
-	if had {
-		clear(old)
-		for d, c := range s.count {
-			old[d] = c
-		}
-	} else {
-		s.vectors[id] = s.count.Clone()
-	}
-	s.dirty[id] = struct{}{}
 }
 
 // walk counts every tree edge below path[level]: each incident edge not

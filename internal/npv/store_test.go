@@ -1,6 +1,7 @@
 package npv
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -126,59 +127,147 @@ func randomStart(r *rand.Rand, n int) *graph.Graph {
 // of the post-state graph; after every timestamp all three agree, Nodes
 // equals the forest's TotalNodes, and the store's dirty set is exactly the
 // vertices whose vector changed (the forest's observer may over-report: it
-// dirties every root an edge event touched).
+// dirties every root an edge event touched). A degree-skewed case at the
+// closed form's depths 1–3 bulk-rewrites a hub's edges every timestamp.
 func TestStoreMatchesForestAndScratch(t *testing.T) {
 	for depth := 1; depth <= 4; depth++ {
 		for seed := int64(0); seed < 6; seed++ {
 			r := rand.New(rand.NewSource(seed*10 + int64(depth)))
 			const n = 8
-			g := randomStart(r, n)
-			st := NewStore(g, depth)
-			sp := NewSpace()
-			f := nnt.NewForest(g, depth, sp)
-			st.TakeDirty()
-			sp.TakeDirty()
-			mirror := g.Clone()
-			for step := 0; step < 30; step++ {
-				before := snapshotVectors(&st.vecTable)
-				cs := randomBatch(r, mirror, n)
-				if err := st.Apply(cs); err != nil {
-					t.Fatalf("depth=%d seed=%d step=%d: store: %v", depth, seed, step, err)
-				}
-				if err := f.ApplySet(cs); err != nil {
-					t.Fatalf("depth=%d seed=%d step=%d: forest: %v", depth, seed, step, err)
-				}
-				got := snapshotVectors(&st.vecTable)
-				scratch := ProjectForest(nnt.NewForest(mirror, depth))
-				if v, bad := diffVectors(got, scratch); bad {
-					t.Fatalf("depth=%d seed=%d step=%d %v: store vector of %d = %v; scratch %v",
-						depth, seed, step, cs, v, got[v], scratch[v])
-				}
-				if v, bad := diffVectors(snapshotVectors(&sp.vecTable), scratch); bad {
-					t.Fatalf("depth=%d seed=%d step=%d: forest vector of %d = %v; scratch %v",
-						depth, seed, step, v, sp.Vector(v), scratch[v])
-				}
-				if st.Nodes() != f.TotalNodes() {
-					t.Fatalf("depth=%d seed=%d step=%d: Nodes = %d; forest TotalNodes = %d",
-						depth, seed, step, st.Nodes(), f.TotalNodes())
-				}
-				want := changedVertices(before, got)
-				dirty := st.TakeDirty()
-				if !equalIDs(dirty, want) {
-					t.Fatalf("depth=%d seed=%d step=%d %v: dirty %v; changed %v", depth, seed, step, cs, dirty, want)
-				}
-				observed := make(map[graph.VertexID]bool)
-				for _, v := range sp.TakeDirty() {
-					observed[v] = true
-				}
-				for _, v := range want {
-					if !observed[v] {
-						t.Fatalf("depth=%d seed=%d step=%d: forest observer missed changed vertex %d", depth, seed, step, v)
-					}
-				}
+			replayAgainstForest(t, fmt.Sprintf("depth=%d seed=%d", depth, seed), randomStart(r, n), depth, 30,
+				func(mirror *graph.Graph) graph.ChangeSet { return randomBatch(r, mirror, n) })
+		}
+	}
+	for depth := 1; depth <= 3; depth++ {
+		r := rand.New(rand.NewSource(int64(depth)))
+		replayAgainstForest(t, fmt.Sprintf("hub depth=%d", depth), hubStart(r), depth, 20,
+			func(mirror *graph.Graph) graph.ChangeSet { return hubBatch(r, mirror) })
+	}
+}
+
+// replayAgainstForest runs steps change sets drawn by next from g through a
+// Store, a Space observing a Forest, and a scratch projection, and checks
+// them against each other after every timestamp (see
+// TestStoreMatchesForestAndScratch). next advances the mirror it is given.
+func replayAgainstForest(t *testing.T, name string, g *graph.Graph, depth, steps int, next func(*graph.Graph) graph.ChangeSet) {
+	t.Helper()
+	st := NewStore(g, depth)
+	sp := NewSpace()
+	f := nnt.NewForest(g, depth, sp)
+	st.TakeDirty()
+	sp.TakeDirty()
+	mirror := g.Clone()
+	for step := 0; step < steps; step++ {
+		before := snapshotVectors(&st.vecTable)
+		cs := next(mirror)
+		if err := st.Apply(cs); err != nil {
+			t.Fatalf("%s step=%d: store: %v", name, step, err)
+		}
+		if err := f.ApplySet(cs); err != nil {
+			t.Fatalf("%s step=%d: forest: %v", name, step, err)
+		}
+		got := snapshotVectors(&st.vecTable)
+		scratch := ProjectForest(nnt.NewForest(mirror, depth))
+		if v, bad := diffVectors(got, scratch); bad {
+			t.Fatalf("%s step=%d %v: store vector of %d = %v; scratch %v", name, step, cs, v, got[v], scratch[v])
+		}
+		if v, bad := diffVectors(snapshotVectors(&sp.vecTable), scratch); bad {
+			t.Fatalf("%s step=%d: forest vector of %d = %v; scratch %v", name, step, v, sp.Vector(v), scratch[v])
+		}
+		if st.Nodes() != f.TotalNodes() {
+			t.Fatalf("%s step=%d: Nodes = %d; forest TotalNodes = %d", name, step, st.Nodes(), f.TotalNodes())
+		}
+		want := changedVertices(before, got)
+		dirty := st.TakeDirty()
+		if !equalIDs(dirty, want) {
+			t.Fatalf("%s step=%d %v: dirty %v; changed %v", name, step, cs, dirty, want)
+		}
+		observed := make(map[graph.VertexID]bool)
+		for _, v := range sp.TakeDirty() {
+			observed[v] = true
+		}
+		for _, v := range want {
+			if !observed[v] {
+				t.Fatalf("%s step=%d: forest observer missed changed vertex %d", name, step, v)
 			}
 		}
 	}
+}
+
+// hubN is the vertex count of the degree-skewed case; vertex 0 is its hub.
+const hubN = 40
+
+// hubStart draws a sparse graph over hubN vertices (mean degree ~4 off the
+// hub) plus a hub adjacent to 32 of them.
+func hubStart(r *rand.Rand) *graph.Graph {
+	g := graph.New()
+	for i := 0; i < hubN; i++ {
+		_ = g.AddVertex(graph.VertexID(i), graph.Label(r.Intn(3)))
+	}
+	for i := 1; i < hubN; i++ {
+		for j := i + 1; j < hubN; j++ {
+			if r.Float64() < 0.1 {
+				_ = g.AddEdge(graph.VertexID(i), graph.VertexID(j), graph.Label(r.Intn(2)))
+			}
+		}
+	}
+	for _, v := range r.Perm(hubN - 1)[:32] {
+		_ = g.AddEdge(0, graph.VertexID(v+1), graph.Label(r.Intn(2)))
+	}
+	return g
+}
+
+// hubBatch draws one timestamp that bulk-rewrites the hub's edges, valid
+// against g: it deletes about a third of them, re-inserts half of those
+// under the other edge label, links new neighbours until the hub has 30
+// again, and adds two background ops. A leaf whose only edge went is
+// retired, and may come back under another label. g is advanced to the
+// post-state; the ops are shuffled.
+func hubBatch(r *rand.Rand, g *graph.Graph) graph.ChangeSet {
+	var dels, ins graph.ChangeSet
+	var relabel []graph.Edge
+	for _, e := range g.NeighborsSorted(0) {
+		if r.Intn(3) == 0 {
+			dels = append(dels, graph.DeleteOp(e.U, e.V))
+			if r.Intn(2) == 0 {
+				relabel = append(relabel, e)
+			}
+		}
+	}
+	u, v := graph.VertexID(1+r.Intn(hubN-1)), graph.VertexID(1+r.Intn(hubN-1))
+	if u != v {
+		dels = append(dels, graph.DeleteOp(u, v))
+	}
+	for _, op := range dels {
+		_ = op.Apply(g)
+	}
+	label := func(v graph.VertexID) graph.Label {
+		if l, ok := g.VertexLabel(v); ok {
+			return l
+		}
+		return graph.Label(r.Intn(3))
+	}
+	link := func(u, v graph.VertexID, el graph.Label) {
+		op := graph.InsertOp(u, label(u), v, label(v), el)
+		if err := op.Apply(g); err != nil {
+			panic(err)
+		}
+		ins = append(ins, op)
+	}
+	for _, e := range relabel {
+		link(e.U, e.V, 1-e.Label)
+	}
+	for g.Degree(0) < 30 {
+		if v := graph.VertexID(1 + r.Intn(hubN-1)); !g.HasEdge(0, v) {
+			link(0, v, graph.Label(r.Intn(2)))
+		}
+	}
+	if u, v := graph.VertexID(1+r.Intn(hubN-1)), graph.VertexID(1+r.Intn(hubN-1)); u != v && !g.HasEdge(u, v) {
+		link(u, v, graph.Label(r.Intn(2)))
+	}
+	cs := append(dels, ins...)
+	r.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+	return cs
 }
 
 func equalIDs(a, b []graph.VertexID) bool {
@@ -263,8 +352,9 @@ func TestStoreErrors(t *testing.T) {
 }
 
 // decodeSchedule turns fuzz bytes into a depth, a start graph over at most
-// eight vertices and a schedule of change sets. Byte 0 picks the depth
-// (1–4) and the vertex count; then one label byte per vertex; then a count
+// sixteen vertices — as many as an endpoint nibble addresses, so a vertex
+// can reach degree 15 — and a schedule of change sets. Byte 0 picks the
+// depth (1–4) and the vertex count; then one label byte per vertex; then a count
 // of start edges and two bytes per edge; the rest are two-byte ops: the
 // first byte's bit 0 picks insert/delete, bit 1 ends the timestamp after
 // the op, bit 2 makes an insertion reuse the endpoints' current labels
@@ -281,7 +371,7 @@ func decodeSchedule(data []byte) (depth int, g *graph.Graph, steps []graph.Chang
 	}
 	h := next()
 	depth = 1 + int(h%4)
-	n := 2 + int(h>>2)%7
+	n := 2 + int(h>>2)%15
 	g = graph.New()
 	for i := 0; i < n; i++ {
 		_ = g.AddVertex(graph.VertexID(i), graph.Label(next()%3))
@@ -341,6 +431,14 @@ func FuzzRecountMatchesForest(f *testing.F) {
 		r.Read(b)
 		f.Add(b)
 	}
+	// A star: depth 3, 16 vertices, a hub adjacent to all 15 others, then
+	// timestamps that rewrite its edges, one under the other edge label.
+	star := []byte{0x3a, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 15}
+	for v := byte(1); v < 16; v++ {
+		star = append(star, v&1, v)
+	}
+	star = append(star, 0x01, 0x01, 0x01, 0x02, 0x06, 0x12, 0x84, 0x01, 0x03, 0x0f, 0x06, 0xf3, 0x03, 0x03)
+	f.Add(star)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		depth, g, steps := decodeSchedule(data)
 		st := NewStore(g, depth)

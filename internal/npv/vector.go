@@ -14,7 +14,7 @@ package npv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"nntstream/internal/graph"
@@ -118,7 +118,7 @@ func (v Vector) Support() []Dim {
 	for d := range v {
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
