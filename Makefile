@@ -97,7 +97,7 @@ crashtest-cluster:
 # user files (WAL frames, checkpoint JSON, graph text formats) plus the
 # kernel-equivalence properties (packed dominance, qindex candidate
 # soundness, NPV recount vs forest patching, undo-logged change sets vs Apply
-# on a clone). The default budget keeps it
+# on a clone, Skyline's witness memo vs the NL oracle). The default budget keeps it
 # pre-commit-friendly; override FUZZTIME for a real campaign.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -107,6 +107,7 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzPackedDominates -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzQindexCandidates -fuzztime=$(FUZZTIME) ./internal/qindex/
 	$(GO) test -fuzz=FuzzRecountMatchesForest -fuzztime=$(FUZZTIME) ./internal/npv/
+	$(GO) test -fuzz=FuzzSkylineMatchesNL -fuzztime=$(FUZZTIME) ./internal/join/
 
 # Sustained-throughput drill against a live serve socket (see
 # scripts/loadtest.sh): open-loop sustain + overload phases, asserting the

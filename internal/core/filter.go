@@ -8,8 +8,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nntstream/internal/graph"
 	"nntstream/internal/obs"
@@ -30,14 +31,18 @@ type Pair struct {
 
 func (p Pair) String() string { return fmt.Sprintf("(G%d,Q%d)", p.Stream, p.Query) }
 
+// ComparePairs orders pairs by (Stream, Query), the order every candidate
+// set is reported in, for slices.SortFunc and slices.BinarySearchFunc.
+func ComparePairs(a, b Pair) int {
+	if c := cmp.Compare(a.Stream, b.Stream); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Query, b.Query)
+}
+
 // SortPairs orders pairs by (Stream, Query) in place and returns the slice.
 func SortPairs(ps []Pair) []Pair {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Stream != ps[j].Stream {
-			return ps[i].Stream < ps[j].Stream
-		}
-		return ps[i].Query < ps[j].Query
-	})
+	slices.SortFunc(ps, ComparePairs)
 	return ps
 }
 

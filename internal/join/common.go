@@ -24,7 +24,7 @@ package join
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
@@ -66,25 +66,39 @@ func batchStreamIDs(changes map[core.StreamID]graph.ChangeSet) []core.StreamID {
 	for id := range changes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
 // sortedQueryIDs extracts registered query IDs in ascending order — the
 // pair-task enumeration order of the batch path.
-func sortedQueryIDs(m map[core.QueryID][]npv.PackedVector) []core.QueryID {
+func sortedQueryIDs(m map[core.QueryID]*vecQuery) []core.QueryID {
 	qids := make([]core.QueryID, 0, len(m))
 	for qid := range m {
 		qids = append(qids, qid)
 	}
-	sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
+	slices.Sort(qids)
 	return qids
 }
 
-// pairTask is one (stream, query) re-evaluation unit of a parallel batch.
+// pairTask is one (stream, query) re-evaluation unit of a parallel batch,
+// with the result slots the task alone writes: the verdict, the vectors
+// scanned and the kernel calls, which the merge flushes.
 type pairTask struct {
-	sid core.StreamID
-	qid core.QueryID
+	s       *vecJoinStream
+	q       *vecQuery
+	ok      bool
+	scanned int64
+	tally   npv.Tally
+}
+
+// vecQuery is one registered query: the vectors that decide its verdict,
+// and a dense slot, recycled after RemoveQuery, that indexes every stream's
+// per-query state.
+type vecQuery struct {
+	id   core.QueryID
+	slot int32
+	vecs []npv.PackedVector
 }
 
 // runStreams is the per-stream maintenance stage every ApplyAll opens with:
@@ -113,21 +127,26 @@ type vecStream interface {
 	// when no vector changed). It mutates only this stream, so distinct
 	// streams reconcile independently.
 	reconcile() []npv.DirtyDelta
-	// probe reports whether every query vector in vecs is dominated by some
-	// stream vector, and how many stream vectors it scanned deciding,
-	// counting its kernel calls into t. It reads the reconciled stream state
-	// and touches nothing else, which is what makes the pair fan-out safe.
-	probe(vecs []npv.PackedVector, t *npv.Tally) (joinable bool, scanned int64)
+	// probe reports whether every vector of q is dominated by some stream
+	// vector, and how many stream vectors it scanned deciding, counting its
+	// kernel calls into t. It reads the reconciled stream state and writes
+	// only the stream's memo for q's slot, which is what makes the pair
+	// fan-out safe.
+	probe(q *vecQuery, t *npv.Tally) (joinable bool, scanned int64)
+	// memo empties the per-pair memo of query slot and sizes it for n query
+	// vectors; n = 0 drops it. Only the serialized paths call it.
+	memo(slot int32, n int)
 }
 
 // vecJoinStream is one stream of a vecJoin: the strategy's half, the
-// stream's NPV store, the cached verdict of every registered query, and the
-// stream's candidate-generation scratch (only its own maintenance task uses
-// it).
+// stream's NPV store, the cached verdict of every registered query by slot,
+// and the stream's candidate-generation scratch (only its own maintenance
+// task uses it).
 type vecJoinStream struct {
 	vecStream
+	id      core.StreamID
 	store   *npv.Store
-	verdict map[core.QueryID]bool
+	verdict []bool
 	scratch qindex.Scratch
 }
 
@@ -151,8 +170,17 @@ type vecJoin struct {
 	derive    func(q *graph.Graph, depth int) []npv.PackedVector
 	newStream func(store *npv.Store) vecStream
 
-	queries map[core.QueryID][]npv.PackedVector
+	queries map[core.QueryID]*vecQuery
+	// slots counts the query slots issued; free holds those RemoveQuery
+	// released, reused first.
+	slots   int32
+	free    []int32
 	streams map[core.StreamID]*vecJoinStream
+	// answer is the candidate set in (Stream, Query) order. Every verdict
+	// write that flips a verdict patches it, so a read is a copy.
+	answer []core.Pair
+	// tasks is ApplyAll's pair-task buffer, reused across steps.
+	tasks []pairTask
 	// ix is the query dominance index; nil means every query is a candidate.
 	ix *qindex.Index
 	// scans counts stream vectors scanned by probes over the run. Written
@@ -168,7 +196,7 @@ func newVecJoin(depth int, ix *qindex.Index, derive func(*graph.Graph, int) []np
 		depth:     depth,
 		derive:    derive,
 		newStream: newStream,
-		queries:   make(map[core.QueryID][]npv.PackedVector),
+		queries:   make(map[core.QueryID]*vecQuery),
 		streams:   make(map[core.StreamID]*vecJoinStream),
 		ix:        ix,
 	}
@@ -185,15 +213,20 @@ func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 	if _, ok := j.queries[id]; ok {
 		return fmt.Errorf("join: duplicate query %d", id)
 	}
-	vecs := j.derive(q, j.depth)
-	j.queries[id] = vecs
+	vq := &vecQuery{id: id, slot: j.slots, vecs: j.derive(q, j.depth)}
+	if n := len(j.free); n > 0 {
+		vq.slot, j.free = j.free[n-1], j.free[:n-1]
+	} else {
+		j.slots++
+	}
+	j.queries[id] = vq
 	if j.ix != nil {
-		for i, u := range vecs {
+		for i, u := range vq.vecs {
 			j.ix.Add(qindex.Key{Query: id, Vertex: graph.VertexID(i)}, u)
 		}
 	}
 	for _, s := range j.streams {
-		s.verdict[id] = j.evaluate(s, id)
+		j.setVerdict(s, vq, j.evaluate(s, vq))
 	}
 	return nil
 }
@@ -201,7 +234,8 @@ func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 // RemoveQuery implements core.DynamicFilter: the packed query vectors, the
 // per-stream verdicts, and the index postings are all torn down.
 func (j *vecJoin) RemoveQuery(id core.QueryID) error {
-	if _, ok := j.queries[id]; !ok {
+	vq, ok := j.queries[id]
+	if !ok {
 		return fmt.Errorf("join: unknown query %d", id)
 	}
 	delete(j.queries, id)
@@ -209,8 +243,11 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 		j.ix.RemoveQuery(id)
 	}
 	for _, s := range j.streams {
-		delete(s.verdict, id)
+		s.verdict[vq.slot] = false
+		s.memo(vq.slot, 0)
 	}
+	j.free = append(j.free, vq.slot)
+	j.answer = slices.DeleteFunc(j.answer, func(p core.Pair) bool { return p.Query == id })
 	return nil
 }
 
@@ -229,24 +266,57 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	store.EnablePacking()
 	s := &vecJoinStream{
 		vecStream: j.newStream(store),
+		id:        id,
 		store:     store,
-		verdict:   make(map[core.QueryID]bool, len(j.queries)),
+		verdict:   make([]bool, j.slots),
 	}
 	j.streams[id] = s
 	s.reconcile()
-	for qid := range j.queries {
-		s.verdict[qid] = j.evaluate(s, qid)
+	for _, vq := range j.queries {
+		s.verdict[vq.slot] = j.evaluate(s, vq)
 	}
+	// The new stream's pairs interleave with the others', so the answer is
+	// rebuilt rather than patched pair by pair.
+	j.answer = j.answer[:0]
+	for sid, st := range j.streams {
+		for _, vq := range j.queries {
+			if st.verdict[vq.slot] {
+				j.answer = append(j.answer, core.Pair{Stream: sid, Query: vq.id})
+			}
+		}
+	}
+	core.SortPairs(j.answer)
 	return nil
 }
 
-// evaluate probes one query against one stream on the serialized path.
-func (j *vecJoin) evaluate(s *vecJoinStream, qid core.QueryID) bool {
+// evaluate probes a query new to the stream on the serialized path, after
+// sizing the stream's state for the query's slot.
+func (j *vecJoin) evaluate(s *vecJoinStream, vq *vecQuery) bool {
+	if int(vq.slot) == len(s.verdict) {
+		s.verdict = append(s.verdict, false)
+	}
+	s.memo(vq.slot, len(vq.vecs))
 	var t npv.Tally
-	ok, scanned := s.probe(j.queries[qid], &t)
+	ok, scanned := s.probe(vq, &t)
 	t.Flush()
 	j.scans += scanned
 	return ok
+}
+
+// setVerdict records a pair's verdict and, where it flips, patches the
+// answer: the pair is in the answer iff its verdict is true.
+func (j *vecJoin) setVerdict(s *vecJoinStream, vq *vecQuery, ok bool) {
+	if s.verdict[vq.slot] == ok {
+		return
+	}
+	s.verdict[vq.slot] = ok
+	p := core.Pair{Stream: s.id, Query: vq.id}
+	i, _ := slices.BinarySearchFunc(j.answer, p, core.ComparePairs)
+	if ok {
+		j.answer = slices.Insert(j.answer, i, p)
+	} else {
+		j.answer = slices.Delete(j.answer, i, i+1)
+	}
 }
 
 // Apply implements core.Filter as a one-entry batch.
@@ -262,9 +332,9 @@ func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
 // own scratch (or, without an index, takes every query) and so is race-free
 // inside the per-stream task.
 // Dominance re-evaluation then fans out one task per (changed stream,
-// candidate query) pair. Each task writes only its own slot, and the merge
-// walks slots in (StreamID, QueryID) order, so the verdicts — and therefore
-// Candidates — do not depend on the worker count.
+// candidate query) pair. Each task writes only its own slot and its pair's
+// memo, and the merge patches the answer from the slots, so the verdicts —
+// and therefore Candidates — do not depend on the worker count.
 func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 	cands := make([][]core.QueryID, len(changes))
 	var allQ []core.QueryID
@@ -294,38 +364,34 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		return err
 	}
 
-	var tasks []pairTask
+	tasks := j.tasks[:0]
 	for i, id := range ids {
+		s := j.streams[id]
 		for _, qid := range cands[i] {
-			tasks = append(tasks, pairTask{sid: id, qid: qid})
+			tasks = append(tasks, pairTask{s: s, q: j.queries[qid]})
 		}
 	}
-	verdicts := make([]bool, len(tasks))
-	scans := make([]int64, len(tasks))
+	j.tasks = tasks
 	j.pool.run(len(tasks), func(i int) {
-		t := tasks[i]
-		var tally npv.Tally
-		verdicts[i], scans[i] = j.streams[t.sid].probe(j.queries[t.qid], &tally)
-		tally.Flush()
+		t := &tasks[i]
+		t.ok, t.scanned = t.s.probe(t.q, &t.tally)
 	})
-	for i, t := range tasks {
-		j.streams[t.sid].verdict[t.qid] = verdicts[i]
-		j.scans += scans[i]
+	for i := range tasks {
+		t := &tasks[i]
+		t.tally.Flush()
+		j.setVerdict(t.s, t.q, t.ok)
+		j.scans += t.scanned
 	}
 	return nil
 }
 
-// Candidates implements core.Filter.
+// Candidates implements core.Filter: a copy of the answer the verdict
+// writes keep patched.
 func (j *vecJoin) Candidates() []core.Pair {
-	var out []core.Pair
-	for sid, s := range j.streams {
-		for qid, ok := range s.verdict {
-			if ok {
-				out = append(out, core.Pair{Stream: sid, Query: qid})
-			}
-		}
+	if len(j.answer) == 0 {
+		return nil
 	}
-	return core.SortPairs(out)
+	return slices.Clone(j.answer)
 }
 
 // RegisterMetrics implements core.MetricsFilter with the series NL and
@@ -341,7 +407,7 @@ func (j *vecJoin) RegisterMetrics(r *obs.Registry, locked func(func() float64) f
 		"Stream vertex vectors summed over all streams.",
 		locked(func() float64 { return j.sumStreams((*npv.Store).Len) }))
 	r.CounterFunc("nntstream_filter_vector_scans_total",
-		"Stream vectors scanned by dominance probes.",
+		"Stream vectors scanned by dominance probes. A Skyline witness not resealed since its check counts 0, a resealed one re-tested counts 1.",
 		locked(func() float64 { return float64(j.scans) }))
 	r.GaugeFunc("nntstream_filter_nnt_nodes",
 		"NNT nodes the stream vectors project, summed over all streams.",
@@ -366,8 +432,8 @@ func (j *vecJoin) sumStreams(size func(*npv.Store) int) float64 {
 // queryVectorCount sums the registered verdict-deciding query vectors.
 func (j *vecJoin) queryVectorCount() int {
 	n := 0
-	for _, vecs := range j.queries {
-		n += len(vecs)
+	for _, vq := range j.queries {
+		n += len(vq.vecs)
 	}
 	return n
 }

@@ -1,0 +1,133 @@
+package join
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"nntstream/internal/core"
+	"nntstream/internal/graph"
+)
+
+// FuzzSkylineMatchesNL decodes a byte schedule of change batches and query
+// registrations and removals over two small streams, and after every op
+// compares Skyline, driven both through Apply and through the pool's
+// ApplyAll, with the NL oracle. The schedule steers the witness memo: ops
+// toggle edges among eight vertices, so witnesses shrink, retire and return,
+// and removed queries' slots are taken by new ones.
+//
+// Layout: byte 0 picks the depth and seeds the random source that builds
+// the start graphs and query shapes. Each later op byte selects an op by
+// its low two bits: 0 registers a query, 1 removes the live query the next
+// byte indexes, and otherwise a batch reads one byte per edge toggle (three
+// bits per endpoint).
+func FuzzSkylineMatchesNL(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 2, 0x13, 0x27, 0x41, 2, 0x05, 0x66, 1, 0})
+	f.Add([]byte{5, 0, 4, 2, 0x10, 0x32, 0x54, 0x76, 3, 0x01, 1, 3, 0x10, 0x10, 0})
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 6; i++ {
+		b := make([]byte, 8+r.Intn(56))
+		r.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 256 {
+			return
+		}
+		depth := 1 + int(data[0]%3)
+		r := rand.New(rand.NewSource(int64(data[0])))
+		data = data[1:]
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+
+		seq, par, nl := NewSkyline(depth), NewSkyline(depth), NewNL(depth)
+		par.SetWorkers(4)
+		filters := []core.DynamicFilter{seq, par, nl}
+		graphs := map[core.StreamID]*graph.Graph{0: randomConnected(r, 6, 3, 2), 1: randomConnected(r, 6, 3, 2)}
+		var live []core.QueryID
+		nextQ := core.QueryID(0)
+		// addQuery registers a subgraph of stream sid, or of the other
+		// stream when sid has no edge; it reports false when neither has one.
+		addQuery := func(sid core.StreamID) bool {
+			if graphs[sid].EdgeCount() == 0 {
+				sid = 1 - sid
+			}
+			if graphs[sid].EdgeCount() == 0 {
+				return false
+			}
+			q := randomSub(r, graphs[sid])
+			for _, f := range filters {
+				if err := f.AddQuery(nextQ, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live = append(live, nextQ)
+			nextQ++
+			return true
+		}
+		check := func(op int) {
+			want := nl.Candidates()
+			for _, f := range []*Skyline{seq, par} {
+				if got := f.Candidates(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d: Skyline candidates %v != NL %v", op, got, want)
+				}
+			}
+		}
+
+		addQuery(0)
+		addQuery(1)
+		for sid := core.StreamID(0); sid < 2; sid++ {
+			for _, f := range filters {
+				if err := f.AddStream(sid, graphs[sid].Clone()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check(-1)
+		for op := 0; len(data) > 0; op++ {
+			b := next()
+			switch {
+			case b%4 == 0 && addQuery(core.StreamID(b>>2&1)):
+			case b%4 == 1 && len(live) > 0:
+				i := int(next()) % len(live)
+				for _, f := range filters {
+					if err := f.RemoveQuery(live[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live = append(live[:i], live[i+1:]...)
+			default:
+				// Bits 2–3 pick the streams (1: stream 0, 2: stream 1,
+				// otherwise both), bits 4–5 the toggles per stream, less one.
+				which, n := b>>2&3, 1+int(b>>4&3)
+				batch := toggleBatch(r, graphs, func(sid core.StreamID, _ *graph.Graph, toggle func(u, v graph.VertexID)) {
+					if which == 1 && sid != 0 || which == 2 && sid != 1 {
+						return
+					}
+					for k := 0; k < n; k++ {
+						e := next()
+						toggle(graph.VertexID(e&7), graph.VertexID(e>>3&7))
+					}
+				})
+				for _, f := range []core.Filter{seq, nl} {
+					for _, sid := range batchStreamIDs(batch) {
+						if err := f.Apply(sid, batch[sid]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := par.ApplyAll(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(op)
+		}
+	})
+}

@@ -40,9 +40,12 @@ type nlStream struct{ store *npv.Store }
 
 func (s nlStream) reconcile() []npv.DirtyDelta { return s.store.SealDirty() }
 
-func (s nlStream) probe(vecs []npv.PackedVector, t *npv.Tally) (bool, int64) {
-	return evalQuery(s.store, vecs, t)
+func (s nlStream) probe(q *vecQuery, t *npv.Tally) (bool, int64) {
+	return evalQuery(s.store, q.vecs, t)
 }
+
+// memo is a no-op: the oracle keeps no per-pair state.
+func (nlStream) memo(int32, int) {}
 
 // evalQuery is the pure dominance check one pair task runs: it reads the
 // stream space and the query vectors, and touches no filter state, which is

@@ -3,6 +3,7 @@ package join
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -99,6 +100,9 @@ type oracleEquiv struct {
 	// streamsFirst registers the streams before any query, so every query
 	// arrives live through the dynamic path.
 	streamsFirst bool
+	// batch generates step's change batch, mutating graphs to the new
+	// canonical state; nil means randomBatch.
+	batch func(r *rand.Rand, graphs map[core.StreamID]*graph.Graph, step int) map[core.StreamID]graph.ChangeSet
 }
 
 // run drives every oracleFilters participant through a randomized
@@ -222,7 +226,12 @@ func (c oracleEquiv) run(t *testing.T) {
 				}
 				delete(live, victim)
 			default:
-				batch := randomBatch(r, graphs)
+				var batch map[core.StreamID]graph.ChangeSet
+				if c.batch != nil {
+					batch = c.batch(r, graphs, step)
+				} else {
+					batch = randomBatch(r, graphs)
+				}
 				for _, ef := range all {
 					if ef.par != nil {
 						if err := ef.par.ApplyAll(batch); err != nil {
@@ -292,20 +301,107 @@ func TestDynamicAgreementRandomized(t *testing.T) {
 	oracleEquiv{seedBase: 0, seeds: 4, steps: 25, streamsFirst: true}.run(t)
 }
 
+// TestHubResealMatchesOracleRandomized: every step toggles an edge at each
+// of the hub vertices 0 and 1 of every stream — the low IDs randomConnected
+// links most, so the likeliest Skyline witnesses — so witnesses are
+// resealed every step and re-tested on the kernel instead of trusted.
+func TestHubResealMatchesOracleRandomized(t *testing.T) {
+	oracleEquiv{seedBase: 5100, seeds: 3, steps: 24, batch: func(r *rand.Rand, graphs map[core.StreamID]*graph.Graph, _ int) map[core.StreamID]graph.ChangeSet {
+		return toggleBatch(r, graphs, func(_ core.StreamID, _ *graph.Graph, toggle func(u, v graph.VertexID)) {
+			toggle(0, graph.VertexID(2+r.Intn(10)))
+			toggle(1, graph.VertexID(2+r.Intn(10)))
+			toggle(graph.VertexID(2+r.Intn(10)), graph.VertexID(2+r.Intn(10)))
+		})
+	}}.run(t)
+}
+
+// TestMaxRetreatAndRiseMatchesOracleRandomized: vertex 0 of every stream
+// loses edges for five steps and gains them for the next five, so its
+// dimensions' max bounds retreat (members shrink, dimensions empty and are
+// dropped) and then rise again.
+func TestMaxRetreatAndRiseMatchesOracleRandomized(t *testing.T) {
+	oracleEquiv{seedBase: 5200, seeds: 3, steps: 30, batch: func(r *rand.Rand, graphs map[core.StreamID]*graph.Graph, step int) map[core.StreamID]graph.ChangeSet {
+		shrink := step/5%2 == 0
+		return toggleBatch(r, graphs, func(_ core.StreamID, cur *graph.Graph, toggle func(u, v graph.VertexID)) {
+			for _, x := range r.Perm(11)[:3] {
+				if v := graph.VertexID(1 + x); cur.HasEdge(0, v) == shrink {
+					toggle(0, v)
+				}
+			}
+		})
+	}}.run(t)
+}
+
+// toggleBatch builds one change set per stream, in ascending stream order,
+// from the edges pick toggles against stream sid's current graph cur: present
+// edges are deleted and absent ones inserted (a vertex new to the graph
+// gets a random label), and an edge is toggled at most once. It then
+// applies each set as randomBatch does.
+func toggleBatch(r *rand.Rand, graphs map[core.StreamID]*graph.Graph, pick func(sid core.StreamID, cur *graph.Graph, toggle func(u, v graph.VertexID))) map[core.StreamID]graph.ChangeSet {
+	batch := make(map[core.StreamID]graph.ChangeSet)
+	sids := make([]core.StreamID, 0, len(graphs))
+	for sid := range graphs {
+		sids = append(sids, sid)
+	}
+	slices.Sort(sids)
+	for _, sid := range sids {
+		cur := graphs[sid]
+		var cs graph.ChangeSet
+		touched := make(map[[2]graph.VertexID]bool)
+		fresh := make(map[graph.VertexID]graph.Label)
+		labelOf := func(v graph.VertexID) graph.Label {
+			if l, ok := cur.VertexLabel(v); ok {
+				return l
+			}
+			if _, ok := fresh[v]; !ok {
+				fresh[v] = graph.Label(r.Intn(3))
+			}
+			return fresh[v]
+		}
+		pick(sid, cur, func(u, v graph.VertexID) {
+			key := [2]graph.VertexID{min(u, v), max(u, v)}
+			if u == v || touched[key] {
+				return
+			}
+			touched[key] = true
+			if cur.HasEdge(u, v) {
+				cs = append(cs, graph.DeleteOp(u, v))
+			} else {
+				cs = append(cs, graph.InsertOp(u, labelOf(u), v, labelOf(v), graph.Label(r.Intn(2))))
+			}
+		})
+		cs = cs.Normalize()
+		next := cur.Clone()
+		if len(cs) == 0 || cs.Apply(next) != nil {
+			continue
+		}
+		graphs[sid], batch[sid] = next, cs
+	}
+	return batch
+}
+
 // assertVecJoinTornDown checks the shared NL/Skyline query state is empty:
 // index postings (when the strategy has an index), packed query vectors,
-// and per-stream verdicts.
+// the answer, per-stream verdicts and Skyline's pair memos.
 func assertVecJoinTornDown(t *testing.T, name string, j *vecJoin) {
 	t.Helper()
 	if j.ix != nil && (j.ix.PostingCount() != 0 || j.ix.QueryCount() != 0) {
 		t.Fatalf("%s: index leaked: %d postings, %d queries", name, j.ix.PostingCount(), j.ix.QueryCount())
 	}
-	if len(j.queries) != 0 {
-		t.Fatalf("%s: %d packed queries leaked", name, len(j.queries))
+	if len(j.queries) != 0 || len(j.answer) != 0 || len(j.free) != int(j.slots) {
+		t.Fatalf("%s: %d packed queries and %d answer pairs leaked, %d of %d slots free",
+			name, len(j.queries), len(j.answer), len(j.free), j.slots)
 	}
 	for sid, s := range j.streams {
-		if len(s.verdict) != 0 {
-			t.Fatalf("%s stream %d: %d stale verdicts", name, sid, len(s.verdict))
+		if slices.Contains(s.verdict, true) {
+			t.Fatalf("%s stream %d: stale verdicts %v", name, sid, s.verdict)
+		}
+		if ss, ok := s.vecStream.(*skyStream); ok {
+			for slot, m := range ss.pairs {
+				if m.wit != nil || m.refute != 0 {
+					t.Fatalf("%s stream %d: slot %d kept its memo", name, sid, slot)
+				}
+			}
 		}
 	}
 }

@@ -25,11 +25,13 @@ import (
 //     only the vectors of the query vector's lowest-cardinality nonzero
 //     dimension are scanned, since any dominator must appear there.
 //
-// A fourth optimization is ours: the maximal vectors of every registered
+// Two more optimizations are ours. The maximal vectors of every registered
 // query live in a qindex.Index, so a changed stream re-evaluates only the
 // queries whose verdict the dirty vertices' seal transitions could have
 // flipped, instead of all of them (NL's full re-evaluation is the
-// reference).
+// reference). And a re-evaluation starts from the pair's witness memo: the
+// vector that refuted the pair last is tested first, and a vector whose
+// last dominator has not been resealed since is dominated without a test.
 //
 // Skyline is the production join: cmd/serve runs it unless told otherwise.
 type Skyline struct{ vecJoin }
@@ -44,14 +46,37 @@ type skyStream struct {
 	verts map[graph.VertexID]*skyVertex
 	// pos is reconcile's scratch for a vertex's next member positions.
 	pos []int32
+	// seals counts the reconciles that sealed something; pairs holds each
+	// registered query's pair memo, by query slot.
+	seals uint64
+	pairs []pairMemo
 }
 
 // skyVertex is one vertex with a nonempty sealed vector p: pos runs parallel
 // to p's support, pos[i] being the vertex's index in the members of
-// dimension p.Dim(i), so leaving a dimension is an O(1) swap-remove.
+// dimension p.Dim(i), so leaving a dimension is an O(1) swap-remove. seal is
+// the stream's seal count when reconcile last wrote p; a retired vertex's
+// record keeps its final, empty p.
 type skyVertex struct {
-	p   npv.PackedVector
-	pos []int32
+	p    npv.PackedVector
+	pos  []int32
+	seal uint64
+}
+
+// pairMemo is what deciding one (stream, query) pair left behind: the index
+// of the maximal vector that refuted it, and per maximal vector the stream
+// vertex that dominated it when last checked.
+type pairMemo struct {
+	refute int32
+	wit    []witness
+}
+
+// witness is a vertex that dominated a query vector at seal count at. While
+// the vertex's seal is at most at, its sealed vector is the one checked, so
+// it still dominates the (static) query vector.
+type witness struct {
+	sv *skyVertex
+	at uint64
 }
 
 // dimStat is one dimension's statistics: the vertices whose sealed vector is
@@ -97,9 +122,13 @@ func maximalByMass(q *graph.Graph, depth int) []npv.PackedVector {
 // of the dimensions its old sealed vector had and its new one lacks, keeps
 // its place in those both have, and joins those only its new one has,
 // raising their max. A vertex that appeared has an empty Old and a retired
-// one an empty New, so all three fall out of the same merge walk.
+// one an empty New, so all three fall out of the same merge walk. Every
+// record written is stamped with the stream's new seal count.
 func (ss *skyStream) reconcile() []npv.DirtyDelta {
 	deltas := ss.store.SealDirty()
+	if len(deltas) > 0 {
+		ss.seals++
+	}
 	for _, dl := range deltas {
 		sv, cur := ss.verts[dl.Vertex], dl.New
 		if sv == nil {
@@ -135,6 +164,7 @@ func (ss *skyStream) reconcile() []npv.DirtyDelta {
 			}
 		}
 		sv.p, sv.pos, ss.pos = cur, append(sv.pos[:0], pos...), pos
+		sv.seal = ss.seals
 		if cur.Len() == 0 {
 			delete(ss.verts, dl.Vertex)
 		}
@@ -159,39 +189,76 @@ func (ss *skyStream) leave(d npv.Dim, at int32) {
 	}
 }
 
+// memo implements vecStream.
+func (ss *skyStream) memo(slot int32, n int) {
+	if int(slot) >= len(ss.pairs) {
+		ss.pairs = append(ss.pairs, make([]pairMemo, int(slot)+1-len(ss.pairs))...)
+	}
+	ss.pairs[slot] = pairMemo{}
+	if n > 0 {
+		ss.pairs[slot].wit = make([]witness, n)
+	}
+}
+
 // probe implements vecStream.
-func (ss *skyStream) probe(maximal []npv.PackedVector, t *npv.Tally) (bool, int64) {
-	return evalMaximal(ss, maximal, t)
+func (ss *skyStream) probe(q *vecQuery, t *npv.Tally) (bool, int64) {
+	return evalMaximal(ss, q.vecs, &ss.pairs[q.slot], t)
 }
 
 // evalMaximal reports joinability — true iff every maximal query vector is
-// dominated by some stream vector. It reads the reconciled per-dimension
-// statistics and the query's maximal vectors, and touches no filter state,
-// which is what makes the fan-out safe.
+// dominated by some stream vector — starting from the vector that refuted
+// the pair last and going on in rotation. It reads the reconciled
+// per-dimension statistics and the query's maximal vectors, and writes only
+// the pair's memo m, which is what makes the fan-out safe.
 //
 //nnt:hotpath
-func evalMaximal(ss *skyStream, maximal []npv.PackedVector, t *npv.Tally) (bool, int64) {
+func evalMaximal(ss *skyStream, maximal []npv.PackedVector, m *pairMemo, t *npv.Tally) (bool, int64) {
 	var total int64
-	for _, u := range maximal {
-		ok, scanned := dominated(ss, u, t)
+	for k := range maximal {
+		i := (int(m.refute) + k) % len(maximal)
+		ok, scanned := ss.witnessed(&m.wit[i], maximal[i], t)
 		total += scanned
 		if !ok {
-			// u is a bichromatic skyline point of the query vectors with
-			// respect to the stream vectors: early stop, prune the pair.
+			// maximal[i] is a bichromatic skyline point of the query vectors
+			// with respect to the stream vectors: early stop, prune the pair,
+			// and test this vector first next time.
+			m.refute = int32(i)
 			return false, total
 		}
 	}
 	return true, total
 }
 
-// dominated implements the stream-side probe for one query vector,
-// reporting the number of stream vectors scanned in the probe loop.
+// witnessed decides one maximal vector u from its witness w: a witness not
+// resealed since it was checked still dominates u and costs no test, a
+// resealed one costs one kernel call, and otherwise the full probe runs and
+// w records the dominator it finds (nil when u is refuted).
 //
 //nnt:hotpath
-func dominated(ss *skyStream, u npv.PackedVector, t *npv.Tally) (bool, int64) {
+func (ss *skyStream) witnessed(w *witness, u npv.PackedVector, t *npv.Tally) (bool, int64) {
+	if w.sv != nil {
+		if w.sv.seal <= w.at {
+			return true, 0
+		}
+		if t.Dominates(w.sv.p, u) {
+			w.at = ss.seals
+			return true, 1
+		}
+	}
+	sv, ok, scanned := dominator(ss, u, t)
+	w.sv, w.at = sv, ss.seals
+	return ok, scanned
+}
+
+// dominator implements the stream-side probe for one query vector: whether
+// some stream vector dominates u, the record of the one found (nil for an
+// empty u, which any vertex dominates), and the number of stream vectors
+// scanned in the probe loop.
+//
+//nnt:hotpath
+func dominator(ss *skyStream, u npv.PackedVector, t *npv.Tally) (*skyVertex, bool, int64) {
 	if u.Len() == 0 {
-		// An empty query vector is dominated by any vertex.
-		return ss.store.Len() > 0, 0
+		return nil, ss.store.Len() > 0, 0
 	}
 	var probe *dimStat
 	for i := 0; i < u.Len(); i++ {
@@ -199,7 +266,7 @@ func dominated(ss *skyStream, u npv.PackedVector, t *npv.Tally) (bool, int64) {
 		if stat == nil || u.Count(i) > stat.max {
 			// No stream vector reaches u in dimension d (max bounds them
 			// all): u is a skyline point, refuted in O(|support|).
-			return false, 0
+			return nil, false, 0
 		}
 		if probe == nil || len(stat.members) < len(probe.members) {
 			probe = stat
@@ -210,10 +277,10 @@ func dominated(ss *skyStream, u npv.PackedVector, t *npv.Tally) (bool, int64) {
 	// hold the vectors the same reconcile step sealed.
 	for k, sv := range probe.members {
 		if t.Dominates(sv.p, u) {
-			return true, int64(k + 1)
+			return sv, true, int64(k + 1)
 		}
 	}
-	return false, int64(len(probe.members))
+	return nil, false, int64(len(probe.members))
 }
 
 // RegisterMetrics implements core.MetricsFilter: the shared vector-join

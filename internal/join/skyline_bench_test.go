@@ -1,0 +1,103 @@
+package join
+
+import (
+	"math/rand"
+	"testing"
+
+	"nntstream/internal/core"
+	"nntstream/internal/datagen"
+	"nntstream/internal/graph"
+)
+
+// BenchmarkSkylineStepManyQueries is the join's share of the many_queries
+// regime: 1600 registered queries of 3–8 edges, drawn from two streams of
+// 600 edges over 400 vertices, and a timestamp that toggles two edges of
+// each stream. One op is one ApplyAll plus the Candidates read that follows
+// every engine step. The steps form a cycle that returns both streams to
+// their start graphs, so b.N does not change what a step costs.
+func BenchmarkSkylineStepManyQueries(b *testing.B) {
+	const streams, vertices, edges, queries, half = 2, 400, 600, 1600, 128
+	r := rand.New(rand.NewSource(16))
+	type stream struct {
+		universe []graph.ChangeOp
+		present  []bool
+	}
+	ss := make([]stream, streams)
+	f := NewSkyline(DefaultDepth)
+	var g0s []*graph.Graph
+	for i := range ss {
+		labels := make([]graph.Label, vertices)
+		for v := range labels {
+			labels[v] = graph.Label(r.Intn(5))
+		}
+		seen := make(map[[2]int]bool)
+		for len(ss[i].universe) < edges*5/4 {
+			u, v := r.Intn(vertices), r.Intn(vertices)
+			if u >= v || seen[[2]int{u, v}] {
+				continue
+			}
+			seen[[2]int{u, v}] = true
+			ss[i].universe = append(ss[i].universe, graph.InsertOp(
+				graph.VertexID(u), labels[u], graph.VertexID(v), labels[v], graph.Label(r.Intn(2))))
+		}
+		g0 := graph.New()
+		ss[i].present = make([]bool, len(ss[i].universe))
+		for j := 0; j < edges; j++ {
+			if err := ss[i].universe[j].Apply(g0); err != nil {
+				b.Fatal(err)
+			}
+			ss[i].present[j] = true
+		}
+		g0s = append(g0s, g0)
+	}
+	for q := 0; q < queries; q++ {
+		if err := f.AddQuery(core.QueryID(q), datagen.RandomConnectedSubgraph(g0s[q%streams], 3+r.Intn(6), r)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, g0 := range g0s {
+		if err := f.AddStream(core.StreamID(i), g0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// toggle flips universe edge j of stream i and returns the op doing so.
+	toggle := func(i, j int) graph.ChangeOp {
+		s := &ss[i]
+		s.present[j] = !s.present[j]
+		if s.present[j] {
+			return s.universe[j]
+		}
+		return graph.DeleteOp(s.universe[j].U, s.universe[j].V)
+	}
+	var picks [][streams][2]int
+	var steps []map[core.StreamID]graph.ChangeSet
+	for t := 0; t < 2*half; t++ {
+		if t < half {
+			var p [streams][2]int
+			for i := range p {
+				p[i][0] = r.Intn(len(ss[i].universe))
+				for p[i][1] = p[i][0]; p[i][1] == p[i][0]; {
+					p[i][1] = r.Intn(len(ss[i].universe))
+				}
+			}
+			picks = append(picks, p)
+		}
+		// The second half toggles the first half's edges back, in reverse.
+		p := picks[min(t, 2*half-1-t)]
+		step := make(map[core.StreamID]graph.ChangeSet, streams)
+		for i := range p {
+			step[core.StreamID(i)] = graph.ChangeSet{toggle(i, p[i][0]), toggle(i, p[i][1])}.Normalize()
+		}
+		steps = append(steps, step)
+	}
+	pairs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := f.ApplyAll(steps[n%len(steps)]); err != nil {
+			b.Fatal(err)
+		}
+		pairs += len(f.Candidates())
+	}
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}

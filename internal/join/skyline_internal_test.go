@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nntstream/internal/core"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestSkylineDominatedEmptyQueryVector covers the len(u)==0 branch of
-// Skyline.dominated: an isolated query vertex projects to the empty vector,
+// Skyline's dominator probe: an isolated query vertex projects to the empty vector,
 // which is dominated by any stream vertex — so the pair is a candidate iff
 // the stream has at least one vertex.
 func TestSkylineDominatedEmptyQueryVector(t *testing.T) {
@@ -40,10 +41,10 @@ func TestSkylineDominatedEmptyQueryVector(t *testing.T) {
 	// Direct unit check of the probe.
 	ss := f.streams[0].vecStream.(*skyStream)
 	empty0 := npv.Pack(npv.Vector{})
-	if ok, _ := dominated(ss, empty0, new(npv.Tally)); ok {
+	if _, ok, _ := dominator(ss, empty0, new(npv.Tally)); ok {
 		t.Fatal("empty stream should not dominate the empty vector")
 	}
-	if ok, _ := dominated(f.streams[1].vecStream.(*skyStream), empty0, new(npv.Tally)); !ok {
+	if _, ok, _ := dominator(f.streams[1].vecStream.(*skyStream), empty0, new(npv.Tally)); !ok {
 		t.Fatal("non-empty stream should dominate the empty vector")
 	}
 }
@@ -79,7 +80,7 @@ func TestSkylineRetiredVertex(t *testing.T) {
 	// The query vector's dimensions lost their only members, so the probe
 	// refutes it without a scan.
 	ss := f.streams[0].vecStream.(*skyStream)
-	if ok, scanned := dominated(ss, f.queries[0][0], new(npv.Tally)); ok || scanned != 0 {
+	if _, ok, scanned := dominator(ss, f.queries[0].vecs[0], new(npv.Tally)); ok || scanned != 0 {
 		t.Fatalf("dominated = %v after %d scans; want a scan-free refutation", ok, scanned)
 	}
 
@@ -319,4 +320,196 @@ func TestCandidateProbeAllocsIndependentOfQueryCount(t *testing.T) {
 		t.Fatalf("allocs per candidate step grew with the query count: %.1f at 400 queries, %.1f at 1600", small, large)
 	}
 	t.Logf("allocs per candidate step: %.1f at 400 and 1600 queries", small)
+}
+
+// memoRig drives a depth-1 Skyline and the NL oracle through the same
+// registrations and change sets on one stream, and fails as soon as their
+// candidate sets differ. The memo tests below use it to steer a pair's
+// witness memo into one corner at a time.
+type memoRig struct {
+	t   *testing.T
+	sky *Skyline
+	nl  *NL
+}
+
+func newMemoRig(t *testing.T, g0 *graph.Graph, queries ...*graph.Graph) *memoRig {
+	t.Helper()
+	m := &memoRig{t: t, sky: NewSkyline(1), nl: NewNL(1)}
+	for i, q := range queries {
+		m.addQuery(core.QueryID(i), q)
+	}
+	for _, f := range []core.Filter{m.sky, m.nl} {
+		if err := f.AddStream(0, g0.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.check("registration")
+	return m
+}
+
+func (m *memoRig) addQuery(id core.QueryID, q *graph.Graph) {
+	m.t.Helper()
+	for _, f := range []core.Filter{m.sky, m.nl} {
+		if err := f.AddQuery(id, q); err != nil {
+			m.t.Fatal(err)
+		}
+	}
+	m.check(fmt.Sprintf("add query %d", id))
+}
+
+func (m *memoRig) removeQuery(id core.QueryID) {
+	m.t.Helper()
+	for _, f := range []core.DynamicFilter{m.sky, m.nl} {
+		if err := f.RemoveQuery(id); err != nil {
+			m.t.Fatal(err)
+		}
+	}
+	m.check(fmt.Sprintf("remove query %d", id))
+}
+
+func (m *memoRig) apply(at string, cs ...graph.ChangeOp) {
+	m.t.Helper()
+	for _, f := range []core.Filter{m.sky, m.nl} {
+		if err := f.Apply(0, cs); err != nil {
+			m.t.Fatal(err)
+		}
+	}
+	m.check(at)
+}
+
+func (m *memoRig) check(at string) {
+	m.t.Helper()
+	if got, want := m.sky.Candidates(), m.nl.Candidates(); !reflect.DeepEqual(got, want) {
+		m.t.Fatalf("%s: Skyline candidates %v != NL %v", at, got, want)
+	}
+}
+
+// joinable reports Skyline's verdict for query id on the stream.
+func (m *memoRig) joinable(id core.QueryID) bool {
+	return m.sky.streams[0].verdict[m.sky.queries[id].slot]
+}
+
+// memo returns the stream's Skyline state and query id's pair memo.
+func (m *memoRig) memo(id core.QueryID) (*skyStream, *pairMemo) {
+	ss := m.sky.streams[0].vecStream.(*skyStream)
+	return ss, &ss.pairs[m.sky.queries[id].slot]
+}
+
+// star is a center labelled 1 with the given number of leaves labelled 2.
+// Its maximal vectors, at depth 1, are the center's (1→2: leaves) first
+// and a leaf's (2→1: 1).
+func star(t *testing.T, leaves int) *graph.Graph {
+	labels := map[graph.VertexID]graph.Label{0: 1}
+	var edges [][3]int
+	for i := 1; i <= leaves; i++ {
+		labels[graph.VertexID(i)] = 2
+		edges = append(edges, [3]int{0, i, 0})
+	}
+	return buildGraph(t, labels, edges)
+}
+
+// TestSkylineMemoWitnessShrinks: the center's witness shrinks below it —
+// the only other change is the leaf it loses — while the dimension's max
+// stays put, held up by nothing. The resealed witness must fail its re-test
+// and the member scan must refute the pair; regrowth elsewhere must record
+// the new dominator.
+func TestSkylineMemoWitnessShrinks(t *testing.T) {
+	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2, 2: 2, 3: 1, 4: 2},
+		[][3]int{{0, 1, 0}, {0, 2, 0}, {3, 4, 0}})
+	m := newMemoRig(t, g, star(t, 2))
+	ss, pm := m.memo(0)
+	if !m.joinable(0) || pm.wit[0].sv != ss.verts[0] {
+		t.Fatalf("the center's witness is not vertex 0: joinable=%v", m.joinable(0))
+	}
+	m.apply("shrink", graph.DeleteOp(0, 2))
+	if m.joinable(0) || pm.refute != 0 || pm.wit[0].sv != nil {
+		t.Fatalf("after the shrink: joinable=%v refute=%d witness=%p; want refuted by the center", m.joinable(0), pm.refute, pm.wit[0].sv)
+	}
+	m.apply("regrow", graph.InsertOp(3, 1, 5, 2, 0))
+	if !m.joinable(0) || pm.wit[0].sv != ss.verts[3] {
+		t.Fatalf("after regrowth: joinable=%v; want the center witnessed by vertex 3", m.joinable(0))
+	}
+}
+
+// TestSkylineMemoWitnessRetiresAndReturns: both witnesses retire, and the
+// early stop leaves one memo pointing at a retired record. When the vertex
+// IDs return with fresh records, the stale witness must be re-tested (its
+// record was stamped at retirement), not trusted.
+func TestSkylineMemoWitnessRetiresAndReturns(t *testing.T) {
+	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2, 2: 3, 3: 3},
+		[][3]int{{0, 1, 0}, {2, 3, 0}})
+	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2}, [][3]int{{0, 1, 0}})
+	m := newMemoRig(t, g, q)
+	ss, pm := m.memo(0)
+	live := func(sv *skyVertex) bool {
+		for _, rec := range ss.verts {
+			if rec == sv {
+				return true
+			}
+		}
+		return false
+	}
+	m.apply("retire", graph.DeleteOp(0, 1))
+	m.apply("unrelated", graph.InsertOp(2, 3, 4, 3, 0))
+	if m.joinable(0) {
+		t.Fatal("pair joinable with no 1-2 edge")
+	}
+	stale := false
+	for _, w := range pm.wit {
+		stale = stale || (w.sv != nil && !live(w.sv))
+	}
+	if !stale {
+		t.Fatal("no witness points at a retired record; the return below would not test one")
+	}
+	m.apply("return", graph.InsertOp(0, 1, 1, 2, 0))
+	for i, w := range pm.wit {
+		if !live(w.sv) {
+			t.Fatalf("vector %d's witness is not a live record after the return", i)
+		}
+	}
+	m.apply("unrelated again", graph.DeleteOp(2, 4))
+}
+
+// TestSkylineMemoRefuterDominatedWitnessLost: the center refutes the pair
+// while the leaf vector keeps an older witness. In one step the center
+// becomes dominated again and the leaf vector's witness retires: the
+// re-probe tests the center first, then must re-test the leaf's witness and
+// scan for a new one.
+func TestSkylineMemoRefuterDominatedWitnessLost(t *testing.T) {
+	m := newMemoRig(t, star(t, 2), star(t, 2))
+	_, pm := m.memo(0)
+	m.apply("refute", graph.DeleteOp(0, 2))
+	if m.joinable(0) || pm.refute != 0 || pm.wit[1].sv == nil {
+		t.Fatalf("joinable=%v refute=%d leaf witness=%p; want refuted by the center with the leaf witnessed",
+			m.joinable(0), pm.refute, pm.wit[1].sv)
+	}
+	m.apply("flip", graph.InsertOp(0, 1, 3, 2, 0), graph.InsertOp(0, 1, 4, 2, 0), graph.DeleteOp(0, 1))
+	ss, _ := m.memo(0)
+	if w := pm.wit[1].sv; !m.joinable(0) || (w != ss.verts[3] && w != ss.verts[4]) {
+		t.Fatalf("joinable=%v; want the leaf vector witnessed by vertex 3 or 4", m.joinable(0))
+	}
+}
+
+// TestSkylineMemoSlotReuse: a query registered into a removed query's slot
+// starts from an empty memo. Inheriting the old one would accept the
+// three-leaf star on the two-leaf center's still-sealed witness.
+func TestSkylineMemoSlotReuse(t *testing.T) {
+	m := newMemoRig(t, star(t, 2), star(t, 2))
+	slot := m.sky.queries[0].slot
+	m.removeQuery(0)
+	if ss := m.sky.streams[0].vecStream.(*skyStream); ss.pairs[slot].wit != nil {
+		t.Fatal("RemoveQuery kept the memo")
+	}
+	m.addQuery(1, star(t, 3))
+	if m.sky.queries[1].slot != slot {
+		t.Fatalf("query 1 took slot %d, not the recycled %d", m.sky.queries[1].slot, slot)
+	}
+	if m.joinable(1) {
+		t.Fatal("three-leaf star joinable with a two-leaf center")
+	}
+	m.apply("unrelated", graph.InsertOp(5, 3, 6, 3, 0))
+	m.apply("third leaf", graph.InsertOp(0, 1, 3, 2, 0))
+	if !m.joinable(1) {
+		t.Fatal("three-leaf star not joinable after the third leaf")
+	}
 }

@@ -27,8 +27,10 @@ type trickleWorkload struct {
 // of edges. Each stream's edges come from a universe 25% larger over
 // 2·edges/3 labelled vertices (average degree 3); a step alternately
 // inserts an absent universe edge and deletes a present one, so a stream
-// holds edges or edges+1.
-func newTrickleWorkload(tb testing.TB, edges int) *trickleWorkload {
+// holds edges or edges+1. extra adds that many more queries per stream, of
+// 2–5 edges, drawn from their own source so the streams and steps do not
+// depend on it.
+func newTrickleWorkload(tb testing.TB, edges, extra int) *trickleWorkload {
 	tb.Helper()
 	const streams, half = 4, 256 // half: forward steps before the cycle turns back
 	r := rand.New(rand.NewSource(28))
@@ -71,6 +73,14 @@ func newTrickleWorkload(tb testing.TB, edges int) *trickleWorkload {
 		ss[i], g0s = s, append(g0s, g0)
 		if _, err := w.mon.AddQuery(datagen.RandomConnectedSubgraph(g0, 8+r.Intn(5), r)); err != nil {
 			tb.Fatal(err)
+		}
+	}
+	qr := rand.New(rand.NewSource(29))
+	for _, g0 := range g0s {
+		for k := 0; k < extra; k++ {
+			if _, err := w.mon.AddQuery(datagen.RandomConnectedSubgraph(g0, 2+qr.Intn(4), qr)); err != nil {
+				tb.Fatal(err)
+			}
 		}
 	}
 	for _, g0 := range g0s {
@@ -129,7 +139,7 @@ func (w *trickleWorkload) step(tb testing.TB, i int) {
 // BenchmarkStepAllTrickle measures the engine's fixed per-step cost;
 // TestStepAllAllocsIndependentOfGraphSize caps its allocations.
 func BenchmarkStepAllTrickle(b *testing.B) {
-	w := newTrickleWorkload(b, 800)
+	w := newTrickleWorkload(b, 800, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -138,10 +148,10 @@ func BenchmarkStepAllTrickle(b *testing.B) {
 }
 
 // maxStepAllTrickleAllocs caps a 1–2-op Skyline step over ~800-edge streams
-// at its measured steady state (156 per step over a full cycle, 165 at
-// worst over a partial one). Staging that copied every touched graph
-// allocated ~830.
-const maxStepAllTrickleAllocs = 165
+// near its measured steady state (84 per step over a full cycle). Staging
+// that copied every touched graph allocated ~830, and rebuilding the answer
+// every step instead of patching it took the count to 90.
+const maxStepAllTrickleAllocs = 92
 
 // TestStepAllAllocsIndependentOfGraphSize: a 1–2-op step allocates the same
 // whether the streams hold 800 or 1600 edges — staging is O(|Δ|), not
@@ -150,7 +160,7 @@ const maxStepAllTrickleAllocs = 165
 // the graph.)
 func TestStepAllAllocsIndependentOfGraphSize(t *testing.T) {
 	allocs := func(edges int) float64 {
-		w := newTrickleWorkload(t, edges)
+		w := newTrickleWorkload(t, edges, 0)
 		i := 0
 		return testing.AllocsPerRun(len(w.steps), func() {
 			w.step(t, i)
@@ -165,4 +175,35 @@ func TestStepAllAllocsIndependentOfGraphSize(t *testing.T) {
 		t.Fatalf("allocs per step at 800 edges = %.1f; cap %d", small, maxStepAllTrickleAllocs)
 	}
 	t.Logf("allocs per step: %.1f at 800 edges, %.1f at 1600", small, large)
+}
+
+// TestStepAllAllocsIndependentOfCandidateCount: under Skyline a step
+// allocates exactly the same whether ~200 or ~1600 pairs are candidates.
+// Verdict flips patch a sorted answer, so the collect is one copy, and the
+// pair-task buffer is reused, so neither grows with the answer. (Rebuilding
+// the answer each step appends its way up to the answer size, which costs
+// O(log |answer|) allocations.) A full cycle runs first, so the answer and
+// the buffers have reached their largest size before the count.
+func TestStepAllAllocsIndependentOfCandidateCount(t *testing.T) {
+	allocs := func(extra int) (float64, int) {
+		w := newTrickleWorkload(t, 800, extra)
+		for i := range w.steps {
+			w.step(t, i)
+		}
+		i := 0
+		return testing.AllocsPerRun(len(w.steps), func() {
+			w.step(t, i)
+			i++
+		}), len(w.mon.Candidates())
+	}
+	small, smallPairs := allocs(20)
+	large, largePairs := allocs(165)
+	if smallPairs < 150 || largePairs < 1400 {
+		t.Fatalf("workloads too small: %d and %d candidate pairs", smallPairs, largePairs)
+	}
+	if small != large {
+		t.Fatalf("allocs per step grew with the answer: %.1f at %d candidate pairs, %.1f at %d",
+			small, smallPairs, large, largePairs)
+	}
+	t.Logf("allocs per step: %.1f at %d and %d candidate pairs", small, smallPairs, largePairs)
 }
