@@ -96,8 +96,9 @@ crashtest-cluster:
 # Short native-fuzzer runs over every decoder that reads crash debris or
 # user files (WAL frames, checkpoint JSON, graph text formats) plus the
 # kernel-equivalence properties (packed dominance, qindex candidate
-# soundness, NPV recount vs forest patching, undo-logged change sets vs Apply
-# on a clone, Skyline's witness memo vs the NL oracle). The default budget keeps it
+# soundness, the crossing walk's drop/rise directions vs brute-force
+# dominance, NPV recount vs forest patching, undo-logged change sets vs Apply
+# on a clone, Skyline's flip-driven witness memo vs the NL oracle). The default budget keeps it
 # pre-commit-friendly; override FUZZTIME for a real campaign.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -106,6 +107,7 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzApplyUndoable -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -fuzz=FuzzPackedDominates -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzQindexCandidates -fuzztime=$(FUZZTIME) ./internal/qindex/
+	$(GO) test -fuzz=FuzzCrossDirections -fuzztime=$(FUZZTIME) ./internal/qindex/
 	$(GO) test -fuzz=FuzzRecountMatchesForest -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzSkylineMatchesNL -fuzztime=$(FUZZTIME) ./internal/join/
 

@@ -123,10 +123,14 @@ func (p *evalPool) runStreams(changes map[core.StreamID]graph.ChangeSet, step fu
 // Skyline) supplies on top of the stream's NPV store.
 type vecStream interface {
 	// reconcile seals the stream's dirty vertices, folds the transitions
-	// into the strategy's own stream-side statistics, and returns them (nil
-	// when no vector changed). It mutates only this stream, so distinct
-	// streams reconcile independently.
-	reconcile() []npv.DirtyDelta
+	// into the strategy's own stream-side statistics, and reports whether
+	// any vector changed. An indexed strategy also returns, in ascending
+	// order, the queries whose verdict — given by slot in verdict — the
+	// transitions may have flipped; the slice is valid until the stream's
+	// next reconcile. A nil verdict means no pair of the stream is decided
+	// yet, so only the statistics are built. It mutates only this stream,
+	// so distinct streams reconcile independently.
+	reconcile(verdict []bool) (queued []core.QueryID, changed bool)
 	// probe reports whether every vector of q is dominated by some stream
 	// vector, and how many stream vectors it scanned deciding, counting its
 	// kernel calls into t. It reads the reconciled stream state and writes
@@ -139,50 +143,47 @@ type vecStream interface {
 }
 
 // vecJoinStream is one stream of a vecJoin: the strategy's half, the
-// stream's NPV store, the cached verdict of every registered query by slot,
-// and the stream's candidate-generation scratch (only its own maintenance
-// task uses it).
+// stream's NPV store, and the cached verdict of every registered query by
+// slot.
 type vecJoinStream struct {
 	vecStream
 	id      core.StreamID
 	store   *npv.Store
 	verdict []bool
-	scratch qindex.Scratch
 }
 
 // vecJoin is everything NL and Skyline have in common — which is everything
-// except which query vectors decide a verdict (derive), whether a dominance
-// index generates candidates (ix), what a stream keeps beside its vector
-// space, and how one query vector is probed against it (vecStream): query
-// registration and the batch driver. The strategies embed it, so its
-// exported methods are theirs.
+// except which query vectors decide a verdict (derive), whether those
+// vectors are indexed (indexed), what a stream keeps beside its vector
+// space, how it names the queries to re-probe, and how one query vector is
+// probed against it (vecStream): query registration and the batch driver.
+// The strategies embed it, so its exported methods are theirs.
 //
-// With an index, each dirty vertex's sealed (old, new) transition maps to a
-// superset of the queries whose verdict could have flipped, so the kept
-// verdicts are exact by construction; the index is immutable within a
-// timestamp. Without one (NL, the plain nested loop) every changed stream
-// re-probes every registered query.
+// With an index, each changed stream's reconcile names a superset of the
+// queries whose verdict could have flipped, so the kept verdicts are exact
+// by construction; the index is immutable within a timestamp. Without one
+// (NL, the plain nested loop) every changed stream re-probes every
+// registered query.
 type vecJoin struct {
 	depth int
 	// derive computes the verdict-deciding packed vectors of a query, in the
 	// order probes should run; newStream builds the strategy's half of a
 	// stream over its freshly built NPV store.
 	derive    func(q *graph.Graph, depth int) []npv.PackedVector
-	newStream func(store *npv.Store) vecStream
+	newStream func(ix *qindex.Index, store *npv.Store) vecStream
 
 	queries map[core.QueryID]*vecQuery
-	// slots counts the query slots issued; free holds those RemoveQuery
-	// released, reused first.
-	slots   int32
-	free    []int32
 	streams map[core.StreamID]*vecJoinStream
 	// answer is the candidate set in (Stream, Query) order. Every verdict
 	// write that flips a verdict patches it, so a read is a copy.
 	answer []core.Pair
 	// tasks is ApplyAll's pair-task buffer, reused across steps.
 	tasks []pairTask
-	// ix is the query dominance index; nil means every query is a candidate.
-	ix *qindex.Index
+	// ix issues every query's slot, so a slot is the same in vecQuery and
+	// in the postings. It holds the query vectors only when indexed;
+	// otherwise every query is a candidate.
+	ix      *qindex.Index
+	indexed bool
 	// scans counts stream vectors scanned by probes over the run. Written
 	// only on the serialized paths — pair tasks report per-task counts that
 	// are merged after the join — and read at scrape time under the engine's
@@ -191,14 +192,15 @@ type vecJoin struct {
 	pool  evalPool
 }
 
-func newVecJoin(depth int, ix *qindex.Index, derive func(*graph.Graph, int) []npv.PackedVector, newStream func(*npv.Store) vecStream) vecJoin {
+func newVecJoin(depth int, indexed bool, derive func(*graph.Graph, int) []npv.PackedVector, newStream func(*qindex.Index, *npv.Store) vecStream) vecJoin {
 	return vecJoin{
 		depth:     depth,
 		derive:    derive,
 		newStream: newStream,
 		queries:   make(map[core.QueryID]*vecQuery),
 		streams:   make(map[core.StreamID]*vecJoinStream),
-		ix:        ix,
+		ix:        qindex.New(),
+		indexed:   indexed,
 	}
 }
 
@@ -213,14 +215,9 @@ func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 	if _, ok := j.queries[id]; ok {
 		return fmt.Errorf("join: duplicate query %d", id)
 	}
-	vq := &vecQuery{id: id, slot: j.slots, vecs: j.derive(q, j.depth)}
-	if n := len(j.free); n > 0 {
-		vq.slot, j.free = j.free[n-1], j.free[:n-1]
-	} else {
-		j.slots++
-	}
+	vq := &vecQuery{id: id, slot: j.ix.Register(id), vecs: j.derive(q, j.depth)}
 	j.queries[id] = vq
-	if j.ix != nil {
+	if j.indexed {
 		for i, u := range vq.vecs {
 			j.ix.Add(qindex.Key{Query: id, Vertex: graph.VertexID(i)}, u)
 		}
@@ -239,14 +236,11 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 		return fmt.Errorf("join: unknown query %d", id)
 	}
 	delete(j.queries, id)
-	if j.ix != nil {
-		j.ix.RemoveQuery(id)
-	}
+	j.ix.RemoveQuery(id)
 	for _, s := range j.streams {
 		s.verdict[vq.slot] = false
 		s.memo(vq.slot, 0)
 	}
-	j.free = append(j.free, vq.slot)
 	j.answer = slices.DeleteFunc(j.answer, func(p core.Pair) bool { return p.Query == id })
 	return nil
 }
@@ -257,21 +251,14 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	if _, ok := j.streams[id]; ok {
 		return fmt.Errorf("join: duplicate stream %d", id)
 	}
-	if j.ix != nil {
-		j.ix.Seal()
-	}
+	j.ix.Seal()
 	// Both strategies probe on the packed kernel, so every seal freezes the
 	// dirty vertices into the store's packed cache.
 	store := npv.NewStore(g0, j.depth)
 	store.EnablePacking()
-	s := &vecJoinStream{
-		vecStream: j.newStream(store),
-		id:        id,
-		store:     store,
-		verdict:   make([]bool, j.slots),
-	}
+	s := &vecJoinStream{vecStream: j.newStream(j.ix, store), id: id, store: store}
 	j.streams[id] = s
-	s.reconcile()
+	s.reconcile(nil)
 	for _, vq := range j.queries {
 		s.verdict[vq.slot] = j.evaluate(s, vq)
 	}
@@ -292,8 +279,8 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 // evaluate probes a query new to the stream on the serialized path, after
 // sizing the stream's state for the query's slot.
 func (j *vecJoin) evaluate(s *vecJoinStream, vq *vecQuery) bool {
-	if int(vq.slot) == len(s.verdict) {
-		s.verdict = append(s.verdict, false)
+	if n := int(vq.slot) + 1; n > len(s.verdict) {
+		s.verdict = append(s.verdict, make([]bool, n-len(s.verdict))...)
 	}
 	s.memo(vq.slot, len(vq.vecs))
 	var t npv.Tally
@@ -325,11 +312,11 @@ func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
 }
 
 // ApplyAll implements core.BatchApplier, and is the only code path that
-// advances a stream. Maintenance runs one task per stream: NPV recount,
-// reconcile (which seals that stream's dirty vertices — the stream's private
-// state, which the pair stage only reads), and candidate generation, which
-// reads the sealed, immutable index plus atomic counters into the stream's
-// own scratch (or, without an index, takes every query) and so is race-free
+// advances a stream. Maintenance runs one task per stream: NPV recount and
+// reconcile, which seals that stream's dirty vertices — the stream's private
+// state, which the pair stage only reads — and names the queries to
+// re-probe from the immutable index, the stream's own verdicts and memos,
+// and atomic counters (without an index, every query), so it is race-free
 // inside the per-stream task.
 // Dominance re-evaluation then fans out one task per (changed stream,
 // candidate query) pair. Each task writes only its own slot and its pair's
@@ -338,7 +325,7 @@ func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
 func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 	cands := make([][]core.QueryID, len(changes))
 	var allQ []core.QueryID
-	if j.ix == nil {
+	if !j.indexed {
 		allQ = sortedQueryIDs(j.queries)
 	}
 	ids, err := j.pool.runStreams(changes, func(i int, id core.StreamID, cs graph.ChangeSet) error {
@@ -349,15 +336,11 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		if err := s.store.Apply(cs); err != nil {
 			return err
 		}
-		deltas := s.reconcile()
-		switch {
-		case len(deltas) == 0:
-			// Nothing changed; verdicts stand.
-		case j.ix == nil:
-			cands[i] = allQ
-		default:
-			cands[i] = j.ix.AffectedQueriesInto(&s.scratch, deltas)
+		queued, changed := s.reconcile(s.verdict)
+		if changed && !j.indexed {
+			queued = allQ
 		}
+		cands[i] = queued
 		return nil
 	})
 	if err != nil {
@@ -407,12 +390,12 @@ func (j *vecJoin) RegisterMetrics(r *obs.Registry, locked func(func() float64) f
 		"Stream vertex vectors summed over all streams.",
 		locked(func() float64 { return j.sumStreams((*npv.Store).Len) }))
 	r.CounterFunc("nntstream_filter_vector_scans_total",
-		"Stream vectors scanned by dominance probes. A Skyline witness not resealed since its check counts 0, a resealed one re-tested counts 1.",
+		"Stream vectors scanned by dominance probes. A Skyline vector with a witness counts 0.",
 		locked(func() float64 { return float64(j.scans) }))
 	r.GaugeFunc("nntstream_filter_nnt_nodes",
 		"NNT nodes the stream vectors project, summed over all streams.",
 		locked(func() float64 { return j.sumStreams((*npv.Store).Nodes) }))
-	if j.ix != nil {
+	if j.indexed {
 		r.GaugeFunc("nntstream_qindex_postings",
 			"Query dominance index postings.",
 			locked(func() float64 { return float64(j.ix.PostingCount()) }))

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // compares Skyline, driven both through Apply and through the pool's
 // ApplyAll, with the NL oracle. The schedule steers the witness memo: ops
 // toggle edges among eight vertices, so witnesses shrink, retire and return,
-// and removed queries' slots are taken by new ones.
+// and removed queries' slots are taken by new ones; after every op both
+// Skylines' pair memos must keep their invariants (checkPairMemos).
 //
 // Layout: byte 0 picks the depth and seeds the random source that builds
 // the start graphs and query shapes. Each later op byte selects an op by
@@ -31,6 +33,11 @@ func FuzzSkylineMatchesNL(f *testing.F) {
 		r.Read(b)
 		f.Add(b)
 	}
+	// In one batch, a refuted pair's refuting vector gains a dominator while
+	// the witness of another of its vectors retires.
+	f.Add([]byte{0xff, 0x10, 0x87, 0x88, 0xb2, 0xc8, 0xbb, 0x6c})
+	f.Add([]byte{0x11, 0x44, 0x91, 0x60, 0x3, 0xe9, 0x1e, 0xae, 0x94, 0xe7, 0xe2, 0x23, 0x38, 0x4b})
+	f.Add([]byte{0x27, 0x9f, 0x45, 0xff, 0xd, 0xf9, 0x3a, 0x60, 0x96, 0x1, 0x2a, 0x97, 0x86})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 256 {
 			return
@@ -78,6 +85,7 @@ func FuzzSkylineMatchesNL(f *testing.F) {
 				if got := f.Candidates(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("op %d: Skyline candidates %v != NL %v", op, got, want)
 				}
+				checkPairMemos(t, &f.vecJoin, fmt.Sprintf("op %d", op))
 			}
 		}
 

@@ -9,6 +9,7 @@ import (
 	"nntstream/internal/graph"
 	"nntstream/internal/nnt"
 	"nntstream/internal/obs"
+	"nntstream/internal/qindex"
 )
 
 // unlocked stands in for the engine's read lock when a test drives a filter
@@ -62,11 +63,14 @@ func TestFilterCollectors(t *testing.T) {
 			core.MetricsFilter
 		}
 		present []string // series that must be > 0 after the workload
+		// indexed: a step must advance qindex's candidate counter.
+		indexed bool
 	}{
 		{
 			name:    "skyline",
 			filter:  NewSkyline(DefaultDepth),
 			present: append([]string{"nntstream_skyline_dimensions", "nntstream_qindex_postings"}, shared...),
+			indexed: true,
 		},
 		{name: "nl", filter: NewNL(DefaultDepth), present: shared},
 	}
@@ -91,8 +95,9 @@ func TestFilterCollectors(t *testing.T) {
 			}
 			// Drive probes — deleting and re-inserting the matched edge
 			// re-evaluates the pair both ways — and check the scan counter
-			// advances.
+			// and, for an indexed filter, the candidate counter advance.
 			scans := read("nntstream_filter_vector_scans_total")
+			cands, _ := qindex.Counters()
 			for i := 0; i < 3; i++ {
 				if err := c.filter.Apply(0, graph.ChangeSet{graph.DeleteOp(0, 1)}); err != nil {
 					t.Fatal(err)
@@ -103,6 +108,9 @@ func TestFilterCollectors(t *testing.T) {
 			}
 			if after := read("nntstream_filter_vector_scans_total"); after <= scans {
 				t.Fatalf("scan counter did not grow: %v -> %v", scans, after)
+			}
+			if after, _ := qindex.Counters(); c.indexed && after <= cands {
+				t.Fatalf("qindex candidate counter did not grow: %d -> %d", cands, after)
 			}
 			if got := read("nntstream_filter_nnt_nodes"); got != want {
 				t.Fatalf("nntstream_filter_nnt_nodes after churn = %v; forest TotalNodes = %v", got, want)

@@ -4,6 +4,7 @@ import (
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
+	"nntstream/internal/qindex"
 )
 
 // NL is the nested-loop join baseline: whenever a stream changes, every
@@ -14,8 +15,8 @@ import (
 // equivalence tests compare with.
 //
 // NL's strategy half is the trivial one: every query vertex's vector
-// decides the verdict, there is no dominance index (vecJoin's nil ix: every
-// query is re-probed), a stream keeps nothing beside its vector space, and
+// decides the verdict, its vectors are not indexed (every query is
+// re-probed), a stream keeps nothing beside its vector space, and
 // a probe scans the whole space. Registration and the batch driver are
 // vecJoin's.
 type NL struct{ vecJoin }
@@ -29,7 +30,7 @@ var (
 
 // NewNL returns a nested-loop filter with the given NNT depth.
 func NewNL(depth int) *NL {
-	return &NL{newVecJoin(depth, nil, packQuery, func(store *npv.Store) vecStream { return nlStream{store} })}
+	return &NL{newVecJoin(depth, false, packQuery, func(_ *qindex.Index, store *npv.Store) vecStream { return nlStream{store} })}
 }
 
 // Name implements core.Filter.
@@ -38,7 +39,7 @@ func (f *NL) Name() string { return "NPV-NL" }
 // nlStream is NL's vecStream: the bare NPV store.
 type nlStream struct{ store *npv.Store }
 
-func (s nlStream) reconcile() []npv.DirtyDelta { return s.store.SealDirty() }
+func (s nlStream) reconcile([]bool) ([]core.QueryID, bool) { return nil, len(s.store.SealDirty()) > 0 }
 
 func (s nlStream) probe(q *vecQuery, t *npv.Tally) (bool, int64) {
 	return evalQuery(s.store, q.vecs, t)

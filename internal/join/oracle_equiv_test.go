@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -177,6 +178,9 @@ func (c oracleEquiv) run(t *testing.T) {
 				if got := ef.f.Candidates(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed=%d step=%d: %s candidates %v != reference %v",
 						seed, step, ef.name, got, want)
+				}
+				if sky, ok := ef.f.(*Skyline); ok {
+					checkPairMemos(t, &sky.vecJoin, fmt.Sprintf("seed=%d step=%d: %s", seed, step, ef.name))
 				}
 			}
 			truth := exact.Candidates()
@@ -381,16 +385,15 @@ func toggleBatch(r *rand.Rand, graphs map[core.StreamID]*graph.Graph, pick func(
 }
 
 // assertVecJoinTornDown checks the shared NL/Skyline query state is empty:
-// index postings (when the strategy has an index), packed query vectors,
-// the answer, per-stream verdicts and Skyline's pair memos.
+// index postings and slots, packed query vectors, the answer, per-stream
+// verdicts and Skyline's pair memos.
 func assertVecJoinTornDown(t *testing.T, name string, j *vecJoin) {
 	t.Helper()
-	if j.ix != nil && (j.ix.PostingCount() != 0 || j.ix.QueryCount() != 0) {
-		t.Fatalf("%s: index leaked: %d postings, %d queries", name, j.ix.PostingCount(), j.ix.QueryCount())
+	if j.ix.PostingCount() != 0 || j.ix.QueryCount() != 0 {
+		t.Fatalf("%s: index leaked: %d postings, %d queries holding slots", name, j.ix.PostingCount(), j.ix.QueryCount())
 	}
-	if len(j.queries) != 0 || len(j.answer) != 0 || len(j.free) != int(j.slots) {
-		t.Fatalf("%s: %d packed queries and %d answer pairs leaked, %d of %d slots free",
-			name, len(j.queries), len(j.answer), len(j.free), j.slots)
+	if len(j.queries) != 0 || len(j.answer) != 0 {
+		t.Fatalf("%s: %d packed queries and %d answer pairs leaked", name, len(j.queries), len(j.answer))
 	}
 	for sid, s := range j.streams {
 		if slices.Contains(s.verdict, true) {

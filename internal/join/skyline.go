@@ -26,12 +26,14 @@ import (
 //     dimension are scanned, since any dominator must appear there.
 //
 // Two more optimizations are ours. The maximal vectors of every registered
-// query live in a qindex.Index, so a changed stream re-evaluates only the
-// queries whose verdict the dirty vertices' seal transitions could have
-// flipped, instead of all of them (NL's full re-evaluation is the
-// reference). And a re-evaluation starts from the pair's witness memo: the
-// vector that refuted the pair last is tested first, and a vector whose
-// last dominator has not been resealed since is dominated without a test.
+// query live in a qindex.Index, and each dirty vertex's seal transition is
+// walked over it (qindex.Index.Cross), which names every query vector the
+// vertex stopped or started dominating. The walk keeps a witness memo per
+// (stream, query) pair, and a pair is re-evaluated only when the memo says
+// its verdict can move: a joinable pair lost the witness of one of its
+// vectors, or a refuted pair's refuting vector gained a dominator. A
+// re-evaluation scans only the vectors without a witness. (NL's full
+// re-evaluation is the reference.)
 //
 // Skyline is the production join: cmd/serve runs it unless told otherwise.
 type Skyline struct{ vecJoin }
@@ -41,42 +43,41 @@ type Skyline struct{ vecJoin }
 // transitions. A vertex's record holds its sealed packed vector, sharing the
 // slices of the store's packed cache rather than copying them.
 type skyStream struct {
+	ix    *qindex.Index
 	store *npv.Store
 	dims  map[npv.Dim]*dimStat
 	verts map[graph.VertexID]*skyVertex
 	// pos is reconcile's scratch for a vertex's next member positions.
 	pos []int32
-	// seals counts the reconciles that sealed something; pairs holds each
-	// registered query's pair memo, by query slot.
-	seals uint64
+	// pairs holds each registered query's pair memo, by query slot.
 	pairs []pairMemo
+	// The crossing walk's state: the verdicts it reads, the record of the
+	// vertex being walked, the pairs it queues, and its kernel calls.
+	verdict []bool
+	cur     *skyVertex
+	queue   qindex.Scratch
+	tally   npv.Tally
 }
 
 // skyVertex is one vertex with a nonempty sealed vector p: pos runs parallel
 // to p's support, pos[i] being the vertex's index in the members of
-// dimension p.Dim(i), so leaving a dimension is an O(1) swap-remove. seal is
-// the stream's seal count when reconcile last wrote p; a retired vertex's
-// record keeps its final, empty p.
+// dimension p.Dim(i), so leaving a dimension is an O(1) swap-remove.
 type skyVertex struct {
-	p    npv.PackedVector
-	pos  []int32
-	seal uint64
+	p   npv.PackedVector
+	pos []int32
 }
 
-// pairMemo is what deciding one (stream, query) pair left behind: the index
-// of the maximal vector that refuted it, and per maximal vector the stream
-// vertex that dominated it when last checked.
+// pairMemo is what deciding one (stream, query) pair left behind: per
+// maximal vector a witness, the record of a vertex that dominates it, and
+// the index of the vector that refuted the pair last. Between steps it
+// keeps two invariants:
+//   - a non-nil witness is a live record whose sealed vector dominates its
+//     query vector;
+//   - when the pair is not joinable, its refuting vector has no witness and
+//     no live vertex dominates it.
 type pairMemo struct {
 	refute int32
-	wit    []witness
-}
-
-// witness is a vertex that dominated a query vector at seal count at. While
-// the vertex's seal is at most at, its sealed vector is the one checked, so
-// it still dominates the (static) query vector.
-type witness struct {
-	sv *skyVertex
-	at uint64
+	wit    []*skyVertex
 }
 
 // dimStat is one dimension's statistics: the vertices whose sealed vector is
@@ -100,8 +101,8 @@ var (
 // NewSkyline returns a skyline-with-early-stop filter with the given NNT
 // depth.
 func NewSkyline(depth int) *Skyline {
-	return &Skyline{newVecJoin(depth, qindex.New(), maximalByMass, func(store *npv.Store) vecStream {
-		return &skyStream{store: store, dims: make(map[npv.Dim]*dimStat), verts: make(map[graph.VertexID]*skyVertex)}
+	return &Skyline{newVecJoin(depth, true, maximalByMass, func(ix *qindex.Index, store *npv.Store) vecStream {
+		return &skyStream{ix: ix, store: store, dims: make(map[npv.Dim]*dimStat), verts: make(map[graph.VertexID]*skyVertex)}
 	})}
 }
 
@@ -118,58 +119,110 @@ func maximalByMass(q *graph.Graph, depth int) []npv.PackedVector {
 	return maximal
 }
 
-// reconcile implements vecStream: each dirty vertex leaves the member lists
-// of the dimensions its old sealed vector had and its new one lacks, keeps
-// its place in those both have, and joins those only its new one has,
-// raising their max. A vertex that appeared has an empty Old and a retired
-// one an empty New, so all three fall out of the same merge walk. Every
-// record written is stamped with the stream's new seal count.
-func (ss *skyStream) reconcile() []npv.DirtyDelta {
+// reconcile implements vecStream: it folds every seal transition into the
+// statistics and, once the stream has decided pairs, walks it over the
+// index, letting Cross keep the pair memos and queue the pairs whose
+// verdict can move. Presence changes queue the queries with an empty
+// vector, which only they can flip.
+func (ss *skyStream) reconcile(verdict []bool) ([]core.QueryID, bool) {
 	deltas := ss.store.SealDirty()
-	if len(deltas) > 0 {
-		ss.seals++
+	if len(deltas) == 0 {
+		return nil, false
 	}
+	if verdict == nil {
+		for _, dl := range deltas {
+			ss.fold(dl)
+		}
+		return nil, true
+	}
+	ss.verdict = verdict
+	ss.ix.Begin(&ss.queue)
+	presence := false
 	for _, dl := range deltas {
-		sv, cur := ss.verts[dl.Vertex], dl.New
-		if sv == nil {
-			if cur.Len() == 0 {
-				continue
-			}
-			sv = &skyVertex{}
-			ss.verts[dl.Vertex] = sv
-		}
-		old, pos := sv.p, ss.pos[:0]
-		i, j := 0, 0
-		for i < old.Len() || j < cur.Len() {
-			switch {
-			case j == cur.Len() || (i < old.Len() && old.Dim(i) < cur.Dim(j)):
-				ss.leave(old.Dim(i), sv.pos[i])
-				i++
-			case i == old.Len() || cur.Dim(j) < old.Dim(i):
-				stat := ss.dims[cur.Dim(j)]
-				if stat == nil {
-					stat = &dimStat{}
-					ss.dims[cur.Dim(j)] = stat
-				}
-				pos = append(pos, int32(len(stat.members)))
-				stat.members = append(stat.members, sv)
-				stat.max = max(stat.max, cur.Count(j))
-				j++
-			default:
-				stat := ss.dims[cur.Dim(j)]
-				pos = append(pos, sv.pos[i])
-				stat.max = max(stat.max, cur.Count(j))
-				i++
-				j++
-			}
-		}
-		sv.p, sv.pos, ss.pos = cur, append(sv.pos[:0], pos...), pos
-		sv.seal = ss.seals
+		ss.cur = ss.fold(dl)
+		presence = ss.ix.Cross(dl, ss) || presence
+	}
+	ss.verdict, ss.cur = nil, nil
+	ss.tally.Flush()
+	return ss.ix.Finish(&ss.queue, presence), true
+}
+
+// fold moves a dirty vertex's record to its new sealed vector and returns
+// it (nil when the vertex has no vector on either side): the vertex leaves
+// the member lists of the dimensions its old vector had and its new one
+// lacks, keeps its place in those both have, and joins those only its new
+// one has, raising their max. A vertex that appeared has an empty Old and a
+// retired one an empty New, so all three fall out of the same merge walk;
+// a retired vertex's record keeps its final, empty p.
+func (ss *skyStream) fold(dl npv.DirtyDelta) *skyVertex {
+	sv, cur := ss.verts[dl.Vertex], dl.New
+	if sv == nil {
 		if cur.Len() == 0 {
-			delete(ss.verts, dl.Vertex)
+			return nil
+		}
+		sv = &skyVertex{}
+		ss.verts[dl.Vertex] = sv
+	}
+	old, pos := sv.p, ss.pos[:0]
+	i, j := 0, 0
+	for i < old.Len() || j < cur.Len() {
+		switch {
+		case j == cur.Len() || (i < old.Len() && old.Dim(i) < cur.Dim(j)):
+			ss.leave(old.Dim(i), sv.pos[i])
+			i++
+		case i == old.Len() || cur.Dim(j) < old.Dim(i):
+			stat := ss.dims[cur.Dim(j)]
+			if stat == nil {
+				stat = &dimStat{}
+				ss.dims[cur.Dim(j)] = stat
+			}
+			pos = append(pos, int32(len(stat.members)))
+			stat.members = append(stat.members, sv)
+			stat.max = max(stat.max, cur.Count(j))
+			j++
+		default:
+			stat := ss.dims[cur.Dim(j)]
+			pos = append(pos, sv.pos[i])
+			stat.max = max(stat.max, cur.Count(j))
+			i++
+			j++
 		}
 	}
-	return deltas
+	sv.p, sv.pos, ss.pos = cur, append(sv.pos[:0], pos...), pos
+	if cur.Len() == 0 {
+		delete(ss.verts, dl.Vertex)
+	}
+	return sv
+}
+
+// Cross implements qindex.Visitor for ss.cur, the vertex reconcile is
+// walking, and keeps pairMemo's invariants. A drop means the vertex's new
+// vector no longer dominates the posting's, so a witness held by the vertex
+// is cleared without a kernel call, and the pair is queued if it was
+// joinable. A rise can only add dominance, and only a refuted pair's
+// refuting vector gaining a dominator can flip that pair: one kernel call
+// decides, and a dominating vertex becomes the vector's witness and queues
+// the pair.
+//
+//nnt:hotpath
+func (ss *skyStream) Cross(e *qindex.Posting, drop bool) {
+	if !drop && ss.verdict[e.Slot] {
+		return
+	}
+	m := &ss.pairs[e.Slot]
+	w := &m.wit[e.Key.Vertex]
+	switch {
+	case drop:
+		if *w == ss.cur {
+			*w = nil
+			if ss.verdict[e.Slot] {
+				ss.queue.Collect(e.Slot)
+			}
+		}
+	case *w == nil && int32(e.Key.Vertex) == m.refute && ss.tally.Dominates(ss.cur.p, e.Vec):
+		*w = ss.cur
+		ss.queue.Collect(e.Slot)
+	}
 }
 
 // leave swap-removes the member at index at of dimension d, repointing the
@@ -196,7 +249,7 @@ func (ss *skyStream) memo(slot int32, n int) {
 	}
 	ss.pairs[slot] = pairMemo{}
 	if n > 0 {
-		ss.pairs[slot].wit = make([]witness, n)
+		ss.pairs[slot].wit = make([]*skyVertex, n)
 	}
 }
 
@@ -206,48 +259,30 @@ func (ss *skyStream) probe(q *vecQuery, t *npv.Tally) (bool, int64) {
 }
 
 // evalMaximal reports joinability — true iff every maximal query vector is
-// dominated by some stream vector — starting from the vector that refuted
-// the pair last and going on in rotation. It reads the reconciled
-// per-dimension statistics and the query's maximal vectors, and writes only
-// the pair's memo m, which is what makes the fan-out safe.
+// dominated by some stream vector. A vector with a witness is dominated
+// without a test; the others are probed in order, each recording the
+// dominator found, and the first one refuted stops the scan. It reads the
+// reconciled per-dimension statistics and the query's maximal vectors, and
+// writes only the pair's memo m, which is what makes the fan-out safe.
 //
 //nnt:hotpath
 func evalMaximal(ss *skyStream, maximal []npv.PackedVector, m *pairMemo, t *npv.Tally) (bool, int64) {
 	var total int64
-	for k := range maximal {
-		i := (int(m.refute) + k) % len(maximal)
-		ok, scanned := ss.witnessed(&m.wit[i], maximal[i], t)
+	for i, u := range maximal {
+		if m.wit[i] != nil {
+			continue
+		}
+		sv, ok, scanned := dominator(ss, u, t)
 		total += scanned
 		if !ok {
-			// maximal[i] is a bichromatic skyline point of the query vectors
-			// with respect to the stream vectors: early stop, prune the pair,
-			// and test this vector first next time.
+			// u is a bichromatic skyline point of the query vectors with
+			// respect to the stream vectors: early stop, prune the pair.
 			m.refute = int32(i)
 			return false, total
 		}
+		m.wit[i] = sv
 	}
 	return true, total
-}
-
-// witnessed decides one maximal vector u from its witness w: a witness not
-// resealed since it was checked still dominates u and costs no test, a
-// resealed one costs one kernel call, and otherwise the full probe runs and
-// w records the dominator it finds (nil when u is refuted).
-//
-//nnt:hotpath
-func (ss *skyStream) witnessed(w *witness, u npv.PackedVector, t *npv.Tally) (bool, int64) {
-	if w.sv != nil {
-		if w.sv.seal <= w.at {
-			return true, 0
-		}
-		if t.Dominates(w.sv.p, u) {
-			w.at = ss.seals
-			return true, 1
-		}
-	}
-	sv, ok, scanned := dominator(ss, u, t)
-	w.sv, w.at = sv, ss.seals
-	return ok, scanned
 }
 
 // dominator implements the stream-side probe for one query vector: whether

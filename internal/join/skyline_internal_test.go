@@ -382,6 +382,48 @@ func (m *memoRig) check(at string) {
 	if got, want := m.sky.Candidates(), m.nl.Candidates(); !reflect.DeepEqual(got, want) {
 		m.t.Fatalf("%s: Skyline candidates %v != NL %v", at, got, want)
 	}
+	checkPairMemos(m.t, &m.sky.vecJoin, at)
+}
+
+// checkPairMemos asserts pairMemo's two invariants on every (stream, query)
+// pair of a Skyline: each non-nil witness is a live record whose sealed
+// vector dominates its query vector, and each refuted pair's refuting
+// vector has no witness and no live dominator (for the empty vector, which
+// any vertex dominates: the stream has no vertex).
+func checkPairMemos(t *testing.T, j *vecJoin, at string) {
+	t.Helper()
+	for sid, s := range j.streams {
+		ss := s.vecStream.(*skyStream)
+		live := make(map[*skyVertex]bool, len(ss.verts))
+		for _, sv := range ss.verts {
+			live[sv] = true
+		}
+		for _, vq := range j.queries {
+			m := ss.pairs[vq.slot]
+			for i, w := range m.wit {
+				if w != nil && (!live[w] || !w.p.Dominates(vq.vecs[i])) {
+					t.Fatalf("%s: stream %d query %d vector %d: witness live=%v does not dominate it",
+						at, sid, vq.id, i, live[w])
+				}
+			}
+			if s.verdict[vq.slot] {
+				continue
+			}
+			u := vq.vecs[m.refute]
+			if m.wit[m.refute] != nil {
+				t.Fatalf("%s: stream %d query %d: refuting vector %d has a witness", at, sid, vq.id, m.refute)
+			}
+			if u.Len() == 0 && ss.store.Len() > 0 {
+				t.Fatalf("%s: stream %d query %d: empty refuting vector on a stream with vertices", at, sid, vq.id)
+			}
+			for v, sv := range ss.verts {
+				if sv.p.Dominates(u) {
+					t.Fatalf("%s: stream %d query %d: refuting vector %d is dominated by vertex %d",
+						at, sid, vq.id, m.refute, v)
+				}
+			}
+		}
+	}
 }
 
 // joinable reports Skyline's verdict for query id on the stream.
@@ -410,82 +452,43 @@ func star(t *testing.T, leaves int) *graph.Graph {
 
 // TestSkylineMemoWitnessShrinks: the center's witness shrinks below it —
 // the only other change is the leaf it loses — while the dimension's max
-// stays put, held up by nothing. The resealed witness must fail its re-test
-// and the member scan must refute the pair; regrowth elsewhere must record
-// the new dominator.
+// stays put, held up by nothing. The drop must clear the witness without a
+// kernel call and the member scan must refute the pair; regrowth elsewhere
+// is a rise on the refuting vector, which records the new dominator.
 func TestSkylineMemoWitnessShrinks(t *testing.T) {
 	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2, 2: 2, 3: 1, 4: 2},
 		[][3]int{{0, 1, 0}, {0, 2, 0}, {3, 4, 0}})
 	m := newMemoRig(t, g, star(t, 2))
 	ss, pm := m.memo(0)
-	if !m.joinable(0) || pm.wit[0].sv != ss.verts[0] {
+	if !m.joinable(0) || pm.wit[0] != ss.verts[0] {
 		t.Fatalf("the center's witness is not vertex 0: joinable=%v", m.joinable(0))
 	}
 	m.apply("shrink", graph.DeleteOp(0, 2))
-	if m.joinable(0) || pm.refute != 0 || pm.wit[0].sv != nil {
-		t.Fatalf("after the shrink: joinable=%v refute=%d witness=%p; want refuted by the center", m.joinable(0), pm.refute, pm.wit[0].sv)
+	if m.joinable(0) || pm.refute != 0 || pm.wit[0] != nil {
+		t.Fatalf("after the shrink: joinable=%v refute=%d witness=%p; want refuted by the center", m.joinable(0), pm.refute, pm.wit[0])
 	}
 	m.apply("regrow", graph.InsertOp(3, 1, 5, 2, 0))
-	if !m.joinable(0) || pm.wit[0].sv != ss.verts[3] {
+	if !m.joinable(0) || pm.wit[0] != ss.verts[3] {
 		t.Fatalf("after regrowth: joinable=%v; want the center witnessed by vertex 3", m.joinable(0))
 	}
 }
 
-// TestSkylineMemoWitnessRetiresAndReturns: both witnesses retire, and the
-// early stop leaves one memo pointing at a retired record. When the vertex
-// IDs return with fresh records, the stale witness must be re-tested (its
-// record was stamped at retirement), not trusted.
-func TestSkylineMemoWitnessRetiresAndReturns(t *testing.T) {
-	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2, 2: 3, 3: 3},
-		[][3]int{{0, 1, 0}, {2, 3, 0}})
-	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2}, [][3]int{{0, 1, 0}})
-	m := newMemoRig(t, g, q)
-	ss, pm := m.memo(0)
-	live := func(sv *skyVertex) bool {
-		for _, rec := range ss.verts {
-			if rec == sv {
-				return true
-			}
-		}
-		return false
-	}
-	m.apply("retire", graph.DeleteOp(0, 1))
-	m.apply("unrelated", graph.InsertOp(2, 3, 4, 3, 0))
-	if m.joinable(0) {
-		t.Fatal("pair joinable with no 1-2 edge")
-	}
-	stale := false
-	for _, w := range pm.wit {
-		stale = stale || (w.sv != nil && !live(w.sv))
-	}
-	if !stale {
-		t.Fatal("no witness points at a retired record; the return below would not test one")
-	}
-	m.apply("return", graph.InsertOp(0, 1, 1, 2, 0))
-	for i, w := range pm.wit {
-		if !live(w.sv) {
-			t.Fatalf("vector %d's witness is not a live record after the return", i)
-		}
-	}
-	m.apply("unrelated again", graph.DeleteOp(2, 4))
-}
-
 // TestSkylineMemoRefuterDominatedWitnessLost: the center refutes the pair
 // while the leaf vector keeps an older witness. In one step the center
-// becomes dominated again and the leaf vector's witness retires: the
-// re-probe tests the center first, then must re-test the leaf's witness and
-// scan for a new one.
+// becomes dominated again and the leaf vector's witness retires: the rise
+// witnesses the center and queues the pair, the retirement clears the
+// leaf's witness, and the re-probe must scan for a new one.
 func TestSkylineMemoRefuterDominatedWitnessLost(t *testing.T) {
 	m := newMemoRig(t, star(t, 2), star(t, 2))
 	_, pm := m.memo(0)
 	m.apply("refute", graph.DeleteOp(0, 2))
-	if m.joinable(0) || pm.refute != 0 || pm.wit[1].sv == nil {
+	if m.joinable(0) || pm.refute != 0 || pm.wit[1] == nil {
 		t.Fatalf("joinable=%v refute=%d leaf witness=%p; want refuted by the center with the leaf witnessed",
-			m.joinable(0), pm.refute, pm.wit[1].sv)
+			m.joinable(0), pm.refute, pm.wit[1])
 	}
 	m.apply("flip", graph.InsertOp(0, 1, 3, 2, 0), graph.InsertOp(0, 1, 4, 2, 0), graph.DeleteOp(0, 1))
 	ss, _ := m.memo(0)
-	if w := pm.wit[1].sv; !m.joinable(0) || (w != ss.verts[3] && w != ss.verts[4]) {
+	if w := pm.wit[1]; !m.joinable(0) || (w != ss.verts[3] && w != ss.verts[4]) {
 		t.Fatalf("joinable=%v; want the leaf vector witnessed by vertex 3 or 4", m.joinable(0))
 	}
 }

@@ -18,22 +18,21 @@
 //     dimension retrieve exactly those postings.
 //   - Each posting carries its whole vector's 64-bit support signature
 //     (npv.PackedVector.Sig). A query vector u can be dominated by a stream
-//     vector p only if sig(u) &^ sig(p) == 0, so postings whose signature is
-//     not a subset of the before-vector's nor the after-vector's signature
-//     are pruned without touching the query again: their dominance verdict
-//     was false on both sides of the transition.
-//   - Each posting also carries its whole packed vector, so a range hit is
-//     settled on the spot by the packed kernel against the *one* dirty
-//     vertex: the query is a candidate iff old-dominates ≠ new-dominates.
-//     That test is two small sorted merges — orders of magnitude cheaper
-//     than the full re-evaluation (every vector of the query against every
-//     stream vertex) it saves when the bit did not flip, which is the
-//     common case on streams whose counts drift by ±1.
-//   - Every query holds a dense, recycled slot, carried in its postings.
-//     A query is deduplicated by stamping its slot in a caller-owned
-//     Scratch array, checked right after the signature reject, so a query
-//     already collected this call skips the kernel and nothing is hashed
-//     per posting.
+//     vector p only if sig(u) &^ sig(p) == 0.
+//   - Each posting also carries its whole packed vector, so a range hit can
+//     be settled on the spot by the packed kernel against the *one* dirty
+//     vertex.
+//   - Every query holds a dense, recycled slot, carried in its postings, so
+//     per-query state — a Scratch's dedupe stamps, a join's verdicts and
+//     memos — is an array indexed by slot and nothing is hashed per posting.
+//
+// The walk over one vertex's transition (Cross) knows which way it crossed
+// each posting. On a drop (new[d] < u[d] ≤ old[d], retirement included) the
+// new vector does not dominate u, so the flip test is old ≽ u and the
+// signature filter is sig(u) ⊆ sig(old); on a rise (old[d] < u[d] ≤ new[d],
+// appearance included) the old vector did not dominate u, so the test is
+// new ≽ u against sig(new). A flip therefore costs one kernel call, and a
+// posting the transition crosses both ways fails both tests.
 //
 // Dominance of u by v flips only if some per-dimension predicate of u's
 // support flips, so the union of the per-dimension crossings over a dirty
@@ -84,11 +83,11 @@ type Posting struct {
 	Vec   npv.PackedVector
 }
 
-// Candidate-generation telemetry: query verdicts re-evaluated because the
-// index named them, and query verdicts proven unchanged without a dominance
-// test. Process-global atomics (AffectedQueries runs concurrently inside
-// the join pool's fan-out); the server registers them as scrape-time
-// counters on /v1/metrics.
+// Candidate-generation telemetry: query verdicts a candidate set sent to
+// re-evaluation, and those it spared (Finish counts both). Process-global
+// atomics (candidate sets are built concurrently inside the join pool's
+// fan-out); the server registers them as scrape-time counters on
+// /v1/metrics.
 var (
 	candidatesTotal atomic.Int64
 	prunedTotal     atomic.Int64
@@ -104,11 +103,12 @@ func Counters() (candidates, pruned int64) {
 type Index struct {
 	cols map[npv.Dim][]Posting
 	// slots gives every registered query a dense slot, recycled through free
-	// after RemoveQuery, so candidate dedupe indexes a Scratch array instead
-	// of hashing; queries maps a slot back to its owner. Its key set is the
+	// after RemoveQuery; queries maps a slot back to its owner and dims to
+	// the columns its postings live in. The key set of slots is the
 	// candidate universe AffectedQueries prunes.
 	slots   map[core.QueryID]int32
 	queries []core.QueryID
+	dims    [][]npv.Dim
 	free    []int32
 	// empties lists the slots of queries with an empty-support vector. An
 	// empty vector is dominated by any present vertex, so its verdict can
@@ -118,14 +118,29 @@ type Index struct {
 	sealed  bool
 }
 
-// Scratch is a caller-owned dedupe buffer for AffectedQueriesInto: seen
-// holds, per query slot, the stamp of the last call that collected it. One
-// Scratch serves one goroutine at a time; the zero value is ready.
+// Scratch is a caller-owned candidate set: seen holds, per query slot, the
+// stamp of the last set that collected it, out the set's queries, and
+// queries the index's slot-to-query table as of Begin. One Scratch serves
+// one goroutine at a time; the zero value is ready.
 type Scratch struct {
-	stamp uint32
-	seen  []uint32
-	out   []core.QueryID
+	stamp   uint32
+	seen    []uint32
+	out     []core.QueryID
+	queries []core.QueryID
+	// dl and tally serve AffectedQueriesInto's flip test.
+	dl    npv.DirtyDelta
 	tally npv.Tally
+}
+
+// Visitor receives the postings one vertex transition crosses (Index.Cross).
+type Visitor interface {
+	// Cross is called for each posting e whose count lies in a crossed
+	// range and whose signature the crossing side covers, once per crossed
+	// dimension of e's support. drop says the vertex's count fell below
+	// e.Count there (or it retired), so its new vector does not dominate
+	// e.Vec; otherwise it rose to e.Count (or appeared), so its old vector
+	// did not.
+	Cross(e *Posting, drop bool)
 }
 
 // New returns an empty, unsealed index.
@@ -136,23 +151,33 @@ func New() *Index {
 	}
 }
 
+// Register returns q's slot, issuing one — a freed slot first — if q has
+// none. Add registers its query itself; a caller that keeps per-query state
+// by slot registers a query before, or instead of, adding its vectors.
+func (ix *Index) Register(q core.QueryID) int32 {
+	if slot, ok := ix.slots[q]; ok {
+		return slot
+	}
+	var slot int32
+	if n := len(ix.free); n > 0 {
+		slot, ix.free = ix.free[n-1], ix.free[:n-1]
+		ix.queries[slot] = q
+	} else {
+		slot = int32(len(ix.queries))
+		ix.queries = append(ix.queries, q)
+		ix.dims = append(ix.dims, nil)
+	}
+	ix.slots[q] = slot
+	return slot
+}
+
 // Add registers one query vector under k. Before Seal, postings are
 // appended (sorted once at Seal); afterwards each posting is inserted at
 // its sorted position. Registering the same key
 // twice is a caller bug and is not detected here — filters already reject
 // duplicate query IDs.
 func (ix *Index) Add(k Key, p npv.PackedVector) {
-	slot, ok := ix.slots[k.Query]
-	if !ok {
-		if n := len(ix.free); n > 0 {
-			slot, ix.free = ix.free[n-1], ix.free[:n-1]
-			ix.queries[slot] = k.Query
-		} else {
-			slot = int32(len(ix.queries))
-			ix.queries = append(ix.queries, k.Query)
-		}
-		ix.slots[k.Query] = slot
-	}
+	slot := ix.Register(k.Query)
 	if p.Len() == 0 {
 		if !slices.Contains(ix.empties, slot) {
 			ix.empties = append(ix.empties, slot)
@@ -162,6 +187,9 @@ func (ix *Index) Add(k Key, p npv.PackedVector) {
 	sig := p.Sig()
 	for i := 0; i < p.Len(); i++ {
 		d := p.Dim(i)
+		if !slices.Contains(ix.dims[slot], d) {
+			ix.dims[slot] = append(ix.dims[slot], d)
+		}
 		e := Posting{Key: k, Count: p.Count(i), Slot: slot, Sig: sig, Vec: p}
 		col := ix.cols[d]
 		if !ix.sealed {
@@ -169,16 +197,13 @@ func (ix *Index) Add(k Key, p npv.PackedVector) {
 			continue
 		}
 		at := sort.Search(len(col), func(i int) bool { return !postingLess(col[i], e) })
-		col = append(col, Posting{})
-		copy(col[at+1:], col[at:])
-		col[at] = e
-		ix.cols[d] = col
+		ix.cols[d] = slices.Insert(col, at, e)
 	}
 }
 
 // RemoveQuery drops every posting of q and reports whether q was
-// registered. Columns left empty are deleted, so HasDim stays an exact
-// "some query uses this dimension" test.
+// registered. Only q's own columns are visited; columns left empty are
+// deleted, so HasDim stays an exact "some query uses this dimension" test.
 func (ix *Index) RemoveQuery(q core.QueryID) bool {
 	slot, ok := ix.slots[q]
 	if !ok {
@@ -189,19 +214,15 @@ func (ix *Index) RemoveQuery(q core.QueryID) bool {
 	if i := slices.Index(ix.empties, slot); i >= 0 {
 		ix.empties = slices.Delete(ix.empties, i, i+1)
 	}
-	for d, col := range ix.cols {
-		kept := col[:0]
-		for _, e := range col {
-			if e.Key.Query != q {
-				kept = append(kept, e)
-			}
-		}
-		if len(kept) == 0 {
+	for _, d := range ix.dims[slot] {
+		col := slices.DeleteFunc(ix.cols[d], func(e Posting) bool { return e.Slot == slot })
+		if len(col) == 0 {
 			delete(ix.cols, d)
 		} else {
-			ix.cols[d] = kept
+			ix.cols[d] = col
 		}
 	}
+	ix.dims[slot] = ix.dims[slot][:0]
 	return true
 }
 
@@ -283,19 +304,48 @@ func (ix *Index) AffectedQueries(deltas []npv.DirtyDelta) []core.QueryID {
 	return ix.AffectedQueriesInto(new(Scratch), deltas)
 }
 
-// AffectedQueriesInto is AffectedQueries deduplicating through sc: a query
-// is collected the first time one of its postings flips, and its slot's
-// stamp makes every later posting of it skip the kernel. The result aliases
-// sc and is valid until the next call with sc. Concurrent calls need
-// distinct Scratches.
+// AffectedQueriesInto is AffectedQueries collecting into sc: every delta's
+// crossing walk runs the one-kernel flip test on postings of queries not
+// collected yet. The result aliases sc and is valid until the next call
+// with sc. Concurrent calls need distinct Scratches.
 func (ix *Index) AffectedQueriesInto(sc *Scratch, deltas []npv.DirtyDelta) []core.QueryID {
 	if !ix.sealed {
 		panic("qindex: AffectedQueries before Seal")
 	}
-	sc.out = sc.out[:0]
 	if len(ix.slots) == 0 || len(deltas) == 0 {
 		return nil
 	}
+	ix.Begin(sc)
+	presence := false
+	for _, dl := range deltas {
+		sc.dl = dl
+		presence = ix.Cross(dl, sc) || presence
+	}
+	sc.tally.Flush()
+	return ix.Finish(sc, presence)
+}
+
+// Cross implements Visitor with AffectedQueriesInto's flip test: a drop
+// flips the posting's dominance iff the old vector dominated it, a rise iff
+// the new one does.
+//
+//nnt:hotpath
+func (sc *Scratch) Cross(e *Posting, drop bool) {
+	if sc.seen[e.Slot] == sc.stamp {
+		return
+	}
+	side := sc.dl.New
+	if drop {
+		side = sc.dl.Old
+	}
+	if sc.tally.Dominates(side, e.Vec) {
+		sc.Collect(e.Slot)
+	}
+}
+
+// Begin empties sc for a new candidate set over ix's registered queries,
+// sizing it so that Collect never allocates.
+func (ix *Index) Begin(sc *Scratch) {
 	if sc.stamp++; sc.stamp == 0 {
 		// Wrapped: a stale stamp could equal the new one.
 		clear(sc.seen)
@@ -307,122 +357,83 @@ func (ix *Index) AffectedQueriesInto(sc *Scratch, deltas []npv.DirtyDelta) []cor
 	if n := len(ix.slots); cap(sc.out) < n {
 		sc.out = make([]core.QueryID, 0, n)
 	}
-	presence := false
-	for _, dl := range deltas {
-		switch {
-		case dl.HadOld && dl.HasNew:
-			ix.collectChanged(sc, dl.Old, dl.New)
-		case dl.HasNew:
-			// Vertex appeared: it can only add dominance, and only over
-			// vectors whose support it reaches.
-			presence = true
-			ix.collectReachable(sc, dl.New)
-		case dl.HadOld:
-			// Vertex retired: it can only withdraw dominance it could have
-			// held, bounded by its last sealed vector.
-			presence = true
-			ix.collectReachable(sc, dl.Old)
-		}
+	sc.out, sc.queries = sc.out[:0], ix.queries
+}
+
+// Collect adds slot's query to sc's set unless the set already holds it.
+// Begin gave sc.out room for every registered query, so the reslice stays
+// within capacity.
+//
+//nnt:hotpath
+func (sc *Scratch) Collect(slot int32) {
+	if sc.seen[slot] != sc.stamp {
+		sc.seen[slot] = sc.stamp
+		n := len(sc.out)
+		sc.out = sc.out[:n+1]
+		sc.out[n] = sc.queries[slot]
 	}
+}
+
+// Finish closes sc's set and returns it in ascending QueryID order. When
+// presence changed — some vertex appeared or retired — it first adds every
+// query with an empty-support vector, which any present vertex dominates
+// (the stream may have gained its first vertex or lost its last). The set
+// counts as candidates and the other registered queries as pruned.
+func (ix *Index) Finish(sc *Scratch, presence bool) []core.QueryID {
 	if presence {
-		// Empty-support vectors are dominated by any present vertex, so
-		// their queries are affected whenever presence changed (the stream
-		// may have gained its first vertex or lost its last).
 		for _, slot := range ix.empties {
-			ix.collect(sc, slot)
+			sc.Collect(slot)
 		}
 	}
 	slices.Sort(sc.out)
-	sc.tally.Flush()
 	candidatesTotal.Add(int64(len(sc.out)))
 	prunedTotal.Add(int64(len(ix.slots) - len(sc.out)))
 	return sc.out
 }
 
-// collect adds slot's query to sc's result unless this call already has.
-// AffectedQueriesInto gave sc.out room for every registered query, so the
-// reslice stays within capacity.
+// Cross walks the postings vertex transition dl crosses and reports whether
+// dl changed the vertex's presence. The two sorted supports are merged in
+// lockstep, absent dimensions counting zero and an absent side being the
+// empty vector, so an appearance rises through (0, new[d]] and a retirement
+// drops through (0, old[d]] of each of its dimensions. Every posting whose
+// dominance by the vertex flipped is visited, in the direction it flipped:
+// a vector u that old dominated and new does not has some d ∈ supp(u) with
+// new[d] < u[d] ≤ old[d], and sig(u) ⊆ sig(old); symmetrically for a rise.
 //
 //nnt:hotpath
-func (ix *Index) collect(sc *Scratch, slot int32) {
-	if sc.seen[slot] != sc.stamp {
-		sc.seen[slot] = sc.stamp
-		n := len(sc.out)
-		sc.out = sc.out[:n+1]
-		sc.out[n] = ix.queries[slot]
-	}
-}
-
-// collectChanged walks the two sorted supports of a present-before-and-
-// after vertex in lockstep. A query vector's per-dimension predicate
-// v[d] ≥ u[d] flipped iff u[d] lies in (min(old[d],new[d]), max(...)]
-// (absent dimensions count as zero), so each differing dimension turns
-// into one crossed-range scan; range hits are settled exactly by
-// collectChangedRange's flip test.
-//
-//nnt:hotpath
-func (ix *Index) collectChanged(sc *Scratch, old, new npv.PackedVector) {
+func (ix *Index) Cross(dl npv.DirtyDelta, v Visitor) bool {
+	old, new := dl.Old, dl.New
 	i, j := 0, 0
 	for i < old.Len() || j < new.Len() {
 		switch {
 		case j == new.Len() || (i < old.Len() && old.Dim(i) < new.Dim(j)):
-			ix.collectChangedRange(sc, old.Dim(i), 0, old.Count(i), old, new)
+			ix.crossRange(old.Dim(i), 0, old.Count(i), old.Sig(), true, v)
 			i++
 		case i == old.Len() || new.Dim(j) < old.Dim(i):
-			ix.collectChangedRange(sc, new.Dim(j), 0, new.Count(j), old, new)
+			ix.crossRange(new.Dim(j), 0, new.Count(j), new.Sig(), false, v)
 			j++
 		default:
-			if oc, nc := old.Count(i), new.Count(j); oc != nc {
-				ix.collectChangedRange(sc, old.Dim(i), min(oc, nc), max(oc, nc), old, new)
+			if oc, nc := old.Count(i), new.Count(j); oc > nc {
+				ix.crossRange(old.Dim(i), nc, oc, old.Sig(), true, v)
+			} else if oc < nc {
+				ix.crossRange(new.Dim(j), oc, nc, new.Sig(), false, v)
 			}
 			i++
 			j++
 		}
 	}
+	return dl.HadOld != dl.HasNew
 }
 
-// collectChangedRange examines dimension d's postings with lo < Count ≤ hi
-// for a vertex present on both sides of the transition. The signature test
-// drops vectors that could not have been dominated on either side, then
-// queries this call already collected are skipped; survivors are settled
-// exactly — the query is affected iff dominance by this vertex differs
-// between the old and new vector.
+// crossRange visits dimension d's postings with lo < Count ≤ hi whose
+// signature is a subset of sig, the crossing side's.
 //
 //nnt:hotpath
-func (ix *Index) collectChangedRange(sc *Scratch, d npv.Dim, lo, hi int32, old, new npv.PackedVector) {
+func (ix *Index) crossRange(d npv.Dim, lo, hi int32, sig uint64, drop bool, v Visitor) {
 	col := ix.cols[d]
-	sigOld, sigNew := old.Sig(), new.Sig()
 	for k, end := UpperBound(col, lo), UpperBound(col, hi); k < end; k++ {
-		e := &col[k]
-		if e.Sig&^sigOld != 0 && e.Sig&^sigNew != 0 || sc.seen[e.Slot] == sc.stamp {
-			continue
-		}
-		if sc.tally.Dominates(old, e.Vec) != sc.tally.Dominates(new, e.Vec) {
-			ix.collect(sc, e.Slot)
-		}
-	}
-}
-
-// collectReachable collects the queries a one-sided vertex (appeared or
-// retired, vector p on its present side) flips: exactly the vectors p
-// dominates, since the absent side dominates nothing. Any dominated vector
-// u has supp(u) ⊆ supp(p) with u[d] ≤ p[d], so u appears in the (0, p[d]]
-// range of every dimension of its own support — the union over p's
-// dimensions cannot miss it.
-//
-//nnt:hotpath
-func (ix *Index) collectReachable(sc *Scratch, p npv.PackedVector) {
-	sig := p.Sig()
-	for i := 0; i < p.Len(); i++ {
-		col := ix.cols[p.Dim(i)]
-		for k, end := 0, UpperBound(col, p.Count(i)); k < end; k++ {
-			e := &col[k]
-			if e.Sig&^sig != 0 || sc.seen[e.Slot] == sc.stamp {
-				continue
-			}
-			if sc.tally.Dominates(p, e.Vec) {
-				ix.collect(sc, e.Slot)
-			}
+		if e := &col[k]; e.Sig&^sig == 0 {
+			v.Cross(e, drop)
 		}
 	}
 }
