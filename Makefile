@@ -56,7 +56,7 @@ test:
 # internal/join carries the parallel ApplyAll fan-out and internal/gindex
 # re-mines lazily inside Candidates, which concurrent readers call at once —
 # both race-critical.
-# internal/npv holds the packed-vector cache read concurrently by that
+# internal/npv holds the sealed packed vectors read concurrently by that
 # fan-out and the atomic kernel counters. internal/qindex is the sealed
 # query-candidate index read concurrently by the same fan-out.
 # internal/cluster mixes the coordinator's heartbeat goroutine with the data

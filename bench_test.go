@@ -167,12 +167,12 @@ func BenchmarkFig12_Depth(b *testing.B) {
 			queries := datagen.QuerySet(chemDB, 10, 8, r)
 			vecs := make([][]npv.PackedVector, len(chemDB))
 			for i, g := range chemDB {
-				vecs[i] = npv.PackAll(npv.VectorsByVertex(npv.ProjectGraph(g, depth)))
+				vecs[i] = npv.ProjectPacked(g, depth)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				maximal := skyline.MaximalPacked(npv.PackAll(npv.VectorsByVertex(npv.ProjectGraph(q, depth))))
+				maximal := skyline.MaximalPacked(npv.ProjectPacked(q, depth))
 				count := 0
 			graphs:
 				for gi := range vecs {
@@ -204,12 +204,12 @@ func BenchmarkFig13_NPVQuery(b *testing.B) {
 	queries := datagen.QuerySet(synDB, 10, 8, r)
 	vecs := make([][]npv.PackedVector, len(synDB))
 	for i, g := range synDB {
-		vecs[i] = npv.PackAll(npv.VectorsByVertex(npv.ProjectGraph(g, join.DefaultDepth)))
+		vecs[i] = npv.ProjectPacked(g, join.DefaultDepth)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		maximal := skyline.MaximalPacked(npv.PackAll(npv.VectorsByVertex(npv.ProjectGraph(q, join.DefaultDepth))))
+		maximal := skyline.MaximalPacked(npv.ProjectPacked(q, join.DefaultDepth))
 		count := 0
 	graphs:
 		for gi := range vecs {
@@ -685,6 +685,44 @@ func TestNPVRecountDenseAllocsCapped(t *testing.T) {
 		t.Fatalf("npv.Store allocates %v per dense timestamp; cap %d", allocs, maxNPVRecountDenseAllocs)
 	}
 	t.Logf("allocs per timestamp: %v", allocs)
+}
+
+// BenchmarkNPVStepDense is BenchmarkNPVRecountDense plus the seal: one
+// Apply and one SealDirty per timestamp, the store's whole per-step cost.
+func BenchmarkNPVStepDense(b *testing.B) {
+	g, steps := hubWorkload()
+	s := npv.NewStore(g, join.DefaultDepth)
+	s.SealDirty()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Apply(steps[i%2]); err != nil {
+			b.Fatal(err)
+		}
+		s.SealDirty()
+	}
+}
+
+// TestNPVStepDenseAllocsPerDirtyVertex replays BenchmarkNPVStepDense and
+// caps a sealed timestamp at two allocations per resealed vertex (its
+// support and its counts) plus one for the deltas.
+func TestNPVStepDenseAllocsPerDirtyVertex(t *testing.T) {
+	g, steps := hubWorkload()
+	s := npv.NewStore(g, join.DefaultDepth)
+	s.SealDirty()
+	i, dirty := 0, 0
+	allocs := testing.AllocsPerRun(64, func() {
+		if err := s.Apply(steps[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		dirty += len(s.SealDirty())
+		i++
+	})
+	perStep := float64(dirty) / float64(i)
+	if allocs > 2*perStep+1 {
+		t.Fatalf("a sealed dense timestamp allocates %v for %v dirty vertices; cap %v", allocs, perStep, 2*perStep+1)
+	}
+	t.Logf("allocs per timestamp: %v for %v dirty vertices", allocs, perStep)
 }
 
 // BenchmarkVF2HardInstance shows why the paper avoids exact isomorphism on

@@ -37,25 +37,14 @@ import (
 // the paper's Figure 12 finds depth 3 sufficient for effective filtering.
 const DefaultDepth = 3
 
-// qKey identifies one query vertex across all registered queries.
+// qKey identifies one query vertex across all registered queries: V is its
+// position in ascending vertex order, the order npv.ProjectPacked returns.
 type qKey struct {
 	Q core.QueryID
 	V graph.VertexID
 }
 
 func (k qKey) String() string { return fmt.Sprintf("Q%d/%d", k.Q, k.V) }
-
-// projectQuery computes the per-vertex NPVs of a static query graph.
-func projectQuery(q *graph.Graph, depth int) map[graph.VertexID]npv.Vector {
-	return npv.ProjectGraph(q, depth)
-}
-
-// packQuery projects a query and freezes its vectors into packed form in
-// ascending vertex order — queries are static, so this runs once at
-// registration and evaluation never touches a map vector again.
-func packQuery(q *graph.Graph, depth int) []npv.PackedVector {
-	return npv.PackAll(npv.VectorsByVertex(projectQuery(q, depth)))
-}
 
 // batchStreamIDs extracts a change batch's stream IDs in ascending order.
 // The fan-out indexes tasks by position in this slice, so a fixed order is
@@ -252,10 +241,7 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 		return fmt.Errorf("join: duplicate stream %d", id)
 	}
 	j.ix.Seal()
-	// Both strategies probe on the packed kernel, so every seal freezes the
-	// dirty vertices into the store's packed cache.
 	store := npv.NewStore(g0, j.depth)
-	store.EnablePacking()
 	s := &vecJoinStream{vecStream: j.newStream(j.ix, store), id: id, store: store}
 	j.streams[id] = s
 	s.reconcile(nil)

@@ -2,7 +2,6 @@ package join
 
 import (
 	"fmt"
-	"sort"
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
@@ -92,21 +91,14 @@ func (f *DSC) AddQuery(id core.QueryID, q *graph.Graph) error {
 		return fmt.Errorf("join: duplicate query %d", id)
 	}
 	size := 0
-	proj := projectQuery(q, f.depth)
-	ids := make([]graph.VertexID, 0, len(proj))
-	for v := range proj {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, v := range ids {
-		vec := npv.Pack(proj[v])
+	for i, vec := range npv.ProjectPacked(q, f.depth) {
 		if vec.Len() == 0 {
 			continue // trivially dominated (isolated query vertex)
 		}
-		k := qKey{Q: id, V: v}
+		k := qKey{Q: id, V: graph.VertexID(i)}
 		size++
 		f.vecs[k] = vec
-		f.ix.Add(qindex.Key{Query: id, Vertex: v}, vec)
+		f.ix.Add(qindex.Key{Query: id, Vertex: k.V}, vec)
 		for _, ds := range f.streams {
 			f.attachQueryVertex(ds, k, vec)
 		}
@@ -119,7 +111,7 @@ func (f *DSC) AddQuery(id core.QueryID, q *graph.Graph) error {
 // every stream vertex's position counters gain the new column entries they
 // are ≥ of, and its dominant counter for the new key is derived directly.
 func (f *DSC) attachQueryVertex(ds *dscStream, k qKey, vec npv.PackedVector) {
-	ds.store.Vectors(func(v graph.VertexID, vvec npv.Vector) bool {
+	ds.store.PackedVectors(func(v graph.VertexID, vvec npv.PackedVector) bool {
 		cnt := 0
 		for i := 0; i < vec.Len(); i++ {
 			d, c := vec.Dim(i), vec.Count(i)
@@ -192,7 +184,7 @@ func (f *DSC) RemoveQuery(id core.QueryID) error {
 // rollbackPositions decrements the position counter of every stream vertex
 // that counted a removed column entry of value c in dimension d.
 func (f *DSC) rollbackPositions(ds *dscStream, d npv.Dim, c int32) {
-	ds.store.Vectors(func(v graph.VertexID, vvec npv.Vector) bool {
+	ds.store.PackedVectors(func(v graph.VertexID, vvec npv.PackedVector) bool {
 		if vvec.Get(d) >= c {
 			pos := ds.pos[v]
 			pos[d]--
@@ -231,12 +223,10 @@ func (f *DSC) Apply(id core.StreamID, cs graph.ChangeSet) error {
 	return f.ApplyAll(map[core.StreamID]graph.ChangeSet{id: cs})
 }
 
-// reconcile folds the stream's dirty vertices into its counters. DSC's
-// columns are counter-based and never read a whole stream vector, so its
-// store keeps no packed cache and the plain dirty set suffices.
+// reconcile folds the stream's seal transitions into its counters.
 func (f *DSC) reconcile(ds *dscStream) {
-	for _, v := range ds.store.TakeDirty() {
-		f.updateVertex(ds, v)
+	for _, dl := range ds.store.SealDirty() {
+		f.updateVertex(ds, dl.Vertex, dl.New)
 	}
 }
 
@@ -263,50 +253,23 @@ func (f *DSC) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 	return err
 }
 
-// updateVertex moves stream vertex v's position counters to match its
-// current NPV, adjusting dominant counters for exactly the query entries
-// crossed in each dimension.
-func (f *DSC) updateVertex(ds *dscStream, v graph.VertexID) {
-	newVec := ds.store.Vector(v) // nil when v was retired
+// updateVertex moves stream vertex v's position counters to match its newly
+// sealed NPV vec (empty when v retired), adjusting dominant counters for
+// exactly the query entries crossed in each dimension: every dimension with
+// a nonzero old position, then every other one of vec's support that queries
+// use.
+func (f *DSC) updateVertex(ds *dscStream, v graph.VertexID, vec npv.PackedVector) {
 	pos := ds.pos[v]
-
-	// Dimensions to reconcile: all with a nonzero old position plus all in
-	// the new vector's support (restricted to dimensions queries use).
-	touch := make(map[npv.Dim]struct{}, len(pos)+len(newVec))
 	for d := range pos {
-		touch[d] = struct{}{}
+		f.move(ds, v, pos, d, vec.Get(d))
 	}
-	for d := range newVec {
-		if f.ix.HasDim(d) {
-			touch[d] = struct{}{}
-		}
-	}
-	if len(touch) == 0 {
-		return
-	}
-	if pos == nil {
-		pos = make(map[npv.Dim]int)
-		ds.pos[v] = pos
-	}
-	for d := range touch {
-		col := f.ix.Postings(d)
-		oldPos := pos[d]
-		newVal := newVec.Get(d) // Get on nil map is safe: method on map type
-		newPos := qindex.UpperBound(col, newVal)
-		switch {
-		case newPos > oldPos:
-			for _, e := range col[oldPos:newPos] {
-				f.incDom(ds, v, qKey{Q: e.Key.Query, V: e.Key.Vertex})
+	for i := 0; i < vec.Len(); i++ {
+		if d := vec.Dim(i); pos[d] == 0 && f.ix.HasDim(d) {
+			if pos == nil {
+				pos = make(map[npv.Dim]int)
+				ds.pos[v] = pos
 			}
-		case newPos < oldPos:
-			for _, e := range col[newPos:oldPos] {
-				f.decDom(ds, v, qKey{Q: e.Key.Query, V: e.Key.Vertex})
-			}
-		}
-		if newPos == 0 {
-			delete(pos, d)
-		} else {
-			pos[d] = newPos
+			f.move(ds, v, pos, d, vec.Count(i))
 		}
 	}
 	if len(pos) == 0 {
@@ -314,6 +277,27 @@ func (f *DSC) updateVertex(ds *dscStream, v graph.VertexID) {
 	}
 	if dom := ds.dom[v]; dom != nil && len(dom) == 0 {
 		delete(ds.dom, v)
+	}
+}
+
+// move sets v's position in dimension d's column to that of count c.
+func (f *DSC) move(ds *dscStream, v graph.VertexID, pos map[npv.Dim]int, d npv.Dim, c int32) {
+	col := f.ix.Postings(d)
+	oldPos, newPos := pos[d], qindex.UpperBound(col, c)
+	switch {
+	case newPos > oldPos:
+		for _, e := range col[oldPos:newPos] {
+			f.incDom(ds, v, qKey{Q: e.Key.Query, V: e.Key.Vertex})
+		}
+	case newPos < oldPos:
+		for _, e := range col[newPos:oldPos] {
+			f.decDom(ds, v, qKey{Q: e.Key.Query, V: e.Key.Vertex})
+		}
+	}
+	if newPos == 0 {
+		delete(pos, d)
+	} else {
+		pos[d] = newPos
 	}
 }
 

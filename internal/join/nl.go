@@ -30,7 +30,7 @@ var (
 
 // NewNL returns a nested-loop filter with the given NNT depth.
 func NewNL(depth int) *NL {
-	return &NL{newVecJoin(depth, false, packQuery, func(_ *qindex.Index, store *npv.Store) vecStream { return nlStream{store} })}
+	return &NL{newVecJoin(depth, false, npv.ProjectPacked, func(_ *qindex.Index, store *npv.Store) vecStream { return nlStream{store} })}
 }
 
 // Name implements core.Filter.
@@ -73,7 +73,6 @@ func evalQuery(store *npv.Store, vecs []npv.PackedVector, t *npv.Tally) (bool, i
 //
 //nnt:hotpath
 func dominatedByAny(store *npv.Store, u npv.PackedVector, t *npv.Tally) (found bool, scanned int) {
-	//lint:ignore hotalloc Packed's Pack() fallback only runs for dirty or cache-disabled vectors; sealed spaces on this path hit the packed cache allocation-free
 	store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
 		scanned++
 		if t.Dominates(p, u) {

@@ -41,7 +41,7 @@ type Skyline struct{ vecJoin }
 // skyStream is Skyline's vecStream: the per-dimension statistics behind the
 // max refutation and the probe-dimension choice, kept straight off the seal
 // transitions. A vertex's record holds its sealed packed vector, sharing the
-// slices of the store's packed cache rather than copying them.
+// store's sealed slices (never written again) rather than copying them.
 type skyStream struct {
 	ix    *qindex.Index
 	store *npv.Store
@@ -114,7 +114,7 @@ func (f *Skyline) Name() string { return "NPV-Skyline" }
 // those are the least likely to be dominated, so a non-joinable pair is
 // refuted early.
 func maximalByMass(q *graph.Graph, depth int) []npv.PackedVector {
-	maximal := skyline.MaximalPacked(packQuery(q, depth))
+	maximal := skyline.MaximalPacked(npv.ProjectPacked(q, depth))
 	sort.Slice(maximal, func(i, j int) bool { return maximal[i].L1() > maximal[j].L1() })
 	return maximal
 }

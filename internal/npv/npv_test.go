@@ -160,9 +160,6 @@ func TestSpaceTracksForestIncrementally(t *testing.T) {
 			t.Fatalf("op %d: no dirty vertices reported", i)
 		}
 	}
-	if _, ok := s.RootLabel(1); ok {
-		t.Fatal("retired vertex still has a root label")
-	}
 	if s.Vector(1) != nil {
 		t.Fatal("retired vertex still has a vector")
 	}
@@ -190,10 +187,6 @@ func assertSpaceMatchesScratch(t *testing.T, s *Space, f *nnt.Forest) {
 		got := s.Vector(v)
 		if got == nil || !got.Equal(want) {
 			t.Fatalf("vector of %d: incremental %v vs scratch %v", v, got, want)
-		}
-		l, ok := s.RootLabel(v)
-		if !ok || l != f.Graph().MustVertexLabel(v) {
-			t.Fatalf("root label of %d wrong", v)
 		}
 	}
 }

@@ -5,17 +5,16 @@ import (
 	"sync/atomic"
 )
 
-// PackedVector is the frozen, evaluation-time form of a Vector: the support
+// PackedVector is the frozen, evaluation-time form of an NPV: the support
 // in ascending Dim order in one slice, the matching counts in a parallel
 // slice, and a 64-bit support signature (one bit per hashed dimension).
+// Store seals stream vectors straight into it, and query projection returns
+// it; the map-backed Vector serves only the forest observer and tests.
 //
-// The map-backed Vector is the right shape for incremental maintenance —
-// tree edge events adjust one dimension at a time — but the dominance test
-// of Lemma 4.2 only ever *reads* whole vectors, and on the filter hot path
-// it does so for every (stream, query) pair each timestamp. Packed form
-// turns that read into a branch-predictable linear merge over two sorted
-// slices with zero map lookups and zero allocations, preceded by two O(1)
-// rejects:
+// The dominance test of Lemma 4.2 reads whole vectors for every (stream,
+// query) pair it decides. Packed form turns that read into a
+// branch-predictable linear merge over two sorted slices with zero map
+// lookups and zero allocations, preceded by two O(1) rejects:
 //
 //  1. the support-size check (v cannot dominate u with a smaller support),
 //  2. the signature subset test: every dimension of u sets one hashed bit
@@ -30,7 +29,8 @@ import (
 //
 // The zero value is the packed empty vector. PackedVector values share
 // their backing slices when copied; they are immutable by convention —
-// nothing in this package mutates a PackedVector after Pack returns.
+// nothing in this package mutates a PackedVector once Pack or a seal has
+// returned it.
 type PackedVector struct {
 	dims   []Dim
 	counts []int32

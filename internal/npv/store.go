@@ -1,20 +1,21 @@
 package npv
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
+	"slices"
 
 	"nntstream/internal/graph"
 )
 
-// closedDepth is the deepest l at which Store counts by the closed form.
+// closedDepth is the deepest level Store counts by the closed form.
 const closedDepth = 3
 
 // Store keeps the node-projected vectors of one evolving graph by
 // recounting them, without materializing a single node-neighbor tree. The
 // NPV of a vertex counts, per dimension, the tree edges of its depth-l NNT
 // (Section IV-A), and a tree edge is just the last edge of an edge-distinct
-// walk of length ≤ l from the root. Up to l = 3 such a walk is exactly a
+// walk of length ≤ l from the root. Up to length 3 such a walk is exactly a
 // non-backtracking one (reusing an edge takes 4, as r→a→b→r→a does), so
 // with Tk(r) the triples ⟨label x, edge label, label y⟩ of the last edges
 // x→y of r's k-walks — the vector's level k — the counts obey
@@ -23,10 +24,12 @@ const closedDepth = 3
 //	T2(r) = Σ_{a∈N(r)} T1(a) − rev(r)    rev(r): the same edges, reversed
 //	T3(r) = Σ_{a∈N(r)} T2(a) − (deg(r)−1)·T1(r)
 //
-// Each vertex keeps its levels as counts of triples interned when edges are
-// linked, and a level sums the neighbours' previous one in a dense scratch
-// array, without hashing. From l = 4 on a walk can reuse an edge and the
-// recurrence over-counts, so there the store enumerates each root's walks.
+// Each vertex keeps one tally list per level: counts of triples interned
+// when edges are linked, sorted by the Dim each triple maps to at that
+// level. A level up to 3 sums the neighbours' previous one in a dense
+// scratch array, without hashing. From level 4 on a walk can reuse an edge
+// and the recurrence over-counts, so there the store enumerates each root's
+// walks into the same scratch.
 //
 // Store owns its graph. Apply advances it by one timestamp's change set:
 //
@@ -39,23 +42,25 @@ const closedDepth = 3
 //     first endpoint within k−1 edges of the graph it lives in;
 //  2. it applies the change set to the graph, deletions first;
 //  3. for k = 1..l it recounts level k of each affected root within k−1
-//     hops, after every neighbour's level k−1 (from l = 4 on, it
-//     re-enumerates each affected root);
-//  4. it marks a root dirty only if its vector actually changed (or it
-//     appeared or retired), so TakeDirty/SealDirty and everything keyed on
-//     them see exactly the vertices whose vector moved.
+//     hops, after every neighbour's level k−1;
+//  4. it marks a root dirty only if a level actually moved (or it appeared
+//     or retired), so SealDirty and everything keyed on it see exactly the
+//     vertices whose vector moved.
 //
-// Recounting pays once per affected root per timestamp for its final
-// counts, where patching an nnt.Forest pays for every intermediate tree.
-// Vectors returned by Vector and Vectors are owned by the store and valid
-// until the next Apply.
+// A vector exists in packed form only: SealDirty concatenates each dirty
+// vertex's level lists into a fresh PackedVector, which Packed and
+// PackedVectors serve until the vertex next moves. Recounting pays once per
+// affected root per timestamp for its final counts, where patching an
+// nnt.Forest pays for every intermediate tree.
 type Store struct {
-	vecTable
 	depth int
 	verts map[graph.VertexID]*vnode
+	// dirty lists the vertices to reseal, each once. free holds the
+	// vnodes of vertices retired at a seal, for reuse with their buffers.
+	dirty, free []*vnode
 	// nodes is Σ_v (1 + L1(NPV_v)) — the node count of the depth-l NNTs the
 	// vectors project (a root plus one node per tree edge). Creating and
-	// retiring a vertex and recounting its vector adjust it from the L1 the
+	// retiring a vertex and recounting its levels adjust it from the L1 the
 	// vnode keeps, so reading it walks nothing.
 	nodes int
 
@@ -68,8 +73,8 @@ type Store struct {
 	cur, next    []*vnode
 
 	// tris[id] is triple id as a level-0 Dim, triID its inverse. acc sums
-	// one level of one root, touched[:nt] lists its nonzero ids (both sized
-	// to the triple count), and sums stages them for a vnode.
+	// one level of one root, touched[:nt] lists its nonzero ids, and sums
+	// gathers them for a vnode (all three sized to the triple count).
 	tris    []Dim
 	triID   map[Dim]uint32
 	acc     []int32
@@ -77,26 +82,27 @@ type Store struct {
 	nt      int
 	sums    []tally
 
-	// The l ≥ 4 enumerator: path[0..k] is the walk it is on; count
-	// accumulates the root being recounted, and countL1 its total.
-	path    []*vnode
-	count   Vector
-	countL1 int
+	// path[0..k] is the walk the level-4+ enumerator is on.
+	path []*vnode
 }
 
 // vnode is one vertex of the store's graph: its label and adjacency, with
-// each neighbor held by pointer so counting never hashes.
+// each neighbor held by pointer so counting never hashes, its level lists
+// and its last sealed vector.
 type vnode struct {
-	id      graph.VertexID
-	label   graph.Label
-	adj     []half
-	vec     Vector               // its entry in vectors, nil until first counted
-	lv      [closedDepth][]tally // lv[k-1]: level k of vec as triple counts
-	l1      int                  // L1 of its vector as last recounted
-	seen    uint32               // stamp of the last sweep that reached it
-	queued  uint32               // round in which it was queued for recounting
-	hop     int                  // its least hop distance from a changed edge that round
-	retired bool                 // isolated by this timestamp's deletions so far
+	id     graph.VertexID
+	label  graph.Label
+	adj    []half
+	lv     [][]tally    // lv[k-1]: level k, sorted by Dim
+	packed PackedVector // the vector as of the last seal
+	l1     int          // L1 of its levels
+	seen   uint32       // stamp of the last sweep that reached it
+	queued uint32       // round in which it was queued for recounting
+	hop    int          // its least hop distance from a changed edge that round
+	// retired: isolated by this timestamp's deletions so far. live: counted
+	// in nodes, so the next seal gives it a vector. sealed: it had one at
+	// the last seal. dirty: it is on Store.dirty.
+	retired, live, sealed, dirty bool
 }
 
 // half is one direction of an undirected edge, with its triple and the reverse's.
@@ -113,23 +119,20 @@ type tally struct {
 }
 
 // NewStore builds the store of an initial graph; g is not retained. depth is
-// the paper's l and must be ≥ 1. Every vertex starts dirty, as a fresh Space
-// observing a fresh forest does.
+// the paper's l and must be ≥ 1. Every vertex starts dirty, so the first
+// SealDirty reports each one as added.
 func NewStore(g *graph.Graph, depth int) *Store {
 	if depth < 1 {
 		panic(fmt.Sprintf("npv: depth must be ≥ 1, got %d", depth))
 	}
 	s := &Store{
-		vecTable: newVecTable(),
-		depth:    depth,
-		verts:    make(map[graph.VertexID]*vnode, g.VertexCount()),
-		triID:    make(map[Dim]uint32),
-		path:     make([]*vnode, depth+1),
-		count:    make(Vector),
+		depth: depth,
+		verts: make(map[graph.VertexID]*vnode, g.VertexCount()),
+		triID: make(map[Dim]uint32),
+		path:  make([]*vnode, depth+1),
 	}
 	g.Vertices(func(v graph.VertexID, l graph.Label) bool {
-		n := &vnode{id: v, label: l}
-		s.verts[v] = n
+		n := s.newVnode(v, l)
 		s.affected = append(s.affected, n)
 		return true
 	})
@@ -143,16 +146,104 @@ func NewStore(g *graph.Graph, depth int) *Store {
 	return s
 }
 
-// ProjectGraph returns the NPVs of a static graph at depth l. It is the
+// ProjectPacked returns the packed NPVs of a static graph at depth l, one
+// per vertex in ascending vertex order, empty vectors included. It is the
 // one-shot path for query graphs, which are projected once at registration.
+func ProjectPacked(g *graph.Graph, depth int) []PackedVector {
+	deltas := NewStore(g, depth).SealDirty()
+	out := make([]PackedVector, len(deltas))
+	for i, dl := range deltas {
+		out[i] = dl.New
+	}
+	return out
+}
+
+// ProjectGraph returns the NPVs of a static graph at depth l in map form,
+// the form the forest-side reference code compares.
 func ProjectGraph(g *graph.Graph, depth int) map[graph.VertexID]Vector {
-	return NewStore(g, depth).vectors
+	out := make(map[graph.VertexID]Vector, g.VertexCount())
+	for _, dl := range NewStore(g, depth).SealDirty() {
+		out[dl.Vertex] = dl.New.Unpack()
+	}
+	return out
 }
 
 // Nodes returns the number of NNT nodes the stored vectors project,
 // Σ_v (1 + L1(NPV_v)) — what nnt.Forest.TotalNodes reports for the same
 // graph, at O(1).
 func (s *Store) Nodes() int { return s.nodes }
+
+// Len reports the number of vertices; after a seal, the number of vectors.
+func (s *Store) Len() int { return len(s.verts) }
+
+// Packed returns the vector of v sealed at the last SealDirty, and false
+// when v had none. It never packs, so concurrent readers between seals are
+// safe.
+func (s *Store) Packed(v graph.VertexID) (PackedVector, bool) {
+	if n := s.verts[v]; n != nil && n.sealed {
+		return n.packed, true
+	}
+	return PackedVector{}, false
+}
+
+// PackedVectors calls fn for every (vertex, vector) pair of the last seal.
+// Iteration order is unspecified; fn returning false stops iteration.
+func (s *Store) PackedVectors(fn func(v graph.VertexID, p PackedVector) bool) {
+	for v, n := range s.verts {
+		if n.sealed && !fn(v, n.packed) {
+			return
+		}
+	}
+}
+
+// SealDirty returns one DirtyDelta per vertex whose vector moved (or which
+// appeared or retired) since the previous call, in ascending vertex order,
+// and makes each New the vertex's sealed vector. Old is the vector the
+// previous seal exposed to evaluation, so (Old, New) is the precise input
+// the query dominance index (internal/qindex) prunes candidates with. New
+// is the concatenation of the vertex's level lists in freshly allocated
+// slices: a sealed vector is never written again, so readers may keep it
+// across seals.
+func (s *Store) SealDirty() []DirtyDelta {
+	if len(s.dirty) == 0 {
+		return nil
+	}
+	slices.SortFunc(s.dirty, func(a, b *vnode) int { return cmp.Compare(a.id, b.id) })
+	out := make([]DirtyDelta, len(s.dirty))
+	for i, v := range s.dirty {
+		out[i] = DirtyDelta{Vertex: v.id, Old: v.packed, HadOld: v.sealed, HasNew: v.live}
+		if v.live {
+			out[i].New = s.pack(v)
+		}
+		v.packed, v.sealed, v.dirty = out[i].New, v.live, false
+		if !v.live {
+			delete(s.verts, v.id)
+			s.free = append(s.free, v)
+		}
+		s.dirty[i] = nil
+	}
+	s.dirty = s.dirty[:0]
+	return out
+}
+
+// pack concatenates v's level lists into a new packed vector.
+func (s *Store) pack(v *vnode) PackedVector {
+	n := 0
+	for _, l := range v.lv {
+		n += len(l)
+	}
+	p := PackedVector{dims: make([]Dim, 0, n), counts: make([]int32, 0, n)}
+	for k, l := range v.lv {
+		level := Dim(k+1) << 48
+		for _, t := range l {
+			d := s.tris[t.tri] | level
+			p.dims = append(p.dims, d)
+			p.counts = append(p.counts, t.n)
+			p.sig |= sigBit(d)
+		}
+	}
+	return p
+}
 
 // Apply advances the store by one timestamp: deletions before insertions,
 // as ChangeSet.Normalize orders them, with Forest.ApplySet's semantics —
@@ -220,7 +311,7 @@ func (v *vnode) drop(i int) {
 }
 
 // unlink deletes edge {a,b} when present and marks endpoints it leaves
-// isolated as retired; refresh drops them unless an insertion revives them.
+// isolated as retired; refresh clears them unless an insertion revives them.
 func (s *Store) unlink(a, b graph.VertexID) {
 	u, v := s.verts[a], s.verts[b]
 	if u == nil || v == nil {
@@ -235,9 +326,9 @@ func (s *Store) unlink(a, b graph.VertexID) {
 	u.retired, v.retired = len(u.adj) == 0, len(v.adj) == 0
 }
 
-// link applies one insertion, creating missing endpoints (or reviving ones
-// this timestamp retired, under the op's labels), and records the endpoints
-// of a new edge as post-state sweep sources. It validates before mutating.
+// link applies one insertion, creating missing endpoints (or reviving
+// retired ones, under the op's labels), and records the endpoints of a new
+// edge as post-state sweep sources. It validates before mutating.
 func (s *Store) link(op graph.ChangeOp) error {
 	if op.U == op.V {
 		return fmt.Errorf("npv: self-loop on vertex %d", op.U)
@@ -262,10 +353,24 @@ func (s *Store) link(op graph.ChangeOp) error {
 // revive returns v, or a new vnode of id when v is nil, live under label l.
 func (s *Store) revive(v *vnode, id graph.VertexID, l graph.Label) *vnode {
 	if v == nil {
-		v = &vnode{id: id}
-		s.verts[id] = v
+		v = s.newVnode(id, l)
 	}
 	v.label, v.retired = l, false
+	return v
+}
+
+// newVnode registers a vertex with empty levels; refresh counts it. It
+// reuses a vnode retired at a seal when there is one: nothing points at it,
+// and its edges, levels and sealed vector are already empty.
+func (s *Store) newVnode(id graph.VertexID, l graph.Label) *vnode {
+	var v *vnode
+	if n := len(s.free); n > 0 {
+		v, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		v = &vnode{lv: make([][]tally, s.depth)}
+	}
+	v.id, v.label = id, l
+	s.verts[id] = v
 	return v
 }
 
@@ -283,6 +388,7 @@ func (s *Store) intern(d Dim) uint32 {
 		s.tris = append(s.tris, d)
 		s.acc = append(s.acc, 0)
 		s.touched = append(s.touched, 0)
+		s.sums = append(s.sums, tally{})
 	}
 	return id
 }
@@ -327,38 +433,60 @@ func (s *Store) sweep() {
 	s.cur, s.next = cur[:0], next[:0]
 }
 
-// refresh brings every affected vertex's vector up to date: it drops the
-// vertices still retired, registers created ones, and recounts the rest.
+// refresh brings every affected vertex's levels up to date: it clears the
+// vertices still retired, registers created ones, and recounts the rest,
+// level by level, dirtying each whose levels moved.
 func (s *Store) refresh() {
 	for _, v := range s.affected {
 		switch {
-		case v.retired:
-			delete(s.verts, v.id)
-			delete(s.vectors, v.id)
-			s.dirty[v.id] = struct{}{}
+		case v.retired && v.live:
 			s.nodes -= 1 + v.l1
-		case v.vec == nil:
-			v.vec = make(Vector)
-			s.vectors[v.id] = v.vec
-			s.dirty[v.id] = struct{}{}
-			s.nodes++
-		}
-	}
-	if s.depth > closedDepth {
-		for _, v := range s.affected {
-			if !v.retired {
-				s.recount(v)
+			v.live, v.l1 = false, 0
+			for k := range v.lv {
+				v.lv[k] = v.lv[k][:0]
 			}
+			s.markDirty(v)
+		case !v.retired && !v.live:
+			v.live = true
+			s.nodes++
+			s.markDirty(v)
 		}
-		return
 	}
 	for k := 1; k <= s.depth; k++ {
 		for _, v := range s.affected {
-			if v.hop < k && !v.retired {
-				s.sum(v, k)
-				s.settle(v, k)
+			if v.hop >= k || v.retired {
+				continue
 			}
+			if k <= closedDepth {
+				s.sum(v, k)
+			} else {
+				s.path[0] = v
+				s.walk(0, k)
+			}
+			sums, moved := s.settle(v, k)
+			if !moved {
+				continue
+			}
+			delta := 0
+			for _, t := range v.lv[k-1] {
+				delta -= int(t.n)
+			}
+			for _, t := range sums {
+				delta += int(t.n)
+			}
+			v.lv[k-1] = append(v.lv[k-1][:0], sums...)
+			v.l1 += delta
+			s.nodes += delta
+			s.markDirty(v)
 		}
+	}
+}
+
+// markDirty queues v for the next seal once.
+func (s *Store) markDirty(v *vnode) {
+	if !v.dirty {
+		v.dirty = true
+		s.dirty = append(s.dirty, v)
 	}
 }
 
@@ -402,82 +530,61 @@ func (s *Store) add(t uint32, n int32) {
 	s.acc[t] += n
 }
 
-// settle makes the scratch sums level k of v's counts. When they moved, it
-// writes just the moved dimensions into v's vector and dirties v; either
-// way it clears the scratch.
-func (s *Store) settle(v *vnode, k int) {
-	s.sums = s.sums[:0]
+// settle gathers the scratch sums — level k of v — and clears the scratch.
+// When they differ from v's level k it returns them sorted by Dim, valid
+// until the next settle, and true. Only a changed support is sorted: when
+// just counts moved, the sums take the old level's order.
+//
+//nnt:hotpath
+func (s *Store) settle(v *vnode, k int) ([]tally, bool) {
+	n := 0
 	for _, t := range s.touched[:s.nt] {
-		if n := s.acc[t]; n != 0 {
-			s.sums = append(s.sums, tally{t, n})
+		if c := s.acc[t]; c != 0 {
+			s.sums[n] = tally{t, c}
+			n++
 		}
 	}
 	old := v.lv[k-1]
-	same := len(s.sums) == len(old)
-	for i := 0; same && i < len(old); i++ {
-		same = s.acc[old[i].tri] == old[i].n
+	kept, moved := n == len(old), n != len(old)
+	for i := 0; kept && i < len(old); i++ {
+		c := s.acc[old[i].tri]
+		kept, moved = c != 0, moved || c != old[i].n
 	}
-	if !same {
-		level, delta := Dim(k)<<48, 0
-		for _, t := range old {
-			delta -= int(t.n)
-			switch s.acc[t.tri] {
-			case 0:
-				delete(v.vec, s.tris[t.tri]|level)
-			case t.n:
-				s.acc[t.tri] = 0 // same count: nothing to write
-			}
+	if kept && moved {
+		for i, t := range old {
+			s.sums[i] = tally{t.tri, s.acc[t.tri]}
 		}
-		for _, t := range s.sums {
-			delta += int(t.n)
-			if s.acc[t.tri] != 0 {
-				v.vec[s.tris[t.tri]|level] = t.n
-			}
-		}
-		v.lv[k-1] = append(old[:0], s.sums...)
-		v.l1 += delta
-		s.nodes += delta
-		s.dirty[v.id] = struct{}{}
 	}
 	for _, t := range s.touched[:s.nt] {
 		s.acc[t] = 0
 	}
 	s.nt = 0
-}
-
-// recount enumerates v's edge-distinct walks afresh (l ≥ 4) and records the
-// vector, dirtying v only when it changed.
-func (s *Store) recount(v *vnode) {
-	clear(s.count)
-	s.countL1 = 0
-	s.path[0] = v
-	s.walk(0)
-	s.nodes += s.countL1 - v.l1
-	v.l1 = s.countL1
-	if !v.vec.Equal(s.count) {
-		clear(v.vec)
-		maps.Copy(v.vec, s.count)
-		s.dirty[v.id] = struct{}{}
+	if !moved {
+		return nil, false
 	}
+	sums := s.sums[:n]
+	if !kept {
+		slices.SortFunc(sums, func(a, b tally) int { return cmp.Compare(s.tris[a.tri], s.tris[b.tri]) })
+	}
+	return sums, true
 }
 
-// walk counts every tree edge below path[level]: each incident edge not
-// already on the root→path[level] walk extends it by one edge-distinct
-// step, contributing one unit to the dimension ⟨level+1, parent label, edge
-// label, child label⟩, and the extension recurses until depth l.
+// walk adds to the scratch the last edge of every edge-distinct walk of
+// length k that extends path[0..level]: each incident edge of path[level]
+// not already on the walk extends it by one step. Level k ≥ 4 is counted
+// this way, where a walk can reuse an edge and the closed form over-counts.
 //
 //nnt:hotpath
-func (s *Store) walk(level int) {
+func (s *Store) walk(level, k int) {
 	v := s.path[level]
 	for _, h := range v.adj {
-		if s.onPath(level, v, h.to) {
-			continue
-		}
-		s.count[NewDim(byte(level+1), v.label, h.el, h.to.label)]++
-		s.countL1++
-		if level+1 < s.depth {
+		switch {
+		case s.onPath(level, v, h.to):
+		case level+1 == k:
+			s.add(h.tri, 1)
+		default:
 			s.path[level+1] = h.to
-			s.walk(level + 1)
+			s.walk(level+1, k)
 		}
 	}
 }

@@ -11,14 +11,57 @@ import (
 	"nntstream/internal/nnt"
 )
 
-// snapshotVectors deep-copies every vector of a table.
-func snapshotVectors(t *vecTable) map[graph.VertexID]Vector {
-	out := make(map[graph.VertexID]Vector, t.Len())
-	t.Vectors(func(v graph.VertexID, vec Vector) bool {
-		out[v] = vec.Clone()
+// sealCheck holds the reference vectors of the last timestamp and the
+// vectors the last three seals produced, each with a private copy.
+type sealCheck struct {
+	prev   map[graph.VertexID]Vector
+	recent [][][2]PackedVector
+}
+
+// check is the seal contract, bit for bit: deltas lists, ascending, exactly
+// the vertices whose reference vector differs between the previous
+// timestamp and cur, presence included, with HadOld/HasNew their presence
+// and Old/New equal to Pack of the two references; after it, the store
+// serves cur; and every vector sealed three timestamps ago still equals the
+// copy taken when it was sealed.
+func (c *sealCheck) check(t *testing.T, at string, st *Store, deltas []DirtyDelta, cur map[graph.VertexID]Vector) {
+	t.Helper()
+	want := changedVertices(c.prev, cur)
+	if len(deltas) != len(want) {
+		t.Fatalf("%s: sealed %d vertices; changed %v", at, len(deltas), want)
+	}
+	var kept [][2]PackedVector
+	for i, dl := range deltas {
+		v := want[i]
+		old, hadOld := c.prev[v]
+		vec, hasNew := cur[v]
+		if dl.Vertex != v || dl.HadOld != hadOld || dl.HasNew != hasNew || !dl.Old.Equal(Pack(old)) || !dl.New.Equal(Pack(vec)) {
+			t.Fatalf("%s: delta %d = %+v; want vertex %d, old %v (%v), new %v (%v)", at, i, dl, v, old, hadOld, vec, hasNew)
+		}
+		if hasNew {
+			kept = append(kept, [2]PackedVector{dl.New, Pack(vec)})
+		}
+	}
+	n := 0
+	st.PackedVectors(func(v graph.VertexID, p PackedVector) bool {
+		n++
+		if q, ok := st.Packed(v); !ok || !p.Equal(Pack(cur[v])) || !q.Equal(p) {
+			t.Fatalf("%s: vertex %d serves %v; want %v", at, v, p, cur[v])
+		}
 		return true
 	})
-	return out
+	if n != len(cur) || st.Len() != len(cur) {
+		t.Fatalf("%s: serves %d vectors, Len %d; want %d", at, n, st.Len(), len(cur))
+	}
+	if c.recent = append(c.recent, kept); len(c.recent) > 3 {
+		for _, k := range c.recent[0] {
+			if !k[0].Equal(k[1]) {
+				t.Fatalf("%s: a vector sealed three timestamps ago now reads %v; sealed as %v", at, k[0], k[1])
+			}
+		}
+		c.recent = c.recent[1:]
+	}
+	c.prev = cur
 }
 
 // changedVertices lists, ascending, the vertices whose vector differs
@@ -122,13 +165,15 @@ func randomStart(r *rand.Rand, n int) *graph.Graph {
 }
 
 // TestStoreMatchesForestAndScratch is the recount contract: random batched
-// change sets, at depths 1–4, run through the recounting Store, a Space
+// change sets, at depths 1–4 (the closed form at levels 1–3, the walk
+// enumeration at level 4), run through the recounting Store, a Space
 // observing an incrementally patched Forest, and a from-scratch projection
-// of the post-state graph; after every timestamp all three agree, Nodes
-// equals the forest's TotalNodes, and the store's dirty set is exactly the
-// vertices whose vector changed (the forest's observer may over-report: it
-// dirties every root an edge event touched). A degree-skewed case at the
-// closed form's depths 1–3 bulk-rewrites a hub's edges every timestamp.
+// of the post-state graph. After every timestamp the forest agrees with the
+// scratch projection, Nodes equals the forest's TotalNodes, the store's
+// seal meets sealCheck's contract against the scratch projections, and the
+// forest observer's dirty set covers every changed vertex (it may
+// over-report: it dirties every root an edge event touched). A
+// degree-skewed case bulk-rewrites a hub's edges every timestamp.
 func TestStoreMatchesForestAndScratch(t *testing.T) {
 	for depth := 1; depth <= 4; depth++ {
 		for seed := int64(0); seed < 6; seed++ {
@@ -138,9 +183,13 @@ func TestStoreMatchesForestAndScratch(t *testing.T) {
 				func(mirror *graph.Graph) graph.ChangeSet { return randomBatch(r, mirror, n) })
 		}
 	}
-	for depth := 1; depth <= 3; depth++ {
+	for depth := 1; depth <= 4; depth++ {
 		r := rand.New(rand.NewSource(int64(depth)))
-		replayAgainstForest(t, fmt.Sprintf("hub depth=%d", depth), hubStart(r), depth, 20,
+		steps := 20
+		if depth == 4 {
+			steps = 4 // the level-4 walk enumeration is exponential in degree
+		}
+		replayAgainstForest(t, fmt.Sprintf("hub depth=%d", depth), hubStart(r), depth, steps,
 			func(mirror *graph.Graph) graph.ChangeSet { return hubBatch(r, mirror) })
 	}
 }
@@ -154,41 +203,35 @@ func replayAgainstForest(t *testing.T, name string, g *graph.Graph, depth, steps
 	st := NewStore(g, depth)
 	sp := NewSpace()
 	f := nnt.NewForest(g, depth, sp)
-	st.TakeDirty()
+	var c sealCheck
+	c.check(t, name+" build", st, st.SealDirty(), ProjectForest(nnt.NewForest(g, depth)))
 	sp.TakeDirty()
 	mirror := g.Clone()
 	for step := 0; step < steps; step++ {
-		before := snapshotVectors(&st.vecTable)
 		cs := next(mirror)
+		at := fmt.Sprintf("%s step=%d %v", name, step, cs)
 		if err := st.Apply(cs); err != nil {
-			t.Fatalf("%s step=%d: store: %v", name, step, err)
+			t.Fatalf("%s: store: %v", at, err)
 		}
 		if err := f.ApplySet(cs); err != nil {
-			t.Fatalf("%s step=%d: forest: %v", name, step, err)
+			t.Fatalf("%s: forest: %v", at, err)
 		}
-		got := snapshotVectors(&st.vecTable)
 		scratch := ProjectForest(nnt.NewForest(mirror, depth))
-		if v, bad := diffVectors(got, scratch); bad {
-			t.Fatalf("%s step=%d %v: store vector of %d = %v; scratch %v", name, step, cs, v, got[v], scratch[v])
-		}
-		if v, bad := diffVectors(snapshotVectors(&sp.vecTable), scratch); bad {
-			t.Fatalf("%s step=%d: forest vector of %d = %v; scratch %v", name, step, v, sp.Vector(v), scratch[v])
+		if v, bad := diffVectors(sp.vectors, scratch); bad {
+			t.Fatalf("%s: forest vector of %d = %v; scratch %v", at, v, sp.Vector(v), scratch[v])
 		}
 		if st.Nodes() != f.TotalNodes() {
-			t.Fatalf("%s step=%d: Nodes = %d; forest TotalNodes = %d", name, step, st.Nodes(), f.TotalNodes())
+			t.Fatalf("%s: Nodes = %d; forest TotalNodes = %d", at, st.Nodes(), f.TotalNodes())
 		}
-		want := changedVertices(before, got)
-		dirty := st.TakeDirty()
-		if !equalIDs(dirty, want) {
-			t.Fatalf("%s step=%d %v: dirty %v; changed %v", name, step, cs, dirty, want)
-		}
+		deltas := st.SealDirty()
+		c.check(t, at, st, deltas, scratch)
 		observed := make(map[graph.VertexID]bool)
 		for _, v := range sp.TakeDirty() {
 			observed[v] = true
 		}
-		for _, v := range want {
-			if !observed[v] {
-				t.Fatalf("%s step=%d: forest observer missed changed vertex %d", name, step, v)
+		for _, dl := range deltas {
+			if !observed[dl.Vertex] {
+				t.Fatalf("%s: forest observer missed changed vertex %d", at, dl.Vertex)
 			}
 		}
 	}
@@ -270,29 +313,17 @@ func hubBatch(r *rand.Rand, g *graph.Graph) graph.ChangeSet {
 	return cs
 }
 
-func equalIDs(a, b []graph.VertexID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestStoreRetireReaddUnchanged pins the dirty rule on the case the forest
 // observer cannot express: a vertex retired and re-added within one
 // timestamp with the same neighbourhood has the same vector and is not
-// dirty, and neither is anything else; the re-insert of a present edge and
+// sealed, and neither is anything else; the re-insert of a present edge and
 // the deletion of an absent one change nothing either.
 func TestStoreRetireReaddUnchanged(t *testing.T) {
 	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1, 2: 2},
 		[][3]int{{0, 1, 0}, {1, 2, 0}})
 	st := NewStore(g, 3)
-	if got := len(st.TakeDirty()); got != 3 {
-		t.Fatalf("initial build dirtied %d vertices; want 3", got)
+	if got := len(st.SealDirty()); got != 3 {
+		t.Fatalf("initial build sealed %d vertices; want 3", got)
 	}
 	cs := graph.ChangeSet{
 		graph.InsertOp(1, 1, 2, 2, 0), // retire-and-re-add of vertex 2
@@ -303,19 +334,22 @@ func TestStoreRetireReaddUnchanged(t *testing.T) {
 	if err := st.Apply(cs); err != nil {
 		t.Fatal(err)
 	}
-	if dirty := st.TakeDirty(); dirty != nil {
-		t.Fatalf("unchanged timestamp dirtied %v", dirty)
+	if deltas := st.SealDirty(); deltas != nil {
+		t.Fatalf("unchanged timestamp sealed %+v", deltas)
 	}
 	// Re-added under another label, vertex 2 changes — and so do 1 (its
 	// level-1 dimension) and 0 (its level-2 dimension).
+	old2, _ := st.Packed(2)
 	if err := st.Apply(graph.ChangeSet{graph.DeleteOp(1, 2), graph.InsertOp(1, 1, 2, 5, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if dirty := st.TakeDirty(); !equalIDs(dirty, []graph.VertexID{0, 1, 2}) {
-		t.Fatalf("relabelling re-add dirtied %v; want [0 1 2]", dirty)
+	deltas := st.SealDirty()
+	if len(deltas) != 3 || deltas[0].Vertex != 0 || deltas[1].Vertex != 1 || deltas[2].Vertex != 2 {
+		t.Fatalf("relabelling re-add sealed %+v; want vertices 0, 1, 2", deltas)
 	}
-	if st.Vector(2).Get(NewDim(1, 5, 0, 1)) != 1 {
-		t.Fatalf("vector of re-added vertex 2 = %v", st.Vector(2))
+	d2 := deltas[2]
+	if !d2.HadOld || !d2.HasNew || !d2.Old.Equal(old2) || d2.New.Get(NewDim(1, 5, 0, 1)) != 1 {
+		t.Fatalf("delta of re-added vertex 2 = %+v", d2)
 	}
 }
 
@@ -325,7 +359,8 @@ func TestStoreRetireReaddUnchanged(t *testing.T) {
 func TestStoreErrors(t *testing.T) {
 	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
 	st := NewStore(g, 2)
-	st.TakeDirty()
+	var c sealCheck
+	c.check(t, "build", st, st.SealDirty(), ProjectForest(nnt.NewForest(g, 2)))
 	err := st.Apply(graph.ChangeSet{
 		graph.InsertOp(1, 1, 2, 2, 0),
 		graph.InsertOp(0, 9, 3, 0, 0), // vertex 0 has label 0
@@ -333,13 +368,8 @@ func TestStoreErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "vertex 0") {
 		t.Fatalf("relabel error = %v; want one naming vertex 0", err)
 	}
-	if st.Vector(2) == nil || st.Vector(3) != nil {
-		t.Fatalf("after a failing op: vector(2) = %v, vector(3) = %v; want the prefix applied", st.Vector(2), st.Vector(3))
-	}
 	ref := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1, 2: 2}, [][3]int{{0, 1, 0}, {1, 2, 0}})
-	if v, bad := diffVectors(snapshotVectors(&st.vecTable), ProjectForest(nnt.NewForest(ref, 2))); bad {
-		t.Fatalf("vector of %d diverged from its graph after the error", v)
-	}
+	c.check(t, "after a failing op", st, st.SealDirty(), ProjectForest(nnt.NewForest(ref, 2)))
 	if err := st.Apply(graph.ChangeSet{graph.InsertOp(4, 0, 4, 0, 0)}); err == nil || !strings.Contains(err.Error(), "vertex 4") {
 		t.Fatalf("self-loop error = %v; want one naming vertex 4", err)
 	}
@@ -418,9 +448,10 @@ func decodeSchedule(data []byte) (depth int, g *graph.Graph, steps []graph.Chang
 
 // FuzzRecountMatchesForest decodes a start graph and a change-set schedule
 // and checks, after every timestamp, that the recounting Store and a Space
-// observing a patched Forest agree on every vector, on the node count and
-// on whether the timestamp failed (label conflicts included: both apply the
-// same prefix, in the same order).
+// observing a patched Forest agree on the node count and on whether the
+// timestamp failed (label conflicts included: both apply the same prefix,
+// in the same order), and that the store's seal meets sealCheck's contract
+// against the forest's vectors.
 func FuzzRecountMatchesForest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x06, 0, 1, 2, 3, 2, 0, 0x01, 1, 0x12, 0x04, 0x23, 0x07, 0x01})
@@ -439,23 +470,36 @@ func FuzzRecountMatchesForest(f *testing.F) {
 	}
 	star = append(star, 0x01, 0x01, 0x01, 0x02, 0x06, 0x12, 0x84, 0x01, 0x03, 0x0f, 0x06, 0xf3, 0x03, 0x03)
 	f.Add(star)
+	// A path 0–1–2–3–4 at depth 4, whose far end then moves: vertex 0's
+	// level 4 changes through an edge three hops away.
+	f.Add([]byte{0x0f, 0, 1, 2, 0, 1, 4, 0, 0x01, 0, 0x12, 0, 0x23, 0, 0x34, 0x03, 0x34, 0x86, 0x34})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		depth, g, steps := decodeSchedule(data)
 		st := NewStore(g, depth)
 		sp := NewSpace()
 		fo := nnt.NewForest(g, depth, sp)
+		var c sealCheck
+		c.check(t, "build", st, st.SealDirty(), snapshot(sp))
 		for i, cs := range steps {
 			serr := st.Apply(cs)
 			ferr := fo.ApplySet(cs)
+			at := fmt.Sprintf("step %d %v", i, cs)
 			if (serr == nil) != (ferr == nil) {
-				t.Fatalf("step %d %v: store error %v, forest error %v", i, cs, serr, ferr)
-			}
-			if v, bad := diffVectors(snapshotVectors(&st.vecTable), snapshotVectors(&sp.vecTable)); bad {
-				t.Fatalf("step %d %v: vector of %d: store %v, forest %v", i, cs, v, st.Vector(v), sp.Vector(v))
+				t.Fatalf("%s: store error %v, forest error %v", at, serr, ferr)
 			}
 			if st.Nodes() != fo.TotalNodes() {
-				t.Fatalf("step %d: Nodes = %d; TotalNodes = %d", i, st.Nodes(), fo.TotalNodes())
+				t.Fatalf("%s: Nodes = %d; TotalNodes = %d", at, st.Nodes(), fo.TotalNodes())
 			}
+			c.check(t, at, st, st.SealDirty(), snapshot(sp))
 		}
 	})
+}
+
+// snapshot deep-copies every vector of a space.
+func snapshot(sp *Space) map[graph.VertexID]Vector {
+	out := make(map[graph.VertexID]Vector, sp.Len())
+	for v, vec := range sp.vectors {
+		out[v] = vec.Clone()
+	}
+	return out
 }

@@ -37,7 +37,7 @@ func NewIndex(db []*graph.Graph, depth int) *Index {
 	}
 	for i, g := range db {
 		m := make(map[npv.Dim]int32)
-		ix.vecs[i] = npv.PackAll(npv.VectorsByVertex(npv.ProjectGraph(g, depth)))
+		ix.vecs[i] = npv.ProjectPacked(g, depth)
 		for _, v := range ix.vecs[i] {
 			for j := 0; j < v.Len(); j++ {
 				if d, c := v.Dim(j), v.Count(j); c > m[d] {
@@ -136,7 +136,7 @@ func (ix *Index) dominated(i int, u npv.PackedVector) bool {
 }
 
 func queryMaximal(q *graph.Graph, depth int) []npv.PackedVector {
-	return skyline.MaximalPacked(npv.PackAll(npv.VectorsByVertex(npv.ProjectGraph(q, depth))))
+	return skyline.MaximalPacked(npv.ProjectPacked(q, depth))
 }
 
 func max(a, b int) int {
