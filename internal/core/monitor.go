@@ -28,16 +28,15 @@ type FilterFactory func() Filter
 // Candidates does not mutate observable state (or must synchronize
 // internally), because concurrent readers call it on the same instance.
 type Monitor struct {
-	mu       sync.RWMutex
-	filter   Filter
-	queries  map[QueryID]*graph.Graph
-	matchers map[QueryID]*iso.Matcher
-	streams  map[StreamID]*graph.Graph
-	nextQ    QueryID
-	nextS    StreamID
-	sealed   bool // set once the first stream is added; no more queries
-	stats    Stats
-	metrics  *EngineMetrics
+	mu      sync.RWMutex
+	filter  Filter
+	queries map[QueryID]*graph.Graph
+	streams map[StreamID]*graph.Graph
+	nextQ   QueryID
+	nextS   StreamID
+	sealed  bool // set once the first stream is added; no more queries
+	stats   Stats
+	metrics *EngineMetrics
 
 	// Per-step scratch, reused across StepAll calls under mu: the batch's
 	// stream IDs in ascending order and, parallel to them, the undo log of
@@ -81,10 +80,9 @@ func (s Stats) CandidateRatio() float64 {
 // raised it with SetWorkers.
 func NewMonitor(f Filter) *Monitor {
 	return &Monitor{
-		filter:   f,
-		queries:  make(map[QueryID]*graph.Graph),
-		matchers: make(map[QueryID]*iso.Matcher),
-		streams:  make(map[StreamID]*graph.Graph),
+		filter:  f,
+		queries: make(map[QueryID]*graph.Graph),
+		streams: make(map[StreamID]*graph.Graph),
 	}
 }
 
@@ -157,7 +155,6 @@ func (m *Monitor) addQueryLocked(id QueryID, q *graph.Graph) error {
 		return fmt.Errorf("core: filter %s: %w", m.filter.Name(), err)
 	}
 	m.queries[id] = q.Clone()
-	m.matchers[id] = iso.NewMatcher(m.queries[id])
 	if id >= m.nextQ {
 		m.nextQ = id + 1
 	}
@@ -179,7 +176,6 @@ func (m *Monitor) RemoveQuery(id QueryID) error {
 		return err
 	}
 	delete(m.queries, id)
-	delete(m.matchers, id)
 	return nil
 }
 
@@ -361,7 +357,8 @@ func (m *Monitor) Candidates() []Pair {
 
 // ExactPairs computes the ground-truth joinable pairs with subgraph
 // isomorphism over the canonical graphs. It is exponential in the worst
-// case and intended for evaluation, not the monitoring hot path.
+// case and intended for evaluation, not the monitoring hot path: each call
+// builds one matcher per query, so the engine keeps none between calls.
 func (m *Monitor) ExactPairs() []Pair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -371,8 +368,9 @@ func (m *Monitor) ExactPairs() []Pair {
 // exactPairs is ExactPairs for callers that hold at least a read lock.
 func (m *Monitor) exactPairs() []Pair {
 	var out []Pair
-	for sid, g := range m.streams {
-		for qid, matcher := range m.matchers {
+	for qid, q := range m.queries {
+		matcher := iso.NewMatcher(q)
+		for sid, g := range m.streams {
 			if matcher.Contains(g) {
 				out = append(out, Pair{Stream: sid, Query: qid})
 			}

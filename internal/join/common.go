@@ -37,15 +37,6 @@ import (
 // the paper's Figure 12 finds depth 3 sufficient for effective filtering.
 const DefaultDepth = 3
 
-// qKey identifies one query vertex across all registered queries: V is its
-// position in ascending vertex order, the order npv.ProjectPacked returns.
-type qKey struct {
-	Q core.QueryID
-	V graph.VertexID
-}
-
-func (k qKey) String() string { return fmt.Sprintf("Q%d/%d", k.Q, k.V) }
-
 // batchStreamIDs extracts a change batch's stream IDs in ascending order.
 // The fan-out indexes tasks by position in this slice, so a fixed order is
 // what makes the parallel merge — and the error reported for an invalid
@@ -72,22 +63,27 @@ func sortedQueryIDs(m map[core.QueryID]*vecQuery) []core.QueryID {
 
 // pairTask is one (stream, query) re-evaluation unit of a parallel batch,
 // with the result slots the task alone writes: the verdict, the vectors
-// scanned and the kernel calls, which the merge flushes.
+// scanned and the kernel calls, which the merge flushes, and what the
+// merge settles into the stream's memo — Skyline's refuting ref and, by
+// vector position, the dominators its probe found.
 type pairTask struct {
 	s       *vecJoinStream
 	q       *vecQuery
 	ok      bool
 	scanned int64
 	tally   npv.Tally
+	refute  int32
+	wits    []*skyVertex
 }
 
 // vecQuery is one registered query: the vectors that decide its verdict,
-// and a dense slot, recycled after RemoveQuery, that indexes every stream's
-// per-query state.
+// their index refs when indexed, and a dense slot, recycled after
+// RemoveQuery, that indexes every stream's per-query state.
 type vecQuery struct {
 	id   core.QueryID
 	slot int32
 	vecs []npv.PackedVector
+	refs []int32
 }
 
 // runStreams is the per-stream maintenance stage every ApplyAll opens with:
@@ -120,15 +116,19 @@ type vecStream interface {
 	// yet, so only the statistics are built. It mutates only this stream,
 	// so distinct streams reconcile independently.
 	reconcile(verdict []bool) (queued []core.QueryID, changed bool)
-	// probe reports whether every vector of q is dominated by some stream
-	// vector, and how many stream vectors it scanned deciding, counting its
-	// kernel calls into t. It reads the reconciled stream state and writes
-	// only the stream's memo for q's slot, which is what makes the pair
-	// fan-out safe.
-	probe(q *vecQuery, t *npv.Tally) (joinable bool, scanned int64)
-	// memo empties the per-pair memo of query slot and sizes it for n query
-	// vectors; n = 0 drops it. Only the serialized paths call it.
-	memo(slot int32, n int)
+	// probe decides t's pair: t.ok reports whether every vector of t.q is
+	// dominated by some stream vector, t.scanned how many stream vectors it
+	// scanned deciding, and t.tally its kernel calls. It reads the
+	// reconciled stream state and writes only t, which is what makes the
+	// pair fan-out safe.
+	probe(t *pairTask)
+	// settle folds a probed task into the stream's memo; forget drops the
+	// memo of query slot, whose query leaves; fresh resets what the stream
+	// keeps under ref, which the index just issued to a new vector. Only
+	// the serialized paths call them.
+	settle(t *pairTask)
+	forget(slot int32)
+	fresh(ref int32)
 }
 
 // vecJoinStream is one stream of a vecJoin: the strategy's half, the
@@ -166,8 +166,10 @@ type vecJoin struct {
 	// answer is the candidate set in (Stream, Query) order. Every verdict
 	// write that flips a verdict patches it, so a read is a copy.
 	answer []core.Pair
-	// tasks is ApplyAll's pair-task buffer, reused across steps.
+	// tasks is the pair-task buffer, and wits the buffer their witness
+	// slots are cut from, both reused across steps.
 	tasks []pairTask
+	wits  []*skyVertex
 	// ix issues every query's slot, so a slot is the same in vecQuery and
 	// in the postings. It holds the query vectors only when indexed;
 	// otherwise every query is a candidate.
@@ -207,12 +209,19 @@ func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 	vq := &vecQuery{id: id, slot: j.ix.Register(id), vecs: j.derive(q, j.depth)}
 	j.queries[id] = vq
 	if j.indexed {
+		vq.refs = make([]int32, len(vq.vecs))
 		for i, u := range vq.vecs {
-			j.ix.Add(qindex.Key{Query: id, Vertex: graph.VertexID(i)}, u)
+			ref, fresh := j.ix.Add(qindex.Key{Query: id, Vertex: graph.VertexID(i)}, u)
+			vq.refs[i] = ref
+			for _, s := range j.streams {
+				if fresh { // a freed ref's stream state must not reach its new vector
+					s.fresh(ref)
+				}
+			}
 		}
 	}
 	for _, s := range j.streams {
-		j.setVerdict(s, vq, j.evaluate(s, vq))
+		j.evaluate(s, vq)
 	}
 	return nil
 }
@@ -228,7 +237,7 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 	j.ix.RemoveQuery(id)
 	for _, s := range j.streams {
 		s.verdict[vq.slot] = false
-		s.memo(vq.slot, 0)
+		s.forget(vq.slot)
 	}
 	j.answer = slices.DeleteFunc(j.answer, func(p core.Pair) bool { return p.Query == id })
 	return nil
@@ -246,34 +255,49 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	j.streams[id] = s
 	s.reconcile(nil)
 	for _, vq := range j.queries {
-		s.verdict[vq.slot] = j.evaluate(s, vq)
+		j.evaluate(s, vq)
 	}
-	// The new stream's pairs interleave with the others', so the answer is
-	// rebuilt rather than patched pair by pair.
-	j.answer = j.answer[:0]
-	for sid, st := range j.streams {
-		for _, vq := range j.queries {
-			if st.verdict[vq.slot] {
-				j.answer = append(j.answer, core.Pair{Stream: sid, Query: vq.id})
-			}
-		}
-	}
-	core.SortPairs(j.answer)
 	return nil
 }
 
-// evaluate probes a query new to the stream on the serialized path, after
-// sizing the stream's state for the query's slot.
-func (j *vecJoin) evaluate(s *vecJoinStream, vq *vecQuery) bool {
+// evaluate decides a pair new to the stream on the serialized path, after
+// sizing the stream's verdicts for the query's slot. Pairs decided one at a
+// time see each other's witnesses.
+func (j *vecJoin) evaluate(s *vecJoinStream, vq *vecQuery) {
 	if n := int(vq.slot) + 1; n > len(s.verdict) {
 		s.verdict = append(s.verdict, make([]bool, n-len(s.verdict))...)
 	}
-	s.memo(vq.slot, len(vq.vecs))
-	var t npv.Tally
-	ok, scanned := s.probe(vq, &t)
-	t.Flush()
-	j.scans += scanned
-	return ok
+	j.tasks = append(j.tasks[:0], pairTask{s: s, q: vq})
+	j.decide(j.tasks)
+}
+
+// decide probes every task, fanned out over the pool, then serially in
+// task order settles each into its stream's memo, records its verdict and
+// flushes its counts, so no task sees another's witnesses and nothing
+// depends on the worker count. Each task's witness slots are cut from one
+// buffer, cleared per use.
+func (j *vecJoin) decide(tasks []pairTask) {
+	if j.indexed {
+		n := 0
+		for i := range tasks {
+			n += len(tasks[i].q.vecs)
+		}
+		j.wits = slices.Grow(j.wits[:0], n)[:n]
+		buf := j.wits
+		clear(buf)
+		for i := range tasks {
+			k := len(tasks[i].q.vecs)
+			tasks[i].wits, buf = buf[:k:k], buf[k:]
+		}
+	}
+	j.pool.run(len(tasks), func(i int) { tasks[i].s.probe(&tasks[i]) })
+	for i := range tasks {
+		t := &tasks[i]
+		t.tally.Flush()
+		t.s.settle(t)
+		j.setVerdict(t.s, t.q, t.ok)
+		j.scans += t.scanned
+	}
 }
 
 // setVerdict records a pair's verdict and, where it flips, patches the
@@ -305,9 +329,9 @@ func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
 // and atomic counters (without an index, every query), so it is race-free
 // inside the per-stream task.
 // Dominance re-evaluation then fans out one task per (changed stream,
-// candidate query) pair. Each task writes only its own slot and its pair's
-// memo, and the merge patches the answer from the slots, so the verdicts —
-// and therefore Candidates — do not depend on the worker count.
+// candidate query) pair. Each task writes only its own slot, and the merge
+// settles the memos and patches the answer from the slots, so the verdicts
+// — and therefore Candidates — do not depend on the worker count.
 func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 	cands := make([][]core.QueryID, len(changes))
 	var allQ []core.QueryID
@@ -341,16 +365,7 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		}
 	}
 	j.tasks = tasks
-	j.pool.run(len(tasks), func(i int) {
-		t := &tasks[i]
-		t.ok, t.scanned = t.s.probe(t.q, &t.tally)
-	})
-	for i := range tasks {
-		t := &tasks[i]
-		t.tally.Flush()
-		j.setVerdict(t.s, t.q, t.ok)
-		j.scans += t.scanned
-	}
+	j.decide(tasks)
 	return nil
 }
 
@@ -383,7 +398,7 @@ func (j *vecJoin) RegisterMetrics(r *obs.Registry, locked func(func() float64) f
 		locked(func() float64 { return j.sumStreams((*npv.Store).Nodes) }))
 	if j.indexed {
 		r.GaugeFunc("nntstream_qindex_postings",
-			"Query dominance index postings.",
+			"Query dominance index rows: one per distinct query vector and support dimension.",
 			locked(func() float64 { return float64(j.ix.PostingCount()) }))
 	}
 	j.pool.registerMetrics(r, locked)

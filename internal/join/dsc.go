@@ -2,6 +2,8 @@ package join
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
@@ -25,37 +27,35 @@ import (
 // are touched — the paper's key efficiency argument for stream settings.
 //
 // The sorted per-dimension columns live in a qindex.Index: DSC's crossed-
-// entry ranges are exactly the index's per-dimension postings between two
-// upper bounds, so the query dominance index is DSC's column store rather
-// than a separate candidate stage (the counters already make evaluation
-// incremental in the dirty set).
+// row ranges are exactly the index's rows between two upper bounds, so the
+// query dominance index is DSC's column store rather than a separate
+// candidate stage (the counters already make evaluation incremental in the
+// dirty set). Query vertices with equal vectors share one entry, so the
+// counters are kept per entry (ref), and an entry's cover reaching or
+// leaving zero moves the covered count of every owner.
 //
 // DSC is the paper's plain Figure 8, kept as the baseline of Figs. 14–17;
 // serve's production join is Skyline (DESIGN §7 has the measurement).
 type DSC struct {
 	depth int
-	// ix holds, per dimension, the query-vertex postings sorted by count.
+	// ix holds, per dimension, the query-vector rows sorted by count.
 	ix *qindex.Index
-	// vecs keeps each query vertex's packed vector, so dynamic removal can
-	// undo its position-counter contributions and incDom/decDom know how
-	// many dimensions full dominance takes (vecs[k].Len()). Query vertices
-	// with empty vectors (no edges) are trivially dominated and excluded.
-	vecs map[qKey]npv.PackedVector
-	// qsize counts the query vertices that must be covered per query.
-	qsize   map[core.QueryID]int
+	// refs keeps, per query, the entry of each query vertex that must be
+	// covered: those with empty vectors (no edges) are trivially dominated.
+	refs    map[core.QueryID][]int32
 	streams map[core.StreamID]*dscStream
 	pool    evalPool
 }
 
 type dscStream struct {
 	store *npv.Store
-	// pos[v][d]: number of entries of cols[d] with value ≤ v's count in d.
+	// pos[v][d]: number of rows of column d with count ≤ v's count in d.
 	pos map[graph.VertexID]map[npv.Dim]int
-	// dom[v][k]: in how many of k's nonzero dimensions v dominates k.
-	dom map[graph.VertexID]map[qKey]int
-	// cover[k]: how many stream vertices fully dominate query vertex k.
-	cover map[qKey]int
-	// covered[q]: how many of q's query vertices have cover > 0.
+	// dom[v][ref]: in how many of entry ref's dimensions v dominates it.
+	dom map[graph.VertexID]map[int32]int
+	// cover[ref]: how many stream vertices fully dominate entry ref.
+	cover map[int32]int
+	// covered[q]: how many of q's query vertices own an entry with cover > 0.
 	covered map[core.QueryID]int
 }
 
@@ -70,8 +70,7 @@ func NewDSC(depth int) *DSC {
 	return &DSC{
 		depth:   depth,
 		ix:      qindex.New(),
-		vecs:    make(map[qKey]npv.PackedVector),
-		qsize:   make(map[core.QueryID]int),
+		refs:    make(map[core.QueryID][]int32),
 		streams: make(map[core.StreamID]*dscStream),
 	}
 }
@@ -83,34 +82,37 @@ func (f *DSC) Name() string { return "NPV-DSC" }
 func (f *DSC) SetWorkers(n int) { f.pool.setWorkers(n) }
 
 // AddQuery implements core.Filter; queries may also arrive while streams
-// are live (core.DynamicFilter). Each query vertex's entries go into their
-// sorted columns — appended before the first stream seals the index,
-// inserted in place after — and every live stream's counters are fixed up.
+// are live (core.DynamicFilter). A query vertex's vector new to the index
+// gets rows in its sorted columns and every live stream's counters gain the
+// entry; the query vertex then counts as covered where its entry is.
 func (f *DSC) AddQuery(id core.QueryID, q *graph.Graph) error {
-	if _, ok := f.qsize[id]; ok {
+	if _, ok := f.refs[id]; ok {
 		return fmt.Errorf("join: duplicate query %d", id)
 	}
-	size := 0
+	var refs []int32
 	for i, vec := range npv.ProjectPacked(q, f.depth) {
 		if vec.Len() == 0 {
 			continue // trivially dominated (isolated query vertex)
 		}
-		k := qKey{Q: id, V: graph.VertexID(i)}
-		size++
-		f.vecs[k] = vec
-		f.ix.Add(qindex.Key{Query: id, Vertex: k.V}, vec)
+		ref, fresh := f.ix.Add(qindex.Key{Query: id, Vertex: graph.VertexID(i)}, vec)
+		refs = append(refs, ref)
 		for _, ds := range f.streams {
-			f.attachQueryVertex(ds, k, vec)
+			if fresh {
+				attachEntry(ds, ref, vec)
+			}
+			if ds.cover[ref] > 0 {
+				ds.covered[id]++
+			}
 		}
 	}
-	f.qsize[id] = size
+	f.refs[id] = refs
 	return nil
 }
 
-// attachQueryVertex registers a live-added query vertex with one stream:
-// every stream vertex's position counters gain the new column entries they
-// are ≥ of, and its dominant counter for the new key is derived directly.
-func (f *DSC) attachQueryVertex(ds *dscStream, k qKey, vec npv.PackedVector) {
+// attachEntry registers a live-added entry with one stream: every stream
+// vertex's position counters gain the new rows they are ≥ of, and its
+// dominant and cover counters for the new entry are derived directly.
+func attachEntry(ds *dscStream, ref int32, vec npv.PackedVector) {
 	ds.store.PackedVectors(func(v graph.VertexID, vvec npv.PackedVector) bool {
 		cnt := 0
 		for i := 0; i < vec.Len(); i++ {
@@ -128,62 +130,58 @@ func (f *DSC) attachQueryVertex(ds *dscStream, k qKey, vec npv.PackedVector) {
 		if cnt > 0 {
 			dom := ds.dom[v]
 			if dom == nil {
-				dom = make(map[qKey]int)
+				dom = make(map[int32]int)
 				ds.dom[v] = dom
 			}
-			dom[k] = cnt
+			dom[ref] = cnt
 			if cnt == vec.Len() {
-				ds.cover[k]++
-				if ds.cover[k] == 1 {
-					ds.covered[k.Q]++
-				}
+				ds.cover[ref]++
 			}
 		}
 		return true
 	})
 }
 
-// RemoveQuery implements core.DynamicFilter: the query's column entries are
-// deleted, stream position counters are rolled back, and its cover state is
-// dropped wholesale.
+// RemoveQuery implements core.DynamicFilter: the query's owners leave the
+// index, the entries it alone owned take their rows with them — stream
+// position counters are rolled back and their counters dropped — and its
+// cover state is dropped wholesale.
 func (f *DSC) RemoveQuery(id core.QueryID) error {
-	if _, ok := f.qsize[id]; !ok {
+	refs, ok := f.refs[id]
+	if !ok {
 		return fmt.Errorf("join: unknown query %d", id)
 	}
 	f.ix.RemoveQuery(id)
-	for k, vec := range f.vecs {
-		if k.Q != id {
-			continue
-		}
-		for qi := 0; qi < vec.Len(); qi++ {
-			d, c := vec.Dim(qi), vec.Count(qi)
-			for _, ds := range f.streams {
-				f.rollbackPositions(ds, d, c)
-			}
+	for i, ref := range refs {
+		e := f.ix.Entry(ref)
+		if len(e.Owners) > 0 || slices.Contains(refs[:i], ref) {
+			continue // still owned, or already released
 		}
 		for _, ds := range f.streams {
+			for qi := 0; qi < e.Vec.Len(); qi++ {
+				rollbackPositions(ds, e.Vec.Dim(qi), e.Vec.Count(qi))
+			}
 			for v, dom := range ds.dom {
-				if _, ok := dom[k]; ok {
-					delete(dom, k)
+				if _, ok := dom[ref]; ok {
+					delete(dom, ref)
 					if len(dom) == 0 {
 						delete(ds.dom, v)
 					}
 				}
 			}
-			delete(ds.cover, k)
+			delete(ds.cover, ref)
 		}
-		delete(f.vecs, k)
 	}
 	for _, ds := range f.streams {
 		delete(ds.covered, id)
 	}
-	delete(f.qsize, id)
+	delete(f.refs, id)
 	return nil
 }
 
 // rollbackPositions decrements the position counter of every stream vertex
-// that counted a removed column entry of value c in dimension d.
-func (f *DSC) rollbackPositions(ds *dscStream, d npv.Dim, c int32) {
+// that counted a removed row of count c in dimension d.
+func rollbackPositions(ds *dscStream, d npv.Dim, c int32) {
 	ds.store.PackedVectors(func(v graph.VertexID, vvec npv.PackedVector) bool {
 		if vvec.Get(d) >= c {
 			pos := ds.pos[v]
@@ -209,8 +207,8 @@ func (f *DSC) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	ds := &dscStream{
 		store:   npv.NewStore(g0, f.depth),
 		pos:     make(map[graph.VertexID]map[npv.Dim]int),
-		dom:     make(map[graph.VertexID]map[qKey]int),
-		cover:   make(map[qKey]int),
+		dom:     make(map[graph.VertexID]map[int32]int),
+		cover:   make(map[int32]int),
 		covered: make(map[core.QueryID]int),
 	}
 	f.streams[id] = ds
@@ -234,7 +232,7 @@ func (f *DSC) reconcile(ds *dscStream) {
 // advances a stream: one task per stream — NPV recount, then the
 // dominance counter updates of the dirty vertices — because DSC's dominance
 // re-evaluation *is* the per-stream counter maintenance. Every (stream,
-// query) verdict is an aggregate (covered == qsize) the stream's own
+// query) verdict is an aggregate (covered == len(refs)) the stream's own
 // counters answer, so the stream is the finest unit that avoids write
 // sharing. Tasks touch only their own stream's state (plus the read-only
 // shared columns).
@@ -255,8 +253,8 @@ func (f *DSC) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 
 // updateVertex moves stream vertex v's position counters to match its newly
 // sealed NPV vec (empty when v retired), adjusting dominant counters for
-// exactly the query entries crossed in each dimension: every dimension with
-// a nonzero old position, then every other one of vec's support that queries
+// exactly the rows crossed in each dimension: every dimension with a
+// nonzero old position, then every other one of vec's support that queries
 // use.
 func (f *DSC) updateVertex(ds *dscStream, v graph.VertexID, vec npv.PackedVector) {
 	pos := ds.pos[v]
@@ -282,16 +280,17 @@ func (f *DSC) updateVertex(ds *dscStream, v graph.VertexID, vec npv.PackedVector
 
 // move sets v's position in dimension d's column to that of count c.
 func (f *DSC) move(ds *dscStream, v graph.VertexID, pos map[npv.Dim]int, d npv.Dim, c int32) {
-	col := f.ix.Postings(d)
-	oldPos, newPos := pos[d], qindex.UpperBound(col, c)
+	counts, refs := f.ix.Column(d)
+	oldPos := pos[d]
+	newPos := sort.Search(len(counts), func(i int) bool { return counts[i] > c })
 	switch {
 	case newPos > oldPos:
-		for _, e := range col[oldPos:newPos] {
-			f.incDom(ds, v, qKey{Q: e.Key.Query, V: e.Key.Vertex})
+		for _, ref := range refs[oldPos:newPos] {
+			f.incDom(ds, v, ref)
 		}
 	case newPos < oldPos:
-		for _, e := range col[newPos:oldPos] {
-			f.decDom(ds, v, qKey{Q: e.Key.Query, V: e.Key.Vertex})
+		for _, ref := range refs[newPos:oldPos] {
+			f.decDom(ds, v, ref)
 		}
 	}
 	if newPos == 0 {
@@ -301,38 +300,46 @@ func (f *DSC) move(ds *dscStream, v graph.VertexID, pos map[npv.Dim]int, d npv.D
 	}
 }
 
-func (f *DSC) incDom(ds *dscStream, v graph.VertexID, k qKey) {
+func (f *DSC) incDom(ds *dscStream, v graph.VertexID, ref int32) {
 	dom := ds.dom[v]
 	if dom == nil {
-		dom = make(map[qKey]int)
+		dom = make(map[int32]int)
 		ds.dom[v] = dom
 	}
-	dom[k]++
-	if dom[k] == f.vecs[k].Len() {
-		ds.cover[k]++
-		if ds.cover[k] == 1 {
-			ds.covered[k.Q]++
+	dom[ref]++
+	if e := f.ix.Entry(ref); dom[ref] == e.Vec.Len() {
+		ds.cover[ref]++
+		if ds.cover[ref] == 1 {
+			f.coverOwners(ds, e, 1)
 		}
 	}
 }
 
-func (f *DSC) decDom(ds *dscStream, v graph.VertexID, k qKey) {
+func (f *DSC) decDom(ds *dscStream, v graph.VertexID, ref int32) {
 	dom := ds.dom[v]
-	if dom[k] == f.vecs[k].Len() {
-		ds.cover[k]--
-		if ds.cover[k] == 0 {
-			delete(ds.cover, k)
-			ds.covered[k.Q]--
-			if ds.covered[k.Q] == 0 {
-				delete(ds.covered, k.Q)
-			}
+	if e := f.ix.Entry(ref); dom[ref] == e.Vec.Len() {
+		ds.cover[ref]--
+		if ds.cover[ref] == 0 {
+			delete(ds.cover, ref)
+			f.coverOwners(ds, e, -1)
 		}
 	}
-	dom[k]--
-	if dom[k] == 0 {
-		delete(dom, k)
-	} else if dom[k] < 0 {
-		panic(fmt.Sprintf("join: DSC dominant counter of %v went negative", k))
+	dom[ref]--
+	if dom[ref] == 0 {
+		delete(dom, ref)
+	} else if dom[ref] < 0 {
+		panic(fmt.Sprintf("join: DSC dominant counter of entry %d went negative", ref))
+	}
+}
+
+// coverOwners moves the covered count of every query owning e by delta,
+// as e's cover reaches (+1) or leaves (-1) zero.
+func (f *DSC) coverOwners(ds *dscStream, e *qindex.Entry, delta int) {
+	for _, o := range e.Owners {
+		q := f.ix.Query(o.Slot)
+		if ds.covered[q] += delta; ds.covered[q] == 0 {
+			delete(ds.covered, q)
+		}
 	}
 }
 
@@ -340,8 +347,8 @@ func (f *DSC) decDom(ds *dscStream, v graph.VertexID, k qKey) {
 func (f *DSC) Candidates() []core.Pair {
 	var out []core.Pair
 	for sid, ds := range f.streams {
-		for qid, size := range f.qsize {
-			if ds.covered[qid] == size {
+		for qid, refs := range f.refs {
+			if ds.covered[qid] == len(refs) {
 				out = append(out, core.Pair{Stream: sid, Query: qid})
 			}
 		}

@@ -15,8 +15,9 @@ import (
 // compares Skyline, driven both through Apply and through the pool's
 // ApplyAll, with the NL oracle. The schedule steers the witness memo: ops
 // toggle edges among eight vertices, so witnesses shrink, retire and return,
-// and removed queries' slots are taken by new ones; after every op both
-// Skylines' pair memos must keep their invariants (checkPairMemos).
+// removed queries' slots are taken by new ones, and shared vectors' entries
+// outlive one owner or are freed and reissued; after every op both
+// Skylines' witness memos must keep their invariants (checkPairMemos).
 //
 // Layout: byte 0 picks the depth and seeds the random source that builds
 // the start graphs and query shapes. Each later op byte selects an op by
@@ -38,6 +39,11 @@ func FuzzSkylineMatchesNL(f *testing.F) {
 	f.Add([]byte{0xff, 0x10, 0x87, 0x88, 0xb2, 0xc8, 0xbb, 0x6c})
 	f.Add([]byte{0x11, 0x44, 0x91, 0x60, 0x3, 0xe9, 0x1e, 0xae, 0x94, 0xe7, 0xe2, 0x23, 0x38, 0x4b})
 	f.Add([]byte{0x27, 0x9f, 0x45, 0xff, 0xd, 0xf9, 0x3a, 0x60, 0x96, 0x1, 0x2a, 0x97, 0x86})
+	// Queries share maximal vectors: removals leave a shared entry, and its
+	// witness, to the other owner, and free entries whose refs new queries'
+	// different vectors take.
+	f.Add([]byte{0x3, 0x0, 0x0, 0x0, 0x1, 0x0, 0x16, 0x2a, 0xc, 0x4, 0x1, 0x2, 0x3e, 0x5, 0x0})
+	f.Add([]byte{0x6, 0x4, 0x4, 0x0, 0x1, 0x1, 0x1, 0x0, 0xa, 0x13, 0x0, 0x0, 0x1, 0x3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 256 {
 			return

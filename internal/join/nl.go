@@ -41,12 +41,14 @@ type nlStream struct{ store *npv.Store }
 
 func (s nlStream) reconcile([]bool) ([]core.QueryID, bool) { return nil, len(s.store.SealDirty()) > 0 }
 
-func (s nlStream) probe(q *vecQuery, t *npv.Tally) (bool, int64) {
-	return evalQuery(s.store, q.vecs, t)
+func (s nlStream) probe(t *pairTask) {
+	t.ok, t.scanned = evalQuery(s.store, t.q.vecs, &t.tally)
 }
 
-// memo is a no-op: the oracle keeps no per-pair state.
-func (nlStream) memo(int32, int) {}
+// settle, forget and fresh are no-ops: the oracle keeps no memo.
+func (nlStream) settle(*pairTask) {}
+func (nlStream) forget(int32)     {}
+func (nlStream) fresh(int32)      {}
 
 // evalQuery is the pure dominance check one pair task runs: it reads the
 // stream space and the query vectors, and touches no filter state, which is

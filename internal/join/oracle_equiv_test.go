@@ -385,8 +385,8 @@ func toggleBatch(r *rand.Rand, graphs map[core.StreamID]*graph.Graph, pick func(
 }
 
 // assertVecJoinTornDown checks the shared NL/Skyline query state is empty:
-// index postings and slots, packed query vectors, the answer, per-stream
-// verdicts and Skyline's pair memos.
+// index rows and slots, packed query vectors, the answer, per-stream
+// verdicts and Skyline's pair memos and need counts.
 func assertVecJoinTornDown(t *testing.T, name string, j *vecJoin) {
 	t.Helper()
 	if j.ix.PostingCount() != 0 || j.ix.QueryCount() != 0 {
@@ -400,10 +400,13 @@ func assertVecJoinTornDown(t *testing.T, name string, j *vecJoin) {
 			t.Fatalf("%s stream %d: stale verdicts %v", name, sid, s.verdict)
 		}
 		if ss, ok := s.vecStream.(*skyStream); ok {
-			for slot, m := range ss.pairs {
-				if m.wit != nil || m.refute != 0 {
+			for slot, r := range ss.refute {
+				if r != -1 {
 					t.Fatalf("%s stream %d: slot %d kept its memo", name, sid, slot)
 				}
+			}
+			if slices.ContainsFunc(ss.need, func(n int32) bool { return n != 0 }) {
+				t.Fatalf("%s stream %d: need counts %v survive every query", name, sid, ss.need)
 			}
 		}
 	}
@@ -423,8 +426,8 @@ func assertTornDown(t *testing.T, f core.DynamicFilter) {
 		if n := ff.ix.PostingCount(); n != 0 {
 			t.Fatalf("DSC: %d column postings leaked", n)
 		}
-		if len(ff.vecs) != 0 || len(ff.qsize) != 0 {
-			t.Fatalf("DSC: query maps leaked: vecs=%d qsize=%d", len(ff.vecs), len(ff.qsize))
+		if len(ff.refs) != 0 {
+			t.Fatalf("DSC: query map leaked: refs=%d", len(ff.refs))
 		}
 		for sid, ds := range ff.streams {
 			if len(ds.pos) != 0 || len(ds.dom) != 0 || len(ds.cover) != 0 || len(ds.covered) != 0 {

@@ -26,22 +26,24 @@ import (
 //     dimension are scanned, since any dominator must appear there.
 //
 // Two more optimizations are ours. The maximal vectors of every registered
-// query live in a qindex.Index, and each dirty vertex's seal transition is
-// walked over it (qindex.Index.Cross), which names every query vector the
-// vertex stopped or started dominating. The walk keeps a witness memo per
-// (stream, query) pair, and a pair is re-evaluated only when the memo says
-// its verdict can move: a joinable pair lost the witness of one of its
-// vectors, or a refuted pair's refuting vector gained a dominator. A
-// re-evaluation scans only the vectors without a witness. (NL's full
-// re-evaluation is the reference.)
+// query live in a qindex.Index, one entry per distinct vector, and each
+// dirty vertex's seal transition is walked over it (qindex.Index.Ranges),
+// which names every entry the vertex stopped or started dominating. Each
+// stream keeps a witness memo per entry — a vertex that dominates the
+// vector, shared by every query that owns it — and a pair is re-evaluated
+// only when the memo says its verdict can move: a joinable pair lost the
+// witness of one of its vectors, or a refuted pair's refuting vector gained
+// a dominator. A re-evaluation scans only the vectors without a witness.
+// (NL's full re-evaluation is the reference.)
 //
 // Skyline is the production join: cmd/serve runs it unless told otherwise.
 type Skyline struct{ vecJoin }
 
 // skyStream is Skyline's vecStream: the per-dimension statistics behind the
 // max refutation and the probe-dimension choice, kept straight off the seal
-// transitions. A vertex's record holds its sealed packed vector, sharing the
-// store's sealed slices (never written again) rather than copying them.
+// transitions, and the witness memo. A vertex's record holds its sealed
+// packed vector, sharing the store's sealed slices (never written again)
+// rather than copying them.
 type skyStream struct {
 	ix    *qindex.Index
 	store *npv.Store
@@ -49,14 +51,18 @@ type skyStream struct {
 	verts map[graph.VertexID]*skyVertex
 	// pos is reconcile's scratch for a vertex's next member positions.
 	pos []int32
-	// pairs holds each registered query's pair memo, by query slot.
-	pairs []pairMemo
-	// The crossing walk's state: the verdicts it reads, the record of the
-	// vertex being walked, the pairs it queues, and its kernel calls.
-	verdict []bool
-	cur     *skyVertex
-	queue   qindex.Scratch
-	tally   npv.Tally
+	// The witness memo (DESIGN §7 has its invariants). By index ref: wit is
+	// a vertex whose sealed vector dominates the entry's (nil: none known),
+	// need the number of refuted pairs the entry refutes. By query slot:
+	// refute is the ref that refuted the pair, -1 when it is joinable.
+	wit    []*skyVertex
+	need   []int32
+	refute []int32
+	// The crossing walk's state: its ranges, the pairs it queues, and its
+	// kernel calls.
+	ranges []qindex.Range
+	queue  qindex.Scratch
+	tally  npv.Tally
 }
 
 // skyVertex is one vertex with a nonempty sealed vector p: pos runs parallel
@@ -65,19 +71,6 @@ type skyStream struct {
 type skyVertex struct {
 	p   npv.PackedVector
 	pos []int32
-}
-
-// pairMemo is what deciding one (stream, query) pair left behind: per
-// maximal vector a witness, the record of a vertex that dominates it, and
-// the index of the vector that refuted the pair last. Between steps it
-// keeps two invariants:
-//   - a non-nil witness is a live record whose sealed vector dominates its
-//     query vector;
-//   - when the pair is not joinable, its refuting vector has no witness and
-//     no live vertex dominates it.
-type pairMemo struct {
-	refute int32
-	wit    []*skyVertex
 }
 
 // dimStat is one dimension's statistics: the vertices whose sealed vector is
@@ -102,7 +95,8 @@ var (
 // depth.
 func NewSkyline(depth int) *Skyline {
 	return &Skyline{newVecJoin(depth, true, maximalByMass, func(ix *qindex.Index, store *npv.Store) vecStream {
-		return &skyStream{ix: ix, store: store, dims: make(map[npv.Dim]*dimStat), verts: make(map[graph.VertexID]*skyVertex)}
+		return &skyStream{ix: ix, store: store, dims: make(map[npv.Dim]*dimStat), verts: make(map[graph.VertexID]*skyVertex),
+			wit: make([]*skyVertex, ix.Refs()), need: make([]int32, ix.Refs())}
 	})}
 }
 
@@ -121,7 +115,7 @@ func maximalByMass(q *graph.Graph, depth int) []npv.PackedVector {
 
 // reconcile implements vecStream: it folds every seal transition into the
 // statistics and, once the stream has decided pairs, walks it over the
-// index, letting Cross keep the pair memos and queue the pairs whose
+// index, letting crossed keep the witness memo and queue the pairs whose
 // verdict can move. Presence changes queue the queries with an empty
 // vector, which only they can flip.
 func (ss *skyStream) reconcile(verdict []bool) ([]core.QueryID, bool) {
@@ -135,14 +129,17 @@ func (ss *skyStream) reconcile(verdict []bool) ([]core.QueryID, bool) {
 		}
 		return nil, true
 	}
-	ss.verdict = verdict
 	ss.ix.Begin(&ss.queue)
 	presence := false
 	for _, dl := range deltas {
-		ss.cur = ss.fold(dl)
-		presence = ss.ix.Cross(dl, ss) || presence
+		cur := ss.fold(dl)
+		var moved bool
+		ss.ranges, moved = ss.ix.Ranges(dl, ss.ranges[:0])
+		presence = presence || moved
+		for _, rg := range ss.ranges {
+			ss.crossed(rg, cur, verdict)
+		}
 	}
-	ss.verdict, ss.cur = nil, nil
 	ss.tally.Flush()
 	return ss.ix.Finish(&ss.queue, presence), true
 }
@@ -181,9 +178,12 @@ func (ss *skyStream) fold(dl npv.DirtyDelta) *skyVertex {
 			stat.max = max(stat.max, cur.Count(j))
 			j++
 		default:
-			stat := ss.dims[cur.Dim(j)]
+			// max already bounds the old count, so only a rise can raise it.
 			pos = append(pos, sv.pos[i])
-			stat.max = max(stat.max, cur.Count(j))
+			if c := cur.Count(j); c > old.Count(i) {
+				stat := ss.dims[cur.Dim(j)]
+				stat.max = max(stat.max, c)
+			}
 			i++
 			j++
 		}
@@ -195,33 +195,36 @@ func (ss *skyStream) fold(dl npv.DirtyDelta) *skyVertex {
 	return sv
 }
 
-// Cross implements qindex.Visitor for ss.cur, the vertex reconcile is
-// walking, and keeps pairMemo's invariants. A drop means the vertex's new
-// vector no longer dominates the posting's, so a witness held by the vertex
-// is cleared without a kernel call, and the pair is queued if it was
-// joinable. A rise can only add dominance, and only a refuted pair's
-// refuting vector gaining a dominator can flip that pair: one kernel call
-// decides, and a dominating vertex becomes the vector's witness and queues
-// the pair.
+// crossed keeps the witness memo across one crossed range of cur's
+// transition, reading the verdicts by slot. A drop means cur's new vector
+// no longer dominates the range's vectors, so a witness held by cur is
+// cleared without a kernel call, and the entry's joinable owners are
+// queued. A rise can only add dominance, and only a refuted pair's
+// refuting vector gaining a dominator can flip that pair: so an entry with
+// a witness, or refuting no pair, is skipped; otherwise one kernel call
+// decides, and a dominating cur becomes the witness and queues the owners
+// the entry refutes.
 //
 //nnt:hotpath
-func (ss *skyStream) Cross(e *qindex.Posting, drop bool) {
-	if !drop && ss.verdict[e.Slot] {
-		return
-	}
-	m := &ss.pairs[e.Slot]
-	w := &m.wit[e.Key.Vertex]
-	switch {
-	case drop:
-		if *w == ss.cur {
-			*w = nil
-			if ss.verdict[e.Slot] {
-				ss.queue.Collect(e.Slot)
+func (ss *skyStream) crossed(rg qindex.Range, cur *skyVertex, verdict []bool) {
+	for k, ref := range rg.Refs {
+		switch {
+		case rg.Sigs[k]&^rg.Sig != 0:
+		case rg.Drop && ss.wit[ref] == cur:
+			ss.wit[ref] = nil
+			for _, o := range ss.ix.Entry(ref).Owners {
+				if verdict[o.Slot] {
+					ss.queue.Collect(o.Slot)
+				}
+			}
+		case !rg.Drop && ss.wit[ref] == nil && ss.need[ref] > 0 && ss.tally.Dominates(cur.p, ss.ix.Entry(ref).Vec):
+			ss.wit[ref] = cur
+			for _, o := range ss.ix.Entry(ref).Owners {
+				if ss.refute[o.Slot] == ref {
+					ss.queue.Collect(o.Slot)
+				}
 			}
 		}
-	case *w == nil && int32(e.Key.Vertex) == m.refute && ss.tally.Dominates(ss.cur.p, e.Vec):
-		*w = ss.cur
-		ss.queue.Collect(e.Slot)
 	}
 }
 
@@ -242,47 +245,65 @@ func (ss *skyStream) leave(d npv.Dim, at int32) {
 	}
 }
 
-// memo implements vecStream.
-func (ss *skyStream) memo(slot int32, n int) {
-	if int(slot) >= len(ss.pairs) {
-		ss.pairs = append(ss.pairs, make([]pairMemo, int(slot)+1-len(ss.pairs))...)
+// fresh implements vecStream, resetting what a freed ref left behind.
+func (ss *skyStream) fresh(ref int32) {
+	for int(ref) >= len(ss.wit) {
+		ss.wit = append(ss.wit, nil)
+		ss.need = append(ss.need, 0)
 	}
-	ss.pairs[slot] = pairMemo{}
-	if n > 0 {
-		ss.pairs[slot].wit = make([]*skyVertex, n)
+	ss.wit[ref], ss.need[ref] = nil, 0
+}
+
+// forget implements vecStream: slot's pair leaves its refuting ref's need.
+func (ss *skyStream) forget(slot int32) {
+	for int(slot) >= len(ss.refute) {
+		ss.refute = append(ss.refute, -1)
+	}
+	if r := ss.refute[slot]; r >= 0 {
+		ss.need[r]--
+		ss.refute[slot] = -1
 	}
 }
 
-// probe implements vecStream.
-func (ss *skyStream) probe(q *vecQuery, t *npv.Tally) (bool, int64) {
-	return evalMaximal(ss, q.vecs, &ss.pairs[q.slot], t)
-}
-
-// evalMaximal reports joinability — true iff every maximal query vector is
+// probe implements vecStream: joinable iff every maximal query vector is
 // dominated by some stream vector. A vector with a witness is dominated
-// without a test; the others are probed in order, each recording the
-// dominator found, and the first one refuted stops the scan. It reads the
-// reconciled per-dimension statistics and the query's maximal vectors, and
-// writes only the pair's memo m, which is what makes the fan-out safe.
+// without a test; the others are probed in order, each dominator found
+// going into t's witness slots, and the first one refuted stops the scan.
 //
 //nnt:hotpath
-func evalMaximal(ss *skyStream, maximal []npv.PackedVector, m *pairMemo, t *npv.Tally) (bool, int64) {
-	var total int64
-	for i, u := range maximal {
-		if m.wit[i] != nil {
+func (ss *skyStream) probe(t *pairTask) {
+	t.ok, t.scanned = true, 0
+	for i, u := range t.q.vecs {
+		ref := t.q.refs[i]
+		if ss.wit[ref] != nil {
 			continue
 		}
-		sv, ok, scanned := dominator(ss, u, t)
-		total += scanned
+		sv, ok, scanned := dominator(ss, u, &t.tally)
+		t.scanned += scanned
 		if !ok {
 			// u is a bichromatic skyline point of the query vectors with
 			// respect to the stream vectors: early stop, prune the pair.
-			m.refute = int32(i)
-			return false, total
+			t.ok, t.refute = false, ref
+			return
 		}
-		m.wit[i] = sv
+		t.wits[i] = sv
 	}
-	return true, total
+}
+
+// settle implements vecStream on the serialized merge: the task's
+// witnesses are recorded, the first found for a ref winning, and the pair
+// moves to the need count of the ref that refuted it, if any.
+func (ss *skyStream) settle(t *pairTask) {
+	for i, sv := range t.wits {
+		if ref := t.q.refs[i]; sv != nil && ss.wit[ref] == nil {
+			ss.wit[ref] = sv
+		}
+	}
+	ss.forget(t.q.slot)
+	if !t.ok {
+		ss.refute[t.q.slot] = t.refute
+		ss.need[t.refute]++
+	}
 }
 
 // dominator implements the stream-side probe for one query vector: whether

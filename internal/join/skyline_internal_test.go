@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nntstream/internal/core"
@@ -299,15 +300,18 @@ func TestCandidateProbeAllocsIndependentOfQueryCount(t *testing.T) {
 			{Vertex: 99, New: p0, HasNew: true},
 		}
 		var sc qindex.Scratch
-		var tally npv.Tally
+		var task pairTask
+		wits := make([]*skyVertex, 64)
 		candidates := 0
 		step := func() {
 			qids := f.ix.AffectedQueriesInto(&sc, deltas)
 			candidates = len(qids)
 			for _, qid := range qids {
-				ss.probe(f.queries[qid], &tally)
+				q := f.queries[qid]
+				task.q, task.wits = q, wits[:len(q.vecs)]
+				ss.probe(&task)
 			}
-			tally.Flush()
+			task.tally.Flush()
 		}
 		step()
 		if candidates == 0 {
@@ -385,11 +389,13 @@ func (m *memoRig) check(at string) {
 	checkPairMemos(m.t, &m.sky.vecJoin, at)
 }
 
-// checkPairMemos asserts pairMemo's two invariants on every (stream, query)
-// pair of a Skyline: each non-nil witness is a live record whose sealed
-// vector dominates its query vector, and each refuted pair's refuting
-// vector has no witness and no live dominator (for the empty vector, which
-// any vertex dominates: the stream has no vertex).
+// checkPairMemos asserts the witness memo's four invariants on every
+// stream of a Skyline: each live entry's non-nil witness is a live record
+// whose sealed vector dominates the entry's vector; every nonempty vector
+// of a joinable pair has a witness; each refuted pair's refuting vector has
+// no witness and no live dominator (for the empty vector, which any vertex
+// dominates: the stream has no vertex); and need counts, per entry, the
+// refuted pairs it refutes.
 func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 	t.Helper()
 	for sid, s := range j.streams {
@@ -398,30 +404,44 @@ func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 		for _, sv := range ss.verts {
 			live[sv] = true
 		}
-		for _, vq := range j.queries {
-			m := ss.pairs[vq.slot]
-			for i, w := range m.wit {
-				if w != nil && (!live[w] || !w.p.Dominates(vq.vecs[i])) {
-					t.Fatalf("%s: stream %d query %d vector %d: witness live=%v does not dominate it",
-						at, sid, vq.id, i, live[w])
-				}
+		for ref, w := range ss.wit {
+			if e := j.ix.Entry(int32(ref)); w != nil && len(e.Owners) > 0 && (!live[w] || !w.p.Dominates(e.Vec)) {
+				t.Fatalf("%s: stream %d entry %d: witness live=%v does not dominate it", at, sid, ref, live[w])
 			}
+		}
+		need := make([]int32, len(ss.need))
+		for _, vq := range j.queries {
+			r := ss.refute[vq.slot]
 			if s.verdict[vq.slot] {
+				if r != -1 {
+					t.Fatalf("%s: stream %d query %d: joinable but refuted by entry %d", at, sid, vq.id, r)
+				}
+				for i, ref := range vq.refs {
+					if vq.vecs[i].Len() > 0 && ss.wit[ref] == nil {
+						t.Fatalf("%s: stream %d query %d: joinable, but vector %d has no witness", at, sid, vq.id, i)
+					}
+				}
 				continue
 			}
-			u := vq.vecs[m.refute]
-			if m.wit[m.refute] != nil {
-				t.Fatalf("%s: stream %d query %d: refuting vector %d has a witness", at, sid, vq.id, m.refute)
+			if r < 0 || !slices.Contains(vq.refs, r) {
+				t.Fatalf("%s: stream %d query %d: refuted by entry %d, not one of its %v", at, sid, vq.id, r, vq.refs)
+			}
+			need[r]++
+			u := j.ix.Entry(r).Vec
+			if ss.wit[r] != nil {
+				t.Fatalf("%s: stream %d query %d: refuting entry %d has a witness", at, sid, vq.id, r)
 			}
 			if u.Len() == 0 && ss.store.Len() > 0 {
 				t.Fatalf("%s: stream %d query %d: empty refuting vector on a stream with vertices", at, sid, vq.id)
 			}
 			for v, sv := range ss.verts {
 				if sv.p.Dominates(u) {
-					t.Fatalf("%s: stream %d query %d: refuting vector %d is dominated by vertex %d",
-						at, sid, vq.id, m.refute, v)
+					t.Fatalf("%s: stream %d query %d: refuting entry %d is dominated by vertex %d", at, sid, vq.id, r, v)
 				}
 			}
+		}
+		if !slices.Equal(need, ss.need) {
+			t.Fatalf("%s: stream %d: need %v; the refuted pairs count %v", at, sid, ss.need, need)
 		}
 	}
 }
@@ -431,10 +451,13 @@ func (m *memoRig) joinable(id core.QueryID) bool {
 	return m.sky.streams[0].verdict[m.sky.queries[id].slot]
 }
 
-// memo returns the stream's Skyline state and query id's pair memo.
-func (m *memoRig) memo(id core.QueryID) (*skyStream, *pairMemo) {
+// memo returns the stream's Skyline state, the witness of query id's
+// vector i, and the position of the vector refuting the pair (-1 when it
+// is joinable).
+func (m *memoRig) memo(id core.QueryID, i int) (*skyStream, *skyVertex, int) {
 	ss := m.sky.streams[0].vecStream.(*skyStream)
-	return ss, &ss.pairs[m.sky.queries[id].slot]
+	q := m.sky.queries[id]
+	return ss, ss.wit[q.refs[i]], slices.Index(q.refs, ss.refute[q.slot])
 }
 
 // star is a center labelled 1 with the given number of leaves labelled 2.
@@ -459,16 +482,15 @@ func TestSkylineMemoWitnessShrinks(t *testing.T) {
 	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2, 2: 2, 3: 1, 4: 2},
 		[][3]int{{0, 1, 0}, {0, 2, 0}, {3, 4, 0}})
 	m := newMemoRig(t, g, star(t, 2))
-	ss, pm := m.memo(0)
-	if !m.joinable(0) || pm.wit[0] != ss.verts[0] {
+	if ss, w, _ := m.memo(0, 0); !m.joinable(0) || w != ss.verts[0] {
 		t.Fatalf("the center's witness is not vertex 0: joinable=%v", m.joinable(0))
 	}
 	m.apply("shrink", graph.DeleteOp(0, 2))
-	if m.joinable(0) || pm.refute != 0 || pm.wit[0] != nil {
-		t.Fatalf("after the shrink: joinable=%v refute=%d witness=%p; want refuted by the center", m.joinable(0), pm.refute, pm.wit[0])
+	if _, w, refute := m.memo(0, 0); m.joinable(0) || refute != 0 || w != nil {
+		t.Fatalf("after the shrink: joinable=%v refute=%d witness=%p; want refuted by the center", m.joinable(0), refute, w)
 	}
 	m.apply("regrow", graph.InsertOp(3, 1, 5, 2, 0))
-	if !m.joinable(0) || pm.wit[0] != ss.verts[3] {
+	if ss, w, _ := m.memo(0, 0); !m.joinable(0) || w != ss.verts[3] {
 		t.Fatalf("after regrowth: joinable=%v; want the center witnessed by vertex 3", m.joinable(0))
 	}
 }
@@ -480,27 +502,26 @@ func TestSkylineMemoWitnessShrinks(t *testing.T) {
 // leaf's witness, and the re-probe must scan for a new one.
 func TestSkylineMemoRefuterDominatedWitnessLost(t *testing.T) {
 	m := newMemoRig(t, star(t, 2), star(t, 2))
-	_, pm := m.memo(0)
 	m.apply("refute", graph.DeleteOp(0, 2))
-	if m.joinable(0) || pm.refute != 0 || pm.wit[1] == nil {
+	if _, w, refute := m.memo(0, 1); m.joinable(0) || refute != 0 || w == nil {
 		t.Fatalf("joinable=%v refute=%d leaf witness=%p; want refuted by the center with the leaf witnessed",
-			m.joinable(0), pm.refute, pm.wit[1])
+			m.joinable(0), refute, w)
 	}
 	m.apply("flip", graph.InsertOp(0, 1, 3, 2, 0), graph.InsertOp(0, 1, 4, 2, 0), graph.DeleteOp(0, 1))
-	ss, _ := m.memo(0)
-	if w := pm.wit[1]; !m.joinable(0) || (w != ss.verts[3] && w != ss.verts[4]) {
+	if ss, w, _ := m.memo(0, 1); !m.joinable(0) || (w != ss.verts[3] && w != ss.verts[4]) {
 		t.Fatalf("joinable=%v; want the leaf vector witnessed by vertex 3 or 4", m.joinable(0))
 	}
 }
 
 // TestSkylineMemoSlotReuse: a query registered into a removed query's slot
-// starts from an empty memo. Inheriting the old one would accept the
-// three-leaf star on the two-leaf center's still-sealed witness.
+// starts from an empty pair memo, and the removed query's entries keep no
+// witness the new query could inherit: accepting the three-leaf star on
+// the two-leaf center's still-sealed witness would be wrong.
 func TestSkylineMemoSlotReuse(t *testing.T) {
 	m := newMemoRig(t, star(t, 2), star(t, 2))
 	slot := m.sky.queries[0].slot
 	m.removeQuery(0)
-	if ss := m.sky.streams[0].vecStream.(*skyStream); ss.pairs[slot].wit != nil {
+	if ss := m.sky.streams[0].vecStream.(*skyStream); ss.refute[slot] != -1 {
 		t.Fatal("RemoveQuery kept the memo")
 	}
 	m.addQuery(1, star(t, 3))
@@ -515,4 +536,85 @@ func TestSkylineMemoSlotReuse(t *testing.T) {
 	if !m.joinable(1) {
 		t.Fatal("three-leaf star not joinable after the third leaf")
 	}
+}
+
+// TestSkylineSharedWitness: two queries with a common maximal vector share
+// its entry, so one stream-side witness serves both. Removing one keeps
+// the entry, and its witness, for the other.
+func TestSkylineSharedWitness(t *testing.T) {
+	path := buildGraph(t, map[graph.VertexID]graph.Label{0: 2, 1: 1, 2: 2, 3: 3}, [][3]int{{0, 1, 0}, {1, 2, 0}, {2, 3, 0}})
+	m := newMemoRig(t, path, star(t, 2), path)
+	ss, w, _ := m.memo(0, 0)
+	at := slices.Index(m.sky.queries[1].refs, m.sky.queries[0].refs[0])
+	if at < 0 || w == nil || !m.joinable(1) {
+		t.Fatalf("the center entry is not shared and witnessed: refs %v and %v", m.sky.queries[0].refs, m.sky.queries[1].refs)
+	}
+	m.removeQuery(0)
+	if _, w1, _ := m.memo(1, at); w1 != w || w1 != ss.verts[1] {
+		t.Fatal("removing one owner dropped the shared witness")
+	}
+	m.apply("shrink", graph.DeleteOp(1, 2))
+	if m.joinable(1) {
+		t.Fatal("the path is still joinable without its center's second leaf")
+	}
+}
+
+// TestSkylineRefutedPairKeepsWitnesses: a probe that refutes a pair still
+// records the dominators it found on the way, so the vectors it settled
+// are not scanned again by the next probe of any query that owns them.
+func TestSkylineRefutedPairKeepsWitnesses(t *testing.T) {
+	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2, 2: 2, 3: 3, 4: 4},
+		[][3]int{{0, 1, 0}, {0, 2, 0}, {3, 4, 0}})
+	m := newMemoRig(t, star(t, 2), q)
+	if ss, w, refute := m.memo(0, 0); m.joinable(0) || refute < 1 || w != ss.verts[0] {
+		t.Fatalf("joinable=%v refute=%d; want refuted past the center, which vertex 0 witnesses", m.joinable(0), refute)
+	}
+}
+
+// TestSkylineRecycledRefStartsClean: a ref the index reissues to a new
+// vector starts with no witness and no need in every stream. The removed
+// star's center and leaf entries are witnessed on the star stream and
+// refute the pair on the other; their refs go to an unrelated edge's
+// vectors, which no vertex of either stream dominates.
+func TestSkylineRecycledRefStartsClean(t *testing.T) {
+	f, nl := NewSkyline(1), NewNL(1)
+	other := buildGraph(t, map[graph.VertexID]graph.Label{0: 3, 1: 3}, [][3]int{{0, 1, 0}})
+	for _, g := range []core.Filter{f, nl} {
+		if err := g.AddQuery(0, star(t, 2)); err != nil {
+			t.Fatal(err)
+		}
+		for sid, g0 := range []*graph.Graph{star(t, 2), other} {
+			if err := g.AddStream(core.StreamID(sid), g0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	old := slices.Clone(f.queries[0].refs)
+	edge := buildGraph(t, map[graph.VertexID]graph.Label{0: 4, 1: 5}, [][3]int{{0, 1, 0}})
+	for _, g := range []core.DynamicFilter{f, nl} {
+		if err := g.RemoveQuery(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddQuery(1, edge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := f.queries[1]
+	got := slices.Clone(q.refs)
+	slices.Sort(got)
+	if slices.Sort(old); !slices.Equal(got, old) {
+		t.Fatalf("the edge took refs %v, not the freed %v", q.refs, old)
+	}
+	for sid, s := range f.streams {
+		ss := s.vecStream.(*skyStream)
+		for i, ref := range q.refs {
+			if want := int32(min(1, 1-i)); ss.wit[ref] != nil || ss.need[ref] != want {
+				t.Fatalf("stream %d: reissued ref %d has witness %p and need %d; want none and %d", sid, ref, ss.wit[ref], ss.need[ref], want)
+			}
+		}
+	}
+	if got, want := f.Candidates(), nl.Candidates(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Skyline candidates %v != NL %v", got, want)
+	}
+	checkPairMemos(t, &f.vecJoin, "reissued")
 }

@@ -9,32 +9,17 @@ import (
 	"nntstream/internal/npv"
 )
 
-// visit is one posting a crossing walk reported, with its direction.
-type visit struct {
-	key  Key
-	vec  npv.PackedVector
-	drop bool
-}
-
-// recorder is a Visitor that keeps every visit.
-type recorder struct{ visits []visit }
-
-func (r *recorder) Cross(e *Posting, drop bool) {
-	r.visits = append(r.visits, visit{e.Key, e.Vec, drop})
-}
-
-// counter is a Visitor that only counts, for the allocation test.
-type counter struct{ n int }
-
-func (c *counter) Cross(*Posting, bool) { c.n++ }
-
 // FuzzCrossDirections pins the three crossing facts the Skyline join
-// builds on, for byte-derived query vectors and vertex transitions: no drop
-// visit's vector is dominated by the new side, no rise visit's by the old
-// side, and the visits that flip — a drop the old side dominated, a rise
-// the new side dominates — are exactly the nonempty vectors whose dominance
-// by the vertex differs between the two sides (an absent side dominating
-// nothing). The walk reports a presence change iff one side is absent.
+// builds on, for byte-derived query vectors and vertex transitions: no
+// entry of a drop range is dominated by the new side, none of a rise range
+// by the old side, and the entries that flip — in a drop range the old side
+// dominated, in a rise range the new side dominates — are exactly the
+// nonempty vectors whose dominance by the vertex differs between the two
+// sides (an absent side dominating nothing), every owner of such an entry
+// flipping with it. The walk reports a presence change iff one side is
+// absent. When byte 0's high bit is set, query 0 is removed after
+// registration and one more vector is registered, so an entry it shared
+// keeps its other owners and a freed ref can be reissued.
 func FuzzCrossDirections(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 1, 3, 2, 5, 1, 1, 4, 3, 2, 1, 3, 3, 1, 2, 3, 2, 1, 2, 2, 3})
@@ -45,22 +30,39 @@ func FuzzCrossDirections(f *testing.F) {
 		r.Read(b)
 		f.Add(b)
 	}
+	// Query 1 shares query 0's first vector; removing query 0 keeps the
+	// entry for query 1, then a new vector is registered.
+	f.Add([]byte{0x80 | 7, 1, 1, 2, 1, 2, 0, 0, 1, 1, 2, 1, 3, 1, 2, 1, 1, 4, 3, 2, 1, 4, 3, 1, 1, 1, 0})
+	// Query 0 alone owns its vectors; removing it frees their refs, and the
+	// next vector, a different one in a freed vector's dimension, takes one.
+	f.Add([]byte{0x80 | 7, 1, 4, 1, 1, 5, 0, 1, 6, 2, 1, 7, 1, 1, 6, 3, 2, 2, 6, 3, 7, 1, 3, 1, 6, 2, 1, 6, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		nv := 1 + int(data[0]%12)
+		nv, churn := 1+int(data[0]%12), data[0]&0x80 != 0
 		data = data[1:]
 		ix := New()
 		vectors := make(map[Key]npv.PackedVector)
-		for i := 0; i < nv; i++ {
+		add := func(k Key) {
 			var p npv.PackedVector
 			p, data = decodeFuzzVec(data)
-			k := Key{Query: core.QueryID(i / 3), Vertex: graph.VertexID(i % 3)}
 			ix.Add(k, p)
 			vectors[k] = p
 		}
+		for i := 0; i < nv; i++ {
+			add(Key{Query: core.QueryID(i / 3), Vertex: graph.VertexID(i % 3)})
+		}
 		ix.Seal()
+		if churn {
+			ix.RemoveQuery(0)
+			for k := range vectors {
+				if k.Query == 0 {
+					delete(vectors, k)
+				}
+			}
+			add(Key{Query: core.QueryID(nv), Vertex: 0})
+		}
 		for v := 0; len(data) > 0 && v < 4; v++ {
 			dl := npv.DirtyDelta{Vertex: graph.VertexID(v)}
 			kind := data[0] % 4
@@ -73,19 +75,27 @@ func FuzzCrossDirections(f *testing.F) {
 				dl.New, data = decodeFuzzVec(data)
 				dl.HasNew = true
 			}
-			var rec recorder
-			if got := ix.Cross(dl, &rec); got != (dl.HadOld != dl.HasNew) {
+			ranges, got := ix.Ranges(dl, nil)
+			if got != (dl.HadOld != dl.HasNew) {
 				t.Fatalf("delta %+v: presence change %v", dl, got)
 			}
 			flipped := make(map[Key]bool)
-			for _, vs := range rec.visits {
-				before, after := dl.Old.Dominates(vs.vec), dl.New.Dominates(vs.vec)
-				if vs.drop && after || !vs.drop && before {
-					t.Fatalf("delta %+v: %v visited with drop=%v, but old ≽ u is %v and new ≽ u is %v",
-						dl, vs.key, vs.drop, before, after)
-				}
-				if vs.drop && before || !vs.drop && after {
-					flipped[vs.key] = true
+			for _, rg := range ranges {
+				for k, ref := range rg.Refs {
+					if rg.Sigs[k]&^rg.Sig != 0 {
+						continue
+					}
+					e := ix.Entry(ref)
+					before, after := dl.Old.Dominates(e.Vec), dl.New.Dominates(e.Vec)
+					if rg.Drop && after || !rg.Drop && before {
+						t.Fatalf("delta %+v: entry %d (%v) crossed with drop=%v, but old ≽ u is %v and new ≽ u is %v",
+							dl, ref, e.Vec, rg.Drop, before, after)
+					}
+					if rg.Drop && before || !rg.Drop && after {
+						for _, o := range e.Owners {
+							flipped[Key{Query: ix.Query(o.Slot), Vertex: graph.VertexID(o.Pos)}] = true
+						}
+					}
 				}
 			}
 			for k, u := range vectors {
@@ -101,8 +111,9 @@ func FuzzCrossDirections(f *testing.F) {
 	})
 }
 
-// TestCrossAllocsZero: the crossing walk allocates nothing of its own, so
-// a per-step caller pays only for what its visitor does.
+// TestCrossAllocsZero: the crossing walk allocates nothing of its own once
+// its range buffer has grown, so a per-step caller pays only for what it
+// does with the ranges.
 func TestCrossAllocsZero(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ix := New()
@@ -115,24 +126,29 @@ func TestCrossAllocsZero(t *testing.T) {
 		{Vertex: 1, New: vec(1, 6, 2, 6, 3, 6, 4, 6, 5, 6), HasNew: true},
 		{Vertex: 2, Old: vec(1, 6, 2, 6, 3, 6, 4, 6, 5, 6), HadOld: true},
 	}
-	var c counter
-	allocs := testing.AllocsPerRun(50, func() {
+	var buf []Range
+	rows := 0
+	walk := func() {
 		for _, dl := range deltas {
-			ix.Cross(dl, &c)
+			buf, _ = ix.Ranges(dl, buf[:0])
+			for _, rg := range buf {
+				rows += len(rg.Refs)
+			}
 		}
-	})
-	if c.n == 0 {
-		t.Fatal("the walk visited no posting")
+	}
+	walk()
+	allocs := testing.AllocsPerRun(50, walk)
+	if rows == 0 {
+		t.Fatal("the walk crossed no row")
 	}
 	if allocs != 0 {
 		t.Fatalf("crossing walk allocates %.1f per call", allocs)
 	}
 }
 
-// BenchmarkIndexRemoveQuery removes one query from a sealed index of 400,
-// each of one to four vectors over a pool of 300 dimensions, and re-adds
-// it off the clock, so every op removes from the same index size.
-func BenchmarkIndexRemoveQuery(b *testing.B) {
+// benchIndex builds a sealed index of 400 queries, each of one to four
+// vectors over a pool of 300 dimensions, and returns it with the vectors.
+func benchIndex() (*Index, [][]npv.PackedVector) {
 	const queries, dims = 400, 300
 	r := rand.New(rand.NewSource(12))
 	ix := New()
@@ -148,6 +164,34 @@ func BenchmarkIndexRemoveQuery(b *testing.B) {
 		}
 	}
 	ix.Seal()
+	return ix, vecs
+}
+
+// BenchmarkIndexAddQuery adds one query's vectors to a sealed index of 400
+// queries (benchIndex) after removing it off the clock, so every op adds to
+// the same index size.
+func BenchmarkIndexAddQuery(b *testing.B) {
+	ix, vecs := benchIndex()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		q := n % len(vecs)
+		b.StopTimer()
+		if !ix.RemoveQuery(core.QueryID(q)) {
+			b.Fatal("query not registered")
+		}
+		b.StartTimer()
+		for i, p := range vecs[q] {
+			ix.Add(key(q, i), p)
+		}
+	}
+}
+
+// BenchmarkIndexRemoveQuery removes one query from a sealed index of 400
+// (benchIndex) and re-adds it off the clock, so every op removes from the
+// same index size.
+func BenchmarkIndexRemoveQuery(b *testing.B) {
+	ix, vecs := benchIndex()
+	const queries = 400
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		q := n % queries

@@ -33,8 +33,9 @@ func decodeFuzzVec(data []byte) (npv.PackedVector, []byte) {
 // queries whose dominance bits flip across a byte-derived seal transition.
 // This is the same invariant as TestAffectedQueriesSupersetQuickcheck with
 // the corpus exploring the decode space instead of a fixed distribution:
-// flag-driven churn makes new queries take recycled slots, and two calls
-// share one Scratch, optionally across a stamp wraparound.
+// flag-driven churn makes new queries take recycled slots and freed
+// vectors' refs, and two calls share one Scratch, optionally across a
+// stamp wraparound.
 func FuzzQindexCandidates(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 3, 2, 5, 1, 1, 4, 3, 2, 1, 3, 3, 1, 2})
@@ -45,6 +46,12 @@ func FuzzQindexCandidates(f *testing.F) {
 		r.Read(b)
 		f.Add(b)
 	}
+	// Queries 0 and 1 share a vector; removing query 0 keeps the entry for
+	// query 1.
+	f.Add([]byte{2, 1, 1, 1, 2, 1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 0, 2, 2, 1, 3, 2, 0, 1, 1, 1, 2})
+	// Query 0's vector is freed and its ref reissued to a different vector,
+	// which query 1's replacement then shares.
+	f.Add([]byte{1, 3, 1, 1, 2, 1, 2, 1, 1, 3, 0, 1, 3, 0, 2, 1, 3, 1, 1, 1, 1, 2, 1, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

@@ -10,43 +10,42 @@
 // discipline of graph NN indexes but adapted from metric geometry to exact
 // dominance, where sound pruning needs no distance bound:
 //
-//   - One sorted posting list per NPV dimension ("column"), holding every
-//     registered query vector's count in that dimension. A stream vertex
-//     whose count in dimension d moved from a to b can only have flipped
-//     the per-dimension predicate v[d] ≥ u[d] for query vectors u with
-//     u[d] in (min(a,b), max(a,b)] — two binary searches per changed
-//     dimension retrieve exactly those postings.
-//   - Each posting carries its whole vector's 64-bit support signature
-//     (npv.PackedVector.Sig). A query vector u can be dominated by a stream
-//     vector p only if sig(u) &^ sig(p) == 0.
-//   - Each posting also carries its whole packed vector, so a range hit can
-//     be settled on the spot by the packed kernel against the *one* dirty
-//     vertex.
-//   - Every query holds a dense, recycled slot, carried in its postings, so
-//     per-query state — a Scratch's dedupe stamps, a join's verdicts and
-//     memos — is an array indexed by slot and nothing is hashed per posting.
+//   - One entry per distinct registered vector, named by a dense, recycled
+//     ref and listing its owners, (query slot, position) pairs: a flip is
+//     tested once per distinct vector and fans out to every owner.
+//   - One column per NPV dimension, one 16-byte row per entry nonzero
+//     there, as parallel slices of counts, support signatures
+//     (npv.PackedVector.Sig) and refs, ordered by (count, ref) once sealed.
+//     A stream vertex whose count in dimension d moved from a to b can only
+//     have flipped the predicate v[d] ≥ u[d] for vectors u with u[d] in
+//     (min(a,b), max(a,b)] — two binary searches retrieve those rows, and
+//     the signature filter sig(u) &^ sig(p) == 0 settles most of them.
+//   - Queries hold dense, recycled slots, so per-query state is an array
+//     indexed by slot and per-vector state one indexed by ref; nothing is
+//     hashed per row.
 //
-// The walk over one vertex's transition (Cross) knows which way it crossed
-// each posting. On a drop (new[d] < u[d] ≤ old[d], retirement included) the
+// The walk over one vertex's transition (Ranges) knows which way it crossed
+// each row. On a drop (new[d] < u[d] ≤ old[d], retirement included) the
 // new vector does not dominate u, so the flip test is old ≽ u and the
 // signature filter is sig(u) ⊆ sig(old); on a rise (old[d] < u[d] ≤ new[d],
 // appearance included) the old vector did not dominate u, so the test is
 // new ≽ u against sig(new). A flip therefore costs one kernel call, and a
-// posting the transition crosses both ways fails both tests.
+// row the transition crosses both ways fails both tests.
 //
 // Dominance of u by v flips only if some per-dimension predicate of u's
 // support flips, so the union of the per-dimension crossings over a dirty
 // vertex's (old, new) transition covers every query vector whose dominance
-// by that vertex changed; the per-posting flip test then keeps exactly
-// those. A query outside the result provably kept every per-(vertex,
-// vector) dominance bit, hence its verdict — a monotone function of those
-// bits — is unchanged. No false negatives by construction; the caller
-// re-evaluates the returned queries with the ordinary kernel, so filter
-// answers are bit-identical to the unindexed scan.
+// by that vertex changed; the per-row flip test then keeps exactly those. A
+// query outside the result provably kept every per-(vertex, vector)
+// dominance bit, hence its verdict — a monotone function of those bits — is
+// unchanged. No false negatives by construction; the caller re-evaluates
+// the returned queries with the ordinary kernel, so filter answers are
+// bit-identical to the unindexed scan.
 //
 // Lifecycle: registration appends cheaply, and Seal sorts the columns once.
 // Post-seal mutations (dynamic query add/remove) keep the columns sorted in
-// place. Between mutations the index is immutable, so the join pool's
+// place, and rows move only when an entry is created or its last owner
+// leaves. Between mutations the index is immutable, so the join pool's
 // fan-out reads it race-free — mutation only ever happens on the engines'
 // serialized registration path.
 package qindex
@@ -70,17 +69,50 @@ type Key struct {
 	Vertex graph.VertexID
 }
 
-// Posting is one column entry: a registered query vector's count in the
-// column's dimension, its query's dense slot, the vector's support signature
-// for the subset pre-filter, and the packed vector itself for the exact flip
-// test (the slices inside Vec are shared with the registered vector, not
-// copied). Postings are ordered by (Count, Key) within a sealed column.
-type Posting struct {
-	Key   Key
-	Count int32
-	Slot  int32
-	Sig   uint64
-	Vec   npv.PackedVector
+// Owner is one registration of an entry's vector: the owning query's slot
+// and the vector's position in it (its Key.Vertex).
+type Owner struct {
+	Slot, Pos int32
+}
+
+// Entry is one distinct registered vector, with its content hash, and every
+// registration of it. A freed entry has no owners and keeps its vector
+// until its ref is reissued.
+type Entry struct {
+	Vec    npv.PackedVector
+	Owners []Owner
+	hash   uint64
+}
+
+// column is one dimension's rows, one per entry nonzero in it, as parallel
+// slices: the entry's count there, its vector's signature, and its ref.
+// Sealed columns are ordered by (count, ref).
+type column struct {
+	counts []int32
+	sigs   []uint64
+	refs   []int32
+}
+
+func (c *column) Len() int { return len(c.refs) }
+
+func (c *column) Less(i, j int) bool {
+	return c.counts[i] < c.counts[j] || c.counts[i] == c.counts[j] && c.refs[i] < c.refs[j]
+}
+
+func (c *column) Swap(i, j int) {
+	c.counts[i], c.counts[j] = c.counts[j], c.counts[i]
+	c.sigs[i], c.sigs[j] = c.sigs[j], c.sigs[i]
+	c.refs[i], c.refs[j] = c.refs[j], c.refs[i]
+}
+
+// Range is one dimension's crossed rows in a vertex transition (Ranges):
+// their signatures and refs (aliasing the index), the crossing side's
+// signature, and whether the vertex dropped below the rows' counts.
+type Range struct {
+	Sigs []uint64
+	Refs []int32
+	Sig  uint64
+	Drop bool
 }
 
 // Candidate-generation telemetry: query verdicts a candidate set sent to
@@ -101,20 +133,26 @@ func Counters() (candidates, pruned int64) {
 // Index is the candidate-generating index over one filter's registered
 // query vectors. The zero value is not ready; use New.
 type Index struct {
-	cols map[npv.Dim][]Posting
+	cols map[npv.Dim]*column
+	// entries is indexed by ref; freed refs wait in freeRefs to be reissued.
+	// byHash finds an entry by its vector's content hash. A vector whose
+	// hash collides with another's gets an entry byHash does not name, so
+	// it is merely not shared.
+	entries  []Entry
+	freeRefs []int32
+	byHash   map[uint64]int32
+	// empty is the ref of the empty-support vector, or -1. Any present vertex
+	// dominates it, so only presence changes flip it: it has no rows, and
+	// Finish adds its owners.
+	empty int32
 	// slots gives every registered query a dense slot, recycled through free
-	// after RemoveQuery; queries maps a slot back to its owner and dims to
-	// the columns its postings live in. The key set of slots is the
-	// candidate universe AffectedQueries prunes.
+	// after RemoveQuery; queries maps a slot back to its owner and owned to
+	// the refs it registered. The key set of slots is the candidate universe
+	// AffectedQueries prunes.
 	slots   map[core.QueryID]int32
 	queries []core.QueryID
-	dims    [][]npv.Dim
+	owned   [][]int32
 	free    []int32
-	// empties lists the slots of queries with an empty-support vector. An
-	// empty vector is dominated by any present vertex, so its verdict can
-	// flip only when vertex presence changes — those queries are indexed
-	// here instead of in the columns.
-	empties []int32
 	sealed  bool
 }
 
@@ -127,27 +165,18 @@ type Scratch struct {
 	seen    []uint32
 	out     []core.QueryID
 	queries []core.QueryID
-	// dl and tally serve AffectedQueriesInto's flip test.
-	dl    npv.DirtyDelta
-	tally npv.Tally
-}
-
-// Visitor receives the postings one vertex transition crosses (Index.Cross).
-type Visitor interface {
-	// Cross is called for each posting e whose count lies in a crossed
-	// range and whose signature the crossing side covers, once per crossed
-	// dimension of e's support. drop says the vertex's count fell below
-	// e.Count there (or it retired), so its new vector does not dominate
-	// e.Vec; otherwise it rose to e.Count (or appeared), so its old vector
-	// did not.
-	Cross(e *Posting, drop bool)
+	// ranges and tally serve AffectedQueriesInto's flip test.
+	ranges []Range
+	tally  npv.Tally
 }
 
 // New returns an empty, unsealed index.
 func New() *Index {
 	return &Index{
-		cols:  make(map[npv.Dim][]Posting),
-		slots: make(map[core.QueryID]int32),
+		cols:   make(map[npv.Dim]*column),
+		byHash: make(map[uint64]int32),
+		empty:  -1,
+		slots:  make(map[core.QueryID]int32),
 	}
 }
 
@@ -165,45 +194,87 @@ func (ix *Index) Register(q core.QueryID) int32 {
 	} else {
 		slot = int32(len(ix.queries))
 		ix.queries = append(ix.queries, q)
-		ix.dims = append(ix.dims, nil)
+		ix.owned = append(ix.owned, nil)
 	}
 	ix.slots[q] = slot
 	return slot
 }
 
-// Add registers one query vector under k. Before Seal, postings are
-// appended (sorted once at Seal); afterwards each posting is inserted at
-// its sorted position. Registering the same key
-// twice is a caller bug and is not detected here — filters already reject
-// duplicate query IDs.
-func (ix *Index) Add(k Key, p npv.PackedVector) {
-	slot := ix.Register(k.Query)
-	if p.Len() == 0 {
-		if !slices.Contains(ix.empties, slot) {
-			ix.empties = append(ix.empties, slot)
-		}
-		return
-	}
-	sig := p.Sig()
-	for i := 0; i < p.Len(); i++ {
-		d := p.Dim(i)
-		if !slices.Contains(ix.dims[slot], d) {
-			ix.dims[slot] = append(ix.dims[slot], d)
-		}
-		e := Posting{Key: k, Count: p.Count(i), Slot: slot, Sig: sig, Vec: p}
-		col := ix.cols[d]
-		if !ix.sealed {
-			ix.cols[d] = append(col, e)
-			continue
-		}
-		at := sort.Search(len(col), func(i int) bool { return !postingLess(col[i], e) })
-		ix.cols[d] = slices.Insert(col, at, e)
-	}
+// Add registers one query vector under k and returns its entry's ref. A
+// vector the index holds only gains the owner (k's slot, k.Vertex); a new
+// one is fresh: it gets a ref, a freed one first, and one row per support
+// dimension, appended before Seal and inserted in order after. Filters
+// reject duplicate query IDs, so a key is never registered twice.
+func (ix *Index) Add(k Key, p npv.PackedVector) (ref int32, fresh bool) {
+	return ix.add(k, p, hashVec(p))
 }
 
-// RemoveQuery drops every posting of q and reports whether q was
-// registered. Only q's own columns are visited; columns left empty are
-// deleted, so HasDim stays an exact "some query uses this dimension" test.
+// add is Add for p of content hash h.
+func (ix *Index) add(k Key, p npv.PackedVector, h uint64) (ref int32, fresh bool) {
+	slot := ix.Register(k.Query)
+	ref, ok := ix.byHash[h]
+	if !ok || !ix.entries[ref].Vec.Equal(p) {
+		ref, fresh = ix.intern(p, h, !ok), true
+	}
+	e := &ix.entries[ref]
+	e.Owners = append(e.Owners, Owner{Slot: slot, Pos: int32(k.Vertex)})
+	if !slices.Contains(ix.owned[slot], ref) {
+		ix.owned[slot] = append(ix.owned[slot], ref)
+	}
+	return ref, fresh
+}
+
+// intern issues a ref for p, a vector the index does not hold, names it
+// under p's content hash h if mapped, and adds its rows.
+func (ix *Index) intern(p npv.PackedVector, h uint64, mapped bool) int32 {
+	var ref int32
+	if n := len(ix.freeRefs); n > 0 {
+		ref, ix.freeRefs = ix.freeRefs[n-1], ix.freeRefs[:n-1]
+	} else {
+		ref = int32(len(ix.entries))
+		ix.entries = append(ix.entries, Entry{})
+	}
+	if mapped {
+		ix.byHash[h] = ref
+	}
+	ix.entries[ref] = Entry{Vec: p, Owners: ix.entries[ref].Owners[:0], hash: h}
+	if p.Len() == 0 {
+		ix.empty = ref
+	}
+	for i := 0; i < p.Len(); i++ {
+		col := ix.cols[p.Dim(i)]
+		if col == nil {
+			col = &column{}
+			ix.cols[p.Dim(i)] = col
+		}
+		c, at := p.Count(i), len(col.refs)
+		if ix.sealed {
+			at = sort.Search(at, func(k int) bool {
+				return col.counts[k] > c || col.counts[k] == c && col.refs[k] > ref
+			})
+		}
+		col.counts = slices.Insert(col.counts, at, c)
+		col.sigs = slices.Insert(col.sigs, at, p.Sig())
+		col.refs = slices.Insert(col.refs, at, ref)
+	}
+	return ref
+}
+
+// hashVec is an FNV-1a content hash over p's (dimension, count) entries.
+func hashVec(p npv.PackedVector) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < p.Len(); i++ {
+		h = (h ^ uint64(p.Dim(i))) * prime
+		h = (h ^ uint64(uint32(p.Count(i)))) * prime
+	}
+	return h
+}
+
+// RemoveQuery drops q's owners and reports whether q was registered. An
+// entry whose last owner leaves is freed: its rows leave their columns,
+// columns left empty are deleted (so HasDim stays an exact "some query
+// uses this dimension" test), and its ref waits to be reissued.
 func (ix *Index) RemoveQuery(q core.QueryID) bool {
 	slot, ok := ix.slots[q]
 	if !ok {
@@ -211,60 +282,77 @@ func (ix *Index) RemoveQuery(q core.QueryID) bool {
 	}
 	delete(ix.slots, q)
 	ix.free = append(ix.free, slot)
-	if i := slices.Index(ix.empties, slot); i >= 0 {
-		ix.empties = slices.Delete(ix.empties, i, i+1)
-	}
-	for _, d := range ix.dims[slot] {
-		col := slices.DeleteFunc(ix.cols[d], func(e Posting) bool { return e.Slot == slot })
-		if len(col) == 0 {
-			delete(ix.cols, d)
-		} else {
-			ix.cols[d] = col
+	for _, ref := range ix.owned[slot] {
+		e := &ix.entries[ref]
+		e.Owners = slices.DeleteFunc(e.Owners, func(o Owner) bool { return o.Slot == slot })
+		if len(e.Owners) == 0 {
+			ix.release(ref)
 		}
 	}
-	ix.dims[slot] = ix.dims[slot][:0]
+	ix.owned[slot] = ix.owned[slot][:0]
 	return true
 }
 
-// Seal sorts the build-phase columns and marks the index readable. The
-// first call does the one-time sort; later calls are no-ops, so filters
-// may call it unconditionally at every evaluation entry point.
+// release frees ref: its rows and its hash mapping go.
+func (ix *Index) release(ref int32) {
+	e := &ix.entries[ref]
+	for i := 0; i < e.Vec.Len(); i++ {
+		d := e.Vec.Dim(i)
+		col := ix.cols[d]
+		if len(col.refs) == 1 {
+			delete(ix.cols, d)
+			continue
+		}
+		at := slices.Index(col.refs, ref)
+		col.counts = slices.Delete(col.counts, at, at+1)
+		col.sigs = slices.Delete(col.sigs, at, at+1)
+		col.refs = slices.Delete(col.refs, at, at+1)
+	}
+	if ix.empty == ref {
+		ix.empty = -1
+	}
+	if head, ok := ix.byHash[e.hash]; ok && head == ref {
+		delete(ix.byHash, e.hash)
+	}
+	ix.freeRefs = append(ix.freeRefs, ref)
+}
+
+// Seal sorts the build-phase columns and marks the index readable; later
+// calls are no-ops, so filters may call it at every evaluation entry
+// point. Refs are unique within a column, so the (count, ref) order is
+// total and sealed column order does not depend on map iteration.
 func (ix *Index) Seal() {
 	if ix.sealed {
 		return
 	}
 	ix.sealed = true
 	for _, col := range ix.cols {
-		sort.Slice(col, func(i, j int) bool { return postingLess(col[i], col[j]) })
+		sort.Sort(col)
 	}
-}
-
-// postingLess orders postings by count, breaking ties by key so sealed
-// column order is deterministic (the mapdeterm discipline: ties must not
-// depend on registration map iteration).
-//
-//nnt:hotpath
-func postingLess(a, b Posting) bool {
-	if a.Count != b.Count {
-		return a.Count < b.Count
-	}
-	if a.Key.Query != b.Key.Query {
-		return a.Key.Query < b.Key.Query
-	}
-	return a.Key.Vertex < b.Key.Vertex
 }
 
 // QueryCount reports the number of registered queries.
 func (ix *Index) QueryCount() int { return len(ix.slots) }
 
-// PostingCount reports the total number of column entries.
+// Query returns the query registered in slot.
+func (ix *Index) Query(slot int32) core.QueryID { return ix.queries[slot] }
+
+// PostingCount reports the total number of column rows: one per distinct
+// vector and support dimension.
 func (ix *Index) PostingCount() int {
 	n := 0
 	for _, col := range ix.cols {
-		n += len(col)
+		n += len(col.refs)
 	}
 	return n
 }
+
+// Refs reports how many refs have been issued, live or free.
+func (ix *Index) Refs() int { return len(ix.entries) }
+
+// Entry returns ref's entry. It is owned by the index: callers must not
+// mutate it, and must not retain it across a mutation.
+func (ix *Index) Entry(ref int32) *Entry { return &ix.entries[ref] }
 
 // HasDim reports whether any registered query vector uses dimension d.
 func (ix *Index) HasDim(d npv.Dim) bool {
@@ -272,18 +360,14 @@ func (ix *Index) HasDim(d npv.Dim) bool {
 	return ok
 }
 
-// Postings returns dimension d's sorted column (nil when unused). The
-// slice is owned by the index: callers must not mutate it, and must not
-// retain it across a mutation. DSC reads its crossed-entry ranges straight
-// from these columns.
-func (ix *Index) Postings(d npv.Dim) []Posting { return ix.cols[d] }
-
-// UpperBound returns the number of postings with Count ≤ val — the
-// position a stream vertex with count val occupies in the column.
-//
-//nnt:hotpath
-func UpperBound(col []Posting, val int32) int {
-	return sort.Search(len(col), func(i int) bool { return col[i].Count > val })
+// Column returns dimension d's rows, counts ascending, and each row's ref
+// (both nil when unused). The slices are owned by the index, with the same
+// rules as Entry. DSC reads its crossed-row ranges straight from them.
+func (ix *Index) Column(d npv.Dim) (counts, refs []int32) {
+	if col := ix.cols[d]; col != nil {
+		return col.counts, col.refs
+	}
+	return nil, nil
 }
 
 // AffectedQueries returns the queries whose dominance verdict against the
@@ -304,10 +388,11 @@ func (ix *Index) AffectedQueries(deltas []npv.DirtyDelta) []core.QueryID {
 	return ix.AffectedQueriesInto(new(Scratch), deltas)
 }
 
-// AffectedQueriesInto is AffectedQueries collecting into sc: every delta's
-// crossing walk runs the one-kernel flip test on postings of queries not
-// collected yet. The result aliases sc and is valid until the next call
-// with sc. Concurrent calls need distinct Scratches.
+// AffectedQueriesInto is AffectedQueries collecting into sc: every
+// crossed row runs the one-kernel flip test — a drop flips an entry iff
+// the old vector dominated it, a rise iff the new one does — and a flip
+// collects every owner. The result aliases sc and is valid until the next
+// call with sc. Concurrent calls need distinct Scratches.
 func (ix *Index) AffectedQueriesInto(sc *Scratch, deltas []npv.DirtyDelta) []core.QueryID {
 	if !ix.sealed {
 		panic("qindex: AffectedQueries before Seal")
@@ -318,29 +403,25 @@ func (ix *Index) AffectedQueriesInto(sc *Scratch, deltas []npv.DirtyDelta) []cor
 	ix.Begin(sc)
 	presence := false
 	for _, dl := range deltas {
-		sc.dl = dl
-		presence = ix.Cross(dl, sc) || presence
+		var moved bool
+		sc.ranges, moved = ix.Ranges(dl, sc.ranges[:0])
+		presence = presence || moved
+		for _, rg := range sc.ranges {
+			side := dl.New
+			if rg.Drop {
+				side = dl.Old
+			}
+			for k, ref := range rg.Refs {
+				if e := &ix.entries[ref]; rg.Sigs[k]&^rg.Sig == 0 && sc.tally.Dominates(side, e.Vec) {
+					for _, o := range e.Owners {
+						sc.Collect(o.Slot)
+					}
+				}
+			}
+		}
 	}
 	sc.tally.Flush()
 	return ix.Finish(sc, presence)
-}
-
-// Cross implements Visitor with AffectedQueriesInto's flip test: a drop
-// flips the posting's dominance iff the old vector dominated it, a rise iff
-// the new one does.
-//
-//nnt:hotpath
-func (sc *Scratch) Cross(e *Posting, drop bool) {
-	if sc.seen[e.Slot] == sc.stamp {
-		return
-	}
-	side := sc.dl.New
-	if drop {
-		side = sc.dl.Old
-	}
-	if sc.tally.Dominates(side, e.Vec) {
-		sc.Collect(e.Slot)
-	}
 }
 
 // Begin empties sc for a new candidate set over ix's registered queries,
@@ -376,13 +457,13 @@ func (sc *Scratch) Collect(slot int32) {
 
 // Finish closes sc's set and returns it in ascending QueryID order. When
 // presence changed — some vertex appeared or retired — it first adds every
-// query with an empty-support vector, which any present vertex dominates
+// owner of the empty-support vector, which any present vertex dominates
 // (the stream may have gained its first vertex or lost its last). The set
 // counts as candidates and the other registered queries as pruned.
 func (ix *Index) Finish(sc *Scratch, presence bool) []core.QueryID {
-	if presence {
-		for _, slot := range ix.empties {
-			sc.Collect(slot)
+	if presence && ix.empty >= 0 {
+		for _, o := range ix.entries[ix.empty].Owners {
+			sc.Collect(o.Slot)
 		}
 	}
 	slices.Sort(sc.out)
@@ -391,49 +472,65 @@ func (ix *Index) Finish(sc *Scratch, presence bool) []core.QueryID {
 	return sc.out
 }
 
-// Cross walks the postings vertex transition dl crosses and reports whether
-// dl changed the vertex's presence. The two sorted supports are merged in
-// lockstep, absent dimensions counting zero and an absent side being the
-// empty vector, so an appearance rises through (0, new[d]] and a retirement
-// drops through (0, old[d]] of each of its dimensions. Every posting whose
-// dominance by the vertex flipped is visited, in the direction it flipped:
-// a vector u that old dominated and new does not has some d ∈ supp(u) with
-// new[d] < u[d] ≤ old[d], and sig(u) ⊆ sig(old); symmetrically for a rise.
-//
-//nnt:hotpath
-func (ix *Index) Cross(dl npv.DirtyDelta, v Visitor) bool {
+// Ranges appends to buf the rows vertex transition dl crosses, one Range
+// per crossed dimension that has rows, and reports whether dl changed the
+// vertex's presence. The two sorted supports are merged in lockstep,
+// absent dimensions counting zero and an absent side being the empty
+// vector, so an appearance rises through (0, new[d]] and a retirement
+// drops through (0, old[d]] of each of its dimensions. Every entry whose
+// dominance by the vertex flipped is in some range, in the direction it
+// flipped: a vector u that old dominated and new does not has some
+// d ∈ supp(u) with new[d] < u[d] ≤ old[d], and sig(u) ⊆ sig(old);
+// symmetrically for a rise. Ranges allocates only to grow buf.
+func (ix *Index) Ranges(dl npv.DirtyDelta, buf []Range) ([]Range, bool) {
 	old, new := dl.Old, dl.New
 	i, j := 0, 0
 	for i < old.Len() || j < new.Len() {
 		switch {
 		case j == new.Len() || (i < old.Len() && old.Dim(i) < new.Dim(j)):
-			ix.crossRange(old.Dim(i), 0, old.Count(i), old.Sig(), true, v)
+			buf = ix.cross(buf, old.Dim(i), 0, old.Count(i), old.Sig(), true)
 			i++
 		case i == old.Len() || new.Dim(j) < old.Dim(i):
-			ix.crossRange(new.Dim(j), 0, new.Count(j), new.Sig(), false, v)
+			buf = ix.cross(buf, new.Dim(j), 0, new.Count(j), new.Sig(), false)
 			j++
 		default:
 			if oc, nc := old.Count(i), new.Count(j); oc > nc {
-				ix.crossRange(old.Dim(i), nc, oc, old.Sig(), true, v)
+				buf = ix.cross(buf, old.Dim(i), nc, oc, old.Sig(), true)
 			} else if oc < nc {
-				ix.crossRange(new.Dim(j), oc, nc, new.Sig(), false, v)
+				buf = ix.cross(buf, new.Dim(j), oc, nc, new.Sig(), false)
 			}
 			i++
 			j++
 		}
 	}
-	return dl.HadOld != dl.HasNew
+	return buf, dl.HadOld != dl.HasNew
 }
 
-// crossRange visits dimension d's postings with lo < Count ≤ hi whose
-// signature is a subset of sig, the crossing side's.
+// cross appends dimension d's rows with lo < count ≤ hi, if any.
+func (ix *Index) cross(buf []Range, d npv.Dim, lo, hi int32, sig uint64, drop bool) []Range {
+	col := ix.cols[d]
+	if col == nil {
+		return buf
+	}
+	a, b := upperBound(col.counts, lo), upperBound(col.counts, hi)
+	if a == b {
+		return buf
+	}
+	return append(buf, Range{Sigs: col.sigs[a:b], Refs: col.refs[a:b], Sig: sig, Drop: drop})
+}
+
+// upperBound returns the number of counts ≤ v in the ascending counts.
 //
 //nnt:hotpath
-func (ix *Index) crossRange(d npv.Dim, lo, hi int32, sig uint64, drop bool, v Visitor) {
-	col := ix.cols[d]
-	for k, end := UpperBound(col, lo), UpperBound(col, hi); k < end; k++ {
-		if e := &col[k]; e.Sig&^sig == 0 {
-			v.Cross(e, drop)
+func upperBound(counts []int32, v int32) int {
+	lo, hi := 0, len(counts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if counts[m] <= v {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
+	return lo
 }

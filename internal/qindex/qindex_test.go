@@ -51,25 +51,25 @@ func TestIndexLifecycle(t *testing.T) {
 	}
 
 	// Column 1 sorted ascending by count: (0,0)@3, (0,1)@5.
-	col := ix.Postings(npv.Dim(1))
-	if len(col) != 2 || col[0].Count != 3 || col[1].Count != 5 {
-		t.Fatalf("column 1 = %v", col)
+	counts, _ := ix.Column(npv.Dim(1))
+	if !slices.Equal(counts, []int32{3, 5}) {
+		t.Fatalf("column 1 counts = %v", counts)
 	}
-	if UpperBound(col, 2) != 0 || UpperBound(col, 3) != 1 || UpperBound(col, 9) != 2 {
-		t.Fatalf("UpperBound over %v misplaced", col)
+	if upperBound(counts, 2) != 0 || upperBound(counts, 3) != 1 || upperBound(counts, 9) != 2 {
+		t.Fatalf("upperBound over %v misplaced", counts)
 	}
 	if !ix.HasDim(npv.Dim(2)) || ix.HasDim(npv.Dim(7)) {
 		t.Fatal("HasDim wrong")
 	}
 
 	// Post-seal add inserts at the sorted position.
-	ix.Add(key(3, 0), vec(1, 4))
-	col = ix.Postings(npv.Dim(1))
-	if len(col) != 3 || col[1].Count != 4 || col[1].Key != key(3, 0) {
-		t.Fatalf("post-seal insert misplaced: %v", col)
+	ref, fresh := ix.Add(key(3, 0), vec(1, 4))
+	counts, refs := ix.Column(npv.Dim(1))
+	if !fresh || len(counts) != 3 || counts[1] != 4 || refs[1] != ref {
+		t.Fatalf("post-seal insert misplaced: counts %v refs %v, ref %d", counts, refs, ref)
 	}
 
-	// Removal tears down every posting and the empty-support record.
+	// Removal tears down every row and the empty-support entry.
 	if !ix.RemoveQuery(core.QueryID(0)) {
 		t.Fatal("RemoveQuery(0) = false")
 	}
@@ -81,6 +81,9 @@ func TestIndexLifecycle(t *testing.T) {
 	}
 	if !ix.RemoveQuery(core.QueryID(2)) {
 		t.Fatal("RemoveQuery(2) = false")
+	}
+	if ix.empty != -1 {
+		t.Fatalf("empty-support entry %d outlived its owner", ix.empty)
 	}
 	deltas := []npv.DirtyDelta{{Vertex: 0, New: vec(1, 9, 2, 9), HasNew: true}}
 	got := ix.AffectedQueries(deltas)
@@ -313,5 +316,75 @@ func TestAffectedQueriesSupersetQuickcheck(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("no registration reused a freed slot")
+	}
+}
+
+// TestSharedEntries: queries registering equal vectors share one entry and
+// its rows; removing one owner keeps the entry for the other, removing the
+// last frees it, and a freed ref is reissued — fresh — to the next new
+// vector, with rows of that vector only.
+func TestSharedEntries(t *testing.T) {
+	ix := New()
+	a, fa := ix.Add(key(0, 0), vec(1, 3, 2, 1))
+	b, fb := ix.Add(key(1, 2), vec(1, 3, 2, 1))
+	c, fc := ix.Add(key(1, 0), vec(2, 2))
+	if a != b || !fa || fb || a == c || !fc {
+		t.Fatalf("refs %d (fresh %v), %d (fresh %v), %d (fresh %v); want the first two shared", a, fa, b, fb, c, fc)
+	}
+	if got := ix.PostingCount(); got != 3 {
+		t.Fatalf("PostingCount = %d; want 3 (one row per distinct vector and dimension)", got)
+	}
+	if got := ix.Entry(a).Owners; !slices.Equal(got, []Owner{{Slot: 0, Pos: 0}, {Slot: 1, Pos: 2}}) {
+		t.Fatalf("owners = %v", got)
+	}
+	ix.Seal()
+	// Both owners flip together: one kernel call, both queries.
+	dl := []npv.DirtyDelta{{Vertex: 0, New: vec(1, 3, 2, 1), HasNew: true}}
+	if got := ix.AffectedQueries(dl); !slices.Equal(got, []core.QueryID{0, 1}) {
+		t.Fatalf("AffectedQueries = %v; want both owners", got)
+	}
+
+	ix.RemoveQuery(0)
+	if got := ix.Entry(a).Owners; !slices.Equal(got, []Owner{{Slot: 1, Pos: 2}}) || ix.PostingCount() != 3 {
+		t.Fatalf("after removing one owner: owners %v, %d rows", got, ix.PostingCount())
+	}
+	if got := ix.AffectedQueries(dl); !slices.Equal(got, []core.QueryID{1}) {
+		t.Fatalf("AffectedQueries = %v; want the remaining owner", got)
+	}
+	ix.RemoveQuery(1)
+	if ix.PostingCount() != 0 || len(ix.cols) != 0 || len(ix.byHash) != 0 {
+		t.Fatalf("after removing both: %d rows, %d columns, %d hashes", ix.PostingCount(), len(ix.cols), len(ix.byHash))
+	}
+	d, fd := ix.Add(key(2, 0), vec(5, 1))
+	if !fd || (d != a && d != c) || ix.Refs() != 2 {
+		t.Fatalf("new vector took ref %d (fresh %v) of %d; want a recycled one", d, fd, ix.Refs())
+	}
+	if counts, refs := ix.Column(npv.Dim(5)); !slices.Equal(counts, []int32{1}) || !slices.Equal(refs, []int32{d}) || ix.PostingCount() != 1 {
+		t.Fatalf("reissued ref's rows: counts %v refs %v, %d rows", counts, refs, ix.PostingCount())
+	}
+}
+
+// TestHashCollision: a vector whose content hash collides with a held,
+// different vector's gets an entry of its own, which is simply not shared,
+// and either can be removed without disturbing the other.
+func TestHashCollision(t *testing.T) {
+	ix := New()
+	vecs := []npv.PackedVector{vec(1, 1), vec(2, 1)}
+	for i, p := range vecs {
+		if ref, fresh := ix.add(key(i, 0), p, 7); ref != int32(i) || !fresh {
+			t.Fatalf("vector %d: ref %d fresh %v", i, ref, fresh)
+		}
+	}
+	if ref, fresh := ix.add(key(2, 0), vecs[0], 7); ref != 0 || fresh {
+		t.Fatalf("vector 0 again: ref %d fresh %v; want it shared", ref, fresh)
+	}
+	ix.RemoveQuery(1)
+	if ref := ix.byHash[7]; ref != 0 || ix.PostingCount() != 1 {
+		t.Fatalf("removing the unmapped vector moved the mapping to %d, %d rows left", ref, ix.PostingCount())
+	}
+	ix.RemoveQuery(0)
+	ix.RemoveQuery(2)
+	if len(ix.byHash) != 0 || ix.PostingCount() != 0 {
+		t.Fatalf("%d hash entries, %d rows left", len(ix.byHash), ix.PostingCount())
 	}
 }
