@@ -97,8 +97,9 @@ crashtest-cluster:
 # user files (WAL frames, checkpoint JSON, graph text formats) plus the
 # kernel-equivalence properties (packed dominance, qindex candidate
 # soundness, the crossing walk's drop/rise directions vs brute-force
-# dominance, NPV recount vs forest patching, undo-logged change sets vs Apply
-# on a clone, Skyline's flip-driven witness memo vs the NL oracle). The default budget keeps it
+# dominance, NPV recount vs forest patching, the capped seal vs capped
+# forest vectors under moving caps, undo-logged change sets vs Apply on a
+# clone, Skyline's flip-driven witness memo vs the NL oracle). The default budget keeps it
 # pre-commit-friendly; override FUZZTIME for a real campaign.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -109,6 +110,7 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzQindexCandidates -fuzztime=$(FUZZTIME) ./internal/qindex/
 	$(GO) test -fuzz=FuzzCrossDirections -fuzztime=$(FUZZTIME) ./internal/qindex/
 	$(GO) test -fuzz=FuzzRecountMatchesForest -fuzztime=$(FUZZTIME) ./internal/npv/
+	$(GO) test -fuzz=FuzzCappedSeal -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzSkylineMatchesNL -fuzztime=$(FUZZTIME) ./internal/join/
 
 # Sustained-throughput drill against a live serve socket (see

@@ -703,9 +703,17 @@ func BenchmarkNPVStepDense(b *testing.B) {
 	}
 }
 
+// maxNPVStepDenseAllocs caps one BenchmarkNPVStepDense timestamp at its
+// measured steady state (54): of its 40 resealed vertices, those whose
+// support stays share it and allocate only their counts, and the deltas
+// reuse the last seal's buffers. Two allocations per vertex and fresh
+// deltas took 81.
+const maxNPVStepDenseAllocs = 55
+
 // TestNPVStepDenseAllocsPerDirtyVertex replays BenchmarkNPVStepDense and
 // caps a sealed timestamp at two allocations per resealed vertex (its
-// support and its counts) plus one for the deltas.
+// support and its counts) plus one for the deltas, and at
+// maxNPVStepDenseAllocs.
 func TestNPVStepDenseAllocsPerDirtyVertex(t *testing.T) {
 	g, steps := hubWorkload()
 	s := npv.NewStore(g, join.DefaultDepth)
@@ -721,6 +729,9 @@ func TestNPVStepDenseAllocsPerDirtyVertex(t *testing.T) {
 	perStep := float64(dirty) / float64(i)
 	if allocs > 2*perStep+1 {
 		t.Fatalf("a sealed dense timestamp allocates %v for %v dirty vertices; cap %v", allocs, perStep, 2*perStep+1)
+	}
+	if allocs > maxNPVStepDenseAllocs {
+		t.Fatalf("a sealed dense timestamp allocates %v; cap %d", allocs, maxNPVStepDenseAllocs)
 	}
 	t.Logf("allocs per timestamp: %v for %v dirty vertices", allocs, perStep)
 }

@@ -132,8 +132,8 @@ type vecStream interface {
 }
 
 // vecJoinStream is one stream of a vecJoin: the strategy's half, the
-// stream's NPV store, and the cached verdict of every registered query by
-// slot.
+// stream's NPV store — capped at the index's column maxima when indexed —
+// and the cached verdict of every registered query by slot.
 type vecJoinStream struct {
 	vecStream
 	id      core.StreamID
@@ -150,7 +150,11 @@ type vecJoinStream struct {
 //
 // With an index, each changed stream's reconcile names a superset of the
 // queries whose verdict could have flipped, so the kept verdicts are exact
-// by construction; the index is immutable within a timestamp. Without one
+// by construction; the index is immutable within a timestamp. Its stores
+// then seal counts capped at the index's column maxima (qindex.Index.Cap),
+// which decide the same dominance tests against every indexed vector, and
+// a registration that raises a cap or a removal that lowers one reseals
+// every stream under the new caps (recap). Without one
 // (NL, the plain nested loop) every changed stream re-probes every
 // registered query.
 type vecJoin struct {
@@ -209,6 +213,7 @@ func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 	vq := &vecQuery{id: id, slot: j.ix.Register(id), vecs: j.derive(q, j.depth)}
 	j.queries[id] = vq
 	if j.indexed {
+		raised := len(j.streams) > 0 && j.capsBelow(vq)
 		vq.refs = make([]int32, len(vq.vecs))
 		for i, u := range vq.vecs {
 			ref, fresh := j.ix.Add(qindex.Key{Query: id, Vertex: graph.VertexID(i)}, u)
@@ -219,11 +224,41 @@ func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 				}
 			}
 		}
+		if raised {
+			j.recap()
+		}
 	}
 	for _, s := range j.streams {
 		j.evaluate(s, vq)
 	}
 	return nil
+}
+
+// capsBelow reports whether some vector of vq exceeds the index's cap in a
+// dimension of its support. Before vq is added, that is whether adding it
+// raises a cap; after it is removed, whether removing it lowered one: the
+// cap it set was max(u[d]) over its own vectors u, which no remaining
+// vector reaches iff the cap fell below it.
+func (j *vecJoin) capsBelow(vq *vecQuery) bool {
+	for _, u := range vq.vecs {
+		for i := 0; i < u.Len(); i++ {
+			if u.Count(i) > j.ix.Cap(u.Dim(i)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// recap reseals every stream under the index's current caps. No registered
+// vector's dominance by any vertex changes — each one's counts are within
+// the old caps and the new — so the reseal folds the statistics without
+// the crossing walk, and every verdict and witness stays valid.
+func (j *vecJoin) recap() {
+	for _, s := range j.streams {
+		s.store.ResetCaps()
+		s.reconcile(nil)
+	}
 }
 
 // RemoveQuery implements core.DynamicFilter: the packed query vectors, the
@@ -239,6 +274,9 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 		s.verdict[vq.slot] = false
 		s.forget(vq.slot)
 	}
+	if j.indexed && len(j.streams) > 0 && j.capsBelow(vq) {
+		j.recap()
+	}
 	j.answer = slices.DeleteFunc(j.answer, func(p core.Pair) bool { return p.Query == id })
 	return nil
 }
@@ -250,7 +288,11 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 		return fmt.Errorf("join: duplicate stream %d", id)
 	}
 	j.ix.Seal()
-	store := npv.NewStore(g0, j.depth)
+	var capOf func(npv.Dim) int32
+	if j.indexed {
+		capOf = j.ix.Cap
+	}
+	store := npv.NewCappedStore(g0, j.depth, capOf)
 	s := &vecJoinStream{vecStream: j.newStream(j.ix, store), id: id, store: store}
 	j.streams[id] = s
 	s.reconcile(nil)

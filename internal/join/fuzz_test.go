@@ -44,6 +44,11 @@ func FuzzSkylineMatchesNL(f *testing.F) {
 	// different vectors take.
 	f.Add([]byte{0x3, 0x0, 0x0, 0x0, 0x1, 0x0, 0x16, 0x2a, 0xc, 0x4, 0x1, 0x2, 0x3e, 0x5, 0x0})
 	f.Add([]byte{0x6, 0x4, 0x4, 0x0, 0x1, 0x1, 0x1, 0x0, 0xa, 0x13, 0x0, 0x0, 0x1, 0x3})
+	// Registrations after the streams raise a cap and a removal lowers one,
+	// so every stream reseals under the new caps; in the second, batches
+	// then run over the resealed vectors.
+	f.Add([]byte{0xb9, 0x80, 0x9c, 0xd8, 0x11, 0x24})
+	f.Add([]byte{0x1d, 0x38, 0xc5, 0x7c, 0x73, 0xb2, 0xf7, 0xca, 0xab, 0xd7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 256 {
 			return

@@ -48,10 +48,11 @@ func (p *evalPool) size() int {
 
 // run executes fn(0..n-1). With more than one worker and more than one
 // task, tasks are pulled off a shared atomic cursor by min(workers, n)
-// goroutines; otherwise they run inline. fn must write only to state owned
-// by task i (its result slot and, for per-stream tasks, that stream's
-// state) — run provides the happens-before edge between all tasks and the
-// caller via the WaitGroup join.
+// goroutines — the caller's and one fewer spawned ones; otherwise they run
+// inline. fn must write only to state owned by task i (its result slot
+// and, for per-stream tasks, that stream's state) — run provides the
+// happens-before edge between all tasks and the caller via the WaitGroup
+// join.
 //
 //nnt:nonblocking the join waits only for the batch's own compute-bound tasks, which by contract take no locks and do no I/O
 func (p *evalPool) run(n int, fn func(i int)) {
@@ -78,21 +79,25 @@ func (p *evalPool) run(n int, fn func(i int)) {
 	}
 	start := time.Now()
 	var next atomic.Int64
+	// Waits are summed per goroutine and published once, so tasks do not
+	// contend on the shared counter.
+	pull := func() {
+		var wait time.Duration
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			wait += time.Since(start)
+			fn(i)
+		}
+		p.waitNanos.Add(wait.Nanoseconds())
+	}
 	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
+	wg.Add(w - 1)
+	for g := 1; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			// Waits are summed per goroutine and published once, so tasks
-			// do not contend on the shared counter.
-			var wait time.Duration
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				wait += time.Since(start)
-				fn(i)
-			}
-			p.waitNanos.Add(wait.Nanoseconds())
+			pull()
 		}()
 	}
+	pull()
 	wg.Wait()
 }
 

@@ -58,9 +58,11 @@ type skyStream struct {
 	wit    []*skyVertex
 	need   []int32
 	refute []int32
-	// The crossing walk's state: its ranges, the pairs it queues, and its
-	// kernel calls.
+	// The crossing walk's state: its ranges, the refs of one range that
+	// pass its pre-pass (sized by reconcile to the longest range), the
+	// pairs it queues, and its kernel calls.
 	ranges []qindex.Range
+	hits   []int32
 	queue  qindex.Scratch
 	tally  npv.Tally
 }
@@ -137,6 +139,9 @@ func (ss *skyStream) reconcile(verdict []bool) ([]core.QueryID, bool) {
 		ss.ranges, moved = ss.ix.Ranges(dl, ss.ranges[:0])
 		presence = presence || moved
 		for _, rg := range ss.ranges {
+			if n := len(rg.Refs); n > len(ss.hits) {
+				ss.hits = make([]int32, max(n, 2*len(ss.hits)))
+			}
 			ss.crossed(rg, cur, verdict)
 		}
 	}
@@ -150,9 +155,21 @@ func (ss *skyStream) reconcile(verdict []bool) ([]core.QueryID, bool) {
 // lacks, keeps its place in those both have, and joins those only its new
 // one has, raising their max. A vertex that appeared has an empty Old and a
 // retired one an empty New, so all three fall out of the same merge walk;
-// a retired vertex's record keeps its final, empty p.
+// a retired vertex's record keeps its final, empty p. When the support did
+// not change, the vertex keeps every place and only its rising moves can
+// raise a max, so the merge is skipped.
 func (ss *skyStream) fold(dl npv.DirtyDelta) *skyVertex {
 	sv, cur := ss.verts[dl.Vertex], dl.New
+	if sv != nil && !dl.Reshaped {
+		for _, m := range dl.Moves {
+			if m.New > m.Old {
+				stat := ss.dims[m.Dim]
+				stat.max = max(stat.max, m.New)
+			}
+		}
+		sv.p = cur
+		return sv
+	}
 	if sv == nil {
 		if cur.Len() == 0 {
 			return nil
@@ -205,27 +222,53 @@ func (ss *skyStream) fold(dl npv.DirtyDelta) *skyVertex {
 // decides, and a dominating cur becomes the witness and queues the owners
 // the entry refutes.
 //
+// A pre-pass without branches packs into hits the refs that pass the
+// signature filter and whose memo state matters; most rows fail the
+// signature filter, so only the hits are visited.
+//
 //nnt:hotpath
 func (ss *skyStream) crossed(rg qindex.Range, cur *skyVertex, verdict []bool) {
-	for k, ref := range rg.Refs {
-		switch {
-		case rg.Sigs[k]&^rg.Sig != 0:
-		case rg.Drop && ss.wit[ref] == cur:
+	hits, n := ss.hits, 0
+	if rg.Drop {
+		for k, ref := range rg.Refs {
+			hits[n] = ref
+			n += b2i(rg.Sigs[k]&^rg.Sig == 0) & b2i(ss.wit[ref] == cur)
+		}
+		for _, ref := range hits[:n] {
 			ss.wit[ref] = nil
 			for _, o := range ss.ix.Entry(ref).Owners {
 				if verdict[o.Slot] {
 					ss.queue.Collect(o.Slot)
 				}
 			}
-		case !rg.Drop && ss.wit[ref] == nil && ss.need[ref] > 0 && ss.tally.Dominates(cur.p, ss.ix.Entry(ref).Vec):
+		}
+		return
+	}
+	for k, ref := range rg.Refs {
+		hits[n] = ref
+		n += b2i(rg.Sigs[k]&^rg.Sig == 0) & b2i(ss.wit[ref] == nil) & b2i(ss.need[ref] > 0)
+	}
+	for _, ref := range hits[:n] {
+		if e := ss.ix.Entry(ref); ss.tally.Dominates(cur.p, e.Vec) {
 			ss.wit[ref] = cur
-			for _, o := range ss.ix.Entry(ref).Owners {
+			for _, o := range e.Owners {
 				if ss.refute[o.Slot] == ref {
 					ss.queue.Collect(o.Slot)
 				}
 			}
 		}
 	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// read, not a branch.
+//
+//nnt:hotpath
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // leave swap-removes the member at index at of dimension d, repointing the
@@ -344,7 +387,7 @@ func dominator(ss *skyStream, u npv.PackedVector, t *npv.Tally) (*skyVertex, boo
 func (f *Skyline) RegisterMetrics(r *obs.Registry, locked func(func() float64) func() float64) {
 	f.vecJoin.RegisterMetrics(r, locked)
 	r.GaugeFunc("nntstream_skyline_dimensions",
-		"Per-dimension statistics kept, summed over all streams.",
+		"Per-dimension statistics kept, summed over all streams. Sealed stream vectors are capped, so only dimensions some registered query vector uses count.",
 		locked(func() float64 {
 			dims := 0
 			for _, s := range f.streams {

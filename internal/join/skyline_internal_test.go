@@ -299,6 +299,9 @@ func TestCandidateProbeAllocsIndependentOfQueryCount(t *testing.T) {
 			{Vertex: 0, Old: p0, New: p1, HadOld: true, HasNew: true},
 			{Vertex: 99, New: p0, HasNew: true},
 		}
+		for i := range deltas {
+			deltas[i].Moves, deltas[i].Reshaped = npv.Diff(nil, deltas[i].Old, deltas[i].New)
+		}
 		var sc qindex.Scratch
 		var task pairTask
 		wits := make([]*skyVertex, 64)

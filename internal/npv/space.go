@@ -97,21 +97,60 @@ func (s *Space) TakeDirty() []graph.VertexID {
 // vector sealed at the previous seal (Old, when HadOld) and the packed
 // vector sealed now (New, when HasNew). A vertex added since the last seal
 // has HadOld false; a retired vertex has HasNew false; a vertex added and
-// retired between two seals has neither.
+// retired between two seals has neither. Moves is the diff from Old to New
+// (Diff), and Reshaped reports whether some move enters or leaves the
+// support; both are valid until the sealer's next seal.
 type DirtyDelta struct {
-	Vertex graph.VertexID
-	Old    PackedVector
-	New    PackedVector
-	HadOld bool
-	HasNew bool
+	Vertex   graph.VertexID
+	Old      PackedVector
+	New      PackedVector
+	HadOld   bool
+	HasNew   bool
+	Moves    []Move
+	Reshaped bool
+}
+
+// Move is one dimension's count change across a seal, an absent dimension
+// counting 0.
+type Move struct {
+	Dim      Dim
+	Old, New int32
+}
+
+// Diff appends to buf the moves from old to new, one per dimension whose
+// count differs, in ascending Dim order, and reports whether one of them
+// enters or leaves the support.
+func Diff(buf []Move, old, new PackedVector) ([]Move, bool) {
+	reshaped := false
+	i, j := 0, 0
+	for i < len(old.dims) || j < len(new.dims) {
+		switch {
+		case j == len(new.dims) || i < len(old.dims) && old.dims[i] < new.dims[j]:
+			buf = append(buf, Move{old.dims[i], old.counts[i], 0})
+			reshaped = true
+			i++
+		case i == len(old.dims) || new.dims[j] < old.dims[i]:
+			buf = append(buf, Move{new.dims[j], 0, new.counts[j]})
+			reshaped = true
+			j++
+		default:
+			if old.counts[i] != new.counts[j] {
+				buf = append(buf, Move{new.dims[j], old.counts[i], new.counts[j]})
+			}
+			i++
+			j++
+		}
+	}
+	return buf, reshaped
 }
 
 // SealDirty is TakeDirty for consumers that need the transition, not just
 // the vertex set, with Store.SealDirty's contract: one DirtyDelta per dirty
 // vertex in ascending vertex order, Old read from the cache before
-// resealing. It requires EnablePacking: without the cache there is no
-// sealed "before" value, and a caller that silently saw HadOld == false for
-// a vertex that merely changed would under-report candidates.
+// resealing, Moves filled by Diff. It requires EnablePacking: without the
+// cache there is no sealed "before" value, and a caller that silently saw
+// HadOld == false for a vertex that merely changed would under-report
+// candidates.
 func (s *Space) SealDirty() []DirtyDelta {
 	if s.packed == nil {
 		panic("npv: SealDirty requires EnablePacking")
@@ -122,9 +161,11 @@ func (s *Space) SealDirty() []DirtyDelta {
 	}
 	out := make([]DirtyDelta, len(ids))
 	for i, v := range ids {
-		out[i].Vertex = v
-		out[i].Old, out[i].HadOld = s.packed[v]
-		out[i].New, out[i].HasNew = s.reseal(v)
+		dl := &out[i]
+		dl.Vertex = v
+		dl.Old, dl.HadOld = s.packed[v]
+		dl.New, dl.HasNew = s.reseal(v)
+		dl.Moves, dl.Reshaped = Diff(nil, dl.Old, dl.New)
 	}
 	return out
 }

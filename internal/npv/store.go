@@ -44,14 +44,22 @@ const closedDepth = 3
 //  3. for k = 1..l it recounts level k of each affected root within k−1
 //     hops, after every neighbour's level k−1;
 //  4. it marks a root dirty only if a level actually moved (or it appeared
-//     or retired), so SealDirty and everything keyed on it see exactly the
+//     or retired), and SealDirty reports a dirty vertex only if its sealed
+//     vector moved, so everything keyed on the deltas sees exactly the
 //     vertices whose vector moved.
 //
 // A vector exists in packed form only: SealDirty concatenates each dirty
-// vertex's level lists into a fresh PackedVector, which Packed and
-// PackedVectors serve until the vertex next moves. Recounting pays once per
-// affected root per timestamp for its final counts, where patching an
-// nnt.Forest pays for every intermediate tree.
+// vertex's level lists into a PackedVector, which Packed and PackedVectors
+// serve until the vertex next moves. Recounting pays once per affected
+// root per timestamp for its final counts, where patching an nnt.Forest
+// pays for every intermediate tree.
+//
+// A capped store (NewCappedStore) seals each count at a per-dimension cap,
+// the largest count any registered query vector has there, and drops the
+// dimensions whose cap is 0. Lemma 4.2 compares a count v[d] only with
+// query counts u[d] ≤ cap(d), so v ≽ u iff min(v, cap) ≽ u for every
+// registered u, and a recount that moves only counts above the cap seals
+// nothing. The levels stay exact; only the sealed vectors are capped.
 type Store struct {
 	depth int
 	verts map[graph.VertexID]*vnode
@@ -84,6 +92,24 @@ type Store struct {
 
 	// path[0..k] is the walk the level-4+ enumerator is on.
 	path []*vnode
+
+	// capOf gives a dimension's cap, nil for exact counts; caps[k-1][t]
+	// holds it for triple t at level k.
+	capOf func(Dim) int32
+	caps  [][]int32
+	// enter is settle's scratch for the triples entering a level's
+	// support, sized like sums.
+	enter []tally
+	// Seal scratch: the last seal's deltas and their moves, reused by the
+	// next, and the vector being sealed. full marks the next seal as one
+	// that reseals every vertex (the first, or the one after ResetCaps):
+	// its deltas get buffers of their own, which the store does not keep,
+	// so the scratch scales with a step's seal, not with the whole store.
+	out    []DirtyDelta
+	moves  []Move
+	dims   []Dim
+	counts []int32
+	full   bool
 }
 
 // vnode is one vertex of the store's graph: its label and adjacency, with
@@ -120,8 +146,17 @@ type tally struct {
 
 // NewStore builds the store of an initial graph; g is not retained. depth is
 // the paper's l and must be ≥ 1. Every vertex starts dirty, so the first
-// SealDirty reports each one as added.
+// SealDirty reports each one as added. Its sealed vectors hold exact counts.
 func NewStore(g *graph.Graph, depth int) *Store {
+	return NewCappedStore(g, depth, nil)
+}
+
+// NewCappedStore is NewStore sealing every count d at capOf(d) and dropping
+// the dimensions capped at 0; a nil capOf keeps exact counts. capOf is
+// read when a triple is first counted and on ResetCaps, from inside Apply:
+// it must not change while an Apply runs, and must be safe to call from
+// the goroutine that runs it.
+func NewCappedStore(g *graph.Graph, depth int, capOf func(Dim) int32) *Store {
 	if depth < 1 {
 		panic(fmt.Sprintf("npv: depth must be ≥ 1, got %d", depth))
 	}
@@ -130,6 +165,11 @@ func NewStore(g *graph.Graph, depth int) *Store {
 		verts: make(map[graph.VertexID]*vnode, g.VertexCount()),
 		triID: make(map[Dim]uint32),
 		path:  make([]*vnode, depth+1),
+		capOf: capOf,
+		full:  true,
+	}
+	if capOf != nil {
+		s.caps = make([][]int32, depth)
 	}
 	g.Vertices(func(v graph.VertexID, l graph.Label) bool {
 		n := s.newVnode(v, l)
@@ -196,26 +236,41 @@ func (s *Store) PackedVectors(fn func(v graph.VertexID, p PackedVector) bool) {
 	}
 }
 
-// SealDirty returns one DirtyDelta per vertex whose vector moved (or which
-// appeared or retired) since the previous call, in ascending vertex order,
-// and makes each New the vertex's sealed vector. Old is the vector the
-// previous seal exposed to evaluation, so (Old, New) is the precise input
-// the query dominance index (internal/qindex) prunes candidates with. New
-// is the concatenation of the vertex's level lists in freshly allocated
-// slices: a sealed vector is never written again, so readers may keep it
-// across seals.
+// SealDirty returns one DirtyDelta per vertex whose sealed vector moved (or
+// which appeared or retired, or both) since the previous call, in ascending
+// vertex order, and makes each New the vertex's sealed vector. Old is the
+// vector the previous seal exposed to evaluation, and Moves their diff, so
+// (Old, New, Moves) is the precise input the query dominance index
+// (internal/qindex) prunes candidates with. The deltas and their moves are
+// valid until the next seal. A sealed vector is never written again, so
+// readers may keep it across seals: New is built in fresh slices, sharing
+// Old's support when only counts moved. A seal that moves no vector
+// returns nil and allocates nothing.
 func (s *Store) SealDirty() []DirtyDelta {
 	if len(s.dirty) == 0 {
 		return nil
 	}
 	slices.SortFunc(s.dirty, func(a, b *vnode) int { return cmp.Compare(a.id, b.id) })
-	out := make([]DirtyDelta, len(s.dirty))
+	var out []DirtyDelta
+	var moves []Move
+	if !s.full {
+		out, moves = s.out[:0], s.moves[:0]
+	}
 	for i, v := range s.dirty {
-		out[i] = DirtyDelta{Vertex: v.id, Old: v.packed, HadOld: v.sealed, HasNew: v.live}
+		from := len(moves)
+		var p PackedVector
+		var reshaped bool
 		if v.live {
-			out[i].New = s.pack(v)
+			p, moves, reshaped = s.seal(v, moves)
+		} else {
+			moves, reshaped = Diff(moves, v.packed, PackedVector{})
 		}
-		v.packed, v.sealed, v.dirty = out[i].New, v.live, false
+		if len(moves) > from || !v.sealed || !v.live {
+			out = append(out, DirtyDelta{Vertex: v.id, Old: v.packed, New: p, HadOld: v.sealed, HasNew: v.live,
+				Moves: moves[from:len(moves):len(moves)], Reshaped: reshaped})
+			v.packed = p
+		}
+		v.sealed, v.dirty = v.live, false
 		if !v.live {
 			delete(s.verts, v.id)
 			s.free = append(s.free, v)
@@ -223,26 +278,71 @@ func (s *Store) SealDirty() []DirtyDelta {
 		s.dirty[i] = nil
 	}
 	s.dirty = s.dirty[:0]
+	if !s.full {
+		s.out, s.moves = out, moves
+	}
+	s.full = false
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 
-// pack concatenates v's level lists into a new packed vector.
-func (s *Store) pack(v *vnode) PackedVector {
-	n := 0
-	for _, l := range v.lv {
-		n += len(l)
-	}
-	p := PackedVector{dims: make([]Dim, 0, n), counts: make([]int32, 0, n)}
+// seal builds v's sealed vector from its level lists, capped, and appends
+// its moves from v's last sealed vector to moves (Diff). An unmoved vector
+// is the last sealed one, and a count-only move shares its support and
+// signature.
+func (s *Store) seal(v *vnode, moves []Move) (PackedVector, []Move, bool) {
+	dims, counts := s.dims[:0], s.counts[:0]
 	for k, l := range v.lv {
 		level := Dim(k+1) << 48
 		for _, t := range l {
-			d := s.tris[t.tri] | level
-			p.dims = append(p.dims, d)
-			p.counts = append(p.counts, t.n)
-			p.sig |= sigBit(d)
+			c := t.n
+			if s.caps != nil {
+				if c = min(c, s.caps[k][t.tri]); c == 0 {
+					continue
+				}
+			}
+			dims = append(dims, s.tris[t.tri]|level)
+			counts = append(counts, c)
 		}
 	}
-	return p
+	s.dims, s.counts = dims, counts
+	old, from := v.packed, len(moves)
+	moves, reshaped := Diff(moves, old, PackedVector{dims: dims, counts: counts})
+	switch {
+	case len(moves) == from:
+		return old, moves, false
+	case !reshaped:
+		return PackedVector{dims: old.dims, counts: slices.Clone(counts), sig: old.sig}, moves, false
+	}
+	p := PackedVector{dims: slices.Clone(dims), counts: slices.Clone(counts)}
+	for _, d := range dims {
+		p.sig |= sigBit(d)
+	}
+	return p, moves, true
+}
+
+// ResetCaps re-reads every cap and marks every vertex dirty, so the next
+// seal reseals each vector under the caps now in force and reports the
+// vertices whose sealed vector moved. A store of exact counts has nothing
+// to reset.
+func (s *Store) ResetCaps() {
+	if s.capOf == nil {
+		return
+	}
+	for k, caps := range s.caps {
+		level := Dim(k+1) << 48
+		for t := range caps {
+			caps[t] = s.capOf(s.tris[t] | level)
+		}
+	}
+	for _, v := range s.verts {
+		if v.live {
+			s.markDirty(v)
+		}
+	}
+	s.full = true
 }
 
 // Apply advances the store by one timestamp: deletions before insertions,
@@ -389,6 +489,10 @@ func (s *Store) intern(d Dim) uint32 {
 		s.acc = append(s.acc, 0)
 		s.touched = append(s.touched, 0)
 		s.sums = append(s.sums, tally{})
+		s.enter = append(s.enter, tally{})
+		for k := range s.caps {
+			s.caps[k] = append(s.caps[k], s.capOf(d|Dim(k+1)<<48))
+		}
 	}
 	return id
 }
@@ -532,27 +636,51 @@ func (s *Store) add(t uint32, n int32) {
 
 // settle gathers the scratch sums — level k of v — and clears the scratch.
 // When they differ from v's level k it returns them sorted by Dim, valid
-// until the next settle, and true. Only a changed support is sorted: when
-// just counts moved, the sums take the old level's order.
+// until the next settle, and true. The triples staying in the level keep
+// its order; only those entering it are sorted, then merged in.
 //
 //nnt:hotpath
 func (s *Store) settle(v *vnode, k int) ([]tally, bool) {
 	n := 0
 	for _, t := range s.touched[:s.nt] {
-		if c := s.acc[t]; c != 0 {
-			s.sums[n] = tally{t, c}
+		if s.acc[t] != 0 {
 			n++
 		}
 	}
 	old := v.lv[k-1]
-	kept, moved := n == len(old), n != len(old)
-	for i := 0; kept && i < len(old); i++ {
-		c := s.acc[old[i].tri]
-		kept, moved = c != 0, moved || c != old[i].n
+	m, moved := 0, n != len(old)
+	for _, t := range old {
+		if c := s.acc[t.tri]; c != 0 {
+			s.sums[m] = tally{t.tri, c}
+			m++
+			moved = moved || c != t.n
+		} else {
+			moved = true
+		}
 	}
-	if kept && moved {
-		for i, t := range old {
-			s.sums[i] = tally{t.tri, s.acc[t.tri]}
+	if m < n {
+		// Every nonzero sum is touched: the ones left once the staying
+		// triples are cleared enter the level.
+		for _, t := range s.sums[:m] {
+			s.acc[t.tri] = 0
+		}
+		e := 0
+		for _, t := range s.touched[:s.nt] {
+			if c := s.acc[t]; c != 0 {
+				s.enter[e] = tally{t, c}
+				e++
+			}
+		}
+		enter := s.enter[:e]
+		slices.SortFunc(enter, func(a, b tally) int { return cmp.Compare(s.tris[a.tri], s.tris[b.tri]) })
+		for w, i, j := n-1, m-1, e-1; j >= 0; w-- {
+			if i >= 0 && s.tris[s.sums[i].tri] > s.tris[enter[j].tri] {
+				s.sums[w] = s.sums[i]
+				i--
+			} else {
+				s.sums[w] = enter[j]
+				j--
+			}
 		}
 	}
 	for _, t := range s.touched[:s.nt] {
@@ -562,11 +690,7 @@ func (s *Store) settle(v *vnode, k int) ([]tally, bool) {
 	if !moved {
 		return nil, false
 	}
-	sums := s.sums[:n]
-	if !kept {
-		slices.SortFunc(sums, func(a, b tally) int { return cmp.Compare(s.tris[a.tri], s.tris[b.tri]) })
-	}
-	return sums, true
+	return s.sums[:n], true
 }
 
 // walk adds to the scratch the last edge of every edge-distinct walk of

@@ -75,6 +75,7 @@ func FuzzCrossDirections(f *testing.F) {
 				dl.New, data = decodeFuzzVec(data)
 				dl.HasNew = true
 			}
+			dl = withMoves(dl)[0]
 			ranges, got := ix.Ranges(dl, nil)
 			if got != (dl.HadOld != dl.HasNew) {
 				t.Fatalf("delta %+v: presence change %v", dl, got)
@@ -121,11 +122,11 @@ func TestCrossAllocsZero(t *testing.T) {
 		ix.Add(key(q, 0), randomVec(r))
 	}
 	ix.Seal()
-	deltas := []npv.DirtyDelta{
-		{Vertex: 0, Old: vec(1, 1, 2, 6, 3, 2), New: vec(1, 6, 2, 1, 4, 3), HadOld: true, HasNew: true},
-		{Vertex: 1, New: vec(1, 6, 2, 6, 3, 6, 4, 6, 5, 6), HasNew: true},
-		{Vertex: 2, Old: vec(1, 6, 2, 6, 3, 6, 4, 6, 5, 6), HadOld: true},
-	}
+	deltas := withMoves(
+		npv.DirtyDelta{Vertex: 0, Old: vec(1, 1, 2, 6, 3, 2), New: vec(1, 6, 2, 1, 4, 3), HadOld: true, HasNew: true},
+		npv.DirtyDelta{Vertex: 1, New: vec(1, 6, 2, 6, 3, 6, 4, 6, 5, 6), HasNew: true},
+		npv.DirtyDelta{Vertex: 2, Old: vec(1, 6, 2, 6, 3, 6, 4, 6, 5, 6), HadOld: true},
+	)
 	var buf []Range
 	rows := 0
 	walk := func() {

@@ -97,7 +97,7 @@ func FuzzQindexCandidates(f *testing.F) {
 				dl.New, data = decodeFuzzVec(data)
 				dl.HasNew = true
 			}
-			deltas = append(deltas, dl)
+			deltas = append(deltas, withMoves(dl)...)
 		}
 
 		brute := bruteAffected(vectors, deltas)

@@ -360,6 +360,22 @@ func (ix *Index) HasDim(d npv.Dim) bool {
 	return ok
 }
 
+// Cap returns the largest count any registered vector has in dimension d,
+// or 0 when none uses d. A stream count above it decides no dominance test
+// against the registered vectors, so a stream store may seal its counts
+// capped at it (npv.NewCappedStore). Cap reads immutable state, so
+// concurrent calls between mutations are race-free.
+func (ix *Index) Cap(d npv.Dim) int32 {
+	col := ix.cols[d]
+	switch {
+	case col == nil:
+		return 0
+	case ix.sealed:
+		return col.counts[len(col.counts)-1]
+	}
+	return slices.Max(col.counts)
+}
+
 // Column returns dimension d's rows, counts ascending, and each row's ref
 // (both nil when unused). The slices are owned by the index, with the same
 // rules as Entry. DSC reads its crossed-row ranges straight from them.
@@ -473,34 +489,20 @@ func (ix *Index) Finish(sc *Scratch, presence bool) []core.QueryID {
 }
 
 // Ranges appends to buf the rows vertex transition dl crosses, one Range
-// per crossed dimension that has rows, and reports whether dl changed the
-// vertex's presence. The two sorted supports are merged in lockstep,
-// absent dimensions counting zero and an absent side being the empty
-// vector, so an appearance rises through (0, new[d]] and a retirement
-// drops through (0, old[d]] of each of its dimensions. Every entry whose
-// dominance by the vertex flipped is in some range, in the direction it
-// flipped: a vector u that old dominated and new does not has some
-// d ∈ supp(u) with new[d] < u[d] ≤ old[d], and sig(u) ⊆ sig(old);
+// per move (dl.Moves) that crosses rows, and reports whether dl changed the
+// vertex's presence. A move counts an absent dimension zero and an absent
+// side as the empty vector, so an appearance rises through (0, new[d]] and
+// a retirement drops through (0, old[d]] of each of its dimensions. Every
+// entry whose dominance by the vertex flipped is in some range, in the
+// direction it flipped: a vector u that old dominated and new does not has
+// some d ∈ supp(u) with new[d] < u[d] ≤ old[d], and sig(u) ⊆ sig(old);
 // symmetrically for a rise. Ranges allocates only to grow buf.
 func (ix *Index) Ranges(dl npv.DirtyDelta, buf []Range) ([]Range, bool) {
-	old, new := dl.Old, dl.New
-	i, j := 0, 0
-	for i < old.Len() || j < new.Len() {
-		switch {
-		case j == new.Len() || (i < old.Len() && old.Dim(i) < new.Dim(j)):
-			buf = ix.cross(buf, old.Dim(i), 0, old.Count(i), old.Sig(), true)
-			i++
-		case i == old.Len() || new.Dim(j) < old.Dim(i):
-			buf = ix.cross(buf, new.Dim(j), 0, new.Count(j), new.Sig(), false)
-			j++
-		default:
-			if oc, nc := old.Count(i), new.Count(j); oc > nc {
-				buf = ix.cross(buf, old.Dim(i), nc, oc, old.Sig(), true)
-			} else if oc < nc {
-				buf = ix.cross(buf, new.Dim(j), oc, nc, new.Sig(), false)
-			}
-			i++
-			j++
+	for _, m := range dl.Moves {
+		if m.New < m.Old {
+			buf = ix.cross(buf, m.Dim, m.New, m.Old, dl.Old.Sig(), true)
+		} else {
+			buf = ix.cross(buf, m.Dim, m.Old, m.New, dl.New.Sig(), false)
 		}
 	}
 	return buf, dl.HadOld != dl.HasNew

@@ -85,7 +85,7 @@ func TestIndexLifecycle(t *testing.T) {
 	if ix.empty != -1 {
 		t.Fatalf("empty-support entry %d outlived its owner", ix.empty)
 	}
-	deltas := []npv.DirtyDelta{{Vertex: 0, New: vec(1, 9, 2, 9), HasNew: true}}
+	deltas := withMoves(npv.DirtyDelta{Vertex: 0, New: vec(1, 9, 2, 9), HasNew: true})
 	got := ix.AffectedQueries(deltas)
 	want := []core.QueryID{1, 3}
 	if !reflect.DeepEqual(got, want) {
@@ -157,7 +157,7 @@ func TestAffectedQueriesCases(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := build().AffectedQueries(tc.deltas)
+			got := build().AffectedQueries(withMoves(tc.deltas...))
 			if got == nil {
 				got = []core.QueryID{}
 			}
@@ -174,9 +174,9 @@ func TestStatsCounters(t *testing.T) {
 	ix.Add(key(0, 0), vec(1, 3))
 	ix.Add(key(1, 0), vec(9, 1))
 	ix.Seal()
-	got := ix.AffectedQueries([]npv.DirtyDelta{
-		{Vertex: 0, Old: vec(1, 1), New: vec(1, 5), HadOld: true, HasNew: true},
-	})
+	got := ix.AffectedQueries(withMoves(
+		npv.DirtyDelta{Vertex: 0, Old: vec(1, 1), New: vec(1, 5), HadOld: true, HasNew: true},
+	))
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("AffectedQueries = %v", got)
 	}
@@ -208,7 +208,17 @@ func randomDelta(r *rand.Rand, v graph.VertexID) npv.DirtyDelta {
 	if r.Intn(4) > 0 {
 		dl.New, dl.HasNew = randomVec(r), true
 	}
-	return dl
+	return withMoves(dl)[0]
+}
+
+// withMoves fills each delta's Moves and Reshaped from its Old and New
+// through npv.Diff, as a sealer does, and returns the deltas.
+func withMoves(deltas ...npv.DirtyDelta) []npv.DirtyDelta {
+	for i := range deltas {
+		dl := &deltas[i]
+		dl.Moves, dl.Reshaped = npv.Diff(nil, dl.Old, dl.New)
+	}
+	return deltas
 }
 
 // bruteAffected is the ground truth AffectedQueries must cover: the queries
@@ -339,7 +349,7 @@ func TestSharedEntries(t *testing.T) {
 	}
 	ix.Seal()
 	// Both owners flip together: one kernel call, both queries.
-	dl := []npv.DirtyDelta{{Vertex: 0, New: vec(1, 3, 2, 1), HasNew: true}}
+	dl := withMoves(npv.DirtyDelta{Vertex: 0, New: vec(1, 3, 2, 1), HasNew: true})
 	if got := ix.AffectedQueries(dl); !slices.Equal(got, []core.QueryID{0, 1}) {
 		t.Fatalf("AffectedQueries = %v; want both owners", got)
 	}

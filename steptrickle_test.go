@@ -29,7 +29,10 @@ type trickleWorkload struct {
 // inserts an absent universe edge and deletes a present one, so a stream
 // holds edges or edges+1. extra adds that many more queries per stream, of
 // 2–5 edges, drawn from their own source so the streams and steps do not
-// depend on it.
+// depend on it. Past the first distinctExtra, the extra queries of a stream
+// repeat those in turn: every extra ≥ distinctExtra registers the same
+// distinct query vectors, so the stream stores seal under the same caps
+// and only the number of queries sharing each vector grows.
 func newTrickleWorkload(tb testing.TB, edges, extra int) *trickleWorkload {
 	tb.Helper()
 	const streams, half = 4, 256 // half: forward steps before the cycle turns back
@@ -77,8 +80,12 @@ func newTrickleWorkload(tb testing.TB, edges, extra int) *trickleWorkload {
 	}
 	qr := rand.New(rand.NewSource(29))
 	for _, g0 := range g0s {
+		var drawn []*graph.Graph
 		for k := 0; k < extra; k++ {
-			if _, err := w.mon.AddQuery(datagen.RandomConnectedSubgraph(g0, 2+qr.Intn(4), qr)); err != nil {
+			if k < distinctExtra {
+				drawn = append(drawn, datagen.RandomConnectedSubgraph(g0, 2+qr.Intn(4), qr))
+			}
+			if _, err := w.mon.AddQuery(drawn[k%len(drawn)]); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -128,6 +135,10 @@ func newTrickleWorkload(tb testing.TB, edges, extra int) *trickleWorkload {
 	}
 	return w
 }
+
+// distinctExtra bounds the distinct extra queries per stream of a
+// trickleWorkload.
+const distinctExtra = 20
 
 // step advances the monitor by step i of the cycle.
 func (w *trickleWorkload) step(tb testing.TB, i int) {
@@ -183,7 +194,10 @@ func TestStepAllAllocsIndependentOfGraphSize(t *testing.T) {
 // pair-task buffer is reused, so neither grows with the answer. (Rebuilding
 // the answer each step appends its way up to the answer size, which costs
 // O(log |answer|) allocations.) A full cycle runs first, so the answer and
-// the buffers have reached their largest size before the count.
+// the buffers have reached their largest size before the count. Both
+// workloads register the same distinct query vectors (distinctExtra): the
+// stores seal counts capped at the query maxima, so a query set with other
+// maxima reseals other vertices, and allocates for them.
 func TestStepAllAllocsIndependentOfCandidateCount(t *testing.T) {
 	allocs := func(extra int) (float64, int) {
 		w := newTrickleWorkload(t, 800, extra)
