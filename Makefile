@@ -99,7 +99,8 @@ crashtest-cluster:
 # soundness, the crossing walk's drop/rise directions vs brute-force
 # dominance, NPV recount vs forest patching, the capped seal vs capped
 # forest vectors under moving caps, undo-logged change sets vs Apply on a
-# clone, Skyline's flip-driven witness memo vs the NL oracle). The default budget keeps it
+# clone, Skyline's flip-driven witness memo vs the NL oracle, the appended
+# pair-list and ingest bodies vs encoding/json). The default budget keeps it
 # pre-commit-friendly; override FUZZTIME for a real campaign.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -112,6 +113,7 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzRecountMatchesForest -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzCappedSeal -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzSkylineMatchesNL -fuzztime=$(FUZZTIME) ./internal/join/
+	$(GO) test -fuzz=FuzzAppendPairs -fuzztime=$(FUZZTIME) ./internal/server/
 
 # Sustained-throughput drill against a live serve socket (see
 # scripts/loadtest.sh): open-loop sustain + overload phases, asserting the

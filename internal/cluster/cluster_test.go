@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -868,5 +870,103 @@ func TestHeartbeatLoop(t *testing.T) {
 		"0": {ins(60, 1, 61, 2, 3)},
 	}}); status/100 != 2 {
 		t.Fatalf("write after loop-driven failover: status %d", status)
+	}
+}
+
+// socketGet reads url over a real socket and checks that the body arrived
+// in one piece under its Content-Length, not chunked.
+func socketGet(t *testing.T, url string) (http.Header, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("GET %s: Content-Length %d, Transfer-Encoding %v, body %d bytes",
+			url, resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	return resp.Header, body
+}
+
+// TestClusterResponsesCarryContentLength serves a worker and the coordinator
+// over real sockets with a 5,000-pair answer, far over net/http's 2 KB
+// response buffer: the worker's answer keeps its LSN header, the
+// coordinator's merged answer equals a single node's (its empty answer
+// byte for byte), and once the group is degraded the stale headers still go
+// out with it.
+func TestClusterResponsesCarryContentLength(t *testing.T) {
+	factory := filterCases[2].factory
+	tc := newTestCluster(t, factory, 1, 2, 1, 2) // one group on two workers
+	ref := newRefEngine(t, factory)
+	coord := httptest.NewServer(tc.coord.Handler())
+	t.Cleanup(coord.Close)
+	if _, body := socketGet(t, coord.URL+"/v1/candidates"); string(body) != "{\"pairs\":[]}\n" {
+		t.Fatalf("empty coordinator answer = %q, want a single node's", body)
+	}
+
+	var setup []clusterOp
+	for i := 0; i < 50; i++ {
+		setup = append(setup, clusterOp{kind: "query", graph: lineGraph(1, 2)})
+	}
+	for i := 0; i < 100; i++ {
+		setup = append(setup, clusterOp{kind: "stream", graph: lineGraph(1, 2, 3)})
+	}
+	for _, op := range setup {
+		if status := tc.applyOp(op); status/100 != 2 {
+			t.Fatalf("setup op %s: status %d", op.kind, status)
+		}
+		ref.apply(op)
+	}
+
+	resp, err := http.Post(coord.URL+"/v1/queries", "application/json",
+		strings.NewReader(`{"graph":{}} trailing-not-json`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("query with trailing data: status %d, want 400", resp.StatusCode)
+	}
+
+	_, body := socketGet(t, coord.URL+"/v1/candidates")
+	var merged WirePairs
+	if err := json.Unmarshal(body, &merged); err != nil {
+		t.Fatal(err)
+	}
+	if want := ref.candidates(); len(want) != 5000 || !wirePairsEqual(merged.Pairs, want) {
+		t.Fatalf("coordinator answered %d pairs, single node %d", len(merged.Pairs), len(want))
+	}
+
+	primary := tc.primaryOf(0)
+	worker := httptest.NewServer(tc.workers[primary].Handler())
+	t.Cleanup(worker.Close)
+	if hdr, _ := socketGet(t, worker.URL+"/cluster/groups/0/candidates"); hdr.Get(HeaderLSN) == "" {
+		t.Fatal("worker answer lost its LSN header")
+	}
+
+	// Degrade the group: the replica misses a write, then the primary dies.
+	replica := "w0"
+	if primary == "w0" {
+		replica = "w1"
+	}
+	tc.fault.Partition(replica)
+	if status := tc.applyOp(clusterOp{kind: "step", changes: map[string][]server.WireOp{
+		"0": {ins(50, 2, 51, 3, 5)},
+	}}); status/100 != 2 {
+		t.Fatalf("write with partitioned replica: status %d", status)
+	}
+	tc.fault.Heal(replica)
+	tc.kill(primary)
+	tc.pollUntilDead(primary)
+	if hdr, _ := socketGet(t, coord.URL+"/v1/candidates"); hdr.Get(HeaderStale) != "true" || hdr.Get(HeaderStaleLag) == "" {
+		t.Fatalf("degraded read headers: %v", hdr)
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"nntstream/internal/core"
 	"nntstream/internal/obs"
 	"nntstream/internal/server"
 )
@@ -691,7 +693,7 @@ func (c *Coordinator) handleStep(rw http.ResponseWriter, r *http.Request) {
 		perGroup[g][strconv.FormatInt(c.cfg.LocalOf(int64(sid)), 10)] = ops
 	}
 	seq := c.steps
-	var all []server.WirePair
+	var all []core.Pair
 	for g, gp := range c.groups {
 		var resp WirePairs
 		//lint:ignore blockhold idempotent-broadcast protocol: the step sequence is read and advanced atomically with the fan-out, which requires holding c.mu across the RPCs
@@ -704,21 +706,21 @@ func (c *Coordinator) handleStep(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 		for _, p := range resp.Pairs {
-			all = append(all, server.WirePair{
-				Stream: int(c.cfg.GlobalOf(g, int64(p.Stream))),
-				Query:  p.Query,
+			all = append(all, core.Pair{
+				Stream: core.StreamID(c.cfg.GlobalOf(g, int64(p.Stream))),
+				Query:  core.QueryID(p.Query),
 			})
 		}
 	}
 	c.steps++
-	sortWirePairs(all)
-	server.WriteJSON(rw, http.StatusOK, WirePairs{Pairs: all})
+	slices.SortFunc(all, core.ComparePairs)
+	server.WritePairs(rw, all)
 }
 
 func (c *Coordinator) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var all []server.WirePair
+	var all []core.Pair
 	stale := false
 	var lag uint64
 	for g, gp := range c.groups {
@@ -745,18 +747,18 @@ func (c *Coordinator) handleCandidates(rw http.ResponseWriter, r *http.Request) 
 			gp.noteAck(hdr)
 		}
 		for _, p := range resp.Pairs {
-			all = append(all, server.WirePair{
-				Stream: int(c.cfg.GlobalOf(g, int64(p.Stream))),
-				Query:  p.Query,
+			all = append(all, core.Pair{
+				Stream: core.StreamID(c.cfg.GlobalOf(g, int64(p.Stream))),
+				Query:  core.QueryID(p.Query),
 			})
 		}
 	}
-	sortWirePairs(all)
+	slices.SortFunc(all, core.ComparePairs)
 	if stale {
 		rw.Header().Set(HeaderStale, "true")
 		rw.Header().Set(HeaderStaleLag, strconv.FormatUint(lag, 10))
 	}
-	server.WriteJSON(rw, http.StatusOK, WirePairs{Pairs: all})
+	server.WritePairs(rw, all)
 }
 
 // readTargetLocked picks where to read a group from: its live primary, or —
@@ -826,13 +828,4 @@ func proxyStatus(err error) int {
 		return se.Code
 	}
 	return http.StatusBadGateway
-}
-
-func sortWirePairs(pairs []server.WirePair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Stream != pairs[j].Stream {
-			return pairs[i].Stream < pairs[j].Stream
-		}
-		return pairs[i].Query < pairs[j].Query
-	})
 }

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -385,12 +386,12 @@ func (r *refEngine) apply(op clusterOp) {
 
 // candidates reads the reference candidate set in wire form, sorted.
 func (r *refEngine) candidates() []server.WirePair {
-	pairs := r.eng.Candidates()
+	pairs := slices.Clone(r.eng.Candidates())
+	slices.SortFunc(pairs, core.ComparePairs)
 	out := make([]server.WirePair, 0, len(pairs))
 	for _, p := range pairs {
 		out = append(out, server.WirePair{Stream: int(p.Stream), Query: int(p.Query)})
 	}
-	sortWirePairs(out)
 	return out
 }
 

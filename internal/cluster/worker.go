@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -730,6 +729,13 @@ func writeDataJSON(rw http.ResponseWriter, eng *core.DurableEngine, status int, 
 	server.WriteJSON(rw, status, v)
 }
 
+// writeDataPairs answers a data-plane read or step with its pairs, stamped
+// like writeDataJSON.
+func writeDataPairs(rw http.ResponseWriter, eng *core.DurableEngine, pairs []core.Pair) {
+	rw.Header().Set(HeaderLSN, strconv.FormatUint(eng.AppliedLSN(), 10))
+	server.WritePairs(rw, pairs)
+}
+
 func (w *Worker) handleAddQuery(rw http.ResponseWriter, r *http.Request) {
 	g, ok := w.pathGroup(rw, r, false)
 	if !ok {
@@ -878,7 +884,7 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 				"group %d already applied a different change set at step %d", g.id, req.Seq)
 			return
 		}
-		writeDataJSON(rw, eng, http.StatusOK, WirePairs{Pairs: toWirePairs(eng.Candidates())})
+		writeDataPairs(rw, eng, eng.Candidates())
 		return
 	}
 	if ts < req.Seq {
@@ -909,7 +915,7 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.noteApplied(&g.lastStep, req.Seq, req.Fingerprint)
-	writeDataJSON(rw, eng, http.StatusOK, WirePairs{Pairs: toWirePairs(pairs)})
+	writeDataPairs(rw, eng, pairs)
 }
 
 func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
@@ -923,7 +929,7 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 	}
 	// Reads are served in any role: the coordinator reads replicas directly
 	// when a group is degraded (and labels the response stale itself).
-	writeDataJSON(rw, eng, http.StatusOK, WirePairs{Pairs: toWirePairs(eng.Candidates())})
+	writeDataPairs(rw, eng, eng.Candidates())
 }
 
 func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
@@ -943,14 +949,6 @@ func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func toWirePairs(pairs []core.Pair) []server.WirePair {
-	out := make([]server.WirePair, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, server.WirePair{Stream: int(p.Stream), Query: int(p.Query)})
-	}
-	return out
-}
-
 // maxBodyBytes caps cluster RPC bodies; snapshots dominate, and even those
 // stay far below this for the workloads the engine targets.
 const maxBodyBytes = 64 << 20
@@ -958,7 +956,7 @@ const maxBodyBytes = 64 << 20
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
-	if err := json.NewDecoder(body).Decode(dst); err != nil {
+	if err := server.DecodeJSON(body, dst); err != nil {
 		server.HTTPError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return false
 	}

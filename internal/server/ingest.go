@@ -209,7 +209,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	WriteJSON(w, http.StatusOK, ingestResponse{Steps: applied, Ops: opCount, Pairs: pairs})
+	writeBody(w, http.StatusOK, appendIngest(nil, ingestResponse{Steps: applied, Ops: opCount, Pairs: pairs}))
+}
+
+// appendIngest appends the ingest success body to b, the bytes encoding/json
+// writes for r.
+func appendIngest(b []byte, r ingestResponse) []byte {
+	b = append(b, `{"steps":`...)
+	b = strconv.AppendInt(b, int64(r.Steps), 10)
+	b = append(b, `,"ops":`...)
+	b = strconv.AppendInt(b, int64(r.Ops), 10)
+	b = append(b, `,"pairs":`...)
+	b = strconv.AppendInt(b, int64(r.Pairs), 10)
+	return append(b, "}\n"...)
 }
 
 // stepBatch routes a decoded batch to the engine: group-committed when the

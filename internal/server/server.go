@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -99,7 +100,7 @@ func (s *Server) SetMaxBodyBytes(v int64) {
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	body := http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
 	defer body.Close()
-	if err := json.NewDecoder(body).Decode(&dst); err != nil {
+	if err := DecodeJSON(body, dst); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			HTTPError(w, http.StatusRequestEntityTooLarge,
@@ -168,10 +169,6 @@ type stepRequest struct {
 	// Changes maps stream IDs (as JSON object keys, hence strings) to
 	// operation lists.
 	Changes map[string][]WireOp `json:"changes"`
-}
-
-type pairsResponse struct {
-	Pairs []WirePair `json:"pairs"`
 }
 
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
@@ -282,7 +279,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, StatusFor(err), "%v", err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, pairsResponse{Pairs: wirePairs(pairs)})
+	WritePairs(w, pairs)
 }
 
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
@@ -293,7 +290,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	pairs := s.engine.Candidates()
 	s.mu.RUnlock()
-	WriteJSON(w, http.StatusOK, pairsResponse{Pairs: wirePairs(pairs)})
+	WritePairs(w, pairs)
 }
 
 type statsResponse struct {
@@ -350,16 +347,51 @@ func MetricsHandler(reg *obs.Registry) http.HandlerFunc {
 		var body bytes.Buffer
 		_ = reg.WritePrometheus(&body)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(body.Bytes())
 	}
 }
 
+// DecodeJSON decodes exactly one JSON value from r into dst: anything but
+// whitespace after that value is an error.
+func DecodeJSON(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	switch err := dec.Decode(&json.RawMessage{}); {
+	case err == nil:
+		return errors.New("trailing data after the JSON value")
+	case !errors.Is(err, io.EOF):
+		return fmt.Errorf("after the JSON value: %w", err)
+	}
+	return nil
+}
+
 // WriteJSON answers with status and v encoded as the JSON body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		HTTPError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	writeBody(w, status, body.Bytes())
+}
+
+// WritePairs answers 200 with the pair-list body AppendPairs renders.
+func WritePairs(w http.ResponseWriter, pairs []core.Pair) {
+	writeBody(w, http.StatusOK, AppendPairs(nil, pairs))
+}
+
+// writeBody sends a rendered JSON body in one Write under its
+// Content-Length, so net/http never answers in chunks.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
 }
 
 // HTTPError answers with status and a {"error": message} JSON body.

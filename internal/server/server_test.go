@@ -155,6 +155,37 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingData: a request body is one JSON value, and
+// anything after it but whitespace is a 400 that registers nothing.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	srv := testServer(t)
+	query := `{"graph":{"vertices":[{"id":0,"label":0},{"id":1,"label":1}],"edges":[{"u":0,"v":1,"label":0}]}}`
+	cases := []struct {
+		name, body string
+		want       int
+	}{
+		{"trailing newline", query + " \n", http.StatusCreated},
+		{"trailing garbage", query + " trailing-not-json", http.StatusBadRequest},
+		{"two objects", query + query, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(srv.URL+"/v1/queries", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		}
+	}
+	// Only the first case registered a query, so the next one gets ID 1.
+	_, body := do(t, http.MethodPost, srv.URL+"/v1/queries", graphRequest{Graph: edgeGraph(0, 1)})
+	if id := string(body["id"]); id != "1" {
+		t.Fatalf("next query id = %s, want 1", id)
+	}
+}
+
 // staticFilter is a minimal non-dynamic core.Filter: AddQuery after the
 // first stream trips the Monitor's seal, which must surface as 409.
 type staticFilter struct{}

@@ -18,6 +18,8 @@ package server
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
@@ -100,10 +102,25 @@ func (w WireOp) ToChangeOp() (graph.ChangeOp, error) {
 	}
 }
 
-func wirePairs(pairs []core.Pair) []WirePair {
-	out := make([]WirePair, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, WirePair{Stream: int(p.Stream), Query: int(p.Query)})
+// pairBytes sizes a pair-list body up front: one rendered pair with two IDs
+// of up to five digits, so typical answers are appended without regrowth.
+const pairBytes = len(`{"stream":,"query":},`) + 10
+
+// AppendPairs appends the JSON body of a pair-list answer to b:
+// {"pairs":[{"stream":S,"query":Q},…]} and a newline, the bytes
+// encoding/json writes for []WirePair, rendered without reflection.
+func AppendPairs(b []byte, pairs []core.Pair) []byte {
+	b = slices.Grow(b, len(`{"pairs":[]}`)+1+len(pairs)*pairBytes)
+	b = append(b, `{"pairs":[`...)
+	for i, p := range pairs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"stream":`...)
+		b = strconv.AppendInt(b, int64(p.Stream), 10)
+		b = append(b, `,"query":`...)
+		b = strconv.AppendInt(b, int64(p.Query), 10)
+		b = append(b, '}')
 	}
-	return out
+	return append(b, "]}\n"...)
 }
