@@ -132,7 +132,7 @@ type vecStream interface {
 }
 
 // vecJoinStream is one stream of a vecJoin: the strategy's half, the
-// stream's NPV store — capped at the index's column maxima when indexed —
+// stream's NPV store — capped at the index's caps when indexed —
 // and the cached verdict of every registered query by slot.
 type vecJoinStream struct {
 	vecStream
@@ -151,10 +151,10 @@ type vecJoinStream struct {
 // With an index, each changed stream's reconcile names a superset of the
 // queries whose verdict could have flipped, so the kept verdicts are exact
 // by construction; the index is immutable within a timestamp. Its stores
-// then seal counts capped at the index's column maxima (qindex.Index.Cap),
+// then seal counts capped at the index's high-water caps (qindex.Index.Cap),
 // which decide the same dominance tests against every indexed vector, and
-// a registration that raises a cap or a removal that lowers one reseals
-// every stream under the new caps (recap). Without one
+// a registration that raises a cap reseals every stream under the new caps
+// (recap). Caps never fall, so a removal reseals nothing. Without one
 // (NL, the plain nested loop) every changed stream re-probes every
 // registered query.
 type vecJoin struct {
@@ -213,7 +213,7 @@ func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 	vq := &vecQuery{id: id, slot: j.ix.Register(id), vecs: j.derive(q, j.depth)}
 	j.queries[id] = vq
 	if j.indexed {
-		raised := len(j.streams) > 0 && j.capsBelow(vq)
+		raised := len(j.streams) > 0 && j.raises(vq)
 		vq.refs = make([]int32, len(vq.vecs))
 		for i, u := range vq.vecs {
 			ref, fresh := j.ix.Add(qindex.Key{Query: id, Vertex: graph.VertexID(i)}, u)
@@ -234,12 +234,9 @@ func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 	return nil
 }
 
-// capsBelow reports whether some vector of vq exceeds the index's cap in a
-// dimension of its support. Before vq is added, that is whether adding it
-// raises a cap; after it is removed, whether removing it lowered one: the
-// cap it set was max(u[d]) over its own vectors u, which no remaining
-// vector reaches iff the cap fell below it.
-func (j *vecJoin) capsBelow(vq *vecQuery) bool {
+// raises reports whether adding vq, not yet added, raises a cap: whether
+// some vector of vq exceeds the index's cap in a dimension of its support.
+func (j *vecJoin) raises(vq *vecQuery) bool {
 	for _, u := range vq.vecs {
 		for i := 0; i < u.Len(); i++ {
 			if u.Count(i) > j.ix.Cap(u.Dim(i)) {
@@ -250,7 +247,7 @@ func (j *vecJoin) capsBelow(vq *vecQuery) bool {
 	return false
 }
 
-// recap reseals every stream under the index's current caps. No registered
+// recap reseals every stream under the index's raised caps. No registered
 // vector's dominance by any vertex changes — each one's counts are within
 // the old caps and the new — so the reseal folds the statistics without
 // the crossing walk, and every verdict and witness stays valid.
@@ -262,7 +259,8 @@ func (j *vecJoin) recap() {
 }
 
 // RemoveQuery implements core.DynamicFilter: the packed query vectors, the
-// per-stream verdicts, and the index postings are all torn down.
+// per-stream verdicts, and the index postings are all torn down. The caps
+// stay, so no stream reseals.
 func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 	vq, ok := j.queries[id]
 	if !ok {
@@ -273,9 +271,6 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 	for _, s := range j.streams {
 		s.verdict[vq.slot] = false
 		s.forget(vq.slot)
-	}
-	if j.indexed && len(j.streams) > 0 && j.capsBelow(vq) {
-		j.recap()
 	}
 	j.answer = slices.DeleteFunc(j.answer, func(p core.Pair) bool { return p.Query == id })
 	return nil

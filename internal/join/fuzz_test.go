@@ -8,6 +8,7 @@ import (
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
+	"nntstream/internal/npv"
 )
 
 // FuzzSkylineMatchesNL decodes a byte schedule of change batches and query
@@ -44,11 +45,15 @@ func FuzzSkylineMatchesNL(f *testing.F) {
 	// different vectors take.
 	f.Add([]byte{0x3, 0x0, 0x0, 0x0, 0x1, 0x0, 0x16, 0x2a, 0xc, 0x4, 0x1, 0x2, 0x3e, 0x5, 0x0})
 	f.Add([]byte{0x6, 0x4, 0x4, 0x0, 0x1, 0x1, 0x1, 0x0, 0xa, 0x13, 0x0, 0x0, 0x1, 0x3})
-	// Registrations after the streams raise a cap and a removal lowers one,
-	// so every stream reseals under the new caps; in the second, batches
-	// then run over the resealed vectors.
+	// Registrations after the streams raise a cap, so every stream reseals
+	// under the new caps, and removals leave caps above every live count;
+	// in the second, batches then run over the resealed vectors.
 	f.Add([]byte{0xb9, 0x80, 0x9c, 0xd8, 0x11, 0x24})
 	f.Add([]byte{0x1d, 0x38, 0xc5, 0x7c, 0x73, 0xb2, 0xf7, 0xca, 0xab, 0xd7})
+	// The query holding a dimension's unique maximum leaves, and later
+	// batches move a stream vertex's sealed count in that dimension between
+	// the new live maximum and the cap left standing above it.
+	f.Add([]byte{0x19, 0x67, 0x5c, 0x4c, 0x1d, 0x76, 0x62, 0x11, 0xda, 0x71, 0xb5, 0x42, 0x78, 0xfe, 0xd0, 0xca, 0xd5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 256 {
 			return
@@ -71,6 +76,9 @@ func FuzzSkylineMatchesNL(f *testing.F) {
 		graphs := map[core.StreamID]*graph.Graph{0: randomConnected(r, 6, 3, 2), 1: randomConnected(r, 6, 3, 2)}
 		var live []core.QueryID
 		nextQ := core.QueryID(0)
+		// seen holds, per Skyline, the caps the checks have read: a cap may
+		// rise, and must never fall.
+		seen := []map[npv.Dim]int32{{}, {}}
 		// addQuery registers a subgraph of stream sid, or of the other
 		// stream when sid has no edge; it reports false when neither has one.
 		addQuery := func(sid core.StreamID) bool {
@@ -92,11 +100,24 @@ func FuzzSkylineMatchesNL(f *testing.F) {
 		}
 		check := func(op int) {
 			want := nl.Candidates()
-			for _, f := range []*Skyline{seq, par} {
+			for k, f := range []*Skyline{seq, par} {
 				if got := f.Candidates(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("op %d: Skyline candidates %v != NL %v", op, got, want)
 				}
 				checkPairMemos(t, &f.vecJoin, fmt.Sprintf("op %d", op))
+				for d, c := range seen[k] {
+					if now := f.ix.Cap(d); now < c {
+						t.Fatalf("op %d: the cap of dimension %d fell from %d to %d", op, d, c, now)
+					}
+				}
+				// A freed entry keeps its vector, so the caps a removed
+				// query held stay recorded.
+				for ref := int32(0); ref < int32(f.ix.Refs()); ref++ {
+					u := f.ix.Entry(ref).Vec
+					for i := 0; i < u.Len(); i++ {
+						seen[k][u.Dim(i)] = f.ix.Cap(u.Dim(i))
+					}
+				}
 			}
 		}
 

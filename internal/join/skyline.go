@@ -387,7 +387,7 @@ func dominator(ss *skyStream, u npv.PackedVector, t *npv.Tally) (*skyVertex, boo
 func (f *Skyline) RegisterMetrics(r *obs.Registry, locked func(func() float64) func() float64) {
 	f.vecJoin.RegisterMetrics(r, locked)
 	r.GaugeFunc("nntstream_skyline_dimensions",
-		"Per-dimension statistics kept, summed over all streams. Sealed stream vectors are capped, so only dimensions some registered query vector uses count.",
+		"Per-dimension statistics kept, summed over all streams. Sealed stream vectors are capped, so only dimensions some registered query vector uses or has used count.",
 		locked(func() float64 {
 			dims := 0
 			for _, s := range f.streams {

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -100,4 +101,62 @@ func BenchmarkSkylineStepManyQueries(b *testing.B) {
 		pairs += len(f.Candidates())
 	}
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}
+
+// BenchmarkSkylineQueryChurn is query churn over many streams: the sparse
+// synthetic workload (datagen.SparseFlipDefaults) with one stream per basic
+// graph, 70 live queries of 8–12 edges drawn from the basic graphs, and 10
+// timestamps applied before the clock starts. One op removes the oldest
+// query and registers a replacement, so it prices a registration change
+// against every stream; replacements cycle through a fixed pool.
+func BenchmarkSkylineQueryChurn(b *testing.B) {
+	for _, streams := range []int{16, 256} {
+		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) { benchQueryChurn(b, streams) })
+	}
+}
+
+func benchQueryChurn(b *testing.B, streams int) {
+	const live, steps, pool = 70, 10, 256
+	flip := datagen.SparseFlipDefaults()
+	flip.Timestamps = steps
+	cfg := datagen.DefaultStreamWorkload(flip)
+	cfg.Gen.NumGraphs = streams
+	r := rand.New(rand.NewSource(21))
+	w := datagen.SyntheticStreams(cfg, r)
+	queries := make([]*graph.Graph, pool)
+	for i := range queries {
+		edges := cfg.QueryMinEdges + r.Intn(cfg.QueryMaxEdges-cfg.QueryMinEdges+1)
+		queries[i] = datagen.RandomConnectedSubgraph(w.Basics[i%len(w.Basics)], edges, r)
+	}
+	f := NewSkyline(DefaultDepth)
+	for q := 0; q < live; q++ {
+		if err := f.AddQuery(core.QueryID(q), queries[q]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, st := range w.Streams {
+		if err := f.AddStream(core.StreamID(i), st.Start.Clone()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for t := 0; t < steps; t++ {
+		step := make(map[core.StreamID]graph.ChangeSet, len(w.Streams))
+		for i, st := range w.Streams {
+			step[core.StreamID(i)] = st.Changes[t]
+		}
+		if err := f.ApplyAll(step); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		id := core.QueryID(live + n)
+		if err := f.RemoveQuery(id - live); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.AddQuery(id, queries[int(id)%pool]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

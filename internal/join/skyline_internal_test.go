@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -401,6 +402,14 @@ func (m *memoRig) check(at string) {
 // refuted pairs it refutes.
 func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 	t.Helper()
+	for ref := int32(0); ref < int32(j.ix.Refs()); ref++ {
+		e := j.ix.Entry(ref)
+		for i := 0; i < e.Vec.Len() && len(e.Owners) > 0; i++ {
+			if d := e.Vec.Dim(i); e.Vec.Count(i) > j.ix.Cap(d) {
+				t.Fatalf("%s: entry %d counts %d in dimension %d, above its cap %d", at, ref, e.Vec.Count(i), d, j.ix.Cap(d))
+			}
+		}
+	}
 	for sid, s := range j.streams {
 		ss := s.vecStream.(*skyStream)
 		live := make(map[*skyVertex]bool, len(ss.verts))
@@ -620,4 +629,54 @@ func TestSkylineRecycledRefStartsClean(t *testing.T) {
 		t.Fatalf("Skyline candidates %v != NL %v", got, want)
 	}
 	checkPairMemos(t, &f.vecJoin, "reissued")
+}
+
+// TestSkylineRemoveQueryAllocsIndependentOfStreams: removing a query that
+// holds the unique maximum of a dimension allocates the same over 2 streams
+// as over 64. Caps are high-water marks, so the removal leaves the cap above
+// every live count and reseals no stream. Only RemoveQuery is counted; the
+// query registers again between rounds, outside the counted region, and
+// the first two rounds warm the buffers the removal appends to.
+func TestSkylineRemoveQueryAllocsIndependentOfStreams(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocs := func(streams int) uint64 {
+		f := NewSkyline(1)
+		if err := f.AddQuery(0, star(t, 2)); err != nil {
+			t.Fatal(err)
+		}
+		for sid := 0; sid < streams; sid++ {
+			if err := f.AddStream(core.StreamID(sid), star(t, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ms runtime.MemStats
+		var total uint64
+		for round := 0; round < 6; round++ {
+			if err := f.AddQuery(1, star(t, 6)); err != nil {
+				t.Fatal(err)
+			}
+			// The center's vector is the heaviest: (1→2: 6) beats query
+			// 0's (1→2: 2), so query 1 alone holds the dimension's cap.
+			u := f.queries[1].vecs[0]
+			if k, ok := f.queries[0].vecs[0].Find(u.Dim(0)); !ok || f.queries[0].vecs[0].Count(k) >= u.Count(0) || f.ix.Cap(u.Dim(0)) != u.Count(0) {
+				t.Fatalf("query 1 does not hold the unique maximum of dimension %d", u.Dim(0))
+			}
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			err := f.RemoveQuery(1)
+			runtime.ReadMemStats(&ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round >= 2 {
+				total += ms.Mallocs - before
+			}
+		}
+		return total
+	}
+	small, large := allocs(2), allocs(64)
+	if small != large {
+		t.Fatalf("RemoveQuery allocations grew with the stream count: %d over 4 removals at 2 streams, %d at 64", small, large)
+	}
+	t.Logf("RemoveQuery allocations over 4 removals: %d at 2 and at 64 streams", small)
 }

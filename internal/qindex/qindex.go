@@ -134,6 +134,9 @@ func Counters() (candidates, pruned int64) {
 // query vectors. The zero value is not ready; use New.
 type Index struct {
 	cols map[npv.Dim]*column
+	// caps is each dimension's high-water count: raised when a vector is
+	// interned, never lowered (Cap).
+	caps map[npv.Dim]int32
 	// entries is indexed by ref; freed refs wait in freeRefs to be reissued.
 	// byHash finds an entry by its vector's content hash. A vector whose
 	// hash collides with another's gets an entry byHash does not name, so
@@ -174,6 +177,7 @@ type Scratch struct {
 func New() *Index {
 	return &Index{
 		cols:   make(map[npv.Dim]*column),
+		caps:   make(map[npv.Dim]int32),
 		byHash: make(map[uint64]int32),
 		empty:  -1,
 		slots:  make(map[core.QueryID]int32),
@@ -225,7 +229,8 @@ func (ix *Index) add(k Key, p npv.PackedVector, h uint64) (ref int32, fresh bool
 }
 
 // intern issues a ref for p, a vector the index does not hold, names it
-// under p's content hash h if mapped, and adds its rows.
+// under p's content hash h if mapped, adds its rows and raises the caps
+// p's counts exceed.
 func (ix *Index) intern(p npv.PackedVector, h uint64, mapped bool) int32 {
 	var ref int32
 	if n := len(ix.freeRefs); n > 0 {
@@ -248,6 +253,7 @@ func (ix *Index) intern(p npv.PackedVector, h uint64, mapped bool) int32 {
 			ix.cols[p.Dim(i)] = col
 		}
 		c, at := p.Count(i), len(col.refs)
+		ix.caps[p.Dim(i)] = max(ix.caps[p.Dim(i)], c)
 		if ix.sealed {
 			at = sort.Search(at, func(k int) bool {
 				return col.counts[k] > c || col.counts[k] == c && col.refs[k] > ref
@@ -274,7 +280,8 @@ func hashVec(p npv.PackedVector) uint64 {
 // RemoveQuery drops q's owners and reports whether q was registered. An
 // entry whose last owner leaves is freed: its rows leave their columns,
 // columns left empty are deleted (so HasDim stays an exact "some query
-// uses this dimension" test), and its ref waits to be reissued.
+// uses this dimension" test), and its ref waits to be reissued. The caps
+// stay where they are.
 func (ix *Index) RemoveQuery(q core.QueryID) bool {
 	slot, ok := ix.slots[q]
 	if !ok {
@@ -293,7 +300,7 @@ func (ix *Index) RemoveQuery(q core.QueryID) bool {
 	return true
 }
 
-// release frees ref: its rows and its hash mapping go.
+// release frees ref: its rows and its hash mapping go, and the caps stay.
 func (ix *Index) release(ref int32) {
 	e := &ix.entries[ref]
 	for i := 0; i < e.Vec.Len(); i++ {
@@ -360,21 +367,13 @@ func (ix *Index) HasDim(d npv.Dim) bool {
 	return ok
 }
 
-// Cap returns the largest count any registered vector has in dimension d,
-// or 0 when none uses d. A stream count above it decides no dominance test
-// against the registered vectors, so a stream store may seal its counts
-// capped at it (npv.NewCappedStore). Cap reads immutable state, so
-// concurrent calls between mutations are race-free.
-func (ix *Index) Cap(d npv.Dim) int32 {
-	col := ix.cols[d]
-	switch {
-	case col == nil:
-		return 0
-	case ix.sealed:
-		return col.counts[len(col.counts)-1]
-	}
-	return slices.Max(col.counts)
-}
+// Cap returns dimension d's high-water count: the largest count any vector
+// registered since New has had in d (0 if none). It is at least every
+// registered vector's count in d and never falls, so a stream store may
+// seal its counts capped at it (npv.NewCappedStore) and a removal needs no
+// reseal. Cap reads immutable state, so concurrent calls between mutations
+// are race-free.
+func (ix *Index) Cap(d npv.Dim) int32 { return ix.caps[d] }
 
 // Column returns dimension d's rows, counts ascending, and each row's ref
 // (both nil when unused). The slices are owned by the index, with the same

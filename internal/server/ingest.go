@@ -54,7 +54,7 @@ func newIngestMetrics(r *obs.Registry) *ingestMetrics {
 		bytes: r.Counter("nntstream_ingest_bytes_total",
 			"Ingest request body bytes read."),
 		rejected: r.Counter("nntstream_ingest_rejected_total",
-			"Ingest batches rejected before apply (malformed, oversized, unknown stream)."),
+			"Ingest batches rejected before apply (malformed, oversized, over the tenant burst, unknown stream)."),
 		shedInflight: r.Counter("nntstream_ingest_shed_inflight_total",
 			"Ingest requests shed by the in-flight budget (429)."),
 		shedQuota: r.Counter("nntstream_ingest_shed_quota_total",
@@ -97,7 +97,8 @@ type ingestResponse struct {
 // requests before their body is read, and the per-tenant token bucket
 // (keyed by the X-Tenant header) charges one token per edge op after
 // decode, when the batch's true cost is known. Both denials are 429 with a
-// Retry-After hint.
+// Retry-After hint. A batch costing more than the tenant burst could never
+// be admitted, however long its client waited, so it is rejected with 413.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		HTTPError(w, http.StatusMethodNotAllowed, "POST only")
@@ -164,6 +165,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = "default"
+	}
+	if adm.limits.TenantRate > 0 && float64(opCount) > adm.limits.TenantBurst {
+		s.ingest.rejected.Inc()
+		HTTPError(w, http.StatusRequestEntityTooLarge,
+			"ingest batch of %d ops exceeds the tenant burst of %g ops", opCount, adm.limits.TenantBurst)
+		return
 	}
 	if ok, retryAfter := adm.admitOps(tenant, opCount); !ok {
 		s.ingest.shedQuota.Inc()

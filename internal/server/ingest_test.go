@@ -341,6 +341,65 @@ func TestIngestTenantQuota(t *testing.T) {
 	}
 }
 
+// TestIngestBatchOverBurst: a batch costing more than the tenant burst can
+// never be admitted, so it is answered 413 with no Retry-After, charges no
+// tokens and leaves the engine and the WAL untouched, while a batch within
+// the burst that finds the bucket drained still gets 429 with a hint. The
+// rows run in order against one server, with burst 20 and a refill too slow
+// to matter.
+func TestIngestBatchOverBurst(t *testing.T) {
+	srv, s, m := durableTestServer(t)
+	s.SetIngestLimits(IngestLimits{TenantRate: 0.01, TenantBurst: 20})
+	sid := registerPair(t, srv.URL)
+	next := int32(10)
+	batch := func(ops int) string {
+		frames := make([]string, ops)
+		for i := range frames {
+			frames[i] = insFrame(sid, 0, next, 0, 1, 0)
+			next++
+		}
+		return strings.Join(frames, "\n")
+	}
+	for _, tc := range []struct {
+		name, tenant string
+		ops, status  int
+	}{
+		{"a batch of exactly the burst", "a", 20, http.StatusOK},
+		{"a batch one op over the burst", "b", 21, http.StatusRequestEntityTooLarge},
+		{"the burst after an over-burst batch", "b", 20, http.StatusOK},
+		{"a batch within the burst on a drained bucket", "a", 15, http.StatusTooManyRequests},
+	} {
+		stats, walBytes := getBody(t, srv.URL+"/v1/stats"), m.BytesAppended.Value()
+		rejected, shed := s.ingest.rejected.Value(), s.ingest.shedQuota.Value()
+		resp, text := postNDJSON(t, srv.URL, tc.tenant, batch(tc.ops))
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.status, text)
+		}
+		ra := resp.Header.Get("Retry-After")
+		switch tc.status {
+		case http.StatusOK:
+			continue
+		case http.StatusRequestEntityTooLarge:
+			if ra != "" || !strings.Contains(text, "21 ops") || !strings.Contains(text, "burst of 20") {
+				t.Fatalf("%s: Retry-After %q, body %q; want no hint and a body naming 21 ops and the burst of 20", tc.name, ra, text)
+			}
+			if s.ingest.rejected.Value() != rejected+1 || s.ingest.shedQuota.Value() != shed {
+				t.Fatalf("%s: counted as shed, not rejected", tc.name)
+			}
+		case http.StatusTooManyRequests:
+			if ra == "" || ra == "0" {
+				t.Fatalf("%s: Retry-After %q; want a positive hint", tc.name, ra)
+			}
+			if s.ingest.shedQuota.Value() != shed+1 {
+				t.Fatalf("%s: not counted as shed by the quota", tc.name)
+			}
+		}
+		if got := getBody(t, srv.URL+"/v1/stats"); got != stats || m.BytesAppended.Value() != walBytes {
+			t.Fatalf("%s: a denied batch reached the engine or the WAL: stats %s -> %s", tc.name, stats, got)
+		}
+	}
+}
+
 // TestIngestMetricsExported checks the nntstream_ingest_* instruments move
 // with traffic and reach the /v1/metrics exposition.
 func TestIngestMetricsExported(t *testing.T) {
