@@ -12,6 +12,7 @@
 package nntstream
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -652,16 +653,21 @@ func hubWorkload() (*graph.Graph, [2]graph.ChangeSet) {
 
 // BenchmarkNPVRecountDense advances an npv.Store through hubWorkload's
 // bulk rewrites: every timestamp moves 18 hub edges, so nearly every root
-// lies within two hops of a changed edge.
+// lies within two hops of a changed edge. It runs at the default depth and
+// at npv.MaxDepth, whose level 4 adds the triangle correction.
 func BenchmarkNPVRecountDense(b *testing.B) {
-	g, steps := hubWorkload()
-	s := npv.NewStore(g, join.DefaultDepth)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Apply(steps[i%2]); err != nil {
-			b.Fatal(err)
-		}
+	for _, depth := range []int{join.DefaultDepth, npv.MaxDepth} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			g, steps := hubWorkload()
+			s := npv.NewStore(g, depth)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Apply(steps[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -670,21 +676,25 @@ func BenchmarkNPVRecountDense(b *testing.B) {
 const maxNPVRecountDenseAllocs = 0
 
 // TestNPVRecountDenseAllocsCapped replays BenchmarkNPVRecountDense's
-// rewrites and caps the mean allocations per timestamp.
+// rewrites at both its depths and caps the mean allocations per timestamp.
 func TestNPVRecountDenseAllocsCapped(t *testing.T) {
-	g, steps := hubWorkload()
-	s := npv.NewStore(g, join.DefaultDepth)
-	i := 0
-	allocs := testing.AllocsPerRun(64, func() {
-		if err := s.Apply(steps[i%2]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs > maxNPVRecountDenseAllocs {
-		t.Fatalf("npv.Store allocates %v per dense timestamp; cap %d", allocs, maxNPVRecountDenseAllocs)
+	for _, depth := range []int{join.DefaultDepth, npv.MaxDepth} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			g, steps := hubWorkload()
+			s := npv.NewStore(g, depth)
+			i := 0
+			allocs := testing.AllocsPerRun(64, func() {
+				if err := s.Apply(steps[i%2]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs > maxNPVRecountDenseAllocs {
+				t.Fatalf("npv.Store allocates %v per dense timestamp; cap %d", allocs, maxNPVRecountDenseAllocs)
+			}
+			t.Logf("allocs per timestamp: %v", allocs)
+		})
 	}
-	t.Logf("allocs per timestamp: %v", allocs)
 }
 
 // BenchmarkNPVStepDense is BenchmarkNPVRecountDense plus the seal: one

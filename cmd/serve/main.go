@@ -17,7 +17,7 @@
 //	      [-checkpoint-interval 5m] [-max-body-bytes n]
 //	      [-ingest-max-inflight n] [-ingest-rate ops/s] [-ingest-burst ops]
 //	      [-ingest-read-timeout 10s]
-//	      [-pprof addr] [-metrics-interval d] [-drain-timeout 5s]
+//	      [-pprof addr] [-drain-timeout 5s]
 //
 // With -worker-id the process instead joins a replicated cluster as a worker
 // node (requires -data-dir): it serves the internal/cluster worker API —
@@ -42,6 +42,7 @@ import (
 	"nntstream/internal/cluster"
 	"nntstream/internal/core"
 	"nntstream/internal/join"
+	"nntstream/internal/npv"
 	"nntstream/internal/obs"
 	"nntstream/internal/server"
 	"nntstream/internal/wal"
@@ -52,7 +53,7 @@ func main() {
 	log.SetPrefix("serve: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	filterName := flag.String("filter", "skyline", "filter: skyline, nl, exact (paper baselines live in cmd/experiments and cmd/streamwatch)")
-	depth := flag.Int("depth", join.DefaultDepth, "NNT depth bound for the NPV filters")
+	depth := flag.Int("depth", join.DefaultDepth, fmt.Sprintf("NNT depth bound for the NPV filters, in [1, %d]", npv.MaxDepth))
 	workers := flag.Int("workers", 0, "evaluation workers for the NPV join filters (0 = GOMAXPROCS; 1 = sequential)")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + checkpoints); empty runs in-memory only")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval, never")
@@ -65,7 +66,6 @@ func main() {
 	ingestReadTimeout := flag.Duration("ingest-read-timeout", 10*time.Second, "per-request /v1/ingest body read deadline; 0 leaves the global read timeout in charge")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown deadline for in-flight requests")
-	metricsInterval := flag.Duration("metrics-interval", 0, "log engine stats at this interval (e.g. 30s); 0 disables")
 	workerID := flag.String("worker-id", "", "join a replicated cluster as this worker (requires -data-dir); serves the cluster worker API for a coordinator instead of the single-node API")
 	flag.Parse()
 
@@ -143,18 +143,6 @@ func main() {
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	if *metricsInterval > 0 {
-		ticker := time.NewTicker(*metricsInterval)
-		defer ticker.Stop()
-		go func() {
-			for range ticker.C {
-				st := srv.Stats()
-				log.Printf("stats: timestamps=%d avg_filter=%v candidate_ratio=%.4f",
-					st.Timestamps, st.AvgTimePerTimestamp(), st.CandidateRatio())
-			}
-		}()
-	}
 
 	<-stop
 	log.Print("shutting down")
@@ -261,7 +249,13 @@ func workerHandler(wk *cluster.Worker, registry *obs.Registry) http.Handler {
 	return mux
 }
 
+// filterFactory returns the constructor of the named filter at depth,
+// rejecting a depth the NPV store cannot count before any filter is built:
+// a bad -depth fails at startup, not in the first request that builds one.
 func filterFactory(name string, depth int) (func() core.Filter, error) {
+	if depth < 1 || depth > npv.MaxDepth {
+		return nil, fmt.Errorf("-depth must be in [1, %d], got %d", npv.MaxDepth, depth)
+	}
 	switch name {
 	case "skyline":
 		return func() core.Filter { return join.NewSkyline(depth) }, nil

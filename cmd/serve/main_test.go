@@ -12,6 +12,7 @@ import (
 	"nntstream/internal/cluster"
 	"nntstream/internal/core"
 	"nntstream/internal/join"
+	"nntstream/internal/npv"
 	"nntstream/internal/obs"
 	"nntstream/internal/server"
 	"nntstream/internal/wal"
@@ -148,6 +149,23 @@ func TestWorkerMetricsServeProcessCounters(t *testing.T) {
 	} {
 		if _, ok := fams[name]; !ok {
 			t.Errorf("worker exposition lacks %s", name)
+		}
+	}
+}
+
+// TestFilterFactoryRejectsDepthOutOfRange: a depth the NPV store cannot
+// count fails when serve starts, naming the range, for every filter — not
+// in the first request that would build a stream's store.
+func TestFilterFactoryRejectsDepthOutOfRange(t *testing.T) {
+	want := fmt.Sprintf("[1, %d]", npv.MaxDepth)
+	for _, filter := range []string{"skyline", "nl", "exact"} {
+		for _, depth := range []int{0, npv.MaxDepth + 1} {
+			if _, err := filterFactory(filter, depth); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("filterFactory(%q, %d) error = %v; want one naming %s", filter, depth, err, want)
+			}
+		}
+		if _, err := filterFactory(filter, npv.MaxDepth); err != nil {
+			t.Errorf("filterFactory(%q, %d): %v", filter, npv.MaxDepth, err)
 		}
 	}
 }

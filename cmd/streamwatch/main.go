@@ -40,6 +40,7 @@ import (
 	"nntstream/internal/graph"
 	"nntstream/internal/graphgrep"
 	"nntstream/internal/join"
+	"nntstream/internal/npv"
 	"nntstream/internal/retry"
 	"nntstream/internal/server"
 )
@@ -49,7 +50,7 @@ func main() {
 	log.SetPrefix("streamwatch: ")
 	queriesPath := flag.String("queries", "", "query pattern database file (required)")
 	filterName := flag.String("filter", "dsc", "filter: dsc, skyline, nl, branch, graphgrep, gindex1, gindex2, exact")
-	depth := flag.Int("depth", join.DefaultDepth, "NNT depth bound for the NPV filters")
+	depth := flag.Int("depth", join.DefaultDepth, fmt.Sprintf("NNT depth bound for the NPV filters, in [1, %d]", npv.MaxDepth))
 	verify := flag.Bool("verify", false, "confirm reported pairs with exact isomorphism (local mode only)")
 	quiet := flag.Bool("quiet", false, "only print the summary")
 	remote := flag.String("remote", "", "replay against this /v1 base URL (serve or coordinator) instead of an in-process monitor")
@@ -59,6 +60,15 @@ func main() {
 	if *queriesPath == "" || flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
+	}
+	// Build the filter before reading any file, so a bad -filter or -depth
+	// fails at once; a remote replay runs the remote engine's filter.
+	var f core.Filter
+	if *remote == "" {
+		var err error
+		if f, err = makeFilter(*filterName, *depth); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	qf, err := os.Open(*queriesPath)
@@ -93,10 +103,6 @@ func main() {
 		return
 	}
 
-	f, err := makeFilter(*filterName, *depth)
-	if err != nil {
-		log.Fatal(err)
-	}
 	mon := core.NewMonitor(f)
 	for _, q := range queries {
 		if _, err := mon.AddQuery(q); err != nil {
@@ -320,6 +326,9 @@ func confirm(mon *core.Monitor, pairs []core.Pair) []core.Pair {
 }
 
 func makeFilter(name string, depth int) (core.Filter, error) {
+	if depth < 1 || depth > npv.MaxDepth {
+		return nil, fmt.Errorf("-depth must be in [1, %d], got %d", npv.MaxDepth, depth)
+	}
 	switch name {
 	case "dsc":
 		return join.NewDSC(depth), nil

@@ -149,6 +149,10 @@ func FuzzCappedSeal(f *testing.F) {
 		r.Read(c)
 		f.Add(b, c)
 	}
+	// Depth 4 on triangle-dense graphs, level-4 caps moving.
+	for i, seed := range triangleDense() {
+		f.Add(seed, []byte{byte(1 + i), 1, 3, 0, 1, 2, 0, 2, 3, 1, 1, 0, 4, 3, 2, 0, 1, 3, 3, 1, 2, 1})
+	}
 	f.Fuzz(func(t *testing.T, data, caps []byte) {
 		next := func() byte {
 			if len(caps) == 0 {

@@ -8,28 +8,33 @@ import (
 	"nntstream/internal/graph"
 )
 
-// closedDepth is the deepest level Store counts by the closed form.
-const closedDepth = 3
+// MaxDepth is the deepest NNT depth a Store counts: the paper's Fig. 12
+// sweeps l = 1–4, and the closed form below is exact up to level 4.
+const MaxDepth = 4
 
 // Store keeps the node-projected vectors of one evolving graph by
 // recounting them, without materializing a single node-neighbor tree. The
 // NPV of a vertex counts, per dimension, the tree edges of its depth-l NNT
 // (Section IV-A), and a tree edge is just the last edge of an edge-distinct
 // walk of length ≤ l from the root. Up to length 3 such a walk is exactly a
-// non-backtracking one (reusing an edge takes 4, as r→a→b→r→a does), so
-// with Tk(r) the triples ⟨label x, edge label, label y⟩ of the last edges
-// x→y of r's k-walks — the vector's level k — the counts obey
+// non-backtracking one, and at length 4 one non-backtracking shape reuses
+// an edge: r→a→b→r→a. So with Tk(r) the triples ⟨label x, edge label,
+// label y⟩ of the last edges x→y of r's k-walks — the vector's level k —
+// the counts obey
 //
 //	T1(r) = the triples of r's incident edges, oriented away from r
 //	T2(r) = Σ_{a∈N(r)} T1(a) − rev(r)    rev(r): the same edges, reversed
 //	T3(r) = Σ_{a∈N(r)} T2(a) − (deg(r)−1)·T1(r)
+//	T4(r) = Σ_{a∈N(r)} T3(a) − (deg(r)−1)·T2(r) − Σ_{a∈N(r)} c(r,a)·tri(r→a)
+//
+// where c(r,a) = |N(r) ∩ N(a)|, one r→a→b→r→a per common neighbour b. From
+// length 5 on, reused edges take more shapes, so depth stops at MaxDepth.
 //
 // Each vertex keeps one tally list per level: counts of triples interned
 // when edges are linked, sorted by the Dim each triple maps to at that
-// level. A level up to 3 sums the neighbours' previous one in a dense
-// scratch array, without hashing. From level 4 on a walk can reuse an edge
-// and the recurrence over-counts, so there the store enumerates each root's
-// walks into the same scratch.
+// level. A level sums the neighbours' previous one in a dense scratch
+// array, without hashing; c(r,a) is counted there too, so linking and
+// unlinking keep no triangle state.
 //
 // Store owns its graph. Apply advances it by one timestamp's change set:
 //
@@ -73,9 +78,10 @@ type Store struct {
 	nodes int
 
 	// Per-timestamp scratch, reused across Apply calls. stamp marks the
-	// vertices one breadth-first sweep has reached; round marks the
-	// vertices already queued for recounting this timestamp.
-	stamp, round uint32
+	// vertices one sweep, or one level-4 recount, has reached; round the
+	// vertices queued for recounting this timestamp. 64 bits never wrap
+	// back to the zero a new vnode starts with.
+	stamp, round uint64
 	affected     []*vnode
 	sources      []*vnode
 	cur, next    []*vnode
@@ -89,9 +95,6 @@ type Store struct {
 	touched []uint32
 	nt      int
 	sums    []tally
-
-	// path[0..k] is the walk the level-4+ enumerator is on.
-	path []*vnode
 
 	// capOf gives a dimension's cap, nil for exact counts; caps[k-1][t]
 	// holds it for triple t at level k.
@@ -122,8 +125,8 @@ type vnode struct {
 	lv     [][]tally    // lv[k-1]: level k, sorted by Dim
 	packed PackedVector // the vector as of the last seal
 	l1     int          // L1 of its levels
-	seen   uint32       // stamp of the last sweep that reached it
-	queued uint32       // round in which it was queued for recounting
+	seen   uint64       // stamp of the last sweep or root marking that reached it
+	queued uint64       // round in which it was queued for recounting
 	hop    int          // its least hop distance from a changed edge that round
 	// retired: isolated by this timestamp's deletions so far. live: counted
 	// in nodes, so the next seal gives it a vector. sealed: it had one at
@@ -145,7 +148,7 @@ type tally struct {
 }
 
 // NewStore builds the store of an initial graph; g is not retained. depth is
-// the paper's l and must be ≥ 1. Every vertex starts dirty, so the first
+// the paper's l, in [1, MaxDepth]. Every vertex starts dirty, so the first
 // SealDirty reports each one as added. Its sealed vectors hold exact counts.
 func NewStore(g *graph.Graph, depth int) *Store {
 	return NewCappedStore(g, depth, nil)
@@ -157,14 +160,13 @@ func NewStore(g *graph.Graph, depth int) *Store {
 // it must not change while an Apply runs, and must be safe to call from
 // the goroutine that runs it.
 func NewCappedStore(g *graph.Graph, depth int, capOf func(Dim) int32) *Store {
-	if depth < 1 {
-		panic(fmt.Sprintf("npv: depth must be ≥ 1, got %d", depth))
+	if depth < 1 || depth > MaxDepth {
+		panic(fmt.Sprintf("npv: depth must be in [1, %d], got %d", MaxDepth, depth))
 	}
 	s := &Store{
 		depth: depth,
 		verts: make(map[graph.VertexID]*vnode, g.VertexCount()),
 		triID: make(map[Dim]uint32),
-		path:  make([]*vnode, depth+1),
 		capOf: capOf,
 		full:  true,
 	}
@@ -561,12 +563,7 @@ func (s *Store) refresh() {
 			if v.hop >= k || v.retired {
 				continue
 			}
-			if k <= closedDepth {
-				s.sum(v, k)
-			} else {
-				s.path[0] = v
-				s.walk(0, k)
-			}
+			s.sum(v, k)
 			sums, moved := s.settle(v, k)
 			if !moved {
 				continue
@@ -617,8 +614,22 @@ func (s *Store) sum(v *vnode, k int) {
 		return
 	}
 	back := int32(len(v.adj) - 1)
-	for _, t := range v.lv[0] {
+	for _, t := range v.lv[k-3] {
 		s.acc[t.tri] -= back * t.n
+	}
+	if k == 4 {
+		// Drop each r→a→b→r→a: one per common neighbour b of v and a.
+		s.stamp++
+		for _, h := range v.adj {
+			h.to.seen = s.stamp
+		}
+		for _, h := range v.adj {
+			for _, g := range h.to.adj {
+				if g.to.seen == s.stamp {
+					s.acc[h.tri]--
+				}
+			}
+		}
 	}
 }
 
@@ -691,38 +702,4 @@ func (s *Store) settle(v *vnode, k int) ([]tally, bool) {
 		return nil, false
 	}
 	return s.sums[:n], true
-}
-
-// walk adds to the scratch the last edge of every edge-distinct walk of
-// length k that extends path[0..level]: each incident edge of path[level]
-// not already on the walk extends it by one step. Level k ≥ 4 is counted
-// this way, where a walk can reuse an edge and the closed form over-counts.
-//
-//nnt:hotpath
-func (s *Store) walk(level, k int) {
-	v := s.path[level]
-	for _, h := range v.adj {
-		switch {
-		case s.onPath(level, v, h.to):
-		case level+1 == k:
-			s.add(h.tri, 1)
-		default:
-			s.path[level+1] = h.to
-			s.walk(level+1, k)
-		}
-	}
-}
-
-// onPath reports whether edge {v,u} is one of the level edges of the walk
-// path[0..level]. Walks are at most l long, so the scan is O(l).
-//
-//nnt:hotpath
-func (s *Store) onPath(level int, v, u *vnode) bool {
-	for i := 0; i < level; i++ {
-		a, b := s.path[i], s.path[i+1]
-		if (a == v && b == u) || (a == u && b == v) {
-			return true
-		}
-	}
-	return false
 }

@@ -2,6 +2,7 @@ package npv
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -165,8 +166,8 @@ func randomStart(r *rand.Rand, n int) *graph.Graph {
 }
 
 // TestStoreMatchesForestAndScratch is the recount contract: random batched
-// change sets, at depths 1–4 (the closed form at levels 1–3, the walk
-// enumeration at level 4), run through the recounting Store, a Space
+// change sets, at depths 1–4 (level 4 with its triangle correction), run
+// through the recounting Store, a Space
 // observing an incrementally patched Forest, and a from-scratch projection
 // of the post-state graph. After every timestamp the forest agrees with the
 // scratch projection, Nodes equals the forest's TotalNodes, the store's
@@ -185,11 +186,7 @@ func TestStoreMatchesForestAndScratch(t *testing.T) {
 	}
 	for depth := 1; depth <= 4; depth++ {
 		r := rand.New(rand.NewSource(int64(depth)))
-		steps := 20
-		if depth == 4 {
-			steps = 4 // the level-4 walk enumeration is exponential in degree
-		}
-		replayAgainstForest(t, fmt.Sprintf("hub depth=%d", depth), hubStart(r), depth, steps,
+		replayAgainstForest(t, fmt.Sprintf("hub depth=%d", depth), hubStart(r), depth, 20,
 			func(mirror *graph.Graph) graph.ChangeSet { return hubBatch(r, mirror) })
 	}
 }
@@ -353,9 +350,28 @@ func TestStoreRetireReaddUnchanged(t *testing.T) {
 	}
 }
 
+// TestStoreStampsDoNotWrap runs a timestamp after both of the store's
+// per-timestamp counters have passed 2³²−1, the point where 32-bit ones
+// wrap to the zero a new vertex starts with and a sweep mistakes it for
+// seen: inserting edge 1–2 with a new vertex 2 must still give vertex 2 its
+// vector and reach vertices 0 and 1.
+func TestStoreStampsDoNotWrap(t *testing.T) {
+	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
+	st := NewStore(g, 3)
+	var c sealCheck
+	c.check(t, "build", st, st.SealDirty(), ProjectForest(nnt.NewForest(g, 3)))
+	st.stamp, st.round = math.MaxUint32, math.MaxUint32
+	if err := st.Apply(graph.ChangeSet{graph.InsertOp(1, 1, 2, 2, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	ref := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1, 2: 2}, [][3]int{{0, 1, 0}, {1, 2, 0}})
+	c.check(t, "after the counters pass 2³²−1", st, st.SealDirty(), ProjectForest(nnt.NewForest(ref, 3)))
+}
+
 // TestStoreErrors is the error contract: a label conflict or a self-loop
 // fails with an error naming the vertex, the ops applied before it stay
-// applied and counted, and depth < 1 panics at construction.
+// applied and counted, and a depth outside [1, MaxDepth] panics at
+// construction.
 func TestStoreErrors(t *testing.T) {
 	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
 	st := NewStore(g, 2)
@@ -373,12 +389,16 @@ func TestStoreErrors(t *testing.T) {
 	if err := st.Apply(graph.ChangeSet{graph.InsertOp(4, 0, 4, 0, 0)}); err == nil || !strings.Contains(err.Error(), "vertex 4") {
 		t.Fatalf("self-loop error = %v; want one naming vertex 4", err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("depth 0 did not panic")
-		}
-	}()
-	NewStore(g, 0)
+	for _, depth := range []int{0, MaxDepth + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("depth %d did not panic", depth)
+				}
+			}()
+			NewStore(g, depth)
+		}()
+	}
 }
 
 // decodeSchedule turns fuzz bytes into a depth, a start graph over at most
@@ -473,6 +493,9 @@ func FuzzRecountMatchesForest(f *testing.F) {
 	// A path 0–1–2–3–4 at depth 4, whose far end then moves: vertex 0's
 	// level 4 changes through an edge three hops away.
 	f.Add([]byte{0x0f, 0, 1, 2, 0, 1, 4, 0, 0x01, 0, 0x12, 0, 0x23, 0, 0x34, 0x03, 0x34, 0x86, 0x34})
+	for _, seed := range triangleDense() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		depth, g, steps := decodeSchedule(data)
 		st := NewStore(g, depth)
@@ -493,6 +516,36 @@ func FuzzRecountMatchesForest(f *testing.F) {
 			c.check(t, at, st, st.SealDirty(), snapshot(sp))
 		}
 	})
+}
+
+// triangleDense returns depth-4 schedules (decodeSchedule's format) over
+// graphs where every edge lies on triangles, so level 4's r→a→b→r→a
+// correction carries most of the count: K4, K5 and a wheel, each losing,
+// relabelling and regaining edges — a chord, spokes and rim edges of the
+// wheel included.
+func triangleDense() [][]byte {
+	complete := func(h byte, labels []byte) []byte {
+		n := byte(len(labels))
+		b := append([]byte{h}, labels...)
+		b = append(b, n*(n-1)/2)
+		for u := byte(0); u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				b = append(b, u&1, u<<4|v)
+			}
+		}
+		return b
+	}
+	k4 := append(complete(0x0b, []byte{0, 1, 2, 0}),
+		0x03, 0x01, 0x86, 0x01, 0x01, 0x23, 0x06, 0x23, 0x01, 0x02, 0x03, 0x13)
+	k5 := append(complete(0x0f, []byte{0, 0, 1, 1, 2}),
+		0x03, 0x04, 0x01, 0x12, 0x03, 0x23, 0x06, 0x04, 0x86, 0x12, 0x06, 0x23)
+	// A wheel: hub 0 and the rim 1–6, each rim vertex on two triangles.
+	wheel := []byte{0x17, 0, 1, 2, 1, 2, 1, 2, 12}
+	for v := byte(1); v <= 6; v++ {
+		wheel = append(wheel, v&1, v, 0, v<<4|(v%6+1))
+	}
+	wheel = append(wheel, 0x06, 0x14, 0x03, 0x02, 0x01, 0x34, 0x06, 0x02, 0x87, 0x56, 0x03, 0x01, 0x06, 0x25)
+	return [][]byte{k4, k5, wheel}
 }
 
 // snapshot deep-copies every vector of a space.

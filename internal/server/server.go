@@ -117,13 +117,6 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) boo
 // register their own instruments alongside the engine's.
 func (s *Server) Registry() *obs.Registry { return s.registry }
 
-// Stats returns the engine's run statistics under the read lock.
-func (s *Server) Stats() core.Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.engine.Stats()
-}
-
 // StatusFor maps engine errors onto HTTP statuses via the core sentinel
 // errors: unknown IDs are 404, seal violations 409, unsupported operations
 // 501, anything else 500. Cluster workers answer with the same mapping.
