@@ -78,8 +78,8 @@ type Filter interface {
 
 // BatchApplier is an optional Filter extension: the engine hands one
 // timestamp's change sets for all streams to the filter at once, so the
-// filter can fan the per-(stream, query) dominance re-evaluation out over a
-// bounded worker pool instead of walking the streams one by one.
+// filter can fan the streams' maintenance and dominance re-evaluation out
+// over a bounded worker pool instead of walking the streams one by one.
 //
 // ApplyAll must be observationally equivalent to calling Apply once per
 // entry in any order — entries address distinct streams, and the engine

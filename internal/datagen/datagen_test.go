@@ -296,3 +296,34 @@ func TestQueriesAreSubgraphs(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlapQuerySetSharesCores: every query is a connected subgraph of
+// its core's source graph with the requested edge count, and the queries
+// of one core share its edges.
+func TestOverlapQuerySetSharesCores(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	db := Synthetic(SyntheticConfig{
+		NumGraphs: 3, NumSeeds: 5, SeedSize: 5, GraphSize: 30,
+		VertexLabels: 4, EdgeLabels: 2, OverlapProb: 0.3,
+	}, r)
+	const cores, perCore, edges = 5, 4, 8
+	qs := OverlapQuerySet(db, cores, perCore, edges, 0.5, r)
+	if len(qs) != cores*perCore {
+		t.Fatalf("OverlapQuerySet returned %d queries; want %d", len(qs), cores*perCore)
+	}
+	for i, q := range qs {
+		if q.EdgeCount() != edges || !q.IsConnected() || !iso.Contains(q, db[i/perCore%len(db)]) {
+			t.Fatalf("query %d: %d edges, connected=%v; want a connected %d-edge subgraph of graph %d",
+				i, q.EdgeCount(), q.IsConnected(), edges, i/perCore%len(db))
+		}
+		shared := 0
+		for _, e := range qs[i-i%perCore].Edges() {
+			if q.HasEdge(e.U, e.V) {
+				shared++
+			}
+		}
+		if shared < edges/2 {
+			t.Fatalf("query %d shares %d edges with its core's first query; want at least %d", i, shared, edges/2)
+		}
+	}
+}

@@ -19,7 +19,13 @@ func RandomConnectedSubgraph(g *graph.Graph, wantEdges int, r *rand.Rand) *graph
 	}
 	start := ids[r.Intn(len(ids))]
 	_ = sub.AddVertex(start, g.MustVertexLabel(start))
-	frontier := []graph.VertexID{start}
+	grow(g, sub, []graph.VertexID{start}, wantEdges, r)
+	return sub
+}
+
+// grow adds edges of g to its subgraph sub, each incident to a frontier
+// vertex, until sub has wantEdges edges or the frontier is exhausted.
+func grow(g, sub *graph.Graph, frontier []graph.VertexID, wantEdges int, r *rand.Rand) {
 	for sub.EdgeCount() < wantEdges && len(frontier) > 0 {
 		v := frontier[r.Intn(len(frontier))]
 		es := g.NeighborsSorted(v)
@@ -44,7 +50,26 @@ func RandomConnectedSubgraph(g *graph.Graph, wantEdges int, r *rand.Rand) *graph
 			}
 		}
 	}
-	return sub
+}
+
+// OverlapQuerySet draws cores × perCore connected queries of up to edges
+// edges, the cores round-robin over the graphs: every query of one core
+// shares a connected core of round(overlap × edges) edges verbatim and
+// regrows the rest independently, so queries of one core share structure
+// — and, projected, many of their vectors.
+func OverlapQuerySet(graphs []*graph.Graph, cores, perCore, edges int, overlap float64, r *rand.Rand) []*graph.Graph {
+	coreEdges := int(overlap*float64(edges) + 0.5)
+	out := make([]*graph.Graph, 0, cores*perCore)
+	for c := 0; c < cores; c++ {
+		g := graphs[c%len(graphs)]
+		core := RandomConnectedSubgraph(g, coreEdges, r)
+		for i := 0; i < perCore; i++ {
+			q := core.Clone()
+			grow(g, q, q.VertexIDs(), edges, r)
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 // QuerySet extracts the paper's Q_m workload: num connected subgraphs with

@@ -3,7 +3,9 @@ package join
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nntstream/internal/core"
@@ -145,5 +147,108 @@ func TestPoolDispatchCounted(t *testing.T) {
 	}
 	if got := read("nntstream_join_pool_max_batch_tasks"); got < 2 {
 		t.Fatalf("max batch tasks = %v; want >= 2", got)
+	}
+}
+
+// skylineMemo is one Skyline stream's witness memo in comparable form: per
+// ref the need, the open flag and the witness's vertex ID (-1 for none),
+// and per query slot the refuting ref. Only live entries' witnesses are
+// kept; a freed entry's is never read again.
+type skylineMemo struct {
+	need   []int32
+	open   []uint8
+	wit    []graph.VertexID
+	refute []int32
+}
+
+// skylineMemos snapshots every stream's memo of f.
+func skylineMemos(f *Skyline) map[core.StreamID]skylineMemo {
+	out := make(map[core.StreamID]skylineMemo, len(f.streams))
+	for sid, s := range f.streams {
+		ss := s.vecStream.(*skyStream)
+		ids := make(map[*skyVertex]graph.VertexID, len(ss.verts))
+		for v, sv := range ss.verts {
+			ids[sv] = v
+		}
+		m := skylineMemo{need: slices.Clone(ss.need), open: slices.Clone(ss.open), refute: slices.Clone(ss.refute)}
+		for ref, w := range ss.wit {
+			id := graph.VertexID(-1)
+			if w != nil && len(f.ix.Entry(int32(ref)).Owners) > 0 {
+				id = ids[w]
+			}
+			m.wit = append(m.wit, id)
+		}
+		out[sid] = m
+	}
+	return out
+}
+
+// TestSkylineMemosIndependentOfWorkers: Skyline's step probes each
+// stream's pairs inside that stream's task and settles them after the
+// join in (stream, query) order, so the memo — need, open flags, refuting
+// refs and which vertex witnesses each entry — must come out the same at
+// one worker and at eight, after every step and every registration change.
+func TestSkylineMemosIndependentOfWorkers(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		r := rand.New(rand.NewSource(70 + seed))
+		graphs := make(map[core.StreamID]*graph.Graph)
+		seq, par := NewSkyline(DefaultDepth), NewSkyline(DefaultDepth)
+		par.SetWorkers(8)
+		filters := []*Skyline{seq, par}
+		var live []core.QueryID
+		next := core.QueryID(0)
+		addQuery := func() {
+			g := graphs[core.StreamID(r.Intn(len(graphs)))]
+			if g.EdgeCount() == 0 {
+				return
+			}
+			q := randomSub(r, g)
+			for _, f := range filters {
+				if err := f.AddQuery(next, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live = append(live, next)
+			next++
+		}
+		for sid := core.StreamID(0); sid < 4; sid++ {
+			graphs[sid] = randomConnected(r, 10, 3, 2)
+		}
+		for i := 0; i < 12; i++ {
+			addQuery()
+		}
+		for sid, g := range graphs {
+			for _, f := range filters {
+				if err := f.AddStream(sid, g.Clone()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for step := 0; step < 30; step++ {
+			switch {
+			case step%6 == 5 && len(live) > 0:
+				i := r.Intn(len(live))
+				for _, f := range filters {
+					if err := f.RemoveQuery(live[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live = append(live[:i], live[i+1:]...)
+				addQuery()
+			default:
+				batch := randomBatch(r, graphs)
+				for _, f := range filters {
+					if err := f.ApplyAll(batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got, want := par.Candidates(), seq.Candidates(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: candidates at 8 workers %v; at 1 worker %v", seed, step, got, want)
+			}
+			if got, want := skylineMemos(par), skylineMemos(seq); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: memos at 8 workers %+v; at 1 worker %+v", seed, step, got, want)
+			}
+		}
 	}
 }

@@ -103,6 +103,131 @@ func BenchmarkSkylineStepManyQueries(b *testing.B) {
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 }
 
+// BenchmarkSkylineStepQueryChurn is the join's share of the query_churn
+// regime between registrations: 400 live queries of 8 edges, 50 cores of
+// 4 edges with 8 variants each (datagen.OverlapQuerySet), over 4 small
+// sparse synthetic streams (datagen.SparseFlipDefaults), whose coin flips
+// move most vertices every step. One op is one ApplyAll over the four
+// streams plus the Candidates read that follows every engine step; the
+// steps run 16 timestamps forward and back (flipCycle), so b.N does not
+// change what a step costs. It runs at one and two workers.
+func BenchmarkSkylineStepQueryChurn(b *testing.B) {
+	const streams, cores, perCore, edges, steps = 4, 50, 8, 8, 16
+	flip := datagen.SparseFlipDefaults()
+	flip.Timestamps = steps
+	cfg := datagen.DefaultStreamWorkload(flip)
+	cfg.Gen.NumGraphs = streams
+	r := rand.New(rand.NewSource(44))
+	w := datagen.SyntheticStreams(cfg, r)
+	queries := datagen.OverlapQuerySet(w.Basics, cores, perCore, edges, 0.5, r)
+	cycle := flipCycle(b, w.Streams)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			f := NewSkyline(DefaultDepth)
+			f.SetWorkers(workers)
+			benchSteps(b, f, queries, w.Streams, cycle)
+		})
+	}
+}
+
+// BenchmarkStepSparseStreams is measurement 2's rig in the ROADMAP: the
+// paper's sparse synthetic streams, 64 of them, with 70 queries of 8–12
+// edges drawn from their basic graphs, at two workers. One op is one
+// ApplyAll over every stream plus a Candidates read, cycling 16 timestamps
+// forward and back (flipCycle). NL and Skyline run the same steps, so the
+// two joins' per-step costs compare within one run.
+func BenchmarkStepSparseStreams(b *testing.B) {
+	const streams, live, steps = 64, 70, 16
+	flip := datagen.SparseFlipDefaults()
+	flip.Timestamps = steps
+	cfg := datagen.DefaultStreamWorkload(flip)
+	cfg.Gen.NumGraphs = streams
+	r := rand.New(rand.NewSource(20))
+	w := datagen.SyntheticStreams(cfg, r)
+	queries := make([]*graph.Graph, live)
+	for i := range queries {
+		edges := cfg.QueryMinEdges + r.Intn(cfg.QueryMaxEdges-cfg.QueryMinEdges+1)
+		queries[i] = datagen.RandomConnectedSubgraph(w.Basics[i%len(w.Basics)], edges, r)
+	}
+	cycle := flipCycle(b, w.Streams)
+	for _, join := range []struct {
+		name string
+		mk   func() core.Filter
+	}{
+		{"NL", func() core.Filter { return NewNL(DefaultDepth) }},
+		{"Skyline", func() core.Filter { return NewSkyline(DefaultDepth) }},
+	} {
+		b.Run(join.name, func(b *testing.B) {
+			f := join.mk()
+			f.(core.ParallelFilter).SetWorkers(2)
+			benchSteps(b, f, queries, w.Streams, cycle)
+		})
+	}
+}
+
+// flipCycle returns the streams' timestamps as batches, forward and then
+// undone in reverse, so the cycle returns every stream to its start graph.
+// Each undo deletes what its timestamp inserted and reinserts, under the
+// labels it had, what it deleted.
+func flipCycle(b *testing.B, streams []*graph.Stream) []map[core.StreamID]graph.ChangeSet {
+	steps := len(streams[0].Changes)
+	cycle := make([]map[core.StreamID]graph.ChangeSet, 2*steps)
+	for i := range cycle {
+		cycle[i] = make(map[core.StreamID]graph.ChangeSet, len(streams))
+	}
+	for i, st := range streams {
+		sid, g := core.StreamID(i), st.Start.Clone()
+		for t, cs := range st.Changes {
+			var undo graph.ChangeSet
+			for _, op := range cs {
+				if op.Kind == graph.OpInsert {
+					undo = append(undo, graph.DeleteOp(op.U, op.V))
+					continue
+				}
+				el, _ := g.EdgeLabel(op.U, op.V)
+				undo = append(undo, graph.InsertOp(op.U, g.MustVertexLabel(op.U), op.V, g.MustVertexLabel(op.V), el))
+			}
+			if err := cs.Apply(g); err != nil {
+				b.Fatal(err)
+			}
+			cycle[t][sid], cycle[2*steps-1-t][sid] = cs, undo.Normalize()
+		}
+	}
+	return cycle
+}
+
+// benchSteps registers the queries and the streams' start graphs with f,
+// runs one cycle to warm its buffers, and times one cycle step, plus the
+// Candidates read that follows every engine step, per op.
+func benchSteps(b *testing.B, f core.Filter, queries []*graph.Graph, streams []*graph.Stream, cycle []map[core.StreamID]graph.ChangeSet) {
+	for q, g := range queries {
+		if err := f.AddQuery(core.QueryID(q), g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, st := range streams {
+		if err := f.AddStream(core.StreamID(i), st.Start.Clone()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	step := f.(core.BatchApplier)
+	for _, batch := range cycle {
+		if err := step.ApplyAll(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pairs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := step.ApplyAll(cycle[n%len(cycle)]); err != nil {
+			b.Fatal(err)
+		}
+		pairs += len(f.Candidates())
+	}
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}
+
 // BenchmarkSkylineQueryChurn is query churn over many streams: the sparse
 // synthetic workload (datagen.SparseFlipDefaults) with one stream per basic
 // graph, 70 live queries of 8–12 edges drawn from the basic graphs, and 10

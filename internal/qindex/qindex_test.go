@@ -55,8 +55,8 @@ func TestIndexLifecycle(t *testing.T) {
 	if !slices.Equal(counts, []int32{3, 5}) {
 		t.Fatalf("column 1 counts = %v", counts)
 	}
-	if upperBound(counts, 2) != 0 || upperBound(counts, 3) != 1 || upperBound(counts, 9) != 2 {
-		t.Fatalf("upperBound over %v misplaced", counts)
+	if col := ix.cols[npv.Dim(1)]; col.upTo(2) != 0 || col.upTo(3) != 1 || col.upTo(9) != 2 {
+		t.Fatalf("crossing bounds over %v misplaced: at %v", counts, col.at)
 	}
 	if !ix.HasDim(npv.Dim(2)) || ix.HasDim(npv.Dim(7)) {
 		t.Fatal("HasDim wrong")

@@ -181,9 +181,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	applied, pairs, err := stepBatch(s.engine, batch)
-	s.mu.Unlock()
+	applied, pairs, err := s.stepBatch(batch)
 	s.ingest.steps.Add(int64(applied))
 	s.ingest.pairs.Add(int64(pairs))
 	if applied == len(batch) {
@@ -231,15 +229,18 @@ func appendIngest(b []byte, r ingestResponse) []byte {
 	return append(b, "}\n"...)
 }
 
-// stepBatch routes a decoded batch to the engine: group-committed when the
+// stepBatch routes a decoded batch to the engine under s.mu, released by a
+// deferred unlock like server.go's engine calls: group-committed when the
 // engine supports it, otherwise step by step (identical semantics, one
 // durability barrier per step).
-func stepBatch(engine Engine, batch []map[core.StreamID]graph.ChangeSet) (applied, pairs int, err error) {
-	if bs, ok := engine.(BatchStepper); ok {
+func (s *Server) stepBatch(batch []map[core.StreamID]graph.ChangeSet) (applied, pairs int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if bs, ok := s.engine.(BatchStepper); ok {
 		return bs.StepAllBatch(batch)
 	}
 	for _, changes := range batch {
-		ps, err := engine.StepAll(changes)
+		ps, err := s.engine.StepAll(changes)
 		if err != nil {
 			return applied, pairs, err
 		}

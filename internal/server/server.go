@@ -164,6 +164,47 @@ type stepRequest struct {
 	Changes map[string][]WireOp `json:"changes"`
 }
 
+// The engine calls below run under s.mu, each in a function of its own
+// whose deferred unlock also runs when the call panics — net/http recovers
+// a handler's panic, so an inline unlock would leave the lock held and
+// every later request blocked. The response is written after the unlock.
+
+func (s *Server) addQuery(g *graph.Graph) (core.QueryID, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.engine.AddQuery(g)
+}
+
+func (s *Server) removeQuery(remover QueryRemover, id core.QueryID) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return remover.RemoveQuery(id)
+}
+
+func (s *Server) addStream(g *graph.Graph) (core.StreamID, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.engine.AddStream(g)
+}
+
+func (s *Server) stepAll(changes map[core.StreamID]graph.ChangeSet) ([]core.Pair, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.engine.StepAll(changes)
+}
+
+func (s *Server) candidates() []core.Pair {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.engine.Candidates()
+}
+
+func (s *Server) stats() core.Stats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.engine.Stats()
+}
+
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		HTTPError(w, http.StatusMethodNotAllowed, "POST only")
@@ -178,9 +219,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
-	s.mu.Lock()
-	id, err := s.engine.AddQuery(g)
-	s.mu.Unlock()
+	id, err := s.addQuery(g)
 	if err != nil {
 		HTTPError(w, StatusFor(err), "%v", err)
 		return
@@ -204,10 +243,7 @@ func (s *Server) handleQueryByID(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusNotImplemented, "engine does not support query removal")
 		return
 	}
-	s.mu.Lock()
-	err = remover.RemoveQuery(core.QueryID(id))
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.removeQuery(remover, core.QueryID(id)); err != nil {
 		HTTPError(w, StatusFor(err), "%v", err)
 		return
 	}
@@ -228,9 +264,7 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
-	s.mu.Lock()
-	id, err := s.engine.AddStream(g)
-	s.mu.Unlock()
+	id, err := s.addStream(g)
 	if err != nil {
 		HTTPError(w, StatusFor(err), "%v", err)
 		return
@@ -265,9 +299,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		}
 		changes[core.StreamID(sid)] = cs
 	}
-	s.mu.Lock()
-	pairs, err := s.engine.StepAll(changes)
-	s.mu.Unlock()
+	pairs, err := s.stepAll(changes)
 	if err != nil {
 		HTTPError(w, StatusFor(err), "%v", err)
 		return
@@ -280,10 +312,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	s.mu.RLock()
-	pairs := s.engine.Candidates()
-	s.mu.RUnlock()
-	WritePairs(w, pairs)
+	WritePairs(w, s.candidates())
 }
 
 type statsResponse struct {
@@ -297,9 +326,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	s.mu.RLock()
-	st := s.engine.Stats()
-	s.mu.RUnlock()
+	st := s.stats()
 	WriteJSON(w, http.StatusOK, statsResponse{
 		Timestamps:     st.Timestamps,
 		AvgFilterMs:    float64(st.AvgTimePerTimestamp()) / float64(time.Millisecond),

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
@@ -195,6 +197,81 @@ func (staticFilter) AddQuery(core.QueryID, *graph.Graph) error   { return nil }
 func (staticFilter) AddStream(core.StreamID, *graph.Graph) error { return nil }
 func (staticFilter) Apply(core.StreamID, graph.ChangeSet) error  { return nil }
 func (staticFilter) Candidates() []core.Pair                     { return nil }
+
+// panicFilter is staticFilter whose AddStream, or Apply, panics.
+type panicFilter struct {
+	staticFilter
+	onApply bool
+}
+
+func (f panicFilter) AddStream(core.StreamID, *graph.Graph) error {
+	if !f.onApply {
+		panic("filter: AddStream")
+	}
+	return nil
+}
+
+func (f panicFilter) Apply(core.StreamID, graph.ChangeSet) error {
+	if f.onApply {
+		panic("filter: Apply")
+	}
+	return nil
+}
+
+// TestServerSurvivesEnginePanic: net/http recovers a handler's panic, so an
+// engine call that panics must still release the server's lock. After a
+// panicking registration, step or ingest, GET /v1/stats answers within 2 s.
+func TestServerSurvivesEnginePanic(t *testing.T) {
+	for _, tc := range []struct {
+		name, method, path, body string
+		onApply                  bool
+	}{
+		{name: "add_stream", method: http.MethodPost, path: "/v1/streams",
+			body: `{"graph":{"vertices":[{"id":0,"label":0},{"id":1,"label":1}],"edges":[{"u":0,"v":1,"label":0}]}}`},
+		{name: "step", method: http.MethodPost, path: "/v1/step", onApply: true,
+			body: `{"changes":{"0":[{"op":"ins","u":1,"v":2,"ulabel":1,"vlabel":2,"elabel":0}]}}`},
+		{name: "ingest", method: http.MethodPost, path: "/v1/ingest", onApply: true,
+			body: `{"changes":[{"stream":0,"ops":[{"op":"ins","u":1,"v":2,"ul":1,"vl":2,"el":0}]}]}` + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewUnstartedServer(New(core.NewMonitor(panicFilter{onApply: tc.onApply})).Handler())
+			srv.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's trace
+			srv.Start()
+			// A wedged handler would block Close forever; leave the server
+			// running when the test has failed.
+			t.Cleanup(func() {
+				if !t.Failed() {
+					srv.Close()
+				}
+			})
+			client := &http.Client{Timeout: 2 * time.Second}
+			if tc.onApply {
+				resp, err := client.Post(srv.URL+"/v1/streams", "application/json", strings.NewReader(
+					`{"graph":{"vertices":[{"id":0,"label":1},{"id":1,"label":1}],"edges":[{"u":0,"v":1,"label":0}]}}`))
+				if err != nil || resp.StatusCode != http.StatusCreated {
+					t.Fatalf("add stream: %v %v", resp, err)
+				}
+				resp.Body.Close()
+			}
+			req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := client.Do(req); err == nil {
+				resp.Body.Close()
+				t.Fatalf("%s %s answered %d; want the panic to drop the connection", tc.method, tc.path, resp.StatusCode)
+			}
+			resp, err := client.Get(srv.URL + "/v1/stats")
+			if err != nil {
+				t.Fatalf("GET /v1/stats after the panic: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /v1/stats after the panic = %d", resp.StatusCode)
+			}
+		})
+	}
+}
 
 // TestServerStatusMapping checks that engine sentinel errors surface as the
 // right HTTP statuses: 404 for unknown IDs, 409 for seal violations, 501 for
