@@ -100,7 +100,9 @@ crashtest-cluster:
 # dominance, NPV recount vs forest patching, the capped seal vs capped
 # forest vectors under moving caps, undo-logged change sets vs Apply on a
 # clone, Skyline's flip-driven witness memo vs the NL oracle, the appended
-# pair-list and ingest bodies vs encoding/json). The default budget keeps it
+# pair-list and ingest bodies vs encoding/json). The recount, capped-seal and
+# Skyline fuzzers share one schedule decoder, internal/fuzzsched, whose work
+# budget bounds each input's cost. The default budget keeps it
 # pre-commit-friendly; override FUZZTIME for a real campaign.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/wal/

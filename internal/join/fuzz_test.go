@@ -4,177 +4,249 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nntstream/internal/core"
+	"nntstream/internal/fuzzsched"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
 )
 
-// FuzzSkylineMatchesNL decodes a byte schedule of change batches and query
-// registrations and removals over two small streams, and after every op
-// compares Skyline, driven both through Apply and through the pool's
-// ApplyAll, with the NL oracle. The schedule steers the witness memo: ops
-// toggle edges among eight vertices, so witnesses shrink, retire and return,
-// removed queries' slots are taken by new ones, and shared vectors' entries
-// outlive one owner or are freed and reissued; after every op both
-// Skylines' witness memos must keep their invariants (checkPairMemos).
-//
-// Layout: byte 0 picks the depth and seeds the random source that builds
-// the start graphs and query shapes. Each later op byte selects an op by
-// its low two bits: 0 registers a query, 1 removes the live query the next
-// byte indexes, and otherwise a batch reads one byte per edge toggle (three
-// bits per endpoint).
+// FuzzSkylineMatchesNL decodes a fuzzsched schedule over two streams —
+// start graphs, change batches, and query registrations and removals — and
+// runs it through checkSkylineSchedule. Seeds are in fuzzsched's format:
+// the header (depth − 1), the alphabet (6: three vertex labels and two edge
+// labels; 0: one of each), a base byte per stream, then ops — 0x01 u<<4|v
+// deletes, 0x00 (0x80: edge label 1) u<<4|v inserts, 0x06 moves edge ops
+// to stream 1, 0x02 ends the step, 0x03 b registers base graph b, 0x0b b a
+// subgraph of stream b&1, and 0x07 i removes live query i.
 func FuzzSkylineMatchesNL(f *testing.F) {
-	f.Add([]byte{0})
-	f.Add([]byte{1, 2, 0x13, 0x27, 0x41, 2, 0x05, 0x66, 1, 0})
-	f.Add([]byte{5, 0, 4, 2, 0x10, 0x32, 0x54, 0x76, 3, 0x01, 1, 3, 0x10, 0x10, 0})
+	f.Add([]byte{})
+	// Subgraph queries of both streams, a batch over both, a removal and a
+	// base query registered live.
+	f.Add([]byte{2, 6, 6<<5 | 8, 3<<5 | 6, 0x0b, 0x50, 0x0b, 0x31,
+		0x00, 0x05, 0x06, 0x01, 0x01, 0x02, 0x07, 0x00, 0x80, 0x15, 0x02, 0x03, 4<<5 | 4})
+	// Dense bases: K8 streams, at depth 3 and at depth 4, with K4 and K5
+	// queries, losing and regaining edges while K4 leaves and comes back.
+	for _, h := range []byte{2, 3} {
+		f.Add([]byte{h, 6, 4<<5 | 8, 3<<5 | 6, 0x03, 4<<5 | 4, 0x03, 4<<5 | 5,
+			0x01, 0x01, 0x01, 0x23, 0x02, 0x00, 0x01, 0x02, 0x07, 0x00, 0x01, 0x45, 0x06, 0x01, 0x02, 0x02, 0x03, 4<<5 | 4})
+	}
+	// A registration after the streams (an empty step adds them) raises a
+	// cap, so every stream reseals under the new caps; the removal leaves
+	// caps above every live count, and batches then run over the resealed
+	// vectors.
+	f.Add([]byte{2, 6, 4<<5 | 6, 2<<5 | 7, 0x0b, 0x21, 0x02, 0x03, 4<<5 | 5, 0x07, 0x01,
+		0x01, 0x01, 0x02, 0x00, 0x01, 0x01, 0x23, 0x02, 0x06, 0x01, 0x01, 0x02})
+	// The query holding the unique maximum of the uniformly labelled
+	// dimensions (K5) leaves, and later batches move the stream vertices'
+	// counts between the path's live maximum and the cap left above it.
+	f.Add([]byte{2, 0, 4<<5 | 6, 4<<5 | 6, 0x03, 4<<5 | 5, 0x03, 1<<5 | 4,
+		0x01, 0x01, 0x02, 0x07, 0x00, 0x01, 0x02, 0x02, 0x01, 0x03, 0x02, 0x00, 0x01, 0x02})
+	// A relabelling insert fails stream 0's change set partway: the join
+	// applies the deletion and nothing from the failing insert on.
+	f.Add([]byte{2, 6, 1<<5 | 5, 4<<5 | 4, 0x0b, 0x20, 0x01, 0x01, 0x0c, 0x26, 0x00, 0x37, 0x02, 0x80, 0x01, 0x02})
+	// Empty streams grow vertex by vertex under a K3 query registered
+	// before them, in both streams in one batch.
+	f.Add([]byte{2, 6, 0, 0, 0x03, 4<<5 | 3, 0x00, 0x01, 0x28, 0x12, 0x06, 0x00, 0x01, 0x02, 0x00, 0x02, 0x02, 0x07, 0x00})
+	// Depth 1, four vertex labels: G(20, 1/2) and a star, a subgraph and a
+	// star query.
+	f.Add([]byte{0, 7, 6<<5 | 20, 2<<5 | 9, 0x0b, 0x30, 0x03, 2<<5 | 4, 0x01, 0x01, 0x01, 0x02, 0x06, 0x01, 0x03, 0x02, 0x80, 0x01, 0x02})
+	// Depth 2: both streams are 12-vertex stars whose hub edges are
+	// deleted and re-inserted under the other edge label.
+	f.Add([]byte{1, 6, 2<<5 | 12, 2<<5 | 12, 0x0b, 0x21, 0x01, 0x01, 0x01, 0x02, 0x06, 0x01, 0x03, 0x00, 0x03, 0x02, 0x00, 0x01, 0x06, 0x80, 0x02, 0x02})
+	// Query churn at depth 3: base and subgraph queries registered and
+	// removed between batches, so slots and refs are recycled.
+	f.Add([]byte{2, 6, 6<<5 | 10, 7<<5 | 8, 0x03, 4<<5 | 4, 0x0b, 0x30, 0x0b, 0x41, 0x02, 0x07, 0x01, 0x03, 4<<5 | 5,
+		0x07, 0x00, 0x0b, 0x51, 0x01, 0x01, 0x02, 0x07, 0x02, 0x03, 4<<5 | 4, 0x00, 0x01, 0x02})
+	// Depth 4 on two wheels, with subgraph queries of each.
+	f.Add([]byte{3, 6, 3<<5 | 7, 3<<5 | 7, 0x0b, 0x20, 0x0b, 0x31, 0x01, 0x12, 0x06, 0x01, 0x03, 0x02,
+		0x00, 0x12, 0x00, 0x14, 0x02, 0x07, 0x00, 0x06, 0x00, 0x03, 0x02})
+	// A query of three isolated vertices (an empty-support vector) while
+	// the empty stream 1 gains its first edge and loses it again.
+	f.Add([]byte{2, 6, 1<<5 | 6, 0, 0x03, 3, 0x02, 0x06, 0x00, 0x01, 0x02, 0x06, 0x01, 0x01, 0x02})
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 6; i++ {
 		b := make([]byte, 8+r.Intn(56))
 		r.Read(b)
 		f.Add(b)
 	}
-	// In one batch, a refuted pair's refuting vector gains a dominator while
-	// the witness of another of its vectors retires.
-	f.Add([]byte{0xff, 0x10, 0x87, 0x88, 0xb2, 0xc8, 0xbb, 0x6c})
-	f.Add([]byte{0x11, 0x44, 0x91, 0x60, 0x3, 0xe9, 0x1e, 0xae, 0x94, 0xe7, 0xe2, 0x23, 0x38, 0x4b})
-	f.Add([]byte{0x27, 0x9f, 0x45, 0xff, 0xd, 0xf9, 0x3a, 0x60, 0x96, 0x1, 0x2a, 0x97, 0x86})
-	// Queries share maximal vectors: removals leave a shared entry, and its
-	// witness, to the other owner, and free entries whose refs new queries'
-	// different vectors take.
-	f.Add([]byte{0x3, 0x0, 0x0, 0x0, 0x1, 0x0, 0x16, 0x2a, 0xc, 0x4, 0x1, 0x2, 0x3e, 0x5, 0x0})
-	f.Add([]byte{0x6, 0x4, 0x4, 0x0, 0x1, 0x1, 0x1, 0x0, 0xa, 0x13, 0x0, 0x0, 0x1, 0x3})
-	// Registrations after the streams raise a cap, so every stream reseals
-	// under the new caps, and removals leave caps above every live count;
-	// in the second, batches then run over the resealed vectors.
-	f.Add([]byte{0xb9, 0x80, 0x9c, 0xd8, 0x11, 0x24})
-	f.Add([]byte{0x1d, 0x38, 0xc5, 0x7c, 0x73, 0xb2, 0xf7, 0xca, 0xab, 0xd7})
-	// The query holding a dimension's unique maximum leaves, and later
-	// batches move a stream vertex's sealed count in that dimension between
-	// the new live maximum and the cap left standing above it.
-	f.Add([]byte{0x19, 0x67, 0x5c, 0x4c, 0x1d, 0x76, 0x62, 0x11, 0xda, 0x71, 0xb5, 0x42, 0x78, 0xfe, 0xd0, 0xca, 0xd5})
-	// A vertex that witnesses nothing drops through rows another vertex
-	// witnesses for joinable pairs: those witnesses must stay.
-	f.Add([]byte{0x41, 0xc2, 0xe3, 0xf8})
-	// In one step a witness drops below its entry, clearing it, and a later
-	// vertex's rise crosses the same entry and dominates it: the queued
-	// pairs' probe must find a witness again.
-	f.Add([]byte{0xfe, 0xa2, 0xa0, 0xca})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 || len(data) > 256 {
-			return
-		}
-		depth := 1 + int(data[0]%3)
-		r := rand.New(rand.NewSource(int64(data[0])))
-		data = data[1:]
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return b
-		}
+		checkSkylineSchedule(t, fuzzsched.Decode(data, 2, npv.MaxDepth))
+	})
+}
 
-		seq, par, nl := NewSkyline(depth), NewSkyline(depth), NewNL(depth)
-		par.SetWorkers(4)
-		filters := []core.DynamicFilter{seq, par, nl}
-		graphs := map[core.StreamID]*graph.Graph{0: randomConnected(r, 6, 3, 2), 1: randomConnected(r, 6, 3, 2)}
-		var live []core.QueryID
-		nextQ := core.QueryID(0)
-		// seen holds, per Skyline, the caps the checks have read: a cap may
-		// rise, and must never fall.
-		seen := []map[npv.Dim]int32{{}, {}}
-		// addQuery registers a subgraph of stream sid, or of the other
-		// stream when sid has no edge; it reports false when neither has one.
-		addQuery := func(sid core.StreamID) bool {
-			if graphs[sid].EdgeCount() == 0 {
-				sid = 1 - sid
+// checkSkylineSchedule runs a schedule through two Skylines, one driven
+// through Apply and one through the pool's ApplyAll, and the NL oracle, and
+// after every op once the streams are added compares their candidates. The
+// queries the schedule registers before its first other op are registered
+// before the streams are added; a step applies each stream's Applied set.
+// The schedule steers the witness memo: batches shrink, retire and return
+// witnesses, removed queries' slots are taken by new ones, and shared
+// vectors' entries outlive one owner or are freed and reissued; after every
+// op both Skylines' witness memos must keep their invariants
+// (checkPairMemos), and no cap may fall.
+func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
+	t.Helper()
+	seq, par, nl := NewSkyline(sc.Depth), NewSkyline(sc.Depth), NewNL(sc.Depth)
+	par.SetWorkers(4)
+	filters := []core.DynamicFilter{seq, par, nl}
+	var live []core.QueryID
+	nextQ := core.QueryID(0)
+	// seen holds, per Skyline, the caps the checks have read: a cap may
+	// rise, and must never fall.
+	seen := []map[npv.Dim]int32{{}, {}}
+	check := func(op int) {
+		want := nl.Candidates()
+		for k, f := range []*Skyline{seq, par} {
+			if got := f.Candidates(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("op %d: Skyline candidates %v != NL %v", op, got, want)
 			}
-			if graphs[sid].EdgeCount() == 0 {
-				return false
+			checkPairMemos(t, &f.vecJoin, fmt.Sprintf("op %d", op))
+			for d, c := range seen[k] {
+				if now := f.ix.Cap(d); now < c {
+					t.Fatalf("op %d: the cap of dimension %d fell from %d to %d", op, d, c, now)
+				}
 			}
-			q := randomSub(r, graphs[sid])
+			// A freed entry keeps its vector, so the caps a removed
+			// query held stay recorded.
+			for ref := int32(0); ref < int32(f.ix.Refs()); ref++ {
+				u := f.ix.Entry(ref).Vec
+				for i := 0; i < u.Len(); i++ {
+					seen[k][u.Dim(i)] = f.ix.Cap(u.Dim(i))
+				}
+			}
+		}
+	}
+	added := false
+	addStreams := func() {
+		for sid, g := range sc.Streams {
 			for _, f := range filters {
-				if err := f.AddQuery(nextQ, q); err != nil {
+				if err := f.AddStream(core.StreamID(sid), g); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		added = true
+		check(-1)
+	}
+	for i, op := range sc.Ops {
+		if op.Kind != fuzzsched.AddQuery && !added {
+			addStreams()
+		}
+		switch op.Kind {
+		case fuzzsched.AddQuery:
+			for _, f := range filters {
+				if err := f.AddQuery(nextQ, op.Query); err != nil {
 					t.Fatal(err)
 				}
 			}
 			live = append(live, nextQ)
 			nextQ++
-			return true
-		}
-		check := func(op int) {
-			want := nl.Candidates()
-			for k, f := range []*Skyline{seq, par} {
-				if got := f.Candidates(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d: Skyline candidates %v != NL %v", op, got, want)
-				}
-				checkPairMemos(t, &f.vecJoin, fmt.Sprintf("op %d", op))
-				for d, c := range seen[k] {
-					if now := f.ix.Cap(d); now < c {
-						t.Fatalf("op %d: the cap of dimension %d fell from %d to %d", op, d, c, now)
-					}
-				}
-				// A freed entry keeps its vector, so the caps a removed
-				// query held stay recorded.
-				for ref := int32(0); ref < int32(f.ix.Refs()); ref++ {
-					u := f.ix.Entry(ref).Vec
-					for i := 0; i < u.Len(); i++ {
-						seen[k][u.Dim(i)] = f.ix.Cap(u.Dim(i))
-					}
-				}
-			}
-		}
-
-		addQuery(0)
-		addQuery(1)
-		for sid := core.StreamID(0); sid < 2; sid++ {
+		case fuzzsched.RemoveQuery:
 			for _, f := range filters {
-				if err := f.AddStream(sid, graphs[sid].Clone()); err != nil {
+				if err := f.RemoveQuery(live[op.Index]); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
-		check(-1)
-		for op := 0; len(data) > 0; op++ {
-			b := next()
-			switch {
-			case b%4 == 0 && addQuery(core.StreamID(b>>2&1)):
-			case b%4 == 1 && len(live) > 0:
-				i := int(next()) % len(live)
-				for _, f := range filters {
-					if err := f.RemoveQuery(live[i]); err != nil {
+			live = append(live[:op.Index], live[op.Index+1:]...)
+		case fuzzsched.Step:
+			batch := make(map[core.StreamID]graph.ChangeSet)
+			for sid, cs := range op.Applied {
+				if len(cs) > 0 {
+					batch[core.StreamID(sid)] = cs
+				}
+			}
+			for _, f := range []core.Filter{seq, nl} {
+				for _, sid := range batchStreamIDs(batch) {
+					if err := f.Apply(sid, batch[sid]); err != nil {
 						t.Fatal(err)
 					}
 				}
-				live = append(live[:i], live[i+1:]...)
-			default:
-				// Bits 2–3 pick the streams (1: stream 0, 2: stream 1,
-				// otherwise both), bits 4–5 the toggles per stream, less one.
-				which, n := b>>2&3, 1+int(b>>4&3)
-				batch := toggleBatch(r, graphs, func(sid core.StreamID, _ *graph.Graph, toggle func(u, v graph.VertexID)) {
-					if which == 1 && sid != 0 || which == 2 && sid != 1 {
-						return
-					}
-					for k := 0; k < n; k++ {
-						e := next()
-						toggle(graph.VertexID(e&7), graph.VertexID(e>>3&7))
-					}
-				})
-				for _, f := range []core.Filter{seq, nl} {
-					for _, sid := range batchStreamIDs(batch) {
-						if err := f.Apply(sid, batch[sid]); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if err := par.ApplyAll(batch); err != nil {
-					t.Fatal(err)
-				}
 			}
-			check(op)
+			if err := par.ApplyAll(batch); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
+		if added {
+			check(i)
+		}
+	}
+	if !added {
+		addStreams()
+	}
+}
+
+// TestSkylineMatchesNLSchedules runs schedules kept as explicit graphs
+// through checkSkylineSchedule: cases a byte seed of an earlier decoder
+// found, whose random start graphs no base byte names.
+func TestSkylineMatchesNLSchedules(t *testing.T) {
+	g := func(text string) *graph.Graph {
+		gs, err := graph.ReadDatabase(strings.NewReader("t # 0\n" + text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gs[0]
+	}
+	query := func(text string) fuzzsched.Op { return fuzzsched.Op{Kind: fuzzsched.AddQuery, Query: g(text)} }
+	remove := func(i int) fuzzsched.Op { return fuzzsched.Op{Kind: fuzzsched.RemoveQuery, Index: i} }
+	step := func(sets ...graph.ChangeSet) fuzzsched.Op {
+		return fuzzsched.Op{Kind: fuzzsched.Step, Changes: sets, Applied: sets}
+	}
+	for name, sc := range map[string]fuzzsched.Schedule{
+		// A vertex that witnesses nothing drops through rows another vertex
+		// witnesses for joinable pairs: those witnesses must stay.
+		"non-witness drop": {Depth: 3, Streams: []*graph.Graph{
+			g("v 0 2\nv 1 1\nv 2 1\nv 3 1\nv 4 0\nv 5 1\ne 0 1 1\ne 1 2 0\ne 1 5 0\ne 2 3 0\ne 3 4 0\ne 3 5 0"),
+			g("v 0 2\nv 1 0\nv 2 1\nv 3 1\nv 4 0\nv 5 0\ne 0 1 1\ne 0 2 1\ne 1 2 1\ne 1 3 1\ne 1 5 1\ne 2 4 0\ne 2 5 0\ne 3 4 0"),
+		}, Ops: []fuzzsched.Op{
+			query("v 0 2\nv 1 1\nv 2 1\nv 3 1\ne 0 1 1\ne 1 2 0\ne 2 3 0"),
+			query("v 0 2\nv 1 0\nv 2 1\nv 3 1\nv 4 0\nv 5 0\ne 0 1 1\ne 1 2 1\ne 1 5 1\ne 2 4 0\ne 2 5 0\ne 3 4 0"),
+			step(graph.ChangeSet{graph.DeleteOp(3, 4)}, graph.ChangeSet{graph.InsertOp(0, 2, 7, 1, 0)}),
+		}},
+		// In one step a witness drops below its entry, clearing it, and a
+		// later vertex's rise crosses the same entry and dominates it: the
+		// queued pairs' probe must find a witness again.
+		"drop then rise": {Depth: 3, Streams: []*graph.Graph{
+			g("v 0 0\nv 1 1\nv 2 2\nv 3 1\nv 4 1\nv 5 2\ne 0 1 0\ne 0 3 1\ne 0 5 0\ne 1 2 1\ne 1 4 0\ne 2 4 1\ne 4 5 0"),
+			g("v 0 2\nv 1 1\nv 2 1\nv 3 0\nv 4 2\nv 5 0\ne 0 1 0\ne 0 3 0\ne 1 2 1\ne 1 4 0\ne 2 3 0\ne 2 5 1\ne 3 5 0\ne 4 5 1"),
+		}, Ops: []fuzzsched.Op{
+			query("v 0 0\nv 1 1\nv 2 2\nv 5 2\ne 0 1 0\ne 0 5 0\ne 1 2 1"),
+			query("v 1 1\nv 2 1\nv 3 0\ne 1 2 1\ne 2 3 0"),
+			step(graph.ChangeSet{graph.DeleteOp(2, 1), graph.InsertOp(0, 0, 4, 1, 0)}, nil),
+		}},
+		// In one batch, a refuted pair's refuting vector gains a dominator
+		// while the witness of another of its vectors retires.
+		"refuter dominated, witness retired": {Depth: 1, Streams: []*graph.Graph{
+			g("v 0 1\nv 1 1\nv 2 2\nv 3 2\nv 4 2\nv 5 0\ne 0 1 1\ne 0 2 1\ne 0 3 1\ne 1 4 0\ne 2 3 1\ne 4 5 0"),
+			g("v 0 1\nv 1 0\nv 2 1\nv 3 0\nv 4 1\nv 5 1\ne 0 1 0\ne 0 2 0\ne 0 3 0\ne 0 5 0\ne 1 2 0\ne 1 5 1\ne 2 3 0\ne 3 4 1\ne 4 5 1"),
+		}, Ops: []fuzzsched.Op{
+			query("v 0 1\nv 2 2\nv 3 2\ne 0 2 1\ne 2 3 1"),
+			query("v 0 1\nv 1 0\nv 2 1\nv 3 0\nv 4 1\nv 5 1\ne 0 1 0\ne 0 3 0\ne 1 2 0\ne 1 5 1\ne 3 4 1"),
+			query("v 0 1\nv 1 1\nv 2 2\nv 3 2\nv 4 2\nv 5 0\ne 0 1 1\ne 0 2 1\ne 0 3 1\ne 1 4 0\ne 2 3 1\ne 4 5 0"),
+			step(graph.ChangeSet{graph.DeleteOp(0, 1)}, nil),
+			step(graph.ChangeSet{graph.DeleteOp(4, 5), graph.InsertOp(0, 1, 1, 1, 1), graph.InsertOp(3, 2, 7, 1, 0)}, nil),
+		}},
+		// Queries share maximal vectors: removals leave a shared entry, and
+		// its witness, to the other owner, and free entries whose refs new
+		// queries' different vectors take.
+		"shared vectors": {Depth: 1, Streams: []*graph.Graph{
+			g("v 0 1\nv 1 2\nv 2 0\nv 3 0\nv 4 2\nv 5 0\ne 0 1 1\ne 0 2 1\ne 0 4 0\ne 1 4 1\ne 1 5 1\ne 2 3 0\ne 3 4 1\ne 3 5 0\ne 4 5 1"),
+			g("v 0 2\nv 1 1\nv 2 1\nv 3 2\nv 4 2\nv 5 1\ne 0 1 0\ne 0 2 0\ne 0 3 0\ne 1 2 0\ne 1 5 1\ne 2 4 1\ne 3 4 1\ne 3 5 0\ne 4 5 0"),
+		}, Ops: []fuzzsched.Op{
+			query("v 0 1\nv 1 2\nv 2 0\nv 3 0\nv 4 2\nv 5 0\ne 0 1 1\ne 0 2 1\ne 0 4 0\ne 1 4 1\ne 2 3 0\ne 3 4 1\ne 3 5 0\ne 4 5 1"),
+			query("v 0 2\nv 1 1\nv 2 1\nv 3 2\nv 4 2\nv 5 1\ne 0 1 0\ne 0 2 0\ne 0 3 0\ne 1 2 0\ne 1 5 1\ne 2 4 1\ne 3 5 0"),
+			query("v 0 1\nv 1 2\nv 2 0\nv 3 0\nv 4 2\nv 5 0\ne 0 1 1\ne 0 2 1\ne 0 4 0\ne 1 4 1\ne 1 5 1\ne 3 4 1\ne 3 5 0\ne 4 5 1"),
+			query("v 0 1\nv 1 2\nv 2 0\nv 3 0\nv 4 2\nv 5 0\ne 0 1 1\ne 1 5 1\ne 2 3 0\ne 3 5 0\ne 4 5 1"),
+			query("v 0 1\nv 1 2\nv 2 0\nv 3 0\ne 0 1 1\ne 0 2 1\ne 2 3 0"),
+			remove(0),
+			step(graph.ChangeSet{graph.DeleteOp(4, 1), graph.InsertOp(2, 0, 5, 0, 1)}, nil),
+			query("v 2 1\nv 4 2\nv 5 1\ne 2 4 1\ne 4 5 0"),
+			remove(2),
+			step(graph.ChangeSet{graph.InsertOp(5, 0, 0, 1, 1)}, nil),
+		}},
+	} {
+		t.Run(name, func(t *testing.T) { checkSkylineSchedule(t, sc) })
+	}
 }

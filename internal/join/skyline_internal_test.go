@@ -410,13 +410,21 @@ func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 			if d := e.Vec.Dim(i); e.Vec.Count(i) > j.ix.Cap(d) {
 				t.Fatalf("%s: entry %d counts %d in dimension %d, above its cap %d", at, ref, e.Vec.Count(i), d, j.ix.Cap(d))
 			}
+			if c := e.Vec.Count(i); c <= 0 {
+				t.Fatalf("%s: entry %d counts %d in dimension %d", at, ref, c, e.Vec.Dim(i))
+			}
 		}
 	}
 	for sid, s := range j.streams {
 		ss := s.vecStream.(*skyStream)
 		live := make(map[*skyVertex]bool, len(ss.verts))
-		for _, sv := range ss.verts {
+		for v, sv := range ss.verts {
 			live[sv] = true
+			for i := 0; i < sv.p.Len(); i++ {
+				if c := sv.p.Count(i); c <= 0 {
+					t.Fatalf("%s: stream %d vertex %d seals count %d in dimension %d", at, sid, v, c, sv.p.Dim(i))
+				}
+			}
 		}
 		for ref, w := range ss.wit {
 			if e := j.ix.Entry(int32(ref)); w != nil && len(e.Owners) > 0 && (!live[w] || !w.p.Dominates(e.Vec)) {

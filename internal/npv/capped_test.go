@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"nntstream/internal/fuzzsched"
 	"nntstream/internal/graph"
 	"nntstream/internal/nnt"
 )
@@ -94,6 +95,7 @@ func (c *cappedCheck) check(t *testing.T, at string, st *Store, deltas []DirtyDe
 		if hasNew {
 			kept = append(kept, [2]PackedVector{dl.New, Pack(vec)})
 		}
+		checkCountsPositive(t, at, dl)
 	}
 	n := 0
 	st.PackedVectors(func(v graph.VertexID, p PackedVector) bool {
@@ -118,40 +120,35 @@ func (c *cappedCheck) check(t *testing.T, at string, st *Store, deltas []DirtyDe
 	c.note(cur)
 }
 
-// FuzzCappedSeal drives a capped Store through decodeSchedule's change
-// sets while the caps move, against a Space observing a patched Forest
-// whose vectors are capped by the same table. The second input steers the
-// caps: its first byte is the cap of every dimension, and each timestamp
-// then reads one byte whose low two bits raise, lower or zero the cap of a
-// dimension the next four bytes name (followed by ResetCaps, as a filter
-// does when a query moves a cap), and whose bit 2 skips the seal, so two
-// timestamps meet one seal and a vertex can appear and retire in between.
-// After every seal, cappedCheck's contract must hold.
+// FuzzCappedSeal drives a capped Store through the change sets of a
+// fuzzsched schedule (one stream; query ops are skipped) while the caps
+// move, against a Space observing a patched Forest whose vectors are capped
+// by the same table. The second input steers the caps: its first byte is
+// the cap of every dimension, and each timestamp then reads one byte whose
+// low two bits raise, lower or zero the cap of a dimension the next four
+// bytes name (followed by ResetCaps, as a filter does when a query moves a
+// cap), and whose bit 2 skips the seal, so two timestamps meet one seal
+// and a vertex can appear and retire in between. After every seal,
+// cappedCheck's contract must hold.
 func FuzzCappedSeal(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{0x06, 0, 1, 2, 3, 2, 0, 0x01, 1, 0x12, 0x04, 0x23, 0x07, 0x01}, []byte{1, 1, 0, 0, 1, 0, 2})
-	f.Add([]byte{0x0b, 1, 1, 1, 4, 0, 0x01, 0, 0x12, 0, 0x23, 0, 0x30, 0x05, 0x13, 0x03, 0x12, 0x04, 0x12, 0x06, 0x01},
-		[]byte{2, 4, 0, 0, 1, 0, 5, 1, 1, 0, 1, 0, 3, 1, 0, 1, 1})
-	// A star whose rewrites raise, lower and zero the hub's level-1 caps.
-	star := []byte{0x3a, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 15}
-	for v := byte(1); v < 16; v++ {
-		star = append(star, v&1, v)
+	// Each named schedule seed, with caps that raise, lower and zero caps
+	// at every level and skip seals.
+	for i, seed := range scheduleSeeds {
+		f.Add(seed.data, []byte{byte(1 + i%3), 1, 3, 0, 1, 2, 0, 2, 3, 1, 1, 0, 4, 3, 2, 0, 1, 3, 3, 1, 2, 1})
 	}
-	star = append(star, 0x01, 0x01, 0x01, 0x02, 0x06, 0x12, 0x84, 0x01, 0x03, 0x0f, 0x06, 0xf3, 0x03, 0x03)
-	f.Add(star, []byte{3, 1, 0, 0, 0, 1, 2, 0, 0, 1, 0, 3, 0, 0, 0, 1, 4})
+	// The path, with one cap raised; the star, whose rewrites raise, lower
+	// and zero the hub's level-1 caps.
+	f.Add(scheduleSeeds[1].data, []byte{1, 1, 0, 0, 1, 0, 2})
+	f.Add(scheduleSeeds[2].data, []byte{3, 1, 0, 0, 0, 1, 2, 0, 0, 1, 0, 3, 0, 0, 0, 1, 4})
 	// The path 0–1–2 loses edge 1–2, retiring vertex 2; it comes back and
 	// retires again with the seal between them skipped: a ghost.
-	f.Add([]byte{0x06, 0, 1, 2, 2, 0, 0x01, 0, 0x12, 0x03, 0x12, 0x06, 0x12, 0x03, 0x12}, []byte{1, 0, 4, 0})
+	f.Add([]byte{2, 6, 1<<5 | 3, 0x01, 0x12, 0x02, 0x00, 0x12, 0x02, 0x01, 0x12, 0x02}, []byte{1, 0, 4, 0})
 	r := rand.New(rand.NewSource(41))
 	for i := 0; i < 8; i++ {
 		b, c := make([]byte, 16+r.Intn(48)), make([]byte, 4+r.Intn(24))
 		r.Read(b)
 		r.Read(c)
 		f.Add(b, c)
-	}
-	// Depth 4 on triangle-dense graphs, level-4 caps moving.
-	for i, seed := range triangleDense() {
-		f.Add(seed, []byte{byte(1 + i), 1, 3, 0, 1, 2, 0, 2, 3, 1, 1, 0, 4, 3, 2, 0, 1, 3, 3, 1, 2, 1})
 	}
 	f.Fuzz(func(t *testing.T, data, caps []byte) {
 		next := func() byte {
@@ -162,7 +159,8 @@ func FuzzCappedSeal(f *testing.F) {
 			caps = caps[1:]
 			return b
 		}
-		depth, g, steps := decodeSchedule(data)
+		sc := fuzzsched.Decode(data, 1, MaxDepth)
+		depth, g := sc.Depth, sc.Streams[0]
 		ct := &capTable{def: int32(next() % 4), over: make(map[Dim]int32)}
 		st := NewCappedStore(g, depth, ct.cap)
 		sp := NewSpace()
@@ -170,11 +168,15 @@ func FuzzCappedSeal(f *testing.F) {
 		var c cappedCheck
 		c.note(sp.vectors)
 		c.check(t, "build", st, st.SealDirty(), ct.capped(snapshot(sp)))
-		for i, cs := range steps {
+		for i, op := range sc.Ops {
+			if op.Kind != fuzzsched.Step {
+				continue
+			}
+			cs := op.Changes[0]
 			b := next()
-			if op := b & 3; op != 0 {
+			if move := b & 3; move != 0 {
 				d := NewDim(1+next()%byte(depth), graph.Label(next()%3), graph.Label(next()%2), graph.Label(next()%3))
-				switch op {
+				switch move {
 				case 1:
 					ct.over[d] = ct.cap(d) + 1 + int32(b>>3%3)
 				case 2:
@@ -186,7 +188,7 @@ func FuzzCappedSeal(f *testing.F) {
 			}
 			serr := st.Apply(cs)
 			ferr := fo.ApplySet(cs)
-			at := fmt.Sprintf("step %d %v caps %d %v", i, cs, ct.def, ct.over)
+			at := fmt.Sprintf("op %d %v caps %d %v", i, cs, ct.def, ct.over)
 			if (serr == nil) != (ferr == nil) {
 				t.Fatalf("%s: store error %v, forest error %v", at, serr, ferr)
 			}

@@ -3,6 +3,7 @@ package npv
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"nntstream/internal/graph"
@@ -65,6 +66,15 @@ const MaxDepth = 4
 // query counts u[d] ≤ cap(d), so v ≽ u iff min(v, cap) ≽ u for every
 // registered u, and a recount that moves only counts above the cap seals
 // nothing. The levels stay exact; only the sealed vectors are capped.
+//
+// Levels are exact in 64 bits: a level count of r, and every partial sum
+// of one, is at most the number of walks of length ≤ 4 from r, which is at
+// most (2m)² for a graph of m edges, so no graph under 1.5·10⁹ edges
+// overflows a tally or a sum. Every store seals a count as min(count,
+// MaxInt32) before any cap — the query side (ProjectPacked) and the stream
+// side alike — so a sealed count is never negative. min(·, C) is monotone: v ≥ u implies min(v, C) ≥ min(u, C), so
+// a saturated stream count still dominates every query count its true
+// count dominates, and saturation can only over-report a pair.
 type Store struct {
 	depth int
 	verts map[graph.VertexID]*vnode
@@ -91,7 +101,7 @@ type Store struct {
 	// gathers them for a vnode (all three sized to the triple count).
 	tris    []Dim
 	triID   map[Dim]uint32
-	acc     []int32
+	acc     []int64
 	touched []uint32
 	nt      int
 	sums    []tally
@@ -141,15 +151,17 @@ type half struct {
 	tri, rtri uint32
 }
 
-// tally is one triple's count at one level of a vertex.
+// tally is one triple's count at one level of a vertex, exact in 64 bits
+// (see Store: sealing saturates it).
 type tally struct {
 	tri uint32
-	n   int32
+	n   int64
 }
 
 // NewStore builds the store of an initial graph; g is not retained. depth is
 // the paper's l, in [1, MaxDepth]. Every vertex starts dirty, so the first
-// SealDirty reports each one as added. Its sealed vectors hold exact counts.
+// SealDirty reports each one as added. Its sealed vectors hold exact counts,
+// saturated at MaxInt32.
 func NewStore(g *graph.Graph, depth int) *Store {
 	return NewCappedStore(g, depth, nil)
 }
@@ -299,7 +311,7 @@ func (s *Store) seal(v *vnode, moves []Move) (PackedVector, []Move, bool) {
 	for k, l := range v.lv {
 		level := Dim(k+1) << 48
 		for _, t := range l {
-			c := t.n
+			c := int32(min(t.n, math.MaxInt32))
 			if s.caps != nil {
 				if c = min(c, s.caps[k][t.tri]); c == 0 {
 					continue
@@ -613,7 +625,7 @@ func (s *Store) sum(v *vnode, k int) {
 		}
 		return
 	}
-	back := int32(len(v.adj) - 1)
+	back := int64(len(v.adj) - 1)
 	for _, t := range v.lv[k-3] {
 		s.acc[t.tri] -= back * t.n
 	}
@@ -637,7 +649,7 @@ func (s *Store) sum(v *vnode, k int) {
 // its additions touched, so touched lists every nonzero sum.
 //
 //nnt:hotpath
-func (s *Store) add(t uint32, n int32) {
+func (s *Store) add(t uint32, n int64) {
 	if s.acc[t] == 0 {
 		s.touched[s.nt] = t
 		s.nt++

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"nntstream/internal/fuzzsched"
 	"nntstream/internal/graph"
 	"nntstream/internal/nnt"
 )
@@ -42,6 +43,7 @@ func (c *sealCheck) check(t *testing.T, at string, st *Store, deltas []DirtyDelt
 		if hasNew {
 			kept = append(kept, [2]PackedVector{dl.New, Pack(vec)})
 		}
+		checkCountsPositive(t, at, dl)
 	}
 	n := 0
 	st.PackedVectors(func(v graph.VertexID, p PackedVector) bool {
@@ -63,6 +65,18 @@ func (c *sealCheck) check(t *testing.T, at string, st *Store, deltas []DirtyDelt
 		c.recent = c.recent[1:]
 	}
 	c.prev = cur
+}
+
+// checkCountsPositive fails unless every count of dl.New is positive: a
+// seal saturates counts past MaxInt32, so none wraps negative, and it never
+// keeps a zero count.
+func checkCountsPositive(t *testing.T, at string, dl DirtyDelta) {
+	t.Helper()
+	for i := 0; i < dl.New.Len(); i++ {
+		if c := dl.New.Count(i); c <= 0 {
+			t.Fatalf("%s: vertex %d seals count %d in dimension %d", at, dl.Vertex, c, dl.New.Dim(i))
+		}
+	}
 }
 
 // changedVertices lists, ascending, the vertices whose vector differs
@@ -368,6 +382,38 @@ func TestStoreStampsDoNotWrap(t *testing.T) {
 	c.check(t, "after the counters pass 2³²−1", st, st.SealDirty(), ProjectForest(nnt.NewForest(ref, 3)))
 }
 
+// TestSealSaturates seals level counts at and past MaxInt32 and reads
+// min(count, MaxInt32), from an exact store and from a capped one whose cap
+// is MaxInt32. A depth-4 K220 reaches such a count (the join package's
+// TestDenseCliqueCountsSaturate); no graph small enough for a unit test
+// reaches one at depth 3, so the test sets the levels of vertex 0 — a
+// single edge's level-1 count — directly.
+func TestSealSaturates(t *testing.T) {
+	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 0}, [][3]int{{0, 1, 0}})
+	for _, capOf := range []func(Dim) int32{nil, func(Dim) int32 { return math.MaxInt32 }} {
+		st := NewCappedStore(g, 3, capOf)
+		st.SealDirty()
+		// sealed 0: the sealed count stays where the previous row left it,
+		// so the seal reports no delta.
+		for _, c := range []struct{ level, sealed int64 }{
+			{math.MaxInt32 - 1, math.MaxInt32 - 1},
+			{1 << 40, math.MaxInt32},
+			{math.MaxInt32 + 1, 0},
+			{math.MaxInt32, 0},
+			{5, 5},
+		} {
+			v := st.verts[0]
+			v.lv[0][0].n = c.level
+			st.markDirty(v)
+			deltas := st.SealDirty()
+			if c.sealed == 0 && deltas != nil ||
+				c.sealed != 0 && (len(deltas) != 1 || deltas[0].New.Len() != 1 || int64(deltas[0].New.Count(0)) != c.sealed) {
+				t.Fatalf("capped %v: level count %d sealed as %+v; want count %d", capOf != nil, c.level, deltas, c.sealed)
+			}
+		}
+	}
+}
+
 // TestStoreErrors is the error contract: a label conflict or a self-loop
 // fails with an error naming the vertex, the ops applied before it stay
 // applied and counted, and a depth outside [1, MaxDepth] panics at
@@ -401,131 +447,76 @@ func TestStoreErrors(t *testing.T) {
 	}
 }
 
-// decodeSchedule's bounds keep the forest reference in milliseconds per
-// input, so a short fuzzing budget is spent fuzzing. nnt.NewForest over K8
-// at depth 4 builds 14k nodes in about 5 ms, over K16 683k in about 0.44 s.
-// The fuzzer minimizes every new input it keeps, and the minimizer's runs
-// are not counted: past 96 bytes they stalled the exec count for 10 s and
-// more at a time, at every depth (a 207-byte input at depth 2 held it at
-// zero for 27 s), so the byte bound holds at every depth. It leaves room
-// for the largest start graph and at least 24 ops.
-const (
-	maxDepth4Vertices = 8
-	maxScheduleBytes  = 96
-)
-
-// decodeSchedule turns fuzz bytes into a depth, a start graph over at most
-// sixteen vertices — as many as an endpoint nibble addresses, so a vertex
-// can reach degree 15, except at depth 4, where maxDepth4Vertices caps the
-// count — and a schedule of change sets. It reads the first
-// maxScheduleBytes bytes. Byte 0 picks the depth (1–4) and
-// the vertex count; then one label byte per vertex; then a count
-// of start edges and two bytes per edge; the rest are two-byte ops: the
-// first byte's bit 0 picks insert/delete, bit 1 ends the timestamp after
-// the op, bit 2 makes an insertion reuse the endpoints' current labels
-// (else bits 3–6 supply them, which may conflict), bit 7 is the edge label;
-// the second byte's nibbles are the endpoints. Self-loops are skipped.
-func decodeSchedule(data []byte) (depth int, g *graph.Graph, steps []graph.ChangeSet) {
-	next := func() byte {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return b
-	}
-	data = data[:min(len(data), maxScheduleBytes)]
-	h := next()
-	depth = 1 + int(h%4)
-	n := 2 + int(h>>2)%15
-	if depth == 4 {
-		n = min(n, maxDepth4Vertices)
-	}
-	g = graph.New()
-	for i := 0; i < n; i++ {
-		_ = g.AddVertex(graph.VertexID(i), graph.Label(next()%3))
-	}
-	for k := int(next() % 16); k > 0; k-- {
-		a, b := next(), next()
-		u, v := graph.VertexID(int(b>>4)%n), graph.VertexID(int(b&15)%n)
-		if u != v {
-			_ = g.AddEdge(u, v, graph.Label(a&1))
-		}
-	}
-	labels := g.Clone() // tracks labels for bit-2 insertions
-	var cs graph.ChangeSet
-	for len(data) >= 2 {
-		a, b := next(), next()
-		u, v := graph.VertexID(int(b>>4)%n), graph.VertexID(int(b&15)%n)
-		if u != v {
-			if a&1 == 0 {
-				ul, vl := graph.Label(a>>3&3%3), graph.Label(a>>5&3%3)
-				if a&4 != 0 {
-					if l, ok := labels.VertexLabel(u); ok {
-						ul = l
-					}
-					if l, ok := labels.VertexLabel(v); ok {
-						vl = l
-					}
-				}
-				cs = append(cs, graph.InsertOp(u, ul, v, vl, graph.Label(a>>7)))
-			} else {
-				cs = append(cs, graph.DeleteOp(u, v))
-			}
-		}
-		if a&2 != 0 {
-			_ = cs.Normalize().Apply(labels)
-			steps = append(steps, cs)
-			cs = nil
-		}
-	}
-	if len(cs) > 0 {
-		steps = append(steps, cs)
-	}
-	return depth, g, steps
+// scheduleSeeds are the store fuzzers' named seeds, in fuzzsched's format
+// over one stream: the header (depth − 1), the alphabet (6: three vertex
+// labels and two edge labels), the base byte, then ops — 0x01 u<<4|v
+// deletes, 0x00 (0x80: edge label 1) u<<4|v inserts, 0x02 ends the step.
+var scheduleSeeds = []struct {
+	name string
+	data []byte
+}{
+	{"empty", nil},
+	// The path 0–1–2 at depth 3 grows into a triangle, loses an edge and
+	// gains a vertex.
+	{"path", []byte{2, 6, 1<<5 | 3, 0x00, 0x02, 0x02, 0x01, 0x01, 0x80, 0x23, 0x02}},
+	// A star at depth 3, hub 0 adjacent to the 15 others, whose edges are
+	// rewritten: one under the other edge label within a step.
+	{"star", []byte{2, 6, 2<<5 | 16, 0x01, 0x01, 0x02, 0x00, 0x01, 0x01, 0x02, 0x02,
+		0x01, 0x0f, 0x00, 0x0f, 0x02, 0x80, 0x02, 0x02}},
+	// The path 0–1–2–3–4 at depth 4, whose far end then moves: vertex 0's
+	// level 4 changes through an edge three hops away.
+	{"depth-4 path", []byte{3, 6, 1<<5 | 5, 0x01, 0x34, 0x02, 0x80, 0x34, 0x02, 0x01, 0x34, 0x00, 0x34, 0x02}},
+	// Depth 4 on graphs where every edge lies on triangles, so level 4's
+	// r→a→b→r→a correction carries most of the count: K4, K5 and the wheel
+	// on 7 vertices (hub 0, rim 1–6), each losing, relabelling and
+	// regaining edges — a chord, spokes and rim edges of the wheel included.
+	{"K4", []byte{3, 6, 4<<5 | 4, 0x01, 0x01, 0x02, 0x00, 0x01, 0x01, 0x23, 0x02,
+		0x00, 0x23, 0x01, 0x02, 0x02, 0x01, 0x13, 0x00, 0x13, 0x02}},
+	{"K5", []byte{3, 6, 4<<5 | 5, 0x01, 0x04, 0x02, 0x01, 0x12, 0x80, 0x04, 0x02,
+		0x00, 0x12, 0x01, 0x23, 0x02, 0x01, 0x01, 0x00, 0x01, 0x02}},
+	{"wheel", []byte{3, 6, 3<<5 | 7, 0x00, 0x14, 0x02, 0x01, 0x03, 0x01, 0x56, 0x80, 0x56, 0x02,
+		0x00, 0x03, 0x01, 0x14, 0x02, 0x01, 0x12, 0x02}},
+	// The dense bases the decoder reaches in one byte: K16 at depth 3 and
+	// K8 at depth 4, both uniformly labelled and with the three labels,
+	// losing, relabelling and regaining edges.
+	{"K16 depth 3", []byte{2, 0, 4<<5 | 16, 0x01, 0x01, 0x02, 0x00, 0x01, 0x01, 0x2f, 0x02, 0x00, 0x2f, 0x02}},
+	{"K16 depth 3, three labels", []byte{2, 6, 4<<5 | 16, 0x01, 0x01, 0x01, 0x9a, 0x02, 0x00, 0x01, 0x80, 0x9a, 0x02}},
+	{"K8 depth 4", []byte{3, 0, 4<<5 | 8, 0x01, 0x01, 0x02, 0x00, 0x01, 0x01, 0x27, 0x02, 0x00, 0x27, 0x02}},
+	{"K8 depth 4, three labels", []byte{3, 6, 4<<5 | 8, 0x01, 0x01, 0x01, 0x56, 0x02, 0x00, 0x01, 0x80, 0x56, 0x02}},
 }
 
 // FuzzRecountMatchesForest decodes a start graph and a change-set schedule
-// and checks, after every timestamp, that the recounting Store and a Space
-// observing a patched Forest agree on the node count and on whether the
-// timestamp failed (label conflicts included: both apply the same prefix,
-// in the same order), and that the store's seal meets sealCheck's contract
-// against the forest's vectors.
+// (fuzzsched, one stream; query ops are skipped) and checks, after every
+// timestamp, that the recounting Store and a Space observing a patched
+// Forest agree on the node count and on whether the timestamp failed
+// (label conflicts included: both apply the same prefix, in the same
+// order), and that the store's seal meets sealCheck's contract against the
+// forest's vectors.
 func FuzzRecountMatchesForest(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x06, 0, 1, 2, 3, 2, 0, 0x01, 1, 0x12, 0x04, 0x23, 0x07, 0x01})
-	f.Add([]byte{0x0b, 1, 1, 1, 4, 0, 0x01, 0, 0x12, 0, 0x23, 0, 0x30, 0x05, 0x13, 0x03, 0x12, 0x04, 0x12, 0x06, 0x01})
+	for _, seed := range scheduleSeeds {
+		f.Add(seed.data)
+	}
 	r := rand.New(rand.NewSource(25))
 	for i := 0; i < 8; i++ {
 		b := make([]byte, 16+r.Intn(48))
 		r.Read(b)
 		f.Add(b)
 	}
-	// A star: depth 3, 16 vertices, a hub adjacent to all 15 others, then
-	// timestamps that rewrite its edges, one under the other edge label.
-	star := []byte{0x3a, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 15}
-	for v := byte(1); v < 16; v++ {
-		star = append(star, v&1, v)
-	}
-	star = append(star, 0x01, 0x01, 0x01, 0x02, 0x06, 0x12, 0x84, 0x01, 0x03, 0x0f, 0x06, 0xf3, 0x03, 0x03)
-	f.Add(star)
-	// A path 0–1–2–3–4 at depth 4, whose far end then moves: vertex 0's
-	// level 4 changes through an edge three hops away.
-	f.Add([]byte{0x0f, 0, 1, 2, 0, 1, 4, 0, 0x01, 0, 0x12, 0, 0x23, 0, 0x34, 0x03, 0x34, 0x86, 0x34})
-	for _, seed := range triangleDense() {
-		f.Add(seed)
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		depth, g, steps := decodeSchedule(data)
-		st := NewStore(g, depth)
+		sc := fuzzsched.Decode(data, 1, MaxDepth)
+		st := NewStore(sc.Streams[0], sc.Depth)
 		sp := NewSpace()
-		fo := nnt.NewForest(g, depth, sp)
+		fo := nnt.NewForest(sc.Streams[0], sc.Depth, sp)
 		var c sealCheck
 		c.check(t, "build", st, st.SealDirty(), snapshot(sp))
-		for i, cs := range steps {
+		for i, op := range sc.Ops {
+			if op.Kind != fuzzsched.Step {
+				continue
+			}
+			cs := op.Changes[0]
 			serr := st.Apply(cs)
 			ferr := fo.ApplySet(cs)
-			at := fmt.Sprintf("step %d %v", i, cs)
+			at := fmt.Sprintf("op %d %v", i, cs)
 			if (serr == nil) != (ferr == nil) {
 				t.Fatalf("%s: store error %v, forest error %v", at, serr, ferr)
 			}
@@ -535,36 +526,6 @@ func FuzzRecountMatchesForest(f *testing.F) {
 			c.check(t, at, st, st.SealDirty(), snapshot(sp))
 		}
 	})
-}
-
-// triangleDense returns depth-4 schedules (decodeSchedule's format) over
-// graphs where every edge lies on triangles, so level 4's r→a→b→r→a
-// correction carries most of the count: K4, K5 and a wheel, each losing,
-// relabelling and regaining edges — a chord, spokes and rim edges of the
-// wheel included.
-func triangleDense() [][]byte {
-	complete := func(h byte, labels []byte) []byte {
-		n := byte(len(labels))
-		b := append([]byte{h}, labels...)
-		b = append(b, n*(n-1)/2)
-		for u := byte(0); u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				b = append(b, u&1, u<<4|v)
-			}
-		}
-		return b
-	}
-	k4 := append(complete(0x0b, []byte{0, 1, 2, 0}),
-		0x03, 0x01, 0x86, 0x01, 0x01, 0x23, 0x06, 0x23, 0x01, 0x02, 0x03, 0x13)
-	k5 := append(complete(0x0f, []byte{0, 0, 1, 1, 2}),
-		0x03, 0x04, 0x01, 0x12, 0x03, 0x23, 0x06, 0x04, 0x86, 0x12, 0x06, 0x23)
-	// A wheel: hub 0 and the rim 1–6, each rim vertex on two triangles.
-	wheel := []byte{0x17, 0, 1, 2, 1, 2, 1, 2, 12}
-	for v := byte(1); v <= 6; v++ {
-		wheel = append(wheel, v&1, v, 0, v<<4|(v%6+1))
-	}
-	wheel = append(wheel, 0x06, 0x14, 0x03, 0x02, 0x01, 0x34, 0x06, 0x02, 0x87, 0x56, 0x03, 0x01, 0x06, 0x25)
-	return [][]byte{k4, k5, wheel}
 }
 
 // snapshot deep-copies every vector of a space.
