@@ -5,9 +5,9 @@
 //   - NL: the nested-loop baseline, re-checking dominance pair by pair —
 //     every registered query against every changed stream. It is also the
 //     reference oracle the optimized strategies are tested against.
-//   - DSC: the dominated-set-cover method (Figure 8), which keeps position
-//     and dominant counters per stream vertex so one NPV change touches only
-//     the sorted-dimension entries it crosses. A paper baseline.
+//   - DSC: the dominated-set-cover method (Figure 8), which keeps dominant
+//     counters per stream vertex so one NPV change touches only the
+//     sorted-dimension entries it crosses. A paper baseline.
 //   - Skyline: the skyline-with-early-stop method (Figure 11), which checks
 //     only the maximal query vectors, prunes via per-dimension max values,
 //     and probes the lowest-cardinality dimension first. The production
@@ -16,7 +16,8 @@
 // All three report a pair (G,Q) as possibly joinable iff every query vertex
 // NPV is dominated by some stream vertex NPV (Lemma 4.2); they differ only
 // in how that condition is maintained, so their candidate sets are
-// identical — a property the tests enforce.
+// identical — a property the tests enforce. All three are one driver,
+// vecJoin, over a strategy half each (vecStream).
 //
 // The package also provides the branch-compatible NNT filter (Lemma 4.1,
 // used for the ablation study) and the exact VF2 filter (ground truth).
@@ -103,8 +104,8 @@ func (p *evalPool) runStreams(changes map[core.StreamID]graph.ChangeSet, step fu
 	return ids, nil
 }
 
-// vecStream is the half of a stream's state a vector-probing strategy (NL,
-// Skyline) supplies on top of the stream's NPV store.
+// vecStream is the half of a stream's state a vector join (NL, Skyline,
+// DSC) supplies on top of the stream's NPV store.
 type vecStream interface {
 	// reconcile seals the stream's dirty vertices, folds the transitions
 	// into the strategy's own stream-side statistics, and reports whether
@@ -123,8 +124,8 @@ type vecStream interface {
 	probe(t *pairTask)
 	// settle folds a probed task into the stream's memo; forget drops the
 	// memo of query slot, whose query leaves; fresh resets what the stream
-	// keeps under ref, which the index just issued to a new vector. Only
-	// the serialized paths call them.
+	// keeps under ref, which the index just issued to a new vector or
+	// freed. Only the serialized paths call them.
 	settle(t *pairTask)
 	forget(slot int32)
 	fresh(ref int32)
@@ -144,12 +145,13 @@ type vecJoinStream struct {
 	wits    []*skyVertex
 }
 
-// vecJoin is everything NL and Skyline have in common — which is everything
-// except which query vectors decide a verdict (derive), whether those
-// vectors are indexed (indexed), what a stream keeps beside its vector
-// space, how it names the queries to re-probe, and how one query vector is
-// probed against it (vecStream): query registration and the batch driver.
-// The strategies embed it, so its exported methods are theirs.
+// vecJoin is everything NL, Skyline and DSC have in common — which is
+// everything except which query vectors decide a verdict (derive), whether
+// those vectors are indexed (indexed), what a stream keeps beside its
+// vector space, how it names the queries to re-probe, and how a pair is
+// probed against it (vecStream): query registration and removal, the batch
+// driver, the answer and the metrics. The strategies embed it, so its
+// exported methods are theirs.
 //
 // With an index, each changed stream's reconcile names a superset of the
 // queries whose verdict could have flipped, so the kept verdicts are exact
@@ -246,10 +248,12 @@ func (j *vecJoin) raises(vq *vecQuery) bool {
 	return false
 }
 
-// recap reseals every stream under the index's raised caps. No registered
-// vector's dominance by any vertex changes — each one's counts are within
-// the old caps and the new — so the reseal folds the statistics without
-// the crossing walk, and every verdict and witness stays valid.
+// recap reseals every stream under the index's raised caps. No dominance
+// by any vertex changes for a vector registered before the query — each
+// one's counts are within the old caps and the new — so every verdict and
+// witness stays valid, and the reseal only folds the statistics: Skyline
+// folds it without the crossing walk, and DSC's counters walk it like any
+// transition, which crosses only the new vectors' rows above the old caps.
 func (j *vecJoin) recap() {
 	for _, s := range j.streams {
 		s.store.ResetCaps()
@@ -258,8 +262,9 @@ func (j *vecJoin) recap() {
 }
 
 // RemoveQuery implements core.DynamicFilter: the packed query vectors, the
-// per-stream verdicts, and the index postings are all torn down. The caps
-// stay, so no stream reseals.
+// per-stream verdicts and memos, what every stream keeps under the refs the
+// removal freed, and the index postings are all torn down. The caps stay,
+// so no stream reseals.
 func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 	vq, ok := j.queries[id]
 	if !ok {
@@ -270,13 +275,18 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 	for _, s := range j.streams {
 		s.verdict[vq.slot] = false
 		s.forget(vq.slot)
+		for i, ref := range vq.refs {
+			if len(j.ix.Entry(ref).Owners) == 0 && !slices.Contains(vq.refs[:i], ref) {
+				s.fresh(ref)
+			}
+		}
 	}
 	j.answer = slices.DeleteFunc(j.answer, func(p core.Pair) bool { return p.Query == id })
 	return nil
 }
 
 // AddStream implements core.Filter. The first stream seals the index (like
-// DSC's build phase, registration appends cheaply and sorts once).
+// Figure 8's build phase, registration appends cheaply and sorts once).
 func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	if _, ok := j.streams[id]; ok {
 		return fmt.Errorf("join: duplicate stream %d", id)
@@ -380,7 +390,12 @@ func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
 // touches only its stream's state, so it is race-free. One serialized pass
 // then settles the tasks in (stream, query) order (settleAll), so the
 // memos and the answer — and therefore Candidates — do not depend on the
-// worker count.
+// worker count. A change set that fails keeps the ops before the failing
+// one (npv.Store.Apply), so every known stream of a failed batch is still
+// reconciled, probed and settled before the lowest-slot error is reported:
+// a reconcile consumes the stream's transitions, so a pair it queued and
+// did not settle, or a transition a registration's reseal sealed without
+// queuing, would never be queued again.
 func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 	var allQ []core.QueryID
 	if !j.indexed {
@@ -391,9 +406,7 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		if !ok {
 			return fmt.Errorf("join: unknown stream %d", id)
 		}
-		if err := s.store.Apply(cs); err != nil {
-			return err
-		}
+		err := s.store.Apply(cs)
 		queued, changed := s.reconcile(s.verdict)
 		if changed && !j.indexed {
 			queued = allQ
@@ -403,15 +416,14 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 			s.tasks = append(s.tasks, pairTask{q: j.queries[qid]})
 		}
 		j.probeAll(s)
-		return nil
-	})
-	if err != nil {
 		return err
-	}
+	})
 	for _, id := range ids {
-		j.settleAll(j.streams[id])
+		if s, ok := j.streams[id]; ok {
+			j.settleAll(s)
+		}
 	}
-	return nil
+	return err
 }
 
 // Candidates implements core.Filter: a copy of the answer the verdict
@@ -423,8 +435,8 @@ func (j *vecJoin) Candidates() []core.Pair {
 	return slices.Clone(j.answer)
 }
 
-// RegisterMetrics implements core.MetricsFilter with the series NL and
-// Skyline export under the same names: the vectors a probe compares, the
+// RegisterMetrics implements core.MetricsFilter with the series the vector
+// joins export under the same names: the vectors a probe compares, the
 // stream vectors scanned deciding, the NNT node count the stream vectors
 // project, the index postings when there is an index, and the evaluation
 // pool.

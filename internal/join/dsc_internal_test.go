@@ -1,10 +1,12 @@
 package join
 
 import (
+	"slices"
 	"testing"
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
+	"nntstream/internal/npv"
 )
 
 // TestDSCPositionCrossing exercises the positional-delta update directly:
@@ -48,7 +50,8 @@ func TestDSCPositionCrossing(t *testing.T) {
 }
 
 // TestDSCVertexRetirementDrainsCounters: deleting a stream vertex must
-// remove its dominance contributions entirely.
+// remove its dominance contributions entirely — no dominant counter and no
+// cover survives it.
 func TestDSCVertexRetirementDrainsCounters(t *testing.T) {
 	f := NewDSC(1)
 	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
@@ -69,10 +72,55 @@ func TestDSCVertexRetirementDrainsCounters(t *testing.T) {
 	if got := f.Candidates(); len(got) != 0 {
 		t.Fatalf("Candidates = %v; want none after retirement", got)
 	}
-	ds := f.streams[0]
-	if len(ds.pos) != 0 || len(ds.dom) != 0 || len(ds.cover) != 0 || len(ds.covered) != 0 {
-		t.Fatalf("counters not drained: pos=%d dom=%d cover=%d covered=%d",
-			len(ds.pos), len(ds.dom), len(ds.cover), len(ds.covered))
+	assertDSCDrained(t, "after retirement", f.streams[0])
+}
+
+// assertDSCDrained fails unless the stream keeps no dominant counter and
+// no entry is covered.
+func assertDSCDrained(t *testing.T, at string, s *vecJoinStream) {
+	t.Helper()
+	ds := s.vecStream.(*dscStream)
+	if len(ds.dom) != 0 || slices.ContainsFunc(ds.cover, func(n int32) bool { return n != 0 }) {
+		t.Fatalf("%s: stream %d: counters not drained: dom=%v cover=%v", at, s.id, ds.dom, ds.cover)
+	}
+}
+
+// checkDSCCounters recounts, on every stream, each live entry's dominant
+// counters and cover from the sealed vectors, and requires a freed entry to
+// hold neither.
+func checkDSCCounters(t *testing.T, j *vecJoin, at string) {
+	t.Helper()
+	for sid, s := range j.streams {
+		ds := s.vecStream.(*dscStream)
+		for k, n := range ds.dom {
+			if e := j.ix.Entry(int32(uint32(k))); n <= 0 || len(e.Owners) == 0 {
+				t.Fatalf("%s: stream %d vertex %d: counter %d for entry %d of %d owners", at, sid, int32(k>>32), n, int32(uint32(k)), len(e.Owners))
+			}
+		}
+		for ref := int32(0); ref < int32(j.ix.Refs()); ref++ {
+			e := j.ix.Entry(ref)
+			var cover int32
+			if len(e.Owners) > 0 {
+				ds.store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
+					var n int32
+					for i := 0; i < e.Vec.Len(); i++ {
+						if p.Get(e.Vec.Dim(i)) >= e.Vec.Count(i) {
+							n++
+						}
+					}
+					if got := ds.dom[domKey(v, ref)]; got != n {
+						t.Fatalf("%s: stream %d vertex %d: entry %d counter %d; recount %d", at, sid, v, ref, got, n)
+					}
+					if n > 0 && n == int32(e.Vec.Len()) {
+						cover++
+					}
+					return true
+				})
+			}
+			if ds.cover[ref] != cover {
+				t.Fatalf("%s: stream %d entry %d (%d owners): cover %d; recount %d", at, sid, ref, len(e.Owners), ds.cover[ref], cover)
+			}
+		}
 	}
 }
 
@@ -101,5 +149,31 @@ func TestSkylineMaxRefutation(t *testing.T) {
 	}
 	if got := f.Candidates(); len(got) != 1 {
 		t.Fatalf("Candidates = %v; want the pair", got)
+	}
+}
+
+// TestDSCCandidatesAllocatesOnce: a read copies the patched answer, one
+// allocation whatever the number of candidate pairs.
+func TestDSCCandidatesAllocatesOnce(t *testing.T) {
+	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
+	g := buildGraph(t, map[graph.VertexID]graph.Label{10: 0, 11: 1}, [][3]int{{10, 11, 0}})
+	for _, pairs := range []int{10, 200} {
+		f := NewDSC(1)
+		for qid := 0; qid < pairs/2; qid++ {
+			if err := f.AddQuery(core.QueryID(qid), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for sid := 0; sid < 2; sid++ {
+			if err := f.AddStream(core.StreamID(sid), g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(f.Candidates()); got != pairs {
+			t.Fatalf("%d candidates; want %d", got, pairs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = f.Candidates() }); allocs != 1 {
+			t.Fatalf("Candidates at %d pairs: %v allocations; want 1", pairs, allocs)
+		}
 	}
 }

@@ -78,20 +78,22 @@ func FuzzSkylineMatchesNL(f *testing.F) {
 }
 
 // checkSkylineSchedule runs a schedule through two Skylines, one driven
-// through Apply and one through the pool's ApplyAll, and the NL oracle, and
-// after every op once the streams are added compares their candidates. The
-// queries the schedule registers before its first other op are registered
-// before the streams are added; a step applies each stream's Applied set.
+// through Apply and one through the pool's ApplyAll, a DSC driven through
+// Apply, and the NL oracle, and after every op once the streams are added
+// compares their candidates. The queries the schedule registers before its
+// first other op are registered before the streams are added; a step
+// applies each stream's Applied set.
 // The schedule steers the witness memo: batches shrink, retire and return
 // witnesses, removed queries' slots are taken by new ones, and shared
 // vectors' entries outlive one owner or are freed and reissued; after every
 // op both Skylines' witness memos must keep their invariants
-// (checkPairMemos), and no cap may fall.
+// (checkPairMemos), no cap may fall, and DSC's dominant counters and
+// covers must equal a recount from the sealed vectors (checkDSCCounters).
 func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 	t.Helper()
-	seq, par, nl := NewSkyline(sc.Depth), NewSkyline(sc.Depth), NewNL(sc.Depth)
+	seq, par, dsc, nl := NewSkyline(sc.Depth), NewSkyline(sc.Depth), NewDSC(sc.Depth), NewNL(sc.Depth)
 	par.SetWorkers(4)
-	filters := []core.DynamicFilter{seq, par, nl}
+	filters := []core.DynamicFilter{seq, par, dsc, nl}
 	var live []core.QueryID
 	nextQ := core.QueryID(0)
 	// seen holds, per Skyline, the caps the checks have read: a cap may
@@ -99,6 +101,10 @@ func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 	seen := []map[npv.Dim]int32{{}, {}}
 	check := func(op int) {
 		want := nl.Candidates()
+		if got := dsc.Candidates(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("op %d: DSC candidates %v != NL %v", op, got, want)
+		}
+		checkDSCCounters(t, &dsc.vecJoin, fmt.Sprintf("op %d", op))
 		for k, f := range []*Skyline{seq, par} {
 			if got := f.Candidates(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("op %d: Skyline candidates %v != NL %v", op, got, want)
@@ -158,7 +164,7 @@ func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 					batch[core.StreamID(sid)] = cs
 				}
 			}
-			for _, f := range []core.Filter{seq, nl} {
+			for _, f := range []core.Filter{seq, dsc, nl} {
 				for _, sid := range batchStreamIDs(batch) {
 					if err := f.Apply(sid, batch[sid]); err != nil {
 						t.Fatal(err)

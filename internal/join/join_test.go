@@ -55,9 +55,24 @@ func workload(t *testing.T, f core.Filter) {
 	}
 }
 
+// TestFiltersInitialCandidates checks the candidates of the workload's
+// start graphs, and that an edgeless query is no candidate of a stream
+// whose start graph is empty: no stream vertex dominates its vertex.
 func TestFiltersInitialCandidates(t *testing.T) {
-	for _, f := range append(npvFilters(3), NewBranch(3), NewExact()) {
+	edgeless := append(npvFilters(3), NewBranch(3), NewExact())
+	for i, f := range append(npvFilters(3), NewBranch(3), NewExact()) {
 		t.Run(f.Name(), func(t *testing.T) {
+			g := edgeless[i]
+			if err := g.AddQuery(0, buildGraph(t, map[graph.VertexID]graph.Label{0: 0}, nil)); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.AddStream(0, graph.New()); err != nil {
+				t.Fatal(err)
+			}
+			if got := g.Candidates(); len(got) != 0 {
+				t.Fatalf("edgeless query on an empty stream: Candidates = %v; want none", got)
+			}
+
 			workload(t, f)
 			got := f.Candidates()
 			// Ground truth: Q0 in both streams; Q1 only in G1. NPV filters

@@ -65,6 +65,9 @@ func TestFilterCollectors(t *testing.T) {
 		present []string // series that must be > 0 after the workload
 		// indexed: a step must advance qindex's candidate counter.
 		indexed bool
+		// scanless: the probe reads counters, not stream vectors, so the
+		// scan counter must stay at zero.
+		scanless bool
 	}{
 		{
 			name:    "skyline",
@@ -73,6 +76,13 @@ func TestFilterCollectors(t *testing.T) {
 			indexed: true,
 		},
 		{name: "nl", filter: NewNL(DefaultDepth), present: shared},
+		{
+			name:     "dsc",
+			filter:   NewDSC(DefaultDepth),
+			present:  append([]string{"nntstream_qindex_postings"}, shared...),
+			indexed:  true,
+			scanless: true,
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -106,8 +116,8 @@ func TestFilterCollectors(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if after := read("nntstream_filter_vector_scans_total"); after <= scans {
-				t.Fatalf("scan counter did not grow: %v -> %v", scans, after)
+			if after := read("nntstream_filter_vector_scans_total"); c.scanless && after != 0 || !c.scanless && after <= scans {
+				t.Fatalf("scan counter went %v -> %v", scans, after)
 			}
 			if after, _ := qindex.Counters(); c.indexed && after <= cands {
 				t.Fatalf("qindex candidate counter did not grow: %d -> %d", cands, after)

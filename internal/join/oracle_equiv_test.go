@@ -384,9 +384,10 @@ func toggleBatch(r *rand.Rand, graphs map[core.StreamID]*graph.Graph, pick func(
 	return batch
 }
 
-// assertVecJoinTornDown checks the shared NL/Skyline query state is empty:
+// assertVecJoinTornDown checks the shared vector-join query state is empty:
 // index rows and slots, packed query vectors, the answer, per-stream
-// verdicts and Skyline's pair memos and need counts.
+// verdicts, Skyline's pair memos and need counts, and DSC's dominant
+// counters and covers.
 func assertVecJoinTornDown(t *testing.T, name string, j *vecJoin) {
 	t.Helper()
 	if j.ix.PostingCount() != 0 || j.ix.QueryCount() != 0 {
@@ -409,12 +410,16 @@ func assertVecJoinTornDown(t *testing.T, name string, j *vecJoin) {
 				t.Fatalf("%s stream %d: need counts %v survive every query", name, sid, ss.need)
 			}
 		}
+		if _, ok := s.vecStream.(*dscStream); ok {
+			assertDSCDrained(t, name, s)
+		}
 	}
 }
 
 // assertTornDown checks a strategy's derived query state is empty after
 // every query was removed: index postings, packed query vectors and DSC's
-// counter columns — nothing may leak and nothing may keep answering.
+// dominant counters and covers — nothing may leak and nothing may keep
+// answering.
 func assertTornDown(t *testing.T, f core.DynamicFilter) {
 	t.Helper()
 	switch ff := f.(type) {
@@ -423,18 +428,7 @@ func assertTornDown(t *testing.T, f core.DynamicFilter) {
 	case *Skyline:
 		assertVecJoinTornDown(t, "Skyline", &ff.vecJoin)
 	case *DSC:
-		if n := ff.ix.PostingCount(); n != 0 {
-			t.Fatalf("DSC: %d column postings leaked", n)
-		}
-		if len(ff.refs) != 0 {
-			t.Fatalf("DSC: query map leaked: refs=%d", len(ff.refs))
-		}
-		for sid, ds := range ff.streams {
-			if len(ds.pos) != 0 || len(ds.dom) != 0 || len(ds.cover) != 0 || len(ds.covered) != 0 {
-				t.Fatalf("DSC stream %d: counters leaked: pos=%d dom=%d cover=%d covered=%d",
-					sid, len(ds.pos), len(ds.dom), len(ds.cover), len(ds.covered))
-			}
-		}
+		assertVecJoinTornDown(t, "DSC", &ff.vecJoin)
 	default:
 		t.Fatalf("unknown filter type %T", f)
 	}

@@ -73,7 +73,8 @@ func randomBatch(r *rand.Rand, graphs map[core.StreamID]*graph.Graph) map[core.S
 
 // TestApplyAllErrors pins the batch path's error behavior: an unknown
 // stream in the batch fails deterministically with the lowest offending
-// StreamID, and an empty batch is a no-op.
+// StreamID, an empty batch is a no-op, and a batch in which one stream's
+// change set fails still decides every pair the applied ops moved.
 func TestApplyAllErrors(t *testing.T) {
 	for name, mk := range parallelStrategies(2) {
 		t.Run(name, func(t *testing.T) {
@@ -100,6 +101,34 @@ func TestApplyAllErrors(t *testing.T) {
 			// answer Candidates.
 			if got := ff.Candidates(); len(got) == 0 {
 				t.Fatal("candidates lost after rejected batch")
+			}
+
+			// A batch failing on one stream still decides every pair its
+			// ops moved: stream 0's insert, and the insert stream 1 applied
+			// before its relabelling one failed.
+			f = mk().(core.BatchApplier)
+			ff = f.(core.Filter)
+			q := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
+			if err := ff.AddQuery(0, q); err != nil {
+				t.Fatal(err)
+			}
+			for sid, g := range []*graph.Graph{
+				buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 2}, [][3]int{{0, 1, 0}}),
+				buildGraph(t, map[graph.VertexID]graph.Label{20: 2, 21: 2}, [][3]int{{20, 21, 0}}),
+			} {
+				if err := ff.AddStream(core.StreamID(sid), g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = f.ApplyAll(map[core.StreamID]graph.ChangeSet{
+				0: {graph.InsertOp(0, 0, 2, 1, 0)},
+				1: {graph.InsertOp(30, 0, 31, 1, 0), graph.InsertOp(20, 5, 22, 0, 0)},
+			})
+			if err == nil {
+				t.Fatal("relabelling insert not rejected")
+			}
+			if got, want := ff.Candidates(), []core.Pair{{Stream: 0, Query: 0}, {Stream: 1, Query: 0}}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("after the failed batch (%v): Candidates = %v; want %v", err, got, want)
 			}
 		})
 	}

@@ -100,7 +100,7 @@ func FuzzCrossDirections(f *testing.F) {
 					}
 					if rg.Drop && before || !rg.Drop && after {
 						for _, o := range e.Owners {
-							flipped[Key{Query: ix.Query(o.Slot), Vertex: graph.VertexID(o.Pos)}] = true
+							flipped[Key{Query: ix.queries[o.Slot], Vertex: graph.VertexID(o.Pos)}] = true
 						}
 					}
 				}

@@ -62,9 +62,8 @@ import (
 )
 
 // Key identifies one registered query vector: the owning query plus a
-// vector identity within it. Strategies that keep per-vertex vectors (DSC)
-// use the query-graph vertex ID; strategies that keep positional slices
-// (NL, Skyline's maximal set) use the slice index.
+// vector identity within it. The joins use the vector's position in the
+// query's derived slice (DSC's every vertex, Skyline's maximal set).
 type Key struct {
 	Query  core.QueryID
 	Vertex graph.VertexID
@@ -330,9 +329,8 @@ func hashVec(p npv.PackedVector) uint64 {
 
 // RemoveQuery drops q's owners and reports whether q was registered. An
 // entry whose last owner leaves is freed: its rows leave their columns,
-// columns left empty are deleted (so HasDim stays an exact "some query
-// uses this dimension" test), and its ref waits to be reissued. The caps
-// stay where they are.
+// columns left empty are deleted, and its ref waits to be reissued. The
+// caps stay where they are.
 func (ix *Index) RemoveQuery(q core.QueryID) bool {
 	slot, ok := ix.slots[q]
 	if !ok {
@@ -396,9 +394,6 @@ func (ix *Index) Seal() {
 // QueryCount reports the number of registered queries.
 func (ix *Index) QueryCount() int { return len(ix.slots) }
 
-// Query returns the query registered in slot.
-func (ix *Index) Query(slot int32) core.QueryID { return ix.queries[slot] }
-
 // PostingCount reports the total number of column rows: one per distinct
 // vector and support dimension.
 func (ix *Index) PostingCount() int {
@@ -416,12 +411,6 @@ func (ix *Index) Refs() int { return len(ix.entries) }
 // mutate it, and must not retain it across a mutation.
 func (ix *Index) Entry(ref int32) *Entry { return &ix.entries[ref] }
 
-// HasDim reports whether any registered query vector uses dimension d.
-func (ix *Index) HasDim(d npv.Dim) bool {
-	_, ok := ix.cols[d]
-	return ok
-}
-
 // Cap returns dimension d's high-water count: the largest count any vector
 // registered since New has had in d (0 if none). It is at least every
 // registered vector's count in d and never falls, so a stream store may
@@ -429,16 +418,6 @@ func (ix *Index) HasDim(d npv.Dim) bool {
 // reseal. Cap reads immutable state, so concurrent calls between mutations
 // are race-free.
 func (ix *Index) Cap(d npv.Dim) int32 { return ix.caps[d] }
-
-// Column returns dimension d's rows, counts ascending, and each row's ref
-// (both nil when unused). The slices are owned by the index, with the same
-// rules as Entry. DSC reads its crossed-row ranges straight from them.
-func (ix *Index) Column(d npv.Dim) (counts, refs []int32) {
-	if col := ix.cols[d]; col != nil {
-		return col.counts, col.refs
-	}
-	return nil, nil
-}
 
 // AffectedQueries returns the queries whose dominance verdict against the
 // stream could have changed across the given seal transition, in ascending

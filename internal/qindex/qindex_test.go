@@ -26,6 +26,20 @@ func key(q, v int) Key {
 	return Key{Query: core.QueryID(q), Vertex: graph.VertexID(v)}
 }
 
+// rows reads dimension d's rows of the sealed ix, counts ascending, and
+// their refs through Ranges: a vertex appearing with the largest count in d
+// crosses every row there.
+func rows(ix *Index, d npv.Dim) (counts, refs []int32) {
+	ranges, _ := ix.Ranges(withMoves(npv.DirtyDelta{New: vec(int(d), math.MaxInt32), HasNew: true})[0], nil)
+	for _, rg := range ranges {
+		for _, ref := range rg.Refs {
+			counts = append(counts, ix.Entry(ref).Vec.Get(d))
+			refs = append(refs, ref)
+		}
+	}
+	return counts, refs
+}
+
 func TestIndexLifecycle(t *testing.T) {
 	ix := New()
 	if ix.sealed {
@@ -51,20 +65,23 @@ func TestIndexLifecycle(t *testing.T) {
 	}
 
 	// Column 1 sorted ascending by count: (0,0)@3, (0,1)@5.
-	counts, _ := ix.Column(npv.Dim(1))
+	counts, _ := rows(ix, npv.Dim(1))
 	if !slices.Equal(counts, []int32{3, 5}) {
 		t.Fatalf("column 1 counts = %v", counts)
 	}
 	if col := ix.cols[npv.Dim(1)]; col.upTo(2) != 0 || col.upTo(3) != 1 || col.upTo(9) != 2 {
 		t.Fatalf("crossing bounds over %v misplaced: at %v", counts, col.at)
 	}
-	if !ix.HasDim(npv.Dim(2)) || ix.HasDim(npv.Dim(7)) {
-		t.Fatal("HasDim wrong")
+	if c2, _ := rows(ix, npv.Dim(2)); !slices.Equal(c2, []int32{1, 2}) {
+		t.Fatalf("column 2 counts = %v", c2)
+	}
+	if c7, _ := rows(ix, npv.Dim(7)); c7 != nil {
+		t.Fatalf("unused column 7 has rows %v", c7)
 	}
 
 	// Post-seal add inserts at the sorted position.
 	ref, fresh := ix.Add(key(3, 0), vec(1, 4))
-	counts, refs := ix.Column(npv.Dim(1))
+	counts, refs := rows(ix, npv.Dim(1))
 	if !fresh || len(counts) != 3 || counts[1] != 4 || refs[1] != ref {
 		t.Fatalf("post-seal insert misplaced: counts %v refs %v, ref %d", counts, refs, ref)
 	}
@@ -369,7 +386,7 @@ func TestSharedEntries(t *testing.T) {
 	if !fd || (d != a && d != c) || ix.Refs() != 2 {
 		t.Fatalf("new vector took ref %d (fresh %v) of %d; want a recycled one", d, fd, ix.Refs())
 	}
-	if counts, refs := ix.Column(npv.Dim(5)); !slices.Equal(counts, []int32{1}) || !slices.Equal(refs, []int32{d}) || ix.PostingCount() != 1 {
+	if counts, refs := rows(ix, npv.Dim(5)); !slices.Equal(counts, []int32{1}) || !slices.Equal(refs, []int32{d}) || ix.PostingCount() != 1 {
 		t.Fatalf("reissued ref's rows: counts %v refs %v, %d rows", counts, refs, ix.PostingCount())
 	}
 }
