@@ -8,7 +8,7 @@ import (
 )
 
 // SentinelErr enforces errors.Is for sentinel comparisons: the engine wraps
-// its sentinels (core.ErrUnknownStream, core.ErrSealed, ...) with %w, so a
+// its sentinels (core.ErrUnknownStream, core.ErrUnknownQuery, ...) with %w, so a
 // direct ==/!= against the sentinel silently stops matching the moment a
 // caller adds context. The HTTP status mapping and the recovery paths both
 // depend on wrapped sentinels staying recognizable.

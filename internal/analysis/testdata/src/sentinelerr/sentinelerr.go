@@ -15,10 +15,10 @@ func classify(err error) string {
 	if err == core.ErrUnknownStream { // want `sentinel core\.ErrUnknownStream is compared with ==`
 		return "unknown-stream"
 	}
-	if err != core.ErrSealed { // want `sentinel core\.ErrSealed is compared with !=`
+	if err != core.ErrUnknownQuery { // want `sentinel core\.ErrUnknownQuery is compared with !=`
 		return "other"
 	}
-	return "sealed"
+	return "unknown-query"
 }
 
 func localSentinel(err error) bool {
@@ -39,5 +39,5 @@ func goodForeign(err error) bool {
 
 func goodSuppressed(err error) bool {
 	//lint:ignore sentinelerr this path receives the sentinel unwrapped by construction
-	return err == core.ErrUnsupported
+	return err == core.ErrReplicaGap
 }

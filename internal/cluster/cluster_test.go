@@ -622,15 +622,6 @@ func TestWorkerFingerprintConflict(t *testing.T) {
 	}
 }
 
-// staticFilter is a minimal core.Filter that is not a DynamicFilter.
-type staticFilter struct{}
-
-func (staticFilter) Name() string                                { return "static" }
-func (staticFilter) AddQuery(core.QueryID, *graph.Graph) error   { return nil }
-func (staticFilter) AddStream(core.StreamID, *graph.Graph) error { return nil }
-func (staticFilter) Apply(core.StreamID, graph.ChangeSet) error  { return nil }
-func (staticFilter) Candidates() []core.Pair                     { return nil }
-
 // TestCoordinatorRelaysWorkerErrorStatus sends bad requests through the
 // coordinator to the workers. The engine wraps its sentinel errors with %w,
 // the worker maps them with server.StatusFor, and the coordinator must hand
@@ -643,36 +634,23 @@ func TestCoordinatorRelaysWorkerErrorStatus(t *testing.T) {
 		}
 	}
 
-	// A static filter: the first stream seals registration, and removal is
-	// unsupported.
-	static := newTestCluster(t, func() core.Filter { return staticFilter{} }, 0, 3, 2, 2)
+	tc := newTestCluster(t, filterCases[1].factory, 0, 3, 2, 2)
 	for i, op := range standardWorkload(false)[:6] { // 3 queries, 3 streams
-		if status := static.applyOp(op); status/100 != 2 {
+		if status := tc.applyOp(op); status/100 != 2 {
 			t.Fatalf("op %d (%s): status %d", i, op.kind, status)
 		}
 	}
-	wantStatus(static, "query after the seal", http.MethodPost, "/v1/queries",
-		graphRequest{Graph: lineGraph(1, 3)}, http.StatusConflict)
-	wantStatus(static, "removal on a static filter", http.MethodDelete, "/v1/queries/0", nil,
-		http.StatusNotImplemented)
-	wantStatus(static, "step on an unknown stream", http.MethodPost, "/v1/step",
+	wantStatus(tc, "step on an unknown stream", http.MethodPost, "/v1/step",
 		stepRequest{Changes: map[string][]server.WireOp{"9": {ins(40, 1, 41, 2, 3)}}}, http.StatusNotFound)
 
 	// The coordinator screens unknown global stream IDs itself, so drive an
 	// unknown group-local stream over its RPC path straight to the primary.
-	_, err := static.coord.transport.Do(context.Background(), static.cfg.Addr(static.primaryOf(0)), http.MethodPost,
+	_, err := tc.coord.transport.Do(context.Background(), tc.cfg.Addr(tc.primaryOf(0)), http.MethodPost,
 		"/cluster/groups/0/step", WireStep{Seq: 0, Changes: map[string][]server.WireOp{"9": {ins(40, 1, 41, 2, 3)}}}, nil)
 	if got := proxyStatus(err); got != http.StatusNotFound {
 		t.Fatalf("worker step on an unknown stream: %v (relayed as %d), want 404", err, got)
 	}
-
-	dsc := newTestCluster(t, filterCases[1].factory, 0, 3, 2, 2)
-	for i, op := range standardWorkload(false)[:6] {
-		if status := dsc.applyOp(op); status/100 != 2 {
-			t.Fatalf("op %d (%s): status %d", i, op.kind, status)
-		}
-	}
-	wantStatus(dsc, "removal of an unknown query", http.MethodDelete, "/v1/queries/42", nil,
+	wantStatus(tc, "removal of an unknown query", http.MethodDelete, "/v1/queries/42", nil,
 		http.StatusNotFound)
 }
 

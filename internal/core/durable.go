@@ -28,7 +28,7 @@ import (
 // records still exist on disk but must not be applied twice.
 //
 // Append-before-apply has one wrinkle: an operation the inner engine rejects
-// (a sealed engine, a duplicate, an invalid change set) has already been
+// (an unknown ID, a duplicate, an invalid change set) has already been
 // logged. The engine withdraws it by rolling the log back to the boundary
 // captured before the append; the single-writer discipline (all mutations
 // serialize behind mu) makes that rollback safe.
@@ -268,7 +268,7 @@ func (d *DurableEngine) AddQuery(q *graph.Graph) (QueryID, error) {
 	return id, nil
 }
 
-// RemoveQuery logs and deregisters a pattern (DynamicFilter engines only).
+// RemoveQuery logs and deregisters a pattern.
 func (d *DurableEngine) RemoveQuery(id QueryID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -46,6 +46,15 @@ func (p *passthrough) AddQuery(id QueryID, _ *graph.Graph) error {
 	p.queries = append(p.queries, id)
 	return nil
 }
+func (p *passthrough) RemoveQuery(id QueryID) error {
+	for i, q := range p.queries {
+		if q == id {
+			p.queries = append(p.queries[:i], p.queries[i+1:]...)
+			return nil
+		}
+	}
+	return fmt.Errorf("passthrough: unknown query %d", id)
+}
 func (p *passthrough) AddStream(id StreamID, g0 *graph.Graph) error {
 	if p.addStreamErr != nil {
 		if err := p.addStreamErr(g0); err != nil {
@@ -93,19 +102,6 @@ var (
 	_ BatchApplier   = (*batchPassthrough)(nil)
 	_ ParallelFilter = (*batchPassthrough)(nil)
 )
-
-// dynamicPassthrough extends passthrough with query removal.
-type dynamicPassthrough struct{ passthrough }
-
-func (d *dynamicPassthrough) RemoveQuery(id QueryID) error {
-	for i, q := range d.queries {
-		if q == id {
-			d.queries = append(d.queries[:i], d.queries[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("passthrough: unknown query %d", id)
-}
 
 // engineKind names one cell of the contract matrix.
 type engineKind struct {
@@ -227,57 +223,44 @@ func TestEngineLifecycle(t *testing.T) {
 		if st.Timestamps != 2 || st.TotalPairs != 8 || st.CandidatePairs != 8 || st.CandidateRatio() != 1 {
 			t.Fatalf("stats = %+v", st)
 		}
-		m.ResetStats()
-		if m.Stats().Timestamps != 0 {
-			t.Fatal("ResetStats did not reset")
-		}
 	})
 }
 
-// TestEngineSentinelErrorsAndSealRule: a static filter's query set is sealed
-// by the first stream attempt, even one the filter rejects (which consumes no
-// stream ID), and never shrinks; a DynamicFilter's is neither.
-func TestEngineSentinelErrorsAndSealRule(t *testing.T) {
-	static := NewMonitor(&passthrough{addStreamErr: func(g *graph.Graph) error {
+// TestEngineSentinelErrorsAndLiveQueries: a stream the filter rejects
+// consumes no stream ID, unknown streams and queries return their
+// sentinels, and queries are added and removed while streams are live.
+func TestEngineSentinelErrorsAndLiveQueries(t *testing.T) {
+	f := &passthrough{addStreamErr: func(g *graph.Graph) error {
 		if g.EdgeCount() == 0 {
 			return errors.New("no edges")
 		}
 		return nil
-	}})
-	populate(t, static, 1, 0)
-	if _, err := static.AddStream(buildGraph(t, map[graph.VertexID]graph.Label{0: 0}, nil)); err == nil {
+	}}
+	m := NewMonitor(f)
+	populate(t, m, 1, 0)
+	if _, err := m.AddStream(buildGraph(t, map[graph.VertexID]graph.Label{0: 0}, nil)); err == nil {
 		t.Fatal("edgeless stream should be rejected")
 	}
-	if _, err := static.AddQuery(edgeAB(t)); !errors.Is(err, ErrSealed) {
-		t.Fatalf("AddQuery after a stream attempt: error = %v; want ErrSealed", err)
+	if sid, err := m.AddStream(edgeAB(t)); err != nil || sid != 0 {
+		t.Fatalf("AddStream after a rejected one = %d, %v; want 0 (a failed add must not leak an ID)", sid, err)
 	}
-	if id, err := static.AddStream(edgeAB(t)); err != nil || id != 0 {
-		t.Fatalf("AddStream after a rejected one = %d, %v; want 0 (a failed add must not leak an ID)", id, err)
-	}
-	if _, err := static.StepAll(map[StreamID]graph.ChangeSet{7: nil}); !errors.Is(err, ErrUnknownStream) {
+	if _, err := m.StepAll(map[StreamID]graph.ChangeSet{7: nil}); !errors.Is(err, ErrUnknownStream) {
 		t.Fatalf("StepAll error = %v; want ErrUnknownStream", err)
 	}
-	if err := static.RemoveQuery(0); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("RemoveQuery error = %v; want ErrUnsupported", err)
-	}
-
-	f := &dynamicPassthrough{}
-	dynamic := NewMonitor(f)
-	populate(t, dynamic, 1, 1)
-	id, err := dynamic.AddQuery(edgeAB(t))
+	id, err := m.AddQuery(edgeAB(t))
 	if err != nil || id != 1 {
-		t.Fatalf("post-stream AddQuery on a dynamic filter = %d, %v", id, err)
+		t.Fatalf("AddQuery while a stream is live = %d, %v; want 1", id, err)
 	}
-	if err := dynamic.RemoveQuery(9); !errors.Is(err, ErrUnknownQuery) {
+	if err := m.RemoveQuery(9); !errors.Is(err, ErrUnknownQuery) {
 		t.Fatalf("RemoveQuery(9) error = %v; want ErrUnknownQuery", err)
 	}
-	if err := dynamic.RemoveQuery(0); err != nil {
+	if err := m.RemoveQuery(0); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(f.queries, []QueryID{1}) {
 		t.Fatalf("filter holds queries %v after removal; want [1]", f.queries)
 	}
-	if dynamic.QueryCount() != 1 || dynamic.Query(0) != nil {
+	if m.QueryCount() != 1 || m.Query(0) != nil {
 		t.Fatal("removed query still registered")
 	}
 }
@@ -285,7 +268,7 @@ func TestEngineSentinelErrorsAndSealRule(t *testing.T) {
 // TestEngineAddQueryRollback: a query the filter rejects allocates no ID and
 // registers nothing.
 func TestEngineAddQueryRollback(t *testing.T) {
-	f := &dynamicPassthrough{}
+	f := &passthrough{}
 	m := NewMonitor(f)
 	f.addQueryErr = errors.New("flaky")
 	if _, err := m.AddQuery(edgeAB(t)); err == nil {

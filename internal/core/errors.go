@@ -12,13 +12,6 @@ var (
 	// ErrUnknownQuery reports an operation on a query ID that is not
 	// registered.
 	ErrUnknownQuery = errors.New("unknown query")
-	// ErrSealed reports a query registration after the first stream on a
-	// filter that requires the paper's fixed query workload (that is, one
-	// not implementing DynamicFilter).
-	ErrSealed = errors.New("query workload is sealed: all queries must precede the first stream")
-	// ErrUnsupported reports an operation the configured filter cannot
-	// perform (for example query removal on a non-dynamic filter).
-	ErrUnsupported = errors.New("operation not supported by this filter")
 	// ErrReplicaGap reports a shipped WAL record that is not the next record
 	// the replica expects: records between the replica's applied LSN and the
 	// shipped one are missing, so the replica must catch up (WAL tail fetch or

@@ -1,10 +1,12 @@
-// Package core is the continuous-monitoring engine: it registers a fixed
-// set of query pattern graphs and a set of graph streams, advances the
-// streams by graph change operations, and reports, at every timestamp, the
-// possibly-joinable (stream, query) pairs produced by a pluggable filter
-// (Definition 2.8). Filters must never produce false negatives; the Monitor
-// can verify candidates with exact subgraph isomorphism to measure a
-// filter's false-positive rate.
+// Package core is the continuous-monitoring engine: it registers query
+// pattern graphs and graph streams, advances the streams by graph change
+// operations, and reports, at every timestamp, the possibly-joinable
+// (stream, query) pairs produced by a pluggable filter (Definition 2.8).
+// Queries may be registered and removed while streams are live, the
+// dynamic workload the paper leaves to future work (Section II-B). Filters
+// must never produce false negatives; the Monitor can verify candidates
+// with exact subgraph isomorphism to measure a filter's false-positive
+// rate.
 package core
 
 import (
@@ -47,15 +49,16 @@ func SortPairs(ps []Pair) []Pair {
 }
 
 // Filter is a continuous subgraph-search filter. Implementations maintain
-// whatever per-stream state they need; the Monitor guarantees that all
-// queries are registered before the first stream (the paper assumes a fixed
-// query workload derived from domain knowledge), that stream change sets
-// arrive in timestamp order, and that calls are not concurrent.
+// whatever per-stream state they need; the Monitor guarantees that stream
+// change sets arrive in timestamp order and that calls are not concurrent.
+// Queries arrive and leave at any time: a query added while streams are
+// live is evaluated against every current stream graph at once.
 //
 // The contract every implementation must honor: after any sequence of
-// AddQuery/AddStream/Apply calls, Candidates contains every pair (G,Q) for
-// which Q is subgraph-isomorphic to the current graph of G. False positives
-// are permitted (fewer is better); false negatives are not.
+// AddQuery/RemoveQuery/AddStream/Apply calls, Candidates contains every
+// pair (G,Q) for which Q is a registered query subgraph-isomorphic to the
+// current graph of G. False positives are permitted (fewer is better);
+// false negatives are not.
 //
 // Candidates is additionally a read path: the engine allows multiple
 // Candidates calls to run concurrently with each other (never with a
@@ -65,8 +68,11 @@ func SortPairs(ps []Pair) []Pair {
 type Filter interface {
 	// Name identifies the filter in reports and benchmarks.
 	Name() string
-	// AddQuery registers a query pattern. Called before any AddStream.
+	// AddQuery registers a query pattern.
 	AddQuery(id QueryID, q *graph.Graph) error
+	// RemoveQuery deregisters a pattern; it no longer appears in
+	// Candidates.
+	RemoveQuery(id QueryID) error
 	// AddStream registers a stream with its starting graph G_0.
 	AddStream(id StreamID, g0 *graph.Graph) error
 	// Apply advances one stream by one timestamp's change set.
@@ -111,13 +117,5 @@ type MetricsFilter interface {
 	RegisterMetrics(r *obs.Registry, locked func(func() float64) func() float64)
 }
 
-// DynamicFilter extends Filter with a dynamic query workload — the paper's
-// stated future work (Section II-B). Implementations accept AddQuery after
-// streams are registered (immediately evaluating the new pattern against
-// every current stream graph) and support removing a registered pattern.
-type DynamicFilter interface {
-	Filter
-	// RemoveQuery deregisters a pattern; it no longer appears in
-	// Candidates.
-	RemoveQuery(id QueryID) error
-}
+// DynamicFilter is an alias of Filter, kept for callers that still name it.
+type DynamicFilter = Filter

@@ -22,10 +22,10 @@ type FilterFactory func() Filter
 //
 // Monitor is safe for concurrent use: mutating calls (AddQuery, AddStream,
 // RemoveQuery, StepAll) serialize behind a write lock, while the read paths
-// (Candidates, Stats, ExactPairs, WriteSnapshot, and the scrape-time
-// instruments SetMetrics registers) share a read lock and may run
-// concurrently with one another. Filters must honor the Filter contract that
-// Candidates does not mutate observable state (or must synchronize
+// (Candidates, Stats, ExactPairs, the checkpoint's snapshot, and the
+// scrape-time instruments SetMetrics registers) share a read lock and may
+// run concurrently with one another. Filters must honor the Filter contract
+// that Candidates does not mutate observable state (or must synchronize
 // internally), because concurrent readers call it on the same instance.
 type Monitor struct {
 	mu      sync.RWMutex
@@ -34,7 +34,6 @@ type Monitor struct {
 	streams map[StreamID]*graph.Graph
 	nextQ   QueryID
 	nextS   StreamID
-	sealed  bool // set once the first stream is added; no more queries
 	stats   Stats
 	metrics *EngineMetrics
 
@@ -115,17 +114,10 @@ func (m *Monitor) readLocked(fn func() float64) float64 {
 	return fn()
 }
 
-// AddQuery registers a query pattern. The paper's base model fixes the
-// query set before streaming starts; filters implementing DynamicFilter (its
-// stated future work) also accept queries while streams are live.
+// AddQuery registers a query pattern, before or after the first stream.
 func (m *Monitor) AddQuery(q *graph.Graph) (QueryID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.sealed {
-		if _, ok := m.filter.(DynamicFilter); !ok {
-			return 0, fmt.Errorf("core: filter %s: %w", m.filter.Name(), ErrSealed)
-		}
-	}
 	// The ID is allocated only on success so a failed add leaks nothing.
 	id := m.nextQ
 	if err := m.addQueryLocked(id, q); err != nil {
@@ -136,9 +128,7 @@ func (m *Monitor) AddQuery(q *graph.Graph) (QueryID, error) {
 
 // replayAddQuery registers a query under an explicit ID — the restore path
 // used by snapshot loading and WAL replay, which must reproduce historical ID
-// assignments exactly (including gaps left by removed queries). It skips the
-// seal check: the log only ever contains operations that were accepted, so
-// replay trusts it.
+// assignments exactly (including gaps left by removed queries).
 func (m *Monitor) replayAddQuery(id QueryID, q *graph.Graph) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -161,18 +151,14 @@ func (m *Monitor) addQueryLocked(id QueryID, q *graph.Graph) error {
 	return nil
 }
 
-// RemoveQuery deregisters a pattern. It requires a DynamicFilter.
+// RemoveQuery deregisters a pattern.
 func (m *Monitor) RemoveQuery(id QueryID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	df, ok := m.filter.(DynamicFilter)
-	if !ok {
-		return fmt.Errorf("core: filter %s query removal: %w", m.filter.Name(), ErrUnsupported)
-	}
 	if _, ok := m.queries[id]; !ok {
 		return fmt.Errorf("core: %w %d", ErrUnknownQuery, id)
 	}
-	if err := df.RemoveQuery(id); err != nil {
+	if err := m.filter.RemoveQuery(id); err != nil {
 		return err
 	}
 	delete(m.queries, id)
@@ -198,13 +184,11 @@ func (m *Monitor) replayAddStream(id StreamID, g0 *graph.Graph) error {
 	return m.addStreamLocked(id, g0)
 }
 
-// addStreamLocked hands a stream to the filter. The attempt seals the query
-// set even when the filter rejects the stream. Callers hold m.mu.
+// addStreamLocked hands a stream to the filter. Callers hold m.mu.
 func (m *Monitor) addStreamLocked(id StreamID, g0 *graph.Graph) error {
 	if _, dup := m.streams[id]; dup {
 		return fmt.Errorf("core: duplicate stream id %d", id)
 	}
-	m.sealed = true
 	if err := m.filter.AddStream(id, g0); err != nil {
 		return err
 	}
@@ -285,6 +269,23 @@ func (m *Monitor) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) 
 // Step advances a single stream by one timestamp.
 func (m *Monitor) Step(id StreamID, cs graph.ChangeSet) ([]Pair, error) {
 	return m.StepAll(map[StreamID]graph.ChangeSet{id: cs})
+}
+
+// StepAllBatch applies a sequence of timestamps in order, each exactly as a
+// StepAll call, and stops at the first step that fails: the steps before it
+// stay applied. It returns the steps applied and the candidate pairs they
+// reported — DurableEngine.StepAllBatch's contract without the shared
+// fsync, which an in-memory engine has no use for.
+func (m *Monitor) StepAllBatch(batch []map[StreamID]graph.ChangeSet) (applied, pairs int, err error) {
+	for _, changes := range batch {
+		ps, err := m.StepAll(changes)
+		if err != nil {
+			return applied, pairs, err
+		}
+		applied++
+		pairs += len(ps)
+	}
+	return applied, pairs, nil
 }
 
 // stageChanges applies a StepAll batch to the canonical graphs in place and
@@ -417,13 +418,6 @@ func (m *Monitor) Stats() Stats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.stats
-}
-
-// ResetStats zeroes the statistics (e.g. after a warm-up phase).
-func (m *Monitor) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{}
 }
 
 // nextIDs reports the IDs the next AddQuery/AddStream would assign — the

@@ -11,9 +11,9 @@ import (
 
 // Snapshot persistence: a Monitor's logical state is its query set plus the
 // canonical current graph of every stream (filters are deterministic
-// functions of that state, so any filter can be rebuilt from it). A
-// restarted service writes a snapshot on shutdown, restores it on boot, and
-// resumes consuming change sets.
+// functions of that state, so any filter can be rebuilt from it). The
+// durable engine's checkpoint is this snapshot: it is written atomically,
+// restored on boot, and shipped to bootstrap a replica.
 
 type snapshotGraph struct {
 	Vertices []snapshotVertex `json:"vertices"`
@@ -157,26 +157,4 @@ func (m *Monitor) restore(file snapshotFile) error {
 	}
 	m.setNextIDs(QueryID(file.NextQuery), StreamID(file.NextStream))
 	return nil
-}
-
-// WriteSnapshot serializes the monitor's queries and canonical stream
-// graphs as JSON. Filter-internal state is not persisted; RestoreMonitor
-// rebuilds it deterministically.
-func (m *Monitor) WriteSnapshot(w io.Writer) error {
-	return writeSnapshotTo(w, m.snapshotFile(0))
-}
-
-// RestoreMonitor rebuilds a monitor around a fresh filter from a
-// snapshot, preserving the original query and stream IDs (including gaps
-// left by removed queries).
-func RestoreMonitor(r io.Reader, f Filter) (*Monitor, error) {
-	file, err := readSnapshotFrom(r)
-	if err != nil {
-		return nil, err
-	}
-	m := NewMonitor(f)
-	if err := m.restore(file); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

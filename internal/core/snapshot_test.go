@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -9,6 +10,32 @@ import (
 
 	"nntstream/internal/graph"
 )
+
+// snapshotRoundTrip writes m's snapshot and restores it into a fresh engine
+// around f: the checkpoint's write and boot paths, without the files.
+func snapshotRoundTrip(t *testing.T, m *Monitor, f Filter) *Monitor {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeSnapshotTo(&buf, m.snapshotFile(0)); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := restoreSnapshot(&buf, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+// restoreSnapshot decodes a snapshot and replays it into a fresh engine
+// around f.
+func restoreSnapshot(r io.Reader, f Filter) (*Monitor, error) {
+	file, err := readSnapshotFrom(r)
+	if err != nil {
+		return nil, err
+	}
+	m := NewMonitor(f)
+	return m, m.restore(file)
+}
 
 // TestSnapshotRoundTrip snapshots an engine after some work and restores
 // the snapshot into a fresh one.
@@ -33,14 +60,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreMonitor(bytes.NewReader(buf.Bytes()), &passthrough{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := snapshotRoundTrip(t, m, &passthrough{})
 	if restored.QueryCount() != 2 || restored.StreamCount() != 1 {
 		t.Fatalf("restored counts: %d queries, %d streams", restored.QueryCount(), restored.StreamCount())
 	}
@@ -71,7 +91,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotPreservesIDGaps(t *testing.T) {
 	// Removed queries leave ID gaps that must survive a snapshot cycle so
 	// external references stay valid.
-	m := NewMonitor(&dynamicPassthrough{})
+	m := NewMonitor(&passthrough{})
 	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 0}, nil)
 	id0, _ := m.AddQuery(q)
 	id1, _ := m.AddQuery(q)
@@ -79,14 +99,7 @@ func TestSnapshotPreservesIDGaps(t *testing.T) {
 	if err := m.RemoveQuery(id1); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreMonitor(&buf, &dynamicPassthrough{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := snapshotRoundTrip(t, m, &passthrough{})
 	if restored.Query(id0) == nil || restored.Query(id2) == nil {
 		t.Fatal("surviving queries missing")
 	}
@@ -103,7 +116,7 @@ func TestSnapshotPreservesIDGaps(t *testing.T) {
 	}
 }
 
-// TestSnapshotConcurrentWithStepAll: WriteSnapshot reads the stream graphs
+// TestSnapshotConcurrentWithStepAll: the snapshot reads the stream graphs
 // that StepAll mutates in place, so it must hold the read lock for the whole
 // serialization. Every step grows both streams by one edge, so a snapshot
 // that saw half a step would hold streams of different sizes; the race
@@ -128,14 +141,7 @@ func TestSnapshotConcurrentWithStepAll(t *testing.T) {
 		}
 	}()
 	for i := 0; i < rounds; i++ {
-		var buf bytes.Buffer
-		if err := m.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		restored, err := RestoreMonitor(&buf, &passthrough{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		restored := snapshotRoundTrip(t, m, &passthrough{})
 		if a, b := restored.StreamGraph(ids[0]).EdgeCount(), restored.StreamGraph(ids[1]).EdgeCount(); a != b {
 			t.Fatalf("snapshot %d caught a step half applied: streams hold %d and %d edges", i, a, b)
 		}
@@ -151,7 +157,7 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		`{"version": 1, "queries": [{"id": 0, "graph": {}}, {"id": 0, "graph": {}}]}`, // duplicate id
 	}
 	for i, c := range cases {
-		if _, err := RestoreMonitor(strings.NewReader(c), &passthrough{}); err == nil {
+		if _, err := restoreSnapshot(strings.NewReader(c), &passthrough{}); err == nil {
 			t.Fatalf("case %d: bad snapshot accepted", i)
 		}
 	}

@@ -116,7 +116,7 @@ type Filter struct {
 	verdict map[core.StreamID]map[core.QueryID]bool
 }
 
-var _ core.DynamicFilter = (*Filter)(nil)
+var _ core.Filter = (*Filter)(nil)
 
 // New returns a continuous gIndex filter with the given configuration.
 func New(cfg Config) *Filter {
@@ -141,7 +141,7 @@ func (f *Filter) AddQuery(id core.QueryID, q *graph.Graph) error {
 	return nil
 }
 
-// RemoveQuery implements core.DynamicFilter.
+// RemoveQuery implements core.Filter.
 func (f *Filter) RemoveQuery(id core.QueryID) error {
 	if _, ok := f.queries[id]; !ok {
 		return fmt.Errorf("gindex: unknown query %d", id)

@@ -100,7 +100,7 @@ type Filter struct {
 	verdict map[core.StreamID]map[core.QueryID]bool
 }
 
-var _ core.DynamicFilter = (*Filter)(nil)
+var _ core.Filter = (*Filter)(nil)
 
 // New returns a GraphGrep filter indexing paths up to maxLen edges.
 func New(maxLen int) *Filter {
@@ -132,7 +132,7 @@ func (f *Filter) AddQuery(id core.QueryID, q *graph.Graph) error {
 	return nil
 }
 
-// RemoveQuery implements core.DynamicFilter.
+// RemoveQuery implements core.Filter.
 func (f *Filter) RemoveQuery(id core.QueryID) error {
 	if _, ok := f.queries[id]; !ok {
 		return fmt.Errorf("graphgrep: unknown query %d", id)

@@ -56,7 +56,7 @@ type branchStream struct {
 	verdict map[core.QueryID]bool
 }
 
-var _ core.DynamicFilter = (*Branch)(nil)
+var _ core.Filter = (*Branch)(nil)
 
 // NewBranch returns a branch-compatibility filter with the given NNT depth.
 func NewBranch(depth int) *Branch {
@@ -96,7 +96,7 @@ func (f *Branch) AddQuery(id core.QueryID, q *graph.Graph) error {
 	return nil
 }
 
-// RemoveQuery implements core.DynamicFilter: interned tries the query was
+// RemoveQuery implements core.Filter: interned tries the query was
 // the last reference of are torn down with it.
 func (f *Branch) RemoveQuery(id core.QueryID) error {
 	keys, ok := f.queries[id]

@@ -64,16 +64,14 @@ func sortedQueryIDs(m map[core.QueryID]*vecQuery) []core.QueryID {
 
 // pairTask is one (stream, query) re-evaluation unit, probed inside its
 // stream's task, with the result slots the probe alone writes: the
-// verdict, the vectors scanned and the kernel calls, which the merge
-// flushes, and what the merge settles into the stream's memo — Skyline's
-// refuting ref and, by vector position, the dominators its probe found.
+// verdict, and the vectors scanned and the kernel calls, which the merge
+// flushes. What a strategy's probe finds for its memo it keeps in its own
+// vecStream, by task position.
 type pairTask struct {
 	q       *vecQuery
 	ok      bool
 	scanned int64
 	tally   npv.Tally
-	refute  int32
-	wits    []*skyVertex
 }
 
 // vecQuery is one registered query: the vectors that decide its verdict,
@@ -116,17 +114,19 @@ type vecStream interface {
 	// yet, so only the statistics are built. It mutates only this stream,
 	// so distinct streams reconcile independently.
 	reconcile(verdict []bool) (queued []core.QueryID, changed bool)
-	// probe decides t's pair: t.ok reports whether every vector of t.q is
-	// dominated by some stream vector, t.scanned how many stream vectors it
-	// scanned deciding, and t.tally its kernel calls. It reads the
-	// reconciled stream state and writes only t, so the stream's probes
-	// see none of each other's results.
-	probe(t *pairTask)
-	// settle folds a probed task into the stream's memo; forget drops the
-	// memo of query slot, whose query leaves; fresh resets what the stream
-	// keeps under ref, which the index just issued to a new vector or
-	// freed. Only the serialized paths call them.
-	settle(t *pairTask)
+	// probe decides each task's pair: t.ok reports whether every vector of
+	// t.q is dominated by some stream vector, t.scanned how many stream
+	// vectors it scanned deciding, and t.tally its kernel calls. It reads
+	// the reconciled stream state and writes only the tasks and its own
+	// probe scratch, so the probes see none of each other's results and
+	// distinct streams probe concurrently.
+	probe(ts []pairTask)
+	// settle folds the probed tasks into the stream's memo, in task order,
+	// and clears the probe scratch; forget drops the memo of query slot,
+	// whose query leaves; fresh resets what the stream keeps under ref,
+	// which the index just issued to a new vector or freed. Only the
+	// serialized paths call them.
+	settle(ts []pairTask)
 	forget(slot int32)
 	fresh(ref int32)
 }
@@ -134,15 +134,14 @@ type vecStream interface {
 // vecJoinStream is one stream of a vecJoin: the strategy's half, the
 // stream's NPV store — capped at the index's caps when indexed —
 // the cached verdict of every registered query by slot, and the pair
-// tasks of the probe in progress, with the buffer their witness slots are
-// cut from, both reused across steps and cleared once settled.
+// tasks of the probe in progress, reused across steps and cleared once
+// settled.
 type vecJoinStream struct {
 	vecStream
 	id      core.StreamID
 	store   *npv.Store
 	verdict []bool
 	tasks   []pairTask
-	wits    []*skyVertex
 }
 
 // vecJoin is everything NL, Skyline and DSC have in common — which is
@@ -203,10 +202,9 @@ func newVecJoin(depth int, indexed bool, derive func(*graph.Graph, int) []npv.Pa
 // SetWorkers implements core.ParallelFilter.
 func (j *vecJoin) SetWorkers(n int) { j.pool.setWorkers(n) }
 
-// AddQuery implements core.Filter; queries may also arrive while streams
-// are live (core.DynamicFilter), in which case the new pattern is evaluated
-// against every current stream immediately. Index keys carry the vector's
-// position in the derived slice in their vertex slot.
+// AddQuery implements core.Filter; a query that arrives while streams are
+// live is evaluated against every current stream immediately. Index keys
+// carry the vector's position in the derived slice in their vertex slot.
 func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 	if _, ok := j.queries[id]; ok {
 		return fmt.Errorf("join: duplicate query %d", id)
@@ -261,7 +259,7 @@ func (j *vecJoin) recap() {
 	}
 }
 
-// RemoveQuery implements core.DynamicFilter: the packed query vectors, the
+// RemoveQuery implements core.Filter: the packed query vectors, the
 // per-stream verdicts and memos, what every stream keeps under the refs the
 // removal freed, and the index postings are all torn down. The caps stay,
 // so no stream reseals.
@@ -314,50 +312,27 @@ func (j *vecJoin) evaluate(s *vecJoinStream, vq *vecQuery) {
 		s.verdict = append(s.verdict, make([]bool, n-len(s.verdict))...)
 	}
 	s.tasks = append(s.tasks[:0], pairTask{q: vq})
-	j.probeAll(s)
+	s.probe(s.tasks)
 	j.settleAll(s)
 }
 
-// probeAll probes the stream's tasks in order. Each task's witness slots
-// are cut from the stream's buffer, cleared per use. It touches only the
-// stream's own state, so distinct streams probe concurrently.
-func (j *vecJoin) probeAll(s *vecJoinStream) {
-	if j.indexed {
-		n := 0
-		for i := range s.tasks {
-			n += len(s.tasks[i].q.vecs)
-		}
-		s.wits = slices.Grow(s.wits[:0], n)[:n]
-		buf := s.wits
-		clear(buf)
-		for i := range s.tasks {
-			k := len(s.tasks[i].q.vecs)
-			s.tasks[i].wits, buf = buf[:k:k], buf[k:]
-		}
-	}
-	for i := range s.tasks {
-		s.probe(&s.tasks[i])
-	}
-}
-
 // settleAll settles the stream's probed tasks on the serialized path, in
-// task (query) order: each goes into the stream's memo, records its
+// task (query) order: they go into the stream's memo, and each records its
 // verdict — patching the answer — and flushes its counts. No task saw
-// another's witnesses, so nothing depends on the worker count. It is
-// ApplyAll's merge and, after probeAll, the registration paths' whole
-// decision. The settled tasks and witness slots are cleared, so the reused
-// buffers keep no removed query or retired vertex alive.
+// another's results, so nothing depends on the worker count. It is
+// ApplyAll's merge and, after the probe, the registration paths' whole
+// decision. The settled tasks are cleared, so the reused buffer keeps no
+// removed query alive.
 func (j *vecJoin) settleAll(s *vecJoinStream) {
+	s.settle(s.tasks)
 	for i := range s.tasks {
 		t := &s.tasks[i]
 		t.tally.Flush()
-		s.settle(t)
 		j.setVerdict(s, t.q, t.ok)
 		j.scans += t.scanned
 	}
 	clear(s.tasks)
-	clear(s.wits)
-	s.tasks, s.wits = s.tasks[:0], s.wits[:0]
+	s.tasks = s.tasks[:0]
 }
 
 // setVerdict records a pair's verdict and, where it flips, patches the
@@ -415,7 +390,7 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 		for _, qid := range queued {
 			s.tasks = append(s.tasks, pairTask{q: j.queries[qid]})
 		}
-		j.probeAll(s)
+		s.probe(s.tasks)
 		return err
 	})
 	for _, id := range ids {

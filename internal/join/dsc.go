@@ -37,7 +37,7 @@ import (
 type DSC struct{ vecJoin }
 
 var (
-	_ core.DynamicFilter  = (*DSC)(nil)
+	_ core.Filter         = (*DSC)(nil)
 	_ core.BatchApplier   = (*DSC)(nil)
 	_ core.ParallelFilter = (*DSC)(nil)
 	_ core.MetricsFilter  = (*DSC)(nil)
@@ -141,12 +141,15 @@ func (ds *dscStream) collect(e *qindex.Entry, verdict []bool, joinable bool) {
 // probe implements vecStream: joinable iff every entry of the query is
 // covered. The empty vector has no rows, and any present vertex dominates
 // it.
-func (ds *dscStream) probe(t *pairTask) {
-	t.ok = true
-	for i, ref := range t.q.refs {
-		if ds.cover[ref] == 0 && (t.q.vecs[i].Len() > 0 || ds.store.Len() == 0) {
-			t.ok = false
-			return
+func (ds *dscStream) probe(ts []pairTask) {
+	for i := range ts {
+		t := &ts[i]
+		t.ok = true
+		for j, ref := range t.q.refs {
+			if ds.cover[ref] == 0 && (t.q.vecs[j].Len() > 0 || ds.store.Len() == 0) {
+				t.ok = false
+				break
+			}
 		}
 	}
 }
@@ -176,5 +179,5 @@ func (ds *dscStream) fresh(ref int32) {
 
 // settle and forget are no-ops: the counters are all DSC keeps, and they
 // follow the seals, not the verdicts.
-func (*dscStream) settle(*pairTask) {}
-func (*dscStream) forget(int32)     {}
+func (*dscStream) settle([]pairTask) {}
+func (*dscStream) forget(int32)      {}

@@ -10,8 +10,8 @@ import (
 
 // dynamicFilters returns fresh instances of every filter supporting dynamic
 // query registration.
-func dynamicFilters(depth int) []core.DynamicFilter {
-	return []core.DynamicFilter{
+func dynamicFilters(depth int) []core.Filter {
+	return []core.Filter{
 		NewNL(depth), NewDSC(depth), NewSkyline(depth), NewBranch(depth), NewExact(),
 	}
 }
@@ -46,7 +46,7 @@ func TestDynamicAddAfterStreams(t *testing.T) {
 func TestDynamicRemove(t *testing.T) {
 	for _, f := range dynamicFilters(3) {
 		t.Run(f.Name(), func(t *testing.T) {
-			workload(t, f.(core.Filter))
+			workload(t, f)
 			if err := f.RemoveQuery(0); err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,7 @@ type Exact struct {
 	opts     []iso.Option
 }
 
-var _ core.DynamicFilter = (*Exact)(nil)
+var _ core.Filter = (*Exact)(nil)
 
 // NewExact returns the exact filter. Options (such as iso.WithNodeLimit)
 // are forwarded to every query matcher.
@@ -49,7 +49,7 @@ func (f *Exact) AddQuery(id core.QueryID, q *graph.Graph) error {
 	return nil
 }
 
-// RemoveQuery implements core.DynamicFilter.
+// RemoveQuery implements core.Filter.
 func (f *Exact) RemoveQuery(id core.QueryID) error {
 	if _, ok := f.matchers[id]; !ok {
 		return fmt.Errorf("join: unknown query %d", id)

@@ -93,7 +93,7 @@ func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 	t.Helper()
 	seq, par, dsc, nl := NewSkyline(sc.Depth), NewSkyline(sc.Depth), NewDSC(sc.Depth), NewNL(sc.Depth)
 	par.SetWorkers(4)
-	filters := []core.DynamicFilter{seq, par, dsc, nl}
+	filters := []core.Filter{seq, par, dsc, nl}
 	var live []core.QueryID
 	nextQ := core.QueryID(0)
 	// seen holds, per Skyline, the caps the checks have read: a cap may

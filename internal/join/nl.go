@@ -22,7 +22,7 @@ import (
 type NL struct{ vecJoin }
 
 var (
-	_ core.DynamicFilter  = (*NL)(nil)
+	_ core.Filter         = (*NL)(nil)
 	_ core.BatchApplier   = (*NL)(nil)
 	_ core.ParallelFilter = (*NL)(nil)
 	_ core.MetricsFilter  = (*NL)(nil)
@@ -41,14 +41,17 @@ type nlStream struct{ store *npv.Store }
 
 func (s nlStream) reconcile([]bool) ([]core.QueryID, bool) { return nil, len(s.store.SealDirty()) > 0 }
 
-func (s nlStream) probe(t *pairTask) {
-	t.ok, t.scanned = evalQuery(s.store, t.q.vecs, &t.tally)
+func (s nlStream) probe(ts []pairTask) {
+	for i := range ts {
+		t := &ts[i]
+		t.ok, t.scanned = evalQuery(s.store, t.q.vecs, &t.tally)
+	}
 }
 
 // settle, forget and fresh are no-ops: the oracle keeps no memo.
-func (nlStream) settle(*pairTask) {}
-func (nlStream) forget(int32)     {}
-func (nlStream) fresh(int32)      {}
+func (nlStream) settle([]pairTask) {}
+func (nlStream) forget(int32)      {}
+func (nlStream) fresh(int32)       {}
 
 // evalQuery is the pure dominance check one pair task runs: it reads the
 // stream space and the query vectors, and touches no filter state, which is

@@ -62,7 +62,7 @@ func dynamicReference(graphs map[core.StreamID]*graph.Graph, queries map[core.Qu
 // is non-nil, the batch path it is driven through instead of Apply.
 type equivFilter struct {
 	name string
-	f    core.DynamicFilter
+	f    core.Filter
 	par  core.BatchApplier
 }
 
@@ -420,7 +420,7 @@ func assertVecJoinTornDown(t *testing.T, name string, j *vecJoin) {
 // every query was removed: index postings, packed query vectors and DSC's
 // dominant counters and covers — nothing may leak and nothing may keep
 // answering.
-func assertTornDown(t *testing.T, f core.DynamicFilter) {
+func assertTornDown(t *testing.T, f core.Filter) {
 	t.Helper()
 	switch ff := f.(type) {
 	case *NL:
@@ -455,7 +455,7 @@ func TestRemoveReRegisterEquivalence(t *testing.T) {
 			}
 			starts = append(starts, template.Clone())
 
-			veteran := mk().(core.DynamicFilter)
+			veteran := mk()
 			for qid, q := range queries {
 				if err := veteran.AddQuery(core.QueryID(qid), q); err != nil {
 					t.Fatal(err)
@@ -492,7 +492,7 @@ func TestRemoveReRegisterEquivalence(t *testing.T) {
 
 			// Re-register the same patterns under the same IDs and race a
 			// twin built fresh from the current canonical graphs.
-			fresh := mk().(core.DynamicFilter)
+			fresh := mk()
 			for qid, q := range queries {
 				if err := veteran.AddQuery(core.QueryID(qid), q); err != nil {
 					t.Fatal(err)

@@ -25,11 +25,11 @@ func clique(n int) *graph.Graph {
 // saturatingFilters are the joins whose counts must saturate, not wrap.
 var saturatingFilters = []struct {
 	name string
-	mk   func() core.DynamicFilter
+	mk   func() core.Filter
 }{
-	{"NL", func() core.DynamicFilter { return NewNL(4) }},
-	{"Skyline", func() core.DynamicFilter { return NewSkyline(4) }},
-	{"DSC", func() core.DynamicFilter { return NewDSC(4) }},
+	{"NL", func() core.Filter { return NewNL(4) }},
+	{"Skyline", func() core.Filter { return NewSkyline(4) }},
+	{"DSC", func() core.Filter { return NewDSC(4) }},
 }
 
 // TestDenseCliqueCountsSaturate: at depth 4 a vertex of the uniformly

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"slices"
 	"sort"
 
 	"nntstream/internal/core"
@@ -68,6 +69,11 @@ type skyStream struct {
 	hits   []int32
 	queue  qindex.Scratch
 	tally  npv.Tally
+	// The probe's scratch, by task position, cleared once settled: the
+	// dominators the probes found, one slot per query vector in task
+	// order, and the ref that refuted each refuted pair.
+	wits    []*skyVertex
+	refutes []int32
 }
 
 // skyVertex is one vertex with a nonempty sealed vector p: pos runs parallel
@@ -90,7 +96,7 @@ type dimStat struct {
 }
 
 var (
-	_ core.DynamicFilter  = (*Skyline)(nil)
+	_ core.Filter         = (*Skyline)(nil)
 	_ core.BatchApplier   = (*Skyline)(nil)
 	_ core.ParallelFilter = (*Skyline)(nil)
 	_ core.MetricsFilter  = (*Skyline)(nil)
@@ -319,13 +325,32 @@ func (ss *skyStream) forget(slot int32) {
 	}
 }
 
-// probe implements vecStream: joinable iff every maximal query vector is
+// probe implements vecStream, sizing the probe's scratch for the tasks
+// and cutting each task's witness slots from it.
+func (ss *skyStream) probe(ts []pairTask) {
+	n := 0
+	for i := range ts {
+		n += len(ts[i].q.vecs)
+	}
+	ss.wits = slices.Grow(ss.wits[:0], n)[:n]
+	clear(ss.wits)
+	ss.refutes = slices.Grow(ss.refutes[:0], len(ts))[:len(ts)]
+	wits := ss.wits
+	for i := range ts {
+		k := len(ts[i].q.vecs)
+		ss.refutes[i] = ss.probePair(&ts[i], wits[:k:k])
+		wits = wits[k:]
+	}
+}
+
+// probePair decides one pair: joinable iff every maximal query vector is
 // dominated by some stream vector. A vector with a witness is dominated
 // without a test; the others are probed in order, each dominator found
-// going into t's witness slots, and the first one refuted stops the scan.
+// going into wits by vector position, and the first one refuted stops the
+// scan. It returns the refuting ref, or -1.
 //
 //nnt:hotpath
-func (ss *skyStream) probe(t *pairTask) {
+func (ss *skyStream) probePair(t *pairTask, wits []*skyVertex) int32 {
 	t.ok, t.scanned = true, 0
 	for i, u := range t.q.vecs {
 		ref := t.q.refs[i]
@@ -337,30 +362,41 @@ func (ss *skyStream) probe(t *pairTask) {
 		if !ok {
 			// u is a bichromatic skyline point of the query vectors with
 			// respect to the stream vectors: early stop, prune the pair.
-			t.ok, t.refute = false, ref
-			return
+			t.ok = false
+			return ref
 		}
-		t.wits[i] = sv
+		wits[i] = sv
 	}
+	return -1
 }
 
-// settle implements vecStream on the serialized merge: the task's
-// witnesses are recorded, the first found for a ref winning, and the pair
-// moves to the need count of the ref that refuted it, if any. A dominated
-// entry refutes no pair, so it was closed, and a refuting ref has no
-// witness — the probes of one step read the same state — so it opens.
-func (ss *skyStream) settle(t *pairTask) {
-	for i, sv := range t.wits {
-		if ref := t.q.refs[i]; sv != nil && ss.wit[ref] == nil {
-			ss.wit[ref] = sv
+// settle implements vecStream on the serialized merge, task by task: the
+// task's witnesses are recorded, the first found for a ref winning, and
+// the pair moves to the need count of the ref that refuted it, if any. A
+// dominated entry refutes no pair, so it was closed, and a refuting ref
+// has no witness — the probes of one step read the same state — so it
+// opens. The scratch is cleared, so it keeps no retired vertex alive.
+func (ss *skyStream) settle(ts []pairTask) {
+	wits := ss.wits
+	for i := range ts {
+		t := &ts[i]
+		k := len(t.q.vecs)
+		for j, sv := range wits[:k] {
+			if ref := t.q.refs[j]; sv != nil && ss.wit[ref] == nil {
+				ss.wit[ref] = sv
+			}
+		}
+		wits = wits[k:]
+		ss.forget(t.q.slot)
+		if !t.ok {
+			r := ss.refutes[i]
+			ss.refute[t.q.slot] = r
+			ss.need[r]++
+			ss.open[r] = 1
 		}
 	}
-	ss.forget(t.q.slot)
-	if !t.ok {
-		ss.refute[t.q.slot] = t.refute
-		ss.need[t.refute]++
-		ss.open[t.refute] = 1
-	}
+	clear(ss.wits)
+	ss.wits, ss.refutes = ss.wits[:0], ss.refutes[:0]
 }
 
 // dominator implements the stream-side probe for one query vector: whether

@@ -304,18 +304,19 @@ func TestCandidateProbeAllocsIndependentOfQueryCount(t *testing.T) {
 			deltas[i].Moves, deltas[i].Reshaped = npv.Diff(nil, deltas[i].Old, deltas[i].New)
 		}
 		var sc qindex.Scratch
-		var task pairTask
-		wits := make([]*skyVertex, 64)
+		var tasks []pairTask
 		candidates := 0
 		step := func() {
 			qids := f.ix.AffectedQueriesInto(&sc, deltas)
 			candidates = len(qids)
+			tasks = tasks[:0]
 			for _, qid := range qids {
-				q := f.queries[qid]
-				task.q, task.wits = q, wits[:len(q.vecs)]
-				ss.probe(&task)
+				tasks = append(tasks, pairTask{q: f.queries[qid]})
 			}
-			task.tally.Flush()
+			ss.probe(tasks)
+			for i := range tasks {
+				tasks[i].tally.Flush()
+			}
 		}
 		step()
 		if candidates == 0 {
@@ -367,7 +368,7 @@ func (m *memoRig) addQuery(id core.QueryID, q *graph.Graph) {
 
 func (m *memoRig) removeQuery(id core.QueryID) {
 	m.t.Helper()
-	for _, f := range []core.DynamicFilter{m.sky, m.nl} {
+	for _, f := range []core.Filter{m.sky, m.nl} {
 		if err := f.RemoveQuery(id); err != nil {
 			m.t.Fatal(err)
 		}
@@ -474,11 +475,11 @@ func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 			}
 		}
 		for i, task := range s.tasks[:cap(s.tasks)] {
-			if task.q != nil || task.wits != nil {
-				t.Fatalf("%s: stream %d: settled task slot %d still holds query %p and witnesses %v", at, sid, i, task.q, task.wits)
+			if task.q != nil {
+				t.Fatalf("%s: stream %d: settled task slot %d still holds query %p", at, sid, i, task.q)
 			}
 		}
-		for i, w := range s.wits[:cap(s.wits)] {
+		for i, w := range ss.wits[:cap(ss.wits)] {
 			if w != nil {
 				t.Fatalf("%s: stream %d: settled witness slot %d still holds a record", at, sid, i)
 			}
@@ -631,7 +632,7 @@ func TestSkylineRecycledRefStartsClean(t *testing.T) {
 	}
 	old := slices.Clone(f.queries[0].refs)
 	edge := buildGraph(t, map[graph.VertexID]graph.Label{0: 4, 1: 5}, [][3]int{{0, 1, 0}})
-	for _, g := range []core.DynamicFilter{f, nl} {
+	for _, g := range []core.Filter{f, nl} {
 		if err := g.RemoveQuery(0); err != nil {
 			t.Fatal(err)
 		}

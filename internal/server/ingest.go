@@ -16,15 +16,6 @@ import (
 	"nntstream/internal/wal"
 )
 
-// BatchStepper is the optional group-commit surface: engines that can apply
-// a sequence of timestamps under one durability barrier (core.DurableEngine)
-// implement it. Engines without it fall back to per-step StepAll, which is
-// semantically identical — the batch path only changes how many fsyncs the
-// WAL pays.
-type BatchStepper interface {
-	StepAllBatch(batch []map[core.StreamID]graph.ChangeSet) (applied, pairs int, err error)
-}
-
 // ingestMetrics are the nntstream_ingest_* instruments: admission-control
 // visibility (shed and quota denials, in-flight level) plus the throughput
 // counters the loadgen harness and dashboards read.
@@ -229,25 +220,12 @@ func appendIngest(b []byte, r ingestResponse) []byte {
 	return append(b, "}\n"...)
 }
 
-// stepBatch routes a decoded batch to the engine under s.mu, released by a
-// deferred unlock like server.go's engine calls: group-committed when the
-// engine supports it, otherwise step by step (identical semantics, one
-// durability barrier per step).
+// stepBatch hands a decoded batch to the engine under s.mu, released by a
+// deferred unlock like server.go's engine calls.
 func (s *Server) stepBatch(batch []map[core.StreamID]graph.ChangeSet) (applied, pairs int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if bs, ok := s.engine.(BatchStepper); ok {
-		return bs.StepAllBatch(batch)
-	}
-	for _, changes := range batch {
-		ps, err := s.engine.StepAll(changes)
-		if err != nil {
-			return applied, pairs, err
-		}
-		applied++
-		pairs += len(ps)
-	}
-	return applied, pairs, nil
+	return s.engine.StepAllBatch(batch)
 }
 
 // decodeIngestBatch splits an NDJSON body into lines, decodes every frame,

@@ -151,8 +151,8 @@ func TestIngestBatchMatchesSequentialSteps(t *testing.T) {
 	}
 }
 
-// TestIngestFallbackEngine: an engine without StepAllBatch (plain Monitor)
-// still serves /v1/ingest through the per-step fallback.
+// TestIngestFallbackEngine: the in-memory engine's StepAllBatch (core.Monitor,
+// no WAL to share an fsync) serves /v1/ingest step by step.
 func TestIngestFallbackEngine(t *testing.T) {
 	srv := testServer(t)
 	sid := registerPair(t, srv.URL)
@@ -201,17 +201,29 @@ func TestIngestMalformedFrameRejectsWholeBatch(t *testing.T) {
 
 // TestIngestMidBatchApplyFailure: decode-clean steps that the engine rejects
 // (unknown stream) fail per step — earlier steps stay applied and the
-// response reports how far the batch got.
+// response reports how far the batch got — on the in-memory and the durable
+// engine alike.
 func TestIngestMidBatchApplyFailure(t *testing.T) {
-	srv, _, _ := durableTestServer(t)
-	sid := registerPair(t, srv.URL)
-	body := insFrame(sid, 0, 10, 0, 1, 0) + "\n" + insFrame(99, 0, 11, 0, 1, 0)
-	resp, text := postNDJSON(t, srv.URL, "", body)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown-stream batch = %d: %s", resp.StatusCode, text)
-	}
-	if !strings.Contains(text, `"steps_applied":1`) {
-		t.Fatalf("response %q does not report the applied prefix", text)
+	durable, _, _ := durableTestServer(t)
+	for _, tc := range []struct {
+		name string
+		srv  *httptest.Server
+	}{{"monitor", testServer(t)}, {"durable", durable}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sid := registerPair(t, tc.srv.URL)
+			// The first step grows the stream into a match of the query.
+			body := insFrame(sid, 0, 10, 0, 1, 0) + "\n" + insFrame(99, 0, 11, 0, 1, 0)
+			resp, text := postNDJSON(t, tc.srv.URL, "", body)
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("unknown-stream batch = %d: %s", resp.StatusCode, text)
+			}
+			if !strings.Contains(text, `"steps_applied":1`) {
+				t.Fatalf("response %q does not report the applied prefix", text)
+			}
+			if cand := getBody(t, tc.srv.URL+"/v1/candidates"); strings.Contains(cand, `"pairs":[]`) {
+				t.Fatalf("the applied step left no candidate: %s", cand)
+			}
+		})
 	}
 }
 

@@ -23,20 +23,18 @@ import (
 // core.DurableEngine satisfy it.
 type Engine interface {
 	AddQuery(q *graph.Graph) (core.QueryID, error)
+	RemoveQuery(id core.QueryID) error
 	AddStream(g0 *graph.Graph) (core.StreamID, error)
 	StepAll(changes map[core.StreamID]graph.ChangeSet) ([]core.Pair, error)
+	// StepAllBatch applies /v1/ingest's timestamps in order and stops at
+	// the first failing step, reporting the steps applied and their
+	// candidate pairs. core.DurableEngine covers the whole batch with one
+	// fsync (group commit); its ack contract is in its doc.
+	StepAllBatch(batch []map[core.StreamID]graph.ChangeSet) (applied, pairs int, err error)
 	Candidates() []core.Pair
 	Stats() core.Stats
-}
-
-// QueryRemover is the optional dynamic-query surface (DELETE /v1/queries).
-type QueryRemover interface {
-	RemoveQuery(id core.QueryID) error
-}
-
-// metricsEngine is the optional instrumentation surface: engines that accept
-// an EngineMetrics record per-timestamp latencies into the server's registry.
-type metricsEngine interface {
+	// SetMetrics records per-timestamp latencies and the engine's and
+	// filter's sizes into the server's registry.
 	SetMetrics(em *core.EngineMetrics)
 }
 
@@ -60,9 +58,8 @@ type Server struct {
 // balloon memory. Requests over the cap get 413.
 const DefaultMaxBodyBytes = 8 << 20
 
-// New wraps an engine. A metrics registry is created and, when the engine
-// supports it, wired in so StepAll latencies and the engine's and filter's
-// sizes land in /v1/metrics.
+// New wraps an engine. A metrics registry is created and wired in, so
+// StepAll latencies and the engine's and filter's sizes land in /v1/metrics.
 func New(engine Engine) *Server {
 	return NewWithRegistry(engine, obs.NewRegistry())
 }
@@ -79,9 +76,7 @@ func NewWithRegistry(engine Engine, reg *obs.Registry) *Server {
 		ingest:       newIngestMetrics(reg),
 	}
 	RegisterProcessMetrics(reg)
-	if me, ok := engine.(metricsEngine); ok {
-		me.SetMetrics(core.NewEngineMetrics(reg))
-	}
+	engine.SetMetrics(core.NewEngineMetrics(reg))
 	return s
 }
 
@@ -118,19 +113,13 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) boo
 func (s *Server) Registry() *obs.Registry { return s.registry }
 
 // StatusFor maps engine errors onto HTTP statuses via the core sentinel
-// errors: unknown IDs are 404, seal violations 409, unsupported operations
-// 501, anything else 500. Cluster workers answer with the same mapping.
+// errors: unknown IDs are 404, anything else 500. Cluster workers answer
+// with the same mapping.
 func StatusFor(err error) int {
-	switch {
-	case errors.Is(err, core.ErrUnknownStream), errors.Is(err, core.ErrUnknownQuery):
+	if errors.Is(err, core.ErrUnknownStream) || errors.Is(err, core.ErrUnknownQuery) {
 		return http.StatusNotFound
-	case errors.Is(err, core.ErrSealed):
-		return http.StatusConflict
-	case errors.Is(err, core.ErrUnsupported):
-		return http.StatusNotImplemented
-	default:
-		return http.StatusInternalServerError
 	}
+	return http.StatusInternalServerError
 }
 
 // Handler returns the API handler.
@@ -175,10 +164,10 @@ func (s *Server) addQuery(g *graph.Graph) (core.QueryID, error) {
 	return s.engine.AddQuery(g)
 }
 
-func (s *Server) removeQuery(remover QueryRemover, id core.QueryID) error {
+func (s *Server) removeQuery(id core.QueryID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return remover.RemoveQuery(id)
+	return s.engine.RemoveQuery(id)
 }
 
 func (s *Server) addStream(g *graph.Graph) (core.StreamID, error) {
@@ -238,12 +227,7 @@ func (s *Server) handleQueryByID(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, "bad query id %q", idStr)
 		return
 	}
-	remover, ok := s.engine.(QueryRemover)
-	if !ok {
-		HTTPError(w, http.StatusNotImplemented, "engine does not support query removal")
-		return
-	}
-	if err := s.removeQuery(remover, core.QueryID(id)); err != nil {
+	if err := s.removeQuery(core.QueryID(id)); err != nil {
 		HTTPError(w, StatusFor(err), "%v", err)
 		return
 	}

@@ -188,19 +188,38 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 	}
 }
 
-// staticFilter is a minimal non-dynamic core.Filter: AddQuery after the
-// first stream trips the Monitor's seal, which must surface as 409.
-type staticFilter struct{}
+// nopFilter is a core.Filter that accepts everything and reports nothing.
+type nopFilter struct{}
 
-func (staticFilter) Name() string                                { return "static" }
-func (staticFilter) AddQuery(core.QueryID, *graph.Graph) error   { return nil }
-func (staticFilter) AddStream(core.StreamID, *graph.Graph) error { return nil }
-func (staticFilter) Apply(core.StreamID, graph.ChangeSet) error  { return nil }
-func (staticFilter) Candidates() []core.Pair                     { return nil }
+func (nopFilter) Name() string                                { return "nop" }
+func (nopFilter) AddQuery(core.QueryID, *graph.Graph) error   { return nil }
+func (nopFilter) RemoveQuery(core.QueryID) error              { return nil }
+func (nopFilter) AddStream(core.StreamID, *graph.Graph) error { return nil }
+func (nopFilter) Apply(core.StreamID, graph.ChangeSet) error  { return nil }
+func (nopFilter) Candidates() []core.Pair                     { return nil }
 
-// panicFilter is staticFilter whose AddStream, or Apply, panics.
+// nopEngine is an Engine that accepts everything and reports nothing; the
+// stub engines embed it and override what their test drives.
+type nopEngine struct{}
+
+func (nopEngine) AddQuery(*graph.Graph) (core.QueryID, error)   { return 0, nil }
+func (nopEngine) RemoveQuery(core.QueryID) error                { return nil }
+func (nopEngine) AddStream(*graph.Graph) (core.StreamID, error) { return 0, nil }
+func (nopEngine) Candidates() []core.Pair                       { return nil }
+func (nopEngine) Stats() core.Stats                             { return core.Stats{} }
+func (nopEngine) SetMetrics(*core.EngineMetrics)                {}
+
+func (nopEngine) StepAll(map[core.StreamID]graph.ChangeSet) ([]core.Pair, error) {
+	return nil, nil
+}
+
+func (nopEngine) StepAllBatch(batch []map[core.StreamID]graph.ChangeSet) (int, int, error) {
+	return len(batch), 0, nil
+}
+
+// panicFilter is nopFilter whose AddStream, or Apply, panics.
 type panicFilter struct {
-	staticFilter
+	nopFilter
 	onApply bool
 }
 
@@ -274,27 +293,8 @@ func TestServerSurvivesEnginePanic(t *testing.T) {
 }
 
 // TestServerStatusMapping checks that engine sentinel errors surface as the
-// right HTTP statuses: 404 for unknown IDs, 409 for seal violations, 501 for
-// unsupported operations.
+// right HTTP statuses: 404 for unknown IDs.
 func TestServerStatusMapping(t *testing.T) {
-	t.Run("sealed_409_and_unsupported_501", func(t *testing.T) {
-		srv := httptest.NewServer(New(core.NewMonitor(staticFilter{})).Handler())
-		defer srv.Close()
-		resp, _ := do(t, http.MethodPost, srv.URL+"/v1/streams", graphRequest{Graph: edgeGraph(0, 1)})
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("add stream = %d", resp.StatusCode)
-		}
-		// Query after stream on a non-dynamic filter: workload sealed.
-		resp, body := do(t, http.MethodPost, srv.URL+"/v1/queries", graphRequest{Graph: edgeGraph(0, 1)})
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("sealed add query = %d body %v; want 409", resp.StatusCode, body)
-		}
-		// Removal on a non-dynamic filter: unsupported.
-		resp, _ = do(t, http.MethodDelete, srv.URL+"/v1/queries/0", nil)
-		if resp.StatusCode != http.StatusNotImplemented {
-			t.Fatalf("unsupported removal = %d; want 501", resp.StatusCode)
-		}
-	})
 	t.Run("unknown_ids_404", func(t *testing.T) {
 		srv := testServer(t)
 		resp, _ := do(t, http.MethodPost, srv.URL+"/v1/step",

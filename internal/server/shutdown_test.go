@@ -16,15 +16,11 @@ import (
 // blockingEngine stalls StepAll until released, so the test can hold a
 // request in flight across a Drain call.
 type blockingEngine struct {
+	nopEngine
 	entered chan struct{} // closed when StepAll is running
 	release chan struct{} // StepAll returns once this closes
 	done    atomic.Bool   // set just before StepAll returns
 }
-
-func (e *blockingEngine) AddQuery(*graph.Graph) (core.QueryID, error)   { return 0, nil }
-func (e *blockingEngine) AddStream(*graph.Graph) (core.StreamID, error) { return 0, nil }
-func (e *blockingEngine) Candidates() []core.Pair                       { return nil }
-func (e *blockingEngine) Stats() core.Stats                             { return core.Stats{} }
 
 func (e *blockingEngine) StepAll(map[core.StreamID]graph.ChangeSet) ([]core.Pair, error) {
 	close(e.entered)

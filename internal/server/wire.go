@@ -7,7 +7,7 @@
 // The API is versioned under /v1:
 //
 //	POST   /v1/queries     {"graph": {...}}            → {"id": 0}
-//	DELETE /v1/queries/0                               (dynamic filters)
+//	DELETE /v1/queries/0                               → {"status": "removed"}
 //	POST   /v1/streams     {"graph": {...}}            → {"id": 0}
 //	POST   /v1/step        {"changes": {"0": [{...}]}} → {"pairs": [...]}
 //	POST   /v1/ingest      NDJSON step frames          → {"steps": n, ...}

@@ -74,12 +74,12 @@ func FuzzAppendPairs(f *testing.F) {
 }
 
 // pairsEngine answers every step and read with one fixed pair list.
-type pairsEngine struct{ pairs []core.Pair }
+type pairsEngine struct {
+	nopEngine
+	pairs []core.Pair
+}
 
-func (e pairsEngine) AddQuery(*graph.Graph) (core.QueryID, error)   { return 0, nil }
-func (e pairsEngine) AddStream(*graph.Graph) (core.StreamID, error) { return 0, nil }
-func (e pairsEngine) Candidates() []core.Pair                       { return e.pairs }
-func (e pairsEngine) Stats() core.Stats                             { return core.Stats{} }
+func (e pairsEngine) Candidates() []core.Pair { return e.pairs }
 
 func (e pairsEngine) StepAll(map[core.StreamID]graph.ChangeSet) ([]core.Pair, error) {
 	return e.pairs, nil
