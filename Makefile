@@ -80,11 +80,13 @@ race:
 		./internal/cluster/... ./internal/retry/... ./internal/obs/... ./cmd/loadgen/... \
 		./cmd/serve/...
 
-# Crash-recovery property tests: WAL torn at every byte, fault-injected
-# writes/fsyncs, checkpoint crash windows. -count=3 shakes out ordering
-# assumptions in the recovery paths.
+# Crash-recovery property tests: the engine harness's seeds
+# (FuzzEngineMatchesReference: crashes that cut the WAL, restarts, and every
+# cut of each seed's final WAL), fault-injected writes/fsyncs, checkpoint
+# crash windows. -count=3 shakes out ordering assumptions in the recovery
+# paths.
 crashtest:
-	$(GO) test -count=3 -run 'Crash|Recover|Torn|KillPoint|Fault' ./internal/wal/... ./internal/core/...
+	$(GO) test -count=3 -run 'Crash|Recover|Torn|Fault|EngineMatchesReference' ./internal/wal/... ./internal/core/...
 
 # Cluster fault drills: a primary killed at every WAL-record boundary (answers
 # must stay bit-identical to a single node), randomized partition/heal
@@ -100,10 +102,14 @@ crashtest-cluster:
 # dominance, NPV recount vs forest patching, the capped seal vs capped
 # forest vectors under moving caps, undo-logged change sets vs Apply on a
 # clone, Skyline's flip-driven witness memo vs the NL oracle, the appended
-# pair-list and ingest bodies vs encoding/json). The recount, capped-seal and
-# Skyline fuzzers share one schedule decoder, internal/fuzzsched, whose work
-# budget bounds each input's cost. The default budget keeps it
-# pre-commit-friendly; override FUZZTIME for a real campaign.
+# pair-list and ingest bodies vs encoding/json) and the engine harness,
+# FuzzEngineMatchesReference: durable engines over every production filter,
+# crashed, cut and restarted, against one naive reference. The recount,
+# capped-seal, Skyline and engine fuzzers share one schedule decoder,
+# internal/fuzzsched, whose work budget bounds each input's cost. An engine
+# harness run costs tens of milliseconds, so its minimization is capped at
+# 2s: the default 60s would stop the count for as long. The default budget
+# keeps it pre-commit-friendly; override FUZZTIME for a real campaign.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/core/
@@ -115,6 +121,7 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzRecountMatchesForest -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzCappedSeal -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzSkylineMatchesNL -fuzztime=$(FUZZTIME) ./internal/join/
+	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/core/
 	$(GO) test -fuzz=FuzzAppendPairs -fuzztime=$(FUZZTIME) ./internal/server/
 
 # Sustained-throughput drill against a live serve socket (see

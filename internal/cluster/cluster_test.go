@@ -23,13 +23,12 @@ import (
 
 // filterCases are the paper's NPV filters the cluster must not perturb.
 var filterCases = []struct {
-	name      string
-	factory   core.FilterFactory
-	canRemove bool
+	name    string
+	factory core.FilterFactory
 }{
-	{"NL", func() core.Filter { return join.NewNL(join.DefaultDepth) }, false},
-	{"DSC", func() core.Filter { return join.NewDSC(join.DefaultDepth) }, true},
-	{"Skyline", func() core.Filter { return join.NewSkyline(join.DefaultDepth) }, true},
+	{"NL", func() core.Filter { return join.NewNL(join.DefaultDepth) }},
+	{"DSC", func() core.Filter { return join.NewDSC(join.DefaultDepth) }},
+	{"Skyline", func() core.Filter { return join.NewSkyline(join.DefaultDepth) }},
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -88,7 +87,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/shards=%d", fc.name, pool), func(t *testing.T) {
 				tc := newTestCluster(t, fc.factory, pool, 3, 2, 2)
 				ref := newRefEngine(t, fc.factory)
-				for i, op := range standardWorkload(fc.canRemove) {
+				for i, op := range standardWorkload() {
 					if status := tc.applyOp(op); status < 200 || status > 299 {
 						t.Fatalf("op %d (%s): status %d", i, op.kind, status)
 					}
@@ -116,7 +115,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 func TestKillPrimaryAtEveryBoundary(t *testing.T) {
 	for _, fc := range filterCases {
 		for _, pool := range poolWidths {
-			ops := standardWorkload(fc.canRemove)
+			ops := standardWorkload()
 			for kill := 1; kill <= len(ops); kill++ {
 				t.Run(fmt.Sprintf("%s/shards=%d/kill=%d", fc.name, pool, kill), func(t *testing.T) {
 					tc := newTestCluster(t, fc.factory, pool, 3, 2, 2)
@@ -153,7 +152,7 @@ func TestKilledPrimaryRejoins(t *testing.T) {
 	factory := filterCases[0].factory
 	tc := newTestCluster(t, factory, 0, 3, 3, 2)
 	ref := newRefEngine(t, factory)
-	ops := standardWorkload(false)
+	ops := standardWorkload()
 	half := len(ops) / 2
 	for i, op := range ops[:half] {
 		if status := tc.applyOp(op); status/100 != 2 {
@@ -248,7 +247,7 @@ func TestRandomizedPartitionHeal(t *testing.T) {
 				t.Fatalf("op %s never succeeded", op.kind)
 			}
 
-			for _, op := range standardWorkload(false)[:6] { // queries + streams
+			for _, op := range standardWorkload()[:6] { // queries + streams
 				mustApply(op)
 			}
 			streams := 3
@@ -295,7 +294,7 @@ func TestDegradedMode(t *testing.T) {
 	ref := newRefEngine(t, factory)
 	ctx := context.Background()
 
-	setup := standardWorkload(false)[:4] // 3 queries + 1 stream
+	setup := standardWorkload()[:4] // 3 queries + 1 stream
 	for _, op := range setup {
 		if status := tc.applyOp(op); status/100 != 2 {
 			t.Fatalf("setup op %s: status %d", op.kind, status)
@@ -389,7 +388,7 @@ func TestDegradedMode(t *testing.T) {
 // carries the cluster instruments after a failover exercised them.
 func TestClusterMetricsExposition(t *testing.T) {
 	tc := newTestCluster(t, filterCases[0].factory, 0, 3, 2, 2)
-	for _, op := range standardWorkload(false)[:6] {
+	for _, op := range standardWorkload()[:6] {
 		if status := tc.applyOp(op); status/100 != 2 {
 			t.Fatalf("op %s: status %d", op.kind, status)
 		}
@@ -427,10 +426,10 @@ func TestClusterMetricsExposition(t *testing.T) {
 // without being applied. The workload includes a removal so the test also
 // pins recovery to the engines' ID allocators rather than live counts.
 func TestCoordinatorRestartRecoversCounters(t *testing.T) {
-	factory := filterCases[1].factory // DSC: supports removal and late registration
+	factory := filterCases[1].factory // DSC
 	tc := newTestCluster(t, factory, 0, 3, 2, 2)
 	ref := newRefEngine(t, factory)
-	ops := standardWorkload(true)
+	ops := standardWorkload()
 	split := len(ops) - 1 // everything but the final step: 3 queries, 3 streams, 3 steps, 1 removal
 	for i, op := range ops[:split] {
 		if status := tc.applyOp(op); status/100 != 2 {
@@ -635,7 +634,7 @@ func TestCoordinatorRelaysWorkerErrorStatus(t *testing.T) {
 	}
 
 	tc := newTestCluster(t, filterCases[1].factory, 0, 3, 2, 2)
-	for i, op := range standardWorkload(false)[:6] { // 3 queries, 3 streams
+	for i, op := range standardWorkload()[:6] { // 3 queries, 3 streams
 		if status := tc.applyOp(op); status/100 != 2 {
 			t.Fatalf("op %d (%s): status %d", i, op.kind, status)
 		}
@@ -690,7 +689,7 @@ func (g *gatedTransport) Do(ctx context.Context, addr, method, path string, in, 
 // slow workers outside the coordinator's mutex.
 func TestPollOnceDoesNotBlockDataPlane(t *testing.T) {
 	tc := newTestCluster(t, filterCases[0].factory, 0, 3, 2, 2)
-	for _, op := range standardWorkload(false)[:4] {
+	for _, op := range standardWorkload()[:4] {
 		if status := tc.applyOp(op); status/100 != 2 {
 			t.Fatalf("setup op %s: status %d", op.kind, status)
 		}
@@ -830,7 +829,7 @@ func TestHeartbeatLoop(t *testing.T) {
 	defer coord.Stop()
 	tc.coord = coord
 
-	for _, op := range standardWorkload(false)[:4] {
+	for _, op := range standardWorkload()[:4] {
 		if status := tc.applyOp(op); status/100 != 2 {
 			t.Fatalf("op %s: status %d", op.kind, status)
 		}

@@ -276,9 +276,9 @@ func del(u, v int) server.WireOp {
 }
 
 // standardWorkload is the shared script: queries first (registration seals at
-// the first stream), then streams, then steps that grow and shrink them.
-// withRemove appends a query removal (dynamic filters only).
-func standardWorkload(withRemove bool) []clusterOp {
+// the first stream), then streams, then steps that grow and shrink them,
+// and a query removal before the last step.
+func standardWorkload() []clusterOp {
 	ops := []clusterOp{
 		{kind: "query", graph: lineGraph(1, 2)},
 		{kind: "query", graph: lineGraph(2, 3, 1)},
@@ -298,9 +298,7 @@ func standardWorkload(withRemove bool) []clusterOp {
 			"1": {ins(21, 3, 22, 1, 4)},
 		}},
 	}
-	if withRemove {
-		ops = append(ops, clusterOp{kind: "rmquery", query: 1})
-	}
+	ops = append(ops, clusterOp{kind: "rmquery", query: 1})
 	ops = append(ops, clusterOp{kind: "step", changes: map[string][]server.WireOp{
 		"2": {del(30, 31)},
 		"0": {ins(11, 2, 12, 3, 5)},

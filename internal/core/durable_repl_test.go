@@ -1,31 +1,32 @@
-package core
+package core_test
 
 import (
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 
-	"nntstream/internal/graph"
+	"nntstream/internal/core"
 	"nntstream/internal/obs"
 	"nntstream/internal/wal"
 )
 
 // openReplica opens a durable engine acting as a replica (no OnCommit; it
 // receives records through ApplyRecord).
-func openReplica(t *testing.T, dir string) *DurableEngine {
+func openReplica(t *testing.T, dir string) *core.DurableEngine {
 	t.Helper()
-	return openDurable(t, dir, DurableOptions{Fsync: wal.SyncNever})
+	return openDurable(t, dir, core.DurableOptions{Fsync: wal.SyncNever})
 }
 
 // TestReplicationShippedRecordsConverge runs the full scripted workload on a
 // primary whose OnCommit ships every record straight into a replica, checking
-// after every op that the replica's candidates match the never-crashed twin.
+// after every op that the replica's candidates match the reference model.
 func TestReplicationShippedRecordsConverge(t *testing.T) {
 	base := t.TempDir()
 	replica := openReplica(t, filepath.Join(base, "replica"))
 	defer replica.Close()
 	var shipped []wal.Record
-	primary := openDurable(t, filepath.Join(base, "primary"), DurableOptions{
+	primary := openDurable(t, filepath.Join(base, "primary"), core.DurableOptions{
 		Fsync: wal.SyncNever,
 		OnCommit: func(r wal.Record) {
 			shipped = append(shipped, r)
@@ -41,7 +42,7 @@ func TestReplicationShippedRecordsConverge(t *testing.T) {
 		if err := op(primary); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		if got := replica.Candidates(); !pairsEqual(got, expected[i+1]) {
+		if got := replica.Candidates(); !slices.Equal(got, expected[i+1]) {
 			t.Fatalf("after op %d: replica candidates %v, want %v", i, got, expected[i+1])
 		}
 	}
@@ -54,7 +55,7 @@ func TestReplicationShippedRecordsConverge(t *testing.T) {
 			t.Fatalf("re-ship LSN %d: %v", r.LSN, err)
 		}
 	}
-	if got := replica.Candidates(); !pairsEqual(got, expected[len(expected)-1]) {
+	if got := replica.Candidates(); !slices.Equal(got, expected[len(expected)-1]) {
 		t.Fatal("re-ship changed replica state")
 	}
 }
@@ -69,7 +70,7 @@ func TestReplicationGapAndCatchUp(t *testing.T) {
 	ops := recoveryOps(t)
 	lost := 3 // ship ops[:lost], drop the rest on the floor
 	var n int
-	primary := openDurable(t, filepath.Join(base, "primary"), DurableOptions{
+	primary := openDurable(t, filepath.Join(base, "primary"), core.DurableOptions{
 		Fsync: wal.SyncNever,
 		OnCommit: func(r wal.Record) {
 			n++
@@ -94,7 +95,7 @@ func TestReplicationGapAndCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := replica.ApplyRecord(head[len(head)-1]); !errors.Is(err, ErrReplicaGap) {
+		if err := replica.ApplyRecord(head[len(head)-1]); !errors.Is(err, core.ErrReplicaGap) {
 			t.Fatalf("ApplyRecord over gap = %v, want ErrReplicaGap", err)
 		}
 	}
@@ -116,7 +117,7 @@ func TestReplicationGapAndCatchUp(t *testing.T) {
 		}
 	}
 	want := expectedCandidates(t)
-	if got := replica.Candidates(); !pairsEqual(got, want[len(want)-1]) {
+	if got := replica.Candidates(); !slices.Equal(got, want[len(want)-1]) {
 		t.Fatalf("after catch-up: replica candidates %v, want %v", got, want[len(want)-1])
 	}
 	if p, r := primary.AppliedLSN(), replica.AppliedLSN(); p != r {
@@ -132,7 +133,7 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 	ops := recoveryOps(t)
 	cut := 4
 	var late []wal.Record
-	primary := openDurable(t, filepath.Join(base, "primary"), DurableOptions{
+	primary := openDurable(t, filepath.Join(base, "primary"), core.DurableOptions{
 		Fsync: wal.SyncNever,
 		OnCommit: func(r wal.Record) {
 			if r.LSN > uint64(cut) {
@@ -166,7 +167,7 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 	}
 
 	replDir := filepath.Join(base, "replica")
-	if err := InstallSnapshot(replDir, snap); err != nil {
+	if err := core.InstallSnapshot(replDir, snap); err != nil {
 		t.Fatalf("InstallSnapshot: %v", err)
 	}
 	replica := openReplica(t, replDir)
@@ -180,12 +181,12 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 		}
 	}
 	want := expectedCandidates(t)
-	if got := replica.Candidates(); !pairsEqual(got, want[len(want)-1]) {
+	if got := replica.Candidates(); !slices.Equal(got, want[len(want)-1]) {
 		t.Fatalf("bootstrapped replica candidates %v, want %v", got, want[len(want)-1])
 	}
 
 	// InstallSnapshot rejects garbage rather than planting an unbootable dir.
-	if err := InstallSnapshot(filepath.Join(base, "bad"), []byte("not a snapshot")); err == nil {
+	if err := core.InstallSnapshot(filepath.Join(base, "bad"), []byte("not a snapshot")); err == nil {
 		t.Fatal("InstallSnapshot accepted garbage")
 	}
 }
@@ -197,7 +198,7 @@ func TestReplicationPromotedReplicaShips(t *testing.T) {
 	base := t.TempDir()
 	replDir := filepath.Join(base, "replica")
 	replica := openReplica(t, replDir)
-	primary := openDurable(t, filepath.Join(base, "primary"), DurableOptions{
+	primary := openDurable(t, filepath.Join(base, "primary"), core.DurableOptions{
 		Fsync: wal.SyncNever,
 		OnCommit: func(r wal.Record) {
 			if err := replica.ApplyRecord(r); err != nil {
@@ -222,7 +223,7 @@ func TestReplicationPromotedReplicaShips(t *testing.T) {
 		}
 	}
 	want := expectedCandidates(t)
-	if got := replica.Candidates(); !pairsEqual(got, want[len(want)-1]) {
+	if got := replica.Candidates(); !slices.Equal(got, want[len(want)-1]) {
 		t.Fatalf("promoted replica candidates %v, want %v", got, want[len(want)-1])
 	}
 	// And its own durability holds: crash the promoted node and recover it.
@@ -231,7 +232,7 @@ func TestReplicationPromotedReplicaShips(t *testing.T) {
 	}
 	recovered := openReplica(t, replDir)
 	defer recovered.Close()
-	if got := recovered.Candidates(); !pairsEqual(got, want[len(want)-1]) {
+	if got := recovered.Candidates(); !slices.Equal(got, want[len(want)-1]) {
 		t.Fatalf("recovered promoted replica candidates %v, want %v", got, want[len(want)-1])
 	}
 }
@@ -240,14 +241,14 @@ func TestReplicationPromotedReplicaShips(t *testing.T) {
 // of the checkpoint's atomic file replacement and verifies the failure is
 // contained: the error is surfaced and counted, the WAL is not reset, the
 // engine keeps accepting writes, and a crash right after still recovers to
-// the twin's state from the previous checkpoint + intact log.
+// the reference state from the previous checkpoint + intact log.
 func TestCheckpointFaultLeavesRecoverableState(t *testing.T) {
 	for _, stage := range []wal.AtomicStage{wal.StageWrite, wal.StageSync, wal.StageRename} {
 		t.Run(stage.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			fault := &wal.AtomicFault{}
 			metrics := wal.NewMetrics(obs.NewRegistry())
-			d := openDurable(t, dir, DurableOptions{
+			d := openDurable(t, dir, core.DurableOptions{
 				Fsync:           wal.SyncAlways,
 				Metrics:         metrics,
 				CheckpointFault: fault,
@@ -288,7 +289,7 @@ func TestCheckpointFaultLeavesRecoverableState(t *testing.T) {
 			// The engine shrugs it off: writes still work (a query added and
 			// removed again leaves the candidate set unchanged), and a hard
 			// kill recovers everything from the old checkpoint + WAL suffix.
-			q := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 0}, [][3]int{{0, 1, 9}})
+			q := parseGraph(t, "v 0 0\nv 1 0\ne 0 1 9")
 			qid, err := d.AddQuery(q)
 			if err != nil {
 				t.Fatalf("write after failed checkpoint: %v", err)
@@ -299,10 +300,10 @@ func TestCheckpointFaultLeavesRecoverableState(t *testing.T) {
 			if err := d.Crash(); err != nil {
 				t.Fatal(err)
 			}
-			recovered := openDurable(t, dir, DurableOptions{Fsync: wal.SyncNever})
+			recovered := openDurable(t, dir, core.DurableOptions{Fsync: wal.SyncNever})
 			defer recovered.Close()
 			want := expectedCandidates(t)
-			if got := recovered.Candidates(); !pairsEqual(got, want[len(want)-1]) {
+			if got := recovered.Candidates(); !slices.Equal(got, want[len(want)-1]) {
 				t.Fatalf("recovered candidates %v, want %v", got, want[len(want)-1])
 			}
 			// The next checkpoint (fault disarmed) succeeds.

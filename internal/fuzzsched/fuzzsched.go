@@ -1,10 +1,12 @@
 // Package fuzzsched decodes fuzz input into a graph-stream schedule: a
 // depth, one start graph per stream, and ops that change the streams and
-// register or remove queries. The store fuzzers (internal/npv) and the join
-// fuzzer (internal/join) decode through it, so a dense start graph is one
-// byte for all of them, and one work budget, not a byte count, bounds what
-// an input costs. It imports only internal/graph, so any package's tests
-// can use it.
+// register or remove queries — and, for the engine harness, ops that batch
+// steps, checkpoint, crash and restart the engine. The store fuzzers
+// (internal/npv), the join fuzzer (internal/join) and the engine harness
+// (internal/core) decode through it, so a dense start graph is one byte for
+// all of them, and one work budget, not a byte count, bounds what an input
+// costs. It imports only internal/graph, so any package's tests can use it;
+// the reference the fuzzers check against is its subpackage reference.
 //
 // # Format
 //
@@ -25,7 +27,11 @@
 //     a present edge changes nothing, whatever its label.
 //   - 1, delete: the operand's nibbles are the endpoints.
 //   - 2, control: with bit 2 clear it ends the step; with it set, later edge
-//     ops go to the next stream, in the same step.
+//     ops go to the next stream, in the same step. Under DecodeEngine, bit 3
+//     set makes it an engine op instead, which ends the open step and is
+//     picked by bits 4–5: 0, batch, whose operand & 7 is the number of
+//     steps it groups; 1, checkpoint; 2, crash, whose operand is the number
+//     of bytes cut off the log's tail; 3, restart.
 //   - 3, query: ends the open step, then with bit 2 clear registers a
 //     query — with bit 3 clear the base graph the operand names, else a
 //     connected subgraph (sub) of the stream operand bit 0 picks, read from
@@ -42,10 +48,12 @@
 // a check — a step, a registration, a removal — also costs, per live query
 // and once more, four units per stream vertex and one per dimension its
 // vector can have (depth·nl²·ne), plus one, for the check's sweep over the
-// vectors. The decoder skips a start graph, query or op that would
-// overspend Budget (a skipped start graph is empty) and stops reading once
-// the budget is spent, so every schedule costs at most Budget, whatever
-// its length.
+// vectors. A checkpoint costs one check, a batch one unit, and a crash or
+// a restart one check plus the build cost of every stream and live query,
+// which a boot rebuilds. The decoder skips a start graph, query or op that
+// would overspend Budget (a skipped start graph is empty) and stops
+// reading once the budget is spent, so every schedule costs at most
+// Budget, whatever its length.
 package fuzzsched
 
 import (
@@ -73,6 +81,16 @@ const (
 	// RemoveQuery removes the live query at position Index, counting the
 	// live queries in registration order.
 	RemoveQuery
+	// Batch applies the Steps that follow it, up to Index of them, as one
+	// group commit. Only DecodeEngine emits it and the three ops below.
+	Batch
+	// Checkpoint folds the engine's state into a checkpoint.
+	Checkpoint
+	// Crash kills the engine, cuts Index bytes off its log's tail and
+	// boots it again.
+	Crash
+	// Restart closes the engine cleanly and boots it again.
+	Restart
 )
 
 // Op is one schedule op. For a Step, Changes holds each stream's change
@@ -101,6 +119,7 @@ type Schedule struct {
 // shadow the same plus the open step's insertions, applied as they are
 // read: every state the step passes through is a subgraph of it (but for
 // the edge of a relabelling insert), so its degrees bound the step's.
+// queries holds the build cost of each live query, in registration order.
 type decoder struct {
 	data      []byte
 	sc        Schedule
@@ -109,14 +128,27 @@ type decoder struct {
 	open      []graph.ChangeSet
 	stepOpen  bool
 	cursor    int
-	live      int
+	queries   []int
+	engine    bool
 }
 
 // Decode decodes data into a schedule over the given number of streams,
 // at a depth in [1, maxDepth]. It is deterministic, and it never fails:
 // every byte string is a schedule.
 func Decode(data []byte, streams, maxDepth int) Schedule {
-	d := &decoder{data: data}
+	return decode(&decoder{data: data}, streams, maxDepth)
+}
+
+// DecodeEngine is Decode with the engine ops: batch, checkpoint, crash and
+// restart. The decoder's view of the streams follows Applied, while an
+// engine applies none of a step whose Changes do not all apply, and a
+// crash may take records back; after either, that view only prices later
+// ops.
+func DecodeEngine(data []byte, streams, maxDepth int) Schedule {
+	return decode(&decoder{data: data, engine: true}, streams, maxDepth)
+}
+
+func decode(d *decoder, streams, maxDepth int) Schedule {
 	h, a := d.next(), d.next()
 	d.sc.Depth = 1 + int(h)%maxDepth
 	d.nl, d.ne = 1+int(a&3), 1+int(a>>2&1)
@@ -135,9 +167,13 @@ func Decode(data []byte, streams, maxDepth int) Schedule {
 		case 0, 1:
 			d.edge(op, d.next())
 		case 2:
-			if op&4 != 0 {
+			switch {
+			case op&8 != 0 && d.engine:
+				d.endStep()
+				d.engineOp(Batch + Kind(op>>4&3))
+			case op&4 != 0:
 				d.cursor = (d.cursor + 1) % streams
-			} else {
+			default:
 				if !d.stepOpen && !d.charge(d.sweep()) {
 					continue
 				}
@@ -191,7 +227,32 @@ func (d *decoder) sweep() int {
 	for _, g := range d.shadow {
 		n += g.VertexCount()
 	}
-	return 1 + n*(4+d.sc.Depth*d.nl*d.nl*d.ne)*(1+d.live)
+	return 1 + n*(4+d.sc.Depth*d.nl*d.nl*d.ne)*(1+len(d.queries))
+}
+
+// engineOp decodes an engine op of kind k, with its operand.
+func (d *decoder) engineOp(k Kind) {
+	op, cost := Op{Kind: k}, 1
+	switch k {
+	case Batch:
+		op.Index = int(d.next() & 7)
+	case Checkpoint:
+		cost = d.sweep()
+	case Crash:
+		op.Index = int(d.next())
+		fallthrough
+	case Restart:
+		cost = d.sweep()
+		for _, g := range d.g {
+			cost += d.weight(g)
+		}
+		for _, w := range d.queries {
+			cost += w
+		}
+	}
+	if d.charge(cost) {
+		d.sc.Ops = append(d.sc.Ops, op)
+	}
 }
 
 // edge decodes an insert or delete op on the cursor's stream.
@@ -270,9 +331,10 @@ func (d *decoder) endStep() {
 // query decodes a query op with its operand.
 func (d *decoder) query(op, b byte) {
 	if op&4 != 0 {
-		if d.live > 0 && d.charge(d.sweep()) {
-			d.sc.Ops = append(d.sc.Ops, Op{Kind: RemoveQuery, Index: int(b) % d.live})
-			d.live--
+		if n := len(d.queries); n > 0 && d.charge(d.sweep()) {
+			i := int(b) % n
+			d.sc.Ops = append(d.sc.Ops, Op{Kind: RemoveQuery, Index: i})
+			d.queries = append(d.queries[:i], d.queries[i+1:]...)
 		}
 		return
 	}
@@ -282,11 +344,12 @@ func (d *decoder) query(op, b byte) {
 	} else {
 		q = sub(d.g[int(b&1)%len(d.g)], b>>1)
 	}
-	if q.VertexCount() == 0 || !d.charge(d.weight(q)+d.sweep()) {
+	w := d.weight(q)
+	if q.VertexCount() == 0 || !d.charge(w+d.sweep()) {
 		return
 	}
 	d.sc.Ops = append(d.sc.Ops, Op{Kind: AddQuery, Query: q})
-	d.live++
+	d.queries = append(d.queries, w)
 }
 
 // base returns the start graph base byte b names over vertices 0..n−1,

@@ -74,7 +74,7 @@ func TestDenseBasesInBudget(t *testing.T) {
 
 // TestDecodeProperties decodes random byte strings of every length up to
 // 4 KiB, with one and two streams: decoding is deterministic, no schedule
-// costs more than Budget, and every step's Applied sets apply cleanly to
+// costs more than Budget, with or without engine ops, Decode emits none, and every step's Applied sets apply cleanly to
 // the streams in order, and are Changes in Normalize order when nothing
 // fails.
 func TestDecodeProperties(t *testing.T) {
@@ -87,14 +87,17 @@ func TestDecodeProperties(t *testing.T) {
 		if !reflect.DeepEqual(sc, Decode(data, streams, 4)) {
 			t.Fatalf("input %d: two decodes differ", i)
 		}
-		if sc.Cost > Budget {
-			t.Fatalf("input %d (%d bytes): costs %d, over the budget %d", i, len(data), sc.Cost, Budget)
+		if e := DecodeEngine(data, streams, 4); sc.Cost > Budget || e.Cost > Budget {
+			t.Fatalf("input %d (%d bytes): costs %d, or %d with engine ops, over the budget %d", i, len(data), sc.Cost, e.Cost, Budget)
 		}
 		graphs := make([]*graph.Graph, streams)
 		for s, g := range sc.Streams {
 			graphs[s] = g.Clone()
 		}
 		for k, op := range sc.Ops {
+			if op.Kind >= Batch {
+				t.Fatalf("input %d op %d: Decode emitted the engine op %+v", i, k, op)
+			}
 			if op.Kind != Step {
 				continue
 			}

@@ -72,28 +72,3 @@ func TestDynamicRemove(t *testing.T) {
 		})
 	}
 }
-
-func TestMonitorDynamicQueries(t *testing.T) {
-	mon := core.NewMonitor(NewDSC(3))
-	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
-	if _, err := mon.AddStream(g); err != nil {
-		t.Fatal(err)
-	}
-	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
-	id, err := mon.AddQuery(q) // after a stream: allowed, DSC is dynamic
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mon.Candidates(); len(got) != 1 {
-		t.Fatalf("Candidates = %v", got)
-	}
-	if err := mon.RemoveQuery(id); err != nil {
-		t.Fatal(err)
-	}
-	if got := mon.Candidates(); len(got) != 0 {
-		t.Fatalf("Candidates after removal = %v", got)
-	}
-	if err := mon.RemoveQuery(id); err == nil {
-		t.Fatal("removing twice should fail")
-	}
-}

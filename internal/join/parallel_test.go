@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"nntstream/internal/core"
@@ -177,6 +178,23 @@ func TestPoolDispatchCounted(t *testing.T) {
 	if got := read("nntstream_join_pool_max_batch_tasks"); got < 2 {
 		t.Fatalf("max batch tasks = %v; want >= 2", got)
 	}
+}
+
+// TestPoolTaskPanicReachesCaller: when every task of a two-worker batch
+// panics, the panic reaches the caller's goroutine, where a deferred
+// recover sees it, instead of ending the process from a spawned one. Each
+// task waits until both pullers hold one, so the spawned one panics too.
+func TestPoolTaskPanicReachesCaller(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "task" {
+			t.Fatalf("recovered %v; want the tasks' panic", r)
+		}
+	}()
+	var both sync.WaitGroup
+	both.Add(2)
+	p := evalPool{workers: 2}
+	p.run(8, func(int) { both.Done(); both.Wait(); panic("task") })
+	t.Fatal("run returned")
 }
 
 // skylineMemo is one Skyline stream's witness memo in comparable form: per

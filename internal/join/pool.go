@@ -52,7 +52,11 @@ func (p *evalPool) size() int {
 // inline. fn must write only to state owned by task i (its result slot
 // and, for per-stream tasks, that stream's state) — run provides the
 // happens-before edge between all tasks and the caller via the WaitGroup
-// join.
+// join. A task that panics stops the pulling: every puller recovers, and
+// once all have returned run panics on the caller's goroutine with the
+// first value, where the caller's own recovery (net/http's per-request
+// one, or a deferred unlock) can see it. A spawned goroutine that panicked
+// would end the process instead.
 //
 //nnt:nonblocking the join waits only for the batch's own compute-bound tasks, which by contract take no locks and do no I/O
 func (p *evalPool) run(n int, fn func(i int)) {
@@ -79,15 +83,23 @@ func (p *evalPool) run(n int, fn func(i int)) {
 	}
 	start := time.Now()
 	var next atomic.Int64
+	var first sync.Once
+	var panicked any
 	// Waits are summed per goroutine and published once, so tasks do not
 	// contend on the shared counter.
 	pull := func() {
 		var wait time.Duration
+		defer func() {
+			if r := recover(); r != nil {
+				next.Store(int64(n))
+				first.Do(func() { panicked = r })
+			}
+			p.waitNanos.Add(wait.Nanoseconds())
+		}()
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			wait += time.Since(start)
 			fn(i)
 		}
-		p.waitNanos.Add(wait.Nanoseconds())
 	}
 	var wg sync.WaitGroup
 	wg.Add(w - 1)
@@ -99,6 +111,9 @@ func (p *evalPool) run(n int, fn func(i int)) {
 	}
 	pull()
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // registerMetrics registers the pool's series under the shared
