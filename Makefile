@@ -107,8 +107,10 @@ crashtest-cluster:
 # crashed, cut and restarted, against one naive reference. The recount,
 # capped-seal, Skyline and engine fuzzers share one schedule decoder,
 # internal/fuzzsched, whose work budget bounds each input's cost. An engine
-# harness run costs tens of milliseconds, so its minimization is capped at
-# 2s: the default 60s would stop the count for as long. The default budget
+# harness run costs tens of milliseconds, and a recount, capped-seal or
+# Skyline run up to tens on a dense start graph, so the minimization of
+# these four is capped at 2s: the default 60s stopped the exec count of
+# 60s runs after 12-18s, and one minimization took 33s. The default budget
 # keeps it pre-commit-friendly; override FUZZTIME for a real campaign.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -118,9 +120,9 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzPackedDominates -fuzztime=$(FUZZTIME) ./internal/npv/
 	$(GO) test -fuzz=FuzzQindexCandidates -fuzztime=$(FUZZTIME) ./internal/qindex/
 	$(GO) test -fuzz=FuzzCrossDirections -fuzztime=$(FUZZTIME) ./internal/qindex/
-	$(GO) test -fuzz=FuzzRecountMatchesForest -fuzztime=$(FUZZTIME) ./internal/npv/
-	$(GO) test -fuzz=FuzzCappedSeal -fuzztime=$(FUZZTIME) ./internal/npv/
-	$(GO) test -fuzz=FuzzSkylineMatchesNL -fuzztime=$(FUZZTIME) ./internal/join/
+	$(GO) test -fuzz=FuzzRecountMatchesForest -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/npv/
+	$(GO) test -fuzz=FuzzCappedSeal -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/npv/
+	$(GO) test -fuzz=FuzzSkylineMatchesNL -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/join/
 	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/core/
 	$(GO) test -fuzz=FuzzAppendPairs -fuzztime=$(FUZZTIME) ./internal/server/
 

@@ -8,8 +8,9 @@
 //
 // -filter offers what a server needs: skyline (the production default), nl
 // (the plain nested loop, the reference oracle) and exact (VF2 ground
-// truth). The paper's baselines (dsc, branch, graphgrep, gindex1, gindex2)
-// live in cmd/experiments and cmd/streamwatch.
+// truth, up to a node limit per pair past which the pair is reported). The
+// paper's baselines (dsc, branch, graphgrep, gindex1, gindex2) live in
+// cmd/experiments and cmd/streamwatch.
 //
 //	serve [-addr :8080] [-filter skyline|nl|exact]
 //	      [-depth 3] [-workers 0] [-data-dir dir]
@@ -41,6 +42,7 @@ import (
 
 	"nntstream/internal/cluster"
 	"nntstream/internal/core"
+	"nntstream/internal/iso"
 	"nntstream/internal/join"
 	"nntstream/internal/npv"
 	"nntstream/internal/obs"
@@ -249,6 +251,14 @@ func workerHandler(wk *cluster.Worker, registry *obs.Registry) http.Handler {
 	return mux
 }
 
+// exactNodeLimit bounds the VF2 search of one (stream, query) pair under
+// -filter exact. A search that reaches it reports the pair as a candidate,
+// which over-reports and never drops a match. It is about 0.08 s of search
+// on a 2-vCPU VM, while the searches of typical queries end within a few
+// hundred nodes; without it one hostile query holds the engine's write
+// lock for as long as its search runs, minutes or more.
+const exactNodeLimit = 50_000
+
 // filterFactory returns the constructor of the named filter at depth,
 // rejecting a depth the NPV store cannot count before any filter is built:
 // a bad -depth fails at startup, not in the first request that builds one.
@@ -262,7 +272,7 @@ func filterFactory(name string, depth int) (func() core.Filter, error) {
 	case "nl":
 		return func() core.Filter { return join.NewNL(depth) }, nil
 	case "exact":
-		return func() core.Filter { return join.NewExact() }, nil
+		return func() core.Filter { return join.NewExact(iso.WithNodeLimit(exactNodeLimit)) }, nil
 	default:
 		return nil, fmt.Errorf("unknown filter %q", name)
 	}

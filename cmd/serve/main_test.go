@@ -2,15 +2,19 @@ package main
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"nntstream/internal/cluster"
 	"nntstream/internal/core"
+	"nntstream/internal/graph"
 	"nntstream/internal/join"
 	"nntstream/internal/npv"
 	"nntstream/internal/obs"
@@ -167,6 +171,48 @@ func TestFilterFactoryRejectsDepthOutOfRange(t *testing.T) {
 		if _, err := filterFactory(filter, npv.MaxDepth); err != nil {
 			t.Errorf("filterFactory(%q, %d): %v", filter, npv.MaxDepth, err)
 		}
+	}
+}
+
+// TestExactFilterBoundsHostileSearch: a 26-vertex wheel query against a
+// 28-vertex G(n, 3/4) stream, two vertex labels, has no embedding, and an
+// unbounded VF2 search for one runs for minutes. The exact filter serve
+// builds stops at its node limit and reports the pair.
+func TestExactFilterBoundsHostileSearch(t *testing.T) {
+	label := func(v int) graph.Label { return graph.Label(v % 2) }
+	wheel, stream := graph.New(), graph.New()
+	for v := 1; v < 26; v++ {
+		_ = graph.InsertOp(0, label(0), graph.VertexID(v), label(v), 0).Apply(wheel)
+	}
+	for v := 1; v < 26; v++ {
+		w := v%25 + 1
+		_ = graph.InsertOp(graph.VertexID(v), label(v), graph.VertexID(w), label(w), 0).Apply(wheel)
+	}
+	r := rand.New(rand.NewPCG(8, 7<<5|28))
+	for u := 0; u < 28; u++ {
+		for v := u + 1; v < 28; v++ {
+			if r.IntN(4) < 3 {
+				_ = graph.InsertOp(graph.VertexID(u), label(u), graph.VertexID(v), label(v), 0).Apply(stream)
+			}
+		}
+	}
+	factory, err := filterFactory("exact", join.DefaultDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := factory()
+	if err := f.AddQuery(0, wheel); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := f.AddStream(0, stream); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("deciding the pair took %v; want under 2s", d)
+	}
+	if got := f.Candidates(); !slices.Equal(got, []core.Pair{{Stream: 0, Query: 0}}) {
+		t.Fatalf("candidates %v; want the pair whose search hit the node limit", got)
 	}
 }
 

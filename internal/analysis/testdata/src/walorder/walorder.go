@@ -15,6 +15,8 @@ func (in *inner) AddQuery(id int, q string) error {
 
 func (in *inner) StepAll() error { return nil }
 
+func (in *inner) stepCount() (int, error) { return 0, nil }
+
 type durable struct {
 	log   *wal.Log
 	inner inner
@@ -37,6 +39,10 @@ func (d *durable) badApplyFirst(id int, q string) error {
 
 func (d *durable) badNoAppend() error {
 	return d.inner.StepAll() // want `d\.inner\.StepAll mutates engine state without a preceding wal\.Append`
+}
+
+func (d *durable) badCountNoAppend() (int, error) {
+	return d.inner.stepCount() // want `d\.inner\.stepCount mutates engine state without a preceding wal\.Append`
 }
 
 // logged is the append-dominating helper shape: append, then apply.

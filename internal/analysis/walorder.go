@@ -19,10 +19,11 @@ var WALOrder = &Analyzer{
 }
 
 // engineMutators are the inner-engine methods that change logical state and
-// therefore need a WAL record.
+// therefore need a WAL record. stepCount is StepAll's count-only twin, the
+// step the batched ingest path and replay take.
 var engineMutators = map[string]bool{
 	"AddQuery": true, "RemoveQuery": true, "AddStream": true, "StepAll": true,
-	"replayAddQuery": true, "replayAddStream": true,
+	"stepCount": true, "replayAddQuery": true, "replayAddStream": true,
 }
 
 func runWALOrder(p *Pass) {

@@ -211,7 +211,7 @@ func (d *DurableEngine) replayRecord(r wal.Record) error {
 			changes[StreamID(id)] = cs
 		}
 		//lint:ignore walorder replay applies a record already present in the log; re-appending would duplicate it
-		_, err := d.inner.StepAll(changes)
+		_, err := d.inner.stepCount(changes)
 		return err
 	default:
 		return fmt.Errorf("core: replaying unknown WAL record kind %d", r.Kind)
@@ -349,12 +349,12 @@ func (d *DurableEngine) StepAllBatch(batch []map[StreamID]graph.ChangeSet) (appl
 			for id, cs := range changes {
 				rec.Changes[int64(id)] = cs
 			}
-			var ps []Pair
-			if err := d.logged(rec, func() (e error) { ps, e = d.inner.StepAll(changes); return }); err != nil {
+			var n int
+			if err := d.logged(rec, func() (e error) { n, e = d.inner.stepCount(changes); return }); err != nil {
 				return err
 			}
 			applied++
-			pairs += len(ps)
+			pairs += n
 		}
 		return nil
 	})

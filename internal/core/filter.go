@@ -97,6 +97,16 @@ type BatchApplier interface {
 	ApplyAll(changes map[StreamID]graph.ChangeSet) error
 }
 
+// CandidateCounter is an optional Filter extension: CandidateCount returns
+// len(Candidates()) without building the list. The engine's steps whose
+// callers read only the number of pairs (StepAllBatch, WAL replay) use it,
+// so a filter that keeps its count as verdicts flip steps at a cost
+// independent of the answer's size. Other filters are counted through
+// Candidates.
+type CandidateCounter interface {
+	CandidateCount() int
+}
+
 // ParallelFilter is implemented by filters whose evaluation fans out over
 // a bounded worker pool. SetWorkers(n) bounds the pool at n goroutines;
 // n <= 0 sizes it to runtime.GOMAXPROCS and n == 1 runs every batch inline

@@ -91,6 +91,9 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add(true, []byte{1, 6, 0, 0, 0x00, 0x45, 0x02, 0x2a, 2, 0x03, 1<<5 | 2,
 		0x00, 0x56, 0x06, 0x00, 0x23, 0x02})
 	f.Add(true, []byte{3, 6, 0, 0, 0x00, 0x45, 0x02, 0x3a, 0x03, 1<<5 | 2, 0x2a, 1})
+	// A query both paths match, removed, then a batched step: the batch's
+	// pair count must lose the removed query's pairs.
+	f.Add(false, []byte{0, 0, 1<<5 | 6, 1<<5 | 6, 0x03, 1<<5 | 3, 0x07, 0, 0x0a, 1, 0x00, 0x25, 0x02})
 	f.Fuzz(func(t *testing.T, fixture bool, data []byte) {
 		h := newHarness(t, fuzzsched.DecodeEngine(data, 2, npv.MaxDepth), fixture)
 		h.run()
@@ -216,9 +219,14 @@ func (h *harness) run() {
 		case fuzzsched.Step:
 			changes := changesOf(op)
 			werr := h.model.Step(changes)
+			want := h.model.Candidates()
 			for i, d := range h.engines {
-				if _, err := d.StepAll(changes); (err == nil) != (werr == nil) {
+				got, err := d.StepAll(changes)
+				if (err == nil) != (werr == nil) {
 					h.fatalf(i, "op %d: StepAll(%v) = %v; the reference says %v", k, changes, err, werr)
+				}
+				if err == nil && !h.exact(i) && !slices.Equal(got, want) {
+					h.fatalf(i, "op %d: StepAll reported %v; the reference has %v", k, got, want)
 				}
 			}
 		case fuzzsched.Batch:
@@ -226,13 +234,18 @@ func (h *harness) run() {
 			for ; len(batch) < op.Index && k+1 < len(h.sc.Ops) && h.sc.Ops[k+1].Kind == fuzzsched.Step; k++ {
 				batch = append(batch, changesOf(h.sc.Ops[k+1]))
 			}
-			applied := 0
+			applied, pairs := 0, 0
 			for applied < len(batch) && h.model.Step(batch[applied]) == nil {
 				applied++
+				pairs += len(h.model.Candidates())
 			}
 			for i, d := range h.engines {
-				if n, _, err := d.StepAllBatch(batch); n != applied || (err == nil) != (n == len(batch)) {
+				n, got, err := d.StepAllBatch(batch)
+				if n != applied || (err == nil) != (n == len(batch)) {
 					h.fatalf(i, "op %d: StepAllBatch applied %d of %d steps (%v); want %d", k, n, len(batch), err, applied)
+				}
+				if !h.exact(i) && got != pairs {
+					h.fatalf(i, "op %d: StepAllBatch reported %d pairs; the reference's steps have %d", k, got, pairs)
 				}
 			}
 		case fuzzsched.Checkpoint:
@@ -341,11 +354,15 @@ func (h *harness) check(k int) {
 	}
 }
 
+// exact reports whether engine i runs the exact filter, which may report
+// pairs the reference does not (its search stops at exactNodes).
+func (h *harness) exact(i int) bool { return i == len(configs)-1 }
+
 func (h *harness) checkEngine(k, i int) {
 	h.t.Helper()
 	d, want := h.engines[i], h.model.Candidates()
 	got := d.Candidates()
-	if i == len(configs)-1 {
+	if h.exact(i) {
 		for _, p := range got {
 			// Exact counts a pair whose search hit the node limit as joinable,
 			// so only a pair with an embedding must be a reference candidate.

@@ -15,7 +15,8 @@ type EngineMetrics struct {
 	// filter-apply phase, evaluation pool included. Its _count is the number
 	// of StepAll rounds.
 	ApplySeconds *obs.Histogram
-	// CollectSeconds is the per-timestamp latency of candidate collection.
+	// CollectSeconds is the per-timestamp latency of candidate collection:
+	// the pair list for StepAll, the pair count for StepAllBatch.
 	CollectSeconds *obs.Histogram
 	// CandidatePairs counts reported pairs summed over all rounds.
 	CandidatePairs *obs.Counter

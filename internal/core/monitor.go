@@ -49,7 +49,8 @@ type Stats struct {
 	// Timestamps is the number of StepAll/Step rounds processed.
 	Timestamps int
 	// FilterTime is the total wall time spent inside the filter's Apply
-	// and Candidates calls.
+	// calls and collecting each step's candidates: the list for StepAll,
+	// the count for StepAllBatch.
 	FilterTime time.Duration
 	// CandidatePairs sums the number of reported pairs over all rounds.
 	CandidatePairs int64
@@ -244,26 +245,54 @@ func (m *Monitor) Query(id QueryID) *graph.Graph {
 func (m *Monitor) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var cands []Pair
+	if _, err := m.step(changes, func() int { cands = m.filter.Candidates(); return len(cands) }); err != nil {
+		return nil, err
+	}
+	return cands, nil
+}
+
+// stepCount is StepAll for callers that read only how many pairs the step
+// reported: it collects the count, from a CandidateCounter filter without
+// building the pair list.
+func (m *Monitor) stepCount(changes map[StreamID]graph.ChangeSet) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.step(changes, m.candidateCount)
+}
+
+// candidateCount is the number of pairs Candidates would return. Callers
+// hold m.mu.
+func (m *Monitor) candidateCount() int {
+	if c, ok := m.filter.(CandidateCounter); ok {
+		return c.CandidateCount()
+	}
+	return len(m.filter.Candidates())
+}
+
+// step stages and applies one timestamp, then runs collect, which returns
+// the number of candidate pairs, and records the stats. Callers hold m.mu.
+func (m *Monitor) step(changes map[StreamID]graph.ChangeSet, collect func() int) (int, error) {
 	norms, err := m.stageChanges(changes)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	start := time.Now()
 	if err := m.apply(norms); err != nil {
 		m.unstage(len(m.stepIDs))
-		return nil, err
+		return 0, err
 	}
 	applyDur := time.Since(start)
 	start = time.Now()
-	cands := m.filter.Candidates()
+	pairs := collect()
 	collectDur := time.Since(start)
 
 	m.stats.FilterTime += applyDur + collectDur
 	m.stats.Timestamps++
-	m.stats.CandidatePairs += int64(len(cands))
+	m.stats.CandidatePairs += int64(pairs)
 	m.stats.TotalPairs += int64(len(m.streams) * len(m.queries))
-	m.metrics.observeStep(applyDur, collectDur, len(cands), m.stats)
-	return cands, nil
+	m.metrics.observeStep(applyDur, collectDur, pairs, m.stats)
+	return pairs, nil
 }
 
 // Step advances a single stream by one timestamp.
@@ -275,15 +304,16 @@ func (m *Monitor) Step(id StreamID, cs graph.ChangeSet) ([]Pair, error) {
 // StepAll call, and stops at the first step that fails: the steps before it
 // stay applied. It returns the steps applied and the candidate pairs they
 // reported — DurableEngine.StepAllBatch's contract without the shared
-// fsync, which an in-memory engine has no use for.
+// fsync, which an in-memory engine has no use for. It counts the pairs and
+// builds no list.
 func (m *Monitor) StepAllBatch(batch []map[StreamID]graph.ChangeSet) (applied, pairs int, err error) {
 	for _, changes := range batch {
-		ps, err := m.StepAll(changes)
+		n, err := m.stepCount(changes)
 		if err != nil {
 			return applied, pairs, err
 		}
 		applied++
-		pairs += len(ps)
+		pairs += n
 	}
 	return applied, pairs, nil
 }

@@ -24,6 +24,7 @@
 package join
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -152,6 +153,11 @@ type vecJoinStream struct {
 // driver, the answer and the metrics. The strategies embed it, so its
 // exported methods are theirs.
 //
+// The answer is the verdicts. A flip writes one verdict and moves the pair
+// count, so a step costs nothing proportional to the answer; Candidates
+// builds the sorted list from the verdicts on each read, and CandidateCount
+// is the count.
+//
 // With an index, each changed stream's reconcile names a superset of the
 // queries whose verdict could have flipped, so the kept verdicts are exact
 // by construction; the index is immutable within a timestamp. Its stores
@@ -171,9 +177,13 @@ type vecJoin struct {
 
 	queries map[core.QueryID]*vecQuery
 	streams map[core.StreamID]*vecJoinStream
-	// answer is the candidate set in (Stream, Query) order. Every verdict
-	// write that flips a verdict patches it, so a read is a copy.
-	answer []core.Pair
+	// The read order, kept by registration and removal: the streams by
+	// ascending ID, and the registered query IDs ascending with their
+	// slots in parallel. pairs counts the true verdicts over every stream.
+	order []*vecJoinStream
+	qids  []core.QueryID
+	slots []int32
+	pairs int
 	// ix issues every query's slot, so a slot is the same in vecQuery and
 	// in the postings. It holds the query vectors only when indexed;
 	// otherwise every query is a candidate.
@@ -211,6 +221,9 @@ func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 	}
 	vq := &vecQuery{id: id, slot: j.ix.Register(id), vecs: j.derive(q, j.depth)}
 	j.queries[id] = vq
+	i, _ := slices.BinarySearch(j.qids, id)
+	j.qids = slices.Insert(j.qids, i, id)
+	j.slots = slices.Insert(j.slots, i, vq.slot)
 	if j.indexed {
 		raised := len(j.streams) > 0 && j.raises(vq)
 		vq.refs = make([]int32, len(vq.vecs))
@@ -270,7 +283,13 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 	}
 	delete(j.queries, id)
 	j.ix.RemoveQuery(id)
+	i, _ := slices.BinarySearch(j.qids, id)
+	j.qids = slices.Delete(j.qids, i, i+1)
+	j.slots = slices.Delete(j.slots, i, i+1)
 	for _, s := range j.streams {
+		if s.verdict[vq.slot] {
+			j.pairs--
+		}
 		s.verdict[vq.slot] = false
 		s.forget(vq.slot)
 		for i, ref := range vq.refs {
@@ -279,7 +298,6 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 			}
 		}
 	}
-	j.answer = slices.DeleteFunc(j.answer, func(p core.Pair) bool { return p.Query == id })
 	return nil
 }
 
@@ -297,6 +315,8 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	store := npv.NewCappedStore(g0, j.depth, capOf)
 	s := &vecJoinStream{vecStream: j.newStream(j.ix, store), id: id, store: store}
 	j.streams[id] = s
+	i, _ := slices.BinarySearchFunc(j.order, id, func(s *vecJoinStream, id core.StreamID) int { return cmp.Compare(s.id, id) })
+	j.order = slices.Insert(j.order, i, s)
 	s.reconcile(nil)
 	for _, vq := range j.queries {
 		j.evaluate(s, vq)
@@ -318,11 +338,10 @@ func (j *vecJoin) evaluate(s *vecJoinStream, vq *vecQuery) {
 
 // settleAll settles the stream's probed tasks on the serialized path, in
 // task (query) order: they go into the stream's memo, and each records its
-// verdict — patching the answer — and flushes its counts. No task saw
-// another's results, so nothing depends on the worker count. It is
-// ApplyAll's merge and, after the probe, the registration paths' whole
-// decision. The settled tasks are cleared, so the reused buffer keeps no
-// removed query alive.
+// verdict and flushes its counts. No task saw another's results, so
+// nothing depends on the worker count. It is ApplyAll's merge and, after
+// the probe, the registration paths' whole decision. The settled tasks are
+// cleared, so the reused buffer keeps no removed query alive.
 func (j *vecJoin) settleAll(s *vecJoinStream) {
 	s.settle(s.tasks)
 	for i := range s.tasks {
@@ -335,19 +354,17 @@ func (j *vecJoin) settleAll(s *vecJoinStream) {
 	s.tasks = s.tasks[:0]
 }
 
-// setVerdict records a pair's verdict and, where it flips, patches the
-// answer: the pair is in the answer iff its verdict is true.
+// setVerdict records a pair's verdict and, where it flips, moves the pair
+// count: the pair is a candidate iff its verdict is true.
 func (j *vecJoin) setVerdict(s *vecJoinStream, vq *vecQuery, ok bool) {
 	if s.verdict[vq.slot] == ok {
 		return
 	}
 	s.verdict[vq.slot] = ok
-	p := core.Pair{Stream: s.id, Query: vq.id}
-	i, _ := slices.BinarySearchFunc(j.answer, p, core.ComparePairs)
 	if ok {
-		j.answer = slices.Insert(j.answer, i, p)
+		j.pairs++
 	} else {
-		j.answer = slices.Delete(j.answer, i, i+1)
+		j.pairs--
 	}
 }
 
@@ -401,14 +418,29 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 	return err
 }
 
-// Candidates implements core.Filter: a copy of the answer the verdict
-// writes keep patched.
+// Candidates implements core.Filter: it walks the verdicts in (stream,
+// query) order and keeps the true ones. Every pair is written, and the
+// write position advances by the verdict, so the walk does not branch; the
+// one slot past the count takes the writes after the last candidate.
 func (j *vecJoin) Candidates() []core.Pair {
-	if len(j.answer) == 0 {
+	if j.pairs == 0 {
 		return nil
 	}
-	return slices.Clone(j.answer)
+	out := make([]core.Pair, j.pairs+1)
+	n := 0
+	for _, s := range j.order {
+		verdict := s.verdict
+		for i, slot := range j.slots {
+			out[n] = core.Pair{Stream: s.id, Query: j.qids[i]}
+			n += b2i(verdict[slot])
+		}
+	}
+	return out[:n]
 }
+
+// CandidateCount implements core.CandidateCounter: the number of true
+// verdicts, which every flip keeps.
+func (j *vecJoin) CandidateCount() int { return j.pairs }
 
 // RegisterMetrics implements core.MetricsFilter with the series the vector
 // joins export under the same names: the vectors a probe compares, the

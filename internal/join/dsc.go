@@ -37,10 +37,11 @@ import (
 type DSC struct{ vecJoin }
 
 var (
-	_ core.Filter         = (*DSC)(nil)
-	_ core.BatchApplier   = (*DSC)(nil)
-	_ core.ParallelFilter = (*DSC)(nil)
-	_ core.MetricsFilter  = (*DSC)(nil)
+	_ core.Filter           = (*DSC)(nil)
+	_ core.BatchApplier     = (*DSC)(nil)
+	_ core.ParallelFilter   = (*DSC)(nil)
+	_ core.MetricsFilter    = (*DSC)(nil)
+	_ core.CandidateCounter = (*DSC)(nil)
 )
 
 // NewDSC returns a dominated-set-cover filter with the given NNT depth.

@@ -152,8 +152,9 @@ func TestSkylineMaxRefutation(t *testing.T) {
 	}
 }
 
-// TestDSCCandidatesAllocatesOnce: a read copies the patched answer, one
-// allocation whatever the number of candidate pairs.
+// TestDSCCandidatesAllocatesOnce: a read builds the list from the verdicts
+// into one slice sized by the pair count, one allocation whatever the
+// number of candidate pairs.
 func TestDSCCandidatesAllocatesOnce(t *testing.T) {
 	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
 	g := buildGraph(t, map[graph.VertexID]graph.Label{10: 0, 11: 1}, [][3]int{{10, 11, 0}})

@@ -22,10 +22,11 @@ import (
 type NL struct{ vecJoin }
 
 var (
-	_ core.Filter         = (*NL)(nil)
-	_ core.BatchApplier   = (*NL)(nil)
-	_ core.ParallelFilter = (*NL)(nil)
-	_ core.MetricsFilter  = (*NL)(nil)
+	_ core.Filter           = (*NL)(nil)
+	_ core.BatchApplier     = (*NL)(nil)
+	_ core.ParallelFilter   = (*NL)(nil)
+	_ core.MetricsFilter    = (*NL)(nil)
+	_ core.CandidateCounter = (*NL)(nil)
 )
 
 // NewNL returns a nested-loop filter with the given NNT depth.

@@ -130,9 +130,13 @@ func (c oracleEquiv) run(t *testing.T) {
 		check := func(step int) {
 			want := reference.Candidates(graphs, live, depth)
 			for _, ef := range filters {
-				if got := ef.f.Candidates(); !reflect.DeepEqual(got, want) {
+				got := ef.f.Candidates()
+				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed=%d step=%d: %s candidates %v != reference %v",
 						seed, step, ef.name, got, want)
+				}
+				if n := ef.f.(core.CandidateCounter).CandidateCount(); n != len(got) {
+					t.Fatalf("seed=%d step=%d: %s counts %d candidates; it lists %d", seed, step, ef.name, n, len(got))
 				}
 				if sky, ok := ef.f.(*Skyline); ok {
 					checkPairMemos(t, &sky.vecJoin, fmt.Sprintf("seed=%d step=%d: %s", seed, step, ef.name))
@@ -335,16 +339,19 @@ func toggleBatch(r *rand.Rand, graphs map[core.StreamID]*graph.Graph, pick func(
 }
 
 // assertVecJoinTornDown checks the shared vector-join query state is empty:
-// index rows and slots, packed query vectors, the answer, per-stream
-// verdicts, Skyline's pair memos and need counts, and DSC's dominant
-// counters and covers.
+// index rows and slots, packed query vectors, the pair count and the
+// query read order, per-stream verdicts, Skyline's pair memos and need
+// counts, and DSC's dominant counters and covers.
 func assertVecJoinTornDown(t *testing.T, name string, j *vecJoin) {
 	t.Helper()
 	if j.ix.PostingCount() != 0 || j.ix.QueryCount() != 0 {
 		t.Fatalf("%s: index leaked: %d postings, %d queries holding slots", name, j.ix.PostingCount(), j.ix.QueryCount())
 	}
-	if len(j.queries) != 0 || len(j.answer) != 0 {
-		t.Fatalf("%s: %d packed queries and %d answer pairs leaked", name, len(j.queries), len(j.answer))
+	if len(j.queries) != 0 || j.pairs != 0 {
+		t.Fatalf("%s: %d packed queries and a count of %d pairs leaked", name, len(j.queries), j.pairs)
+	}
+	if len(j.qids) != 0 || len(j.slots) != 0 {
+		t.Fatalf("%s: the read order keeps queries %v in slots %v", name, j.qids, j.slots)
 	}
 	for sid, s := range j.streams {
 		if slices.Contains(s.verdict, true) {

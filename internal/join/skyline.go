@@ -96,10 +96,11 @@ type dimStat struct {
 }
 
 var (
-	_ core.Filter         = (*Skyline)(nil)
-	_ core.BatchApplier   = (*Skyline)(nil)
-	_ core.ParallelFilter = (*Skyline)(nil)
-	_ core.MetricsFilter  = (*Skyline)(nil)
+	_ core.Filter           = (*Skyline)(nil)
+	_ core.BatchApplier     = (*Skyline)(nil)
+	_ core.ParallelFilter   = (*Skyline)(nil)
+	_ core.MetricsFilter    = (*Skyline)(nil)
+	_ core.CandidateCounter = (*Skyline)(nil)
 )
 
 // NewSkyline returns a skyline-with-early-stop filter with the given NNT

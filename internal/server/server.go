@@ -383,10 +383,19 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, body.Bytes())
 }
 
-// WritePairs answers 200 with the pair-list body AppendPairs renders.
+// WritePairs answers 200 with the pair-list body AppendPairs renders. The
+// body is rendered into a pooled buffer, which the Write has copied out of
+// by the time it returns, so a read of a large answer reuses warm memory
+// instead of allocating its body afresh.
 func WritePairs(w http.ResponseWriter, pairs []core.Pair) {
-	writeBody(w, http.StatusOK, AppendPairs(nil, pairs))
+	body := pairBodies.Get().(*[]byte)
+	*body = AppendPairs((*body)[:0], pairs)
+	writeBody(w, http.StatusOK, *body)
+	pairBodies.Put(body)
 }
+
+// pairBodies holds WritePairs' body buffers.
+var pairBodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeBody sends a rendered JSON body in one Write under its
 // Content-Length, so net/http never answers in chunks.

@@ -157,7 +157,7 @@ func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardWriter) WriteHeader(int)             {}
 
 // TestCandidatesReadAllocsIndependentOfAnswerSize pins the read path's
-// allocations: the body is sized before it is rendered, so a 5,000-pair
+// allocations: the body is rendered into a pooled buffer, so a 5,000-pair
 // answer allocates exactly what a 10-pair one does.
 func TestCandidatesReadAllocsIndependentOfAnswerSize(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/v1/candidates", nil)

@@ -2,6 +2,7 @@ package nntstream
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"nntstream/internal/core"
@@ -188,22 +189,29 @@ func TestStepAllAllocsIndependentOfGraphSize(t *testing.T) {
 	t.Logf("allocs per step: %.1f at 800 edges, %.1f at 1600", small, large)
 }
 
+// candidateWorkload builds a trickle workload with extra queries per
+// stream and runs one full cycle, so the buffers a step reuses have
+// reached their largest size.
+func candidateWorkload(t *testing.T, extra int) *trickleWorkload {
+	w := newTrickleWorkload(t, 800, extra)
+	for i := range w.steps {
+		w.step(t, i)
+	}
+	return w
+}
+
 // TestStepAllAllocsIndependentOfCandidateCount: under Skyline a step
 // allocates exactly the same whether ~200 or ~1600 pairs are candidates.
-// Verdict flips patch a sorted answer, so the collect is one copy, and the
-// pair-task buffer is reused, so neither grows with the answer. (Rebuilding
-// the answer each step appends its way up to the answer size, which costs
-// O(log |answer|) allocations.) A full cycle runs first, so the answer and
-// the buffers have reached their largest size before the count. Both
-// workloads register the same distinct query vectors (distinctExtra): the
-// stores seal counts capped at the query maxima, so a query set with other
-// maxima reseals other vertices, and allocates for them.
+// A flip writes a verdict and moves the pair count, the collect builds the
+// list in one allocation sized by that count, and the pair-task buffer is
+// reused, so no allocation count grows with the answer. (Appending the
+// list pair by pair costs O(log |answer|) allocations.) Both workloads
+// register the same distinct query vectors (distinctExtra): the stores
+// seal counts capped at the query maxima, so a query set with other maxima
+// reseals other vertices, and allocates for them.
 func TestStepAllAllocsIndependentOfCandidateCount(t *testing.T) {
 	allocs := func(extra int) (float64, int) {
-		w := newTrickleWorkload(t, 800, extra)
-		for i := range w.steps {
-			w.step(t, i)
-		}
+		w := candidateWorkload(t, extra)
 		i := 0
 		return testing.AllocsPerRun(len(w.steps), func() {
 			w.step(t, i)
@@ -220,4 +228,32 @@ func TestStepAllAllocsIndependentOfCandidateCount(t *testing.T) {
 			small, smallPairs, large, largePairs)
 	}
 	t.Logf("allocs per step: %.1f at %d and %d candidate pairs", small, smallPairs, largePairs)
+}
+
+// TestStepAllBatchBytesIndependentOfCandidateCount: a step that reports
+// only its pair count, StepAllBatch's step, allocates no more bytes at
+// ~1600 candidate pairs than at ~200. The count is kept as verdicts flip,
+// so no step builds or copies the pair list (a copy is 16 B per pair).
+func TestStepAllBatchBytesIndependentOfCandidateCount(t *testing.T) {
+	bytesPerStep := func(extra int) (float64, int) {
+		w := candidateWorkload(t, extra)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		applied, pairs, err := w.mon.StepAllBatch(w.steps)
+		runtime.ReadMemStats(&after)
+		if err != nil || applied != len(w.steps) {
+			t.Fatalf("StepAllBatch applied %d of %d steps: %v", applied, len(w.steps), err)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(applied), pairs / applied
+	}
+	small, smallPairs := bytesPerStep(20)
+	large, largePairs := bytesPerStep(165)
+	if smallPairs < 150 || largePairs < 1400 {
+		t.Fatalf("workloads too small: %d and %d candidate pairs per step", smallPairs, largePairs)
+	}
+	if large > small*1.1+64 {
+		t.Fatalf("bytes per step grew with the answer: %.0f B at %d candidate pairs, %.0f B at %d",
+			small, smallPairs, large, largePairs)
+	}
+	t.Logf("bytes per step: %.0f B at %d candidate pairs, %.0f B at %d", small, smallPairs, large, largePairs)
 }
