@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -45,15 +46,16 @@ const exactNodes = 1000
 // over two streams and drives one DurableEngine per config through it:
 // query registrations and removals, steps — a failing one must be rejected
 // whole — batches of steps under one group commit, checkpoints, crashes
-// that cut bytes off the log's tail, and clean restarts. After every op
-// each engine must agree with one reference model
+// that cut bytes off the end of the log's records (zeroing them in front
+// of the zero tail, or ending the file there; see torn), and clean
+// restarts. After every op each engine must agree with one reference model
 // (internal/fuzzsched/reference) on the candidates, the next IDs and the
 // applied LSN, and the exact engine's pairs must be reference candidates:
 // no false negatives. With fixture set the engines boot from
 // testdata/sharded, a data dir written by an engine that split its streams
 // over three filter shards, and the schedule continues from there. Outside
-// fuzzing, which reaches cuts through the crash op, the final log is then
-// cut at every byte.
+// fuzzing, which reaches cuts through the crash op, the final log's
+// records are then cut at every byte.
 //
 // Seeds are in fuzzsched's format; see FuzzSkylineMatchesNL for the
 // query and edge ops. The engine ops are 0x0a k (a batch of the next k
@@ -257,7 +259,8 @@ func (h *harness) run() {
 			}
 		case fuzzsched.Crash:
 			log := h.kill()
-			h.boot(log[:max(0, len(log)-op.Index)])
+			_, end := records(log)
+			h.boot(torn(log, max(0, end-op.Index), op.Index%2 == 0))
 		case fuzzsched.Restart:
 			h.model.Checkpoint()
 			for i, d := range h.engines {
@@ -316,7 +319,7 @@ func (h *harness) kill() []byte {
 		}
 		log = data
 	}
-	if n := records(log); n != h.model.Records() {
+	if n, _ := records(log); n != h.model.Records() {
 		h.t.Fatalf("the log holds %d records; the reference acknowledged %d", n, h.model.Records())
 	}
 	return log
@@ -325,25 +328,41 @@ func (h *harness) kill() []byte {
 // boot restarts every engine on log, and the model on the records that
 // survive in it.
 func (h *harness) boot(log []byte) {
-	h.model = h.model.Recover(records(log))
+	n, _ := records(log)
+	h.model = h.model.Recover(n)
 	for i := range h.engines {
 		h.write(i, "wal.log", log)
 		h.open(i)
 	}
 }
 
-// records counts the whole frames in a log that may be cut short: after an
-// 8-byte magic, each frame is a 4-byte payload length, a 4-byte CRC and
-// the payload.
-func records(log []byte) int {
-	n := 0
-	for off := 8; off+8 <= len(log); n++ {
-		off += 8 + int(binary.LittleEndian.Uint32(log[off:]))
-		if off > len(log) {
+// records counts the whole frames in a log that may be cut short, and
+// returns where they end: after an 8-byte magic, each frame is a 4-byte
+// payload length, a 4-byte CRC and the payload. Like the log's own scan,
+// it stops at a zero length, where the zero tail the log keeps past its
+// records begins, and at a frame cut short or zeroed.
+func records(log []byte) (n, end int) {
+	for end = 8; end+8 <= len(log); n++ {
+		size := int(binary.LittleEndian.Uint32(log[end:]))
+		if size == 0 || end+8+size > len(log) ||
+			crc32.ChecksumIEEE(log[end+8:end+8+size]) != binary.LittleEndian.Uint32(log[end+4:]) {
 			break
 		}
+		end += 8 + size
 	}
-	return n
+	return n, end
+}
+
+// torn is log as a crash at byte cut of its records leaves it. With
+// keepTail the file keeps its length and holds zeros from the cut on, a
+// torn overwrite of the log's zero tail; otherwise it ends at the cut, a
+// torn extension or a log written before the tail existed. A cut into the
+// magic always ends the file: the magic is written alone, before any tail.
+func torn(log []byte, cut int, keepTail bool) []byte {
+	if !keepTail || cut < 8 {
+		return log[:cut:cut]
+	}
+	return append(log[:cut:cut], make([]byte, len(log)-cut)...)
 }
 
 // check holds every engine to the model after op k (-1 for a boot).
@@ -382,18 +401,21 @@ func (h *harness) checkEngine(k, i int) {
 	}
 }
 
-// sweep cuts the final log at every byte and boots each cut on the last
-// checkpoint, the configs taking the cuts in turn.
+// sweep cuts the final log's records at every byte, keeping the zero tail
+// at even cuts and ending the file at odd ones, and boots each cut on the
+// last checkpoint, the configs taking the cuts in turn.
 func (h *harness) sweep() {
 	log, final := h.kill(), h.model
+	_, end := records(log)
 	models := make(map[int]*reference.Model)
-	for cut := 0; cut <= len(log); cut++ {
-		n, i := records(log[:cut]), cut%len(configs)
+	for cut := 0; cut <= end; cut++ {
+		data, i := torn(log, cut, cut%2 == 0), cut%len(configs)
+		n, _ := records(data)
 		if models[n] == nil {
 			models[n] = final.Recover(n)
 		}
 		h.model = models[n]
-		h.write(i, "wal.log", log[:cut])
+		h.write(i, "wal.log", data)
 		h.open(i)
 		h.checkEngine(-1, i)
 		if err := h.engines[i].Crash(); err != nil {

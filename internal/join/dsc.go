@@ -78,7 +78,11 @@ func domKey(v graph.VertexID, ref int32) uint64 { return uint64(uint32(v))<<32 |
 // reaches zero queues its joinable owners and one whose cover leaves zero
 // its refuted ones; presence changes queue the owners of the empty vector.
 func (ds *dscStream) reconcile(verdict []bool) ([]core.QueryID, bool) {
-	deltas := ds.store.SealDirty()
+	return ds.fold(ds.store.SealDirty(), verdict)
+}
+
+// fold is reconcile past the seal: it walks the deltas' crossed rows.
+func (ds *dscStream) fold(deltas []npv.DirtyDelta, verdict []bool) ([]core.QueryID, bool) {
 	if len(deltas) == 0 {
 		return nil, false
 	}

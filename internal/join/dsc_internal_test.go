@@ -7,6 +7,7 @@ import (
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
 	"nntstream/internal/npv"
+	"nntstream/internal/qindex"
 )
 
 // TestDSCPositionCrossing exercises the positional-delta update directly:
@@ -91,37 +92,184 @@ func assertDSCDrained(t *testing.T, at string, s *vecJoinStream) {
 func checkDSCCounters(t *testing.T, j *vecJoin, at string) {
 	t.Helper()
 	for sid, s := range j.streams {
-		ds := s.vecStream.(*dscStream)
+		ds := dscOf(s)
 		for k, n := range ds.dom {
 			if e := j.ix.Entry(int32(uint32(k))); n <= 0 || len(e.Owners) == 0 {
 				t.Fatalf("%s: stream %d vertex %d: counter %d for entry %d of %d owners", at, sid, int32(k>>32), n, int32(uint32(k)), len(e.Owners))
 			}
 		}
 		for ref := int32(0); ref < int32(j.ix.Refs()); ref++ {
-			e := j.ix.Entry(ref)
-			var cover int32
-			if len(e.Owners) > 0 {
-				ds.store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
-					var n int32
-					for i := 0; i < e.Vec.Len(); i++ {
-						if p.Get(e.Vec.Dim(i)) >= e.Vec.Count(i) {
-							n++
-						}
-					}
-					if got := ds.dom[domKey(v, ref)]; got != n {
-						t.Fatalf("%s: stream %d vertex %d: entry %d counter %d; recount %d", at, sid, v, ref, got, n)
-					}
-					if n > 0 && n == int32(e.Vec.Len()) {
-						cover++
-					}
-					return true
-				})
-			}
-			if ds.cover[ref] != cover {
-				t.Fatalf("%s: stream %d entry %d (%d owners): cover %d; recount %d", at, sid, ref, len(e.Owners), ds.cover[ref], cover)
-			}
+			checkDSCColumn(t, ds, sid, ref, at)
 		}
 	}
+}
+
+// checkDSCMoved is checkDSCCounters for what the op moved, on every
+// stream. The seals logged since the last check (sealLog) name the
+// (vertex, entry) pairs their transitions crossed: each such counter is
+// recounted from the vertex's sealed vector, and each crossed entry's cover
+// must be the cover the last check left, plus the vertices that came to
+// dominate it fully, minus those that stopped. refs are the entries of a
+// query just registered or removed: a freed one is recounted whole
+// (checkDSCColumn); a registered one's counters were rebuilt, not moved. A
+// counter that moves without a transition is left to the full recount at
+// the end of the schedule.
+func checkDSCMoved(t *testing.T, j *vecJoin, refs []int32, at string) {
+	t.Helper()
+	for sid, s := range j.streams {
+		log := s.vecStream.(*sealLog)
+		ds := log.dscStream
+		if n := j.ix.Refs(); len(log.net) < n {
+			log.net, log.seen = make([]int32, n), make([]int, n)
+		}
+		want := append(log.want[:0], log.cover...)
+		for len(want) < len(ds.cover) {
+			want = append(want, 0)
+		}
+		log.want, log.crossed = want, log.crossed[:0]
+		clear(log.recounted)
+		// Latest first: a vertex's counters are recounted at its last seal.
+		for i := len(log.seals) - 1; i >= 0; i-- {
+			sl := log.seals[i]
+			log.tick++
+			first := len(log.crossed)
+			for _, c := range log.rows[sl.from:sl.to] {
+				if log.seen[c.ref] != log.tick {
+					log.seen[c.ref], log.net[c.ref] = log.tick, 0
+					log.crossed = append(log.crossed, c.ref)
+				}
+				log.net[c.ref] += int32(2*b2i(c.rise) - 1)
+			}
+			v := sl.dl.Vertex
+			last := !log.recounted[v]
+			log.recounted[v] = true
+			for _, ref := range log.crossed[first:] {
+				e := j.ix.Entry(ref)
+				full, got := int32(e.Vec.Len()), dominance(sl.dl.New, sl.dl.HasNew, e)
+				want[ref] += int32(b2i(got == full) - b2i(got-log.net[ref] == full))
+				if kept := ds.dom[domKey(v, ref)]; last && kept != got {
+					t.Fatalf("%s: stream %d vertex %d crossed entry %d: counter %d; recount %d", at, sid, v, ref, kept, got)
+				}
+			}
+		}
+		log.seals, log.rows = log.seals[:0], log.rows[:0]
+		for _, ref := range refs {
+			if len(j.ix.Entry(ref).Owners) == 0 {
+				checkDSCColumn(t, ds, sid, ref, at)
+			}
+		}
+		for _, ref := range log.crossed {
+			if !slices.Contains(refs, ref) && ds.cover[ref] != want[ref] {
+				t.Fatalf("%s: stream %d crossed entry %d: cover %d; %d after the transitions", at, sid, ref, ds.cover[ref], want[ref])
+			}
+		}
+		log.cover = append(log.cover[:0], ds.cover...)
+	}
+}
+
+// checkDSCColumn recounts entry ref on one stream: every sealed vertex's
+// counter for it and its cover, none of either once it has no owners.
+func checkDSCColumn(t *testing.T, ds *dscStream, sid core.StreamID, ref int32, at string) {
+	t.Helper()
+	e := ds.ix.Entry(ref)
+	var cover int32
+	ds.store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
+		n := dominance(p, len(e.Owners) > 0, e)
+		if got := ds.dom[domKey(v, ref)]; got != n {
+			t.Fatalf("%s: stream %d vertex %d: entry %d counter %d; recount %d", at, sid, v, ref, got, n)
+		}
+		if n > 0 && n == int32(e.Vec.Len()) {
+			cover++
+		}
+		return true
+	})
+	if ds.cover[ref] != cover {
+		t.Fatalf("%s: stream %d entry %d (%d owners): cover %d; recount %d", at, sid, ref, len(e.Owners), ds.cover[ref], cover)
+	}
+}
+
+// dominance is in how many of e's support dimensions p reaches e's count,
+// the dominant counter DSC keeps for p's vertex: 0 when the vertex has no
+// vector (ok false).
+func dominance(p npv.PackedVector, ok bool, e *qindex.Entry) int32 {
+	var n int32
+	for i, k := 0, 0; ok && i < e.Vec.Len(); i++ {
+		d := e.Vec.Dim(i)
+		for k < p.Len() && p.Dim(k) < d {
+			k++
+		}
+		n += int32(b2i(k < p.Len() && p.Dim(k) == d && p.Count(k) >= e.Vec.Count(i)))
+	}
+	return n
+}
+
+// sealLog is a dscStream that logs its seal transitions, each with the
+// rows it crosses (qindex.Index.Ranges, the walk fold takes), and keeps
+// the covers as the last check left them, so the check after an op
+// recounts only what the op's transitions crossed (checkDSCMoved).
+type sealLog struct {
+	*dscStream
+	seals []loggedSeal
+	rows  []crossedRow
+	cover []int32
+	buf   []qindex.Range
+	// The check's scratch: net[ref] is a transition's rises minus drops
+	// across ref's rows, seen[ref] the tick of the last transition that
+	// crossed ref, crossed lists the refs the op's transitions crossed
+	// (once per transition), want the covers they imply, and recounted the
+	// vertices whose counters were recounted.
+	net       []int32
+	seen      []int
+	tick      int
+	crossed   []int32
+	want      []int32
+	recounted map[graph.VertexID]bool
+}
+
+// loggedSeal is one transition and its crossed rows, rows[from:to].
+type loggedSeal struct {
+	dl       npv.DirtyDelta
+	from, to int
+}
+
+// crossedRow is one row a transition crossed: its entry, and whether the
+// transition rose through it.
+type crossedRow struct {
+	ref  int32
+	rise bool
+}
+
+func (s *sealLog) reconcile(verdict []bool) ([]core.QueryID, bool) {
+	deltas := s.store.SealDirty()
+	for _, dl := range deltas {
+		from := len(s.rows)
+		s.buf, _ = s.ix.Ranges(dl, s.buf[:0])
+		for _, rg := range s.buf {
+			for _, ref := range rg.Refs {
+				s.rows = append(s.rows, crossedRow{ref, !rg.Drop})
+			}
+		}
+		s.seals = append(s.seals, loggedSeal{dl, from, len(s.rows)})
+	}
+	return s.fold(deltas, verdict)
+}
+
+// newLoggedDSC is NewDSC with every stream's seals logged.
+func newLoggedDSC(depth int) *DSC {
+	f := NewDSC(depth)
+	newStream := f.newStream
+	f.newStream = func(ix *qindex.Index, store *npv.Store) vecStream {
+		return &sealLog{dscStream: newStream(ix, store).(*dscStream), recounted: make(map[graph.VertexID]bool)}
+	}
+	return f
+}
+
+// dscOf is a DSC stream's strategy half, logged or not.
+func dscOf(s *vecJoinStream) *dscStream {
+	if l, ok := s.vecStream.(*sealLog); ok {
+		return l.dscStream
+	}
+	return s.vecStream.(*dscStream)
 }
 
 // TestSkylineMaxRefutation checks the per-dimension max shortcut: a query

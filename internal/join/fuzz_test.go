@@ -88,10 +88,12 @@ func FuzzSkylineMatchesNL(f *testing.F) {
 // vectors' entries outlive one owner or are freed and reissued; after every
 // op both Skylines' witness memos must keep their invariants
 // (checkPairMemos), no cap may fall, and DSC's dominant counters and
-// covers must equal a recount from the sealed vectors (checkDSCCounters).
+// covers must equal a recount from the sealed vectors: after every op for
+// what the op moved (checkDSCMoved), and at the end for every counter
+// (checkDSCCounters).
 func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 	t.Helper()
-	seq, par, dsc, nl := NewSkyline(sc.Depth), NewSkyline(sc.Depth), NewDSC(sc.Depth), NewNL(sc.Depth)
+	seq, par, dsc, nl := NewSkyline(sc.Depth), NewSkyline(sc.Depth), newLoggedDSC(sc.Depth), NewNL(sc.Depth)
 	par.SetWorkers(4)
 	filters := []core.Filter{seq, par, dsc, nl}
 	var live []core.QueryID
@@ -99,12 +101,13 @@ func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 	// seen holds, per Skyline, the caps the checks have read: a cap may
 	// rise, and must never fall.
 	seen := []map[npv.Dim]int32{{}, {}}
-	check := func(op int) {
+	// refs are the DSC entries of the query the op registered or removed.
+	check := func(op int, refs []int32) {
 		want := nl.Candidates()
 		if got := dsc.Candidates(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("op %d: DSC candidates %v != NL %v", op, got, want)
 		}
-		checkDSCCounters(t, &dsc.vecJoin, fmt.Sprintf("op %d", op))
+		checkDSCMoved(t, &dsc.vecJoin, refs, fmt.Sprintf("op %d", op))
 		for k, f := range []*Skyline{seq, par} {
 			if got := f.Candidates(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("op %d: Skyline candidates %v != NL %v", op, got, want)
@@ -135,12 +138,13 @@ func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 			}
 		}
 		added = true
-		check(-1)
+		check(-1, nil)
 	}
 	for i, op := range sc.Ops {
 		if op.Kind != fuzzsched.AddQuery && !added {
 			addStreams()
 		}
+		var refs []int32
 		switch op.Kind {
 		case fuzzsched.AddQuery:
 			for _, f := range filters {
@@ -148,9 +152,11 @@ func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 					t.Fatal(err)
 				}
 			}
+			refs = dsc.queries[nextQ].refs
 			live = append(live, nextQ)
 			nextQ++
 		case fuzzsched.RemoveQuery:
+			refs = dsc.queries[live[op.Index]].refs
 			for _, f := range filters {
 				if err := f.RemoveQuery(live[op.Index]); err != nil {
 					t.Fatal(err)
@@ -176,12 +182,13 @@ func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 			}
 		}
 		if added {
-			check(i)
+			check(i, refs)
 		}
 	}
 	if !added {
 		addStreams()
 	}
+	checkDSCCounters(t, &dsc.vecJoin, "end")
 }
 
 // TestSkylineMatchesNLSchedules runs schedules kept as explicit graphs

@@ -52,6 +52,10 @@ func FuzzReadRecord(f *testing.F) {
 	}
 	f.Add(stream)
 	f.Add(stream[:len(stream)-3]) // torn tail
+	// The same two ahead of the zero tail a log keeps past its records.
+	zeros := make([]byte, 3*frameHeaderSize)
+	f.Add(append(stream[:len(stream):len(stream)], zeros...))
+	f.Add(append(stream[:len(stream)-3:len(stream)-3], zeros...))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
@@ -84,6 +88,13 @@ func FuzzReadRecord(f *testing.F) {
 		}
 		if !res.torn && res.validLen != int64(len(data)) {
 			t.Fatalf("not torn but validLen %d != %d", res.validLen, len(data))
+		}
+		// A zero length ends the log: the valid prefix ahead of a zero
+		// tail scans to the same prefix.
+		padded := append(data[:res.validLen:res.validLen], make([]byte, 2*frameHeaderSize)...)
+		if again, _ := scanFrames(padded, nil); again.validLen != res.validLen || again.records != res.records {
+			t.Fatalf("valid prefix of %d bytes and %d records scans to %d bytes and %d records ahead of zeros",
+				res.validLen, res.records, again.validLen, again.records)
 		}
 	})
 }

@@ -11,10 +11,12 @@ import (
 //
 // with fixed-width little-endian header fields. A record is valid only if its
 // whole frame is present, the CRC matches, the payload parses, and its LSN is
-// strictly greater than the previous record's. The first violation marks the
-// torn tail: everything before it is the valid prefix, everything from it on
-// is discarded. This is exactly the write-side guarantee inverted — appends
-// are single sequential writes, so a crash can only tear the final frame.
+// strictly greater than the previous record's. The first violation ends the
+// valid prefix. A zero length is one, and it is where the zero-filled tail
+// the log keeps past its last record begins; recovery keeps that tail when
+// every byte of it is zero. Any other tail is torn and discarded. This is
+// exactly the write-side guarantee inverted — appends are single sequential
+// writes, so a crash can only tear the final frame.
 const (
 	frameHeaderSize = 8
 	// maxPayload bounds a single record. A length field above it is treated
@@ -39,7 +41,7 @@ type scanResult struct {
 	// records counts valid records.
 	records int
 	// torn reports whether trailing bytes after the valid prefix were
-	// present (and must be truncated).
+	// present (recovery truncates them unless they are all zero).
 	torn bool
 }
 

@@ -74,7 +74,8 @@ func TestAppendAtPreservesLSNs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The two logs are byte-identical: same records, same LSNs, same framing.
+	// The two logs' records are byte-identical: same records, same LSNs,
+	// same framing. Past them, both files hold only zeros.
 	a, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +84,12 @@ func TestAppendAtPreservesLSNs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(a) != string(b) {
+	end := d.Offset()
+	if int64(len(a)) < end || int64(len(b)) < end || string(a[:end]) != string(b[:end]) {
 		t.Fatal("replica log bytes diverge from primary log")
+	}
+	if !allZero(a[end:]) || !allZero(b[end:]) {
+		t.Fatal("a log holds nonzero bytes past its records")
 	}
 }
 

@@ -5,11 +5,14 @@
 //
 // Records are length-prefixed and CRC32-checksummed, carry strictly
 // increasing log sequence numbers, and are written with a single sequential
-// write each, so a crash can tear at most the final record. Opening a log
-// replays its valid prefix and physically truncates the torn tail instead of
-// failing — recovery after a hard kill is the designed-for path, not an
-// error path. Fsync policy is configurable per log: every append, on a
-// background interval, or never (leaving flushing to the OS).
+// write each, so a crash can tear at most the final record. The file keeps a
+// zero-filled tail past the last record, which a zero length ends, so most
+// appends overwrite allocated blocks and their fsync commits no size change.
+// Opening a log replays its valid prefix, keeps an all-zero tail and
+// physically truncates any other tail instead of failing — recovery after a
+// hard kill is the designed-for path, not an error path. Fsync policy is
+// configurable per log: every append, on a background interval, or never
+// (leaving flushing to the OS).
 package wal
 
 import (
@@ -76,6 +79,16 @@ type LogFile interface {
 	Truncate(size int64) error
 }
 
+// An append that outgrows the file carries the file's extension in its own
+// write, so the one fsync that covers the record covers the size change: the
+// frame plus zeros as long as the log, clamped to [minGrow, maxGrow], with
+// the new end rounded down to a minGrow boundary. Appends then overwrite
+// that tail until it runs out.
+const (
+	minGrow = 4 << 10
+	maxGrow = 1 << 20
+)
+
 // DefaultSyncInterval is the SyncInterval cadence when Options leaves it
 // zero.
 const DefaultSyncInterval = 100 * time.Millisecond
@@ -106,6 +119,7 @@ type Log struct {
 	f       LogFile
 	path    string
 	offset  int64 // end of the valid frame region (includes the magic)
+	size    int64 // the file's length: offset plus the zero-filled tail
 	lastLSN uint64
 	policy  SyncPolicy
 	dirty   bool // bytes written since the last fsync
@@ -122,8 +136,9 @@ type Log struct {
 }
 
 // Open opens (creating if absent) the log at path, replays the valid record
-// prefix through opts.OnRecord, truncates any torn tail, and positions the
-// log for appending. LSNs continue from the last valid record.
+// prefix through opts.OnRecord, truncates any torn tail (an all-zero tail is
+// kept for later appends to overwrite), and positions the log for
+// appending. LSNs continue from the last valid record.
 func Open(path string, opts Options) (*Log, error) {
 	raw, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -156,7 +171,9 @@ func Open(path string, opts Options) (*Log, error) {
 }
 
 // recover scans the existing file, replays valid records, and truncates the
-// file to the valid prefix.
+// file to the valid prefix unless all that follows it is zero. A log
+// written without a zero tail opens unchanged and gains one on its next
+// append.
 func (l *Log) recover(onRecord func(Record) error) error {
 	data, err := io.ReadAll(l.f)
 	if err != nil {
@@ -166,7 +183,7 @@ func (l *Log) recover(onRecord func(Record) error) error {
 		if _, err := l.f.Write(fileMagic); err != nil {
 			return fmt.Errorf("wal: writing magic to %s: %w", l.path, err)
 		}
-		l.offset = int64(len(fileMagic))
+		l.offset, l.size = int64(len(fileMagic)), int64(len(fileMagic))
 		l.dirty = true
 		return nil
 	}
@@ -178,7 +195,7 @@ func (l *Log) recover(onRecord func(Record) error) error {
 		if _, err := l.f.Write(fileMagic); err != nil {
 			return fmt.Errorf("wal: rewriting magic to %s: %w", l.path, err)
 		}
-		l.offset = int64(len(fileMagic))
+		l.offset, l.size = int64(len(fileMagic)), int64(len(fileMagic))
 		l.dirty = true
 		l.metrics.observeRecovery(scanResult{}, int64(len(data)))
 		return nil
@@ -192,7 +209,11 @@ func (l *Log) recover(onRecord func(Record) error) error {
 		return fmt.Errorf("wal: replaying %s: %w", l.path, err)
 	}
 	end := int64(len(fileMagic)) + res.validLen
-	torn := int64(len(data)) - end
+	l.size = int64(len(data))
+	var torn int64
+	if len(bytes.TrimLeft(data[end:], "\x00")) > 0 {
+		torn = l.size - end
+	}
 	l.metrics.observeRecovery(res, torn)
 	if torn > 0 {
 		if err := l.rewindTo(end); err != nil {
@@ -211,13 +232,14 @@ func (l *Log) recover(onRecord func(Record) error) error {
 	return nil
 }
 
-// rewindTo truncates the file to size and repositions the write cursor
-// there (a bare Truncate leaves the cursor beyond EOF, where the next write
-// would punch a zero-filled hole).
+// rewindTo truncates the file to size, zero tail included, and repositions
+// the write cursor there (a bare Truncate leaves the cursor beyond EOF, where
+// the next write would punch a zero-filled hole).
 func (l *Log) rewindTo(size int64) error {
 	if err := l.f.Truncate(size); err != nil {
 		return fmt.Errorf("wal: truncating %s to %d: %w", l.path, size, err)
 	}
+	l.size = size
 	if _, err := l.f.Seek(size, io.SeekStart); err != nil {
 		return fmt.Errorf("wal: seeking %s to %d: %w", l.path, size, err)
 	}
@@ -225,9 +247,10 @@ func (l *Log) rewindTo(size int64) error {
 }
 
 // Append assigns the next LSN to r, frames it, and writes it in one write
-// call, fsyncing per policy. It returns the assigned LSN. On a failed or
-// short write the file is rolled back to the previous record boundary so the
-// log never retains a half-written frame across its own error return.
+// call (with the file's extension when it outgrows the zero tail), fsyncing
+// per policy. It returns the assigned LSN. On a failed or short write the
+// file is rolled back to the previous record boundary so the log never
+// retains a half-written frame across its own error return.
 func (l *Log) Append(r Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -259,19 +282,26 @@ func (l *Log) AppendAt(r Record) error {
 }
 
 func (l *Log) appendLocked(r Record) error {
-	payload, err := appendPayload(l.scratch[:0], r)
+	frame, err := appendPayload(append(l.scratch[:0], make([]byte, frameHeaderSize)...), r)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
+	payload := frame[frameHeaderSize:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
-	l.scratch = payload[:0]
+	l.scratch = frame[:0]
+	// The extension is allocated per growth and dropped, never kept in
+	// scratch: it reaches maxGrow, and growths are rare.
+	write, end := frame, l.offset+int64(len(frame))
+	if end > l.size {
+		pad := min(max(l.offset, minGrow), maxGrow)
+		write = make([]byte, (end+pad)&^(minGrow-1)-l.offset)
+		copy(write, frame)
+	}
 
 	start := time.Now()
-	n, werr := l.f.Write(frame)
-	if werr != nil || n < len(frame) {
+	n, werr := l.f.Write(write)
+	if werr != nil || n < len(write) {
 		// Partially written frame: roll the file back to the record
 		// boundary so the in-memory view stays truthful. (A crash before
 		// the rollback is fine — recovery truncates the torn frame.)
@@ -285,10 +315,17 @@ func (l *Log) appendLocked(r Record) error {
 		}
 		return fmt.Errorf("wal: appending record %d: %w", r.LSN, werr)
 	}
-	l.metrics.observeAppend(time.Since(start), n)
-	l.offset += int64(n)
+	l.metrics.observeAppend(time.Since(start), len(frame))
 	l.lastLSN = r.LSN
 	l.dirty = true
+	if end > l.size {
+		l.size = l.offset + int64(n)
+		if _, err := l.f.Seek(end, io.SeekStart); err != nil {
+			l.err = fmt.Errorf("wal: seeking %s back from its extension: %w", l.path, err)
+			return l.err
+		}
+	}
+	l.offset = end
 	if l.policy == SyncAlways && !l.deferSync {
 		return l.syncLocked()
 	}
@@ -467,7 +504,8 @@ func (l *Log) LastLSN() uint64 {
 
 // TruncateTo rolls the log back to a boundary previously captured with
 // Offset/LastLSN — the engine's undo for an append whose apply was rejected.
-// It is only valid between a failed apply and the next Append.
+// It is only valid between a failed apply and the next Append. The file is
+// cut there, zero tail included, so no undone frame survives to replay.
 func (l *Log) TruncateTo(offset int64, lastLSN uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -490,9 +528,10 @@ func (l *Log) TruncateTo(offset int64, lastLSN uint64) error {
 	return nil
 }
 
-// Reset empties the log after a checkpoint made its records redundant. The
-// LSN counter is not reset — LSNs stay monotonic across resets so a
-// checkpoint's recorded LSN unambiguously splits old records from new.
+// Reset empties the log after a checkpoint made its records redundant,
+// cutting the file back to its magic. The LSN counter is not reset — LSNs
+// stay monotonic across resets so a checkpoint's recorded LSN unambiguously
+// splits old records from new.
 func (l *Log) Reset() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

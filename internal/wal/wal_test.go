@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -90,10 +92,14 @@ func TestLogAppendReplay(t *testing.T) {
 	}
 }
 
-// TestLogTornTailEveryByte is the wal-level kill-point test: the log is cut
-// at every byte boundary and reopened. The replayed prefix must be exactly
-// the records whose frames fully fit, the file must be truncated back to that
-// boundary, and the log must accept new appends afterwards.
+// TestLogTornTailEveryByte is the wal-level kill-point test: the log's
+// written prefix is cut at every byte and reopened, once as a file that ends
+// at the cut (a log written before the zero tail, or a torn extension) and
+// once with the zero tail kept and the cut bytes zeroed (a torn overwrite of
+// the tail). The replayed prefix must be exactly the records whose frames
+// survive whole; a tail that is not all zero must be truncated back to that
+// boundary and counted, an all-zero one kept and not counted; and the log
+// must accept new appends afterwards.
 func TestLogTornTailEveryByte(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
@@ -110,57 +116,221 @@ func TestLogTornTailEveryByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := scanFrames(full[len(fileMagic):], nil)
-	if err != nil || res.records != 4 || res.torn {
+	if err != nil || res.records != 4 {
 		t.Fatalf("baseline scan: %+v err %v", res, err)
+	}
+	written := int64(len(fileMagic)) + res.validLen
+	if tail := full[written:]; len(tail) == 0 || !allZero(tail) {
+		t.Fatalf("baseline: %d bytes past the records, not a zero tail", len(tail))
 	}
 	// boundaries[i] is the file size once records 0..i-1 are fully on disk.
 	boundaries := append([]int64{int64(len(fileMagic))}, frameOffsets(t, full)...)
 
-	for cut := int64(0); cut <= int64(len(full)); cut++ {
-		cutPath := filepath.Join(dir, "cut.log")
-		if err := os.WriteFile(cutPath, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		wantRecords := 0
-		for _, b := range boundaries[1:] {
-			if cut >= b {
-				wantRecords++
+	for cut := int64(0); cut <= written; cut++ {
+		for _, keepTail := range []bool{false, true} {
+			if keepTail && cut < int64(len(fileMagic)) {
+				continue // the magic goes out alone, before any tail exists
 			}
+			data := full[:cut:cut]
+			if keepTail {
+				data = append(data, make([]byte, len(full)-int(cut))...)
+			}
+			checkCut(t, dir, fmt.Sprintf("cut %d keepTail %v", cut, keepTail), data, full, boundaries)
 		}
-		reg := obs.NewRegistry()
-		m := NewMetrics(reg)
-		var got []Record
-		l, err := Open(cutPath, Options{Metrics: m, OnRecord: func(r Record) error {
-			got = append(got, r)
-			return nil
-		}})
-		if err != nil {
-			t.Fatalf("cut %d: open: %v", cut, err)
+	}
+}
+
+// checkCut opens data as a log and holds recovery to what the bytes allow:
+// the records whose frames match full survive, and what follows them is
+// kept if all zero and otherwise truncated and counted.
+func checkCut(t *testing.T, dir, at string, data, full []byte, boundaries []int64) {
+	t.Helper()
+	cutPath := filepath.Join(dir, "cut.log")
+	if err := os.WriteFile(cutPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantRecords := 0
+	for _, b := range boundaries[1:] {
+		if b <= int64(len(data)) && bytes.Equal(data[:b], full[:b]) {
+			wantRecords++
 		}
-		if len(got) != wantRecords {
-			t.Fatalf("cut %d: replayed %d records; want %d", cut, len(got), wantRecords)
-		}
-		// The torn tail must be physically gone and the log appendable.
-		if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 99}); err != nil {
-			t.Fatalf("cut %d: append after recovery: %v", cut, err)
-		}
-		if err := l.Close(); err != nil {
+	}
+	valid, wantSize, tornWant := boundaries[wantRecords], int64(len(data)), int64(0)
+	switch {
+	case len(data) == 0:
+		wantSize = valid // a fresh log: the magic is written
+	case len(data) < len(fileMagic):
+		wantSize, tornWant = valid, int64(len(data)) // torn magic counts whole file
+	case !allZero(data[valid:]):
+		wantSize, tornWant = valid, int64(len(data))-valid
+	}
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	var got []Record
+	// No crash follows, so the fsyncs are dropped: they only cost time.
+	l, err := Open(cutPath, Options{Metrics: m, OnRecord: func(r Record) error {
+		got = append(got, r)
+		return nil
+	}, WrapFile: func(f LogFile) LogFile { return NewFaultFile(f, FaultDropSync, 0) }})
+	if err != nil {
+		t.Fatalf("%s: open: %v", at, err)
+	}
+	if len(got) != wantRecords {
+		t.Fatalf("%s: replayed %d records; want %d", at, len(got), wantRecords)
+	}
+	if off := l.Offset(); off != valid {
+		t.Fatalf("%s: offset %d; want %d", at, off, valid)
+	}
+	if info, err := os.Stat(cutPath); err != nil || info.Size() != wantSize {
+		t.Fatalf("%s: recovered file size %v (%v); want %d", at, info.Size(), err, wantSize)
+	}
+	if n := m.TornTruncations.Value(); n != b2i(tornWant > 0) || m.TornBytes.Value() != tornWant {
+		t.Fatalf("%s: %d torn truncations of %d bytes; want %d bytes torn", at, n, m.TornBytes.Value(), tornWant)
+	}
+	// The log must be appendable where the valid prefix ends.
+	if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 99}); err != nil {
+		t.Fatalf("%s: append after recovery: %v", at, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := replayAll(t, cutPath)
+	if len(reopened) != wantRecords+1 {
+		t.Fatalf("%s: after heal replay %d records; want %d", at, len(reopened), wantRecords+1)
+	}
+	if last := reopened[len(reopened)-1]; last.Kind != KindRemoveQuery || last.ID != 99 {
+		t.Fatalf("%s: healed tail = %+v", at, last)
+	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func allZero(b []byte) bool { return len(bytes.TrimLeft(b, "\x00")) == 0 }
+
+// TestRecoverKeepsZeroTail: a log keeps zero-filled space past its last
+// record, grown in the appends' own writes; Close → Open keeps it, at the
+// same size and offset, without counting a torn truncation; and a log
+// written before the zero tail existed opens unchanged and gains one on its
+// next append.
+func TestRecoverKeepsZeroTail(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	l, err := Open(path, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[int64]bool{}
+	for i := 0; i < 400; i++ {
+		if _, err := l.Append(Record{Kind: KindAddQuery, ID: int64(i), Graph: lineGraph(3)}); err != nil {
 			t.Fatal(err)
 		}
-		reopened := replayAll(t, cutPath)
-		if len(reopened) != wantRecords+1 {
-			t.Fatalf("cut %d: after heal replay %d records; want %d", cut, len(reopened), wantRecords+1)
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if last := reopened[len(reopened)-1]; last.Kind != KindRemoveQuery || last.ID != 99 {
-			t.Fatalf("cut %d: healed tail = %+v", cut, last)
+		if off := l.Offset(); info.Size() <= off || info.Size()%minGrow != 0 {
+			t.Fatalf("append %d: file size %d at offset %d; want a whole number of %d-byte blocks past it", i, info.Size(), off, minGrow)
 		}
-		tornWant := cut - boundaries[wantRecords]
-		if wantRecords == 0 && cut < int64(len(fileMagic)) {
-			tornWant = cut // torn magic counts whole file
+		sizes[info.Size()] = true
+	}
+	off := l.Offset()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The tail grows with the log, so 400 appends grow the file a few times.
+	if len(sizes) < 2 || len(sizes) > 4 {
+		t.Fatalf("the file took %d sizes over 400 appends (offset %d)", len(sizes), off)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !allZero(full[off:]) {
+		t.Fatal("the tail past the last record is not all zero")
+	}
+
+	reopen := func(at string, data []byte) *Log {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if tornWant > 0 && m.TornTruncations.Value() != 1 {
-			t.Fatalf("cut %d: torn truncation not counted (torn %d bytes)", cut, tornWant)
+		m := NewMetrics(obs.NewRegistry())
+		n := 0
+		l, err := Open(path, Options{Sync: SyncNever, Metrics: m, OnRecord: func(Record) error { n++; return nil }})
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
 		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 400 || l.Offset() != off || info.Size() != int64(len(data)) {
+			t.Fatalf("%s: %d records at offset %d in %d bytes; want 400 at %d in %d", at, n, l.Offset(), info.Size(), off, len(data))
+		}
+		if m.TornTruncations.Value() != 0 || m.TornBytes.Value() != 0 {
+			t.Fatalf("%s: a zero tail counted as torn (%d bytes)", at, m.TornBytes.Value())
+		}
+		return l
+	}
+	if err := reopen("preallocated", full).Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := reopen("without a tail", full[:off])
+	if _, err := old.Append(Record{Kind: KindRemoveQuery, ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	end := old.Offset()
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(grown)) <= end || !allZero(grown[end:]) || !bytes.Equal(grown[:off], full[:off]) {
+		t.Fatalf("the old log did not gain a zero tail: %d bytes, records end at %d", len(grown), end)
+	}
+}
+
+// TestCrashAfterTruncateToReplaysNoUndoneRecord: the undo of a rejected
+// apply must leave nothing decodable past the boundary. A crash right after
+// it must not replay the undone frame, which carries the next LSN and a
+// valid CRC.
+func TestCrashAfterTruncateToReplaysNoUndoneRecord(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	l, err := Open(path, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendAll(t, l, testRecords()[:2])
+	off, lsn := l.Offset(), l.LastLSN()
+	if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.TruncateTo(off, lsn); err != nil {
+		t.Fatal(err)
+	}
+	// The crash: the file as the undo left it, opened by a new process.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !allZero(data[off:]) {
+		t.Fatalf("%d bytes past the undo boundary are not zero", len(data)-int(off))
+	}
+	crashed := filepath.Join(dir, "crashed.log")
+	if err := os.WriteFile(crashed, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, crashed); len(got) != 2 || got[1].LSN != lsn {
+		t.Fatalf("replay after undo and crash: %d records; want 2 ending at LSN %d", len(got), lsn)
 	}
 }
 
@@ -320,6 +490,35 @@ func TestLogFaultInjection(t *testing.T) {
 		got := replayAll(t, path)
 		if len(got) != 3 || got[2].ID != 42 {
 			t.Fatalf("replay = %d records, tail %+v", len(got), got[len(got)-1])
+		}
+	})
+	t.Run("torn_extension_rolls_back", func(t *testing.T) {
+		// The first append grows the file; its write tears past the
+		// frame, inside the zero extension.
+		path := filepath.Join(t.TempDir(), "wal.log")
+		var ff *FaultFile
+		l, err := Open(path, Options{Sync: SyncAlways, WrapFile: func(f LogFile) LogFile {
+			ff = NewFaultFile(f, FaultShortWrite, 100)
+			return ff
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 1}); err == nil {
+			t.Fatal("append through a torn extension succeeded")
+		}
+		if info, err := os.Stat(path); err != nil || info.Size() != l.Offset() {
+			t.Fatalf("after the rollback the file holds %v bytes (%v); want %d", info.Size(), err, l.Offset())
+		}
+		ff.Heal()
+		if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 2}); err != nil {
+			t.Fatalf("append after heal: %v", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := replayAll(t, path); len(got) != 1 || got[0].ID != 2 {
+			t.Fatalf("replay = %+v; want the record appended after the heal", got)
 		}
 	})
 	t.Run("write_error_rolls_back", func(t *testing.T) {
