@@ -86,11 +86,11 @@ func FuzzSkylineMatchesNL(f *testing.F) {
 // The schedule steers the witness memo: batches shrink, retire and return
 // witnesses, removed queries' slots are taken by new ones, and shared
 // vectors' entries outlive one owner or are freed and reissued; after every
-// op both Skylines' witness memos must keep their invariants
-// (checkPairMemos), no cap may fall, and DSC's dominant counters and
-// covers must equal a recount from the sealed vectors: after every op for
-// what the op moved (checkDSCMoved), and at the end for every counter
-// (checkDSCCounters).
+// op both Skylines' witness memos and dimension statistics must keep their
+// invariants (checkPairMemos, checkDimStats), no cap may fall, and DSC's
+// dominant counters and covers must equal a recount from the sealed
+// vectors: after every op for what the op moved (checkDSCMoved), and at the
+// end for every counter (checkDSCCounters).
 func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 	t.Helper()
 	seq, par, dsc, nl := NewSkyline(sc.Depth), NewSkyline(sc.Depth), newLoggedDSC(sc.Depth), NewNL(sc.Depth)
@@ -113,6 +113,9 @@ func checkSkylineSchedule(t *testing.T, sc fuzzsched.Schedule) {
 				t.Fatalf("op %d: Skyline candidates %v != NL %v", op, got, want)
 			}
 			checkPairMemos(t, &f.vecJoin, fmt.Sprintf("op %d", op))
+			for sid, s := range f.streams {
+				checkDimStats(t, s.vecStream.(*skyStream), fmt.Sprintf("op %d stream %d", op, sid))
+			}
 			for d, c := range seen[k] {
 				if now := f.ix.Cap(d); now < c {
 					t.Fatalf("op %d: the cap of dimension %d fell from %d to %d", op, d, c, now)

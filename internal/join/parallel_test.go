@@ -198,13 +198,15 @@ func TestPoolTaskPanicReachesCaller(t *testing.T) {
 }
 
 // skylineMemo is one Skyline stream's witness memo in comparable form: per
-// ref the need, the open flag and the witness's vertex ID (-1 for none),
-// and per query slot the refuting ref. Only live entries' witnesses are
-// kept; a freed entry's is never read again.
+// ref the need, the open flag and the witness's slot (-1 for none), and
+// per query slot the refuting ref. Slots are issued in vertex and op
+// order, so runs that replay the same ops give the same vertex the same
+// slot. Only live entries' witnesses are kept; a freed entry's is never
+// read again.
 type skylineMemo struct {
 	need   []int32
 	open   []uint8
-	wit    []graph.VertexID
+	wit    []int32
 	refute []int32
 }
 
@@ -213,17 +215,12 @@ func skylineMemos(f *Skyline) map[core.StreamID]skylineMemo {
 	out := make(map[core.StreamID]skylineMemo, len(f.streams))
 	for sid, s := range f.streams {
 		ss := s.vecStream.(*skyStream)
-		ids := make(map[*skyVertex]graph.VertexID, len(ss.verts))
-		for v, sv := range ss.verts {
-			ids[sv] = v
-		}
 		m := skylineMemo{need: slices.Clone(ss.need), open: slices.Clone(ss.open), refute: slices.Clone(ss.refute)}
 		for ref, w := range ss.wit {
-			id := graph.VertexID(-1)
-			if w != nil && len(f.ix.Entry(int32(ref)).Owners) > 0 {
-				id = ids[w]
+			if len(f.ix.Entry(int32(ref)).Owners) == 0 {
+				w = -1
 			}
-			m.wit = append(m.wit, id)
+			m.wit = append(m.wit, w)
 		}
 		out[sid] = m
 	}

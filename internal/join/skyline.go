@@ -1,6 +1,7 @@
 package join
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -42,23 +43,22 @@ type Skyline struct{ vecJoin }
 
 // skyStream is Skyline's vecStream: the per-dimension statistics behind the
 // max refutation and the probe-dimension choice, kept straight off the seal
-// transitions, and the witness memo. A vertex's record holds its sealed
-// packed vector, sharing the store's sealed slices (never written again)
-// rather than copying them.
+// transitions' moves, and the witness memo. A vertex is named by its store
+// slot (npv.DirtyDelta.Slot), and vecs holds each slot's sealed vector,
+// sharing the store's sealed slices (never written again) rather than
+// copying them; a slot that retired holds the empty vector.
 type skyStream struct {
 	ix    *qindex.Index
 	store *npv.Store
 	dims  map[npv.Dim]*dimStat
-	verts map[graph.VertexID]*skyVertex
-	// pos is reconcile's scratch for a vertex's next member positions.
-	pos []int32
+	vecs  []npv.PackedVector
 	// The witness memo (DESIGN §7 has its invariants). By index ref: wit is
-	// a vertex whose sealed vector dominates the entry's (nil: none known),
-	// need the number of refuted pairs the entry refutes, and open is 1
-	// exactly when the entry has no witness and a positive need — the one
-	// byte a rise reads per crossed row. By query slot: refute is the ref
-	// that refuted the pair, -1 when it is joinable.
-	wit    []*skyVertex
+	// the slot of a vertex whose sealed vector dominates the entry's (-1:
+	// none known), need the number of refuted pairs the entry refutes, and
+	// open is 1 exactly when the entry has no witness and a positive need —
+	// the one byte a rise reads per crossed row. By query slot: refute is
+	// the ref that refuted the pair, -1 when it is joinable.
+	wit    []int32
 	need   []int32
 	open   []uint8
 	refute []int32
@@ -69,30 +69,24 @@ type skyStream struct {
 	hits   []int32
 	queue  qindex.Scratch
 	tally  npv.Tally
-	// The probe's scratch, by task position, cleared once settled: the
-	// dominators the probes found, one slot per query vector in task
-	// order, and the ref that refuted each refuted pair.
-	wits    []*skyVertex
+	// The probe's scratch, by task position: the slots of the dominators
+	// the probes found, one per query vector in task order (-1: none), and
+	// the ref that refuted each refuted pair.
+	wits    []int32
 	refutes []int32
 }
 
-// skyVertex is one vertex with a nonempty sealed vector p: pos runs parallel
-// to p's support, pos[i] being the vertex's index in the members of
-// dimension p.Dim(i), so leaving a dimension is an O(1) swap-remove.
-type skyVertex struct {
-	p   npv.PackedVector
-	pos []int32
-}
-
-// dimStat is one dimension's statistics: the vertices whose sealed vector is
-// nonzero in it, and an upper bound on their counts. max rises when a member
-// registers a larger count and is never lowered when one shrinks or leaves;
-// it resets only with the member set (the dimension is dropped when it
-// empties). So u[d] > max still proves no member reaches u, while the
-// member scan after it decides exactly — and a removal costs no rescan.
+// dimStat is one dimension's statistics: a bitset over the slots whose
+// sealed vector is nonzero in it, their number n, and an upper bound on
+// their counts. max rises when a member registers a larger count and is
+// never lowered when one shrinks or leaves; it resets only with the member
+// set (the dimension is dropped when it empties). So u[d] > max still
+// proves no member reaches u, while the member scan after it decides
+// exactly — and a removal costs no rescan.
 type dimStat struct {
-	members []*skyVertex
-	max     int32
+	bits []uint64
+	n    int32
+	max  int32
 }
 
 var (
@@ -107,8 +101,11 @@ var (
 // depth.
 func NewSkyline(depth int) *Skyline {
 	return &Skyline{newVecJoin(depth, true, maximalByMass, func(ix *qindex.Index, store *npv.Store) vecStream {
-		return &skyStream{ix: ix, store: store, dims: make(map[npv.Dim]*dimStat), verts: make(map[graph.VertexID]*skyVertex),
-			wit: make([]*skyVertex, ix.Refs()), need: make([]int32, ix.Refs()), open: make([]uint8, ix.Refs())}
+		ss := &skyStream{ix: ix, store: store, dims: make(map[npv.Dim]*dimStat)}
+		for ref := range int32(ix.Refs()) {
+			ss.fresh(ref)
+		}
+		return ss
 	})}
 }
 
@@ -144,7 +141,7 @@ func (ss *skyStream) reconcile(verdict []bool) ([]core.QueryID, bool) {
 	ss.ix.Begin(&ss.queue)
 	presence := false
 	for _, dl := range deltas {
-		cur := ss.fold(dl)
+		ss.fold(dl)
 		var moved bool
 		ss.ranges, moved = ss.ix.Ranges(dl, ss.ranges[:0])
 		presence = presence || moved
@@ -152,74 +149,51 @@ func (ss *skyStream) reconcile(verdict []bool) ([]core.QueryID, bool) {
 			if n := len(rg.Refs); n > len(ss.hits) {
 				ss.hits = make([]int32, max(n, 2*len(ss.hits)))
 			}
-			ss.crossed(rg, cur, verdict)
+			ss.crossed(rg, dl.Slot, verdict)
 		}
 	}
 	ss.tally.Flush()
 	return ss.ix.Finish(&ss.queue, presence), true
 }
 
-// fold moves a dirty vertex's record to its new sealed vector and returns
-// it (nil when the vertex has no vector on either side): the vertex leaves
-// the member lists of the dimensions its old vector had and its new one
-// lacks, keeps its place in those both have, and joins those only its new
-// one has, raising their max. A vertex that appeared has an empty Old and a
-// retired one an empty New, so all three fall out of the same merge walk;
-// a retired vertex's record keeps its final, empty p. When the support did
-// not change, the vertex keeps every place and only its rising moves can
-// raise a max, so the merge is skipped.
-func (ss *skyStream) fold(dl npv.DirtyDelta) *skyVertex {
-	sv, cur := ss.verts[dl.Vertex], dl.New
-	if sv != nil && !dl.Reshaped {
-		for _, m := range dl.Moves {
-			if m.New > m.Old {
-				stat := ss.dims[m.Dim]
-				stat.max = max(stat.max, m.New)
-			}
-		}
-		sv.p = cur
-		return sv
+// fold moves a dirty vertex's slot to its new sealed vector, walking only
+// its moves: a dimension it enters (Old 0) sets its bit and may raise the
+// max, one it leaves (New 0) clears its bit and is dropped once no member
+// is left, and a rise raises the max. A shrink changes nothing, since max
+// already bounds the old count. A vertex that appeared has an empty Old
+// and a retired one an empty New, so both fall out of the same walk, and
+// a retired slot is left empty for the vertex that takes it next.
+func (ss *skyStream) fold(dl npv.DirtyDelta) {
+	if n := int(dl.Slot) + 1; n > len(ss.vecs) {
+		ss.vecs = append(ss.vecs, make([]npv.PackedVector, n-len(ss.vecs))...)
 	}
-	if sv == nil {
-		if cur.Len() == 0 {
-			return nil
-		}
-		sv = &skyVertex{}
-		ss.verts[dl.Vertex] = sv
-	}
-	old, pos := sv.p, ss.pos[:0]
-	i, j := 0, 0
-	for i < old.Len() || j < cur.Len() {
+	ss.vecs[dl.Slot] = dl.New
+	w, bit := dl.Slot>>6, uint64(1)<<(dl.Slot&63)
+	for _, m := range dl.Moves {
 		switch {
-		case j == cur.Len() || (i < old.Len() && old.Dim(i) < cur.Dim(j)):
-			ss.leave(old.Dim(i), sv.pos[i])
-			i++
-		case i == old.Len() || cur.Dim(j) < old.Dim(i):
-			stat := ss.dims[cur.Dim(j)]
+		case m.Old == 0:
+			stat := ss.dims[m.Dim]
 			if stat == nil {
 				stat = &dimStat{}
-				ss.dims[cur.Dim(j)] = stat
+				ss.dims[m.Dim] = stat
 			}
-			pos = append(pos, int32(len(stat.members)))
-			stat.members = append(stat.members, sv)
-			stat.max = max(stat.max, cur.Count(j))
-			j++
-		default:
-			// max already bounds the old count, so only a rise can raise it.
-			pos = append(pos, sv.pos[i])
-			if c := cur.Count(j); c > old.Count(i) {
-				stat := ss.dims[cur.Dim(j)]
-				stat.max = max(stat.max, c)
+			if n := int(w) + 1; n > len(stat.bits) {
+				stat.bits = append(stat.bits, make([]uint64, n-len(stat.bits))...)
 			}
-			i++
-			j++
+			stat.bits[w] |= bit
+			stat.n++
+			stat.max = max(stat.max, m.New)
+		case m.New == 0:
+			stat := ss.dims[m.Dim]
+			stat.bits[w] &^= bit
+			if stat.n--; stat.n == 0 {
+				delete(ss.dims, m.Dim)
+			}
+		case m.New > m.Old:
+			stat := ss.dims[m.Dim]
+			stat.max = max(stat.max, m.New)
 		}
 	}
-	sv.p, sv.pos, ss.pos = cur, append(sv.pos[:0], pos...), pos
-	if cur.Len() == 0 {
-		delete(ss.verts, dl.Vertex)
-	}
-	return sv
 }
 
 // crossed keeps the witness memo across one crossed range of cur's
@@ -239,7 +213,7 @@ func (ss *skyStream) fold(dl npv.DirtyDelta) *skyVertex {
 // drop needs no signature filter. Only the hits are visited.
 //
 //nnt:hotpath
-func (ss *skyStream) crossed(rg qindex.Range, cur *skyVertex, verdict []bool) {
+func (ss *skyStream) crossed(rg qindex.Range, cur int32, verdict []bool) {
 	hits, n := ss.hits, 0
 	if rg.Drop {
 		for _, ref := range rg.Refs {
@@ -248,7 +222,7 @@ func (ss *skyStream) crossed(rg qindex.Range, cur *skyVertex, verdict []bool) {
 		}
 		// A witnessed entry refutes no pair, so it stays closed.
 		for _, ref := range hits[:n] {
-			ss.wit[ref] = nil
+			ss.wit[ref] = -1
 			for _, o := range ss.ix.Entry(ref).Owners {
 				if verdict[o.Slot] {
 					ss.queue.Collect(o.Slot)
@@ -263,7 +237,7 @@ func (ss *skyStream) crossed(rg qindex.Range, cur *skyVertex, verdict []bool) {
 	}
 	for _, ref := range hits[:n] {
 		e := ss.ix.Entry(ref)
-		if e.Vec.Sig()&^rg.Sig != 0 || !ss.tally.Dominates(cur.p, e.Vec) {
+		if e.Vec.Sig()&^rg.Sig != 0 || !ss.tally.Dominates(ss.vecs[cur], e.Vec) {
 			continue
 		}
 		ss.wit[ref] = cur
@@ -287,31 +261,14 @@ func b2i(b bool) int {
 	return 0
 }
 
-// leave swap-removes the member at index at of dimension d, repointing the
-// member moved into its place, and drops the dimension when it empties.
-func (ss *skyStream) leave(d npv.Dim, at int32) {
-	stat := ss.dims[d]
-	last := len(stat.members) - 1
-	if moved := stat.members[last]; int(at) != last {
-		stat.members[at] = moved
-		k, _ := moved.p.Find(d)
-		moved.pos[k] = at
-	}
-	stat.members[last] = nil
-	stat.members = stat.members[:last]
-	if last == 0 {
-		delete(ss.dims, d)
-	}
-}
-
 // fresh implements vecStream, resetting what a freed ref left behind.
 func (ss *skyStream) fresh(ref int32) {
 	for int(ref) >= len(ss.wit) {
-		ss.wit = append(ss.wit, nil)
+		ss.wit = append(ss.wit, -1)
 		ss.need = append(ss.need, 0)
 		ss.open = append(ss.open, 0)
 	}
-	ss.wit[ref], ss.need[ref], ss.open[ref] = nil, 0, 0
+	ss.wit[ref], ss.need[ref], ss.open[ref] = -1, 0, 0
 }
 
 // forget implements vecStream: slot's pair leaves its refuting ref's need.
@@ -327,14 +284,16 @@ func (ss *skyStream) forget(slot int32) {
 }
 
 // probe implements vecStream, sizing the probe's scratch for the tasks
-// and cutting each task's witness slots from it.
+// and cutting each task's witnesses from it.
 func (ss *skyStream) probe(ts []pairTask) {
 	n := 0
 	for i := range ts {
 		n += len(ts[i].q.vecs)
 	}
 	ss.wits = slices.Grow(ss.wits[:0], n)[:n]
-	clear(ss.wits)
+	for i := range ss.wits {
+		ss.wits[i] = -1
+	}
 	ss.refutes = slices.Grow(ss.refutes[:0], len(ts))[:len(ts)]
 	wits := ss.wits
 	for i := range ts {
@@ -351,14 +310,14 @@ func (ss *skyStream) probe(ts []pairTask) {
 // scan. It returns the refuting ref, or -1.
 //
 //nnt:hotpath
-func (ss *skyStream) probePair(t *pairTask, wits []*skyVertex) int32 {
+func (ss *skyStream) probePair(t *pairTask, wits []int32) int32 {
 	t.ok, t.scanned = true, 0
 	for i, u := range t.q.vecs {
 		ref := t.q.refs[i]
-		if ss.wit[ref] != nil {
+		if ss.wit[ref] >= 0 {
 			continue
 		}
-		sv, ok, scanned := dominator(ss, u, &t.tally)
+		w, ok, scanned := dominator(ss, u, &t.tally)
 		t.scanned += scanned
 		if !ok {
 			// u is a bichromatic skyline point of the query vectors with
@@ -366,7 +325,7 @@ func (ss *skyStream) probePair(t *pairTask, wits []*skyVertex) int32 {
 			t.ok = false
 			return ref
 		}
-		wits[i] = sv
+		wits[i] = w
 	}
 	return -1
 }
@@ -376,15 +335,15 @@ func (ss *skyStream) probePair(t *pairTask, wits []*skyVertex) int32 {
 // the pair moves to the need count of the ref that refuted it, if any. A
 // dominated entry refutes no pair, so it was closed, and a refuting ref
 // has no witness — the probes of one step read the same state — so it
-// opens. The scratch is cleared, so it keeps no retired vertex alive.
+// opens.
 func (ss *skyStream) settle(ts []pairTask) {
 	wits := ss.wits
 	for i := range ts {
 		t := &ts[i]
 		k := len(t.q.vecs)
-		for j, sv := range wits[:k] {
-			if ref := t.q.refs[j]; sv != nil && ss.wit[ref] == nil {
-				ss.wit[ref] = sv
+		for j, w := range wits[:k] {
+			if ref := t.q.refs[j]; w >= 0 && ss.wit[ref] < 0 {
+				ss.wit[ref] = w
 			}
 		}
 		wits = wits[k:]
@@ -396,19 +355,18 @@ func (ss *skyStream) settle(ts []pairTask) {
 			ss.open[r] = 1
 		}
 	}
-	clear(ss.wits)
 	ss.wits, ss.refutes = ss.wits[:0], ss.refutes[:0]
 }
 
 // dominator implements the stream-side probe for one query vector: whether
-// some stream vector dominates u, the record of the one found (nil for an
+// some stream vector dominates u, the slot of the one found (-1 for an
 // empty u, which any vertex dominates), and the number of stream vectors
 // scanned in the probe loop.
 //
 //nnt:hotpath
-func dominator(ss *skyStream, u npv.PackedVector, t *npv.Tally) (*skyVertex, bool, int64) {
+func dominator(ss *skyStream, u npv.PackedVector, t *npv.Tally) (int32, bool, int64) {
 	if u.Len() == 0 {
-		return nil, ss.store.Len() > 0, 0
+		return -1, ss.store.Len() > 0, 0
 	}
 	var probe *dimStat
 	for i := 0; i < u.Len(); i++ {
@@ -416,21 +374,26 @@ func dominator(ss *skyStream, u npv.PackedVector, t *npv.Tally) (*skyVertex, boo
 		if stat == nil || u.Count(i) > stat.max {
 			// No stream vector reaches u in dimension d (max bounds them
 			// all): u is a skyline point, refuted in O(|support|).
-			return nil, false, 0
+			return -1, false, 0
 		}
-		if probe == nil || len(stat.members) < len(probe.members) {
+		if probe == nil || stat.n < probe.n {
 			probe = stat
 		}
 	}
 	// Any dominator of u is nonzero in every support dimension of u, so it
-	// is a member of the probe (minimum-cardinality) dimension, whose records
-	// hold the vectors the same reconcile step sealed.
-	for k, sv := range probe.members {
-		if t.Dominates(sv.p, u) {
-			return sv, true, int64(k + 1)
+	// is a member of the probe (minimum-cardinality) dimension: its set
+	// bits, in slot order, name the vectors the same reconcile step sealed.
+	scanned := int64(0)
+	for w, word := range probe.bits {
+		for ; word != 0; word &= word - 1 {
+			slot := int32(w<<6 | bits.TrailingZeros64(word))
+			scanned++
+			if t.Dominates(ss.vecs[slot], u) {
+				return slot, true, scanned
+			}
 		}
 	}
-	return nil, false, int64(len(probe.members))
+	return -1, false, scanned
 }
 
 // RegisterMetrics implements core.MetricsFilter: the shared vector-join

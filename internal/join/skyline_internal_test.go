@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -135,11 +136,10 @@ func TestSkylineCandidatesOnMaxRetreat(t *testing.T) {
 
 // TestSkylineDimStatsRandomized pins the invariants the probe relies on,
 // after every timestamp of a randomized multi-stream workload: a
-// dimension's members are exactly the vertices whose sealed vector is
-// nonzero in it, each member record holds that sealed vector with
-// consistent position back-pointers, and its max is at least every
-// member's sealed count. The max refutation is sound only while the last
-// holds.
+// dimension's bitset has a bit set exactly for the slots whose sealed
+// vector is nonzero in it, each slot holds its vertex's sealed vector, and
+// its max is at least every member's sealed count. The max refutation is
+// sound only while the last holds.
 func TestSkylineDimStatsRandomized(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -166,50 +166,65 @@ func TestSkylineDimStatsRandomized(t *testing.T) {
 	}
 }
 
-// checkDimStats compares ss's per-dimension statistics and member records
-// with the store's sealed vectors.
+// checkDimStats compares ss's per-dimension statistics and its vectors by
+// slot with the store: each bit is set exactly when its slot's sealed
+// vector is nonzero in the dimension, n is the bitset's popcount, max is at
+// least every member's count, each live vertex's slot holds its sealed
+// vector, no two live vertices share a slot, and every other slot is empty.
 func checkDimStats(t *testing.T, ss *skyStream, at string) {
 	t.Helper()
-	nonzero, records := 0, 0
+	owner := make(map[int32]graph.VertexID)
 	ss.store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
-		if p.Len() == 0 {
-			return true
+		slot, ok := ss.store.Slot(v)
+		if !ok {
+			t.Fatalf("%s: vertex %d has a sealed vector and no slot", at, v)
 		}
-		records++
-		sv := ss.verts[v]
-		if sv == nil || !sv.p.Equal(p) {
-			t.Fatalf("%s: vertex %d's record does not hold its sealed vector %v", at, v, p)
+		if u, dup := owner[slot]; dup {
+			t.Fatalf("%s: vertices %d and %d share slot %d", at, u, v, slot)
 		}
-		if len(sv.pos) != p.Len() {
-			t.Fatalf("%s: vertex %d has %d positions for %d dimensions", at, v, len(sv.pos), p.Len())
+		owner[slot] = v
+		if int(slot) >= len(ss.vecs) || !ss.vecs[slot].Equal(p) {
+			t.Fatalf("%s: vertex %d's slot %d does not hold its sealed vector %v", at, v, slot, p)
 		}
 		for i := 0; i < p.Len(); i++ {
 			stat := ss.dims[p.Dim(i)]
 			if stat == nil {
 				t.Fatalf("%s: vertex %d is nonzero in %v, which has no statistics", at, v, p.Dim(i))
 			}
-			if k := sv.pos[i]; k < 0 || int(k) >= len(stat.members) || stat.members[k] != sv {
-				t.Fatalf("%s: vertex %d's position %d in %v does not point back at it", at, v, k, p.Dim(i))
+			if w := int(slot >> 6); w >= len(stat.bits) || stat.bits[w]&(1<<(slot&63)) == 0 {
+				t.Fatalf("%s: vertex %d is nonzero in %v, but its slot %d's bit is clear", at, v, p.Dim(i), slot)
 			}
 			if p.Count(i) > stat.max {
 				t.Fatalf("%s: vertex %d counts %d in %v, above its max %d", at, v, p.Count(i), p.Dim(i), stat.max)
 			}
 		}
-		nonzero += p.Len()
 		return true
 	})
-	members := 0
-	for _, stat := range ss.dims {
-		members += len(stat.members)
+	for slot, p := range ss.vecs {
+		if _, ok := owner[int32(slot)]; !ok && p.Len() > 0 {
+			t.Fatalf("%s: slot %d, which no live vertex holds, keeps the vector %v", at, slot, p)
+		}
 	}
-	if members != nonzero || len(ss.verts) != records {
-		t.Fatalf("%s: %d memberships for %d nonzero entries, %d records for %d vertices (stale members)",
-			at, members, nonzero, len(ss.verts), records)
+	for d, stat := range ss.dims {
+		n := 0
+		for w, word := range stat.bits {
+			for ; word != 0; word &= word - 1 {
+				slot := int32(w<<6 | bits.TrailingZeros64(word))
+				if _, ok := ss.vecs[slot].Find(d); !ok {
+					t.Fatalf("%s: slot %d's bit is set in %v, where its sealed vector %v is zero", at, slot, d, ss.vecs[slot])
+				}
+				n++
+			}
+		}
+		if n == 0 || int32(n) != stat.n {
+			t.Fatalf("%s: dimension %v counts %d members for %d set bits", at, d, stat.n, n)
+		}
 	}
 }
 
-// TestSkylineWorkDeterministic: Skyline's probe scans member lists in the
-// order reconcile built them and candidate generation dedupes by query
+// TestSkylineWorkDeterministic: Skyline's probe scans a dimension's members
+// in slot order, slots are issued in vertex and op order, and candidate
+// generation dedupes by query
 // slot, so no count depends on map iteration or scheduling. The same
 // registrations and batches, replayed at 1 and 2 workers, must scan the same
 // stream vectors and run the same kernel tests every time.
@@ -301,7 +316,7 @@ func TestCandidateProbeAllocsIndependentOfQueryCount(t *testing.T) {
 			{Vertex: 99, New: p0, HasNew: true},
 		}
 		for i := range deltas {
-			deltas[i].Moves, deltas[i].Reshaped = npv.Diff(nil, deltas[i].Old, deltas[i].New)
+			deltas[i].Moves, _ = npv.Diff(nil, deltas[i].Old, deltas[i].New)
 		}
 		var sc qindex.Scratch
 		var tasks []pairTask
@@ -392,17 +407,20 @@ func (m *memoRig) check(at string) {
 		m.t.Fatalf("%s: Skyline candidates %v != NL %v", at, got, want)
 	}
 	checkPairMemos(m.t, &m.sky.vecJoin, at)
+	for _, s := range m.sky.streams {
+		checkDimStats(m.t, s.vecStream.(*skyStream), at)
+	}
 }
 
 // checkPairMemos asserts the witness memo's invariants on every stream of
-// a Skyline: each live entry's non-nil witness is a live record whose
-// sealed vector dominates the entry's vector; every nonempty vector of a
-// joinable pair has a witness; each refuted pair's refuting vector has no
-// witness and no live dominator (for the empty vector, which any vertex
-// dominates: the stream has no vertex); need counts, per entry, the
-// refuted pairs it refutes; each ref's open flag is set exactly when it
-// has no witness and a positive need; and the stream's reused task and
-// witness buffers, settled, hold no query or record.
+// a Skyline: each live entry's witness, if any, is the slot of a live
+// vertex whose sealed vector dominates the entry's vector; every nonempty
+// vector of a joinable pair has a witness; each refuted pair's refuting
+// vector has no witness and no live dominator (for the empty vector, which
+// any vertex dominates: the stream has no vertex); need counts, per entry,
+// the refuted pairs it refutes; each ref's open flag is set exactly when it
+// has no witness and a positive need; and the stream's reused task buffer,
+// settled, holds no query.
 func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 	t.Helper()
 	for ref := int32(0); ref < int32(j.ix.Refs()); ref++ {
@@ -418,18 +436,22 @@ func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 	}
 	for sid, s := range j.streams {
 		ss := s.vecStream.(*skyStream)
-		live := make(map[*skyVertex]bool, len(ss.verts))
-		for v, sv := range ss.verts {
-			live[sv] = true
-			for i := 0; i < sv.p.Len(); i++ {
-				if c := sv.p.Count(i); c <= 0 {
-					t.Fatalf("%s: stream %d vertex %d seals count %d in dimension %d", at, sid, v, c, sv.p.Dim(i))
+		live := make(map[int32]npv.PackedVector)
+		ss.store.PackedVectors(func(v graph.VertexID, p npv.PackedVector) bool {
+			slot, _ := ss.store.Slot(v)
+			live[slot] = p
+			for i := 0; i < p.Len(); i++ {
+				if c := p.Count(i); c <= 0 {
+					t.Fatalf("%s: stream %d vertex %d seals count %d in dimension %d", at, sid, v, c, p.Dim(i))
 				}
 			}
-		}
+			return true
+		})
 		for ref, w := range ss.wit {
-			if e := j.ix.Entry(int32(ref)); w != nil && len(e.Owners) > 0 && (!live[w] || !w.p.Dominates(e.Vec)) {
-				t.Fatalf("%s: stream %d entry %d: witness live=%v does not dominate it", at, sid, ref, live[w])
+			if e := j.ix.Entry(int32(ref)); w >= 0 && len(e.Owners) > 0 {
+				if p, ok := live[w]; !ok || !p.Dominates(e.Vec) {
+					t.Fatalf("%s: stream %d entry %d: witness slot %d (live=%v) does not dominate it", at, sid, ref, w, ok)
+				}
 			}
 		}
 		need := make([]int32, len(ss.need))
@@ -440,7 +462,7 @@ func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 					t.Fatalf("%s: stream %d query %d: joinable but refuted by entry %d", at, sid, vq.id, r)
 				}
 				for i, ref := range vq.refs {
-					if vq.vecs[i].Len() > 0 && ss.wit[ref] == nil {
+					if vq.vecs[i].Len() > 0 && ss.wit[ref] < 0 {
 						t.Fatalf("%s: stream %d query %d: joinable, but vector %d has no witness", at, sid, vq.id, i)
 					}
 				}
@@ -451,15 +473,15 @@ func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 			}
 			need[r]++
 			u := j.ix.Entry(r).Vec
-			if ss.wit[r] != nil {
+			if ss.wit[r] >= 0 {
 				t.Fatalf("%s: stream %d query %d: refuting entry %d has a witness", at, sid, vq.id, r)
 			}
 			if u.Len() == 0 && ss.store.Len() > 0 {
 				t.Fatalf("%s: stream %d query %d: empty refuting vector on a stream with vertices", at, sid, vq.id)
 			}
-			for v, sv := range ss.verts {
-				if sv.p.Dominates(u) {
-					t.Fatalf("%s: stream %d query %d: refuting entry %d is dominated by vertex %d", at, sid, vq.id, r, v)
+			for slot, p := range live {
+				if p.Dominates(u) {
+					t.Fatalf("%s: stream %d query %d: refuting entry %d is dominated by slot %d", at, sid, vq.id, r, slot)
 				}
 			}
 		}
@@ -470,18 +492,13 @@ func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 			t.Fatalf("%s: stream %d: %d open flags and %d needs for %d witnesses", at, sid, len(ss.open), len(ss.need), len(ss.wit))
 		}
 		for ref, w := range ss.wit {
-			if want := ss.wit[ref] == nil && ss.need[ref] > 0; (ss.open[ref] == 1) != want || ss.open[ref] > 1 {
-				t.Fatalf("%s: stream %d entry %d: open flag %d with witness %p and need %d", at, sid, ref, ss.open[ref], w, ss.need[ref])
+			if want := w < 0 && ss.need[ref] > 0; (ss.open[ref] == 1) != want || ss.open[ref] > 1 {
+				t.Fatalf("%s: stream %d entry %d: open flag %d with witness %d and need %d", at, sid, ref, ss.open[ref], w, ss.need[ref])
 			}
 		}
 		for i, task := range s.tasks[:cap(s.tasks)] {
 			if task.q != nil {
 				t.Fatalf("%s: stream %d: settled task slot %d still holds query %p", at, sid, i, task.q)
-			}
-		}
-		for i, w := range ss.wits[:cap(ss.wits)] {
-			if w != nil {
-				t.Fatalf("%s: stream %d: settled witness slot %d still holds a record", at, sid, i)
 			}
 		}
 	}
@@ -492,13 +509,22 @@ func (m *memoRig) joinable(id core.QueryID) bool {
 	return m.sky.streams[0].verdict[m.sky.queries[id].slot]
 }
 
-// memo returns the stream's Skyline state, the witness of query id's
-// vector i, and the position of the vector refuting the pair (-1 when it
-// is joinable).
-func (m *memoRig) memo(id core.QueryID, i int) (*skyStream, *skyVertex, int) {
+// memo returns the stream's Skyline state, the witness slot of query id's
+// vector i (-1 for none), and the position of the vector refuting the pair
+// (-1 when it is joinable).
+func (m *memoRig) memo(id core.QueryID, i int) (*skyStream, int32, int) {
 	ss := m.sky.streams[0].vecStream.(*skyStream)
 	q := m.sky.queries[id]
 	return ss, ss.wit[q.refs[i]], slices.Index(q.refs, ss.refute[q.slot])
+}
+
+// slotOf returns vertex v's slot in ss's store, -2 when v is not in it (no
+// witness, not even -1, matches that).
+func slotOf(ss *skyStream, v graph.VertexID) int32 {
+	if slot, ok := ss.store.Slot(v); ok {
+		return slot
+	}
+	return -2
 }
 
 // star is a center labelled 1 with the given number of leaves labelled 2.
@@ -523,15 +549,15 @@ func TestSkylineMemoWitnessShrinks(t *testing.T) {
 	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2, 2: 2, 3: 1, 4: 2},
 		[][3]int{{0, 1, 0}, {0, 2, 0}, {3, 4, 0}})
 	m := newMemoRig(t, g, star(t, 2))
-	if ss, w, _ := m.memo(0, 0); !m.joinable(0) || w != ss.verts[0] {
+	if ss, w, _ := m.memo(0, 0); !m.joinable(0) || w != slotOf(ss, 0) {
 		t.Fatalf("the center's witness is not vertex 0: joinable=%v", m.joinable(0))
 	}
 	m.apply("shrink", graph.DeleteOp(0, 2))
-	if _, w, refute := m.memo(0, 0); m.joinable(0) || refute != 0 || w != nil {
-		t.Fatalf("after the shrink: joinable=%v refute=%d witness=%p; want refuted by the center", m.joinable(0), refute, w)
+	if _, w, refute := m.memo(0, 0); m.joinable(0) || refute != 0 || w != -1 {
+		t.Fatalf("after the shrink: joinable=%v refute=%d witness=%d; want refuted by the center", m.joinable(0), refute, w)
 	}
 	m.apply("regrow", graph.InsertOp(3, 1, 5, 2, 0))
-	if ss, w, _ := m.memo(0, 0); !m.joinable(0) || w != ss.verts[3] {
+	if ss, w, _ := m.memo(0, 0); !m.joinable(0) || w != slotOf(ss, 3) {
 		t.Fatalf("after regrowth: joinable=%v; want the center witnessed by vertex 3", m.joinable(0))
 	}
 }
@@ -544,12 +570,12 @@ func TestSkylineMemoWitnessShrinks(t *testing.T) {
 func TestSkylineMemoRefuterDominatedWitnessLost(t *testing.T) {
 	m := newMemoRig(t, star(t, 2), star(t, 2))
 	m.apply("refute", graph.DeleteOp(0, 2))
-	if _, w, refute := m.memo(0, 1); m.joinable(0) || refute != 0 || w == nil {
-		t.Fatalf("joinable=%v refute=%d leaf witness=%p; want refuted by the center with the leaf witnessed",
+	if _, w, refute := m.memo(0, 1); m.joinable(0) || refute != 0 || w < 0 {
+		t.Fatalf("joinable=%v refute=%d leaf witness=%d; want refuted by the center with the leaf witnessed",
 			m.joinable(0), refute, w)
 	}
 	m.apply("flip", graph.InsertOp(0, 1, 3, 2, 0), graph.InsertOp(0, 1, 4, 2, 0), graph.DeleteOp(0, 1))
-	if ss, w, _ := m.memo(0, 1); !m.joinable(0) || (w != ss.verts[3] && w != ss.verts[4]) {
+	if ss, w, _ := m.memo(0, 1); !m.joinable(0) || (w != slotOf(ss, 3) && w != slotOf(ss, 4)) {
 		t.Fatalf("joinable=%v; want the leaf vector witnessed by vertex 3 or 4", m.joinable(0))
 	}
 }
@@ -579,6 +605,40 @@ func TestSkylineMemoSlotReuse(t *testing.T) {
 	}
 }
 
+// TestSkylineSlotReuse: a vertex slot freed by a retirement starts clean
+// for the vertex that takes it. The two-leaf star's center and a leaf
+// witness the query's vectors and retire with the other leaf, which
+// refutes the pair, while an edge keeps both of the star's dimensions
+// populated; in the next step three new vertices, which dominate neither
+// vector, take the three slots. No witness may name a reused slot, and no
+// bit the retired vertices left set may survive (checkDimStats).
+func TestSkylineSlotReuse(t *testing.T) {
+	g := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2, 2: 2, 3: 1, 4: 2}, [][3]int{{0, 1, 0}, {0, 2, 0}, {3, 4, 0}})
+	m := newMemoRig(t, g, star(t, 2))
+	ss := m.sky.streams[0].vecStream.(*skyStream)
+	retired := []int32{slotOf(ss, 0), slotOf(ss, 1), slotOf(ss, 2)}
+	for i := range m.sky.queries[0].refs {
+		if _, w, _ := m.memo(0, i); !m.joinable(0) || !slices.Contains(retired, w) {
+			t.Fatalf("joinable=%v, vector %d witnessed by slot %d; want a witness among the star's slots %v", m.joinable(0), i, w, retired)
+		}
+	}
+	m.apply("retire", graph.DeleteOp(0, 1), graph.DeleteOp(0, 2))
+	if m.joinable(0) {
+		t.Fatal("the star query is joinable after its center's only dominator retired")
+	}
+	m.apply("reuse", graph.InsertOp(5, 1, 6, 1, 0), graph.InsertOp(6, 1, 7, 1, 0))
+	for _, v := range []graph.VertexID{5, 6, 7} {
+		if slot := slotOf(ss, v); !slices.Contains(retired, slot) {
+			t.Fatalf("vertex %d took slot %d, not one of the retired %v", v, slot, retired)
+		}
+	}
+	for ref, w := range ss.wit {
+		if slices.Contains(retired, w) {
+			t.Fatalf("entry %d is witnessed by the reused slot %d", ref, w)
+		}
+	}
+}
+
 // TestSkylineSharedWitness: two queries with a common maximal vector share
 // its entry, so one stream-side witness serves both. Removing one keeps
 // the entry, and its witness, for the other.
@@ -587,11 +647,11 @@ func TestSkylineSharedWitness(t *testing.T) {
 	m := newMemoRig(t, path, star(t, 2), path)
 	ss, w, _ := m.memo(0, 0)
 	at := slices.Index(m.sky.queries[1].refs, m.sky.queries[0].refs[0])
-	if at < 0 || w == nil || !m.joinable(1) {
+	if at < 0 || w < 0 || !m.joinable(1) {
 		t.Fatalf("the center entry is not shared and witnessed: refs %v and %v", m.sky.queries[0].refs, m.sky.queries[1].refs)
 	}
 	m.removeQuery(0)
-	if _, w1, _ := m.memo(1, at); w1 != w || w1 != ss.verts[1] {
+	if _, w1, _ := m.memo(1, at); w1 != w || w1 != slotOf(ss, 1) {
 		t.Fatal("removing one owner dropped the shared witness")
 	}
 	m.apply("shrink", graph.DeleteOp(1, 2))
@@ -607,7 +667,7 @@ func TestSkylineRefutedPairKeepsWitnesses(t *testing.T) {
 	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 1, 1: 2, 2: 2, 3: 3, 4: 4},
 		[][3]int{{0, 1, 0}, {0, 2, 0}, {3, 4, 0}})
 	m := newMemoRig(t, star(t, 2), q)
-	if ss, w, refute := m.memo(0, 0); m.joinable(0) || refute < 1 || w != ss.verts[0] {
+	if ss, w, refute := m.memo(0, 0); m.joinable(0) || refute < 1 || w != slotOf(ss, 0) {
 		t.Fatalf("joinable=%v refute=%d; want refuted past the center, which vertex 0 witnesses", m.joinable(0), refute)
 	}
 }
@@ -649,8 +709,8 @@ func TestSkylineRecycledRefStartsClean(t *testing.T) {
 	for sid, s := range f.streams {
 		ss := s.vecStream.(*skyStream)
 		for i, ref := range q.refs {
-			if want := int32(min(1, 1-i)); ss.wit[ref] != nil || ss.need[ref] != want {
-				t.Fatalf("stream %d: reissued ref %d has witness %p and need %d; want none and %d", sid, ref, ss.wit[ref], ss.need[ref], want)
+			if want := int32(min(1, 1-i)); ss.wit[ref] != -1 || ss.need[ref] != want {
+				t.Fatalf("stream %d: reissued ref %d has witness %d and need %d; want none and %d", sid, ref, ss.wit[ref], ss.need[ref], want)
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func (c *cappedCheck) note(ref map[graph.VertexID]Vector) {
 // vertices whose capped reference vector differs between the last seal and
 // cur, presence included, plus every ghost — a vertex present at some
 // timestamp in between but at neither seal; Old and New are Pack of the
-// two capped references and Moves and Reshaped their Diff; the store then
+// two capped references and Moves their Diff; the store then
 // serves cur; and every vector sealed three seals ago still equals the copy
 // taken when it was sealed.
 func (c *cappedCheck) check(t *testing.T, at string, st *Store, deltas []DirtyDelta, cur map[graph.VertexID]Vector) {
@@ -88,9 +88,8 @@ func (c *cappedCheck) check(t *testing.T, at string, st *Store, deltas []DirtyDe
 		if dl.Vertex != v || dl.HadOld != hadOld || dl.HasNew != hasNew || !dl.Old.Equal(Pack(old)) || !dl.New.Equal(Pack(vec)) {
 			t.Fatalf("%s: delta %d = %+v; want vertex %d, old %v (%v), new %v (%v)", at, i, dl, v, old, hadOld, vec, hasNew)
 		}
-		moves, reshaped := Diff(nil, dl.Old, dl.New)
-		if !slices.Equal(dl.Moves, moves) || dl.Reshaped != reshaped {
-			t.Fatalf("%s: delta of %d moves %v (reshaped %v); Diff gives %v (%v)", at, v, dl.Moves, dl.Reshaped, moves, reshaped)
+		if moves, _ := Diff(nil, dl.Old, dl.New); !slices.Equal(dl.Moves, moves) {
+			t.Fatalf("%s: delta of %d moves %v; Diff gives %v", at, v, dl.Moves, moves)
 		}
 		if hasNew {
 			kept = append(kept, [2]PackedVector{dl.New, Pack(vec)})

@@ -98,16 +98,18 @@ func (s *Space) TakeDirty() []graph.VertexID {
 // vector sealed now (New, when HasNew). A vertex added since the last seal
 // has HadOld false; a retired vertex has HasNew false; a vertex added and
 // retired between two seals has neither. Moves is the diff from Old to New
-// (Diff), and Reshaped reports whether some move enters or leaves the
-// support; both are valid until the sealer's next seal.
+// (Diff), valid until the sealer's next seal. Slot is the
+// vertex's slot in its Store: dense from 0, issued at build in ascending
+// vertex order and then in op order, stable while the vertex lives, and
+// recycled once a seal has reported it retired. A Space leaves it 0.
 type DirtyDelta struct {
-	Vertex   graph.VertexID
-	Old      PackedVector
-	New      PackedVector
-	HadOld   bool
-	HasNew   bool
-	Moves    []Move
-	Reshaped bool
+	Vertex graph.VertexID
+	Slot   int32
+	Old    PackedVector
+	New    PackedVector
+	HadOld bool
+	HasNew bool
+	Moves  []Move
 }
 
 // Move is one dimension's count change across a seal, an absent dimension
@@ -165,7 +167,7 @@ func (s *Space) SealDirty() []DirtyDelta {
 		dl.Vertex = v
 		dl.Old, dl.HadOld = s.packed[v]
 		dl.New, dl.HasNew = s.reseal(v)
-		dl.Moves, dl.Reshaped = Diff(nil, dl.Old, dl.New)
+		dl.Moves, _ = Diff(nil, dl.Old, dl.New)
 	}
 	return out
 }

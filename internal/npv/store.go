@@ -126,10 +126,11 @@ type Store struct {
 }
 
 // vnode is one vertex of the store's graph: its label and adjacency, with
-// each neighbor held by pointer so counting never hashes, its level lists
-// and its last sealed vector.
+// each neighbor held by pointer so counting never hashes, its level lists,
+// its last sealed vector and its slot (DirtyDelta.Slot).
 type vnode struct {
 	id     graph.VertexID
+	slot   int32
 	label  graph.Label
 	adj    []half
 	lv     [][]tally    // lv[k-1]: level k, sorted by Dim
@@ -185,11 +186,10 @@ func NewCappedStore(g *graph.Graph, depth int, capOf func(Dim) int32) *Store {
 	if capOf != nil {
 		s.caps = make([][]int32, depth)
 	}
-	g.Vertices(func(v graph.VertexID, l graph.Label) bool {
-		n := s.newVnode(v, l)
-		s.affected = append(s.affected, n)
-		return true
-	})
+	// Ascending IDs, so the vertices' slots do not depend on map order.
+	for _, v := range g.VertexIDs() {
+		s.affected = append(s.affected, s.newVnode(v, g.MustVertexLabel(v)))
+	}
 	for _, v := range s.affected {
 		g.Neighbors(v.id, func(u graph.VertexID, el graph.Label) bool {
 			v.adj = append(v.adj, s.halfTo(v, s.verts[u], el))
@@ -240,6 +240,15 @@ func (s *Store) Packed(v graph.VertexID) (PackedVector, bool) {
 	return PackedVector{}, false
 }
 
+// Slot returns v's slot (DirtyDelta.Slot), and false when v is not in the
+// store.
+func (s *Store) Slot(v graph.VertexID) (int32, bool) {
+	if n := s.verts[v]; n != nil {
+		return n.slot, true
+	}
+	return 0, false
+}
+
 // PackedVectors calls fn for every (vertex, vector) pair of the last seal.
 // Iteration order is unspecified; fn returning false stops iteration.
 func (s *Store) PackedVectors(fn func(v graph.VertexID, p PackedVector) bool) {
@@ -273,15 +282,14 @@ func (s *Store) SealDirty() []DirtyDelta {
 	for i, v := range s.dirty {
 		from := len(moves)
 		var p PackedVector
-		var reshaped bool
 		if v.live {
-			p, moves, reshaped = s.seal(v, moves)
+			p, moves = s.seal(v, moves)
 		} else {
-			moves, reshaped = Diff(moves, v.packed, PackedVector{})
+			moves, _ = Diff(moves, v.packed, PackedVector{})
 		}
 		if len(moves) > from || !v.sealed || !v.live {
-			out = append(out, DirtyDelta{Vertex: v.id, Old: v.packed, New: p, HadOld: v.sealed, HasNew: v.live,
-				Moves: moves[from:len(moves):len(moves)], Reshaped: reshaped})
+			out = append(out, DirtyDelta{Vertex: v.id, Slot: v.slot, Old: v.packed, New: p, HadOld: v.sealed, HasNew: v.live,
+				Moves: moves[from:len(moves):len(moves)]})
 			v.packed = p
 		}
 		v.sealed, v.dirty = v.live, false
@@ -306,7 +314,7 @@ func (s *Store) SealDirty() []DirtyDelta {
 // its moves from v's last sealed vector to moves (Diff). An unmoved vector
 // is the last sealed one, and a count-only move shares its support and
 // signature.
-func (s *Store) seal(v *vnode, moves []Move) (PackedVector, []Move, bool) {
+func (s *Store) seal(v *vnode, moves []Move) (PackedVector, []Move) {
 	dims, counts := s.dims[:0], s.counts[:0]
 	for k, l := range v.lv {
 		level := Dim(k+1) << 48
@@ -326,15 +334,15 @@ func (s *Store) seal(v *vnode, moves []Move) (PackedVector, []Move, bool) {
 	moves, reshaped := Diff(moves, old, PackedVector{dims: dims, counts: counts})
 	switch {
 	case len(moves) == from:
-		return old, moves, false
+		return old, moves
 	case !reshaped:
-		return PackedVector{dims: old.dims, counts: slices.Clone(counts), sig: old.sig}, moves, false
+		return PackedVector{dims: old.dims, counts: slices.Clone(counts), sig: old.sig}, moves
 	}
 	p := PackedVector{dims: slices.Clone(dims), counts: slices.Clone(counts)}
 	for _, d := range dims {
 		p.sig |= sigBit(d)
 	}
-	return p, moves, true
+	return p, moves
 }
 
 // ResetCaps re-reads every cap and marks every vertex dirty, so the next
@@ -474,14 +482,16 @@ func (s *Store) revive(v *vnode, id graph.VertexID, l graph.Label) *vnode {
 }
 
 // newVnode registers a vertex with empty levels; refresh counts it. It
-// reuses a vnode retired at a seal when there is one: nothing points at it,
-// and its edges, levels and sealed vector are already empty.
+// reuses a vnode retired at a seal when there is one, slot included:
+// nothing points at it, and its edges, levels and sealed vector are already
+// empty. Every vnode is in verts or in free, so a new one takes the next
+// slot, len(verts).
 func (s *Store) newVnode(id graph.VertexID, l graph.Label) *vnode {
 	var v *vnode
 	if n := len(s.free); n > 0 {
 		v, s.free = s.free[n-1], s.free[:n-1]
 	} else {
-		v = &vnode{lv: make([][]tally, s.depth)}
+		v = &vnode{lv: make([][]tally, s.depth), slot: int32(len(s.verts))}
 	}
 	v.id, v.label = id, l
 	s.verts[id] = v

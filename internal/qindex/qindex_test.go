@@ -228,12 +228,12 @@ func randomDelta(r *rand.Rand, v graph.VertexID) npv.DirtyDelta {
 	return withMoves(dl)[0]
 }
 
-// withMoves fills each delta's Moves and Reshaped from its Old and New
+// withMoves fills each delta's Moves from its Old and New
 // through npv.Diff, as a sealer does, and returns the deltas.
 func withMoves(deltas ...npv.DirtyDelta) []npv.DirtyDelta {
 	for i := range deltas {
 		dl := &deltas[i]
-		dl.Moves, dl.Reshaped = npv.Diff(nil, dl.Old, dl.New)
+		dl.Moves, _ = npv.Diff(nil, dl.Old, dl.New)
 	}
 	return deltas
 }

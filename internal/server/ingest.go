@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"nntstream/internal/core"
@@ -228,13 +229,23 @@ func (s *Server) stepBatch(batch []map[core.StreamID]graph.ChangeSet) (applied, 
 	return s.engine.StepAllBatch(batch)
 }
 
+// ingestDecoders keeps warm decoders across requests, so decoding a frame
+// allocates nothing for the frame's size once a decoder has seen one as
+// large.
+var ingestDecoders = sync.Pool{New: func() any { return new(IngestDecoder) }}
+
 // decodeIngestBatch splits an NDJSON body into lines, decodes every frame,
 // and materializes the engine-facing change-set maps. All-or-nothing: any
 // defect on any line rejects the whole body before the engine is touched.
 // Blank lines are skipped, so both newline-terminated and newline-separated
-// bodies decode.
+// bodies decode. The ops are copied out of the pooled decoder, which keeps
+// no reference to the body once it is back in the pool.
 func decodeIngestBatch(data []byte) ([]map[core.StreamID]graph.ChangeSet, int, error) {
-	var dec IngestDecoder
+	dec := ingestDecoders.Get().(*IngestDecoder)
+	defer func() {
+		dec.buf = nil
+		ingestDecoders.Put(dec)
+	}()
 	var batch []map[core.StreamID]graph.ChangeSet
 	opCount := 0
 	lineNo := 0

@@ -493,3 +493,34 @@ func TestIngestConcurrentWithReads(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestDecodeIngestBatchWarmAllocsIndependentOfOps: the ingest path decodes
+// with a pooled, warm decoder, so a one-frame batch allocates the same —
+// the batch, the frame's map and the copied change set — at 10 ops and at
+// 300. A decoder declared per request grows its op buffer on every frame.
+func TestDecodeIngestBatchWarmAllocsIndependentOfOps(t *testing.T) {
+	allocs := func(ops int) float64 {
+		var b strings.Builder
+		b.WriteString(`{"changes":[{"stream":0,"ops":[`)
+		for i := 0; i < ops; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"op":"ins","u":%d,"v":%d,"ul":1,"vl":2,"el":0}`, i, i+1)
+		}
+		b.WriteString("]}]}\n")
+		body := []byte(b.String())
+		decode := func() {
+			if batch, n, err := decodeIngestBatch(body); err != nil || len(batch) != 1 || n != ops {
+				t.Fatalf("decoded %d steps and %d ops (%v); want 1 and %d", len(batch), n, err, ops)
+			}
+		}
+		decode()
+		return testing.AllocsPerRun(50, decode)
+	}
+	small, large := allocs(10), allocs(300)
+	if small != large {
+		t.Fatalf("a warm one-frame batch allocates %.0f times at 10 ops and %.0f at 300", small, large)
+	}
+	t.Logf("a warm one-frame batch allocates %.0f times at 10 and at 300 ops", small)
+}
