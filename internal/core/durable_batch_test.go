@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"nntstream/internal/core"
@@ -128,6 +129,83 @@ func TestStepAllBatchSyncFailureShipsNothing(t *testing.T) {
 	}
 	if len(shipped) != 0 {
 		t.Fatalf("OnCommit fired %d times despite failed closing fsync; want 0", len(shipped))
+	}
+}
+
+// TestStepAllBatchOneFsyncPerBatch pins the group commit: a batch of n steps
+// appends n records with contiguous LSNs under one closing fsync, and a crash
+// right after the batch returns recovers every step of it.
+func TestStepAllBatchOneFsyncPerBatch(t *testing.T) {
+	const n = 3
+	dir := t.TempDir()
+	m := wal.NewMetrics(obs.NewRegistry())
+	d := openDurable(t, dir, core.DurableOptions{Metrics: m})
+	register(t, d)
+
+	base := m.FsyncSeconds.Count()
+	firstLSN := d.LastLSN() + 1
+	applied, _, err := d.StepAllBatch(batchSteps(0, n))
+	if err != nil || applied != n {
+		t.Fatalf("StepAllBatch = (%d, _, %v); want (%d, _, nil)", applied, err, n)
+	}
+	if got := m.FsyncSeconds.Count() - base; got != 1 {
+		t.Fatalf("batch of %d steps took %d fsyncs; want 1", n, got)
+	}
+	if got, want := d.LastLSN(), firstLSN+n-1; got != want {
+		t.Fatalf("LastLSN after batch = %d; want %d", got, want)
+	}
+	want := d.Candidates()
+	if err := d.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	recovered := openDurable(t, dir, core.DurableOptions{})
+	defer recovered.Close()
+	if got := recovered.AppliedLSN(); got != firstLSN+n-1 {
+		t.Fatalf("recovered applied LSN %d; want %d", got, firstLSN+n-1)
+	}
+	if got := recovered.Candidates(); !slices.Equal(got, want) {
+		t.Fatalf("recovered candidates %v; want %v", got, want)
+	}
+}
+
+// TestStepAllBatchMidBatchFailureLogsPrefix: a per-step rejection keeps the
+// applied prefix in the log and withdraws the rejected step's record, so
+// LastLSN is the applied step's LSN and a crash recovers exactly the prefix
+// — what N sequential StepAll calls would have left.
+func TestStepAllBatchMidBatchFailureLogsPrefix(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurable(t, dir, core.DurableOptions{})
+	register(t, d)
+
+	before := d.LastLSN()
+	steps := batchSteps(0, 3)
+	steps[1] = map[core.StreamID]graph.ChangeSet{
+		99: {graph.InsertOp(1, 0, 2, 0, 0)}, // unknown stream: apply rejects
+	}
+	applied, _, err := d.StepAllBatch(steps)
+	if !errors.Is(err, core.ErrUnknownStream) || applied != 1 {
+		t.Fatalf("StepAllBatch = (%d, _, %v); want (1, _, ErrUnknownStream)", applied, err)
+	}
+	if got := d.LastLSN(); got != before+1 {
+		t.Fatalf("LastLSN after mid-batch failure = %d; want the applied step's %d", got, before+1)
+	}
+	if got := d.AppliedLSN(); got != before+1 {
+		t.Fatalf("AppliedLSN after mid-batch failure = %d; want %d", got, before+1)
+	}
+	want := d.Candidates()
+	if err := d.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	recovered := openDurable(t, dir, core.DurableOptions{})
+	defer recovered.Close()
+	if got := recovered.AppliedLSN(); got != before+1 {
+		t.Fatalf("recovered applied LSN %d; want %d (the applied prefix only)", got, before+1)
+	}
+	if got := recovered.Stats().Timestamps; got != 1 {
+		t.Fatalf("recovered engine replayed %d steps; want 1", got)
+	}
+	if got := recovered.Candidates(); !slices.Equal(got, want) {
+		t.Fatalf("recovered candidates %v; want %v", got, want)
 	}
 }
 

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -523,4 +525,31 @@ func TestDecodeIngestBatchWarmAllocsIndependentOfOps(t *testing.T) {
 		t.Fatalf("a warm one-frame batch allocates %.0f times at 10 ops and %.0f at 300", small, large)
 	}
 	t.Logf("a warm one-frame batch allocates %.0f times at 10 and at 300 ops", small)
+}
+
+// TestReadBodyBytesSizedToBody: reading a 64 KiB ingest body that declares
+// its length allocates at most 1.1× the body plus 4 KiB. io.ReadAll grows
+// its buffer from 512 bytes and allocated over four times the body.
+func TestReadBodyBytesSizedToBody(t *testing.T) {
+	const size = 64 << 10
+	payload := []byte(strings.Repeat(insFrame(0, 1, 2, 1, 2, 0)+"\n", size/64)[:size])
+	var minBytes uint64
+	for i := 0; i < 5; i++ {
+		r := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(payload))
+		w := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		data, err := readBody(w, r, DefaultMaxBodyBytes)
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(data, payload) {
+			t.Fatalf("readBody = (%d bytes, %v); want the %d-byte payload", len(data), err, size)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < minBytes {
+			minBytes = n
+		}
+	}
+	if limit := uint64(size + size/10 + 4<<10); minBytes > limit {
+		t.Fatalf("reading a %d B body allocated %d B; want at most %d B", size, minBytes, limit)
+	}
+	t.Logf("reading a %d B body allocated %d B", size, minBytes)
 }
