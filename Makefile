@@ -66,12 +66,13 @@ test:
 # Coverage audit against the blockhold/lockorder lock inventory (mutex-holding
 # shipped packages): cluster (Coordinator.mu, workerGroup.mu, FaultTransport.mu),
 # core (DurableEngine.mu, Monitor.mu), gindex (Filter.mu), obs
-# (Registry.mu), server (Server.mu, admission.mu), wal (Log.mu, fault/atomic
-# wrappers) — all covered below; internal/obs was the gap (its registry is
-# scraped concurrently with engine steps) and is now included. cmd/loadgen's
-# open-loop scheduler fans HTTP exchanges out across goroutines, and
-# cmd/serve's tests scrape the assembled serve and worker stacks, so both run
-# under the detector too. internal/analysis also matches the grep but only
+# (Registry.mu), server (Server.mu, admission.mu), wal (Log.mu) — all
+# covered below. The test-support simdisk (Disk.mu) runs under the detector
+# through the core, server and wal tests that use it. internal/obs was the
+# gap (its registry is scraped concurrently with engine steps) and is now
+# included. cmd/loadgen's open-loop scheduler fans HTTP exchanges out across
+# goroutines, and cmd/serve's tests scrape the assembled serve and worker
+# stacks, so both run under the detector too. internal/analysis also matches the grep but only
 # inside its own analyzer pattern strings; it runs single-threaded under the
 # driver and stays out of the race gate.
 race:
@@ -80,13 +81,15 @@ race:
 		./internal/cluster/... ./internal/retry/... ./internal/obs/... ./cmd/loadgen/... \
 		./cmd/serve/...
 
-# Crash-recovery property tests: the engine harness's seeds
-# (FuzzEngineMatchesReference: crashes that cut the WAL, restarts, and every
-# cut of each seed's final WAL), fault-injected writes/fsyncs, checkpoint
-# crash windows. -count=3 shakes out ordering assumptions in the recovery
-# paths.
+# Crash-recovery property tests, most of them on the simulated disk
+# (internal/simdisk), which keeps only what was synced: the engine
+# harness's seeds (FuzzEngineMatchesReference: honest crashes that must
+# lose no acknowledged record, lying crashes that cut the WAL, restarts, and
+# every cut of each seed's final WAL), injected write, sync and rename
+# faults, checkpoint crash windows, and the disk's own crash model.
+# -count=3 shakes out ordering assumptions in the recovery paths.
 crashtest:
-	$(GO) test -count=3 -run 'Crash|Recover|Torn|Fault|EngineMatchesReference' ./internal/wal/... ./internal/core/...
+	$(GO) test -count=3 -run 'Crash|Recover|Torn|Fault|EngineMatchesReference' ./internal/wal/... ./internal/core/... ./internal/simdisk/...
 
 # Cluster fault drills: a primary killed at every WAL-record boundary (answers
 # must stay bit-identical to a single node), randomized partition/heal

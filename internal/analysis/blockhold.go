@@ -19,11 +19,13 @@ import (
 //     time.Sleep, channel sends/receives/selects-without-default,
 //     (*sync.WaitGroup).Wait, and the waiting (*exec.Cmd) methods;
 //   - no direct call into os, net or net/http, no *os.File method, no
-//     (*wal.Log) append/fsync and no time.Sleep runs while a hot-path
-//     RWMutex is held. RWMutexes guard the engine's concurrent read paths,
-//     and an fsync under one stalls every reader. Plain mutexes may do file
-//     and WAL I/O: the WAL fsyncs under the engine's commit mutex by design.
-//     This class is checked on direct calls only, never through callees.
+//     wal.FS method (the file-system seam the log and checkpoints go
+//     through), no (*wal.Log) append/fsync and no time.Sleep runs while a
+//     hot-path RWMutex is held. RWMutexes guard the engine's concurrent
+//     read paths, and an fsync under one stalls every reader. Plain
+//     mutexes may do file and WAL I/O: the WAL fsyncs under the engine's
+//     commit mutex by design. This class is checked on direct calls only,
+//     never through callees.
 //
 // Call paths follow the module call graph: static calls, concrete-receiver
 // method calls, and interface calls over-approximated by every in-module
@@ -357,7 +359,8 @@ func blockingCalleeDesc(fn *types.Func) string {
 
 // hotIODesc classifies the direct calls forbidden under a hot-path
 // RWMutex: package-level os/net/net/http calls, time.Sleep, *os.File
-// methods, and *wal.Log operations (appends fsync under SyncAlways).
+// methods, wal.FS and wal.OSFS methods (os calls behind the seam), and
+// *wal.Log operations (appends fsync under SyncAlways).
 func hotIODesc(info *types.Info, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -379,6 +382,9 @@ func hotIODesc(info *types.Info, call *ast.CallExpr) string {
 	}
 	if isNamed(t, "os", "File") {
 		return "calling (*os.File)." + name
+	}
+	if isNamed(t, "internal/wal", "FS") || isNamed(t, "internal/wal", "OSFS") {
+		return "calling (wal.FS)." + name
 	}
 	if isNamed(t, "internal/wal", "Log") {
 		switch name {

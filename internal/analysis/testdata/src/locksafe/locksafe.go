@@ -20,6 +20,7 @@ type tally struct {
 type store struct {
 	mu  sync.RWMutex
 	log *wal.Log
+	fs  wal.FS
 	m   map[string]int
 }
 
@@ -131,6 +132,12 @@ func (s *store) readFileUnderLock(path string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return os.ReadFile(path) // want `calling os\.ReadFile while holding hot-path lock s\.mu\.Lock\(\)`
+}
+
+func (s *store) syncDirUnderRead(dir string) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.fs.SyncDir(dir) // want `calling \(wal\.FS\)\.SyncDir while holding hot-path lock s\.mu\.RLock\(\)`
 }
 
 func (s *store) goodSyncOutside() {

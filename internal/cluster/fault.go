@@ -13,7 +13,7 @@ import (
 // ErrInjected marks a failure the fault transport manufactured. It behaves
 // like any transport failure (retryable, counts against breakers), so the
 // layers above exercise their real error paths — the network analogue of
-// wal.FaultFile.
+// the disk faults internal/simdisk injects.
 var ErrInjected = errors.New("cluster: injected network fault")
 
 // FaultTransport wraps a Transport with deterministic (seeded) network

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -46,9 +47,9 @@ type DurableEngine struct {
 	// compares against it.
 	applied uint64
 
+	fs       wal.FS
 	metrics  *wal.Metrics
 	onCommit func(wal.Record)
-	cpFault  *wal.AtomicFault
 	closed   bool
 
 	// bufferCommits redirects onCommit notifications into pendingCommits
@@ -78,11 +79,12 @@ type DurableOptions struct {
 	CheckpointInterval time.Duration
 	// Metrics receives WAL and checkpoint observations; nil disables.
 	Metrics *wal.Metrics
-	// WrapFile wraps the WAL file — the fault-injection hook for tests.
+	// WrapFile, when non-nil, wraps the WAL file as it is opened — the
+	// benchmark probe's hook for timing the log's writes and fsyncs.
 	WrapFile func(wal.LogFile) wal.LogFile
-	// CheckpointFault injects failures into the checkpoint's atomic file
-	// replacement — the checkpoint-path fault-injection hook for tests.
-	CheckpointFault *wal.AtomicFault
+	// FS is the file system the data dir lives on (default wal.OSFS); crash
+	// tests pass a simulated disk.
+	FS wal.FS
 	// OnCommit, when non-nil, receives every successfully applied mutation as
 	// its LSN-stamped WAL record, in commit order, under the engine's write
 	// lock — the replication shipping hook. It is not invoked for records
@@ -102,7 +104,11 @@ const (
 // filters (the same sequence of operations rebuilds the same state) — the
 // same property snapshots already rely on.
 func OpenDurableEngine(dir string, factory FilterFactory, opts DurableOptions) (*DurableEngine, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fsys := opts.FS
+	if fsys == nil {
+		fsys = wal.OSFS{}
+	}
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating data dir %s: %w", dir, err)
 	}
 	f := factory()
@@ -113,25 +119,29 @@ func OpenDurableEngine(dir string, factory FilterFactory, opts DurableOptions) (
 		inner:    NewMonitor(f),
 		dir:      dir,
 		cpPath:   filepath.Join(dir, checkpointFileName),
+		fs:       fsys,
 		metrics:  opts.Metrics,
 		onCommit: opts.OnCommit,
-		cpFault:  opts.CheckpointFault,
 	}
 
 	// A crash during checkpointing can leave a stale temp file; the rename
 	// never happened, so it holds no authoritative state.
-	os.Remove(d.cpPath + ".tmp")
+	_ = fsys.Remove(d.cpPath + ".tmp")
 
 	opts.Metrics.ObserveRecoveryStart()
 	walSeq, err := d.restoreCheckpoint()
 	if err != nil {
 		return nil, err
 	}
-	log, err := wal.Open(filepath.Join(dir, walFileName), wal.Options{
+	walPath := filepath.Join(dir, walFileName)
+	if opts.WrapFile != nil {
+		fsys = wrapFS{FS: fsys, path: walPath, wrap: opts.WrapFile}
+	}
+	log, err := wal.Open(walPath, wal.Options{
 		Sync:         opts.Fsync,
 		SyncInterval: opts.FsyncInterval,
 		Metrics:      opts.Metrics,
-		WrapFile:     opts.WrapFile,
+		FS:           fsys,
 		OnRecord: func(r wal.Record) error {
 			if r.LSN <= walSeq {
 				// Already folded into the checkpoint: the process died
@@ -172,11 +182,26 @@ func OpenDurableEngine(dir string, factory FilterFactory, opts DurableOptions) (
 	return d, nil
 }
 
+// wrapFS applies DurableOptions.WrapFile to the WAL file as it is opened.
+type wrapFS struct {
+	wal.FS
+	path string
+	wrap func(wal.LogFile) wal.LogFile
+}
+
+func (w wrapFS) OpenFile(name string, flag int, perm os.FileMode) (wal.LogFile, error) {
+	f, err := w.FS.OpenFile(name, flag, perm)
+	if err == nil && name == w.path {
+		f = w.wrap(f)
+	}
+	return f, err
+}
+
 // restoreCheckpoint loads the checkpoint file if present and returns its
 // WALSeq (zero when no checkpoint exists).
 func (d *DurableEngine) restoreCheckpoint() (uint64, error) {
-	f, err := os.Open(d.cpPath)
-	if os.IsNotExist(err) {
+	f, err := d.fs.OpenFile(d.cpPath, os.O_RDONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
@@ -390,9 +415,9 @@ func (d *DurableEngine) Checkpoint() error {
 func (d *DurableEngine) checkpointLocked() error {
 	start := time.Now()
 	file := d.inner.snapshotFile(d.applied)
-	err := wal.WriteFileAtomicFault(d.cpPath, func(w io.Writer) error {
+	err := wal.WriteFileAtomic(d.fs, d.cpPath, func(w io.Writer) error {
 		return writeSnapshotTo(w, file)
-	}, d.cpFault)
+	})
 	if err == nil {
 		err = d.log.Reset()
 	}
@@ -583,13 +608,14 @@ func InstallSnapshot(dir string, data []byte) error {
 	if _, err := readSnapshotFrom(bytes.NewReader(data)); err != nil {
 		return fmt.Errorf("core: validating snapshot: %w", err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fsys := wal.OSFS{}
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: creating data dir %s: %w", dir, err)
 	}
-	if err := os.Remove(filepath.Join(dir, walFileName)); err != nil && !os.IsNotExist(err) {
+	if err := fsys.Remove(filepath.Join(dir, walFileName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("core: discarding stale WAL in %s: %w", dir, err)
 	}
-	return wal.WriteFileAtomic(filepath.Join(dir, checkpointFileName), func(w io.Writer) error {
+	return wal.WriteFileAtomic(fsys, filepath.Join(dir, checkpointFileName), func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})

@@ -8,6 +8,7 @@ import (
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
 	"nntstream/internal/obs"
+	"nntstream/internal/simdisk"
 	"nntstream/internal/wal"
 )
 
@@ -91,38 +92,21 @@ func TestStepAllBatchMidBatchFailureShipsPrefix(t *testing.T) {
 	}
 }
 
-// failSyncLogFile makes the WAL file's Sync fail on demand, so a batch's
-// closing fsync can be forced to fail after its appends succeeded.
-type failSyncLogFile struct {
-	wal.LogFile
-	fail bool
-}
-
-func (f *failSyncLogFile) Sync() error {
-	if f.fail {
-		return errors.New("injected sync failure")
-	}
-	return f.LogFile.Sync()
-}
-
 // TestStepAllBatchSyncFailureShipsNothing: when the closing fsync fails the
 // batch's durability is unknown, so no record may reach OnCommit — a replica
 // must never apply state the primary can still lose — and the error carries
 // the wal.ErrSyncFailed marker callers use to withhold acknowledgement.
 func TestStepAllBatchSyncFailureShipsNothing(t *testing.T) {
-	ff := &failSyncLogFile{}
+	disk := simdisk.New()
 	var shipped []wal.Record
-	d := openDurable(t, t.TempDir(), core.DurableOptions{
+	d := openDurable(t, "data", core.DurableOptions{
 		OnCommit: func(r wal.Record) { shipped = append(shipped, r) },
-		WrapFile: func(f wal.LogFile) wal.LogFile {
-			ff.LogFile = f
-			return ff
-		},
+		FS:       disk,
 	})
 	register(t, d)
 
 	shipped = nil
-	ff.fail = true
+	disk.Fail(simdisk.Sync, 0)
 	_, _, err := d.StepAllBatch(batchSteps(0, 2))
 	if !errors.Is(err, wal.ErrSyncFailed) {
 		t.Fatalf("StepAllBatch with failed closing fsync = %v; want wal.ErrSyncFailed", err)

@@ -8,6 +8,7 @@ import (
 
 	"nntstream/internal/core"
 	"nntstream/internal/obs"
+	"nntstream/internal/simdisk"
 	"nntstream/internal/wal"
 )
 
@@ -237,21 +238,24 @@ func TestReplicationPromotedReplicaShips(t *testing.T) {
 	}
 }
 
-// TestCheckpointFaultLeavesRecoverableState injects a failure into each stage
-// of the checkpoint's atomic file replacement and verifies the failure is
-// contained: the error is surfaced and counted, the WAL is not reset, the
-// engine keeps accepting writes, and a crash right after still recovers to
-// the reference state from the previous checkpoint + intact log.
+// TestCheckpointFaultLeavesRecoverableState fails each stage of the
+// checkpoint's atomic file replacement on the simulated disk and verifies
+// the failure is contained: the error is surfaced and counted, the WAL is
+// not reset, the engine keeps accepting writes, and an honest crash right
+// after still recovers to the reference state from the previous checkpoint
+// + intact log.
 func TestCheckpointFaultLeavesRecoverableState(t *testing.T) {
-	for _, stage := range []wal.AtomicStage{wal.StageWrite, wal.StageSync, wal.StageRename} {
-		t.Run(stage.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			fault := &wal.AtomicFault{}
+	for _, stage := range []struct {
+		name string
+		op   simdisk.Op
+	}{{"write", simdisk.Write}, {"sync", simdisk.Sync}, {"rename", simdisk.Rename}} {
+		t.Run(stage.name, func(t *testing.T) {
+			disk := simdisk.New()
 			metrics := wal.NewMetrics(obs.NewRegistry())
-			d := openDurable(t, dir, core.DurableOptions{
-				Fsync:           wal.SyncAlways,
-				Metrics:         metrics,
-				CheckpointFault: fault,
+			d := openDurable(t, "data", core.DurableOptions{
+				Fsync:   wal.SyncAlways,
+				Metrics: metrics,
+				FS:      disk,
 			})
 			ops := recoveryOps(t)
 			split := 5
@@ -271,13 +275,10 @@ func TestCheckpointFaultLeavesRecoverableState(t *testing.T) {
 				}
 			}
 
-			fault.Arm(stage)
+			disk.Fail(stage.op, 0)
 			lsnBefore := d.LastLSN()
-			if err := d.Checkpoint(); err == nil {
-				t.Fatal("checkpoint with injected fault succeeded")
-			}
-			if fault.Tripped() != 1 {
-				t.Fatalf("fault tripped %d times, want 1", fault.Tripped())
+			if err := d.Checkpoint(); !errors.Is(err, simdisk.ErrInjected) {
+				t.Fatalf("checkpoint with a failed %s = %v; want the injected fault", stage.name, err)
 			}
 			if got := metrics.CheckpointFailures.Value(); got != 1 {
 				t.Fatalf("CheckpointFailures = %d, want 1", got)
@@ -297,10 +298,11 @@ func TestCheckpointFaultLeavesRecoverableState(t *testing.T) {
 			if err := d.RemoveQuery(qid); err != nil {
 				t.Fatalf("write after failed checkpoint: %v", err)
 			}
+			disk.Crash(0)
 			if err := d.Crash(); err != nil {
 				t.Fatal(err)
 			}
-			recovered := openDurable(t, dir, core.DurableOptions{Fsync: wal.SyncNever})
+			recovered := openDurable(t, "data", core.DurableOptions{Fsync: wal.SyncNever, FS: disk})
 			defer recovered.Close()
 			want := expectedCandidates(t)
 			if got := recovered.Candidates(); !slices.Equal(got, want[len(want)-1]) {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,13 +13,15 @@ import (
 	"nntstream/internal/graph"
 	"nntstream/internal/join"
 	"nntstream/internal/obs"
+	"nntstream/internal/simdisk"
 	"nntstream/internal/wal"
 )
 
 // The durability drills below check what no op of the engine harness
 // (FuzzEngineMatchesReference) reaches: the crash window between a
-// checkpoint and the log reset, a stale checkpoint temp file, injected
-// write faults, the metrics, and replication. They run one scripted
+// checkpoint and the log reset, a stale checkpoint temp file, faults the
+// simulated disk injects, a fresh data dir's first crash, the metrics, and
+// replication. They run one scripted
 // workload on NL engines and compare with the reference model.
 
 // drillDepth is the depth of the drills' NL engines and reference model.
@@ -217,19 +220,14 @@ func TestDurableStaleCheckpointTempIgnored(t *testing.T) {
 	}
 }
 
-// TestDurableFaultInjection drives the engine through injected write faults:
-// the failed operation surfaces an error, the log stays consistent, and
-// recovery sees exactly the acknowledged operations.
+// TestDurableFaultInjection drives the engine through an injected write
+// fault: the failed operation surfaces the error, the log stays
+// consistent, and an honest crash recovers exactly the acknowledged
+// operations.
 func TestDurableFaultInjection(t *testing.T) {
-	dir := t.TempDir()
-	var ff *wal.FaultFile
-	d := openDurable(t, dir, core.DurableOptions{
-		Fsync: wal.SyncAlways,
-		WrapFile: func(f wal.LogFile) wal.LogFile {
-			ff = wal.NewFaultFile(f, wal.FaultNone, 0)
-			return ff
-		},
-	})
+	disk := simdisk.New()
+	opts := core.DurableOptions{Fsync: wal.SyncAlways, FS: disk}
+	d := openDurable(t, "data", opts)
 	ops := recoveryOps(t)
 	mid := len(ops) / 2
 	for _, op := range ops[:mid] {
@@ -238,28 +236,53 @@ func TestDurableFaultInjection(t *testing.T) {
 		}
 	}
 	// The next append tears 10 bytes in.
-	ff.Arm(wal.FaultError, 10)
-	if err := ops[mid](d); err == nil {
-		t.Fatal("op succeeded through an injected write fault")
+	disk.Fail(simdisk.Write, 10)
+	if err := ops[mid](d); !errors.Is(err, simdisk.ErrInjected) {
+		t.Fatalf("op through an injected write fault = %v; want the fault", err)
 	}
-	if ff.Tripped() == 0 {
-		t.Fatal("fault never fired")
-	}
-	ff.Heal()
 	// The engine retries cleanly after the device recovers.
 	for _, op := range ops[mid:] {
 		if err := op(d); err != nil {
-			t.Fatalf("op after heal: %v", err)
+			t.Fatalf("op after the fault: %v", err)
 		}
 	}
 	want := d.Candidates()
+	disk.Crash(0)
 	if err := d.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := openDurable(t, dir, core.DurableOptions{Fsync: wal.SyncAlways})
+	d2 := openDurable(t, "data", opts)
 	defer d2.Crash()
 	if got := d2.Candidates(); !slices.Equal(got, want) {
 		t.Fatalf("recovered candidates %v, want %v", got, want)
+	}
+}
+
+// TestFreshDataDirSurvivesCrash: the first acknowledged records of a new
+// data dir survive an honest crash. wal.log is a new name in the directory,
+// which a crash keeps only if the directory was synced after the file was
+// created.
+func TestFreshDataDirSurvivesCrash(t *testing.T) {
+	disk := simdisk.New()
+	opts := core.DurableOptions{Fsync: wal.SyncAlways, FS: disk}
+	d := openDurable(t, "data", opts)
+	if _, err := d.AddQuery(parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddStream(parseGraph(t, "v 0 0\nv 1 1\nv 2 2\ne 0 1 0\ne 1 2 0")); err != nil {
+		t.Fatal(err)
+	}
+	disk.Crash(0)
+	if err := d.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := openDurable(t, "data", opts)
+	defer d2.Crash()
+	if q, s := d2.QueryCount(), d2.StreamCount(); q != 1 || s != 1 {
+		t.Fatalf("after a crash the fresh data dir holds %d queries and %d streams; want 1 and 1", q, s)
+	}
+	if got := d2.Candidates(); len(got) != 1 {
+		t.Fatalf("recovered candidates %v; want the one pair", got)
 	}
 }
 

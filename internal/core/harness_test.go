@@ -18,6 +18,7 @@ import (
 	"nntstream/internal/iso"
 	"nntstream/internal/join"
 	"nntstream/internal/npv"
+	"nntstream/internal/simdisk"
 	"nntstream/internal/wal"
 )
 
@@ -43,32 +44,33 @@ var configs = []struct {
 const exactNodes = 1000
 
 // FuzzEngineMatchesReference decodes a fuzzsched.DecodeEngine schedule
-// over two streams and drives one DurableEngine per config through it:
+// over two streams and drives one DurableEngine per config through it, each
+// on its own simulated disk (internal/simdisk) and fsyncing every append:
 // query registrations and removals, steps — a failing one must be rejected
-// whole — batches of steps under one group commit, checkpoints, crashes
-// that cut bytes off the end of the log's records (zeroing them in front
-// of the zero tail, or ending the file there; see torn), and clean
-// restarts. After every op each engine must agree with one reference model
-// (internal/fuzzsched/reference) on the candidates, the next IDs and the
-// applied LSN, and the exact engine's pairs must be reference candidates:
-// no false negatives. With fixture set the engines boot from
-// testdata/sharded, a data dir written by an engine that split its streams
-// over three filter shards, and the schedule continues from there. Outside
-// fuzzing, which reaches cuts through the crash op, the final log's
-// records are then cut at every byte.
+// whole — batches of steps under one group commit, checkpoints, crashes and
+// clean restarts. A crash is honest, keeping exactly what was synced, and
+// must then lose no acknowledged record; or the disk lies and cuts bytes
+// off the end of the log's records (see kill). After every op each engine
+// must agree with one reference model (internal/fuzzsched/reference) on
+// the candidates, the next IDs and the applied LSN, and the exact engine's
+// pairs must be reference candidates: no false negatives. With fixture set
+// the engines boot from testdata/sharded, a data dir written by an engine
+// that split its streams over three filter shards, and the schedule
+// continues from there. Outside fuzzing, which reaches cuts through the
+// crash op, the final log's records are then cut at every byte.
 //
 // Seeds are in fuzzsched's format; see FuzzSkylineMatchesNL for the
 // query and edge ops. The engine ops are 0x0a k (a batch of the next k
-// steps), 0x1a (checkpoint), 0x2a n (crash, cutting n bytes) and 0x3a
-// (restart).
+// steps), 0x1a (checkpoint), 0x2a n (crash: honest when n is a multiple of
+// 4, else cutting n bytes) and 0x3a (restart).
 func FuzzEngineMatchesReference(f *testing.F) {
 	// At each depth, on a 6-vertex path and a 7-vertex wheel: a K3 query
 	// and a subgraph of the wheel; a step; a batch whose second step
 	// inserts the path's 0–2 (closing the K3) while a relabelling insert
 	// fails the wheel's set; a crash; the removal of the newest query; that
 	// failing step again, then a checkpoint; two steps, the second torn by
-	// a crash; a K4 query, kept through a crash; a restart, a step and a
-	// crash; an empty batch.
+	// a crash; a K4 query, kept through an honest crash; a restart, a step
+	// and an honest crash; an empty batch.
 	for h := byte(0); h < 4; h++ {
 		f.Add(false, []byte{h, 6, 1<<5 | 6, 3<<5 | 7, 0x03, 4<<5 | 3, 0x0b, 0x21,
 			0x00, 0x14, 0x06, 0x01, 0x01, 0x02,
@@ -106,16 +108,22 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	})
 }
 
-// harness holds one engine per config and the reference model they must
-// all agree with. added reports whether the streams are registered.
+// harness holds one engine per config, each on its own disk, and the
+// reference model they must all agree with. added reports whether the
+// streams are registered.
 type harness struct {
 	t       *testing.T
 	sc      fuzzsched.Schedule
 	added   bool
-	dirs    []string
+	disks   []*simdisk.Disk
 	engines []*core.DurableEngine
 	model   *reference.Model
 }
+
+// dataDir is each engine's data dir on its disk.
+const dataDir = "data"
+
+var walPath = filepath.Join(dataDir, "wal.log")
 
 func newHarness(t *testing.T, sc fuzzsched.Schedule, fixture bool) *harness {
 	h := &harness{t: t, sc: sc, added: fixture, engines: make([]*core.DurableEngine, len(configs)), model: reference.NewModel(sc.Depth)}
@@ -125,7 +133,7 @@ func newHarness(t *testing.T, sc fuzzsched.Schedule, fixture bool) *harness {
 		}
 	})
 	for i := range configs {
-		h.dirs = append(h.dirs, t.TempDir())
+		h.disks = append(h.disks, simdisk.New())
 		if fixture {
 			for _, name := range []string{"checkpoint.json", "wal.log"} {
 				data, err := os.ReadFile(filepath.Join("testdata/sharded", name))
@@ -172,17 +180,25 @@ func (h *harness) fatalf(i int, format string, args ...any) {
 	h.t.Fatalf(configs[i].name+": "+format, args...)
 }
 
+// write stores a file in engine i's data dir, durably.
 func (h *harness) write(i int, name string, data []byte) {
-	if err := os.WriteFile(filepath.Join(h.dirs[i], name), data, 0o644); err != nil {
-		h.t.Fatal(err)
+	h.disks[i].WriteFile(filepath.Join(dataDir, name), data)
+}
+
+// read returns engine i's log.
+func (h *harness) read(i int) []byte {
+	data, err := h.disks[i].ReadFile(walPath)
+	if err != nil {
+		h.fatalf(i, "reading the log: %v", err)
 	}
+	return data
 }
 
 // open boots engine i from its data dir.
 func (h *harness) open(i int) {
 	c := configs[i]
-	d, err := core.OpenDurableEngine(h.dirs[i], func() core.Filter { return c.filter(h.sc.Depth) },
-		core.DurableOptions{Workers: c.workers, Fsync: wal.SyncNever})
+	d, err := core.OpenDurableEngine(dataDir, func() core.Filter { return c.filter(h.sc.Depth) },
+		core.DurableOptions{Workers: c.workers, Fsync: wal.SyncAlways, FS: h.disks[i]})
 	if err != nil {
 		h.fatalf(i, "boot: %v", err)
 	}
@@ -258,9 +274,7 @@ func (h *harness) run() {
 				}
 			}
 		case fuzzsched.Crash:
-			log := h.kill()
-			_, end := records(log)
-			h.boot(torn(log, max(0, end-op.Index), op.Index%2 == 0))
+			h.boot(h.kill(op.Index))
 		case fuzzsched.Restart:
 			h.model.Checkpoint()
 			for i, d := range h.engines {
@@ -302,36 +316,59 @@ func (h *harness) addStreams() {
 	h.check(-1)
 }
 
-// kill crashes every engine and returns their log, which must be the same
-// bytes for all of them.
-func (h *harness) kill() []byte {
-	var log []byte
-	for i, d := range h.engines {
-		if err := d.Crash(); err != nil {
+// kill cuts the power: it crashes every disk, then releases its engine,
+// and returns the log that survives, which must be the same bytes on every
+// disk. The disk goes first, so an engine flushes nothing it had not
+// synced before the cut. When n is a multiple of 4 the crash is honest: it
+// keeps what was synced, and since the engines fsync every append it must
+// keep every record the reference acknowledged. Otherwise the disk lies
+// about the log's last n bytes of records and loses them, zeroing them in
+// front of the zero tail at even n and ending the file there at odd n (see
+// torn).
+func (h *harness) kill(n int) []byte {
+	log := h.logs(func(int) {})
+	acked, end := records(log)
+	if acked != h.model.Records() {
+		h.t.Fatalf("the log holds %d records; the reference acknowledged %d", acked, h.model.Records())
+	}
+	cut := max(0, end-n)
+	log = h.logs(func(i int) {
+		if n%4 == 0 {
+			h.disks[i].Crash(0)
+		} else {
+			h.disks[i].CrashLying(walPath, cut, n%2 == 0 && cut >= 8)
+		}
+		if err := h.engines[i].Crash(); err != nil {
 			h.fatalf(i, "Crash: %v", err)
 		}
-		data, err := os.ReadFile(filepath.Join(h.dirs[i], "wal.log"))
-		if err != nil {
-			h.t.Fatal(err)
-		}
+	})
+	if got, _ := records(log); n%4 == 0 && got != h.model.Records() {
+		h.t.Fatalf("an honest crash left %d records; the reference acknowledged %d", got, h.model.Records())
+	}
+	return log
+}
+
+// logs runs do on each engine's index and returns their log, which must be
+// the same bytes for all of them.
+func (h *harness) logs(do func(i int)) []byte {
+	var log []byte
+	for i := range h.engines {
+		do(i)
+		data := h.read(i)
 		if i > 0 && !bytes.Equal(data, log) {
 			h.fatalf(i, "the log differs from %s's", configs[0].name)
 		}
 		log = data
 	}
-	if n, _ := records(log); n != h.model.Records() {
-		h.t.Fatalf("the log holds %d records; the reference acknowledged %d", n, h.model.Records())
-	}
 	return log
 }
 
-// boot restarts every engine on log, and the model on the records that
-// survive in it.
+// boot restarts every engine on its disk, and the model on the records
+// that survive in log.
 func (h *harness) boot(log []byte) {
 	n, _ := records(log)
 	h.model = h.model.Recover(n)
 	for i := range h.engines {
-		h.write(i, "wal.log", log)
 		h.open(i)
 	}
 }
@@ -405,7 +442,7 @@ func (h *harness) checkEngine(k, i int) {
 // at even cuts and ending the file at odd ones, and boots each cut on the
 // last checkpoint, the configs taking the cuts in turn.
 func (h *harness) sweep() {
-	log, final := h.kill(), h.model
+	log, final := h.kill(0), h.model
 	_, end := records(log)
 	models := make(map[int]*reference.Model)
 	for cut := 0; cut <= end; cut++ {

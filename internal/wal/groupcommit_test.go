@@ -2,13 +2,13 @@ package wal
 
 import (
 	"errors"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"nntstream/internal/graph"
 	"nntstream/internal/obs"
+	"nntstream/internal/simdisk"
 )
 
 func openSyncAlways(t *testing.T, m *Metrics) (*Log, string) {
@@ -163,33 +163,18 @@ type testError struct{ msg string }
 
 func (e *testError) Error() string { return e.msg }
 
-// failSyncFile wraps a LogFile and makes Sync fail on demand — the
-// closing-fsync fault GroupCommit must surface rather than mask.
-type failSyncFile struct {
-	LogFile
-	fail bool
-}
-
-func (f *failSyncFile) Sync() error {
-	if f.fail {
-		return fmt.Errorf("injected sync failure")
-	}
-	return f.LogFile.Sync()
-}
-
-func openFailSync(t *testing.T) (*Log, *failSyncFile) {
+// openFailSync opens a SyncAlways log on a simulated disk whose next fsync
+// fails — the closing-fsync fault GroupCommit must surface rather than mask.
+func openFailSync(t *testing.T) *Log {
 	t.Helper()
-	ff := &failSyncFile{}
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Open(path, Options{Sync: SyncAlways, WrapFile: func(f LogFile) LogFile {
-		ff.LogFile = f
-		return ff
-	}})
+	disk := simdisk.New()
+	l, err := Open("wal.log", Options{Sync: SyncAlways, FS: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = l.Close() })
-	return l, ff
+	disk.Fail(simdisk.Sync, 0)
+	return l
 }
 
 // TestGroupCommitSyncFailureSurfaced: a failed closing fsync must reach the
@@ -197,8 +182,7 @@ func openFailSync(t *testing.T) (*Log, *failSyncFile) {
 // succeeded — records were staged but never made durable, so returning nil
 // would let the caller acknowledge a batch the disk may not hold.
 func TestGroupCommitSyncFailureSurfaced(t *testing.T) {
-	l, ff := openFailSync(t)
-	ff.fail = true
+	l := openFailSync(t)
 	err := l.GroupCommit(func() error {
 		_, e := l.Append(stepRecord(1, 2))
 		return e
@@ -213,8 +197,7 @@ func TestGroupCommitSyncFailureSurfaced(t *testing.T) {
 // per-step handling, and the ErrSyncFailed marker so the applied prefix is
 // not promised as durable.
 func TestGroupCommitFnAndSyncFailure(t *testing.T) {
-	l, ff := openFailSync(t)
-	ff.fail = true
+	l := openFailSync(t)
 	wantErr := "apply rejected"
 	err := l.GroupCommit(func() error {
 		if _, e := l.Append(stepRecord(1, 2)); e != nil {

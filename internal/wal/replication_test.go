@@ -6,8 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
+
+	"nntstream/internal/simdisk"
 )
 
 func TestEncodeDecodeRecordRoundTrip(t *testing.T) {
@@ -186,49 +187,46 @@ func TestRecordsFromCompacted(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicFaultStages fails each stage of the atomic
+// replacement on the simulated disk: the error carries the fault, the
+// published file is intact, no temp file is left, and the fault, being one
+// shot, lets the next write through.
 func TestWriteFileAtomicFaultStages(t *testing.T) {
-	for _, stage := range []AtomicStage{StageWrite, StageSync, StageRename} {
-		t.Run(stage.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "file.json")
-			if err := WriteFileAtomic(path, func(w io.Writer) error {
-				_, err := io.WriteString(w, "old")
-				return err
-			}); err != nil {
+	for _, stage := range []struct {
+		name string
+		op   simdisk.Op
+	}{{"write", simdisk.Write}, {"sync", simdisk.Sync}, {"rename", simdisk.Rename}} {
+		t.Run(stage.name, func(t *testing.T) {
+			disk := simdisk.New()
+			const path = "file.json"
+			write := func(content string) error {
+				return WriteFileAtomic(disk, path, func(w io.Writer) error {
+					_, err := io.WriteString(w, content)
+					return err
+				})
+			}
+			if err := write("old"); err != nil {
 				t.Fatal(err)
 			}
-			fault := &AtomicFault{}
-			fault.Arm(stage)
-			err := WriteFileAtomicFault(path, func(w io.Writer) error {
-				_, werr := io.WriteString(w, "new")
-				return werr
-			}, fault)
-			if err == nil {
-				t.Fatalf("stage %v: injected fault did not fail the write", stage)
-			}
-			if !strings.Contains(err.Error(), "injected") {
-				t.Fatalf("stage %v: error %v does not carry the injected fault", stage, err)
-			}
-			if fault.Tripped() != 1 {
-				t.Fatalf("stage %v: tripped %d times, want 1", stage, fault.Tripped())
+			disk.Fail(stage.op, 0)
+			if err := write("new"); !errors.Is(err, simdisk.ErrInjected) {
+				t.Fatalf("write with a failed %s = %v; want the injected fault", stage.name, err)
 			}
 			// The published file is untouched and no temp debris remains.
-			data, rerr := os.ReadFile(path)
-			if rerr != nil || string(data) != "old" {
-				t.Fatalf("stage %v: previous file not intact: %q, %v", stage, data, rerr)
+			if data, err := disk.ReadFile(path); err != nil || string(data) != "old" {
+				t.Fatalf("previous file not intact: %q, %v", data, err)
 			}
-			if _, serr := os.Stat(path + ".tmp"); !os.IsNotExist(serr) {
-				t.Fatalf("stage %v: temp file left behind", stage)
+			if _, err := disk.ReadFile(path + ".tmp"); err == nil {
+				t.Fatal("temp file left behind")
 			}
-			// The fault disarms after firing: the next write succeeds.
-			if err := WriteFileAtomicFault(path, func(w io.Writer) error {
-				_, werr := io.WriteString(w, "new")
-				return werr
-			}, fault); err != nil {
-				t.Fatalf("stage %v: write after disarm: %v", stage, err)
+			if err := write("new"); err != nil {
+				t.Fatalf("write after the fault: %v", err)
 			}
-			if data, _ := os.ReadFile(path); string(data) != "new" {
-				t.Fatalf("stage %v: post-disarm content %q", stage, data)
+			// The replacement survives a crash: the rename's directory was
+			// synced.
+			disk.Crash(0)
+			if data, _ := disk.ReadFile(path); string(data) != "new" {
+				t.Fatalf("content after the fault and a crash: %q", data)
 			}
 		})
 	}

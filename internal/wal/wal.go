@@ -23,6 +23,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 )
@@ -68,9 +69,11 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// LogFile is the file surface the log needs; *os.File satisfies it, and
-// FaultFile wraps one for recovery tests.
-type LogFile interface {
+// LogFile is the file surface the log needs; *os.File satisfies it, and so
+// do internal/simdisk's files. It is an alias of its interface literal, so
+// an FS whose OpenFile returns the same literal need not import this
+// package.
+type LogFile = interface {
 	io.Reader
 	io.Writer
 	io.Seeker
@@ -106,9 +109,8 @@ type Options struct {
 	OnRecord func(Record) error
 	// Metrics receives append/fsync/recovery observations; nil disables.
 	Metrics *Metrics
-	// WrapFile, when non-nil, wraps the opened file — the fault-injection
-	// hook for tests.
-	WrapFile func(LogFile) LogFile
+	// FS is the file system the log lives on (default OSFS).
+	FS FS
 }
 
 // Log is a single-file append-only record log. Appends are serialized
@@ -138,15 +140,17 @@ type Log struct {
 // Open opens (creating if absent) the log at path, replays the valid record
 // prefix through opts.OnRecord, truncates any torn tail (an all-zero tail is
 // kept for later appends to overwrite), and positions the log for
-// appending. LSNs continue from the last valid record.
+// appending. LSNs continue from the last valid record. A log that starts
+// empty may be a new name in its directory, so Open fsyncs the directory
+// once before any record can be acknowledged.
 func Open(path string, opts Options) (*Log, error) {
-	raw, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	fsys := opts.FS
+	if fsys == nil {
+		fsys = OSFS{}
+	}
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening %s: %w", path, err)
-	}
-	var f LogFile = raw
-	if opts.WrapFile != nil {
-		f = opts.WrapFile(raw)
 	}
 	l := &Log{
 		f:       f,
@@ -154,7 +158,11 @@ func Open(path string, opts Options) (*Log, error) {
 		policy:  opts.Sync,
 		metrics: opts.Metrics,
 	}
-	if err := l.recover(opts.OnRecord); err != nil {
+	fresh, err := l.recover(opts.OnRecord)
+	if err == nil && fresh {
+		err = syncDir(fsys, filepath.Dir(path))
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -173,40 +181,35 @@ func Open(path string, opts Options) (*Log, error) {
 // recover scans the existing file, replays valid records, and truncates the
 // file to the valid prefix unless all that follows it is zero. A log
 // written without a zero tail opens unchanged and gains one on its next
-// append.
-func (l *Log) recover(onRecord func(Record) error) error {
+// append. fresh reports a file that held no whole magic, which recover
+// starts over.
+func (l *Log) recover(onRecord func(Record) error) (fresh bool, err error) {
 	data, err := io.ReadAll(l.f)
 	if err != nil {
-		return fmt.Errorf("wal: reading %s: %w", l.path, err)
-	}
-	if len(data) == 0 {
-		if _, err := l.f.Write(fileMagic); err != nil {
-			return fmt.Errorf("wal: writing magic to %s: %w", l.path, err)
-		}
-		l.offset, l.size = int64(len(fileMagic)), int64(len(fileMagic))
-		l.dirty = true
-		return nil
+		return false, fmt.Errorf("wal: reading %s: %w", l.path, err)
 	}
 	if len(data) < len(fileMagic) {
-		// A crash tore the very first write (the magic itself): start over.
-		if err := l.rewindTo(0); err != nil {
-			return err
+		if len(data) > 0 {
+			// A crash tore the very first write (the magic itself).
+			if err := l.rewindTo(0); err != nil {
+				return false, err
+			}
+			l.metrics.observeRecovery(scanResult{}, int64(len(data)))
 		}
 		if _, err := l.f.Write(fileMagic); err != nil {
-			return fmt.Errorf("wal: rewriting magic to %s: %w", l.path, err)
+			return false, fmt.Errorf("wal: writing magic to %s: %w", l.path, err)
 		}
 		l.offset, l.size = int64(len(fileMagic)), int64(len(fileMagic))
 		l.dirty = true
-		l.metrics.observeRecovery(scanResult{}, int64(len(data)))
-		return nil
+		return true, nil
 	}
 	if !bytes.Equal(data[:len(fileMagic)], fileMagic) {
 		// Never truncate a file that isn't ours.
-		return fmt.Errorf("wal: %s is not a WAL file (bad magic)", l.path)
+		return false, fmt.Errorf("wal: %s is not a WAL file (bad magic)", l.path)
 	}
 	res, err := scanFrames(data[len(fileMagic):], onRecord)
 	if err != nil {
-		return fmt.Errorf("wal: replaying %s: %w", l.path, err)
+		return false, fmt.Errorf("wal: replaying %s: %w", l.path, err)
 	}
 	end := int64(len(fileMagic)) + res.validLen
 	l.size = int64(len(data))
@@ -217,19 +220,19 @@ func (l *Log) recover(onRecord func(Record) error) error {
 	l.metrics.observeRecovery(res, torn)
 	if torn > 0 {
 		if err := l.rewindTo(end); err != nil {
-			return err
+			return false, err
 		}
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: syncing truncated %s: %w", l.path, err)
+			return false, fmt.Errorf("wal: syncing truncated %s: %w", l.path, err)
 		}
 	} else {
 		if _, err := l.f.Seek(end, io.SeekStart); err != nil {
-			return fmt.Errorf("wal: seeking %s: %w", l.path, err)
+			return false, fmt.Errorf("wal: seeking %s: %w", l.path, err)
 		}
 	}
 	l.offset = end
 	l.lastLSN = res.lastLSN
-	return nil
+	return false, nil
 }
 
 // rewindTo truncates the file to size, zero tail included, and repositions

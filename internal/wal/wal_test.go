@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"nntstream/internal/graph"
 	"nntstream/internal/obs"
+	"nntstream/internal/simdisk"
 )
 
 func testRecords() []Record {
@@ -51,8 +53,14 @@ func appendAll(t *testing.T, l *Log, recs []Record) {
 
 func replayAll(t *testing.T, path string) []Record {
 	t.Helper()
+	return replayOn(t, OSFS{}, path)
+}
+
+// replayOn is replayAll on the file system fsys.
+func replayOn(t *testing.T, fsys FS, path string) []Record {
+	t.Helper()
 	var got []Record
-	l, err := Open(path, Options{OnRecord: func(r Record) error {
+	l, err := Open(path, Options{FS: fsys, OnRecord: func(r Record) error {
 		got = append(got, r)
 		return nil
 	}})
@@ -99,11 +107,11 @@ func TestLogAppendReplay(t *testing.T) {
 // the tail). The replayed prefix must be exactly the records whose frames
 // survive whole; a tail that is not all zero must be truncated back to that
 // boundary and counted, an all-zero one kept and not counted; and the log
-// must accept new appends afterwards.
+// must accept new appends afterwards. It runs on a simulated disk, which
+// makes the thousands of fsyncs free.
 func TestLogTornTailEveryByte(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	l, err := Open(path, Options{Sync: SyncAlways})
+	disk := simdisk.New()
+	l, err := Open("wal.log", Options{Sync: SyncAlways, FS: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +119,7 @@ func TestLogTornTailEveryByte(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := os.ReadFile(path)
+	full, err := disk.ReadFile("wal.log")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +143,7 @@ func TestLogTornTailEveryByte(t *testing.T) {
 			if keepTail {
 				data = append(data, make([]byte, len(full)-int(cut))...)
 			}
-			checkCut(t, dir, fmt.Sprintf("cut %d keepTail %v", cut, keepTail), data, full, boundaries)
+			checkCut(t, disk, fmt.Sprintf("cut %d keepTail %v", cut, keepTail), data, full, boundaries)
 		}
 	}
 }
@@ -143,12 +151,10 @@ func TestLogTornTailEveryByte(t *testing.T) {
 // checkCut opens data as a log and holds recovery to what the bytes allow:
 // the records whose frames match full survive, and what follows them is
 // kept if all zero and otherwise truncated and counted.
-func checkCut(t *testing.T, dir, at string, data, full []byte, boundaries []int64) {
+func checkCut(t *testing.T, disk *simdisk.Disk, at string, data, full []byte, boundaries []int64) {
 	t.Helper()
-	cutPath := filepath.Join(dir, "cut.log")
-	if err := os.WriteFile(cutPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	const cutPath = "cut.log"
+	disk.WriteFile(cutPath, data)
 	wantRecords := 0
 	for _, b := range boundaries[1:] {
 		if b <= int64(len(data)) && bytes.Equal(data[:b], full[:b]) {
@@ -167,11 +173,10 @@ func checkCut(t *testing.T, dir, at string, data, full []byte, boundaries []int6
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	var got []Record
-	// No crash follows, so the fsyncs are dropped: they only cost time.
-	l, err := Open(cutPath, Options{Metrics: m, OnRecord: func(r Record) error {
+	l, err := Open(cutPath, Options{Metrics: m, FS: disk, OnRecord: func(r Record) error {
 		got = append(got, r)
 		return nil
-	}, WrapFile: func(f LogFile) LogFile { return NewFaultFile(f, FaultDropSync, 0) }})
+	}})
 	if err != nil {
 		t.Fatalf("%s: open: %v", at, err)
 	}
@@ -181,8 +186,8 @@ func checkCut(t *testing.T, dir, at string, data, full []byte, boundaries []int6
 	if off := l.Offset(); off != valid {
 		t.Fatalf("%s: offset %d; want %d", at, off, valid)
 	}
-	if info, err := os.Stat(cutPath); err != nil || info.Size() != wantSize {
-		t.Fatalf("%s: recovered file size %v (%v); want %d", at, info.Size(), err, wantSize)
+	if recovered, err := disk.ReadFile(cutPath); err != nil || int64(len(recovered)) != wantSize {
+		t.Fatalf("%s: recovered file size %v (%v); want %d", at, len(recovered), err, wantSize)
 	}
 	if n := m.TornTruncations.Value(); n != b2i(tornWant > 0) || m.TornBytes.Value() != tornWant {
 		t.Fatalf("%s: %d torn truncations of %d bytes; want %d bytes torn", at, n, m.TornBytes.Value(), tornWant)
@@ -194,7 +199,7 @@ func checkCut(t *testing.T, dir, at string, data, full []byte, boundaries []int6
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened := replayAll(t, cutPath)
+	reopened := replayOn(t, disk, cutPath)
 	if len(reopened) != wantRecords+1 {
 		t.Fatalf("%s: after heal replay %d records; want %d", at, len(reopened), wantRecords+1)
 	}
@@ -462,32 +467,36 @@ func TestLogTruncateToUndoesAppend(t *testing.T) {
 	}
 }
 
+// TestLogFaultInjection drives the log through faults the simulated disk
+// injects: a failed or short append is rolled back to the record boundary,
+// and a record whose fsync the device acknowledged but lost is torn off and
+// counted at the next open.
 func TestLogFaultInjection(t *testing.T) {
-	t.Run("short_write_rolls_back", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "wal.log")
-		var ff *FaultFile
-		l, err := Open(path, Options{Sync: SyncAlways, WrapFile: func(f LogFile) LogFile {
-			ff = NewFaultFile(f, FaultNone, 0)
-			return ff
-		}})
+	open := func(t *testing.T, policy SyncPolicy) (*Log, *simdisk.Disk) {
+		t.Helper()
+		disk := simdisk.New()
+		l, err := Open("wal.log", Options{Sync: policy, FS: disk})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return l, disk
+	}
+	t.Run("short_write_rolls_back", func(t *testing.T) {
+		l, disk := open(t, SyncAlways)
 		appendAll(t, l, testRecords()[:2])
-		// Arm: allow 5 more bytes, then tear mid-frame.
-		ff.Arm(FaultShortWrite, 5)
+		// The next write keeps 5 bytes: a frame torn mid-header.
+		disk.Fail(simdisk.ShortWrite, 5)
 		if _, err := l.Append(testRecords()[2]); err == nil {
 			t.Fatal("append through short write succeeded")
 		}
-		ff.Heal()
 		// The log rolled back; the next append lands cleanly.
 		if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 42}); err != nil {
-			t.Fatalf("append after heal: %v", err)
+			t.Fatalf("append after the fault: %v", err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got := replayAll(t, path)
+		got := replayOn(t, disk, "wal.log")
 		if len(got) != 3 || got[2].ID != 42 {
 			t.Fatalf("replay = %d records, tail %+v", len(got), got[len(got)-1])
 		}
@@ -495,74 +504,61 @@ func TestLogFaultInjection(t *testing.T) {
 	t.Run("torn_extension_rolls_back", func(t *testing.T) {
 		// The first append grows the file; its write tears past the
 		// frame, inside the zero extension.
-		path := filepath.Join(t.TempDir(), "wal.log")
-		var ff *FaultFile
-		l, err := Open(path, Options{Sync: SyncAlways, WrapFile: func(f LogFile) LogFile {
-			ff = NewFaultFile(f, FaultShortWrite, 100)
-			return ff
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		l, disk := open(t, SyncAlways)
+		disk.Fail(simdisk.ShortWrite, 100)
 		if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 1}); err == nil {
 			t.Fatal("append through a torn extension succeeded")
 		}
-		if info, err := os.Stat(path); err != nil || info.Size() != l.Offset() {
-			t.Fatalf("after the rollback the file holds %v bytes (%v); want %d", info.Size(), err, l.Offset())
+		if data, err := disk.ReadFile("wal.log"); err != nil || int64(len(data)) != l.Offset() {
+			t.Fatalf("after the rollback the file holds %d bytes (%v); want %d", len(data), err, l.Offset())
 		}
-		ff.Heal()
 		if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 2}); err != nil {
-			t.Fatalf("append after heal: %v", err)
+			t.Fatalf("append after the fault: %v", err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := replayAll(t, path); len(got) != 1 || got[0].ID != 2 {
-			t.Fatalf("replay = %+v; want the record appended after the heal", got)
+		if got := replayOn(t, disk, "wal.log"); len(got) != 1 || got[0].ID != 2 {
+			t.Fatalf("replay = %+v; want the record appended after the fault", got)
 		}
 	})
 	t.Run("write_error_rolls_back", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "wal.log")
-		var ff *FaultFile
-		l, err := Open(path, Options{Sync: SyncNever, WrapFile: func(f LogFile) LogFile {
-			ff = NewFaultFile(f, FaultNone, 0)
-			return ff
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		l, disk := open(t, SyncNever)
 		appendAll(t, l, testRecords()[:1])
-		ff.Arm(FaultError, 3)
-		if _, err := l.Append(testRecords()[1]); err == nil {
-			t.Fatal("append through write fault succeeded")
+		disk.Fail(simdisk.Write, 3)
+		if _, err := l.Append(testRecords()[1]); !errors.Is(err, simdisk.ErrInjected) {
+			t.Fatalf("append through write fault = %v; want the injected error", err)
 		}
-		ff.Heal()
 		if _, err := l.Append(testRecords()[1]); err != nil {
-			t.Fatalf("append after heal: %v", err)
+			t.Fatalf("append after the fault: %v", err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := replayAll(t, path); len(got) != 2 {
+		if got := replayOn(t, disk, "wal.log"); len(got) != 2 {
 			t.Fatalf("replay = %d records; want 2", len(got))
 		}
 	})
 	t.Run("dropped_sync_is_counted", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "wal.log")
-		var ff *FaultFile
-		l, err := Open(path, Options{Sync: SyncAlways, WrapFile: func(f LogFile) LogFile {
-			ff = NewFaultFile(f, FaultDropSync, 0)
-			return ff
-		}})
+		// The device acknowledged the second record's fsync and then lost
+		// its last bytes: the next open replays the first record and
+		// counts the torn one.
+		l, disk := open(t, SyncAlways)
+		appendAll(t, l, testRecords()[:2])
+		end := l.Offset()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		disk.CrashLying("wal.log", int(end)-3, false)
+		m := NewMetrics(obs.NewRegistry())
+		n := 0
+		l, err := Open("wal.log", Options{FS: disk, Metrics: m, OnRecord: func(Record) error { n++; return nil }})
 		if err != nil {
 			t.Fatal(err)
 		}
-		appendAll(t, l, testRecords()[:2])
-		if ff.DroppedSyncs() == 0 {
-			t.Fatal("no syncs were dropped")
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
+		defer l.Close()
+		if n != 1 || m.TornTruncations.Value() != 1 {
+			t.Fatalf("after a lost sync: %d records replayed, %d torn truncations; want 1 and 1", n, m.TornTruncations.Value())
 		}
 	})
 }
@@ -591,13 +587,13 @@ func TestLogIntervalSync(t *testing.T) {
 func TestWriteFileAtomicKeepsOldOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.json")
-	if err := WriteFileAtomic(path, func(w io.Writer) error {
+	if err := WriteFileAtomic(OSFS{}, path, func(w io.Writer) error {
 		_, err := w.Write([]byte("good"))
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	err := WriteFileAtomic(path, func(w io.Writer) error {
+	err := WriteFileAtomic(OSFS{}, path, func(w io.Writer) error {
 		_, _ = w.Write([]byte("partial"))
 		return os.ErrClosed // simulated mid-write failure
 	})
