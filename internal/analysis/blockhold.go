@@ -388,7 +388,7 @@ func hotIODesc(info *types.Info, call *ast.CallExpr) string {
 	}
 	if isNamed(t, "internal/wal", "Log") {
 		switch name {
-		case "Append", "Sync", "Reset", "TruncateTo", "Close":
+		case "Append", "Sync", "Reset", "Withdraw", "Close":
 			return "calling (*wal.Log)." + name
 		}
 	}

@@ -122,6 +122,14 @@ func (s *store) fsyncUnderRead() {
 	s.mu.RUnlock()
 }
 
+// withdrawUnderWrite undoes an append under the hot-path lock: the undo
+// cuts the file and, under SyncAlways, fsyncs it.
+func (s *store) withdrawUnderWrite() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.log.Withdraw() // want `calling \(\*wal\.Log\)\.Withdraw while holding hot-path lock s\.mu\.Lock\(\)`
+}
+
 func (s *store) sleepUnderWrite() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -26,26 +26,21 @@ import (
 // increasing LSNs, and the checkpoint records the LSN it has folded in, so
 // replay skips records the checkpoint already covers — including the crash
 // window between checkpoint publication and log truncation, where the old
-// records still exist on disk but must not be applied twice.
+// records still exist on disk but must not be applied twice. The log's LSN
+// counter is the engine's one watermark: Reset keeps it, and boot rebases it
+// past the checkpoint's LSN, so it always names the last record folded in.
 //
 // Append-before-apply has one wrinkle: an operation the inner engine rejects
 // (an unknown ID, a duplicate, an invalid change set) has already been
-// logged. The engine withdraws it by rolling the log back to the boundary
-// captured before the append; the single-writer discipline (all mutations
-// serialize behind mu) makes that rollback safe.
+// logged. The engine withdraws it with Log.Withdraw, which undoes the log's
+// last append; the single-writer discipline (all mutations serialize behind
+// mu) makes that undo safe.
 type DurableEngine struct {
 	mu     sync.Mutex
 	inner  *Monitor
 	log    *wal.Log
 	dir    string
 	cpPath string
-
-	// applied is the LSN of the last record folded into the engine state —
-	// max of the restored checkpoint's WALSeq and the log's last record. It
-	// can run ahead of log.LastLSN() after a checkpoint-driven log reset, so
-	// checkpoints stamp it (not the log's LSN) and replica gap detection
-	// compares against it.
-	applied uint64
 
 	fs       wal.FS
 	metrics  *wal.Metrics
@@ -155,10 +150,6 @@ func OpenDurableEngine(dir string, factory FilterFactory, opts DurableOptions) (
 		return nil, err
 	}
 	d.log = log
-	d.applied = log.LastLSN()
-	if walSeq > d.applied {
-		d.applied = walSeq
-	}
 	if walSeq > log.LastLSN() {
 		// The checkpoint is ahead of the (reset or torn) log; future LSNs
 		// must stay above everything a checkpoint has ever recorded, or the
@@ -248,26 +239,30 @@ var errDurableClosed = fmt.Errorf("core: durable engine is closed")
 
 // logged wraps a mutation in the append-before-apply protocol: the record is
 // appended (and, under SyncAlways, made durable) first; if the inner engine
-// then rejects the operation, the record is withdrawn by rolling the log
-// back to the pre-append boundary.
+// then rejects the operation, the record is withdrawn from the log. A record
+// without an LSN is a local mutation: the log numbers it, and OnCommit sees
+// it. One that carries its LSN was shipped from a primary and keeps it.
 func (d *DurableEngine) logged(r wal.Record, apply func() error) error {
 	if d.closed {
 		return errDurableClosed
 	}
-	off, lsn := d.log.Offset(), d.log.LastLSN()
-	committed, err := d.log.Append(r)
+	shipped := r.LSN != 0
+	var err error
+	if shipped {
+		err = d.log.AppendAt(r)
+	} else {
+		r.LSN, err = d.log.Append(r)
+	}
 	if err != nil {
 		return err
 	}
 	if err := apply(); err != nil {
-		if terr := d.log.TruncateTo(off, lsn); terr != nil {
-			return fmt.Errorf("%w (and withdrawing the WAL record failed: %v)", err, terr)
+		if werr := d.log.Withdraw(); werr != nil {
+			return fmt.Errorf("%w (and withdrawing the WAL record failed: %v)", err, werr)
 		}
 		return err
 	}
-	d.applied = committed
-	if d.onCommit != nil {
-		r.LSN = committed
+	if d.onCommit != nil && !shipped {
 		if d.bufferCommits {
 			d.pendingCommits = append(d.pendingCommits, r)
 		} else {
@@ -414,7 +409,7 @@ func (d *DurableEngine) Checkpoint() error {
 // replay then skips by LSN.
 func (d *DurableEngine) checkpointLocked() error {
 	start := time.Now()
-	file := d.inner.snapshotFile(d.applied)
+	file := d.inner.snapshotFile(d.log.LastLSN())
 	err := wal.WriteFileAtomic(d.fs, d.cpPath, func(w io.Writer) error {
 		return writeSnapshotTo(w, file)
 	})
@@ -446,8 +441,9 @@ func (d *DurableEngine) checkpointLoop(interval time.Duration, stop <-chan struc
 	}
 }
 
-// Close writes a final checkpoint and releases the log. The engine refuses
-// further mutations afterwards.
+// Close writes a final checkpoint and releases the log. A checkpoint that
+// fails leaves the log holding the state, so Close then syncs the log itself.
+// The engine refuses further mutations afterwards.
 func (d *DurableEngine) Close() error {
 	d.stopLoop()
 	d.mu.Lock()
@@ -456,17 +452,23 @@ func (d *DurableEngine) Close() error {
 		return nil
 	}
 	d.closed = true
-	cpErr := d.checkpointLocked()
-	closeErr := d.log.Close()
-	if cpErr != nil {
-		return cpErr
+	err := d.checkpointLocked()
+	if err != nil {
+		if serr := d.log.Sync(); serr != nil {
+			err = fmt.Errorf("%w (and syncing the WAL failed: %v)", err, serr)
+		}
 	}
-	return closeErr
+	if cerr := d.log.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// Crash releases the engine without checkpointing or flushing — the test
-// hook that simulates a hard kill. State on disk is whatever the WAL's fsync
-// policy has made durable.
+// Crash releases the engine without checkpointing or syncing — the test
+// hook that simulates a hard kill. The log's file is closed without an
+// fsync, so what is durable is only what the WAL's fsync policy has already
+// synced; on a real file system the page cache still holds the rest, and
+// only a simulated disk's crash drops it.
 func (d *DurableEngine) Crash() error {
 	d.stopLoop()
 	d.mu.Lock()
@@ -505,10 +507,6 @@ func (d *DurableEngine) StreamCount() int { return d.inner.StreamCount() }
 // SetMetrics forwards engine instrumentation to the wrapped engine.
 func (d *DurableEngine) SetMetrics(em *EngineMetrics) { d.inner.SetMetrics(em) }
 
-// LastLSN exposes the WAL's most recent sequence number (for tests and
-// operational introspection).
-func (d *DurableEngine) LastLSN() uint64 { return d.log.LastLSN() }
-
 // NextIDs reports the IDs the next AddQuery/AddStream will be assigned — the
 // idempotency key a cluster coordinator uses to detect a broadcast a group
 // already applied when it retries after a partial failure.
@@ -518,13 +516,15 @@ func (d *DurableEngine) NextIDs() (QueryID, StreamID) {
 	return d.inner.nextIDs()
 }
 
-// AppliedLSN reports the LSN of the last record folded into the engine state.
-// Unlike LastLSN it survives checkpoint-driven log resets, so it is the
-// replication watermark replicas and coordinators compare.
+// AppliedLSN reports the LSN of the last record folded into the engine state,
+// the replication watermark replicas and coordinators compare. It is the
+// log's LSN counter: a rejected record is withdrawn before mu is released,
+// a checkpoint's log reset keeps the counter, and boot rebases it past the
+// checkpoint's LSN.
 func (d *DurableEngine) AppliedLSN() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.applied
+	return d.log.LastLSN()
 }
 
 // ApplyRecord applies one primary-shipped WAL record to a replica engine:
@@ -541,24 +541,14 @@ func (d *DurableEngine) ApplyRecord(r wal.Record) error {
 	if d.closed {
 		return errDurableClosed
 	}
-	if r.LSN <= d.applied {
+	applied := d.log.LastLSN()
+	if r.LSN <= applied {
 		return nil
 	}
-	if r.LSN != d.applied+1 {
-		return fmt.Errorf("%w (applied %d, shipped %d)", ErrReplicaGap, d.applied, r.LSN)
+	if r.LSN != applied+1 {
+		return fmt.Errorf("%w (applied %d, shipped %d)", ErrReplicaGap, applied, r.LSN)
 	}
-	off, lsn := d.log.Offset(), d.log.LastLSN()
-	if err := d.log.AppendAt(r); err != nil {
-		return err
-	}
-	if err := d.replayRecord(r); err != nil {
-		if terr := d.log.TruncateTo(off, lsn); terr != nil {
-			return fmt.Errorf("%w (and withdrawing the WAL record failed: %v)", err, terr)
-		}
-		return err
-	}
-	d.applied = r.LSN
-	return nil
+	return d.logged(r, func() error { return d.replayRecord(r) })
 }
 
 // RecordsSince collects the WAL records with LSN > from, the catch-up feed a
@@ -592,7 +582,7 @@ func (d *DurableEngine) SnapshotBytes() ([]byte, error) {
 		return nil, errDurableClosed
 	}
 	var buf bytes.Buffer
-	file := d.inner.snapshotFile(d.applied)
+	file := d.inner.snapshotFile(d.log.LastLSN())
 	if err := writeSnapshotTo(&buf, file); err != nil {
 		return nil, err
 	}

@@ -45,7 +45,7 @@ func TestStepAllBatchOnCommitAfterFsync(t *testing.T) {
 
 	shippedLSNs, fsyncsAtShip = nil, nil
 	base := m.FsyncSeconds.Count()
-	firstLSN := d.LastLSN() + 1
+	firstLSN := d.AppliedLSN() + 1
 	applied, _, err := d.StepAllBatch(batchSteps(0, n))
 	if err != nil || applied != n {
 		t.Fatalf("StepAllBatch = (%d, _, %v); want (%d, _, nil)", applied, err, n)
@@ -87,8 +87,8 @@ func TestStepAllBatchMidBatchFailureShipsPrefix(t *testing.T) {
 	if len(shipped) != 1 {
 		t.Fatalf("OnCommit fired %d times after mid-batch failure; want 1 (applied prefix only)", len(shipped))
 	}
-	if shipped[0].LSN != d.LastLSN() {
-		t.Fatalf("shipped LSN %d; want the applied step's %d", shipped[0].LSN, d.LastLSN())
+	if shipped[0].LSN != d.AppliedLSN() {
+		t.Fatalf("shipped LSN %d; want the applied step's %d", shipped[0].LSN, d.AppliedLSN())
 	}
 }
 
@@ -127,7 +127,7 @@ func TestStepAllBatchOneFsyncPerBatch(t *testing.T) {
 	register(t, d)
 
 	base := m.FsyncSeconds.Count()
-	firstLSN := d.LastLSN() + 1
+	firstLSN := d.AppliedLSN() + 1
 	applied, _, err := d.StepAllBatch(batchSteps(0, n))
 	if err != nil || applied != n {
 		t.Fatalf("StepAllBatch = (%d, _, %v); want (%d, _, nil)", applied, err, n)
@@ -135,7 +135,7 @@ func TestStepAllBatchOneFsyncPerBatch(t *testing.T) {
 	if got := m.FsyncSeconds.Count() - base; got != 1 {
 		t.Fatalf("batch of %d steps took %d fsyncs; want 1", n, got)
 	}
-	if got, want := d.LastLSN(), firstLSN+n-1; got != want {
+	if got, want := d.AppliedLSN(), firstLSN+n-1; got != want {
 		t.Fatalf("LastLSN after batch = %d; want %d", got, want)
 	}
 	want := d.Candidates()
@@ -161,7 +161,7 @@ func TestStepAllBatchMidBatchFailureLogsPrefix(t *testing.T) {
 	d := openDurable(t, dir, core.DurableOptions{})
 	register(t, d)
 
-	before := d.LastLSN()
+	before := d.AppliedLSN()
 	steps := batchSteps(0, 3)
 	steps[1] = map[core.StreamID]graph.ChangeSet{
 		99: {graph.InsertOp(1, 0, 2, 0, 0)}, // unknown stream: apply rejects
@@ -170,7 +170,7 @@ func TestStepAllBatchMidBatchFailureLogsPrefix(t *testing.T) {
 	if !errors.Is(err, core.ErrUnknownStream) || applied != 1 {
 		t.Fatalf("StepAllBatch = (%d, _, %v); want (1, _, ErrUnknownStream)", applied, err)
 	}
-	if got := d.LastLSN(); got != before+1 {
+	if got := d.AppliedLSN(); got != before+1 {
 		t.Fatalf("LastLSN after mid-batch failure = %d; want the applied step's %d", got, before+1)
 	}
 	if got := d.AppliedLSN(); got != before+1 {

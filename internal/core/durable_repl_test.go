@@ -276,15 +276,15 @@ func TestCheckpointFaultLeavesRecoverableState(t *testing.T) {
 			}
 
 			disk.Fail(stage.op, 0)
-			lsnBefore := d.LastLSN()
+			lsnBefore := d.AppliedLSN()
 			if err := d.Checkpoint(); !errors.Is(err, simdisk.ErrInjected) {
 				t.Fatalf("checkpoint with a failed %s = %v; want the injected fault", stage.name, err)
 			}
 			if got := metrics.CheckpointFailures.Value(); got != 1 {
 				t.Fatalf("CheckpointFailures = %d, want 1", got)
 			}
-			if d.LastLSN() != lsnBefore {
-				t.Fatalf("failed checkpoint moved the log: LastLSN %d -> %d", lsnBefore, d.LastLSN())
+			if d.AppliedLSN() != lsnBefore {
+				t.Fatalf("failed checkpoint moved the log: LastLSN %d -> %d", lsnBefore, d.AppliedLSN())
 			}
 
 			// The engine shrugs it off: writes still work (a query added and

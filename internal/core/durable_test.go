@@ -286,6 +286,50 @@ func TestFreshDataDirSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestCrashSyncsNothing: Crash is a hard kill, so it must not make durable
+// what the fsync policy had not. Under SyncNever an acknowledged query is
+// still unsynced when the engine crashes, and the disk's power cut then
+// loses it.
+func TestCrashSyncsNothing(t *testing.T) {
+	disk := simdisk.New()
+	opts := core.DurableOptions{Fsync: wal.SyncNever, FS: disk}
+	d := openDurable(t, "data", opts)
+	if _, err := d.AddQuery(parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	disk.Crash(0)
+	d2 := openDurable(t, "data", opts)
+	defer d2.Crash()
+	if q, lsn := d2.QueryCount(), d2.AppliedLSN(); q != 0 || lsn != 0 {
+		t.Fatalf("after a crash under SyncNever the engine holds %d queries at applied LSN %d; want 0 and 0", q, lsn)
+	}
+}
+
+// TestCloseAfterCheckpointFaultSyncsLog: a Close whose final checkpoint
+// fails leaves the state in the log, so Close syncs the log itself before it
+// releases it, whatever the fsync policy.
+func TestCloseAfterCheckpointFaultSyncsLog(t *testing.T) {
+	disk := simdisk.New()
+	opts := core.DurableOptions{Fsync: wal.SyncNever, FS: disk}
+	d := openDurable(t, "data", opts)
+	if _, err := d.AddQuery(parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")); err != nil {
+		t.Fatal(err)
+	}
+	disk.Fail(simdisk.Rename, 0)
+	if err := d.Close(); !errors.Is(err, simdisk.ErrInjected) {
+		t.Fatalf("Close with a failing checkpoint rename = %v; want the injected error", err)
+	}
+	disk.Crash(0)
+	d2 := openDurable(t, "data", opts)
+	defer d2.Crash()
+	if q, lsn := d2.QueryCount(), d2.AppliedLSN(); q != 1 || lsn != 1 {
+		t.Fatalf("after Close and a crash the engine holds %d queries at applied LSN %d; want 1 and 1", q, lsn)
+	}
+}
+
 // TestDurableMetrics wires a registry through the engine and checks the
 // durability instruments move.
 func TestDurableMetrics(t *testing.T) {

@@ -316,15 +316,15 @@ func (h *harness) addStreams() {
 	h.check(-1)
 }
 
-// kill cuts the power: it crashes every disk, then releases its engine,
+// kill cuts the power: it releases every engine, then crashes its disk,
 // and returns the log that survives, which must be the same bytes on every
-// disk. The disk goes first, so an engine flushes nothing it had not
-// synced before the cut. When n is a multiple of 4 the crash is honest: it
-// keeps what was synced, and since the engines fsync every append it must
-// keep every record the reference acknowledged. Otherwise the disk lies
-// about the log's last n bytes of records and loses them, zeroing them in
-// front of the zero tail at even n and ending the file there at odd n (see
-// torn).
+// disk. An engine's Crash syncs nothing, so releasing it first keeps on disk
+// only what the engine had synced itself. When n is a multiple of 4 the
+// crash is honest: it keeps what was synced, and since the engines fsync
+// every append it must keep every record the reference acknowledged.
+// Otherwise the disk lies about the log's last n bytes of records and loses
+// them, zeroing them in front of the zero tail at even n and ending the file
+// there at odd n (see torn).
 func (h *harness) kill(n int) []byte {
 	log := h.logs(func(int) {})
 	acked, end := records(log)
@@ -333,13 +333,13 @@ func (h *harness) kill(n int) []byte {
 	}
 	cut := max(0, end-n)
 	log = h.logs(func(i int) {
+		if err := h.engines[i].Crash(); err != nil {
+			h.fatalf(i, "Crash: %v", err)
+		}
 		if n%4 == 0 {
 			h.disks[i].Crash(0)
 		} else {
 			h.disks[i].CrashLying(walPath, cut, n%2 == 0 && cut >= 8)
-		}
-		if err := h.engines[i].Crash(); err != nil {
-			h.fatalf(i, "Crash: %v", err)
 		}
 	})
 	if got, _ := records(log); n%4 == 0 && got != h.model.Records() {

@@ -118,9 +118,7 @@ func (m *Monitor) snapshotFile(walSeq uint64) snapshotFile {
 }
 
 func writeSnapshotTo(w io.Writer, file snapshotFile) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(file)
+	return json.NewEncoder(w).Encode(file)
 }
 
 func readSnapshotFrom(r io.Reader) (snapshotFile, error) {

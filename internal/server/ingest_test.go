@@ -175,7 +175,7 @@ func TestIngestMalformedFrameRejectsWholeBatch(t *testing.T) {
 	srv, s, _ := durableTestServer(t)
 	sid := registerPair(t, srv.URL)
 	d := s.engine.(*core.DurableEngine)
-	lsnBefore := d.LastLSN()
+	lsnBefore := d.AppliedLSN()
 
 	body := insFrame(sid, 0, 10, 0, 1, 0) + "\n" +
 		`{"changes":[{"stream":` + fmt.Sprint(sid) + `,"ops":[{"op":"zap"}]}]}` + "\n" +
@@ -187,7 +187,7 @@ func TestIngestMalformedFrameRejectsWholeBatch(t *testing.T) {
 	if !strings.Contains(text, "line 2") {
 		t.Fatalf("error %q does not name the offending line", text)
 	}
-	if got := d.LastLSN(); got != lsnBefore {
+	if got := d.AppliedLSN(); got != lsnBefore {
 		t.Fatalf("WAL advanced to LSN %d on a rejected batch (was %d)", got, lsnBefore)
 	}
 	if cand := getBody(t, srv.URL+"/v1/candidates"); !strings.Contains(cand, `"pairs":[]`) {

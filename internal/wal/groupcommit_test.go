@@ -107,7 +107,7 @@ func TestGroupCommitNested(t *testing.T) {
 
 // TestGroupCommitFnErrorStillSyncs: when fn fails midway, records it already
 // appended are still fsynced before GroupCommit returns — the caller's error
-// handling (TruncateTo withdrawal, partial-batch ack) sees a durable log, and
+// handling (Withdraw, partial-batch ack) sees a durable log, and
 // the fn error is preserved over the sync outcome.
 func TestGroupCommitFnErrorStillSyncs(t *testing.T) {
 	m := NewMetrics(obs.NewRegistry())
@@ -134,7 +134,7 @@ func TestGroupCommitFnErrorStillSyncs(t *testing.T) {
 	}
 }
 
-// TestGroupCommitTruncateDeferred: a TruncateTo withdrawal inside the window
+// TestGroupCommitTruncateDeferred: a Withdraw inside the window
 // must not fsync on its own — the closing sync covers it (and the window may
 // end with nothing to sync if the withdrawal undid the only append).
 func TestGroupCommitTruncateDeferred(t *testing.T) {
@@ -142,11 +142,10 @@ func TestGroupCommitTruncateDeferred(t *testing.T) {
 	l, _ := openSyncAlways(t, m)
 	before := m.FsyncSeconds.Count()
 	err := l.GroupCommit(func() error {
-		off, lsn := l.Offset(), l.LastLSN()
 		if _, err := l.Append(stepRecord(1, 2)); err != nil {
 			return err
 		}
-		return l.TruncateTo(off, lsn)
+		return l.Withdraw()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ func TestAppendAtPreservesLSNs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := d.Offset()
+	end := d.offset
 	if int64(len(a)) < end || int64(len(b)) < end || string(a[:end]) != string(b[:end]) {
 		t.Fatal("replica log bytes diverge from primary log")
 	}

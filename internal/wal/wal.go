@@ -123,6 +123,11 @@ type Log struct {
 	offset  int64 // end of the valid frame region (includes the magic)
 	size    int64 // the file's length: offset plus the zero-filled tail
 	lastLSN uint64
+	// undoAt and undoLSN are offset and lastLSN as they were before the
+	// last append, the boundary Withdraw restores; undoAt is 0 when there
+	// is no append to withdraw.
+	undoAt  int64
+	undoLSN uint64
 	policy  SyncPolicy
 	dirty   bool // bytes written since the last fsync
 	// deferSync suppresses the per-append SyncAlways fsync inside a
@@ -319,6 +324,7 @@ func (l *Log) appendLocked(r Record) error {
 		return fmt.Errorf("wal: appending record %d: %w", r.LSN, werr)
 	}
 	l.metrics.observeAppend(time.Since(start), len(frame))
+	l.undoAt, l.undoLSN = l.offset, l.lastLSN
 	l.lastLSN = r.LSN
 	l.dirty = true
 	if end > l.size {
@@ -350,7 +356,7 @@ var ErrSyncFailed = errors.New("wal: group-commit closing fsync failed")
 // GroupCommit itself returns without an ErrSyncFailed-marked error. Under
 // SyncInterval and SyncNever the closing fsync is skipped (those policies
 // never promised per-append durability). fn runs without the log lock held:
-// it is expected to call Append/TruncateTo, which take the lock per call.
+// it is expected to call Append/Withdraw, which take the lock per call.
 //
 // A non-nil error from fn is returned after the closing fsync still runs —
 // records appended before the failure may have been applied by the caller
@@ -489,14 +495,6 @@ func (l *Log) RecordsFrom(from uint64, fn func(Record) error) error {
 	return nil
 }
 
-// Offset returns the current end of the log in bytes (including the file
-// magic).
-func (l *Log) Offset() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.offset
-}
-
 // LastLSN returns the LSN of the most recent record (0 when the log is
 // empty and no record was ever appended).
 func (l *Log) LastLSN() uint64 {
@@ -505,25 +503,25 @@ func (l *Log) LastLSN() uint64 {
 	return l.lastLSN
 }
 
-// TruncateTo rolls the log back to a boundary previously captured with
-// Offset/LastLSN — the engine's undo for an append whose apply was rejected.
-// It is only valid between a failed apply and the next Append. The file is
-// cut there, zero tail included, so no undone frame survives to replay.
-func (l *Log) TruncateTo(offset int64, lastLSN uint64) error {
+// Withdraw undoes the last Append or AppendAt — the engine's undo for a
+// record whose apply was rejected. It is valid only until the next append or
+// Reset. The file is cut where the record began, zero tail included, so no
+// withdrawn frame survives to replay, and the LSN counter steps back, so the
+// next append reuses the withdrawn LSN.
+func (l *Log) Withdraw() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
 		return l.err
 	}
-	if offset > l.offset {
-		return fmt.Errorf("wal: TruncateTo(%d) beyond end %d", offset, l.offset)
+	if l.undoAt == 0 {
+		return fmt.Errorf("wal: Withdraw on %s with no append to undo", l.path)
 	}
-	if err := l.rewindTo(offset); err != nil {
+	if err := l.rewindTo(l.undoAt); err != nil {
 		l.err = err
 		return err
 	}
-	l.offset = offset
-	l.lastLSN = lastLSN
+	l.offset, l.lastLSN, l.undoAt = l.undoAt, l.undoLSN, 0
 	l.dirty = true
 	if l.policy == SyncAlways && !l.deferSync {
 		return l.syncLocked()
@@ -545,7 +543,7 @@ func (l *Log) Reset() error {
 		l.err = err
 		return err
 	}
-	l.offset = int64(len(fileMagic))
+	l.offset, l.undoAt = int64(len(fileMagic)), 0
 	l.dirty = true
 	return l.syncLocked()
 }
@@ -571,7 +569,10 @@ func (l *Log) Rebase(lsn uint64) error {
 	return nil
 }
 
-// Close stops the background sync (if any), flushes, and closes the file.
+// Close stops the background sync (if any) and releases the file without
+// an fsync: records the policy has not synced yet stay unsynced, as after a
+// crash, so a caller that wants them durable calls Sync first. The log
+// refuses further use afterwards.
 //
 //nnt:nonblocking shutdown path: waits only for the sync loop to observe stop, bounded by one in-flight fsync
 func (l *Log) Close() error {
@@ -582,19 +583,12 @@ func (l *Log) Close() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var syncErr error
-	if l.dirty && l.err == nil {
-		syncErr = l.syncLocked()
-	}
-	closeErr := l.f.Close()
+	err := l.f.Close()
 	if l.err == nil {
 		l.err = fmt.Errorf("wal: log %s is closed", l.path)
 	}
-	if syncErr != nil {
-		return syncErr
-	}
-	if closeErr != nil {
-		return fmt.Errorf("wal: closing %s: %w", l.path, closeErr)
+	if err != nil {
+		return fmt.Errorf("wal: closing %s: %w", l.path, err)
 	}
 	return nil
 }

@@ -183,7 +183,7 @@ func checkCut(t *testing.T, disk *simdisk.Disk, at string, data, full []byte, bo
 	if len(got) != wantRecords {
 		t.Fatalf("%s: replayed %d records; want %d", at, len(got), wantRecords)
 	}
-	if off := l.Offset(); off != valid {
+	if off := l.offset; off != valid {
 		t.Fatalf("%s: offset %d; want %d", at, off, valid)
 	}
 	if recovered, err := disk.ReadFile(cutPath); err != nil || int64(len(recovered)) != wantSize {
@@ -238,12 +238,12 @@ func TestRecoverKeepsZeroTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if off := l.Offset(); info.Size() <= off || info.Size()%minGrow != 0 {
+		if off := l.offset; info.Size() <= off || info.Size()%minGrow != 0 {
 			t.Fatalf("append %d: file size %d at offset %d; want a whole number of %d-byte blocks past it", i, info.Size(), off, minGrow)
 		}
 		sizes[info.Size()] = true
 	}
-	off := l.Offset()
+	off := l.offset
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +274,8 @@ func TestRecoverKeepsZeroTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != 400 || l.Offset() != off || info.Size() != int64(len(data)) {
-			t.Fatalf("%s: %d records at offset %d in %d bytes; want 400 at %d in %d", at, n, l.Offset(), info.Size(), off, len(data))
+		if n != 400 || l.offset != off || info.Size() != int64(len(data)) {
+			t.Fatalf("%s: %d records at offset %d in %d bytes; want 400 at %d in %d", at, n, l.offset, info.Size(), off, len(data))
 		}
 		if m.TornTruncations.Value() != 0 || m.TornBytes.Value() != 0 {
 			t.Fatalf("%s: a zero tail counted as torn (%d bytes)", at, m.TornBytes.Value())
@@ -289,7 +289,7 @@ func TestRecoverKeepsZeroTail(t *testing.T) {
 	if _, err := old.Append(Record{Kind: KindRemoveQuery, ID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	end := old.Offset()
+	end := old.offset
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +303,9 @@ func TestRecoverKeepsZeroTail(t *testing.T) {
 }
 
 // TestCrashAfterTruncateToReplaysNoUndoneRecord: the undo of a rejected
-// apply must leave nothing decodable past the boundary. A crash right after
-// it must not replay the undone frame, which carries the next LSN and a
-// valid CRC.
+// apply (Withdraw) must leave nothing decodable past the boundary. A crash
+// right after it must not replay the undone frame, which carries the next
+// LSN and a valid CRC.
 func TestCrashAfterTruncateToReplaysNoUndoneRecord(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
@@ -315,11 +315,11 @@ func TestCrashAfterTruncateToReplaysNoUndoneRecord(t *testing.T) {
 	}
 	defer l.Close()
 	appendAll(t, l, testRecords()[:2])
-	off, lsn := l.Offset(), l.LastLSN()
+	off, lsn := l.offset, l.LastLSN()
 	if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.TruncateTo(off, lsn); err != nil {
+	if err := l.Withdraw(); err != nil {
 		t.Fatal(err)
 	}
 	// The crash: the file as the undo left it, opened by a new process.
@@ -436,19 +436,37 @@ func TestLogReset(t *testing.T) {
 	}
 }
 
+// TestLogTruncateToUndoesAppend: Withdraw restores the log's end and LSN
+// counter as they were before its last append, and only that append.
 func TestLogTruncateToUndoesAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, err := Open(path, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := l.Withdraw(); err == nil {
+		t.Fatal("Withdraw on a log with no append succeeded")
+	}
 	appendAll(t, l, testRecords()[:2])
-	off, lsn := l.Offset(), l.LastLSN()
+	off, lsn := l.offset, l.LastLSN()
 	if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.TruncateTo(off, lsn); err != nil {
+	if err := l.Withdraw(); err != nil {
 		t.Fatal(err)
+	}
+	if l.offset != off || l.LastLSN() != lsn {
+		t.Fatalf("after Withdraw the log ends at %d with LSN %d; want %d and %d", l.offset, l.LastLSN(), off, lsn)
+	}
+	if err := l.Withdraw(); err == nil {
+		t.Fatal("a second Withdraw succeeded; only the last append can be withdrawn")
+	}
+	// An AppendAt across an LSN gap withdraws to the LSN before the gap.
+	if err := l.AppendAt(Record{LSN: lsn + 10, Kind: KindRemoveQuery, ID: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Withdraw(); err != nil || l.offset != off || l.LastLSN() != lsn {
+		t.Fatalf("Withdraw after AppendAt = %v, end %d, LSN %d; want end %d, LSN %d", err, l.offset, l.LastLSN(), off, lsn)
 	}
 	// The undone record must not replay, and its LSN is reused.
 	lsn2, err := l.Append(Record{Kind: KindRemoveQuery, ID: 8})
@@ -509,8 +527,8 @@ func TestLogFaultInjection(t *testing.T) {
 		if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 1}); err == nil {
 			t.Fatal("append through a torn extension succeeded")
 		}
-		if data, err := disk.ReadFile("wal.log"); err != nil || int64(len(data)) != l.Offset() {
-			t.Fatalf("after the rollback the file holds %d bytes (%v); want %d", len(data), err, l.Offset())
+		if data, err := disk.ReadFile("wal.log"); err != nil || int64(len(data)) != l.offset {
+			t.Fatalf("after the rollback the file holds %d bytes (%v); want %d", len(data), err, l.offset)
 		}
 		if _, err := l.Append(Record{Kind: KindRemoveQuery, ID: 2}); err != nil {
 			t.Fatalf("append after the fault: %v", err)
@@ -545,7 +563,7 @@ func TestLogFaultInjection(t *testing.T) {
 		// counts the torn one.
 		l, disk := open(t, SyncAlways)
 		appendAll(t, l, testRecords()[:2])
-		end := l.Offset()
+		end := l.offset
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
