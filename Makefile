@@ -38,8 +38,13 @@ lint-fix-audit:
 	@grep -rnE --include='*.go' '^[[:space:]]*//(lint:ignore|nnt:nonblocking) ' \
 		cmd internal | grep -v '/testdata/' | sed 's/^[[:space:]]*//' || true
 
+# The cross builds keep the per-platform files compiling: internal/wal's
+# writeback hint is linux/amd64 and linux/arm64 only (package syscall has no
+# sync_file_range on linux/arm), and every other platform takes the no-op.
 build:
 	$(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=arm $(GO) build ./...
 
 # The benchmark is a module of its own (bench/go.mod, replace nntstream =>
 # ../), so the root ./... patterns never see it. Vet and test it here, or an

@@ -119,3 +119,35 @@ func TestLoadAllCoversOwnPackage(t *testing.T) {
 		t.Errorf("LoadAll missing expected module packages:\n%s", joined)
 	}
 }
+
+// TestLoadSkipsFilesTheBuildExcludes: a package that pairs per-platform
+// files declares the same name in each, so the loader type-checks only the
+// files the go command would compile here.
+func TestLoadSkipsFilesTheBuildExcludes(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":       "module scratch\n\ngo 1.24\n",
+		"p/p.go":       "package p\n\nfunc f() int { return g() }\n",
+		"p/g.go":       "//go:build !nosuchtag\n\npackage p\n\nfunc g() int { return 1 }\n",
+		"p/g_other.go": "//go:build nosuchtag\n\npackage p\n\nfunc g() int { return 2 }\n",
+	}
+	if err := os.Mkdir(filepath.Join(root, "p"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkg, err := l.LoadDir(filepath.Join(root, "p"))
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	if len(pkg.Files) != 2 {
+		t.Fatalf("loaded %d files; want p.go and g.go", len(pkg.Files))
+	}
+}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -130,17 +131,24 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if isSourceFile(e) {
+		if isSourceFile(dir, e) {
 			return true
 		}
 	}
 	return false
 }
 
-func isSourceFile(e os.DirEntry) bool {
+// isSourceFile reports a non-test Go file that the build on this platform
+// compiles: a file whose build constraints exclude it is skipped, as the go
+// command skips it, so a package may pair per-platform files.
+func isSourceFile(dir string, e os.DirEntry) bool {
 	name := e.Name()
-	return !e.IsDir() && strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".")
+	if e.IsDir() || !strings.HasSuffix(name, ".go") ||
+		strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		return false
+	}
+	match, err := build.Default.MatchFile(dir, name)
+	return match || err != nil // an unreadable file fails in the parser instead
 }
 
 // LoadDir loads the single package in dir (which must live inside the
@@ -179,7 +187,7 @@ func (l *Loader) load(importPath, dir string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		if !isSourceFile(e) {
+		if !isSourceFile(dir, e) {
 			continue
 		}
 		path := filepath.Join(dir, e.Name())

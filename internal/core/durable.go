@@ -363,6 +363,12 @@ func (d *DurableEngine) StepAllBatch(batch []map[StreamID]graph.ChangeSet) (appl
 	}
 	d.bufferCommits = true
 	d.pendingCommits = d.pendingCommits[:0]
+	defer func() {
+		// Deferred so that a panic in a step, which the log turns into a
+		// sticky failure, cannot leave later commits buffered.
+		d.bufferCommits = false
+		d.pendingCommits = d.pendingCommits[:0]
+	}()
 	err = d.log.GroupCommit(func() error {
 		for _, changes := range batch {
 			rec := wal.Record{Kind: wal.KindStepAll, Changes: make(map[int64]graph.ChangeSet, len(changes))}
@@ -378,7 +384,6 @@ func (d *DurableEngine) StepAllBatch(batch []map[StreamID]graph.ChangeSet) (appl
 		}
 		return nil
 	})
-	d.bufferCommits = false
 	if d.onCommit != nil && !errors.Is(err, wal.ErrSyncFailed) {
 		// The applied prefix (whole batch when err is nil) is durable: ship
 		// it. A per-step rejection leaves earlier steps committed, so they
@@ -387,7 +392,6 @@ func (d *DurableEngine) StepAllBatch(batch []map[StreamID]graph.ChangeSet) (appl
 			d.onCommit(r)
 		}
 	}
-	d.pendingCommits = d.pendingCommits[:0]
 	return applied, pairs, err
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
+	"nntstream/internal/join"
 	"nntstream/internal/obs"
 	"nntstream/internal/simdisk"
 	"nntstream/internal/wal"
@@ -219,4 +220,65 @@ func register(t *testing.T, d *core.DurableEngine) {
 	if _, err := d.AddStream(parseGraph(t, "v 0 0\nv 1 1\ne 0 1 1")); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// panicFilter is an NL filter whose Apply panics while *armed is set.
+type panicFilter struct {
+	core.Filter
+	armed *bool
+}
+
+func (f panicFilter) Apply(id core.StreamID, cs graph.ChangeSet) error {
+	if *f.armed {
+		panic("apply failed")
+	}
+	return f.Filter.Apply(id, cs)
+}
+
+// TestStepAllBatchPanicKeepsDurability: a step that panics inside the group
+// commit (the evaluation pool re-raises a task's panic on its caller, and
+// net/http recovers it, so the server keeps serving) must leave no mutation
+// acknowledged unsynced and no commit buffered. Whatever the engine accepts
+// afterwards is shipped at once and survives a crash.
+func TestStepAllBatchPanicKeepsDurability(t *testing.T) {
+	disk := simdisk.New()
+	armed := false
+	shipped := 0
+	opts := core.DurableOptions{Fsync: wal.SyncAlways, FS: disk, OnCommit: func(wal.Record) { shipped++ }}
+	factory := func() core.Filter { return panicFilter{join.NewNL(drillDepth), &armed} }
+	d, err := core.OpenDurableEngine("data", factory, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(t, d)
+	armed = true
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("StepAllBatch swallowed the step's panic")
+			}
+		}()
+		_, _, _ = d.StepAllBatch(batchSteps(0, 2))
+	}()
+	armed, shipped = false, 0
+
+	if _, err := d.AddQuery(parseGraph(t, "v 0 0\nv 1 1\ne 0 1 1")); err == nil {
+		if shipped != 1 {
+			t.Fatalf("an AddQuery accepted after the panic shipped %d records; want 1", shipped)
+		}
+		disk.Crash(0)
+		if err := d.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		d2, err := core.OpenDurableEngine("data", factory, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d2.Crash()
+		if q := d2.QueryCount(); q != 2 {
+			t.Fatalf("after a crash the engine holds %d queries; want the 2 it accepted", q)
+		}
+		return
+	}
+	_ = d.Crash()
 }

@@ -2,8 +2,10 @@
 // file's bytes as of its last fsync and each directory's entries as of its
 // last directory fsync, and Crash drops the rest, as a power cut does under
 // POSIX rules. CrashLying also cuts synced bytes, and Fail injects a failed
-// write, short write, sync or rename. It imports nothing of the module, so
-// internal/wal's own tests can use it; production code uses wal.OSFS.
+// write, short write, sync or rename. A writeback hint is recorded and, as
+// on a real device, makes nothing durable. It imports nothing of the
+// module, so internal/wal's own tests can use it; production code uses
+// wal.OSFS.
 package simdisk
 
 import (
@@ -46,7 +48,12 @@ type Disk struct {
 	names   map[string]*inode // the live namespace
 	durable map[string]*inode // the entries the directory syncs made durable
 	faults  map[Op]int        // armed faults, with the bytes a write keeps
+	hints   []Hint            // every StartWriteback, in call order
 }
+
+// Hint is one StartWriteback call: the byte range a file asked to start
+// writing.
+type Hint struct{ Off, N int64 }
 
 type inode struct{ data, synced []byte } // live, and as of the last fsync
 
@@ -162,6 +169,13 @@ func (d *Disk) CrashLying(name string, at int, keepLen bool) {
 	n.data, n.synced = cut, clone(cut)
 }
 
+// Hints returns the writeback hints the disk's files received so far.
+func (d *Disk) Hints() []Hint {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]Hint(nil), d.hints...)
+}
+
 // ReadFile returns name's live bytes.
 func (d *Disk) ReadFile(name string) ([]byte, error) {
 	d.mu.Lock()
@@ -236,6 +250,14 @@ func (f *file) Sync() error {
 	}
 	f.n.synced = clone(f.n.data)
 	return nil
+}
+
+// StartWriteback records the hint. It syncs nothing: only Sync makes bytes
+// survive Crash.
+func (f *file) StartWriteback(off, n int64) {
+	f.d.mu.Lock()
+	defer f.d.mu.Unlock()
+	f.d.hints = append(f.d.hints, Hint{off, n})
 }
 
 func (f *file) Truncate(size int64) error {

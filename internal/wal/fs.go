@@ -30,7 +30,21 @@ func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (LogFile, error) {
 	if err != nil {
 		return nil, err // not a nil *os.File in a non-nil LogFile
 	}
-	return f, nil
+	return osFile{f}, nil
+}
+
+// osFile is OSFS's LogFile: an *os.File that can also start writeback
+// (writeback_linux.go, or the no-op in writeback_other.go).
+type osFile struct{ *os.File }
+
+// writebackStarter is the optional LogFile method a group commit calls on
+// the range an append just wrote. It is a hint: it starts the device write
+// of that range and returns without waiting, so the write runs while the
+// caller applies the batch and the closing fsync only has to finish it. It
+// makes nothing durable and reports nothing; a file without it just leaves
+// the whole write to the fsync.
+type writebackStarter interface {
+	StartWriteback(off, n int64)
 }
 
 func (OSFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }

@@ -92,6 +92,9 @@ const (
 	maxGrow = 1 << 20
 )
 
+// pageSize is the granularity of a group commit's writeback hints.
+var pageSize = int64(os.Getpagesize())
+
 // DefaultSyncInterval is the SyncInterval cadence when Options leaves it
 // zero.
 const DefaultSyncInterval = 100 * time.Millisecond
@@ -119,6 +122,8 @@ type Options struct {
 type Log struct {
 	mu      sync.Mutex
 	f       LogFile
+	wb      writebackStarter // f's writeback hint, or nil
+	hintEnd int64            // where the window's hints end, rounded up to a page
 	path    string
 	offset  int64 // end of the valid frame region (includes the magic)
 	size    int64 // the file's length: offset plus the zero-filled tail
@@ -163,6 +168,7 @@ func Open(path string, opts Options) (*Log, error) {
 		policy:  opts.Sync,
 		metrics: opts.Metrics,
 	}
+	l.wb, _ = f.(writebackStarter)
 	fresh, err := l.recover(opts.OnRecord)
 	if err == nil && fresh {
 		err = syncDir(fsys, filepath.Dir(path))
@@ -323,6 +329,15 @@ func (l *Log) appendLocked(r Record) error {
 		}
 		return fmt.Errorf("wal: appending record %d: %w", r.LSN, werr)
 	}
+	if l.deferSync && l.policy == SyncAlways && l.wb != nil && l.offset+int64(n) > l.hintEnd {
+		// The group commit's closing fsync comes after the caller's apply:
+		// start the device write now so that fsync only finishes it. Each
+		// page is hinted once per window: every hint costs a device write,
+		// and appends that share a page would pay one each for a page the
+		// next append dirties again.
+		l.wb.StartWriteback(l.offset, int64(n))
+		l.hintEnd = (l.offset + int64(n) + pageSize - 1) &^ (pageSize - 1)
+	}
 	l.metrics.observeAppend(time.Since(start), len(frame))
 	l.undoAt, l.undoLSN = l.offset, l.lastLSN
 	l.lastLSN = r.LSN
@@ -351,12 +366,15 @@ var ErrSyncFailed = errors.New("wal: group-commit closing fsync failed")
 // GroupCommit runs fn with the per-append SyncAlways fsync deferred, then
 // issues at most one fsync covering every record fn appended — the batched
 // ingest path's group commit. Records appended inside fn are staged exactly
-// as usual (framed, CRC'd, LSN'd) but only become durable when GroupCommit's
-// closing fsync returns, so callers must not acknowledge the batch until
-// GroupCommit itself returns without an ErrSyncFailed-marked error. Under
-// SyncInterval and SyncNever the closing fsync is skipped (those policies
-// never promised per-append durability). fn runs without the log lock held:
-// it is expected to call Append/Withdraw, which take the lock per call.
+// as usual (framed, CRC'd, LSN'd), and under SyncAlways an append that
+// reaches a page the window has not hinted yet starts its range's device
+// write without waiting for it, but they only become durable when
+// GroupCommit's closing fsync returns, so callers must not acknowledge the
+// batch until GroupCommit itself returns without an ErrSyncFailed-marked
+// error. Under SyncInterval and SyncNever the closing fsync is skipped
+// (those policies never promised per-append durability). fn runs without
+// the log lock held: it is expected to call Append/Withdraw, which take the
+// lock per call.
 //
 // A non-nil error from fn is returned after the closing fsync still runs —
 // records appended before the failure may have been applied by the caller
@@ -366,6 +384,10 @@ var ErrSyncFailed = errors.New("wal: group-commit closing fsync failed")
 // ErrSyncFailed — in addition to fn's error, if fn also failed — so the
 // caller can tell "a step was rejected, the applied prefix is durable" apart
 // from "durability of the whole batch is unknown".
+//
+// If fn panics, the panic goes on to the caller, and the log is left
+// sticky-failed: the window's records were never synced and the caller's
+// state may have diverged from them, so no later append may succeed.
 func (l *Log) GroupCommit(fn func() error) error {
 	l.mu.Lock()
 	if l.err != nil {
@@ -377,9 +399,22 @@ func (l *Log) GroupCommit(fn func() error) error {
 		return fmt.Errorf("wal: nested GroupCommit on %s", l.path)
 	}
 	l.deferSync = true
+	l.hintEnd = 0
 	l.mu.Unlock()
 
+	returned := false
+	defer func() {
+		if !returned {
+			l.mu.Lock()
+			l.deferSync = false
+			if l.err == nil {
+				l.err = fmt.Errorf("wal: GroupCommit on %s panicked before its closing fsync", l.path)
+			}
+			l.mu.Unlock()
+		}
+	}()
 	fnErr := fn()
+	returned = true
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
