@@ -91,7 +91,9 @@ race:
 # harness's seeds (FuzzEngineMatchesReference: honest crashes that must
 # lose no acknowledged record, lying crashes that cut the WAL, restarts, and
 # every cut of each seed's final WAL), injected write, sync and rename
-# faults, checkpoint crash windows, and the disk's own crash model.
+# faults, checkpoint crash windows, the recovery that cuts a rejected
+# record left as the log's last frame (TestRecover*), and the disk's own
+# crash model.
 # -count=3 shakes out ordering assumptions in the recovery paths.
 crashtest:
 	$(GO) test -count=3 -run 'Crash|Recover|Torn|Fault|EngineMatchesReference' ./internal/wal/... ./internal/core/... ./internal/simdisk/...

@@ -17,6 +17,8 @@ func (in *inner) StepAll() error { return nil }
 
 func (in *inner) stepCount() (int, error) { return 0, nil }
 
+func (in *inner) applyRecord(r wal.Record) (int, error) { return 0, nil }
+
 type durable struct {
 	log   *wal.Log
 	inner inner
@@ -45,17 +47,24 @@ func (d *durable) badCountNoAppend() (int, error) {
 	return d.inner.stepCount() // want `d\.inner\.stepCount mutates engine state without a preceding wal\.Append`
 }
 
-// logged is the append-dominating helper shape: append, then apply.
-func (d *durable) logged(r wal.Record, apply func() error) error {
-	if _, err := d.log.Append(r); err != nil {
-		return err
-	}
-	return apply()
+func (d *durable) badApplyRecordNoAppend(r wal.Record) error {
+	_, err := d.inner.applyRecord(r) // want `d\.inner\.applyRecord mutates engine state without a preceding wal\.Append`
+	return err
 }
 
-func (d *durable) goodViaHelper(id int, q string) error {
-	return d.logged(wal.Record{}, func() error {
-		return d.inner.AddQuery(id, q)
+// commit is the durable engine's write shape: append and apply each record
+// inside a group commit's closure.
+func (d *durable) goodCommit(recs ...wal.Record) error {
+	return d.log.GroupCommit(func() error {
+		for _, r := range recs {
+			if _, err := d.log.Append(r); err != nil {
+				return err
+			}
+			if _, err := d.inner.applyRecord(r); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 

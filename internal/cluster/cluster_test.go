@@ -19,6 +19,8 @@ import (
 	"nntstream/internal/graph"
 	"nntstream/internal/join"
 	"nntstream/internal/server"
+	"nntstream/internal/simdisk"
+	"nntstream/internal/wal"
 )
 
 // filterCases are the paper's NPV filters the cluster must not perturb.
@@ -618,6 +620,71 @@ func TestWorkerFingerprintConflict(t *testing.T) {
 		WireStep{Seq: 0, Changes: cb, Fingerprint: fingerprintOf(cb)}, nil))
 	if err := post("/cluster/groups/0/step", WireStep{Seq: 0, Changes: ca, Fingerprint: fingerprintOf(ca)}, &pairs); err != nil {
 		t.Fatalf("genuine step retry: %v", err)
+	}
+}
+
+// TestRetryAfterFailedFsyncIsRefused: a primary's commit applies a write
+// before its closing fsync, so when that fsync fails the engine's IDs, step
+// count and query set already show the write, which is on no disk and no
+// replica. Neither the failed request nor its retry may be acknowledged.
+func TestRetryAfterFailedFsyncIsRefused(t *testing.T) {
+	q, st := lineGraph(1, 2), lineGraph(1, 2, 3)
+	changes := map[string][]server.WireOp{"0": {ins(10, 1, 11, 2, 3)}}
+	addQuery := WireAddQuery{Graph: q, Expect: 0, Fingerprint: fingerprintOf(q)}
+	addStream := WireAddStream{Graph: st, Expect: 0, Fingerprint: fingerprintOf(st)}
+	type request struct {
+		method, path string
+		body         any
+	}
+	cases := []struct {
+		name  string
+		setup []request // applied before the fault, in order
+		req   request
+	}{
+		{"query", nil, request{http.MethodPost, "queries", addQuery}},
+		{"remove", []request{{http.MethodPost, "queries", addQuery}}, request{http.MethodDelete, "queries/0", nil}},
+		{"stream", nil, request{http.MethodPost, "streams", addStream}},
+		{"step", []request{{http.MethodPost, "streams", addStream}},
+			request{http.MethodPost, "step", WireStep{Seq: 0, Changes: changes, Fingerprint: fingerprintOf(changes)}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, filterCases[0].factory, 0, 3, 1, 1)
+			addr := tc.primaryOf(0)
+			g, err := tc.workers[addr].group(0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Swap the group's engine for one on a simulated disk whose
+			// fsyncs can be failed.
+			disk := simdisk.New()
+			eng, err := core.OpenDurableEngine("group-0", tc.factory, core.DurableOptions{
+				Fsync: wal.SyncAlways, FS: disk, OnCommit: func(r wal.Record) { g.ship(r) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.mu.Lock()
+			old := g.engine
+			g.engine = eng
+			g.mu.Unlock()
+			old.Crash()
+			send := func(r request) error {
+				_, err := tc.net.Do(context.Background(), addr, r.method, "/cluster/groups/0/"+r.path, r.body, nil)
+				return err
+			}
+			for _, r := range c.setup {
+				if err := send(r); err != nil {
+					t.Fatalf("setup: %v", err)
+				}
+			}
+			disk.Fail(simdisk.Sync, 0)
+			for attempt := 0; attempt < 2; attempt++ {
+				if err := send(c.req); err == nil {
+					t.Fatalf("attempt %d after a failed closing fsync was acknowledged", attempt)
+				}
+			}
+		})
 	}
 }
 

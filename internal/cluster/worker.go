@@ -479,6 +479,18 @@ func groupEngine(rw http.ResponseWriter, g *workerGroup) (*core.DurableEngine, b
 	return eng, true
 }
 
+// refuseFailed answers 500 when the group's engine refuses writes. A retry
+// shortcut checks it after reading the engine's state: a commit whose closing
+// fsync failed may have left its write applied in memory, and acking the
+// retry would confirm a write that is on no disk and no replica.
+func refuseFailed(rw http.ResponseWriter, g *workerGroup, eng *core.DurableEngine) bool {
+	err := eng.Err()
+	if err != nil {
+		server.HTTPError(rw, http.StatusInternalServerError, "group %d refuses writes: %v", g.id, err)
+	}
+	return err != nil
+}
+
 func (w *Worker) handleStatus(rw http.ResponseWriter, _ *http.Request) {
 	w.mu.Lock()
 	ids := make([]int, 0, len(w.groups))
@@ -763,6 +775,9 @@ func (w *Worker) handleAddQuery(rw http.ResponseWriter, r *http.Request) {
 		// A retried broadcast this group already applied: answer as before —
 		// unless the payload differs from what was applied at that ID, which
 		// is a diverging write the coordinator must hear about, not an ack.
+		if refuseFailed(rw, g, eng) {
+			return
+		}
 		if g.retryConflicts(&g.lastQuery, req.Expect, req.Fingerprint) {
 			server.HTTPError(rw, http.StatusConflict,
 				"group %d already applied a different payload for query id %d", g.id, req.Expect)
@@ -837,6 +852,9 @@ func (w *Worker) handleAddStream(rw http.ResponseWriter, r *http.Request) {
 	_, nextS := eng.NextIDs()
 	switch {
 	case int(nextS) > req.Expect:
+		if refuseFailed(rw, g, eng) {
+			return
+		}
 		if g.retryConflicts(&g.lastStream, req.Expect, req.Fingerprint) {
 			server.HTTPError(rw, http.StatusConflict,
 				"group %d already applied a different payload for stream id %d", g.id, req.Expect)
@@ -879,6 +897,9 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		// candidate set is the post-step state either way. A different
 		// payload under the same sequence number is not a retry, though —
 		// that change set was never applied anywhere and must not be acked.
+		if refuseFailed(rw, g, eng) {
+			return
+		}
 		if g.retryConflicts(&g.lastStep, req.Seq, req.Fingerprint) {
 			server.HTTPError(rw, http.StatusConflict,
 				"group %d already applied a different change set at step %d", g.id, req.Seq)

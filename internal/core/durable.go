@@ -30,11 +30,15 @@ import (
 // counter is the engine's one watermark: Reset keeps it, and boot rebases it
 // past the checkpoint's LSN, so it always names the last record folded in.
 //
-// Append-before-apply has one wrinkle: an operation the inner engine rejects
-// (an unknown ID, a duplicate, an invalid change set) has already been
-// logged. The engine withdraws it with Log.Withdraw, which undoes the log's
-// last append; the single-writer discipline (all mutations serialize behind
-// mu) makes that undo safe.
+// Every write goes through commit: append, then apply with the function
+// boot replay calls, under one group commit. Append-before-apply has one
+// wrinkle: an operation the inner engine rejects (an unknown ID, a
+// duplicate, an invalid change set) has already been logged. The engine
+// withdraws it with Log.Withdraw, which undoes the log's last append; the
+// single-writer discipline (all mutations serialize behind mu) makes that
+// undo safe. A crash before the window closes can still leave the withdrawn
+// record on the disk as the log's last frame, and boot cuts it
+// (wal.ErrRejected).
 type DurableEngine struct {
 	mu     sync.Mutex
 	inner  *Monitor
@@ -46,14 +50,6 @@ type DurableEngine struct {
 	metrics  *wal.Metrics
 	onCommit func(wal.Record)
 	closed   bool
-
-	// bufferCommits redirects onCommit notifications into pendingCommits
-	// while a StepAllBatch group commit is open: records are not durable
-	// until the batch's closing fsync, so shipping them per step would let a
-	// replica apply state the primary can still lose. StepAllBatch flushes
-	// the buffer only after the fsync succeeds.
-	bufferCommits  bool
-	pendingCommits []wal.Record
 
 	stopCheckpoint chan struct{}
 	checkpointWG   sync.WaitGroup
@@ -82,7 +78,8 @@ type DurableOptions struct {
 	FS wal.FS
 	// OnCommit, when non-nil, receives every successfully applied mutation as
 	// its LSN-stamped WAL record, in commit order, under the engine's write
-	// lock — the replication shipping hook. It is not invoked for records
+	// lock, once the commit's closing fsync has succeeded — the replication
+	// shipping hook. It is not invoked for records
 	// replayed during recovery (they were committed by an earlier process) or
 	// applied through ApplyRecord (they arrived from another primary).
 	OnCommit func(wal.Record)
@@ -143,7 +140,11 @@ func OpenDurableEngine(dir string, factory FilterFactory, opts DurableOptions) (
 				// between publishing the checkpoint and truncating the log.
 				return nil
 			}
-			return d.replayRecord(r)
+			_, err := d.inner.applyRecord(r, nil)
+			if rejection(err) { // a live write withdraws such a record
+				return fmt.Errorf("%w: %w", wal.ErrRejected, err)
+			}
+			return err
 		},
 	})
 	if err != nil {
@@ -209,80 +210,78 @@ func (d *DurableEngine) restoreCheckpoint() (uint64, error) {
 	return file.WALSeq, nil
 }
 
-// replayRecord applies one WAL record during recovery.
-func (d *DurableEngine) replayRecord(r wal.Record) error {
-	switch r.Kind {
-	case wal.KindAddQuery:
-		//lint:ignore walorder replay applies a record already present in the log; re-appending would duplicate it
-		return d.inner.replayAddQuery(QueryID(r.ID), r.Graph)
-	case wal.KindRemoveQuery:
-		//lint:ignore walorder replay applies a record already present in the log; re-appending would duplicate it
-		return d.inner.RemoveQuery(QueryID(r.ID))
-	case wal.KindAddStream:
-		//lint:ignore walorder replay applies a record already present in the log; re-appending would duplicate it
-		return d.inner.replayAddStream(StreamID(r.ID), r.Graph)
-	case wal.KindStepAll:
-		changes := make(map[StreamID]graph.ChangeSet, len(r.Changes))
-		for id, cs := range r.Changes {
-			changes[StreamID(id)] = cs
-		}
-		//lint:ignore walorder replay applies a record already present in the log; re-appending would duplicate it
-		_, err := d.inner.stepCount(changes)
-		return err
-	default:
-		return fmt.Errorf("core: replaying unknown WAL record kind %d", r.Kind)
-	}
-}
-
 // errClosed reports use after Close/Crash.
 var errDurableClosed = fmt.Errorf("core: durable engine is closed")
 
-// logged wraps a mutation in the append-before-apply protocol: the record is
-// appended (and, under SyncAlways, made durable) first; if the inner engine
-// then rejects the operation, the record is withdrawn from the log. A record
-// without an LSN is a local mutation: the log numbers it, and OnCommit sees
-// it. One that carries its LSN was shipped from a primary and keeps it.
-func (d *DurableEngine) logged(r wal.Record, apply func() error) error {
+// commit is the engine's one write path. Inside one group commit it appends
+// each record and applies it with Monitor.applyRecord, the function boot
+// replay calls, so live and recovered state come from one function. A
+// commit's records are all local or all shipped: a local mutation has no
+// LSN until the log numbers it, while a record shipped from a primary
+// (ApplyRecord) carries its LSN and keeps it. A record the engine rejects
+// is withdrawn and ends the commit; the records before it stay applied.
+// applied and pairs count the records applied and the candidate pairs their
+// steps reported; a step also builds its pair list into cands when cands is
+// non-nil.
+//
+// Under wal.SyncAlways nothing is durable before the window's closing fsync,
+// so OnCommit receives the applied local records only after it, in commit
+// order: shipping earlier would let a replica apply state the primary can
+// still lose. When that fsync fails the error wraps wal.ErrSyncFailed,
+// nothing ships, and callers must acknowledge none of the records: the
+// engine then holds state of unknown durability, the log refuses every later
+// write, and Err reports the failure.
+func (d *DurableEngine) commit(cands *[]Pair, recs ...wal.Record) (applied, pairs int, err error) {
 	if d.closed {
-		return errDurableClosed
+		return 0, 0, errDurableClosed
 	}
-	shipped := r.LSN != 0
-	var err error
-	if shipped {
-		err = d.log.AppendAt(r)
-	} else {
-		r.LSN, err = d.log.Append(r)
-	}
-	if err != nil {
-		return err
-	}
-	if err := apply(); err != nil {
-		if werr := d.log.Withdraw(); werr != nil {
-			return fmt.Errorf("%w (and withdrawing the WAL record failed: %v)", err, werr)
+	shipped := len(recs) > 0 && recs[0].LSN != 0
+	err = d.log.GroupCommit(func() error {
+		for i := range recs {
+			var err error
+			if shipped {
+				err = d.log.AppendAt(recs[i])
+			} else {
+				recs[i].LSN, err = d.log.Append(recs[i])
+			}
+			if err != nil {
+				return err
+			}
+			n, err := d.inner.applyRecord(recs[i], cands)
+			if err != nil {
+				if werr := d.log.Withdraw(); werr != nil {
+					return fmt.Errorf("%w (and withdrawing the WAL record failed: %v)", err, werr)
+				}
+				return err
+			}
+			applied++
+			pairs += n
 		}
-		return err
-	}
-	if d.onCommit != nil && !shipped {
-		if d.bufferCommits {
-			d.pendingCommits = append(d.pendingCommits, r)
-		} else {
+		return nil
+	})
+	if d.onCommit != nil && !shipped && !errors.Is(err, wal.ErrSyncFailed) {
+		for _, r := range recs[:applied] {
 			d.onCommit(r)
 		}
 	}
-	return nil
+	return applied, pairs, err
+}
+
+// stepRecord is the WAL record of one global timestamp's change sets.
+func stepRecord(changes map[StreamID]graph.ChangeSet) wal.Record {
+	r := wal.Record{Kind: wal.KindStepAll, Changes: make(map[int64]graph.ChangeSet, len(changes))}
+	for id, cs := range changes {
+		r.Changes[int64(id)] = cs
+	}
+	return r
 }
 
 // AddQuery logs and registers a query pattern.
 func (d *DurableEngine) AddQuery(q *graph.Graph) (QueryID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	nextQ, _ := d.inner.nextIDs()
-	var id QueryID
-	err := d.logged(
-		wal.Record{Kind: wal.KindAddQuery, ID: int64(nextQ), Graph: q},
-		func() (e error) { id, e = d.inner.AddQuery(q); return },
-	)
-	if err != nil {
+	id, _ := d.inner.nextIDs()
+	if _, _, err := d.commit(nil, wal.Record{Kind: wal.KindAddQuery, ID: int64(id), Graph: q}); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -292,23 +291,16 @@ func (d *DurableEngine) AddQuery(q *graph.Graph) (QueryID, error) {
 func (d *DurableEngine) RemoveQuery(id QueryID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.logged(
-		wal.Record{Kind: wal.KindRemoveQuery, ID: int64(id)},
-		func() error { return d.inner.RemoveQuery(id) },
-	)
+	_, _, err := d.commit(nil, wal.Record{Kind: wal.KindRemoveQuery, ID: int64(id)})
+	return err
 }
 
 // AddStream logs and registers a stream with starting graph g0.
 func (d *DurableEngine) AddStream(g0 *graph.Graph) (StreamID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, nextS := d.inner.nextIDs()
-	var id StreamID
-	err := d.logged(
-		wal.Record{Kind: wal.KindAddStream, ID: int64(nextS), Graph: g0},
-		func() (e error) { id, e = d.inner.AddStream(g0); return },
-	)
-	if err != nil {
+	_, id := d.inner.nextIDs()
+	if _, _, err := d.commit(nil, wal.Record{Kind: wal.KindAddStream, ID: int64(id), Graph: g0}); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -320,79 +312,31 @@ func (d *DurableEngine) AddStream(g0 *graph.Graph) (StreamID, error) {
 func (d *DurableEngine) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rec := wal.Record{Kind: wal.KindStepAll, Changes: make(map[int64]graph.ChangeSet, len(changes))}
-	for id, cs := range changes {
-		rec.Changes[int64(id)] = cs
-	}
-	var pairs []Pair
-	err := d.logged(rec, func() (e error) { pairs, e = d.inner.StepAll(changes); return })
-	if err != nil {
+	var cands []Pair
+	if _, _, err := d.commit(&cands, stepRecord(changes)); err != nil {
 		return nil, err
 	}
-	return pairs, nil
+	return cands, nil
 }
 
-// StepAllBatch applies a sequence of timestamps under one durability
-// barrier: every step is appended to the WAL and applied in order exactly as
-// N sequential StepAll calls would (same records, same LSNs, bit-identical
-// engine state), but under wal.SyncAlways the whole batch shares a single
-// closing fsync instead of paying one per step — the group commit that makes
-// the batched ingest path's throughput. The ack contract shifts accordingly:
-// no step in the batch is durable until StepAllBatch returns, so callers
-// must not acknowledge any of it earlier.
+// StepAllBatch applies a sequence of timestamps in one commit: the same
+// records, LSNs and engine state as N sequential StepAll calls, but under
+// wal.SyncAlways the whole batch shares one closing fsync — the batched
+// ingest path's group commit. No step is durable until StepAllBatch
+// returns, so callers must not acknowledge any of it earlier.
 //
-// Atomicity is per step, not per batch: each step validates fully before it
-// touches filter state (the StepAll contract), and a step the inner engine
-// rejects is withdrawn from the WAL; steps applied before the failure stay
-// applied and durable. The returned counts say how far the batch got —
-// applied steps and the total candidate pairs those steps reported.
-//
-// OnCommit notifications are buffered for the duration of the batch and
-// delivered — in commit order, under the engine's write lock, exactly as
-// StepAll would — only after the group commit's closing fsync succeeds:
-// shipping a record to a replica before it is durable on the primary would
-// invert the durable-before-ship ordering replication depends on. If the
-// closing fsync fails, the error wraps wal.ErrSyncFailed, nothing is
-// shipped, and callers must not acknowledge any step of the batch (the
-// applied counts then describe in-memory state of unknown durability).
+// Atomicity is per step, not per batch: a step the inner engine rejects is
+// withdrawn and ends the batch, and the steps before it stay applied. The
+// returned counts are the applied steps and the pairs they reported. A
+// failed closing fsync behaves as for every write (see commit).
 func (d *DurableEngine) StepAllBatch(batch []map[StreamID]graph.ChangeSet) (applied, pairs int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return 0, 0, errDurableClosed
+	recs := make([]wal.Record, len(batch))
+	for i, changes := range batch {
+		recs[i] = stepRecord(changes)
 	}
-	d.bufferCommits = true
-	d.pendingCommits = d.pendingCommits[:0]
-	defer func() {
-		// Deferred so that a panic in a step, which the log turns into a
-		// sticky failure, cannot leave later commits buffered.
-		d.bufferCommits = false
-		d.pendingCommits = d.pendingCommits[:0]
-	}()
-	err = d.log.GroupCommit(func() error {
-		for _, changes := range batch {
-			rec := wal.Record{Kind: wal.KindStepAll, Changes: make(map[int64]graph.ChangeSet, len(changes))}
-			for id, cs := range changes {
-				rec.Changes[int64(id)] = cs
-			}
-			var n int
-			if err := d.logged(rec, func() (e error) { n, e = d.inner.stepCount(changes); return }); err != nil {
-				return err
-			}
-			applied++
-			pairs += n
-		}
-		return nil
-	})
-	if d.onCommit != nil && !errors.Is(err, wal.ErrSyncFailed) {
-		// The applied prefix (whole batch when err is nil) is durable: ship
-		// it. A per-step rejection leaves earlier steps committed, so they
-		// ship exactly as N sequential StepAll calls would have.
-		for _, r := range d.pendingCommits {
-			d.onCommit(r)
-		}
-	}
-	return applied, pairs, err
+	return d.commit(nil, recs...)
 }
 
 // Checkpoint folds the current state into the checkpoint file atomically and
@@ -520,6 +464,11 @@ func (d *DurableEngine) NextIDs() (QueryID, StreamID) {
 	return d.inner.nextIDs()
 }
 
+// Err reports why the engine refuses every write (a failed log, or Close),
+// nil while it accepts them. A failed commit may leave its records applied
+// in memory, so a retry that reads the engine's state must check Err first.
+func (d *DurableEngine) Err() error { return d.log.Err() }
+
 // AppliedLSN reports the LSN of the last record folded into the engine state,
 // the replication watermark replicas and coordinators compare. It is the
 // log's LSN counter: a rejected record is withdrawn before mu is released,
@@ -531,10 +480,10 @@ func (d *DurableEngine) AppliedLSN() uint64 {
 	return d.log.LastLSN()
 }
 
-// ApplyRecord applies one primary-shipped WAL record to a replica engine:
-// append-before-apply into the replica's own log (preserving the primary's
-// LSN), then fold into the engine state. Records at or below the applied
-// watermark are idempotently skipped — re-shipping after a retry is harmless.
+// ApplyRecord applies one primary-shipped WAL record to a replica engine
+// through the same commit as every local write, keeping the primary's LSN.
+// Records at or below the applied watermark are idempotently skipped —
+// re-shipping after a retry is harmless.
 // A record beyond applied+1 is refused with ErrReplicaGap; the replica must
 // catch up via RecordsSince on the primary (or a snapshot install when the
 // primary's log was compacted past the gap). OnCommit is not invoked: the
@@ -552,7 +501,8 @@ func (d *DurableEngine) ApplyRecord(r wal.Record) error {
 	if r.LSN != applied+1 {
 		return fmt.Errorf("%w (applied %d, shipped %d)", ErrReplicaGap, applied, r.LSN)
 	}
-	return d.logged(r, func() error { return d.replayRecord(r) })
+	_, _, err := d.commit(nil, r)
+	return err
 }
 
 // RecordsSince collects the WAL records with LSN > from, the catch-up feed a

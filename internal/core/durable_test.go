@@ -258,6 +258,182 @@ func TestDurableFaultInjection(t *testing.T) {
 	}
 }
 
+// rejectedTailLog writes, through the WAL alone, a data dir whose log adds
+// a query and then holds a RemoveQuery the engine rejects (query 99 was
+// never added), followed by more: the debris of a crash that caught the
+// rejected record on the disk before its withdrawal was.
+func rejectedTailLog(t *testing.T, more ...wal.Record) string {
+	t.Helper()
+	return logDir(t, append([]wal.Record{
+		{Kind: wal.KindAddQuery, ID: 0, Graph: parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")},
+		{Kind: wal.KindRemoveQuery, ID: 99},
+	}, more...)...)
+}
+
+// logDir writes recs through the WAL alone into a fresh data dir.
+func logDir(t *testing.T, recs ...wal.Record) string {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := wal.Open(filepath.Join(dir, "wal.log"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestRecoverCutsRejectedTailRecord: a rejected record that is the log's
+// last frame ends the valid prefix. Boot cuts it and counts it like a torn
+// tail, keeps the query before it, and numbers the next write in its place.
+func TestRecoverCutsRejectedTailRecord(t *testing.T) {
+	dir := rejectedTailLog(t)
+	m := wal.NewMetrics(obs.NewRegistry())
+	d := openDurable(t, dir, core.DurableOptions{Metrics: m})
+	if q, lsn := d.QueryCount(), d.AppliedLSN(); q != 1 || lsn != 1 {
+		t.Fatalf("booted with %d queries at applied LSN %d; want 1 and 1", q, lsn)
+	}
+	if m.TornTruncations.Value() != 1 || m.TornBytes.Value() == 0 {
+		t.Fatalf("torn truncations %d, torn bytes %d; want the rejected record cut and counted",
+			m.TornTruncations.Value(), m.TornBytes.Value())
+	}
+	if err := d.RemoveQuery(0); err != nil {
+		t.Fatal(err)
+	}
+	if lsn := d.AppliedLSN(); lsn != 2 {
+		t.Fatalf("the next write took LSN %d; want 2, the cut record's", lsn)
+	}
+	if err := d.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := openDurable(t, dir, core.DurableOptions{})
+	defer d2.Crash()
+	if q, lsn := d2.QueryCount(), d2.AppliedLSN(); q != 0 || lsn != 2 {
+		t.Fatalf("rebooted with %d queries at applied LSN %d; want 0 and 2", q, lsn)
+	}
+}
+
+// TestRecoverRejectsRejectedRecordBeforeValidFrame: a rejected record with
+// a valid frame after it is no crash debris, and boot refuses the log.
+func TestRecoverRejectsRejectedRecordBeforeValidFrame(t *testing.T) {
+	dir := rejectedTailLog(t, wal.Record{Kind: wal.KindAddStream, ID: 0, Graph: parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")})
+	d, err := core.OpenDurableEngine(dir, func() core.Filter { return join.NewNL(drillDepth) }, core.DurableOptions{})
+	if err == nil {
+		d.Crash()
+		t.Fatal("a log with a rejected record before a valid one booted")
+	}
+	if !errors.Is(err, core.ErrUnknownQuery) {
+		t.Fatalf("boot error %v; want the rejection, unknown query", err)
+	}
+}
+
+// TestRecoverRefusesDuplicateTailRecord: only the refusals a client can
+// provoke, and a live write therefore withdraws, mark a last frame as crash
+// debris. A duplicate ID no client can cause, so even as the last frame it
+// fails the boot rather than being cut.
+func TestRecoverRefusesDuplicateTailRecord(t *testing.T) {
+	q := parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")
+	dir := logDir(t, wal.Record{Kind: wal.KindAddQuery, ID: 0, Graph: q}, wal.Record{Kind: wal.KindAddQuery, ID: 0, Graph: q})
+	d, err := core.OpenDurableEngine(dir, func() core.Filter { return join.NewNL(drillDepth) }, core.DurableOptions{})
+	if err == nil {
+		d.Crash()
+		t.Fatal("a log ending in a duplicate query booted")
+	}
+}
+
+// listCounter hides its filter's optional extensions, CandidateCounter
+// among them, and counts the pair lists it builds.
+type listCounter struct {
+	core.Filter
+	lists int
+}
+
+func (f *listCounter) Candidates() []core.Pair { f.lists++; return f.Filter.Candidates() }
+
+// TestDurableStepAllBuildsOneList: on a filter that cannot count its pairs,
+// a durable StepAll builds the pair list once, inside the step, and returns
+// that list.
+func TestDurableStepAllBuildsOneList(t *testing.T) {
+	f := &listCounter{Filter: join.NewNL(drillDepth)}
+	d, err := core.OpenDurableEngine(t.TempDir(), func() core.Filter { return f }, core.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Crash()
+	g := parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")
+	if _, err := d.AddQuery(g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddStream(parseGraph(t, "v 0 0")); err != nil {
+		t.Fatal(err)
+	}
+	f.lists = 0
+	pairs, err := d.StepAll(map[core.StreamID]graph.ChangeSet{0: {graph.InsertOp(0, 0, 1, 1, 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.lists != 1 || len(pairs) != 1 {
+		t.Fatalf("StepAll built %d pair lists and returned %v; want one list holding the pair", f.lists, pairs)
+	}
+}
+
+// TestRejectedOpCostsOneFsync: under SyncAlways a write's only fsync closes
+// its commit, so an op the engine rejects, whose record is appended and
+// withdrawn, costs one fsync, and the engine takes the next op cleanly.
+func TestRejectedOpCostsOneFsync(t *testing.T) {
+	m := wal.NewMetrics(obs.NewRegistry())
+	d := openDurable(t, t.TempDir(), core.DurableOptions{Fsync: wal.SyncAlways, Metrics: m})
+	defer d.Crash()
+	if _, err := d.AddQuery(parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")); err != nil {
+		t.Fatal(err)
+	}
+	before := m.FsyncSeconds.Count()
+	if err := d.RemoveQuery(99); !errors.Is(err, core.ErrUnknownQuery) {
+		t.Fatalf("RemoveQuery(99) = %v; want ErrUnknownQuery", err)
+	}
+	if got := m.FsyncSeconds.Count() - before; got != 1 {
+		t.Fatalf("a rejected op took %d fsyncs; want 1", got)
+	}
+	if lsn := d.AppliedLSN(); lsn != 1 {
+		t.Fatalf("applied LSN %d after the rejection; want 1", lsn)
+	}
+}
+
+// TestAddQuerySyncFaultShipsNothing: an AddQuery whose closing fsync fails
+// is not durable. Its error wraps wal.ErrSyncFailed, OnCommit ships nothing,
+// and an honest crash loses the query.
+func TestAddQuerySyncFaultShipsNothing(t *testing.T) {
+	disk := simdisk.New()
+	shipped := 0
+	opts := core.DurableOptions{Fsync: wal.SyncAlways, FS: disk, OnCommit: func(wal.Record) { shipped++ }}
+	d := openDurable(t, "data", opts)
+	if _, err := d.AddQuery(parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")); err != nil {
+		t.Fatal(err)
+	}
+	disk.Fail(simdisk.Sync, 0)
+	if _, err := d.AddQuery(parseGraph(t, "v 0 0\nv 1 2\ne 0 1 0")); !errors.Is(err, wal.ErrSyncFailed) {
+		t.Fatalf("AddQuery with a failed closing fsync = %v; want wal.ErrSyncFailed", err)
+	}
+	if shipped != 1 {
+		t.Fatalf("OnCommit shipped %d records; want only the first query's", shipped)
+	}
+	disk.Crash(0)
+	if err := d.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := openDurable(t, "data", opts)
+	defer d2.Crash()
+	if q, lsn := d2.QueryCount(), d2.AppliedLSN(); q != 1 || lsn != 1 {
+		t.Fatalf("after a crash the engine holds %d queries at applied LSN %d; want 1 and 1", q, lsn)
+	}
+}
+
 // TestFreshDataDirSurvivesCrash: the first acknowledged records of a new
 // data dir survive an honest crash. wal.log is a new name in the directory,
 // which a crash keeps only if the directory was synced after the file was

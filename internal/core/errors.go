@@ -17,4 +17,12 @@ var (
 	// shipped one are missing, so the replica must catch up (WAL tail fetch or
 	// snapshot install) before applying further records.
 	ErrReplicaGap = errors.New("replica is behind: shipped record leaves an LSN gap")
+	// errInvalidChangeSet reports a change set its stream's graph refuses.
+	errInvalidChangeSet = errors.New("invalid change set")
 )
+
+// rejection reports whether err is a refusal a client can provoke: an
+// unknown query or stream, or an invalid change set.
+func rejection(err error) bool {
+	return errors.Is(err, ErrUnknownQuery) || errors.Is(err, ErrUnknownStream) || errors.Is(err, errInvalidChangeSet)
+}

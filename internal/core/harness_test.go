@@ -45,7 +45,7 @@ const exactNodes = 1000
 
 // FuzzEngineMatchesReference decodes a fuzzsched.DecodeEngine schedule
 // over two streams and drives one DurableEngine per config through it, each
-// on its own simulated disk (internal/simdisk) and fsyncing every append:
+// on its own simulated disk (internal/simdisk) and fsyncing every commit:
 // query registrations and removals, steps — a failing one must be rejected
 // whole — batches of steps under one group commit, checkpoints, crashes and
 // clean restarts. A crash is honest, keeping exactly what was synced, and
@@ -321,7 +321,7 @@ func (h *harness) addStreams() {
 // disk. An engine's Crash syncs nothing, so releasing it first keeps on disk
 // only what the engine had synced itself. When n is a multiple of 4 the
 // crash is honest: it keeps what was synced, and since the engines fsync
-// every append it must keep every record the reference acknowledged.
+// every commit it must keep every record the reference acknowledged.
 // Otherwise the disk lies about the log's last n bytes of records and loses
 // them, zeroing them in front of the zero tail at even n and ending the file
 // there at odd n (see torn).

@@ -8,6 +8,7 @@ import (
 
 	"nntstream/internal/graph"
 	"nntstream/internal/iso"
+	"nntstream/internal/wal"
 )
 
 // FilterFactory builds a fresh filter. A durable engine builds its filter
@@ -127,15 +128,6 @@ func (m *Monitor) AddQuery(q *graph.Graph) (QueryID, error) {
 	return id, nil
 }
 
-// replayAddQuery registers a query under an explicit ID — the restore path
-// used by snapshot loading and WAL replay, which must reproduce historical ID
-// assignments exactly (including gaps left by removed queries).
-func (m *Monitor) replayAddQuery(id QueryID, q *graph.Graph) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.addQueryLocked(id, q)
-}
-
 // addQueryLocked registers a query with the filter and, only if the filter
 // accepts it, with the engine. Callers hold m.mu.
 func (m *Monitor) addQueryLocked(id QueryID, q *graph.Graph) error {
@@ -156,6 +148,11 @@ func (m *Monitor) addQueryLocked(id QueryID, q *graph.Graph) error {
 func (m *Monitor) RemoveQuery(id QueryID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.removeQueryLocked(id)
+}
+
+// removeQueryLocked deregisters a pattern. Callers hold m.mu.
+func (m *Monitor) removeQueryLocked(id QueryID) error {
 	if _, ok := m.queries[id]; !ok {
 		return fmt.Errorf("core: %w %d", ErrUnknownQuery, id)
 	}
@@ -177,14 +174,6 @@ func (m *Monitor) AddStream(g0 *graph.Graph) (StreamID, error) {
 	return id, nil
 }
 
-// replayAddStream registers a stream under an explicit ID — the restore path
-// used by snapshot loading and WAL replay.
-func (m *Monitor) replayAddStream(id StreamID, g0 *graph.Graph) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.addStreamLocked(id, g0)
-}
-
 // addStreamLocked hands a stream to the filter. Callers hold m.mu.
 func (m *Monitor) addStreamLocked(id StreamID, g0 *graph.Graph) error {
 	if _, dup := m.streams[id]; dup {
@@ -198,6 +187,37 @@ func (m *Monitor) addStreamLocked(id StreamID, g0 *graph.Graph) error {
 		m.nextS = id + 1
 	}
 	return nil
+}
+
+// applyRecord applies one WAL record under its explicit IDs, which
+// reproduce historical ID assignments exactly (including gaps left by
+// removed queries). It is the one function through which a logged mutation
+// becomes engine state: the durable engine's commit, boot replay and
+// checkpoint restore all call it. It returns the pairs a step reported, and
+// 0 for the other kinds. A step builds its pair list into cands when cands
+// is non-nil, and otherwise only counts it.
+func (m *Monitor) applyRecord(r wal.Record, cands *[]Pair) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch r.Kind {
+	case wal.KindAddQuery:
+		return 0, m.addQueryLocked(QueryID(r.ID), r.Graph)
+	case wal.KindRemoveQuery:
+		return 0, m.removeQueryLocked(QueryID(r.ID))
+	case wal.KindAddStream:
+		return 0, m.addStreamLocked(StreamID(r.ID), r.Graph)
+	case wal.KindStepAll:
+		changes := make(map[StreamID]graph.ChangeSet, len(r.Changes))
+		for id, cs := range r.Changes {
+			changes[StreamID(id)] = cs
+		}
+		if cands == nil {
+			return m.step(changes, m.candidateCount)
+		}
+		return m.step(changes, func() int { *cands = m.filter.Candidates(); return len(*cands) })
+	default:
+		return 0, fmt.Errorf("core: unknown WAL record kind %d", r.Kind)
+	}
 }
 
 // QueryCount and StreamCount report workload sizes.
@@ -345,7 +365,7 @@ func (m *Monitor) stageChanges(changes map[StreamID]graph.ChangeSet) (map[Stream
 		m.undos[i] = undo
 		if err != nil {
 			m.unstage(i)
-			return nil, fmt.Errorf("core: invalid change set for stream %d: %w", id, err)
+			return nil, fmt.Errorf("core: %w for stream %d: %w", errInvalidChangeSet, id, err)
 		}
 		norms[id] = norm
 	}

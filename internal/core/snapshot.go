@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"nntstream/internal/graph"
+	"nntstream/internal/wal"
 )
 
 // Snapshot persistence: a Monitor's logical state is its query set plus the
@@ -140,7 +141,7 @@ func (m *Monitor) restore(file snapshotFile) error {
 		if err != nil {
 			return fmt.Errorf("core: snapshot query %d: %w", entry.ID, err)
 		}
-		if err := m.replayAddQuery(QueryID(entry.ID), g); err != nil {
+		if _, err := m.applyRecord(wal.Record{Kind: wal.KindAddQuery, ID: int64(entry.ID), Graph: g}, nil); err != nil {
 			return fmt.Errorf("core: snapshot query %d: %w", entry.ID, err)
 		}
 	}
@@ -149,7 +150,7 @@ func (m *Monitor) restore(file snapshotFile) error {
 		if err != nil {
 			return fmt.Errorf("core: snapshot stream %d: %w", entry.ID, err)
 		}
-		if err := m.replayAddStream(StreamID(entry.ID), g); err != nil {
+		if _, err := m.applyRecord(wal.Record{Kind: wal.KindAddStream, ID: int64(entry.ID), Graph: g}, nil); err != nil {
 			return fmt.Errorf("core: snapshot stream %d: %w", entry.ID, err)
 		}
 	}

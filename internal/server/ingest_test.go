@@ -257,6 +257,27 @@ func TestIngestSyncFailureAcknowledgesNothing(t *testing.T) {
 	}
 }
 
+// TestAddQuerySyncFailureAnswers500: a registration's closing fsync fails,
+// so the query is not known durable and the answer is a 500, not a 201.
+func TestAddQuerySyncFailureAnswers500(t *testing.T) {
+	disk := simdisk.New()
+	eng, err := core.OpenDurableEngine("data",
+		func() core.Filter { return join.NewSkyline(3) },
+		core.DurableOptions{Fsync: wal.SyncAlways, FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Crash() })
+	srv := httptest.NewServer(New(eng).Handler())
+	t.Cleanup(srv.Close)
+
+	disk.Fail(simdisk.Sync, 0)
+	resp, body := do(t, http.MethodPost, srv.URL+"/v1/queries", graphRequest{Graph: edgeGraph(0, 1)})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("add query with a failed closing fsync = %d (%s); want 500", resp.StatusCode, body["error"])
+	}
+}
+
 func TestIngestRejectsBadRequests(t *testing.T) {
 	srv := testServer(t)
 	if resp, err := http.Get(srv.URL + "/v1/ingest"); err != nil {

@@ -28,16 +28,22 @@ func stepRecord(u, v int32) Record {
 	}}
 }
 
-// TestGroupCommitSingleFsync is the batched-ingest durability contract: N
-// appends inside one GroupCommit window cost exactly one fsync, while the
-// same appends outside a window cost one each.
+// TestGroupCommitSingleFsync is the SyncAlways durability contract: N
+// appends inside one GroupCommit window cost exactly one fsync, and a record
+// is durable once the window that appended it has closed. Appends outside a
+// window cost no fsync and are not durable until a window closes after them.
 func TestGroupCommitSingleFsync(t *testing.T) {
+	disk := simdisk.New()
 	m := NewMetrics(obs.NewRegistry())
-	l, path := openSyncAlways(t, m)
+	l, err := Open("wal.log", Options{Sync: SyncAlways, Metrics: m, FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 
 	const n = 8
 	before := m.FsyncSeconds.Count()
-	err := l.GroupCommit(func() error {
+	err = l.GroupCommit(func() error {
 		for i := int32(0); i < n; i++ {
 			if _, err := l.Append(stepRecord(i, i+1)); err != nil {
 				return err
@@ -53,33 +59,30 @@ func TestGroupCommitSingleFsync(t *testing.T) {
 	}
 
 	before = m.FsyncSeconds.Count()
-	for i := int32(0); i < n; i++ {
-		if _, err := l.Append(stepRecord(100+i, 101+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.FsyncSeconds.Count() - before; got != n {
-		t.Fatalf("fsyncs outside GroupCommit = %d; want %d (SyncAlways per append)", got, n)
-	}
-
-	// All 2n records are durable and replayable.
-	if err := l.Close(); err != nil {
+	appendAll(t, l, []Record{stepRecord(100, 101), stepRecord(101, 102)})
+	if err := l.Withdraw(); err != nil {
 		t.Fatal(err)
 	}
-	if got := replayAll(t, path); len(got) != 2*n {
-		t.Fatalf("replayed %d records; want %d", len(got), 2*n)
+	if got := m.FsyncSeconds.Count() - before; got != 0 {
+		t.Fatalf("fsyncs for appends and a withdrawal outside a window = %d; want 0", got)
+	}
+
+	// A crash now keeps the closed window's n records and loses the one
+	// appended outside a window.
+	disk.Crash(0)
+	if got := replayOn(t, disk, "wal.log"); len(got) != n {
+		t.Fatalf("replayed %d records; want the window's %d", len(got), n)
 	}
 }
 
 // TestGroupCommitEmptyWindow pins that a window with no appends performs no
-// fsync: the dirty flag, not the window itself, drives the closing sync.
+// fsync once an earlier window has closed: the dirty flag, not the window
+// itself, drives the closing sync.
 func TestGroupCommitEmptyWindow(t *testing.T) {
 	m := NewMetrics(obs.NewRegistry())
 	l, _ := openSyncAlways(t, m)
 	// Settle the freshly written file header so the window starts clean.
-	if _, err := l.Append(stepRecord(1, 2)); err != nil {
-		t.Fatal(err)
-	}
+	commitAll(t, l, []Record{stepRecord(1, 2)})
 	before := m.FsyncSeconds.Count()
 	if err := l.GroupCommit(func() error { return nil }); err != nil {
 		t.Fatal(err)
@@ -312,9 +315,9 @@ func TestGroupCommitHintsEachNewPage(t *testing.T) {
 	}
 }
 
-// TestNoHintOutsideSyncAlwaysWindow: an append outside a window fsyncs at
-// once, and SyncInterval and SyncNever promise no per-batch fsync, so none
-// of them hints.
+// TestNoHintOutsideSyncAlwaysWindow: an append outside a window has no
+// closing fsync to overlap, and SyncInterval and SyncNever promise no
+// per-batch fsync, so none of them hints.
 func TestNoHintOutsideSyncAlwaysWindow(t *testing.T) {
 	l, disk := openHinted(t, SyncAlways)
 	appendAll(t, l, testRecords())
@@ -341,7 +344,8 @@ func TestNoHintOutsideSyncAlwaysWindow(t *testing.T) {
 
 // TestHintMakesNothingDurable: a hint only starts a write. A power cut after
 // the window's hints but before its closing fsync keeps none of the window's
-// records, and one after GroupCommit returns keeps all of them.
+// records, only those of the window closed before it, and one after
+// GroupCommit returns keeps all of them.
 func TestHintMakesNothingDurable(t *testing.T) {
 	const n = 3
 	batch := func(l *Log, crash func()) error {
@@ -357,7 +361,7 @@ func TestHintMakesNothingDurable(t *testing.T) {
 	}
 
 	l, disk := openHinted(t, SyncAlways)
-	appendAll(t, l, testRecords()[:1])
+	commitAll(t, l, testRecords()[:1])
 	var got []Record
 	if err := batch(l, func() {
 		disk.Crash(0)
@@ -369,11 +373,11 @@ func TestHintMakesNothingDurable(t *testing.T) {
 		t.Fatal("window gave no hints")
 	}
 	if len(got) != 1 {
-		t.Fatalf("a crash before the closing fsync replays %d records; want only the 1 synced before the window", len(got))
+		t.Fatalf("a crash before the closing fsync replays %d records; want only the 1 of the window closed before it", len(got))
 	}
 
 	l, disk = openHinted(t, SyncAlways)
-	appendAll(t, l, testRecords()[:1])
+	commitAll(t, l, testRecords()[:1])
 	if err := batch(l, func() {}); err != nil {
 		t.Fatal(err)
 	}

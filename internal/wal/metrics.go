@@ -9,9 +9,9 @@ import (
 // Metrics bundles the durability instruments. All methods are nil-receiver
 // safe so the log and the durable engine can record unconditionally.
 type Metrics struct {
-	// AppendSeconds is the latency of writing one record, with a group
-	// commit's writeback hint (fsync excluded; see FsyncSeconds). Its
-	// _count is the records appended.
+	// AppendSeconds is the latency of writing one record, with its
+	// writeback hint under SyncAlways (the commit's closing fsync excluded;
+	// see FsyncSeconds). Its _count is the records appended.
 	AppendSeconds *obs.Histogram
 	// FsyncSeconds is the latency of one fsync of the log file. Its _count
 	// is the fsync calls.
@@ -45,7 +45,7 @@ type Metrics struct {
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		AppendSeconds: r.Histogram("nntstream_wal_append_seconds",
-			"Latency of writing one WAL record and, in a group commit, starting its writeback, excluding fsync.", nil),
+			"Latency of writing one WAL record and, under fsync always, starting its writeback, excluding the commit's closing fsync.", nil),
 		FsyncSeconds: r.Histogram("nntstream_wal_fsync_seconds",
 			"Latency of one fsync of the WAL file.", nil),
 		BytesAppended: r.Counter("nntstream_wal_bytes_appended_total",

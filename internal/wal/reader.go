@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 )
 
@@ -45,50 +46,63 @@ type scanResult struct {
 	torn bool
 }
 
+// ErrRejected marks an OnRecord error for a record the engine refused to
+// apply. The engine withdraws such a record before it acknowledges anything
+// after it, but a crash inside the commit window can still find it on the
+// disk, where it can only be the last frame: when no valid frame follows,
+// recovery ends the valid prefix before it and cuts it like a torn tail.
+// A rejected record with a valid frame after it still fails Open.
+var ErrRejected = errors.New("wal: record rejected by replay")
+
 // scanFrames walks data (the file content after the magic), invoking fn for
 // each valid record in order. It stops at the first torn or corrupt frame.
-// A non-nil error from fn aborts the scan and is returned verbatim; framing
-// corruption is not an error, it just ends the valid prefix.
+// A non-nil error from fn aborts the scan and is returned verbatim, unless
+// it wraps ErrRejected and no valid frame follows; framing corruption is not
+// an error, it just ends the valid prefix.
 func scanFrames(data []byte, fn func(Record) error) (scanResult, error) {
 	var res scanResult
-	pos := int64(0)
-	n := int64(len(data))
-	for {
-		if n-pos < frameHeaderSize {
-			res.torn = pos < n
-			break
-		}
-		payloadLen := int64(binary.LittleEndian.Uint32(data[pos:]))
-		sum := binary.LittleEndian.Uint32(data[pos+4:])
-		if payloadLen < minPayload || payloadLen > maxPayload || pos+frameHeaderSize+payloadLen > n {
-			res.torn = true
-			break
-		}
-		payload := data[pos+frameHeaderSize : pos+frameHeaderSize+payloadLen]
-		if crc32.ChecksumIEEE(payload) != sum {
-			res.torn = true
-			break
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			res.torn = true
-			break
-		}
-		if rec.LSN <= res.lastLSN {
-			// LSNs are strictly increasing within a file; a regression means
-			// the frame boundary landed on stale bytes.
-			res.torn = true
-			break
+	for pos := int64(0); ; {
+		rec, size, ok := readFrame(data[pos:])
+		if !ok || rec.LSN <= res.lastLSN {
+			// An LSN regression means the frame boundary landed on stale
+			// bytes: LSNs are strictly increasing within a file.
+			res.torn = pos < int64(len(data))
+			return res, nil
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {
+				if next, _, ok := readFrame(data[pos+size:]); errors.Is(err, ErrRejected) && (!ok || next.LSN <= rec.LSN) {
+					res.torn = true
+					return res, nil
+				}
 				return res, err
 			}
 		}
-		pos += frameHeaderSize + payloadLen
+		pos += size
 		res.validLen = pos
 		res.lastLSN = rec.LSN
 		res.records++
 	}
-	return res, nil
+}
+
+// readFrame decodes the frame at the start of data and returns its record
+// and length; ok is false when the frame is torn or corrupt.
+func readFrame(data []byte) (rec Record, size int64, ok bool) {
+	if len(data) < frameHeaderSize {
+		return Record{}, 0, false
+	}
+	payloadLen := int64(binary.LittleEndian.Uint32(data))
+	sum := binary.LittleEndian.Uint32(data[4:])
+	if payloadLen < minPayload || payloadLen > maxPayload || frameHeaderSize+payloadLen > int64(len(data)) {
+		return Record{}, 0, false
+	}
+	payload := data[frameHeaderSize : frameHeaderSize+payloadLen]
+	if crc32.ChecksumIEEE(payload) != sum {
+		return Record{}, 0, false
+	}
+	rec, err := decodePayload(payload)
+	if err != nil {
+		return Record{}, 0, false
+	}
+	return rec, frameHeaderSize + payloadLen, true
 }

@@ -11,8 +11,8 @@
 // Opening a log replays its valid prefix, keeps an all-zero tail and
 // physically truncates any other tail instead of failing — recovery after a
 // hard kill is the designed-for path, not an error path. Fsync policy is
-// configurable per log: every append, on a background interval, or never
-// (leaving flushing to the OS).
+// configurable per log: at the close of every group commit, on a background
+// interval, or never (leaving flushing to the OS).
 package wal
 
 import (
@@ -32,8 +32,9 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: zero acknowledged-write loss,
-	// append latency includes the device flush.
+	// SyncAlways fsyncs when a GroupCommit window closes: a record is
+	// durable once the window that appended it has closed, so a caller
+	// that acknowledges only then loses no acknowledged write.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs on a background cadence: a crash loses at most
 	// the last interval's appends.
@@ -134,14 +135,11 @@ type Log struct {
 	undoAt  int64
 	undoLSN uint64
 	policy  SyncPolicy
-	dirty   bool // bytes written since the last fsync
-	// deferSync suppresses the per-append SyncAlways fsync inside a
-	// GroupCommit window; the window's closing fsync covers every record
-	// appended within it.
-	deferSync bool
-	err       error // sticky failure; the log refuses further appends
-	metrics   *Metrics
-	scratch   []byte
+	dirty   bool  // bytes written since the last fsync
+	window  bool  // a GroupCommit window is open
+	err     error // sticky failure; the log refuses further appends
+	metrics *Metrics
+	scratch []byte
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -261,10 +259,11 @@ func (l *Log) rewindTo(size int64) error {
 }
 
 // Append assigns the next LSN to r, frames it, and writes it in one write
-// call (with the file's extension when it outgrows the zero tail), fsyncing
-// per policy. It returns the assigned LSN. On a failed or short write the
-// file is rolled back to the previous record boundary so the log never
-// retains a half-written frame across its own error return.
+// call (with the file's extension when it outgrows the zero tail). It never
+// fsyncs: under SyncAlways the record is durable once the GroupCommit window
+// that appended it closes. It returns the assigned LSN. On a failed or short
+// write the file is rolled back to the previous record boundary so the log
+// never retains a half-written frame across its own error return.
 func (l *Log) Append(r Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -329,7 +328,7 @@ func (l *Log) appendLocked(r Record) error {
 		}
 		return fmt.Errorf("wal: appending record %d: %w", r.LSN, werr)
 	}
-	if l.deferSync && l.policy == SyncAlways && l.wb != nil && l.offset+int64(n) > l.hintEnd {
+	if l.window && l.policy == SyncAlways && l.wb != nil && l.offset+int64(n) > l.hintEnd {
 		// The group commit's closing fsync comes after the caller's apply:
 		// start the device write now so that fsync only finishes it. Each
 		// page is hinted once per window: every hint costs a device write,
@@ -350,9 +349,6 @@ func (l *Log) appendLocked(r Record) error {
 		}
 	}
 	l.offset = end
-	if l.policy == SyncAlways && !l.deferSync {
-		return l.syncLocked()
-	}
 	return nil
 }
 
@@ -363,18 +359,16 @@ func (l *Log) appendLocked(r Record) error {
 // returned error carries this marker.
 var ErrSyncFailed = errors.New("wal: group-commit closing fsync failed")
 
-// GroupCommit runs fn with the per-append SyncAlways fsync deferred, then
-// issues at most one fsync covering every record fn appended — the batched
-// ingest path's group commit. Records appended inside fn are staged exactly
-// as usual (framed, CRC'd, LSN'd), and under SyncAlways an append that
-// reaches a page the window has not hinted yet starts its range's device
-// write without waiting for it, but they only become durable when
-// GroupCommit's closing fsync returns, so callers must not acknowledge the
-// batch until GroupCommit itself returns without an ErrSyncFailed-marked
-// error. Under SyncInterval and SyncNever the closing fsync is skipped
-// (those policies never promised per-append durability). fn runs without
-// the log lock held: it is expected to call Append/Withdraw, which take the
-// lock per call.
+// GroupCommit runs fn, then issues at most one fsync covering every record
+// fn appended — the durable engine's one commit. Under SyncAlways an append
+// inside fn that reaches a page the window has not hinted yet starts its
+// range's device write without waiting for it, but the records only become
+// durable when GroupCommit's closing fsync returns, so callers must not
+// acknowledge them until GroupCommit itself returns without an
+// ErrSyncFailed-marked error. Under SyncInterval and SyncNever the closing
+// fsync is skipped (those policies never promised per-commit durability).
+// fn runs without the log lock held: it is expected to call Append/Withdraw,
+// which take the lock per call.
 //
 // A non-nil error from fn is returned after the closing fsync still runs —
 // records appended before the failure may have been applied by the caller
@@ -394,11 +388,11 @@ func (l *Log) GroupCommit(fn func() error) error {
 		l.mu.Unlock()
 		return l.err
 	}
-	if l.deferSync {
+	if l.window {
 		l.mu.Unlock()
 		return fmt.Errorf("wal: nested GroupCommit on %s", l.path)
 	}
-	l.deferSync = true
+	l.window = true
 	l.hintEnd = 0
 	l.mu.Unlock()
 
@@ -406,7 +400,7 @@ func (l *Log) GroupCommit(fn func() error) error {
 	defer func() {
 		if !returned {
 			l.mu.Lock()
-			l.deferSync = false
+			l.window = false
 			if l.err == nil {
 				l.err = fmt.Errorf("wal: GroupCommit on %s panicked before its closing fsync", l.path)
 			}
@@ -418,7 +412,7 @@ func (l *Log) GroupCommit(fn func() error) error {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.deferSync = false
+	l.window = false
 	var syncErr error
 	if l.policy == SyncAlways && l.dirty {
 		if l.err != nil {
@@ -530,6 +524,13 @@ func (l *Log) RecordsFrom(from uint64, fn func(Record) error) error {
 	return nil
 }
 
+// Err returns the log's sticky failure, nil while it accepts appends.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
+}
+
 // LastLSN returns the LSN of the most recent record (0 when the log is
 // empty and no record was ever appended).
 func (l *Log) LastLSN() uint64 {
@@ -542,7 +543,9 @@ func (l *Log) LastLSN() uint64 {
 // record whose apply was rejected. It is valid only until the next append or
 // Reset. The file is cut where the record began, zero tail included, so no
 // withdrawn frame survives to replay, and the LSN counter steps back, so the
-// next append reuses the withdrawn LSN.
+// next append reuses the withdrawn LSN. Like an append it does not fsync: a
+// crash before the window closes may still find the record on the disk,
+// which recovery then cuts (ErrRejected).
 func (l *Log) Withdraw() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -558,9 +561,6 @@ func (l *Log) Withdraw() error {
 	}
 	l.offset, l.lastLSN, l.undoAt = l.undoAt, l.undoLSN, 0
 	l.dirty = true
-	if l.policy == SyncAlways && !l.deferSync {
-		return l.syncLocked()
-	}
 	return nil
 }
 

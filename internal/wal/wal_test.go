@@ -51,6 +51,22 @@ func appendAll(t *testing.T, l *Log, recs []Record) {
 	}
 }
 
+// commitAll appends recs in one group commit, which makes them durable under
+// SyncAlways.
+func commitAll(t *testing.T, l *Log, recs []Record) {
+	t.Helper()
+	if err := l.GroupCommit(func() error {
+		for _, r := range recs {
+			if _, err := l.Append(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("group commit: %v", err)
+	}
+}
+
 func replayAll(t *testing.T, path string) []Record {
 	t.Helper()
 	return replayOn(t, OSFS{}, path)
@@ -485,6 +501,53 @@ func TestLogTruncateToUndoesAppend(t *testing.T) {
 	}
 }
 
+// TestRecoverCutsRejectedTail: a record the replay hook rejects with
+// ErrRejected ends the valid prefix when it is the last frame. Open cuts it
+// like a torn tail, counts it, and the next append takes its LSN; with a
+// valid frame after it, Open fails.
+func TestRecoverCutsRejectedTail(t *testing.T) {
+	reject := func(r Record) error {
+		if r.ID == 99 {
+			return fmt.Errorf("%w: no such query", ErrRejected)
+		}
+		return nil
+	}
+	disk := simdisk.New()
+	l, err := Open("wal.log", Options{FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, testRecords()[:2])
+	end := l.offset
+	appendAll(t, l, []Record{{Kind: KindRemoveQuery, ID: 99}})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewMetrics(obs.NewRegistry())
+	l, err = Open("wal.log", Options{FS: disk, Metrics: m, OnRecord: reject})
+	if err != nil {
+		t.Fatalf("open with a rejected last record: %v", err)
+	}
+	if l.offset != end || l.LastLSN() != 2 {
+		t.Fatalf("recovered to offset %d at LSN %d; want %d and 2", l.offset, l.LastLSN(), end)
+	}
+	if m.TornTruncations.Value() != 1 || m.TornBytes.Value() == 0 || m.RecordsReplayed.Value() != 2 {
+		t.Fatalf("torn truncations %d, torn bytes %d, replayed %d; want 1, >0 and 2",
+			m.TornTruncations.Value(), m.TornBytes.Value(), m.RecordsReplayed.Value())
+	}
+	if data, err := disk.ReadFile("wal.log"); err != nil || int64(len(data)) != end {
+		t.Fatalf("the file holds %d bytes (%v) after the cut; want %d", len(data), err, end)
+	}
+	appendAll(t, l, []Record{{Kind: KindRemoveQuery, ID: 99}, {Kind: KindRemoveQuery, ID: 7}})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open("wal.log", Options{FS: disk, OnRecord: reject}); !errors.Is(err, ErrRejected) {
+		t.Fatalf("open with a rejected record before a valid one = %v; want ErrRejected", err)
+	}
+}
+
 // TestLogFaultInjection drives the log through faults the simulated disk
 // injects: a failed or short append is rolled back to the record boundary,
 // and a record whose fsync the device acknowledged but lost is torn off and
@@ -558,11 +621,12 @@ func TestLogFaultInjection(t *testing.T) {
 		}
 	})
 	t.Run("dropped_sync_is_counted", func(t *testing.T) {
-		// The device acknowledged the second record's fsync and then lost
-		// its last bytes: the next open replays the first record and
-		// counts the torn one.
+		// The device acknowledged the fsync that closed the second
+		// record's window and then lost its last bytes: the next open
+		// replays the first record and counts the torn one.
 		l, disk := open(t, SyncAlways)
-		appendAll(t, l, testRecords()[:2])
+		commitAll(t, l, testRecords()[:1])
+		commitAll(t, l, testRecords()[1:2])
 		end := l.offset
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
