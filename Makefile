@@ -105,8 +105,9 @@ crashtest:
 crashtest-cluster:
 	$(GO) test -count=1 -run 'Kill|Partition|Degraded|Rejoin|Heartbeat' ./internal/cluster/...
 
-# Short native-fuzzer runs over every decoder that reads crash debris or
-# user files (WAL frames, checkpoint JSON, graph text formats) plus the
+# Short native-fuzzer runs over every decoder that reads crash debris, user
+# files or network bytes (WAL frames, checkpoint JSON, graph text formats,
+# ingest step frames vs encoding/json) plus the
 # kernel-equivalence properties (packed dominance, qindex candidate
 # soundness, the crossing walk's drop/rise directions vs brute-force
 # dominance, NPV recount vs forest patching, the capped seal vs capped
@@ -135,6 +136,7 @@ fuzzsmoke:
 	$(GO) test -fuzz=FuzzSkylineMatchesNL -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/join/
 	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/core/
 	$(GO) test -fuzz=FuzzAppendPairs -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz=FuzzIngestDecodeStep -fuzztime=$(FUZZTIME) ./internal/server/
 
 # Sustained-throughput drill against a live serve socket (see
 # scripts/loadtest.sh): open-loop sustain + overload phases, asserting the

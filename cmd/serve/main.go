@@ -2,9 +2,9 @@
 // service (see internal/server for the API). The engine runs one filter
 // whose evaluation pool (-workers) fans each timestamp's streams out over
 // the machine's cores, and -data-dir makes it durable: every mutation is
-// write-ahead logged and periodically folded into an atomic checkpoint, so
-// a killed process recovers to exactly the acknowledged operations on
-// restart.
+// write-ahead logged and, at most -checkpoint-interval later, folded into
+// an atomic checkpoint, so a killed process recovers to exactly the
+// acknowledged operations on restart. An idle engine writes nothing.
 //
 // -filter offers what a server needs: skyline (the production default), nl
 // (the plain nested loop, the reference oracle) and exact (VF2 ground
@@ -59,8 +59,8 @@ func main() {
 	workers := flag.Int("workers", 0, "evaluation workers for the NPV join filters (0 = GOMAXPROCS; 1 = sequential)")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + checkpoints); empty runs in-memory only")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval, never")
-	fsyncInterval := flag.Duration("fsync-interval", wal.DefaultSyncInterval, "flush cadence for -fsync interval")
-	checkpointInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "background checkpoint cadence; 0 disables (checkpoint on shutdown only)")
+	fsyncInterval := flag.Duration("fsync-interval", wal.DefaultSyncInterval, "longest -fsync interval leaves a write unsynced")
+	checkpointInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "longest a logged write waits to be folded into a checkpoint (an idle engine writes none); 0 disables (checkpoint on shutdown only)")
 	maxBodyBytes := flag.Int64("max-body-bytes", server.DefaultMaxBodyBytes, "request body size cap (413 above it)")
 	ingestMaxInflight := flag.Int("ingest-max-inflight", 0, "concurrent /v1/ingest budget; extra requests get 429 (0 = unlimited)")
 	ingestRate := flag.Float64("ingest-rate", 0, "per-tenant /v1/ingest quota in edge ops per second (0 = unlimited)")

@@ -25,7 +25,9 @@ type WorkerOptions struct {
 	// EvalWorkers bounds each group engine's evaluation pool, like
 	// core.DurableOptions.Workers.
 	EvalWorkers int
-	// Fsync/FsyncInterval/CheckpointInterval are the per-group WAL knobs.
+	// Fsync/FsyncInterval/CheckpointInterval are the per-group WAL knobs,
+	// as in core.DurableOptions: an idle group engine fsyncs and
+	// checkpoints nothing.
 	Fsync              wal.SyncPolicy
 	FsyncInterval      time.Duration
 	CheckpointInterval time.Duration

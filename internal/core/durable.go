@@ -16,11 +16,11 @@ import (
 )
 
 // DurableEngine makes a Monitor crash-safe: every accepted mutation is
-// appended to a write-ahead log before it is applied, and the engine's
-// logical state is periodically folded into an atomic checkpoint that lets
-// the log be truncated. Booting from a data directory restores the
-// checkpoint (if any) and replays the log's surviving suffix, so a process
-// killed at any instant recovers to exactly the acknowledged operations.
+// appended to a write-ahead log before it is applied, and within one
+// CheckpointInterval folded into an atomic checkpoint that lets the log be
+// truncated. Booting from a data directory restores the checkpoint (if any)
+// and replays the log's surviving suffix, so a process killed at any
+// instant recovers to exactly the acknowledged operations.
 //
 // Ordering guarantees come from two layers: the WAL assigns strictly
 // increasing LSNs, and the checkpoint records the LSN it has folded in, so
@@ -51,8 +51,9 @@ type DurableEngine struct {
 	onCommit func(wal.Record)
 	closed   bool
 
-	stopCheckpoint chan struct{}
-	checkpointWG   sync.WaitGroup
+	// cpTimer runs checkpointDue; it is armed while records await a checkpoint.
+	cpEvery time.Duration
+	cpTimer *time.Timer
 }
 
 // DurableOptions configures OpenDurableEngine.
@@ -62,11 +63,12 @@ type DurableOptions struct {
 	Workers int
 	// Fsync is the WAL fsync policy (default wal.SyncAlways).
 	Fsync wal.SyncPolicy
-	// FsyncInterval is the cadence for wal.SyncInterval (default
-	// wal.DefaultSyncInterval).
+	// FsyncInterval bounds how long wal.SyncInterval leaves a write
+	// unsynced (default wal.DefaultSyncInterval).
 	FsyncInterval time.Duration
-	// CheckpointInterval is the background checkpoint cadence; zero disables
-	// background checkpoints (Close still writes a final one).
+	// CheckpointInterval bounds how long an applied record waits to be
+	// folded into a checkpoint, so an idle engine writes none. Zero
+	// disables timed checkpoints (Close still writes a final one).
 	CheckpointInterval time.Duration
 	// Metrics receives WAL and checkpoint observations; nil disables.
 	Metrics *wal.Metrics
@@ -114,6 +116,7 @@ func OpenDurableEngine(dir string, factory FilterFactory, opts DurableOptions) (
 		fs:       fsys,
 		metrics:  opts.Metrics,
 		onCommit: opts.OnCommit,
+		cpEvery:  opts.CheckpointInterval,
 	}
 
 	// A crash during checkpointing can leave a stale temp file; the rename
@@ -166,10 +169,10 @@ func OpenDurableEngine(dir string, factory FilterFactory, opts DurableOptions) (
 			return nil, fmt.Errorf("core: rebasing log after checkpoint-ahead boot: %w", err)
 		}
 	}
-	if opts.CheckpointInterval > 0 {
-		d.stopCheckpoint = make(chan struct{})
-		d.checkpointWG.Add(1)
-		go d.checkpointLoop(opts.CheckpointInterval, d.stopCheckpoint)
+	if log.LastLSN() > walSeq {
+		d.mu.Lock()
+		d.armCheckpoint() // replay applied records no checkpoint has folded
+		d.mu.Unlock()
 	}
 	return d, nil
 }
@@ -259,6 +262,9 @@ func (d *DurableEngine) commit(cands *[]Pair, recs ...wal.Record) (applied, pair
 		}
 		return nil
 	})
+	if applied > 0 {
+		d.armCheckpoint()
+	}
 	if d.onCommit != nil && !shipped && !errors.Is(err, wal.ErrSyncFailed) {
 		for _, r := range recs[:applied] {
 			d.onCommit(r)
@@ -354,8 +360,10 @@ func (d *DurableEngine) Checkpoint() error {
 // a temp file + fsync + rename, then empties the log. A crash before the
 // rename keeps the old checkpoint and the full log; a crash between rename
 // and reset keeps both the new checkpoint and the stale records, which
-// replay then skips by LSN.
+// replay then skips by LSN. It disarms the checkpoint timer, and re-arms
+// it when it fails on an open engine, so the timer retries.
 func (d *DurableEngine) checkpointLocked() error {
+	d.disarmCheckpoint()
 	start := time.Now()
 	file := d.inner.snapshotFile(d.log.LastLSN())
 	err := wal.WriteFileAtomic(d.fs, d.cpPath, func(w io.Writer) error {
@@ -365,27 +373,34 @@ func (d *DurableEngine) checkpointLocked() error {
 		err = d.log.Reset()
 	}
 	d.metrics.ObserveCheckpoint(time.Since(start), err)
+	if err != nil && !d.closed {
+		d.armCheckpoint()
+	}
 	return err
 }
 
-// checkpointLoop takes its stop channel as an argument: stopLoop clears the
-// field, possibly before this goroutine first runs, and a loop that re-read
-// it would then wait on a nil channel forever.
-func (d *DurableEngine) checkpointLoop(interval time.Duration, stop <-chan struct{}) {
-	defer d.checkpointWG.Done()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			d.mu.Lock()
-			if !d.closed {
-				_ = d.checkpointLocked() // failure is observed in metrics; next tick retries
-			}
-			d.mu.Unlock()
-		}
+// armCheckpoint, under mu, arms the checkpoint timer unless it is armed.
+func (d *DurableEngine) armCheckpoint() {
+	if d.cpEvery > 0 && d.cpTimer == nil {
+		d.cpTimer = time.AfterFunc(d.cpEvery, d.checkpointDue)
+	}
+}
+
+// disarmCheckpoint, under mu, stops the checkpoint timer.
+func (d *DurableEngine) disarmCheckpoint() {
+	if d.cpTimer != nil {
+		d.cpTimer.Stop()
+		d.cpTimer = nil
+	}
+}
+
+// checkpointDue is the checkpoint timer's callback. One that fired while
+// Close, Crash or another checkpoint held mu finds it disarmed.
+func (d *DurableEngine) checkpointDue() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.cpTimer != nil {
+		_ = d.checkpointLocked() // failure is observed in metrics, and re-arms
 	}
 }
 
@@ -393,7 +408,6 @@ func (d *DurableEngine) checkpointLoop(interval time.Duration, stop <-chan struc
 // fails leaves the log holding the state, so Close then syncs the log itself.
 // The engine refuses further mutations afterwards.
 func (d *DurableEngine) Close() error {
-	d.stopLoop()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -418,25 +432,14 @@ func (d *DurableEngine) Close() error {
 // synced; on a real file system the page cache still holds the rest, and
 // only a simulated disk's crash drops it.
 func (d *DurableEngine) Crash() error {
-	d.stopLoop()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
 	d.closed = true
+	d.disarmCheckpoint()
 	return d.log.Close()
-}
-
-func (d *DurableEngine) stopLoop() {
-	d.mu.Lock()
-	stop := d.stopCheckpoint
-	d.stopCheckpoint = nil
-	d.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		d.checkpointWG.Wait()
-	}
 }
 
 // Read paths delegate to the inner engine, whose own readers-writer lock

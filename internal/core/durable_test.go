@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -125,10 +127,11 @@ func runAndCrash(t *testing.T, dir string) []byte {
 	return data
 }
 
-// TestCrashImmediatelyAfterOpenDoesNotHang: stopping an engine whose
-// checkpoint goroutine has not been scheduled yet must still stop that
-// goroutine. The loop used to read its stop channel from a field stopLoop
-// had already cleared, and then waited on a nil channel forever.
+// TestCrashImmediatelyAfterOpenDoesNotHang: stopping an engine right after
+// it opened must return. A checkpoint goroutine once hung here, waiting on a
+// stop channel its stopper had already cleared; the checkpoint timer that
+// replaced it is stopped under the engine's lock, and a callback that fired
+// anyway finds it disarmed there.
 func TestCrashImmediatelyAfterOpenDoesNotHang(t *testing.T) {
 	dir := t.TempDir()
 	done := make(chan struct{})
@@ -156,6 +159,77 @@ func TestCrashImmediatelyAfterOpenDoesNotHang(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Crash/Close right after OpenDurableEngine hung waiting for the checkpoint loop")
 	}
+}
+
+// waitFor polls cond until it holds, failing the test after a deadline.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestIdleEngineDoesNothing: the checkpoint and interval-fsync timers are
+// armed only while there is work for them. A commit's records are folded
+// within a few checkpoint intervals; after that an idle engine writes no
+// checkpoint, issues no fsync and holds no goroutine.
+func TestIdleEngineDoesNothing(t *testing.T) {
+	const every = 5 * time.Millisecond
+	metrics := wal.NewMetrics(obs.NewRegistry())
+	before := runtime.NumGoroutine()
+	d := openDurable(t, "data", core.DurableOptions{Fsync: wal.SyncInterval, FsyncInterval: 2 * time.Millisecond,
+		CheckpointInterval: every, Metrics: metrics, FS: simdisk.New()})
+	defer d.Crash()
+	if _, err := d.AddQuery(parseGraph(t, "v 0 0\nv 1 0\ne 0 1 1")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the commit's checkpoint", func() bool {
+		_, err := d.RecordsSince(0)
+		return errors.Is(err, wal.ErrCompacted)
+	})
+	checkpoints, fsyncs := metrics.CheckpointSeconds.Count(), metrics.FsyncSeconds.Count()
+	time.Sleep(10 * every)
+	if c, f := metrics.CheckpointSeconds.Count(), metrics.FsyncSeconds.Count(); c != checkpoints || f != fsyncs {
+		t.Fatalf("idle for %v: checkpoints %d -> %d, fsyncs %d -> %d; want no change", 10*every, checkpoints, c, fsyncs, f)
+	}
+	waitFor(t, fmt.Sprintf("the %d goroutines before Open", before), func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// TestCheckpointTimerArming: boot arms the checkpoint timer when replay
+// applied records no checkpoint has folded, and a timed checkpoint that
+// fails re-arms it.
+func TestCheckpointTimerArming(t *testing.T) {
+	q := parseGraph(t, "v 0 0\nv 1 0\ne 0 1 1")
+	t.Run("boot", func(t *testing.T) {
+		disk := simdisk.New()
+		d := openDurable(t, "data", core.DurableOptions{FS: disk})
+		if _, err := d.AddQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		metrics := wal.NewMetrics(obs.NewRegistry())
+		d = openDurable(t, "data", core.DurableOptions{CheckpointInterval: time.Millisecond, Metrics: metrics, FS: disk})
+		defer d.Crash()
+		waitFor(t, "a checkpoint of the replayed record", func() bool { return metrics.CheckpointSeconds.Count() > 0 })
+	})
+	t.Run("retry", func(t *testing.T) {
+		disk := simdisk.New()
+		metrics := wal.NewMetrics(obs.NewRegistry())
+		d := openDurable(t, "data", core.DurableOptions{CheckpointInterval: time.Millisecond, Metrics: metrics, FS: disk})
+		defer d.Crash()
+		disk.Fail(simdisk.Rename, 0)
+		if _, err := d.AddQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "a checkpoint after the failed one", func() bool { return metrics.CheckpointSeconds.Count() > 0 })
+		if n := metrics.CheckpointFailures.Value(); n != 1 {
+			t.Fatalf("checkpoint failures = %d, want 1", n)
+		}
+	})
 }
 
 // TestDurableStaleWALAfterCheckpoint reconstructs the crash window between

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"nntstream/internal/graph"
 )
 
 // FuzzDecodeSnapshot drives the checkpoint decoder with arbitrary bytes:
@@ -19,14 +21,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		WALSeq:     17,
 		Queries: []snapshotEntry{{
 			ID: 1,
-			Graph: snapshotGraph{
-				Vertices: []snapshotVertex{{ID: 1, Label: 10}, {ID: 2, Label: 20}},
-				Edges:    []snapshotEdge{{U: 1, V: 2, Label: 5}},
+			Graph: graph.JSON{
+				Vertices: []graph.JSONVertex{{ID: 1, Label: 10}, {ID: 2, Label: 20}},
+				Edges:    []graph.JSONEdge{{U: 1, V: 2, Label: 5}},
 			},
 		}},
 		Streams: []snapshotEntry{{
 			ID:    1,
-			Graph: snapshotGraph{Vertices: []snapshotVertex{{ID: 4, Label: 7}}},
+			Graph: graph.JSON{Vertices: []graph.JSONVertex{{ID: 4, Label: 7}}},
 		}},
 	}
 	var buf bytes.Buffer
@@ -58,11 +60,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		// Graph sections that decode must decode again identically; invalid
 		// sections (duplicate vertices, dangling edges) must error, not panic.
 		for _, entry := range append(append([]snapshotEntry{}, file.Queries...), file.Streams...) {
-			g, err := decodeGraph(entry.Graph)
+			g, err := entry.Graph.ToGraph()
 			if err != nil {
 				continue
 			}
-			h, err := decodeGraph(entry.Graph)
+			h, err := entry.Graph.ToGraph()
 			if err != nil || !g.Equal(h) {
 				t.Fatalf("graph section decode is not deterministic: %v", err)
 			}

@@ -16,25 +16,9 @@ import (
 // durable engine's checkpoint is this snapshot: it is written atomically,
 // restored on boot, and shipped to bootstrap a replica.
 
-type snapshotGraph struct {
-	Vertices []snapshotVertex `json:"vertices"`
-	Edges    []snapshotEdge   `json:"edges"`
-}
-
-type snapshotVertex struct {
-	ID    int32  `json:"id"`
-	Label uint16 `json:"label"`
-}
-
-type snapshotEdge struct {
-	U     int32  `json:"u"`
-	V     int32  `json:"v"`
-	Label uint16 `json:"label"`
-}
-
 type snapshotEntry struct {
-	ID    int           `json:"id"`
-	Graph snapshotGraph `json:"graph"`
+	ID    int        `json:"id"`
+	Graph graph.JSON `json:"graph"`
 }
 
 type snapshotFile struct {
@@ -54,32 +38,6 @@ type snapshotFile struct {
 }
 
 const snapshotVersion = 1
-
-func encodeGraph(g *graph.Graph) snapshotGraph {
-	var out snapshotGraph
-	for _, v := range g.VertexIDs() {
-		out.Vertices = append(out.Vertices, snapshotVertex{ID: int32(v), Label: uint16(g.MustVertexLabel(v))})
-	}
-	for _, e := range g.Edges() {
-		out.Edges = append(out.Edges, snapshotEdge{U: int32(e.U), V: int32(e.V), Label: uint16(e.Label)})
-	}
-	return out
-}
-
-func decodeGraph(sg snapshotGraph) (*graph.Graph, error) {
-	g := graph.New()
-	for _, v := range sg.Vertices {
-		if err := g.AddVertex(graph.VertexID(v.ID), graph.Label(v.Label)); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range sg.Edges {
-		if err := g.AddEdge(graph.VertexID(e.U), graph.VertexID(e.V), graph.Label(e.Label)); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
 
 // snapshotFile serializes the monitor's logical state — the query and
 // canonical stream graphs plus the ID allocators; filters are deterministic
@@ -102,7 +60,7 @@ func (m *Monitor) snapshotFile(walSeq uint64) snapshotFile {
 	sort.Ints(qids)
 	for _, id := range qids {
 		file.Queries = append(file.Queries, snapshotEntry{
-			ID: id, Graph: encodeGraph(m.queries[QueryID(id)]),
+			ID: id, Graph: graph.ToJSON(m.queries[QueryID(id)]),
 		})
 	}
 	sids := make([]int, 0, len(m.streams))
@@ -112,7 +70,7 @@ func (m *Monitor) snapshotFile(walSeq uint64) snapshotFile {
 	sort.Ints(sids)
 	for _, id := range sids {
 		file.Streams = append(file.Streams, snapshotEntry{
-			ID: id, Graph: encodeGraph(m.streams[StreamID(id)]),
+			ID: id, Graph: graph.ToJSON(m.streams[StreamID(id)]),
 		})
 	}
 	return file
@@ -137,7 +95,7 @@ func readSnapshotFrom(r io.Reader) (snapshotFile, error) {
 // ascending ID order, the order they were first added in.
 func (m *Monitor) restore(file snapshotFile) error {
 	for _, entry := range file.Queries {
-		g, err := decodeGraph(entry.Graph)
+		g, err := entry.Graph.ToGraph()
 		if err != nil {
 			return fmt.Errorf("core: snapshot query %d: %w", entry.ID, err)
 		}
@@ -146,7 +104,7 @@ func (m *Monitor) restore(file snapshotFile) error {
 		}
 	}
 	for _, entry := range file.Streams {
-		g, err := decodeGraph(entry.Graph)
+		g, err := entry.Graph.ToGraph()
 		if err != nil {
 			return fmt.Errorf("core: snapshot stream %d: %w", entry.ID, err)
 		}

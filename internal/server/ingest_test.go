@@ -259,6 +259,8 @@ func TestIngestSyncFailureAcknowledgesNothing(t *testing.T) {
 
 // TestAddQuerySyncFailureAnswers500: a registration's closing fsync fails,
 // so the query is not known durable and the answer is a 500, not a 201.
+// From then on the engine refuses every write, and healthz, 200 on the
+// fresh engine, answers 503.
 func TestAddQuerySyncFailureAnswers500(t *testing.T) {
 	disk := simdisk.New()
 	eng, err := core.OpenDurableEngine("data",
@@ -270,11 +272,18 @@ func TestAddQuerySyncFailureAnswers500(t *testing.T) {
 	t.Cleanup(func() { _ = eng.Crash() })
 	srv := httptest.NewServer(New(eng).Handler())
 	t.Cleanup(srv.Close)
+	if resp, _ := do(t, http.MethodGet, srv.URL+"/v1/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz of a fresh durable engine = %d; want 200", resp.StatusCode)
+	}
 
 	disk.Fail(simdisk.Sync, 0)
 	resp, body := do(t, http.MethodPost, srv.URL+"/v1/queries", graphRequest{Graph: edgeGraph(0, 1)})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("add query with a failed closing fsync = %d (%s); want 500", resp.StatusCode, body["error"])
+	}
+	resp, body = do(t, http.MethodGet, srv.URL+"/v1/healthz", nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body["error"]), "fsync") {
+		t.Fatalf("healthz after a failed fsync = %d (%s); want 503 naming the fsync", resp.StatusCode, body["error"])
 	}
 }
 

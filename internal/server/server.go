@@ -133,10 +133,20 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/candidates", s.handleCandidates)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/metrics", MetricsHandler(s.registry))
-	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	return mux
+}
+
+// handleHealthz answers 503 with the engine's error while it refuses every
+// write — a durable engine whose log has failed — and 200 otherwise.
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	if e, ok := s.engine.(interface{ Err() error }); ok {
+		if err := e.Err(); err != nil {
+			HTTPError(w, http.StatusServiceUnavailable, "engine refuses writes: %v", err)
+			return
+		}
+	}
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 type graphRequest struct {

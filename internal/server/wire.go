@@ -13,7 +13,7 @@
 //	POST   /v1/ingest      NDJSON step frames          → {"steps": n, ...}
 //	GET    /v1/candidates                              → {"pairs": [...]}
 //	GET    /v1/stats
-//	GET    /v1/healthz
+//	GET    /v1/healthz                                 → 200, or 503 once the WAL has failed
 package server
 
 import (
@@ -25,24 +25,15 @@ import (
 	"nntstream/internal/graph"
 )
 
-// WireGraph is the JSON form of a labeled graph.
-type WireGraph struct {
-	Vertices []WireVertex `json:"vertices"`
-	Edges    []WireEdge   `json:"edges"`
-}
+// WireGraph is the JSON form of a labeled graph; ToGraph validates and
+// converts it.
+type WireGraph = graph.JSON
 
 // WireVertex is one labeled vertex.
-type WireVertex struct {
-	ID    int32  `json:"id"`
-	Label uint16 `json:"label"`
-}
+type WireVertex = graph.JSONVertex
 
 // WireEdge is one labeled undirected edge.
-type WireEdge struct {
-	U     int32  `json:"u"`
-	V     int32  `json:"v"`
-	Label uint16 `json:"label"`
-}
+type WireEdge = graph.JSONEdge
 
 // WireOp is one graph change operation. Op is "ins" or "del"; labels are
 // required for insertions only.
@@ -61,33 +52,8 @@ type WirePair struct {
 	Query  int `json:"query"`
 }
 
-// ToGraph validates and converts the wire form.
-func (w WireGraph) ToGraph() (*graph.Graph, error) {
-	g := graph.New()
-	for _, v := range w.Vertices {
-		if err := g.AddVertex(graph.VertexID(v.ID), graph.Label(v.Label)); err != nil {
-			return nil, fmt.Errorf("vertex %d: %w", v.ID, err)
-		}
-	}
-	for _, e := range w.Edges {
-		if err := g.AddEdge(graph.VertexID(e.U), graph.VertexID(e.V), graph.Label(e.Label)); err != nil {
-			return nil, fmt.Errorf("edge {%d,%d}: %w", e.U, e.V, err)
-		}
-	}
-	return g, nil
-}
-
 // FromGraph converts a graph to wire form.
-func FromGraph(g *graph.Graph) WireGraph {
-	var w WireGraph
-	for _, v := range g.VertexIDs() {
-		w.Vertices = append(w.Vertices, WireVertex{ID: int32(v), Label: uint16(g.MustVertexLabel(v))})
-	}
-	for _, e := range g.Edges() {
-		w.Edges = append(w.Edges, WireEdge{U: int32(e.U), V: int32(e.V), Label: uint16(e.Label)})
-	}
-	return w
-}
+func FromGraph(g *graph.Graph) WireGraph { return graph.ToJSON(g) }
 
 // ToChangeOp validates and converts one wire op.
 func (w WireOp) ToChangeOp() (graph.ChangeOp, error) {

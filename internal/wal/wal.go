@@ -11,8 +11,9 @@
 // Opening a log replays its valid prefix, keeps an all-zero tail and
 // physically truncates any other tail instead of failing — recovery after a
 // hard kill is the designed-for path, not an error path. Fsync policy is
-// configurable per log: at the close of every group commit, on a background
-// interval, or never (leaving flushing to the OS).
+// configurable per log: at the close of every group commit, at most an
+// interval after a write leaves bytes unsynced, or never (leaving flushing
+// to the OS).
 package wal
 
 import (
@@ -36,8 +37,8 @@ const (
 	// durable once the window that appended it has closed, so a caller
 	// that acknowledges only then loses no acknowledged write.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background cadence: a crash loses at most
-	// the last interval's appends.
+	// SyncInterval fsyncs at most an interval after a write leaves bytes
+	// unsynced: a crash loses at most the last interval's appends.
 	SyncInterval
 	// SyncNever leaves flushing to the OS page cache: fastest, weakest.
 	SyncNever
@@ -104,7 +105,7 @@ const DefaultSyncInterval = 100 * time.Millisecond
 type Options struct {
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncInterval is the background flush cadence for SyncInterval
+	// SyncInterval bounds how long SyncInterval leaves a write unsynced
 	// (default DefaultSyncInterval).
 	SyncInterval time.Duration
 	// OnRecord, when non-nil, receives each valid record of the existing
@@ -141,8 +142,10 @@ type Log struct {
 	metrics *Metrics
 	scratch []byte
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// Under SyncInterval, a write that finds syncTimer nil arms it to run
+	// syncDue after syncEvery, so an idle log holds no timer.
+	syncEvery time.Duration
+	syncTimer *time.Timer
 }
 
 // Open opens (creating if absent) the log at path, replays the valid record
@@ -161,28 +164,25 @@ func Open(path string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
 	l := &Log{
-		f:       f,
-		path:    path,
-		policy:  opts.Sync,
-		metrics: opts.Metrics,
+		f:         f,
+		path:      path,
+		policy:    opts.Sync,
+		metrics:   opts.Metrics,
+		syncEvery: opts.SyncInterval,
+	}
+	if l.syncEvery <= 0 {
+		l.syncEvery = DefaultSyncInterval
 	}
 	l.wb, _ = f.(writebackStarter)
+	l.mu.Lock() // a sync timer the fresh magic arms waits for recovery
 	fresh, err := l.recover(opts.OnRecord)
+	l.mu.Unlock()
 	if err == nil && fresh {
 		err = syncDir(fsys, filepath.Dir(path))
 	}
 	if err != nil {
-		f.Close()
+		l.Close() // also stops a sync timer the fresh magic armed
 		return nil, err
-	}
-	if opts.Sync == SyncInterval {
-		interval := opts.SyncInterval
-		if interval <= 0 {
-			interval = DefaultSyncInterval
-		}
-		l.stop = make(chan struct{})
-		l.wg.Add(1)
-		go l.syncLoop(interval)
 	}
 	return l, nil
 }
@@ -209,7 +209,7 @@ func (l *Log) recover(onRecord func(Record) error) (fresh bool, err error) {
 			return false, fmt.Errorf("wal: writing magic to %s: %w", l.path, err)
 		}
 		l.offset, l.size = int64(len(fileMagic)), int64(len(fileMagic))
-		l.dirty = true
+		l.markDirty()
 		return true, nil
 	}
 	if !bytes.Equal(data[:len(fileMagic)], fileMagic) {
@@ -322,7 +322,7 @@ func (l *Log) appendLocked(r Record) error {
 			l.err = fmt.Errorf("wal: rollback after failed append: %w", rerr)
 			return l.err
 		}
-		l.dirty = true
+		l.markDirty()
 		if werr == nil {
 			werr = io.ErrShortWrite
 		}
@@ -340,7 +340,7 @@ func (l *Log) appendLocked(r Record) error {
 	l.metrics.observeAppend(time.Since(start), len(frame))
 	l.undoAt, l.undoLSN = l.offset, l.lastLSN
 	l.lastLSN = r.LSN
-	l.dirty = true
+	l.markDirty()
 	if end > l.size {
 		l.size = l.offset + int64(n)
 		if _, err := l.f.Seek(end, io.SeekStart); err != nil {
@@ -458,6 +458,26 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
+// markDirty records a write the log has not fsynced yet. Under SyncInterval
+// the first such write arms the timer that syncs it.
+func (l *Log) markDirty() {
+	l.dirty = true
+	if l.policy == SyncInterval && l.syncTimer == nil {
+		l.syncTimer = time.AfterFunc(l.syncEvery, l.syncDue)
+	}
+}
+
+// syncDue is the sync timer's callback. It finds the log clean when a
+// Reset or Sync came first, and closed when Close did.
+func (l *Log) syncDue() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.syncTimer = nil
+	if l.dirty && l.err == nil {
+		_ = l.syncLocked() // sticky error surfaces on the next Append
+	}
+}
+
 // ErrCompacted reports that records requested from the log were already
 // folded into a checkpoint and reset away: the caller must fall back to a
 // snapshot transfer instead of record replay.
@@ -560,7 +580,7 @@ func (l *Log) Withdraw() error {
 		return err
 	}
 	l.offset, l.lastLSN, l.undoAt = l.undoAt, l.undoLSN, 0
-	l.dirty = true
+	l.markDirty()
 	return nil
 }
 
@@ -579,7 +599,7 @@ func (l *Log) Reset() error {
 		return err
 	}
 	l.offset, l.undoAt = int64(len(fileMagic)), 0
-	l.dirty = true
+	l.markDirty()
 	return l.syncLocked()
 }
 
@@ -604,20 +624,16 @@ func (l *Log) Rebase(lsn uint64) error {
 	return nil
 }
 
-// Close stops the background sync (if any) and releases the file without
-// an fsync: records the policy has not synced yet stay unsynced, as after a
+// Close stops the sync timer (if armed) and releases the file without an
+// fsync: records the policy has not synced yet stay unsynced, as after a
 // crash, so a caller that wants them durable calls Sync first. The log
 // refuses further use afterwards.
-//
-//nnt:nonblocking shutdown path: waits only for the sync loop to observe stop, bounded by one in-flight fsync
 func (l *Log) Close() error {
-	if l.stop != nil {
-		close(l.stop)
-		l.wg.Wait()
-		l.stop = nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.syncTimer != nil {
+		l.syncTimer.Stop()
+	}
 	err := l.f.Close()
 	if l.err == nil {
 		l.err = fmt.Errorf("wal: log %s is closed", l.path)
@@ -626,22 +642,4 @@ func (l *Log) Close() error {
 		return fmt.Errorf("wal: closing %s: %w", l.path, err)
 	}
 	return nil
-}
-
-func (l *Log) syncLoop(interval time.Duration) {
-	defer l.wg.Done()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-ticker.C:
-			l.mu.Lock()
-			if l.dirty && l.err == nil {
-				_ = l.syncLocked() // sticky error surfaces on the next Append
-			}
-			l.mu.Unlock()
-		}
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -663,6 +664,42 @@ func TestLogIntervalSync(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLogSyncTimerRacesNothing: with an interval short enough that the sync
+// timer fires while Open and concurrent appends are still running, its
+// callback synchronizes with them (this is a -race check), and the log
+// ends synced with no timer left armed.
+func TestLogSyncTimerRacesNothing(t *testing.T) {
+	l, err := Open("wal.log", Options{Sync: SyncInterval, SyncInterval: time.Nanosecond, FS: simdisk.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range testRecords() {
+				if _, err := l.Append(r); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		idle := !l.dirty && l.syncTimer == nil
+		l.mu.Unlock()
+		if idle {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the log never became synced with no timer armed")
+		}
 	}
 }
 
