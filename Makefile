@@ -59,8 +59,8 @@ test:
 # The engines and the HTTP server claim concurrent-read safety; hold them to
 # it under the race detector. The WAL claims safe concurrent appends/syncs.
 # internal/join carries the parallel ApplyAll fan-out and internal/gindex
-# re-mines lazily inside Candidates, which concurrent readers call at once —
-# both race-critical.
+# re-mines lazily inside Candidates and CandidateCount, which concurrent
+# readers call at once — both race-critical.
 # internal/npv holds the sealed packed vectors read concurrently by that
 # fan-out and the atomic kernel counters. internal/qindex is the sealed
 # query-candidate index read concurrently by the same fan-out.

@@ -213,7 +213,7 @@ func (d *DurableEngine) restoreCheckpoint() (uint64, error) {
 	return file.WALSeq, nil
 }
 
-// errClosed reports use after Close/Crash.
+// errDurableClosed reports use after Close/Crash.
 var errDurableClosed = fmt.Errorf("core: durable engine is closed")
 
 // commit is the engine's one write path. Inside one group commit it appends
@@ -361,9 +361,14 @@ func (d *DurableEngine) Checkpoint() error {
 // rename keeps the old checkpoint and the full log; a crash between rename
 // and reset keeps both the new checkpoint and the stale records, which
 // replay then skips by LSN. It disarms the checkpoint timer, and re-arms
-// it when it fails on an open engine, so the timer retries.
+// it when it fails on an open engine, so the timer retries. A failed log
+// writes nothing and stays disarmed: the state holds writes whose clients
+// were refused, and a checkpoint would make them durable.
 func (d *DurableEngine) checkpointLocked() error {
 	d.disarmCheckpoint()
+	if err := d.log.Err(); err != nil {
+		return err
+	}
 	start := time.Now()
 	file := d.inner.snapshotFile(d.log.LastLSN())
 	err := wal.WriteFileAtomic(d.fs, d.cpPath, func(w io.Writer) error {
@@ -406,7 +411,8 @@ func (d *DurableEngine) checkpointDue() {
 
 // Close writes a final checkpoint and releases the log. A checkpoint that
 // fails leaves the log holding the state, so Close then syncs the log itself.
-// The engine refuses further mutations afterwards.
+// A failed log does neither, so Close makes no refused write durable. The
+// engine refuses further mutations afterwards.
 func (d *DurableEngine) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -415,7 +421,7 @@ func (d *DurableEngine) Close() error {
 	}
 	d.closed = true
 	err := d.checkpointLocked()
-	if err != nil {
+	if err != nil && d.log.Err() == nil {
 		if serr := d.log.Sync(); serr != nil {
 			err = fmt.Errorf("%w (and syncing the WAL failed: %v)", err, serr)
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -481,13 +482,24 @@ func TestRejectedOpCostsOneFsync(t *testing.T) {
 
 // TestAddQuerySyncFaultShipsNothing: an AddQuery whose closing fsync fails
 // is not durable. Its error wraps wal.ErrSyncFailed, OnCommit ships nothing,
-// and an honest crash loses the query.
+// and no later checkpoint folds it in: the checkpoint timer writes none and
+// does not retry, Close writes none either, and an honest crash loses the
+// query.
 func TestAddQuerySyncFaultShipsNothing(t *testing.T) {
+	const every = 2 * time.Millisecond
 	disk := simdisk.New()
+	metrics := wal.NewMetrics(obs.NewRegistry())
 	shipped := 0
-	opts := core.DurableOptions{Fsync: wal.SyncAlways, FS: disk, OnCommit: func(wal.Record) { shipped++ }}
+	opts := core.DurableOptions{Fsync: wal.SyncAlways, FS: disk, CheckpointInterval: every, Metrics: metrics,
+		OnCommit: func(wal.Record) { shipped++ }}
 	d := openDurable(t, "data", opts)
 	if _, err := d.AddQuery(parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the first query's checkpoint", func() bool { return metrics.CheckpointSeconds.Count() > 0 })
+	cpPath := filepath.Join("data", "checkpoint.json")
+	checkpoint, err := disk.ReadFile(cpPath)
+	if err != nil {
 		t.Fatal(err)
 	}
 	disk.Fail(simdisk.Sync, 0)
@@ -497,10 +509,17 @@ func TestAddQuerySyncFaultShipsNothing(t *testing.T) {
 	if shipped != 1 {
 		t.Fatalf("OnCommit shipped %d records; want only the first query's", shipped)
 	}
-	disk.Crash(0)
-	if err := d.Crash(); err != nil {
-		t.Fatal(err)
+	time.Sleep(10 * every)
+	if err := d.Close(); !errors.Is(err, simdisk.ErrInjected) {
+		t.Fatalf("Close after a failed fsync = %v; want the log's failure", err)
 	}
+	if got, err := disk.ReadFile(cpPath); err != nil || !bytes.Equal(got, checkpoint) {
+		t.Fatalf("checkpoint.json rewritten after the failed fsync (%v)", err)
+	}
+	if n := metrics.CheckpointFailures.Value(); n > 1 {
+		t.Fatalf("%d checkpoint failures after the failed fsync; want at most 1", n)
+	}
+	disk.Crash(0)
 	d2 := openDurable(t, "data", opts)
 	defer d2.Crash()
 	if q, lsn := d2.QueryCount(), d2.AppliedLSN(); q != 1 || lsn != 1 {

@@ -99,10 +99,11 @@ type BatchApplier interface {
 
 // CandidateCounter is an optional Filter extension: CandidateCount returns
 // len(Candidates()) without building the list. The engine's steps whose
-// callers read only the number of pairs (StepAllBatch, WAL replay) use it,
-// so a filter that keeps its count as verdicts flip steps at a cost
-// independent of the answer's size. Other filters are counted through
-// Candidates.
+// callers read only the number of pairs (StepAllBatch, WAL replay) use it.
+// Every in-tree filter keeps its answer as a Verdicts table and counts
+// through it, so such a step costs nothing proportional to the answer.
+// A filter without it, such as a wrapper that implements only Filter (the
+// benchmark probe's tracedFilter), is counted through Candidates.
 type CandidateCounter interface {
 	CandidateCount() int
 }

@@ -106,17 +106,19 @@ type Filter struct {
 	cfg     Config
 	queries map[core.QueryID]*graph.Graph
 	streams map[core.StreamID]*graph.Graph
-	// mu guards dirty and verdict: Candidates rebuilds lazily (re-mining
-	// once per timestamp instead of once per changed stream), so unlike the
-	// other filters its read path mutates state and must synchronize
-	// internally to satisfy the core.Filter contract that Candidates is
-	// safe for concurrent readers.
-	mu      sync.Mutex
-	dirty   bool
-	verdict map[core.StreamID]map[core.QueryID]bool
+	rows    map[core.StreamID]*core.VerdictRow
+	// mu guards dirty and the answer's rebuild: Candidates and
+	// CandidateCount rebuild lazily (re-mining once per timestamp instead of
+	// once per changed stream), so unlike the other filters its read path
+	// mutates state and must synchronize internally to satisfy the
+	// core.Filter contract that Candidates is safe for concurrent readers.
+	mu     sync.Mutex
+	dirty  bool
+	answer core.Verdicts
 }
 
 var _ core.Filter = (*Filter)(nil)
+var _ core.CandidateCounter = (*Filter)(nil)
 
 // New returns a continuous gIndex filter with the given configuration.
 func New(cfg Config) *Filter {
@@ -124,7 +126,7 @@ func New(cfg Config) *Filter {
 		cfg:     cfg,
 		queries: make(map[core.QueryID]*graph.Graph),
 		streams: make(map[core.StreamID]*graph.Graph),
-		verdict: make(map[core.StreamID]map[core.QueryID]bool),
+		rows:    make(map[core.StreamID]*core.VerdictRow),
 	}
 }
 
@@ -137,6 +139,7 @@ func (f *Filter) AddQuery(id core.QueryID, q *graph.Graph) error {
 		return fmt.Errorf("gindex: duplicate query %d", id)
 	}
 	f.queries[id] = q.Clone()
+	f.answer.AddQuery(id)
 	f.markDirty()
 	return nil
 }
@@ -147,6 +150,7 @@ func (f *Filter) RemoveQuery(id core.QueryID) error {
 		return fmt.Errorf("gindex: unknown query %d", id)
 	}
 	delete(f.queries, id)
+	f.answer.RemoveQuery(id)
 	f.markDirty()
 	return nil
 }
@@ -157,6 +161,7 @@ func (f *Filter) AddStream(id core.StreamID, g0 *graph.Graph) error {
 		return fmt.Errorf("gindex: duplicate stream %d", id)
 	}
 	f.streams[id] = g0.Clone()
+	f.rows[id] = f.answer.AddStream(id)
 	f.markDirty()
 	return nil
 }
@@ -180,9 +185,17 @@ func (f *Filter) markDirty() {
 	f.mu.Unlock()
 }
 
-// rebuild re-mines the feature index over the current stream graphs and
-// refreshes all verdicts.
-func (f *Filter) rebuild() {
+// current returns the answer, first re-mining the feature index over the
+// current stream graphs and refreshing every verdict if anything changed
+// since the last read. mu serializes the rebuild among concurrent readers,
+// and a reader walks the answer only once its own call has returned, when
+// no rebuild is left to run before the next mutation.
+func (f *Filter) current() *core.Verdicts {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.dirty {
+		return &f.answer
+	}
 	sids := make([]core.StreamID, 0, len(f.streams))
 	for sid := range f.streams {
 		sids = append(sids, sid)
@@ -194,39 +207,25 @@ func (f *Filter) rebuild() {
 	}
 	idx := Build(db, f.cfg.MineConfig(len(db)))
 
-	f.verdict = make(map[core.StreamID]map[core.QueryID]bool, len(sids))
-	for _, sid := range sids {
-		f.verdict[sid] = make(map[core.QueryID]bool, len(f.queries))
-	}
-	for qid, q := range f.queries {
-		cands := idx.Candidates(q, len(db))
-		in := make(map[int]bool, len(cands))
-		for _, gi := range cands {
+	in := make([]bool, len(db))
+	qids, slots := f.answer.Queries()
+	for i, qid := range qids {
+		clear(in)
+		for _, gi := range idx.Candidates(f.queries[qid], len(db)) {
 			in[gi] = true
 		}
-		for i, sid := range sids {
-			f.verdict[sid][qid] = in[i]
+		for gi, sid := range sids {
+			f.answer.Set(f.rows[sid], slots[i], in[gi])
 		}
 	}
 	f.dirty = false
+	return &f.answer
 }
 
-// Candidates implements core.Filter. The first call after a change re-mines
-// the index; f.mu serializes that rebuild so concurrent readers are safe.
-func (f *Filter) Candidates() []core.Pair {
-	f.mu.Lock()
-	if f.dirty {
-		f.rebuild()
-	}
-	verdict := f.verdict
-	f.mu.Unlock()
-	var out []core.Pair
-	for sid, m := range verdict {
-		for qid, ok := range m {
-			if ok {
-				out = append(out, core.Pair{Stream: sid, Query: qid})
-			}
-		}
-	}
-	return core.SortPairs(out)
-}
+// Candidates implements core.Filter. The first read after a change re-mines
+// the index.
+func (f *Filter) Candidates() []core.Pair { return f.current().Candidates() }
+
+// CandidateCount implements core.CandidateCounter, re-mining as Candidates
+// does.
+func (f *Filter) CandidateCount() int { return f.current().Count() }

@@ -2,6 +2,8 @@ package gindex
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -284,6 +286,7 @@ func TestFilterLifecycle(t *testing.T) {
 	if err := f.AddQuery(0, q); err != nil {
 		t.Fatal(err)
 	}
+	counted(t, f)
 	if err := f.AddQuery(0, q); err == nil {
 		t.Fatal("duplicate query accepted")
 	}
@@ -294,13 +297,14 @@ func TestFilterLifecycle(t *testing.T) {
 	if err := f.AddStream(0, g0); err != nil {
 		t.Fatal(err)
 	}
+	counted(t, f)
 	if err := f.AddStream(0, g0); err == nil {
 		t.Fatal("duplicate stream accepted")
 	}
 	if err := f.AddStream(1, g1); err != nil {
 		t.Fatal(err)
 	}
-	got := f.Candidates()
+	got := counted(t, f)
 	if len(got) != 1 || got[0] != (core.Pair{Stream: 0, Query: 0}) {
 		t.Fatalf("Candidates = %v; want only (G0,Q0)", got)
 	}
@@ -310,13 +314,53 @@ func TestFilterLifecycle(t *testing.T) {
 	if err := f.Apply(0, graph.ChangeSet{graph.DeleteOp(0, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	got = f.Candidates()
+	// Concurrent readers race to re-mine; each must see the rebuilt answer.
+	var wg sync.WaitGroup
+	counts := make([]int, 4)
+	for i := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				counts[i] = f.CandidateCount()
+			} else {
+				counts[i] = len(f.Candidates())
+			}
+		}()
+	}
+	wg.Wait()
+	got = counted(t, f)
+	if slices.ContainsFunc(counts, func(n int) bool { return n != len(got) }) {
+		t.Fatalf("concurrent readers counted %v; want %d each", counts, len(got))
+	}
 	if len(got) != 2 {
 		t.Fatalf("Candidates after delete = %v; want both pairs (no pruning evidence left)", got)
 	}
 	if err := f.Apply(5, nil); err == nil {
 		t.Fatal("unknown stream accepted")
 	}
+	counted(t, f)
+	if err := f.RemoveQuery(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := counted(t, f); len(got) != 0 {
+		t.Fatalf("Candidates after removing the query = %v", got)
+	}
+	if err := f.RemoveQuery(0); err == nil {
+		t.Fatal("unknown query removed")
+	}
+}
+
+// counted returns f's candidates after checking that CandidateCount, asked
+// first so that it is the read that re-mines, counts them.
+func counted(t *testing.T, f *Filter) []core.Pair {
+	t.Helper()
+	n := f.CandidateCount()
+	got := f.Candidates()
+	if n != len(got) {
+		t.Fatalf("CandidateCount = %d; Candidates lists %d: %v", n, len(got), got)
+	}
+	return got
 }
 
 func randomConnected(r *rand.Rand, n, labels int) *graph.Graph {

@@ -97,10 +97,12 @@ type Filter struct {
 	queries map[core.QueryID]Fingerprint
 	streams map[core.StreamID]*graph.Graph
 	fps     map[core.StreamID]Fingerprint
-	verdict map[core.StreamID]map[core.QueryID]bool
+	rows    map[core.StreamID]*core.VerdictRow
+	answer  core.Verdicts
 }
 
 var _ core.Filter = (*Filter)(nil)
+var _ core.CandidateCounter = (*Filter)(nil)
 
 // New returns a GraphGrep filter indexing paths up to maxLen edges.
 func New(maxLen int) *Filter {
@@ -112,7 +114,7 @@ func New(maxLen int) *Filter {
 		queries: make(map[core.QueryID]Fingerprint),
 		streams: make(map[core.StreamID]*graph.Graph),
 		fps:     make(map[core.StreamID]Fingerprint),
-		verdict: make(map[core.StreamID]map[core.QueryID]bool),
+		rows:    make(map[core.StreamID]*core.VerdictRow),
 	}
 }
 
@@ -126,8 +128,9 @@ func (f *Filter) AddQuery(id core.QueryID, q *graph.Graph) error {
 	}
 	qfp := Compute(q, f.maxLen)
 	f.queries[id] = qfp
+	slot := f.answer.AddQuery(id)
 	for sid, fp := range f.fps {
-		f.verdict[sid][id] = Covers(fp, qfp)
+		f.answer.Set(f.rows[sid], slot, Covers(fp, qfp))
 	}
 	return nil
 }
@@ -138,9 +141,7 @@ func (f *Filter) RemoveQuery(id core.QueryID) error {
 		return fmt.Errorf("graphgrep: unknown query %d", id)
 	}
 	delete(f.queries, id)
-	for _, m := range f.verdict {
-		delete(m, id)
-	}
+	f.answer.RemoveQuery(id)
 	return nil
 }
 
@@ -150,6 +151,7 @@ func (f *Filter) AddStream(id core.StreamID, g0 *graph.Graph) error {
 		return fmt.Errorf("graphgrep: duplicate stream %d", id)
 	}
 	f.streams[id] = g0.Clone()
+	f.rows[id] = f.answer.AddStream(id)
 	f.refresh(id)
 	return nil
 }
@@ -170,22 +172,14 @@ func (f *Filter) Apply(id core.StreamID, cs graph.ChangeSet) error {
 func (f *Filter) refresh(id core.StreamID) {
 	fp := Compute(f.streams[id], f.maxLen)
 	f.fps[id] = fp
-	m := make(map[core.QueryID]bool, len(f.queries))
-	for qid, qfp := range f.queries {
-		m[qid] = Covers(fp, qfp)
+	qids, slots := f.answer.Queries()
+	for i, qid := range qids {
+		f.answer.Set(f.rows[id], slots[i], Covers(fp, f.queries[qid]))
 	}
-	f.verdict[id] = m
 }
 
 // Candidates implements core.Filter.
-func (f *Filter) Candidates() []core.Pair {
-	var out []core.Pair
-	for sid, m := range f.verdict {
-		for qid, ok := range m {
-			if ok {
-				out = append(out, core.Pair{Stream: sid, Query: qid})
-			}
-		}
-	}
-	return core.SortPairs(out)
-}
+func (f *Filter) Candidates() []core.Pair { return f.answer.Candidates() }
+
+// CandidateCount implements core.CandidateCounter.
+func (f *Filter) CandidateCount() int { return f.answer.Count() }

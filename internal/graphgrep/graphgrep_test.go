@@ -89,6 +89,7 @@ func TestFilterLifecycle(t *testing.T) {
 	if err := f.AddQuery(0, q); err != nil {
 		t.Fatal(err)
 	}
+	counted(t, f)
 	if err := f.AddQuery(0, q); err == nil {
 		t.Fatal("duplicate query accepted")
 	}
@@ -96,23 +97,45 @@ func TestFilterLifecycle(t *testing.T) {
 	if err := f.AddStream(0, g); err != nil {
 		t.Fatal(err)
 	}
+	counted(t, f)
 	if err := f.AddStream(0, g); err == nil {
 		t.Fatal("duplicate stream accepted")
 	}
-	if got := f.Candidates(); len(got) != 0 {
+	if got := counted(t, f); len(got) != 0 {
 		t.Fatalf("no candidates expected, got %v", got)
 	}
 	// Attach a B-labeled vertex: now the A-B query path exists.
 	if err := f.Apply(0, graph.ChangeSet{graph.InsertOp(0, 0, 5, 1, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	got := f.Candidates()
+	got := counted(t, f)
 	if len(got) != 1 || got[0] != (core.Pair{Stream: 0, Query: 0}) {
 		t.Fatalf("Candidates = %v", got)
 	}
 	if err := f.Apply(9, nil); err == nil {
 		t.Fatal("unknown stream accepted")
 	}
+	counted(t, f)
+	if err := f.RemoveQuery(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := counted(t, f); len(got) != 0 {
+		t.Fatalf("Candidates after removing the query = %v", got)
+	}
+	if err := f.RemoveQuery(0); err == nil {
+		t.Fatal("unknown query removed")
+	}
+}
+
+// counted returns f's candidates after checking that CandidateCount counts
+// them.
+func counted(t *testing.T, f *Filter) []core.Pair {
+	t.Helper()
+	got := f.Candidates()
+	if n := f.CandidateCount(); n != len(got) {
+		t.Fatalf("CandidateCount = %d; Candidates lists %d: %v", n, len(got), got)
+	}
+	return got
 }
 
 // TestQuickNoFalseNegatives: if Q ⊆ G then GraphGrep keeps the pair.

@@ -31,6 +31,7 @@ type Branch struct {
 	// reference count for teardown on query removal.
 	interned map[string]*internedTrie
 	streams  map[core.StreamID]*branchStream
+	answer   core.Verdicts
 }
 
 // internedTrie is one distinct query trie: the representative NNT root it
@@ -52,11 +53,12 @@ type branchStream struct {
 	// computed once, read by every query referencing the trie. Cleared
 	// when any stream vertex changes (a changed tree can flip any trie's
 	// verdict; Branch has no per-trie change tracking).
-	shared  map[string]bool
-	verdict map[core.QueryID]bool
+	shared map[string]bool
+	row    *core.VerdictRow
 }
 
 var _ core.Filter = (*Branch)(nil)
+var _ core.CandidateCounter = (*Branch)(nil)
 
 // NewBranch returns a branch-compatibility filter with the given NNT depth.
 func NewBranch(depth int) *Branch {
@@ -90,8 +92,9 @@ func (f *Branch) AddQuery(id core.QueryID, q *graph.Graph) error {
 		return true
 	})
 	f.queries[id] = keys
+	slot := f.answer.AddQuery(id)
 	for _, bs := range f.streams {
-		bs.verdict[id] = f.evaluateOne(bs, keys)
+		f.answer.Set(bs.row, slot, f.evaluateOne(bs, keys))
 	}
 	return nil
 }
@@ -114,9 +117,7 @@ func (f *Branch) RemoveQuery(id core.QueryID) error {
 		}
 	}
 	delete(f.queries, id)
-	for _, bs := range f.streams {
-		delete(bs.verdict, id)
-	}
+	f.answer.RemoveQuery(id)
 	return nil
 }
 
@@ -127,11 +128,11 @@ func (f *Branch) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	}
 	space := npv.NewSpace()
 	bs := &branchStream{
-		forest:  nnt.NewForest(g0, f.depth, space),
-		space:   space,
-		tries:   make(map[graph.VertexID]*nnt.Trie),
-		shared:  make(map[string]bool),
-		verdict: make(map[core.QueryID]bool, len(f.queries)),
+		forest: nnt.NewForest(g0, f.depth, space),
+		space:  space,
+		tries:  make(map[graph.VertexID]*nnt.Trie),
+		shared: make(map[string]bool),
+		row:    f.answer.AddStream(id),
 	}
 	f.streams[id] = bs
 	bs.space.TakeDirty()
@@ -170,8 +171,9 @@ func (f *Branch) trie(bs *branchStream, v graph.VertexID, root *nnt.Node) *nnt.T
 }
 
 func (f *Branch) evaluate(bs *branchStream) {
-	for qid, keys := range f.queries {
-		bs.verdict[qid] = f.evaluateOne(bs, keys)
+	qids, slots := f.answer.Queries()
+	for i, qid := range qids {
+		f.answer.Set(bs.row, slots[i], f.evaluateOne(bs, f.queries[qid]))
 	}
 }
 
@@ -206,14 +208,7 @@ func (f *Branch) evalTrie(bs *branchStream, qr *nnt.Node) bool {
 }
 
 // Candidates implements core.Filter.
-func (f *Branch) Candidates() []core.Pair {
-	var out []core.Pair
-	for sid, bs := range f.streams {
-		for qid, ok := range bs.verdict {
-			if ok {
-				out = append(out, core.Pair{Stream: sid, Query: qid})
-			}
-		}
-	}
-	return core.SortPairs(out)
-}
+func (f *Branch) Candidates() []core.Pair { return f.answer.Candidates() }
+
+// CandidateCount implements core.CandidateCounter.
+func (f *Branch) CandidateCount() int { return f.answer.Count() }

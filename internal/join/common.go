@@ -24,7 +24,6 @@
 package join
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -52,17 +51,6 @@ func batchStreamIDs(changes map[core.StreamID]graph.ChangeSet) []core.StreamID {
 	return ids
 }
 
-// sortedQueryIDs extracts registered query IDs in ascending order — the
-// pair-task enumeration order of the batch path.
-func sortedQueryIDs(m map[core.QueryID]*vecQuery) []core.QueryID {
-	qids := make([]core.QueryID, 0, len(m))
-	for qid := range m {
-		qids = append(qids, qid)
-	}
-	slices.Sort(qids)
-	return qids
-}
-
 // pairTask is one (stream, query) re-evaluation unit, probed inside its
 // stream's task, with the result slots the probe alone writes: the
 // verdict, and the vectors scanned and the kernel calls, which the merge
@@ -76,10 +64,9 @@ type pairTask struct {
 }
 
 // vecQuery is one registered query: the vectors that decide its verdict,
-// their index refs when indexed, and a dense slot, recycled after
-// RemoveQuery, that indexes every stream's per-query state.
+// their index refs when indexed, and its answer slot (core.Verdicts), which
+// indexes every stream's per-query state.
 type vecQuery struct {
-	id   core.QueryID
 	slot int32
 	vecs []npv.PackedVector
 	refs []int32
@@ -134,29 +121,26 @@ type vecStream interface {
 
 // vecJoinStream is one stream of a vecJoin: the strategy's half, the
 // stream's NPV store — capped at the index's caps when indexed —
-// the cached verdict of every registered query by slot, and the pair
-// tasks of the probe in progress, reused across steps and cleared once
-// settled.
+// its row of the answer, and the pair tasks of the probe in progress,
+// reused across steps and cleared once settled.
 type vecJoinStream struct {
 	vecStream
-	id      core.StreamID
-	store   *npv.Store
-	verdict []bool
-	tasks   []pairTask
+	store *npv.Store
+	row   *core.VerdictRow
+	tasks []pairTask
 }
 
 // vecJoin is everything NL, Skyline and DSC have in common — which is
 // everything except which query vectors decide a verdict (derive), whether
-// those vectors are indexed (indexed), what a stream keeps beside its
+// those vectors are indexed (ix), what a stream keeps beside its
 // vector space, how it names the queries to re-probe, and how a pair is
 // probed against it (vecStream): query registration and removal, the batch
 // driver, the answer and the metrics. The strategies embed it, so its
 // exported methods are theirs.
 //
-// The answer is the verdicts. A flip writes one verdict and moves the pair
-// count, so a step costs nothing proportional to the answer; Candidates
-// builds the sorted list from the verdicts on each read, and CandidateCount
-// is the count.
+// The answer is the verdicts (core.Verdicts), which also issue every
+// query's slot; the index takes the same slot, so a crossed row's owners
+// index the verdicts directly.
 //
 // With an index, each changed stream's reconcile names a superset of the
 // queries whose verdict could have flipped, so the kept verdicts are exact
@@ -177,18 +161,9 @@ type vecJoin struct {
 
 	queries map[core.QueryID]*vecQuery
 	streams map[core.StreamID]*vecJoinStream
-	// The read order, kept by registration and removal: the streams by
-	// ascending ID, and the registered query IDs ascending with their
-	// slots in parallel. pairs counts the true verdicts over every stream.
-	order []*vecJoinStream
-	qids  []core.QueryID
-	slots []int32
-	pairs int
-	// ix issues every query's slot, so a slot is the same in vecQuery and
-	// in the postings. It holds the query vectors only when indexed;
-	// otherwise every query is a candidate.
-	ix      *qindex.Index
-	indexed bool
+	answer  core.Verdicts
+	// ix indexes the query vectors; nil (NL) makes every query a candidate.
+	ix *qindex.Index
 	// scans counts stream vectors scanned by probes over the run. Written
 	// only on the serialized paths — pair tasks report per-task counts that
 	// are merged after the join — and read at scrape time under the engine's
@@ -197,15 +172,14 @@ type vecJoin struct {
 	pool  evalPool
 }
 
-func newVecJoin(depth int, indexed bool, derive func(*graph.Graph, int) []npv.PackedVector, newStream func(*qindex.Index, *npv.Store) vecStream) vecJoin {
+func newVecJoin(depth int, ix *qindex.Index, derive func(*graph.Graph, int) []npv.PackedVector, newStream func(*qindex.Index, *npv.Store) vecStream) vecJoin {
 	return vecJoin{
 		depth:     depth,
 		derive:    derive,
 		newStream: newStream,
 		queries:   make(map[core.QueryID]*vecQuery),
 		streams:   make(map[core.StreamID]*vecJoinStream),
-		ix:        qindex.New(),
-		indexed:   indexed,
+		ix:        ix,
 	}
 }
 
@@ -219,12 +193,10 @@ func (j *vecJoin) AddQuery(id core.QueryID, q *graph.Graph) error {
 	if _, ok := j.queries[id]; ok {
 		return fmt.Errorf("join: duplicate query %d", id)
 	}
-	vq := &vecQuery{id: id, slot: j.ix.Register(id), vecs: j.derive(q, j.depth)}
+	vq := &vecQuery{slot: j.answer.AddQuery(id), vecs: j.derive(q, j.depth)}
 	j.queries[id] = vq
-	i, _ := slices.BinarySearch(j.qids, id)
-	j.qids = slices.Insert(j.qids, i, id)
-	j.slots = slices.Insert(j.slots, i, vq.slot)
-	if j.indexed {
+	if j.ix != nil {
+		j.ix.Register(id, vq.slot)
 		raised := len(j.streams) > 0 && j.raises(vq)
 		vq.refs = make([]int32, len(vq.vecs))
 		for i, u := range vq.vecs {
@@ -282,15 +254,11 @@ func (j *vecJoin) RemoveQuery(id core.QueryID) error {
 		return fmt.Errorf("join: unknown query %d", id)
 	}
 	delete(j.queries, id)
-	j.ix.RemoveQuery(id)
-	i, _ := slices.BinarySearch(j.qids, id)
-	j.qids = slices.Delete(j.qids, i, i+1)
-	j.slots = slices.Delete(j.slots, i, i+1)
+	j.answer.RemoveQuery(id)
+	if j.ix != nil {
+		j.ix.RemoveQuery(id)
+	}
 	for _, s := range j.streams {
-		if s.verdict[vq.slot] {
-			j.pairs--
-		}
-		s.verdict[vq.slot] = false
 		s.forget(vq.slot)
 		for i, ref := range vq.refs {
 			if len(j.ix.Entry(ref).Owners) == 0 && !slices.Contains(vq.refs[:i], ref) {
@@ -307,16 +275,14 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	if _, ok := j.streams[id]; ok {
 		return fmt.Errorf("join: duplicate stream %d", id)
 	}
-	j.ix.Seal()
 	var capOf func(npv.Dim) int32
-	if j.indexed {
+	if j.ix != nil {
+		j.ix.Seal()
 		capOf = j.ix.Cap
 	}
 	store := npv.NewCappedStore(g0, j.depth, capOf)
-	s := &vecJoinStream{vecStream: j.newStream(j.ix, store), id: id, store: store}
+	s := &vecJoinStream{vecStream: j.newStream(j.ix, store), store: store, row: j.answer.AddStream(id)}
 	j.streams[id] = s
-	i, _ := slices.BinarySearchFunc(j.order, id, func(s *vecJoinStream, id core.StreamID) int { return cmp.Compare(s.id, id) })
-	j.order = slices.Insert(j.order, i, s)
 	s.reconcile(nil)
 	for _, vq := range j.queries {
 		j.evaluate(s, vq)
@@ -324,13 +290,9 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	return nil
 }
 
-// evaluate decides a pair new to the stream on the serialized path, after
-// sizing the stream's verdicts for the query's slot. Pairs decided one at a
-// time see each other's witnesses.
+// evaluate decides a pair new to the stream on the serialized path. Pairs
+// decided one at a time see each other's witnesses.
 func (j *vecJoin) evaluate(s *vecJoinStream, vq *vecQuery) {
-	if n := int(vq.slot) + 1; n > len(s.verdict) {
-		s.verdict = append(s.verdict, make([]bool, n-len(s.verdict))...)
-	}
 	s.tasks = append(s.tasks[:0], pairTask{q: vq})
 	s.probe(s.tasks)
 	j.settleAll(s)
@@ -347,25 +309,11 @@ func (j *vecJoin) settleAll(s *vecJoinStream) {
 	for i := range s.tasks {
 		t := &s.tasks[i]
 		t.tally.Flush()
-		j.setVerdict(s, t.q, t.ok)
+		j.answer.Set(s.row, t.q.slot, t.ok)
 		j.scans += t.scanned
 	}
 	clear(s.tasks)
 	s.tasks = s.tasks[:0]
-}
-
-// setVerdict records a pair's verdict and, where it flips, moves the pair
-// count: the pair is a candidate iff its verdict is true.
-func (j *vecJoin) setVerdict(s *vecJoinStream, vq *vecQuery, ok bool) {
-	if s.verdict[vq.slot] == ok {
-		return
-	}
-	s.verdict[vq.slot] = ok
-	if ok {
-		j.pairs++
-	} else {
-		j.pairs--
-	}
 }
 
 // Apply implements core.Filter as a one-entry batch.
@@ -389,19 +337,15 @@ func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
 // did not settle, or a transition a registration's reseal sealed without
 // queuing, would never be queued again.
 func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
-	var allQ []core.QueryID
-	if !j.indexed {
-		allQ = sortedQueryIDs(j.queries)
-	}
 	ids, err := j.pool.runStreams(changes, func(_ int, id core.StreamID, cs graph.ChangeSet) error {
 		s, ok := j.streams[id]
 		if !ok {
 			return fmt.Errorf("join: unknown stream %d", id)
 		}
 		err := s.store.Apply(cs)
-		queued, changed := s.reconcile(s.verdict)
-		if changed && !j.indexed {
-			queued = allQ
+		queued, changed := s.reconcile(s.row.BySlot())
+		if changed && j.ix == nil {
+			queued, _ = j.answer.Queries()
 		}
 		s.tasks = s.tasks[:0]
 		for _, qid := range queued {
@@ -418,29 +362,11 @@ func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
 	return err
 }
 
-// Candidates implements core.Filter: it walks the verdicts in (stream,
-// query) order and keeps the true ones. Every pair is written, and the
-// write position advances by the verdict, so the walk does not branch; the
-// one slot past the count takes the writes after the last candidate.
-func (j *vecJoin) Candidates() []core.Pair {
-	if j.pairs == 0 {
-		return nil
-	}
-	out := make([]core.Pair, j.pairs+1)
-	n := 0
-	for _, s := range j.order {
-		verdict := s.verdict
-		for i, slot := range j.slots {
-			out[n] = core.Pair{Stream: s.id, Query: j.qids[i]}
-			n += b2i(verdict[slot])
-		}
-	}
-	return out[:n]
-}
+// Candidates implements core.Filter.
+func (j *vecJoin) Candidates() []core.Pair { return j.answer.Candidates() }
 
-// CandidateCount implements core.CandidateCounter: the number of true
-// verdicts, which every flip keeps.
-func (j *vecJoin) CandidateCount() int { return j.pairs }
+// CandidateCount implements core.CandidateCounter.
+func (j *vecJoin) CandidateCount() int { return j.answer.Count() }
 
 // RegisterMetrics implements core.MetricsFilter with the series the vector
 // joins export under the same names: the vectors a probe compares, the
@@ -460,7 +386,7 @@ func (j *vecJoin) RegisterMetrics(r *obs.Registry, locked func(func() float64) f
 	r.GaugeFunc("nntstream_filter_nnt_nodes",
 		"NNT nodes the stream vectors project, summed over all streams.",
 		locked(func() float64 { return j.sumStreams((*npv.Store).Nodes) }))
-	if j.indexed {
+	if j.ix != nil {
 		r.GaugeFunc("nntstream_qindex_postings",
 			"Query dominance index rows: one per distinct query vector and support dimension.",
 			locked(func() float64 { return float64(j.ix.PostingCount()) }))

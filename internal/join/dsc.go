@@ -46,7 +46,7 @@ var (
 
 // NewDSC returns a dominated-set-cover filter with the given NNT depth.
 func NewDSC(depth int) *DSC {
-	return &DSC{newVecJoin(depth, true, npv.ProjectPacked, func(ix *qindex.Index, store *npv.Store) vecStream {
+	return &DSC{newVecJoin(depth, qindex.New(), npv.ProjectPacked, func(ix *qindex.Index, store *npv.Store) vecStream {
 		return &dscStream{ix: ix, store: store, dom: make(map[uint64]int32), cover: make([]int32, ix.Refs())}
 	})}
 }

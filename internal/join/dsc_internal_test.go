@@ -82,7 +82,7 @@ func assertDSCDrained(t *testing.T, at string, s *vecJoinStream) {
 	t.Helper()
 	ds := s.vecStream.(*dscStream)
 	if len(ds.dom) != 0 || slices.ContainsFunc(ds.cover, func(n int32) bool { return n != 0 }) {
-		t.Fatalf("%s: stream %d: counters not drained: dom=%v cover=%v", at, s.id, ds.dom, ds.cover)
+		t.Fatalf("%s: counters not drained: dom=%v cover=%v", at, ds.dom, ds.cover)
 	}
 }
 
@@ -302,27 +302,41 @@ func TestSkylineMaxRefutation(t *testing.T) {
 
 // TestDSCCandidatesAllocatesOnce: a read builds the list from the verdicts
 // into one slice sized by the pair count, one allocation whatever the
-// number of candidate pairs.
+// number of candidate pairs, and counting them allocates nothing. DSC,
+// NL, Skyline, Exact and Branch keep the same answer table.
 func TestDSCCandidatesAllocatesOnce(t *testing.T) {
 	q := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
 	g := buildGraph(t, map[graph.VertexID]graph.Label{10: 0, 11: 1}, [][3]int{{10, 11, 0}})
-	for _, pairs := range []int{10, 200} {
-		f := NewDSC(1)
-		for qid := 0; qid < pairs/2; qid++ {
-			if err := f.AddQuery(core.QueryID(qid), q); err != nil {
-				t.Fatal(err)
+	filters := []func() core.Filter{
+		func() core.Filter { return NewDSC(1) },
+		func() core.Filter { return NewNL(1) },
+		func() core.Filter { return NewSkyline(1) },
+		func() core.Filter { return NewExact() },
+		func() core.Filter { return NewBranch(1) },
+	}
+	for _, newFilter := range filters {
+		for _, pairs := range []int{10, 200} {
+			f := newFilter()
+			for qid := 0; qid < pairs/2; qid++ {
+				if err := f.AddQuery(core.QueryID(qid), q); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		for sid := 0; sid < 2; sid++ {
-			if err := f.AddStream(core.StreamID(sid), g); err != nil {
-				t.Fatal(err)
+			for sid := 0; sid < 2; sid++ {
+				if err := f.AddStream(core.StreamID(sid), g); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if got := len(f.Candidates()); got != pairs {
-			t.Fatalf("%d candidates; want %d", got, pairs)
-		}
-		if allocs := testing.AllocsPerRun(100, func() { _ = f.Candidates() }); allocs != 1 {
-			t.Fatalf("Candidates at %d pairs: %v allocations; want 1", pairs, allocs)
+			if got := len(f.Candidates()); got != pairs {
+				t.Fatalf("%s: %d candidates; want %d", f.Name(), got, pairs)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { _ = f.Candidates() }); allocs != 1 {
+				t.Fatalf("%s: Candidates at %d pairs: %v allocations; want 1", f.Name(), pairs, allocs)
+			}
+			c := f.(core.CandidateCounter)
+			if allocs := testing.AllocsPerRun(100, func() { _ = c.CandidateCount() }); allocs != 0 {
+				t.Fatalf("%s: CandidateCount at %d pairs: %v allocations; want 0", f.Name(), pairs, allocs)
+			}
 		}
 	}
 }

@@ -17,11 +17,13 @@ import (
 type Exact struct {
 	matchers map[core.QueryID]*iso.Matcher
 	streams  map[core.StreamID]*graph.Graph
-	verdict  map[core.StreamID]map[core.QueryID]bool
+	rows     map[core.StreamID]*core.VerdictRow
+	answer   core.Verdicts
 	opts     []iso.Option
 }
 
 var _ core.Filter = (*Exact)(nil)
+var _ core.CandidateCounter = (*Exact)(nil)
 
 // NewExact returns the exact filter. Options (such as iso.WithNodeLimit)
 // are forwarded to every query matcher.
@@ -29,7 +31,7 @@ func NewExact(opts ...iso.Option) *Exact {
 	return &Exact{
 		matchers: make(map[core.QueryID]*iso.Matcher),
 		streams:  make(map[core.StreamID]*graph.Graph),
-		verdict:  make(map[core.StreamID]map[core.QueryID]bool),
+		rows:     make(map[core.StreamID]*core.VerdictRow),
 		opts:     opts,
 	}
 }
@@ -43,8 +45,9 @@ func (f *Exact) AddQuery(id core.QueryID, q *graph.Graph) error {
 		return fmt.Errorf("join: duplicate query %d", id)
 	}
 	f.matchers[id] = iso.NewMatcher(q.Clone(), f.opts...)
+	slot := f.answer.AddQuery(id)
 	for sid, g := range f.streams {
-		f.verdict[sid][id] = f.matchers[id].Contains(g)
+		f.answer.Set(f.rows[sid], slot, f.matchers[id].Contains(g))
 	}
 	return nil
 }
@@ -55,9 +58,7 @@ func (f *Exact) RemoveQuery(id core.QueryID) error {
 		return fmt.Errorf("join: unknown query %d", id)
 	}
 	delete(f.matchers, id)
-	for _, m := range f.verdict {
-		delete(m, id)
-	}
+	f.answer.RemoveQuery(id)
 	return nil
 }
 
@@ -67,7 +68,7 @@ func (f *Exact) AddStream(id core.StreamID, g0 *graph.Graph) error {
 		return fmt.Errorf("join: duplicate stream %d", id)
 	}
 	f.streams[id] = g0.Clone()
-	f.verdict[id] = make(map[core.QueryID]bool, len(f.matchers))
+	f.rows[id] = f.answer.AddStream(id)
 	f.evaluate(id)
 	return nil
 }
@@ -86,21 +87,15 @@ func (f *Exact) Apply(id core.StreamID, cs graph.ChangeSet) error {
 }
 
 func (f *Exact) evaluate(id core.StreamID) {
-	g := f.streams[id]
-	for qid, m := range f.matchers {
-		f.verdict[id][qid] = m.Contains(g)
+	g, row := f.streams[id], f.rows[id]
+	qids, slots := f.answer.Queries()
+	for i, qid := range qids {
+		f.answer.Set(row, slots[i], f.matchers[qid].Contains(g))
 	}
 }
 
 // Candidates implements core.Filter.
-func (f *Exact) Candidates() []core.Pair {
-	var out []core.Pair
-	for sid, m := range f.verdict {
-		for qid, ok := range m {
-			if ok {
-				out = append(out, core.Pair{Stream: sid, Query: qid})
-			}
-		}
-	}
-	return core.SortPairs(out)
-}
+func (f *Exact) Candidates() []core.Pair { return f.answer.Candidates() }
+
+// CandidateCount implements core.CandidateCounter.
+func (f *Exact) CandidateCount() int { return f.answer.Count() }

@@ -31,7 +31,7 @@ var (
 
 // NewNL returns a nested-loop filter with the given NNT depth.
 func NewNL(depth int) *NL {
-	return &NL{newVecJoin(depth, false, npv.ProjectPacked, func(_ *qindex.Index, store *npv.Store) vecStream { return nlStream{store} })}
+	return &NL{newVecJoin(depth, nil, npv.ProjectPacked, func(_ *qindex.Index, store *npv.Store) vecStream { return nlStream{store} })}
 }
 
 // Name implements core.Filter.

@@ -100,7 +100,7 @@ var (
 // NewSkyline returns a skyline-with-early-stop filter with the given NNT
 // depth.
 func NewSkyline(depth int) *Skyline {
-	return &Skyline{newVecJoin(depth, true, maximalByMass, func(ix *qindex.Index, store *npv.Store) vecStream {
+	return &Skyline{newVecJoin(depth, qindex.New(), maximalByMass, func(ix *qindex.Index, store *npv.Store) vecStream {
 		ss := &skyStream{ix: ix, store: store, dims: make(map[npv.Dim]*dimStat)}
 		for ref := range int32(ix.Refs()) {
 			ss.fresh(ref)

@@ -455,33 +455,33 @@ func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 			}
 		}
 		need := make([]int32, len(ss.need))
-		for _, vq := range j.queries {
+		for qid, vq := range j.queries {
 			r := ss.refute[vq.slot]
-			if s.verdict[vq.slot] {
+			if s.row.BySlot()[vq.slot] {
 				if r != -1 {
-					t.Fatalf("%s: stream %d query %d: joinable but refuted by entry %d", at, sid, vq.id, r)
+					t.Fatalf("%s: stream %d query %d: joinable but refuted by entry %d", at, sid, qid, r)
 				}
 				for i, ref := range vq.refs {
 					if vq.vecs[i].Len() > 0 && ss.wit[ref] < 0 {
-						t.Fatalf("%s: stream %d query %d: joinable, but vector %d has no witness", at, sid, vq.id, i)
+						t.Fatalf("%s: stream %d query %d: joinable, but vector %d has no witness", at, sid, qid, i)
 					}
 				}
 				continue
 			}
 			if r < 0 || !slices.Contains(vq.refs, r) {
-				t.Fatalf("%s: stream %d query %d: refuted by entry %d, not one of its %v", at, sid, vq.id, r, vq.refs)
+				t.Fatalf("%s: stream %d query %d: refuted by entry %d, not one of its %v", at, sid, qid, r, vq.refs)
 			}
 			need[r]++
 			u := j.ix.Entry(r).Vec
 			if ss.wit[r] >= 0 {
-				t.Fatalf("%s: stream %d query %d: refuting entry %d has a witness", at, sid, vq.id, r)
+				t.Fatalf("%s: stream %d query %d: refuting entry %d has a witness", at, sid, qid, r)
 			}
 			if u.Len() == 0 && ss.store.Len() > 0 {
-				t.Fatalf("%s: stream %d query %d: empty refuting vector on a stream with vertices", at, sid, vq.id)
+				t.Fatalf("%s: stream %d query %d: empty refuting vector on a stream with vertices", at, sid, qid)
 			}
 			for slot, p := range live {
 				if p.Dominates(u) {
-					t.Fatalf("%s: stream %d query %d: refuting entry %d is dominated by slot %d", at, sid, vq.id, r, slot)
+					t.Fatalf("%s: stream %d query %d: refuting entry %d is dominated by slot %d", at, sid, qid, r, slot)
 				}
 			}
 		}
@@ -506,7 +506,7 @@ func checkPairMemos(t *testing.T, j *vecJoin, at string) {
 
 // joinable reports Skyline's verdict for query id on the stream.
 func (m *memoRig) joinable(id core.QueryID) bool {
-	return m.sky.streams[0].verdict[m.sky.queries[id].slot]
+	return m.sky.streams[0].row.BySlot()[m.sky.queries[id].slot]
 }
 
 // memo returns the stream's Skyline state, the witness slot of query id's

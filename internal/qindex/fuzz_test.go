@@ -75,11 +75,13 @@ func FuzzQindexCandidates(f *testing.F) {
 				continue
 			}
 			// Post-seal churn: drop query round, add a fresh one in its slot.
+			slot := ix.slots[core.QueryID(round)]
 			ix.RemoveQuery(core.QueryID(round))
 			delete(vectors, Key{Query: core.QueryID(round), Vertex: 0})
 			var p npv.PackedVector
 			p, data = decodeFuzzVec(data)
 			k := Key{Query: core.QueryID(nq + round), Vertex: 0}
+			ix.Register(k.Query, slot)
 			ix.Add(k, p)
 			vectors[k] = p
 		}

@@ -21,9 +21,9 @@
 //     (min(a,b), max(a,b)] — the column's table of row counts by count
 //     bounds those rows, and the signature filter
 //     sig(u) &^ sig(p) == 0 settles most of them.
-//   - Queries hold dense, recycled slots, so per-query state is an array
-//     indexed by slot and per-vector state one indexed by ref; nothing is
-//     hashed per row.
+//   - Queries hold dense slots, issued and recycled by the caller's answer
+//     table (core.Verdicts), so per-query state is an array indexed by slot
+//     and per-vector state one indexed by ref; nothing is hashed per row.
 //
 // The walk over one vertex's transition (Ranges) knows which way it crossed
 // each row. On a drop (new[d] < u[d] ≤ old[d], retirement included) the
@@ -195,14 +195,12 @@ type Index struct {
 	// dominates it, so only presence changes flip it: it has no rows, and
 	// Finish adds its owners.
 	empty int32
-	// slots gives every registered query a dense slot, recycled through free
-	// after RemoveQuery; queries maps a slot back to its owner and owned to
-	// the refs it registered. The key set of slots is the candidate universe
-	// AffectedQueries prunes.
+	// slots holds every registered query's dense slot; queries maps a slot
+	// back to its owner and owned to the refs it registered. The key set of
+	// slots is the candidate universe AffectedQueries prunes.
 	slots   map[core.QueryID]int32
 	queries []core.QueryID
 	owned   [][]int32
-	free    []int32
 	sealed  bool
 }
 
@@ -231,24 +229,16 @@ func New() *Index {
 	}
 }
 
-// Register returns q's slot, issuing one — a freed slot first — if q has
-// none. Add registers its query itself; a caller that keeps per-query state
-// by slot registers a query before, or instead of, adding its vectors.
-func (ix *Index) Register(q core.QueryID) int32 {
-	if slot, ok := ix.slots[q]; ok {
-		return slot
-	}
-	var slot int32
-	if n := len(ix.free); n > 0 {
-		slot, ix.free = ix.free[n-1], ix.free[:n-1]
-		ix.queries[slot] = q
-	} else {
-		slot = int32(len(ix.queries))
-		ix.queries = append(ix.queries, q)
+// Register gives q, which must be new, the slot its caller issued and
+// recycles (core.Verdicts), before q's vectors are added. Add registers a
+// query nobody registered itself, in a new slot.
+func (ix *Index) Register(q core.QueryID, slot int32) {
+	for int(slot) >= len(ix.queries) {
+		ix.queries = append(ix.queries, 0)
 		ix.owned = append(ix.owned, nil)
 	}
+	ix.queries[slot] = q
 	ix.slots[q] = slot
-	return slot
 }
 
 // Add registers one query vector under k and returns its entry's ref. A
@@ -262,7 +252,11 @@ func (ix *Index) Add(k Key, p npv.PackedVector) (ref int32, fresh bool) {
 
 // add is Add for p of content hash h.
 func (ix *Index) add(k Key, p npv.PackedVector, h uint64) (ref int32, fresh bool) {
-	slot := ix.Register(k.Query)
+	slot, registered := ix.slots[k.Query]
+	if !registered {
+		slot = int32(len(ix.queries))
+		ix.Register(k.Query, slot)
+	}
 	ref, ok := ix.byHash[h]
 	if !ok || !ix.entries[ref].Vec.Equal(p) {
 		ref, fresh = ix.intern(p, h, !ok), true
@@ -327,17 +321,16 @@ func hashVec(p npv.PackedVector) uint64 {
 	return h
 }
 
-// RemoveQuery drops q's owners and reports whether q was registered. An
-// entry whose last owner leaves is freed: its rows leave their columns,
-// columns left empty are deleted, and its ref waits to be reissued. The
-// caps stay where they are.
+// RemoveQuery drops q's owners and reports whether q was registered. Its
+// slot may be registered again. An entry whose last owner leaves is freed:
+// its rows leave their columns, columns left empty are deleted, and its
+// ref waits to be reissued. The caps stay where they are.
 func (ix *Index) RemoveQuery(q core.QueryID) bool {
 	slot, ok := ix.slots[q]
 	if !ok {
 		return false
 	}
 	delete(ix.slots, q)
-	ix.free = append(ix.free, slot)
 	for _, ref := range ix.owned[slot] {
 		e := &ix.entries[ref]
 		e.Owners = slices.DeleteFunc(e.Owners, func(o Owner) bool { return o.Slot == slot })

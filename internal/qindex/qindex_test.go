@@ -272,8 +272,8 @@ func bruteAffected(vectors map[Key]npv.PackedVector, deltas []npv.DirtyDelta) []
 // granularity, so the test pins full equality: weakening the per-posting
 // flip test would silently re-inflate candidate sets and the sweep bench.
 //
-// Post-seal churn interleaves RemoveQuery and Add so new queries take
-// recycled slots, one Scratch serves every call of a seed (its stamp is
+// Post-seal churn interleaves RemoveQuery and Register+Add so new queries
+// take recycled slots, one Scratch serves every call of a seed (its stamp is
 // forced through one wraparound), and each result must also equal a
 // fresh-scratch call.
 func TestAffectedQueriesSupersetQuickcheck(t *testing.T) {
@@ -298,9 +298,10 @@ func TestAffectedQueriesSupersetQuickcheck(t *testing.T) {
 		var sc Scratch
 		for trial := 0; trial < 20; trial++ {
 			if trial%4 == 3 {
-				// Dynamic churn: remove a query, then register a new one,
-				// which takes the freed slot.
+				// Dynamic churn: remove a query, then register a new one
+				// in the freed slot, as core.Verdicts reissues it.
 				victim := core.QueryID(r.Intn(nq))
+				slot := ix.slots[victim]
 				if ix.RemoveQuery(victim) {
 					for k := range vectors {
 						if k.Query == victim {
@@ -308,6 +309,7 @@ func TestAffectedQueriesSupersetQuickcheck(t *testing.T) {
 						}
 					}
 					slots := len(ix.queries)
+					ix.Register(core.QueryID(nq), slot)
 					add()
 					nq++
 					if len(ix.queries) == slots {
@@ -337,8 +339,8 @@ func TestAffectedQueriesSupersetQuickcheck(t *testing.T) {
 				t.Fatalf("seed=%d trial=%d: reused scratch %v != fresh scratch %v", seed, trial, got, fresh)
 			}
 		}
-		if len(ix.queries) != len(ix.slots)+len(ix.free) {
-			t.Fatalf("seed=%d: %d slots for %d live and %d free", seed, len(ix.queries), len(ix.slots), len(ix.free))
+		if len(ix.queries) != len(ix.slots) {
+			t.Fatalf("seed=%d: %d slots for %d live queries", seed, len(ix.queries), len(ix.slots))
 		}
 	}
 	if reused == 0 {
