@@ -58,9 +58,9 @@ test:
 
 # The engines and the HTTP server claim concurrent-read safety; hold them to
 # it under the race detector. The WAL claims safe concurrent appends/syncs.
-# internal/join carries the parallel ApplyAll fan-out and internal/gindex
-# re-mines lazily inside Candidates and CandidateCount, which concurrent
-# readers call at once — both race-critical.
+# internal/join carries the parallel ApplyAll fan-out — race-critical — and
+# internal/gindex's lifecycle test reads the answer a step mined from
+# concurrent readers.
 # internal/npv holds the sealed packed vectors read concurrently by that
 # fan-out and the atomic kernel counters. internal/qindex is the sealed
 # query-candidate index read concurrently by the same fan-out.
@@ -70,8 +70,8 @@ test:
 #
 # Coverage audit against the blockhold/lockorder lock inventory (mutex-holding
 # shipped packages): cluster (Coordinator.mu, workerGroup.mu, FaultTransport.mu),
-# core (DurableEngine.mu, Monitor.mu), gindex (Filter.mu), obs
-# (Registry.mu), server (Server.mu, admission.mu), wal (Log.mu) — all
+# core (DurableEngine.mu, Monitor.mu), obs (Registry.mu), server
+# (admission.mu), wal (Log.mu) — all
 # covered below. The test-support simdisk (Disk.mu) runs under the detector
 # through the core, server and wal tests that use it. internal/obs was the
 # gap (its registry is scraped concurrently with engine steps) and is now

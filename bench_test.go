@@ -89,11 +89,8 @@ type stepper struct {
 func newStepper(b *testing.B, f core.Filter, w streamBenchWorkload) *stepper {
 	b.Helper()
 	s := &stepper{mon: core.NewMonitor(f), streams: w.streams}
-	for _, q := range w.queries {
-		if _, err := s.mon.AddQuery(q); err != nil {
-			b.Fatal(err)
-		}
-	}
+	// Streams before queries, so gIndex mines at the first step rather than
+	// once per stream added.
 	for _, st := range w.streams {
 		id, err := s.mon.AddStream(st.Start)
 		if err != nil {
@@ -101,6 +98,11 @@ func newStepper(b *testing.B, f core.Filter, w streamBenchWorkload) *stepper {
 		}
 		s.ids = append(s.ids, id)
 		s.cursors = append(s.cursors, graph.NewCursor(st))
+	}
+	for _, q := range w.queries {
+		if _, err := s.mon.AddQuery(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return s
 }

@@ -104,12 +104,8 @@ func main() {
 	}
 
 	mon := core.NewMonitor(f)
-	for _, q := range queries {
-		if _, err := mon.AddQuery(q); err != nil {
-			log.Fatal(err)
-		}
-	}
-
+	// Streams before queries, so gIndex mines once at the first step rather
+	// than once per stream added.
 	var cursors []*graph.Cursor
 	var ids []core.StreamID
 	for _, s := range streams {
@@ -119,6 +115,11 @@ func main() {
 		}
 		cursors = append(cursors, graph.NewCursor(s))
 		ids = append(ids, id)
+	}
+	for _, q := range queries {
+		if _, err := mon.AddQuery(q); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Printf("watching %d streams for %d patterns with %s\n",
 		len(ids), len(queries), mon.FilterName())

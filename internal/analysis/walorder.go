@@ -17,10 +17,11 @@ var WALOrder = &Analyzer{
 }
 
 // engineMutators are the inner-engine methods that change logical state and
-// therefore need a WAL record. stepCount is StepAll's count-only twin, and
-// applyRecord is the one function every durable write and boot replay
-// applies a record with. Calls on the receiver itself are not audited, so a
-// live write must go through the inner engine's applyRecord to stay visible.
+// therefore need a WAL record. applyRecord is the one function every
+// durable write and boot replay applies a record with; stepCount, the
+// count-only step core.Monitor no longer has, stays listed for its fixture.
+// Calls on the receiver itself are not audited, so a live write must go
+// through the inner engine's applyRecord to stay visible.
 var engineMutators = map[string]bool{
 	"AddQuery": true, "RemoveQuery": true, "AddStream": true, "StepAll": true,
 	"stepCount": true, "applyRecord": true,

@@ -448,14 +448,23 @@ func (d *DurableEngine) Crash() error {
 	return d.log.Close()
 }
 
-// Read paths delegate to the inner engine, whose own readers-writer lock
-// provides the read-side exclusion.
+// Candidates and Stats take mu, so a read waits for a running commit's
+// closing fsync and sees no write before it is durable. They hold it only to
+// copy the answer out.
 
 // Candidates returns the current candidate pairs.
-func (d *DurableEngine) Candidates() []Pair { return d.inner.Candidates() }
+func (d *DurableEngine) Candidates() []Pair {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.inner.Candidates()
+}
 
 // Stats returns accumulated statistics.
-func (d *DurableEngine) Stats() Stats { return d.inner.Stats() }
+func (d *DurableEngine) Stats() Stats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.inner.Stats()
+}
 
 // QueryCount and StreamCount report workload sizes.
 func (d *DurableEngine) QueryCount() int  { return d.inner.QueryCount() }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -455,6 +456,93 @@ func TestDurableStepAllBuildsOneList(t *testing.T) {
 	}
 	if f.lists != 1 || len(pairs) != 1 {
 		t.Fatalf("StepAll built %d pair lists and returned %v; want one list holding the pair", f.lists, pairs)
+	}
+}
+
+// gatedFS is the OS file system with the WAL file's Sync held open: once
+// armed, the next Sync signals entered, waits for release to close, and
+// sets synced as it returns.
+type gatedFS struct {
+	wal.OSFS
+	armed, synced    *atomic.Bool
+	entered, release chan struct{}
+}
+
+func (fs gatedFS) OpenFile(name string, flag int, perm os.FileMode) (wal.LogFile, error) {
+	f, err := fs.OSFS.OpenFile(name, flag, perm)
+	if err == nil && filepath.Base(name) == "wal.log" {
+		f = gatedFile{LogFile: f, fs: fs}
+	}
+	return f, err
+}
+
+type gatedFile struct {
+	wal.LogFile
+	fs gatedFS
+}
+
+func (f gatedFile) Sync() error {
+	if !f.fs.armed.CompareAndSwap(true, false) {
+		return f.LogFile.Sync()
+	}
+	f.fs.entered <- struct{}{}
+	<-f.fs.release
+	defer f.fs.synced.Store(true)
+	return f.LogFile.Sync()
+}
+
+// TestDurableReadWaitsForFsync: the engine decides what a read sees. While
+// a step's closing fsync is held open, Candidates and Stats wait for it,
+// so neither shows the step before it is durable, and both show it after.
+func TestDurableReadWaitsForFsync(t *testing.T) {
+	fs := gatedFS{armed: new(atomic.Bool), synced: new(atomic.Bool),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	d := openDurable(t, t.TempDir(), core.DurableOptions{Fsync: wal.SyncAlways, FS: fs})
+	defer d.Crash()
+	if _, err := d.AddQuery(parseGraph(t, "v 0 0\nv 1 1\ne 0 1 0")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddStream(parseGraph(t, "v 0 0")); err != nil {
+		t.Fatal(err)
+	}
+	fs.armed.Store(true)
+	stepped := make(chan error, 1)
+	go func() {
+		_, err := d.StepAll(map[core.StreamID]graph.ChangeSet{0: {graph.InsertOp(0, 0, 1, 1, 0)}})
+		stepped <- err
+	}()
+	<-fs.entered
+
+	type read struct {
+		what   string
+		seen   bool // the step's pair, or its timestamp
+		synced bool // the fsync had returned when the read did
+	}
+	reads := make(chan read, 2)
+	go func() {
+		seen := slices.Equal(d.Candidates(), []core.Pair{{Stream: 0, Query: 0}})
+		reads <- read{"Candidates", seen, fs.synced.Load()}
+	}()
+	go func() {
+		seen := d.Stats().Timestamps == 1
+		reads <- read{"Stats", seen, fs.synced.Load()}
+	}()
+	// Release the fsync before failing: the deferred Crash waits for the
+	// step.
+	select {
+	case r := <-reads:
+		close(fs.release)
+		t.Fatalf("%s returned while the step's fsync was held open (saw the step: %v)", r.what, r.seen)
+	case <-time.After(50 * time.Millisecond):
+		close(fs.release)
+	}
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if r := <-reads; !r.synced || !r.seen {
+			t.Fatalf("%s returned with the fsync done: %v, and saw the step: %v; want both", r.what, r.synced, r.seen)
+		}
 	}
 }
 

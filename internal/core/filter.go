@@ -62,9 +62,7 @@ func SortPairs(ps []Pair) []Pair {
 //
 // Candidates is additionally a read path: the engine allows multiple
 // Candidates calls to run concurrently with each other (never with a
-// mutating call), so implementations must either not mutate observable
-// state in Candidates or synchronize such mutation internally (see gindex's
-// lazy re-mining).
+// mutating call), so implementations must not mutate state in Candidates.
 type Filter interface {
 	// Name identifies the filter in reports and benchmarks.
 	Name() string

@@ -26,8 +26,8 @@ type FilterFactory func() Filter
 // (Candidates, Stats, ExactPairs, the checkpoint's snapshot, and the
 // scrape-time instruments SetMetrics registers) share a read lock and may
 // run concurrently with one another. Filters must honor the Filter contract
-// that Candidates does not mutate observable state (or must synchronize
-// internally), because concurrent readers call it on the same instance.
+// that Candidates does not mutate state, because concurrent readers call it
+// on the same instance.
 type Monitor struct {
 	mu      sync.RWMutex
 	filter  Filter
@@ -272,15 +272,6 @@ func (m *Monitor) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) 
 	return cands, nil
 }
 
-// stepCount is StepAll for callers that read only how many pairs the step
-// reported: it collects the count, from a CandidateCounter filter without
-// building the pair list.
-func (m *Monitor) stepCount(changes map[StreamID]graph.ChangeSet) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.step(changes, m.candidateCount)
-}
-
 // candidateCount is the number of pairs Candidates would return. Callers
 // hold m.mu.
 func (m *Monitor) candidateCount() int {
@@ -324,11 +315,14 @@ func (m *Monitor) Step(id StreamID, cs graph.ChangeSet) ([]Pair, error) {
 // StepAll call, and stops at the first step that fails: the steps before it
 // stay applied. It returns the steps applied and the candidate pairs they
 // reported — DurableEngine.StepAllBatch's contract without the shared
-// fsync, which an in-memory engine has no use for. It counts the pairs and
-// builds no list.
+// fsync, which an in-memory engine has no use for. It counts the pairs, from
+// a CandidateCounter filter without building the list. It holds the write
+// lock across the whole batch, so a reader sees all of it or none.
 func (m *Monitor) StepAllBatch(batch []map[StreamID]graph.ChangeSet) (applied, pairs int, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, changes := range batch {
-		n, err := m.stepCount(changes)
+		n, err := m.step(changes, m.candidateCount)
 		if err != nil {
 			return applied, pairs, err
 		}

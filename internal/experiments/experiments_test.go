@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,28 @@ func TestFig02Tiny(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("Fig02 should compare 3 methods, got %d", len(res.Rows))
 	}
+	pinColumns(t, res, 0, 2, [][]string{
+		{"gIndex2", "27.6%"},
+		{"GraphGrep-L4", "37.2%"},
+		{"NPV-DSC", "12.0%"},
+	})
+}
+
+// pinColumns requires each row of res to read its want row: column key,
+// then the columns from `from` on. The pinned cells are candidate ratios,
+// which a change to where or when a filter computes its answer must leave
+// bit-identical; no timing column is pinned.
+func pinColumns(t *testing.T, res *Result, key, from int, want [][]string) {
+	t.Helper()
+	if len(res.Rows) != len(want) {
+		t.Fatalf("%s has %d rows; want %d", res.Name, len(res.Rows), len(want))
+	}
+	for i, row := range res.Rows {
+		got := append([]string{row[key]}, row[from:from+len(want[i])-1]...)
+		if !slices.Equal(got, want[i]) {
+			t.Errorf("%s row %d = %v; want %v", res.Name, i, got, want[i])
+		}
+	}
 }
 
 func TestFig12Tiny(t *testing.T) {
@@ -85,6 +108,11 @@ func TestFig14And15Tiny(t *testing.T) {
 	if len(res14.Rows) != 3 {
 		t.Fatalf("Fig14 should cover 3 datasets, got %d", len(res14.Rows))
 	}
+	pinColumns(t, res14, 0, 1, [][]string{
+		{"real", "16.4%", "29.2%", "21.9%", "15.1%"},
+		{"syn-sparse", "33.2%", "24.0%", "30.0%", "20.8%"},
+		{"syn-dense", "98.8%", "96.0%", "97.2%", "97.2%"},
+	})
 	checkResult(t, res15, 5)
 }
 

@@ -72,11 +72,9 @@ type runOutcome struct {
 // timestamp is checked for false negatives with exact isomorphism.
 func runStream(w streamWorkload, f core.Filter, maxTS, verifyEvery int) (runOutcome, error) {
 	mon := core.NewMonitor(f)
-	for _, q := range w.queries {
-		if _, err := mon.AddQuery(q); err != nil {
-			return runOutcome{}, fmt.Errorf("add query: %w", err)
-		}
-	}
+	// Streams go first: a filter that mines its streams (gIndex) mines
+	// nothing while no query is registered, where each stream added after
+	// the queries would re-mine them all.
 	cursors := make([]*graph.Cursor, len(w.streams))
 	ids := make([]core.StreamID, len(w.streams))
 	for i, s := range w.streams {
@@ -86,6 +84,11 @@ func runStream(w streamWorkload, f core.Filter, maxTS, verifyEvery int) (runOutc
 			return runOutcome{}, fmt.Errorf("add stream: %w", err)
 		}
 		ids[i] = id
+	}
+	for _, q := range w.queries {
+		if _, err := mon.AddQuery(q); err != nil {
+			return runOutcome{}, fmt.Errorf("add query: %w", err)
+		}
 	}
 	total := w.streams[0].Timestamps() - 1
 	if maxTS > 0 && maxTS < total {

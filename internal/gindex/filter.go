@@ -3,8 +3,7 @@ package gindex
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
 	"nntstream/internal/core"
 	"nntstream/internal/graph"
@@ -102,22 +101,27 @@ func (c Config) MineConfig(dbSize int) MineConfig {
 // defined by their frequency in the data). This re-mining is exactly the
 // cost that makes gIndex1 orders of magnitude slower than the NPV methods
 // in Figure 15.
+//
+// Mining runs on the write path, once per step that changes a stream
+// (ApplyAll) and once per AddStream, and only while a query is registered. The mined features
+// depend only on the streams, so a query change evaluates that one query
+// against the kept index, and a read only reads the answer.
 type Filter struct {
 	cfg     Config
 	queries map[core.QueryID]*graph.Graph
 	streams map[core.StreamID]*graph.Graph
 	rows    map[core.StreamID]*core.VerdictRow
-	// mu guards dirty and the answer's rebuild: Candidates and
-	// CandidateCount rebuild lazily (re-mining once per timestamp instead of
-	// once per changed stream), so unlike the other filters its read path
-	// mutates state and must synchronize internally to satisfy the
-	// core.Filter contract that Candidates is safe for concurrent readers.
-	mu     sync.Mutex
-	dirty  bool
+	sids    []core.StreamID // ascending, the database order idx is mined in
+	// idx is the index mined over the current stream graphs, or nil while
+	// stale: the streams were added or stepped with no query registered. A
+	// query added then is a candidate on every stream, which over-reports
+	// and never drops a pair, until the next step re-mines.
+	idx    *Index
 	answer core.Verdicts
 }
 
 var _ core.Filter = (*Filter)(nil)
+var _ core.BatchApplier = (*Filter)(nil)
 var _ core.CandidateCounter = (*Filter)(nil)
 
 // New returns a continuous gIndex filter with the given configuration.
@@ -133,14 +137,15 @@ func New(cfg Config) *Filter {
 // Name implements core.Filter.
 func (f *Filter) Name() string { return f.cfg.Label }
 
-// AddQuery implements core.Filter.
+// AddQuery implements core.Filter: the query is evaluated against the kept
+// index, without re-mining.
 func (f *Filter) AddQuery(id core.QueryID, q *graph.Graph) error {
 	if _, ok := f.queries[id]; ok {
 		return fmt.Errorf("gindex: duplicate query %d", id)
 	}
-	f.queries[id] = q.Clone()
-	f.answer.AddQuery(id)
-	f.markDirty()
+	q = q.Clone()
+	f.queries[id] = q
+	f.evaluate(q, f.answer.AddQuery(id))
 	return nil
 }
 
@@ -151,7 +156,6 @@ func (f *Filter) RemoveQuery(id core.QueryID) error {
 	}
 	delete(f.queries, id)
 	f.answer.RemoveQuery(id)
-	f.markDirty()
 	return nil
 }
 
@@ -162,70 +166,76 @@ func (f *Filter) AddStream(id core.StreamID, g0 *graph.Graph) error {
 	}
 	f.streams[id] = g0.Clone()
 	f.rows[id] = f.answer.AddStream(id)
-	f.markDirty()
+	i, _ := slices.BinarySearch(f.sids, id)
+	f.sids = slices.Insert(f.sids, i, id)
+	f.mine()
 	return nil
 }
 
-// Apply implements core.Filter.
+// Apply implements core.Filter: a step of one stream.
 func (f *Filter) Apply(id core.StreamID, cs graph.ChangeSet) error {
-	g, ok := f.streams[id]
-	if !ok {
-		return fmt.Errorf("gindex: unknown stream %d", id)
+	return f.ApplyAll(map[core.StreamID]graph.ChangeSet{id: cs})
+}
+
+// ApplyAll implements core.BatchApplier: it applies one timestamp's change
+// sets and then re-mines once. A step that changes no stream keeps a mined
+// index.
+func (f *Filter) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
+	if len(changes) == 0 && f.idx != nil {
+		return nil
 	}
-	if err := cs.Apply(g); err != nil {
-		return err
+	for id, cs := range changes {
+		g, ok := f.streams[id]
+		if !ok {
+			return fmt.Errorf("gindex: unknown stream %d", id)
+		}
+		if err := cs.Apply(g); err != nil {
+			return err
+		}
 	}
-	f.markDirty()
+	f.mine()
 	return nil
 }
 
-func (f *Filter) markDirty() {
-	f.mu.Lock()
-	f.dirty = true
-	f.mu.Unlock()
-}
-
-// current returns the answer, first re-mining the feature index over the
-// current stream graphs and refreshing every verdict if anything changed
-// since the last read. mu serializes the rebuild among concurrent readers,
-// and a reader walks the answer only once its own call has returned, when
-// no rebuild is left to run before the next mutation.
-func (f *Filter) current() *core.Verdicts {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.dirty {
-		return &f.answer
+// mine re-mines the index over the current stream graphs and re-evaluates
+// every query against it. With no query registered it mines nothing and
+// leaves the index stale.
+func (f *Filter) mine() {
+	if len(f.queries) == 0 {
+		f.idx = nil
+		return
 	}
-	sids := make([]core.StreamID, 0, len(f.streams))
-	for sid := range f.streams {
-		sids = append(sids, sid)
-	}
-	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-	db := make([]*graph.Graph, len(sids))
-	for i, sid := range sids {
+	db := make([]*graph.Graph, len(f.sids))
+	for i, sid := range f.sids {
 		db[i] = f.streams[sid]
 	}
-	idx := Build(db, f.cfg.MineConfig(len(db)))
-
-	in := make([]bool, len(db))
+	f.idx = Build(db, f.cfg.MineConfig(len(db)))
 	qids, slots := f.answer.Queries()
 	for i, qid := range qids {
-		clear(in)
-		for _, gi := range idx.Candidates(f.queries[qid], len(db)) {
-			in[gi] = true
-		}
-		for gi, sid := range sids {
-			f.answer.Set(f.rows[sid], slots[i], in[gi])
-		}
+		f.evaluate(f.queries[qid], slots[i])
 	}
-	f.dirty = false
-	return &f.answer
 }
 
-// Candidates implements core.Filter. The first read after a change re-mines
-// the index.
-func (f *Filter) Candidates() []core.Pair { return f.current().Candidates() }
+// evaluate sets query q's verdicts, in slot, on every stream: the streams
+// the index cannot prune, or all of them while the index is stale.
+func (f *Filter) evaluate(q *graph.Graph, slot int32) {
+	in := make([]bool, len(f.sids))
+	if f.idx == nil {
+		for i := range in {
+			in[i] = true
+		}
+	} else {
+		for _, gi := range f.idx.Candidates(q, len(in)) {
+			in[gi] = true
+		}
+	}
+	for gi, sid := range f.sids {
+		f.answer.Set(f.rows[sid], slot, in[gi])
+	}
+}
 
-// CandidateCount implements core.CandidateCounter, re-mining as Candidates
-// does.
-func (f *Filter) CandidateCount() int { return f.current().Count() }
+// Candidates implements core.Filter.
+func (f *Filter) Candidates() []core.Pair { return f.answer.Candidates() }
+
+// CandidateCount implements core.CandidateCounter.
+func (f *Filter) CandidateCount() int { return f.answer.Count() }

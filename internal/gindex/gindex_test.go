@@ -314,7 +314,7 @@ func TestFilterLifecycle(t *testing.T) {
 	if err := f.Apply(0, graph.ChangeSet{graph.DeleteOp(0, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	// Concurrent readers race to re-mine; each must see the rebuilt answer.
+	// The step re-mined; concurrent readers each see the rebuilt answer.
 	var wg sync.WaitGroup
 	counts := make([]int, 4)
 	for i := range counts {
@@ -351,8 +351,8 @@ func TestFilterLifecycle(t *testing.T) {
 	}
 }
 
-// counted returns f's candidates after checking that CandidateCount, asked
-// first so that it is the read that re-mines, counts them.
+// counted returns f's candidates after checking that CandidateCount counts
+// them.
 func counted(t *testing.T, f *Filter) []core.Pair {
 	t.Helper()
 	n := f.CandidateCount()
@@ -361,6 +361,75 @@ func counted(t *testing.T, f *Filter) []core.Pair {
 		t.Fatalf("CandidateCount = %d; Candidates lists %d: %v", n, len(got), got)
 	}
 	return got
+}
+
+// TestFilterQueryChangeMinesNothing: the mined features depend only on the
+// streams, so after a step a query's add and removal are answered from the
+// index the step mined, which stays the same.
+func TestFilterQueryChangeMinesNothing(t *testing.T) {
+	f := New(Setting2())
+	ab := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
+	ac := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 2}, [][3]int{{0, 1, 0}})
+	for sid, g := range []*graph.Graph{ab, ac} {
+		if err := f.AddStream(core.StreamID(sid), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.AddQuery(0, ab); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ApplyAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	idx := f.idx
+	if idx == nil {
+		t.Fatal("the step mined no index")
+	}
+	if err := f.AddQuery(1, ac); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counted(t, f), []core.Pair{{Stream: 0, Query: 0}, {Stream: 1, Query: 1}}; !slices.Equal(got, want) {
+		t.Fatalf("Candidates after AddQuery = %v; want %v", got, want)
+	}
+	if err := f.RemoveQuery(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counted(t, f), []core.Pair{{Stream: 1, Query: 1}}; !slices.Equal(got, want) {
+		t.Fatalf("Candidates after RemoveQuery = %v; want %v", got, want)
+	}
+	if f.idx != idx {
+		t.Fatal("a query change re-mined the index")
+	}
+}
+
+// TestFilterStaleIndexOverReports: streams added while no query is
+// registered are not mined, so a query added then is a candidate on every
+// stream, an over-report core.Filter allows, until the next step mines
+// them.
+func TestFilterStaleIndexOverReports(t *testing.T) {
+	f := New(Setting2())
+	ab := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 1}, [][3]int{{0, 1, 0}})
+	ac := buildGraph(t, map[graph.VertexID]graph.Label{0: 0, 1: 2}, [][3]int{{0, 1, 0}})
+	for sid, g := range []*graph.Graph{ab, ac} {
+		if err := f.AddStream(core.StreamID(sid), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.idx != nil {
+		t.Fatal("streams mined with no query registered")
+	}
+	if err := f.AddQuery(0, ab); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counted(t, f), []core.Pair{{Stream: 0, Query: 0}, {Stream: 1, Query: 0}}; !slices.Equal(got, want) {
+		t.Fatalf("Candidates on the stale index = %v; want %v", got, want)
+	}
+	if err := f.ApplyAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counted(t, f), []core.Pair{{Stream: 0, Query: 0}}; !slices.Equal(got, want) {
+		t.Fatalf("Candidates after an empty step = %v; want %v", got, want)
+	}
 }
 
 func randomConnected(r *rand.Rand, n, labels int) *graph.Graph {

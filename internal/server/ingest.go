@@ -171,7 +171,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	applied, pairs, err := s.stepBatch(batch)
+	applied, pairs, err := s.engine.StepAllBatch(batch)
 	s.ingest.steps.Add(int64(applied))
 	s.ingest.pairs.Add(int64(pairs))
 	if applied == len(batch) {
@@ -238,14 +238,6 @@ func appendIngest(b []byte, r ingestResponse) []byte {
 	b = append(b, `,"pairs":`...)
 	b = strconv.AppendInt(b, int64(r.Pairs), 10)
 	return append(b, "}\n"...)
-}
-
-// stepBatch hands a decoded batch to the engine under s.mu, released by a
-// deferred unlock like server.go's engine calls.
-func (s *Server) stepBatch(batch []map[core.StreamID]graph.ChangeSet) (applied, pairs int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine.StepAllBatch(batch)
 }
 
 // ingestDecoders keeps warm decoders across requests, so decoding a frame

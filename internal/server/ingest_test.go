@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nntstream/internal/core"
+	"nntstream/internal/graph"
 	"nntstream/internal/join"
 	"nntstream/internal/obs"
 	"nntstream/internal/simdisk"
@@ -552,6 +553,82 @@ func TestIngestConcurrentWithReads(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// gatedStepFilter is nopFilter whose answer after k steps is the pairs
+// (0, 0) … (0, k-1). Its ApplyAll signals entered at step block and waits
+// for release to close.
+type gatedStepFilter struct {
+	nopFilter
+	steps, block     int
+	entered, release chan struct{}
+}
+
+func (f *gatedStepFilter) ApplyAll(map[core.StreamID]graph.ChangeSet) error {
+	if f.steps++; f.steps == f.block {
+		f.entered <- struct{}{}
+		<-f.release
+	}
+	return nil
+}
+
+func (f *gatedStepFilter) Candidates() []core.Pair {
+	out := make([]core.Pair, f.steps)
+	for i := range out {
+		out[i] = core.Pair{Stream: 0, Query: core.QueryID(i)}
+	}
+	return out
+}
+
+// TestIngestBatchAtomicToReaders: an in-memory engine shows an ingest batch
+// whole or not at all. A GET /v1/candidates sent while step 2 of a 3-step
+// batch is held answers only once the batch has ended, with all 3 steps.
+func TestIngestBatchAtomicToReaders(t *testing.T) {
+	f := &gatedStepFilter{block: 2, entered: make(chan struct{}), release: make(chan struct{})}
+	srv := httptest.NewServer(New(core.NewMonitor(f)).Handler())
+	t.Cleanup(srv.Close)
+	sid := registerPair(t, srv.URL)
+
+	body := insFrame(sid, 0, 10, 0, 1, 0) + "\n" + insFrame(sid, 0, 11, 0, 1, 0) + "\n" + insFrame(sid, 0, 12, 0, 1, 0)
+	ingested := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/ingest", "application/x-ndjson", strings.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("ingest = %d", resp.StatusCode)
+			}
+		}
+		ingested <- err
+	}()
+	<-f.entered
+	read := make(chan string, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + "/v1/candidates")
+		if err != nil {
+			read <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		text, _ := io.ReadAll(resp.Body)
+		read <- string(text)
+	}()
+	// Release the step before failing: closing the server waits for the
+	// ingest.
+	select {
+	case text := <-read:
+		close(f.release)
+		t.Fatalf("GET /v1/candidates answered mid-batch: %s", text)
+	case <-time.After(50 * time.Millisecond):
+		close(f.release)
+	}
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+	want := string(AppendPairs(nil, []core.Pair{{Stream: 0, Query: 0}, {Stream: 0, Query: 1}, {Stream: 0, Query: 2}}))
+	if got := <-read; got != want {
+		t.Fatalf("GET /v1/candidates during the batch = %s; want the whole batch's %s", got, want)
+	}
 }
 
 // TestDecodeIngestBatchWarmAllocsIndependentOfOps: the ingest path decodes

@@ -20,7 +20,9 @@ import (
 )
 
 // Engine is the monitoring surface the server drives. core.Monitor and
-// core.DurableEngine satisfy it.
+// core.DurableEngine satisfy it. An Engine is safe for concurrent use and
+// decides what a read sees: core.Monitor shows an ingest batch whole or not
+// at all, and core.DurableEngine shows no write before its fsync.
 type Engine interface {
 	AddQuery(q *graph.Graph) (core.QueryID, error)
 	RemoveQuery(id core.QueryID) error
@@ -38,14 +40,11 @@ type Engine interface {
 	SetMetrics(em *core.EngineMetrics)
 }
 
-// Server guards an Engine behind an HTTP API with a readers-writer lock:
-// mutating requests (registrations, steps) are exclusive, while read-only
-// requests (/v1/candidates, /v1/stats) run concurrently. This relies on the
-// core.Filter contract that Candidates is a safe read path. /v1/metrics
-// takes no server lock: the scrape-time instruments read under the engine's
-// own read lock.
+// Server serves an Engine over an HTTP API. It holds no lock of its own:
+// every Engine is safe for concurrent use and decides what a read sees, so
+// handlers call it directly. /v1/metrics reads the scrape-time instruments,
+// which run under the engine's own read lock.
 type Server struct {
-	mu           sync.RWMutex
 	engine       Engine
 	registry     *obs.Registry
 	maxBodyBytes int64
@@ -163,47 +162,6 @@ type stepRequest struct {
 	Changes map[string][]WireOp `json:"changes"`
 }
 
-// The engine calls below run under s.mu, each in a function of its own
-// whose deferred unlock also runs when the call panics — net/http recovers
-// a handler's panic, so an inline unlock would leave the lock held and
-// every later request blocked. The response is written after the unlock.
-
-func (s *Server) addQuery(g *graph.Graph) (core.QueryID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine.AddQuery(g)
-}
-
-func (s *Server) removeQuery(id core.QueryID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine.RemoveQuery(id)
-}
-
-func (s *Server) addStream(g *graph.Graph) (core.StreamID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine.AddStream(g)
-}
-
-func (s *Server) stepAll(changes map[core.StreamID]graph.ChangeSet) ([]core.Pair, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine.StepAll(changes)
-}
-
-func (s *Server) candidates() []core.Pair {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.engine.Candidates()
-}
-
-func (s *Server) stats() core.Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.engine.Stats()
-}
-
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		HTTPError(w, http.StatusMethodNotAllowed, "POST only")
@@ -218,7 +176,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
-	id, err := s.addQuery(g)
+	id, err := s.engine.AddQuery(g)
 	if err != nil {
 		HTTPError(w, StatusFor(err), "%v", err)
 		return
@@ -237,7 +195,7 @@ func (s *Server) handleQueryByID(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, "bad query id %q", idStr)
 		return
 	}
-	if err := s.removeQuery(core.QueryID(id)); err != nil {
+	if err := s.engine.RemoveQuery(core.QueryID(id)); err != nil {
 		HTTPError(w, StatusFor(err), "%v", err)
 		return
 	}
@@ -258,7 +216,7 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, "bad graph: %v", err)
 		return
 	}
-	id, err := s.addStream(g)
+	id, err := s.engine.AddStream(g)
 	if err != nil {
 		HTTPError(w, StatusFor(err), "%v", err)
 		return
@@ -293,7 +251,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		}
 		changes[core.StreamID(sid)] = cs
 	}
-	pairs, err := s.stepAll(changes)
+	pairs, err := s.engine.StepAll(changes)
 	if err != nil {
 		HTTPError(w, StatusFor(err), "%v", err)
 		return
@@ -306,7 +264,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	WritePairs(w, s.candidates())
+	WritePairs(w, s.engine.Candidates())
 }
 
 type statsResponse struct {
@@ -320,7 +278,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	st := s.stats()
+	st := s.engine.Stats()
 	WriteJSON(w, http.StatusOK, statsResponse{
 		Timestamps:     st.Timestamps,
 		AvgFilterMs:    float64(st.AvgTimePerTimestamp()) / float64(time.Millisecond),

@@ -238,8 +238,9 @@ func (f panicFilter) Apply(core.StreamID, graph.ChangeSet) error {
 }
 
 // TestServerSurvivesEnginePanic: net/http recovers a handler's panic, so an
-// engine call that panics must still release the server's lock. After a
-// panicking registration, step or ingest, GET /v1/stats answers within 2 s.
+// engine call that panics must still release the engine's lock; the server
+// holds none of its own. After a panicking registration, step or ingest,
+// GET /v1/stats answers within 2 s.
 func TestServerSurvivesEnginePanic(t *testing.T) {
 	for _, tc := range []struct {
 		name, method, path, body string
