@@ -17,14 +17,16 @@ var WALOrder = &Analyzer{
 }
 
 // engineMutators are the inner-engine methods that change logical state and
-// therefore need a WAL record. applyRecord is the one function every
-// durable write and boot replay applies a record with; stepCount, the
-// count-only step core.Monitor no longer has, stays listed for its fixture.
+// therefore need a WAL record. applyRecord is the function boot replay
+// applies a record with, and a durable write stages its records with
+// stageRecord and hands the staged steps to the filter with flushStaged;
+// stepCount, the count-only step core.Monitor no longer has, stays listed
+// for its fixture.
 // Calls on the receiver itself are not audited, so a live write must go
 // through the inner engine's applyRecord to stay visible.
 var engineMutators = map[string]bool{
 	"AddQuery": true, "RemoveQuery": true, "AddStream": true, "StepAll": true,
-	"stepCount": true, "applyRecord": true,
+	"stepCount": true, "applyRecord": true, "stageRecord": true, "flushStaged": true,
 }
 
 // runWALOrder audits the methods of WAL-owning structs.

@@ -217,15 +217,19 @@ func (d *DurableEngine) restoreCheckpoint() (uint64, error) {
 var errDurableClosed = fmt.Errorf("core: durable engine is closed")
 
 // commit is the engine's one write path. Inside one group commit it appends
-// each record and applies it with Monitor.applyRecord, the function boot
-// replay calls, so live and recovered state come from one function. A
+// each record and stages it with Monitor.stageRecord, which validates a
+// step on the canonical graphs and applies any other kind; then
+// Monitor.flushStaged hands the staged steps to the filter at once. Boot
+// replay applies each record through Monitor.applyRecord, which does the
+// same for one record, so live and recovered state come from one path. A
 // commit's records are all local or all shipped: a local mutation has no
 // LSN until the log numbers it, while a record shipped from a primary
 // (ApplyRecord) carries its LSN and keeps it. A record the engine rejects
-// is withdrawn and ends the commit; the records before it stay applied.
-// applied and pairs count the records applied and the candidate pairs their
-// steps reported; a step also builds its pair list into cands when cands is
-// non-nil.
+// is withdrawn and ends the commit; the records before it stay applied. A
+// step the filter fails is rejected with every later one (core.StepApplier),
+// and their records are withdrawn, newest first. applied and pairs count the
+// records applied and the candidate pairs their steps reported; a step also
+// builds its pair list into cands when cands is non-nil.
 //
 // Under wal.SyncAlways nothing is durable before the window's closing fsync,
 // so OnCommit receives the applied local records only after it, in commit
@@ -240,27 +244,33 @@ func (d *DurableEngine) commit(cands *[]Pair, recs ...wal.Record) (applied, pair
 	}
 	shipped := len(recs) > 0 && recs[0].LSN != 0
 	err = d.log.GroupCommit(func() error {
+		var err error
+		steps := 0
 		for i := range recs {
-			var err error
 			if shipped {
 				err = d.log.AppendAt(recs[i])
 			} else {
 				recs[i].LSN, err = d.log.Append(recs[i])
 			}
 			if err != nil {
-				return err
+				break
 			}
-			n, err := d.inner.applyRecord(recs[i], cands)
-			if err != nil {
-				if werr := d.log.Withdraw(); werr != nil {
-					return fmt.Errorf("%w (and withdrawing the WAL record failed: %v)", err, werr)
-				}
-				return err
+			if err = d.inner.stageRecord(recs[i]); err != nil {
+				err = d.withdraw(err, 1)
+				break
 			}
 			applied++
-			pairs += n
+			if recs[i].Kind == wal.KindStepAll {
+				steps++
+			}
 		}
-		return nil
+		n, p, ferr := d.inner.flushStaged(cands)
+		pairs = p
+		if ferr != nil {
+			applied -= steps - n
+			err = d.withdraw(ferr, steps-n)
+		}
+		return err
 	})
 	if applied > 0 {
 		d.armCheckpoint()
@@ -271,6 +281,17 @@ func (d *DurableEngine) commit(cands *[]Pair, recs ...wal.Record) (applied, pair
 		}
 	}
 	return applied, pairs, err
+}
+
+// withdraw withdraws the log's last n records, whose apply failed with err,
+// and returns err, with the withdrawal's own failure if it fails.
+func (d *DurableEngine) withdraw(err error, n int) error {
+	for range n {
+		if werr := d.log.Withdraw(); werr != nil {
+			return fmt.Errorf("%w (and withdrawing the WAL record failed: %v)", err, werr)
+		}
+	}
+	return err
 }
 
 // stepRecord is the WAL record of one global timestamp's change sets.

@@ -282,3 +282,68 @@ func TestStepAllBatchPanicKeepsDurability(t *testing.T) {
 	}
 	_ = d.Crash()
 }
+
+// failingSteps is an NL filter whose ApplySteps, while failAt ≥ 0, applies
+// the steps before index failAt and fails that step.
+type failingSteps struct {
+	*join.NL
+	failAt *int
+}
+
+func (f failingSteps) ApplySteps(steps []map[core.StreamID]graph.ChangeSet, pairs []int) (int, error) {
+	k := *f.failAt
+	if k < 0 || k >= len(steps) {
+		return f.NL.ApplySteps(steps, pairs)
+	}
+	if n, err := f.NL.ApplySteps(steps[:k], pairs[:k]); err != nil {
+		return n, err
+	}
+	return k, errors.New("filter fails the step")
+}
+
+// TestStepAllBatchFilterErrorWithdrawsRest pins core.StepApplier's error
+// contract on the durable engine: a step the filter fails is rejected with
+// every later step of the batch. Their records are withdrawn, newest first,
+// and their canonical graphs restored, so the same steps apply again once
+// the fault clears, and a crash recovers exactly what was applied.
+func TestStepAllBatchFilterErrorWithdrawsRest(t *testing.T) {
+	dir := t.TempDir()
+	failAt := 1
+	factory := func() core.Filter { return failingSteps{join.NewNL(drillDepth), &failAt} }
+	d, err := core.OpenDurableEngine(dir, factory, core.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(t, d)
+	before := d.AppliedLSN()
+	steps := batchSteps(0, 3)
+	applied, _, err := d.StepAllBatch(steps)
+	if err == nil || applied != 1 {
+		t.Fatalf("StepAllBatch = (%d, _, %v); want (1, _, the filter's error)", applied, err)
+	}
+	if got := d.AppliedLSN(); got != before+1 {
+		t.Fatalf("AppliedLSN after the filter failed step 1 = %d; want %d", got, before+1)
+	}
+	failAt = -1
+	if applied, _, err := d.StepAllBatch(steps[1:]); err != nil || applied != 2 {
+		t.Fatalf("retried steps = (%d, _, %v); want (2, _, nil)", applied, err)
+	}
+	if got := d.AppliedLSN(); got != before+3 {
+		t.Fatalf("AppliedLSN after the retry = %d; want %d", got, before+3)
+	}
+	want := d.Candidates()
+	if err := d.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := core.OpenDurableEngine(dir, factory, core.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if got := recovered.Stats().Timestamps; got != 3 {
+		t.Fatalf("recovered engine replayed %d steps; want 3", got)
+	}
+	if got := recovered.Candidates(); !slices.Equal(got, want) {
+		t.Fatalf("recovered candidates %v; want %v", got, want)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -581,5 +582,53 @@ func TestStatsZeroDivision(t *testing.T) {
 	var s Stats
 	if s.AvgTimePerTimestamp() != 0 || s.CandidateRatio() != 0 {
 		t.Fatal("zero stats should not divide by zero")
+	}
+}
+
+// stepsPassthrough is a passthrough that takes whole batches of steps,
+// records how many steps each call got, and panics once when panicNext is
+// set.
+type stepsPassthrough struct {
+	passthrough
+	calls     []int
+	panicNext bool
+}
+
+func (s *stepsPassthrough) ApplySteps(steps []map[StreamID]graph.ChangeSet, pairs []int) (int, error) {
+	s.calls = append(s.calls, len(steps))
+	if s.panicNext {
+		s.panicNext = false
+		panic("filter panics mid-batch")
+	}
+	for k := range pairs {
+		pairs[k] = len(s.streams) * len(s.queries)
+	}
+	return len(steps), nil
+}
+
+// TestEngineBatchAfterPanicIsFresh: a StepApplier that panics inside a
+// batch leaves no staged step behind, so the next batch hands the filter
+// only its own steps.
+func TestEngineBatchAfterPanicIsFresh(t *testing.T) {
+	f := &stepsPassthrough{panicNext: true}
+	m := NewMonitor(f)
+	ids := populate(t, m, 1, 1)
+	step := func(u graph.VertexID) map[StreamID]graph.ChangeSet {
+		return map[StreamID]graph.ChangeSet{ids[0]: {graph.InsertOp(u, 0, u+1, 1, 0)}}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the filter's panic did not reach the caller")
+			}
+		}()
+		_, _, _ = m.StepAllBatch([]map[StreamID]graph.ChangeSet{step(10), step(20)})
+	}()
+	applied, pairs, err := m.StepAllBatch([]map[StreamID]graph.ChangeSet{step(30)})
+	if err != nil || applied != 1 || pairs != 1 {
+		t.Fatalf("batch after the panic = (%d, %d, %v); want (1, 1, nil)", applied, pairs, err)
+	}
+	if want := []int{2, 1}; !slices.Equal(f.calls, want) {
+		t.Fatalf("the filter got batches of %v steps; want %v", f.calls, want)
 	}
 }

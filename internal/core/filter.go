@@ -63,6 +63,11 @@ func SortPairs(ps []Pair) []Pair {
 // Candidates is additionally a read path: the engine allows multiple
 // Candidates calls to run concurrently with each other (never with a
 // mutating call), so implementations must not mutate state in Candidates.
+//
+// The engine hands a filter only steps it has validated on its canonical
+// graphs. A filter that still fails one leaves its own state unspecified,
+// and the engine rejects that step as it rejects an invalid one (for a
+// batch of steps, see StepApplier).
 type Filter interface {
 	// Name identifies the filter in reports and benchmarks.
 	Name() string
@@ -93,6 +98,27 @@ type Filter interface {
 type BatchApplier interface {
 	// ApplyAll advances several streams by one timestamp's change sets.
 	ApplyAll(changes map[StreamID]graph.ChangeSet) error
+}
+
+// StepApplier is an optional Filter extension: the engine hands a batch's
+// timestamps to the filter in one call, so a filter that keeps its state
+// per stream can run each changed stream's steps in order inside one
+// fan-out instead of one fan-out per timestamp. The engine validates and
+// stages every step on its canonical graphs first, and hands over only the
+// steps before the first invalid one.
+//
+// ApplySteps must be observationally equivalent to calling ApplyAll once
+// per step, in order, and writing into pairs[k] the number of candidate
+// pairs after step k (len(pairs) == len(steps)). It returns the number of
+// steps applied. A filter error stops the batch at a step: ApplySteps
+// returns that step's index and the error, the counts before it are valid,
+// and the filter's own state is unspecified, as after any failed Apply.
+// The engine treats the failing step like an invalid one: the steps before
+// it stay applied, and it and every later step of the batch are rejected —
+// their canonical graphs are restored and a durable engine withdraws their
+// records. No in-tree filter fails a step the engine validated.
+type StepApplier interface {
+	ApplySteps(steps []map[StreamID]graph.ChangeSet, pairs []int) (int, error)
 }
 
 // CandidateCounter is an optional Filter extension: CandidateCount returns

@@ -252,6 +252,10 @@ func (h *harness) run() {
 			for ; len(batch) < op.Index && k+1 < len(h.sc.Ops) && h.sc.Ops[k+1].Kind == fuzzsched.Step; k++ {
 				batch = append(batch, changesOf(h.sc.Ops[k+1]))
 			}
+			// A batch ends at its first rejected step, and the reference
+			// rejects only invalid ones: a step the filter fails would end
+			// it too (core.StepApplier), but no config's filter fails a
+			// step the engine validated.
 			applied, pairs := 0, 0
 			for applied < len(batch) && h.model.Step(batch[applied]) == nil {
 				applied++

@@ -13,10 +13,13 @@ import (
 type EngineMetrics struct {
 	// ApplySeconds is the per-timestamp wall-clock latency of the
 	// filter-apply phase, evaluation pool included. Its _count is the number
-	// of StepAll rounds.
+	// of StepAll rounds. A batch a StepApplier takes in one call has its
+	// apply time spread evenly over its steps, so the sum still holds.
 	ApplySeconds *obs.Histogram
 	// CollectSeconds is the per-timestamp latency of candidate collection:
-	// the pair list for StepAll, the pair count for StepAllBatch.
+	// the pair list for StepAll, the pair count for StepAllBatch. A
+	// StepApplier counts a batch's pairs inside its apply, so its steps
+	// observe 0 here.
 	CollectSeconds *obs.Histogram
 	// CandidatePairs counts reported pairs summed over all rounds.
 	CandidatePairs *obs.Counter
@@ -32,9 +35,9 @@ type EngineMetrics struct {
 func NewEngineMetrics(r *obs.Registry) *EngineMetrics {
 	return &EngineMetrics{
 		ApplySeconds: r.Histogram("nntstream_engine_apply_seconds",
-			"Per-timestamp filter apply latency in seconds.", nil),
+			"Per-timestamp filter apply latency in seconds. A batch applied in one call is spread evenly over its steps.", nil),
 		CollectSeconds: r.Histogram("nntstream_engine_collect_seconds",
-			"Per-timestamp candidate collection latency in seconds.", nil),
+			"Per-timestamp candidate collection latency in seconds. 0 for a step whose batch the filter counted itself.", nil),
 		CandidatePairs: r.Counter("nntstream_engine_candidate_pairs_total",
 			"Candidate pairs reported, summed over all rounds."),
 		CandidateRatio: r.Gauge("nntstream_engine_candidate_ratio",

@@ -38,11 +38,19 @@ type Monitor struct {
 	stats   Stats
 	metrics *EngineMetrics
 
-	// Per-step scratch, reused across StepAll calls under mu: the batch's
-	// stream IDs in ascending order and, parallel to them, the undo log of
-	// each change set staged on its canonical graph.
-	stepIDs []StreamID
-	undos   []graph.Undo
+	// The staged batch, under mu: the steps stage validated and applied to
+	// the canonical graphs that flush has not yet handed to the filter. Its
+	// buffers are reused across batches.
+	staged []stagedStep
+}
+
+// stagedStep is one staged timestamp: its normalized change sets, their
+// stream IDs in ascending order and, parallel to the IDs, the undo log of
+// each change set staged on its canonical graph.
+type stagedStep struct {
+	norms map[StreamID]graph.ChangeSet
+	ids   []StreamID
+	undos []graph.Undo
 }
 
 // Stats accumulates per-run measurements.
@@ -51,7 +59,8 @@ type Stats struct {
 	Timestamps int
 	// FilterTime is the total wall time spent inside the filter's Apply
 	// calls and collecting each step's candidates: the list for StepAll,
-	// the count for StepAllBatch.
+	// the count for StepAllBatch. A StepApplier counts a batch's pairs
+	// inside its one call, whose time is spread evenly over the steps.
 	FilterTime time.Duration
 	// CandidatePairs sums the number of reported pairs over all rounds.
 	CandidatePairs int64
@@ -191,33 +200,65 @@ func (m *Monitor) addStreamLocked(id StreamID, g0 *graph.Graph) error {
 
 // applyRecord applies one WAL record under its explicit IDs, which
 // reproduce historical ID assignments exactly (including gaps left by
-// removed queries). It is the one function through which a logged mutation
-// becomes engine state: the durable engine's commit, boot replay and
-// checkpoint restore all call it. It returns the pairs a step reported, and
-// 0 for the other kinds. A step builds its pair list into cands when cands
-// is non-nil, and otherwise only counts it.
+// removed queries). It and stageRecord are the functions through which a
+// logged mutation becomes engine state: the durable engine's commit, boot
+// replay and checkpoint restore all call them. It returns the pairs a step
+// reported, and 0 for the other kinds. A step builds its pair list into
+// cands when cands is non-nil, and otherwise only counts it.
 func (m *Monitor) applyRecord(r wal.Record, cands *[]Pair) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if r.Kind != wal.KindStepAll {
+		return 0, m.applyLocked(r)
+	}
+	if err := m.stage(recordChanges(r)); err != nil {
+		return 0, err
+	}
+	_, pairs, err := m.flush(cands)
+	return pairs, err
+}
+
+// stageRecord is applyRecord for one record of a durable commit: a step is
+// only staged, for flushStaged to hand to the filter with the commit's
+// other steps, and a record of another kind is applied at once. A commit's
+// records are all steps, or one record of another kind.
+func (m *Monitor) stageRecord(r wal.Record) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r.Kind == wal.KindStepAll {
+		return m.stage(recordChanges(r))
+	}
+	return m.applyLocked(r)
+}
+
+// flushStaged hands the steps stageRecord staged to the filter (flush).
+func (m *Monitor) flushStaged(cands *[]Pair) (applied, pairs int, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.flush(cands)
+}
+
+// applyLocked applies a record that is not a step. Callers hold m.mu.
+func (m *Monitor) applyLocked(r wal.Record) error {
 	switch r.Kind {
 	case wal.KindAddQuery:
-		return 0, m.addQueryLocked(QueryID(r.ID), r.Graph)
+		return m.addQueryLocked(QueryID(r.ID), r.Graph)
 	case wal.KindRemoveQuery:
-		return 0, m.removeQueryLocked(QueryID(r.ID))
+		return m.removeQueryLocked(QueryID(r.ID))
 	case wal.KindAddStream:
-		return 0, m.addStreamLocked(StreamID(r.ID), r.Graph)
-	case wal.KindStepAll:
-		changes := make(map[StreamID]graph.ChangeSet, len(r.Changes))
-		for id, cs := range r.Changes {
-			changes[StreamID(id)] = cs
-		}
-		if cands == nil {
-			return m.step(changes, m.candidateCount)
-		}
-		return m.step(changes, func() int { *cands = m.filter.Candidates(); return len(*cands) })
+		return m.addStreamLocked(StreamID(r.ID), r.Graph)
 	default:
-		return 0, fmt.Errorf("core: unknown WAL record kind %d", r.Kind)
+		return fmt.Errorf("core: unknown WAL record kind %d", r.Kind)
 	}
+}
+
+// recordChanges is a step record's change sets by stream.
+func recordChanges(r wal.Record) map[StreamID]graph.ChangeSet {
+	changes := make(map[StreamID]graph.ChangeSet, len(r.Changes))
+	for id, cs := range r.Changes {
+		changes[StreamID(id)] = cs
+	}
+	return changes
 }
 
 // QueryCount and StreamCount report workload sizes.
@@ -265,8 +306,11 @@ func (m *Monitor) Query(id QueryID) *graph.Graph {
 func (m *Monitor) StepAll(changes map[StreamID]graph.ChangeSet) ([]Pair, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err := m.stage(changes); err != nil {
+		return nil, err
+	}
 	var cands []Pair
-	if _, err := m.step(changes, func() int { cands = m.filter.Candidates(); return len(cands) }); err != nil {
+	if _, _, err := m.flush(&cands); err != nil {
 		return nil, err
 	}
 	return cands, nil
@@ -281,31 +325,6 @@ func (m *Monitor) candidateCount() int {
 	return len(m.filter.Candidates())
 }
 
-// step stages and applies one timestamp, then runs collect, which returns
-// the number of candidate pairs, and records the stats. Callers hold m.mu.
-func (m *Monitor) step(changes map[StreamID]graph.ChangeSet, collect func() int) (int, error) {
-	norms, err := m.stageChanges(changes)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	if err := m.apply(norms); err != nil {
-		m.unstage(len(m.stepIDs))
-		return 0, err
-	}
-	applyDur := time.Since(start)
-	start = time.Now()
-	pairs := collect()
-	collectDur := time.Since(start)
-
-	m.stats.FilterTime += applyDur + collectDur
-	m.stats.Timestamps++
-	m.stats.CandidatePairs += int64(pairs)
-	m.stats.TotalPairs += int64(len(m.streams) * len(m.queries))
-	m.metrics.observeStep(applyDur, collectDur, pairs, m.stats)
-	return pairs, nil
-}
-
 // Step advances a single stream by one timestamp.
 func (m *Monitor) Step(id StreamID, cs graph.ChangeSet) ([]Pair, error) {
 	return m.StepAll(map[StreamID]graph.ChangeSet{id: cs})
@@ -315,15 +334,111 @@ func (m *Monitor) Step(id StreamID, cs graph.ChangeSet) ([]Pair, error) {
 // StepAll call, and stops at the first step that fails: the steps before it
 // stay applied. It returns the steps applied and the candidate pairs they
 // reported — DurableEngine.StepAllBatch's contract without the shared
-// fsync, which an in-memory engine has no use for. It counts the pairs, from
-// a CandidateCounter filter without building the list. It holds the write
-// lock across the whole batch, so a reader sees all of it or none.
+// fsync, which an in-memory engine has no use for. It stages the steps up
+// to the first invalid one and hands them to the filter at once (flush),
+// counting the pairs without building the list. It holds the write lock
+// across the whole batch, so a reader sees all of it or none.
 func (m *Monitor) StepAllBatch(batch []map[StreamID]graph.ChangeSet) (applied, pairs int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var serr error
 	for _, changes := range batch {
-		n, err := m.step(changes, m.candidateCount)
+		if serr = m.stage(changes); serr != nil {
+			break
+		}
+	}
+	applied, pairs, err = m.flush(nil)
+	if err == nil {
+		err = serr
+	}
+	return applied, pairs, err
+}
+
+// stage validates one timestamp and applies it to the canonical graphs in
+// place, in ascending stream order, appending it to the staged batch with
+// each change set's undo log, so unstage can take it back. A step naming an
+// unknown stream is refused before anything changes; one whose change set
+// fails validation is taken back whole, and the error names the lowest
+// failing stream. Callers hold m.mu.
+func (m *Monitor) stage(changes map[StreamID]graph.ChangeSet) error {
+	k := len(m.staged)
+	if k < cap(m.staged) {
+		m.staged = m.staged[:k+1]
+	} else {
+		m.staged = append(m.staged, stagedStep{})
+	}
+	st := &m.staged[k]
+	st.ids = st.ids[:0]
+	for id := range changes {
+		st.ids = append(st.ids, id)
+	}
+	slices.Sort(st.ids)
+	for _, id := range st.ids {
+		if _, ok := m.streams[id]; !ok {
+			m.drop(k)
+			return fmt.Errorf("core: %w %d", ErrUnknownStream, id)
+		}
+	}
+	for len(st.undos) < len(st.ids) {
+		st.undos = append(st.undos, nil)
+	}
+	st.norms = make(map[StreamID]graph.ChangeSet, len(st.ids))
+	for i, id := range st.ids {
+		norm := changes[id].Normalize()
+		undo, err := norm.ApplyUndoable(m.streams[id], st.undos[i][:0])
+		st.undos[i] = undo
 		if err != nil {
+			st.revert(m.streams, i)
+			m.drop(k)
+			return fmt.Errorf("core: %w for stream %d: %w", errInvalidChangeSet, id, err)
+		}
+		st.norms[id] = norm
+	}
+	return nil
+}
+
+// revert reverts the step's first n change sets, newest first.
+func (st *stagedStep) revert(streams map[StreamID]*graph.Graph, n int) {
+	for i := n - 1; i >= 0; i-- {
+		st.undos[i].Revert(streams[st.ids[i]])
+	}
+}
+
+// unstage takes back the staged steps from the k-th on, newest first, and
+// drops them from the staged batch. Callers hold m.mu.
+func (m *Monitor) unstage(k int) {
+	for i := len(m.staged) - 1; i >= k; i-- {
+		m.staged[i].revert(m.streams, len(m.staged[i].ids))
+	}
+	m.drop(k)
+}
+
+// drop truncates the staged batch to its first k steps.
+func (m *Monitor) drop(k int) {
+	for i := k; i < len(m.staged); i++ {
+		m.staged[i].norms = nil
+	}
+	m.staged = m.staged[:k]
+}
+
+// flush hands the staged steps to the filter in order, records each applied
+// step's stats, and empties the staged batch. It returns the steps applied
+// and the pairs they reported. A StepApplier takes them in one call and
+// counts their pairs itself, unless cands asks for the pair list; otherwise
+// each step is one ApplyAll, or one Apply per stream in ascending order,
+// followed by collecting its pairs — into cands when it is non-nil. A step
+// the filter fails is rejected together with every later one: unstage
+// takes them back. The batch is emptied even when the filter panics, so
+// the next batch cannot hand the filter a step twice. Callers hold m.mu.
+func (m *Monitor) flush(cands *[]Pair) (applied, pairs int, err error) {
+	defer m.drop(0)
+	if sa, ok := m.filter.(StepApplier); ok && cands == nil && len(m.staged) > 0 {
+		return m.flushSteps(sa)
+	}
+	for k := range m.staged {
+		n, err := m.flushOne(&m.staged[k], cands)
+		if err != nil {
+			m.unstage(k)
 			return applied, pairs, err
 		}
 		applied++
@@ -332,60 +447,76 @@ func (m *Monitor) StepAllBatch(batch []map[StreamID]graph.ChangeSet) (applied, p
 	return applied, pairs, nil
 }
 
-// stageChanges applies a StepAll batch to the canonical graphs in place and
-// returns the normalized change sets for the filter. It sorts the batch's
-// stream IDs into m.stepIDs and logs each set's mutations in the matching
-// entry of m.undos, so unstage can take the batch back. On failure it has
-// already reverted everything it applied. Callers hold m.mu.
-func (m *Monitor) stageChanges(changes map[StreamID]graph.ChangeSet) (map[StreamID]graph.ChangeSet, error) {
-	ids := m.stepIDs[:0]
-	for id := range changes {
-		ids = append(ids, id)
+// flushSteps is flush for a StepApplier: one ApplySteps call, whose wall
+// time is spread evenly over the steps it applied, the last taking the
+// rounding, so the per-step sums still hold. Callers hold m.mu.
+func (m *Monitor) flushSteps(sa StepApplier) (applied, pairs int, err error) {
+	steps := make([]map[StreamID]graph.ChangeSet, len(m.staged))
+	for i := range m.staged {
+		steps[i] = m.staged[i].norms
 	}
-	slices.Sort(ids)
-	m.stepIDs = ids
-	for _, id := range ids {
-		if _, ok := m.streams[id]; !ok {
-			return nil, fmt.Errorf("core: %w %d", ErrUnknownStream, id)
+	counts := make([]int, len(steps))
+	start := time.Now()
+	applied, err = sa.ApplySteps(steps, counts)
+	dur := time.Since(start)
+	if err != nil {
+		err = fmt.Errorf("core: filter %s: %w", m.filter.Name(), err)
+	}
+	m.unstage(applied)
+	for k, n := range counts[:applied] {
+		each := dur / time.Duration(applied)
+		if k == applied-1 {
+			each = dur - each*time.Duration(applied-1)
 		}
+		m.record(each, 0, n)
+		pairs += n
 	}
-	for len(m.undos) < len(ids) {
-		m.undos = append(m.undos, nil)
-	}
-	norms := make(map[StreamID]graph.ChangeSet, len(ids))
-	for i, id := range ids {
-		norm := changes[id].Normalize()
-		undo, err := norm.ApplyUndoable(m.streams[id], m.undos[i][:0])
-		m.undos[i] = undo
-		if err != nil {
-			m.unstage(i)
-			return nil, fmt.Errorf("core: %w for stream %d: %w", errInvalidChangeSet, id, err)
-		}
-		norms[id] = norm
-	}
-	return norms, nil
+	return applied, pairs, err
 }
 
-// unstage reverts the first n change sets of the batch stageChanges staged,
-// newest first. Callers hold m.mu.
-func (m *Monitor) unstage(n int) {
-	for i := n - 1; i >= 0; i-- {
-		m.undos[i].Revert(m.streams[m.stepIDs[i]])
+// flushOne hands the filter one staged step and collects its pairs: the
+// list into cands when it is non-nil, otherwise the count. Callers hold
+// m.mu.
+func (m *Monitor) flushOne(st *stagedStep, cands *[]Pair) (int, error) {
+	start := time.Now()
+	if err := m.apply(st); err != nil {
+		return 0, err
 	}
+	applyDur := time.Since(start)
+	start = time.Now()
+	var n int
+	if cands != nil {
+		*cands = m.filter.Candidates()
+		n = len(*cands)
+	} else {
+		n = m.candidateCount()
+	}
+	m.record(applyDur, time.Since(start), n)
+	return n, nil
+}
+
+// record adds one applied step to the stats and the metrics. Callers hold
+// m.mu.
+func (m *Monitor) record(apply, collect time.Duration, pairs int) {
+	m.stats.FilterTime += apply + collect
+	m.stats.Timestamps++
+	m.stats.CandidatePairs += int64(pairs)
+	m.stats.TotalPairs += int64(len(m.streams) * len(m.queries))
+	m.metrics.observeStep(apply, collect, pairs, m.stats)
 }
 
 // apply hands the filter one staged timestamp. Callers hold m.mu.
-func (m *Monitor) apply(norms map[StreamID]graph.ChangeSet) error {
+func (m *Monitor) apply(st *stagedStep) error {
 	// A batch-capable filter fans the whole timestamp out over its own
 	// worker pool; others walk it stream by stream, in ascending order.
 	if ba, ok := m.filter.(BatchApplier); ok {
-		if err := ba.ApplyAll(norms); err != nil {
+		if err := ba.ApplyAll(st.norms); err != nil {
 			return fmt.Errorf("core: filter %s: %w", m.filter.Name(), err)
 		}
 		return nil
 	}
-	for _, id := range m.stepIDs {
-		if err := m.filter.Apply(id, norms[id]); err != nil {
+	for _, id := range st.ids {
+		if err := m.filter.Apply(id, st.norms[id]); err != nil {
 			return fmt.Errorf("core: filter %s stream %d: %w", m.filter.Name(), id, err)
 		}
 	}

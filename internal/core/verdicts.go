@@ -8,22 +8,27 @@ import (
 // Verdicts is a filter's answer, one verdict per (stream, query) pair, and
 // its one query-slot registry: a stream's row holds its verdicts by the
 // dense slot the table issues and recycles, so a filter keeps per-query
-// state in arrays by the same slot. Set moves the pair count only when a
-// verdict flips, so a step costs nothing proportional to the answer. The
-// zero value is an empty table.
+// state in arrays by the same slot. Each row counts its true verdicts, and
+// Set moves that count only when a verdict flips, so a step costs nothing
+// proportional to the answer, and Sets on distinct rows touch nothing in
+// common: a filter may settle its streams concurrently. The zero value is an
+// empty table.
 type Verdicts struct {
 	rows  []*VerdictRow // by ascending stream ID
 	qids  []QueryID     // ascending, with their slots in parallel
 	slots []int32
 	free  []int32
-	pairs int
 }
 
-// VerdictRow is one stream's verdicts, by query slot.
+// VerdictRow is one stream's verdicts, by query slot, and how many are true.
 type VerdictRow struct {
 	stream  StreamID
 	verdict []bool
+	pairs   int
 }
+
+// Pairs returns the number of the row's true verdicts.
+func (r *VerdictRow) Pairs() int { return r.pairs }
 
 // BySlot returns the row's verdicts by query slot, to read until the next
 // AddQuery.
@@ -72,7 +77,8 @@ func (v *Verdicts) AddStream(id StreamID) *VerdictRow {
 // slots, owned by the table until the next AddQuery or RemoveQuery.
 func (v *Verdicts) Queries() ([]QueryID, []int32) { return v.qids, v.slots }
 
-// Set records r's verdict for query slot, moving the pair count if it flips.
+// Set records r's verdict for query slot, moving r's pair count if it
+// flips. It writes only r.
 //
 //nnt:hotpath
 func (v *Verdicts) Set(r *VerdictRow, slot int32, ok bool) {
@@ -81,26 +87,33 @@ func (v *Verdicts) Set(r *VerdictRow, slot int32, ok bool) {
 	}
 	r.verdict[slot] = ok
 	if ok {
-		v.pairs++
+		r.pairs++
 	} else {
-		v.pairs--
+		r.pairs--
 	}
 }
 
-// Count returns len(Candidates()).
+// Count returns len(Candidates()), summing the rows' pair counts.
 //
 //nnt:hotpath
-func (v *Verdicts) Count() int { return v.pairs }
+func (v *Verdicts) Count() int {
+	n := 0
+	for _, r := range v.rows {
+		n += r.pairs
+	}
+	return n
+}
 
 // Candidates returns the true pairs in (stream, query) order. Every pair is
 // written and the write position advances by the verdict, so the walk does
 // not branch; the one slot past the count takes the writes after the last
 // candidate.
 func (v *Verdicts) Candidates() []Pair {
-	if v.pairs == 0 {
+	pairs := v.Count()
+	if pairs == 0 {
 		return nil
 	}
-	out := make([]Pair, v.pairs+1)
+	out := make([]Pair, pairs+1)
 	n := 0
 	for _, r := range v.rows {
 		verdict := r.verdict

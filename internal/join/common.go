@@ -24,6 +24,7 @@
 package join
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -37,19 +38,6 @@ import (
 // DefaultDepth is the NNT depth bound used when callers do not override it;
 // the paper's Figure 12 finds depth 3 sufficient for effective filtering.
 const DefaultDepth = 3
-
-// batchStreamIDs extracts a change batch's stream IDs in ascending order.
-// The fan-out indexes tasks by position in this slice, so a fixed order is
-// what makes the parallel merge — and the error reported for an invalid
-// batch — deterministic.
-func batchStreamIDs(changes map[core.StreamID]graph.ChangeSet) []core.StreamID {
-	ids := make([]core.StreamID, 0, len(changes))
-	for id := range changes {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
 
 // pairTask is one (stream, query) re-evaluation unit, probed inside its
 // stream's task, with the result slots the probe alone writes: the
@@ -72,22 +60,25 @@ type vecQuery struct {
 	refs []int32
 }
 
-// runStreams is the per-stream stage every ApplyAll runs: step runs once
-// per batch entry, fanned out over the pool with one result slot per
-// entry. It returns the batch's stream IDs in slot order and the
-// lowest-slot error, so a failing batch reports the error a sequential walk
-// would have hit first. step must touch only its own stream's state and
-// slot i.
-func (p *evalPool) runStreams(changes map[core.StreamID]graph.ChangeSet, step func(i int, id core.StreamID, cs graph.ChangeSet) error) ([]core.StreamID, error) {
-	ids := batchStreamIDs(changes)
-	errs := make([]error, len(ids))
-	p.run(len(ids), func(i int) { errs[i] = step(i, ids[i], changes[ids[i]]) })
-	for _, err := range errs {
-		if err != nil {
-			return ids, err
-		}
-	}
-	return ids, nil
+// stepEntry is one change set of a batch: its stream, the step it belongs
+// to and, once its stream's task applied it, the stream's pair count after
+// it.
+type stepEntry struct {
+	id    core.StreamID
+	step  int
+	cs    graph.ChangeSet
+	pairs int
+}
+
+// streamRun is one stream's share of a batch, and its task: the stream's
+// entries in step order, its pair count before the batch, and the position
+// of the first entry that failed (len(entries) when none) with its error.
+// The task writes only its run, its entries and its stream.
+type streamRun struct {
+	entries []stepEntry
+	before  int
+	failed  int
+	err     error
 }
 
 // vecStream is the half of a stream's state a vector join (NL, Skyline,
@@ -110,10 +101,10 @@ type vecStream interface {
 	// distinct streams probe concurrently.
 	probe(ts []pairTask)
 	// settle folds the probed tasks into the stream's memo, in task order,
-	// and clears the probe scratch; forget drops the memo of query slot,
-	// whose query leaves; fresh resets what the stream keeps under ref,
-	// which the index just issued to a new vector or freed. Only the
-	// serialized paths call them.
+	// and clears the probe scratch; it runs in the stream's task. forget
+	// drops the memo of query slot, whose query leaves; fresh resets what
+	// the stream keeps under ref, which the index just issued to a new
+	// vector or freed. Only the serialized registration paths call them.
 	settle(ts []pairTask)
 	forget(slot int32)
 	fresh(ref int32)
@@ -121,13 +112,15 @@ type vecStream interface {
 
 // vecJoinStream is one stream of a vecJoin: the strategy's half, the
 // stream's NPV store — capped at the index's caps when indexed —
-// its row of the answer, and the pair tasks of the probe in progress,
-// reused across steps and cleared once settled.
+// its row of the answer, the pair tasks of the probe in progress, reused
+// across steps and cleared once settled, and the stream vectors its probes
+// scanned over the run.
 type vecJoinStream struct {
 	vecStream
 	store *npv.Store
 	row   *core.VerdictRow
 	tasks []pairTask
+	scans int64
 }
 
 // vecJoin is everything NL, Skyline and DSC have in common — which is
@@ -163,13 +156,8 @@ type vecJoin struct {
 	streams map[core.StreamID]*vecJoinStream
 	answer  core.Verdicts
 	// ix indexes the query vectors; nil (NL) makes every query a candidate.
-	ix *qindex.Index
-	// scans counts stream vectors scanned by probes over the run. Written
-	// only on the serialized paths — pair tasks report per-task counts that
-	// are merged after the join — and read at scrape time under the engine's
-	// read lock.
-	scans int64
-	pool  evalPool
+	ix   *qindex.Index
+	pool evalPool
 }
 
 func newVecJoin(depth int, ix *qindex.Index, derive func(*graph.Graph, int) []npv.PackedVector, newStream func(*qindex.Index, *npv.Store) vecStream) vecJoin {
@@ -295,22 +283,41 @@ func (j *vecJoin) AddStream(id core.StreamID, g0 *graph.Graph) error {
 func (j *vecJoin) evaluate(s *vecJoinStream, vq *vecQuery) {
 	s.tasks = append(s.tasks[:0], pairTask{q: vq})
 	s.probe(s.tasks)
-	j.settleAll(s)
+	j.settle(s)
 }
 
-// settleAll settles the stream's probed tasks on the serialized path, in
-// task (query) order: they go into the stream's memo, and each records its
-// verdict and flushes its counts. No task saw another's results, so
-// nothing depends on the worker count. It is ApplyAll's merge and, after
-// the probe, the registration paths' whole decision. The settled tasks are
+// advance brings a stream whose store just applied a change set up to date:
+// reconcile seals the dirty vertices and names the queries to re-probe
+// (without an index, every query once a vector changed), the probes decide
+// those pairs, and settle records them. It touches only the stream's own
+// state and reads the immutable index, the query table and the verdict
+// slots, so distinct streams advance concurrently.
+func (j *vecJoin) advance(s *vecJoinStream) {
+	queued, changed := s.reconcile(s.row.BySlot())
+	if changed && j.ix == nil {
+		queued, _ = j.answer.Queries()
+	}
+	s.tasks = s.tasks[:0]
+	for _, qid := range queued {
+		s.tasks = append(s.tasks, pairTask{q: j.queries[qid]})
+	}
+	s.probe(s.tasks)
+	j.settle(s)
+}
+
+// settle settles the stream's probed tasks in task (query) order: they go
+// into the stream's memo, and each records its verdict in the stream's row
+// and flushes its counts. No task saw another's results, and a stream
+// shares no state with another, so nothing depends on the worker count.
+// After the probe it is every path's whole decision. The settled tasks are
 // cleared, so the reused buffer keeps no removed query alive.
-func (j *vecJoin) settleAll(s *vecJoinStream) {
-	s.settle(s.tasks)
+func (j *vecJoin) settle(s *vecJoinStream) {
+	s.vecStream.settle(s.tasks)
 	for i := range s.tasks {
 		t := &s.tasks[i]
 		t.tally.Flush()
 		j.answer.Set(s.row, t.q.slot, t.ok)
-		j.scans += t.scanned
+		s.scans += t.scanned
 	}
 	clear(s.tasks)
 	s.tasks = s.tasks[:0]
@@ -321,45 +328,99 @@ func (j *vecJoin) Apply(id core.StreamID, cs graph.ChangeSet) error {
 	return j.ApplyAll(map[core.StreamID]graph.ChangeSet{id: cs})
 }
 
-// ApplyAll implements core.BatchApplier, and is the only code path that
-// advances a stream. It fans out once, one task per changed stream: NPV
-// recount; reconcile, which seals the stream's dirty vertices and names
-// the queries to re-probe from the immutable index, the stream's own
-// verdicts and memos, and atomic counters (without an index, every query);
-// and the probes of those pairs into the stream's own task slots. A task
-// touches only its stream's state, so it is race-free. One serialized pass
-// then settles the tasks in (stream, query) order (settleAll), so the
-// memos and the answer — and therefore Candidates — do not depend on the
-// worker count. A change set that fails keeps the ops before the failing
-// one (npv.Store.Apply), so every known stream of a failed batch is still
-// reconciled, probed and settled before the lowest-slot error is reported:
-// a reconcile consumes the stream's transitions, so a pair it queued and
-// did not settle, or a transition a registration's reseal sealed without
-// queuing, would never be queued again.
+// ApplyAll implements core.BatchApplier as a one-step ApplySteps, so a
+// single step has the schedule of a batch: one task per changed stream.
 func (j *vecJoin) ApplyAll(changes map[core.StreamID]graph.ChangeSet) error {
-	ids, err := j.pool.runStreams(changes, func(_ int, id core.StreamID, cs graph.ChangeSet) error {
-		s, ok := j.streams[id]
-		if !ok {
-			return fmt.Errorf("join: unknown stream %d", id)
+	var pairs [1]int
+	_, err := j.ApplySteps([]map[core.StreamID]graph.ChangeSet{changes}, pairs[:])
+	return err
+}
+
+// ApplySteps implements core.StepApplier, and is the only code path that
+// advances a stream. A stream's state is its own (Sec. IV-B), so it fans
+// out once per batch, one task per changed stream, and each task runs its
+// stream's steps in order: NPV recount, then advance (reconcile, probe,
+// settle), then the row's pair count after the step. The index is
+// immutable between registrations, so the memos and the answer — and
+// therefore Candidates — do not depend on the worker count, nor on how the
+// steps are batched. The merge then sums, step by step, how each row's
+// count moved, into the candidate count after each step.
+//
+// A change set that fails keeps the ops before the failing one
+// (npv.Store.Apply), so its stream is still advanced after it, and the
+// stream's task stops there: a reconcile consumes the stream's
+// transitions, so a pair it queued and did not settle, or a transition a
+// registration's reseal sealed without queuing, would never be queued
+// again. The batch's error is the one of the lowest failing step, and of
+// the lowest stream within it — the one a sequential walk would hit first;
+// the streams that did not fail have run all their steps.
+func (j *vecJoin) ApplySteps(steps []map[core.StreamID]graph.ChangeSet, pairs []int) (int, error) {
+	runs := plan(steps)
+	before := j.answer.Count()
+	j.pool.run(len(runs), func(i int) { j.runStream(&runs[i]) })
+	applied, err := len(steps), error(nil)
+	clear(pairs)
+	for i := range runs {
+		r := &runs[i]
+		if r.err != nil && r.entries[r.failed].step < applied {
+			applied, err = r.entries[r.failed].step, r.err
 		}
-		err := s.store.Apply(cs)
-		queued, changed := s.reconcile(s.row.BySlot())
-		if changed && j.ix == nil {
-			queued, _ = j.answer.Queries()
-		}
-		s.tasks = s.tasks[:0]
-		for _, qid := range queued {
-			s.tasks = append(s.tasks, pairTask{q: j.queries[qid]})
-		}
-		s.probe(s.tasks)
-		return err
-	})
-	for _, id := range ids {
-		if s, ok := j.streams[id]; ok {
-			j.settleAll(s)
+		prev := r.before
+		for _, e := range r.entries[:min(r.failed+1, len(r.entries))] {
+			pairs[e.step] += e.pairs - prev
+			prev = e.pairs
 		}
 	}
-	return err
+	for k := range pairs {
+		before += pairs[k]
+		pairs[k] = before
+	}
+	return applied, err
+}
+
+// plan groups a batch's entries by stream, in (stream, step) order, and
+// returns one run per changed stream over them, in ascending stream order.
+func plan(steps []map[core.StreamID]graph.ChangeSet) []streamRun {
+	var es []stepEntry
+	for k, changes := range steps {
+		for id, cs := range changes {
+			es = append(es, stepEntry{id: id, step: k, cs: cs})
+		}
+	}
+	slices.SortFunc(es, func(a, b stepEntry) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.step, b.step))
+	})
+	var runs []streamRun
+	for lo, hi := 0, 0; lo < len(es); lo = hi {
+		for hi = lo + 1; hi < len(es) && es[hi].id == es[lo].id; hi++ {
+		}
+		runs = append(runs, streamRun{entries: es[lo:hi], failed: hi - lo})
+	}
+	return runs
+}
+
+// runStream is one run's task: the stream applies its change sets in step
+// order, advancing after each and recording its row's pair count, and
+// stops after the first that fails. An unknown stream fails its first
+// entry.
+func (j *vecJoin) runStream(r *streamRun) {
+	id := r.entries[0].id
+	s, ok := j.streams[id]
+	if !ok {
+		r.failed, r.err = 0, fmt.Errorf("join: unknown stream %d", id)
+		return
+	}
+	r.before = s.row.Pairs()
+	for i := range r.entries {
+		e := &r.entries[i]
+		err := s.store.Apply(e.cs)
+		j.advance(s)
+		e.pairs = s.row.Pairs()
+		if err != nil {
+			r.failed, r.err = i, err
+			return
+		}
+	}
 }
 
 // Candidates implements core.Filter.
@@ -382,7 +443,13 @@ func (j *vecJoin) RegisterMetrics(r *obs.Registry, locked func(func() float64) f
 		locked(func() float64 { return j.sumStreams((*npv.Store).Len) }))
 	r.CounterFunc("nntstream_filter_vector_scans_total",
 		"Stream vectors scanned by dominance probes. A Skyline vector with a witness counts 0.",
-		locked(func() float64 { return float64(j.scans) }))
+		locked(func() float64 {
+			n := int64(0)
+			for _, s := range j.streams {
+				n += s.scans
+			}
+			return float64(n)
+		}))
 	r.GaugeFunc("nntstream_filter_nnt_nodes",
 		"NNT nodes the stream vectors project, summed over all streams.",
 		locked(func() float64 { return j.sumStreams((*npv.Store).Nodes) }))

@@ -13,6 +13,17 @@ import (
 	"nntstream/internal/graph"
 )
 
+// batchStreamIDs extracts a change batch's stream IDs in ascending order,
+// the order a sequential walk visits them in.
+func batchStreamIDs(changes map[core.StreamID]graph.ChangeSet) []core.StreamID {
+	ids := make([]core.StreamID, 0, len(changes))
+	for id := range changes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // equivFilter is one harness participant: a dynamic filter plus, when par
 // is non-nil, the batch path it is driven through instead of Apply.
 type equivFilter struct {

@@ -10,8 +10,9 @@ import (
 )
 
 // evalPool fans independent evaluation tasks out over a bounded set of
-// goroutines. It is the parallel substrate behind the filters' ApplyAll
-// batch path: every task owns exactly one result slot, so the fan-out is
+// goroutines. It is the parallel substrate behind the vector joins'
+// ApplySteps, which dispatches it once per batch of steps, one task per
+// changed stream: every task owns exactly one result slot, so the fan-out is
 // deterministic — the merged output is bit-identical to running the tasks
 // sequentially in slot order, regardless of scheduling (the mapdeterm
 // discipline extended to goroutine joins).
@@ -24,7 +25,7 @@ type evalPool struct {
 	workers int
 
 	// Pool telemetry, exported by the owning filter's RegisterMetrics.
-	batches   atomic.Int64 // parallel batches dispatched
+	batches   atomic.Int64 // parallel dispatches: one per batch of steps
 	tasks     atomic.Int64 // tasks run across parallel batches
 	waitNanos atomic.Int64 // summed submit→start latency across tasks
 	maxBatch  atomic.Int64 // largest task count handed to one batch
@@ -124,7 +125,7 @@ func (p *evalPool) registerMetrics(r *obs.Registry, locked func(func() float64) 
 		"Evaluation pool width (1 = sequential).",
 		locked(func() float64 { return float64(p.size()) }))
 	r.CounterFunc("nntstream_join_pool_parallel_batches_total",
-		"Batches fanned out over more than one worker.",
+		"Step batches fanned out over more than one worker: one per ingest request or single step that changes two or more streams.",
 		func() float64 { return float64(p.batches.Load()) })
 	r.CounterFunc("nntstream_join_pool_parallel_tasks_total",
 		"Tasks run inside parallel batches.",

@@ -330,7 +330,7 @@ func (ss *skyStream) probePair(t *pairTask, wits []int32) int32 {
 	return -1
 }
 
-// settle implements vecStream on the serialized merge, task by task: the
+// settle implements vecStream in the stream's task, task by task: the
 // task's witnesses are recorded, the first found for a ref winning, and
 // the pair moves to the need count of the ref that refuted it, if any. A
 // dominated entry refutes no pair, so it was closed, and a refuting ref

@@ -112,6 +112,68 @@ func BenchmarkSkylineStepManyQueries(b *testing.B) {
 // steps run 16 timestamps forward and back (flipCycle), so b.N does not
 // change what a step costs. It runs at one and two workers.
 func BenchmarkSkylineStepQueryChurn(b *testing.B) {
+	queries, streams, cycle := queryChurnRig(b)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			f := NewSkyline(DefaultDepth)
+			f.SetWorkers(workers)
+			benchSteps(b, f, queries, streams, cycle)
+		})
+	}
+}
+
+// BenchmarkSkylineBatchQueryChurn drives BenchmarkSkylineStepQueryChurn's
+// rig the way an ingest request of 8 steps does: one op is one 8-step
+// core.Monitor.StepAllBatch, which stages the steps on the canonical
+// graphs, hands them to the filter and counts each step's pairs. The
+// batches walk the 32-step cycle, so b.N does not change what a batch
+// costs. It runs at one and two workers.
+func BenchmarkSkylineBatchQueryChurn(b *testing.B) {
+	const batch = 8
+	queries, streams, cycle := queryChurnRig(b)
+	batches := len(cycle) / batch
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			f := NewSkyline(DefaultDepth)
+			f.SetWorkers(workers)
+			m := core.NewMonitor(f)
+			for _, g := range queries {
+				if _, err := m.AddQuery(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, st := range streams {
+				if _, err := m.AddStream(st.Start.Clone()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run := func(n int) int {
+				k := n % batches
+				applied, pairs, err := m.StepAllBatch(cycle[k*batch : (k+1)*batch])
+				if err != nil || applied != batch {
+					b.Fatalf("batch %d applied %d of %d steps: %v", k, applied, batch, err)
+				}
+				return pairs
+			}
+			for n := range batches {
+				run(n)
+			}
+			pairs := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				pairs += run(n)
+			}
+			b.ReportMetric(float64(pairs)/float64(b.N*batch), "pairs/step")
+		})
+	}
+}
+
+// queryChurnRig builds the query_churn join rig: 400 queries of 8 edges,
+// 50 cores of 4 edges with 8 variants each (datagen.OverlapQuerySet), 4
+// sparse synthetic streams (datagen.SparseFlipDefaults), and their 16
+// timestamps forward and back (flipCycle).
+func queryChurnRig(b *testing.B) ([]*graph.Graph, []*graph.Stream, []map[core.StreamID]graph.ChangeSet) {
 	const streams, cores, perCore, edges, steps = 4, 50, 8, 8, 16
 	flip := datagen.SparseFlipDefaults()
 	flip.Timestamps = steps
@@ -120,14 +182,7 @@ func BenchmarkSkylineStepQueryChurn(b *testing.B) {
 	r := rand.New(rand.NewSource(44))
 	w := datagen.SyntheticStreams(cfg, r)
 	queries := datagen.OverlapQuerySet(w.Basics, cores, perCore, edges, 0.5, r)
-	cycle := flipCycle(b, w.Streams)
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			f := NewSkyline(DefaultDepth)
-			f.SetWorkers(workers)
-			benchSteps(b, f, queries, w.Streams, cycle)
-		})
-	}
+	return queries, w.Streams, flipCycle(b, w.Streams)
 }
 
 // BenchmarkStepSparseStreams is measurement 2's rig in the ROADMAP: the

@@ -98,17 +98,41 @@ type column struct {
 	at     []int32
 }
 
-// reindex rebuilds the sealed column's at table after its rows moved.
-func (c *column) reindex() {
+// shift moves the sealed column's at table by d from count v onward, after
+// one row of count v was inserted (d = 1) or removed (d = -1), and fits the
+// table to the rows. A post-seal registration or removal thus pays for the
+// table entries at or above the row's count, not for a rescan of the column.
+func (c *column) shift(v int32, d int32) {
 	top := min(int(c.counts[len(c.counts)-1]), len(c.counts))
-	c.at = slices.Grow(c.at[:0], top+1)[:top+1]
+	c.at = c.at[:min(len(c.at), top+1)]
+	for i := int(v); i < len(c.at); i++ {
+		c.at[i] += d
+	}
+	c.fit()
+}
+
+// fit extends the at table, correct up to its length, to the smaller of
+// the column's largest count and its row count; Seal builds it from empty.
+func (c *column) fit() {
+	top := min(int(c.counts[len(c.counts)-1]), len(c.counts))
 	k := int32(0)
-	for v := range c.at {
+	if n := len(c.at); n > 0 {
+		k = c.at[n-1]
+	}
+	for v := len(c.at); v <= top; v++ {
 		for int(k) < len(c.counts) && c.counts[k] <= int32(v) {
 			k++
 		}
-		c.at[v] = k
+		c.at = append(c.at, k)
 	}
+}
+
+// row returns the position of ref's row, of count v, in the sealed column,
+// found by binary search on (count, ref).
+func (c *column) row(v int32, ref int32) int {
+	return sort.Search(len(c.refs), func(k int) bool {
+		return c.counts[k] > v || c.counts[k] == v && c.refs[k] >= ref
+	})
 }
 
 // upTo returns the number of the sealed column's rows with count ≤ v: a
@@ -296,15 +320,13 @@ func (ix *Index) intern(p npv.PackedVector, h uint64, mapped bool) int32 {
 		c, at := p.Count(i), len(col.refs)
 		ix.caps[p.Dim(i)] = max(ix.caps[p.Dim(i)], c)
 		if ix.sealed {
-			at = sort.Search(at, func(k int) bool {
-				return col.counts[k] > c || col.counts[k] == c && col.refs[k] > ref
-			})
+			at = col.row(c, ref)
 		}
 		col.counts = slices.Insert(col.counts, at, c)
 		col.sigs = slices.Insert(col.sigs, at, p.Sig())
 		col.refs = slices.Insert(col.refs, at, ref)
 		if ix.sealed {
-			col.reindex()
+			col.shift(c, 1)
 		}
 	}
 	return ref
@@ -352,12 +374,17 @@ func (ix *Index) release(ref int32) {
 			delete(ix.cols, d)
 			continue
 		}
-		at := slices.Index(col.refs, ref)
+		c, at := e.Vec.Count(i), 0
+		if ix.sealed {
+			at = col.row(c, ref)
+		} else {
+			at = slices.Index(col.refs, ref)
+		}
 		col.counts = slices.Delete(col.counts, at, at+1)
 		col.sigs = slices.Delete(col.sigs, at, at+1)
 		col.refs = slices.Delete(col.refs, at, at+1)
 		if ix.sealed {
-			col.reindex()
+			col.shift(c, -1)
 		}
 	}
 	if ix.empty == ref {
@@ -380,7 +407,7 @@ func (ix *Index) Seal() {
 	ix.sealed = true
 	for _, col := range ix.cols {
 		sort.Sort(col)
-		col.reindex()
+		col.fit()
 	}
 }
 

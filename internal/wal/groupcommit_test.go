@@ -430,3 +430,50 @@ func applyWork() {
 	}
 	workSink = x
 }
+
+// TestGroupCommitWithdrawsNewestFirst: inside a window Withdraw undoes the
+// window's appends one by one, newest first, down to the window's start —
+// the durable engine's undo for the steps a filter rejected — and the
+// closing fsync covers what is left. Outside a window only the last append
+// can be withdrawn again.
+func TestGroupCommitWithdrawsNewestFirst(t *testing.T) {
+	m := NewMetrics(obs.NewRegistry())
+	l, path := openSyncAlways(t, m)
+	appendAll(t, l, []Record{stepRecord(1, 2)})
+	err := l.GroupCommit(func() error {
+		for i := int32(2); i < 5; i++ {
+			if _, err := l.Append(stepRecord(i, i+1)); err != nil {
+				return err
+			}
+		}
+		for range 2 {
+			if err := l.Withdraw(); err != nil {
+				return err
+			}
+		}
+		if l.LastLSN() != 2 {
+			t.Fatalf("LastLSN after two withdrawals = %d; want 2", l.LastLSN())
+		}
+		if err := l.Withdraw(); err != nil {
+			return err
+		}
+		if err := l.Withdraw(); err == nil {
+			t.Fatal("a Withdraw reached past the window's start")
+		}
+		_, err := l.Append(stepRecord(5, 6))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Withdraw(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Withdraw(); err == nil {
+		t.Fatal("a second Withdraw after the window succeeded")
+	}
+	l.Close()
+	if got := replayAll(t, path); len(got) != 1 || got[0].LSN != 1 {
+		t.Fatalf("replayed %+v; want only the record before the window", got)
+	}
+}

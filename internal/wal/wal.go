@@ -130,11 +130,10 @@ type Log struct {
 	offset  int64 // end of the valid frame region (includes the magic)
 	size    int64 // the file's length: offset plus the zero-filled tail
 	lastLSN uint64
-	// undoAt and undoLSN are offset and lastLSN as they were before the
-	// last append, the boundary Withdraw restores; undoAt is 0 when there
-	// is no append to withdraw.
-	undoAt  int64
-	undoLSN uint64
+	// undo holds, newest last, offset and lastLSN as they were before each
+	// append Withdraw can still undo: every append of the open GroupCommit
+	// window, and outside a window only the last append.
+	undo    []undoMark
 	policy  SyncPolicy
 	dirty   bool  // bytes written since the last fsync
 	window  bool  // a GroupCommit window is open
@@ -146,6 +145,12 @@ type Log struct {
 	// syncDue after syncEvery, so an idle log holds no timer.
 	syncEvery time.Duration
 	syncTimer *time.Timer
+}
+
+// undoMark is the log's end and LSN counter before one append.
+type undoMark struct {
+	at  int64
+	lsn uint64
 }
 
 // Open opens (creating if absent) the log at path, replays the valid record
@@ -338,7 +343,10 @@ func (l *Log) appendLocked(r Record) error {
 		l.hintEnd = (l.offset + int64(n) + pageSize - 1) &^ (pageSize - 1)
 	}
 	l.metrics.observeAppend(time.Since(start), len(frame))
-	l.undoAt, l.undoLSN = l.offset, l.lastLSN
+	if !l.window {
+		l.undo = l.undo[:0]
+	}
+	l.undo = append(l.undo, undoMark{at: l.offset, lsn: l.lastLSN})
 	l.lastLSN = r.LSN
 	l.markDirty()
 	if end > l.size {
@@ -394,6 +402,7 @@ func (l *Log) GroupCommit(fn func() error) error {
 	}
 	l.window = true
 	l.hintEnd = 0
+	l.undo = l.undo[:0]
 	l.mu.Unlock()
 
 	returned := false
@@ -413,6 +422,9 @@ func (l *Log) GroupCommit(fn func() error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.window = false
+	if n := len(l.undo); n > 1 {
+		l.undo[0], l.undo = l.undo[n-1], l.undo[:1]
+	}
 	var syncErr error
 	if l.policy == SyncAlways && l.dirty {
 		if l.err != nil {
@@ -559,9 +571,11 @@ func (l *Log) LastLSN() uint64 {
 	return l.lastLSN
 }
 
-// Withdraw undoes the last Append or AppendAt — the engine's undo for a
-// record whose apply was rejected. It is valid only until the next append or
-// Reset. The file is cut where the record began, zero tail included, so no
+// Withdraw undoes the last Append or AppendAt not yet withdrawn — the
+// engine's undo for a record whose apply was rejected. Inside a GroupCommit
+// window it may be called again to undo the window's earlier appends, newest
+// first; outside one it undoes only the last append, until the next append
+// or Reset. The file is cut where the record began, zero tail included, so no
 // withdrawn frame survives to replay, and the LSN counter steps back, so the
 // next append reuses the withdrawn LSN. Like an append it does not fsync: a
 // crash before the window closes may still find the record on the disk,
@@ -572,14 +586,16 @@ func (l *Log) Withdraw() error {
 	if l.err != nil {
 		return l.err
 	}
-	if l.undoAt == 0 {
+	n := len(l.undo)
+	if n == 0 {
 		return fmt.Errorf("wal: Withdraw on %s with no append to undo", l.path)
 	}
-	if err := l.rewindTo(l.undoAt); err != nil {
+	u := l.undo[n-1]
+	if err := l.rewindTo(u.at); err != nil {
 		l.err = err
 		return err
 	}
-	l.offset, l.lastLSN, l.undoAt = l.undoAt, l.undoLSN, 0
+	l.offset, l.lastLSN, l.undo = u.at, u.lsn, l.undo[:n-1]
 	l.markDirty()
 	return nil
 }
@@ -598,7 +614,7 @@ func (l *Log) Reset() error {
 		l.err = err
 		return err
 	}
-	l.offset, l.undoAt = int64(len(fileMagic)), 0
+	l.offset, l.undo = int64(len(fileMagic)), l.undo[:0]
 	l.markDirty()
 	return l.syncLocked()
 }
